@@ -15,7 +15,7 @@
 use delphi_primitives::wire::{Decode, Encode};
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
-use crate::bv::{BvAction, BvRound};
+use crate::bv::{BvAction, BvRounds};
 use crate::messages::{BinAaMsg, EchoKind};
 use crate::params::MAX_ROUNDS;
 
@@ -44,10 +44,9 @@ use crate::params::MAX_ROUNDS;
 pub struct BinAaNode {
     me: NodeId,
     n: usize,
-    t: usize,
     r_max: u16,
-    /// Round states, indexed by `round − 1`; allocated on first use.
-    rounds: Vec<Option<BvRound>>,
+    /// Round states, each allocated on first use.
+    rounds: BvRounds,
     /// The round this node is currently executing (1-based);
     /// `r_max + 1` means all rounds are complete.
     current: u16,
@@ -71,9 +70,8 @@ impl BinAaNode {
         BinAaNode {
             me,
             n,
-            t,
             r_max,
-            rounds: std::iter::repeat_with(|| None).take(usize::from(r_max)).collect(),
+            rounds: BvRounds::new(me, n, t, r_max),
             current: 1,
             value: Dyadic::from_bit(input),
             output: None,
@@ -95,11 +93,6 @@ impl BinAaNode {
         self.current
     }
 
-    fn round_mut(&mut self, round: Round) -> &mut BvRound {
-        let (me, n, t) = (self.me, self.n, self.t);
-        self.rounds[round.index()].get_or_insert_with(|| BvRound::new(me, n, t))
-    }
-
     /// A value is plausible for round `r` iff it lies in `[0, 1]` on the
     /// grid `j / 2^{r−1}` — anything else is Byzantine junk we drop early.
     fn plausible(value: Dyadic, round: Round) -> bool {
@@ -111,14 +104,14 @@ impl BinAaNode {
     fn advance(&mut self, out: &mut Vec<(Round, BvAction)>) {
         while self.current <= self.r_max {
             let round = Round(self.current);
-            let Some(bv) = self.rounds[round.index()].as_ref() else { break };
+            let Some(bv) = self.rounds.get(round) else { break };
             let Some(outcome) = bv.outcome() else { break };
             self.value = outcome.next_value();
             self.current += 1;
             if self.current <= self.r_max {
                 let value = self.value;
                 let next = Round(self.current);
-                let actions = self.round_mut(next).set_input(value);
+                let actions = self.rounds.touch(next).set_input(value);
                 out.extend(actions.into_iter().map(|a| (next, a)));
             } else {
                 self.output = Some(self.value);
@@ -154,7 +147,8 @@ impl Protocol for BinAaNode {
     fn start(&mut self) -> Vec<Envelope> {
         let value = self.value;
         let mut actions: Vec<(Round, BvAction)> = self
-            .round_mut(Round::FIRST)
+            .rounds
+            .touch(Round::FIRST)
             .set_input(value)
             .into_iter()
             .map(|a| (Round::FIRST, a))
@@ -170,7 +164,7 @@ impl Protocol for BinAaNode {
         if msg.round.0 < 1 || msg.round.0 > self.r_max || !Self::plausible(msg.value, msg.round) {
             return Vec::new();
         }
-        let bv = self.round_mut(msg.round);
+        let bv = self.rounds.touch(msg.round);
         let actions = match msg.kind {
             EchoKind::Echo1 => bv.on_echo1(from, msg.value),
             EchoKind::Echo2 => bv.on_echo2(from, msg.value),

@@ -14,12 +14,25 @@
 //!   `n − t` `ECHO2`s (output set `{b}`).
 //!
 //! [`BvRound`] is a pure state machine: callers feed echoes in and carry
-//! the returned [`BvAction`]s to the network. Sent echoes are applied to
+//! the returned [`BvActions`] to the network. Sent echoes are applied to
 //! the local state immediately (the paper's line 6 self-insertion), and
 //! amplification keeps running even after the round has terminated so slow
 //! peers still receive help.
+//!
+//! # Layout
+//!
+//! The round state is flat: an honest execution echoes at most two values
+//! per phase (honest round values form an adjacent pair), so the first
+//! [`INLINE_VALUES`] value slots of each phase — sender set, cached count
+//! and introducer included — live inside the `BvRound` itself, as do the
+//! returned actions. Creating a round, feeding it an honest execution and
+//! dropping it performs no heap allocation (for systems of up to 256
+//! nodes, see [`NodeBitSet`]); only values added by Byzantine senders,
+//! bounded by [`MAX_ECHO1_VALUES_PER_SENDER`], spill into a heap tail.
 
-use delphi_primitives::{Dyadic, NodeBitSet, NodeId};
+use delphi_primitives::{Dyadic, NodeBitSet, NodeId, Round};
+
+use crate::params::MAX_ROUNDS;
 
 /// Per-sender cap on distinct `ECHO1` values tracked.
 ///
@@ -29,6 +42,10 @@ use delphi_primitives::{Dyadic, NodeBitSet, NodeId};
 /// value-flooding without affecting any honest quorum.
 pub const MAX_ECHO1_VALUES_PER_SENDER: usize = 2;
 
+/// Values per echo phase stored inline in a [`BvRound`]; an honest round
+/// never needs more (see the module docs).
+const INLINE_VALUES: usize = 2;
+
 /// An echo the caller must broadcast on behalf of this round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BvAction {
@@ -36,6 +53,32 @@ pub enum BvAction {
     Echo1(Dyadic),
     /// Broadcast `ECHO2(value)` for this round.
     Echo2(Dyadic),
+}
+
+/// The echoes one [`BvRound`] call asks the caller to broadcast: at most
+/// one `ECHO1` (the node's own input or one amplification) followed by at
+/// most one `ECHO2`, held inline. Iterate it to get the [`BvAction`]s in
+/// send order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BvActions {
+    echo1: Option<Dyadic>,
+    echo2: Option<Dyadic>,
+}
+
+impl BvActions {
+    /// Whether the call triggered no echo.
+    pub fn is_empty(&self) -> bool {
+        self.echo1.is_none() && self.echo2.is_none()
+    }
+}
+
+impl IntoIterator for BvActions {
+    type Item = BvAction;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<BvAction>, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        [self.echo1.map(BvAction::Echo1), self.echo2.map(BvAction::Echo2)].into_iter().flatten()
+    }
 }
 
 /// Terminated-round outcome: the weak BV-broadcast output set `B_i`
@@ -75,6 +118,66 @@ impl BvOutcome {
     }
 }
 
+/// An append-only list whose first `N` items live inline and the rest in
+/// a heap tail (empty, hence unallocated, in honest executions).
+#[derive(Clone, Debug)]
+struct InlineVec<T, const N: usize> {
+    /// Filled front to back: a `None` is never followed by a `Some`.
+    head: [Option<T>; N],
+    tail: Vec<T>,
+}
+
+impl<T, const N: usize> InlineVec<T, N> {
+    fn new() -> InlineVec<T, N> {
+        InlineVec { head: std::array::from_fn(|_| None), tail: Vec::new() }
+    }
+
+    fn push(&mut self, item: T) {
+        match self.head.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(item),
+            None => self.tail.push(item),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.head.iter().flatten().chain(&self.tail)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.head.iter_mut().flatten().chain(&mut self.tail)
+    }
+}
+
+/// One tracked echo value: who sent it, how many did, and who first did.
+#[derive(Clone, Debug)]
+struct Slot {
+    value: Dyadic,
+    senders: NodeBitSet,
+    /// `senders.len()`, maintained on insert so threshold checks never
+    /// re-popcount the bitset.
+    count: usize,
+    /// The sender whose echo created the slot. The `ECHO1` per-sender cap
+    /// counts the slots a sender introduced, not the slots it appears in.
+    introducer: NodeId,
+}
+
+impl Slot {
+    fn new(value: Dyadic, from: NodeId, n: usize) -> Slot {
+        let mut senders = NodeBitSet::new(n);
+        senders.insert(from);
+        Slot { value, senders, count: 1, introducer: from }
+    }
+
+    /// Adds `from`, returning the new sender count if it was not yet in.
+    fn insert(&mut self, from: NodeId) -> Option<usize> {
+        if !self.senders.insert(from) {
+            return None;
+        }
+        self.count += 1;
+        Some(self.count)
+    }
+}
+
 /// State of one node's participation in one weak BV-broadcast round.
 #[derive(Clone, Debug)]
 pub struct BvRound {
@@ -82,32 +185,17 @@ pub struct BvRound {
     n: usize,
     t: usize,
     /// `ECHO1` senders per value; bounded by per-sender caps.
-    e1: Vec<(Dyadic, NodeBitSet)>,
+    e1: InlineVec<Slot, INLINE_VALUES>,
     /// `ECHO2` senders per value.
-    e2: Vec<(Dyadic, NodeBitSet)>,
-    /// Distinct `ECHO1` values counted per sender.
-    e1_count: Vec<u8>,
-    /// Cached sender count per `e1` value (parallel to `e1`), maintained
-    /// on insert so threshold checks never re-popcount the bitsets.
-    e1_sizes: Vec<u32>,
+    e2: InlineVec<Slot, INLINE_VALUES>,
     /// Values we have already `ECHO1`d.
-    sent_e1: Vec<Dyadic>,
+    sent_e1: InlineVec<Dyadic, INLINE_VALUES>,
     /// Whether we have sent our (single) `ECHO2`.
     sent_e2: bool,
-    /// Cached threshold frontier: `e1` indices that crossed `t + 1`
-    /// (amplification candidates), in crossing order. Drained by
-    /// [`BvRound::progress`] via `amp_cursor`; a crossed index is never
-    /// re-scanned.
-    amp_pending: Vec<usize>,
-    /// How much of `amp_pending` has been drained.
-    amp_cursor: usize,
-    /// `e1` indices that crossed the `n − t` quorum, in crossing order
-    /// (at most two values can ever get there, see
-    /// [`MAX_ECHO1_VALUES_PER_SENDER`]).
-    q1: Vec<usize>,
-    /// The `e2` index that crossed the `n − t` quorum, if any (unique:
-    /// one `ECHO2` per sender and `n − t` is a majority).
-    e2_quorum: Option<usize>,
+    /// The first value whose `ECHO1` count reached the `n − t` quorum. It
+    /// triggers our `ECHO2` on the spot; a second value getting there
+    /// terminates the round by condition (1).
+    q1_first: Option<Dyadic>,
     outcome: Option<BvOutcome>,
 }
 
@@ -126,43 +214,44 @@ impl BvRound {
             me,
             n,
             t,
-            e1: Vec::new(),
-            e2: Vec::new(),
-            e1_count: vec![0; n],
-            e1_sizes: Vec::new(),
-            sent_e1: Vec::new(),
+            e1: InlineVec::new(),
+            e2: InlineVec::new(),
+            sent_e1: InlineVec::new(),
             sent_e2: false,
-            amp_pending: Vec::new(),
-            amp_cursor: 0,
-            q1: Vec::new(),
-            e2_quorum: None,
+            q1_first: None,
             outcome: None,
         }
     }
 
     /// Feeds this node's own input for the round (Algorithm 1 lines 4–7).
     /// Returns the echoes to broadcast.
-    pub fn set_input(&mut self, value: Dyadic) -> Vec<BvAction> {
-        let mut actions = Vec::new();
+    pub fn set_input(&mut self, value: Dyadic) -> BvActions {
+        let mut actions = BvActions::default();
         self.send_echo1(value, &mut actions);
-        self.progress(&mut actions);
+        self.send_echo2_if_due(&mut actions);
         actions
     }
 
     /// Handles `ECHO1(value)` from `from`. Returns echoes to broadcast.
-    pub fn on_echo1(&mut self, from: NodeId, value: Dyadic) -> Vec<BvAction> {
-        let mut actions = Vec::new();
-        self.insert_e1(from, value);
-        self.progress(&mut actions);
+    pub fn on_echo1(&mut self, from: NodeId, value: Dyadic) -> BvActions {
+        let mut actions = BvActions::default();
+        // Amplify: t + 1 ECHO1s for a value we have not echoed yet. A
+        // count reaches t + 1 exactly once. If our own echo takes it there
+        // the value is already marked sent; if a peer's does, this is the
+        // call that sees it — so no other value is ever left waiting.
+        if self.insert_e1(from, value) == Some(self.t + 1) {
+            self.send_echo1(value, &mut actions);
+        }
+        self.send_echo2_if_due(&mut actions);
         actions
     }
 
-    /// Handles `ECHO2(value)` from `from`. Returns echoes to broadcast.
-    pub fn on_echo2(&mut self, from: NodeId, value: Dyadic) -> Vec<BvAction> {
-        let mut actions = Vec::new();
+    /// Handles `ECHO2(value)` from `from`. An `ECHO2` can complete the
+    /// round but never triggers an echo of ours (those hang off `ECHO1`
+    /// counts alone), so the returned set is always empty.
+    pub fn on_echo2(&mut self, from: NodeId, value: Dyadic) -> BvActions {
         self.insert_e2(from, value);
-        self.progress(&mut actions);
-        actions
+        BvActions::default()
     }
 
     /// The round's outcome, once one of the two termination conditions
@@ -176,41 +265,39 @@ impl BvRound {
         self.outcome.is_some()
     }
 
-    fn insert_e1(&mut self, from: NodeId, value: Dyadic) {
+    /// Counts `from`'s `ECHO1(value)`, returning the value's new sender
+    /// count if the echo was fresh (not a duplicate, not over the cap).
+    fn insert_e1(&mut self, from: NodeId, value: Dyadic) -> Option<usize> {
         if from.index() >= self.n {
-            return;
+            return None;
         }
-        if let Some(idx) = self.e1.iter().position(|(v, _)| *v == value) {
-            if self.e1[idx].1.insert(from) {
-                self.e1_sizes[idx] += 1;
-                self.note_e1_crossing(idx);
+        let tracked = self.e1.iter_mut().find(|slot| slot.value == value);
+        let count = match tracked.map(|slot| slot.insert(from)) {
+            Some(inserted) => inserted?,
+            None => {
+                // New value for this sender: enforce the per-sender cap.
+                let introduced = self.e1.iter().filter(|slot| slot.introducer == from).count();
+                if introduced >= MAX_ECHO1_VALUES_PER_SENDER {
+                    return None;
+                }
+                self.e1.push(Slot::new(value, from, self.n));
+                1
             }
-            return;
-        }
-        // New value for this sender: enforce the per-sender cap.
-        if usize::from(self.e1_count[from.index()]) >= MAX_ECHO1_VALUES_PER_SENDER {
-            return;
-        }
-        self.e1_count[from.index()] += 1;
-        let mut set = NodeBitSet::new(self.n);
-        set.insert(from);
-        self.e1.push((value, set));
-        self.e1_sizes.push(1);
-        self.note_e1_crossing(self.e1.len() - 1);
-    }
-
-    /// Records threshold crossings for `e1` value-index `idx` after a new
-    /// sender was inserted. Each threshold is crossed exactly once (counts
-    /// grow by one per distinct sender), so the frontier vectors never see
-    /// duplicates and [`BvRound::progress`] needs no rescans.
-    fn note_e1_crossing(&mut self, idx: usize) {
-        let count = self.e1_sizes[idx] as usize;
-        if count == self.t + 1 {
-            self.amp_pending.push(idx);
-        }
+        };
+        // Counts grow by one per distinct sender, so the quorum is
+        // crossed exactly once per value.
         if count == self.n - self.t {
-            self.q1.push(idx);
+            match self.q1_first {
+                None => self.q1_first = Some(value),
+                // Condition (1): two values with n − t ECHO1s each. (A
+                // third can follow only on Byzantine-only traffic, after
+                // the round is decided.)
+                Some(first) => {
+                    self.outcome.get_or_insert(BvOutcome::pair(first, value));
+                }
+            }
         }
+        Some(count)
     }
 
     fn insert_e2(&mut self, from: NodeId, value: Dyadic) {
@@ -218,95 +305,107 @@ impl BvRound {
             return;
         }
         // One ECHO2 per sender: ignore if this sender already echoed any value.
-        if self.e2.iter().any(|(_, set)| set.contains(from)) {
+        if self.e2.iter().any(|slot| slot.senders.contains(from)) {
             return;
         }
-        if let Some(idx) = self.e2.iter().position(|(v, _)| *v == value) {
-            if self.e2[idx].1.insert(from) {
-                self.note_e2_crossing(idx);
+        let tracked = self.e2.iter_mut().find(|slot| slot.value == value);
+        let count = match tracked.map(|slot| slot.insert(from)) {
+            Some(inserted) => inserted,
+            None => {
+                self.e2.push(Slot::new(value, from, self.n));
+                Some(1)
             }
-            return;
-        }
-        let mut set = NodeBitSet::new(self.n);
-        set.insert(from);
-        self.e2.push((value, set));
-        self.note_e2_crossing(self.e2.len() - 1);
-    }
-
-    /// Records an `n − t` `ECHO2` quorum crossing for `e2` value-index
-    /// `idx`, if it just happened. The quorum is unique (one `ECHO2` per
-    /// sender, and `n − t > n / 2`), so `Some` is final once set.
-    fn note_e2_crossing(&mut self, idx: usize) {
-        if self.e2_quorum.is_none() && self.e2[idx].1.len() == self.n - self.t {
-            self.e2_quorum = Some(idx);
+        };
+        // Condition (2): one value with n − t ECHO2s. The quorum is unique
+        // (one ECHO2 per sender, and n − t > n / 2).
+        if count == Some(self.n - self.t) {
+            self.outcome.get_or_insert(BvOutcome::single(value));
         }
     }
 
-    fn send_echo1(&mut self, value: Dyadic, actions: &mut Vec<BvAction>) {
-        if self.sent_e1.contains(&value) {
+    fn send_echo1(&mut self, value: Dyadic, actions: &mut BvActions) {
+        if self.sent_e1.iter().any(|sent| *sent == value) {
             return;
         }
         self.sent_e1.push(value);
         self.insert_e1(self.me, value);
-        actions.push(BvAction::Echo1(value));
+        actions.echo1 = Some(value);
     }
 
-    fn send_echo2(&mut self, value: Dyadic, actions: &mut Vec<BvAction>) {
+    /// ECHO2: n − t ECHO1s for a value, once per round. Runs after every
+    /// `ECHO1` insertion, so it fires on the first value to get there.
+    fn send_echo2_if_due(&mut self, actions: &mut BvActions) {
+        let Some(value) = self.q1_first else { return };
         if self.sent_e2 {
             return;
         }
         self.sent_e2 = true;
         self.insert_e2(self.me, value);
-        actions.push(BvAction::Echo2(value));
+        actions.echo2 = Some(value);
+    }
+}
+
+/// The round states of one BinAA instance.
+///
+/// A round's state is created the first time an echo or the node's own
+/// input touches it and appended to one dense vector, found again through
+/// a small inline index. An untouched instance owns no heap memory; a
+/// touched one owns a single block holding its *live* rounds back to back
+/// (rounds are entered in order, so a round and its successor share cache
+/// lines and pages) — which is also all a clone (a Delphi checkpoint
+/// fork) copies and all a drop frees. Terminated rounds stay resident:
+/// their amplification keeps helping slower peers.
+#[derive(Clone, Debug)]
+pub(crate) struct BvRounds {
+    me: NodeId,
+    n: usize,
+    t: usize,
+    r_max: u16,
+    /// `index[round − 1]` is the round's position in `live` plus one, or
+    /// zero while the round is untouched.
+    index: [u8; MAX_ROUNDS as usize],
+    /// Touched rounds, in first-touch order.
+    live: Vec<BvRound>,
+}
+
+impl BvRounds {
+    /// An instance of `r_max` rounds, none of them touched yet. The
+    /// [`BvRound::new`] preconditions on `(me, n, t)` are the caller's to
+    /// check up front; they fire on the first touch otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r_max` exceeds [`MAX_ROUNDS`].
+    pub(crate) fn new(me: NodeId, n: usize, t: usize, r_max: u16) -> BvRounds {
+        assert!(r_max <= MAX_ROUNDS, "r_max must be at most {MAX_ROUNDS}");
+        BvRounds { me, n, t, r_max, index: [0; MAX_ROUNDS as usize], live: Vec::new() }
     }
 
-    /// Runs the amplification/echo2 triggers to a fixed point, then checks
-    /// the termination conditions.
+    /// The state of `round`, if anything has touched it.
+    pub(crate) fn get(&self, round: Round) -> Option<&BvRound> {
+        let position = usize::from(*self.index.get(round.index())?);
+        self.live.get(position.checked_sub(1)?)
+    }
+
+    /// The state of `round`, created on first touch.
     ///
-    /// Unlike the original linear re-scan, this drains the cached threshold
-    /// frontier (`amp_pending` / `q1` / `e2_quorum`): each quorum crossing
-    /// is recorded once at insert time, so a `progress` call is O(work
-    /// actually triggered) instead of O(values tracked).
-    fn progress(&mut self, actions: &mut Vec<BvAction>) {
-        loop {
-            // Amplify: t + 1 ECHO1s for a value we have not echoed yet.
-            // Crossings are drained in e1-index order (FIFO matches it:
-            // a value's t + 1 crossing happens at most once, and echoes
-            // sent below can only cross *later-known* values).
-            if self.amp_cursor < self.amp_pending.len() {
-                let idx = self.amp_pending[self.amp_cursor];
-                self.amp_cursor += 1;
-                let v = self.e1[idx].0;
-                if !self.sent_e1.contains(&v) {
-                    self.send_echo1(v, actions);
-                }
-                continue;
+    /// # Panics
+    ///
+    /// Panics if `round` is outside `1..=r_max` (callers validate rounds
+    /// from the wire before they get here).
+    pub(crate) fn touch(&mut self, round: Round) -> &mut BvRound {
+        let slot = &mut self.index[..usize::from(self.r_max)][round.index()];
+        if *slot == 0 {
+            if self.live.len() == self.live.capacity() {
+                // Room for every round at once (reserved, not written): an
+                // agreement runs them all, and growing by doubling would
+                // copy the states around and overshoot by up to half.
+                self.live.reserve_exact(usize::from(self.r_max) - self.live.len());
             }
-            // ECHO2: n − t ECHO1s for a value, once per round. Pick the
-            // lowest e1 index with a quorum — the same value the old
-            // in-order scan chose.
-            if !self.sent_e2 {
-                if let Some(&idx) = self.q1.iter().min() {
-                    let v = self.e1[idx].0;
-                    self.send_echo2(v, actions);
-                    continue;
-                }
-            }
-            break;
+            self.live.push(BvRound::new(self.me, self.n, self.t));
+            *slot = self.live.len() as u8; // at most MAX_ROUNDS live rounds
         }
-        if self.outcome.is_none() {
-            // Condition (1): two values with n − t ECHO1s each. At most
-            // two values can ever reach that quorum (three would need
-            // 3(n − t) ≤ 2n distinct echo slots, i.e. n ≤ 3t).
-            if self.q1.len() >= 2 {
-                self.outcome = Some(BvOutcome::pair(self.e1[self.q1[0]].0, self.e1[self.q1[1]].0));
-                return;
-            }
-            // Condition (2): one value with n − t ECHO2s.
-            if let Some(idx) = self.e2_quorum {
-                self.outcome = Some(BvOutcome::single(self.e2[idx].0));
-            }
-        }
+        &mut self.live[usize::from(*slot) - 1]
     }
 }
 
@@ -415,7 +514,7 @@ mod tests {
         assert!(a1.is_empty() && a2.is_empty());
         // A third echo (t + 1 = 3) triggers amplification.
         let a3 = r.on_echo1(NodeId(4), ONE);
-        assert_eq!(a3, vec![BvAction::Echo1(ONE)]);
+        assert_eq!(Vec::from_iter(a3), vec![BvAction::Echo1(ONE)]);
     }
 
     #[test]
@@ -473,7 +572,8 @@ mod tests {
         for i in 0..100u64 {
             let _ = r.on_echo1(NodeId(3), Dyadic::new(i, 10));
         }
-        assert!(r.e1.len() <= 3, "tracked values stay bounded: {}", r.e1.len());
+        let tracked = r.e1.iter().count();
+        assert!(tracked <= 3, "tracked values stay bounded: {tracked}");
         // Honest traffic still works fine afterwards.
         let _ = r.on_echo1(NodeId(1), ZERO);
         let _ = r.on_echo1(NodeId(2), ZERO);
@@ -490,7 +590,7 @@ mod tests {
         // Byzantine node 3 tries ECHO2 on two values.
         let _ = r.on_echo2(NodeId(3), ZERO);
         let _ = r.on_echo2(NodeId(3), ONE);
-        assert_eq!(r.e2.len(), 1, "second ECHO2 from same sender ignored");
+        assert_eq!(r.e2.iter().count(), 1, "second ECHO2 from same sender ignored");
     }
 
     #[test]
@@ -500,7 +600,7 @@ mod tests {
         let _ = r.on_echo1(NodeId(100), ZERO);
         let _ = r.on_echo2(NodeId(100), ZERO);
         // Only our own echo counts.
-        assert_eq!(r.e1[0].1.len(), 1);
+        assert_eq!(r.e1.iter().map(|slot| slot.senders.len()).sum::<usize>(), 1);
     }
 
     #[test]
@@ -516,7 +616,7 @@ mod tests {
         // Value 1 reaches t + 1 only now: we must still help.
         let _ = r.on_echo1(NodeId(1), ONE);
         let acts = r.on_echo1(NodeId(2), ONE);
-        assert_eq!(acts, vec![BvAction::Echo1(ONE)]);
+        assert_eq!(Vec::from_iter(acts), vec![BvAction::Echo1(ONE)]);
         // Outcome remains frozen.
         assert_eq!(r.outcome().unwrap().set(), vec![ZERO]);
     }
@@ -536,6 +636,42 @@ mod tests {
         for r in &rounds {
             assert!(r.is_terminated());
         }
+    }
+
+    #[test]
+    fn per_sender_cap_holds_on_the_spill_tail() {
+        // n = 16, t = 5. The honest pair {0, 1} fills the inline slots;
+        // five Byzantine senders then flood distinct values, which can
+        // only land in the heap tail: two introductions each, no more.
+        let (n, t) = (16, 5);
+        let mut r = BvRound::new(NodeId(0), n, t);
+        let _ = r.set_input(ZERO);
+        let _ = r.on_echo1(NodeId(1), ONE);
+        assert!(r.e1.tail.is_empty(), "honest pair stays inline");
+        for byz in 11..16u16 {
+            for i in 0..100u64 {
+                let _ =
+                    r.on_echo1(NodeId(byz), Dyadic::new(1 + 2 * (u64::from(byz) * 100 + i), 20));
+            }
+        }
+        assert_eq!(r.e1.tail.len(), 5 * MAX_ECHO1_VALUES_PER_SENDER, "two per flooder");
+        for byz in 11..16u16 {
+            let introduced = r.e1.iter().filter(|slot| slot.introducer == NodeId(byz)).count();
+            assert_eq!(introduced, MAX_ECHO1_VALUES_PER_SENDER);
+        }
+        // A capped sender may still echo values others introduced.
+        let _ = r.on_echo1(NodeId(11), ZERO);
+        assert_eq!(r.e1.iter().next().map(|slot| slot.count), Some(2));
+        // Flooded values never reach t + 1, so nothing was amplified, and
+        // the honest quorum still terminates the round.
+        assert_eq!(r.sent_e1.iter().count(), 1);
+        for i in 1..=10u16 {
+            let _ = r.on_echo1(NodeId(i), ZERO);
+        }
+        for i in 1..=10u16 {
+            let _ = r.on_echo2(NodeId(i), ZERO);
+        }
+        assert_eq!(r.outcome().map(BvOutcome::set), Some(vec![ZERO]));
     }
 
     /// The pre-frontier-cache `BvRound` logic (linear re-scan in
@@ -682,38 +818,52 @@ mod tests {
         }
     }
 
+    /// Echo values for the differential streams: eight distinct values,
+    /// the first two drawn most often so that quorums do form while the
+    /// rest overflow the inline slots into the spill tail.
+    const STREAM_VALUES: [u64; 16] = [0, 0, 0, 0, 0, 4, 4, 4, 4, 1, 2, 3, 5, 6, 7, 1];
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// Differential test: the cached-frontier `BvRound` emits exactly
-        /// the same actions and reaches exactly the same outcome as the
-        /// original linear-scan implementation, on arbitrary echo streams
+        /// Differential test: the flat `BvRound` emits exactly the same
+        /// actions and reaches exactly the same outcome as the original
+        /// linear-scan implementation, on arbitrary echo streams
         /// (including duplicate senders, value floods past the per-sender
-        /// cap, out-of-range senders, and `set_input` at any point).
+        /// cap, out-of-range senders, and `set_input` at any point), from
+        /// n = 4 up to sizes whose sender sets leave the inline bitset.
         #[test]
         fn prop_frontier_matches_linear_scan(
-            n_choice in 0usize..3,
+            n_choice in 0usize..6,
             events in proptest::collection::vec(
-                (0usize..3, 0u16..12, 0u64..4),
-                1..80,
+                (0usize..40, proptest::prelude::any::<u16>(), 0usize..16),
+                1..2400,
             ),
         ) {
-            let (n, t) = [(4usize, 1usize), (7, 2), (10, 3)][n_choice];
+            let (n, t) =
+                [(4usize, 1usize), (7, 2), (10, 3), (16, 5), (160, 53), (300, 99)][n_choice];
             let me = NodeId(0);
             let mut fast = BvRound::new(me, n, t);
             let mut naive = NaiveBv::new(me, n, t);
-            for (op, from, num) in events {
-                let v = Dyadic::new(num, 2);
-                let from = NodeId(from);
+            for (op, from, value) in events {
+                let v = Dyadic::new(STREAM_VALUES[value], 3);
+                // Two ids past the end keep out-of-range senders in play.
+                let from = NodeId(from % (n as u16 + 2));
                 let (a, b) = match op {
-                    0 => (fast.on_echo1(from, v), naive.on_echo1(from, v)),
-                    1 => (fast.on_echo2(from, v), naive.on_echo2(from, v)),
+                    0..=24 => (fast.on_echo1(from, v), naive.on_echo1(from, v)),
+                    25..=38 => (fast.on_echo2(from, v), naive.on_echo2(from, v)),
                     _ => (fast.set_input(v), naive.set_input(v)),
                 };
-                proptest::prop_assert_eq!(a, b, "actions diverged");
+                proptest::prop_assert_eq!(Vec::from_iter(a), b, "actions diverged");
                 proptest::prop_assert_eq!(fast.outcome.as_ref(), naive.outcome.as_ref());
                 proptest::prop_assert_eq!(fast.sent_e2, naive.sent_e2);
-                proptest::prop_assert_eq!(&fast.sent_e1, &naive.sent_e1);
+                let sent: Vec<Dyadic> = fast.sent_e1.iter().copied().collect();
+                proptest::prop_assert_eq!(&sent, &naive.sent_e1);
+                let tracked: Vec<(Dyadic, usize)> =
+                    fast.e1.iter().map(|slot| (slot.value, slot.count)).collect();
+                let expect: Vec<(Dyadic, usize)> =
+                    naive.e1.iter().map(|(v, set)| (*v, set.len())).collect();
+                proptest::prop_assert_eq!(tracked, expect, "tracked ECHO1 values diverged");
             }
         }
     }

@@ -20,7 +20,7 @@
 use delphi_primitives::wire::{Decode, Encode, Reader, WireError, Writer};
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
-use crate::bv::{BvAction, BvRound};
+use crate::bv::{BvAction, BvRounds};
 use crate::messages::EchoKind;
 use crate::params::MAX_ROUNDS;
 
@@ -231,9 +231,8 @@ impl SenderChain {
 pub struct CompactBinAaNode {
     me: NodeId,
     n: usize,
-    t: usize,
     r_max: u16,
-    rounds: Vec<Option<BvRound>>,
+    rounds: BvRounds,
     current: u16,
     value: Dyadic,
     /// Own state value entering each round (the trajectory we announce).
@@ -257,9 +256,8 @@ impl CompactBinAaNode {
         CompactBinAaNode {
             me,
             n,
-            t,
             r_max,
-            rounds: std::iter::repeat_with(|| None).take(usize::from(r_max)).collect(),
+            rounds: BvRounds::new(me, n, t, r_max),
             current: 1,
             value: Dyadic::from_bit(input),
             own_values: Vec::with_capacity(usize::from(r_max)),
@@ -271,11 +269,6 @@ impl CompactBinAaNode {
     /// Boxes the node for use with heterogeneous drivers.
     pub fn boxed(self) -> Box<dyn Protocol<Output = Dyadic>> {
         Box::new(self)
-    }
-
-    fn round_mut(&mut self, round: Round) -> &mut BvRound {
-        let (me, n, t) = (self.me, self.n, self.t);
-        self.rounds[round.index()].get_or_insert_with(|| BvRound::new(me, n, t))
     }
 
     /// Encodes one of our BvActions as a compact message, if expressible.
@@ -309,10 +302,10 @@ impl CompactBinAaNode {
                 self.own_values.push(self.value);
                 out.push(CompactMsg { round, kind: CompactKind::Val, code });
                 let value = self.value;
-                let actions = self.round_mut(round).set_input(value);
+                let actions = self.rounds.touch(round).set_input(value);
                 extra.extend(actions.into_iter().map(|a| (round, a)));
             }
-            let Some(bv) = self.rounds[round.index()].as_ref() else { break };
+            let Some(bv) = self.rounds.get(round) else { break };
             let Some(outcome) = bv.outcome() else { break };
             self.value = outcome.next_value();
             self.current += 1;
@@ -332,7 +325,7 @@ impl CompactBinAaNode {
         if u16::from(value.log_den()) >= round.0 || !value.in_unit_interval() {
             return Vec::new();
         }
-        let bv = self.round_mut(round);
+        let bv = self.rounds.touch(round);
         let actions = match kind {
             EchoKind::Echo1 => bv.on_echo1(from, value),
             EchoKind::Echo2 => bv.on_echo2(from, value),

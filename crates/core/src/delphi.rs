@@ -38,7 +38,7 @@ use delphi_primitives::wire::{Encode, VectorValue, MAX_VECTOR_DIMS};
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
 use crate::aggregate::{combine_levels, level_summary, LevelSummary};
-use crate::bv::{BvAction, BvRound};
+use crate::bv::{BvAction, BvActions, BvRounds};
 use crate::messages::{
     BasketBundle, BasketBundleRef, BasketSection, DelphiBundle, DelphiBundleRef, EchoKind, Section,
 };
@@ -49,29 +49,61 @@ pub const INTRO_BUDGET_PER_LEVEL: u8 = 8;
 
 /// One BinAA instance: either the background of a level or one
 /// distinguished checkpoint.
+///
+/// Cloning one is the checkpoint fork: it deep-copies the rounds touched
+/// so far — the background's whole quorum history — and nothing else.
 #[derive(Clone, Debug)]
 struct Instance {
-    /// Round states, indexed by `round − 1`, allocated on first touch.
-    rounds: Vec<Option<BvRound>>,
+    rounds: BvRounds,
     /// State value entering the level's current round.
     value: Dyadic,
 }
 
 impl Instance {
-    fn new(r_max: u16, input: Dyadic) -> Instance {
-        Instance {
-            rounds: std::iter::repeat_with(|| None).take(usize::from(r_max)).collect(),
-            value: input,
-        }
-    }
-
-    fn round_mut(&mut self, round: Round, me: NodeId, n: usize, t: usize) -> &mut BvRound {
-        self.rounds[round.index()].get_or_insert_with(|| BvRound::new(me, n, t))
+    fn new(cfg: &DelphiConfig, me: NodeId, input: Dyadic) -> Instance {
+        Instance { rounds: BvRounds::new(me, cfg.n(), cfg.t(), cfg.r_max()), value: input }
     }
 
     fn outcome_at(&self, round: Round) -> Option<Dyadic> {
-        self.rounds[round.index()].as_ref()?.outcome().map(|o| o.next_value())
+        self.rounds.get(round)?.outcome().map(|o| o.next_value())
     }
+
+    /// Moves to the value `round` decided (no change while it is open).
+    fn adopt_outcome(&mut self, round: Round) {
+        if let Some(next) = self.outcome_at(round) {
+            self.value = next;
+        }
+    }
+}
+
+/// Applies one echo to one round of one instance.
+fn feed_echo(
+    instance: &mut Instance,
+    round: Round,
+    kind: EchoKind,
+    from: NodeId,
+    value: Dyadic,
+) -> BvActions {
+    let bv = instance.rounds.touch(round);
+    match kind {
+        EchoKind::Echo1 => bv.on_echo1(from, value),
+        EchoKind::Echo2 => bv.on_echo2(from, value),
+    }
+}
+
+/// Splits an action into its wire shape.
+fn echo_parts(action: BvAction) -> (EchoKind, Dyadic) {
+    match action {
+        BvAction::Echo1(v) => (EchoKind::Echo1, v),
+        BvAction::Echo2(v) => (EchoKind::Echo2, v),
+    }
+}
+
+/// Bit `level` of a touched-levels mask. Every configured level index is
+/// below 64 ([`MAX_LEVELS`](crate::params::MAX_LEVELS)); a wire-supplied
+/// index beyond that names no level and maps to no bit.
+fn level_bit(level: u8) -> u64 {
+    1u64.checked_shl(u32::from(level)).unwrap_or(0)
 }
 
 /// Per-level protocol state.
@@ -183,7 +215,7 @@ impl DelphiNode {
                     k_min,
                     k_max,
                     round: 1,
-                    background: Instance::new(cfg.r_max(), Dyadic::ZERO),
+                    background: Instance::new(&cfg, me, Dyadic::ZERO),
                     actives: BTreeMap::new(),
                     intro_budget: vec![INTRO_BUDGET_PER_LEVEL; cfg.n()],
                     summary: None,
@@ -259,47 +291,9 @@ impl DelphiNode {
         true
     }
 
-    /// Applies one echo to one instance, translating its actions into
-    /// collector output.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_echo(
-        cfg: &DelphiConfig,
-        me: NodeId,
-        instance: &mut Instance,
-        scope: Option<i64>,
-        level: u8,
-        round: Round,
-        kind: EchoKind,
-        from: NodeId,
-        value: Dyadic,
-        out: &mut Collector,
-        deferred_bg: &mut Vec<(u8, Round, EchoKind, Dyadic)>,
-    ) {
-        let bv = instance.round_mut(round, me, cfg.n(), cfg.t());
-        let actions = match kind {
-            EchoKind::Echo1 => bv.on_echo1(from, value),
-            EchoKind::Echo2 => bv.on_echo2(from, value),
-        };
-        for action in actions {
-            let (k2, v2) = match action {
-                BvAction::Echo1(v) => (EchoKind::Echo1, v),
-                BvAction::Echo2(v) => (EchoKind::Echo2, v),
-            };
-            match scope {
-                Some(k) => out.entry(level, round, k2, k, v2),
-                // Background echoes need an exclude snapshot of the whole
-                // level; defer so the caller can take it without aliasing.
-                None => deferred_bg.push((level, round, k2, v2)),
-            }
-        }
-    }
-
     /// Processes one decoded section, collecting any triggered echoes.
     fn process_section(&mut self, from: NodeId, section: &Section, out: &mut Collector) {
-        let level_idx = usize::from(section.level);
-        if level_idx >= self.levels.len() {
-            return;
-        }
+        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
             return;
         }
@@ -308,11 +302,7 @@ impl DelphiNode {
                 return;
             }
         }
-
-        let cfg = self.cfg.clone();
-        let me = self.me;
-        let level = &mut self.levels[level_idx];
-        let mut deferred_bg: Vec<(u8, Round, EchoKind, Dyadic)> = Vec::new();
+        let (lvl, round, kind) = (section.level, section.round, section.kind);
 
         // 1. Every mentioned checkpoint becomes distinguished (fork).
         for &k in section.exclude.iter().chain(section.entries.iter().map(|(k, _)| k)) {
@@ -321,164 +311,115 @@ impl DelphiNode {
 
         // 2. Explicit per-checkpoint echoes.
         for &(k, value) in &section.entries {
-            if !Self::plausible(value, section.round) {
+            if !Self::plausible(value, round) {
                 continue;
             }
             if let Some(instance) = level.actives.get_mut(&k) {
-                Self::apply_echo(
-                    &cfg,
-                    me,
-                    instance,
-                    Some(k),
-                    section.level,
-                    section.round,
-                    section.kind,
-                    from,
-                    value,
-                    out,
-                    &mut deferred_bg,
-                );
+                for action in feed_echo(instance, round, kind, from, value) {
+                    let (kind, v) = echo_parts(action);
+                    out.entry(lvl, round, kind, k, v);
+                }
             }
         }
 
-        // 3. Background echo: applies to the background instance and every
-        //    distinguished checkpoint the sender did not mention.
-        if let Some(bg_value) = section.background {
-            let mentioned = |k: i64| {
-                section.exclude.contains(&k) || section.entries.iter().any(|&(ek, _)| ek == k)
-            };
-            let keys: Vec<i64> = level.actives.keys().copied().filter(|&k| !mentioned(k)).collect();
-            for k in keys {
-                let instance = level.actives.get_mut(&k).expect("key just listed");
-                Self::apply_echo(
-                    &cfg,
-                    me,
-                    instance,
-                    Some(k),
-                    section.level,
-                    section.round,
-                    section.kind,
-                    from,
-                    bg_value,
-                    out,
-                    &mut deferred_bg,
-                );
+        // 3. Background echo: applies to every distinguished checkpoint
+        //    the sender did not mention, then to the background instance.
+        let Some(bg_value) = section.background else { return };
+        let mentioned =
+            |k: i64| section.exclude.contains(&k) || section.entries.iter().any(|&(ek, _)| ek == k);
+        for (&k, instance) in level.actives.iter_mut().filter(|(&k, _)| !mentioned(k)) {
+            for action in feed_echo(instance, round, kind, from, bg_value) {
+                let (kind, v) = echo_parts(action);
+                out.entry(lvl, round, kind, k, v);
             }
-            Self::apply_echo(
-                &cfg,
-                me,
-                &mut level.background,
-                None,
-                section.level,
-                section.round,
-                section.kind,
-                from,
-                bg_value,
-                out,
-                &mut deferred_bg,
-            );
         }
-
-        // 4. Flush deferred background echoes with an exclude snapshot.
-        for (lvl, round, kind, value) in deferred_bg {
-            let exclude: Vec<i64> = level.actives.keys().copied().collect();
-            out.background(lvl, round, kind, value, exclude);
+        // Background echoes of ours carry an exclude snapshot of the whole
+        // level, taken once every checkpoint echo above is collected.
+        for action in feed_echo(&mut level.background, round, kind, from, bg_value) {
+            let (kind, v) = echo_parts(action);
+            out.background(lvl, round, kind, v, level.actives.keys().copied().collect());
         }
     }
 
-    /// Advances every level through any rounds whose outcomes are complete,
-    /// emitting initial bursts; finalizes levels and the overall output.
-    fn advance(&mut self, out: &mut Collector) {
-        let cfg = self.cfg.clone();
-        let me = self.me;
-        let probe = self.round_probe.clone();
-        for level in &mut self.levels {
-            'rounds: while level.round <= cfg.r_max() {
+    /// Enters `round` at `level`: feeds every instance its round input and
+    /// emits the initial burst (background plus every active echoing its
+    /// input at once), followed by whatever the inputs triggered.
+    fn enter_round(level: &mut LevelState, round: Round, out: &mut Collector) {
+        let lvl = level.level;
+        let mut entries = Vec::with_capacity(level.actives.len());
+        for (&k, inst) in level.actives.iter_mut() {
+            let value = inst.value;
+            entries.push((k, value));
+            for action in inst.rounds.touch(round).set_input(value) {
+                // The initial Echo1 is carried by the burst entry itself.
+                if action != BvAction::Echo1(value) {
+                    let (kind, v) = echo_parts(action);
+                    out.entry(lvl, round, kind, k, v);
+                }
+            }
+        }
+        let bg_value = level.background.value;
+        let bg_actions = level.background.rounds.touch(round).set_input(bg_value);
+        out.initial(lvl, round, bg_value, entries);
+        for action in bg_actions {
+            if action != BvAction::Echo1(bg_value) {
+                let (kind, v) = echo_parts(action);
+                out.background(lvl, round, kind, v, level.actives.keys().copied().collect());
+            }
+        }
+    }
+
+    /// Advances the levels in `touched` (a [`level_bit`] mask) through any
+    /// rounds whose outcomes are complete, emitting initial bursts;
+    /// finalizes levels and the overall output.
+    ///
+    /// A level's instances change only through that level's own sections,
+    /// and every call leaves the levels it visits fully advanced, so the
+    /// levels a message did not name have nothing to do.
+    fn advance(&mut self, touched: u64, out: &mut Collector) {
+        let mut finished_level = false;
+        for level in self.levels.iter_mut().filter(|l| touched & level_bit(l.level) != 0) {
+            while level.round <= self.cfg.r_max() {
                 let round = Round(level.round);
                 // The level advances when the background and every
                 // distinguished checkpoint have terminated the round.
-                let Some(bg_next) = level.background.outcome_at(round) else { break 'rounds };
-                let mut nexts: Vec<(i64, Dyadic)> = Vec::with_capacity(level.actives.len());
-                for (&k, inst) in &level.actives {
-                    let Some(next) = inst.outcome_at(round) else { break 'rounds };
-                    nexts.push((k, next));
+                let terminated = level.background.outcome_at(round).is_some()
+                    && level.actives.values().all(|inst| inst.outcome_at(round).is_some());
+                if !terminated {
+                    break;
                 }
-                level.background.value = bg_next;
-                for (k, next) in &nexts {
-                    level.actives.get_mut(k).expect("listed above").value = *next;
+                level.background.adopt_outcome(round);
+                for inst in level.actives.values_mut() {
+                    inst.adopt_outcome(round);
                 }
                 level.round += 1;
-                if let Some(p) = &probe {
+                if let Some(p) = &self.round_probe {
                     p.fetch_add(1, Ordering::Relaxed);
                 }
-                if level.round > cfg.r_max() {
+                if level.round > self.cfg.r_max() {
                     // Level complete: final values are the weights.
-                    let eps_prime = cfg.eps_prime();
                     let checkpoints: Vec<(f64, f64)> = level
                         .actives
                         .iter()
                         .map(|(&k, inst)| {
-                            (cfg.checkpoint_value(level.level, k), inst.value.to_f64())
+                            (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
                         })
                         .collect();
                     // The background weight is provably 0 at honest nodes
                     // (its honest inputs are all 0); it carries no mass.
                     debug_assert!(level.background.value.is_zero());
-                    let own = cfg.clamp_input(self.input);
-                    level.summary = Some(level_summary(&checkpoints, own, eps_prime));
-                    break 'rounds;
+                    let own = self.cfg.clamp_input(self.input);
+                    level.summary = Some(level_summary(&checkpoints, own, self.cfg.eps_prime()));
+                    finished_level = true;
+                    break;
                 }
-                // Initial burst for the next round.
-                let next_round = Round(level.round);
-                let mut deferred: Vec<(u8, Round, EchoKind, Dyadic)> = Vec::new();
-                let mut entries: Vec<(i64, Dyadic)> = Vec::new();
-                let keys: Vec<i64> = level.actives.keys().copied().collect();
-                for k in keys {
-                    let inst = level.actives.get_mut(&k).expect("key just listed");
-                    let value = inst.value;
-                    let actions = inst.round_mut(next_round, me, cfg.n(), cfg.t()).set_input(value);
-                    entries.push((k, value));
-                    for action in actions {
-                        match action {
-                            // The initial Echo1 is carried by the burst
-                            // entry itself.
-                            BvAction::Echo1(v) if v == value => {}
-                            BvAction::Echo1(v) => {
-                                out.entry(level.level, next_round, EchoKind::Echo1, k, v)
-                            }
-                            BvAction::Echo2(v) => {
-                                out.entry(level.level, next_round, EchoKind::Echo2, k, v)
-                            }
-                        }
-                    }
-                }
-                let bg_value = level.background.value;
-                let bg_actions = level
-                    .background
-                    .round_mut(next_round, me, cfg.n(), cfg.t())
-                    .set_input(bg_value);
-                out.initial(level.level, next_round, bg_value, entries);
-                for action in bg_actions {
-                    match action {
-                        BvAction::Echo1(v) if v == bg_value => {}
-                        BvAction::Echo1(v) => {
-                            deferred.push((level.level, next_round, EchoKind::Echo1, v))
-                        }
-                        BvAction::Echo2(v) => {
-                            deferred.push((level.level, next_round, EchoKind::Echo2, v))
-                        }
-                    }
-                }
-                for (lvl, round, kind, value) in deferred {
-                    let exclude: Vec<i64> = level.actives.keys().copied().collect();
-                    out.background(lvl, round, kind, value, exclude);
-                }
+                Self::enter_round(level, Round(level.round), out);
             }
         }
-        if self.output.is_none() && self.levels.iter().all(|l| l.summary.is_some()) {
-            let summaries: Vec<LevelSummary> =
-                self.levels.iter().map(|l| l.summary.expect("checked")).collect();
-            self.output = Some(combine_levels(&summaries));
+        if finished_level && self.output.is_none() {
+            let summaries: Option<Vec<LevelSummary>> =
+                self.levels.iter().map(|l| l.summary).collect();
+            self.output = summaries.map(|s| combine_levels(&s));
         }
     }
 
@@ -504,52 +445,20 @@ impl Protocol for DelphiNode {
     }
 
     fn start(&mut self) -> Vec<Envelope> {
-        let cfg = self.cfg.clone();
-        let me = self.me;
         let mut out = Collector::default();
         for level in &mut self.levels {
             // Our own 1-checkpoints become distinguished with input 1
             // (charged against our own introduction budget).
-            for k in cfg.one_checkpoints(level.level, self.input) {
-                if Self::distinguish(level, k, me) {
-                    level.actives.get_mut(&k).expect("just distinguished").value = Dyadic::ONE;
-                }
-            }
-            // Round-1 initial burst.
-            let round = Round(1);
-            let mut entries = Vec::new();
-            let keys: Vec<i64> = level.actives.keys().copied().collect();
-            for k in keys {
-                let inst = level.actives.get_mut(&k).expect("key just listed");
-                let value = inst.value;
-                let actions = inst.round_mut(round, me, cfg.n(), cfg.t()).set_input(value);
-                entries.push((k, value));
-                for action in actions {
-                    match action {
-                        BvAction::Echo1(v) if v == value => {}
-                        BvAction::Echo1(v) => out.entry(level.level, round, EchoKind::Echo1, k, v),
-                        BvAction::Echo2(v) => out.entry(level.level, round, EchoKind::Echo2, k, v),
+            for k in self.cfg.one_checkpoints(level.level, self.input) {
+                if Self::distinguish(level, k, self.me) {
+                    if let Some(inst) = level.actives.get_mut(&k) {
+                        inst.value = Dyadic::ONE;
                     }
                 }
             }
-            let bg_actions =
-                level.background.round_mut(round, me, cfg.n(), cfg.t()).set_input(Dyadic::ZERO);
-            out.initial(level.level, round, Dyadic::ZERO, entries);
-            for action in bg_actions {
-                match action {
-                    BvAction::Echo1(v) if v.is_zero() => {}
-                    BvAction::Echo1(v) => {
-                        let exclude: Vec<i64> = level.actives.keys().copied().collect();
-                        out.background(level.level, round, EchoKind::Echo1, v, exclude);
-                    }
-                    BvAction::Echo2(v) => {
-                        let exclude: Vec<i64> = level.actives.keys().copied().collect();
-                        out.background(level.level, round, EchoKind::Echo2, v, exclude);
-                    }
-                }
-            }
+            Self::enter_round(level, Round::FIRST, &mut out);
         }
-        self.advance(&mut out);
+        self.advance(u64::MAX, &mut out);
         self.flush(out)
     }
 
@@ -566,12 +475,14 @@ impl Protocol for DelphiNode {
         let mut out = Collector::default();
         let mut scratch =
             std::mem::replace(&mut self.scratch, Section::new(0, Round(1), EchoKind::Echo1));
+        let mut touched = 0u64;
         for section in bundle.sections() {
             section.fill_section(&mut scratch);
+            touched |= level_bit(scratch.level);
             self.process_section(from, &scratch, &mut out);
         }
         self.scratch = scratch;
-        self.advance(&mut out);
+        self.advance(touched, &mut out);
         self.flush(out)
     }
 
@@ -595,9 +506,9 @@ struct DimLevel {
 }
 
 impl DimLevel {
-    fn new(cfg: &DelphiConfig) -> DimLevel {
+    fn new(cfg: &DelphiConfig, me: NodeId) -> DimLevel {
         DimLevel {
-            background: Instance::new(cfg.r_max(), Dyadic::ZERO),
+            background: Instance::new(cfg, me, Dyadic::ZERO),
             actives: BTreeMap::new(),
             intro_budget: vec![INTRO_BUDGET_PER_LEVEL; cfg.n()],
             summary: None,
@@ -739,7 +650,7 @@ impl VectorDelphiNode {
                     k_min,
                     k_max,
                     round: 1,
-                    dims: (0..values.len()).map(|_| DimLevel::new(&cfg)).collect(),
+                    dims: (0..values.len()).map(|_| DimLevel::new(&cfg, me)).collect(),
                 }
             })
             .collect();
@@ -814,49 +725,9 @@ impl VectorDelphiNode {
         true
     }
 
-    /// Applies one echo to one instance of one dimension, translating its
-    /// actions into collector output.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_echo(
-        cfg: &DelphiConfig,
-        me: NodeId,
-        instance: &mut Instance,
-        scope: Option<i64>,
-        dim: u16,
-        level: u8,
-        round: Round,
-        kind: EchoKind,
-        from: NodeId,
-        value: Dyadic,
-        out: &mut VCollector,
-        deferred_bg: &mut Vec<(u8, Round, EchoKind, u16, Dyadic)>,
-    ) {
-        let bv = instance.round_mut(round, me, cfg.n(), cfg.t());
-        let actions = match kind {
-            EchoKind::Echo1 => bv.on_echo1(from, value),
-            EchoKind::Echo2 => bv.on_echo2(from, value),
-        };
-        for action in actions {
-            let (k2, v2) = match action {
-                BvAction::Echo1(v) => (EchoKind::Echo1, v),
-                BvAction::Echo2(v) => (EchoKind::Echo2, v),
-            };
-            match scope {
-                Some(k) => out.entry(level, round, k2, dim, k, v2),
-                // Background echoes need an exclude snapshot of the whole
-                // dimension; defer so the caller can take it without
-                // aliasing.
-                None => deferred_bg.push((level, round, k2, dim, v2)),
-            }
-        }
-    }
-
     /// Processes one decoded basket section, collecting triggered echoes.
     fn process_section(&mut self, from: NodeId, section: &BasketSection, out: &mut VCollector) {
-        let level_idx = usize::from(section.level);
-        if level_idx >= self.levels.len() {
-            return;
-        }
+        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
             return;
         }
@@ -867,31 +738,25 @@ impl VectorDelphiNode {
                 return;
             }
         }
-
-        let cfg = self.cfg.clone();
-        let me = self.me;
         let n_dims = self.dims;
-        let level = &mut self.levels[level_idx];
+        let (lvl, round, kind) = (section.level, section.round, section.kind);
         let (k_min, k_max) = (level.k_min, level.k_max);
-        let mut deferred_bg: Vec<(u8, Round, EchoKind, u16, Dyadic)> = Vec::new();
 
         // 1. Every mentioned (dimension, checkpoint) pair becomes
         //    distinguished in that dimension. Dimensions beyond our
         //    basket are ignored throughout (Byzantine senders cannot
         //    spend budget on phantom assets).
         for &(k, mask) in &section.exclude {
-            for d in 0..n_dims {
+            for (d, dim) in level.dims.iter_mut().enumerate() {
                 if mask & (1u64 << d) != 0 {
-                    let _ =
-                        Self::distinguish(&mut level.dims[usize::from(d)], k_min, k_max, k, from);
+                    let _ = Self::distinguish(dim, k_min, k_max, k, from);
                 }
             }
         }
         for (k, values) in &section.entries {
             for (d, _) in values.dims() {
-                if d < n_dims {
-                    let _ =
-                        Self::distinguish(&mut level.dims[usize::from(d)], k_min, k_max, *k, from);
+                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
+                    let _ = Self::distinguish(dim, k_min, k_max, *k, from);
                 }
             }
         }
@@ -899,203 +764,144 @@ impl VectorDelphiNode {
         // 2. Explicit per-checkpoint echoes, dimension by dimension.
         for (k, values) in &section.entries {
             for (d, value) in values.dims() {
-                if d >= n_dims || !DelphiNode::plausible(value, section.round) {
+                if !DelphiNode::plausible(value, round) {
                     continue;
                 }
-                let dim = &mut level.dims[usize::from(d)];
+                let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
                 if let Some(instance) = dim.actives.get_mut(k) {
-                    Self::apply_echo(
-                        &cfg,
-                        me,
-                        instance,
-                        Some(*k),
-                        d,
-                        section.level,
-                        section.round,
-                        section.kind,
-                        from,
-                        value,
-                        out,
-                        &mut deferred_bg,
-                    );
+                    for action in feed_echo(instance, round, kind, from, value) {
+                        let (kind, v) = echo_parts(action);
+                        out.entry(lvl, round, kind, d, *k, v);
+                    }
                 }
             }
         }
 
         // 3. Background echoes: per dimension, the background value
-        //    applies to that dimension's background instance and every
-        //    distinguished checkpoint the sender did not mention *in that
-        //    dimension* (an entry or exclude mention in dim d shields
-        //    only dim d).
-        for (d, bg_value) in section.backgrounds.dims() {
-            if d >= n_dims {
-                continue;
-            }
+        //    applies to every distinguished checkpoint the sender did not
+        //    mention *in that dimension* (an entry or exclude mention in
+        //    dim d shields only dim d), then to that dimension's
+        //    background instance. The latter's echoes carry the
+        //    dimension's exclude snapshot, so they are emitted only once
+        //    every dimension's checkpoint echoes are collected.
+        let mut deferred_bg: Vec<(EchoKind, u16, Dyadic)> = Vec::new();
+        for (d, bg_value) in section.backgrounds.dims().filter(|&(d, _)| d < n_dims) {
             let bit = 1u64 << d;
             let mentioned = |k: i64| {
                 section.exclude.iter().any(|&(ek, mask)| ek == k && mask & bit != 0)
                     || section.entries.iter().any(|(ek, vv)| *ek == k && vv.contains(d))
             };
             let dim = &mut level.dims[usize::from(d)];
-            let keys: Vec<i64> = dim.actives.keys().copied().filter(|&k| !mentioned(k)).collect();
-            for k in keys {
-                let instance = dim.actives.get_mut(&k).expect("key just listed");
-                Self::apply_echo(
-                    &cfg,
-                    me,
-                    instance,
-                    Some(k),
-                    d,
-                    section.level,
-                    section.round,
-                    section.kind,
-                    from,
-                    bg_value,
-                    out,
-                    &mut deferred_bg,
-                );
+            for (&k, instance) in dim.actives.iter_mut().filter(|(&k, _)| !mentioned(k)) {
+                for action in feed_echo(instance, round, kind, from, bg_value) {
+                    let (kind, v) = echo_parts(action);
+                    out.entry(lvl, round, kind, d, k, v);
+                }
             }
-            Self::apply_echo(
-                &cfg,
-                me,
-                &mut dim.background,
-                None,
-                d,
-                section.level,
-                section.round,
-                section.kind,
-                from,
-                bg_value,
-                out,
-                &mut deferred_bg,
-            );
+            for action in feed_echo(&mut dim.background, round, kind, from, bg_value) {
+                let (kind, v) = echo_parts(action);
+                deferred_bg.push((kind, d, v));
+            }
         }
-
-        // 4. Flush deferred background echoes with per-dimension exclude
-        //    snapshots.
-        for (lvl, round, kind, d, value) in deferred_bg {
-            let exclude: Vec<i64> = level.dims[usize::from(d)].actives.keys().copied().collect();
+        for (kind, d, value) in deferred_bg {
+            let exclude = level.dims[usize::from(d)].actives.keys().copied().collect();
             out.background(lvl, round, kind, d, value, exclude);
         }
     }
 
-    /// Advances every level through rounds whose outcomes are complete in
-    /// **all** dimensions, emitting one merged burst per advance.
-    fn advance(&mut self, out: &mut VCollector) {
-        let cfg = self.cfg.clone();
-        let me = self.me;
-        let probe = self.round_probe.clone();
-        for level in &mut self.levels {
-            'rounds: while level.round <= cfg.r_max() {
+    /// Enters `round` at `level` in every dimension: feeds each instance
+    /// its round input and emits one merged initial burst, followed by
+    /// whatever the inputs triggered.
+    fn enter_round(level: &mut VLevelState, round: Round, out: &mut VCollector) {
+        let lvl = level.level;
+        let mut deferred: Vec<(EchoKind, u16, Dyadic)> = Vec::new();
+        let mut backgrounds = VectorValue::new();
+        let mut entry_map: BTreeMap<i64, VectorValue> = BTreeMap::new();
+        for (d, dim) in level.dims.iter_mut().enumerate() {
+            let d16 = d as u16;
+            for (&k, inst) in dim.actives.iter_mut() {
+                let value = inst.value;
+                entry_map.entry(k).or_default().set(d16, value);
+                for action in inst.rounds.touch(round).set_input(value) {
+                    // The initial Echo1 rides in the burst entry itself.
+                    if action != BvAction::Echo1(value) {
+                        let (kind, v) = echo_parts(action);
+                        out.entry(lvl, round, kind, d16, k, v);
+                    }
+                }
+            }
+            let bg_value = dim.background.value;
+            backgrounds.set(d16, bg_value);
+            for action in dim.background.rounds.touch(round).set_input(bg_value) {
+                if action != BvAction::Echo1(bg_value) {
+                    let (kind, v) = echo_parts(action);
+                    deferred.push((kind, d16, v));
+                }
+            }
+        }
+        out.initial(lvl, round, backgrounds, entry_map.into_iter().collect());
+        for (kind, d, value) in deferred {
+            let exclude = level.dims[usize::from(d)].actives.keys().copied().collect();
+            out.background(lvl, round, kind, d, value, exclude);
+        }
+    }
+
+    /// Advances the levels in `touched` (a [`level_bit`] mask, see
+    /// [`DelphiNode::advance`]) through rounds whose outcomes are complete
+    /// in **all** dimensions, emitting one merged burst per advance.
+    fn advance(&mut self, touched: u64, out: &mut VCollector) {
+        let mut finished_level = false;
+        for level in self.levels.iter_mut().filter(|l| touched & level_bit(l.level) != 0) {
+            while level.round <= self.cfg.r_max() {
                 let round = Round(level.round);
                 // Shared round walk: the whole basket advances together,
                 // or not at all.
-                let mut bg_nexts: Vec<Dyadic> = Vec::with_capacity(level.dims.len());
-                let mut nexts: Vec<Vec<(i64, Dyadic)>> = Vec::with_capacity(level.dims.len());
-                for dim in &level.dims {
-                    let Some(bg_next) = dim.background.outcome_at(round) else { break 'rounds };
-                    let mut dim_nexts = Vec::with_capacity(dim.actives.len());
-                    for (&k, inst) in &dim.actives {
-                        let Some(next) = inst.outcome_at(round) else { break 'rounds };
-                        dim_nexts.push((k, next));
-                    }
-                    bg_nexts.push(bg_next);
-                    nexts.push(dim_nexts);
+                let terminated = level.dims.iter().all(|dim| {
+                    dim.background.outcome_at(round).is_some()
+                        && dim.actives.values().all(|inst| inst.outcome_at(round).is_some())
+                });
+                if !terminated {
+                    break;
                 }
-                for (dim, (bg_next, dim_nexts)) in
-                    level.dims.iter_mut().zip(bg_nexts.into_iter().zip(nexts))
-                {
-                    dim.background.value = bg_next;
-                    for (k, next) in dim_nexts {
-                        dim.actives.get_mut(&k).expect("listed above").value = next;
+                for dim in &mut level.dims {
+                    dim.background.adopt_outcome(round);
+                    for inst in dim.actives.values_mut() {
+                        inst.adopt_outcome(round);
                     }
                 }
                 level.round += 1;
-                if let Some(p) = &probe {
+                if let Some(p) = &self.round_probe {
                     p.fetch_add(1, Ordering::Relaxed);
                 }
-                if level.round > cfg.r_max() {
+                if level.round > self.cfg.r_max() {
                     // Level complete in every dimension simultaneously.
-                    let eps_prime = cfg.eps_prime();
-                    for (d, dim) in level.dims.iter_mut().enumerate() {
+                    for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
                         let checkpoints: Vec<(f64, f64)> = dim
                             .actives
                             .iter()
                             .map(|(&k, inst)| {
-                                (cfg.checkpoint_value(level.level, k), inst.value.to_f64())
+                                (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
                             })
                             .collect();
                         debug_assert!(dim.background.value.is_zero());
-                        let own = cfg.clamp_input(self.inputs[d]);
-                        dim.summary = Some(level_summary(&checkpoints, own, eps_prime));
+                        let own = self.cfg.clamp_input(input);
+                        dim.summary = Some(level_summary(&checkpoints, own, self.cfg.eps_prime()));
                     }
-                    break 'rounds;
+                    finished_level = true;
+                    break;
                 }
-                // One merged initial burst for the next round.
-                let next_round = Round(level.round);
-                let mut deferred: Vec<(u8, Round, EchoKind, u16, Dyadic)> = Vec::new();
-                let mut backgrounds = VectorValue::new();
-                let mut entry_map: BTreeMap<i64, VectorValue> = BTreeMap::new();
-                for (d, dim) in level.dims.iter_mut().enumerate() {
-                    let d16 = d as u16;
-                    let keys: Vec<i64> = dim.actives.keys().copied().collect();
-                    for k in keys {
-                        let inst = dim.actives.get_mut(&k).expect("key just listed");
-                        let value = inst.value;
-                        let actions =
-                            inst.round_mut(next_round, me, cfg.n(), cfg.t()).set_input(value);
-                        entry_map.entry(k).or_default().set(d16, value);
-                        for action in actions {
-                            match action {
-                                // The initial Echo1 rides in the burst
-                                // entry itself.
-                                BvAction::Echo1(v) if v == value => {}
-                                BvAction::Echo1(v) => {
-                                    out.entry(level.level, next_round, EchoKind::Echo1, d16, k, v)
-                                }
-                                BvAction::Echo2(v) => {
-                                    out.entry(level.level, next_round, EchoKind::Echo2, d16, k, v)
-                                }
-                            }
-                        }
-                    }
-                    let bg_value = dim.background.value;
-                    let bg_actions = dim
-                        .background
-                        .round_mut(next_round, me, cfg.n(), cfg.t())
-                        .set_input(bg_value);
-                    backgrounds.set(d16, bg_value);
-                    for action in bg_actions {
-                        match action {
-                            BvAction::Echo1(v) if v == bg_value => {}
-                            BvAction::Echo1(v) => {
-                                deferred.push((level.level, next_round, EchoKind::Echo1, d16, v))
-                            }
-                            BvAction::Echo2(v) => {
-                                deferred.push((level.level, next_round, EchoKind::Echo2, d16, v))
-                            }
-                        }
-                    }
-                }
-                out.initial(level.level, next_round, backgrounds, entry_map.into_iter().collect());
-                for (lvl, round, kind, d, value) in deferred {
-                    let exclude: Vec<i64> =
-                        level.dims[usize::from(d)].actives.keys().copied().collect();
-                    out.background(lvl, round, kind, d, value, exclude);
-                }
+                Self::enter_round(level, Round(level.round), out);
             }
         }
-        if self.output.is_none()
-            && self.levels.iter().all(|l| l.dims.iter().all(|d| d.summary.is_some()))
-        {
-            let outputs: Vec<f64> = (0..usize::from(self.dims))
+        if finished_level && self.output.is_none() {
+            let outputs: Option<Vec<f64>> = (0..usize::from(self.dims))
                 .map(|d| {
-                    let summaries: Vec<LevelSummary> =
-                        self.levels.iter().map(|l| l.dims[d].summary.expect("checked")).collect();
-                    combine_levels(&summaries)
+                    let summaries: Option<Vec<LevelSummary>> =
+                        self.levels.iter().map(|l| l.dims.get(d)?.summary).collect();
+                    summaries.map(|s| combine_levels(&s))
                 })
                 .collect();
-            self.output = Some(outputs);
+            self.output = outputs;
         }
     }
 
@@ -1121,61 +927,23 @@ impl Protocol for VectorDelphiNode {
     }
 
     fn start(&mut self) -> Vec<Envelope> {
-        let cfg = self.cfg.clone();
-        let me = self.me;
         let mut out = VCollector::default();
         for level in &mut self.levels {
             let (k_min, k_max) = (level.k_min, level.k_max);
-            let round = Round(1);
-            let mut backgrounds = VectorValue::new();
-            let mut entry_map: BTreeMap<i64, VectorValue> = BTreeMap::new();
-            let mut deferred: Vec<(EchoKind, u16, Dyadic)> = Vec::new();
-            for (d, dim) in level.dims.iter_mut().enumerate() {
-                let d16 = d as u16;
+            for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
                 // This dimension's own 1-checkpoints become distinguished
                 // with input 1 (charged against our own budget).
-                for k in cfg.one_checkpoints(level.level, self.inputs[d]) {
-                    if Self::distinguish(dim, k_min, k_max, k, me) {
-                        dim.actives.get_mut(&k).expect("just distinguished").value = Dyadic::ONE;
-                    }
-                }
-                let keys: Vec<i64> = dim.actives.keys().copied().collect();
-                for k in keys {
-                    let inst = dim.actives.get_mut(&k).expect("key just listed");
-                    let value = inst.value;
-                    let actions = inst.round_mut(round, me, cfg.n(), cfg.t()).set_input(value);
-                    entry_map.entry(k).or_default().set(d16, value);
-                    for action in actions {
-                        match action {
-                            BvAction::Echo1(v) if v == value => {}
-                            BvAction::Echo1(v) => {
-                                out.entry(level.level, round, EchoKind::Echo1, d16, k, v)
-                            }
-                            BvAction::Echo2(v) => {
-                                out.entry(level.level, round, EchoKind::Echo2, d16, k, v)
-                            }
+                for k in self.cfg.one_checkpoints(level.level, input) {
+                    if Self::distinguish(dim, k_min, k_max, k, self.me) {
+                        if let Some(inst) = dim.actives.get_mut(&k) {
+                            inst.value = Dyadic::ONE;
                         }
                     }
                 }
-                let bg_actions =
-                    dim.background.round_mut(round, me, cfg.n(), cfg.t()).set_input(Dyadic::ZERO);
-                backgrounds.set(d16, Dyadic::ZERO);
-                for action in bg_actions {
-                    match action {
-                        BvAction::Echo1(v) if v.is_zero() => {}
-                        BvAction::Echo1(v) => deferred.push((EchoKind::Echo1, d16, v)),
-                        BvAction::Echo2(v) => deferred.push((EchoKind::Echo2, d16, v)),
-                    }
-                }
             }
-            out.initial(level.level, round, backgrounds, entry_map.into_iter().collect());
-            for (kind, d, value) in deferred {
-                let exclude: Vec<i64> =
-                    level.dims[usize::from(d)].actives.keys().copied().collect();
-                out.background(level.level, round, kind, d, value, exclude);
-            }
+            Self::enter_round(level, Round::FIRST, &mut out);
         }
-        self.advance(&mut out);
+        self.advance(u64::MAX, &mut out);
         self.flush(out)
     }
 
@@ -1191,12 +959,14 @@ impl Protocol for VectorDelphiNode {
         let mut out = VCollector::default();
         let mut scratch =
             std::mem::replace(&mut self.scratch, BasketSection::new(0, Round(1), EchoKind::Echo1));
+        let mut touched = 0u64;
         for section in bundle.sections() {
             section.fill_section(&mut scratch);
+            touched |= level_bit(scratch.level);
             self.process_section(from, &scratch, &mut out);
         }
         self.scratch = scratch;
-        self.advance(&mut out);
+        self.advance(touched, &mut out);
         self.flush(out)
     }
 
@@ -1209,9 +979,12 @@ impl Protocol for VectorDelphiNode {
 mod tests {
     use super::*;
     use crate::params::InputRule;
+    use bytes::Bytes;
+    use delphi_primitives::Recipient;
     use delphi_sim::adversary::{Crash, GarbageSpammer, SilentAfter};
     use delphi_sim::{Simulation, Topology};
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn small_cfg(n: usize) -> DelphiConfig {
         DelphiConfig::builder(n)
@@ -1548,6 +1321,79 @@ mod tests {
         };
         let outs = run_delphi(&cfg, &inputs, &[3], make_flooder, 50);
         assert_agreement_validity(&outs, &inputs[..3], &cfg);
+    }
+
+    /// Runs four honest nodes over a FIFO mesh and returns every message
+    /// node 0 was handed, in delivery order.
+    fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)> {
+        let n = cfg.n();
+        let mut nodes: Vec<DelphiNode> =
+            NodeId::all(n).map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()])).collect();
+        let mut queue: VecDeque<(NodeId, Envelope)> = VecDeque::new();
+        for node in &mut nodes {
+            let me = node.node_id();
+            queue.extend(node.start().into_iter().map(|env| (me, env)));
+        }
+        let mut inbox = Vec::new();
+        while let Some((from, env)) = queue.pop_front() {
+            assert_eq!(env.to, Recipient::All, "Delphi only broadcasts");
+            for to in NodeId::all(n).filter(|&to| to != from) {
+                if to == NodeId(0) {
+                    inbox.push((from, env.payload.clone()));
+                }
+                let replies = nodes[to.index()].on_message(from, &env.payload);
+                queue.extend(replies.into_iter().map(|reply| (to, reply)));
+            }
+        }
+        assert!(nodes.iter().all(|node| node.output().is_some()), "mesh terminated");
+        inbox
+    }
+
+    #[test]
+    fn checkpoint_forked_mid_round_decides_like_one_distinguished_from_the_start() {
+        // Replay node 0's recorded inbox into two fresh copies of node 0.
+        // Both learn of checkpoint `k` — which no honest node ever votes
+        // for, so everything it hears is background-scoped — through a
+        // bare mention (an entry whose value is implausible for its round
+        // distinguishes the checkpoint but applies no echo): one copy
+        // before any traffic, the other in the middle of the run, where
+        // the fork has to inherit the background's quorum history across
+        // terminated, open and not-yet-entered rounds.
+        let cfg = small_cfg(4);
+        let inputs = [500.0, 500.6, 499.7, 500.3];
+        let inbox = record_node0_inbox(&cfg, &inputs);
+        let k = 900;
+        let mention = {
+            let mut s = Section::new(0, Round(1), EchoKind::Echo1);
+            s.entries = vec![(k, Dyadic::new(1, 1))];
+            DelphiBundle { sections: vec![s] }.to_bytes()
+        };
+        let replay = |fork_at: usize| {
+            let mut node = DelphiNode::new(cfg.clone(), NodeId(0), inputs[0]);
+            let _ = node.start();
+            for (i, (from, payload)) in inbox.iter().enumerate() {
+                if i == fork_at {
+                    let _ = node.on_message(NodeId(3), &mention);
+                }
+                let _ = node.on_message(*from, payload);
+            }
+            node
+        };
+        let early = replay(0);
+        let late = replay(inbox.len() / 2);
+        assert!(late.levels[0].round > 1, "the late fork lands mid-protocol");
+
+        let fork = |node: &DelphiNode| format!("{:?}", node.levels[0].actives[&k]);
+        assert_eq!(fork(&early), fork(&late), "forks hold identical quorum state");
+        assert_eq!(
+            fork(&late),
+            format!("{:?}", late.levels[0].background),
+            "and still mirror the background they were cloned from"
+        );
+        assert_eq!(early.output(), late.output());
+        assert!(early.output().is_some());
+        // The fork point is visible only in what node 0 itself announced.
+        assert_eq!(early.active_checkpoints(0), late.active_checkpoints(0));
     }
 
     fn run_vector_delphi(

@@ -389,9 +389,11 @@ mod tests {
         let (from, entries) = decode_any_frame(&bob, &body).expect("authentic frame");
         assert_eq!(from, NodeId(0));
         assert_eq!(&entries[0].1[..], b"patience");
-        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 1);
 
+        // The writer bumps its counter on its own thread once `write_all`
+        // returns, which may be after our read completes: join it first.
         drop(tx);
         writer.await.unwrap();
+        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 1);
     }
 }

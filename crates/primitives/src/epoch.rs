@@ -646,6 +646,12 @@ pub struct EpochMux<P: Protocol> {
     emit_floor: u32,
     /// Highest epoch each sender has addressed to us.
     frontier: Vec<Option<u32>>,
+    /// The highest epoch at least `t + 1` distinct senders have reached
+    /// (at least one of them honest), cached: it can only move when a
+    /// sender's mark does, which is when it is recomputed.
+    quorum_frontier: Option<u32>,
+    /// Reused selection buffer for that recomputation.
+    frontier_scratch: Vec<u32>,
     /// Entries for epochs we have not spawned yet, replayed at spawn.
     early: BTreeMap<u32, Vec<(NodeId, InstanceId, Bytes)>>,
     early_bytes: usize,
@@ -701,6 +707,8 @@ impl<P: Protocol> EpochMux<P> {
             events: Vec::new(),
             emit_floor: 0,
             frontier: vec![None; n],
+            quorum_frontier: None,
+            frontier_scratch: Vec::with_capacity(n),
             early: BTreeMap::new(),
             early_bytes: 0,
             stats: EpochStats::default(),
@@ -781,10 +789,17 @@ impl<P: Protocol> EpochMux<P> {
             // Clamp to the stream: epochs past the end are nonsense and
             // must not drag the frontier (and everyone's skips) with them.
             let claimed = id.epoch.0.min(self.cfg.epochs - 1);
-            let slot = &mut self.frontier[from.index()];
-            *slot = Some(slot.map_or(claimed, |f| f.max(claimed)));
+            let mark = &mut self.frontier[from.index()];
+            if mark.is_none_or(|f| claimed > f) {
+                *mark = Some(claimed);
+                // A resident epoch can only be stranded by the quorum
+                // frontier moving (`fill_pipeline` never spawns a hopeless
+                // one), so every other entry skips the scan.
+                if self.refresh_quorum_frontier() {
+                    self.fast_forward(&mut bursts);
+                }
+            }
         }
-        self.fast_forward(&mut bursts);
 
         let epoch = id.epoch.0;
         if epoch >= self.next_spawn {
@@ -887,27 +902,31 @@ impl<P: Protocol> EpochMux<P> {
     /// Whether `epoch` is beyond saving: `t + 1` senders are ahead of it
     /// by more than the live window, so the quorum has evicted it.
     fn hopeless(&self, epoch: u32) -> bool {
-        match self.quorum_frontier() {
+        match self.quorum_frontier {
             Some(f) => epoch + self.cfg.window as u32 <= f && f > epoch,
             None => false,
         }
     }
 
-    /// The highest epoch at least `t + 1` distinct senders have reached
-    /// (at least one of them honest).
-    fn quorum_frontier(&self) -> Option<u32> {
-        let mut seen: Vec<u32> = self.frontier.iter().filter_map(|f| *f).collect();
+    /// Recomputes the cached quorum frontier — the `(t + 1)`-th highest
+    /// sender mark — after a mark advanced; returns whether it moved.
+    fn refresh_quorum_frontier(&mut self) -> bool {
+        let seen = &mut self.frontier_scratch;
+        seen.clear();
+        seen.extend(self.frontier.iter().flatten());
         if seen.len() <= self.cfg.t {
-            return None;
+            return false;
         }
-        seen.sort_unstable_by(|a, b| b.cmp(a));
-        Some(seen[self.cfg.t])
+        let (_, &mut quorum, _) = seen.select_nth_unstable_by(self.cfg.t, |a, b| b.cmp(a));
+        let moved = self.quorum_frontier != Some(quorum);
+        self.quorum_frontier = Some(quorum);
+        moved
     }
 
     /// Skips unfinished epochs the quorum has left behind, so the
     /// pipeline can refill at the live frontier instead of stalling.
     fn fast_forward(&mut self, bursts: &mut Vec<(AgreementId, Vec<Envelope>)>) {
-        let Some(frontier) = self.quorum_frontier() else { return };
+        let Some(frontier) = self.quorum_frontier else { return };
         let stale: Vec<u32> = self
             .slots
             .iter()
@@ -1233,6 +1252,8 @@ pub struct EpochProtocol<P: Protocol> {
     route_scratch: Vec<Vec<(AgreementId, Bytes)>>,
     /// Reused per-shard partition buffers (sharded mode only).
     shard_scratch: Vec<Vec<(AgreementId, Bytes)>>,
+    /// The entries flushed last and their encoding (see `flush_slot`).
+    last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
     /// Batches flushed (what a transport turns into frames).
     sent_batches: u64,
     /// Entries flushed (envelopes after broadcast expansion).
@@ -1389,6 +1410,7 @@ impl<P: Protocol> EpochProtocol<P> {
             recv_shards: 1,
             route_scratch: Vec::new(),
             shard_scratch: vec![Vec::new()],
+            last_batch: None,
             sent_batches: 0,
             sent_entries: 0,
         }
@@ -1440,6 +1462,9 @@ impl<P: Protocol> EpochProtocol<P> {
     /// run through reused scratch buffers: the steady state allocates
     /// nothing.
     fn enqueue(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>, out: &mut Vec<Envelope>) {
+        if bursts.is_empty() {
+            return; // most entries trigger nothing
+        }
         let (n, me, shards) = (self.mux.n(), self.mux.node_id(), self.recv_shards);
         let mut routed = std::mem::take(&mut self.route_scratch);
         crate::mux::route_bursts_by_into(bursts, n, me, &mut routed);
@@ -1478,8 +1503,16 @@ impl<P: Protocol> EpochProtocol<P> {
         self.sent_entries += entries.len() as u64;
         let dest = NodeId((slot / self.recv_shards) as u16);
         let shard = (slot % self.recv_shards) as u16;
-        out.push(Envelope::to_one(dest, encode_epoch_batch(&entries)).with_shard(shard));
-        self.pending.recycle(entries);
+        // A broadcast step flushes the same entries to every destination
+        // in turn: encode them once and hand out refcounted copies.
+        let payload = match &self.last_batch {
+            Some((previous, encoded)) if *previous == entries => encoded.clone(),
+            _ => encode_epoch_batch(&entries),
+        };
+        out.push(Envelope::to_one(dest, payload.clone()).with_shard(shard));
+        if let Some((previous, _)) = self.last_batch.replace((entries, payload)) {
+            self.pending.recycle(previous);
+        }
     }
 
     fn flush_all(&mut self) -> Vec<Envelope> {
@@ -1945,6 +1978,90 @@ mod tests {
         // The pipeline refilled near the frontier, not at epoch 0.
         let newest = lag.slots.keys().next_back().copied().unwrap();
         assert!(newest + (cfg.window as u32) > 30, "respawned at the live frontier");
+    }
+
+    #[test]
+    fn mark_moving_entry_skips_a_stranded_epoch_on_that_very_entry() {
+        // The stale-epoch scan runs only when an entry moves the quorum
+        // frontier — and then it must run within that same call.
+        let n = 4;
+        let cfg = EpochConfig::new(40, 1, 1, 2, 1);
+        let mut lag = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        let _ = lag.start();
+        let far = AgreementId::new(EpochId(30), InstanceId(0));
+        let _ = lag.on_entry(NodeId(1), far, b"x");
+        // Marks that cannot move the frontier: our own id, an id outside
+        // the system, a repeat of a mark already counted.
+        for from in [NodeId(0), NodeId(9), NodeId(1)] {
+            let _ = lag.on_entry(from, far, b"x");
+        }
+        assert_eq!(lag.stats().stale_epochs, 0, "one distinct sender is not a quorum");
+        assert!(lag.events().is_empty());
+
+        // Sender 2's mark is the t + 1-th: epoch 0 is resolved as skipped
+        // before this call returns, and the pipeline has moved on.
+        let _ = lag.on_entry(NodeId(2), far, b"x");
+        assert!(lag.stats().stale_epochs > 0, "stranded epoch skipped on the moving entry");
+        assert_eq!(lag.events().first().map(|e| &e.outcome), Some(&EpochOutcome::Skipped));
+        assert!(!lag.slots.contains_key(&0), "epoch 0 is no longer resident");
+        let skipped = lag.stats().stale_epochs;
+
+        // An entry that leaves every mark in place changes nothing.
+        let _ = lag.on_entry(NodeId(2), far, b"x");
+        let _ = lag.on_entry(NodeId(2), AgreementId::new(EpochId(7), InstanceId(0)), b"x");
+        assert_eq!(lag.stats().stale_epochs, skipped);
+    }
+
+    #[test]
+    fn frontier_gated_fast_forward_matches_a_scan_on_every_entry() {
+        // Reference behaviour: scan for stranded epochs before every
+        // entry, whoever sent it. The mux scans only when the quorum
+        // frontier moved; events, counters and bursts must not differ.
+        let n = 4;
+        let cfg = EpochConfig::new(40, 1, 2, 3, 1);
+        let at = |e: u32| AgreementId::new(EpochId(e), InstanceId(0));
+        let mut script: Vec<(NodeId, AgreementId)> = Vec::new();
+        // Epochs 0 and 1 complete normally (three greetings each), with
+        // an early entry for epoch 3 buffered along the way.
+        for e in [0, 1] {
+            for from in 1..4 {
+                script.push((NodeId(from), at(e)));
+            }
+            script.push((NodeId(3), at(3)));
+        }
+        // A rejoin: the others are suddenly at epoch 20, one at a time,
+        // with noise from ourselves and from outside the system between.
+        script.extend([(NodeId(1), at(20)), (NodeId(0), at(25)), (NodeId(9), at(25))]);
+        script.extend([(NodeId(2), at(20)), (NodeId(2), at(20)), (NodeId(3), at(21))]);
+        // Late traffic for skipped epochs, then progress at the frontier
+        // and a second jump to the end of the stream.
+        script.extend([(NodeId(1), at(2)), (NodeId(2), at(5))]);
+        for e in [19, 20, 21] {
+            for from in 1..4 {
+                script.push((NodeId(from), at(e)));
+            }
+        }
+        script.extend([(NodeId(1), at(9999)), (NodeId(3), at(39)), (NodeId(2), at(38))]);
+
+        let run = |scan_every_entry: bool| {
+            let mut mux = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+            let mut bursts = vec![mux.start()];
+            for &(from, id) in &script {
+                if scan_every_entry {
+                    let mut skipped = Vec::new();
+                    mux.fast_forward(&mut skipped);
+                    bursts.push(skipped);
+                }
+                bursts.push(mux.on_entry(from, id, b"g"));
+            }
+            bursts.retain(|b| !b.is_empty());
+            (mux.events().to_vec(), mux.stats(), bursts)
+        };
+        let (events, stats, bursts) = run(false);
+        assert_eq!((events.clone(), stats, bursts), run(true));
+        // The script did exercise every path it claims to.
+        assert!(stats.stale_epochs > 0 && stats.replayed_entries > 0 && stats.late_entries > 0);
+        assert!(events.iter().any(|e| matches!(e.outcome, EpochOutcome::Agreed(_))));
     }
 
     #[test]
