@@ -7,10 +7,13 @@ use std::hint::black_box;
 
 use bytes::Bytes;
 use delphi_bench::{oracle_config, spread_inputs};
-use delphi_core::{DelphiBundle, DelphiBundleRef, DelphiConfig, DelphiNode, EchoKind, Section};
+use delphi_core::{
+    BasketBundle, BasketBundleRef, BasketSection, BundleArena, Codec, DelphiBundle,
+    DelphiBundleRef, DelphiNode, EchoKind, Section, VectorDelphiNode,
+};
 use delphi_crypto::{hmac_sha256, sha256, Keychain};
 use delphi_net::{decode_inbound_frame_ref, encode_epoch_frame};
-use delphi_primitives::wire::{Decode, Encode};
+use delphi_primitives::wire::{Decode, Encode, VectorValue};
 use delphi_primitives::{
     AgreementId, Dyadic, EpochConfig, EpochId, EpochMux, InstanceId, NodeId, Protocol, Round,
 };
@@ -51,6 +54,25 @@ fn realistic_bundle() -> DelphiBundle {
     bundle
 }
 
+fn realistic_basket_bundle() -> BasketBundle {
+    let mut bundle = BasketBundle::new();
+    for level in 0..11u8 {
+        let mut s = BasketSection::new(level, Round(12), EchoKind::Echo2);
+        for dim in 0..8u16 {
+            s.backgrounds.set(dim, Dyadic::ZERO);
+            // Each asset's checkpoints sit at its own price.
+            let base = 20_000 + 3_000 * i64::from(dim);
+            s.exclude.push((base, 1 << dim));
+            for i in 0..2 {
+                let value = Dyadic::new(1 + 2 * (u64::from(dim) + i as u64), 12);
+                s.entries.push((base + 1 + i, VectorValue::single(dim, value)));
+            }
+        }
+        bundle.sections.push(s);
+    }
+    bundle
+}
+
 fn bench_wire(c: &mut Criterion) {
     let bundle = realistic_bundle();
     let bytes = bundle.to_bytes();
@@ -60,28 +82,58 @@ fn bench_wire(c: &mut Criterion) {
     group.bench_function("decode_delphi_bundle", |b| {
         b.iter(|| DelphiBundle::from_bytes(black_box(&bytes)).expect("valid"))
     });
-    // The zero-copy decoder on the frame path: one validating pass, no
-    // owned bundle — what `DelphiNode::on_message` actually runs.
+    // The validating shim: the decode pass with nowhere to store — what a
+    // caller pays to learn a bundle is well-formed and how many sections
+    // it has.
     group.bench_function("decode_delphi_bundle_borrowed", |b| {
         b.iter(|| DelphiBundleRef::parse(black_box(&bytes)).expect("valid"))
     });
-    // Parse *and* walk every section, id, and value — the full
-    // information extraction the owned decoder materializes, still with
-    // zero allocations.
-    group.bench_function("decode_delphi_bundle_borrowed_walk", |b| {
+    // What `DelphiNode::on_message` actually runs: one pass into the
+    // node's flat arena, then a walk of every section, id and value out
+    // of it — the full information extraction the owned decoder
+    // materializes, with zero allocations.
+    let mut arena = BundleArena::new();
+    group.bench_function("decode_delphi_bundle_flat", |b| {
         b.iter(|| {
-            let view = DelphiBundleRef::parse(black_box(&bytes)).expect("valid");
+            arena.decode(black_box(&bytes), Codec::Scalar).expect("valid");
             let mut checksum = 0i64;
-            for section in view.sections() {
+            for section in arena.sections() {
                 checksum = checksum.wrapping_add(i64::from(section.level));
-                if let Some(bg) = section.background {
+                if let Some(bg) = section.background() {
                     checksum = checksum.wrapping_add(bg.num() as i64);
                 }
-                for k in section.exclude() {
+                for &k in section.exclude {
                     checksum = checksum.wrapping_add(k);
                 }
-                for (k, v) in section.entries() {
+                for (&k, v) in section.entries.iter().zip(section.entry_values) {
                     checksum = checksum.wrapping_add(k).wrapping_add(v.num() as i64);
+                }
+            }
+            checksum
+        })
+    });
+    // The same for the basket codec: eight dimensions behind one id run
+    // per section (backgrounds, a masked exclude run, one-dimension
+    // entries — the shape a basket-8 vector node exchanges).
+    let basket = realistic_basket_bundle().to_bytes();
+    group.throughput(Throughput::Bytes(basket.len() as u64));
+    group.bench_function("decode_basket_bundle_flat", |b| {
+        b.iter(|| {
+            arena.decode(black_box(&basket), Codec::Basket).expect("valid");
+            let mut checksum = 0i64;
+            for section in arena.sections() {
+                checksum = checksum.wrapping_add(i64::from(section.level));
+                for (dim, bg) in section.background_dims() {
+                    checksum = checksum.wrapping_add(i64::from(dim) + bg.num() as i64);
+                }
+                for (&k, &mask) in section.exclude.iter().zip(section.exclude_masks) {
+                    checksum = checksum.wrapping_add(k).wrapping_add(mask as i64);
+                }
+                for (k, mask, values) in section.basket_entries() {
+                    checksum = checksum.wrapping_add(k).wrapping_add(mask as i64);
+                    for v in values {
+                        checksum = checksum.wrapping_add(v.num() as i64);
+                    }
                 }
             }
             checksum
@@ -225,10 +277,8 @@ fn bench_bv_round(c: &mut Criterion) {
 
 /// Runs `n` honest Delphi nodes over a FIFO mesh and returns every
 /// message node 0 was handed, in delivery order.
-fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)> {
-    let n = cfg.n();
-    let mut nodes: Vec<DelphiNode> =
-        NodeId::all(n).map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()])).collect();
+fn record_node0_inbox<N: Protocol>(n: usize, make: impl Fn(NodeId) -> N) -> Vec<(NodeId, Bytes)> {
+    let mut nodes: Vec<N> = NodeId::all(n).map(make).collect();
     let mut queue: std::collections::VecDeque<(NodeId, Bytes)> = Default::default();
     for node in &mut nodes {
         let me = node.node_id();
@@ -247,27 +297,19 @@ fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)
     inbox
 }
 
-/// The protocol core as the streaming oracle drives it at n = 16: what
-/// one received message costs a node in the middle of an agreement, and
-/// what it costs to open and retire an epoch.
-fn bench_delphi_node(c: &mut Criterion) {
-    // The paper's oracle parameters (11 levels of 23 rounds, the shape
-    // `fig_e2e` runs) with inputs 0.7 apart.
-    let n = 16;
-    let cfg = oracle_config(n, 2.0);
-    let inputs = spread_inputs(n, 40_005.25, 10.5);
-    let inbox = record_node0_inbox(&cfg, &inputs);
-
-    // A node halfway through the recorded run, advanced to the next
-    // message that spans most levels (nine sections or more; in this
-    // lock-step mesh bundles carry 1, 2, 9 or 18) and triggers no answer
-    // — the common case: over nine in ten messages are quiet. The timed
-    // call re-delivers it. Its echoes find their sender bit already set;
-    // everything before that (parse, scratch refill, checkpoint and round
-    // lookups, value scans, the advance check) is the work every such
-    // message does, and the node's state does not drift between
-    // iterations.
-    let mut node = DelphiNode::new(cfg.clone(), NodeId(0), inputs[0]);
+/// A node halfway through its recorded run, advanced to the next message
+/// that spans most levels (`sections` says how many a payload carries;
+/// nine or more of the eleven levels) and triggers no answer — the common
+/// case: over nine in ten messages are quiet. Timed calls re-deliver that
+/// message. Its echoes find their sender bit already set; everything
+/// before that (decode into the arena, checkpoint and round lookups,
+/// value scans, the advance check) is the work every such message does,
+/// and the node's state does not drift between iterations.
+fn mid_run_quiet_message<N: Protocol>(
+    mut node: N,
+    inbox: &[(NodeId, Bytes)],
+    sections: impl Fn(&[u8]) -> usize,
+) -> (N, NodeId, Bytes) {
     let _ = node.start();
     let mut replay = inbox.iter();
     for (from, payload) in replay.by_ref().take(inbox.len() / 2) {
@@ -275,14 +317,45 @@ fn bench_delphi_node(c: &mut Criterion) {
     }
     let (from, payload) = replay
         .find(|(from, payload)| {
-            let sections = DelphiBundleRef::parse(payload).map_or(0, |bundle| bundle.len());
-            node.on_message(*from, payload).is_empty() && sections >= 9
+            node.on_message(*from, payload).is_empty() && sections(payload) >= 9
         })
         .expect("a quiet multi-level bundle in the second half of the run");
+    (node, *from, payload.clone())
+}
+
+/// The protocol core as the streaming oracle drives it at n = 16: what
+/// one received message costs a node in the middle of an agreement —
+/// scalar, and a basket of 8 as one vector instance — and what it costs
+/// to open and retire an epoch.
+fn bench_delphi_node(c: &mut Criterion) {
+    // The paper's oracle parameters (11 levels of 23 rounds, the shape
+    // `fig_e2e` runs) with inputs 0.7 apart.
+    let n = 16;
+    let cfg = oracle_config(n, 2.0);
+    let inputs = spread_inputs(n, 40_005.25, 10.5);
+    let scalar = |id: NodeId| DelphiNode::new(cfg.clone(), id, inputs[id.index()]);
+    let (mut node, from, payload) =
+        mid_run_quiet_message(scalar(NodeId(0)), &record_node0_inbox(n, scalar), |payload| {
+            DelphiBundleRef::parse(payload).map_or(0, |bundle| bundle.len())
+        });
 
     let mut group = c.benchmark_group("core");
     group.bench_function("delphi_on_message_n16", |b| {
-        b.iter(|| node.on_message(black_box(*from), black_box(payload)))
+        b.iter(|| node.on_message(black_box(from), black_box(&payload)))
+    });
+
+    // Eight assets 3 000 apart, each with the scalar run's spread.
+    let basket = |id: NodeId| {
+        let prices: Vec<f64> =
+            (0..8).map(|d| inputs[id.index()] + 3_000.0 * f64::from(d)).collect();
+        VectorDelphiNode::new(cfg.clone(), id, &prices)
+    };
+    let (mut vector_node, from, payload) =
+        mid_run_quiet_message(basket(NodeId(0)), &record_node0_inbox(n, basket), |payload| {
+            BasketBundleRef::parse(payload).map_or(0, |bundle| bundle.len())
+        });
+    group.bench_function("vector_on_message_n16", |b| {
+        b.iter(|| vector_node.on_message(black_box(from), black_box(&payload)))
     });
 
     // One epoch of a 2-asset stream: build both Delphi nodes, run their

@@ -199,30 +199,60 @@ fn run_cell(
     })
 }
 
+/// Sizes a depth's cells by time: streams reader-free runs, starting at
+/// `epochs` and growing from each run's measured rate (with a quarter of
+/// headroom), until one lasts `min_cell`; returns that run's epoch count.
+/// The runs double as the warm-up — page cache, connection paths and the
+/// host's frequency/thermal governor settle before anything is timed (the
+/// first run after an idle period is reliably an outlier on boosting
+/// CPUs), and the last one is a full-length rehearsal of a cell.
+fn warm_up_and_size(
+    cfg: &DelphiConfig,
+    mut epochs: u32,
+    assets: u16,
+    depth: usize,
+    min_cell: Duration,
+) -> u32 {
+    loop {
+        let run = run_cell(cfg, epochs, assets, depth, 0);
+        let lasted = f64::from(epochs) * f64::from(assets) / run.agreements_per_sec;
+        eprintln!(
+            "  depth={depth} warm-up: {epochs} epochs in {lasted:.2} s ({:.1} agr/s)",
+            run.agreements_per_sec
+        );
+        if lasted >= min_cell.as_secs_f64() {
+            return epochs;
+        }
+        epochs = (1.25 * f64::from(epochs) * min_cell.as_secs_f64() / lasted).ceil() as u32;
+    }
+}
+
 fn main() {
     let quick = quick_mode();
     let n = 4;
-    let epochs: u32 = if quick { 60 } else { 240 };
+    let first_epochs: u32 = if quick { 60 } else { 240 };
+    // Cells are sized by time, not by count: the ±5 % bar compares medians
+    // of wall-clock runs, and a run of a few hundred milliseconds is
+    // mostly start-up, linger and scheduler luck — the faster the
+    // protocol core gets, the less a fixed epoch count measures.
+    let min_cell = Duration::from_secs(if quick { 1 } else { 3 });
     let assets: u16 = 2;
     let depths: &[usize] = if quick { &[2] } else { &[1, 2] };
     let readers_sweep: &[usize] = &[0, 8, 64];
     let reps = 5; // the median rep damps scheduler noise in the wall-clock measure
     let cfg = oracle_config(n, 2.0);
     println!(
-        "== Serving-layer throughput: n = {n}, {epochs} epochs x {assets} assets over loopback \
-         sockets, HTTP reader count x pipeline depth ==\n"
+        "== Serving-layer throughput: n = {n}, {assets} assets over loopback sockets, cells of \
+         >= {} s, HTTP reader count x pipeline depth ==\n",
+        min_cell.as_secs()
     );
 
-    // One full-length unmeasured run first: page cache, connection
-    // paths, and the host's frequency/thermal governor all settle
-    // before anything is timed (the first run after an idle period is
-    // reliably a fast outlier on boosting CPUs).
-    let _ = run_cell(&cfg, epochs, assets, depths[0], 0);
-    eprintln!("  warmup done");
-
-    let mut table = TextTable::new(&["depth", "readers", "agr/s", "ratio", "served reads"]);
+    let mut table =
+        TextTable::new(&["depth", "epochs", "readers", "agr/s", "ratio", "served reads"]);
     let mut violations = Vec::new();
     for &depth in depths {
+        let epochs = warm_up_and_size(&cfg, first_epochs, assets, depth, min_cell);
+
         // Reps are interleaved across reader counts (cell A rep 1, cell
         // B rep 1, …, cell A rep 2, …) so slow host-speed drift over the
         // sweep lands on every cell alike instead of skewing whichever
@@ -275,6 +305,7 @@ fn main() {
             }
             table.row(&[
                 depth.to_string(),
+                epochs.to_string(),
                 readers.to_string(),
                 format!("{:.1}", cell.agreements_per_sec),
                 format!("{ratio:.3}"),

@@ -29,22 +29,29 @@ pub struct LevelSummary {
 /// use delphi_core::aggregate::level_summary;
 ///
 /// // Two checkpoints at 30 and 40 with weights 1 and 1: average 35.
-/// let s = level_summary(&[(30.0, 1.0), (40.0, 1.0)], 33.0, 1e-7);
+/// let s = level_summary([(30.0, 1.0), (40.0, 1.0)], 33.0, 1e-7);
 /// assert_eq!(s.value, 35.0);
 /// assert_eq!(s.weight, 1.0);
 ///
 /// // All-zero weights: fall back to own input with floor weight ε′.
-/// let s = level_summary(&[(30.0, 0.0)], 33.0, 1e-7);
+/// let s = level_summary([(30.0, 0.0)], 33.0, 1e-7);
 /// assert_eq!(s.value, 33.0);
 /// assert_eq!(s.weight, 1e-7);
 /// ```
-pub fn level_summary(checkpoints: &[(f64, f64)], own_input: f64, eps_prime: f64) -> LevelSummary {
-    let total: f64 = checkpoints.iter().map(|(_, w)| w).sum();
+pub fn level_summary(
+    checkpoints: impl IntoIterator<Item = (f64, f64)>,
+    own_input: f64,
+    eps_prime: f64,
+) -> LevelSummary {
+    let (mut total, mut weighted, mut max_w) = (0.0, 0.0, 0.0f64);
+    for (mu, w) in checkpoints {
+        total += w;
+        weighted += mu * w;
+        max_w = max_w.max(w);
+    }
     if total <= 0.0 {
         return LevelSummary { value: own_input, weight: eps_prime };
     }
-    let weighted: f64 = checkpoints.iter().map(|(mu, w)| mu * w).sum();
-    let max_w = checkpoints.iter().map(|(_, w)| *w).fold(0.0, f64::max);
     LevelSummary { value: weighted / total, weight: max_w }
 }
 
@@ -59,12 +66,13 @@ pub fn level_summary(checkpoints: &[(f64, f64)], own_input: f64, eps_prime: f64)
 /// # Panics
 ///
 /// Panics if `levels` is empty.
-pub fn combine_levels(levels: &[LevelSummary]) -> f64 {
-    assert!(!levels.is_empty(), "at least one level required");
+pub fn combine_levels(levels: impl IntoIterator<Item = LevelSummary>) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
+    let mut first = None::<f64>;
     let mut prev_w = None::<f64>;
     for l in levels {
+        first.get_or_insert(l.value);
         let w_prime = match prev_w {
             None => l.weight * l.weight,
             Some(p) => l.weight * (l.weight - p).abs(),
@@ -73,10 +81,11 @@ pub fn combine_levels(levels: &[LevelSummary]) -> f64 {
         den += w_prime;
         prev_w = Some(l.weight);
     }
+    assert!(first.is_some(), "at least one level required");
     if den <= 0.0 {
         // Only reachable if every level weight is exactly 0, which the
         // ε′ fallback rules out; kept as a defensive fallback.
-        return levels[0].value;
+        return first.unwrap_or_default();
     }
     num / den
 }
@@ -109,14 +118,14 @@ mod tests {
 
     #[test]
     fn single_full_weight_checkpoint_dominates() {
-        let s = level_summary(&[(10.0, 0.0), (20.0, 1.0), (30.0, 0.0)], 99.0, 1e-6);
+        let s = level_summary([(10.0, 0.0), (20.0, 1.0), (30.0, 0.0)], 99.0, 1e-6);
         assert_eq!(s.value, 20.0);
         assert_eq!(s.weight, 1.0);
     }
 
     #[test]
     fn fractional_weights_average() {
-        let s = level_summary(&[(0.0, 0.25), (100.0, 0.75)], 0.0, 1e-6);
+        let s = level_summary([(0.0, 0.25), (100.0, 0.75)], 0.0, 1e-6);
         assert_eq!(s.value, 75.0);
         assert_eq!(s.weight, 0.75);
     }
@@ -133,7 +142,7 @@ mod tests {
             LevelSummary { value: 500.0, weight: 1.0 },
             LevelSummary { value: 900.0, weight: 1.0 },
         ];
-        let out = combine_levels(&levels);
+        let out = combine_levels(levels.iter().copied());
         // w'_3 = w'_4 = 0 exactly; contributions of 500/900 vanish.
         assert!((out - 12.0).abs() < 1e-4, "out = {out}");
     }
@@ -141,7 +150,7 @@ mod tests {
     #[test]
     fn combine_single_level() {
         let levels = [LevelSummary { value: 42.0, weight: 1.0 }];
-        assert_eq!(combine_levels(&levels), 42.0);
+        assert_eq!(combine_levels(levels.iter().copied()), 42.0);
     }
 
     #[test]
@@ -158,7 +167,7 @@ mod tests {
 
     #[test]
     fn all_zero_weights_fall_back() {
-        let s = level_summary(&[], 7.0, 1e-7);
+        let s = level_summary([], 7.0, 1e-7);
         assert_eq!(s.value, 7.0);
         assert_eq!(s.weight, 1e-7);
     }
@@ -166,7 +175,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one level")]
     fn combine_empty_panics() {
-        let _ = combine_levels(&[]);
+        let _ = combine_levels([]);
     }
 
     proptest! {
@@ -180,7 +189,7 @@ mod tests {
                 .iter()
                 .map(|&(value, weight)| LevelSummary { value, weight: weight.max(1e-9) })
                 .collect();
-            let out = combine_levels(&levels);
+            let out = combine_levels(levels.iter().copied());
             let lo = levels.iter().map(|l| l.value).fold(f64::INFINITY, f64::min);
             let hi = levels.iter().map(|l| l.value).fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(out >= lo - 1e-9 && out <= hi + 1e-9, "{out} not in [{lo}, {hi}]");
@@ -208,7 +217,7 @@ mod tests {
         fn prop_level_summary_within_hull(
             cps in proptest::collection::vec((-100.0..100.0f64, 0.0..=1.0f64), 1..20),
         ) {
-            let s = level_summary(&cps, 0.0, 1e-7);
+            let s = level_summary(cps.iter().copied(), 0.0, 1e-7);
             if cps.iter().any(|&(_, w)| w > 0.0) {
                 let lo = cps.iter().filter(|&&(_, w)| w > 0.0).map(|&(mu, _)| mu).fold(f64::INFINITY, f64::min);
                 let hi = cps.iter().filter(|&&(_, w)| w > 0.0).map(|&(mu, _)| mu).fold(f64::NEG_INFINITY, f64::max);

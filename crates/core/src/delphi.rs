@@ -30,18 +30,17 @@
 //! discard an honest echo; the paper does not treat flood resistance at
 //! all, and we prefer bounded memory with this documented, narrow caveat.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use delphi_primitives::wire::{Encode, VectorValue, MAX_VECTOR_DIMS};
+use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
 use crate::aggregate::{combine_levels, level_summary, LevelSummary};
+use crate::bundle::{dims_of, BundleArena, Codec, Collector, FlatSection};
 use crate::bv::{BvAction, BvActions, BvRounds};
-use crate::messages::{
-    BasketBundle, BasketBundleRef, BasketSection, DelphiBundle, DelphiBundleRef, EchoKind, Section,
-};
+use crate::messages::EchoKind;
 use crate::params::DelphiConfig;
 
 /// Per-sender, per-level cap on checkpoint introductions (see module docs).
@@ -99,6 +98,15 @@ fn echo_parts(action: BvAction) -> (EchoKind, Dyadic) {
     }
 }
 
+/// A decode arena sized for the bundles honest peers send: an initial
+/// burst and a triggered section per level, each naming a handful of
+/// checkpoints per basket dimension — every inbound message of an honest
+/// run then decodes without touching the allocator.
+fn inbound_arena(cfg: &DelphiConfig, dims: usize, codec: Codec) -> BundleArena {
+    let sections = 2 * (usize::from(cfg.l_max()) + 1);
+    BundleArena::with_capacity(sections, 8 * dims * sections, codec)
+}
+
 /// Bit `level` of a touched-levels mask. Every configured level index is
 /// below 64 ([`MAX_LEVELS`](crate::params::MAX_LEVELS)); a wire-supplied
 /// index beyond that names no level and maps to no bit.
@@ -122,60 +130,6 @@ struct LevelState {
     summary: Option<LevelSummary>,
 }
 
-/// Outgoing-echo collector: groups per-instance echoes into [`Section`]s.
-#[derive(Debug, Default)]
-struct Collector {
-    sections: Vec<Section>,
-}
-
-impl Collector {
-    /// The level-advance burst: background plus every active echoes its
-    /// round input simultaneously.
-    fn initial(&mut self, level: u8, round: Round, bg: Dyadic, entries: Vec<(i64, Dyadic)>) {
-        self.sections.push(Section {
-            level,
-            round,
-            kind: EchoKind::Echo1,
-            background: Some(bg),
-            exclude: Vec::new(),
-            entries,
-        });
-    }
-
-    /// A trigger-driven echo for one distinguished checkpoint.
-    fn entry(&mut self, level: u8, round: Round, kind: EchoKind, k: i64, v: Dyadic) {
-        if let Some(s) = self.sections.iter_mut().find(|s| {
-            s.level == level && s.round == round && s.kind == kind && s.background.is_none()
-        }) {
-            s.entries.push((k, v));
-            return;
-        }
-        let mut s = Section::new(level, round, kind);
-        s.entries.push((k, v));
-        self.sections.push(s);
-    }
-
-    /// A trigger-driven background echo; `exclude` is the emit-time
-    /// snapshot of distinguished checkpoints.
-    fn background(
-        &mut self,
-        level: u8,
-        round: Round,
-        kind: EchoKind,
-        v: Dyadic,
-        exclude: Vec<i64>,
-    ) {
-        let mut s = Section::new(level, round, kind);
-        s.background = Some(v);
-        s.exclude = exclude;
-        self.sections.push(s);
-    }
-
-    fn into_bundle(self) -> DelphiBundle {
-        DelphiBundle { sections: self.sections }
-    }
-}
-
 /// A Delphi protocol node.
 ///
 /// See the [crate docs](crate) for a runnable quickstart; construction
@@ -191,10 +145,11 @@ pub struct DelphiNode {
     /// Optional shared counter bumped once per completed `(level, round)`
     /// (see [`DelphiNode::with_round_probe`]).
     round_probe: Option<Arc<AtomicU64>>,
-    /// Reused decode target: each inbound section is materialized into
-    /// this one scratch buffer (capacity kept across messages), so the
-    /// receive path stays allocation-free at steady state.
-    scratch: Section,
+    /// Decode target of every inbound bundle (capacity kept across
+    /// messages, so the receive path is allocation-free at steady state).
+    arena: BundleArena,
+    /// Collector of every outgoing bundle, pooled the same way.
+    out: Collector,
 }
 
 impl DelphiNode {
@@ -223,13 +178,14 @@ impl DelphiNode {
             })
             .collect();
         DelphiNode {
+            arena: inbound_arena(&cfg, 1, Codec::Scalar),
             cfg,
             me,
             input,
             levels,
             output: None,
             round_probe: None,
-            scratch: Section::new(0, Round(1), EchoKind::Echo1),
+            out: Collector::default(),
         }
     }
 
@@ -273,71 +229,69 @@ impl DelphiNode {
 
     /// Forks checkpoint `k` off the background of `level` if it is not yet
     /// distinguished, charging `sponsor`'s introduction budget. Returns
-    /// whether the checkpoint is distinguished after the call.
-    fn distinguish(level: &mut LevelState, k: i64, sponsor: NodeId) -> bool {
+    /// the checkpoint's instance if it is distinguished after the call.
+    fn distinguish(level: &mut LevelState, k: i64, sponsor: NodeId) -> Option<&mut Instance> {
         if k < level.k_min || k > level.k_max {
-            return false;
+            return None;
         }
-        if level.actives.contains_key(&k) {
-            return true;
+        match level.actives.entry(k) {
+            Entry::Occupied(active) => Some(active.into_mut()),
+            Entry::Vacant(vacant) => {
+                let budget = level.intro_budget.get_mut(sponsor.index())?;
+                *budget = budget.checked_sub(1)?;
+                Some(vacant.insert(level.background.clone()))
+            }
         }
-        let budget = &mut level.intro_budget[sponsor.index()];
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        let fork = level.background.clone();
-        level.actives.insert(k, fork);
-        true
     }
 
     /// Processes one decoded section, collecting any triggered echoes.
-    fn process_section(&mut self, from: NodeId, section: &Section, out: &mut Collector) {
+    fn process_section(&mut self, from: NodeId, section: &FlatSection<'_>, out: &mut Collector) {
         let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
             return;
         }
-        if let Some(bg) = section.background {
-            if !Self::plausible(bg, section.round) {
-                return;
-            }
+        let background = section.background();
+        if background.is_some_and(|bg| !Self::plausible(bg, section.round)) {
+            return;
         }
         let (lvl, round, kind) = (section.level, section.round, section.kind);
 
-        // 1. Every mentioned checkpoint becomes distinguished (fork).
-        for &k in section.exclude.iter().chain(section.entries.iter().map(|(k, _)| k)) {
-            let _ = Self::distinguish(level, k, from);
-        }
-
-        // 2. Explicit per-checkpoint echoes.
-        for &(k, value) in &section.entries {
+        // 1. Every mentioned checkpoint becomes distinguished (forked off
+        //    the background as it stands before this section applies) —
+        //    entries before the exclude run, the order in which an entry
+        //    section followed by its background section would charge the
+        //    sender's budget (see `Collector`'s merge rule) — and
+        // 2. each entry's echo goes to its checkpoint. No entry touches
+        //    the background instance, so forking and feeding entry by
+        //    entry forks what forking them all up front would.
+        for (&k, &value) in section.entries.iter().zip(section.entry_values) {
+            let Some(instance) = Self::distinguish(level, k, from) else { continue };
             if !Self::plausible(value, round) {
                 continue;
             }
-            if let Some(instance) = level.actives.get_mut(&k) {
-                for action in feed_echo(instance, round, kind, from, value) {
-                    let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, k, v);
-                }
+            for action in feed_echo(instance, round, kind, from, value) {
+                let (kind, v) = echo_parts(action);
+                out.entry(lvl, round, kind, 0, k, v);
             }
+        }
+        for &k in section.exclude {
+            let _ = Self::distinguish(level, k, from);
         }
 
         // 3. Background echo: applies to every distinguished checkpoint
         //    the sender did not mention, then to the background instance.
-        let Some(bg_value) = section.background else { return };
-        let mentioned =
-            |k: i64| section.exclude.contains(&k) || section.entries.iter().any(|&(ek, _)| ek == k);
-        for (&k, instance) in level.actives.iter_mut().filter(|(&k, _)| !mentioned(k)) {
+        let Some(bg_value) = background else { return };
+        for (&k, instance) in level.actives.iter_mut().filter(|(&k, _)| !section.names(k)) {
             for action in feed_echo(instance, round, kind, from, bg_value) {
                 let (kind, v) = echo_parts(action);
-                out.entry(lvl, round, kind, k, v);
+                out.entry(lvl, round, kind, 0, k, v);
             }
         }
         // Background echoes of ours carry an exclude snapshot of the whole
         // level, taken once every checkpoint echo above is collected.
         for action in feed_echo(&mut level.background, round, kind, from, bg_value) {
             let (kind, v) = echo_parts(action);
-            out.background(lvl, round, kind, v, level.actives.keys().copied().collect());
+            out.background(lvl, round, kind, 0, v, level.actives.keys().copied());
         }
     }
 
@@ -346,25 +300,25 @@ impl DelphiNode {
     /// input at once), followed by whatever the inputs triggered.
     fn enter_round(level: &mut LevelState, round: Round, out: &mut Collector) {
         let lvl = level.level;
-        let mut entries = Vec::with_capacity(level.actives.len());
         for (&k, inst) in level.actives.iter_mut() {
             let value = inst.value;
-            entries.push((k, value));
             for action in inst.rounds.touch(round).set_input(value) {
                 // The initial Echo1 is carried by the burst entry itself.
                 if action != BvAction::Echo1(value) {
                     let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, k, v);
+                    out.entry(lvl, round, kind, 0, k, v);
                 }
             }
         }
         let bg_value = level.background.value;
         let bg_actions = level.background.rounds.touch(round).set_input(bg_value);
-        out.initial(lvl, round, bg_value, entries);
+        let burst = out.initial(lvl, round);
+        let inputs = level.actives.iter().map(|(&k, inst)| (k, inst.value));
+        out.initial_echoes(burst, 0, bg_value, inputs);
         for action in bg_actions {
             if action != BvAction::Echo1(bg_value) {
                 let (kind, v) = echo_parts(action);
-                out.background(lvl, round, kind, v, level.actives.keys().copied().collect());
+                out.background(lvl, round, kind, 0, v, level.actives.keys().copied());
             }
         }
     }
@@ -398,37 +352,25 @@ impl DelphiNode {
                 }
                 if level.round > self.cfg.r_max() {
                     // Level complete: final values are the weights.
-                    let checkpoints: Vec<(f64, f64)> = level
-                        .actives
-                        .iter()
-                        .map(|(&k, inst)| {
-                            (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
-                        })
-                        .collect();
+                    let checkpoints = level.actives.iter().map(|(&k, inst)| {
+                        (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
+                    });
                     // The background weight is provably 0 at honest nodes
                     // (its honest inputs are all 0); it carries no mass.
                     debug_assert!(level.background.value.is_zero());
                     let own = self.cfg.clamp_input(self.input);
-                    level.summary = Some(level_summary(&checkpoints, own, self.cfg.eps_prime()));
+                    level.summary = Some(level_summary(checkpoints, own, self.cfg.eps_prime()));
                     finished_level = true;
                     break;
                 }
                 Self::enter_round(level, Round(level.round), out);
             }
         }
-        if finished_level && self.output.is_none() {
-            let summaries: Option<Vec<LevelSummary>> =
-                self.levels.iter().map(|l| l.summary).collect();
-            self.output = summaries.map(|s| combine_levels(&s));
-        }
-    }
-
-    fn flush(&self, out: Collector) -> Vec<Envelope> {
-        let bundle = out.into_bundle();
-        if bundle.is_empty() {
-            Vec::new()
-        } else {
-            vec![Envelope::to_all(bundle.to_bytes())]
+        if finished_level
+            && self.output.is_none()
+            && self.levels.iter().all(|l| l.summary.is_some())
+        {
+            self.output = Some(combine_levels(self.levels.iter().filter_map(|l| l.summary)));
         }
     }
 }
@@ -445,45 +387,45 @@ impl Protocol for DelphiNode {
     }
 
     fn start(&mut self) -> Vec<Envelope> {
-        let mut out = Collector::default();
+        let mut out = std::mem::take(&mut self.out);
         for level in &mut self.levels {
             // Our own 1-checkpoints become distinguished with input 1
             // (charged against our own introduction budget).
             for k in self.cfg.one_checkpoints(level.level, self.input) {
-                if Self::distinguish(level, k, self.me) {
-                    if let Some(inst) = level.actives.get_mut(&k) {
-                        inst.value = Dyadic::ONE;
-                    }
+                if let Some(inst) = Self::distinguish(level, k, self.me) {
+                    inst.value = Dyadic::ONE;
                 }
             }
             Self::enter_round(level, Round::FIRST, &mut out);
         }
         self.advance(u64::MAX, &mut out);
-        self.flush(out)
+        let envelopes = out.flush(Codec::Scalar);
+        self.out = out;
+        envelopes
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8]) -> Vec<Envelope> {
         if from == self.me || from.index() >= self.cfg.n() {
             return Vec::new();
         }
-        // Zero-copy decode: one validating pass over the frame bytes,
-        // then each section is walked straight out of `payload` into the
-        // reused scratch buffer — no owned bundle is ever built.
-        let Ok(bundle) = DelphiBundleRef::parse(payload) else {
+        // One validating pass decodes the whole bundle into the arena;
+        // a malformed one is rejected before any state is touched.
+        let mut arena = std::mem::take(&mut self.arena);
+        if arena.decode(payload, Codec::Scalar).is_err() {
+            self.arena = arena;
             return Vec::new(); // malformed: Byzantine, drop
-        };
-        let mut out = Collector::default();
-        let mut scratch =
-            std::mem::replace(&mut self.scratch, Section::new(0, Round(1), EchoKind::Echo1));
-        let mut touched = 0u64;
-        for section in bundle.sections() {
-            section.fill_section(&mut scratch);
-            touched |= level_bit(scratch.level);
-            self.process_section(from, &scratch, &mut out);
         }
-        self.scratch = scratch;
+        let mut out = std::mem::take(&mut self.out);
+        let mut touched = 0u64;
+        for section in arena.sections() {
+            touched |= level_bit(section.level);
+            self.process_section(from, &section, &mut out);
+        }
+        self.arena = arena;
         self.advance(touched, &mut out);
-        self.flush(out)
+        let envelopes = out.flush(Codec::Scalar);
+        self.out = out;
+        envelopes
     }
 
     fn output(&self) -> Option<f64> {
@@ -529,74 +471,6 @@ struct VLevelState {
     dims: Vec<DimLevel>,
 }
 
-/// Outgoing-echo collector for the vector node: groups per-dimension
-/// echoes into [`BasketSection`]s so every section's id-run is shared
-/// across the basket.
-#[derive(Debug, Default)]
-struct VCollector {
-    sections: Vec<BasketSection>,
-}
-
-impl VCollector {
-    /// The level-advance burst: one merged section carrying every
-    /// dimension's background and active-checkpoint inputs.
-    fn initial(
-        &mut self,
-        level: u8,
-        round: Round,
-        backgrounds: VectorValue,
-        entries: Vec<(i64, VectorValue)>,
-    ) {
-        let mut s = BasketSection::new(level, round, EchoKind::Echo1);
-        s.backgrounds = backgrounds;
-        s.entries = entries;
-        self.sections.push(s);
-    }
-
-    /// A trigger-driven echo for one distinguished checkpoint in one
-    /// dimension; merged into the matching background-free section (and
-    /// into an existing entry for the same checkpoint where possible).
-    fn entry(&mut self, level: u8, round: Round, kind: EchoKind, dim: u16, k: i64, v: Dyadic) {
-        if let Some(s) = self.sections.iter_mut().find(|s| {
-            s.level == level && s.round == round && s.kind == kind && s.backgrounds.is_empty()
-        }) {
-            if let Some((_, vv)) =
-                s.entries.iter_mut().find(|(ek, vv)| *ek == k && !vv.contains(dim))
-            {
-                vv.set(dim, v);
-            } else {
-                s.entries.push((k, VectorValue::single(dim, v)));
-            }
-            return;
-        }
-        let mut s = BasketSection::new(level, round, kind);
-        s.entries.push((k, VectorValue::single(dim, v)));
-        self.sections.push(s);
-    }
-
-    /// A trigger-driven background echo for one dimension; `exclude_ids`
-    /// is the emit-time snapshot of that dimension's distinguished
-    /// checkpoints.
-    fn background(
-        &mut self,
-        level: u8,
-        round: Round,
-        kind: EchoKind,
-        dim: u16,
-        v: Dyadic,
-        exclude_ids: Vec<i64>,
-    ) {
-        let mut s = BasketSection::new(level, round, kind);
-        s.backgrounds = VectorValue::single(dim, v);
-        s.exclude = exclude_ids.into_iter().map(|k| (k, 1u64 << dim)).collect();
-        self.sections.push(s);
-    }
-
-    fn into_bundle(self) -> BasketBundle {
-        BasketBundle { sections: self.sections }
-    }
-}
-
 /// A vector-valued Delphi node: **one** agreement instance covering a
 /// whole basket of assets (up to [`MAX_VECTOR_DIMS`] dimensions).
 ///
@@ -620,8 +494,9 @@ pub struct VectorDelphiNode {
     /// Optional shared counter bumped once per completed `(level, round)`
     /// (see [`VectorDelphiNode::with_round_probe`]).
     round_probe: Option<Arc<AtomicU64>>,
-    /// Reused decode target, mirroring [`DelphiNode`]'s scratch section.
-    scratch: BasketSection,
+    /// Decode target and outgoing collector, as in [`DelphiNode`].
+    arena: BundleArena,
+    out: Collector,
 }
 
 impl VectorDelphiNode {
@@ -655,6 +530,7 @@ impl VectorDelphiNode {
             })
             .collect();
         VectorDelphiNode {
+            arena: inbound_arena(&cfg, values.len(), Codec::Basket),
             cfg,
             me,
             dims: values.len() as u16,
@@ -662,7 +538,7 @@ impl VectorDelphiNode {
             levels,
             output: None,
             round_probe: None,
-            scratch: BasketSection::new(0, Round(1), EchoKind::Echo1),
+            out: Collector::default(),
         }
     }
 
@@ -707,72 +583,66 @@ impl VectorDelphiNode {
 
     /// Forks checkpoint `k` off dimension `dim`'s background if not yet
     /// distinguished there, charging `sponsor`'s (sender, dimension)
-    /// budget. Returns whether the checkpoint is distinguished after.
-    fn distinguish(dim: &mut DimLevel, k_min: i64, k_max: i64, k: i64, sponsor: NodeId) -> bool {
+    /// budget. Returns the checkpoint's instance if it is distinguished
+    /// after the call.
+    fn distinguish(
+        dim: &mut DimLevel,
+        (k_min, k_max): (i64, i64),
+        k: i64,
+        sponsor: NodeId,
+    ) -> Option<&mut Instance> {
         if k < k_min || k > k_max {
-            return false;
+            return None;
         }
-        if dim.actives.contains_key(&k) {
-            return true;
+        match dim.actives.entry(k) {
+            Entry::Occupied(active) => Some(active.into_mut()),
+            Entry::Vacant(vacant) => {
+                let budget = dim.intro_budget.get_mut(sponsor.index())?;
+                *budget = budget.checked_sub(1)?;
+                Some(vacant.insert(dim.background.clone()))
+            }
         }
-        let budget = &mut dim.intro_budget[sponsor.index()];
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        let fork = dim.background.clone();
-        dim.actives.insert(k, fork);
-        true
     }
 
     /// Processes one decoded basket section, collecting triggered echoes.
-    fn process_section(&mut self, from: NodeId, section: &BasketSection, out: &mut VCollector) {
+    fn process_section(&mut self, from: NodeId, section: &FlatSection<'_>, out: &mut Collector) {
         let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
             return;
         }
         // A section whose backgrounds carry any implausible value is
         // dropped whole, mirroring the scalar path's section gate.
-        for (_, bg) in section.backgrounds.dims() {
-            if !DelphiNode::plausible(bg, section.round) {
-                return;
-            }
+        if section.backgrounds.iter().any(|&bg| !DelphiNode::plausible(bg, section.round)) {
+            return;
         }
         let n_dims = self.dims;
         let (lvl, round, kind) = (section.level, section.round, section.kind);
-        let (k_min, k_max) = (level.k_min, level.k_max);
+        let range = (level.k_min, level.k_max);
 
         // 1. Every mentioned (dimension, checkpoint) pair becomes
-        //    distinguished in that dimension. Dimensions beyond our
-        //    basket are ignored throughout (Byzantine senders cannot
-        //    spend budget on phantom assets).
-        for &(k, mask) in &section.exclude {
-            for (d, dim) in level.dims.iter_mut().enumerate() {
-                if mask & (1u64 << d) != 0 {
-                    let _ = Self::distinguish(dim, k_min, k_max, k, from);
-                }
-            }
-        }
-        for (k, values) in &section.entries {
-            for (d, _) in values.dims() {
-                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
-                    let _ = Self::distinguish(dim, k_min, k_max, *k, from);
-                }
-            }
-        }
-
-        // 2. Explicit per-checkpoint echoes, dimension by dimension.
-        for (k, values) in &section.entries {
-            for (d, value) in values.dims() {
+        //    distinguished in that dimension, entries before the exclude
+        //    run, and
+        // 2. each entry's echoes go to its checkpoint, dimension by
+        //    dimension (fork and feed entry by entry, as in the scalar
+        //    path). Dimensions beyond our basket are ignored throughout
+        //    (Byzantine senders cannot spend budget on phantom assets).
+        for (k, mask, values) in section.basket_entries() {
+            for (d, &value) in dims_of(mask).zip(values) {
+                let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
+                let Some(instance) = Self::distinguish(dim, range, k, from) else { continue };
                 if !DelphiNode::plausible(value, round) {
                     continue;
                 }
-                let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
-                if let Some(instance) = dim.actives.get_mut(k) {
-                    for action in feed_echo(instance, round, kind, from, value) {
-                        let (kind, v) = echo_parts(action);
-                        out.entry(lvl, round, kind, d, *k, v);
-                    }
+                for action in feed_echo(instance, round, kind, from, value) {
+                    let (kind, v) = echo_parts(action);
+                    out.entry(lvl, round, kind, d, k, v);
+                }
+            }
+        }
+        for (&k, &mask) in section.exclude.iter().zip(section.exclude_masks) {
+            for d in dims_of(mask) {
+                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
+                    let _ = Self::distinguish(dim, range, k, from);
                 }
             }
         }
@@ -784,15 +654,9 @@ impl VectorDelphiNode {
         //    background instance. The latter's echoes carry the
         //    dimension's exclude snapshot, so they are emitted only once
         //    every dimension's checkpoint echoes are collected.
-        let mut deferred_bg: Vec<(EchoKind, u16, Dyadic)> = Vec::new();
-        for (d, bg_value) in section.backgrounds.dims().filter(|&(d, _)| d < n_dims) {
-            let bit = 1u64 << d;
-            let mentioned = |k: i64| {
-                section.exclude.iter().any(|&(ek, mask)| ek == k && mask & bit != 0)
-                    || section.entries.iter().any(|(ek, vv)| *ek == k && vv.contains(d))
-            };
-            let dim = &mut level.dims[usize::from(d)];
-            for (&k, instance) in dim.actives.iter_mut().filter(|(&k, _)| !mentioned(k)) {
+        for (d, bg_value) in section.background_dims().filter(|&(d, _)| d < n_dims) {
+            let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
+            for (&k, instance) in dim.actives.iter_mut().filter(|(&k, _)| !section.names_in(k, d)) {
                 for action in feed_echo(instance, round, kind, from, bg_value) {
                     let (kind, v) = echo_parts(action);
                     out.entry(lvl, round, kind, d, k, v);
@@ -800,28 +664,33 @@ impl VectorDelphiNode {
             }
             for action in feed_echo(&mut dim.background, round, kind, from, bg_value) {
                 let (kind, v) = echo_parts(action);
-                deferred_bg.push((kind, d, v));
+                out.deferred.push((kind, d, v));
             }
         }
-        for (kind, d, value) in deferred_bg {
-            let exclude = level.dims[usize::from(d)].actives.keys().copied().collect();
-            out.background(lvl, round, kind, d, value, exclude);
+        Self::emit_deferred(level, round, out);
+    }
+
+    /// Emits the background echoes held back in `out.deferred`, each with
+    /// its dimension's exclude snapshot as of now.
+    fn emit_deferred(level: &VLevelState, round: Round, out: &mut Collector) {
+        let mut deferred = std::mem::take(&mut out.deferred);
+        for (kind, d, value) in deferred.drain(..) {
+            if let Some(dim) = level.dims.get(usize::from(d)) {
+                out.background(level.level, round, kind, d, value, dim.actives.keys().copied());
+            }
         }
+        out.deferred = deferred;
     }
 
     /// Enters `round` at `level` in every dimension: feeds each instance
     /// its round input and emits one merged initial burst, followed by
     /// whatever the inputs triggered.
-    fn enter_round(level: &mut VLevelState, round: Round, out: &mut VCollector) {
+    fn enter_round(level: &mut VLevelState, round: Round, out: &mut Collector) {
         let lvl = level.level;
-        let mut deferred: Vec<(EchoKind, u16, Dyadic)> = Vec::new();
-        let mut backgrounds = VectorValue::new();
-        let mut entry_map: BTreeMap<i64, VectorValue> = BTreeMap::new();
         for (d, dim) in level.dims.iter_mut().enumerate() {
             let d16 = d as u16;
             for (&k, inst) in dim.actives.iter_mut() {
                 let value = inst.value;
-                entry_map.entry(k).or_default().set(d16, value);
                 for action in inst.rounds.touch(round).set_input(value) {
                     // The initial Echo1 rides in the burst entry itself.
                     if action != BvAction::Echo1(value) {
@@ -831,25 +700,25 @@ impl VectorDelphiNode {
                 }
             }
             let bg_value = dim.background.value;
-            backgrounds.set(d16, bg_value);
             for action in dim.background.rounds.touch(round).set_input(bg_value) {
                 if action != BvAction::Echo1(bg_value) {
                     let (kind, v) = echo_parts(action);
-                    deferred.push((kind, d16, v));
+                    out.deferred.push((kind, d16, v));
                 }
             }
         }
-        out.initial(lvl, round, backgrounds, entry_map.into_iter().collect());
-        for (kind, d, value) in deferred {
-            let exclude = level.dims[usize::from(d)].actives.keys().copied().collect();
-            out.background(lvl, round, kind, d, value, exclude);
+        let burst = out.initial(lvl, round);
+        for (d, dim) in level.dims.iter().enumerate() {
+            let inputs = dim.actives.iter().map(|(&k, inst)| (k, inst.value));
+            out.initial_echoes(burst, d as u16, dim.background.value, inputs);
         }
+        Self::emit_deferred(level, round, out);
     }
 
     /// Advances the levels in `touched` (a [`level_bit`] mask, see
     /// [`DelphiNode::advance`]) through rounds whose outcomes are complete
     /// in **all** dimensions, emitting one merged burst per advance.
-    fn advance(&mut self, touched: u64, out: &mut VCollector) {
+    fn advance(&mut self, touched: u64, out: &mut Collector) {
         let mut finished_level = false;
         for level in self.levels.iter_mut().filter(|l| touched & level_bit(l.level) != 0) {
             while level.round <= self.cfg.r_max() {
@@ -876,16 +745,12 @@ impl VectorDelphiNode {
                 if level.round > self.cfg.r_max() {
                     // Level complete in every dimension simultaneously.
                     for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
-                        let checkpoints: Vec<(f64, f64)> = dim
-                            .actives
-                            .iter()
-                            .map(|(&k, inst)| {
-                                (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
-                            })
-                            .collect();
+                        let checkpoints = dim.actives.iter().map(|(&k, inst)| {
+                            (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
+                        });
                         debug_assert!(dim.background.value.is_zero());
                         let own = self.cfg.clamp_input(input);
-                        dim.summary = Some(level_summary(&checkpoints, own, self.cfg.eps_prime()));
+                        dim.summary = Some(level_summary(checkpoints, own, self.cfg.eps_prime()));
                     }
                     finished_level = true;
                     break;
@@ -893,24 +758,14 @@ impl VectorDelphiNode {
                 Self::enter_round(level, Round(level.round), out);
             }
         }
-        if finished_level && self.output.is_none() {
-            let outputs: Option<Vec<f64>> = (0..usize::from(self.dims))
-                .map(|d| {
-                    let summaries: Option<Vec<LevelSummary>> =
-                        self.levels.iter().map(|l| l.dims.get(d)?.summary).collect();
-                    summaries.map(|s| combine_levels(&s))
-                })
-                .collect();
-            self.output = outputs;
-        }
-    }
-
-    fn flush(&self, out: VCollector) -> Vec<Envelope> {
-        let bundle = out.into_bundle();
-        if bundle.is_empty() {
-            Vec::new()
-        } else {
-            vec![Envelope::to_all(bundle.to_bytes())]
+        let summarized = |l: &VLevelState| l.dims.iter().all(|dim| dim.summary.is_some());
+        if finished_level && self.output.is_none() && self.levels.iter().all(summarized) {
+            let summaries =
+                |d: usize| self.levels.iter().filter_map(move |l| l.dims.get(d)?.summary);
+            let combine = |d| combine_levels(summaries(d));
+            let mut outputs = Vec::with_capacity(usize::from(self.dims));
+            outputs.extend((0..usize::from(self.dims)).map(combine));
+            self.output = Some(outputs);
         }
     }
 }
@@ -927,47 +782,47 @@ impl Protocol for VectorDelphiNode {
     }
 
     fn start(&mut self) -> Vec<Envelope> {
-        let mut out = VCollector::default();
+        let mut out = std::mem::take(&mut self.out);
         for level in &mut self.levels {
-            let (k_min, k_max) = (level.k_min, level.k_max);
+            let range = (level.k_min, level.k_max);
             for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
                 // This dimension's own 1-checkpoints become distinguished
                 // with input 1 (charged against our own budget).
                 for k in self.cfg.one_checkpoints(level.level, input) {
-                    if Self::distinguish(dim, k_min, k_max, k, self.me) {
-                        if let Some(inst) = dim.actives.get_mut(&k) {
-                            inst.value = Dyadic::ONE;
-                        }
+                    if let Some(inst) = Self::distinguish(dim, range, k, self.me) {
+                        inst.value = Dyadic::ONE;
                     }
                 }
             }
             Self::enter_round(level, Round::FIRST, &mut out);
         }
         self.advance(u64::MAX, &mut out);
-        self.flush(out)
+        let envelopes = out.flush(Codec::Basket);
+        self.out = out;
+        envelopes
     }
 
     fn on_message(&mut self, from: NodeId, payload: &[u8]) -> Vec<Envelope> {
         if from == self.me || from.index() >= self.cfg.n() {
             return Vec::new();
         }
-        // Zero-copy decode, mirroring the scalar path: one validating
-        // pass, then each section is walked into the reused scratch.
-        let Ok(bundle) = BasketBundleRef::parse(payload) else {
+        // One validating pass into the arena, as in the scalar path.
+        let mut arena = std::mem::take(&mut self.arena);
+        if arena.decode(payload, Codec::Basket).is_err() {
+            self.arena = arena;
             return Vec::new(); // malformed: Byzantine, drop
-        };
-        let mut out = VCollector::default();
-        let mut scratch =
-            std::mem::replace(&mut self.scratch, BasketSection::new(0, Round(1), EchoKind::Echo1));
-        let mut touched = 0u64;
-        for section in bundle.sections() {
-            section.fill_section(&mut scratch);
-            touched |= level_bit(scratch.level);
-            self.process_section(from, &scratch, &mut out);
         }
-        self.scratch = scratch;
+        let mut out = std::mem::take(&mut self.out);
+        let mut touched = 0u64;
+        for section in arena.sections() {
+            touched |= level_bit(section.level);
+            self.process_section(from, &section, &mut out);
+        }
+        self.arena = arena;
         self.advance(touched, &mut out);
-        self.flush(out)
+        let envelopes = out.flush(Codec::Basket);
+        self.out = out;
+        envelopes
     }
 
     fn output(&self) -> Option<Vec<f64>> {
@@ -975,18 +830,25 @@ impl Protocol for VectorDelphiNode {
     }
 }
 
+// In a `tests/` directory, which `delphi-lint` reads as wholly test code.
+#[cfg(test)]
+#[path = "delphi/tests/merge.rs"]
+mod merge_tests;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{BasketBundle, BasketSection, DelphiBundle, Section};
     use crate::params::InputRule;
     use bytes::Bytes;
+    use delphi_primitives::wire::{Encode, VectorValue};
     use delphi_primitives::Recipient;
     use delphi_sim::adversary::{Crash, GarbageSpammer, SilentAfter};
     use delphi_sim::{Simulation, Topology};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    fn small_cfg(n: usize) -> DelphiConfig {
+    pub(super) fn small_cfg(n: usize) -> DelphiConfig {
         DelphiConfig::builder(n)
             .space(0.0, 1000.0)
             .rho0(1.0)

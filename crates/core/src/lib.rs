@@ -61,6 +61,7 @@
 
 pub mod aggregate;
 pub mod binaa;
+mod bundle;
 pub mod bv;
 pub mod compact;
 pub mod delphi;
@@ -69,11 +70,12 @@ pub mod oracle;
 pub mod params;
 
 pub use binaa::BinAaNode;
+pub use bundle::{ArenaSlice, BundleArena, Codec, FlatSection};
 pub use compact::CompactBinAaNode;
 pub use delphi::{DelphiNode, VectorDelphiNode};
 pub use messages::{
-    BasketBundle, BasketBundleRef, BasketSection, BasketSectionRef, BinAaMsg, DelphiBundle,
-    DelphiBundleRef, EchoKind, Section, SectionRef,
+    BasketBundle, BasketBundleRef, BasketSection, BinAaMsg, DelphiBundle, DelphiBundleRef,
+    EchoKind, Section,
 };
 pub use oracle::{OracleService, PriceSource, VectorOracleService};
 pub use params::{ConfigError, DelphiConfig, DelphiConfigBuilder, InputRule};

@@ -11,6 +11,8 @@
 use delphi_primitives::wire::{Decode, Encode, Reader, VectorValue, WireError, Writer};
 use delphi_primitives::{Dyadic, Round};
 
+use crate::bundle::{validate_bundle, Codec};
+
 /// Maximum sections per bundle accepted from the wire.
 pub(crate) const MAX_SECTIONS: usize = 4096;
 /// Maximum explicit checkpoint ids per section accepted from the wire.
@@ -79,7 +81,19 @@ impl Decode for BinAaMsg {
 ///   or `exclude` (the sender's currently distinguished checkpoints);
 /// - any checkpoint id mentioned anywhere makes the checkpoint
 ///   "distinguished" at the receiver (it is forked off the background
-///   instance before the message is applied).
+///   instance before the message is applied); when a sender's
+///   introduction budget runs out mid-section, `entries` are forked
+///   before `exclude`.
+///
+/// A section may carry a background *and* entries: a round's initial
+/// burst does (every instance echoes its input at once), and so does a
+/// triggered echo — the entries a call collects for one
+/// `(level, round, kind)` and the background echo it then triggers for
+/// the same key leave as one section, with `exclude` shrunk to the
+/// distinguished checkpoints the entries do not name. Nodes read
+/// sections out of a [`BundleArena`](crate::BundleArena) and build them
+/// in pooled scratch; this owned type is the wire format's reference
+/// model (tests, benches, Byzantine test nodes).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Section {
     /// Level index (`0..=l_max`).
@@ -116,10 +130,10 @@ impl Section {
 /// byte each where absolute ids cost three — the dominant varint work in
 /// a bundle, on both sides of the wire. Wrapping arithmetic keeps the
 /// mapping bijective for arbitrary `i64` ids.
-fn put_id_deltas<'a>(w: &mut Writer, ids: impl ExactSizeIterator<Item = &'a i64>) {
+pub(crate) fn put_id_deltas(w: &mut Writer, ids: impl ExactSizeIterator<Item = i64>) {
     w.put_usize(ids.len());
     let mut prev = 0i64;
-    for &id in ids {
+    for id in ids {
         w.put_i64(id.wrapping_sub(prev));
         prev = id;
     }
@@ -134,11 +148,11 @@ impl Encode for Section {
             Some(v) => {
                 w.put_bool(true);
                 w.put(&v);
-                put_id_deltas(w, self.exclude.iter());
+                put_id_deltas(w, self.exclude.iter().copied());
             }
             None => w.put_bool(false),
         }
-        put_id_deltas(w, self.entries.iter().map(|(id, _)| id));
+        put_id_deltas(w, self.entries.iter().map(|&(id, _)| id));
         for (_, v) in &self.entries {
             w.put(v);
         }
@@ -217,44 +231,27 @@ impl Decode for DelphiBundle {
     }
 }
 
-/// A validated, borrowed view of an encoded [`DelphiBundle`]: the
-/// zero-copy decoder of the frame→protocol hot path.
+/// The validating shim over the scalar codec: checks that `bytes` is a
+/// complete [`DelphiBundle`] encoding and reports its section count,
+/// keeping nothing.
 ///
-/// [`DelphiBundleRef::parse`] makes exactly one validating pass over the
-/// input — every varint, discriminant, length bound, and [`Dyadic`] is
-/// checked with the same errors as the owned decoder (property-tested) —
-/// but materializes nothing: no section `Vec`, no id vectors, no entry
-/// pairs. Consumers walk [`DelphiBundleRef::sections`], whose
-/// [`SectionRef`]s expose the id runs and entries as iterators over
-/// slices of the original input. `to_owned` exists for the protocol
-/// boundary, where state must outlive the frame.
+/// Nodes decode through [`BundleArena`](crate::BundleArena) — the same
+/// pass, storing what it reads; this is that pass with nowhere to store,
+/// for callers that only need a bundle's validity and size.
 #[derive(Clone, Copy, Debug)]
-pub struct DelphiBundleRef<'a> {
-    /// Section bytes (everything after the count), pre-validated.
-    sections: &'a [u8],
+pub struct DelphiBundleRef {
     count: usize,
 }
 
-impl<'a> DelphiBundleRef<'a> {
-    /// Validates `bytes` as a complete bundle encoding and returns the
-    /// borrowed view.
+impl DelphiBundleRef {
+    /// Validates `bytes` as a complete bundle encoding.
     ///
     /// # Errors
     ///
     /// Exactly what `DelphiBundle::from_bytes` returns on the same input,
     /// including [`WireError::TrailingBytes`] on unconsumed bytes.
-    pub fn parse(bytes: &'a [u8]) -> Result<DelphiBundleRef<'a>, WireError> {
-        let mut r = Reader::new(bytes);
-        let count = r.get_usize()?;
-        if count > MAX_SECTIONS {
-            return Err(WireError::LengthOutOfBounds);
-        }
-        let sections = r.tail();
-        for _ in 0..count {
-            let _ = read_section_ref(&mut r)?;
-        }
-        r.finish()?;
-        Ok(DelphiBundleRef { sections, count })
+    pub fn parse(bytes: &[u8]) -> Result<DelphiBundleRef, WireError> {
+        validate_bundle(bytes, Codec::Scalar).map(|count| DelphiBundleRef { count })
     }
 
     /// Number of sections in the bundle.
@@ -268,211 +265,6 @@ impl<'a> DelphiBundleRef<'a> {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// Iterates the sections as borrowed views.
-    pub fn sections(&self) -> SectionRefIter<'a> {
-        SectionRefIter { r: Reader::new(self.sections), remaining: self.count }
-    }
-
-    /// Materializes the owned bundle (the protocol-boundary escape hatch).
-    pub fn to_owned_bundle(&self) -> DelphiBundle {
-        DelphiBundle { sections: self.sections().map(|s| s.to_owned_section()).collect() }
-    }
-}
-
-/// Iterator over a pre-validated [`DelphiBundleRef`].
-#[derive(Clone, Debug)]
-pub struct SectionRefIter<'a> {
-    r: Reader<'a>,
-    remaining: usize,
-}
-
-impl<'a> Iterator for SectionRefIter<'a> {
-    type Item = SectionRef<'a>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // Parse validated the region; a failure here is unreachable but
-        // ends iteration instead of panicking.
-        match read_section_ref(&mut self.r) {
-            Ok(section) => Some(section),
-            Err(_) => {
-                self.remaining = 0;
-                None
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// One section of a [`DelphiBundleRef`]: decoded header fields plus
-/// borrowed slices for the id runs and entry values.
-#[derive(Clone, Copy, Debug)]
-pub struct SectionRef<'a> {
-    /// Level index (`0..=l_max`).
-    pub level: u8,
-    /// BinAA round within the level.
-    pub round: Round,
-    /// Echo phase.
-    pub kind: EchoKind,
-    /// Echo applying to every unlisted checkpoint of the level, if any.
-    pub background: Option<Dyadic>,
-    exclude_count: usize,
-    exclude_bytes: &'a [u8],
-    entry_count: usize,
-    id_bytes: &'a [u8],
-    value_bytes: &'a [u8],
-}
-
-impl<'a> SectionRef<'a> {
-    /// Number of explicit `exclude` checkpoint ids.
-    pub fn exclude_len(&self) -> usize {
-        self.exclude_count
-    }
-
-    /// Number of per-checkpoint entries.
-    pub fn entries_len(&self) -> usize {
-        self.entry_count
-    }
-
-    /// Iterates the `exclude` checkpoint ids (delta-decoded on the fly).
-    pub fn exclude(&self) -> IdRunIter<'a> {
-        IdRunIter { r: Reader::new(self.exclude_bytes), remaining: self.exclude_count, prev: 0 }
-    }
-
-    /// Iterates the `(checkpoint, value)` entries.
-    pub fn entries(&self) -> EntryRunIter<'a> {
-        EntryRunIter {
-            ids: IdRunIter { r: Reader::new(self.id_bytes), remaining: self.entry_count, prev: 0 },
-            values: Reader::new(self.value_bytes),
-        }
-    }
-
-    /// Materializes an owned [`Section`].
-    pub fn to_owned_section(&self) -> Section {
-        let mut section = Section::new(self.level, self.round, self.kind);
-        self.fill_section(&mut section);
-        section
-    }
-
-    /// Fills a reusable scratch [`Section`] in place — the steady-state
-    /// consumer path allocates nothing once the scratch vectors have
-    /// grown to the working-set size.
-    pub fn fill_section(&self, section: &mut Section) {
-        section.level = self.level;
-        section.round = self.round;
-        section.kind = self.kind;
-        section.background = self.background;
-        section.exclude.clear();
-        section.exclude.extend(self.exclude());
-        section.entries.clear();
-        section.entries.extend(self.entries());
-    }
-}
-
-/// Iterator over one delta-coded checkpoint-id run.
-#[derive(Clone, Debug)]
-pub struct IdRunIter<'a> {
-    r: Reader<'a>,
-    remaining: usize,
-    prev: i64,
-}
-
-impl Iterator for IdRunIter<'_> {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // Pre-validated region: failure is unreachable.
-        let delta = self.r.get_i64().ok()?;
-        self.prev = self.prev.wrapping_add(delta);
-        Some(self.prev)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Iterator over a section's `(checkpoint, value)` entries.
-#[derive(Clone, Debug)]
-pub struct EntryRunIter<'a> {
-    ids: IdRunIter<'a>,
-    values: Reader<'a>,
-}
-
-impl Iterator for EntryRunIter<'_> {
-    type Item = (i64, Dyadic);
-
-    fn next(&mut self) -> Option<(i64, Dyadic)> {
-        let id = self.ids.next()?;
-        let value = self.values.get::<Dyadic>().ok()?;
-        Some((id, value))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-/// Reads one section as a borrowed view, validating everything the owned
-/// decoder validates — this is the single code path behind both
-/// [`DelphiBundleRef::parse`] and [`SectionRefIter`], so the two can never
-/// disagree on what is well-formed.
-fn read_section_ref<'a>(r: &mut Reader<'a>) -> Result<SectionRef<'a>, WireError> {
-    let level = r.get_raw_u8()?;
-    let round = r.get::<Round>()?;
-    let kind = r.get::<EchoKind>()?;
-    let (background, exclude_count, exclude_bytes) = if r.get_bool()? {
-        let v = r.get::<Dyadic>()?;
-        let n = r.get_usize()?;
-        if n > MAX_IDS {
-            return Err(WireError::LengthOutOfBounds);
-        }
-        let start = r.tail();
-        for _ in 0..n {
-            // Deltas are wrapping sums: any well-formed varint is a valid
-            // id, so validation only needs the boundary.
-            r.skip_u64()?;
-        }
-        (Some(v), n, &start[..start.len() - r.tail().len()])
-    } else {
-        (None, 0, &[][..])
-    };
-    let entry_count = r.get_usize()?;
-    if entry_count > MAX_IDS {
-        return Err(WireError::LengthOutOfBounds);
-    }
-    let id_start = r.tail();
-    for _ in 0..entry_count {
-        r.skip_u64()?;
-    }
-    let id_bytes = &id_start[..id_start.len() - r.tail().len()];
-    let value_start = r.tail();
-    for _ in 0..entry_count {
-        let _ = r.get::<Dyadic>()?;
-    }
-    let value_bytes = &value_start[..value_start.len() - r.tail().len()];
-    Ok(SectionRef {
-        level,
-        round,
-        kind,
-        background,
-        exclude_count,
-        exclude_bytes,
-        entry_count,
-        id_bytes,
-        value_bytes,
-    })
 }
 
 /// All echoes of one `(level, round, kind)` in one *vector-basket* bundle
@@ -494,6 +286,13 @@ fn read_section_ref<'a>(r: &mut Reader<'a>) -> Result<SectionRef<'a>, WireError>
 ///   the checkpoint at the receiver *only in the dimensions its mask
 ///   covers* — mentioning `(k, {0})` says nothing about `k` in dimension
 ///   1, whose background echo still applies there.
+///
+/// As with [`Section`], one section may carry backgrounds *and* entries:
+/// a triggered echo's section holds the entries of its
+/// `(level, round, kind)` and the background echoes of *every* dimension
+/// that triggered one, behind a single exclude run — ascending by
+/// checkpoint, one `(checkpoint, mask)` pair per checkpoint, naming only
+/// what the entries do not.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BasketSection {
     /// Level index (`0..=l_max`).
@@ -537,12 +336,12 @@ impl Encode for BasketSection {
         w.put(&self.kind);
         w.put(&self.backgrounds);
         if !self.backgrounds.is_empty() {
-            put_id_deltas(w, self.exclude.iter().map(|(id, _)| id));
+            put_id_deltas(w, self.exclude.iter().map(|&(id, _)| id));
             for &(_, mask) in &self.exclude {
                 w.put_u64(mask);
             }
         }
-        put_id_deltas(w, self.entries.iter().map(|(id, _)| id));
+        put_id_deltas(w, self.entries.iter().map(|(id, _)| *id));
         for (_, values) in &self.entries {
             w.put(values);
         }
@@ -622,38 +421,22 @@ impl Decode for BasketBundle {
     }
 }
 
-/// A validated, borrowed view of an encoded [`BasketBundle`] — the
-/// vector-basket counterpart of [`DelphiBundleRef`], built on the same
-/// pattern: one validating pass in [`BasketBundleRef::parse`] (identical
-/// errors to the owned decoder, property-tested), then allocation-free
-/// iteration over sections straight out of the input bytes.
+/// The validating shim over the basket codec — [`DelphiBundleRef`]'s
+/// counterpart for [`BasketBundle`] encodings.
 #[derive(Clone, Copy, Debug)]
-pub struct BasketBundleRef<'a> {
-    /// Section bytes (everything after the count), pre-validated.
-    sections: &'a [u8],
+pub struct BasketBundleRef {
     count: usize,
 }
 
-impl<'a> BasketBundleRef<'a> {
-    /// Validates `bytes` as a complete basket-bundle encoding and returns
-    /// the borrowed view.
+impl BasketBundleRef {
+    /// Validates `bytes` as a complete basket-bundle encoding.
     ///
     /// # Errors
     ///
     /// Exactly what `BasketBundle::from_bytes` returns on the same input,
     /// including [`WireError::TrailingBytes`] on unconsumed bytes.
-    pub fn parse(bytes: &'a [u8]) -> Result<BasketBundleRef<'a>, WireError> {
-        let mut r = Reader::new(bytes);
-        let count = r.get_usize()?;
-        if count > MAX_SECTIONS {
-            return Err(WireError::LengthOutOfBounds);
-        }
-        let sections = r.tail();
-        for _ in 0..count {
-            let _ = read_basket_section_ref(&mut r)?;
-        }
-        r.finish()?;
-        Ok(BasketBundleRef { sections, count })
+    pub fn parse(bytes: &[u8]) -> Result<BasketBundleRef, WireError> {
+        validate_bundle(bytes, Codec::Basket).map(|count| BasketBundleRef { count })
     }
 
     /// Number of sections in the bundle.
@@ -665,278 +448,12 @@ impl<'a> BasketBundleRef<'a> {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// Iterates the sections as borrowed views.
-    pub fn sections(&self) -> BasketSectionRefIter<'a> {
-        BasketSectionRefIter { r: Reader::new(self.sections), remaining: self.count }
-    }
-
-    /// Materializes the owned bundle (the protocol-boundary escape hatch).
-    pub fn to_owned_bundle(&self) -> BasketBundle {
-        BasketBundle { sections: self.sections().map(|s| s.to_owned_section()).collect() }
-    }
-}
-
-/// Iterator over a pre-validated [`BasketBundleRef`].
-#[derive(Clone, Debug)]
-pub struct BasketSectionRefIter<'a> {
-    r: Reader<'a>,
-    remaining: usize,
-}
-
-impl<'a> Iterator for BasketSectionRefIter<'a> {
-    type Item = BasketSectionRef<'a>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // Parse validated the region; a failure here is unreachable but
-        // ends iteration instead of panicking.
-        match read_basket_section_ref(&mut self.r) {
-            Ok(section) => Some(section),
-            Err(_) => {
-                self.remaining = 0;
-                None
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// One section of a [`BasketBundleRef`]: decoded header fields plus
-/// borrowed slices for the background values, id runs, masks, and entry
-/// value sets.
-#[derive(Clone, Copy, Debug)]
-pub struct BasketSectionRef<'a> {
-    /// Level index (`0..=l_max`).
-    pub level: u8,
-    /// BinAA round within the level.
-    pub round: Round,
-    /// Echo phase.
-    pub kind: EchoKind,
-    backgrounds_mask: u64,
-    backgrounds_bytes: &'a [u8],
-    exclude_count: usize,
-    exclude_id_bytes: &'a [u8],
-    exclude_mask_bytes: &'a [u8],
-    entry_count: usize,
-    id_bytes: &'a [u8],
-    value_bytes: &'a [u8],
-}
-
-impl<'a> BasketSectionRef<'a> {
-    /// The background membership mask (bit `d` set iff dimension `d` has
-    /// a background echo).
-    pub fn backgrounds_mask(&self) -> u64 {
-        self.backgrounds_mask
-    }
-
-    /// Iterates the `(dimension, value)` background echoes, ascending by
-    /// dimension.
-    pub fn backgrounds(&self) -> DimValueIter<'a> {
-        DimValueIter { mask: self.backgrounds_mask, r: Reader::new(self.backgrounds_bytes) }
-    }
-
-    /// Number of `(checkpoint, mask)` exclude pairs.
-    pub fn exclude_len(&self) -> usize {
-        self.exclude_count
-    }
-
-    /// Number of per-checkpoint entries.
-    pub fn entries_len(&self) -> usize {
-        self.entry_count
-    }
-
-    /// Iterates the `(checkpoint, dimension mask)` exclude pairs.
-    pub fn exclude(&self) -> ExcludeRunIter<'a> {
-        ExcludeRunIter {
-            ids: IdRunIter {
-                r: Reader::new(self.exclude_id_bytes),
-                remaining: self.exclude_count,
-                prev: 0,
-            },
-            masks: Reader::new(self.exclude_mask_bytes),
-        }
-    }
-
-    /// Iterates the `(checkpoint, values)` entries.
-    pub fn entries(&self) -> BasketEntryIter<'a> {
-        BasketEntryIter {
-            ids: IdRunIter { r: Reader::new(self.id_bytes), remaining: self.entry_count, prev: 0 },
-            values: Reader::new(self.value_bytes),
-        }
-    }
-
-    /// Materializes an owned [`BasketSection`].
-    pub fn to_owned_section(&self) -> BasketSection {
-        let mut section = BasketSection::new(self.level, self.round, self.kind);
-        self.fill_section(&mut section);
-        section
-    }
-
-    /// Fills a reusable scratch [`BasketSection`] in place (cf.
-    /// [`SectionRef::fill_section`]): the outer vectors keep their
-    /// capacity across messages.
-    pub fn fill_section(&self, section: &mut BasketSection) {
-        section.level = self.level;
-        section.round = self.round;
-        section.kind = self.kind;
-        section.backgrounds.clear();
-        for (dim, value) in self.backgrounds() {
-            section.backgrounds.set(dim, value);
-        }
-        section.exclude.clear();
-        section.exclude.extend(self.exclude());
-        section.entries.clear();
-        section.entries.extend(self.entries());
-    }
-}
-
-/// Iterator over one [`VectorValue`] region: `(dimension, value)` pairs,
-/// ascending by dimension.
-#[derive(Clone, Debug)]
-pub struct DimValueIter<'a> {
-    mask: u64,
-    r: Reader<'a>,
-}
-
-impl Iterator for DimValueIter<'_> {
-    type Item = (u16, Dyadic);
-
-    fn next(&mut self) -> Option<(u16, Dyadic)> {
-        if self.mask == 0 {
-            return None;
-        }
-        let dim = self.mask.trailing_zeros() as u16;
-        self.mask &= self.mask - 1;
-        // Pre-validated region: failure is unreachable.
-        let value = self.r.get::<Dyadic>().ok()?;
-        Some((dim, value))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.mask.count_ones() as usize;
-        (n, Some(n))
-    }
-}
-
-/// Iterator over a section's `(checkpoint, dimension mask)` exclude run.
-#[derive(Clone, Debug)]
-pub struct ExcludeRunIter<'a> {
-    ids: IdRunIter<'a>,
-    masks: Reader<'a>,
-}
-
-impl Iterator for ExcludeRunIter<'_> {
-    type Item = (i64, u64);
-
-    fn next(&mut self) -> Option<(i64, u64)> {
-        let id = self.ids.next()?;
-        let mask = self.masks.get_u64().ok()?;
-        Some((id, mask))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-/// Iterator over a section's `(checkpoint, values)` entries.
-#[derive(Clone, Debug)]
-pub struct BasketEntryIter<'a> {
-    ids: IdRunIter<'a>,
-    values: Reader<'a>,
-}
-
-impl Iterator for BasketEntryIter<'_> {
-    type Item = (i64, VectorValue);
-
-    fn next(&mut self) -> Option<(i64, VectorValue)> {
-        let id = self.ids.next()?;
-        let values = self.values.get::<VectorValue>().ok()?;
-        Some((id, values))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-/// Reads one basket section as a borrowed view, validating everything the
-/// owned decoder validates — the single code path behind both
-/// [`BasketBundleRef::parse`] and [`BasketSectionRefIter`], mirroring
-/// [`read_section_ref`].
-fn read_basket_section_ref<'a>(r: &mut Reader<'a>) -> Result<BasketSectionRef<'a>, WireError> {
-    let level = r.get_raw_u8()?;
-    let round = r.get::<Round>()?;
-    let kind = r.get::<EchoKind>()?;
-    let backgrounds_mask = r.get_u64()?;
-    let bg_start = r.tail();
-    for _ in 0..backgrounds_mask.count_ones() {
-        let _ = r.get::<Dyadic>()?;
-    }
-    let backgrounds_bytes = &bg_start[..bg_start.len() - r.tail().len()];
-    let (exclude_count, exclude_id_bytes, exclude_mask_bytes) = if backgrounds_mask != 0 {
-        let n = r.get_usize()?;
-        if n > MAX_IDS {
-            return Err(WireError::LengthOutOfBounds);
-        }
-        let id_start = r.tail();
-        for _ in 0..n {
-            // Deltas are wrapping sums: any well-formed varint is a valid
-            // id, so validation only needs the boundary.
-            r.skip_u64()?;
-        }
-        let id_bytes = &id_start[..id_start.len() - r.tail().len()];
-        let mask_start = r.tail();
-        for _ in 0..n {
-            r.skip_u64()?;
-        }
-        let mask_bytes = &mask_start[..mask_start.len() - r.tail().len()];
-        (n, id_bytes, mask_bytes)
-    } else {
-        (0, &[][..], &[][..])
-    };
-    let entry_count = r.get_usize()?;
-    if entry_count > MAX_IDS {
-        return Err(WireError::LengthOutOfBounds);
-    }
-    let id_start = r.tail();
-    for _ in 0..entry_count {
-        r.skip_u64()?;
-    }
-    let id_bytes = &id_start[..id_start.len() - r.tail().len()];
-    let value_start = r.tail();
-    for _ in 0..entry_count {
-        let mask = r.get_u64()?;
-        for _ in 0..mask.count_ones() {
-            let _ = r.get::<Dyadic>()?;
-        }
-    }
-    let value_bytes = &value_start[..value_start.len() - r.tail().len()];
-    Ok(BasketSectionRef {
-        level,
-        round,
-        kind,
-        backgrounds_mask,
-        backgrounds_bytes,
-        exclude_count,
-        exclude_id_bytes,
-        exclude_mask_bytes,
-        entry_count,
-        id_bytes,
-        value_bytes,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bundle::BundleArena;
     use delphi_primitives::wire::roundtrip;
 
     #[test]
@@ -1058,72 +575,134 @@ mod tests {
         b
     }
 
+    /// Decodes `bytes` into a fresh arena and materializes the owned
+    /// bundle it holds, for comparison with the owned decoder.
+    fn arena_scalar(bytes: &[u8]) -> Result<DelphiBundle, WireError> {
+        let mut arena = BundleArena::new();
+        arena.decode(bytes, Codec::Scalar)?;
+        Ok(arena.to_owned_scalar())
+    }
+
+    fn arena_basket(bytes: &[u8]) -> Result<BasketBundle, WireError> {
+        let mut arena = BundleArena::new();
+        arena.decode(bytes, Codec::Basket)?;
+        Ok(arena.to_owned_basket())
+    }
+
     #[test]
     fn borrowed_bundle_view_matches_owned_decoder() {
         let bundle = sample_bundle();
         let bytes = bundle.to_bytes();
-        let view = DelphiBundleRef::parse(&bytes).unwrap();
-        assert_eq!(view.len(), bundle.sections.len());
-        assert!(!view.is_empty());
-        assert_eq!(view.to_owned_bundle(), bundle);
-        assert_eq!(view.sections().size_hint(), (5, Some(5)));
-        // Per-section borrowed iteration matches the owned fields.
-        for (sref, owned) in view.sections().zip(&bundle.sections) {
-            assert_eq!(sref.level, owned.level);
-            assert_eq!(sref.round, owned.round);
-            assert_eq!(sref.kind, owned.kind);
-            assert_eq!(sref.background, owned.background);
-            assert_eq!(sref.exclude_len(), owned.exclude.len());
-            assert_eq!(sref.entries_len(), owned.entries.len());
-            assert_eq!(sref.exclude().collect::<Vec<_>>(), owned.exclude);
-            assert_eq!(sref.entries().collect::<Vec<_>>(), owned.entries);
-            // fill_section reuses scratch storage without reallocating
-            // once capacity is grown.
-            let mut scratch = Section::new(0, Round(1), EchoKind::Echo1);
-            sref.fill_section(&mut scratch);
-            assert_eq!(&scratch, owned);
-            let cap = (scratch.exclude.capacity(), scratch.entries.capacity());
-            sref.fill_section(&mut scratch);
-            assert_eq!(&scratch, owned);
-            assert_eq!((scratch.exclude.capacity(), scratch.entries.capacity()), cap);
+        let shim = DelphiBundleRef::parse(&bytes).unwrap();
+        assert_eq!(shim.len(), bundle.sections.len());
+        assert!(!shim.is_empty());
+        let mut arena = BundleArena::new();
+        arena.decode(&bytes, Codec::Scalar).unwrap();
+        assert_eq!(arena.len(), bundle.sections.len());
+        assert_eq!(arena.to_owned_scalar(), bundle);
+        // Per-section slices match the owned fields.
+        for (flat, owned) in arena.sections().zip(&bundle.sections) {
+            assert_eq!((flat.level, flat.round, flat.kind), (owned.level, owned.round, owned.kind));
+            assert_eq!(flat.background(), owned.background);
+            assert_eq!(flat.exclude, owned.exclude);
+            let entries: Vec<_> =
+                flat.entries.iter().copied().zip(flat.entry_values.iter().copied()).collect();
+            assert_eq!(entries, owned.entries);
+            assert!(flat.exclude_masks.is_empty() && flat.entry_masks.is_empty());
+            for &k in owned.exclude.iter().chain(owned.entries.iter().map(|(k, _)| k)) {
+                assert!(flat.names(k));
+            }
+            assert!(!flat.names(123_456));
         }
+        // Decoding again reuses the storage without reallocating.
+        let capacity = arena.capacities();
+        arena.decode(&bytes, Codec::Scalar).unwrap();
+        assert_eq!(arena.to_owned_scalar(), bundle);
+        assert_eq!(arena.capacities(), capacity);
         // The empty bundle parses too.
         let empty = DelphiBundle::new().to_bytes();
         assert!(DelphiBundleRef::parse(&empty).unwrap().is_empty());
+        arena.decode(&empty, Codec::Scalar).unwrap();
+        assert!(arena.is_empty());
     }
 
     #[test]
     fn borrowed_bundle_rejects_what_owned_rejects() {
         let bytes = sample_bundle().to_bytes();
-        // Every truncation fails identically.
+        let mut arena = BundleArena::new();
+        // Every truncation fails identically, and leaves the arena empty.
         for cut in 0..bytes.len() {
             let owned = DelphiBundle::from_bytes(&bytes[..cut]).unwrap_err();
-            let borrowed = DelphiBundleRef::parse(&bytes[..cut]).unwrap_err();
-            assert_eq!(owned, borrowed, "cut at {cut}");
+            assert_eq!(
+                arena.decode(&bytes[..cut], Codec::Scalar).unwrap_err(),
+                owned,
+                "cut at {cut}"
+            );
+            assert!(arena.is_empty() && arena.sections().next().is_none());
+            assert_eq!(DelphiBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
         }
         // Trailing bytes fail identically.
         let mut trailing = bytes.to_vec();
         trailing.push(0x55);
-        assert_eq!(
-            DelphiBundle::from_bytes(&trailing).unwrap_err(),
-            DelphiBundleRef::parse(&trailing).unwrap_err(),
-        );
+        assert_eq!(DelphiBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
+        assert_eq!(arena.decode(&trailing, Codec::Scalar).unwrap_err(), WireError::TrailingBytes);
+        assert!(arena.is_empty());
         assert_eq!(DelphiBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
-        // Oversized section counts fail identically.
+        // Oversized section and id counts fail identically.
         let mut w = Writer::new();
         w.put_usize(MAX_SECTIONS + 1);
-        let over = w.into_vec();
-        assert_eq!(
-            DelphiBundle::from_bytes(&over).unwrap_err(),
-            DelphiBundleRef::parse(&over).unwrap_err(),
-        );
+        let over_sections = w.into_vec();
+        let mut w = Writer::new();
+        w.put_usize(1);
+        w.put_raw_u8(0);
+        w.put(&Round(1));
+        w.put(&EchoKind::Echo1);
+        w.put_bool(false);
+        w.put_usize(MAX_IDS + 1);
+        let over_ids = w.into_vec();
+        for over in [over_sections, over_ids] {
+            let owned = DelphiBundle::from_bytes(&over).unwrap_err();
+            assert_eq!(owned, WireError::LengthOutOfBounds);
+            assert_eq!(arena.decode(&over, Codec::Scalar).unwrap_err(), owned);
+            assert_eq!(DelphiBundleRef::parse(&over).unwrap_err(), owned);
+        }
+    }
+
+    #[test]
+    fn hostile_length_prefix_does_not_size_the_arena() {
+        // A bundle that *claims* the maximum section and id counts but
+        // carries a handful of bytes: the arena grows by what decoded,
+        // not by what the prefixes promised.
+        for codec in [Codec::Scalar, Codec::Basket] {
+            let mut w = Writer::new();
+            w.put_usize(MAX_SECTIONS);
+            w.put_raw_u8(0);
+            w.put(&Round(1));
+            w.put(&EchoKind::Echo1);
+            if codec == Codec::Basket {
+                w.put_u64(0); // no backgrounds
+            } else {
+                w.put_bool(false);
+            }
+            w.put_usize(MAX_IDS);
+            for _ in 0..8 {
+                w.put_i64(1);
+            }
+            let bytes = w.into_vec();
+            let mut arena = BundleArena::new();
+            let result = arena.decode(&bytes, codec);
+            assert_eq!(result.unwrap_err(), WireError::Truncated);
+            assert!(arena.is_empty());
+            let (heads, ids, masks, values) = arena.capacities();
+            assert!(heads + ids + masks + values <= 4 * bytes.len(), "{:?}", arena.capacities());
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Round-trip equivalence on arbitrary well-formed bundles:
-        /// `parse(bytes).to_owned() == decode(bytes)`.
+        /// Round-trip equivalence on arbitrary well-formed bundles: the
+        /// arena holds exactly what the owned decoder returns.
         #[test]
         fn prop_borrowed_bundle_roundtrip_equivalence(
             sections in proptest::collection::vec(
@@ -1158,26 +737,28 @@ mod tests {
             }
             let bytes = bundle.to_bytes();
             let owned = DelphiBundle::from_bytes(&bytes).unwrap();
-            let view = DelphiBundleRef::parse(&bytes).unwrap();
-            proptest::prop_assert_eq!(view.to_owned_bundle(), owned);
+            proptest::prop_assert_eq!(arena_scalar(&bytes).unwrap(), owned);
+            proptest::prop_assert_eq!(
+                DelphiBundleRef::parse(&bytes).unwrap().len(), bundle.sections.len());
         }
 
         /// Error equivalence on garbage bytes and truncated prefixes: the
-        /// borrowed parser accepts and rejects exactly what the owned
-        /// decoder does, with the same error.
+        /// arena decoder (and the validating shim) accept and reject
+        /// exactly what the owned decoder does, with the same error —
+        /// bad discriminants, bad `Dyadic`s and overlong varints included.
         #[test]
         fn prop_borrowed_bundle_error_equivalence(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
             cut in 0usize..96,
         ) {
-            let owned = DelphiBundle::from_bytes(&bytes).map(|b| b.sections.len());
-            let borrowed = DelphiBundleRef::parse(&bytes).map(|v| v.to_owned_bundle().sections.len());
-            proptest::prop_assert_eq!(owned, borrowed);
             let cut = cut.min(bytes.len());
-            let owned = DelphiBundle::from_bytes(&bytes[..cut]).map(|b| b.sections.len());
-            let borrowed =
-                DelphiBundleRef::parse(&bytes[..cut]).map(|v| v.to_owned_bundle().sections.len());
-            proptest::prop_assert_eq!(owned, borrowed);
+            for input in [&bytes[..], &bytes[..cut]] {
+                let owned = DelphiBundle::from_bytes(input);
+                proptest::prop_assert_eq!(arena_scalar(input), owned.clone());
+                proptest::prop_assert_eq!(
+                    DelphiBundleRef::parse(input).map(|shim| shim.len()),
+                    owned.map(|b| b.sections.len()));
+            }
         }
     }
 
@@ -1275,32 +856,38 @@ mod tests {
     fn borrowed_basket_view_matches_owned_decoder() {
         let bundle = sample_basket_bundle();
         let bytes = bundle.to_bytes();
-        let view = BasketBundleRef::parse(&bytes).unwrap();
-        assert_eq!(view.len(), bundle.sections.len());
-        assert!(!view.is_empty());
-        assert_eq!(view.to_owned_bundle(), bundle);
-        assert_eq!(view.sections().size_hint(), (5, Some(5)));
-        for (sref, owned) in view.sections().zip(&bundle.sections) {
-            assert_eq!(sref.level, owned.level);
-            assert_eq!(sref.round, owned.round);
-            assert_eq!(sref.kind, owned.kind);
-            assert_eq!(sref.backgrounds_mask(), owned.backgrounds.mask());
+        let shim = BasketBundleRef::parse(&bytes).unwrap();
+        assert_eq!(shim.len(), bundle.sections.len());
+        assert!(!shim.is_empty());
+        let mut arena = BundleArena::new();
+        arena.decode(&bytes, Codec::Basket).unwrap();
+        assert_eq!(arena.len(), bundle.sections.len());
+        assert_eq!(arena.to_owned_basket(), bundle);
+        for (flat, owned) in arena.sections().zip(&bundle.sections) {
+            assert_eq!((flat.level, flat.round, flat.kind), (owned.level, owned.round, owned.kind));
+            assert_eq!(flat.bg_mask, owned.backgrounds.mask());
             assert_eq!(
-                sref.backgrounds().collect::<Vec<_>>(),
+                flat.background_dims().collect::<Vec<_>>(),
                 owned.backgrounds.dims().collect::<Vec<_>>()
             );
-            assert_eq!(sref.exclude_len(), owned.exclude.len());
-            assert_eq!(sref.entries_len(), owned.entries.len());
-            assert_eq!(sref.exclude().collect::<Vec<_>>(), owned.exclude);
-            assert_eq!(sref.entries().collect::<Vec<_>>(), owned.entries);
-            let mut scratch = BasketSection::new(0, Round(1), EchoKind::Echo1);
-            sref.fill_section(&mut scratch);
-            assert_eq!(&scratch, owned);
-            let cap = (scratch.exclude.capacity(), scratch.entries.capacity());
-            sref.fill_section(&mut scratch);
-            assert_eq!(&scratch, owned);
-            assert_eq!((scratch.exclude.capacity(), scratch.entries.capacity()), cap);
+            let exclude: Vec<_> =
+                flat.exclude.iter().copied().zip(flat.exclude_masks.iter().copied()).collect();
+            assert_eq!(exclude, owned.exclude);
+            for (&(k, mask), dim) in owned.exclude.iter().zip([0u16, 5, 63]) {
+                assert_eq!(flat.names_in(k, dim), mask & (1 << dim) != 0);
+            }
+            for ((k, mask, values), (ok, ovalues)) in flat.basket_entries().zip(&owned.entries) {
+                assert_eq!((k, mask), (*ok, ovalues.mask()));
+                assert_eq!(values, ovalues.dims().map(|(_, v)| v).collect::<Vec<_>>());
+                for (dim, _) in ovalues.dims() {
+                    assert!(flat.names_in(k, dim));
+                }
+            }
         }
+        let capacity = arena.capacities();
+        arena.decode(&bytes, Codec::Basket).unwrap();
+        assert_eq!(arena.to_owned_basket(), bundle);
+        assert_eq!(arena.capacities(), capacity);
         let empty = BasketBundle::new().to_bytes();
         assert!(BasketBundleRef::parse(&empty).unwrap().is_empty());
     }
@@ -1308,32 +895,48 @@ mod tests {
     #[test]
     fn borrowed_basket_rejects_what_owned_rejects() {
         let bytes = sample_basket_bundle().to_bytes();
+        let mut arena = BundleArena::new();
         for cut in 0..bytes.len() {
             let owned = BasketBundle::from_bytes(&bytes[..cut]).unwrap_err();
-            let borrowed = BasketBundleRef::parse(&bytes[..cut]).unwrap_err();
-            assert_eq!(owned, borrowed, "cut at {cut}");
+            assert_eq!(
+                arena.decode(&bytes[..cut], Codec::Basket).unwrap_err(),
+                owned,
+                "cut at {cut}"
+            );
+            assert!(arena.is_empty() && arena.sections().next().is_none());
+            assert_eq!(BasketBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
         }
         let mut trailing = bytes.to_vec();
         trailing.push(0x55);
-        assert_eq!(
-            BasketBundle::from_bytes(&trailing).unwrap_err(),
-            BasketBundleRef::parse(&trailing).unwrap_err(),
-        );
+        assert_eq!(BasketBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
+        assert_eq!(arena.decode(&trailing, Codec::Basket).unwrap_err(), WireError::TrailingBytes);
+        assert!(arena.is_empty());
         assert_eq!(BasketBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
         let mut w = Writer::new();
         w.put_usize(MAX_SECTIONS + 1);
-        let over = w.into_vec();
-        assert_eq!(
-            BasketBundle::from_bytes(&over).unwrap_err(),
-            BasketBundleRef::parse(&over).unwrap_err(),
-        );
+        let over_sections = w.into_vec();
+        let mut w = Writer::new();
+        w.put_usize(1);
+        w.put_raw_u8(0);
+        w.put(&Round(1));
+        w.put(&EchoKind::Echo1);
+        w.put_u64(0b1);
+        w.put(&Dyadic::ZERO);
+        w.put_usize(MAX_IDS + 1);
+        let over_ids = w.into_vec();
+        for over in [over_sections, over_ids] {
+            let owned = BasketBundle::from_bytes(&over).unwrap_err();
+            assert_eq!(owned, WireError::LengthOutOfBounds);
+            assert_eq!(arena.decode(&over, Codec::Basket).unwrap_err(), owned);
+            assert_eq!(BasketBundleRef::parse(&over).unwrap_err(), owned);
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Round-trip equivalence on arbitrary well-formed basket bundles:
-        /// `parse(bytes).to_owned() == decode(bytes)`.
+        /// the arena holds exactly what the owned decoder returns.
         #[test]
         fn prop_borrowed_basket_roundtrip_equivalence(
             sections in proptest::collection::vec(
@@ -1381,26 +984,27 @@ mod tests {
             }
             let bytes = bundle.to_bytes();
             let owned = BasketBundle::from_bytes(&bytes).unwrap();
-            let view = BasketBundleRef::parse(&bytes).unwrap();
-            proptest::prop_assert_eq!(view.to_owned_bundle(), owned);
+            proptest::prop_assert_eq!(arena_basket(&bytes).unwrap(), owned);
+            proptest::prop_assert_eq!(
+                BasketBundleRef::parse(&bytes).unwrap().len(), bundle.sections.len());
         }
 
         /// Error equivalence on garbage bytes and truncated prefixes: the
-        /// borrowed basket parser accepts and rejects exactly what the
-        /// owned decoder does, with the same error.
+        /// arena decoder (and the validating shim) accept and reject
+        /// exactly what the owned basket decoder does, with the same error.
         #[test]
         fn prop_borrowed_basket_error_equivalence(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
             cut in 0usize..96,
         ) {
-            let owned = BasketBundle::from_bytes(&bytes).map(|b| b.sections.len());
-            let borrowed = BasketBundleRef::parse(&bytes).map(|v| v.to_owned_bundle().sections.len());
-            proptest::prop_assert_eq!(owned, borrowed);
             let cut = cut.min(bytes.len());
-            let owned = BasketBundle::from_bytes(&bytes[..cut]).map(|b| b.sections.len());
-            let borrowed =
-                BasketBundleRef::parse(&bytes[..cut]).map(|v| v.to_owned_bundle().sections.len());
-            proptest::prop_assert_eq!(owned, borrowed);
+            for input in [&bytes[..], &bytes[..cut]] {
+                let owned = BasketBundle::from_bytes(input);
+                proptest::prop_assert_eq!(arena_basket(input), owned.clone());
+                proptest::prop_assert_eq!(
+                    BasketBundleRef::parse(input).map(|shim| shim.len()),
+                    owned.map(|b| b.sections.len()));
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! The flat agreement-state invariant, measured: an honest BinAA round
-//! and a steady-state Delphi message allocate nothing.
+//! and a steady-state Delphi message — scalar or basket — allocate
+//! nothing, and an answering call allocates only what leaves the node.
 //!
 //! A counting global allocator (per-thread counters, so tests running in
 //! parallel do not disturb each other) brackets exactly the calls under
@@ -11,7 +12,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use delphi_core::bv::BvRound;
-use delphi_core::{DelphiConfig, DelphiNode};
+use delphi_core::{DelphiConfig, DelphiNode, VectorDelphiNode};
 use delphi_primitives::{Dyadic, NodeId, Protocol};
 
 thread_local! {
@@ -98,10 +99,8 @@ fn paper_config(n: usize) -> DelphiConfig {
 
 /// Runs `n` honest nodes over a FIFO mesh and returns every message node
 /// 0 was handed, in delivery order.
-fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)> {
-    let n = cfg.n();
-    let mut nodes: Vec<DelphiNode> =
-        NodeId::all(n).map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()])).collect();
+fn record_node0_inbox<N: Protocol>(n: usize, make: impl Fn(NodeId) -> N) -> Vec<(NodeId, Bytes)> {
+    let mut nodes: Vec<N> = NodeId::all(n).map(make).collect();
     let mut queue: VecDeque<(NodeId, Bytes)> = VecDeque::new();
     for node in &mut nodes {
         let me = node.node_id();
@@ -121,35 +120,100 @@ fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)
     inbox
 }
 
-#[test]
-fn steady_state_messages_allocate_nothing() {
-    // Replay a recorded n = 16 run into node 0. A message that makes node
-    // 0 answer allocates for the answer, and the first echo of a round
-    // allocates that round's state; everything else — the bulk of the
-    // traffic — must run allocation-free: parse, scratch refill, every
-    // map walk, every quorum update, the advance check.
-    let n = 16;
-    let cfg = paper_config(n);
-    let inputs: Vec<f64> = (0..n).map(|i| 40_000.0 + 0.7 * i as f64).collect();
-    let inbox = record_node0_inbox(&cfg, &inputs);
+/// What a node answers with: the payload's bytes, the payload's shared
+/// box, and the one-envelope vector. Nothing else of an answer is new
+/// memory — sections, exclude runs and the encode buffer are the node's
+/// own scratch.
+const ANSWER_BLOCKS: u64 = 3;
 
-    let mut node = DelphiNode::new(cfg, NodeId(0), inputs[0]);
+/// What a forked checkpoint costs: the block of its live rounds, and now
+/// and then a node of the level's checkpoint map.
+const FORK_BLOCKS: u64 = 2;
+
+/// Replays a recorded inbox into `node` and holds every call to its
+/// allocation budget:
+///
+/// - a **quiet** message (no answer) allocates *nothing* — decode into
+///   the arena, every map walk, every quorum update, the advance check,
+///   finishing a level — unless it grows the node: at most
+///   [`FORK_BLOCKS`] per checkpoint it forks, and `output_blocks` when it
+///   is the one that stores the output;
+/// - an **answering** call adds exactly [`ANSWER_BLOCKS`], once the
+///   collector's section pool has grown to its working set and every
+///   fork has regrown its round block for the first round it opened
+///   (asserted over the second half of the run, and for nine answers in
+///   ten overall).
+///
+/// `actives` counts the node's distinguished checkpoints.
+fn replay_within_budget<N: Protocol>(
+    mut node: N,
+    inbox: &[(NodeId, Bytes)],
+    actives: impl Fn(&N) -> usize,
+    output_blocks: u64,
+) {
     let _ = node.start();
-    let (mut quiet, mut quiet_and_free) = (0usize, 0usize);
-    for (from, payload) in &inbox {
+    let (mut steady, mut answering, mut answering_exact) = (0usize, 0usize, 0usize);
+    for (i, (from, payload)) in inbox.iter().enumerate() {
+        let before = (actives(&node), node.output().is_some());
         let (allocations, replies) = allocations_in(|| node.on_message(*from, payload));
+        let forks = (actives(&node) - before.0) as u64;
+        let decided = node.output().is_some() && !before.1;
+        let growth = FORK_BLOCKS * forks + if decided { output_blocks } else { 0 };
         if replies.is_empty() {
-            quiet += 1;
-            quiet_and_free += usize::from(allocations == 0);
+            steady += usize::from(growth == 0);
+            assert!(
+                allocations <= growth,
+                "quiet message {i} from {from:?}: {allocations} blocks, {growth} for growth"
+            );
+        } else {
+            answering += 1;
+            answering_exact += usize::from(allocations == ANSWER_BLOCKS);
+            if i >= inbox.len() / 2 {
+                assert!(
+                    (ANSWER_BLOCKS..=ANSWER_BLOCKS + growth).contains(&allocations),
+                    "answer {i}: {allocations} blocks, {growth} for growth"
+                );
+            }
         }
     }
     assert!(node.output().is_some(), "replay reaches the decision");
-    // The few quiet messages that do allocate open a round ahead of our
-    // own entry into it (one box per instance touched) or fork a
-    // checkpoint; in this run that is 10 of 1718.
-    assert!(quiet * 2 > inbox.len(), "most messages trigger nothing: {quiet}/{}", inbox.len());
+    assert!(steady * 2 > inbox.len(), "most messages are steady: {steady}/{}", inbox.len());
     assert!(
-        quiet_and_free * 100 >= quiet * 95,
-        "steady-state receive path allocates: only {quiet_and_free} of {quiet} quiet messages were free"
+        answering_exact * 10 >= answering * 9,
+        "only {answering_exact} of {answering} answers cost exactly {ANSWER_BLOCKS} blocks"
     );
+}
+
+#[test]
+fn steady_state_messages_allocate_nothing() {
+    // A recorded n = 16 scalar agreement, replayed into node 0.
+    let n = 16;
+    let cfg = paper_config(n);
+    let inputs: Vec<f64> = (0..n).map(|i| 40_000.0 + 0.7 * i as f64).collect();
+    let inbox = record_node0_inbox(n, |id| DelphiNode::new(cfg.clone(), id, inputs[id.index()]));
+
+    let node = DelphiNode::new(cfg.clone(), NodeId(0), inputs[0]);
+    let actives = |node: &DelphiNode| {
+        (0..=node.config().l_max()).map(|level| node.active_checkpoints(level)).sum()
+    };
+    replay_within_budget(node, &inbox, actives, 0);
+}
+
+#[test]
+fn steady_state_basket_messages_allocate_nothing() {
+    // The same recording for a basket of 8 as one vector instance: no
+    // per-entry value set, no scratch refill.
+    let n = 16;
+    let cfg = paper_config(n);
+    let inputs = |id: NodeId| -> Vec<f64> {
+        (0..8).map(|d| 20_000.0 + 7_000.0 * f64::from(d) + 0.7 * id.index() as f64).collect()
+    };
+    let inbox = record_node0_inbox(n, |id| VectorDelphiNode::new(cfg.clone(), id, &inputs(id)));
+
+    let node = VectorDelphiNode::new(cfg.clone(), NodeId(0), &inputs(NodeId(0)));
+    let actives = |node: &VectorDelphiNode| {
+        (0..=node.config().l_max()).map(|level| node.active_checkpoints(level)).sum()
+    };
+    // The decision stores one vector of outputs.
+    replay_within_budget(node, &inbox, actives, 1);
 }

@@ -184,6 +184,16 @@ impl Writer {
         }
     }
 
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets everything written, keeping the buffer for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Finishes encoding and returns the bytes.
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.buf)
