@@ -334,14 +334,41 @@ fn bench_delphi_node(c: &mut Criterion) {
     let cfg = oracle_config(n, 2.0);
     let inputs = spread_inputs(n, 40_005.25, 10.5);
     let scalar = |id: NodeId| DelphiNode::new(cfg.clone(), id, inputs[id.index()]);
-    let (mut node, from, payload) =
-        mid_run_quiet_message(scalar(NodeId(0)), &record_node0_inbox(n, scalar), |payload| {
-            DelphiBundleRef::parse(payload).map_or(0, |bundle| bundle.len())
-        });
+    let inbox = record_node0_inbox(n, scalar);
+    let (mut node, from, payload) = mid_run_quiet_message(scalar(NodeId(0)), &inbox, |payload| {
+        DelphiBundleRef::parse(payload).map_or(0, |bundle| bundle.len())
+    });
 
     let mut group = c.benchmark_group("core");
     group.bench_function("delphi_on_message_n16", |b| {
         b.iter(|| node.on_message(black_box(from), black_box(&payload)))
+    });
+
+    // The same call as a node meets it in situ: the whole recorded inbox,
+    // replayed round-robin over 64 independent copies of node 0 (a copy
+    // that has decided starts over), so each call finds its agreement
+    // state where 63 other agreements' worth of traffic left it — out of
+    // cache. The row above re-delivers one message to hot state and
+    // cannot see where the state lives; this one sees little else.
+    let fresh = || {
+        let mut node = scalar(NodeId(0));
+        let _ = node.start();
+        (node, inbox.iter())
+    };
+    let mut copies: Vec<_> = (0..64).map(|_| fresh()).collect();
+    let mut turn = 0usize;
+    group.bench_function("delphi_on_message_n16_cold", |b| {
+        b.iter(|| {
+            turn = (turn + 1) % copies.len();
+            let (node, replay) = &mut copies[turn];
+            match replay.next() {
+                Some((from, payload)) => node.on_message(black_box(*from), black_box(payload)),
+                None => {
+                    copies[turn] = fresh();
+                    Vec::new()
+                }
+            }
+        })
     });
 
     // Eight assets 3 000 apart, each with the scalar run's spread.

@@ -1,21 +1,21 @@
 //! The BinAA protocol (Algorithm 1): approximate agreement for binary
 //! inputs.
 //!
-//! BinAA runs `r_M = log2(1/ε)` successive weak BV-broadcast rounds
-//! ([`BvRound`]). Each round's output set contains one or two values; the
+//! BinAA runs `r_M = log2(1/ε)` successive weak BV-broadcast rounds (see
+//! [`crate::bv`]). Each round's output set contains one or two values; the
 //! node's state moves to the single value or the midpoint, and the honest
 //! range provably at least halves per round. After `r_M` rounds the honest
 //! outputs are within `2^{-r_M}` of each other — exactly, which the tests
 //! assert with [`Dyadic`] arithmetic.
 //!
-//! [`BinAaNode`] is the standalone protocol (binary input, one instance);
-//! inside Delphi the same [`BvRound`] machinery runs once per checkpoint,
-//! with messages bundled (see [`crate::delphi`]).
+//! [`BinAaNode`] is the standalone protocol (binary input, one instance):
+//! a round table one column wide. Inside Delphi the same table runs one
+//! column per checkpoint, with messages bundled (see [`crate::delphi`]).
 
 use delphi_primitives::wire::{Decode, Encode};
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
-use crate::bv::{BvAction, BvRounds};
+use crate::bv::{BvAction, BvTable};
 use crate::messages::{BinAaMsg, EchoKind};
 use crate::params::MAX_ROUNDS;
 
@@ -45,8 +45,8 @@ pub struct BinAaNode {
     me: NodeId,
     n: usize,
     r_max: u16,
-    /// Round states, each allocated on first use.
-    rounds: BvRounds,
+    /// Round states: a one-column table, each row created on first use.
+    rounds: BvTable,
     /// The round this node is currently executing (1-based);
     /// `r_max + 1` means all rounds are complete.
     current: u16,
@@ -71,7 +71,7 @@ impl BinAaNode {
             me,
             n,
             r_max,
-            rounds: BvRounds::new(me, n, t, r_max),
+            rounds: BvTable::new(me, n, t, r_max),
             current: 1,
             value: Dyadic::from_bit(input),
             output: None,
@@ -104,15 +104,14 @@ impl BinAaNode {
     fn advance(&mut self, out: &mut Vec<(Round, BvAction)>) {
         while self.current <= self.r_max {
             let round = Round(self.current);
-            let Some(bv) = self.rounds.get(round) else { break };
-            let Some(outcome) = bv.outcome() else { break };
+            let Some(outcome) = self.rounds.outcome(round, 0) else { break };
             self.value = outcome.next_value();
             self.current += 1;
             if self.current <= self.r_max {
                 let value = self.value;
                 let next = Round(self.current);
-                let actions = self.rounds.touch(next).set_input(value);
-                out.extend(actions.into_iter().map(|a| (next, a)));
+                let Some(mut bv) = self.rounds.cell_mut(next, 0) else { break };
+                out.extend(bv.set_input(value).into_iter().map(|a| (next, a)));
             } else {
                 self.output = Some(self.value);
             }
@@ -146,13 +145,9 @@ impl Protocol for BinAaNode {
 
     fn start(&mut self) -> Vec<Envelope> {
         let value = self.value;
-        let mut actions: Vec<(Round, BvAction)> = self
-            .rounds
-            .touch(Round::FIRST)
-            .set_input(value)
-            .into_iter()
-            .map(|a| (Round::FIRST, a))
-            .collect();
+        let Some(mut bv) = self.rounds.cell_mut(Round::FIRST, 0) else { return Vec::new() };
+        let mut actions: Vec<(Round, BvAction)> =
+            bv.set_input(value).into_iter().map(|a| (Round::FIRST, a)).collect();
         self.advance(&mut actions);
         self.to_envelopes(actions)
     }
@@ -164,13 +159,9 @@ impl Protocol for BinAaNode {
         if msg.round.0 < 1 || msg.round.0 > self.r_max || !Self::plausible(msg.value, msg.round) {
             return Vec::new();
         }
-        let bv = self.rounds.touch(msg.round);
-        let actions = match msg.kind {
-            EchoKind::Echo1 => bv.on_echo1(from, msg.value),
-            EchoKind::Echo2 => bv.on_echo2(from, msg.value),
-        };
+        let Some(mut bv) = self.rounds.cell_mut(msg.round, 0) else { return Vec::new() };
         let mut actions: Vec<(Round, BvAction)> =
-            actions.into_iter().map(|a| (msg.round, a)).collect();
+            bv.feed(msg.kind, from, msg.value).into_iter().map(|a| (msg.round, a)).collect();
         self.advance(&mut actions);
         self.to_envelopes(actions)
     }

@@ -32,7 +32,7 @@ pub enum Codec {
 }
 
 /// The set bit positions of `mask`, ascending.
-pub(crate) fn dims_of(mut mask: u64) -> impl Iterator<Item = u16> {
+pub(crate) fn bits_of(mut mask: u64) -> impl Iterator<Item = u16> {
     std::iter::from_fn(move || {
         if mask == 0 {
             return None;
@@ -327,7 +327,7 @@ impl BundleArena {
         use delphi_primitives::wire::VectorValue;
         let vector = |mask: u64, values: &[Dyadic]| {
             let mut vv = VectorValue::new();
-            for (dim, &value) in dims_of(mask).zip(values) {
+            for (dim, &value) in bits_of(mask).zip(values) {
                 vv.set(dim, value);
             }
             vv
@@ -352,10 +352,6 @@ impl BundleArena {
     }
 }
 
-/// A slice of one of a [`BundleArena`]'s runs.
-// lint: allow(no-panic) — a slice type, not an index expression
-pub type ArenaSlice<'a, T> = &'a [T];
-
 /// One section of a [`BundleArena`]: header fields plus slices of the
 /// shared runs. The mask slices are empty under the scalar codec, where
 /// every id and the background live in dimension 0.
@@ -370,18 +366,18 @@ pub struct FlatSection<'a> {
     /// Bit `d` set iff dimension `d` has a background echo.
     pub bg_mask: u64,
     /// The background values, ascending by dimension.
-    pub backgrounds: ArenaSlice<'a, Dyadic>,
+    pub backgrounds: &'a [Dyadic],
     /// Checkpoints explicitly not covered by the backgrounds.
-    pub exclude: ArenaSlice<'a, i64>,
+    pub exclude: &'a [i64],
     /// The dimensions each `exclude` id is excluded in (basket codec).
-    pub exclude_masks: ArenaSlice<'a, u64>,
+    pub exclude_masks: &'a [u64],
     /// Checkpoints with an echo of their own.
-    pub entries: ArenaSlice<'a, i64>,
+    pub entries: &'a [i64],
     /// The dimensions each entry carries a value for (basket codec).
-    pub entry_masks: ArenaSlice<'a, u64>,
+    pub entry_masks: &'a [u64],
     /// Entry values in entry order: one per entry (scalar codec), or one
     /// per set mask bit, ascending by dimension (basket codec).
-    pub entry_values: ArenaSlice<'a, Dyadic>,
+    pub entry_values: &'a [Dyadic],
 }
 
 impl<'a> FlatSection<'a> {
@@ -392,7 +388,7 @@ impl<'a> FlatSection<'a> {
 
     /// The `(dimension, value)` background echoes, ascending by dimension.
     pub fn background_dims(&self) -> impl Iterator<Item = (u16, Dyadic)> + 'a {
-        dims_of(self.bg_mask).zip(self.backgrounds.iter().copied())
+        bits_of(self.bg_mask).zip(self.backgrounds.iter().copied())
     }
 
     /// Whether a scalar section mentions checkpoint `k` at all.
@@ -411,7 +407,7 @@ impl<'a> FlatSection<'a> {
 
     /// A basket section's entries: checkpoint, dimension mask, and that
     /// entry's values (ascending by dimension).
-    pub fn basket_entries(&self) -> impl Iterator<Item = (i64, u64, ArenaSlice<'a, Dyadic>)> + 'a {
+    pub fn basket_entries(&self) -> impl Iterator<Item = (i64, u64, &'a [Dyadic])> + 'a {
         let mut rest = self.entry_values;
         self.entries.iter().zip(self.entry_masks).map(move |(&k, &mask)| {
             let (mine, tail) = rest.split_at((mask.count_ones() as usize).min(rest.len()));

@@ -20,7 +20,7 @@
 use delphi_primitives::wire::{Decode, Encode, Reader, WireError, Writer};
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
-use crate::bv::{BvAction, BvRounds};
+use crate::bv::{BvAction, BvTable};
 use crate::messages::EchoKind;
 use crate::params::MAX_ROUNDS;
 
@@ -232,7 +232,7 @@ pub struct CompactBinAaNode {
     me: NodeId,
     n: usize,
     r_max: u16,
-    rounds: BvRounds,
+    rounds: BvTable,
     current: u16,
     value: Dyadic,
     /// Own state value entering each round (the trajectory we announce).
@@ -257,7 +257,7 @@ impl CompactBinAaNode {
             me,
             n,
             r_max,
-            rounds: BvRounds::new(me, n, t, r_max),
+            rounds: BvTable::new(me, n, t, r_max),
             current: 1,
             value: Dyadic::from_bit(input),
             own_values: Vec::with_capacity(usize::from(r_max)),
@@ -302,11 +302,10 @@ impl CompactBinAaNode {
                 self.own_values.push(self.value);
                 out.push(CompactMsg { round, kind: CompactKind::Val, code });
                 let value = self.value;
-                let actions = self.rounds.touch(round).set_input(value);
-                extra.extend(actions.into_iter().map(|a| (round, a)));
+                let Some(mut bv) = self.rounds.cell_mut(round, 0) else { break };
+                extra.extend(bv.set_input(value).into_iter().map(|a| (round, a)));
             }
-            let Some(bv) = self.rounds.get(round) else { break };
-            let Some(outcome) = bv.outcome() else { break };
+            let Some(outcome) = self.rounds.outcome(round, 0) else { break };
             self.value = outcome.next_value();
             self.current += 1;
             if self.current > self.r_max {
@@ -325,12 +324,8 @@ impl CompactBinAaNode {
         if u16::from(value.log_den()) >= round.0 || !value.in_unit_interval() {
             return Vec::new();
         }
-        let bv = self.rounds.touch(round);
-        let actions = match kind {
-            EchoKind::Echo1 => bv.on_echo1(from, value),
-            EchoKind::Echo2 => bv.on_echo2(from, value),
-        };
-        actions.into_iter().map(|a| (round, a)).collect()
+        let Some(mut bv) = self.rounds.cell_mut(round, 0) else { return Vec::new() };
+        bv.feed(kind, from, value).into_iter().map(|a| (round, a)).collect()
     }
 
     fn finish_step(

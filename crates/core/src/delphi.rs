@@ -3,12 +3,13 @@
 //! Each node runs one BinAA instance per checkpoint per level — but almost
 //! all of those instances are identical: every checkpoint far from every
 //! honest input sees only 0-votes. The implementation therefore keeps, per
-//! level,
+//! level, one round table ([`crate::bv`]) whose
 //!
-//! - one **background** instance standing for every *undistinguished*
-//!   checkpoint of the level, and
-//! - a sparse map of **distinguished** (active) instances: the checkpoints
-//!   some node has voted 1 for, or otherwise explicitly mentioned.
+//! - first column is the **background** instance standing for every
+//!   *undistinguished* checkpoint of the level, and whose
+//! - further columns are the **distinguished** (active) instances, sorted
+//!   by checkpoint: those some node has voted 1 for, or otherwise
+//!   explicitly mentioned.
 //!
 //! A checkpoint is *forked* off the background the first time any message
 //! mentions it; the fork inherits the background's entire quorum history,
@@ -30,7 +31,6 @@
 //! discard an honest echo; the paper does not treat flood resistance at
 //! all, and we prefer bounded memory with this documented, narrow caveat.
 
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,57 +38,13 @@ use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
 use crate::aggregate::{combine_levels, level_summary, LevelSummary};
-use crate::bundle::{dims_of, BundleArena, Codec, Collector, FlatSection};
-use crate::bv::{BvAction, BvActions, BvRounds};
+use crate::bundle::{bits_of, BundleArena, Codec, Collector, FlatSection};
+use crate::bv::{BvAction, BvActions, BvTable};
 use crate::messages::EchoKind;
 use crate::params::DelphiConfig;
 
 /// Per-sender, per-level cap on checkpoint introductions (see module docs).
 pub const INTRO_BUDGET_PER_LEVEL: u8 = 8;
-
-/// One BinAA instance: either the background of a level or one
-/// distinguished checkpoint.
-///
-/// Cloning one is the checkpoint fork: it deep-copies the rounds touched
-/// so far — the background's whole quorum history — and nothing else.
-#[derive(Clone, Debug)]
-struct Instance {
-    rounds: BvRounds,
-    /// State value entering the level's current round.
-    value: Dyadic,
-}
-
-impl Instance {
-    fn new(cfg: &DelphiConfig, me: NodeId, input: Dyadic) -> Instance {
-        Instance { rounds: BvRounds::new(me, cfg.n(), cfg.t(), cfg.r_max()), value: input }
-    }
-
-    fn outcome_at(&self, round: Round) -> Option<Dyadic> {
-        self.rounds.get(round)?.outcome().map(|o| o.next_value())
-    }
-
-    /// Moves to the value `round` decided (no change while it is open).
-    fn adopt_outcome(&mut self, round: Round) {
-        if let Some(next) = self.outcome_at(round) {
-            self.value = next;
-        }
-    }
-}
-
-/// Applies one echo to one round of one instance.
-fn feed_echo(
-    instance: &mut Instance,
-    round: Round,
-    kind: EchoKind,
-    from: NodeId,
-    value: Dyadic,
-) -> BvActions {
-    let bv = instance.rounds.touch(round);
-    match kind {
-        EchoKind::Echo1 => bv.on_echo1(from, value),
-        EchoKind::Echo2 => bv.on_echo2(from, value),
-    }
-}
 
 /// Splits an action into its wire shape.
 fn echo_parts(action: BvAction) -> (EchoKind, Dyadic) {
@@ -96,6 +52,12 @@ fn echo_parts(action: BvAction) -> (EchoKind, Dyadic) {
         BvAction::Echo1(v) => (EchoKind::Echo1, v),
         BvAction::Echo2(v) => (EchoKind::Echo2, v),
     }
+}
+
+/// A value is plausible for `round` iff it lies in `[0, 1]` on the grid
+/// `j / 2^{r−1}`.
+fn plausible(value: Dyadic, round: Round) -> bool {
+    value.in_unit_interval() && u16::from(value.log_den()) < round.0
 }
 
 /// A decode arena sized for the bundles honest peers send: an initial
@@ -114,18 +76,125 @@ fn level_bit(level: u8) -> u64 {
     1u64.checked_shl(u32::from(level)).unwrap_or(0)
 }
 
+/// What a section's echoes share: the instance table they apply to —
+/// a level's, of basket dimension `dim` — and the round, phase and
+/// sender. Both machines apply a section with the two steps below.
+#[derive(Clone, Copy)]
+struct Feed {
+    level: u8,
+    dim: u16,
+    round: Round,
+    kind: EchoKind,
+    from: NodeId,
+}
+
+impl Feed {
+    /// An entry: checkpoint `k` becomes distinguished (forked off the
+    /// background as it stands), and a plausible echo goes to it.
+    fn entry(self, table: &mut BvTable, k: i64, value: Dyadic, out: &mut Collector) {
+        let Some(column) = table.distinguish(k, self.from) else { return };
+        if !plausible(value, self.round) {
+            return;
+        }
+        let Some(mut cell) = table.cell_mut(self.round, column) else { return };
+        for action in cell.feed(self.kind, self.from, value) {
+            let (kind, v) = echo_parts(action);
+            out.entry(self.level, self.round, kind, self.dim, k, v);
+        }
+    }
+
+    /// A background echo: one walk of the round's row, feeding every
+    /// distinguished checkpoint the sender did not name and the
+    /// background instance. Returns the latter's echoes, which the caller
+    /// emits once every checkpoint echo of the section is collected (they
+    /// carry an exclude snapshot of the whole level).
+    fn background(
+        self,
+        table: &mut BvTable,
+        value: Dyadic,
+        named: impl Fn(i64) -> bool,
+        out: &mut Collector,
+    ) -> BvActions {
+        let Some((_, checkpoints, mut row)) = table.row_mut(self.round) else {
+            return BvActions::default();
+        };
+        let Some(mut background) = row.next() else { return BvActions::default() };
+        let actions = background.feed(self.kind, self.from, value);
+        for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
+            if named(checkpoint.k) {
+                continue;
+            }
+            for action in cell.feed(self.kind, self.from, value) {
+                let (kind, v) = echo_parts(action);
+                out.entry(self.level, self.round, kind, self.dim, checkpoint.k, v);
+            }
+        }
+        actions
+    }
+}
+
+/// Enters `round` in `table` (level `level`, basket dimension `dim`):
+/// feeds every instance its state value as the round's input, collecting
+/// what the checkpoints' inputs triggered. Returns the background's
+/// echoes. The initial `ECHO1`s themselves ride in the level's burst.
+fn enter_round(
+    table: &mut BvTable,
+    (level, dim): (u8, u16),
+    round: Round,
+    out: &mut Collector,
+) -> BvActions {
+    let Some((value, checkpoints, mut row)) = table.row_mut(round) else {
+        return BvActions::default();
+    };
+    let Some(mut background) = row.next() else { return BvActions::default() };
+    let actions = background.set_input(value);
+    for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
+        for action in cell.set_input(checkpoint.value) {
+            if action != BvAction::Echo1(checkpoint.value) {
+                let (kind, v) = echo_parts(action);
+                out.entry(level, round, kind, dim, checkpoint.k, v);
+            }
+        }
+    }
+    actions
+}
+
+/// The round table of one level (of one basket dimension) at node `me`.
+fn level_table(cfg: &DelphiConfig, me: NodeId, level: u8) -> BvTable {
+    BvTable::new(me, cfg.n(), cfg.t(), cfg.r_max())
+        .with_checkpoints(cfg.checkpoint_range(level), INTRO_BUDGET_PER_LEVEL)
+}
+
+/// Distinguishes `input`'s own 1-checkpoints of `level` with state value
+/// 1 (charged against our own introduction budget).
+fn vote_one(table: &mut BvTable, cfg: &DelphiConfig, me: NodeId, level: u8, input: f64) {
+    for k in cfg.one_checkpoints(level, input) {
+        if let Some(column) = table.distinguish(k, me) {
+            table.set_value(column, Dyadic::ONE);
+        }
+    }
+}
+
+/// A finished level's `(µ, weight)` summary: the instances' final values
+/// are the weights.
+fn summarize(table: &BvTable, cfg: &DelphiConfig, level: u8, input: f64) -> LevelSummary {
+    let checkpoints = table
+        .checkpoints()
+        .iter()
+        .map(|checkpoint| (cfg.checkpoint_value(level, checkpoint.k), checkpoint.value.to_f64()));
+    // The background weight is provably 0 at honest nodes (its honest
+    // inputs are all 0); it carries no mass.
+    debug_assert!(table.background().is_zero());
+    level_summary(checkpoints, cfg.clamp_input(input), cfg.eps_prime())
+}
+
 /// Per-level protocol state.
 #[derive(Clone, Debug)]
 struct LevelState {
     level: u8,
-    k_min: i64,
-    k_max: i64,
     /// Current round (1-based); `r_max + 1` once the level has finished.
     round: u16,
-    background: Instance,
-    actives: BTreeMap<i64, Instance>,
-    /// Remaining introduction budget per sender.
-    intro_budget: Vec<u8>,
+    table: BvTable,
     /// Final `(µ, weight)` pairs once the level completes all rounds.
     summary: Option<LevelSummary>,
 }
@@ -163,18 +232,11 @@ impl DelphiNode {
         assert!(me.index() < cfg.n(), "node id out of range");
         let input = if value.is_nan() { cfg.s() } else { cfg.clamp_input(value) };
         let levels = (0..=cfg.l_max())
-            .map(|level| {
-                let (k_min, k_max) = cfg.checkpoint_range(level);
-                LevelState {
-                    level,
-                    k_min,
-                    k_max,
-                    round: 1,
-                    background: Instance::new(&cfg, me, Dyadic::ZERO),
-                    actives: BTreeMap::new(),
-                    intro_budget: vec![INTRO_BUDGET_PER_LEVEL; cfg.n()],
-                    summary: None,
-                }
+            .map(|level| LevelState {
+                level,
+                round: 1,
+                table: level_table(&cfg, me, level),
+                summary: None,
             })
             .collect();
         DelphiNode {
@@ -218,43 +280,29 @@ impl DelphiNode {
     /// Number of distinguished checkpoints currently tracked at `level`
     /// (diagnostics; the paper's `min(δ/ρ_l, n)` communication term).
     pub fn active_checkpoints(&self, level: u8) -> usize {
-        self.levels.get(usize::from(level)).map_or(0, |l| l.actives.len())
-    }
-
-    /// A value is plausible for `round` iff it lies in `[0, 1]` on the
-    /// grid `j / 2^{r−1}`.
-    fn plausible(value: Dyadic, round: Round) -> bool {
-        value.in_unit_interval() && u16::from(value.log_den()) < round.0
-    }
-
-    /// Forks checkpoint `k` off the background of `level` if it is not yet
-    /// distinguished, charging `sponsor`'s introduction budget. Returns
-    /// the checkpoint's instance if it is distinguished after the call.
-    fn distinguish(level: &mut LevelState, k: i64, sponsor: NodeId) -> Option<&mut Instance> {
-        if k < level.k_min || k > level.k_max {
-            return None;
-        }
-        match level.actives.entry(k) {
-            Entry::Occupied(active) => Some(active.into_mut()),
-            Entry::Vacant(vacant) => {
-                let budget = level.intro_budget.get_mut(sponsor.index())?;
-                *budget = budget.checked_sub(1)?;
-                Some(vacant.insert(level.background.clone()))
-            }
-        }
+        self.levels.get(usize::from(level)).map_or(0, |l| l.table.checkpoints().len())
     }
 
     /// Processes one decoded section, collecting any triggered echoes.
-    fn process_section(&mut self, from: NodeId, section: &FlatSection<'_>, out: &mut Collector) {
-        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
+    /// Returns the [`level_bit`] of its level if it named the level's
+    /// current round — the only way that round can have terminated.
+    fn process_section(
+        &mut self,
+        from: NodeId,
+        section: &FlatSection<'_>,
+        out: &mut Collector,
+    ) -> u64 {
+        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return 0 };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
-            return;
+            return 0;
         }
         let background = section.background();
-        if background.is_some_and(|bg| !Self::plausible(bg, section.round)) {
-            return;
+        if background.is_some_and(|bg| !plausible(bg, section.round)) {
+            return 0;
         }
+        let current = if section.round.0 == level.round { level_bit(section.level) } else { 0 };
         let (lvl, round, kind) = (section.level, section.round, section.kind);
+        let (feed, table) = (Feed { level: lvl, dim: 0, round, kind, from }, &mut level.table);
 
         // 1. Every mentioned checkpoint becomes distinguished (forked off
         //    the background as it stands before this section applies) —
@@ -265,60 +313,37 @@ impl DelphiNode {
         //    the background instance, so forking and feeding entry by
         //    entry forks what forking them all up front would.
         for (&k, &value) in section.entries.iter().zip(section.entry_values) {
-            let Some(instance) = Self::distinguish(level, k, from) else { continue };
-            if !Self::plausible(value, round) {
-                continue;
-            }
-            for action in feed_echo(instance, round, kind, from, value) {
-                let (kind, v) = echo_parts(action);
-                out.entry(lvl, round, kind, 0, k, v);
-            }
+            feed.entry(table, k, value, out);
         }
         for &k in section.exclude {
-            let _ = Self::distinguish(level, k, from);
+            let _ = table.distinguish(k, from);
         }
 
-        // 3. Background echo: applies to every distinguished checkpoint
-        //    the sender did not mention, then to the background instance.
-        let Some(bg_value) = background else { return };
-        for (&k, instance) in level.actives.iter_mut().filter(|(&k, _)| !section.names(k)) {
-            for action in feed_echo(instance, round, kind, from, bg_value) {
-                let (kind, v) = echo_parts(action);
-                out.entry(lvl, round, kind, 0, k, v);
-            }
-        }
-        // Background echoes of ours carry an exclude snapshot of the whole
-        // level, taken once every checkpoint echo above is collected.
-        for action in feed_echo(&mut level.background, round, kind, from, bg_value) {
+        // 3. Background echo: applies to the background instance and to
+        //    every distinguished checkpoint the sender did not mention.
+        //    The background's echoes of ours go out last: they carry an
+        //    exclude snapshot of the level.
+        let Some(bg_value) = background else { return current };
+        for action in feed.background(table, bg_value, |k| section.names(k), out) {
             let (kind, v) = echo_parts(action);
-            out.background(lvl, round, kind, 0, v, level.actives.keys().copied());
+            out.background(lvl, round, kind, 0, v, table.ids());
         }
+        current
     }
 
     /// Enters `round` at `level`: feeds every instance its round input and
     /// emits the initial burst (background plus every active echoing its
     /// input at once), followed by whatever the inputs triggered.
     fn enter_round(level: &mut LevelState, round: Round, out: &mut Collector) {
-        let lvl = level.level;
-        for (&k, inst) in level.actives.iter_mut() {
-            let value = inst.value;
-            for action in inst.rounds.touch(round).set_input(value) {
-                // The initial Echo1 is carried by the burst entry itself.
-                if action != BvAction::Echo1(value) {
-                    let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, 0, k, v);
-                }
-            }
-        }
-        let bg_value = level.background.value;
-        let bg_actions = level.background.rounds.touch(round).set_input(bg_value);
+        let (lvl, table) = (level.level, &mut level.table);
+        let bg_actions = enter_round(table, (lvl, 0), round, out);
         let burst = out.initial(lvl, round);
-        let inputs = level.actives.iter().map(|(&k, inst)| (k, inst.value));
-        out.initial_echoes(burst, 0, bg_value, inputs);
+        let inputs = table.checkpoints().iter().map(|checkpoint| (checkpoint.k, checkpoint.value));
+        out.initial_echoes(burst, 0, table.background(), inputs);
         for action in bg_actions {
-            if action != BvAction::Echo1(bg_value) {
+            if action != BvAction::Echo1(table.background()) {
                 let (kind, v) = echo_parts(action);
-                out.background(lvl, round, kind, 0, v, level.actives.keys().copied());
+                out.background(lvl, round, kind, 0, v, table.ids());
             }
         }
     }
@@ -327,39 +352,30 @@ impl DelphiNode {
     /// rounds whose outcomes are complete, emitting initial bursts;
     /// finalizes levels and the overall output.
     ///
-    /// A level's instances change only through that level's own sections,
-    /// and every call leaves the levels it visits fully advanced, so the
-    /// levels a message did not name have nothing to do.
+    /// Every call leaves the levels it visits fully advanced — their
+    /// current round open — and an open round's cells change only through
+    /// sections that name the level and that round (a fork copies an open
+    /// background), so a level no section named at its current round has
+    /// nothing to do, and is not even looked at.
     fn advance(&mut self, touched: u64, out: &mut Collector) {
         let mut finished_level = false;
-        for level in self.levels.iter_mut().filter(|l| touched & level_bit(l.level) != 0) {
+        for index in bits_of(touched) {
+            let Some(level) = self.levels.get_mut(usize::from(index)) else { break };
             while level.round <= self.cfg.r_max() {
                 let round = Round(level.round);
                 // The level advances when the background and every
                 // distinguished checkpoint have terminated the round.
-                let terminated = level.background.outcome_at(round).is_some()
-                    && level.actives.values().all(|inst| inst.outcome_at(round).is_some());
-                if !terminated {
+                if !level.table.terminated(round) {
                     break;
                 }
-                level.background.adopt_outcome(round);
-                for inst in level.actives.values_mut() {
-                    inst.adopt_outcome(round);
-                }
+                level.table.adopt_outcomes(round);
                 level.round += 1;
                 if let Some(p) = &self.round_probe {
                     p.fetch_add(1, Ordering::Relaxed);
                 }
                 if level.round > self.cfg.r_max() {
-                    // Level complete: final values are the weights.
-                    let checkpoints = level.actives.iter().map(|(&k, inst)| {
-                        (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
-                    });
-                    // The background weight is provably 0 at honest nodes
-                    // (its honest inputs are all 0); it carries no mass.
-                    debug_assert!(level.background.value.is_zero());
-                    let own = self.cfg.clamp_input(self.input);
-                    level.summary = Some(level_summary(checkpoints, own, self.cfg.eps_prime()));
+                    level.summary =
+                        Some(summarize(&level.table, &self.cfg, level.level, self.input));
                     finished_level = true;
                     break;
                 }
@@ -389,13 +405,7 @@ impl Protocol for DelphiNode {
     fn start(&mut self) -> Vec<Envelope> {
         let mut out = std::mem::take(&mut self.out);
         for level in &mut self.levels {
-            // Our own 1-checkpoints become distinguished with input 1
-            // (charged against our own introduction budget).
-            for k in self.cfg.one_checkpoints(level.level, self.input) {
-                if let Some(inst) = Self::distinguish(level, k, self.me) {
-                    inst.value = Dyadic::ONE;
-                }
-            }
+            vote_one(&mut level.table, &self.cfg, self.me, level.level, self.input);
             Self::enter_round(level, Round::FIRST, &mut out);
         }
         self.advance(u64::MAX, &mut out);
@@ -418,8 +428,7 @@ impl Protocol for DelphiNode {
         let mut out = std::mem::take(&mut self.out);
         let mut touched = 0u64;
         for section in arena.sections() {
-            touched |= level_bit(section.level);
-            self.process_section(from, &section, &mut out);
+            touched |= self.process_section(from, &section, &mut out);
         }
         self.arena = arena;
         self.advance(touched, &mut out);
@@ -433,38 +442,21 @@ impl Protocol for DelphiNode {
     }
 }
 
-/// Per-dimension state of one level in a vector node: the dimension's
-/// own background instance, distinguished checkpoints, introduction
-/// budgets, and final summary. This is [`LevelState`] minus the round
-/// counter, which a vector level shares across all dimensions.
+/// Per-dimension state of one level in a vector node: [`LevelState`]
+/// minus the round counter, which a vector level shares across all
+/// dimensions. Introduction budgets are the table's, so they are charged
+/// per (sender, dimension): a flood in one asset cannot starve another.
 #[derive(Clone, Debug)]
 struct DimLevel {
-    background: Instance,
-    actives: BTreeMap<i64, Instance>,
-    /// Remaining introduction budget per sender, charged per (sender,
-    /// dimension) so a flood in one asset cannot starve another.
-    intro_budget: Vec<u8>,
+    table: BvTable,
     summary: Option<LevelSummary>,
 }
 
-impl DimLevel {
-    fn new(cfg: &DelphiConfig, me: NodeId) -> DimLevel {
-        DimLevel {
-            background: Instance::new(cfg, me, Dyadic::ZERO),
-            actives: BTreeMap::new(),
-            intro_budget: vec![INTRO_BUDGET_PER_LEVEL; cfg.n()],
-            summary: None,
-        }
-    }
-}
-
 /// Per-level state of a vector node: one shared round counter driving
-/// every dimension in lock step, plus the per-dimension instance trees.
+/// every dimension in lock step, plus the per-dimension instance tables.
 #[derive(Clone, Debug)]
 struct VLevelState {
     level: u8,
-    k_min: i64,
-    k_max: i64,
     /// Current round (1-based, shared by all dimensions); `r_max + 1`
     /// once the level has finished.
     round: u16,
@@ -517,16 +509,12 @@ impl VectorDelphiNode {
         );
         let inputs: Vec<f64> =
             values.iter().map(|&v| if v.is_nan() { cfg.s() } else { cfg.clamp_input(v) }).collect();
+        let dim_level = |level| DimLevel { table: level_table(&cfg, me, level), summary: None };
         let levels = (0..=cfg.l_max())
-            .map(|level| {
-                let (k_min, k_max) = cfg.checkpoint_range(level);
-                VLevelState {
-                    level,
-                    k_min,
-                    k_max,
-                    round: 1,
-                    dims: (0..values.len()).map(|_| DimLevel::new(&cfg, me)).collect(),
-                }
+            .map(|level| VLevelState {
+                level,
+                round: 1,
+                dims: (0..values.len()).map(|_| dim_level(level)).collect(),
             })
             .collect();
         VectorDelphiNode {
@@ -578,46 +566,29 @@ impl VectorDelphiNode {
     pub fn active_checkpoints(&self, level: u8) -> usize {
         self.levels
             .get(usize::from(level))
-            .map_or(0, |l| l.dims.iter().map(|d| d.actives.len()).sum())
-    }
-
-    /// Forks checkpoint `k` off dimension `dim`'s background if not yet
-    /// distinguished there, charging `sponsor`'s (sender, dimension)
-    /// budget. Returns the checkpoint's instance if it is distinguished
-    /// after the call.
-    fn distinguish(
-        dim: &mut DimLevel,
-        (k_min, k_max): (i64, i64),
-        k: i64,
-        sponsor: NodeId,
-    ) -> Option<&mut Instance> {
-        if k < k_min || k > k_max {
-            return None;
-        }
-        match dim.actives.entry(k) {
-            Entry::Occupied(active) => Some(active.into_mut()),
-            Entry::Vacant(vacant) => {
-                let budget = dim.intro_budget.get_mut(sponsor.index())?;
-                *budget = budget.checked_sub(1)?;
-                Some(vacant.insert(dim.background.clone()))
-            }
-        }
+            .map_or(0, |l| l.dims.iter().map(|d| d.table.checkpoints().len()).sum())
     }
 
     /// Processes one decoded basket section, collecting triggered echoes.
-    fn process_section(&mut self, from: NodeId, section: &FlatSection<'_>, out: &mut Collector) {
-        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return };
+    /// Returns the [`level_bit`] of its level if it named the level's
+    /// current round (see [`DelphiNode::advance`]).
+    fn process_section(
+        &mut self,
+        from: NodeId,
+        section: &FlatSection<'_>,
+        out: &mut Collector,
+    ) -> u64 {
+        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return 0 };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
-            return;
+            return 0;
         }
         // A section whose backgrounds carry any implausible value is
         // dropped whole, mirroring the scalar path's section gate.
-        if section.backgrounds.iter().any(|&bg| !DelphiNode::plausible(bg, section.round)) {
-            return;
+        if section.backgrounds.iter().any(|&bg| !plausible(bg, section.round)) {
+            return 0;
         }
-        let n_dims = self.dims;
         let (lvl, round, kind) = (section.level, section.round, section.kind);
-        let range = (level.k_min, level.k_max);
+        let feed = |dim| Feed { level: lvl, dim, round, kind, from };
 
         // 1. Every mentioned (dimension, checkpoint) pair becomes
         //    distinguished in that dimension, entries before the exclude
@@ -627,47 +598,41 @@ impl VectorDelphiNode {
         //    path). Dimensions beyond our basket are ignored throughout
         //    (Byzantine senders cannot spend budget on phantom assets).
         for (k, mask, values) in section.basket_entries() {
-            for (d, &value) in dims_of(mask).zip(values) {
-                let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
-                let Some(instance) = Self::distinguish(dim, range, k, from) else { continue };
-                if !DelphiNode::plausible(value, round) {
-                    continue;
-                }
-                for action in feed_echo(instance, round, kind, from, value) {
-                    let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, d, k, v);
+            for (d, &value) in bits_of(mask).zip(values) {
+                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
+                    feed(d).entry(&mut dim.table, k, value, out);
                 }
             }
         }
         for (&k, &mask) in section.exclude.iter().zip(section.exclude_masks) {
-            for d in dims_of(mask) {
+            for d in bits_of(mask) {
                 if let Some(dim) = level.dims.get_mut(usize::from(d)) {
-                    let _ = Self::distinguish(dim, range, k, from);
+                    let _ = dim.table.distinguish(k, from);
                 }
             }
         }
 
         // 3. Background echoes: per dimension, the background value
-        //    applies to every distinguished checkpoint the sender did not
-        //    mention *in that dimension* (an entry or exclude mention in
-        //    dim d shields only dim d), then to that dimension's
-        //    background instance. The latter's echoes carry the
-        //    dimension's exclude snapshot, so they are emitted only once
-        //    every dimension's checkpoint echoes are collected.
-        for (d, bg_value) in section.background_dims().filter(|&(d, _)| d < n_dims) {
+        //    applies to that dimension's background instance and to every
+        //    distinguished checkpoint the sender did not mention *in that
+        //    dimension* (an entry or exclude mention in dim d shields only
+        //    dim d). The background's echoes carry the dimension's exclude
+        //    snapshot, so they are emitted only once every dimension's
+        //    checkpoint echoes are collected.
+        for (d, bg_value) in section.background_dims() {
             let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
-            for (&k, instance) in dim.actives.iter_mut().filter(|(&k, _)| !section.names_in(k, d)) {
-                for action in feed_echo(instance, round, kind, from, bg_value) {
-                    let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, d, k, v);
-                }
-            }
-            for action in feed_echo(&mut dim.background, round, kind, from, bg_value) {
+            let named = |k| section.names_in(k, d);
+            for action in feed(d).background(&mut dim.table, bg_value, named, out) {
                 let (kind, v) = echo_parts(action);
                 out.deferred.push((kind, d, v));
             }
         }
         Self::emit_deferred(level, round, out);
+        if round.0 == level.round {
+            level_bit(lvl)
+        } else {
+            0
+        }
     }
 
     /// Emits the background echoes held back in `out.deferred`, each with
@@ -676,7 +641,7 @@ impl VectorDelphiNode {
         let mut deferred = std::mem::take(&mut out.deferred);
         for (kind, d, value) in deferred.drain(..) {
             if let Some(dim) = level.dims.get(usize::from(d)) {
-                out.background(level.level, round, kind, d, value, dim.actives.keys().copied());
+                out.background(level.level, round, kind, d, value, dim.table.ids());
             }
         }
         out.deferred = deferred;
@@ -688,29 +653,19 @@ impl VectorDelphiNode {
     fn enter_round(level: &mut VLevelState, round: Round, out: &mut Collector) {
         let lvl = level.level;
         for (d, dim) in level.dims.iter_mut().enumerate() {
-            let d16 = d as u16;
-            for (&k, inst) in dim.actives.iter_mut() {
-                let value = inst.value;
-                for action in inst.rounds.touch(round).set_input(value) {
-                    // The initial Echo1 rides in the burst entry itself.
-                    if action != BvAction::Echo1(value) {
-                        let (kind, v) = echo_parts(action);
-                        out.entry(lvl, round, kind, d16, k, v);
-                    }
-                }
-            }
-            let bg_value = dim.background.value;
-            for action in dim.background.rounds.touch(round).set_input(bg_value) {
+            let bg_value = dim.table.background();
+            for action in enter_round(&mut dim.table, (lvl, d as u16), round, out) {
                 if action != BvAction::Echo1(bg_value) {
                     let (kind, v) = echo_parts(action);
-                    out.deferred.push((kind, d16, v));
+                    out.deferred.push((kind, d as u16, v));
                 }
             }
         }
         let burst = out.initial(lvl, round);
         for (d, dim) in level.dims.iter().enumerate() {
-            let inputs = dim.actives.iter().map(|(&k, inst)| (k, inst.value));
-            out.initial_echoes(burst, d as u16, dim.background.value, inputs);
+            let inputs =
+                dim.table.checkpoints().iter().map(|checkpoint| (checkpoint.k, checkpoint.value));
+            out.initial_echoes(burst, d as u16, dim.table.background(), inputs);
         }
         Self::emit_deferred(level, round, out);
     }
@@ -720,23 +675,17 @@ impl VectorDelphiNode {
     /// in **all** dimensions, emitting one merged burst per advance.
     fn advance(&mut self, touched: u64, out: &mut Collector) {
         let mut finished_level = false;
-        for level in self.levels.iter_mut().filter(|l| touched & level_bit(l.level) != 0) {
+        for index in bits_of(touched) {
+            let Some(level) = self.levels.get_mut(usize::from(index)) else { break };
             while level.round <= self.cfg.r_max() {
                 let round = Round(level.round);
                 // Shared round walk: the whole basket advances together,
                 // or not at all.
-                let terminated = level.dims.iter().all(|dim| {
-                    dim.background.outcome_at(round).is_some()
-                        && dim.actives.values().all(|inst| inst.outcome_at(round).is_some())
-                });
-                if !terminated {
+                if !level.dims.iter().all(|dim| dim.table.terminated(round)) {
                     break;
                 }
                 for dim in &mut level.dims {
-                    dim.background.adopt_outcome(round);
-                    for inst in dim.actives.values_mut() {
-                        inst.adopt_outcome(round);
-                    }
+                    dim.table.adopt_outcomes(round);
                 }
                 level.round += 1;
                 if let Some(p) = &self.round_probe {
@@ -745,12 +694,7 @@ impl VectorDelphiNode {
                 if level.round > self.cfg.r_max() {
                     // Level complete in every dimension simultaneously.
                     for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
-                        let checkpoints = dim.actives.iter().map(|(&k, inst)| {
-                            (self.cfg.checkpoint_value(level.level, k), inst.value.to_f64())
-                        });
-                        debug_assert!(dim.background.value.is_zero());
-                        let own = self.cfg.clamp_input(input);
-                        dim.summary = Some(level_summary(checkpoints, own, self.cfg.eps_prime()));
+                        dim.summary = Some(summarize(&dim.table, &self.cfg, level.level, input));
                     }
                     finished_level = true;
                     break;
@@ -784,15 +728,8 @@ impl Protocol for VectorDelphiNode {
     fn start(&mut self) -> Vec<Envelope> {
         let mut out = std::mem::take(&mut self.out);
         for level in &mut self.levels {
-            let range = (level.k_min, level.k_max);
             for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
-                // This dimension's own 1-checkpoints become distinguished
-                // with input 1 (charged against our own budget).
-                for k in self.cfg.one_checkpoints(level.level, input) {
-                    if let Some(inst) = Self::distinguish(dim, range, k, self.me) {
-                        inst.value = Dyadic::ONE;
-                    }
-                }
+                vote_one(&mut dim.table, &self.cfg, self.me, level.level, input);
             }
             Self::enter_round(level, Round::FIRST, &mut out);
         }
@@ -815,8 +752,7 @@ impl Protocol for VectorDelphiNode {
         let mut out = std::mem::take(&mut self.out);
         let mut touched = 0u64;
         for section in arena.sections() {
-            touched |= level_bit(section.level);
-            self.process_section(from, &section, &mut out);
+            touched |= self.process_section(from, &section, &mut out);
         }
         self.arena = arena;
         self.advance(touched, &mut out);
@@ -1245,11 +1181,15 @@ mod tests {
         let late = replay(inbox.len() / 2);
         assert!(late.levels[0].round > 1, "the late fork lands mid-protocol");
 
-        let fork = |node: &DelphiNode| format!("{:?}", node.levels[0].actives[&k]);
+        let fork = |node: &DelphiNode| {
+            let table = &node.levels[0].table;
+            let position = table.ids().position(|id| id == k).expect("k is distinguished");
+            table.column_state(1 + position)
+        };
         assert_eq!(fork(&early), fork(&late), "forks hold identical quorum state");
         assert_eq!(
             fork(&late),
-            format!("{:?}", late.levels[0].background),
+            late.levels[0].table.column_state(0),
             "and still mirror the background they were cloned from"
         );
         assert_eq!(early.output(), late.output());

@@ -192,7 +192,7 @@ fn echoes(payload: &[u8], codec: Codec) -> Vec<Echo> {
             }
         } else {
             for (k, mask, values) in section.basket_entries() {
-                for (d, &v) in dims_of(mask).zip(values) {
+                for (d, &v) in bits_of(mask).zip(values) {
                     out.push((d, key, Some(k), v, Vec::new()));
                 }
             }

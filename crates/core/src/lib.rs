@@ -70,7 +70,7 @@ pub mod oracle;
 pub mod params;
 
 pub use binaa::BinAaNode;
-pub use bundle::{ArenaSlice, BundleArena, Codec, FlatSection};
+pub use bundle::{BundleArena, Codec, FlatSection};
 pub use compact::CompactBinAaNode;
 pub use delphi::{DelphiNode, VectorDelphiNode};
 pub use messages::{

@@ -1,6 +1,7 @@
 //! The flat agreement-state invariant, measured: an honest BinAA round
 //! and a steady-state Delphi message — scalar or basket — allocate
-//! nothing, and an answering call allocates only what leaves the node.
+//! nothing, an answering call allocates only what leaves the node, a
+//! checkpoint fork at most one block, and a new node no round state.
 //!
 //! A counting global allocator (per-thread counters, so tests running in
 //! parallel do not disturb each other) brackets exactly the calls under
@@ -51,12 +52,13 @@ fn allocations_in<R>(work: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn honest_round_allocates_nothing() {
     // n = 16, t = 5: our input, fifteen peers' ECHO1 and ECHO2, split over
-    // the adjacent pair {0, 1/2} as honest round values are. Creating the
-    // round is part of the measurement: its state is one flat value.
+    // the adjacent pair {0, 1/2} as honest round values are. A standalone
+    // round owns one block, its sender sets; running it adds none.
     let (n, t) = (16, 5);
     let (low, high) = (Dyadic::ZERO, Dyadic::new(1, 1));
-    let (allocations, round) = allocations_in(|| {
-        let mut round = BvRound::new(NodeId(0), n, t);
+    let (created, mut round) = allocations_in(|| BvRound::new(NodeId(0), n, t));
+    assert_eq!(created, 1, "the sender sets");
+    let (allocations, ()) = allocations_in(|| {
         let mut echoed = 0;
         echoed += round.set_input(low).into_iter().count();
         for peer in 1..n as u16 {
@@ -67,7 +69,6 @@ fn honest_round_allocates_nothing() {
             echoed += round.on_echo2(NodeId(peer), low).into_iter().count();
         }
         assert_eq!(echoed, 2, "our ECHO1 and our ECHO2");
-        round
     });
     assert!(round.is_terminated());
     assert_eq!(allocations, 0, "an honest n = 16 round must stay off the heap");
@@ -126,9 +127,12 @@ fn record_node0_inbox<N: Protocol>(n: usize, make: impl Fn(NodeId) -> N) -> Vec<
 /// own scratch.
 const ANSWER_BLOCKS: u64 = 3;
 
-/// What a forked checkpoint costs: the block of its live rounds, and now
-/// and then a node of the level's checkpoint map.
-const FORK_BLOCKS: u64 = 2;
+/// What a forked checkpoint costs at most: a fork is a column inserted
+/// into its level's round table, in place — unless the level has outgrown
+/// the cell block, the sender-set block or the inline checkpoint run,
+/// which then regrows. The three grow at different widths, so never two
+/// in one fork.
+const FORK_BLOCKS: u64 = 1;
 
 /// Replays a recorded inbox into `node` and holds every call to its
 /// allocation budget:
@@ -139,10 +143,9 @@ const FORK_BLOCKS: u64 = 2;
 ///   [`FORK_BLOCKS`] per checkpoint it forks, and `output_blocks` when it
 ///   is the one that stores the output;
 /// - an **answering** call adds exactly [`ANSWER_BLOCKS`], once the
-///   collector's section pool has grown to its working set and every
-///   fork has regrown its round block for the first round it opened
-///   (asserted over the second half of the run, and for nine answers in
-///   ten overall).
+///   collector's section pool has grown to its working set (asserted
+///   over the second half of the run, and for nine answers in ten
+///   overall).
 ///
 /// `actives` counts the node's distinguished checkpoints.
 fn replay_within_budget<N: Protocol>(
@@ -182,6 +185,31 @@ fn replay_within_budget<N: Protocol>(
         answering_exact * 10 >= answering * 9,
         "only {answering_exact} of {answering} answers cost exactly {ANSWER_BLOCKS} blocks"
     );
+}
+
+#[test]
+fn new_nodes_allocate_no_round_state() {
+    // Round tables are lazy: a node is born with its levels, each level's
+    // introduction budgets, and its decode arena (four runs) — nothing
+    // per round, so set-up and epoch spawn do not pay for the layout. The
+    // start burst is what opens round 1: two blocks per table.
+    let cfg = paper_config(16);
+    let levels = u64::from(cfg.l_max()) + 1;
+    let arena = 4;
+
+    let config = cfg.clone();
+    let (blocks, mut node) = allocations_in(|| DelphiNode::new(config, NodeId(0), 40_000.0));
+    assert!(blocks <= 1 + levels + arena, "scalar node: {blocks} blocks");
+    let (blocks, _) = allocations_in(|| node.start());
+    assert!(blocks >= 2 * levels, "the start burst opens every table: {blocks} blocks");
+
+    let (config, prices) = (cfg.clone(), [40_000.0; 8]);
+    let (blocks, mut node) = allocations_in(|| VectorDelphiNode::new(config, NodeId(0), &prices));
+    let tables = levels * prices.len() as u64;
+    // Inputs, levels, each level's dimensions, each table's budgets.
+    assert!(blocks <= 2 + levels + tables + arena, "vector node: {blocks} blocks");
+    let (blocks, _) = allocations_in(|| node.start());
+    assert!(blocks >= 2 * tables, "the start burst opens every table: {blocks} blocks");
 }
 
 #[test]

@@ -4,12 +4,12 @@
 //! `mod tests` blocks) stripped or marked so rules see only live code.
 //!
 //! This is not a full Rust lexer — it only needs to be *sound for the
-//! rules*: identifiers, number literals, and single-character punctuation
-//! survive; everything inside comments and literals disappears; and every
-//! token carries the line it came from plus whether it sits in test-only
-//! code. The lexer never panics on any input (see the proptest in
-//! `tests/lexer_never_panics.rs`): malformed or truncated input degrades
-//! to best-effort tokens, never to an abort.
+//! rules*: identifiers, lifetimes, number literals, and single-character
+//! punctuation survive; everything inside comments and literals
+//! disappears; and every token carries the line it came from plus whether
+//! it sits in test-only code. The lexer never panics on any input (see
+//! the proptest in `tests/lexer_never_panics.rs`): malformed or truncated
+//! input degrades to best-effort tokens, never to an abort.
 
 /// What a token is, as far as the rules care.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,6 +20,8 @@ pub enum TokenKind {
     Number,
     /// One punctuation character (`::` is two `:` tokens).
     Punct,
+    /// A lifetime or loop label (`'a`, `'static`), without the quote.
+    Lifetime,
 }
 
 /// One lexed token of live or test code.
@@ -174,17 +176,18 @@ fn scan(src: &str) -> LexedFile {
             }
             '\'' => {
                 cur.bump();
-                skip_char_or_lifetime(&mut cur);
+                if skip_char_or_lifetime(&mut cur) {
+                    out.tokens.push(Token {
+                        line,
+                        kind: TokenKind::Lifetime,
+                        text: scan_ident(&mut cur),
+                        value: None,
+                        test_code: false,
+                    });
+                }
             }
             c if is_ident_start(c) => {
-                let mut text = String::new();
-                while let Some(c) = cur.peek() {
-                    if !is_ident_continue(c) {
-                        break;
-                    }
-                    text.push(c);
-                    cur.bump();
-                }
+                let text = scan_ident(&mut cur);
                 match after_ident_prefix(&text, &mut cur) {
                     PrefixAction::Consumed => {}
                     PrefixAction::Keep => {
@@ -223,6 +226,19 @@ fn scan(src: &str) -> LexedFile {
     out
 }
 
+/// Consumes the identifier characters at the cursor.
+fn scan_ident(cur: &mut Cursor<'_>) -> String {
+    let mut text = String::new();
+    while let Some(c) = cur.peek() {
+        if !is_ident_continue(c) {
+            break;
+        }
+        text.push(c);
+        cur.bump();
+    }
+    text
+}
+
 /// What to do after lexing an identifier that may prefix a literal.
 enum PrefixAction {
     /// The identifier introduced a literal (or raw identifier) that has
@@ -250,7 +266,8 @@ fn after_ident_prefix(ident: &str, cur: &mut Cursor<'_>) -> PrefixAction {
         }
         Some('\'') if byte_capable => {
             cur.bump();
-            skip_char_or_lifetime(cur);
+            // `b'a` is no lifetime; whatever follows lexes on its own.
+            let _ = skip_char_or_lifetime(cur);
             PrefixAction::Consumed
         }
         Some('#') if raw_capable => {
@@ -313,9 +330,10 @@ fn skip_raw_string(cur: &mut Cursor<'_>, hashes: usize) {
     }
 }
 
-/// Consumes a char/byte literal or recognizes a lifetime (opening `'`
-/// already consumed). Lifetimes leave the identifier for the main loop.
-fn skip_char_or_lifetime(cur: &mut Cursor<'_>) {
+/// Consumes a char/byte literal (opening `'` already consumed) — or
+/// recognizes a lifetime, consumes nothing, and returns `true`: its name
+/// is at the cursor.
+fn skip_char_or_lifetime(cur: &mut Cursor<'_>) -> bool {
     match cur.peek() {
         Some('\\') => {
             // Escaped char literal: consume until the closing quote, with
@@ -323,23 +341,24 @@ fn skip_char_or_lifetime(cur: &mut Cursor<'_>) {
             cur.bump();
             for _ in 0..12 {
                 match cur.bump() {
-                    Some('\'') | None => return,
+                    Some('\'') | None => break,
                     _ => {}
                 }
             }
+            false
         }
-        Some(c) if is_ident_start(c) && cur.peek2() != Some('\'') => {
-            // A lifetime (`'a`, `'static`): the identifier lexes normally.
-        }
+        // A lifetime (`'a`, `'static`).
+        Some(c) if is_ident_start(c) && cur.peek2() != Some('\'') => true,
         _ => {
             // Plain char literal `'x'` (possibly multi-byte): bounded scan
             // to the closing quote.
             for _ in 0..12 {
                 match cur.bump() {
-                    Some('\'') | None => return,
+                    Some('\'') | None => break,
                     _ => {}
                 }
             }
+            false
         }
     }
 }
@@ -564,6 +583,25 @@ mod tests {
     fn lifetimes_do_not_eat_code() {
         let ids = idents("fn f<'a>(x: &'a str) -> &'a str { x.trim() }");
         assert!(ids.contains(&"trim".to_string()));
+    }
+
+    #[test]
+    fn lifetimes_are_their_own_token_kind() {
+        let lexed = lex("fn f<'a>(x: &'a [u8], c: char) -> &'static str { 'l: loop { break 'l } }");
+        let lifetimes: Vec<&str> = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Lifetime)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(lifetimes, ["a", "a", "static", "l", "l"]);
+        // Not identifiers: a rule matching `a` or `static` by name skips them.
+        assert!(!idents("&'a [u8]").contains(&"a".to_string()));
+        // A char literal is still no lifetime, whatever it quotes.
+        assert!(lex("let c = 'a'; let d = b'a';")
+            .tokens
+            .iter()
+            .all(|t| t.kind != TokenKind::Lifetime));
     }
 
     #[test]

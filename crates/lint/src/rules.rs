@@ -173,11 +173,11 @@ fn check_forbid_unsafe(file: &SourceFile, out: &mut Vec<Violation>) {
     });
 }
 
-/// Keywords that introduce array literals / patterns rather than index
-/// expressions when an `[` follows them.
-const NON_INDEX_KEYWORDS: [&str; 13] = [
+/// Keywords that introduce array literals, patterns or slice types rather
+/// than index expressions when an `[` follows them.
+const NON_INDEX_KEYWORDS: [&str; 14] = [
     "return", "break", "continue", "in", "else", "match", "loop", "while", "if", "let", "move",
-    "as", "where",
+    "as", "where", "mut",
 ];
 
 /// `no-panic`: `.unwrap()` / `.expect()` (and `_err` variants), panicking
@@ -213,7 +213,8 @@ fn check_no_panic(file: &SourceFile, out: &mut Vec<Violation>) {
                     Some(p) => match p.kind {
                         TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
                         TokenKind::Punct => p.text == ")" || p.text == "]",
-                        TokenKind::Number => false,
+                        // `&'a [T]`: a slice type behind a lifetime.
+                        TokenKind::Number | TokenKind::Lifetime => false,
                     },
                     None => false,
                 };
@@ -347,6 +348,26 @@ mod tests {
         check_no_panic(&file, &mut out);
         let lines: Vec<u32> = out.iter().map(|v| v.line).collect();
         assert_eq!(lines, [3, 6], "unwrap and index flagged; allowed expect, [..], [0u8;4] not");
+    }
+
+    #[test]
+    fn no_panic_reads_a_bracket_after_a_lifetime_or_mut_as_a_type() {
+        let file = file_of(
+            "crates/core/src/x.rs",
+            "delphi-core",
+            "
+            struct View<'a> { ids: &'a [i64], sets: &'a mut [u64] }
+            fn f<'a>(v: &'a [u8], w: &mut [u8], a: &'static [u8; 4]) -> &'a [u8] {
+                let first = a[0];
+                'scan: loop { break 'scan [0u8; 2] };
+                v
+            }
+            ",
+        );
+        let mut out = Vec::new();
+        check_no_panic(&file, &mut out);
+        let lines: Vec<u32> = out.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [4], "only the index expression: {out:#?}");
     }
 
     #[test]

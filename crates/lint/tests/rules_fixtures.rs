@@ -163,6 +163,28 @@ mod tests {
 }
 
 #[test]
+fn slice_types_behind_lifetimes_are_not_index_expressions() {
+    // `&'a [T]` and `&mut [T]` open a type; `run[0]` indexes.
+    let src = "#![forbid(unsafe_code)]
+pub struct Section<'a> {
+    pub ids: &'a [i64],
+    pub values: &'a mut [u64],
+}
+pub fn first<'a>(run: &'a [i64]) -> (&'a [i64], i64) {
+    (run, run[0])
+}
+";
+    let ws = workspace(
+        vec![member("delphi-core", "[package]\nname = \"delphi-core\"\n")],
+        vec![source("crates/core/src/lib.rs", "delphi-core", src)],
+        None,
+    );
+    let violations = check(&ws);
+    let lines: Vec<u32> = violations.iter().map(|v| v.line).collect();
+    assert_eq!(lines, [7], "only `run[0]` can panic: {violations:#?}");
+}
+
+#[test]
 fn allow_annotation_needs_a_reason_and_adjacency() {
     let src = "#![forbid(unsafe_code)]
 fn f(v: Vec<u8>) {
