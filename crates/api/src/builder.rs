@@ -117,12 +117,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Egress send lanes (see `RunOptions::send_shards`): per-lane
-    /// workers that batch, encode, and HMAC outbound frames in parallel.
-    /// Wire output is identical for any value; parallelism tops out at
-    /// `recv_shards`.
-    pub fn send_shards(mut self, shards: usize) -> ServiceBuilder {
-        self.opts = self.opts.send_shards(shards);
+    /// Does nothing: a node's send parallelism is its
+    /// [`recv_shards`](ServiceBuilder::recv_shards) — every dispatch
+    /// worker routes, batches, encodes and MACs its own output — and the
+    /// separate egress lanes this once sized are gone. The setter stays
+    /// only because the frozen wall-clock benchmark (`fig_e2e/src/sut.rs`)
+    /// calls it.
+    pub fn send_shards(self, _shards: usize) -> ServiceBuilder {
         self
     }
 

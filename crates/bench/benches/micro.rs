@@ -13,9 +13,11 @@ use delphi_core::{
 };
 use delphi_crypto::{hmac_sha256, sha256, Keychain};
 use delphi_net::{decode_inbound_frame_ref, encode_epoch_frame};
+use delphi_primitives::epoch::route_epoch_bursts_into;
 use delphi_primitives::wire::{Decode, Encode, VectorValue};
 use delphi_primitives::{
-    AgreementId, Dyadic, EpochConfig, EpochId, EpochMux, InstanceId, NodeId, Protocol, Round,
+    AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochMux, FlushPolicy, InstanceId, NodeId,
+    PendingBatches, Protocol, Round,
 };
 
 fn bench_crypto(c: &mut Criterion) {
@@ -142,11 +144,15 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-/// The receive-dispatch hot path: verify + borrowed split + shard routing
-/// of authenticated epoch frames through the same `SessionSet`-facing
-/// machinery the TCP read loop runs, at shard counts 1/2/4. Reported as
-/// entries/second (`Throughput::Elements`); the shard sweep shows the
-/// sharded routing walk adds ~nothing over the unsharded path.
+/// A dispatch worker's two codec halves, as entries/second
+/// (`Throughput::Elements`). `recv_entries`: verify + borrowed split +
+/// shard routing of authenticated epoch frames, what the TCP read loop
+/// and the worker's re-split do per frame. `send_entries`: the worker's
+/// own egress flush — route one step's bursts per destination,
+/// accumulate them under the flush policy, and encode + MAC one frame
+/// per due destination. Both are per-frame MAC work plus a per-entry
+/// walk; the shard count only picks which worker runs them, so there is
+/// one row each, not a shard sweep.
 fn bench_dispatch(c: &mut Criterion) {
     let n = 4;
     let assets = 8u16;
@@ -168,53 +174,59 @@ fn bench_dispatch(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("dispatch");
     group.throughput(Throughput::Elements(total_entries));
-    for shards in [1usize, 2, 4] {
-        let name = format!("recv_entries_shard{shards}");
-        group.bench_function(&name, |b| {
-            b.iter(|| {
-                let mut per_shard = [0u64; 8];
-                for frame in &frames {
-                    let (_, entries) =
-                        decode_inbound_frame_ref(&bob, black_box(&frame[4..])).expect("authentic");
-                    for (id, payload) in entries.iter() {
-                        per_shard[id.shard(shards)] += payload.len() as u64;
-                    }
+    group.bench_function("recv_entries", |b| {
+        b.iter(|| {
+            let mut per_shard = [0u64; 8];
+            for frame in &frames {
+                let (_, entries) =
+                    decode_inbound_frame_ref(&bob, black_box(&frame[4..])).expect("authentic");
+                for (id, payload) in entries.iter() {
+                    per_shard[id.shard(4)] += payload.len() as u64;
                 }
-                per_shard
-            })
-        });
-    }
+            }
+            per_shard
+        })
+    });
 
-    // The egress mirror: partition one step's entries into shard-class
-    // groups and encode + MAC one epoch frame per group — what a single
-    // `EgressLane` does per flush, so `send_entries_shard{k}` rows track
-    // the per-lane cost of the sharded send pipeline exactly as
-    // `recv_entries_shard{k}` tracks sharded dispatch.
-    let step_entries: Vec<(AgreementId, Bytes)> = (0..16u32)
-        .flat_map(|step| {
-            (0..assets).map(move |a| {
-                (AgreementId::new(EpochId(step), InstanceId(a)), Bytes::from(vec![a as u8; 40]))
-            })
+    // The egress mirror, with the same entry count: 16 steps, each one
+    // 40-byte point-to-point answer per asset to each of two peers, under
+    // the per-step policy — 32 frames of 8 entries leave the worker.
+    let steps: Vec<Vec<(AgreementId, Vec<Envelope>)>> = (0..16u32)
+        .map(|step| {
+            (0..assets)
+                .map(|a| {
+                    let payload = Bytes::from(vec![a as u8; 40]);
+                    let answers = [1u16, 2]
+                        .map(|peer| Envelope::to_one(NodeId(peer), payload.clone()))
+                        .to_vec();
+                    (AgreementId::new(EpochId(step), InstanceId(a)), answers)
+                })
+                .collect()
         })
         .collect();
-    for shards in [1usize, 2, 4] {
-        let name = format!("send_entries_shard{shards}");
-        group.bench_function(&name, |b| {
-            b.iter(|| {
-                let mut groups: Vec<Vec<(AgreementId, Bytes)>> = vec![Vec::new(); shards];
-                for (id, payload) in &step_entries {
-                    groups[id.shard(shards)].push((*id, payload.clone()));
-                }
+    group.throughput(Throughput::Elements(2 * total_entries));
+    group.bench_function("send_entries", |b| {
+        let mut pending = PendingBatches::new(n, FlushPolicy::PerStep);
+        let mut routed = Vec::new();
+        b.iter_batched(
+            || steps.clone(),
+            |steps| {
                 let mut bytes = 0usize;
-                for group in &groups {
-                    if !group.is_empty() {
-                        bytes += encode_epoch_frame(&alice, NodeId(1), group).len();
+                for bursts in steps {
+                    route_epoch_bursts_into(bursts, n, NodeId(0), &mut routed);
+                    for (dest, entries) in routed.iter_mut().enumerate() {
+                        if pending.push_drain(dest, entries) {
+                            let due = pending.take(dest);
+                            bytes += encode_epoch_frame(&alice, NodeId(dest as u16), &due).len();
+                            pending.recycle(due);
+                        }
                     }
                 }
                 bytes
-            })
-        });
-    }
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

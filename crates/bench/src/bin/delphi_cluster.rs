@@ -9,7 +9,7 @@
 //!                [--assets 1] [--unbatched] [--quote-seed 7] [--epsilon 2]
 //!                [--node-binary path/to/delphi-node] [--deadline-ms 60000]
 //!                [--epochs K] [--depth D] [--window W] [--adaptive]
-//!                [--recv-shards S] [--send-shards S] [--vector]
+//!                [--recv-shards S] [--vector]
 //! ```
 //!
 //! With `--n`, a localhost config on freshly reserved ports is written to
@@ -48,7 +48,6 @@ struct Args {
     window: usize,
     adaptive: bool,
     recv_shards: usize,
-    send_shards: usize,
     vector: bool,
 }
 
@@ -67,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
         window: 6,
         adaptive: false,
         recv_shards: 1,
-        send_shards: 1,
         vector: false,
     };
     let mut args = std::env::args().skip(1);
@@ -106,10 +104,6 @@ fn parse_args() -> Result<Args, String> {
                 out.recv_shards =
                     value("--recv-shards")?.parse().map_err(|e| format!("--recv-shards: {e}"))?;
             }
-            "--send-shards" => {
-                out.send_shards =
-                    value("--send-shards")?.parse().map_err(|e| format!("--send-shards: {e}"))?;
-            }
             "--vector" => out.vector = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -122,9 +116,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if out.recv_shards == 0 {
         return Err("--recv-shards must be at least 1".to_string());
-    }
-    if out.send_shards == 0 {
-        return Err("--send-shards must be at least 1".to_string());
     }
     if out.vector && out.epochs == 0 {
         return Err("--vector only applies to a streaming run (--epochs)".to_string());
@@ -169,7 +160,6 @@ fn main() -> ExitCode {
     spec.window = args.window;
     spec.adaptive = args.adaptive;
     spec.recv_shards = args.recv_shards;
-    spec.send_shards = args.send_shards;
     spec.vector = args.vector;
 
     let mode = match (args.epochs, args.unbatched, args.adaptive) {

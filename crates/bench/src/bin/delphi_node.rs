@@ -13,7 +13,7 @@
 //!             [--deadline-ms 60000] [--rho0 2] [--epsilon 2]
 //!             [--delta-max 2000]
 //!             [--epochs K] [--depth D] [--window W] [--adaptive]
-//!             [--recv-shards S] [--send-shards S] [--vector]
+//!             [--recv-shards S] [--vector]
 //!             [--api-bind 127.0.0.1:8080]
 //! ```
 //!
@@ -61,8 +61,8 @@ use delphi_bench::feed_price_source;
 use delphi_core::{DelphiConfig, DelphiNode};
 use delphi_net::cluster::NodeReport;
 use delphi_net::config::ClusterConfig;
-use delphi_net::{run_epoch_service, run_instances, FlushPolicy, RunOptions};
-use delphi_primitives::EpochOutcome;
+use delphi_net::{run_epoch_service, run_instances, FlushPolicy, NetStats, RunOptions};
+use delphi_primitives::{EpochEvent, EpochMux, EpochOutcome, EpochStats, Protocol};
 use delphi_workloads::{deployment_inputs, EpochFeed, MultiAssetConfig};
 
 struct Args {
@@ -81,7 +81,6 @@ struct Args {
     window: usize,
     adaptive: bool,
     recv_shards: usize,
-    send_shards: usize,
     vector: bool,
     api_bind: Option<std::net::SocketAddr>,
 }
@@ -102,7 +101,6 @@ fn parse_args() -> Result<Args, String> {
     let mut window = 6usize;
     let mut adaptive = false;
     let mut recv_shards = 1usize;
-    let mut send_shards = 1usize;
     let mut vector = false;
     let mut api_bind = None;
 
@@ -151,10 +149,6 @@ fn parse_args() -> Result<Args, String> {
                 recv_shards =
                     value("--recv-shards")?.parse().map_err(|e| format!("--recv-shards: {e}"))?;
             }
-            "--send-shards" => {
-                send_shards =
-                    value("--send-shards")?.parse().map_err(|e| format!("--send-shards: {e}"))?;
-            }
             "--vector" => vector = true,
             "--api-bind" => {
                 api_bind =
@@ -178,9 +172,6 @@ fn parse_args() -> Result<Args, String> {
     if recv_shards == 0 {
         return Err("--recv-shards must be at least 1".to_string());
     }
-    if send_shards == 0 {
-        return Err("--send-shards must be at least 1".to_string());
-    }
     if api_bind.is_some() && epochs == 0 {
         return Err("--api-bind only applies to an epoch run (--epochs)".to_string());
     }
@@ -203,7 +194,6 @@ fn parse_args() -> Result<Args, String> {
         window,
         adaptive,
         recv_shards,
-        send_shards,
         vector,
         api_bind,
     })
@@ -217,6 +207,49 @@ fn epoch_basket(assets: usize) -> MultiAssetConfig {
     } else {
         MultiAssetConfig::synthetic(assets)
     }
+}
+
+/// Threads of this process and the context switches (voluntary +
+/// involuntary) they have made so far, from `/proc/self/task/*/status`;
+/// zeros on a box without procfs. A thread that has exited takes its
+/// counters with it, so this is read before a run is torn down.
+fn thread_switches() -> (u64, u64) {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return (0, 0) };
+    let (mut threads, mut switches) = (0u64, 0u64);
+    for task in tasks.flatten() {
+        let Ok(status) = std::fs::read_to_string(task.path().join("status")) else { continue };
+        threads += 1;
+        switches += status
+            .lines()
+            .filter_map(|line| {
+                line.strip_prefix("voluntary_ctxt_switches:")
+                    .or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"))
+            })
+            .filter_map(|count| count.trim().parse::<u64>().ok())
+            .sum::<u64>();
+    }
+    (threads, switches)
+}
+
+/// Runs an epoch stream over the mesh, reading [`thread_switches`] at the
+/// moment the stream completes — in the linger window, while every
+/// thread the run used is still alive.
+async fn stream_epochs<P>(
+    mux: EpochMux<P>,
+    keychain: delphi_crypto::Keychain,
+    addrs: Vec<std::net::SocketAddr>,
+    opts: RunOptions,
+) -> Result<(Vec<EpochEvent<P::Output>>, EpochStats, NetStats, (u64, u64)), String>
+where
+    P: Protocol + Send + 'static,
+    P::Output: Clone + Send,
+{
+    let epoch_run = |e| format!("epoch run: {e}");
+    let mut handle = run_epoch_service(mux, keychain, addrs, opts).await.map_err(epoch_run)?;
+    while handle.next_event().await.is_some() {}
+    let gauges = thread_switches();
+    let (events, epoch_stats, stats) = handle.finish().await.map_err(epoch_run)?;
+    Ok((events, epoch_stats, stats, gauges))
 }
 
 async fn run(args: Args) -> Result<NodeReport, String> {
@@ -238,7 +271,6 @@ async fn run(args: Args) -> Result<NodeReport, String> {
         batching: !args.unbatched,
         flush: if args.adaptive { FlushPolicy::adaptive() } else { FlushPolicy::PerStep },
         recv_shards: args.recv_shards,
-        send_shards: args.send_shards,
         ..RunOptions::default()
     };
     let started = Instant::now();
@@ -255,12 +287,11 @@ async fn run(args: Args) -> Result<NodeReport, String> {
             .window(args.window)
             .flush(opts.flush)
             .recv_shards(args.recv_shards)
-            .send_shards(args.send_shards)
             .batching(!args.unbatched)
             .deadline(Duration::from_millis(args.deadline_ms))
             .vector_baskets(args.vector);
         let source = feed_price_source(feed, me, n);
-        let (events, epoch_stats, stats) = match args.api_bind {
+        let (events, epoch_stats, stats, (threads, switches)) = match args.api_bind {
             Some(bind) => {
                 // Full served deployment: protocol + snapshot cache +
                 // subscriptions + signed attestations over HTTP.
@@ -274,31 +305,23 @@ async fn run(args: Args) -> Result<NodeReport, String> {
                 if let Some(api) = handle.api_addr() {
                     eprintln!("delphi-node[{}]: serving readers on http://{api}", args.id);
                 }
-                handle.finish().await.map_err(|e| format!("epoch run: {e}"))?
+                let (events, epoch_stats, stats) =
+                    handle.finish().await.map_err(|e| format!("epoch run: {e}"))?;
+                // The served handle has no end-of-stream hook: these are
+                // the threads (and their switches) that outlive the run.
+                (events, epoch_stats, stats, thread_switches())
             }
             None if args.vector => {
                 // Vector lane: events arrive one basket per epoch; flatten
                 // to the scalar per-asset shape the report expects.
-                let (events, epoch_stats, stats) = run_epoch_service(
-                    builder.build_vector_service(source).into_mux(),
-                    keychain,
-                    addrs,
-                    opts,
-                )
-                .await
-                .map_err(|e| format!("epoch run: {e}"))?
-                .finish()
-                .await
-                .map_err(|e| format!("epoch run: {e}"))?;
-                (delphi_primitives::flatten_vector_events(events), epoch_stats, stats)
+                let mux = builder.build_vector_service(source).into_mux();
+                let (events, epoch_stats, stats, gauges) =
+                    stream_epochs(mux, keychain, addrs, opts).await?;
+                (delphi_primitives::flatten_vector_events(events), epoch_stats, stats, gauges)
             }
             None => {
-                run_epoch_service(builder.build_service(source).into_mux(), keychain, addrs, opts)
-                    .await
-                    .map_err(|e| format!("epoch run: {e}"))?
-                    .finish()
-                    .await
-                    .map_err(|e| format!("epoch run: {e}"))?
+                stream_epochs(builder.build_service(source).into_mux(), keychain, addrs, opts)
+                    .await?
             }
         };
         let mut agreements = Vec::new();
@@ -324,6 +347,8 @@ async fn run(args: Args) -> Result<NodeReport, String> {
             id: args.id,
             output,
             elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
+            threads,
+            ctxt_switches_per_agreement: switches as f64 / agreements.len().max(1) as f64,
             agreements,
             stats,
         });
@@ -343,11 +368,15 @@ async fn run(args: Args) -> Result<NodeReport, String> {
 
     let (outputs, stats) =
         run_instances(instances, keychain, addrs, opts).await.map_err(|e| format!("run: {e}"))?;
+    // One-shot runs return after teardown: the gauges cover what is left.
+    let (threads, switches) = thread_switches();
     Ok(NodeReport {
         id: args.id,
         output: outputs.iter().sum::<f64>() / outputs.len() as f64,
         elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
         agreements: Vec::new(),
+        threads,
+        ctxt_switches_per_agreement: switches as f64 / outputs.len().max(1) as f64,
         stats,
     })
 }

@@ -230,12 +230,14 @@ fn main() {
     // but per-node CPU dominated by per-byte frame encode + MAC work
     // (the regime where the egress pipeline is the ceiling). Every cell
     // charges send CPU on encode bytes via per-node *send* lanes — the
-    // model of `delphi-net`'s egress pipeline (`RunOptions::send_shards`)
-    // — so the 1x1 cell is the serial-pipeline baseline and 4x4 is the
-    // fully sharded one. Bytes are conserved when a basket splits across
-    // shard classes, so a byte-dominated cost is what lane parallelism
-    // can overlap; the legacy receive-only rows above stay untouched
-    // (send lanes off, stock CPS cost).
+    // model of `delphi-net`'s egress, where each dispatch worker encodes
+    // and MACs its own shard class — so the 1x1 cell is the serial
+    // baseline and 4x4 the fully sharded one; the off-diagonal cells
+    // (fewer send lanes than receive shards) describe a placement the
+    // TCP runtime no longer offers. Bytes are conserved when a basket
+    // splits across shard classes, so a byte-dominated cost is what lane
+    // parallelism can overlap; the legacy receive-only rows above stay
+    // untouched (send lanes off, stock CPS cost).
     let encode_bound = || {
         Topology::cps(n, n)
             .with_cost(delphi_sim::CostModel { per_message_ns: 15_000, per_byte_ns: 1_500 })

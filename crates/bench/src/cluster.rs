@@ -46,8 +46,6 @@ pub struct ClusterRunSpec {
     pub adaptive: bool,
     /// Receive dispatch shards per node (1 = unsharded).
     pub recv_shards: usize,
-    /// Egress send lanes per node (1 = single lane).
-    pub send_shards: usize,
     /// Run each epoch's basket as one vector-valued agreement instance
     /// (streaming runs only) instead of per-asset scalar instances.
     pub vector: bool,
@@ -69,7 +67,6 @@ impl ClusterRunSpec {
             window: 6,
             adaptive: false,
             recv_shards: 1,
-            send_shards: 1,
             vector: false,
         }
     }
@@ -117,9 +114,6 @@ pub fn run_cluster(spec: &ClusterRunSpec) -> Result<ClusterOutcome, ClusterError
     }
     if spec.recv_shards > 1 {
         extra.extend(["--recv-shards".to_string(), spec.recv_shards.to_string()]);
-    }
-    if spec.send_shards > 1 {
-        extra.extend(["--send-shards".to_string(), spec.send_shards.to_string()]);
     }
     if spec.unbatched {
         extra.push("--unbatched".to_string());
@@ -195,12 +189,15 @@ pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -
     };
     format!(
         "{} nodes | {agreements} agreements per node (expected {expected}) | worst epoch spread \
-         {:.6}$ (eps = {epsilon}$, converged: {}) | {:.1} agreements/s | {:.0} wire B/agreement | \
-         {:.2} frames/agreement | {} late entries{vector}",
+         {:.6}$ (eps = {epsilon}$, converged: {}) | {:.1} agreements/s | {} threads/node | \
+         {:.0} ctxt switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | \
+         {} late entries{vector}",
         outcome.reports.len(),
         outcome.epoch_spread(),
         outcome.epoch_converged(epsilon, expected),
         if secs > 0.0 { agreements as f64 / secs } else { 0.0 },
+        outcome.max_threads(),
+        outcome.ctxt_switches_per_agreement(),
         if agreements > 0 { total.sent_bytes as f64 / agreements as f64 } else { f64::NAN },
         if agreements > 0 { total.sent_frames as f64 / agreements as f64 } else { f64::NAN },
         total.late_entries,

@@ -392,8 +392,9 @@ pub fn run_epoch_delphi_sharded(
 /// [`run_epoch_delphi_sharded`] with per-node *send* CPU lanes as well:
 /// `send_shards = Some(k)` adds `k` egress lanes per node, each costed on
 /// the encode bytes of the envelopes whose shard class maps to it —
-/// modelling the TCP runtime's sharded egress pipeline
-/// (`RunOptions::send_shards`). `None` leaves sends serial on the link,
+/// modelling the TCP runtime's egress, where every dispatch worker
+/// flushes its own shard class (so `k == recv_shards` is the placement
+/// `delphi-net` runs). `None` leaves sends serial on the link,
 /// exactly as [`run_epoch_delphi_sharded`] (the legacy sweep numbers).
 ///
 /// # Panics

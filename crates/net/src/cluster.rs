@@ -41,6 +41,12 @@ pub struct NodeReport {
     /// Epoch-stream agreements as `(epoch, asset, value)` triples (empty
     /// for one-shot runs).
     pub agreements: Vec<(u32, u16, f64)>,
+    /// Threads of the node process when its run completed (0 from a
+    /// node that could not read `/proc/self/task`).
+    pub threads: u64,
+    /// Context switches, voluntary and involuntary, of those threads per
+    /// agreement — what the thread hand-offs on the decide path cost.
+    pub ctxt_switches_per_agreement: f64,
     /// Transport counters observed by the node.
     pub stats: NetStats,
 }
@@ -62,6 +68,7 @@ impl NodeReport {
         let dropped_egress_shard = u64_array(&s.dropped_egress_shard);
         format!(
             "{{\"id\":{},\"output\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\
+             \"threads\":{},\"ctxt_switches_per_agreement\":{},\
              \"stats\":{{\
              \"sent_frames\":{},\"sent_bytes\":{},\"sent_entries\":{},\
              \"recv_frames\":{},\"recv_entries\":{},\"dropped_frames\":{},\
@@ -75,6 +82,8 @@ impl NodeReport {
             self.id,
             fmt_f64(self.output),
             fmt_f64(self.elapsed_ms),
+            self.threads,
+            fmt_f64(self.ctxt_switches_per_agreement),
             s.sent_frames,
             s.sent_bytes,
             s.sent_entries,
@@ -95,7 +104,7 @@ impl NodeReport {
     /// The parser is schema-bound (flat keys, one nested `stats` object,
     /// one `agreements` triple array, per-shard number arrays) but
     /// order-insensitive and tolerant of whitespace. The `agreements`,
-    /// `dropped_egress`, `late_entries`, `buffer_reuses`,
+    /// `threads`, `ctxt_switches_per_agreement`, `dropped_egress`, `late_entries`, `buffer_reuses`,
     /// `vector_instances`, `vector_dims`, `shard_entries`,
     /// `egress_shard_entries`, `egress_shard_macs`, and
     /// `dropped_egress_shard` keys are optional so reports from older
@@ -142,6 +151,9 @@ impl NodeReport {
             output: json_number(text, "output")?,
             elapsed_ms: json_number(text, "elapsed_ms")?,
             agreements: json_triples(text, "agreements")?,
+            threads: json_number(text, "threads").unwrap_or(0.0) as u64,
+            ctxt_switches_per_agreement: json_number(text, "ctxt_switches_per_agreement")
+                .unwrap_or(0.0),
             stats,
         })
     }
@@ -287,6 +299,17 @@ impl ClusterOutcome {
     /// The slowest node's elapsed time — the cluster-level runtime.
     pub fn max_elapsed_ms(&self) -> f64 {
         self.reports.iter().map(|r| r.elapsed_ms).fold(0.0, f64::max)
+    }
+
+    /// The largest node process, in threads.
+    pub fn max_threads(&self) -> u64 {
+        self.reports.iter().map(|r| r.threads).max().unwrap_or(0)
+    }
+
+    /// Context switches per agreement, averaged over the nodes.
+    pub fn ctxt_switches_per_agreement(&self) -> f64 {
+        let sum: f64 = self.reports.iter().map(|r| r.ctxt_switches_per_agreement).sum();
+        sum / self.reports.len().max(1) as f64
     }
 
     /// Epoch-stream agreements every node reported (the stream length the
@@ -495,6 +518,8 @@ mod tests {
             output,
             elapsed_ms: 12.5,
             agreements: Vec::new(),
+            threads: 47,
+            ctxt_switches_per_agreement: 312.25,
             stats: NetStats {
                 sent_frames: 10,
                 sent_bytes: 4200,
@@ -558,6 +583,9 @@ mod tests {
         assert_eq!(r.stats.vector_instances, 0);
         assert_eq!(r.stats.vector_dims, 0);
         assert!(r.agreements.is_empty());
+        // So are the process gauges of newer node binaries.
+        assert_eq!(r.threads, 0);
+        assert_eq!(r.ctxt_switches_per_agreement, 0.0);
     }
 
     #[test]
@@ -657,6 +685,8 @@ mod tests {
         assert_eq!(total.vector_instances, 9);
         assert_eq!(total.vector_dims, 4);
         assert_eq!(outcome.max_elapsed_ms(), 12.5);
+        assert_eq!(outcome.max_threads(), 47);
+        assert_eq!(outcome.ctxt_switches_per_agreement(), 312.25);
     }
 
     #[test]

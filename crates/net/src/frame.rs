@@ -58,10 +58,11 @@ use std::fmt;
 use bytes::{BufMut, Bytes, BytesMut};
 use delphi_crypto::{Keychain, TAG_LEN};
 use delphi_primitives::epoch::{
-    decode_epoch_batch_ref, encode_epoch_batch, EpochEntriesRef, EpochEntryIter, EPOCH_COUNT_BYTES,
+    decode_epoch_batch_ref, epoch_batch_len, put_epoch_batch, EpochEntriesRef, EpochEntryIter,
+    EPOCH_COUNT_BYTES,
 };
 use delphi_primitives::mux::{
-    decode_batch_ref, encode_batch, BatchEntriesRef, BatchEntryIter, BATCH_COUNT_BYTES,
+    batch_len, decode_batch_ref, put_batch, BatchEntriesRef, BatchEntryIter, BATCH_COUNT_BYTES,
 };
 use delphi_primitives::{AgreementId, InstanceId, NodeId};
 
@@ -145,6 +146,30 @@ pub fn encode_frame(keychain: &Keychain, to: NodeId, payload: &[u8]) -> Bytes {
     buf.freeze()
 }
 
+/// Builds a marked (v2/v3) frame in one buffer: header, then the batch
+/// (`batch_len` bytes, written by `put_batch`) straight into the frame,
+/// then the tag over everything after the length word.
+fn encode_marked_frame(
+    keychain: &Keychain,
+    to: NodeId,
+    marker: u16,
+    batch_len: usize,
+    put_batch: impl FnOnce(&mut BytesMut),
+) -> Bytes {
+    assert!(2 + batch_len <= MAX_FRAME_PAYLOAD, "batched entries exceed MAX_FRAME_PAYLOAD");
+    let rest_len = 2 + 2 + batch_len + TAG_LEN;
+    let mut buf = BytesMut::with_capacity(4 + rest_len);
+    buf.put_u32(rest_len as u32);
+    buf.put_u16(marker);
+    buf.put_u16(keychain.node_id().0);
+    put_batch(&mut buf);
+    debug_assert_eq!(buf.len() + TAG_LEN, 4 + rest_len, "batch_len is the batch's length");
+    let (_, signed) = buf.split_at(4);
+    let tag = keychain.channel(to).tag(signed);
+    buf.put_slice(&tag);
+    buf.freeze()
+}
+
 /// Encodes a v2 batched frame carrying `entries` from
 /// `keychain.node_id()` to `to`.
 ///
@@ -161,20 +186,8 @@ pub fn encode_batch_frame(
     entries: &[(InstanceId, Bytes)],
 ) -> Bytes {
     assert!(!entries.is_empty(), "batch frames carry at least one entry");
-    let batch = encode_batch(entries);
-    assert!(2 + batch.len() <= MAX_FRAME_PAYLOAD, "batched entries exceed MAX_FRAME_PAYLOAD");
-    let me = keychain.node_id();
-    let marker_be = BATCH_MARKER.to_be_bytes();
-    let sender_be = me.0.to_be_bytes();
-    let tag = keychain.channel(to).tag_segments(&[&marker_be, &sender_be, &batch]);
-    let rest_len = 2 + 2 + batch.len() + TAG_LEN;
-    let mut buf = BytesMut::with_capacity(4 + rest_len);
-    buf.put_u32(rest_len as u32);
-    buf.put_u16(BATCH_MARKER);
-    buf.put_u16(me.0);
-    buf.put_slice(&batch);
-    buf.put_slice(&tag);
-    buf.freeze()
+    let len = batch_len(entries.iter().map(|(_, p)| p.len()));
+    encode_marked_frame(keychain, to, BATCH_MARKER, len, |buf| put_batch(entries, buf))
 }
 
 /// Decodes and authenticates one **v1** frame body (everything *after* the
@@ -226,20 +239,8 @@ pub fn encode_epoch_frame(
     entries: &[(AgreementId, Bytes)],
 ) -> Bytes {
     assert!(!entries.is_empty(), "epoch frames carry at least one entry");
-    let batch = encode_epoch_batch(entries);
-    assert!(2 + batch.len() <= MAX_FRAME_PAYLOAD, "epoch entries exceed MAX_FRAME_PAYLOAD");
-    let me = keychain.node_id();
-    let marker_be = EPOCH_MARKER.to_be_bytes();
-    let sender_be = me.0.to_be_bytes();
-    let tag = keychain.channel(to).tag_segments(&[&marker_be, &sender_be, &batch]);
-    let rest_len = 2 + 2 + batch.len() + TAG_LEN;
-    let mut buf = BytesMut::with_capacity(4 + rest_len);
-    buf.put_u32(rest_len as u32);
-    buf.put_u16(EPOCH_MARKER);
-    buf.put_u16(me.0);
-    buf.put_slice(&batch);
-    buf.put_slice(&tag);
-    buf.freeze()
+    let len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
+    encode_marked_frame(keychain, to, EPOCH_MARKER, len, |buf| put_epoch_batch(entries, buf))
 }
 
 /// Borrowed view of one decoded frame body's entries: slices into the
@@ -480,6 +481,7 @@ pub fn decode_any_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delphi_primitives::mux::encode_batch;
 
     fn pair() -> (Keychain, Keychain) {
         (Keychain::derive(b"seed", NodeId(0), 3), Keychain::derive(b"seed", NodeId(1), 3))

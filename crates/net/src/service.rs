@@ -9,32 +9,29 @@
 //! flush policy to [`session`](crate::session), sockets and read/write
 //! loops to [`transport`](crate::transport).
 //!
-//! # The receive hot path
-//!
-//! Inbound frames take a zero-copy, optionally sharded path:
+//! # The hot path: one thread from frame to frame
 //!
 //! 1. a transport read loop verifies the tag and validates the batch
 //!    structure **borrowed** (no per-entry allocation), then ships the
-//!    whole body as one refcounted buffer ([`VerifiedFrame`]);
-//! 2. with [`RunOptions::recv_shards`] > 1, the read loop routes the
-//!    frame to the dispatch worker(s) owning its entries — the stable
-//!    [`InstanceId::shard`] mapping, identical to the simulator's — and
-//!    each worker owns its instances outright, so no lock sits on the
-//!    per-entry path;
-//! 3. workers re-split the verified body (structure walk, no MAC) and
-//!    feed payload slices straight to the protocol state machines;
-//!    outbound bursts flow back to the session layer, which accumulates
-//!    and flushes them under the run's [`FlushPolicy`].
+//!    whole body as one refcounted buffer ([`VerifiedFrame`]) to the
+//!    dispatch worker(s) owning its entries — with
+//!    [`RunOptions::recv_shards`] > 1 by the stable [`InstanceId::shard`]
+//!    mapping, identical to the simulator's;
+//! 2. the worker owns its instances outright (no lock on the per-entry
+//!    path) and is a complete pipeline on its own thread: it re-splits
+//!    the verified body (structure walk, no MAC), feeds payload slices
+//!    straight to the protocol state machines, routes their answers per
+//!    destination into the egress lane it owns
+//!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
+//!    size inline, the adaptive timer as its own `select!` deadline — and
+//!    encodes, MACs and `try_send`s each due frame into the destination's
+//!    bounded writer queue;
+//! 3. a writer task per peer owns the socket. A peer that stops reading
+//!    costs dropped frames at its queue, never a stalled worker.
 //!
-//! # The send hot path
-//!
-//! Outbound bursts take the mirrored, optionally sharded path: the
-//! service loop routes each step's envelopes to the session layer's
-//! egress lanes ([`RunOptions::send_shards`]), where batching, flush
-//! triggers, frame encode, and HMAC all run on per-lane tasks instead of
-//! inline on the select loop — the loop itself never encodes or MACs a
-//! frame. Lanes own whole `(destination, receive shard)` batches, so
-//! the frames on the wire are identical for any lane count.
+//! The service loop sees only what is per run or per epoch: the merged
+//! event stream, completion, the deadline, the linger window, and the
+//! shutdown order (workers flush, then writer queues close).
 
 use std::error::Error;
 use std::fmt;
@@ -50,10 +47,13 @@ use delphi_primitives::{
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
+use tokio::time::Instant;
 
 use crate::frame::split_verified_body;
-use crate::session::SessionSet;
-use crate::transport::{spawn_acceptor, Counters, NetStats, VerifiedFrame, MAX_RECV_SHARDS};
+use crate::session::{EgressLane, FlushDeadline, SessionSet};
+use crate::transport::{
+    spawn_acceptor, Counters, NetStats, ShardInput, ShardSenders, VerifiedFrame, MAX_RECV_SHARDS,
+};
 
 /// Network runner failure.
 #[derive(Debug)]
@@ -120,20 +120,9 @@ pub struct RunOptions {
     /// workers by the stable [`InstanceId::shard`] /
     /// [`AgreementId::shard`] mapping — the same assignment the
     /// simulator's `recv_shards` models — and each worker owns its
-    /// instances' protocol state.
+    /// instances' protocol state and flushes its own output, so this is
+    /// the node's send parallelism too.
     pub recv_shards: usize,
-    /// Egress send lanes (clamped to 1..=[`MAX_RECV_SHARDS`]).
-    ///
-    /// With more than one, the session layer routes outbound batches to
-    /// per-lane workers by receive-shard class (`class % send_shards`),
-    /// and each lane runs flush triggers, frame encode, and HMAC on its
-    /// own task — so MAC work parallelizes instead of serializing on the
-    /// service loop. The wire output is identical for any value (lanes
-    /// never split a `(destination, shard)` batch); this is pure send-
-    /// side CPU parallelism. Because a lane owns whole shard classes,
-    /// send parallelism tops out at `recv_shards`: an unsharded receive
-    /// deployment keeps all egress on lane 0.
-    pub send_shards: usize,
     /// Capacity (frames) of each peer's outbound writer queue.
     ///
     /// Egress queues are bounded so a slow or unreachable peer cannot
@@ -157,7 +146,6 @@ impl Default for RunOptions {
             batching: true,
             flush: FlushPolicy::PerStep,
             recv_shards: 1,
-            send_shards: 1,
             egress_capacity: 1024,
         }
     }
@@ -206,12 +194,6 @@ impl RunOptions {
         self
     }
 
-    /// Builder-style setter for [`RunOptions::send_shards`].
-    pub fn send_shards(mut self, shards: usize) -> Self {
-        self.send_shards = shards;
-        self
-    }
-
     /// Builder-style setter for [`RunOptions::egress_capacity`].
     pub fn egress_capacity(mut self, capacity: usize) -> Self {
         self.egress_capacity = capacity;
@@ -246,22 +228,72 @@ where
     }
 }
 
-/// Builds the per-shard ingress channels and the accept loop.
+/// Builds the per-shard ingress channels and the accept loop. The
+/// senders come back too: the service loop closes its workers through
+/// them.
 fn open_ingress(
     listener: TcpListener,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
     shards: usize,
-) -> (Vec<mpsc::Receiver<VerifiedFrame>>, tokio::task::JoinHandle<()>) {
+) -> (Vec<mpsc::Receiver<ShardInput>>, ShardSenders, tokio::task::JoinHandle<()>) {
     let mut txs = Vec::with_capacity(shards);
     let mut rxs = Vec::with_capacity(shards);
     for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<VerifiedFrame>(1024);
+        let (tx, rx) = mpsc::channel::<ShardInput>(1024);
         txs.push(tx);
         rxs.push(rx);
     }
-    let accept_task = spawn_acceptor(listener, keychain, Arc::new(txs), counters);
-    (rxs, accept_task)
+    let txs: ShardSenders = Arc::new(txs);
+    let accept_task = spawn_acceptor(listener, keychain, txs.clone(), counters);
+    (rxs, txs, accept_task)
+}
+
+/// A dispatch worker's next event: the next inbox message, or `None`
+/// when its egress lane's adaptive time trigger says flush. A worker
+/// with frames waiting answers them first — the flush then carries its
+/// answers to everything it has seen — so the trigger normally fires
+/// when the inbox has run dry; but a backlog (or a peer flooding the
+/// inbox) must not hold pending entries back for good, so once the
+/// trigger is `overdue` it goes first. An inbox nobody can write to any
+/// more reads as [`ShardInput::Close`].
+async fn next_input(
+    rx: &mut mpsc::Receiver<ShardInput>,
+    flush: Option<FlushDeadline>,
+) -> Option<ShardInput> {
+    let Some(flush) = flush else {
+        return Some(rx.recv().await.unwrap_or(ShardInput::Close));
+    };
+    if Instant::now() >= flush.overdue {
+        return None;
+    }
+    tokio::select! {
+        m = rx.recv() => Some(m.unwrap_or(ShardInput::Close)),
+        _ = tokio::time::sleep_until(flush.due) => None,
+    }
+}
+
+/// The first half of a graceful shutdown — workers flush, then writer
+/// queues close: tells every dispatch worker to flush what its egress
+/// lane still holds and exit, and joins them against `drain_deadline`
+/// (a worker that misses it is aborted; its lane goes with it).
+async fn close_workers(
+    inboxes: &ShardSenders,
+    workers: Vec<tokio::task::JoinHandle<()>>,
+    drain_deadline: Instant,
+) {
+    for inbox in inboxes.iter() {
+        tokio::select! {
+            _ = inbox.send(ShardInput::Close) => {},
+            _ = tokio::time::sleep_until(drain_deadline) => {},
+        }
+    }
+    for mut worker in workers {
+        tokio::select! {
+            _ = &mut worker => {},
+            _ = tokio::time::sleep_until(drain_deadline) => worker.abort(),
+        }
+    }
 }
 
 /// Feeds one verified frame's entries to their one-shot instances,
@@ -293,57 +325,43 @@ fn dispatch_step<P: Protocol>(
     bursts
 }
 
-/// What a one-shot dispatch worker reports to the service loop.
-enum ShardMsg<O> {
-    /// One protocol step's bursts, ready for session routing.
-    Step(Vec<(InstanceId, Vec<Envelope>)>),
-    /// Every instance this worker owns has an output.
-    Done(Vec<(u16, O)>),
-}
-
-/// One sharded one-shot dispatch worker: owns its instances outright,
-/// consumes verified frames, reports bursts and completion.
+/// One sharded one-shot dispatch worker, frame in to frame out: owns its
+/// instances and the egress lane of its shard class, answers every
+/// verified frame (one step per frame) through that lane, and reports
+/// its instances' outputs once all of them have one.
 async fn instance_shard_worker<P>(
-    mut rx: mpsc::Receiver<VerifiedFrame>,
+    mut rx: mpsc::Receiver<ShardInput>,
     mut owned: Vec<(u16, P)>,
-    out_tx: mpsc::Sender<ShardMsg<P::Output>>,
+    mut egress: EgressLane<InstanceId>,
+    done_tx: mpsc::Sender<Vec<(u16, P::Output)>>,
 ) where
     P: Protocol + Send + 'static,
     P::Output: Send,
 {
-    let start: Vec<(InstanceId, Vec<Envelope>)> =
-        owned.iter_mut().map(|(i, p)| (InstanceId(*i), p.start())).collect();
-    if !start.is_empty() && out_tx.send(ShardMsg::Step(start)).await.is_err() {
-        return;
-    }
-    let mut done_sent = false;
-    let check_done = |owned: &[(u16, P)], done_sent: &mut bool| {
-        if !*done_sent && owned.iter().all(|(_, p)| p.output().is_some()) {
-            *done_sent = true;
-            return Some(ShardMsg::Done(
-                owned.iter().filter_map(|(i, p)| Some((*i, p.output()?))).collect(),
-            ));
-        }
-        None
-    };
-    if let Some(done) = check_done(&owned, &mut done_sent) {
-        if out_tx.send(done).await.is_err() {
-            return;
-        }
-    }
-    // Serve until the ingress closes or the service loop goes away; a
-    // worker keeps answering peers after Done (the linger contract).
-    while let Some(frame) = rx.recv().await {
-        let bursts = dispatch_step(&mut owned, &frame);
-        if !bursts.is_empty() && out_tx.send(ShardMsg::Step(bursts)).await.is_err() {
-            return;
-        }
-        if let Some(done) = check_done(&owned, &mut done_sent) {
-            if out_tx.send(done).await.is_err() {
-                return;
+    // Start bursts must not wait for traffic or for the flush timer.
+    egress.send_step(owned.iter_mut().map(|(i, p)| (InstanceId(*i), p.start())).collect());
+    egress.flush_all();
+    let mut done = false;
+    loop {
+        if !done && owned.iter().all(|(_, p)| p.output().is_some()) {
+            done = true;
+            let outputs = owned.iter().filter_map(|(i, p)| Some((*i, p.output()?))).collect();
+            if done_tx.send(outputs).await.is_err() {
+                break;
             }
         }
+        if done {
+            // The linger contract: a finished worker keeps answering
+            // peers, and what it answers leaves at once.
+            egress.flush_all();
+        }
+        match next_input(&mut rx, egress.flush_deadline()).await {
+            Some(ShardInput::Frame(frame)) => egress.send_step(dispatch_step(&mut owned, &frame)),
+            None => egress.flush_all(),
+            Some(ShardInput::Close) => break,
+        }
     }
+    egress.flush_all();
 }
 
 /// Runs `instances` — independent protocol instances multiplexed by
@@ -362,11 +380,12 @@ async fn instance_shard_worker<P>(
 /// by one `start()`/`on_message()` step is coalesced into at most one
 /// batched frame per destination, and [`RunOptions::flush`] may further
 /// accumulate entries across steps (adaptive flushing, size + time
-/// triggers). With [`RunOptions::recv_shards`] > 1 the receive path is
-/// dispatched across per-shard workers (see the [module docs](self)). On
-/// shutdown the runner closes the writer queues and waits (bounded by
-/// [`RunOptions::drain_timeout`]) for every queued frame to flush, so a
-/// slow peer still receives everything that was sent.
+/// triggers). With [`RunOptions::recv_shards`] > 1 the instances are
+/// split across per-shard workers, each a complete receive-to-send
+/// pipeline (see the [module docs](self)). On shutdown the runner has
+/// its workers flush, then closes the writer queues and waits (bounded by
+/// [`RunOptions::drain_timeout`]) for every queued frame to reach its
+/// socket, so a slow peer still receives everything that was sent.
 ///
 /// # Errors
 ///
@@ -404,32 +423,27 @@ where
         return Err(NetError::Config("egress_capacity must be at least 1".into()));
     }
     let shards = opts.recv_shards.clamp(1, MAX_RECV_SHARDS);
-    let send_shards = opts.send_shards.clamp(1, MAX_RECV_SHARDS);
 
     let counters = Arc::new(Counters::default());
     let keychain = Arc::new(keychain);
     let listener = TcpListener::bind(addrs[me.index()]).await?;
-    let (mut in_rxs, accept_task) =
+    let (in_rxs, inboxes, accept_task) =
         open_ingress(listener, keychain.clone(), counters.clone(), shards);
 
-    // Outbound: one authenticated session (lazy-dialing write loop) per
-    // peer, partitioned across the egress lanes, with this run's
-    // batching + flush policy; batches flush per (destination, receive
-    // shard) so every frame belongs wholly to one dispatch worker at the
-    // receiver, and the owning lane encodes + MACs off this loop.
-    let mut sessions = SessionSet::connect(
-        keychain.clone(),
+    // Outbound: one authenticated session (bounded queue + lazy-dialing
+    // write loop) per peer, with this run's batching + flush policy; each
+    // worker below gets the egress lane of its shard class.
+    let sessions = SessionSet::connect(
+        keychain,
         &addrs,
         opts.reconnect_delay,
         counters.clone(),
         opts.batching,
         instances.len() == 1,
         opts.flush,
-        shards,
-        send_shards,
         opts.egress_capacity,
     );
-    let deadline = tokio::time::Instant::now() + opts.deadline;
+    let deadline = Instant::now() + opts.deadline;
     let total = instances.len();
 
     // Partition instances across the dispatch workers by the stable shard
@@ -438,101 +452,70 @@ where
     for (i, p) in instances.into_iter().enumerate() {
         groups[InstanceId(i as u16).shard(shards)].push((i as u16, p));
     }
-    let (out_tx, mut out_rx) = mpsc::channel::<ShardMsg<P::Output>>(1024);
-    let shard_tasks: Vec<tokio::task::JoinHandle<()>> = in_rxs
-        .drain(..)
+    let (done_tx, mut done_rx) = mpsc::channel::<Vec<(u16, P::Output)>>(shards);
+    let workers: Vec<tokio::task::JoinHandle<()>> = in_rxs
+        .into_iter()
         .zip(groups)
-        .map(|(rx, owned)| tokio::spawn(instance_shard_worker(rx, owned, out_tx.clone())))
+        .enumerate()
+        .map(|(class, (rx, owned))| {
+            tokio::spawn(instance_shard_worker(rx, owned, sessions.lane(class), done_tx.clone()))
+        })
         .collect();
-    drop(out_tx); // workers hold the only senders
+    drop(done_tx); // workers hold the only senders
 
-    let abort_all = |sessions: SessionSet, shard_tasks: &[tokio::task::JoinHandle<()>]| {
-        accept_task.abort();
-        for t in shard_tasks {
-            t.abort();
-        }
-        sessions.abort();
-    };
-
-    // Drive: collect worker steps and completions until every instance
-    // has an output, flushing per the run's policy.
+    // Drive: collect completions until every instance has an output.
     let mut outputs: Vec<Option<P::Output>> = (0..total).map(|_| None).collect();
-    let mut done_workers = 0usize;
-    // Start bursts must not wait for traffic (or for the adaptive flush
-    // timer): the first step from every worker flushes immediately. The
-    // time trigger itself runs on the egress lanes' own timers — this
-    // loop only routes bursts; it never encodes, MACs, or arms a flush.
-    let mut start_flushes = shards;
-    while done_workers < shards {
-        let msg = tokio::select! {
-            m = out_rx.recv() => Some(m),
+    for _ in 0..shards {
+        let done = tokio::select! {
+            m = done_rx.recv() => m,
             _ = tokio::time::sleep_until(deadline) => None,
         };
-        match msg {
-            Some(Some(ShardMsg::Step(bursts))) => {
-                sessions.enqueue_step(bursts).await;
-                if start_flushes > 0 {
-                    start_flushes -= 1;
-                    sessions.flush_steps().await;
-                }
-            }
-            Some(Some(ShardMsg::Done(outs))) => {
-                for (i, o) in outs {
-                    outputs[usize::from(i)] = Some(o);
-                }
-                done_workers += 1;
-            }
-            Some(None) => {
-                // Every worker exited without completing: the ingress (and
-                // with it any chance of progress) is gone.
-                abort_all(sessions, &shard_tasks);
-                return Err(NetError::Timeout);
-            }
-            None => {
-                abort_all(sessions, &shard_tasks);
-                return Err(NetError::Timeout);
-            }
+        // `None`: the deadline, or every worker exited without
+        // completing — either way no output is coming.
+        let Some(done) = done else {
+            abort_run(&accept_task, &workers, sessions);
+            return Err(NetError::Timeout);
+        };
+        for (i, o) in done {
+            outputs[usize::from(i)] = Some(o);
         }
     }
-    sessions.flush_steps().await;
     let Some(outputs) = outputs.into_iter().collect::<Option<Vec<P::Output>>>() else {
-        // A worker reported Done without covering every instance it owns:
-        // an invariant break surfaced as an error, not a crash fault.
-        abort_all(sessions, &shard_tasks);
+        // A worker reported completion without covering every instance
+        // it owns: an invariant break surfaced as an error, not a crash
+        // fault.
+        abort_run(&accept_task, &workers, sessions);
         return Err(NetError::Internal("a done worker left an instance without output".into()));
     };
 
-    // Linger: keep relaying worker responses so peers can finish too.
-    let linger_end = tokio::time::Instant::now() + opts.linger;
-    loop {
-        let msg = tokio::select! {
-            m = out_rx.recv() => m,
-            _ = tokio::time::sleep_until(linger_end) => None,
-        };
-        match msg {
-            Some(ShardMsg::Step(bursts)) => {
-                sessions.enqueue_step(bursts).await;
-                sessions.flush_steps().await;
-            }
-            Some(ShardMsg::Done(_)) => {}
-            None => break,
-        }
-    }
+    // Linger: the workers keep answering so peers can finish too.
+    tokio::time::sleep(opts.linger).await;
 
-    for t in &shard_tasks {
-        t.abort();
-    }
-    sessions.flush_steps().await;
-    sessions.shutdown(opts.drain_timeout).await;
+    let drain_deadline = Instant::now() + opts.drain_timeout;
+    close_workers(&inboxes, workers, drain_deadline).await;
+    sessions.shutdown(drain_deadline).await;
     accept_task.abort();
 
     Ok((outputs, counters.snapshot()))
 }
 
-/// What an epoch dispatch worker reports to the service loop.
+/// Tears a failed run down without draining: there is no output worth
+/// waiting for.
+fn abort_run(
+    accept_task: &tokio::task::JoinHandle<()>,
+    workers: &[tokio::task::JoinHandle<()>],
+    sessions: SessionSet,
+) {
+    accept_task.abort();
+    for worker in workers {
+        worker.abort();
+    }
+    sessions.abort();
+}
+
+/// What an epoch dispatch worker reports to the service loop — only what
+/// is per epoch; its protocol traffic leaves through its own egress lane.
 enum EpochShardMsg<O> {
-    /// One pipeline step's bursts (global asset addressing).
-    Step(Vec<(AgreementId, Vec<Envelope>)>),
     /// Ordered events this worker's slice emitted since its last report
     /// (shard-local asset order; `lane` selects the merge queue). Sent
     /// live, as epochs resolve — this is what makes the service handle
@@ -550,45 +533,66 @@ enum EpochShardMsg<O> {
     Done,
 }
 
-/// One sharded epoch dispatch worker: a complete sub-pipeline over its
-/// asset slice, publishing its live [`EpochStats`] through `stats_cell`
-/// after every frame (late entries served during the linger window must
-/// still be counted). A `None` slot (a shard the basket left empty) just
-/// drains its ingress so Byzantine traffic addressed there cannot wedge a
-/// read loop.
+/// What a live epoch dispatch worker owns: its slice of the pipeline, the
+/// merge lane its events feed, and the egress lane of its shard class.
+struct EpochSlot<P: Protocol> {
+    merge_lane: usize,
+    shard: EpochShard<P>,
+    egress: EgressLane<AgreementId>,
+}
+
+/// One sharded epoch dispatch worker, frame in to frame out: a complete
+/// sub-pipeline over its asset slice that answers every entry through
+/// the egress lane of its shard class, publishing its live [`EpochStats`]
+/// through `stats_cell` after every frame (late entries served during
+/// the linger window must still be counted). A `None` slot (a shard the
+/// basket left empty) just drains its ingress so Byzantine traffic
+/// addressed there cannot wedge a read loop.
 async fn epoch_shard_worker<P>(
-    mut rx: mpsc::Receiver<VerifiedFrame>,
-    slot: Option<(usize, EpochShard<P>)>,
+    mut rx: mpsc::Receiver<ShardInput>,
+    slot: Option<EpochSlot<P>>,
     out_tx: mpsc::Sender<EpochShardMsg<P::Output>>,
     stats_cell: Arc<EpochStatsCell>,
 ) where
     P: Protocol + Send + 'static,
     P::Output: Send,
 {
-    let Some((lane, mut shard)) = slot else {
-        while rx.recv().await.is_some() {}
+    let Some(EpochSlot { merge_lane: lane, mut shard, mut egress }) = slot else {
+        while let Some(ShardInput::Frame(_)) = rx.recv().await {}
         return;
     };
-    let start = shard.start();
-    if !start.is_empty() && out_tx.send(EpochShardMsg::Step(start)).await.is_err() {
-        return;
-    }
-    let mut done_sent = false;
+    // Start bursts must not wait for traffic or for the flush timer.
+    egress.send_step(shard.start());
+    egress.flush_all();
+    let mut done = false;
     loop {
         let fresh = shard.drain_events();
         if !fresh.is_empty()
             && out_tx.send(EpochShardMsg::Events { lane, events: fresh }).await.is_err()
         {
-            return;
+            break;
         }
-        if !done_sent && shard.is_complete() {
-            done_sent = true;
+        if !done && shard.is_complete() {
+            done = true;
             if out_tx.send(EpochShardMsg::Done).await.is_err() {
-                return;
+                break;
             }
         }
+        if done {
+            // The linger contract: a finished worker keeps answering
+            // peers still working through the stream's tail, and what it
+            // answers leaves at once.
+            egress.flush_all();
+        }
         stats_cell.publish(shard.stats());
-        let Some(frame) = rx.recv().await else { return };
+        let frame = match next_input(&mut rx, egress.flush_deadline()).await {
+            Some(ShardInput::Frame(frame)) => frame,
+            None => {
+                egress.flush_all();
+                continue;
+            }
+            Some(ShardInput::Close) => break,
+        };
         let Ok((_, entries)) = split_verified_body(&frame.body) else {
             continue; // unreachable for verified bodies
         };
@@ -596,15 +600,12 @@ async fn epoch_shard_worker<P>(
         // `EpochProtocol::on_message` flushes at, so the per-step cost
         // model stays byte-comparable between the two transports.
         for (id, payload) in entries.iter() {
-            if !shard.owns(id.asset) {
-                continue;
-            }
-            let bursts = shard.on_entry(frame.from, id, payload);
-            if !bursts.is_empty() && out_tx.send(EpochShardMsg::Step(bursts)).await.is_err() {
-                return;
+            if shard.owns(id.asset) {
+                egress.send_step(shard.on_entry(frame.from, id, payload));
             }
         }
     }
+    egress.flush_all();
 }
 
 /// Online cross-shard event merger: per-lane queues of shard-local
@@ -768,10 +769,9 @@ impl<O> EpochServiceHandle<O> {
 /// This is the deployment shape of a streaming oracle: the mux keeps
 /// spawning per-asset agreement instances epoch after epoch, the service
 /// routes their traffic as epoch-addressed entries in authenticated v3
-/// frames, and the session layer's egress lanes
-/// ([`RunOptions::send_shards`]) flush batches per [`RunOptions::flush`]
-/// — per step, or adaptively on size triggers plus each lane's own
-/// flush timer. With [`RunOptions::recv_shards`] > 1
+/// frames, and each dispatch worker flushes its own batches per
+/// [`RunOptions::flush`] — per step, or adaptively on size triggers plus
+/// the worker's own flush deadline. With [`RunOptions::recv_shards`] > 1
 /// the pipeline is split by asset across dispatch workers
 /// ([`EpochMux::split_assets`]); the event stream is the merged,
 /// basket-ordered view. Entries addressed to epochs the pipeline has
@@ -823,10 +823,6 @@ where
     // modulus the split used — otherwise entries hash to workers that do
     // not own their asset and the stream wedges.
     let shards = opts.recv_shards.clamp(1, MAX_RECV_SHARDS).min(usize::from(mux.config().assets));
-    // Send lanes take no basket clamp: `class % send_shards` is a valid
-    // owner for any class/lane combination (extra lanes just idle).
-    let send_shards = opts.send_shards.clamp(1, MAX_RECV_SHARDS);
-
     // In vector-basket mode the wire config has one asset, so the shard
     // clamp above collapses to a single dispatch worker — the documented
     // trade of receive parallelism for per-message overhead.
@@ -836,18 +832,16 @@ where
     counters.vector_dims.store(u64::from(vector_dims), Ordering::Relaxed);
     let keychain = Arc::new(keychain);
     let listener = TcpListener::bind(addrs[me.index()]).await?;
-    let (mut in_rxs, accept_task) =
+    let (in_rxs, inboxes, accept_task) =
         open_ingress(listener, keychain.clone(), counters.clone(), shards);
-    let mut sessions = SessionSet::connect(
-        keychain.clone(),
+    let sessions = SessionSet::connect(
+        keychain,
         &addrs,
         opts.reconnect_delay,
         counters.clone(),
         opts.batching,
         false,
         opts.flush,
-        shards,
-        send_shards,
         opts.egress_capacity,
     );
 
@@ -855,19 +849,20 @@ where
     // single worker owning the whole basket), assigning each live shard a
     // merge lane in shard order.
     let total_assets = mux.config().assets;
-    let mut slots: Vec<Option<(usize, EpochShard<P>)>> = (0..shards).map(|_| None).collect();
+    let mut slots: Vec<Option<EpochSlot<P>>> = (0..shards).map(|_| None).collect();
     let mut maps: Vec<Vec<InstanceId>> = Vec::new();
     for shard in mux.split_assets(shards) {
         let index = shard.shard_index();
         maps.push(shard.assets().to_vec());
-        slots[index] = Some((maps.len() - 1, shard));
+        let (merge_lane, egress) = (maps.len() - 1, sessions.lane(index));
+        slots[index] = Some(EpochSlot { merge_lane, shard, egress });
     }
     let expected_done = slots.iter().filter(|s| s.is_some()).count();
     let (out_tx, mut out_rx) = mpsc::channel::<EpochShardMsg<P::Output>>(1024);
     let stats_cells: Vec<Arc<EpochStatsCell>> =
         (0..shards).map(|_| Arc::new(EpochStatsCell::new())).collect();
-    let shard_tasks: Vec<tokio::task::JoinHandle<()>> = in_rxs
-        .drain(..)
+    let workers: Vec<tokio::task::JoinHandle<()>> = in_rxs
+        .into_iter()
         .zip(slots)
         .zip(&stats_cells)
         .map(|((rx, slot), cell)| {
@@ -886,37 +881,16 @@ where
     let mut merger = EventMerger::new(maps, total_assets);
 
     let task = tokio::spawn(async move {
-        let abort_all = |sessions: SessionSet, shard_tasks: &[tokio::task::JoinHandle<()>]| {
-            accept_task.abort();
-            for t in shard_tasks {
-                t.abort();
-            }
-            sessions.abort();
-        };
-
-        let deadline = tokio::time::Instant::now() + opts.deadline;
+        let deadline = Instant::now() + opts.deadline;
         let mut events: Vec<EpochEvent<P::Output>> = Vec::new();
         let mut done_count = 0usize;
-        // Start bursts must not wait for traffic (or for the adaptive
-        // flush timer): the first step from every live worker flushes
-        // immediately. The time trigger itself runs on the egress lanes'
-        // own timers — this loop only routes bursts; it never encodes,
-        // MACs, or arms a flush.
-        let mut start_flushes = expected_done;
         while done_count < expected_done {
             let msg = tokio::select! {
-                m = out_rx.recv() => Some(m),
+                m = out_rx.recv() => m,
                 _ = tokio::time::sleep_until(deadline) => None,
             };
             match msg {
-                Some(Some(EpochShardMsg::Step(bursts))) => {
-                    sessions.enqueue_epoch_step(bursts).await;
-                    if start_flushes > 0 {
-                        start_flushes -= 1;
-                        sessions.flush_epochs().await;
-                    }
-                }
-                Some(Some(EpochShardMsg::Events { lane, events: fresh })) => {
+                Some(EpochShardMsg::Events { lane, events: fresh }) => {
                     let ready_from = events.len();
                     merger.push(lane, fresh, &mut events);
                     if vector_dims > 0 {
@@ -931,56 +905,33 @@ where
                         let _ = event_tx.send(ev.clone());
                     }
                 }
-                Some(Some(EpochShardMsg::Done)) => {
-                    done_count += 1;
-                }
-                Some(None) => {
-                    // Every worker exited (the ingress died): no more
-                    // traffic can ever arrive — fail now rather than
-                    // spinning until the deadline.
-                    abort_all(sessions, &shard_tasks);
-                    return Err(NetError::Timeout);
-                }
+                Some(EpochShardMsg::Done) => done_count += 1,
                 None => {
-                    abort_all(sessions, &shard_tasks);
+                    // The deadline — or every worker exited (the ingress
+                    // died) and no more traffic can ever arrive: fail now
+                    // rather than spinning until the deadline.
+                    abort_run(&accept_task, &workers, sessions);
                     return Err(NetError::Timeout);
                 }
             }
         }
-        sessions.flush_epochs().await;
         // Every worker shipped its whole stream before Done, so the
         // merged view is complete; close the live tail at that boundary.
         drop(event_tx);
 
-        // Linger: keep serving peers still working through the stream's
-        // tail.
-        let linger_end = tokio::time::Instant::now() + opts.linger;
-        loop {
-            let msg = tokio::select! {
-                m = out_rx.recv() => m,
-                _ = tokio::time::sleep_until(linger_end) => None,
-            };
-            match msg {
-                Some(EpochShardMsg::Step(bursts)) => {
-                    sessions.enqueue_epoch_step(bursts).await;
-                    sessions.flush_epochs().await;
-                }
-                Some(EpochShardMsg::Events { .. }) | Some(EpochShardMsg::Done) => {}
-                None => break,
-            }
-        }
+        // Linger: the workers keep serving peers still working through
+        // the stream's tail.
+        tokio::time::sleep(opts.linger).await;
 
-        for t in &shard_tasks {
-            t.abort();
-        }
+        let drain_deadline = Instant::now() + opts.drain_timeout;
+        close_workers(&inboxes, workers, drain_deadline).await;
         // Final counters come from the live cells, so late entries served
         // during the linger window (traffic for already-GC'd epochs) are
         // still counted — events were final at completion, counters were
         // not.
         let epoch_stats = merge_epoch_stats(stats_cells.iter().map(|c| c.stats_snapshot()));
         counters.late_entries.fetch_add(epoch_stats.late_entries, Ordering::Relaxed);
-        sessions.flush_epochs().await;
-        sessions.shutdown(opts.drain_timeout).await;
+        sessions.shutdown(drain_deadline).await;
         accept_task.abort();
         Ok((events, epoch_stats, counters.snapshot()))
     });
@@ -1188,7 +1139,7 @@ mod tests {
         seed: &'static [u8],
         batching: bool,
         flush: FlushPolicy,
-        send_shards: usize,
+        recv_shards: usize,
     ) -> NetStats {
         let addrs = free_addrs(WAVE_N).await;
         let mut handles = Vec::new();
@@ -1197,7 +1148,7 @@ mod tests {
             let nodes: Vec<Wave> =
                 (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
             let addrs = addrs.clone();
-            let opts = RunOptions { batching, flush, send_shards, ..RunOptions::default() };
+            let opts = RunOptions { batching, flush, recv_shards, ..RunOptions::default() };
             handles.push(tokio::spawn(
                 async move { run_instances(nodes, keychain, addrs, opts).await },
             ));
@@ -1208,9 +1159,9 @@ mod tests {
             assert_eq!(outs.len(), WAVE_INSTANCES);
             assert_eq!(stats.dropped_frames, 0);
             assert_eq!(stats.dropped_egress, 0);
-            // Per-lane egress accounting is complete: every routed entry
-            // was flushed by exactly one lane, and every frame paid
-            // exactly one encode-side tag.
+            // Per-worker egress accounting is complete: every routed
+            // entry was flushed by exactly one worker, and every frame
+            // paid exactly one encode-side tag.
             assert_eq!(stats.egress_shard_entries.iter().sum::<u64>(), stats.sent_entries);
             assert_eq!(stats.egress_shard_macs.iter().sum::<u64>(), stats.sent_frames);
             total.sent_frames += stats.sent_frames;
@@ -1222,21 +1173,22 @@ mod tests {
         total
     }
 
-    /// The same Wave workload under the simulator, multiplexed per node —
-    /// the reference the TCP runner's frame accounting must match.
-    fn run_wave_simulation() -> (u64, u64) {
+    /// A Wave workload of `instances` instances per node under the
+    /// simulator, multiplexed per node — the reference the TCP runner's
+    /// frame accounting must match. Returns `(messages, entries)`.
+    fn run_wave_simulation(instances: usize) -> (u64, u64) {
         use delphi_sim::{Simulation, Topology};
         let nodes: Vec<Box<dyn Protocol<Output = Vec<usize>>>> = NodeId::all(WAVE_N)
             .map(|id| {
                 let instances: Vec<Wave> =
-                    (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
+                    (0..instances).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
                 Box::new(Mux::new(instances)) as Box<dyn Protocol<Output = Vec<usize>>>
             })
             .collect();
         let report = Simulation::new(Topology::lan(WAVE_N)).seed(7).run(nodes);
         assert!(report.all_honest_finished(), "sim wave run stalled");
         // Entries: every wave is a broadcast from every instance.
-        let entries = (WAVE_N * WAVE_INSTANCES * usize::from(WAVE_ROUNDS) * (WAVE_N - 1)) as u64;
+        let entries = (WAVE_N * instances * usize::from(WAVE_ROUNDS) * (WAVE_N - 1)) as u64;
         (report.metrics.total_msgs(), entries)
     }
 
@@ -1272,32 +1224,45 @@ mod tests {
         // exactly as many frames (and entries) on the wire as the
         // multiplexed simulation sends messages — simulated cost IS real
         // cost, which is what makes the sim sweeps trustworthy.
-        let (sim_msgs, sim_entries) = run_wave_simulation();
+        let (sim_msgs, sim_entries) = run_wave_simulation(WAVE_INSTANCES);
         assert_eq!(batched.sent_frames, sim_msgs, "TCP frames == simulated messages");
         assert_eq!(batched.sent_entries, sim_entries, "TCP entries == simulated envelopes");
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn sharded_egress_matches_simulated_accounting_exactly() {
-        // The PR 5 parity test extended to the send side: egress lanes
-        // never split a (destination, shard) batch, so the frames,
-        // entries, and encode-side MACs the sharded TCP sender puts on
-        // the wire stay EXACTLY equal to the simulated Mux accounting at
-        // every send-shard count — send sharding is pure CPU
-        // parallelism, invisible on the wire.
-        let (sim_msgs, sim_entries) = run_wave_simulation();
-        for (seed, send_shards) in
-            [(b"wave-ss1" as &'static [u8], 1usize), (b"wave-ss2", 2), (b"wave-ss4", 4)]
+        // The sim/TCP parity test on the worker-owned send side. A worker
+        // owns one shard class and flushes only that class, so a node
+        // with `recv_shards` workers sends exactly what that many
+        // independent multiplexers would — one per class, over the
+        // instances hashing to it: the frames, entries, and encode-side
+        // MACs on the wire must EQUAL the simulated `Mux` accounting
+        // summed over the classes, at every shard count. (At one shard
+        // that is the whole basket behind one `Mux`.)
+        for (seed, recv_shards) in
+            [(b"wave-rs1" as &'static [u8], 1usize), (b"wave-rs2", 2), (b"wave-rs4", 4)]
         {
-            let total = run_wave_cluster(seed, true, FlushPolicy::PerStep, send_shards).await;
+            let mut class_sizes = [0usize; MAX_RECV_SHARDS];
+            for i in 0..WAVE_INSTANCES {
+                class_sizes[InstanceId(i as u16).shard(recv_shards)] += 1;
+            }
+            let (mut sim_msgs, mut sim_entries) = (0, 0);
+            for &size in class_sizes.iter().filter(|&&size| size > 0) {
+                let (msgs, entries) = run_wave_simulation(size);
+                sim_msgs += msgs;
+                sim_entries += entries;
+            }
+            let total = run_wave_cluster(seed, true, FlushPolicy::PerStep, recv_shards).await;
             assert_eq!(
                 total.sent_frames, sim_msgs,
-                "TCP frames == simulated messages at {send_shards} send shards"
+                "TCP frames == simulated messages at {recv_shards} shards"
             );
             assert_eq!(
                 total.sent_entries, sim_entries,
-                "TCP entries == simulated envelopes at {send_shards} send shards"
+                "TCP entries == simulated envelopes at {recv_shards} shards"
             );
+            // (`run_wave_cluster` asserts per node that encode-side MACs
+            // equal frames, so the MAC count is pinned with them.)
         }
     }
 
@@ -1430,6 +1395,26 @@ mod tests {
         }
     }
 
+    /// Reads `[u32 len][body]` frames off `stream` until `total` entries
+    /// from node 0 have arrived, returning how many did.
+    async fn read_entries(
+        stream: &mut tokio::net::TcpStream,
+        kc: &delphi_crypto::Keychain,
+        total: usize,
+    ) -> usize {
+        let mut got = 0usize;
+        while got < total {
+            let mut len_buf = [0u8; 4];
+            stream.read_exact(&mut len_buf).await.unwrap();
+            let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
+            stream.read_exact(&mut body).await.unwrap();
+            let (from, entries) = decode_any_frame(kc, &body).expect("authentic frame");
+            assert_eq!(from, NodeId(0));
+            got += entries.len();
+        }
+        got
+    }
+
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn shutdown_drains_queued_frames_to_slow_peer() {
         // Node 0 bursts 50 frames at a peer that is slow to come up: the
@@ -1456,17 +1441,7 @@ mod tests {
         let reader = tokio::spawn(async move {
             let kc = delphi_crypto::Keychain::derive(b"drain-test", NodeId(1), 2);
             let (mut stream, _) = listener.accept().await.unwrap();
-            let mut got = 0usize;
-            while got < k {
-                let mut len_buf = [0u8; 4];
-                stream.read_exact(&mut len_buf).await.unwrap();
-                let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
-                stream.read_exact(&mut body).await.unwrap();
-                let (from, entries) = decode_any_frame(&kc, &body).expect("authentic frame");
-                assert_eq!(from, NodeId(0));
-                got += entries.len();
-            }
-            got
+            read_entries(&mut stream, &kc, k).await
         });
 
         let (_, stats) = runner.await.unwrap().expect("run ok");
@@ -1477,12 +1452,12 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn shutdown_drains_every_egress_lane_before_writer_close() {
-        // Four Burst instances across 4 receive shards × 4 egress lanes,
-        // all firing at a peer that comes up late: shutdown must close
-        // the LANES first — each flushing what it still buffers into the
-        // writer queue — and only then close the writer, or whole lanes'
-        // worth of frames would vanish. Every one of the 4 × k frames
-        // must reach the slow peer.
+        // Four Burst instances across 4 receive shards — four workers,
+        // each flushing its own lane — all firing at a peer that comes up
+        // late: shutdown must close the WORKERS first, each flushing what
+        // its lane still holds into the writer queue, and only then close
+        // the writer, or whole workers' worth of frames would vanish.
+        // Every one of the 4 × k frames must reach the slow peer.
         let k = 50usize;
         let instances = 4usize;
         let total = k * instances;
@@ -1493,7 +1468,6 @@ mod tests {
             linger: Duration::ZERO,
             batching: false, // one frame per envelope: all of them must arrive
             recv_shards: 4,
-            send_shards: 4,
             ..RunOptions::default()
         };
         let runner = tokio::spawn(async move {
@@ -1506,39 +1480,32 @@ mod tests {
         let reader = tokio::spawn(async move {
             let kc = delphi_crypto::Keychain::derive(b"lane-drain", NodeId(1), 2);
             let (mut stream, _) = listener.accept().await.unwrap();
-            let mut got = 0usize;
-            while got < total {
-                let mut len_buf = [0u8; 4];
-                stream.read_exact(&mut len_buf).await.unwrap();
-                let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
-                stream.read_exact(&mut body).await.unwrap();
-                let (from, entries) = decode_any_frame(&kc, &body).expect("authentic frame");
-                assert_eq!(from, NodeId(0));
-                got += entries.len();
-            }
-            got
+            read_entries(&mut stream, &kc, total).await
         });
 
         let (_, stats) = runner.await.unwrap().expect("run ok");
-        assert_eq!(stats.sent_frames, total as u64, "every lane drained before writer close");
+        assert_eq!(stats.sent_frames, total as u64, "every worker drained before writer close");
         assert_eq!(stats.sent_entries, total as u64);
         assert_eq!(stats.egress_shard_entries.iter().sum::<u64>(), total as u64);
         assert!(
             stats.egress_shard_entries.iter().filter(|&&c| c > 0).count() > 1,
-            "the burst must have exercised more than one lane: {:?}",
+            "the burst must have exercised more than one worker: {:?}",
             stats.egress_shard_entries
         );
         assert_eq!(reader.await.unwrap(), total, "slow peer received every frame");
     }
 
     /// One-round epoch gossip: each `(epoch, asset)` instance broadcasts
-    /// once and outputs after `n - 1` greetings — completion needs every
-    /// peer, so the stream exercises real multi-epoch coordination.
+    /// `greeting` once and outputs after `quorum` greetings. With
+    /// `quorum = n - 1` completion needs every peer, so the stream
+    /// exercises real multi-epoch coordination.
     struct EpochGossip {
         id: NodeId,
         n: usize,
         tag: f64,
         heard: usize,
+        quorum: usize,
+        greeting: Bytes,
     }
 
     impl Protocol for EpochGossip {
@@ -1550,21 +1517,23 @@ mod tests {
             self.n
         }
         fn start(&mut self) -> Vec<Envelope> {
-            vec![Envelope::to_all(Bytes::from_static(b"g"))]
+            vec![Envelope::to_all(self.greeting.clone())]
         }
         fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
             self.heard += 1;
             Vec::new()
         }
         fn output(&self) -> Option<f64> {
-            (self.heard >= self.n - 1).then_some(self.tag)
+            (self.heard >= self.quorum).then_some(self.tag)
         }
     }
 
-    fn epoch_mux(
+    fn gossip_mux(
         me: NodeId,
         n: usize,
         cfg: delphi_primitives::EpochConfig,
+        quorum: usize,
+        greeting: Bytes,
     ) -> EpochMux<EpochGossip> {
         EpochMux::new(
             cfg,
@@ -1575,15 +1544,24 @@ mod tests {
                 n,
                 tag: f64::from(e.0) * 10.0 + f64::from(a.0),
                 heard: 0,
+                quorum,
+                greeting: greeting.clone(),
             }),
         )
+    }
+
+    fn epoch_mux(
+        me: NodeId,
+        n: usize,
+        cfg: delphi_primitives::EpochConfig,
+    ) -> EpochMux<EpochGossip> {
+        gossip_mux(me, n, cfg, n - 1, Bytes::from_static(b"g"))
     }
 
     async fn run_epoch_cluster(
         seed: &'static [u8],
         flush: FlushPolicy,
         recv_shards: usize,
-        send_shards: usize,
     ) -> Vec<NetStats> {
         use delphi_primitives::{EpochConfig, EpochOutcome};
         let n = 3;
@@ -1595,7 +1573,7 @@ mod tests {
             let keychain = delphi_crypto::Keychain::derive(seed, id, n);
             let mux = epoch_mux(id, n, EpochConfig::new(epochs, assets, 2, 4, 1));
             let addrs = addrs.clone();
-            let opts = RunOptions { flush, recv_shards, send_shards, ..RunOptions::default() };
+            let opts = RunOptions { flush, recv_shards, ..RunOptions::default() };
             handles.push(tokio::spawn(async move {
                 run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
             }));
@@ -1623,7 +1601,7 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn epoch_service_streams_over_loopback() {
-        let stats = run_epoch_cluster(b"epoch-stream", FlushPolicy::PerStep, 1, 1).await;
+        let stats = run_epoch_cluster(b"epoch-stream", FlushPolicy::PerStep, 1).await;
         for s in &stats {
             assert!(s.sent_frames > 0 && s.recv_frames > 0);
             assert!(s.recv_entries >= s.recv_frames);
@@ -1635,7 +1613,7 @@ mod tests {
         // The same stream with a 2-way sharded receive path: identical
         // (merged, basket-ordered) events — run_epoch_cluster asserts the
         // values — with dispatch spread over both shard counters.
-        let stats = run_epoch_cluster(b"epoch-sharded", FlushPolicy::PerStep, 2, 1).await;
+        let stats = run_epoch_cluster(b"epoch-sharded", FlushPolicy::PerStep, 2).await;
         for s in &stats {
             assert_eq!(s.dropped_frames, 0);
             let spread = s.shard_entries.iter().filter(|&&c| c > 0).count();
@@ -1646,14 +1624,13 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn sharded_send_lanes_preserve_epoch_stream() {
-        // Receive shards 2 × send shards 2: with two shard classes, lane
-        // assignment is `class % 2 == class`, so each egress lane's entry
-        // count must equal the count the RECEIVERS dispatch on that shard
-        // — the per-shard egress load the simulator models is the real
-        // per-lane load, by construction. run_epoch_cluster already
-        // asserts the merged events are identical to every other
-        // configuration's.
-        let stats = run_epoch_cluster(b"epoch-send-sharded", FlushPolicy::PerStep, 2, 2).await;
+        // Two receive shards, so two workers, each flushing the lane of
+        // its own class: the entries a class's lane sends must equal the
+        // entries the RECEIVERS dispatch on that shard — the per-shard
+        // egress load the simulator models is the real per-worker load,
+        // by construction. run_epoch_cluster already asserts the merged
+        // events are identical to every other configuration's.
+        let stats = run_epoch_cluster(b"epoch-send-sharded", FlushPolicy::PerStep, 2).await;
         let mut egress_lane_totals = [0u64; MAX_RECV_SHARDS];
         let mut recv_shard_totals = [0u64; MAX_RECV_SHARDS];
         for s in &stats {
@@ -1661,7 +1638,7 @@ mod tests {
             assert_eq!(s.egress_shard_entries.iter().sum::<u64>(), s.sent_entries);
             assert_eq!(s.egress_shard_macs.iter().sum::<u64>(), s.sent_frames);
             let spread = s.egress_shard_entries.iter().filter(|&&c| c > 0).count();
-            assert!(spread > 1, "egress must spread across lanes: {:?}", s.egress_shard_entries);
+            assert!(spread > 1, "egress must spread across workers: {:?}", s.egress_shard_entries);
             for lane in 0..MAX_RECV_SHARDS {
                 egress_lane_totals[lane] += s.egress_shard_entries[lane];
                 recv_shard_totals[lane] += s.shard_entries[lane];
@@ -1669,7 +1646,7 @@ mod tests {
         }
         assert_eq!(
             egress_lane_totals, recv_shard_totals,
-            "per-lane egress load == per-shard dispatch load across the cluster"
+            "per-class egress load == per-shard dispatch load across the cluster"
         );
     }
 
@@ -1679,7 +1656,7 @@ mod tests {
         // the shard count to the basket so ingress routing and the
         // pipeline split agree — a mismatched modulus would strand
         // entries on workers that own nothing and time the stream out.
-        let stats = run_epoch_cluster(b"epoch-overshard", FlushPolicy::PerStep, 4, 1).await;
+        let stats = run_epoch_cluster(b"epoch-overshard", FlushPolicy::PerStep, 4).await;
         for s in &stats {
             assert_eq!(s.dropped_frames, 0);
             assert_eq!(s.shard_entries.iter().sum::<u64>(), s.recv_entries);
@@ -1693,7 +1670,7 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn adaptive_flush_cuts_frames_per_entry_over_tcp() {
-        let per_step = run_epoch_cluster(b"epoch-perstep", FlushPolicy::PerStep, 1, 1).await;
+        let per_step = run_epoch_cluster(b"epoch-perstep", FlushPolicy::PerStep, 1).await;
         let adaptive = run_epoch_cluster(
             b"epoch-adaptive",
             FlushPolicy::Adaptive {
@@ -1701,7 +1678,6 @@ mod tests {
                 max_bytes: 4096,
                 max_delay: Duration::from_millis(5),
             },
-            1,
             1,
         )
         .await;
@@ -1717,6 +1693,129 @@ mod tests {
             "adaptive {ad_frames}/{ad_entries} vs per-step {ps_frames}/{ps_entries} \
              frames per entry"
         );
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn peer_that_never_reads_is_dropped_to_while_the_stream_completes() {
+        use delphi_primitives::{EpochConfig, EpochOutcome};
+        // Node 3 accepts every connection and never reads a byte. Its
+        // socket buffers fill (a few MiB on loopback), its writers block
+        // mid-frame, its queues (4 frames) fill, and from then on every
+        // frame for it is dropped and counted — while the three live
+        // nodes, whose workers never wait for anybody, finish the whole
+        // stream among themselves (quorum 2 of the 3 peers).
+        let n = 4;
+        let epochs = 48u32;
+        let assets = 2u16;
+        let greeting = Bytes::from(vec![0x5a; 64 * 1024]);
+        let addrs = free_addrs(n).await;
+        let silent = TcpListener::bind(addrs[3]).await.unwrap();
+        let (held_tx, mut held_rx) = mpsc::channel::<tokio::net::TcpStream>(n);
+        tokio::spawn(async move {
+            while let Ok((stream, _)) = silent.accept().await {
+                if held_tx.send(stream).await.is_err() {
+                    break;
+                }
+            }
+        });
+        let mut handles = Vec::new();
+        for id in NodeId::all(n).take(3) {
+            let keychain = delphi_crypto::Keychain::derive(b"never-reads", id, n);
+            let mux =
+                gossip_mux(id, n, EpochConfig::new(epochs, assets, 2, 4, 1), 2, greeting.clone());
+            let addrs = addrs.clone();
+            let opts = RunOptions {
+                egress_capacity: 4,
+                deadline: Duration::from_secs(30),
+                linger: Duration::from_millis(100),
+                drain_timeout: Duration::from_millis(300),
+                ..RunOptions::default()
+            };
+            handles.push(tokio::spawn(async move {
+                run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
+            }));
+        }
+        for h in handles {
+            let (events, _, stats) = h.await.unwrap().expect("stream finished before the deadline");
+            assert_eq!(events.len(), epochs as usize);
+            assert!(
+                events.iter().all(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_))),
+                "the live nodes agree every epoch among themselves"
+            );
+            assert!(stats.dropped_egress > 0, "frames to the silent peer must be dropped");
+            assert_eq!(stats.dropped_egress_shard[0], stats.dropped_egress);
+            // Only the silent peer's frames were dropped: every greeting
+            // between live nodes was needed for an epoch to agree.
+            let per_peer = u64::from(epochs) * u64::from(assets);
+            assert!(stats.dropped_egress <= per_peer, "{} drops", stats.dropped_egress);
+            assert_eq!(stats.dropped_frames, 0);
+        }
+        // The connections were accepted, and stayed open and unread to
+        // the end: the drops are the never-reading kind.
+        let mut held = Vec::new();
+        while let Some(stream) = tokio::select! {
+            s = held_rx.recv() => s,
+            _ = tokio::time::sleep(Duration::from_millis(10)) => None,
+        } {
+            held.push(stream);
+        }
+        assert_eq!(held.len(), 3, "every live node dialled the silent peer");
+    }
+
+    #[tokio::test]
+    async fn flush_trigger_waits_for_an_empty_inbox_but_not_past_overdue() {
+        let frame =
+            || ShardInput::Frame(VerifiedFrame { from: NodeId(1), body: Bytes::from_static(b"") });
+        let (tx, mut rx) = mpsc::channel::<ShardInput>(4);
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+
+        // Due, with a frame waiting: the frame is answered first, and the
+        // trigger fires as soon as the inbox is empty.
+        let due = FlushDeadline { due: now - ms(1), overdue: now + ms(500) };
+        tx.try_send(frame()).unwrap();
+        assert!(matches!(next_input(&mut rx, Some(due)).await, Some(ShardInput::Frame(_))));
+        assert!(next_input(&mut rx, Some(due)).await.is_none());
+
+        // Overdue: the trigger fires first however much is waiting, so a
+        // peer that keeps the inbox full cannot hold pending entries back.
+        let overdue = FlushDeadline { due: now - ms(2), overdue: now - ms(1) };
+        tx.try_send(frame()).unwrap();
+        assert!(next_input(&mut rx, Some(overdue)).await.is_none());
+        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Frame(_))));
+
+        // Not due: the worker parks until the deadline, then flushes.
+        let soon = FlushDeadline { due: Instant::now() + ms(20), overdue: now + ms(500) };
+        let parked = std::time::Instant::now();
+        assert!(next_input(&mut rx, Some(soon)).await.is_none());
+        assert!(parked.elapsed() >= ms(20));
+
+        // No senders left: the inbox reads as Close.
+        drop(tx);
+        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Close)));
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn epoch_deadline_failure_aborts_workers_and_writers_without_hanging() {
+        use delphi_primitives::EpochConfig;
+        // No peer ever comes up: the stream cannot resolve, the writers
+        // sit in their dial-retry loops, the workers on their inboxes.
+        // The deadline must tear all of it down and report, promptly.
+        let n = 4;
+        let addrs = free_addrs(n).await;
+        let keychain = delphi_crypto::Keychain::derive(b"epoch-deadline", NodeId(0), n);
+        let mux = epoch_mux(NodeId(0), n, EpochConfig::new(4, 2, 2, 4, 1));
+        let opts = RunOptions {
+            deadline: Duration::from_millis(300),
+            recv_shards: 2,
+            flush: FlushPolicy::adaptive(),
+            ..RunOptions::default()
+        };
+        let started = std::time::Instant::now();
+        let handle = run_epoch_service(mux, keychain, addrs, opts).await.expect("service starts");
+        let err = handle.finish().await.expect_err("nobody to agree with");
+        assert!(matches!(err, NetError::Timeout), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "deadline failure must not hang");
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

@@ -1,25 +1,25 @@
 //! Per-peer authenticated sessions: framing format choice, batching,
-//! adaptive flushing, sharded egress lanes, and drain-on-shutdown.
+//! adaptive flushing, worker-owned egress lanes, and drain-on-shutdown.
 //!
-//! A [`SessionSet`] sits between the protocol-driving service layer and
-//! the [`transport`](crate::transport) write loops. Since the send path
-//! was sharded it is a thin router in front of `send_shards` egress lane
-//! workers ([`EgressLane`]), each owning a disjoint set of the
-//! *(destination, receive shard)* pending buffers:
+//! A [`SessionSet`] owns the write side of the mesh: one bounded queue
+//! and one [`transport`](crate::transport) write loop per peer. It hands
+//! every dispatch worker an [`EgressLane`] — a plain struct the worker
+//! owns and drives on its own thread — so a protocol step's output is
+//! routed, batched, encoded and MACed by the thread that produced it and
+//! crosses exactly one queue, the peer's writer queue, on its way out:
 //!
-//! - the router partitions every step's envelope bursts by destination
-//!   and receive-shard class (the same stable `shard()` hash the
-//!   receive path dispatches by) and hands each group to the lane owning
-//!   that class (`class % send_shards`);
-//! - each lane accumulates entries under the session's [`FlushPolicy`]
-//!   on its own task — running the size triggers inline and the
-//!   adaptive time trigger on its own timer — and performs frame encode
-//!   plus HMAC there, so MAC work parallelizes across lanes instead of
-//!   serializing on the service loop;
-//! - lane assignment never splits a `(destination, shard)` buffer, so
-//!   the frames on the wire are byte-identical for any `send_shards`:
-//!   send sharding is pure CPU parallelism, which is what keeps the
-//!   sim/TCP frame-accounting parity tests exact;
+//! - a worker owns the instances of one receive-shard class (the stable
+//!   `shard()` hash the receive path dispatches by), so everything it
+//!   sends belongs to that class and its lane needs one pending buffer
+//!   per destination; every frame therefore lands wholly on one dispatch
+//!   worker at the receiver, and send parallelism *is* receive
+//!   parallelism;
+//! - the lane accumulates entries under the session's [`FlushPolicy`]:
+//!   size triggers run inline in [`EgressLane::send_step`], the adaptive
+//!   time trigger is a deadline ([`EgressLane::flush_deadline`]) the
+//!   worker folds into its own `select!` — taken when no frame is waiting
+//!   to be answered, or unconditionally once a further `max_delay`
+//!   overdue;
 //! - with batching on, all envelopes of one step bound for the same peer
 //!   share one v2 frame (one HMAC tag for the whole step); a solo
 //!   (single-instance) runner keeps the 4-bytes-cheaper v1 format for
@@ -30,14 +30,16 @@
 //!   hits;
 //! - encoded frames are `try_send`-handed to the bounded per-peer writer
 //!   queues; a full queue drops the frame, counted globally
-//!   (`dropped_egress`), per lane (`dropped_egress_shard`) and per
-//!   `(peer, lane)` site — so a single slow peer (drops in one peer's
-//!   row, across lanes) is never confused with a saturated lane (drops
-//!   in one lane's column, across peers);
-//! - [`SessionSet::shutdown`] closes the lanes first — each flushes
-//!   everything it still buffers — and only then closes the writer
-//!   queues and waits (bounded) for the write loops to flush, so a slow
-//!   peer still receives everything that was queued.
+//!   (`dropped_egress`), per shard class (`dropped_egress_shard`) and per
+//!   `(peer, class)` site — so a single slow peer (drops in one peer's
+//!   row, across classes) is never confused with a saturated worker
+//!   (drops in one class's column, across peers). A worker never waits
+//!   for a peer;
+//! - shutdown is "workers flush, then writer queues close": the service
+//!   closes its workers — each flushes what its lane still holds and
+//!   drops the lane — and only then [`SessionSet::shutdown`] closes the
+//!   writer queues and waits (bounded) for the write loops to flush, so
+//!   a slow peer still receives everything that was queued.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,27 +50,21 @@ use bytes::Bytes;
 use delphi_crypto::Keychain;
 use delphi_primitives::epoch::route_epoch_bursts_into;
 use delphi_primitives::mux::route_bursts_into;
-use delphi_primitives::{
-    AgreementId, Envelope, FlushPolicy, InstanceId, NodeId, PendingBatches, PendingBatchesBy,
-};
+use delphi_primitives::{AgreementId, Envelope, FlushPolicy, InstanceId, NodeId, PendingBatchesBy};
 use tokio::sync::mpsc;
+use tokio::time::Instant;
 
 use crate::frame::{encode_batch_frame, encode_epoch_frame, encode_frame};
 use crate::transport::{spawn_writer, Counters, MAX_RECV_SHARDS};
 
-/// Capacity (messages) of each egress lane's inbox. The router `await`s
-/// when a lane falls this far behind — backpressure on the protocol
-/// loop, never unbounded growth; actual frame dropping happens only at
-/// the bounded per-peer writer queues.
-const LANE_QUEUE_MSGS: usize = 1024;
-
 /// Hands `frame` to a peer's bounded writer queue, returning whether it
 /// was dropped because the peer is `egress_capacity` frames behind. The
-/// lane flush paths are synchronous, so blocking for room is not an
+/// flush paths run on a dispatch worker, so blocking for room is not an
 /// option — and is not wanted: a peer slower than its queue is treated
-/// like a crashed peer (the `t < n/3` budget) instead of a memory leak.
-/// A closed queue means the writer already exited (shutdown/abort); the
-/// frame is silently discarded exactly as the old unbounded send was.
+/// like a crashed peer (the `t < n/3` budget) instead of a memory leak
+/// or a stalled worker. A closed queue means the writer already exited
+/// (shutdown/abort); the frame is silently discarded exactly as the old
+/// unbounded send was.
 fn send_or_drop(tx: &mpsc::Sender<Bytes>, frame: Bytes, counters: &Counters) -> bool {
     if let Err(mpsc::error::TrySendError::Full(_)) = tx.try_send(frame) {
         counters.dropped_egress.fetch_add(1, Ordering::Relaxed);
@@ -77,12 +73,12 @@ fn send_or_drop(tx: &mpsc::Sender<Bytes>, frame: Bytes, counters: &Counters) -> 
     false
 }
 
-/// Per-`(peer, lane)` egress drop sites: the attribution that separates
-/// "peer 2 is slow" (one row lights up, across lanes) from "lane 0 is
-/// saturated" (one column lights up, across peers). Shared between the
-/// lanes; the first drop at a site emits one log line.
+/// Per-`(peer, class)` egress drop sites: the attribution that separates
+/// "peer 2 is slow" (one row lights up, across classes) from "worker 0
+/// is saturated" (one column lights up, across peers). Shared between
+/// the lanes; the first drop at a site emits one log line.
 struct EgressDropSites {
-    /// `counts[peer * MAX_RECV_SHARDS + lane]`.
+    /// `counts[peer * MAX_RECV_SHARDS + class]`.
     counts: Vec<AtomicU64>,
 }
 
@@ -91,12 +87,12 @@ impl EgressDropSites {
         EgressDropSites { counts: (0..n * MAX_RECV_SHARDS).map(|_| AtomicU64::new(0)).collect() }
     }
 
-    /// Records one drop at `(peer, lane)`, returning the new site count.
-    fn record(&self, peer: usize, lane: usize) -> u64 {
-        self.counts[peer * MAX_RECV_SHARDS + lane].fetch_add(1, Ordering::Relaxed) + 1
+    /// Records one drop at `(peer, class)`, returning the new site count.
+    fn record(&self, peer: usize, class: usize) -> u64 {
+        self.counts[peer * MAX_RECV_SHARDS + class].fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Per-peer rows of per-lane drop counts.
+    /// Per-peer rows of per-class drop counts.
     #[cfg(test)]
     fn snapshot(&self) -> Vec<[u64; MAX_RECV_SHARDS]> {
         self.counts
@@ -112,247 +108,236 @@ impl EgressDropSites {
     }
 }
 
-/// Work shipped from the router to an egress lane. Entries arrive
-/// already partitioned to one *(destination, receive shard)* pending
-/// slot; `Flush` releases everything the lane still buffers (the start
-/// bursts and pre-drain flushes the service loop requests explicitly —
-/// the adaptive time trigger runs on the lane's own timer).
-enum LaneMsg {
-    Solo { slot: usize, entries: Vec<(InstanceId, Bytes)> },
-    Epoch { slot: usize, entries: Vec<(AgreementId, Bytes)> },
-    Flush,
+/// An address space an [`EgressLane`] can batch: one-shot instance ids
+/// or epoch-addressed agreement ids. Burst routing and the frame format
+/// are all that differs between the two.
+pub(crate) trait EgressKey: Copy {
+    /// Routes one step's bursts into per-destination entry lists.
+    fn route(
+        bursts: Vec<(Self, Vec<Envelope>)>,
+        n: usize,
+        me: NodeId,
+        per_dest: &mut Vec<Vec<(Self, Bytes)>>,
+    );
+
+    /// Encodes and tags one frame carrying `entries` (non-empty). `solo`
+    /// marks a single-instance run, whose one-entry flushes keep the v1
+    /// format.
+    fn encode(keychain: &Keychain, to: NodeId, entries: &[(Self, Bytes)], solo: bool) -> Bytes;
 }
 
-/// One egress shard worker: owns the pending buffers of its receive-
-/// shard classes, runs the flush policy's size and time triggers, and
-/// performs frame encode + HMAC on its own task.
-struct EgressLane {
-    lane: usize,
+impl EgressKey for InstanceId {
+    fn route(
+        bursts: Vec<(InstanceId, Vec<Envelope>)>,
+        n: usize,
+        me: NodeId,
+        per_dest: &mut Vec<Vec<(InstanceId, Bytes)>>,
+    ) {
+        route_bursts_into(bursts, n, me, per_dest);
+    }
+
+    /// Multi-instance runs speak pure v2 so `NetStats` byte counts equal
+    /// the simulator's `Mux` accounting.
+    fn encode(
+        keychain: &Keychain,
+        to: NodeId,
+        entries: &[(InstanceId, Bytes)],
+        solo: bool,
+    ) -> Bytes {
+        match entries {
+            [(_, payload)] if solo => encode_frame(keychain, to, payload),
+            _ => encode_batch_frame(keychain, to, entries),
+        }
+    }
+}
+
+impl EgressKey for AgreementId {
+    fn route(
+        bursts: Vec<(AgreementId, Vec<Envelope>)>,
+        n: usize,
+        me: NodeId,
+        per_dest: &mut Vec<Vec<(AgreementId, Bytes)>>,
+    ) {
+        route_epoch_bursts_into(bursts, n, me, per_dest);
+    }
+
+    fn encode(
+        keychain: &Keychain,
+        to: NodeId,
+        entries: &[(AgreementId, Bytes)],
+        _solo: bool,
+    ) -> Bytes {
+        encode_epoch_frame(keychain, to, entries)
+    }
+}
+
+/// When an adaptive lane's time trigger fires, as its worker sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FlushDeadline {
+    /// `max_delay` after the first entry went pending: flush as soon as
+    /// there is no frame waiting to be answered.
+    pub(crate) due: Instant,
+    /// A further `max_delay` on: flush now, whatever is waiting.
+    pub(crate) overdue: Instant,
+}
+
+/// One dispatch worker's send side: the per-destination pending buffers
+/// of its receive-shard class, the flush policy's triggers, and frame
+/// encode + HMAC — all run by the worker itself, on its own thread.
+pub(crate) struct EgressLane<K> {
+    /// The worker's receive-shard class (the index its counters and drop
+    /// sites are attributed to).
+    class: usize,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
     drop_sites: Arc<EgressDropSites>,
     /// Clones of the per-peer writer senders: writers observe close only
-    /// once every lane has exited *and* the router dropped its copies.
+    /// once every lane is gone *and* the session set dropped its copies.
     peer_tx: Vec<Option<mpsc::Sender<Bytes>>>,
     batching: bool,
     solo: bool,
-    recv_shards: usize,
-    /// Per-slot epoch entries awaiting flush (epoch streams only) —
-    /// the same accumulator `EpochProtocol` uses under the simulator, so
-    /// the two transports share one flush-trigger semantics. Full-size
-    /// (`n * recv_shards` slots); only this lane's classes see traffic.
-    pending: PendingBatches,
-    /// Per-slot one-shot entries awaiting flush (`run_instances`).
-    pending_solo: PendingBatchesBy<InstanceId>,
+    /// Per-destination entries awaiting flush — the same accumulator
+    /// `EpochProtocol` uses under the simulator, so the two transports
+    /// share one flush-trigger semantics.
+    pending: PendingBatchesBy<K>,
+    /// Reused routing buffers, one per destination.
+    routed: Vec<Vec<(K, Bytes)>>,
     /// The adaptive policy's time trigger (None per-step).
     flush_delay: Option<Duration>,
+    /// When the time trigger fires: armed while anything is pending.
+    flush_at: Option<Instant>,
     /// Reuse hits already published into the shared counter.
     published_reuses: u64,
 }
 
-impl EgressLane {
-    /// The lane's event loop: accumulate, flush on size/time triggers or
-    /// explicit `Flush`, and drain everything when the router closes the
-    /// inbox (shutdown) — before the writer queues close behind it.
-    async fn run(mut self, mut rx: mpsc::Receiver<LaneMsg>) {
-        let mut flush_at: Option<tokio::time::Instant> = None;
-        loop {
-            let msg = match flush_at {
-                Some(at) => tokio::select! {
-                    m = rx.recv() => Some(m),
-                    _ = tokio::time::sleep_until(at) => None,
-                },
-                None => Some(rx.recv().await),
-            };
-            match msg {
-                Some(Some(LaneMsg::Solo { slot, mut entries })) => {
-                    if self.pending_solo.push_drain(slot, &mut entries) {
-                        self.flush_solo_slot(slot);
-                    }
-                }
-                Some(Some(LaneMsg::Epoch { slot, mut entries })) => {
-                    if self.pending.push_drain(slot, &mut entries) {
-                        self.flush_epoch_slot(slot);
-                    }
-                }
-                Some(Some(LaneMsg::Flush)) | None => {
-                    self.flush_all();
-                    flush_at = None;
-                }
-                Some(None) => break,
+impl<K: EgressKey> EgressLane<K> {
+    /// Sends one protocol step's output: the envelope bursts of every
+    /// instance that acted, routed per destination, accumulated, and
+    /// flushed where the session's [`FlushPolicy`] says a destination is
+    /// due (per-step always — the classic one-frame-per-step cost model;
+    /// adaptive on the size triggers, with
+    /// [`flush_deadline`](EgressLane::flush_deadline) as the time
+    /// trigger).
+    pub(crate) fn send_step(&mut self, bursts: Vec<(K, Vec<Envelope>)>) {
+        if bursts.is_empty() {
+            return; // most entries trigger nothing
+        }
+        let mut routed = std::mem::take(&mut self.routed);
+        K::route(bursts, self.peer_tx.len(), self.keychain.node_id(), &mut routed);
+        for (dest, entries) in routed.iter_mut().enumerate() {
+            if entries.is_empty() || self.peer_tx[dest].is_none() {
+                continue;
             }
-            // The lane's own time trigger: armed while anything is
-            // pending, disarmed once a flush emptied every slot.
-            if let Some(delay) = self.flush_delay {
-                if !(self.pending.has_pending() || self.pending_solo.has_pending()) {
-                    flush_at = None;
-                } else if flush_at.is_none() {
-                    flush_at = Some(tokio::time::Instant::now() + delay);
-                }
+            self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
+            if self.pending.push_drain(dest, entries) {
+                self.flush_dest(dest);
             }
         }
-        // Inbox closed: final drain, while the writer queues are still
-        // open (shutdown joins the lanes before closing them).
-        self.flush_all();
+        self.routed = routed;
     }
 
-    fn flush_all(&mut self) {
-        for slot in 0..self.pending.dests() {
-            self.flush_epoch_slot(slot);
+    /// Flushes everything still pending, for every destination: start
+    /// bursts, lingering steps, the time trigger, and the final drain
+    /// before the worker exits.
+    pub(crate) fn flush_all(&mut self) {
+        for dest in 0..self.pending.dests() {
+            self.flush_dest(dest);
         }
-        for slot in 0..self.pending_solo.dests() {
-            self.flush_solo_slot(slot);
-        }
+        self.flush_at = None;
     }
 
-    /// Hands one encoded frame to `dest`'s writer queue, attributing any
-    /// overflow drop to this lane and the `(peer, lane)` site.
-    fn ship_frame(&self, dest: usize, tx: &mpsc::Sender<Bytes>, frame: Bytes) {
-        if send_or_drop(tx, frame, &self.counters) {
-            self.counters.dropped_egress_shard[self.lane].fetch_add(1, Ordering::Relaxed);
-            if self.drop_sites.record(dest, self.lane) == 1 {
-                eprintln!(
-                    "delphi-net: egress lane {} started dropping frames to peer {} \
-                     (writer queue full)",
-                    self.lane, dest
-                );
-            }
+    /// The adaptive time trigger as a deadline for the owning worker's
+    /// `select!`: armed when the first entry goes pending, kept until a
+    /// flush has emptied every destination, `None` while nothing waits
+    /// (and always under the per-step policy). The worker answers it
+    /// with [`flush_all`](EgressLane::flush_all).
+    pub(crate) fn flush_deadline(&mut self) -> Option<FlushDeadline> {
+        let delay = self.flush_delay?;
+        if !self.pending.has_pending() {
+            self.flush_at = None;
+        } else if self.flush_at.is_none() {
+            self.flush_at = Some(Instant::now() + delay);
         }
+        self.flush_at.map(|due| FlushDeadline { due, overdue: due + delay })
     }
 
-    fn flush_solo_slot(&mut self, slot: usize) {
-        let entries = self.pending_solo.take(slot);
+    fn flush_dest(&mut self, dest: usize) {
+        let entries = self.pending.take(dest);
         if entries.is_empty() {
             return;
         }
-        let dest = slot / self.recv_shards;
-        let Some(Some(tx)) = self.peer_tx.get(dest) else {
-            self.pending_solo.recycle(entries);
-            return;
-        };
-        self.counters.egress_shard_entries[self.lane]
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let to = NodeId(dest as u16);
-        if self.batching {
-            let frame = match &entries[..] {
-                [(_, payload)] if self.solo => encode_frame(&self.keychain, to, payload),
-                _ => encode_batch_frame(&self.keychain, to, &entries),
-            };
-            self.count_mac();
-            self.ship_frame(dest, tx, frame);
-        } else {
-            // One frame per entry: the measurement baseline.
-            for (instance, payload) in &entries {
-                let frame = if self.solo {
-                    encode_frame(&self.keychain, to, payload)
-                } else {
-                    encode_batch_frame(&self.keychain, to, &[(*instance, payload.clone())])
-                };
-                self.count_mac();
-                self.ship_frame(dest, tx, frame);
-            }
-        }
-        self.pending_solo.recycle(entries);
-        self.publish_reuses();
-    }
-
-    fn flush_epoch_slot(&mut self, slot: usize) {
-        let entries = self.pending.take(slot);
-        if entries.is_empty() {
-            return;
-        }
-        let dest = slot / self.recv_shards;
         let Some(Some(tx)) = self.peer_tx.get(dest) else {
             self.pending.recycle(entries);
             return;
         };
-        self.counters.egress_shard_entries[self.lane]
+        self.counters.egress_shard_entries[self.class]
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         let to = NodeId(dest as u16);
         if self.batching {
-            let frame = encode_epoch_frame(&self.keychain, to, &entries);
-            self.count_mac();
-            self.ship_frame(dest, tx, frame);
+            self.ship_frame(dest, tx, K::encode(&self.keychain, to, &entries, self.solo));
         } else {
             // One frame per entry: the measurement baseline.
             for entry in &entries {
-                let frame = encode_epoch_frame(&self.keychain, to, std::slice::from_ref(entry));
-                self.count_mac();
-                self.ship_frame(dest, tx, frame);
+                let entry = std::slice::from_ref(entry);
+                self.ship_frame(dest, tx, K::encode(&self.keychain, to, entry, self.solo));
             }
         }
         self.pending.recycle(entries);
-        self.publish_reuses();
+        // Per-lane deltas: lanes share the counter, so `store` would race.
+        let reuses = self.pending.reuse_hits();
+        if reuses > self.published_reuses {
+            self.counters
+                .buffer_reuses
+                .fetch_add(reuses - self.published_reuses, Ordering::Relaxed);
+            self.published_reuses = reuses;
+        }
     }
 
-    /// One encode-side HMAC: counted globally and attributed to the lane.
-    fn count_mac(&self) {
+    /// Hands one freshly tagged frame to `dest`'s writer queue, counting
+    /// its encode-side HMAC and attributing any overflow drop to this
+    /// worker's class and the `(peer, class)` site.
+    fn ship_frame(&self, dest: usize, tx: &mpsc::Sender<Bytes>, frame: Bytes) {
         self.counters.mac_ops.fetch_add(1, Ordering::Relaxed);
-        self.counters.egress_shard_macs[self.lane].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes fresh pending-buffer reuse hits into the shared stats
-    /// (per-lane deltas: lanes share the counter, so `store` would race).
-    fn publish_reuses(&mut self) {
-        let total = self.pending.reuse_hits() + self.pending_solo.reuse_hits();
-        let delta = total - self.published_reuses;
-        if delta > 0 {
-            self.counters.buffer_reuses.fetch_add(delta, Ordering::Relaxed);
-            self.published_reuses = total;
+        self.counters.egress_shard_macs[self.class].fetch_add(1, Ordering::Relaxed);
+        if send_or_drop(tx, frame, &self.counters) {
+            self.counters.dropped_egress_shard[self.class].fetch_add(1, Ordering::Relaxed);
+            if self.drop_sites.record(dest, self.class) == 1 {
+                eprintln!(
+                    "delphi-net: shard worker {} started dropping frames to peer {} \
+                     (writer queue full)",
+                    self.class, dest
+                );
+            }
         }
     }
 }
 
-/// The outbound half of a full-mesh node: one authenticated session per
-/// peer, partitioned across `send_shards` egress lane workers.
-///
-/// One-shot runs queue whole steps ([`SessionSet::enqueue_step`]); epoch
-/// streams queue epoch-addressed entries
-/// ([`SessionSet::enqueue_epoch_step`]). Both paths route per
-/// *(destination, receive shard)* — so a sharded deployment's frames
-/// each land wholly on one of the receiver's dispatch workers, exactly
-/// like the simulator's `EpochProtocol::new_sharded` sender model — and
-/// the owning lane (`shard class % send_shards`) batches, encodes, and
-/// MACs them off the service loop.
+/// The outbound half of a full-mesh node: one authenticated session — a
+/// bounded frame queue and its lazy-dialing write loop — per peer, and
+/// the factory of the [`EgressLane`]s that feed them.
 pub(crate) struct SessionSet {
     /// `peer_tx[p]` queues frames for peer `p`; `None` at our own slot.
     /// Queues are bounded (`egress_capacity` frames): a peer that falls
     /// further behind has its frames dropped and counted in
     /// `NetStats::dropped_egress` — a slower-than-capacity peer is
     /// treated as crashed (within the `t < n/3` budget) rather than
-    /// allowed to inflate memory or stall the flush path. The router
-    /// keeps these originals so writers close only after the lanes (which
-    /// hold clones) have drained and exited.
+    /// allowed to inflate memory or stall a worker. The set keeps these
+    /// originals so writers close only after the lanes (which hold
+    /// clones) are gone.
     peer_tx: Vec<Option<mpsc::Sender<Bytes>>>,
     writer_tasks: Vec<tokio::task::JoinHandle<()>>,
-    /// `lane_tx[l]` feeds egress lane `l`; closing them (shutdown) makes
-    /// each lane flush its remaining buffers and exit.
-    lane_tx: Vec<mpsc::Sender<LaneMsg>>,
-    lane_tasks: Vec<tokio::task::JoinHandle<()>>,
-    me: NodeId,
+    keychain: Arc<Keychain>,
     counters: Arc<Counters>,
-    #[cfg_attr(not(test), allow(dead_code))]
     drop_sites: Arc<EgressDropSites>,
-    /// Receive shards the deployment runs (1 = unsharded): pending slots
-    /// are indexed `dest * recv_shards + shard`.
-    recv_shards: usize,
-    /// Reused routing buffers, one set per address space.
-    route_epoch: Vec<Vec<(AgreementId, Bytes)>>,
-    route_solo: Vec<Vec<(InstanceId, Bytes)>>,
-    /// Reused per-shard partition buffers (sharded mode only).
-    shard_epoch: Vec<Vec<(AgreementId, Bytes)>>,
-    shard_solo: Vec<Vec<(InstanceId, Bytes)>>,
+    batching: bool,
+    solo: bool,
+    flush: FlushPolicy,
 }
 
 impl SessionSet {
-    /// Opens a session (a lazy-dialing write loop) to every peer in
-    /// `addrs` except `keychain.node_id()` itself, and spawns
-    /// `send_shards` egress lane workers over them. `recv_shards` is the
-    /// deployment's receive-shard count: outbound batches are flushed per
-    /// `(destination, shard)` so every frame belongs wholly to one of the
-    /// receiver's dispatch workers; lane `class % send_shards` owns each
-    /// shard class end to end (send parallelism therefore tops out at
-    /// `recv_shards` lanes).
+    /// Opens a session (a lazy-dialing write loop behind a queue of
+    /// `egress_capacity` frames) to every peer in `addrs` except
+    /// `keychain.node_id()` itself.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn connect(
         keychain: Arc<Keychain>,
@@ -362,15 +347,8 @@ impl SessionSet {
         batching: bool,
         solo: bool,
         flush: FlushPolicy,
-        recv_shards: usize,
-        send_shards: usize,
         egress_capacity: usize,
     ) -> SessionSet {
-        assert!(recv_shards >= 1, "need at least one receive shard");
-        assert!(
-            (1..=MAX_RECV_SHARDS).contains(&send_shards),
-            "send shards must be in 1..={MAX_RECV_SHARDS}"
-        );
         assert!(egress_capacity >= 1, "need at least one frame of egress capacity");
         let me = keychain.node_id();
         let n = addrs.len();
@@ -390,174 +368,51 @@ impl SessionSet {
                 counters.clone(),
             ));
         }
-        let flush_delay = match flush {
-            FlushPolicy::Adaptive { max_delay, .. } => Some(max_delay),
-            FlushPolicy::PerStep => None,
-        };
         let drop_sites = Arc::new(EgressDropSites::new(n));
-        let mut lane_tx = Vec::with_capacity(send_shards);
-        let mut lane_tasks = Vec::with_capacity(send_shards);
-        for lane in 0..send_shards {
-            let (tx, rx) = mpsc::channel::<LaneMsg>(LANE_QUEUE_MSGS);
-            lane_tx.push(tx);
-            let worker = EgressLane {
-                lane,
-                keychain: keychain.clone(),
-                counters: counters.clone(),
-                drop_sites: drop_sites.clone(),
-                peer_tx: peer_tx.clone(),
-                batching,
-                solo,
-                recv_shards,
-                pending: PendingBatches::new(n * recv_shards, flush),
-                pending_solo: PendingBatchesBy::new(n * recv_shards, flush),
-                flush_delay,
-                published_reuses: 0,
-            };
-            lane_tasks.push(tokio::spawn(worker.run(rx)));
-        }
-        SessionSet {
-            peer_tx,
-            writer_tasks,
-            lane_tx,
-            lane_tasks,
-            me,
-            counters,
-            drop_sites,
-            recv_shards,
-            route_epoch: Vec::new(),
-            route_solo: Vec::new(),
-            shard_epoch: std::iter::repeat_with(Vec::new).take(recv_shards).collect(),
-            shard_solo: std::iter::repeat_with(Vec::new).take(recv_shards).collect(),
+        SessionSet { peer_tx, writer_tasks, keychain, counters, drop_sites, batching, solo, flush }
+    }
+
+    /// The egress lane for the dispatch worker owning receive-shard
+    /// class `class`: its own pending buffers over clones of the writer
+    /// queues.
+    pub(crate) fn lane<K>(&self, class: usize) -> EgressLane<K> {
+        assert!(class < MAX_RECV_SHARDS, "shard class out of range");
+        EgressLane {
+            class,
+            keychain: self.keychain.clone(),
+            counters: self.counters.clone(),
+            drop_sites: self.drop_sites.clone(),
+            peer_tx: self.peer_tx.clone(),
+            batching: self.batching,
+            solo: self.solo,
+            pending: PendingBatchesBy::new(self.peer_tx.len(), self.flush),
+            routed: Vec::new(),
+            flush_delay: match self.flush {
+                FlushPolicy::Adaptive { max_delay, .. } => Some(max_delay),
+                FlushPolicy::PerStep => None,
+            },
+            flush_at: None,
+            published_reuses: 0,
         }
     }
 
-    /// Hands one partitioned group to the lane owning `class`. An `await`
-    /// here is backpressure on a lane more than [`LANE_QUEUE_MSGS`]
-    /// behind; a closed lane means shutdown already ran and the group is
-    /// discarded exactly like a send on a closed writer queue was.
-    async fn ship(&self, class: usize, msg: LaneMsg) {
-        let lane = class % self.lane_tx.len();
-        let _ = self.lane_tx[lane].send(msg).await;
-    }
-
-    /// Queues one protocol step's output: the envelope bursts of every
-    /// instance that acted, routed per destination (and receive shard)
-    /// and handed to the owning egress lane, which accumulates and
-    /// flushes them per the session's [`FlushPolicy`] (per-step
-    /// immediately — the classic one-frame-per-step cost model; adaptive
-    /// on size triggers, with the lane's own timer as the time trigger).
-    ///
-    /// Multi-instance runs speak pure v2 so `NetStats` byte counts equal
-    /// the simulator's `Mux` accounting; solo single-envelope flushes
-    /// keep the (4 bytes cheaper) v1 format.
-    pub(crate) async fn enqueue_step(&mut self, bursts: Vec<(InstanceId, Vec<Envelope>)>) {
-        let (n, shards) = (self.peer_tx.len(), self.recv_shards);
-        let mut routed = std::mem::take(&mut self.route_solo);
-        route_bursts_into(bursts, n, self.me, &mut routed);
-        for (dest, entries) in routed.iter_mut().enumerate() {
-            if entries.is_empty() || self.peer_tx[dest].is_none() {
-                continue;
-            }
-            self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-            if shards == 1 {
-                let entries = std::mem::take(entries);
-                self.ship(0, LaneMsg::Solo { slot: dest, entries }).await;
-                continue;
-            }
-            // Partition into shard classes so every flushed frame lands
-            // wholly on one of the receiver's dispatch workers.
-            let mut groups = std::mem::take(&mut self.shard_solo);
-            for (id, payload) in entries.drain(..) {
-                groups[id.shard(shards)].push((id, payload));
-            }
-            for (shard, group) in groups.iter_mut().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let entries = std::mem::take(group);
-                self.ship(shard, LaneMsg::Solo { slot: dest * shards + shard, entries }).await;
-            }
-            self.shard_solo = groups;
-        }
-        self.route_solo = routed;
-    }
-
-    /// Queues one epoch-stream step: epoch-addressed bursts routed per
-    /// (destination, shard) and handed to the owning egress lane.
-    pub(crate) async fn enqueue_epoch_step(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>) {
-        let (n, shards) = (self.peer_tx.len(), self.recv_shards);
-        let mut routed = std::mem::take(&mut self.route_epoch);
-        route_epoch_bursts_into(bursts, n, self.me, &mut routed);
-        for (dest, entries) in routed.iter_mut().enumerate() {
-            if entries.is_empty() || self.peer_tx[dest].is_none() {
-                continue;
-            }
-            self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-            if shards == 1 {
-                let entries = std::mem::take(entries);
-                self.ship(0, LaneMsg::Epoch { slot: dest, entries }).await;
-                continue;
-            }
-            let mut groups = std::mem::take(&mut self.shard_epoch);
-            for (id, payload) in entries.drain(..) {
-                groups[id.shard(shards)].push((id, payload));
-            }
-            for (shard, group) in groups.iter_mut().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let entries = std::mem::take(group);
-                self.ship(shard, LaneMsg::Epoch { slot: dest * shards + shard, entries }).await;
-            }
-            self.shard_epoch = groups;
-        }
-        self.route_epoch = routed;
-    }
-
-    /// Asks every lane to flush its pending epoch entries (start bursts
-    /// and pre-shutdown drains; the adaptive time trigger runs on the
-    /// lanes' own timers). Lane inboxes are FIFO, so the flush lands
-    /// after everything enqueued before it.
-    pub(crate) async fn flush_epochs(&mut self) {
-        for tx in &self.lane_tx {
-            let _ = tx.send(LaneMsg::Flush).await;
-        }
-    }
-
-    /// Asks every lane to flush its pending one-shot entries.
-    pub(crate) async fn flush_steps(&mut self) {
-        for tx in &self.lane_tx {
-            let _ = tx.send(LaneMsg::Flush).await;
-        }
-    }
-
-    /// The shared per-`(peer, lane)` drop sites (test observability).
+    /// The shared per-`(peer, class)` drop sites (test observability).
     #[cfg(test)]
     fn drop_sites(&self) -> Arc<EgressDropSites> {
         self.drop_sites.clone()
     }
 
-    /// Graceful drain, in dependency order: close the lane inboxes so
-    /// every lane flushes its remaining buffers into the writer queues
-    /// and exits; then close the per-peer queues so each write loop
-    /// flushes its remaining frames and exits at channel-close; join
-    /// both layers against a shared `drain_timeout` deadline. Closing
-    /// the writers first would lose whatever the lanes still buffered —
-    /// the lanes-flush-before-writer-close ordering is load-bearing.
-    pub(crate) async fn shutdown(self, drain_timeout: Duration) {
-        let SessionSet { peer_tx, writer_tasks, lane_tx, lane_tasks, .. } = self;
-        let drain_deadline = tokio::time::Instant::now() + drain_timeout;
-        drop(lane_tx);
-        for task in lane_tasks {
-            let mut task = task;
-            tokio::select! {
-                _ = &mut task => {},
-                _ = tokio::time::sleep_until(drain_deadline) => task.abort(),
-            }
-        }
-        // Lanes are gone (their peer_tx clones dropped); releasing the
-        // router's originals is what lets the writers observe close.
+    /// Graceful drain of the write side, to be called once the workers
+    /// have flushed and dropped their lanes: closes the per-peer queues
+    /// so each write loop flushes its remaining frames and exits at
+    /// channel-close, and joins them against `drain_deadline`. Closing
+    /// the writers before the workers are done would lose whatever the
+    /// lanes still buffered — the workers-flush-before-writer-close
+    /// ordering is load-bearing.
+    pub(crate) async fn shutdown(self, drain_deadline: Instant) {
+        let SessionSet { peer_tx, writer_tasks, .. } = self;
+        // The lanes are gone (their clones dropped); releasing the
+        // originals is what lets the writers observe close.
         drop(peer_tx);
         for task in writer_tasks {
             let mut task = task;
@@ -568,13 +423,9 @@ impl SessionSet {
         }
     }
 
-    /// Aborts every lane and writer immediately, dropping queued frames
-    /// (used on deadline failure, where there is no output worth
-    /// draining for).
+    /// Aborts every writer immediately, dropping queued frames (used on
+    /// deadline failure, where there is no output worth draining for).
     pub(crate) fn abort(self) {
-        for l in self.lane_tasks {
-            l.abort();
-        }
         for w in self.writer_tasks {
             w.abort();
         }
@@ -609,136 +460,132 @@ mod tests {
         tokio::runtime::Runtime::new().ok()?.block_on(rx.recv())
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn full_writer_queue_drops_frames_instead_of_growing() {
-        // Peer 1 lives at a dead address (nothing listens on port 1), so
-        // its writer can never drain. With `egress_capacity = 4`, flushing
-        // 100 single-envelope steps must keep at most capacity frames
-        // queued (+1 the writer may already hold while dialing) and count
-        // every other frame as dropped egress — never grow memory.
-        let keychain = Arc::new(Keychain::derive(b"egress", NodeId(0), 2));
-        let addrs: Vec<SocketAddr> =
-            vec!["127.0.0.1:9".parse().unwrap(), "127.0.0.1:1".parse().unwrap()];
-        let counters = Arc::new(Counters::default());
-        let mut sessions = SessionSet::connect(
+    /// A `SessionSet` for node 0 of `n` whose peers all live at a dead
+    /// address (nothing listens on port 1): every writer parks in its
+    /// dial-retry loop after the first failure and never drains.
+    fn dead_peer_sessions(
+        n: usize,
+        counters: &Arc<Counters>,
+        solo: bool,
+        flush: FlushPolicy,
+        egress_capacity: usize,
+    ) -> SessionSet {
+        let keychain = Arc::new(Keychain::derive(b"egress", NodeId(0), n));
+        let addrs: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().unwrap(); n];
+        SessionSet::connect(
             keychain,
             &addrs,
-            Duration::from_secs(60), // park the writer after its first dial fails
+            Duration::from_secs(60),
             counters.clone(),
             true,
-            true,
-            FlushPolicy::PerStep,
-            1,
-            1,
-            4,
-        );
+            solo,
+            flush,
+            egress_capacity,
+        )
+    }
+
+    /// One step carrying one envelope for `dest`.
+    fn send_one(lane: &mut EgressLane<InstanceId>, dest: u16, payload: &[u8]) {
+        lane.send_step(vec![(
+            InstanceId(0),
+            vec![Envelope::to_one(NodeId(dest), Bytes::copy_from_slice(payload))],
+        )]);
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn full_writer_queue_drops_frames_instead_of_growing() {
+        // Peer 1's writer can never drain. With `egress_capacity = 4`,
+        // flushing 100 single-envelope steps must keep at most capacity
+        // frames queued (+1 the writer may already hold while dialing)
+        // and count every other frame as dropped egress — never grow
+        // memory, never make the sending worker wait.
+        let counters = Arc::new(Counters::default());
+        let sessions = dead_peer_sessions(2, &counters, true, FlushPolicy::PerStep, 4);
+        let mut lane = sessions.lane::<InstanceId>(0);
         for step in 0..100u16 {
-            sessions
-                .enqueue_step(vec![(
-                    InstanceId(0),
-                    vec![Envelope::to_one(NodeId(1), Bytes::from(step.to_be_bytes().to_vec()))],
-                )])
-                .await;
+            send_one(&mut lane, 1, &step.to_be_bytes());
         }
-        // Joining the (asynchronous) lane is the barrier that makes the
-        // drop count final; the parked writer is aborted at the deadline.
-        sessions.shutdown(Duration::from_millis(500)).await;
+        // The lane runs on this thread, so the drop count is final here.
         let dropped = counters.dropped_egress.load(Ordering::Relaxed);
         assert!(
             (95..=96).contains(&dropped),
             "expected all but capacity(+1 in-flight) frames dropped, got {dropped}"
         );
         assert_eq!(counters.dropped_egress_shard[0].load(Ordering::Relaxed), dropped);
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 100, "every frame was tagged");
+        drop(lane);
+        // The parked writer is aborted at the deadline.
+        sessions.shutdown(Instant::now() + Duration::from_millis(300)).await;
         assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 0);
-    }
-
-    /// Finds an instance id hashing to shard class `want` of 2.
-    fn id_of_class(want: usize) -> InstanceId {
-        (0u16..64)
-            .map(InstanceId)
-            .find(|i| i.shard(2) == want)
-            .expect("both classes occur within 64 ids")
-    }
-
-    /// One step carrying one envelope of shard class `class` to `dest`.
-    async fn send_one(sessions: &mut SessionSet, dest: u16, class: usize) {
-        sessions
-            .enqueue_step(vec![(
-                id_of_class(class),
-                vec![Envelope::to_one(NodeId(dest), Bytes::from_static(b"x"))],
-            )])
-            .await;
-    }
-
-    /// Builds a 3-node SessionSet (me = 0, peers 1 and 2 at dead
-    /// addresses) with 2 receive shards and 2 egress lanes.
-    fn dead_peer_sessions(counters: &Arc<Counters>) -> SessionSet {
-        let keychain = Arc::new(Keychain::derive(b"drop-attr", NodeId(0), 3));
-        let addrs: Vec<SocketAddr> = vec![
-            "127.0.0.1:9".parse().unwrap(),
-            "127.0.0.1:1".parse().unwrap(),
-            "127.0.0.1:1".parse().unwrap(),
-        ];
-        SessionSet::connect(
-            keychain,
-            &addrs,
-            Duration::from_secs(60), // park the writers after their first dial fails
-            counters.clone(),
-            true,
-            false,
-            FlushPolicy::PerStep,
-            2,
-            2,
-            2,
-        )
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn egress_drops_attribute_slow_peer_vs_saturated_lane() {
-        // Cause 1 — a slow peer: overflow traffic on BOTH shard classes,
-        // but only toward peer 1. Drops must land in peer 1's row across
-        // both lanes, and nowhere in peer 2's row — the signature that
-        // says "that peer is behind", not "a lane is saturated".
-        let counters = Arc::new(Counters::default());
-        let sessions = {
-            let mut s = dead_peer_sessions(&counters);
+        // Two workers (shard classes 0 and 1) over three nodes, queues of
+        // two frames, no peer ever draining.
+        let run = |traffic: &[(u16, usize)]| {
+            let counters = Arc::new(Counters::default());
+            let sessions = dead_peer_sessions(3, &counters, false, FlushPolicy::PerStep, 2);
+            let mut lanes = [sessions.lane::<InstanceId>(0), sessions.lane::<InstanceId>(1)];
             for _ in 0..30 {
-                send_one(&mut s, 1, 0).await;
-                send_one(&mut s, 1, 1).await;
+                for &(dest, class) in traffic {
+                    send_one(&mut lanes[class], dest, b"x");
+                }
             }
-            s
+            (sessions.drop_sites().snapshot(), counters.snapshot(), sessions)
         };
-        let sites = sessions.drop_sites();
-        sessions.shutdown(Duration::from_millis(500)).await;
-        let rows = sites.snapshot();
-        assert!(rows[1][0] > 0 && rows[1][1] > 0, "slow peer drops on both lanes: {rows:?}");
+
+        // Cause 1 — a slow peer: overflow traffic from BOTH workers, but
+        // only toward peer 1. Drops must land in peer 1's row across
+        // both classes, and nowhere in peer 2's row — the signature that
+        // says "that peer is behind", not "a worker is saturated".
+        let (rows, snap, sessions) = run(&[(1, 0), (1, 1)]);
+        assert!(rows[1][0] > 0 && rows[1][1] > 0, "slow peer drops on both classes: {rows:?}");
         assert!(rows[2].iter().all(|&c| c == 0), "no drops to the idle peer: {rows:?}");
-        let snap = counters.snapshot();
         assert_eq!(
             snap.dropped_egress_shard.iter().sum::<u64>(),
             snap.dropped_egress,
-            "every drop is attributed to a lane"
+            "every drop is attributed to a shard class"
         );
+        sessions.abort();
 
-        // Cause 2 — a saturated lane: overflow traffic on ONE shard class
-        // toward both peers. Drops must land in lane 0's column across
-        // both peers, and never on lane 1.
-        let counters = Arc::new(Counters::default());
-        let sessions = {
-            let mut s = dead_peer_sessions(&counters);
-            for _ in 0..30 {
-                send_one(&mut s, 1, 0).await;
-                send_one(&mut s, 2, 0).await;
-            }
-            s
-        };
-        let sites = sessions.drop_sites();
-        sessions.shutdown(Duration::from_millis(500)).await;
-        let rows = sites.snapshot();
-        assert!(rows[1][0] > 0 && rows[2][0] > 0, "lane-0 drops for both peers: {rows:?}");
-        assert!(rows.iter().all(|row| row[1] == 0), "the idle lane must stay clean: {rows:?}");
-        let snap = counters.snapshot();
+        // Cause 2 — a saturated worker: overflow traffic from ONE class
+        // toward both peers. Drops must land in class 0's column across
+        // both peers, and never on class 1.
+        let (rows, snap, sessions) = run(&[(1, 0), (2, 0)]);
+        assert!(rows[1][0] > 0 && rows[2][0] > 0, "class-0 drops for both peers: {rows:?}");
+        assert!(rows.iter().all(|row| row[1] == 0), "the idle class must stay clean: {rows:?}");
         assert_eq!(snap.dropped_egress_shard[1], 0);
         assert_eq!(snap.dropped_egress_shard[0], snap.dropped_egress);
+        sessions.abort();
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn adaptive_lane_arms_one_deadline_until_everything_is_flushed() {
+        let counters = Arc::new(Counters::default());
+        let flush = FlushPolicy::Adaptive {
+            max_entries: 2,
+            max_bytes: 4096,
+            max_delay: Duration::from_millis(5),
+        };
+        let sessions = dead_peer_sessions(3, &counters, false, flush, 16);
+        let mut lane = sessions.lane::<InstanceId>(0);
+        assert_eq!(lane.flush_deadline(), None, "nothing pending, nothing armed");
+        send_one(&mut lane, 1, b"a");
+        send_one(&mut lane, 2, b"b");
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 0, "below every size trigger");
+        let armed = lane.flush_deadline().expect("armed by the first pending entry");
+        assert_eq!(armed.overdue, armed.due + Duration::from_millis(5));
+        // The size trigger flushes peer 1 inline; peer 2's entry still
+        // waits on the deadline it was armed with.
+        send_one(&mut lane, 1, b"c");
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 1);
+        assert_eq!(lane.flush_deadline(), Some(armed));
+        lane.flush_all();
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.egress_shard_entries[0].load(Ordering::Relaxed), 3);
+        assert_eq!(lane.flush_deadline(), None, "disarmed once nothing is pending");
+        drop(lane);
+        sessions.abort();
     }
 }

@@ -39,9 +39,8 @@ pub(crate) const MAX_BACKOFF_FACTOR: u32 = 16;
 
 /// Maximum receive dispatch shards a runner may use
 /// ([`crate::RunOptions::recv_shards`] is clamped to this), sized so
-/// [`NetStats`] can carry fixed per-shard counters. Send lanes
-/// ([`crate::RunOptions::send_shards`]) share the same bound: an egress
-/// lane serves one or more receive-shard classes, never the reverse.
+/// [`NetStats`] can carry fixed per-shard counters — for dispatch and,
+/// since every dispatch worker flushes its own output, for egress too.
 pub const MAX_RECV_SHARDS: usize = 8;
 
 /// Byte counters observed by the runner.
@@ -85,19 +84,19 @@ pub struct NetStats {
     /// Authenticated entries dispatched to each receive shard (index =
     /// shard; unsharded runs count everything on shard 0).
     pub shard_entries: [u64; MAX_RECV_SHARDS],
-    /// Entries flushed (encoded into frames) by each egress send lane
-    /// (index = lane; runs with one send shard count everything on
-    /// lane 0). Summed over lanes this equals `sent_entries` once the
-    /// lanes have drained.
+    /// Entries flushed (encoded into frames) by each dispatch worker's
+    /// egress lane (index = the worker's receive-shard class; unsharded
+    /// runs count everything on class 0). Summed over classes this
+    /// equals `sent_entries` once the workers have flushed.
     pub egress_shard_entries: [u64; MAX_RECV_SHARDS],
-    /// HMAC tag computations performed by each egress send lane — the
-    /// per-lane attribution of the encode share of `mac_ops`.
+    /// HMAC tag computations performed by each worker's egress lane —
+    /// the per-class attribution of the encode share of `mac_ops`.
     pub egress_shard_macs: [u64; MAX_RECV_SHARDS],
-    /// Outbound frames dropped by each egress send lane because the
-    /// destination's bounded writer queue was full — the per-lane
-    /// attribution of `dropped_egress`. A saturated lane concentrates
+    /// Outbound frames dropped by each worker's egress lane because the
+    /// destination's bounded writer queue was full — the per-class
+    /// attribution of `dropped_egress`. A saturated worker concentrates
     /// drops on one index across peers; a slow peer spreads them across
-    /// lanes (the per-peer split lives in the session-layer drop log).
+    /// classes (the per-peer split lives in the session-layer drop log).
     pub dropped_egress_shard: [u64; MAX_RECV_SHARDS],
 }
 
@@ -169,9 +168,20 @@ pub(crate) struct VerifiedFrame {
     pub(crate) body: Bytes,
 }
 
+/// What a dispatch worker's inbox carries.
+#[derive(Debug)]
+pub(crate) enum ShardInput {
+    /// An authenticated frame with at least one entry the worker owns.
+    Frame(VerifiedFrame),
+    /// The run is over: flush what is pending and exit. Read loops hold
+    /// inbox senders for as long as their peers stay connected, so an
+    /// inbox never closes by itself; the service loop says so instead.
+    Close,
+}
+
 /// Per-shard ingress: `txs[s]` feeds the dispatch worker owning shard
 /// `s`'s instances. Unsharded runs use a single-element vector.
-pub(crate) type ShardSenders = Arc<Vec<mpsc::Sender<VerifiedFrame>>>;
+pub(crate) type ShardSenders = Arc<Vec<mpsc::Sender<ShardInput>>>;
 
 /// Spawns the accept loop on `listener`: every inbound connection gets
 /// its own [`read_loop`] task verifying frames and routing them to the
@@ -256,7 +266,7 @@ pub(crate) async fn read_loop(
                         continue;
                     }
                     counters.shard_entries[shard].fetch_add(count, Ordering::Relaxed);
-                    if txs[shard].send(frame.clone()).await.is_err() {
+                    if txs[shard].send(ShardInput::Frame(frame.clone())).await.is_err() {
                         return Ok(()); // dispatch worker gone
                     }
                 }

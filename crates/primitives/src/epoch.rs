@@ -203,8 +203,19 @@ pub fn epoch_batch_len(payload_lens: impl IntoIterator<Item = usize>) -> usize {
 /// Panics if `entries` holds more than `u16::MAX` entries or an entry
 /// exceeds `u32::MAX` bytes (unreachable for protocol traffic).
 pub fn encode_epoch_batch(entries: &[(AgreementId, Bytes)]) -> Bytes {
-    let count = u16::try_from(entries.len()).expect("epoch batch entry count fits u16");
     let mut buf = BytesMut::with_capacity(epoch_batch_len(entries.iter().map(|(_, p)| p.len())));
+    put_epoch_batch(entries, &mut buf);
+    buf.freeze()
+}
+
+/// Appends the [`encode_epoch_batch`] encoding of `entries` to `buf` — for
+/// a transport that builds its frame around the batch in one buffer.
+///
+/// # Panics
+///
+/// As [`encode_epoch_batch`].
+pub fn put_epoch_batch(entries: &[(AgreementId, Bytes)], buf: &mut BytesMut) {
+    let count = u16::try_from(entries.len()).expect("epoch batch entry count fits u16");
     buf.put_u16(count);
     for (id, payload) in entries {
         buf.put_u32(id.epoch.0);
@@ -212,7 +223,6 @@ pub fn encode_epoch_batch(entries: &[(AgreementId, Bytes)]) -> Bytes {
         buf.put_u32(u32::try_from(payload.len()).expect("entry length fits u32"));
         buf.put_slice(payload);
     }
-    buf.freeze()
 }
 
 /// Decodes an epoch batch payload back into `(agreement, payload)`

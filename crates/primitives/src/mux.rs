@@ -47,15 +47,25 @@ pub fn batch_len(payload_lens: impl IntoIterator<Item = usize>) -> usize {
 /// exceeds `u32::MAX` bytes (unreachable for any protocol in this
 /// workspace).
 pub fn encode_batch(entries: &[(InstanceId, Bytes)]) -> Bytes {
-    let count = u16::try_from(entries.len()).expect("batch entry count fits u16");
     let mut buf = BytesMut::with_capacity(batch_len(entries.iter().map(|(_, p)| p.len())));
+    put_batch(entries, &mut buf);
+    buf.freeze()
+}
+
+/// Appends the [`encode_batch`] encoding of `entries` to `buf` — for a
+/// transport that builds its frame around the batch in one buffer.
+///
+/// # Panics
+///
+/// As [`encode_batch`].
+pub fn put_batch(entries: &[(InstanceId, Bytes)], buf: &mut BytesMut) {
+    let count = u16::try_from(entries.len()).expect("batch entry count fits u16");
     buf.put_u16(count);
     for (instance, payload) in entries {
         buf.put_u16(instance.0);
         buf.put_u32(u32::try_from(payload.len()).expect("entry length fits u32"));
         buf.put_slice(payload);
     }
-    buf.freeze()
 }
 
 /// Decodes a batch payload back into `(instance, payload)` entries.

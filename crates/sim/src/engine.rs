@@ -204,13 +204,14 @@ impl Simulation {
     /// tag (mod `shards`) — per the [`Topology::cost`](crate::Topology)
     /// model on payload bytes — before the link serializes it.
     ///
-    /// This is the simulator half of `delphi-net`'s egress lanes
-    /// (`RunOptions::send_shards`): the lane an envelope is costed on
-    /// here is by construction the lane that encodes and MACs it on the
-    /// TCP path, because both sides key on the same shard tag. Unset
-    /// (the default), outbound CPU is not modeled at all — the legacy
-    /// model, where the link is the only egress resource — so existing
-    /// calibrated sweeps are unchanged.
+    /// This is the simulator half of `delphi-net`'s worker-owned egress
+    /// lanes: at `shards == recv_shards` the lane an envelope is costed
+    /// on here is by construction the dispatch worker that encodes and
+    /// MACs it on the TCP path, because both sides key on the same shard
+    /// tag. (The TCP runtime offers no other placement: a worker flushes
+    /// its own shard class.) Unset (the default), outbound CPU is not
+    /// modeled at all — the legacy model, where the link is the only
+    /// egress resource — so existing calibrated sweeps are unchanged.
     ///
     /// # Panics
     ///
