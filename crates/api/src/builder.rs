@@ -107,13 +107,13 @@ impl ServiceBuilder {
 
     /// Batch flush policy for outgoing protocol traffic.
     pub fn flush(mut self, flush: FlushPolicy) -> ServiceBuilder {
-        self.opts = self.opts.flush(flush);
+        self.opts.flush = flush;
         self
     }
 
     /// Receive-path dispatch shards (see `RunOptions::recv_shards`).
     pub fn recv_shards(mut self, shards: usize) -> ServiceBuilder {
-        self.opts = self.opts.recv_shards(shards);
+        self.opts.recv_shards = shards;
         self
     }
 
@@ -131,31 +131,25 @@ impl ServiceBuilder {
     /// `RunOptions::egress_capacity`): frames beyond it are dropped and
     /// counted rather than buffered without bound.
     pub fn egress_capacity(mut self, capacity: usize) -> ServiceBuilder {
-        self.opts = self.opts.egress_capacity(capacity);
-        self
-    }
-
-    /// Whether to batch protocol steps into shared frames.
-    pub fn batching(mut self, batching: bool) -> ServiceBuilder {
-        self.opts = self.opts.batching(batching);
+        self.opts.egress_capacity = capacity;
         self
     }
 
     /// Overall run deadline.
     pub fn deadline(mut self, deadline: Duration) -> ServiceBuilder {
-        self.opts = self.opts.deadline(deadline);
+        self.opts.deadline = deadline;
         self
     }
 
     /// Post-completion linger (help slower peers finish).
     pub fn linger(mut self, linger: Duration) -> ServiceBuilder {
-        self.opts = self.opts.linger(linger);
+        self.opts.linger = linger;
         self
     }
 
     /// Redial delay after a lost peer connection.
     pub fn reconnect_delay(mut self, delay: Duration) -> ServiceBuilder {
-        self.opts = self.opts.reconnect_delay(delay);
+        self.opts.reconnect_delay = delay;
         self
     }
 

@@ -16,10 +16,16 @@
 //! a temp file and cleaned up afterwards. Exits non-zero unless every
 //! node finishes and the outputs agree within ε.
 //!
+//! Frames are flushed per protocol step by default; `--adaptive` batches
+//! across steps on size/time triggers and `--unbatched` sends every
+//! envelope in a frame of its own (the measurement baseline) — in either
+//! mode, and never both.
+//!
 //! With `--epochs K`, the cluster runs the streaming oracle: every node
 //! agrees on a fresh `--assets`-sized basket `K` consecutive times,
-//! pipelining `--depth` epochs under a `--window`-epoch live window
-//! (`--adaptive` enables adaptive batch flushing). The launcher then
+//! pipelining `--depth` epochs under a `--window`-epoch live window.
+//! Without it the basket is agreed once — the same runner over a stream
+//! of one epoch. The launcher then
 //! checks *per-epoch* ε-convergence across nodes and that every node
 //! completed the whole stream. `--vector` makes each epoch's basket ONE
 //! vector-valued agreement instance (one bundle exchange per round for
@@ -120,6 +126,9 @@ fn parse_args() -> Result<Args, String> {
     if out.vector && out.epochs == 0 {
         return Err("--vector only applies to a streaming run (--epochs)".to_string());
     }
+    if out.unbatched && out.adaptive {
+        return Err("--unbatched and --adaptive exclude each other".to_string());
+    }
     Ok(out)
 }
 
@@ -162,16 +171,19 @@ fn main() -> ExitCode {
     spec.recv_shards = args.recv_shards;
     spec.vector = args.vector;
 
-    let mode = match (args.epochs, args.unbatched, args.adaptive) {
-        (0, true, _) => "one-shot, unbatched: one frame per envelope".to_string(),
-        (0, false, _) => "one-shot, batched v2 frames".to_string(),
-        (k, _, adaptive) => format!(
-            "streaming oracle: {k} epochs x {} assets ({}), depth {}, window {}, {} flushing",
+    let flush = match (args.unbatched, args.adaptive) {
+        (true, _) => "per-entry flushing: one frame per envelope",
+        (_, true) => "adaptive flushing",
+        _ => "per-step flushing",
+    };
+    let mode = match args.epochs {
+        0 => format!("one-shot: a one-epoch stream of {} assets, {flush}", args.assets),
+        k => format!(
+            "streaming oracle: {k} epochs x {} assets ({}), depth {}, window {}, {flush}",
             args.assets,
             if args.vector { "one vector instance per epoch" } else { "per-asset instances" },
             args.depth,
             args.window,
-            if adaptive { "adaptive" } else { "per-step" }
         ),
     };
     println!("launching cluster from {} ({mode})", config_path.display());

@@ -24,20 +24,23 @@
 //!
 //! `--assets k` runs `k` independent Delphi instances (a DORA-style
 //! asset basket, asset `a` seeded with `quote_seed + a`) multiplexed over
-//! the one mesh via `run_instances` — the configuration where step
-//! batching pays: one frame and one HMAC per protocol step per peer
-//! instead of one per envelope. The report's `output` is the mean of the
+//! the one mesh via `run_instances` — a one-epoch stream through the
+//! same runner as `--epochs`. The report's `output` is the mean of the
 //! per-asset outputs (each asset converges on its own, so the mean
 //! converges too).
+//!
+//! The flush policy applies to both modes: per step by default,
+//! `--adaptive` for size/time triggers across steps, `--unbatched` for
+//! the measurement baseline of one frame and one HMAC per envelope (the
+//! two flags exclude each other).
 //!
 //! `--epochs K` switches from a one-shot run to the **streaming oracle**:
 //! an `OracleService` pipeline agreeing on a fresh `--assets`-sized
 //! basket every epoch, `--depth` epochs in flight under a `--window`-epoch
 //! live window, prices from the deterministic multi-epoch feed
-//! (`delphi_workloads::EpochFeed` under `--quote-seed`). `--adaptive`
-//! turns on adaptive batch flushing (size/time triggers) instead of
-//! per-step flushing. The report then carries every `(epoch, asset,
-//! value)` agreement so the launcher can check per-epoch ε-convergence.
+//! (`delphi_workloads::EpochFeed` under `--quote-seed`). The report then
+//! carries every `(epoch, asset, value)` agreement so the launcher can
+//! check per-epoch ε-convergence.
 //!
 //! `--vector` (epoch runs only) runs each epoch's basket as ONE
 //! vector-valued agreement instance — a single bundle exchange and one
@@ -71,7 +74,7 @@ struct Args {
     input: Option<f64>,
     assets: usize,
     quote_seed: u64,
-    unbatched: bool,
+    flush: FlushPolicy,
     deadline_ms: u64,
     rho0: f64,
     epsilon: f64,
@@ -79,7 +82,6 @@ struct Args {
     epochs: u32,
     depth: usize,
     window: usize,
-    adaptive: bool,
     recv_shards: usize,
     vector: bool,
     api_bind: Option<std::net::SocketAddr>,
@@ -178,13 +180,19 @@ fn parse_args() -> Result<Args, String> {
     if vector && epochs == 0 {
         return Err("--vector only applies to an epoch run (--epochs)".to_string());
     }
+    let flush = match (unbatched, adaptive) {
+        (true, true) => return Err("--unbatched and --adaptive exclude each other".to_string()),
+        (true, false) => FlushPolicy::PerEntry,
+        (false, true) => FlushPolicy::adaptive(),
+        (false, false) => FlushPolicy::PerStep,
+    };
     Ok(Args {
         config: config.ok_or("--config is required")?,
         id: id.ok_or("--id is required")?,
         input,
         assets,
         quote_seed,
-        unbatched,
+        flush,
         deadline_ms,
         rho0,
         epsilon,
@@ -192,7 +200,6 @@ fn parse_args() -> Result<Args, String> {
         epochs,
         depth,
         window,
-        adaptive,
         recv_shards,
         vector,
         api_bind,
@@ -268,8 +275,7 @@ async fn run(args: Args) -> Result<NodeReport, String> {
     let me = delphi_primitives::NodeId(args.id);
     let opts = RunOptions {
         deadline: Duration::from_millis(args.deadline_ms),
-        batching: !args.unbatched,
-        flush: if args.adaptive { FlushPolicy::adaptive() } else { FlushPolicy::PerStep },
+        flush: args.flush,
         recv_shards: args.recv_shards,
         ..RunOptions::default()
     };
@@ -287,7 +293,6 @@ async fn run(args: Args) -> Result<NodeReport, String> {
             .window(args.window)
             .flush(opts.flush)
             .recv_shards(args.recv_shards)
-            .batching(!args.unbatched)
             .deadline(Duration::from_millis(args.deadline_ms))
             .vector_baskets(args.vector);
         let source = feed_price_source(feed, me, n);

@@ -14,6 +14,8 @@ use delphi_net::cluster::{
     find_sibling_binary, launch, node_command, ClusterError, ClusterOutcome,
 };
 use delphi_net::config::ClusterConfig;
+use delphi_net::frame::{EPOCH_ENTRY_OVERHEAD_BYTES, EPOCH_FRAME_OVERHEAD_BYTES};
+use delphi_net::NetStats;
 
 /// Key material used by generated localhost cluster configs.
 pub const LOCAL_CLUSTER_SEED: &[u8] = b"delphi-local-cluster";
@@ -29,7 +31,8 @@ pub struct ClusterRunSpec {
     pub quote_seed: u64,
     /// Independent Delphi instances (assets) multiplexed per node.
     pub assets: usize,
-    /// Run with one frame per envelope instead of step batching.
+    /// Flush every envelope in a frame of its own (`--unbatched`, the
+    /// per-entry policy) instead of batching; excludes `adaptive`.
     pub unbatched: bool,
     /// Per-node protocol deadline in milliseconds.
     pub deadline_ms: u64,
@@ -42,7 +45,8 @@ pub struct ClusterRunSpec {
     pub depth: usize,
     /// Live-window size in epochs (streaming runs; ≥ depth).
     pub window: usize,
-    /// Adaptive batch flushing (size/time triggers) instead of per-step.
+    /// Adaptive batch flushing (size/time triggers) instead of per-step,
+    /// in one-shot and streaming runs alike.
     pub adaptive: bool,
     /// Receive dispatch shards per node (1 = unsharded).
     pub recv_shards: usize,
@@ -152,6 +156,17 @@ pub fn write_temp_config(cfg: &ClusterConfig, tag: &str) -> std::io::Result<Path
     let path = std::env::temp_dir().join(format!("delphi-{tag}-{}.toml", std::process::id()));
     std::fs::write(&path, cfg.to_toml())?;
     Ok(path)
+}
+
+/// Framing bytes per envelope a run put on the wire — per frame the length
+/// word, marker, sender, count and tag, per entry its id and length prefix
+/// — from the frame and envelope counters alone. Unlike wire bytes per
+/// envelope it does not depend on how large the bundles of one
+/// asynchronous execution happened to be, so two runs compare exactly.
+pub fn framing_bytes_per_envelope(stats: &NetStats) -> f64 {
+    let framing = stats.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64
+        + stats.sent_entries * EPOCH_ENTRY_OVERHEAD_BYTES as u64;
+    framing as f64 / stats.sent_entries as f64
 }
 
 /// Renders a one-line summary of a finished cluster run (used by the

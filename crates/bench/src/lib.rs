@@ -19,7 +19,9 @@ pub mod regression;
 
 use delphi_baselines::{AadNode, AcsNode};
 use delphi_core::{DelphiConfig, DelphiNode, OracleService, VectorOracleService};
-use delphi_primitives::{EpochConfig, EpochOutcome, FlushPolicy, Mux, NodeId, Protocol};
+use delphi_primitives::{
+    EpochConfig, EpochEvent, EpochMux, EpochOutcome, EpochProtocol, FlushPolicy, NodeId, Protocol,
+};
 use delphi_sim::{
     run_sharded, BatchSavings, EpochThroughput, RunReport, SimJob, Simulation, Topology,
 };
@@ -151,8 +153,9 @@ pub struct MultiAssetPoint {
 
 /// Runs a multi-asset Delphi minute twice over `topology` — once as
 /// independent per-asset meshes (sharded across `shards` worker threads)
-/// and once multiplexed+batched over a single mesh — and reports per-asset
-/// agreement plus the batching savings.
+/// and once multiplexed over a single mesh as a one-epoch stream under
+/// adaptive flushing — and reports per-asset agreement plus the batching
+/// savings.
 ///
 /// Every asset uses `cfg`'s agreement parameters; inputs come from one
 /// minute of the basket's feeds.
@@ -193,26 +196,44 @@ pub fn run_multi_asset_delphi(
         assert!(report.all_honest_finished(), "unbatched {name} stalled: {:?}", report.stop);
     }
 
-    // Batched: all assets multiplexed over one mesh; envelopes of one step
-    // share one frame per destination.
-    let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<f64>>>> = NodeId::all(n)
+    // Batched: all assets multiplexed over one mesh as a one-epoch stream
+    // under the adaptive flush policy, the simulator's tick standing in
+    // for the flush timer — the deployment's own batching.
+    let flush = FlushPolicy::adaptive();
+    let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
         .map(|id| {
             let instances: Vec<DelphiNode> = inputs
                 .iter()
                 .map(|asset_inputs| DelphiNode::new(cfg.clone(), id, asset_inputs[id.index()]))
                 .collect();
-            Box::new(Mux::new(instances)) as Box<dyn Protocol<Output = Vec<f64>>>
+            Box::new(EpochProtocol::new(EpochMux::one_epoch(instances), flush))
+                as Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>
         })
         .collect();
-    let batched = Simulation::new(topology).seed(seed).run(mux_nodes);
+    let mut sim = Simulation::new(topology).seed(seed);
+    if let FlushPolicy::Adaptive { max_delay, .. } = flush {
+        sim = sim.tick_interval_ns(max_delay.as_nanos().max(1) as u64);
+    }
+    let batched = sim.run(mux_nodes);
     assert!(batched.all_honest_finished(), "batched multi-asset run stalled: {:?}", batched.stop);
+    let batched_outputs: Vec<&[f64]> = batched
+        .honest_outputs()
+        .map(|events| match events.first().map(|e| &e.outcome) {
+            Some(EpochOutcome::Agreed(values)) => &values[..],
+            _ => &[],
+        })
+        .collect();
+    assert!(
+        batched_outputs.iter().all(|v| v.len() == inputs.len()),
+        "batched multi-asset run resolved without agreeing"
+    );
 
     let savings = BatchSavings::compare(unbatched.iter().map(|r| &r.metrics), &batched.metrics);
     let per_asset = names
         .into_iter()
         .enumerate()
         .map(|(a, name)| {
-            let outs: Vec<f64> = batched.honest_outputs().map(|v| v[a]).collect();
+            let outs: Vec<f64> = batched_outputs.iter().map(|v| v[a]).collect();
             let spread = outs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
                 - outs.iter().copied().fold(f64::INFINITY, f64::min);
             AssetPoint {

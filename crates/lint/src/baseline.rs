@@ -3,12 +3,18 @@
 //! violation (count above baseline) and on any stale entry (count below
 //! baseline, which must be re-frozen with `--write-baseline`), so debt
 //! can only burn down — never regrow, not even back up to an old count.
+//!
+//! The `[production-lines]` section is the other ratchet: a per-crate
+//! *ceiling* on production lines. A crate above its ceiling fails; one
+//! below it passes without re-freezing, and a re-freeze only ever moves a
+//! ceiling down.
 
 use std::collections::BTreeMap;
 
-use crate::rules::Violation;
+use crate::rules::{Violation, LINE_BUDGET_RULE};
 
-/// Frozen violation counts, keyed `(rule, file)`.
+/// Frozen violation counts, keyed `(rule, file)` — and, under
+/// [`LINE_BUDGET_RULE`], production-line ceilings keyed by crate directory.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Baseline {
     counts: BTreeMap<(String, String), u64>,
@@ -61,7 +67,34 @@ impl Baseline {
 
     /// Total frozen violations.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().filter(|((rule, _), _)| rule != LINE_BUDGET_RULE).map(|(_, c)| c).sum()
+    }
+
+    /// This baseline with a production-line ceiling per crate of `lines`:
+    /// the crate's current figure, or `previous`'s ceiling where that is
+    /// lower — ceilings only move down.
+    pub fn with_ceilings(mut self, previous: &Baseline, lines: &BTreeMap<String, u64>) -> Baseline {
+        for (dir, &current) in lines {
+            let key = (LINE_BUDGET_RULE.to_string(), dir.clone());
+            let ceiling = previous.counts.get(&key).map_or(current, |&old| old.min(current));
+            self.counts.insert(key, ceiling);
+        }
+        self
+    }
+
+    /// The crates of `lines` above their production-line ceiling (a crate
+    /// without one has nothing to exceed).
+    pub fn over_ceiling(&self, lines: &BTreeMap<String, u64>) -> Vec<Drift> {
+        let over = lines.iter().filter_map(|(dir, &current)| {
+            let baseline = *self.counts.get(&(LINE_BUDGET_RULE.to_string(), dir.clone()))?;
+            (current > baseline).then(|| Drift {
+                rule: LINE_BUDGET_RULE.to_string(),
+                file: dir.clone(),
+                baseline,
+                current,
+            })
+        });
+        over.collect()
     }
 
     /// Compares the current violations against this baseline.
@@ -81,7 +114,7 @@ impl Baseline {
         }
         for ((rule, file), &base) in &self.counts {
             let cur = current.count(rule, file);
-            if cur < base {
+            if cur < base && rule != LINE_BUDGET_RULE {
                 ratchet.stale.push(Drift {
                     rule: rule.clone(),
                     file: file.clone(),
@@ -99,7 +132,9 @@ impl Baseline {
             "# delphi-lint baseline — frozen per-file violation counts.\n\
              # Regenerate with `cargo run -p delphi-lint -- --write-baseline`.\n\
              # The CI ratchet fails when any count grows OR shrinks without\n\
-             # re-freezing: debt only burns down.\n",
+             # re-freezing: debt only burns down. [production-lines] holds\n\
+             # per-crate ceilings instead: exceeding one fails, and a\n\
+             # re-freeze only moves it down.\n",
         );
         let mut last_rule = "";
         for ((rule, file), count) in &self.counts {
@@ -192,6 +227,36 @@ mod tests {
         ]);
         assert_eq!(fresh.grown.len(), 1);
         assert_eq!(fresh.grown.first().map(|d| d.baseline), Some(0));
+    }
+
+    #[test]
+    fn line_ceilings_fail_above_pass_below_and_only_move_down() {
+        let lines = |net: u64| BTreeMap::from([("crates/net".to_string(), net)]);
+        let base = Baseline::freeze(&[viol("no-panic", "a.rs")])
+            .with_ceilings(&Baseline::default(), &lines(2900));
+        assert_eq!(Baseline::parse(&base.render()).expect("round-trips"), base);
+        assert_eq!(base.total(), 1, "a ceiling is not a violation count");
+        // Steady or below: nothing over, and nothing stale to re-freeze.
+        assert!(base.over_ceiling(&lines(2900)).is_empty());
+        assert!(base.over_ceiling(&lines(2500)).is_empty());
+        assert!(base.compare(&[viol("no-panic", "a.rs")]).clean());
+        // Above: a hard failure naming the crate.
+        let over = base.over_ceiling(&lines(2901));
+        assert_eq!(over.first().map(|d| (d.file.as_str(), d.baseline)), Some(("crates/net", 2900)));
+        // Re-freezing ratchets down, never up; an untracked crate passes.
+        assert_eq!(
+            Baseline::default().with_ceilings(&base, &lines(2500)).over_ceiling(&lines(2501)).len(),
+            1
+        );
+        assert!(Baseline::default()
+            .with_ceilings(&base, &lines(3000))
+            .over_ceiling(&lines(2900))
+            .is_empty());
+        assert_eq!(
+            Baseline::default().with_ceilings(&base, &lines(3000)).over_ceiling(&lines(2901)).len(),
+            1
+        );
+        assert!(Baseline::default().over_ceiling(&lines(9999)).is_empty());
     }
 
     #[test]

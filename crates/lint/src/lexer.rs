@@ -58,6 +58,8 @@ pub struct LexedFile {
     pub tokens: Vec<Token>,
     /// Allow annotations harvested from comments.
     pub allows: Vec<Allow>,
+    /// Source lines in the file.
+    pub lines: u32,
 }
 
 impl LexedFile {
@@ -68,12 +70,35 @@ impl LexedFile {
             .iter()
             .any(|a| a.has_reason && a.rule == rule && (a.line == line || a.line + 1 == line))
     }
+
+    /// Production lines: the lines above the file's first *top-level*
+    /// test-only item (`#[cfg(test)] mod tests`, a `#[cfg(test)] impl`
+    /// block, attributes included), or every line when it has none — the
+    /// figure the roadmap tracks. A test-only item nested in live code (a
+    /// `#[cfg(test)]` helper inside an `impl`) sits among production
+    /// lines and counts with them.
+    pub fn production_lines(&self) -> u32 {
+        let mut depth = 0u32;
+        for t in &self.tokens {
+            if t.test_code {
+                if depth == 0 {
+                    return t.line.saturating_sub(1);
+                }
+            } else if t.kind == TokenKind::Punct && t.text == "{" {
+                depth += 1;
+            } else if t.kind == TokenKind::Punct && t.text == "}" {
+                depth = depth.saturating_sub(1);
+            }
+        }
+        self.lines
+    }
 }
 
 /// Lexes `src`, marking test-only regions. Never panics.
 pub fn lex(src: &str) -> LexedFile {
     let mut out = scan(src);
     mark_test_regions(&mut out.tokens);
+    out.lines = src.lines().count() as u32;
     out
 }
 

@@ -10,10 +10,12 @@
 //!   that silently spends the `t < n/3` budget the liveness proof needs;
 //! - **bounded queues** — a Byzantine peer must never be able to inflate
 //!   memory through a capacity-free queue;
-//! - **wire-constant hygiene** — the reserved frame markers live in one
+//! - **wire-constant hygiene** — the reserved frame marker lives in one
 //!   place;
 //! - **bench-gate discipline** — every `BENCH_*.json` emitter is gated in
-//!   CI.
+//!   CI;
+//! - **production-line ceilings** — the protocol, primitives and net
+//!   crates may shrink but not grow past their recorded size.
 //!
 //! Violations are either fixed, annotated
 //! (`// lint: allow(<rule>) — <reason>`), or frozen in
@@ -30,6 +32,7 @@ pub mod manifest;
 pub mod rules;
 pub mod workspace;
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 pub use baseline::{Baseline, Ratchet};
@@ -40,7 +43,11 @@ pub use rules::Violation;
 pub struct LintReport {
     /// Every violation found (baselined ones included).
     pub violations: Vec<Violation>,
-    /// The ratchet verdict against the provided baseline.
+    /// Production lines per tracked crate directory
+    /// ([`rules::LINE_BUDGET_CRATES`]).
+    pub production_lines: BTreeMap<String, u64>,
+    /// The ratchet verdict against the provided baseline (a crate over
+    /// its production-line ceiling counts as grown).
     pub ratchet: Ratchet,
 }
 
@@ -52,6 +59,8 @@ pub struct LintReport {
 pub fn run(root: &Path, baseline: &Baseline) -> Result<LintReport, String> {
     let ws = workspace::load(root)?;
     let violations = rules::check(&ws);
-    let ratchet = baseline.compare(&violations);
-    Ok(LintReport { violations, ratchet })
+    let production_lines = rules::production_lines(&ws);
+    let mut ratchet = baseline.compare(&violations);
+    ratchet.grown.extend(baseline.over_ceiling(&production_lines));
+    Ok(LintReport { violations, production_lines, ratchet })
 }

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use delphi_lint::baseline::Baseline;
-use delphi_lint::rules::RULES;
+use delphi_lint::rules::{LINE_BUDGET_RULE, RULES};
 
 const USAGE: &str = "delphi-lint — Delphi workspace invariant checker
 
@@ -15,8 +15,11 @@ USAGE:
 OPTIONS:
     --root <PATH>       Workspace root (default: .)
     --baseline <PATH>   Baseline file (default: <root>/lint-baseline.toml)
-    --deny              Exit non-zero when the ratchet fails
-    --write-baseline    Freeze the current violations as the new baseline
+    --deny              Exit non-zero when the ratchet fails (a count above
+                        its baseline, a stale entry, or a crate above its
+                        production-line ceiling)
+    --write-baseline    Freeze the current violations as the new baseline;
+                        production-line ceilings only move down
     --list-rules        Print the rule names and exit
     --help              Print this help
 
@@ -73,7 +76,8 @@ fn cli() -> Result<ExitCode, String> {
     let report = delphi_lint::run(&root, &baseline)?;
 
     if write_baseline {
-        let frozen = Baseline::freeze(&report.violations);
+        let frozen =
+            Baseline::freeze(&report.violations).with_ceilings(&baseline, &report.production_lines);
         std::fs::write(&baseline_path, frozen.render())
             .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
         println!(
@@ -108,6 +112,15 @@ fn cli() -> Result<ExitCode, String> {
             for v in rule_violations.iter().filter(|v| v.file == drift.file) {
                 println!("    {}:{}: {}", v.file, v.line, v.message);
             }
+        }
+    }
+    for (dir, lines) in &report.production_lines {
+        match baseline.count(LINE_BUDGET_RULE, dir) {
+            0 => println!("[{LINE_BUDGET_RULE}] {dir}: {lines}"),
+            ceiling if *lines > ceiling => {
+                println!("[{LINE_BUDGET_RULE}] {dir}: {lines} exceeds its ceiling of {ceiling}");
+            }
+            ceiling => println!("[{LINE_BUDGET_RULE}] {dir}: {lines} (ceiling {ceiling})"),
         }
     }
     for drift in &report.ratchet.stale {

@@ -6,6 +6,8 @@
 //! annotations without a reason are inert. See the README's "Static
 //! analysis" section for the rule catalogue.
 
+use std::collections::BTreeMap;
+
 use crate::lexer::{LexedFile, Token, TokenKind};
 use crate::workspace::{SourceFile, Workspace};
 
@@ -19,8 +21,16 @@ pub const RULES: [&str; 6] =
 /// socket API directly.
 pub const IO_CRATES: [&str; 4] = ["delphi", "delphi-api", "delphi-net", "delphi-bench"];
 
-/// The single home of the reserved wire markers `0xFFFF` / `0xFFFE`.
+/// The single home of the reserved wire marker `0xFFFE`.
 pub const WIRE_CONSTANT_HOME: &str = "crates/net/src/frame.rs";
+
+/// The `lint-baseline.toml` section holding per-crate production-line
+/// ceilings (a ceiling, not a violation count: see
+/// [`Baseline::over_ceiling`](crate::Baseline::over_ceiling)).
+pub const LINE_BUDGET_RULE: &str = "production-lines";
+
+/// The crates whose production lines the roadmap tracks as a metric.
+pub const LINE_BUDGET_CRATES: [&str; 3] = ["crates/core", "crates/net", "crates/primitives"];
 
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +64,22 @@ pub fn check(ws: &Workspace) -> Vec<Violation> {
         ra.cmp(&rb).then_with(|| a.file.cmp(&b.file)).then_with(|| a.line.cmp(&b.line))
     });
     out
+}
+
+/// Production lines of each [`LINE_BUDGET_CRATES`] member: over every
+/// file under its `src/`, the lines above the first top-level test-only
+/// item ([`LexedFile::production_lines`]).
+pub fn production_lines(ws: &Workspace) -> BTreeMap<String, u64> {
+    let mut totals = BTreeMap::new();
+    for dir in LINE_BUDGET_CRATES {
+        let src = format!("{dir}/src/");
+        let lines = ws.files.iter().filter(|f| f.rel.starts_with(&src));
+        totals.insert(
+            dir.to_string(),
+            lines.map(|f| u64::from(f.lexed.production_lines())).sum::<u64>(),
+        );
+    }
+    totals
 }
 
 /// Live (non-test) tokens of a file.
@@ -261,22 +287,22 @@ fn check_bounded_channel(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// `wire-constants`: the reserved frame markers `0xFFFF` / `0xFFFE` are
-/// defined once, in [`WIRE_CONSTANT_HOME`]; everywhere else must name the
-/// `BATCH_MARKER` / `EPOCH_MARKER` constants.
+/// `wire-constants`: the reserved frame marker `0xFFFE` is defined once,
+/// in [`WIRE_CONSTANT_HOME`]; everywhere else must name the
+/// `EPOCH_MARKER` constant.
 fn check_wire_constants(file: &SourceFile, out: &mut Vec<Violation>) {
     if file.rel == WIRE_CONSTANT_HOME {
         return;
     }
     for (_, t) in live(file) {
-        // lint: allow(wire-constants) — this IS the checker for the markers
-        if t.kind == TokenKind::Number && matches!(t.value, Some(0xFFFF) | Some(0xFFFE)) {
+        // lint: allow(wire-constants) — this IS the checker for the marker
+        if t.kind == TokenKind::Number && t.value == Some(0xFFFE) {
             push_unless_allowed(
                 file,
                 "wire-constants",
                 t.line,
                 format!(
-                    "wire marker literal `{}`: name BATCH_MARKER/EPOCH_MARKER from {}",
+                    "wire marker literal `{}`: name EPOCH_MARKER from {}",
                     t.text, WIRE_CONSTANT_HOME,
                 ),
                 out,
@@ -384,13 +410,33 @@ mod tests {
 
     #[test]
     fn wire_constants_flag_everywhere_but_home() {
-        let away = file_of("crates/sim/src/z.rs", "delphi-sim", "const M: u16 = 0xFFFF;");
-        let home = file_of(WIRE_CONSTANT_HOME, "delphi-net", "const M: u16 = 0xFFFF;");
+        let away = file_of("crates/sim/src/z.rs", "delphi-sim", "const M: u16 = 0xFFFE;");
+        let home = file_of(WIRE_CONSTANT_HOME, "delphi-net", "const M: u16 = 0xFFFE;");
         let mut out = Vec::new();
         check_wire_constants(&away, &mut out);
         check_wire_constants(&home, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out.first().map(|v| v.file.as_str()), Some("crates/sim/src/z.rs"));
+    }
+
+    #[test]
+    fn production_lines_stop_at_the_first_top_level_test_item() {
+        let src = "//! doc\nfn live() {}\nimpl X {\n    #[cfg(test)]\n    fn probe() {}\n}\n\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        let with_tests = file_of("crates/net/src/a.rs", "delphi-net", src);
+        assert_eq!(with_tests.lexed.production_lines(), 7, "the in-impl test helper counts");
+        let without = file_of("crates/net/src/b.rs", "delphi-net", "fn live() {}\n\n// tail\n");
+        assert_eq!(without.lexed.production_lines(), 3);
+        let elsewhere = file_of("crates/api/src/c.rs", "delphi-api", "fn live() {}\n");
+        let ws = Workspace {
+            crates: Vec::new(),
+            files: vec![with_tests, without, elsewhere],
+            ci_text: None,
+        };
+        let totals = production_lines(&ws);
+        assert_eq!(totals.get("crates/net"), Some(&10));
+        assert_eq!(totals.get("crates/core"), Some(&0), "tracked crates always report");
+        assert_eq!(totals.len(), LINE_BUDGET_CRATES.len(), "untracked crates never do");
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn every_rule_catches_its_seeded_violation() {
                 "fn f() { let (tx, rx) = mpsc::unbounded_channel::<u8>(); }\n",
             ),
             // wire-constants: a reserved marker literal away from home.
-            source("crates/core/src/wire.rs", "delphi-core", "const MARKER: u16 = 0xFFFF;\n"),
+            source("crates/core/src/wire.rs", "delphi-core", "const MARKER: u16 = 0xFFFE;\n"),
             // bench-json: an emitting bench bin absent from the CI text.
             source(
                 "crates/bench/src/bin/fig_new.rs",
@@ -220,13 +220,13 @@ fn wire_constants_allowed_at_home_and_via_annotation() {
             source(
                 "crates/net/src/frame.rs",
                 "delphi-net",
-                "pub const BATCH_MARKER: u16 = 0xFFFF;\npub const EPOCH_MARKER: u16 = 0xFFFE;\n",
+                "pub const EPOCH_MARKER: u16 = 0xFFFE;\n",
             ),
             // Elsewhere an annotated use passes, an unannotated one fails.
             source(
                 "crates/net/src/elsewhere.rs",
                 "delphi-net",
-                "// lint: allow(wire-constants) — golden-bytes fixture\nconst A: u16 = 0xFFFF;\nconst B: u16 = 0xFFFE;\n",
+                "// lint: allow(wire-constants) — golden-bytes fixture\nconst A: u16 = 0xFFFE;\nconst B: u16 = 0xFFFE;\n",
             ),
         ],
         None,

@@ -5,25 +5,25 @@
 //! [`Protocol`](delphi_primitives::Protocol) state machines that run under
 //! the simulator run here over real sockets, through a layered stack:
 //!
-//! - [`frame`]: length-prefixed frames with an HMAC-SHA256 tag under the
-//!   pairwise channel key — the authenticated-channel assumption made
-//!   concrete. Two formats share the tag: v1 carries one payload, v2
-//!   carries a batch of `(instance, payload)` entries so one tag
-//!   authenticates a whole protocol step. Tampered or misdirected frames
-//!   are dropped, never surfaced to the protocol.
+//! - [`frame`]: the one wire format — a length-prefixed batch of
+//!   epoch-addressed `(agreement, payload)` entries under an HMAC-SHA256
+//!   tag keyed by the pairwise channel key, so one tag authenticates a
+//!   whole flush: the authenticated-channel assumption made concrete.
+//!   Tampered or misdirected frames are dropped, never surfaced to the
+//!   protocol.
 //! - [`transport`] (internal): sockets — the accept loop, lazy dialing
 //!   with bounded-backoff reconnection, and the per-connection frame
 //!   read/write loops, plus the [`NetStats`] counters every layer shares.
-//! - [`session`] (internal): per-peer authenticated channels — v1/v2
-//!   format choice, step batching, and bounded drain-on-shutdown.
-//! - [`service`]: the runners. [`run_node`] / [`run_instances`] bind a
-//!   listener, dial every peer, drive one or many multiplexed protocol
-//!   instances to their outputs, linger briefly so slower peers still
-//!   receive our help messages, and drain writer queues before returning.
-//!   [`run_epoch_service`] drives a long-lived epoch stream — an
-//!   [`EpochMux`](delphi_primitives::EpochMux) pipeline — over the same
-//!   mesh, routing epoch-addressed entries in v3 frames with adaptive
-//!   batch flushing.
+//! - [`session`] (internal): per-peer authenticated channels — batching
+//!   under the run's [`FlushPolicy`], worker-owned egress lanes, and
+//!   bounded drain-on-shutdown.
+//! - [`service`]: the runner. [`run_epoch_service`] binds a listener,
+//!   dials every peer, drives a long-lived epoch stream — an
+//!   [`EpochMux`](delphi_primitives::EpochMux) pipeline — to completion,
+//!   lingers so slower peers still receive our help messages, and drains
+//!   writer queues before returning. [`run_node`] / [`run_instances`] are
+//!   its one-shot adapters: one or many pre-built protocol instances as a
+//!   stream of one epoch.
 //! - [`config`] / [`cluster`]: real deployments — a TOML cluster-file
 //!   format (node ids, addresses, key material) and a multi-process
 //!   launcher that runs one node per OS process and collects per-node
@@ -49,10 +49,8 @@ mod transport;
 
 pub use delphi_primitives::FlushPolicy;
 pub use frame::{
-    decode_any_frame, decode_frame, decode_inbound_frame, decode_inbound_frame_ref,
-    encode_batch_frame, encode_epoch_frame, encode_frame, split_verified_body, FrameEntriesRef,
-    FrameEntryIter, FrameError, BATCH_MARKER, EPOCH_MARKER, MAX_FRAME_BODY, MAX_FRAME_PAYLOAD,
-    MIN_FRAME_BODY,
+    decode_inbound_frame_ref, encode_epoch_frame, split_verified_body, FrameError, EPOCH_MARKER,
+    MAX_FRAME_BODY, MAX_FRAME_PAYLOAD, MIN_FRAME_BODY,
 };
 pub use service::{
     run_epoch_service, run_instances, run_node, EpochServiceHandle, NetError, RunOptions,

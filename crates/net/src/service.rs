@@ -1,27 +1,29 @@
-//! Protocol-driving service: the full-mesh node runners.
+//! Protocol-driving service: the one full-mesh node runner.
 //!
-//! [`run_node`] drives one protocol instance; [`run_instances`] drives any
-//! number of independent instances (one per oracle asset in a multi-feed
-//! deployment) multiplexed over a single mesh; [`run_epoch_service`]
-//! drives a long-lived epoch pipeline. The service layer owns the
-//! instance state and the run lifecycle (start, dispatch, linger, drain)
-//! and delegates wire concerns downward: per-peer framing, batching, and
-//! flush policy to [`session`](crate::session), sockets and read/write
-//! loops to [`transport`](crate::transport).
+//! [`run_epoch_service`] drives a long-lived epoch pipeline — the
+//! deployment shape — and is the only service loop. A one-shot run is a
+//! one-epoch stream: [`run_instances`] wraps its pre-built instances (one
+//! per oracle asset) in a one-epoch [`EpochMux`] and unwraps the single
+//! event, and [`run_node`] is `run_instances` of one. The service layer
+//! owns the instance state and the run lifecycle (start, dispatch,
+//! linger, drain) and delegates wire concerns downward: per-peer framing,
+//! batching, and flush policy to [`session`](crate::session), sockets and
+//! read/write loops to [`transport`](crate::transport).
 //!
 //! # The hot path: one thread from frame to frame
 //!
 //! 1. a transport read loop verifies the tag and validates the batch
 //!    structure **borrowed** (no per-entry allocation), then ships the
-//!    whole body as one refcounted buffer ([`VerifiedFrame`]) to the
+//!    whole body as one refcounted buffer (`VerifiedFrame`) to the
 //!    dispatch worker(s) owning its entries — with
 //!    [`RunOptions::recv_shards`] > 1 by the stable [`InstanceId::shard`]
 //!    mapping, identical to the simulator's;
-//! 2. the worker owns its instances outright (no lock on the per-entry
-//!    path) and is a complete pipeline on its own thread: it re-splits
-//!    the verified body (structure walk, no MAC), feeds payload slices
-//!    straight to the protocol state machines, routes their answers per
-//!    destination into the egress lane it owns
+//! 2. the worker owns its slice of the pipeline outright (no lock on the
+//!    per-entry path) and is a complete pipeline on its own thread: it
+//!    re-splits the verified body (structure walk, no MAC), feeds payload
+//!    slices straight to the protocol state machines — one step per
+//!    entry, the granularity the simulator's `EpochProtocol` flushes at —
+//!    routes their answers per destination into the egress lane it owns
 //!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
 //!    size inline, the adaptive timer as its own `select!` deadline — and
 //!    encodes, MACs and `try_send`s each due frame into the destination's
@@ -42,8 +44,8 @@ use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
-    merge_epoch_stats, AgreementId, Envelope, EpochEvent, EpochMux, EpochOutcome, EpochShard,
-    EpochStats, EpochStatsCell, FlushPolicy, InstanceId, Protocol,
+    merge_epoch_stats, EpochEvent, EpochMux, EpochOutcome, EpochShard, EpochStats, EpochStatsCell,
+    FlushPolicy, InstanceId, Protocol,
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
@@ -52,7 +54,7 @@ use tokio::time::Instant;
 use crate::frame::split_verified_body;
 use crate::session::{EgressLane, FlushDeadline, SessionSet};
 use crate::transport::{
-    spawn_acceptor, Counters, NetStats, ShardInput, ShardSenders, VerifiedFrame, MAX_RECV_SHARDS,
+    spawn_acceptor, Counters, NetStats, ShardInput, ShardSenders, MAX_RECV_SHARDS,
 };
 
 /// Network runner failure.
@@ -90,8 +92,7 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// Tuning knobs for [`run_node`] / [`run_instances`] /
-/// [`run_epoch_service`].
+/// Tuning knobs for [`run_epoch_service`] (and its one-shot adapters).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// How long to keep serving peers after our own output is ready.
@@ -107,18 +108,14 @@ pub struct RunOptions {
     pub deadline: Duration,
     /// How long shutdown may wait for writer queues to flush to peers.
     pub drain_timeout: Duration,
-    /// Whether to coalesce all envelopes of one protocol step per
-    /// destination into one batched frame (v2). Off, every envelope pays
-    /// its own frame + tag — the v1 cost model, kept for measurement.
-    pub batching: bool,
-    /// When the session layer flushes accumulated batch entries: per
-    /// step, or adaptively on size/time triggers. Applies to both the
-    /// one-shot runners and the epoch service.
+    /// When a dispatch worker flushes accumulated batch entries: per
+    /// step, adaptively on size/time triggers, or — the measurement
+    /// baseline — every entry in a frame of its own.
     pub flush: FlushPolicy,
-    /// Receive dispatch shards (clamped to 1..=[`MAX_RECV_SHARDS`]).
-    /// With more than one, inbound entries are dispatched to per-shard
-    /// workers by the stable [`InstanceId::shard`] /
-    /// [`AgreementId::shard`] mapping — the same assignment the
+    /// Receive dispatch shards (clamped to 1..=[`MAX_RECV_SHARDS`] and to
+    /// the basket size). With more than one, inbound entries are
+    /// dispatched to per-shard workers by the stable
+    /// [`InstanceId::shard`] mapping — the same assignment the
     /// simulator's `recv_shards` models — and each worker owns its
     /// instances' protocol state and flushes its own output, so this is
     /// the node's send parallelism too.
@@ -143,88 +140,10 @@ impl Default for RunOptions {
             reconnect_delay: Duration::from_millis(50),
             deadline: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
-            batching: true,
             flush: FlushPolicy::PerStep,
             recv_shards: 1,
             egress_capacity: 1024,
         }
-    }
-}
-
-impl RunOptions {
-    /// Builder-style setter for [`RunOptions::linger`].
-    pub fn linger(mut self, linger: Duration) -> Self {
-        self.linger = linger;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::reconnect_delay`].
-    pub fn reconnect_delay(mut self, delay: Duration) -> Self {
-        self.reconnect_delay = delay;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::deadline`].
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::drain_timeout`].
-    pub fn drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::batching`].
-    pub fn batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::flush`].
-    pub fn flush(mut self, flush: FlushPolicy) -> Self {
-        self.flush = flush;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::recv_shards`].
-    pub fn recv_shards(mut self, shards: usize) -> Self {
-        self.recv_shards = shards;
-        self
-    }
-
-    /// Builder-style setter for [`RunOptions::egress_capacity`].
-    pub fn egress_capacity(mut self, capacity: usize) -> Self {
-        self.egress_capacity = capacity;
-        self
-    }
-}
-
-/// Runs `protocol` over a full TCP mesh until it produces an output.
-///
-/// Convenience wrapper around [`run_instances`] for the single-instance
-/// case; see there for the transport contract.
-///
-/// # Errors
-///
-/// Returns [`NetError::Config`] on a mismatched address list,
-/// [`NetError::Io`] if the listener cannot be bound, and
-/// [`NetError::Timeout`] if no output appears within the deadline.
-pub async fn run_node<P>(
-    protocol: P,
-    keychain: Keychain,
-    addrs: Vec<SocketAddr>,
-    opts: RunOptions,
-) -> Result<(P::Output, NetStats), NetError>
-where
-    P: Protocol + Send + 'static,
-    P::Output: Send,
-{
-    let (mut outputs, stats) = run_instances(vec![protocol], keychain, addrs, opts).await?;
-    match outputs.pop() {
-        Some(output) => Ok((output, stats)),
-        None => Err(NetError::Internal("one instance in, no output out".into())),
     }
 }
 
@@ -296,209 +215,6 @@ async fn close_workers(
     }
 }
 
-/// Feeds one verified frame's entries to their one-shot instances,
-/// collecting each instance's response burst. One-shot runs are epoch 0
-/// of a stream: entries for other epochs (a peer running the epoch
-/// service) and unknown instance ids are ignored. `owned` maps global
-/// instance ids to the instances this dispatcher owns.
-fn dispatch_step<P: Protocol>(
-    owned: &mut [(u16, P)],
-    frame: &VerifiedFrame,
-) -> Vec<(InstanceId, Vec<Envelope>)> {
-    // The read loop verified and validated the body; this is a pure
-    // structural re-split over the shared buffer.
-    let Ok((_, entries)) = split_verified_body(&frame.body) else {
-        return Vec::new(); // unreachable for verified bodies
-    };
-    let mut bursts = Vec::new();
-    for (id, payload) in entries.iter() {
-        if id.epoch.0 != 0 {
-            continue;
-        }
-        // `owned` is built in ascending global-id order, so ownership is
-        // a binary search — the per-entry path stays O(log k).
-        let Ok(at) = owned.binary_search_by_key(&id.asset.0, |(g, _)| *g) else {
-            continue;
-        };
-        bursts.push((id.asset, owned[at].1.on_message(frame.from, payload)));
-    }
-    bursts
-}
-
-/// One sharded one-shot dispatch worker, frame in to frame out: owns its
-/// instances and the egress lane of its shard class, answers every
-/// verified frame (one step per frame) through that lane, and reports
-/// its instances' outputs once all of them have one.
-async fn instance_shard_worker<P>(
-    mut rx: mpsc::Receiver<ShardInput>,
-    mut owned: Vec<(u16, P)>,
-    mut egress: EgressLane<InstanceId>,
-    done_tx: mpsc::Sender<Vec<(u16, P::Output)>>,
-) where
-    P: Protocol + Send + 'static,
-    P::Output: Send,
-{
-    // Start bursts must not wait for traffic or for the flush timer.
-    egress.send_step(owned.iter_mut().map(|(i, p)| (InstanceId(*i), p.start())).collect());
-    egress.flush_all();
-    let mut done = false;
-    loop {
-        if !done && owned.iter().all(|(_, p)| p.output().is_some()) {
-            done = true;
-            let outputs = owned.iter().filter_map(|(i, p)| Some((*i, p.output()?))).collect();
-            if done_tx.send(outputs).await.is_err() {
-                break;
-            }
-        }
-        if done {
-            // The linger contract: a finished worker keeps answering
-            // peers, and what it answers leaves at once.
-            egress.flush_all();
-        }
-        match next_input(&mut rx, egress.flush_deadline()).await {
-            Some(ShardInput::Frame(frame)) => egress.send_step(dispatch_step(&mut owned, &frame)),
-            None => egress.flush_all(),
-            Some(ShardInput::Close) => break,
-        }
-    }
-    egress.flush_all();
-}
-
-/// Runs `instances` — independent protocol instances multiplexed by
-/// [`InstanceId`] — over one full TCP mesh until every instance produces
-/// an output.
-///
-/// `addrs[i]` is the listen address of node `i`; this node binds
-/// `addrs[keychain.node_id()]` and dials every other address (retrying
-/// until peers come up). All traffic is HMAC-authenticated with the
-/// pairwise keys in `keychain`; frames that fail authentication are
-/// counted and dropped. Instance `i` of the vector is addressed as
-/// `InstanceId(i)` on the wire; entries for unknown instances inside an
-/// authenticated frame are ignored.
-///
-/// With [`RunOptions::batching`] on (the default), every envelope produced
-/// by one `start()`/`on_message()` step is coalesced into at most one
-/// batched frame per destination, and [`RunOptions::flush`] may further
-/// accumulate entries across steps (adaptive flushing, size + time
-/// triggers). With [`RunOptions::recv_shards`] > 1 the instances are
-/// split across per-shard workers, each a complete receive-to-send
-/// pipeline (see the [module docs](self)). On shutdown the runner has
-/// its workers flush, then closes the writer queues and waits (bounded by
-/// [`RunOptions::drain_timeout`]) for every queued frame to reach its
-/// socket, so a slow peer still receives everything that was sent.
-///
-/// # Errors
-///
-/// Returns [`NetError::Config`] on a mismatched address list, an empty
-/// instance vector, or an instance disagreeing on identity;
-/// [`NetError::Io`] if the listener cannot be bound; and
-/// [`NetError::Timeout`] if outputs are missing at the deadline.
-pub async fn run_instances<P>(
-    instances: Vec<P>,
-    keychain: Keychain,
-    addrs: Vec<SocketAddr>,
-    opts: RunOptions,
-) -> Result<(Vec<P::Output>, NetStats), NetError>
-where
-    P: Protocol + Send + 'static,
-    P::Output: Send,
-{
-    let me = keychain.node_id();
-    let n = keychain.n();
-    if addrs.len() != n {
-        return Err(NetError::Config(format!("{} addresses for {n} nodes", addrs.len())));
-    }
-    if instances.is_empty() {
-        return Err(NetError::Config("no protocol instances".into()));
-    }
-    if instances.len() > usize::from(u16::MAX) + 1 {
-        return Err(NetError::Config("instance ids are u16".into()));
-    }
-    for p in &instances {
-        if p.n() != n || p.node_id() != me {
-            return Err(NetError::Config("protocol identity mismatch".into()));
-        }
-    }
-    if opts.egress_capacity == 0 {
-        return Err(NetError::Config("egress_capacity must be at least 1".into()));
-    }
-    let shards = opts.recv_shards.clamp(1, MAX_RECV_SHARDS);
-
-    let counters = Arc::new(Counters::default());
-    let keychain = Arc::new(keychain);
-    let listener = TcpListener::bind(addrs[me.index()]).await?;
-    let (in_rxs, inboxes, accept_task) =
-        open_ingress(listener, keychain.clone(), counters.clone(), shards);
-
-    // Outbound: one authenticated session (bounded queue + lazy-dialing
-    // write loop) per peer, with this run's batching + flush policy; each
-    // worker below gets the egress lane of its shard class.
-    let sessions = SessionSet::connect(
-        keychain,
-        &addrs,
-        opts.reconnect_delay,
-        counters.clone(),
-        opts.batching,
-        instances.len() == 1,
-        opts.flush,
-        opts.egress_capacity,
-    );
-    let deadline = Instant::now() + opts.deadline;
-    let total = instances.len();
-
-    // Partition instances across the dispatch workers by the stable shard
-    // mapping (everything lands on worker 0 when unsharded).
-    let mut groups: Vec<Vec<(u16, P)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (i, p) in instances.into_iter().enumerate() {
-        groups[InstanceId(i as u16).shard(shards)].push((i as u16, p));
-    }
-    let (done_tx, mut done_rx) = mpsc::channel::<Vec<(u16, P::Output)>>(shards);
-    let workers: Vec<tokio::task::JoinHandle<()>> = in_rxs
-        .into_iter()
-        .zip(groups)
-        .enumerate()
-        .map(|(class, (rx, owned))| {
-            tokio::spawn(instance_shard_worker(rx, owned, sessions.lane(class), done_tx.clone()))
-        })
-        .collect();
-    drop(done_tx); // workers hold the only senders
-
-    // Drive: collect completions until every instance has an output.
-    let mut outputs: Vec<Option<P::Output>> = (0..total).map(|_| None).collect();
-    for _ in 0..shards {
-        let done = tokio::select! {
-            m = done_rx.recv() => m,
-            _ = tokio::time::sleep_until(deadline) => None,
-        };
-        // `None`: the deadline, or every worker exited without
-        // completing — either way no output is coming.
-        let Some(done) = done else {
-            abort_run(&accept_task, &workers, sessions);
-            return Err(NetError::Timeout);
-        };
-        for (i, o) in done {
-            outputs[usize::from(i)] = Some(o);
-        }
-    }
-    let Some(outputs) = outputs.into_iter().collect::<Option<Vec<P::Output>>>() else {
-        // A worker reported completion without covering every instance
-        // it owns: an invariant break surfaced as an error, not a crash
-        // fault.
-        abort_run(&accept_task, &workers, sessions);
-        return Err(NetError::Internal("a done worker left an instance without output".into()));
-    };
-
-    // Linger: the workers keep answering so peers can finish too.
-    tokio::time::sleep(opts.linger).await;
-
-    let drain_deadline = Instant::now() + opts.drain_timeout;
-    close_workers(&inboxes, workers, drain_deadline).await;
-    sessions.shutdown(drain_deadline).await;
-    accept_task.abort();
-
-    Ok((outputs, counters.snapshot()))
-}
-
 /// Tears a failed run down without draining: there is no output worth
 /// waiting for.
 fn abort_run(
@@ -538,7 +254,7 @@ enum EpochShardMsg<O> {
 struct EpochSlot<P: Protocol> {
     merge_lane: usize,
     shard: EpochShard<P>,
-    egress: EgressLane<AgreementId>,
+    egress: EgressLane,
 }
 
 /// One sharded epoch dispatch worker, frame in to frame out: a complete
@@ -689,9 +405,11 @@ impl ServiceStats {
         merge_epoch_stats(self.cells.iter().map(|c| c.stats_snapshot()))
     }
 
-    /// The transport counters as of now.
+    /// The transport counters as of now, with
+    /// [`NetStats::late_entries`] read from the same live per-worker
+    /// cells as [`epoch_snapshot`](ServiceStats::epoch_snapshot).
     pub fn net_snapshot(&self) -> NetStats {
-        self.counters.snapshot()
+        NetStats { late_entries: self.epoch_snapshot().late_entries, ..self.counters.snapshot() }
     }
 }
 
@@ -768,7 +486,7 @@ impl<O> EpochServiceHandle<O> {
 ///
 /// This is the deployment shape of a streaming oracle: the mux keeps
 /// spawning per-asset agreement instances epoch after epoch, the service
-/// routes their traffic as epoch-addressed entries in authenticated v3
+/// routes their traffic as epoch-addressed entries in authenticated
 /// frames, and each dispatch worker flushes its own batches per
 /// [`RunOptions::flush`] — per step, or adaptively on size triggers plus
 /// the worker's own flush deadline. With [`RunOptions::recv_shards`] > 1
@@ -839,8 +557,6 @@ where
         &addrs,
         opts.reconnect_delay,
         counters.clone(),
-        opts.batching,
-        false,
         opts.flush,
         opts.egress_capacity,
     );
@@ -871,7 +587,8 @@ where
         .collect();
     drop(out_tx);
 
-    let stats = ServiceStats { cells: stats_cells.clone(), counters: counters.clone() };
+    let stats = ServiceStats { cells: stats_cells, counters: counters.clone() };
+    let probe = stats.clone();
     // Locally produced events, already bounded by the pipeline: at most
     // `window` epochs are in flight, each emitting one event, and no remote
     // peer can make the producer outrun that; a capacity here would only
@@ -929,23 +646,89 @@ where
         // during the linger window (traffic for already-GC'd epochs) are
         // still counted — events were final at completion, counters were
         // not.
-        let epoch_stats = merge_epoch_stats(stats_cells.iter().map(|c| c.stats_snapshot()));
-        counters.late_entries.fetch_add(epoch_stats.late_entries, Ordering::Relaxed);
+        let epoch_stats = probe.epoch_snapshot();
         sessions.shutdown(drain_deadline).await;
         accept_task.abort();
-        Ok((events, epoch_stats, counters.snapshot()))
+        Ok((events, epoch_stats, probe.net_snapshot()))
     });
 
     Ok(EpochServiceHandle { events: Some(event_rx), stats, task })
 }
 
+/// Runs `protocol` over a full TCP mesh until it produces an output:
+/// [`run_instances`] of one instance.
+///
+/// # Errors
+///
+/// As [`run_instances`].
+pub async fn run_node<P>(
+    protocol: P,
+    keychain: Keychain,
+    addrs: Vec<SocketAddr>,
+    opts: RunOptions,
+) -> Result<(P::Output, NetStats), NetError>
+where
+    P: Protocol + Send + 'static,
+    P::Output: Clone + Send,
+{
+    let (mut outputs, stats) = run_instances(vec![protocol], keychain, addrs, opts).await?;
+    match outputs.pop() {
+        Some(output) => Ok((output, stats)),
+        None => Err(NetError::Internal("one instance in, no output out".into())),
+    }
+}
+
+/// Runs `instances` — independent protocol instances, instance `i`
+/// addressed as `InstanceId(i)` — over one full TCP mesh until every
+/// instance produces an output: a one-epoch stream through
+/// [`run_epoch_service`] ([`EpochMux::one_epoch`]), so the transport
+/// contract, the linger (the resolved epoch is never evicted: a finished
+/// node keeps answering) and the drain-on-shutdown are that function's.
+///
+/// # Errors
+///
+/// Returns [`NetError::Config`] on a mismatched address list, an empty or
+/// oversized instance vector, or an instance disagreeing on identity;
+/// [`NetError::Io`] if the listener cannot be bound; and
+/// [`NetError::Timeout`] if outputs are missing at the deadline.
+pub async fn run_instances<P>(
+    instances: Vec<P>,
+    keychain: Keychain,
+    addrs: Vec<SocketAddr>,
+    opts: RunOptions,
+) -> Result<(Vec<P::Output>, NetStats), NetError>
+where
+    P: Protocol + Send + 'static,
+    P::Output: Clone + Send,
+{
+    let (me, n) = (keychain.node_id(), keychain.n());
+    if instances.is_empty() {
+        return Err(NetError::Config("no protocol instances".into()));
+    }
+    if instances.len() > usize::from(u16::MAX) {
+        return Err(NetError::Config("instance ids are u16".into()));
+    }
+    if instances.iter().any(|p| p.n() != n || p.node_id() != me) {
+        return Err(NetError::Config("protocol identity mismatch".into()));
+    }
+    let handle = run_epoch_service(EpochMux::one_epoch(instances), keychain, addrs, opts);
+    let (mut events, _, stats) = handle.await?.finish().await?;
+    match events.pop().map(|event| event.outcome) {
+        Some(EpochOutcome::Agreed(outputs)) => Ok((outputs, stats)),
+        _ => Err(NetError::Internal("a one-epoch stream resolved without agreeing".into())),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::decode_any_frame;
+    use crate::frame::{
+        decode_inbound_frame_ref, EPOCH_ENTRY_OVERHEAD_BYTES, EPOCH_FRAME_OVERHEAD_BYTES,
+    };
+    use crate::transport::VerifiedFrame;
     use bytes::Bytes;
     use delphi_core::BinAaNode;
-    use delphi_primitives::{Dyadic, Mux, NodeId};
+    use delphi_primitives::{Dyadic, Envelope, EpochConfig, EpochProtocol, NodeId};
     use tokio::io::AsyncReadExt;
 
     async fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -1090,7 +873,8 @@ mod tests {
     /// Broadcasts `rounds` waves, advancing after each full wave of peer
     /// messages; its envelope count is schedule-independent, which makes
     /// frame counts comparable across runs — and equal to the simulated
-    /// Mux run's message count, the sim/TCP parity check below.
+    /// one-epoch `EpochProtocol` run's message count, the sim/TCP parity
+    /// check below.
     struct Wave {
         id: NodeId,
         n: usize,
@@ -1137,7 +921,6 @@ mod tests {
 
     async fn run_wave_cluster(
         seed: &'static [u8],
-        batching: bool,
         flush: FlushPolicy,
         recv_shards: usize,
     ) -> NetStats {
@@ -1148,7 +931,7 @@ mod tests {
             let nodes: Vec<Wave> =
                 (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
             let addrs = addrs.clone();
-            let opts = RunOptions { batching, flush, recv_shards, ..RunOptions::default() };
+            let opts = RunOptions { flush, recv_shards, ..RunOptions::default() };
             handles.push(tokio::spawn(
                 async move { run_instances(nodes, keychain, addrs, opts).await },
             ));
@@ -1173,29 +956,33 @@ mod tests {
         total
     }
 
-    /// A Wave workload of `instances` instances per node under the
-    /// simulator, multiplexed per node — the reference the TCP runner's
-    /// frame accounting must match. Returns `(messages, entries)`.
-    fn run_wave_simulation(instances: usize) -> (u64, u64) {
+    /// The Wave workload under the simulator — each node a one-epoch
+    /// per-step `EpochProtocol` over the same basket, flushing per
+    /// `(destination, receive shard)` — the reference the TCP runner's
+    /// accounting must match. Returns `(messages, wire bytes, entries)`.
+    fn run_wave_simulation(recv_shards: usize) -> (u64, u64, u64) {
         use delphi_sim::{Simulation, Topology};
-        let nodes: Vec<Box<dyn Protocol<Output = Vec<usize>>>> = NodeId::all(WAVE_N)
+        let nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<usize>>>>> = NodeId::all(WAVE_N)
             .map(|id| {
-                let instances: Vec<Wave> =
-                    (0..instances).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
-                Box::new(Mux::new(instances)) as Box<dyn Protocol<Output = Vec<usize>>>
+                let basket =
+                    (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
+                let node = EpochProtocol::new(EpochMux::one_epoch(basket), FlushPolicy::PerStep)
+                    .recv_shards(recv_shards);
+                Box::new(node) as Box<dyn Protocol<Output = Vec<EpochEvent<usize>>>>
             })
             .collect();
-        let report = Simulation::new(Topology::lan(WAVE_N)).seed(7).run(nodes);
+        let report =
+            Simulation::new(Topology::lan(WAVE_N)).seed(7).recv_shards(recv_shards).run(nodes);
         assert!(report.all_honest_finished(), "sim wave run stalled");
         // Entries: every wave is a broadcast from every instance.
-        let entries = (WAVE_N * instances * usize::from(WAVE_ROUNDS) * (WAVE_N - 1)) as u64;
-        (report.metrics.total_msgs(), entries)
+        let entries = (WAVE_N * WAVE_INSTANCES * usize::from(WAVE_ROUNDS) * (WAVE_N - 1)) as u64;
+        (report.metrics.total_msgs(), report.metrics.total_wire_bytes(), entries)
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn batching_reduces_frames_and_macs_at_equal_envelope_count() {
-        let batched = run_wave_cluster(b"wave-batched", true, FlushPolicy::PerStep, 1).await;
-        let unbatched = run_wave_cluster(b"wave-unbatched", false, FlushPolicy::PerStep, 1).await;
+        let batched = run_wave_cluster(b"wave-batched", FlushPolicy::PerStep, 1).await;
+        let unbatched = run_wave_cluster(b"wave-unbatched", FlushPolicy::PerEntry, 1).await;
         // Same protocols, schedule-independent envelope counts: the
         // workloads are identical.
         assert_eq!(batched.sent_entries, unbatched.sent_entries);
@@ -1217,42 +1004,36 @@ mod tests {
             batched.sent_bytes,
             unbatched.sent_bytes
         );
-        // Unbatched, every envelope is its own frame.
+        // Per entry, every envelope is its own frame.
         assert_eq!(unbatched.sent_frames, unbatched.sent_entries);
-
-        // Parity with the simulator: the batched per-step TCP run puts
-        // exactly as many frames (and entries) on the wire as the
-        // multiplexed simulation sends messages — simulated cost IS real
-        // cost, which is what makes the sim sweeps trustworthy.
-        let (sim_msgs, sim_entries) = run_wave_simulation(WAVE_INSTANCES);
-        assert_eq!(batched.sent_frames, sim_msgs, "TCP frames == simulated messages");
-        assert_eq!(batched.sent_entries, sim_entries, "TCP entries == simulated envelopes");
+        // What batching saved is exactly the frame overheads it spared.
+        assert_eq!(
+            unbatched.sent_bytes - batched.sent_bytes,
+            (unbatched.sent_frames - batched.sent_frames) * EPOCH_FRAME_OVERHEAD_BYTES as u64
+        );
+        let payload = b"wave".len() as u64;
+        assert_eq!(
+            batched.sent_bytes,
+            batched.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64
+                + batched.sent_entries * (EPOCH_ENTRY_OVERHEAD_BYTES as u64 + payload)
+        );
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn sharded_egress_matches_simulated_accounting_exactly() {
         // The sim/TCP parity test on the worker-owned send side. A worker
-        // owns one shard class and flushes only that class, so a node
-        // with `recv_shards` workers sends exactly what that many
-        // independent multiplexers would — one per class, over the
-        // instances hashing to it: the frames, entries, and encode-side
-        // MACs on the wire must EQUAL the simulated `Mux` accounting
-        // summed over the classes, at every shard count. (At one shard
-        // that is the whole basket behind one `Mux`.)
+        // owns one shard class and flushes only that class, one step per
+        // entry — exactly what a simulated one-epoch `EpochProtocol`
+        // flushing per `(destination, receive shard)` does — so the
+        // frames, entries, wire bytes and encode-side MACs on the wire
+        // must EQUAL the simulated accounting at every shard count:
+        // simulated cost IS real cost, which is what makes the sim sweeps
+        // trustworthy.
         for (seed, recv_shards) in
             [(b"wave-rs1" as &'static [u8], 1usize), (b"wave-rs2", 2), (b"wave-rs4", 4)]
         {
-            let mut class_sizes = [0usize; MAX_RECV_SHARDS];
-            for i in 0..WAVE_INSTANCES {
-                class_sizes[InstanceId(i as u16).shard(recv_shards)] += 1;
-            }
-            let (mut sim_msgs, mut sim_entries) = (0, 0);
-            for &size in class_sizes.iter().filter(|&&size| size > 0) {
-                let (msgs, entries) = run_wave_simulation(size);
-                sim_msgs += msgs;
-                sim_entries += entries;
-            }
-            let total = run_wave_cluster(seed, true, FlushPolicy::PerStep, recv_shards).await;
+            let (sim_msgs, sim_bytes, sim_entries) = run_wave_simulation(recv_shards);
+            let total = run_wave_cluster(seed, FlushPolicy::PerStep, recv_shards).await;
             assert_eq!(
                 total.sent_frames, sim_msgs,
                 "TCP frames == simulated messages at {recv_shards} shards"
@@ -1260,6 +1041,10 @@ mod tests {
             assert_eq!(
                 total.sent_entries, sim_entries,
                 "TCP entries == simulated envelopes at {recv_shards} shards"
+            );
+            assert_eq!(
+                total.sent_bytes, sim_bytes,
+                "TCP bytes == simulated wire bytes at {recv_shards} shards"
             );
             // (`run_wave_cluster` asserts per node that encode-side MACs
             // equal frames, so the MAC count is pinned with them.)
@@ -1307,9 +1092,9 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn adaptive_flush_cuts_one_shot_frames_at_equal_envelope_count() {
-        // The open ROADMAP item: adaptive flushing on the *one-shot* path.
-        // Entries are schedule-independent, so the per-entry frame cost
-        // comparison is exact.
+        // Adaptive flushing through the one-shot adapter. Entries are
+        // schedule-independent, so the per-entry frame cost comparison
+        // is exact.
         let n = 3;
         let instances = 4usize;
         let budget = 6u8;
@@ -1408,7 +1193,7 @@ mod tests {
             stream.read_exact(&mut len_buf).await.unwrap();
             let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
             stream.read_exact(&mut body).await.unwrap();
-            let (from, entries) = decode_any_frame(kc, &body).expect("authentic frame");
+            let (from, entries) = decode_inbound_frame_ref(kc, &body).expect("authentic frame");
             assert_eq!(from, NodeId(0));
             got += entries.len();
         }
@@ -1428,7 +1213,7 @@ mod tests {
         let keychain = delphi_crypto::Keychain::derive(b"drain-test", NodeId(0), 2);
         let opts = RunOptions {
             linger: Duration::ZERO,
-            batching: false, // one frame per envelope: all 50 must arrive
+            flush: FlushPolicy::PerEntry, // one frame per envelope: all 50 must arrive
             ..RunOptions::default()
         };
         let runner = tokio::spawn(async move {
@@ -1466,7 +1251,7 @@ mod tests {
         let keychain = delphi_crypto::Keychain::derive(b"lane-drain", NodeId(0), 2);
         let opts = RunOptions {
             linger: Duration::ZERO,
-            batching: false, // one frame per envelope: all of them must arrive
+            flush: FlushPolicy::PerEntry, // one frame per envelope: all of them must arrive
             recv_shards: 4,
             ..RunOptions::default()
         };
@@ -1563,7 +1348,6 @@ mod tests {
         flush: FlushPolicy,
         recv_shards: usize,
     ) -> Vec<NetStats> {
-        use delphi_primitives::{EpochConfig, EpochOutcome};
         let n = 3;
         let epochs = 8u32;
         let assets = 2u16;
@@ -1697,7 +1481,6 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn peer_that_never_reads_is_dropped_to_while_the_stream_completes() {
-        use delphi_primitives::{EpochConfig, EpochOutcome};
         // Node 3 accepts every connection and never reads a byte. Its
         // socket buffers fill (a few MiB on loopback), its writers block
         // mid-frame, its queues (4 frames) fill, and from then on every
@@ -1797,7 +1580,6 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn epoch_deadline_failure_aborts_workers_and_writers_without_hanging() {
-        use delphi_primitives::EpochConfig;
         // No peer ever comes up: the stream cannot resolve, the writers
         // sit in their dial-retry loops, the workers on their inboxes.
         // The deadline must tear all of it down and report, promptly.
@@ -1820,7 +1602,6 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn live_tail_matches_the_finished_stream() {
-        use delphi_primitives::EpochConfig;
         // One node tails its own stream while it runs; the tail must be
         // the finished stream, event for event, and must end (None) as
         // soon as the stream completes — not when the linger ends.
@@ -1866,23 +1647,21 @@ mod tests {
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn late_frames_to_evicted_epochs_counted_in_net_stats() {
         use crate::frame::encode_epoch_frame;
-        use delphi_primitives::EpochConfig;
         // Node 0 runs a 2-epoch stream with a 1-epoch window; a raw-socket
         // peer replays an epoch-0 entry after epoch 0 was completed and
         // evicted. The late entry must be dropped, counted, and harmless.
         let addrs = free_addrs(2).await;
         let kc0 = delphi_crypto::Keychain::derive(b"late-test", NodeId(0), 2);
         let kc1 = delphi_crypto::Keychain::derive(b"late-test", NodeId(1), 2);
-        let service_addrs = addrs.clone();
-        let service = tokio::spawn(async move {
-            let mux = epoch_mux(NodeId(0), 2, EpochConfig::new(2, 1, 1, 1, 1));
-            let opts = RunOptions {
-                linger: Duration::from_millis(200),
-                drain_timeout: Duration::from_millis(500),
-                ..RunOptions::default()
-            };
-            run_epoch_service(mux, kc0, service_addrs, opts).await?.finish().await
-        });
+        let mux = epoch_mux(NodeId(0), 2, EpochConfig::new(2, 1, 1, 1, 1));
+        let opts = RunOptions {
+            linger: Duration::from_millis(200),
+            drain_timeout: Duration::from_millis(500),
+            ..RunOptions::default()
+        };
+        let handle =
+            run_epoch_service(mux, kc0, addrs.clone(), opts).await.expect("service starts");
+        let probe = handle.stats();
 
         // The peer accepts node 0's outbound connection and discards its
         // frames, so shutdown drains cleanly.
@@ -1916,21 +1695,29 @@ mod tests {
         // Epoch 0 completes and is evicted when epoch 1 spawns.
         stream.write_all(&encode_epoch_frame(&kc1, NodeId(0), &entry(0))).await.unwrap();
         tokio::time::sleep(Duration::from_millis(100)).await;
-        // Replay epoch 0: late. Then finish the stream with epoch 1.
+        // Replay epoch 0: late — and visible in the live snapshots (what
+        // `/v0/stats` serves) while the stream is still running.
         stream.write_all(&encode_epoch_frame(&kc1, NodeId(0), &entry(0))).await.unwrap();
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        let patience = std::time::Instant::now() + Duration::from_secs(10);
+        while probe.net_snapshot().late_entries == 0 {
+            assert!(std::time::Instant::now() < patience, "live NetStats never saw the late entry");
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
+        assert_eq!(probe.net_snapshot().late_entries, 1);
+        assert_eq!(probe.epoch_snapshot().late_entries, 1);
+        // Finish the stream with epoch 1.
         stream.write_all(&encode_epoch_frame(&kc1, NodeId(0), &entry(1))).await.unwrap();
 
-        let (events, epoch_stats, stats) = service.await.unwrap().expect("stream finished");
+        let (events, epoch_stats, stats) = handle.finish().await.expect("stream finished");
         assert_eq!(events.len(), 2);
         assert_eq!(epoch_stats.late_entries, 1, "the replayed entry is late");
-        assert_eq!(stats.late_entries, 1, "late entries surface in NetStats");
+        assert_eq!(stats.late_entries, 1, "counted once: the final NetStats agree");
+        assert_eq!(probe.net_snapshot().late_entries, 1);
         assert_eq!(stats.dropped_frames, 0, "late != dropped: the frame authenticated");
     }
 
     #[tokio::test]
     async fn epoch_identity_mismatch_rejected() {
-        use delphi_primitives::EpochConfig;
         let keychain = delphi_crypto::Keychain::derive(b"x", NodeId(0), 4);
         let mux = epoch_mux(NodeId(0), 2, EpochConfig::new(1, 1, 1, 1, 0));
         let Err(err) = run_epoch_service(
@@ -1954,6 +1741,15 @@ mod tests {
             run_node(node, keychain, vec!["127.0.0.1:1".parse().unwrap()], RunOptions::default())
                 .await
                 .unwrap_err();
+        assert!(matches!(err, NetError::Config(_)), "{err}");
+        // An instance that disagrees with the keychain on identity.
+        let keychain = delphi_crypto::Keychain::derive(b"x", NodeId(0), 4);
+        let nodes = vec![
+            BinAaNode::new(NodeId(0), 4, 1, true, 4),
+            BinAaNode::new(NodeId(1), 4, 1, true, 4),
+        ];
+        let addrs = vec!["127.0.0.1:1".parse().unwrap(); 4];
+        let err = run_instances(nodes, keychain, addrs, RunOptions::default()).await.unwrap_err();
         assert!(matches!(err, NetError::Config(_)), "{err}");
     }
 

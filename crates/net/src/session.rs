@@ -1,5 +1,5 @@
-//! Per-peer authenticated sessions: framing format choice, batching,
-//! adaptive flushing, worker-owned egress lanes, and drain-on-shutdown.
+//! Per-peer authenticated sessions: batching under the run's flush
+//! policy, worker-owned egress lanes, and drain-on-shutdown.
 //!
 //! A [`SessionSet`] owns the write side of the mesh: one bounded queue
 //! and one [`transport`](crate::transport) write loop per peer. It hands
@@ -20,12 +20,11 @@
 //!   worker folds into its own `select!` — taken when no frame is waiting
 //!   to be answered, or unconditionally once a further `max_delay`
 //!   overdue;
-//! - with batching on, all envelopes of one step bound for the same peer
-//!   share one v2 frame (one HMAC tag for the whole step); a solo
-//!   (single-instance) runner keeps the 4-bytes-cheaper v1 format for
-//!   single-envelope flushes;
+//! - every flush is one frame ([`encode_epoch_frame`]) under one HMAC
+//!   tag: a whole step's envelopes for a peer per-step, several steps'
+//!   adaptively, a single envelope under the per-entry baseline;
 //! - routing and pending buffers are recycled between flushes (the
-//!   free-list in `PendingBatchesBy`), so a steady-state flush allocates
+//!   free-list in `PendingBatches`), so a steady-state flush allocates
 //!   nothing but the frame itself; `NetStats::buffer_reuses` counts the
 //!   hits;
 //! - encoded frames are `try_send`-handed to the bounded per-peer writer
@@ -49,12 +48,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use delphi_crypto::Keychain;
 use delphi_primitives::epoch::route_epoch_bursts_into;
-use delphi_primitives::mux::route_bursts_into;
-use delphi_primitives::{AgreementId, Envelope, FlushPolicy, InstanceId, NodeId, PendingBatchesBy};
+use delphi_primitives::{AgreementId, Envelope, FlushPolicy, NodeId, PendingBatches};
 use tokio::sync::mpsc;
 use tokio::time::Instant;
 
-use crate::frame::{encode_batch_frame, encode_epoch_frame, encode_frame};
+use crate::frame::encode_epoch_frame;
 use crate::transport::{spawn_writer, Counters, MAX_RECV_SHARDS};
 
 /// Hands `frame` to a peer's bounded writer queue, returning whether it
@@ -108,69 +106,6 @@ impl EgressDropSites {
     }
 }
 
-/// An address space an [`EgressLane`] can batch: one-shot instance ids
-/// or epoch-addressed agreement ids. Burst routing and the frame format
-/// are all that differs between the two.
-pub(crate) trait EgressKey: Copy {
-    /// Routes one step's bursts into per-destination entry lists.
-    fn route(
-        bursts: Vec<(Self, Vec<Envelope>)>,
-        n: usize,
-        me: NodeId,
-        per_dest: &mut Vec<Vec<(Self, Bytes)>>,
-    );
-
-    /// Encodes and tags one frame carrying `entries` (non-empty). `solo`
-    /// marks a single-instance run, whose one-entry flushes keep the v1
-    /// format.
-    fn encode(keychain: &Keychain, to: NodeId, entries: &[(Self, Bytes)], solo: bool) -> Bytes;
-}
-
-impl EgressKey for InstanceId {
-    fn route(
-        bursts: Vec<(InstanceId, Vec<Envelope>)>,
-        n: usize,
-        me: NodeId,
-        per_dest: &mut Vec<Vec<(InstanceId, Bytes)>>,
-    ) {
-        route_bursts_into(bursts, n, me, per_dest);
-    }
-
-    /// Multi-instance runs speak pure v2 so `NetStats` byte counts equal
-    /// the simulator's `Mux` accounting.
-    fn encode(
-        keychain: &Keychain,
-        to: NodeId,
-        entries: &[(InstanceId, Bytes)],
-        solo: bool,
-    ) -> Bytes {
-        match entries {
-            [(_, payload)] if solo => encode_frame(keychain, to, payload),
-            _ => encode_batch_frame(keychain, to, entries),
-        }
-    }
-}
-
-impl EgressKey for AgreementId {
-    fn route(
-        bursts: Vec<(AgreementId, Vec<Envelope>)>,
-        n: usize,
-        me: NodeId,
-        per_dest: &mut Vec<Vec<(AgreementId, Bytes)>>,
-    ) {
-        route_epoch_bursts_into(bursts, n, me, per_dest);
-    }
-
-    fn encode(
-        keychain: &Keychain,
-        to: NodeId,
-        entries: &[(AgreementId, Bytes)],
-        _solo: bool,
-    ) -> Bytes {
-        encode_epoch_frame(keychain, to, entries)
-    }
-}
-
 /// When an adaptive lane's time trigger fires, as its worker sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct FlushDeadline {
@@ -184,7 +119,7 @@ pub(crate) struct FlushDeadline {
 /// One dispatch worker's send side: the per-destination pending buffers
 /// of its receive-shard class, the flush policy's triggers, and frame
 /// encode + HMAC — all run by the worker itself, on its own thread.
-pub(crate) struct EgressLane<K> {
+pub(crate) struct EgressLane {
     /// The worker's receive-shard class (the index its counters and drop
     /// sites are attributed to).
     class: usize,
@@ -194,14 +129,12 @@ pub(crate) struct EgressLane<K> {
     /// Clones of the per-peer writer senders: writers observe close only
     /// once every lane is gone *and* the session set dropped its copies.
     peer_tx: Vec<Option<mpsc::Sender<Bytes>>>,
-    batching: bool,
-    solo: bool,
     /// Per-destination entries awaiting flush — the same accumulator
     /// `EpochProtocol` uses under the simulator, so the two transports
     /// share one flush-trigger semantics.
-    pending: PendingBatchesBy<K>,
+    pending: PendingBatches,
     /// Reused routing buffers, one per destination.
-    routed: Vec<Vec<(K, Bytes)>>,
+    routed: Vec<Vec<(AgreementId, Bytes)>>,
     /// The adaptive policy's time trigger (None per-step).
     flush_delay: Option<Duration>,
     /// When the time trigger fires: armed while anything is pending.
@@ -210,26 +143,25 @@ pub(crate) struct EgressLane<K> {
     published_reuses: u64,
 }
 
-impl<K: EgressKey> EgressLane<K> {
+impl EgressLane {
     /// Sends one protocol step's output: the envelope bursts of every
     /// instance that acted, routed per destination, accumulated, and
     /// flushed where the session's [`FlushPolicy`] says a destination is
-    /// due (per-step always — the classic one-frame-per-step cost model;
-    /// adaptive on the size triggers, with
-    /// [`flush_deadline`](EgressLane::flush_deadline) as the time
-    /// trigger).
-    pub(crate) fn send_step(&mut self, bursts: Vec<(K, Vec<Envelope>)>) {
+    /// due (per-step always; per-entry after every entry; adaptive on the
+    /// size triggers, with [`flush_deadline`](EgressLane::flush_deadline)
+    /// as the time trigger).
+    pub(crate) fn send_step(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>) {
         if bursts.is_empty() {
             return; // most entries trigger nothing
         }
         let mut routed = std::mem::take(&mut self.routed);
-        K::route(bursts, self.peer_tx.len(), self.keychain.node_id(), &mut routed);
+        route_epoch_bursts_into(bursts, self.peer_tx.len(), self.keychain.node_id(), &mut routed);
         for (dest, entries) in routed.iter_mut().enumerate() {
             if entries.is_empty() || self.peer_tx[dest].is_none() {
                 continue;
             }
             self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-            if self.pending.push_drain(dest, entries) {
+            while self.pending.push_drain(dest, entries) {
                 self.flush_dest(dest);
             }
         }
@@ -272,16 +204,8 @@ impl<K: EgressKey> EgressLane<K> {
         };
         self.counters.egress_shard_entries[self.class]
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let to = NodeId(dest as u16);
-        if self.batching {
-            self.ship_frame(dest, tx, K::encode(&self.keychain, to, &entries, self.solo));
-        } else {
-            // One frame per entry: the measurement baseline.
-            for entry in &entries {
-                let entry = std::slice::from_ref(entry);
-                self.ship_frame(dest, tx, K::encode(&self.keychain, to, entry, self.solo));
-            }
-        }
+        let frame = encode_epoch_frame(&self.keychain, NodeId(dest as u16), &entries);
+        self.ship_frame(dest, tx, frame);
         self.pending.recycle(entries);
         // Per-lane deltas: lanes share the counter, so `store` would race.
         let reuses = self.pending.reuse_hits();
@@ -329,8 +253,6 @@ pub(crate) struct SessionSet {
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
     drop_sites: Arc<EgressDropSites>,
-    batching: bool,
-    solo: bool,
     flush: FlushPolicy,
 }
 
@@ -338,14 +260,11 @@ impl SessionSet {
     /// Opens a session (a lazy-dialing write loop behind a queue of
     /// `egress_capacity` frames) to every peer in `addrs` except
     /// `keychain.node_id()` itself.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn connect(
         keychain: Arc<Keychain>,
         addrs: &[SocketAddr],
         reconnect_delay: Duration,
         counters: Arc<Counters>,
-        batching: bool,
-        solo: bool,
         flush: FlushPolicy,
         egress_capacity: usize,
     ) -> SessionSet {
@@ -369,13 +288,13 @@ impl SessionSet {
             ));
         }
         let drop_sites = Arc::new(EgressDropSites::new(n));
-        SessionSet { peer_tx, writer_tasks, keychain, counters, drop_sites, batching, solo, flush }
+        SessionSet { peer_tx, writer_tasks, keychain, counters, drop_sites, flush }
     }
 
     /// The egress lane for the dispatch worker owning receive-shard
     /// class `class`: its own pending buffers over clones of the writer
     /// queues.
-    pub(crate) fn lane<K>(&self, class: usize) -> EgressLane<K> {
+    pub(crate) fn lane(&self, class: usize) -> EgressLane {
         assert!(class < MAX_RECV_SHARDS, "shard class out of range");
         EgressLane {
             class,
@@ -383,13 +302,11 @@ impl SessionSet {
             counters: self.counters.clone(),
             drop_sites: self.drop_sites.clone(),
             peer_tx: self.peer_tx.clone(),
-            batching: self.batching,
-            solo: self.solo,
-            pending: PendingBatchesBy::new(self.peer_tx.len(), self.flush),
+            pending: PendingBatches::new(self.peer_tx.len(), self.flush),
             routed: Vec::new(),
             flush_delay: match self.flush {
                 FlushPolicy::Adaptive { max_delay, .. } => Some(max_delay),
-                FlushPolicy::PerStep => None,
+                FlushPolicy::PerEntry | FlushPolicy::PerStep => None,
             },
             flush_at: None,
             published_reuses: 0,
@@ -466,7 +383,6 @@ mod tests {
     fn dead_peer_sessions(
         n: usize,
         counters: &Arc<Counters>,
-        solo: bool,
         flush: FlushPolicy,
         egress_capacity: usize,
     ) -> SessionSet {
@@ -477,17 +393,15 @@ mod tests {
             &addrs,
             Duration::from_secs(60),
             counters.clone(),
-            true,
-            solo,
             flush,
             egress_capacity,
         )
     }
 
     /// One step carrying one envelope for `dest`.
-    fn send_one(lane: &mut EgressLane<InstanceId>, dest: u16, payload: &[u8]) {
+    fn send_one(lane: &mut EgressLane, dest: u16, payload: &[u8]) {
         lane.send_step(vec![(
-            InstanceId(0),
+            AgreementId::default(),
             vec![Envelope::to_one(NodeId(dest), Bytes::copy_from_slice(payload))],
         )]);
     }
@@ -500,8 +414,8 @@ mod tests {
         // and count every other frame as dropped egress — never grow
         // memory, never make the sending worker wait.
         let counters = Arc::new(Counters::default());
-        let sessions = dead_peer_sessions(2, &counters, true, FlushPolicy::PerStep, 4);
-        let mut lane = sessions.lane::<InstanceId>(0);
+        let sessions = dead_peer_sessions(2, &counters, FlushPolicy::PerStep, 4);
+        let mut lane = sessions.lane(0);
         for step in 0..100u16 {
             send_one(&mut lane, 1, &step.to_be_bytes());
         }
@@ -525,8 +439,8 @@ mod tests {
         // two frames, no peer ever draining.
         let run = |traffic: &[(u16, usize)]| {
             let counters = Arc::new(Counters::default());
-            let sessions = dead_peer_sessions(3, &counters, false, FlushPolicy::PerStep, 2);
-            let mut lanes = [sessions.lane::<InstanceId>(0), sessions.lane::<InstanceId>(1)];
+            let sessions = dead_peer_sessions(3, &counters, FlushPolicy::PerStep, 2);
+            let mut lanes = [sessions.lane(0), sessions.lane(1)];
             for _ in 0..30 {
                 for &(dest, class) in traffic {
                     send_one(&mut lanes[class], dest, b"x");
@@ -568,8 +482,8 @@ mod tests {
             max_bytes: 4096,
             max_delay: Duration::from_millis(5),
         };
-        let sessions = dead_peer_sessions(3, &counters, false, flush, 16);
-        let mut lane = sessions.lane::<InstanceId>(0);
+        let sessions = dead_peer_sessions(3, &counters, flush, 16);
+        let mut lane = sessions.lane(0);
         assert_eq!(lane.flush_deadline(), None, "nothing pending, nothing armed");
         send_one(&mut lane, 1, b"a");
         send_one(&mut lane, 2, b"b");

@@ -46,7 +46,7 @@ pub const MAX_RECV_SHARDS: usize = 8;
 /// Byte counters observed by the runner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Frames sent (envelopes may share a frame when batching is on).
+    /// Frames sent (envelopes share a frame unless flushed per entry).
     pub sent_frames: u64,
     /// Total bytes written to sockets (frames incl. headers).
     pub sent_bytes: u64,
@@ -71,7 +71,7 @@ pub struct NetStats {
     /// verified). Batching lowers this together with `sent_frames`.
     pub mac_ops: u64,
     /// Session-layer flush buffers reused from the free-list instead of
-    /// freshly allocated (see `PendingBatchesBy::recycle`).
+    /// freshly allocated (see `PendingBatches::recycle`).
     pub buffer_reuses: u64,
     /// Vector (basket) agreement instances completed by this node — one
     /// per epoch in vector mode, each covering `vector_dims` assets.
@@ -110,7 +110,6 @@ pub(crate) struct Counters {
     pub(crate) recv_entries: AtomicU64,
     pub(crate) dropped_frames: AtomicU64,
     pub(crate) dropped_egress: AtomicU64,
-    pub(crate) late_entries: AtomicU64,
     pub(crate) mac_ops: AtomicU64,
     pub(crate) buffer_reuses: AtomicU64,
     pub(crate) vector_instances: AtomicU64,
@@ -141,7 +140,9 @@ impl Counters {
             recv_entries: self.recv_entries.load(Ordering::Relaxed),
             dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
             dropped_egress: self.dropped_egress.load(Ordering::Relaxed),
-            late_entries: self.late_entries.load(Ordering::Relaxed),
+            // The epoch layer's count: `ServiceStats::net_snapshot` reads it
+            // from the workers' live cells.
+            late_entries: 0,
             mac_ops: self.mac_ops.load(Ordering::Relaxed),
             buffer_reuses: self.buffer_reuses.load(Ordering::Relaxed),
             vector_instances: self.vector_instances.load(Ordering::Relaxed),
@@ -334,7 +335,12 @@ pub(crate) async fn write_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{decode_any_frame, encode_frame};
+    use crate::frame::encode_epoch_frame;
+    use delphi_primitives::AgreementId;
+
+    fn one_entry(payload: &'static [u8]) -> [(AgreementId, Bytes); 1] {
+        [(AgreementId::default(), Bytes::from_static(payload))]
+    }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn reader_enforces_decoder_length_bounds() {
@@ -358,7 +364,7 @@ mod tests {
             client.write_all(&bad_len.to_be_bytes()).await.unwrap();
             // A perfectly valid frame behind the corrupt length word: the
             // link is already dead, so it must never be delivered.
-            let frame = encode_frame(&alice, NodeId(1), b"late");
+            let frame = encode_epoch_frame(&alice, NodeId(1), &one_entry(b"late"));
             client.write_all(&frame).await.unwrap();
 
             reader.await.unwrap().unwrap();
@@ -385,7 +391,7 @@ mod tests {
         let counters = Arc::new(Counters::default());
         let (tx, rx) = mpsc::channel(16);
         let writer = spawn_writer(addr, rx, Duration::from_millis(5), counters.clone());
-        tx.try_send(encode_frame(&alice, NodeId(1), b"patience")).unwrap();
+        tx.try_send(encode_epoch_frame(&alice, NodeId(1), &one_entry(b"patience"))).unwrap();
 
         // Let several backoff rounds elapse before the listener appears.
         tokio::time::sleep(Duration::from_millis(120)).await;
@@ -396,9 +402,9 @@ mod tests {
         let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
         server.read_exact(&mut body).await.unwrap();
         let bob = Keychain::derive(b"backoff", NodeId(1), 2);
-        let (from, entries) = decode_any_frame(&bob, &body).expect("authentic frame");
+        let (from, entries) = decode_inbound_frame_ref(&bob, &body).expect("authentic frame");
         assert_eq!(from, NodeId(0));
-        assert_eq!(&entries[0].1[..], b"patience");
+        assert_eq!(entries.iter().next(), Some((AgreementId::default(), &b"patience"[..])));
 
         // The writer bumps its counter on its own thread once `write_all`
         // returns, which may be after our read completes: join it first.

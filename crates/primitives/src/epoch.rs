@@ -1,18 +1,18 @@
 //! The epoch layer: long-lived multi-round agreement pipelines.
 //!
-//! Everything below [`crate::mux`] is one-shot: a fixed set of instances
-//! runs to a single output and stops. An oracle deployment is not one-shot
-//! — it agrees on *fresh* prices round after round, one agreement per
-//! `(epoch, asset)` pair, forever. This module provides that lifecycle as
-//! sans-io machinery shared by the simulator and the TCP runtime:
+//! A single [`Protocol`] instance is one-shot: it runs to one output and
+//! stops. An oracle deployment is not — it agrees on *fresh* prices round
+//! after round, one agreement per `(epoch, asset)` pair, forever. This
+//! module provides that lifecycle as sans-io machinery shared by the
+//! simulator and the TCP runtime (a one-shot basket is simply a stream of
+//! one epoch):
 //!
 //! - [`EpochId`] / [`AgreementId`]: epoch-aware instance addressing with a
 //!   stable wire encoding (`u32` epoch × `u16` asset).
-//! - an **epoch batch codec**: `(AgreementId, payload)` entry sequences,
-//!   the epoch-aware sibling of the [`crate::mux`] batch codec. `delphi-net`
-//!   wraps exactly this sequence in its authenticated epoch frames, and
-//!   [`EpochProtocol`] uses it as the payload of simulator messages, so
-//!   simulated epoch bytes equal TCP epoch bytes.
+//! - an **epoch batch codec**: `(AgreementId, payload)` entry sequences.
+//!   `delphi-net` wraps exactly this sequence in its authenticated frames,
+//!   and [`EpochProtocol`] uses it as the payload of simulator messages,
+//!   so simulated bytes equal TCP bytes.
 //! - [`EpochMux`]: the pipeline driver. It spawns per-asset protocol
 //!   instances epoch after epoch from a factory (the streaming price
 //!   source), keeps at most [`EpochConfig::depth`] epochs in flight and at
@@ -29,13 +29,12 @@
 //!
 //! At most `depth` epochs are *unfinished* at any time (the pipelining
 //! knob), and at most `window` epochs are *resident* (unfinished epochs
-//! plus completed lingerers that keep answering slower peers, exactly like
-//! the one-shot runners' linger phase). Eviction only ever removes a
-//! *resolved* epoch: `window ≥ depth` guarantees a resolved resident
-//! exists whenever the budget is exceeded, so an unfinished epoch inside
-//! the window is never evicted. Entries addressed to an evicted epoch are
-//! dropped and counted ([`EpochStats::late_entries`]), never treated as
-//! protocol errors.
+//! plus completed lingerers that keep answering slower peers). Eviction
+//! only ever removes a *resolved* epoch: `window ≥ depth` guarantees a
+//! resolved resident exists whenever the budget is exceeded, so an
+//! unfinished epoch inside the window is never evicted. Entries addressed
+//! to an evicted epoch are dropped and counted
+//! ([`EpochStats::late_entries`]), never treated as protocol errors.
 //!
 //! # Falling behind and rejoining
 //!
@@ -55,9 +54,8 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::mux::route_bursts_by;
 use crate::wire::{Decode, Encode, Reader, WireError, Writer};
-use crate::{Envelope, InstanceId, NodeId, Protocol};
+use crate::{Envelope, InstanceId, NodeId, Protocol, Recipient};
 
 /// Identity of one agreement round in a streaming oracle deployment.
 ///
@@ -120,10 +118,9 @@ impl Decode for EpochId {
 /// Epoch-aware instance address: one agreement instance is the pair
 /// *(epoch, asset)*.
 ///
-/// The one-shot [`InstanceId`] keeps meaning "asset"; the epoch dimension
-/// is what turns a fixed instance set into a stream. The wire encoding is
-/// stable: 4 epoch bytes then 2 asset bytes, big-endian, inside the epoch
-/// batch codec.
+/// [`InstanceId`] means "asset"; the epoch dimension is what turns a
+/// fixed instance set into a stream. The wire encoding is stable: 4 epoch
+/// bytes then 2 asset bytes, big-endian, inside the epoch batch codec.
 ///
 /// # Example
 ///
@@ -146,11 +143,6 @@ impl AgreementId {
     /// Builds an id from its two components.
     pub fn new(epoch: EpochId, asset: InstanceId) -> AgreementId {
         AgreementId { epoch, asset }
-    }
-
-    /// The address one-shot transports implicitly use: epoch 0.
-    pub fn solo(asset: InstanceId) -> AgreementId {
-        AgreementId { epoch: EpochId::FIRST, asset }
     }
 
     /// Stable receive-shard assignment, by asset: every epoch of one asset
@@ -365,40 +357,60 @@ fn take_u32(rest: &mut &[u8]) -> Result<u32, WireError> {
     Ok(u32::from_be_bytes(*head))
 }
 
-/// Routes epoch-addressed envelope bursts into per-destination entry
-/// lists, with the same broadcast-expansion and out-of-range-drop
-/// semantics every transport in the workspace uses.
-pub fn route_epoch_bursts(
-    bursts: Vec<(AgreementId, Vec<Envelope>)>,
-    n: usize,
-    me: NodeId,
-) -> Vec<Vec<(AgreementId, Bytes)>> {
-    route_bursts_by(bursts, n, me)
-}
-
-/// [`route_epoch_bursts`] into caller-owned scratch buffers (see
-/// [`route_bursts_into`](crate::mux::route_bursts_into)).
+/// Routes one step's epoch-addressed envelope bursts into per-destination
+/// entry lists: broadcasts expand to every node but `me`, and
+/// point-to-point envelopes to out-of-range destinations are dropped.
+/// Shared by [`EpochProtocol`] (simulator path) and `delphi-net`'s egress
+/// lanes (TCP path), so the two transports cannot diverge on routing.
+///
+/// `per_dest` is caller-owned scratch — resized to `n`, cleared and
+/// refilled — so a steady-state sender reuses one set of routing buffers
+/// instead of allocating `n` fresh `Vec`s per step.
 pub fn route_epoch_bursts_into(
     bursts: Vec<(AgreementId, Vec<Envelope>)>,
     n: usize,
     me: NodeId,
     per_dest: &mut Vec<Vec<(AgreementId, Bytes)>>,
 ) {
-    crate::mux::route_bursts_by_into(bursts, n, me, per_dest);
+    per_dest.truncate(n);
+    for entries in per_dest.iter_mut() {
+        entries.clear();
+    }
+    per_dest.resize_with(n, Vec::new);
+    for (id, envelopes) in bursts {
+        for env in envelopes {
+            match env.to {
+                Recipient::All => {
+                    for (dest, entries) in per_dest.iter_mut().enumerate() {
+                        if dest != me.index() {
+                            entries.push((id, env.payload.clone()));
+                        }
+                    }
+                }
+                Recipient::One(dest) if dest.index() < n => {
+                    per_dest[dest.index()].push((id, env.payload));
+                }
+                Recipient::One(_) => {} // out-of-range: drop silently
+            }
+        }
+    }
 }
 
 /// When a transport flushes accumulated batch entries.
 ///
-/// `PerStep` reproduces the one-shot runners' behaviour: every protocol
-/// step's entries are flushed immediately, one frame per destination per
-/// step. `Adaptive` accumulates entries across steps and flushes a
-/// destination when its pending batch exceeds a size trigger — or when the
-/// time trigger fires (the simulator's tick, the TCP runner's flush
-/// timer) — trading a bounded delay for fewer frames and MAC tags per
-/// agreement.
+/// `PerStep` flushes every protocol step's entries immediately, one frame
+/// per destination per step. `Adaptive` accumulates entries across steps
+/// and flushes a destination when its pending batch exceeds a size trigger
+/// — or when the time trigger fires (the simulator's tick, the TCP
+/// runner's flush timer) — trading a bounded delay for fewer frames and
+/// MAC tags per agreement. `PerEntry` is the measurement baseline the
+/// other two are judged against: no batching at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush every step's entries immediately (the one-shot cost model).
+    /// Flush every entry in a frame of its own: each envelope pays its
+    /// own framing and tag.
+    PerEntry,
+    /// Flush every step's entries immediately.
     PerStep,
     /// Accumulate entries across steps; flush on any trigger.
     Adaptive {
@@ -1008,6 +1020,37 @@ impl<P: Protocol> EpochMux<P> {
     }
 }
 
+impl<P: Protocol + Send + 'static> EpochMux<P> {
+    /// A one-shot basket as a stream of one epoch: `instances[i]` runs as
+    /// asset `i` of epoch 0 (depth 1, window 1 — the resolved epoch is
+    /// never evicted, so a finished node keeps answering peers), and the
+    /// stream's single event carries their outputs in order. The fault
+    /// threshold is moot: one epoch has nothing to fast-forward to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instances` is empty, holds more than `u16::MAX`
+    /// instances, or the instances disagree on node identity or system
+    /// size.
+    pub fn one_epoch(instances: Vec<P>) -> EpochMux<P> {
+        assert!(!instances.is_empty(), "a one-epoch stream needs at least one instance");
+        assert!(instances.len() <= usize::from(u16::MAX), "instance ids are u16");
+        let (me, n) = instances.first().map_or((NodeId(0), 0), |p| (p.node_id(), p.n()));
+        assert!(
+            instances.iter().all(|p| p.node_id() == me && p.n() == n),
+            "instances disagree on node id or system size"
+        );
+        let cfg = EpochConfig::new(1, instances.len() as u16, 1, 1, 0);
+        let mut prebuilt: Vec<Option<P>> = instances.into_iter().map(Some).collect();
+        let factory = move |_, asset: InstanceId| {
+            let instance = prebuilt.get_mut(asset.index()).and_then(Option::take);
+            // lint: allow(no-panic) — one epoch spawns each of its assets exactly once
+            instance.expect("a one-epoch stream builds every instance once")
+        };
+        EpochMux::new(cfg, me, n, Box::new(factory))
+    }
+}
+
 impl<P: Protocol + 'static> EpochMux<P> {
     /// Creates a *vector-basket* pipeline: one multidimensional agreement
     /// instance per epoch instead of a per-asset fan-out.
@@ -1277,32 +1320,25 @@ pub struct EpochProtocol<P: Protocol> {
 /// means (an envelope, an authenticated frame); this struct only decides
 /// *when* and hands the entries back.
 ///
-/// Flushed buffers are meant to come home: [`PendingBatchesBy::recycle`]
+/// Flushed buffers are meant to come home: [`PendingBatches::recycle`]
 /// returns a drained buffer to a small free-list, and the next
 /// accumulation for any destination reuses it instead of allocating —
-/// [`PendingBatchesBy::reuse_hits`] counts how often that worked, which
+/// [`PendingBatches::reuse_hits`] counts how often that worked, which
 /// `NetStats` surfaces as `buffer_reuses`.
-///
-/// Generic over the entry key: epoch streams use [`AgreementId`]
-/// ([`PendingBatches`]), the one-shot session path uses
-/// [`InstanceId`](crate::InstanceId).
 #[derive(Debug)]
-pub struct PendingBatchesBy<K> {
+pub struct PendingBatches {
     policy: FlushPolicy,
-    pending: Vec<Vec<(K, Bytes)>>,
+    pending: Vec<Vec<(AgreementId, Bytes)>>,
     bytes: Vec<usize>,
     /// Drained buffers awaiting reuse (bounded by the destination count).
-    free: Vec<Vec<(K, Bytes)>>,
+    free: Vec<Vec<(AgreementId, Bytes)>>,
     reuse_hits: u64,
 }
 
-/// The epoch-addressed accumulator (the historical name).
-pub type PendingBatches = PendingBatchesBy<AgreementId>;
-
-impl<K> PendingBatchesBy<K> {
+impl PendingBatches {
     /// An empty accumulator for `n` destinations.
-    pub fn new(n: usize, policy: FlushPolicy) -> PendingBatchesBy<K> {
-        PendingBatchesBy {
+    pub fn new(n: usize, policy: FlushPolicy) -> PendingBatches {
+        PendingBatches {
             policy,
             pending: std::iter::repeat_with(Vec::new).take(n).collect(),
             bytes: vec![0; n],
@@ -1321,57 +1357,38 @@ impl<K> PendingBatchesBy<K> {
         &self.policy
     }
 
-    /// Appends entries for `dest`, returning `true` when the destination
-    /// is due for an immediate flush (always, per-step; on tripping the
-    /// entry or byte trigger, adaptive — the time trigger is the
-    /// driver's).
-    pub fn push(&mut self, dest: usize, entries: Vec<(K, Bytes)>) -> bool {
+    /// Moves entries from the front of the caller-owned scratch `entries`
+    /// (which keeps its capacity for the next step) to `dest`'s pending
+    /// batch, returning `true` when the destination is due for an
+    /// immediate flush: always, per-step; on tripping the entry or byte
+    /// trigger, adaptive — the time trigger is the driver's. Per-entry,
+    /// one entry moves per call and is due at once, so callers loop
+    /// `while push_drain(..) { flush }` until the scratch is empty.
+    pub fn push_drain(&mut self, dest: usize, entries: &mut Vec<(AgreementId, Bytes)>) -> bool {
         if entries.is_empty() || dest >= self.pending.len() {
             return false;
         }
-        self.bytes[dest] += entries.iter().map(|(_, p)| p.len()).sum::<usize>();
-        self.reuse_into(dest);
-        self.pending[dest].extend(entries);
-        self.due(dest)
-    }
-
-    /// [`PendingBatchesBy::push`], draining a caller-owned scratch buffer
-    /// instead of consuming a fresh `Vec` (the scratch keeps its
-    /// capacity for the next step).
-    pub fn push_drain(&mut self, dest: usize, entries: &mut Vec<(K, Bytes)>) -> bool {
-        if entries.is_empty() || dest >= self.pending.len() {
-            return false;
-        }
-        self.bytes[dest] += entries.iter().map(|(_, p)| p.len()).sum::<usize>();
-        self.reuse_into(dest);
-        self.pending[dest].append(entries);
-        self.due(dest)
-    }
-
-    fn due(&self, dest: usize) -> bool {
-        match self.policy {
-            FlushPolicy::PerStep => true,
-            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
-                self.pending[dest].len() >= max_entries || self.bytes[dest] >= max_bytes
-            }
-        }
-    }
-
-    /// Installs a recycled buffer at an empty `dest` slot, counting the
-    /// reuse hit.
-    fn reuse_into(&mut self, dest: usize) {
+        let take = if matches!(self.policy, FlushPolicy::PerEntry) { 1 } else { entries.len() };
         if self.pending[dest].capacity() == 0 {
             if let Some(buf) = self.free.pop() {
                 self.pending[dest] = buf;
                 self.reuse_hits += 1;
             }
         }
+        self.bytes[dest] += entries.iter().take(take).map(|(_, p)| p.len()).sum::<usize>();
+        self.pending[dest].extend(entries.drain(..take));
+        match self.policy {
+            FlushPolicy::PerEntry | FlushPolicy::PerStep => true,
+            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
+                self.pending[dest].len() >= max_entries || self.bytes[dest] >= max_bytes
+            }
+        }
     }
 
     /// Takes `dest`'s pending entries (empty when nothing is due). Hand
-    /// the drained buffer back via [`PendingBatchesBy::recycle`] once the
+    /// the drained buffer back via [`PendingBatches::recycle`] once the
     /// flush has consumed it.
-    pub fn take(&mut self, dest: usize) -> Vec<(K, Bytes)> {
+    pub fn take(&mut self, dest: usize) -> Vec<(AgreementId, Bytes)> {
         self.bytes[dest] = 0;
         std::mem::take(&mut self.pending[dest])
     }
@@ -1379,7 +1396,7 @@ impl<K> PendingBatchesBy<K> {
     /// Returns a flushed buffer to the free-list (cleared; capacity kept).
     /// Buffers beyond one per destination are dropped — the steady state
     /// needs no more.
-    pub fn recycle(&mut self, mut buf: Vec<(K, Bytes)>) {
+    pub fn recycle(&mut self, mut buf: Vec<(AgreementId, Bytes)>) {
         buf.clear();
         if buf.capacity() > 0 && self.free.len() < self.pending.len() {
             self.free.push(buf);
@@ -1477,13 +1494,13 @@ impl<P: Protocol> EpochProtocol<P> {
         }
         let (n, me, shards) = (self.mux.n(), self.mux.node_id(), self.recv_shards);
         let mut routed = std::mem::take(&mut self.route_scratch);
-        crate::mux::route_bursts_by_into(bursts, n, me, &mut routed);
+        route_epoch_bursts_into(bursts, n, me, &mut routed);
         for (dest, entries) in routed.iter_mut().enumerate() {
             if entries.is_empty() {
                 continue;
             }
             if shards == 1 {
-                if self.pending.push_drain(dest, entries) {
+                while self.pending.push_drain(dest, entries) {
                     self.flush_slot(dest, out);
                 }
                 continue;
@@ -1495,7 +1512,7 @@ impl<P: Protocol> EpochProtocol<P> {
                 groups[id.shard(shards)].push((id, payload));
             }
             for (shard, group) in groups.iter_mut().enumerate() {
-                if self.pending.push_drain(dest * shards + shard, group) {
+                while self.pending.push_drain(dest * shards + shard, group) {
                     self.flush_slot(dest * shards + shard, out);
                 }
             }
@@ -1594,7 +1611,7 @@ mod tests {
             let id = AgreementId::new(EpochId(raw), InstanceId(7));
             assert_eq!(roundtrip(&id).unwrap(), id);
         }
-        assert_eq!(AgreementId::solo(InstanceId(2)).to_string(), "epoch-0/instance-2");
+        assert_eq!(AgreementId::new(EpochId(0), InstanceId(2)).to_string(), "epoch-0/instance-2");
     }
 
     #[test]
@@ -1809,7 +1826,6 @@ mod tests {
     /// Hand-delivers envelopes (flushing via ticks when queues drain)
     /// until quiescence; returns messages delivered.
     fn run_mesh(nodes: &mut [EpochProtocol<Gossip>]) -> usize {
-        use crate::Recipient;
         let mut queue: std::collections::VecDeque<(NodeId, NodeId, Bytes)> =
             std::collections::VecDeque::new();
         let push = |queue: &mut std::collections::VecDeque<(NodeId, NodeId, Bytes)>,
@@ -1886,10 +1902,15 @@ mod tests {
             |nodes: &[EpochProtocol<Gossip>]| nodes.iter().map(|n| n.sent_entries()).sum::<u64>();
         let batches =
             |nodes: &[EpochProtocol<Gossip>]| nodes.iter().map(|n| n.sent_batches()).sum::<u64>();
-        for node in per_step.iter().chain(&adaptive) {
-            assert!(node.output().is_some(), "both modes complete the stream");
+        let mut per_entry = mesh(cfg, 3, FlushPolicy::PerEntry);
+        run_mesh(&mut per_entry);
+        for node in per_step.iter().chain(&adaptive).chain(&per_entry) {
+            assert!(node.output().is_some(), "every policy completes the stream");
         }
         assert_eq!(entries(&per_step), entries(&adaptive), "same protocol work");
+        assert_eq!(entries(&per_step), entries(&per_entry), "same protocol work");
+        assert_eq!(batches(&per_entry), entries(&per_entry), "per-entry: one batch per entry");
+        assert!(batches(&per_step) < batches(&per_entry), "a step's entries share a batch");
         assert!(
             batches(&adaptive) < batches(&per_step),
             "adaptive {} vs per-step {} batches for {} entries",
@@ -2154,6 +2175,97 @@ mod tests {
         assert!(node.output().is_none(), "unknown asset must not advance state");
     }
 
+    /// Node 0 sends `tag` to node 1 and to a node outside the system at
+    /// start; every instance outputs what it last heard and answers each
+    /// message it gets, before and after it has an output.
+    struct Relay {
+        id: NodeId,
+        tag: u8,
+        got: Option<u8>,
+    }
+
+    impl Protocol for Relay {
+        type Output = u8;
+        fn node_id(&self) -> NodeId {
+            self.id
+        }
+        fn n(&self) -> usize {
+            3
+        }
+        fn start(&mut self) -> Vec<Envelope> {
+            if self.id != NodeId(0) {
+                return Vec::new();
+            }
+            let payload = Bytes::copy_from_slice(&[self.tag]);
+            vec![Envelope::to_one(NodeId(1), payload.clone()), Envelope::to_one(NodeId(9), payload)]
+        }
+        fn on_message(&mut self, from: NodeId, p: &[u8]) -> Vec<Envelope> {
+            self.got = p.first().copied();
+            vec![Envelope::to_one(from, Bytes::from_static(b"ack"))]
+        }
+        fn output(&self) -> Option<u8> {
+            self.got
+        }
+    }
+
+    /// A one-epoch stream over two pre-built `Relay` instances.
+    fn one_epoch_relay(me: NodeId) -> EpochProtocol<Relay> {
+        let instances = [10, 20].into_iter().map(|tag| Relay { id: me, tag, got: None }).collect();
+        EpochProtocol::new(EpochMux::one_epoch(instances), FlushPolicy::PerStep)
+    }
+
+    #[test]
+    fn one_epoch_stream_routes_point_to_point_entries() {
+        let mut sender = one_epoch_relay(NodeId(0));
+        let mut receiver = one_epoch_relay(NodeId(1));
+        let out = sender.start();
+        assert_eq!(out.len(), 1, "both instances' entries share one envelope; node 9 is dropped");
+        assert_eq!(out[0].to, Recipient::One(NodeId(1)));
+        assert!(receiver.start().is_empty());
+        let acks = receiver.on_message(NodeId(0), &out[0].payload);
+        let events = receiver.output().expect("one epoch, resolved");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].outcome, EpochOutcome::Agreed(vec![10, 20]), "routed per instance");
+        assert!(acks.iter().all(|env| env.to == Recipient::One(NodeId(0))));
+        assert_eq!(receiver.sent_entries(), 2);
+    }
+
+    #[test]
+    fn one_epoch_stream_lingers_and_answers_late_peers() {
+        // Eviction only makes room for a fresh spawn, and a one-epoch
+        // stream never spawns again: its resolved epoch stays resident,
+        // so a finished node keeps answering slower peers and nothing
+        // they send counts as late.
+        let mut node = one_epoch_relay(NodeId(1));
+        let _ = node.start();
+        let at = |a: u16| AgreementId::new(EpochId(0), InstanceId(a));
+        for a in [0, 1] {
+            let _ = node.on_entry_for_test(NodeId(0), at(a), &[7]);
+        }
+        assert!(node.mux().is_complete() && node.output().is_some());
+        assert_eq!(node.mux().resident_epochs(), 1, "the resolved epoch lingers");
+        for _ in 0..3 {
+            let answer = node.on_entry_for_test(NodeId(2), at(1), &[8]);
+            assert_eq!(answer.len(), 1, "a finished node still answers");
+            assert_eq!(answer[0].to, Recipient::One(NodeId(2)));
+        }
+        assert_eq!(node.mux().stats().late_entries, 0);
+        assert_eq!(node.mux().events().len(), 1, "the stream's single event is final");
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on node id")]
+    fn one_epoch_rejects_mismatched_identities() {
+        let relay = |id| Relay { id: NodeId(id), tag: 0, got: None };
+        let _ = EpochMux::one_epoch(vec![relay(0), relay(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one instance")]
+    fn one_epoch_rejects_empty_instance_list() {
+        let _: EpochMux<Relay> = EpochMux::one_epoch(Vec::new());
+    }
+
     #[test]
     #[should_panic(expected = "window must cover")]
     fn config_rejects_window_smaller_than_depth() {
@@ -2225,26 +2337,42 @@ mod tests {
 
     #[test]
     fn pending_batches_recycle_buffers_and_count_reuse() {
-        let mut pending: PendingBatchesBy<AgreementId> =
-            PendingBatchesBy::new(2, FlushPolicy::PerStep);
-        let entry = || vec![(AgreementId::solo(InstanceId(0)), Bytes::from_static(b"x"))];
-        assert!(pending.push(0, entry()), "per-step is always due");
+        let mut pending = PendingBatches::new(2, FlushPolicy::PerStep);
+        let entry =
+            || vec![(AgreementId::new(EpochId(0), InstanceId(0)), Bytes::from_static(b"x"))];
+        let mut scratch = entry();
+        assert!(pending.push_drain(0, &mut scratch), "per-step is always due");
+        assert!(scratch.is_empty(), "scratch drained, capacity kept");
+        assert!(!pending.push_drain(0, &mut scratch), "nothing left to push");
         let buf = pending.take(0);
         assert_eq!(buf.len(), 1);
         assert_eq!(pending.reuse_hits(), 0, "nothing recycled yet");
         pending.recycle(buf);
         // The next accumulation (any destination) reuses the buffer.
-        assert!(pending.push(1, entry()));
+        assert!(pending.push_drain(1, &mut entry()));
         assert_eq!(pending.reuse_hits(), 1, "recycled buffer reused");
         let buf = pending.take(1);
         assert!(buf.capacity() > 0);
         pending.recycle(buf);
-        // push_drain reuses too, and drains the scratch in place.
-        let mut scratch = entry();
-        assert!(pending.push_drain(0, &mut scratch));
-        assert!(scratch.is_empty(), "scratch drained, capacity kept");
+        assert!(pending.push_drain(0, &mut entry()));
         assert_eq!(pending.reuse_hits(), 2);
         assert!(pending.has_pending());
+    }
+
+    #[test]
+    fn per_entry_policy_is_due_after_every_entry_in_order() {
+        let mut pending = PendingBatches::new(1, FlushPolicy::PerEntry);
+        let mut scratch: Vec<(AgreementId, Bytes)> = (0..3u16)
+            .map(|a| (AgreementId::new(EpochId(0), InstanceId(a)), Bytes::from_static(b"x")))
+            .collect();
+        let mut flushed = Vec::new();
+        while pending.push_drain(0, &mut scratch) {
+            let batch = pending.take(0);
+            assert_eq!(batch.len(), 1, "one entry per flush");
+            flushed.push(batch[0].0.asset.0);
+        }
+        assert_eq!(flushed, vec![0, 1, 2], "per-instance FIFO order survives the split");
+        assert!(!pending.has_pending());
     }
 
     #[test]
@@ -2337,14 +2465,14 @@ mod tests {
                 for (id, envs) in bursts {
                     for env in envs {
                         match env.to {
-                            crate::Recipient::All => {
+                            Recipient::All => {
                                 for d in NodeId::all(n) {
                                     if d != from {
                                         queue.push_back((from, d, id, env.payload.clone()));
                                     }
                                 }
                             }
-                            crate::Recipient::One(d) => queue.push_back((from, d, id, env.payload)),
+                            Recipient::One(d) => queue.push_back((from, d, id, env.payload)),
                         }
                     }
                 }
@@ -2412,7 +2540,7 @@ mod tests {
         let _ = mux.split_assets(2);
     }
 
-    impl EpochProtocol<Gossip> {
+    impl<P: Protocol> EpochProtocol<P> {
         /// Test-only: feed a single decoded entry (bypassing the codec).
         fn on_entry_for_test(
             &mut self,

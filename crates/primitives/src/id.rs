@@ -72,7 +72,7 @@ impl Decode for NodeId {
 /// independent protocol instances — one per oracle asset in a DORA-style
 /// multi-feed deployment. Transports tag every payload with the instance it
 /// belongs to so the instances share connections, frames, and MAC tags; see
-/// [`crate::mux`] for the sans-io combinator and `delphi-net` for the
+/// [`crate::epoch`] for the sans-io combinator and `delphi-net` for the
 /// batched wire frames.
 ///
 /// # Example
@@ -88,9 +88,6 @@ impl Decode for NodeId {
 pub struct InstanceId(pub u16);
 
 impl InstanceId {
-    /// The instance driven by single-protocol runners.
-    pub const SOLO: InstanceId = InstanceId(0);
-
     /// The instance's index as a `usize`, for direct use in slices.
     #[inline]
     pub fn index(self) -> usize {
@@ -242,7 +239,6 @@ mod tests {
     #[test]
     fn instance_id_display_and_solo() {
         assert_eq!(InstanceId(3).to_string(), "instance-3");
-        assert_eq!(InstanceId::SOLO, InstanceId(0));
         assert_eq!(InstanceId::from(5u16).index(), 5);
     }
 

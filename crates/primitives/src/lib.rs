@@ -19,14 +19,12 @@
 //!   Delphi, the baselines, and the DORA layer, and driven by both the
 //!   discrete-event simulator (`delphi-sim`) and the tokio TCP runtime
 //!   (`delphi-net`).
-//! - [`InstanceId`] and [`mux`]: multiplexing many protocol instances (one
-//!   per oracle asset) over a single mesh, with a shared batch-entry codec
-//!   so transports amortize framing + MAC cost over every instance's
-//!   traffic.
-//! - [`EpochId`] / [`AgreementId`] and [`epoch`]: the streaming-oracle
-//!   lifecycle — long-lived multi-epoch agreement pipelines with a bounded
-//!   live window, ordered output streams, and adaptive batch flushing —
-//!   over the same sans-io [`Protocol`] machinery.
+//! - [`InstanceId`], [`EpochId`] / [`AgreementId`] and [`epoch`]:
+//!   multiplexing many protocol instances (one per oracle asset, epoch
+//!   after epoch) over a single mesh — the streaming-oracle lifecycle with
+//!   a bounded live window, ordered output streams, and one batch-entry
+//!   codec so transports amortize framing + MAC cost over every
+//!   instance's traffic. A one-shot basket is a stream of one epoch.
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@ mod bitset;
 mod dyadic;
 pub mod epoch;
 mod id;
-pub mod mux;
 mod protocol;
 pub mod wire;
 
@@ -55,8 +52,7 @@ pub use dyadic::{Dyadic, DyadicRangeError};
 pub use epoch::{
     flatten_vector_events, merge_epoch_shards, merge_epoch_stats, AgreementId, EpochConfig,
     EpochEvent, EpochId, EpochMux, EpochOutcome, EpochProtocol, EpochShard, EpochStats,
-    EpochStatsCell, FlushPolicy, PendingBatches, PendingBatchesBy,
+    EpochStatsCell, FlushPolicy, PendingBatches,
 };
 pub use id::{InstanceId, NodeId, Round};
-pub use mux::Mux;
 pub use protocol::{Envelope, Protocol, Recipient};

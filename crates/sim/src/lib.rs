@@ -14,9 +14,9 @@
 //! Runs are fully deterministic given a seed, so every experiment and every
 //! failing test can be replayed. Multi-asset scenarios scale out two ways:
 //! [`run_sharded`] executes independent per-asset simulations across worker
-//! threads, and [`Mux`](delphi_primitives::Mux) nodes multiplex all assets
-//! over one simulated mesh with batched envelopes ([`BatchSavings`]
-//! quantifies what that batching saves).
+//! threads, and [`EpochProtocol`](delphi_primitives::EpochProtocol) nodes
+//! multiplex all assets over one simulated mesh with batched envelopes
+//! ([`BatchSavings`] quantifies what that batching saves).
 //!
 //! # Model
 //!

@@ -7,9 +7,9 @@
 //!   across a pool of worker threads, preserving input order and full
 //!   determinism (each job carries its own seeded [`Simulation`]).
 //! - [`BatchSavings`] compares the transport cost of those per-asset runs
-//!   against a single multiplexed run (all assets over one mesh via
-//!   [`Mux`](delphi_primitives::Mux)), quantifying what frame batching
-//!   saves in messages and wire bytes.
+//!   against a single multiplexed run (all assets over one mesh as a
+//!   one-epoch [`EpochProtocol`](delphi_primitives::EpochProtocol)),
+//!   quantifying what frame batching saves in messages and wire bytes.
 //!
 //! See `tests/multi_asset.rs` at the workspace root for the full
 //! multi-asset Delphi scenario built from these pieces.

@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use delphi::core::{DelphiConfig, DelphiNode, OracleService};
 use delphi::crypto::Keychain;
-use delphi::net::{encode_frame, run_epoch_service, run_node, RunOptions};
-use delphi::primitives::{EpochOutcome, NodeId};
+use delphi::net::{encode_epoch_frame, run_epoch_service, run_node, RunOptions};
+use delphi::primitives::{AgreementId, EpochOutcome, NodeId};
 use delphi::sim::adversary::ByteMutator;
 use delphi::workloads::{EpochFeed, MultiAssetConfig};
 use delphi::ServiceBuilder;
@@ -47,7 +47,8 @@ async fn forge_frames(victim: SocketAddr, count: u64) {
     // The attacker has no deployment keys: a keychain from a different
     // seed produces tags that never verify on the real channels.
     let fake = Keychain::derive(b"attacker-without-keys", NodeId(2), 4);
-    let frame = encode_frame(&fake, NodeId(0), b"forged protocol payload");
+    let forged = (AgreementId::default(), b"forged protocol payload".to_vec().into());
+    let frame = encode_epoch_frame(&fake, NodeId(0), &[forged]);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let mut stream = loop {
         match TcpStream::connect(victim).await {

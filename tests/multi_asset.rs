@@ -3,12 +3,14 @@
 //! A DORA-style deployment agrees on a whole basket of assets each minute.
 //! These tests drive one simulated minute of the default basket two ways —
 //! independent per-asset simulations sharded across worker threads, and
-//! all assets multiplexed over one mesh with batched envelopes — and check
-//! that every asset reaches ε-agreement while batching strictly cuts
-//! transport cost.
+//! all assets multiplexed over one mesh as a one-epoch stream under the
+//! adaptive flush policy — and check that every asset reaches ε-agreement
+//! while batching strictly cuts transport cost.
 
 use delphi::core::{DelphiConfig, DelphiNode};
-use delphi::primitives::{Mux, NodeId, Protocol};
+use delphi::primitives::{
+    EpochEvent, EpochMux, EpochOutcome, EpochProtocol, FlushPolicy, NodeId, Protocol,
+};
 use delphi::sim::{run_sharded, BatchSavings, RunReport, SimJob, Simulation, Topology};
 use delphi::workloads::{AssetMinute, MultiAssetConfig, MultiAssetFeed};
 
@@ -137,21 +139,34 @@ fn multiplexed_basket_cuts_frames_and_bytes_vs_per_asset_meshes() {
         assert_asset_agreement(report, asset, &cfg);
     }
 
-    // Batched: the whole basket multiplexed over one mesh; every protocol
-    // step's envelopes share one message per destination.
-    let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<f64>>>> = NodeId::all(n)
+    // Batched: the whole basket multiplexed over one mesh as a one-epoch
+    // stream, flushed adaptively with the simulator's tick as the timer.
+    let flush = FlushPolicy::adaptive();
+    let FlushPolicy::Adaptive { max_delay, .. } = flush else { unreachable!() };
+    let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
         .map(|id| {
             let instances: Vec<DelphiNode> = minute
                 .iter()
                 .map(|asset| DelphiNode::new(cfg.clone(), id, asset.inputs[id.index()]))
                 .collect();
-            Box::new(Mux::new(instances)) as Box<dyn Protocol<Output = Vec<f64>>>
+            Box::new(EpochProtocol::new(EpochMux::one_epoch(instances), flush))
+                as Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>
         })
         .collect();
-    let batched = Simulation::new(Topology::lan(n)).seed(200).run(mux_nodes);
+    let batched = Simulation::new(Topology::lan(n))
+        .seed(200)
+        .tick_interval_ns(max_delay.as_nanos() as u64)
+        .run(mux_nodes);
     assert!(batched.all_honest_finished(), "batched basket stalled: {:?}", batched.stop);
+    let baskets: Vec<&Vec<f64>> = batched
+        .honest_outputs()
+        .map(|events| match &events[..] {
+            [EpochEvent { outcome: EpochOutcome::Agreed(values), .. }] => values,
+            other => panic!("a one-epoch stream ends in one agreed event, got {other:?}"),
+        })
+        .collect();
     for (a, asset) in minute.iter().enumerate() {
-        let outs: Vec<f64> = batched.honest_outputs().map(|v| v[a]).collect();
+        let outs: Vec<f64> = baskets.iter().map(|v| v[a]).collect();
         assert!(
             spread(&outs) <= cfg.epsilon() + 1e-9,
             "{} (batched): spread {}",
