@@ -23,14 +23,17 @@
 //! [`FeedState`] cache and [`SubscriberHub`], slot attestations minted
 //! per agreement, and (with [`api_bind`](ServiceBuilder::api_bind)) the
 //! HTTP server. [`build_service`](ServiceBuilder::build_service) stops at
-//! the sans-io [`OracleService`] for simulator runs.
+//! the sans-io [`OracleService`] for simulator runs. Per-asset and vector
+//! baskets are one service over one Delphi machine;
+//! [`vector_baskets`](ServiceBuilder::vector_baskets) picks how a basket
+//! maps onto instances.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use delphi_core::oracle::PriceSource;
-use delphi_core::{DelphiConfig, OracleService, VectorOracleService};
+use delphi_core::{DelphiConfig, OracleService};
 use delphi_crypto::Keychain;
 use delphi_net::{
     run_epoch_service, EpochServiceHandle, NetError, NetStats, RunOptions, ServiceStats,
@@ -176,7 +179,7 @@ impl ServiceBuilder {
     /// instances. The basket exchanges a single bundle per round and
     /// walks the quorum machinery once per round rather than once per
     /// asset; readers see the same per-asset feed either way. Off by
-    /// default — the per-asset path is byte-identical when unset.
+    /// default.
     pub fn vector_baskets(mut self, vector: bool) -> ServiceBuilder {
         self.vector = vector;
         self
@@ -192,37 +195,29 @@ impl ServiceBuilder {
     /// # Panics
     ///
     /// Panics on an invalid pipeline shape (zero epochs/assets/depth or
-    /// `window < depth`), `me` out of range, or if
-    /// [`vector_baskets`](ServiceBuilder::vector_baskets) was set (use
-    /// [`build_vector_service`](ServiceBuilder::build_vector_service)).
+    /// `window < depth`), `me` out of range, or — with
+    /// [`vector_baskets`](ServiceBuilder::vector_baskets) — a basket
+    /// larger than `MAX_VECTOR_DIMS`.
     pub fn build_service(self, source: PriceSource) -> OracleService {
-        assert!(
-            !self.vector,
-            "vector_baskets(true) describes a VectorOracleService; call build_vector_service"
-        );
         let epochs = self.epoch_config();
+        let (flush, shards) = (self.opts.flush, self.opts.recv_shards);
         OracleService::from_parts(
             self.cfg,
             self.me,
             epochs,
-            self.opts.flush,
-            self.opts.recv_shards,
+            flush,
+            shards,
+            self.vector,
             source,
+            None,
         )
     }
 
-    /// The sans-io [`VectorOracleService`] this builder describes when
-    /// [`vector_baskets`](ServiceBuilder::vector_baskets) is on: one
-    /// multidimensional agreement instance per epoch, with
-    /// [`assets`](ServiceBuilder::assets) as the basket dimension count.
-    ///
-    /// # Panics
-    ///
-    /// As [`build_service`](ServiceBuilder::build_service), plus a basket
-    /// larger than `MAX_VECTOR_DIMS`.
-    pub fn build_vector_service(self, source: PriceSource) -> VectorOracleService {
-        let epochs = self.epoch_config();
-        VectorOracleService::from_parts(self.cfg, self.me, epochs, self.opts.flush, source)
+    /// [`build_service`](ServiceBuilder::build_service) with
+    /// [`vector_baskets`](ServiceBuilder::vector_baskets) on, kept because
+    /// the wall-clock benchmark (`fig_e2e/src/sut.rs`) calls it.
+    pub fn build_vector_service(self, source: PriceSource) -> OracleService {
+        self.vector_baskets(true).build_service(source)
     }
 
     /// Runs the full node: the epoch stream over TCP against `addrs`,
@@ -262,54 +257,29 @@ impl ServiceBuilder {
         let feed = Arc::new(FeedState::new(assets, history));
         let hub = Arc::new(SubscriberHub::new(assets, subscriber_capacity));
 
-        // Both lanes publish the same per-asset feed shape: a vector
-        // epoch's basket values land as assets 0..dims in slot order, so
-        // readers cannot tell which agreement mode produced an update.
-        let publish = {
-            let feed = feed.clone();
-            let hub = hub.clone();
-            move |epoch, a: usize, value: f64| {
-                let asset = InstanceId(a as u16);
-                let attestation = Some(signer.attest(epoch, asset, value));
-                let update = feed.publish(FeedUpdate { epoch, asset, value, attestation });
-                hub.broadcast(&update);
-            }
-        };
-
-        let (service, publisher) = if self.vector {
-            let service = self.build_vector_service(source);
-            let mut handle = run_epoch_service(service.into_mux(), keychain, addrs, opts).await?;
-            let mut rx = handle.take_events().expect("fresh handle has the event tail");
-            let hub = hub.clone();
-            let publisher = tokio::spawn(async move {
+        let mux = self.build_service(source).into_mux();
+        let mut service = run_epoch_service(mux, keychain, addrs, opts).await?;
+        let mut rx = service.take_events().expect("fresh handle has the event tail");
+        let publisher = {
+            let (feed, hub) = (feed.clone(), hub.clone());
+            tokio::spawn(async move {
                 while let Some(event) = rx.recv().await {
-                    if let EpochOutcome::Agreed(slots) = event.outcome {
-                        for (a, value) in slots.into_iter().flatten().enumerate() {
-                            publish(event.epoch, a, value);
-                        }
-                    }
-                }
-                hub.close_all();
-            });
-            (ServiceLane::Vector(handle), publisher)
-        } else {
-            let service = self.build_service(source);
-            let mut handle = run_epoch_service(service.into_mux(), keychain, addrs, opts).await?;
-            let mut rx = handle.take_events().expect("fresh handle has the event tail");
-            let hub = hub.clone();
-            let publisher = tokio::spawn(async move {
-                while let Some(event) = rx.recv().await {
-                    if let EpochOutcome::Agreed(values) = event.outcome {
-                        for (a, value) in values.into_iter().enumerate() {
-                            publish(event.epoch, a, value);
-                        }
+                    // An epoch's instance outputs, concatenated, are its
+                    // assets in order — one value per instance per asset,
+                    // or one instance holding the whole basket — so
+                    // readers cannot tell which mode produced an update.
+                    let EpochOutcome::Agreed(slots) = event.outcome else { continue };
+                    for (a, value) in slots.into_iter().flatten().enumerate() {
+                        let (epoch, asset) = (event.epoch, InstanceId(a as u16));
+                        let attestation = Some(signer.attest(epoch, asset, value));
+                        let update = feed.publish(FeedUpdate { epoch, asset, value, attestation });
+                        hub.broadcast(&update);
                     }
                 }
                 // The stream is over (or the service errored): end every
                 // subscription so serving tasks wind down.
                 hub.close_all();
-            });
-            (ServiceLane::Scalar(handle), publisher)
+            })
         };
 
         let api = match api_bind {
@@ -329,46 +299,11 @@ impl ServiceBuilder {
     }
 }
 
-/// The running transport handle, in whichever agreement mode the builder
-/// selected. Everything downstream (feed, attestations, finish shape) is
-/// mode-agnostic; only the in-flight event payload differs.
-enum ServiceLane {
-    /// Per-asset scalar instances (the default path).
-    Scalar(EpochServiceHandle<f64>),
-    /// One vector instance per epoch ([`ServiceBuilder::vector_baskets`]).
-    Vector(EpochServiceHandle<Vec<f64>>),
-}
-
-impl ServiceLane {
-    fn stats(&self) -> ServiceStats {
-        match self {
-            ServiceLane::Scalar(h) => h.stats(),
-            ServiceLane::Vector(h) => h.stats(),
-        }
-    }
-
-    fn stats_snapshot(&self) -> EpochStats {
-        match self {
-            ServiceLane::Scalar(h) => h.stats_snapshot(),
-            ServiceLane::Vector(h) => h.stats_snapshot(),
-        }
-    }
-
-    async fn finish(self) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats), NetError> {
-        match self {
-            ServiceLane::Scalar(h) => h.finish().await,
-            ServiceLane::Vector(h) => {
-                let (events, epoch_stats, net_stats) = h.finish().await?;
-                Ok((flatten_vector_events(events), epoch_stats, net_stats))
-            }
-        }
-    }
-}
-
 /// A running oracle node with its serving layer, returned by
 /// [`ServiceBuilder::serve`].
 pub struct OracleHandle {
-    service: ServiceLane,
+    /// The transport handle; its events carry one output per instance.
+    service: EpochServiceHandle<Vec<f64>>,
     publisher: tokio::task::JoinHandle<()>,
     api: Option<ApiServer>,
     feed: Arc<FeedState>,
@@ -413,6 +348,7 @@ impl OracleHandle {
     /// Panics if the service task itself panicked.
     pub async fn finish(self) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats), NetError> {
         let result = self.service.finish().await;
+        let result = result.map(|(events, epoch, net)| (flatten_vector_events(events), epoch, net));
         // The publisher ends once the event stream closed (which the
         // service does on completion and on error alike).
         let _ = self.publisher.await;

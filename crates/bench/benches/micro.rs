@@ -8,13 +8,13 @@ use std::hint::black_box;
 use bytes::Bytes;
 use delphi_bench::{oracle_config, spread_inputs};
 use delphi_core::{
-    BasketBundle, BasketBundleRef, BasketSection, BundleArena, Codec, DelphiBundle,
-    DelphiBundleRef, DelphiNode, EchoKind, Section, VectorDelphiNode,
+    BasketBundle, BasketBundleRef, BasketSection, BundleArena, DelphiBundle, DelphiBundleRef,
+    DelphiNode, EchoKind, Section, VectorDelphiNode,
 };
 use delphi_crypto::{hmac_sha256, sha256, Keychain};
 use delphi_net::{decode_inbound_frame_ref, encode_epoch_frame};
 use delphi_primitives::epoch::route_epoch_bursts_into;
-use delphi_primitives::wire::{Decode, Encode, VectorValue};
+use delphi_primitives::wire::{Encode, VectorValue};
 use delphi_primitives::{
     AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochMux, FlushPolicy, InstanceId, NodeId,
     PendingBatches, Protocol, Round,
@@ -81,9 +81,6 @@ fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("encode_delphi_bundle", |b| b.iter(|| black_box(&bundle).to_bytes()));
-    group.bench_function("decode_delphi_bundle", |b| {
-        b.iter(|| DelphiBundle::from_bytes(black_box(&bytes)).expect("valid"))
-    });
     // The validating shim: the decode pass with nowhere to store — what a
     // caller pays to learn a bundle is well-formed and how many sections
     // it has.
@@ -92,16 +89,16 @@ fn bench_wire(c: &mut Criterion) {
     });
     // What `DelphiNode::on_message` actually runs: one pass into the
     // node's flat arena, then a walk of every section, id and value out
-    // of it — the full information extraction the owned decoder
-    // materializes, with zero allocations.
-    let mut arena = BundleArena::new();
+    // of it — the full information extraction an owned decoder would
+    // materialize, with zero allocations.
+    let mut arena = BundleArena::new(1);
     group.bench_function("decode_delphi_bundle_flat", |b| {
         b.iter(|| {
-            arena.decode(black_box(&bytes), Codec::Scalar).expect("valid");
+            arena.decode(black_box(&bytes)).expect("valid");
             let mut checksum = 0i64;
             for section in arena.sections() {
                 checksum = checksum.wrapping_add(i64::from(section.level));
-                if let Some(bg) = section.background() {
+                for &bg in section.backgrounds {
                     checksum = checksum.wrapping_add(bg.num() as i64);
                 }
                 for &k in section.exclude {
@@ -118,17 +115,18 @@ fn bench_wire(c: &mut Criterion) {
     // per section (backgrounds, a masked exclude run, one-dimension
     // entries — the shape a basket-8 vector node exchanges).
     let basket = realistic_basket_bundle().to_bytes();
+    let mut arena = BundleArena::new(8);
     group.throughput(Throughput::Bytes(basket.len() as u64));
     group.bench_function("decode_basket_bundle_flat", |b| {
         b.iter(|| {
-            arena.decode(black_box(&basket), Codec::Basket).expect("valid");
+            arena.decode(black_box(&basket)).expect("valid");
             let mut checksum = 0i64;
             for section in arena.sections() {
                 checksum = checksum.wrapping_add(i64::from(section.level));
                 for (dim, bg) in section.background_dims() {
                     checksum = checksum.wrapping_add(i64::from(dim) + bg.num() as i64);
                 }
-                for (&k, &mask) in section.exclude.iter().zip(section.exclude_masks) {
+                for (k, mask) in section.basket_exclude() {
                     checksum = checksum.wrapping_add(k).wrapping_add(mask as i64);
                 }
                 for (k, mask, values) in section.basket_entries() {

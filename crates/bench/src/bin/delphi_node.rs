@@ -61,11 +61,11 @@ use std::time::{Duration, Instant};
 
 use delphi_api::ServiceBuilder;
 use delphi_bench::feed_price_source;
-use delphi_core::{DelphiConfig, DelphiNode};
+use delphi_core::{DelphiConfig, DelphiNode, VectorDelphiNode};
 use delphi_net::cluster::NodeReport;
 use delphi_net::config::ClusterConfig;
 use delphi_net::{run_epoch_service, run_instances, FlushPolicy, NetStats, RunOptions};
-use delphi_primitives::{EpochEvent, EpochMux, EpochOutcome, EpochStats, Protocol};
+use delphi_primitives::{flatten_vector_events, EpochEvent, EpochMux, EpochOutcome, EpochStats};
 use delphi_workloads::{deployment_inputs, EpochFeed, MultiAssetConfig};
 
 struct Args {
@@ -240,23 +240,20 @@ fn thread_switches() -> (u64, u64) {
 
 /// Runs an epoch stream over the mesh, reading [`thread_switches`] at the
 /// moment the stream completes — in the linger window, while every
-/// thread the run used is still alive.
-async fn stream_epochs<P>(
-    mux: EpochMux<P>,
+/// thread the run used is still alive. Events come back in the per-asset
+/// shape the report expects.
+async fn stream_epochs(
+    mux: EpochMux<VectorDelphiNode>,
     keychain: delphi_crypto::Keychain,
     addrs: Vec<std::net::SocketAddr>,
     opts: RunOptions,
-) -> Result<(Vec<EpochEvent<P::Output>>, EpochStats, NetStats, (u64, u64)), String>
-where
-    P: Protocol + Send + 'static,
-    P::Output: Clone + Send,
-{
+) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats, (u64, u64)), String> {
     let epoch_run = |e| format!("epoch run: {e}");
     let mut handle = run_epoch_service(mux, keychain, addrs, opts).await.map_err(epoch_run)?;
     while handle.next_event().await.is_some() {}
     let gauges = thread_switches();
     let (events, epoch_stats, stats) = handle.finish().await.map_err(epoch_run)?;
-    Ok((events, epoch_stats, stats, gauges))
+    Ok((flatten_vector_events(events), epoch_stats, stats, gauges))
 }
 
 async fn run(args: Args) -> Result<NodeReport, String> {
@@ -315,14 +312,6 @@ async fn run(args: Args) -> Result<NodeReport, String> {
                 // The served handle has no end-of-stream hook: these are
                 // the threads (and their switches) that outlive the run.
                 (events, epoch_stats, stats, thread_switches())
-            }
-            None if args.vector => {
-                // Vector lane: events arrive one basket per epoch; flatten
-                // to the scalar per-asset shape the report expects.
-                let mux = builder.build_vector_service(source).into_mux();
-                let (events, epoch_stats, stats, gauges) =
-                    stream_epochs(mux, keychain, addrs, opts).await?;
-                (delphi_primitives::flatten_vector_events(events), epoch_stats, stats, gauges)
             }
             None => {
                 stream_epochs(builder.build_service(source).into_mux(), keychain, addrs, opts)

@@ -18,7 +18,7 @@ pub mod cluster;
 pub mod regression;
 
 use delphi_baselines::{AadNode, AcsNode};
-use delphi_core::{DelphiConfig, DelphiNode, OracleService, VectorOracleService};
+use delphi_core::{DelphiConfig, DelphiNode, OracleService};
 use delphi_primitives::{
     EpochConfig, EpochEvent, EpochMux, EpochOutcome, EpochProtocol, FlushPolicy, NodeId, Protocol,
 };
@@ -293,48 +293,20 @@ struct ProbeData {
     entries: u64,
 }
 
-/// The epoch counters both oracle services expose, so one probe wrapper
-/// serves the scalar and the vector lane.
-trait EpochCounters {
-    fn epoch_stats(&self) -> delphi_primitives::EpochStats;
-    fn entries(&self) -> u64;
-}
-
-impl EpochCounters for OracleService {
-    fn epoch_stats(&self) -> delphi_primitives::EpochStats {
-        self.stats()
-    }
-    fn entries(&self) -> u64 {
-        self.sent_entries()
-    }
-}
-
-impl EpochCounters for VectorOracleService {
-    fn epoch_stats(&self) -> delphi_primitives::EpochStats {
-        self.stats()
-    }
-    fn entries(&self) -> u64 {
-        self.sent_entries()
-    }
-}
-
 /// Oracle-service wrapper exporting its counters through a shared cell.
-struct ProbedOracle<S> {
-    inner: S,
+struct ProbedOracle {
+    inner: OracleService,
     probe: std::sync::Arc<std::sync::Mutex<ProbeData>>,
 }
 
-impl<S: EpochCounters> ProbedOracle<S> {
+impl ProbedOracle {
     fn sync(&self) {
         *self.probe.lock().expect("probe") =
-            ProbeData { stats: self.inner.epoch_stats(), entries: self.inner.entries() };
+            ProbeData { stats: self.inner.stats(), entries: self.inner.sent_entries() };
     }
 }
 
-impl<S> Protocol for ProbedOracle<S>
-where
-    S: Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>> + EpochCounters,
-{
+impl Protocol for ProbedOracle {
     type Output = Vec<delphi_primitives::EpochEvent<f64>>;
 
     fn node_id(&self) -> NodeId {
@@ -432,6 +404,44 @@ pub fn run_epoch_delphi_full_sharded(
     recv_shards: usize,
     send_shards: Option<usize>,
 ) -> EpochSimPoint {
+    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, recv_shards, send_shards, false)
+}
+
+/// [`run_epoch_delphi`] with every epoch's basket as ONE vector-valued
+/// agreement instance (`ServiceBuilder::vector_baskets`): a single bundle
+/// exchange and one quorum walk per round for the whole basket. Events
+/// are flattened to the per-asset shape, so throughput and spread are
+/// computed identically — the comparison the vector-vs-scalar fig sweep
+/// rides on.
+///
+/// # Panics
+///
+/// As [`run_epoch_delphi`].
+pub fn run_epoch_vector_delphi(
+    cfg: &DelphiConfig,
+    feed: &EpochFeed,
+    epoch_cfg: EpochConfig,
+    flush: FlushPolicy,
+    topology: Topology,
+    seed: u64,
+) -> EpochSimPoint {
+    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, 1, None, true)
+}
+
+/// The epoch runners' one body: [`run_epoch_delphi_full_sharded`], with
+/// `vector` picking how a basket maps onto instances.
+#[allow(clippy::too_many_arguments)]
+fn run_epoch_stream(
+    cfg: &DelphiConfig,
+    feed: &EpochFeed,
+    epoch_cfg: EpochConfig,
+    flush: FlushPolicy,
+    topology: Topology,
+    seed: u64,
+    recv_shards: usize,
+    send_shards: Option<usize>,
+    vector: bool,
+) -> EpochSimPoint {
     let n = cfg.n();
     let assets = feed.assets();
     assert_eq!(usize::from(epoch_cfg.assets), assets, "epoch config vs basket size");
@@ -442,14 +452,15 @@ pub fn run_epoch_delphi_full_sharded(
             .map(|id| {
                 let rounds = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
                 round_probes.push(rounds.clone());
-                let inner = OracleService::from_parts_probed(
+                let inner = OracleService::from_parts(
                     cfg.clone(),
                     id,
                     epoch_cfg,
                     flush,
                     recv_shards,
+                    vector,
                     feed_price_source(feed.clone(), id, n),
-                    rounds,
+                    Some(rounds),
                 );
                 let probe = std::sync::Arc::new(std::sync::Mutex::new(ProbeData::default()));
                 probes.push(probe.clone());
@@ -468,61 +479,6 @@ pub fn run_epoch_delphi_full_sharded(
     assert!(
         report.all_honest_finished(),
         "epoch stream stalled ({:?}): {epoch_cfg:?}",
-        report.stop
-    );
-    measure_epoch_run(&report, epoch_cfg.epochs, assets, &probes, &round_probes)
-}
-
-/// [`run_epoch_delphi`] with every epoch's basket as ONE vector-valued
-/// agreement instance (`VectorOracleService`): a single bundle exchange
-/// and one quorum walk per round for the whole basket. Events are already
-/// flattened to the scalar per-asset shape, so throughput and spread are
-/// computed identically to the scalar runners — the comparison the
-/// vector-vs-scalar fig sweep rides on.
-///
-/// # Panics
-///
-/// As [`run_epoch_delphi`].
-pub fn run_epoch_vector_delphi(
-    cfg: &DelphiConfig,
-    feed: &EpochFeed,
-    epoch_cfg: EpochConfig,
-    flush: FlushPolicy,
-    topology: Topology,
-    seed: u64,
-) -> EpochSimPoint {
-    let n = cfg.n();
-    let assets = feed.assets();
-    assert_eq!(usize::from(epoch_cfg.assets), assets, "epoch config vs basket size");
-    let mut probes = Vec::with_capacity(n);
-    let mut round_probes = Vec::with_capacity(n);
-    let nodes: Vec<Box<dyn Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>>>> =
-        NodeId::all(n)
-            .map(|id| {
-                let rounds = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-                round_probes.push(rounds.clone());
-                let inner = VectorOracleService::from_parts_probed(
-                    cfg.clone(),
-                    id,
-                    epoch_cfg,
-                    flush,
-                    feed_price_source(feed.clone(), id, n),
-                    rounds,
-                );
-                let probe = std::sync::Arc::new(std::sync::Mutex::new(ProbeData::default()));
-                probes.push(probe.clone());
-                Box::new(ProbedOracle { inner, probe })
-                    as Box<dyn Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>>>
-            })
-            .collect();
-    let mut sim = Simulation::new(topology).seed(seed);
-    if let FlushPolicy::Adaptive { max_delay, .. } = flush {
-        sim = sim.tick_interval_ns(max_delay.as_nanos().max(1) as u64);
-    }
-    let report = sim.run(nodes);
-    assert!(
-        report.all_honest_finished(),
-        "vector epoch stream stalled ({:?}): {epoch_cfg:?}",
         report.stop
     );
     measure_epoch_run(&report, epoch_cfg.epochs, assets, &probes, &round_probes)

@@ -1,5 +1,5 @@
 //! The flat bundle path: what runs between a frame's bytes and a node's
-//! quorum state, in both directions, for the scalar and the basket codec.
+//! quorum state, in both directions.
 //!
 //! **Receive.** [`BundleArena`] decodes a bundle in *one* validating pass
 //! into node-owned flat storage — section heads plus one shared id run,
@@ -12,24 +12,20 @@
 //! `(level, round, kind)` in node-owned scratch and encodes them straight
 //! to the wire, so an answering call allocates only what leaves the node.
 //!
-//! The two machines share both: heads and id runs are identical, and a
-//! scalar value is the one-dimensional case (mask `1`) of a basket value.
+//! **One layout.** A section is a header, a background mask and its
+//! values, an exclude id run and an entry id run with the entries' values;
+//! a machine of two or more basket dimensions adds a dimension mask beside
+//! every id. A machine of one dimension leaves the per-id masks off — every
+//! id lives in dimension 0 — and its background mask is 0 or 1, the same
+//! byte as a flag: that is the scalar [`Section`](crate::Section) layout,
+//! byte for byte. Whether masks are on is fixed by the dimension count the
+//! arena or collector is built for.
 
 use bytes::Bytes;
 use delphi_primitives::wire::{Reader, WireError, Writer};
 use delphi_primitives::{Dyadic, Envelope, Round};
 
 use crate::messages::{put_id_deltas, EchoKind, MAX_IDS, MAX_SECTIONS};
-
-/// Which of the two section layouts a bundle uses on the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Codec {
-    /// [`Section`](crate::Section)s: one optional background, bare ids.
-    Scalar,
-    /// [`BasketSection`](crate::BasketSection)s: per-dimension
-    /// backgrounds, a dimension mask beside every id.
-    Basket,
-}
 
 /// The set bit positions of `mask`, ascending.
 pub(crate) fn bits_of(mut mask: u64) -> impl Iterator<Item = u16> {
@@ -49,7 +45,7 @@ struct SectionHead {
     level: u8,
     round: Round,
     kind: EchoKind,
-    /// Bit `d` set iff dimension `d` has a background echo (scalar: bit 0).
+    /// Bit `d` set iff dimension `d` has a background echo.
     bg_mask: u64,
     /// Start of the id run (and of the parallel mask run): the `exclude`
     /// ids, then the `entries` ids.
@@ -102,51 +98,38 @@ fn read_id_run(r: &mut Reader<'_>, sink: &mut impl Sink) -> Result<usize, WireEr
     Ok(n)
 }
 
-/// Reads one section in wire order, checking everything the owned decoder
-/// of its codec checks, in the same order (so the first error is the
-/// same).
+/// Reads one section in wire order — per-id masks only when `MASKS` —
+/// checking everything the owned decoder of that layout checks, in the
+/// same order (so the first error is the same).
 #[inline]
-fn read_section(r: &mut Reader<'_>, codec: Codec, sink: &mut impl Sink) -> Result<(), WireError> {
+fn read_section<const MASKS: bool>(
+    r: &mut Reader<'_>,
+    sink: &mut impl Sink,
+) -> Result<(), WireError> {
     let level = r.get_raw_u8()?;
     let round = r.get::<Round>()?;
     let kind = r.get::<EchoKind>()?;
     let (ids, values) = sink.mark();
-    let (bg_mask, exclude, entries);
-    match codec {
-        Codec::Scalar => {
-            if r.get_bool()? {
-                bg_mask = 1;
-                sink.value(r.get::<Dyadic>()?);
-                exclude = read_id_run(r, sink)?;
-            } else {
-                (bg_mask, exclude) = (0, 0);
-            }
-            entries = read_id_run(r, sink)?;
-            for _ in 0..entries {
-                sink.value(r.get::<Dyadic>()?);
-            }
+    // One dimension: the background mask is a 0/1 flag byte, and any
+    // other byte is an invalid discriminant, as for the scalar flag.
+    let bg_mask = if MASKS { r.get_u64()? } else { u64::from(r.get_bool()?) };
+    for _ in 0..bg_mask.count_ones() {
+        sink.value(r.get::<Dyadic>()?);
+    }
+    let exclude = if bg_mask == 0 { 0 } else { read_id_run(r, sink)? };
+    if MASKS {
+        for _ in 0..exclude {
+            sink.mask(r.get_u64()?);
         }
-        Codec::Basket => {
-            bg_mask = r.get_u64()?;
-            for _ in 0..bg_mask.count_ones() {
-                sink.value(r.get::<Dyadic>()?);
-            }
-            if bg_mask != 0 {
-                exclude = read_id_run(r, sink)?;
-                for _ in 0..exclude {
-                    sink.mask(r.get_u64()?);
-                }
-            } else {
-                exclude = 0;
-            }
-            entries = read_id_run(r, sink)?;
-            for _ in 0..entries {
-                let mask = r.get_u64()?;
-                sink.mask(mask);
-                for _ in 0..mask.count_ones() {
-                    sink.value(r.get::<Dyadic>()?);
-                }
-            }
+    }
+    let entries = read_id_run(r, sink)?;
+    for _ in 0..entries {
+        let mask = if MASKS { r.get_u64()? } else { 1 };
+        if MASKS {
+            sink.mask(mask);
+        }
+        for _ in 0..mask.count_ones() {
+            sink.value(r.get::<Dyadic>()?);
         }
     }
     let (_, values_end) = sink.mark();
@@ -165,44 +148,47 @@ fn read_section(r: &mut Reader<'_>, codec: Codec, sink: &mut impl Sink) -> Resul
 }
 
 /// Reads a whole bundle into `sink`; returns its section count.
-fn read_bundle(bytes: &[u8], codec: Codec, sink: &mut impl Sink) -> Result<usize, WireError> {
+fn read_bundle<const MASKS: bool>(bytes: &[u8], sink: &mut impl Sink) -> Result<usize, WireError> {
     let mut r = Reader::new(bytes);
     let count = r.get_usize()?;
     if count > MAX_SECTIONS {
         return Err(WireError::LengthOutOfBounds);
     }
     for _ in 0..count {
-        read_section(&mut r, codec, sink)?;
+        read_section::<MASKS>(&mut r, sink)?;
     }
     r.finish()?;
     Ok(count)
 }
 
-/// Validates `bytes` as a complete bundle without keeping anything;
-/// returns the section count.
-pub(crate) fn validate_bundle(bytes: &[u8], codec: Codec) -> Result<usize, WireError> {
-    read_bundle(bytes, codec, &mut Validate)
+/// Validates `bytes` as a complete bundle — with per-id masks iff
+/// `MASKS` — without keeping anything; returns the section count.
+pub(crate) fn validate_bundle<const MASKS: bool>(bytes: &[u8]) -> Result<usize, WireError> {
+    read_bundle::<MASKS>(bytes, &mut Validate)
 }
 
 /// A decoded bundle in flat, reusable storage — the one decoder on the
-/// frame→protocol hot path, for both codecs.
+/// frame→protocol hot path, for every basket size.
 ///
 /// [`decode`](BundleArena::decode) makes a single validating pass over
 /// the input: each varint, discriminant, length bound and
-/// [`Dyadic`] is checked once, with the same error as
-/// `DelphiBundle::from_bytes` / `BasketBundle::from_bytes`
-/// (property-tested), and lands in one of four vectors shared by all
-/// sections. The vectors keep their capacity across calls, so a node
-/// decoding its steady-state traffic allocates nothing; they grow only as
-/// items actually decode, so their size is bounded by the bytes received
-/// and the [`MAX_SECTIONS`] / [`MAX_IDS`] caps, never by a length prefix.
+/// [`Dyadic`] is checked once, with the same error as the owned decoder
+/// of the arena's layout (`DelphiBundle` for one dimension,
+/// `BasketBundle` for more; property-tested), and lands in one of four
+/// vectors shared by all sections. The vectors keep their capacity across
+/// calls, so a node decoding its steady-state traffic allocates nothing;
+/// they grow only as items actually decode, so their size is bounded by
+/// the bytes received and the [`MAX_SECTIONS`] / [`MAX_IDS`] caps, never
+/// by a length prefix. The default arena is a one-dimension arena.
 #[derive(Clone, Debug, Default)]
 pub struct BundleArena {
     heads: Vec<SectionHead>,
     ids: Vec<i64>,
-    /// Dimension masks parallel to `ids` (basket codec only).
+    /// Dimension masks parallel to `ids` (empty without per-id masks).
     masks: Vec<u64>,
     values: Vec<Dyadic>,
+    /// Whether the bundles carry per-id masks: two or more dimensions.
+    masked: bool,
 }
 
 impl Sink for BundleArena {
@@ -229,35 +215,41 @@ impl Sink for BundleArena {
 }
 
 impl BundleArena {
-    /// An empty arena; nothing is allocated until the first decode.
-    pub fn new() -> BundleArena {
-        BundleArena::default()
+    /// An empty arena for the bundles of a `dims`-dimension machine (per-id
+    /// masks iff `dims > 1`); nothing is allocated until the first decode.
+    pub fn new(dims: usize) -> BundleArena {
+        BundleArena { masked: dims > 1, ..BundleArena::default() }
     }
 
-    /// An empty arena with room for `sections` sections naming `ids`
+    /// [`BundleArena::new`] with room for `sections` sections naming `ids`
     /// checkpoints between them, so that bundles up to that size decode
     /// without touching the allocator (larger ones grow it on demand).
-    pub(crate) fn with_capacity(sections: usize, ids: usize, codec: Codec) -> BundleArena {
+    pub(crate) fn with_capacity(sections: usize, ids: usize, dims: usize) -> BundleArena {
+        let masked = dims > 1;
         BundleArena {
             heads: Vec::with_capacity(sections),
             ids: Vec::with_capacity(ids),
-            masks: Vec::with_capacity(if codec == Codec::Basket { ids } else { 0 }),
+            masks: Vec::with_capacity(if masked { ids } else { 0 }),
             values: Vec::with_capacity(ids),
+            masked,
         }
     }
 
-    /// Replaces the contents with the bundle encoded in `bytes` under
-    /// `codec`.
+    /// Replaces the contents with the bundle encoded in `bytes`.
     ///
     /// # Errors
     ///
-    /// Exactly what `DelphiBundle::from_bytes` ([`Codec::Scalar`]) or
-    /// `BasketBundle::from_bytes` ([`Codec::Basket`]) returns on the same
-    /// input, including [`WireError::TrailingBytes`]; the arena is then
-    /// empty.
-    pub fn decode(&mut self, bytes: &[u8], codec: Codec) -> Result<(), WireError> {
+    /// Exactly what the owned decoder of the arena's layout —
+    /// `DelphiBundle::from_bytes` for one dimension,
+    /// `BasketBundle::from_bytes` for more — returns on the same input,
+    /// including [`WireError::TrailingBytes`]; the arena is then empty.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         self.clear();
-        let decoded = read_bundle(bytes, codec, self);
+        let decoded = if self.masked {
+            read_bundle::<true>(bytes, self)
+        } else {
+            read_bundle::<false>(bytes, self)
+        };
         if decoded.is_err() {
             self.clear();
         }
@@ -316,7 +308,7 @@ impl BundleArena {
             level: flat.level,
             round: flat.round,
             kind: flat.kind,
-            background: flat.background(),
+            background: flat.backgrounds.first().copied(),
             exclude: flat.exclude.to_vec(),
             entries: flat.entries.iter().copied().zip(flat.entry_values.iter().copied()).collect(),
         });
@@ -337,7 +329,7 @@ impl BundleArena {
             round: flat.round,
             kind: flat.kind,
             backgrounds: vector(flat.bg_mask, flat.backgrounds),
-            exclude: flat.exclude.iter().copied().zip(flat.exclude_masks.iter().copied()).collect(),
+            exclude: flat.basket_exclude().collect(),
             entries: flat
                 .basket_entries()
                 .map(|(k, mask, values)| (k, vector(mask, values)))
@@ -352,9 +344,16 @@ impl BundleArena {
     }
 }
 
+/// The dimension mask of id `i` of a run: its own, or — in a layout
+/// without per-id masks — dimension 0 alone.
+fn mask_at(masks: &[u64], i: usize) -> u64 {
+    masks.get(i).copied().unwrap_or(1)
+}
+
 /// One section of a [`BundleArena`]: header fields plus slices of the
-/// shared runs. The mask slices are empty under the scalar codec, where
-/// every id and the background live in dimension 0.
+/// shared runs. Read ids with their dimensions through the accessors: a
+/// one-dimension layout carries no per-id masks, and every id and the
+/// background live in dimension 0.
 #[derive(Clone, Copy, Debug)]
 pub struct FlatSection<'a> {
     /// Level index (`0..=l_max`).
@@ -369,47 +368,49 @@ pub struct FlatSection<'a> {
     pub backgrounds: &'a [Dyadic],
     /// Checkpoints explicitly not covered by the backgrounds.
     pub exclude: &'a [i64],
-    /// The dimensions each `exclude` id is excluded in (basket codec).
-    pub exclude_masks: &'a [u64],
+    /// The dimensions each `exclude` id is excluded in (empty without
+    /// per-id masks).
+    exclude_masks: &'a [u64],
     /// Checkpoints with an echo of their own.
     pub entries: &'a [i64],
-    /// The dimensions each entry carries a value for (basket codec).
-    pub entry_masks: &'a [u64],
-    /// Entry values in entry order: one per entry (scalar codec), or one
-    /// per set mask bit, ascending by dimension (basket codec).
+    /// The dimensions each entry carries a value for (empty without
+    /// per-id masks).
+    entry_masks: &'a [u64],
+    /// Entry values in entry order, one per dimension an entry covers,
+    /// ascending by dimension within an entry.
     pub entry_values: &'a [Dyadic],
 }
 
 impl<'a> FlatSection<'a> {
-    /// The scalar codec's background echo, if any.
-    pub fn background(&self) -> Option<Dyadic> {
-        self.backgrounds.first().copied()
-    }
-
     /// The `(dimension, value)` background echoes, ascending by dimension.
     pub fn background_dims(&self) -> impl Iterator<Item = (u16, Dyadic)> + 'a {
         bits_of(self.bg_mask).zip(self.backgrounds.iter().copied())
     }
 
-    /// Whether a scalar section mentions checkpoint `k` at all.
-    pub fn names(&self, k: i64) -> bool {
-        self.exclude.contains(&k) || self.entries.contains(&k)
-    }
-
-    /// Whether a basket section mentions checkpoint `k` in dimension
-    /// `dim` (a mention in another dimension does not count).
+    /// Whether the section mentions checkpoint `k` in dimension `dim` (a
+    /// mention in another dimension does not count).
     pub fn names_in(&self, k: i64, dim: u16) -> bool {
         let bit = 1u64.checked_shl(u32::from(dim)).unwrap_or(0);
-        let hit = |(&id, &mask): (&i64, &u64)| id == k && mask & bit != 0;
-        self.exclude.iter().zip(self.exclude_masks).any(hit)
-            || self.entries.iter().zip(self.entry_masks).any(hit)
+        let names = |ids: &[i64], masks: &[u64]| match masks {
+            // No per-id masks: every id is in dimension 0.
+            [] => bit == 1 && ids.contains(&k),
+            _ => ids.iter().zip(masks).any(|(&id, &mask)| id == k && mask & bit != 0),
+        };
+        names(self.exclude, self.exclude_masks) || names(self.entries, self.entry_masks)
     }
 
-    /// A basket section's entries: checkpoint, dimension mask, and that
-    /// entry's values (ascending by dimension).
+    /// The exclude run: checkpoint and the dimensions it is excluded in.
+    pub fn basket_exclude(&self) -> impl Iterator<Item = (i64, u64)> + 'a {
+        let masks = self.exclude_masks;
+        self.exclude.iter().enumerate().map(move |(i, &k)| (k, mask_at(masks, i)))
+    }
+
+    /// The entries: checkpoint, dimension mask, and that entry's values
+    /// (ascending by dimension).
     pub fn basket_entries(&self) -> impl Iterator<Item = (i64, u64, &'a [Dyadic])> + 'a {
-        let mut rest = self.entry_values;
-        self.entries.iter().zip(self.entry_masks).map(move |(&k, &mask)| {
+        let (masks, mut rest) = (self.entry_masks, self.entry_values);
+        self.entries.iter().enumerate().map(move |(i, &k)| {
+            let mask = mask_at(masks, i);
             let (mine, tail) = rest.split_at((mask.count_ones() as usize).min(rest.len()));
             rest = tail;
             (k, mask, mine)
@@ -417,8 +418,8 @@ impl<'a> FlatSection<'a> {
     }
 }
 
-/// One outgoing section under construction. Both machines build these: a
-/// scalar echo is a dimension-0 echo, and the encoder picks the layout.
+/// One outgoing section under construction, in every dimension the
+/// machine has; the encoder leaves the per-id masks off at one dimension.
 #[derive(Clone, Debug)]
 struct OutSection {
     level: u8,
@@ -532,22 +533,20 @@ impl OutSection {
         }
     }
 
-    fn encode(&self, codec: Codec, w: &mut Writer) {
+    /// Writes the section, with per-id masks iff `masks`. Without them
+    /// every echo is a dimension-0 echo, so the background mask is 0 or 1
+    /// — one byte, the scalar layout's flag — and each entry has one value.
+    fn encode(&self, masks: bool, w: &mut Writer) {
         w.put_raw_u8(self.level);
         w.put(&self.round);
         w.put(&self.kind);
-        let scalar = codec == Codec::Scalar;
-        if scalar {
-            w.put_bool(self.bg_mask != 0);
-        } else {
-            w.put_u64(self.bg_mask);
-        }
+        w.put_u64(self.bg_mask);
         for v in &self.backgrounds {
             w.put(v);
         }
         if self.bg_mask != 0 {
             put_id_deltas(w, self.exclude.iter().map(|&(k, _)| k));
-            if !scalar {
+            if masks {
                 for &(_, mask) in &self.exclude {
                     w.put_u64(mask);
                 }
@@ -556,7 +555,7 @@ impl OutSection {
         put_id_deltas(w, self.entries.iter().map(|&(k, _)| k));
         let mut values = self.values.iter();
         for &(_, mask) in &self.entries {
-            if !scalar {
+            if masks {
                 w.put_u64(mask);
             }
             for v in values.by_ref().take(mask.count_ones() as usize) {
@@ -594,11 +593,13 @@ pub(crate) struct Collector {
     /// The section pool; the first `used` are this call's bundle.
     sections: Vec<OutSection>,
     used: usize,
-    /// Scratch for the vector node: background echoes held back until
-    /// every dimension's checkpoint echoes are collected.
+    /// Scratch for the node: background echoes held back until every
+    /// dimension's checkpoint echoes are collected.
     pub(crate) deferred: Vec<(EchoKind, u16, Dyadic)>,
     /// Encode buffer, reused; the payload is an exact-size copy.
     buf: Writer,
+    /// Whether bundles carry per-id masks: two or more dimensions.
+    masked: bool,
     /// Test reference: never join, one section per background echo — the
     /// collectors as they were before the merge rule.
     #[cfg(test)]
@@ -606,6 +607,12 @@ pub(crate) struct Collector {
 }
 
 impl Collector {
+    /// An empty collector for a `dims`-dimension machine (per-id masks iff
+    /// `dims > 1`); nothing is allocated until the first echo.
+    pub(crate) fn new(dims: usize) -> Collector {
+        Collector { masked: dims > 1, ..Collector::default() }
+    }
+
     /// Starts a new section at the end of the bundle; returns its index.
     fn open(&mut self, level: u8, round: Round, kind: EchoKind) -> usize {
         let idx = self.used;
@@ -697,7 +704,7 @@ impl Collector {
 
     /// Encodes the collected bundle (nothing, if no section carries an
     /// echo) and rewinds the collector for the next call.
-    pub(crate) fn flush(&mut self, codec: Codec) -> Vec<Envelope> {
+    pub(crate) fn flush(&mut self) -> Vec<Envelope> {
         let bundle = self.sections.get(..self.used).unwrap_or_default();
         self.used = 0;
         if bundle.iter().all(OutSection::is_empty) {
@@ -706,7 +713,7 @@ impl Collector {
         self.buf.clear();
         self.buf.put_usize(bundle.len());
         for section in bundle {
-            section.encode(codec, &mut self.buf);
+            section.encode(self.masked, &mut self.buf);
         }
         vec![Envelope::to_all(Bytes::copy_from_slice(self.buf.as_slice()))]
     }

@@ -19,6 +19,16 @@
 //! of a 50 000-checkpoint space" into a handful of live instances and
 //! `O(n²)` bundle messages per round.
 //!
+//! # One machine for every basket size
+//!
+//! [`VectorDelphiNode`] agrees on a basket of `m` assets at once — one
+//! round table per level and dimension, one shared round walk, one bundle
+//! per step — and is the only Delphi state machine: ℝ¹ is the `m = 1` case
+//! of multidimensional approximate agreement. [`DelphiNode`] is that
+//! machine over a basket of one with an `f64` output, and at `m = 1` the
+//! bundles leave the per-id dimension masks off, so a scalar node's wire
+//! is the plain [`Section`](crate::Section) layout.
+//!
 //! # Flood resistance
 //!
 //! A Byzantine sender could mention unboundedly many checkpoints to force
@@ -38,7 +48,7 @@ use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
 use crate::aggregate::{combine_levels, level_summary, LevelSummary};
-use crate::bundle::{bits_of, BundleArena, Codec, Collector, FlatSection};
+use crate::bundle::{bits_of, BundleArena, Collector, FlatSection};
 use crate::bv::{BvAction, BvActions, BvTable};
 use crate::messages::EchoKind;
 use crate::params::DelphiConfig;
@@ -64,9 +74,9 @@ fn plausible(value: Dyadic, round: Round) -> bool {
 /// burst and a triggered section per level, each naming a handful of
 /// checkpoints per basket dimension — every inbound message of an honest
 /// run then decodes without touching the allocator.
-fn inbound_arena(cfg: &DelphiConfig, dims: usize, codec: Codec) -> BundleArena {
+fn inbound_arena(cfg: &DelphiConfig, dims: usize) -> BundleArena {
     let sections = 2 * (usize::from(cfg.l_max()) + 1);
-    BundleArena::with_capacity(sections, 8 * dims * sections, codec)
+    BundleArena::with_capacity(sections, 8 * dims * sections, dims)
 }
 
 /// Bit `level` of a touched-levels mask. Every configured level index is
@@ -78,7 +88,7 @@ fn level_bit(level: u8) -> u64 {
 
 /// What a section's echoes share: the instance table they apply to —
 /// a level's, of basket dimension `dim` — and the round, phase and
-/// sender. Both machines apply a section with the two steps below.
+/// sender. A section is applied with the two steps below.
 #[derive(Clone, Copy)]
 struct Feed {
     level: u8,
@@ -133,32 +143,6 @@ impl Feed {
     }
 }
 
-/// Enters `round` in `table` (level `level`, basket dimension `dim`):
-/// feeds every instance its state value as the round's input, collecting
-/// what the checkpoints' inputs triggered. Returns the background's
-/// echoes. The initial `ECHO1`s themselves ride in the level's burst.
-fn enter_round(
-    table: &mut BvTable,
-    (level, dim): (u8, u16),
-    round: Round,
-    out: &mut Collector,
-) -> BvActions {
-    let Some((value, checkpoints, mut row)) = table.row_mut(round) else {
-        return BvActions::default();
-    };
-    let Some(mut background) = row.next() else { return BvActions::default() };
-    let actions = background.set_input(value);
-    for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
-        for action in cell.set_input(checkpoint.value) {
-            if action != BvAction::Echo1(checkpoint.value) {
-                let (kind, v) = echo_parts(action);
-                out.entry(level, round, kind, dim, checkpoint.k, v);
-            }
-        }
-    }
-    actions
-}
-
 /// The round table of one level (of one basket dimension) at node `me`.
 fn level_table(cfg: &DelphiConfig, me: NodeId, level: u8) -> BvTable {
     BvTable::new(me, cfg.n(), cfg.t(), cfg.r_max())
@@ -188,31 +172,92 @@ fn summarize(table: &BvTable, cfg: &DelphiConfig, level: u8, input: f64) -> Leve
     level_summary(checkpoints, cfg.clamp_input(input), cfg.eps_prime())
 }
 
-/// Per-level protocol state.
+/// One level of one basket dimension. Introduction budgets are the
+/// table's, so they are charged per (sender, dimension): a flood in one
+/// asset cannot starve another.
 #[derive(Clone, Debug)]
-struct LevelState {
-    level: u8,
-    /// Current round (1-based); `r_max + 1` once the level has finished.
+struct DimLevel {
+    /// The level's current round (1-based); `r_max + 1` once the level
+    /// has finished. Every dimension of a level holds the same round:
+    /// they advance together.
     round: u16,
     table: BvTable,
     /// Final `(µ, weight)` pairs once the level completes all rounds.
     summary: Option<LevelSummary>,
 }
 
-/// A Delphi protocol node.
+/// Emits the background echoes held back in `out.deferred`, each with
+/// its dimension's exclude snapshot as of now.
+fn emit_deferred(level: &[DimLevel], (lvl, round): (u8, Round), out: &mut Collector) {
+    let mut deferred = std::mem::take(&mut out.deferred);
+    for (kind, d, value) in deferred.drain(..) {
+        if let Some(dim) = level.get(usize::from(d)) {
+            out.background(lvl, round, kind, d, value, dim.table.ids());
+        }
+    }
+    out.deferred = deferred;
+}
+
+/// Enters `round` at level `lvl` in every dimension: feeds each instance
+/// its state value as the round's input and emits one merged initial
+/// burst (background plus every active echoing its input at once),
+/// followed by whatever else the inputs triggered — the backgrounds'
+/// echoes last, with their exclude snapshots.
+fn enter_round(level: &mut [DimLevel], lvl: u8, round: Round, out: &mut Collector) {
+    for (d, dim) in (0u16..).zip(level.iter_mut()) {
+        let Some((value, checkpoints, mut row)) = dim.table.row_mut(round) else { continue };
+        let Some(mut background) = row.next() else { continue };
+        for action in background.set_input(value) {
+            if action != BvAction::Echo1(value) {
+                let (kind, v) = echo_parts(action);
+                out.deferred.push((kind, d, v));
+            }
+        }
+        for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
+            for action in cell.set_input(checkpoint.value) {
+                if action != BvAction::Echo1(checkpoint.value) {
+                    let (kind, v) = echo_parts(action);
+                    out.entry(lvl, round, kind, d, checkpoint.k, v);
+                }
+            }
+        }
+    }
+    let burst = out.initial(lvl, round);
+    for (d, dim) in (0u16..).zip(level.iter()) {
+        let inputs =
+            dim.table.checkpoints().iter().map(|checkpoint| (checkpoint.k, checkpoint.value));
+        out.initial_echoes(burst, d, dim.table.background(), inputs);
+    }
+    emit_deferred(level, (lvl, round), out);
+}
+
+/// The Delphi state machine: **one** agreement instance over a basket of
+/// `m` assets (`1 ≤ m ≤` [`MAX_VECTOR_DIMS`]) — a scalar agreement is the
+/// basket of one, [`DelphiNode`].
 ///
-/// See the [crate docs](crate) for a runnable quickstart; construction
-/// takes the shared [`DelphiConfig`], this node's identity, and its
-/// measured input value (clamped into the configured space).
+/// Every dimension runs the per-checkpoint BinAA machinery of the module
+/// docs — forking, budgets, plausibility gates — in a round table of its
+/// own, but the *round walk is shared*: a level advances to round `r + 1`
+/// only once **all** dimensions have terminated round `r`, and the
+/// resulting initial burst is a single section carrying every dimension's
+/// echoes behind one shared checkpoint id run. Compared with per-asset
+/// fan-out this divides sections, wire entries, and rounds-per-agreement
+/// by roughly the basket size, at the cost of coupling the basket's
+/// latency to its slowest dimension. At `m = 1` the bundles carry no
+/// per-id dimension masks: the wire is the scalar
+/// [`Section`](crate::Section) layout.
 #[derive(Debug)]
-pub struct DelphiNode {
+pub struct VectorDelphiNode {
     cfg: DelphiConfig,
     me: NodeId,
-    input: f64,
-    levels: Vec<LevelState>,
-    output: Option<f64>,
+    /// The (clamped) input of each dimension.
+    inputs: Vec<f64>,
+    /// `(l_max + 1) × m` level tables, level-major: level `l`'s dimensions
+    /// are `levels[l·m..(l + 1)·m]`.
+    levels: Vec<DimLevel>,
+    output: Option<Vec<f64>>,
     /// Optional shared counter bumped once per completed `(level, round)`
-    /// (see [`DelphiNode::with_round_probe`]).
+    /// (see [`VectorDelphiNode::with_round_probe`]).
     round_probe: Option<Arc<AtomicU64>>,
     /// Decode target of every inbound bundle (capacity kept across
     /// messages, so the receive path is allocation-free at steady state).
@@ -221,279 +266,10 @@ pub struct DelphiNode {
     out: Collector,
 }
 
-impl DelphiNode {
-    /// Creates a node with input `value` (clamped into `[s, e]`; NaN is
-    /// mapped to `s` rather than poisoning the protocol).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of range for the configured system size.
-    pub fn new(cfg: DelphiConfig, me: NodeId, value: f64) -> DelphiNode {
-        assert!(me.index() < cfg.n(), "node id out of range");
-        let input = if value.is_nan() { cfg.s() } else { cfg.clamp_input(value) };
-        let levels = (0..=cfg.l_max())
-            .map(|level| LevelState {
-                level,
-                round: 1,
-                table: level_table(&cfg, me, level),
-                summary: None,
-            })
-            .collect();
-        DelphiNode {
-            arena: inbound_arena(&cfg, 1, Codec::Scalar),
-            cfg,
-            me,
-            input,
-            levels,
-            output: None,
-            round_probe: None,
-            out: Collector::default(),
-        }
-    }
-
-    /// Boxes the node for use with heterogeneous drivers.
-    pub fn boxed(self) -> Box<dyn Protocol<Output = f64>> {
-        Box::new(self)
-    }
-
-    /// Attaches a shared round counter, bumped once every time any level
-    /// completes a round at this node. Agreement cost instrumentation:
-    /// a full scalar run adds `(l_max + 1) × r_max` to the counter per
-    /// asset, so a probe shared across a basket measures total
-    /// rounds-per-agreement directly.
-    #[must_use]
-    pub fn with_round_probe(mut self, probe: Arc<AtomicU64>) -> DelphiNode {
-        self.round_probe = Some(probe);
-        self
-    }
-
-    /// The configuration this node runs under.
-    pub fn config(&self) -> &DelphiConfig {
-        &self.cfg
-    }
-
-    /// The (clamped) input value this node contributes.
-    pub fn input(&self) -> f64 {
-        self.input
-    }
-
-    /// Number of distinguished checkpoints currently tracked at `level`
-    /// (diagnostics; the paper's `min(δ/ρ_l, n)` communication term).
-    pub fn active_checkpoints(&self, level: u8) -> usize {
-        self.levels.get(usize::from(level)).map_or(0, |l| l.table.checkpoints().len())
-    }
-
-    /// Processes one decoded section, collecting any triggered echoes.
-    /// Returns the [`level_bit`] of its level if it named the level's
-    /// current round — the only way that round can have terminated.
-    fn process_section(
-        &mut self,
-        from: NodeId,
-        section: &FlatSection<'_>,
-        out: &mut Collector,
-    ) -> u64 {
-        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return 0 };
-        if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
-            return 0;
-        }
-        let background = section.background();
-        if background.is_some_and(|bg| !plausible(bg, section.round)) {
-            return 0;
-        }
-        let current = if section.round.0 == level.round { level_bit(section.level) } else { 0 };
-        let (lvl, round, kind) = (section.level, section.round, section.kind);
-        let (feed, table) = (Feed { level: lvl, dim: 0, round, kind, from }, &mut level.table);
-
-        // 1. Every mentioned checkpoint becomes distinguished (forked off
-        //    the background as it stands before this section applies) —
-        //    entries before the exclude run, the order in which an entry
-        //    section followed by its background section would charge the
-        //    sender's budget (see `Collector`'s merge rule) — and
-        // 2. each entry's echo goes to its checkpoint. No entry touches
-        //    the background instance, so forking and feeding entry by
-        //    entry forks what forking them all up front would.
-        for (&k, &value) in section.entries.iter().zip(section.entry_values) {
-            feed.entry(table, k, value, out);
-        }
-        for &k in section.exclude {
-            let _ = table.distinguish(k, from);
-        }
-
-        // 3. Background echo: applies to the background instance and to
-        //    every distinguished checkpoint the sender did not mention.
-        //    The background's echoes of ours go out last: they carry an
-        //    exclude snapshot of the level.
-        let Some(bg_value) = background else { return current };
-        for action in feed.background(table, bg_value, |k| section.names(k), out) {
-            let (kind, v) = echo_parts(action);
-            out.background(lvl, round, kind, 0, v, table.ids());
-        }
-        current
-    }
-
-    /// Enters `round` at `level`: feeds every instance its round input and
-    /// emits the initial burst (background plus every active echoing its
-    /// input at once), followed by whatever the inputs triggered.
-    fn enter_round(level: &mut LevelState, round: Round, out: &mut Collector) {
-        let (lvl, table) = (level.level, &mut level.table);
-        let bg_actions = enter_round(table, (lvl, 0), round, out);
-        let burst = out.initial(lvl, round);
-        let inputs = table.checkpoints().iter().map(|checkpoint| (checkpoint.k, checkpoint.value));
-        out.initial_echoes(burst, 0, table.background(), inputs);
-        for action in bg_actions {
-            if action != BvAction::Echo1(table.background()) {
-                let (kind, v) = echo_parts(action);
-                out.background(lvl, round, kind, 0, v, table.ids());
-            }
-        }
-    }
-
-    /// Advances the levels in `touched` (a [`level_bit`] mask) through any
-    /// rounds whose outcomes are complete, emitting initial bursts;
-    /// finalizes levels and the overall output.
-    ///
-    /// Every call leaves the levels it visits fully advanced — their
-    /// current round open — and an open round's cells change only through
-    /// sections that name the level and that round (a fork copies an open
-    /// background), so a level no section named at its current round has
-    /// nothing to do, and is not even looked at.
-    fn advance(&mut self, touched: u64, out: &mut Collector) {
-        let mut finished_level = false;
-        for index in bits_of(touched) {
-            let Some(level) = self.levels.get_mut(usize::from(index)) else { break };
-            while level.round <= self.cfg.r_max() {
-                let round = Round(level.round);
-                // The level advances when the background and every
-                // distinguished checkpoint have terminated the round.
-                if !level.table.terminated(round) {
-                    break;
-                }
-                level.table.adopt_outcomes(round);
-                level.round += 1;
-                if let Some(p) = &self.round_probe {
-                    p.fetch_add(1, Ordering::Relaxed);
-                }
-                if level.round > self.cfg.r_max() {
-                    level.summary =
-                        Some(summarize(&level.table, &self.cfg, level.level, self.input));
-                    finished_level = true;
-                    break;
-                }
-                Self::enter_round(level, Round(level.round), out);
-            }
-        }
-        if finished_level
-            && self.output.is_none()
-            && self.levels.iter().all(|l| l.summary.is_some())
-        {
-            self.output = Some(combine_levels(self.levels.iter().filter_map(|l| l.summary)));
-        }
-    }
-}
-
-impl Protocol for DelphiNode {
-    type Output = f64;
-
-    fn node_id(&self) -> NodeId {
-        self.me
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.n()
-    }
-
-    fn start(&mut self) -> Vec<Envelope> {
-        let mut out = std::mem::take(&mut self.out);
-        for level in &mut self.levels {
-            vote_one(&mut level.table, &self.cfg, self.me, level.level, self.input);
-            Self::enter_round(level, Round::FIRST, &mut out);
-        }
-        self.advance(u64::MAX, &mut out);
-        let envelopes = out.flush(Codec::Scalar);
-        self.out = out;
-        envelopes
-    }
-
-    fn on_message(&mut self, from: NodeId, payload: &[u8]) -> Vec<Envelope> {
-        if from == self.me || from.index() >= self.cfg.n() {
-            return Vec::new();
-        }
-        // One validating pass decodes the whole bundle into the arena;
-        // a malformed one is rejected before any state is touched.
-        let mut arena = std::mem::take(&mut self.arena);
-        if arena.decode(payload, Codec::Scalar).is_err() {
-            self.arena = arena;
-            return Vec::new(); // malformed: Byzantine, drop
-        }
-        let mut out = std::mem::take(&mut self.out);
-        let mut touched = 0u64;
-        for section in arena.sections() {
-            touched |= self.process_section(from, &section, &mut out);
-        }
-        self.arena = arena;
-        self.advance(touched, &mut out);
-        let envelopes = out.flush(Codec::Scalar);
-        self.out = out;
-        envelopes
-    }
-
-    fn output(&self) -> Option<f64> {
-        self.output
-    }
-}
-
-/// Per-dimension state of one level in a vector node: [`LevelState`]
-/// minus the round counter, which a vector level shares across all
-/// dimensions. Introduction budgets are the table's, so they are charged
-/// per (sender, dimension): a flood in one asset cannot starve another.
-#[derive(Clone, Debug)]
-struct DimLevel {
-    table: BvTable,
-    summary: Option<LevelSummary>,
-}
-
-/// Per-level state of a vector node: one shared round counter driving
-/// every dimension in lock step, plus the per-dimension instance tables.
-#[derive(Clone, Debug)]
-struct VLevelState {
-    level: u8,
-    /// Current round (1-based, shared by all dimensions); `r_max + 1`
-    /// once the level has finished.
-    round: u16,
-    dims: Vec<DimLevel>,
-}
-
-/// A vector-valued Delphi node: **one** agreement instance covering a
-/// whole basket of assets (up to [`MAX_VECTOR_DIMS`] dimensions).
-///
-/// Every dimension runs exactly the per-checkpoint BinAA machinery of
-/// [`DelphiNode`] — same forking, same budgets, same plausibility gates —
-/// but the *round walk is shared*: a level advances to round `r + 1` only
-/// once **all** dimensions have terminated round `r`, and the resulting
-/// initial burst is a single [`BasketSection`] carrying every dimension's
-/// echoes behind one shared checkpoint id-run. Compared with per-asset
-/// fan-out this divides sections, wire entries, and rounds-per-agreement
-/// by roughly the basket size, at the cost of coupling the basket's
-/// latency to its slowest dimension.
-#[derive(Debug)]
-pub struct VectorDelphiNode {
-    cfg: DelphiConfig,
-    me: NodeId,
-    dims: u16,
-    inputs: Vec<f64>,
-    levels: Vec<VLevelState>,
-    output: Option<Vec<f64>>,
-    /// Optional shared counter bumped once per completed `(level, round)`
-    /// (see [`VectorDelphiNode::with_round_probe`]).
-    round_probe: Option<Arc<AtomicU64>>,
-    /// Decode target and outgoing collector, as in [`DelphiNode`].
-    arena: BundleArena,
-    out: Collector,
-}
-
 impl VectorDelphiNode {
-    /// Creates a vector node over `values` — one input per basket
-    /// dimension, each clamped into `[s, e]` (NaN maps to `s`).
+    /// Creates a node over `values` — one input per basket dimension, each
+    /// clamped into `[s, e]` (NaN maps to `s` rather than poisoning the
+    /// protocol).
     ///
     /// # Panics
     ///
@@ -509,24 +285,24 @@ impl VectorDelphiNode {
         );
         let inputs: Vec<f64> =
             values.iter().map(|&v| if v.is_nan() { cfg.s() } else { cfg.clamp_input(v) }).collect();
-        let dim_level = |level| DimLevel { table: level_table(&cfg, me, level), summary: None };
-        let levels = (0..=cfg.l_max())
-            .map(|level| VLevelState {
-                level,
+        let dims = inputs.len();
+        let mut levels = Vec::with_capacity((usize::from(cfg.l_max()) + 1) * dims);
+        for level in 0..=cfg.l_max() {
+            levels.extend((0..dims).map(|_| DimLevel {
                 round: 1,
-                dims: (0..values.len()).map(|_| dim_level(level)).collect(),
-            })
-            .collect();
+                table: level_table(&cfg, me, level),
+                summary: None,
+            }));
+        }
         VectorDelphiNode {
-            arena: inbound_arena(&cfg, values.len(), Codec::Basket),
+            arena: inbound_arena(&cfg, dims),
             cfg,
             me,
-            dims: values.len() as u16,
             inputs,
             levels,
             output: None,
             round_probe: None,
-            out: Collector::default(),
+            out: Collector::new(dims),
         }
     }
 
@@ -536,180 +312,169 @@ impl VectorDelphiNode {
     }
 
     /// Attaches a shared round counter, bumped once every time any level
-    /// completes a round at this node. A full vector run adds
-    /// `(l_max + 1) × r_max` to the counter *per basket* — compare with
-    /// the same probe on per-asset [`DelphiNode`]s, which pay that cost
-    /// per asset.
+    /// completes a round at this node. Agreement cost instrumentation: a
+    /// full run adds `(l_max + 1) × r_max` to the counter *per basket* —
+    /// per asset for a deployment of one-dimension [`DelphiNode`]s — so a
+    /// probe shared across a deployment measures rounds-per-agreement
+    /// directly.
     #[must_use]
     pub fn with_round_probe(mut self, probe: Arc<AtomicU64>) -> VectorDelphiNode {
         self.round_probe = Some(probe);
         self
     }
 
-    /// The configuration this node runs under.
-    pub fn config(&self) -> &DelphiConfig {
-        &self.cfg
-    }
-
     /// Number of basket dimensions.
     pub fn dims(&self) -> u16 {
-        self.dims
+        self.inputs.len() as u16
     }
 
-    /// The (clamped) per-dimension inputs this node contributes.
-    pub fn inputs(&self) -> &[f64] {
-        &self.inputs
-    }
-
-    /// Total distinguished checkpoints currently tracked at `level`,
-    /// summed across dimensions (diagnostics).
+    /// Distinguished checkpoints currently tracked at `level`, summed
+    /// across dimensions (diagnostics; the paper's `min(δ/ρ_l, n)`
+    /// communication term).
     pub fn active_checkpoints(&self, level: u8) -> usize {
-        self.levels
-            .get(usize::from(level))
-            .map_or(0, |l| l.dims.iter().map(|d| d.table.checkpoints().len()).sum())
+        let start = usize::from(level) * self.inputs.len();
+        let level = self.levels.get(start..start + self.inputs.len()).unwrap_or_default();
+        level.iter().map(|dim| dim.table.checkpoints().len()).sum()
     }
 
-    /// Processes one decoded basket section, collecting triggered echoes.
+    /// Processes one decoded section, collecting triggered echoes.
     /// Returns the [`level_bit`] of its level if it named the level's
-    /// current round (see [`DelphiNode::advance`]).
+    /// current round — the only way that round can have terminated.
     fn process_section(
         &mut self,
         from: NodeId,
         section: &FlatSection<'_>,
         out: &mut Collector,
     ) -> u64 {
-        let Some(level) = self.levels.get_mut(usize::from(section.level)) else { return 0 };
+        let dims = self.inputs.len();
+        let start = usize::from(section.level) * dims;
+        let Some(level) = self.levels.get_mut(start..start + dims) else { return 0 };
         if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
             return 0;
         }
         // A section whose backgrounds carry any implausible value is
-        // dropped whole, mirroring the scalar path's section gate.
+        // dropped whole.
         if section.backgrounds.iter().any(|&bg| !plausible(bg, section.round)) {
             return 0;
         }
         let (lvl, round, kind) = (section.level, section.round, section.kind);
         let feed = |dim| Feed { level: lvl, dim, round, kind, from };
+        let current = match level.first() {
+            Some(dim) if dim.round == round.0 => level_bit(lvl),
+            _ => 0,
+        };
 
         // 1. Every mentioned (dimension, checkpoint) pair becomes
-        //    distinguished in that dimension, entries before the exclude
-        //    run, and
+        //    distinguished in that dimension (forked off the background as
+        //    it stands before this section applies) — entries before the
+        //    exclude run, the order in which an entry section followed by
+        //    its background section would charge the sender's budget (see
+        //    `Collector`'s merge rule) — and
         // 2. each entry's echoes go to its checkpoint, dimension by
-        //    dimension (fork and feed entry by entry, as in the scalar
-        //    path). Dimensions beyond our basket are ignored throughout
-        //    (Byzantine senders cannot spend budget on phantom assets).
+        //    dimension. No entry touches a background instance, so forking
+        //    and feeding entry by entry forks what forking them all up
+        //    front would.
+        // 3. Background echoes: per dimension, the background value
+        //    applies to that dimension's background instance and to every
+        //    distinguished checkpoint the sender did not mention *in that
+        //    dimension*. The background's echoes carry the dimension's
+        //    exclude snapshot, so they are emitted only once every
+        //    dimension's checkpoint echoes are collected.
+        if let [dim] = level {
+            // A basket of one walks the section as it reads: no masks,
+            // every id is dimension 0's, and no other dimension can add
+            // echoes after the background's.
+            let table = &mut dim.table;
+            for (&k, &value) in section.entries.iter().zip(section.entry_values) {
+                feed(0).entry(table, k, value, out);
+            }
+            for &k in section.exclude {
+                let _ = table.distinguish(k, from);
+            }
+            if let Some(&bg_value) = section.backgrounds.first() {
+                let named = |k| section.exclude.contains(&k) || section.entries.contains(&k);
+                for action in feed(0).background(table, bg_value, named, out) {
+                    let (kind, v) = echo_parts(action);
+                    out.background(lvl, round, kind, 0, v, table.ids());
+                }
+            }
+            return current;
+        }
+        // Dimensions beyond our basket are ignored throughout (Byzantine
+        // senders cannot spend budget on phantom assets).
         for (k, mask, values) in section.basket_entries() {
             for (d, &value) in bits_of(mask).zip(values) {
-                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
+                if let Some(dim) = level.get_mut(usize::from(d)) {
                     feed(d).entry(&mut dim.table, k, value, out);
                 }
             }
         }
-        for (&k, &mask) in section.exclude.iter().zip(section.exclude_masks) {
+        for (k, mask) in section.basket_exclude() {
             for d in bits_of(mask) {
-                if let Some(dim) = level.dims.get_mut(usize::from(d)) {
+                if let Some(dim) = level.get_mut(usize::from(d)) {
                     let _ = dim.table.distinguish(k, from);
                 }
             }
         }
-
-        // 3. Background echoes: per dimension, the background value
-        //    applies to that dimension's background instance and to every
-        //    distinguished checkpoint the sender did not mention *in that
-        //    dimension* (an entry or exclude mention in dim d shields only
-        //    dim d). The background's echoes carry the dimension's exclude
-        //    snapshot, so they are emitted only once every dimension's
-        //    checkpoint echoes are collected.
         for (d, bg_value) in section.background_dims() {
-            let Some(dim) = level.dims.get_mut(usize::from(d)) else { continue };
+            let Some(dim) = level.get_mut(usize::from(d)) else { continue };
             let named = |k| section.names_in(k, d);
             for action in feed(d).background(&mut dim.table, bg_value, named, out) {
                 let (kind, v) = echo_parts(action);
                 out.deferred.push((kind, d, v));
             }
         }
-        Self::emit_deferred(level, round, out);
-        if round.0 == level.round {
-            level_bit(lvl)
-        } else {
-            0
-        }
+        emit_deferred(level, (lvl, round), out);
+        current
     }
 
-    /// Emits the background echoes held back in `out.deferred`, each with
-    /// its dimension's exclude snapshot as of now.
-    fn emit_deferred(level: &VLevelState, round: Round, out: &mut Collector) {
-        let mut deferred = std::mem::take(&mut out.deferred);
-        for (kind, d, value) in deferred.drain(..) {
-            if let Some(dim) = level.dims.get(usize::from(d)) {
-                out.background(level.level, round, kind, d, value, dim.table.ids());
-            }
-        }
-        out.deferred = deferred;
-    }
-
-    /// Enters `round` at `level` in every dimension: feeds each instance
-    /// its round input and emits one merged initial burst, followed by
-    /// whatever the inputs triggered.
-    fn enter_round(level: &mut VLevelState, round: Round, out: &mut Collector) {
-        let lvl = level.level;
-        for (d, dim) in level.dims.iter_mut().enumerate() {
-            let bg_value = dim.table.background();
-            for action in enter_round(&mut dim.table, (lvl, d as u16), round, out) {
-                if action != BvAction::Echo1(bg_value) {
-                    let (kind, v) = echo_parts(action);
-                    out.deferred.push((kind, d as u16, v));
-                }
-            }
-        }
-        let burst = out.initial(lvl, round);
-        for (d, dim) in level.dims.iter().enumerate() {
-            let inputs =
-                dim.table.checkpoints().iter().map(|checkpoint| (checkpoint.k, checkpoint.value));
-            out.initial_echoes(burst, d as u16, dim.table.background(), inputs);
-        }
-        Self::emit_deferred(level, round, out);
-    }
-
-    /// Advances the levels in `touched` (a [`level_bit`] mask, see
-    /// [`DelphiNode::advance`]) through rounds whose outcomes are complete
-    /// in **all** dimensions, emitting one merged burst per advance.
+    /// Advances the levels in `touched` (a [`level_bit`] mask) through any
+    /// rounds whose outcomes are complete in **all** dimensions, emitting
+    /// one merged burst per advance; finalizes levels and the output.
+    ///
+    /// Every call leaves the levels it visits fully advanced — their
+    /// current round open — and an open round's cells change only through
+    /// sections that name the level and that round (a fork copies an open
+    /// background), so a level no section named at its current round has
+    /// nothing to do, and is not even looked at.
     fn advance(&mut self, touched: u64, out: &mut Collector) {
+        let (dims, r_max) = (self.inputs.len(), self.cfg.r_max());
         let mut finished_level = false;
         for index in bits_of(touched) {
-            let Some(level) = self.levels.get_mut(usize::from(index)) else { break };
-            while level.round <= self.cfg.r_max() {
-                let round = Round(level.round);
+            let start = usize::from(index) * dims;
+            let Some(level) = self.levels.get_mut(start..start + dims) else { break };
+            let lvl = index as u8;
+            while let Some(round) = level.first().map(|dim| dim.round).filter(|&r| r <= r_max) {
+                let round = Round(round);
                 // Shared round walk: the whole basket advances together,
                 // or not at all.
-                if !level.dims.iter().all(|dim| dim.table.terminated(round)) {
+                if !level.iter().all(|dim| dim.table.terminated(round)) {
                     break;
                 }
-                for dim in &mut level.dims {
+                for dim in level.iter_mut() {
                     dim.table.adopt_outcomes(round);
+                    dim.round += 1;
                 }
-                level.round += 1;
                 if let Some(p) = &self.round_probe {
                     p.fetch_add(1, Ordering::Relaxed);
                 }
-                if level.round > self.cfg.r_max() {
+                if round.0 == r_max {
                     // Level complete in every dimension simultaneously.
-                    for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
-                        dim.summary = Some(summarize(&dim.table, &self.cfg, level.level, input));
+                    for (dim, &input) in level.iter_mut().zip(&self.inputs) {
+                        dim.summary = Some(summarize(&dim.table, &self.cfg, lvl, input));
                     }
                     finished_level = true;
                     break;
                 }
-                Self::enter_round(level, Round(level.round), out);
+                enter_round(level, lvl, Round(round.0 + 1), out);
             }
         }
-        let summarized = |l: &VLevelState| l.dims.iter().all(|dim| dim.summary.is_some());
-        if finished_level && self.output.is_none() && self.levels.iter().all(summarized) {
-            let summaries =
-                |d: usize| self.levels.iter().filter_map(move |l| l.dims.get(d)?.summary);
-            let combine = |d| combine_levels(summaries(d));
-            let mut outputs = Vec::with_capacity(usize::from(self.dims));
-            outputs.extend((0..usize::from(self.dims)).map(combine));
-            self.output = Some(outputs);
+        if finished_level
+            && self.output.is_none()
+            && self.levels.iter().all(|dim| dim.summary.is_some())
+        {
+            let summaries = |d| self.levels.iter().skip(d).step_by(dims).filter_map(|l| l.summary);
+            self.output = Some((0..dims).map(|d| combine_levels(summaries(d))).collect());
         }
     }
 }
@@ -727,14 +492,15 @@ impl Protocol for VectorDelphiNode {
 
     fn start(&mut self) -> Vec<Envelope> {
         let mut out = std::mem::take(&mut self.out);
-        for level in &mut self.levels {
-            for (dim, &input) in level.dims.iter_mut().zip(&self.inputs) {
-                vote_one(&mut dim.table, &self.cfg, self.me, level.level, input);
+        let dims = self.inputs.len();
+        for (lvl, level) in (0u8..).zip(self.levels.chunks_exact_mut(dims)) {
+            for (dim, &input) in level.iter_mut().zip(&self.inputs) {
+                vote_one(&mut dim.table, &self.cfg, self.me, lvl, input);
             }
-            Self::enter_round(level, Round::FIRST, &mut out);
+            enter_round(level, lvl, Round::FIRST, &mut out);
         }
         self.advance(u64::MAX, &mut out);
-        let envelopes = out.flush(Codec::Basket);
+        let envelopes = out.flush();
         self.out = out;
         envelopes
     }
@@ -743,9 +509,10 @@ impl Protocol for VectorDelphiNode {
         if from == self.me || from.index() >= self.cfg.n() {
             return Vec::new();
         }
-        // One validating pass into the arena, as in the scalar path.
+        // One validating pass decodes the whole bundle into the arena;
+        // a malformed one is rejected before any state is touched.
         let mut arena = std::mem::take(&mut self.arena);
-        if arena.decode(payload, Codec::Basket).is_err() {
+        if arena.decode(payload).is_err() {
             self.arena = arena;
             return Vec::new(); // malformed: Byzantine, drop
         }
@@ -756,13 +523,83 @@ impl Protocol for VectorDelphiNode {
         }
         self.arena = arena;
         self.advance(touched, &mut out);
-        let envelopes = out.flush(Codec::Basket);
+        let envelopes = out.flush();
         self.out = out;
         envelopes
     }
 
     fn output(&self) -> Option<Vec<f64>> {
         self.output.clone()
+    }
+}
+
+/// A scalar Delphi node: [`VectorDelphiNode`] over a basket of one, with
+/// an `f64` output.
+///
+/// See the [crate docs](crate) for a runnable quickstart; construction
+/// takes the shared [`DelphiConfig`], this node's identity, and its
+/// measured input value (clamped into the configured space).
+#[derive(Debug)]
+pub struct DelphiNode(VectorDelphiNode);
+
+impl DelphiNode {
+    /// Creates a node with input `value` (clamped into `[s, e]`; NaN is
+    /// mapped to `s` rather than poisoning the protocol).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is out of range for the configured system size.
+    pub fn new(cfg: DelphiConfig, me: NodeId, value: f64) -> DelphiNode {
+        DelphiNode(VectorDelphiNode::new(cfg, me, &[value]))
+    }
+
+    /// Boxes the node for use with heterogeneous drivers.
+    pub fn boxed(self) -> Box<dyn Protocol<Output = f64>> {
+        Box::new(self)
+    }
+
+    /// Attaches a shared round counter (see
+    /// [`VectorDelphiNode::with_round_probe`]): a full run adds
+    /// `(l_max + 1) × r_max`.
+    #[must_use]
+    pub fn with_round_probe(self, probe: Arc<AtomicU64>) -> DelphiNode {
+        DelphiNode(self.0.with_round_probe(probe))
+    }
+
+    /// The (clamped) input value this node contributes.
+    pub fn input(&self) -> f64 {
+        // A basket of one: the first input is the only one.
+        self.0.inputs.first().copied().unwrap_or_default()
+    }
+
+    /// Number of distinguished checkpoints currently tracked at `level`
+    /// (diagnostics; the paper's `min(δ/ρ_l, n)` communication term).
+    pub fn active_checkpoints(&self, level: u8) -> usize {
+        self.0.active_checkpoints(level)
+    }
+}
+
+impl Protocol for DelphiNode {
+    type Output = f64;
+
+    fn node_id(&self) -> NodeId {
+        self.0.node_id()
+    }
+
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn start(&mut self) -> Vec<Envelope> {
+        self.0.start()
+    }
+
+    fn on_message(&mut self, from: NodeId, payload: &[u8]) -> Vec<Envelope> {
+        self.0.on_message(from, payload)
+    }
+
+    fn output(&self) -> Option<f64> {
+        self.0.output.as_deref()?.first().copied()
     }
 }
 
@@ -1121,30 +958,38 @@ mod tests {
         assert_agreement_validity(&outs, &inputs[..3], &cfg);
     }
 
-    /// Runs four honest nodes over a FIFO mesh and returns every message
-    /// node 0 was handed, in delivery order.
-    fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)> {
-        let n = cfg.n();
-        let mut nodes: Vec<DelphiNode> =
-            NodeId::all(n).map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()])).collect();
+    /// Runs `n` honest nodes over a FIFO mesh — each broadcast delivered
+    /// to every peer before the next — and returns every message sent, in
+    /// order, with the nodes' outputs.
+    fn fifo_mesh<N: Protocol>(
+        n: usize,
+        make: impl Fn(NodeId) -> N,
+    ) -> (Vec<(NodeId, Bytes)>, Vec<N::Output>) {
+        let mut nodes: Vec<N> = NodeId::all(n).map(make).collect();
         let mut queue: VecDeque<(NodeId, Envelope)> = VecDeque::new();
         for node in &mut nodes {
             let me = node.node_id();
             queue.extend(node.start().into_iter().map(|env| (me, env)));
         }
-        let mut inbox = Vec::new();
+        let mut sent = Vec::new();
         while let Some((from, env)) = queue.pop_front() {
             assert_eq!(env.to, Recipient::All, "Delphi only broadcasts");
             for to in NodeId::all(n).filter(|&to| to != from) {
-                if to == NodeId(0) {
-                    inbox.push((from, env.payload.clone()));
-                }
                 let replies = nodes[to.index()].on_message(from, &env.payload);
                 queue.extend(replies.into_iter().map(|reply| (to, reply)));
             }
+            sent.push((from, env.payload));
         }
-        assert!(nodes.iter().all(|node| node.output().is_some()), "mesh terminated");
-        inbox
+        let outputs = nodes.iter().map(|node| node.output().expect("mesh terminated")).collect();
+        (sent, outputs)
+    }
+
+    /// Runs four honest nodes over a FIFO mesh and returns every message
+    /// node 0 was handed, in delivery order.
+    fn record_node0_inbox(cfg: &DelphiConfig, inputs: &[f64]) -> Vec<(NodeId, Bytes)> {
+        let make = |id: NodeId| DelphiNode::new(cfg.clone(), id, inputs[id.index()]);
+        let (sent, _) = fifo_mesh(cfg.n(), make);
+        sent.into_iter().filter(|&(from, _)| from != NodeId(0)).collect()
     }
 
     #[test]
@@ -1179,17 +1024,17 @@ mod tests {
         };
         let early = replay(0);
         let late = replay(inbox.len() / 2);
-        assert!(late.levels[0].round > 1, "the late fork lands mid-protocol");
+        assert!(late.0.levels[0].round > 1, "the late fork lands mid-protocol");
 
         let fork = |node: &DelphiNode| {
-            let table = &node.levels[0].table;
+            let table = &node.0.levels[0].table;
             let position = table.ids().position(|id| id == k).expect("k is distinguished");
             table.column_state(1 + position)
         };
         assert_eq!(fork(&early), fork(&late), "forks hold identical quorum state");
         assert_eq!(
             fork(&late),
-            late.levels[0].table.column_state(0),
+            late.0.levels[0].table.column_state(0),
             "and still mirror the background they were cloned from"
         );
         assert_eq!(early.output(), late.output());
@@ -1250,11 +1095,24 @@ mod tests {
     #[test]
     fn vector_single_dimension_behaves_like_scalar() {
         let cfg = small_cfg(4);
-        let inputs: Vec<Vec<f64>> = vec![vec![500.2], vec![499.8], vec![500.5], vec![500.0]];
+        let inputs: Vec<Vec<f64>> = vec![vec![500.2], vec![499.8], vec![500.5], vec![493.0]];
         let outs = run_vector_delphi(&cfg, &inputs, &[], |_| unreachable!(), 12, None);
         let flat: Vec<f64> = outs.iter().map(|o| o[0]).collect();
         let scalar_ins: Vec<f64> = inputs.iter().map(|o| o[0]).collect();
         assert_agreement_validity(&flat, &scalar_ins, &cfg);
+
+        // Under one FIFO schedule a basket of one sends the scalar node's
+        // bytes, message for message, and decides its value.
+        let (scalar_sent, scalar_outs) =
+            fifo_mesh(4, |id| DelphiNode::new(cfg.clone(), id, scalar_ins[id.index()]));
+        let (vector_sent, vector_outs) =
+            fifo_mesh(4, |id| VectorDelphiNode::new(cfg.clone(), id, &inputs[id.index()]));
+        assert_eq!(scalar_sent.len(), vector_sent.len());
+        for (i, (scalar, vector)) in scalar_sent.iter().zip(&vector_sent).enumerate() {
+            assert_eq!(scalar, vector, "message {i}");
+        }
+        let vector_outs: Vec<f64> = vector_outs.iter().map(|o| o[0]).collect();
+        assert_eq!(scalar_outs, vector_outs);
     }
 
     #[test]
@@ -1381,7 +1239,7 @@ mod tests {
     #[test]
     fn vector_ignores_dimensions_beyond_basket() {
         let cfg = small_cfg(4);
-        let mut node = VectorDelphiNode::new(cfg, NodeId(0), &[500.0]);
+        let mut node = VectorDelphiNode::new(cfg, NodeId(0), &[500.0, 600.0]);
         let _ = node.start();
         let before = node.active_checkpoints(0);
         let mut s = BasketSection::new(0, Round(1), EchoKind::Echo1);

@@ -19,50 +19,57 @@ use super::tests::small_cfg;
 use super::*;
 use crate::messages::{BasketBundle, BasketSection, DelphiBundle, Section};
 
-/// A node type the harness can run in both worlds.
+/// A node type the harness can run in both worlds: the one machine, bare
+/// or behind [`DelphiNode`].
 trait Twin: Protocol {
-    const CODEC: Codec;
-    /// Switches the node to the reference (unmerged) collector.
-    fn unmerged(self) -> Self;
-    /// Everything the node knows, for `Debug` comparison.
-    fn state(&self) -> String;
-    /// A Byzantine rewrite of one of this node type's bundles.
-    fn tamper(payload: &[u8], cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes;
+    fn machine(&self) -> &VectorDelphiNode;
+    fn machine_mut(&mut self) -> &mut VectorDelphiNode;
 }
 
 impl Twin for DelphiNode {
-    const CODEC: Codec = Codec::Scalar;
-    fn unmerged(mut self) -> Self {
-        self.out.unmerged = true;
-        self
+    fn machine(&self) -> &VectorDelphiNode {
+        &self.0
     }
-    fn state(&self) -> String {
-        format!("{:?} {:?}", self.levels, self.output)
-    }
-    fn tamper(payload: &[u8], cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
-        let mut bundle = DelphiBundle::from_bytes(payload).expect("honest bundle");
-        tamper_sections(&mut bundle.sections, cfg, rng);
-        bundle.to_bytes()
+    fn machine_mut(&mut self) -> &mut VectorDelphiNode {
+        &mut self.0
     }
 }
 
 impl Twin for VectorDelphiNode {
-    const CODEC: Codec = Codec::Basket;
-    fn unmerged(mut self) -> Self {
-        self.out.unmerged = true;
+    fn machine(&self) -> &VectorDelphiNode {
         self
     }
-    fn state(&self) -> String {
-        format!("{:?} {:?}", self.levels, self.output)
+    fn machine_mut(&mut self) -> &mut VectorDelphiNode {
+        self
     }
-    fn tamper(payload: &[u8], cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
+}
+
+/// Switches `node` to the reference (unmerged) collector.
+fn unmerged<N: Twin>(mut node: N) -> N {
+    node.machine_mut().out.unmerged = true;
+    node
+}
+
+/// Everything `node` knows, for `Debug` comparison.
+fn state<N: Twin>(node: &N) -> String {
+    let machine = node.machine();
+    format!("{:?} {:?}", machine.levels, machine.output)
+}
+
+/// A Byzantine rewrite of a bundle of a `dims`-dimension machine.
+fn tamper(payload: &[u8], dims: usize, cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
+    if dims == 1 {
+        let mut bundle = DelphiBundle::from_bytes(payload).expect("honest bundle");
+        tamper_sections(&mut bundle.sections, cfg, rng);
+        bundle.to_bytes()
+    } else {
         let mut bundle = BasketBundle::from_bytes(payload).expect("honest bundle");
         tamper_sections(&mut bundle.sections, cfg, rng);
         bundle.to_bytes()
     }
 }
 
-/// The section surgery a tamperer performs, per codec.
+/// The section surgery a tamperer performs, per layout.
 trait Tamperable: Clone {
     fn key(&self) -> (u8, Round, EchoKind);
     /// Moves the second half of the entries into a new background-free
@@ -175,37 +182,26 @@ type Echo = (u16, (u8, u16, bool), Option<i64>, Dyadic, Vec<i64>);
 /// reference world's shield is the emit-time snapshot itself, so equal
 /// echoes also show that no merged section carries an entry for a
 /// checkpoint its own background snapshot did not exclude.
-fn echoes(payload: &[u8], codec: Codec) -> Vec<Echo> {
-    let mut arena = BundleArena::new();
-    arena.decode(payload, codec).expect("honest bundle");
+fn echoes(payload: &[u8], dims: usize) -> Vec<Echo> {
+    let mut arena = BundleArena::new(dims);
+    arena.decode(payload).expect("honest bundle");
     let mut out: Vec<Echo> = Vec::new();
     for section in arena.sections() {
         let key = (section.level, section.round.0, section.kind == EchoKind::Echo2);
-        if codec == Codec::Scalar {
-            for (&k, &v) in section.entries.iter().zip(section.entry_values) {
-                out.push((0, key, Some(k), v, Vec::new()));
+        for (k, mask, values) in section.basket_entries() {
+            for (d, &v) in bits_of(mask).zip(values) {
+                out.push((d, key, Some(k), v, Vec::new()));
             }
-            if let Some(bg) = section.background() {
-                let shield: BTreeSet<i64> =
-                    section.exclude.iter().chain(section.entries).copied().collect();
-                out.push((0, key, None, bg, shield.into_iter().collect()));
-            }
-        } else {
-            for (k, mask, values) in section.basket_entries() {
-                for (d, &v) in bits_of(mask).zip(values) {
-                    out.push((d, key, Some(k), v, Vec::new()));
-                }
-            }
-            for (d, bg) in section.background_dims() {
-                let shield: BTreeSet<i64> = section
-                    .exclude
-                    .iter()
-                    .chain(section.entries)
-                    .copied()
-                    .filter(|&k| section.names_in(k, d))
-                    .collect();
-                out.push((d, key, None, bg, shield.into_iter().collect()));
-            }
+        }
+        for (d, bg) in section.background_dims() {
+            let shield: BTreeSet<i64> = section
+                .exclude
+                .iter()
+                .chain(section.entries)
+                .copied()
+                .filter(|&k| section.names_in(k, d))
+                .collect();
+            out.push((d, key, None, bg, shield.into_iter().collect()));
         }
     }
     out.sort();
@@ -215,12 +211,12 @@ fn echoes(payload: &[u8], codec: Codec) -> Vec<Echo> {
 /// Sections per `(sender, level, round)` over every bundle of a run.
 fn sections_per_level_round(
     sent: &[(NodeId, Bytes)],
-    codec: Codec,
+    dims: usize,
 ) -> std::collections::BTreeMap<(NodeId, u8, Round), usize> {
     let mut counts = std::collections::BTreeMap::new();
-    let mut arena = BundleArena::new();
+    let mut arena = BundleArena::new(dims);
     for (from, payload) in sent {
-        arena.decode(payload, codec).expect("honest bundle");
+        arena.decode(payload).expect("honest bundle");
         for section in arena.sections() {
             *counts.entry((*from, section.level, section.round)).or_insert(0) += 1;
         }
@@ -232,8 +228,7 @@ fn sections_per_level_round(
 ///
 /// `tamperer`, if any, is one Byzantine node shared by both worlds: it
 /// runs the honest protocol on what the merged world sends it, rewrites
-/// its own bundles with [`Twin::tamper`], and sends the same bytes to
-/// both. `check_every` thins the (expensive) `Debug` comparison.
+/// its own bundles with [`tamper`], and sends the same bytes to both. `check_every` thins the (expensive) `Debug` comparison.
 fn run_worlds<N: Twin>(
     cfg: &DelphiConfig,
     make: impl Fn(NodeId) -> N,
@@ -247,7 +242,8 @@ where
     let n = cfg.n();
     let mut rng = SplitMix(seed);
     let mut merged: Vec<N> = NodeId::all(n).map(&make).collect();
-    let mut reference: Vec<N> = NodeId::all(n).map(|id| make(id).unmerged()).collect();
+    let mut reference: Vec<N> = NodeId::all(n).map(|id| unmerged(make(id))).collect();
+    let dims = usize::from(merged[0].machine().dims());
     // In flight: (from, to, merged-world bytes, reference-world bytes).
     let mut pending: Vec<(NodeId, NodeId, Bytes, Bytes)> = Vec::new();
     let broadcast = |from: NodeId,
@@ -258,12 +254,12 @@ where
         assert_eq!(m.len(), r.len(), "both worlds answer, or neither");
         for (m, r) in m.into_iter().zip(r) {
             let (m, r) = if Some(from) == tamperer {
-                let forged = N::tamper(&m.payload, cfg, rng);
+                let forged = tamper(&m.payload, dims, cfg, rng);
                 (forged.clone(), forged)
             } else {
                 assert_eq!(
-                    echoes(&m.payload, N::CODEC),
-                    echoes(&r.payload, N::CODEC),
+                    echoes(&m.payload, dims),
+                    echoes(&r.payload, dims),
                     "node {from:?} emits the same echoes in both worlds"
                 );
                 (m.payload, r.payload)
@@ -290,8 +286,8 @@ where
             step += 1;
             if step % check_every == 0 {
                 assert_eq!(
-                    merged[to.index()].state(),
-                    reference[to.index()].state(),
+                    state(&merged[to.index()]),
+                    state(&reference[to.index()]),
                     "node {to:?} diverged after step {step}"
                 );
             }
@@ -301,7 +297,7 @@ where
     }
     let honest = || NodeId::all(n).filter(|&id| Some(id) != tamperer);
     for id in honest() {
-        assert_eq!(merged[id.index()].state(), reference[id.index()].state(), "final {id:?}");
+        assert_eq!(state(&merged[id.index()]), state(&reference[id.index()]), "final {id:?}");
         assert_eq!(merged[id.index()].output(), reference[id.index()].output());
     }
     honest().map(|id| merged[id.index()].output().expect("terminated")).collect()
@@ -403,7 +399,7 @@ fn mentions_past_the_introduction_budget_are_charged_in_reference_order() {
 }
 
 /// Every bundle sent in an honest FIFO (lock-step) mesh, with its sender.
-fn record_mesh<N: Twin>(n: usize, make: impl Fn(NodeId) -> N) -> Vec<(NodeId, Bytes)> {
+fn record_mesh<N: Protocol>(n: usize, make: impl Fn(NodeId) -> N) -> Vec<(NodeId, Bytes)> {
     let mut nodes: Vec<N> = NodeId::all(n).map(make).collect();
     let mut queue: std::collections::VecDeque<(NodeId, Bytes)> = Default::default();
     let mut sent = Vec::new();
@@ -435,20 +431,18 @@ fn honest_lock_step_run_sends_two_sections_per_level_round() {
 
     // One initial burst and one ECHO2 section (entries + background, all
     // dimensions) per sender, level and round …
-    let merged = sections_per_level_round(&record_mesh(4, scalar), Codec::Scalar);
+    let merged = sections_per_level_round(&record_mesh(4, scalar), 1);
     assert_eq!(merged.len(), level_rounds);
     assert!(merged.values().all(|&sections| sections == 2), "{merged:?}");
-    let merged = sections_per_level_round(&record_mesh(4, basket), Codec::Basket);
+    let merged = sections_per_level_round(&record_mesh(4, basket), 8);
     assert_eq!(merged.len(), level_rounds);
     assert!(merged.values().all(|&sections| sections == 2), "{merged:?}");
 
     // … where the unmerged collectors sent the ECHO2 background apart:
     // 3 sections scalar, and one more per dimension at basket 8.
-    let reference =
-        sections_per_level_round(&record_mesh(4, |id| scalar(id).unmerged()), Codec::Scalar);
+    let reference = sections_per_level_round(&record_mesh(4, |id| unmerged(scalar(id))), 1);
     assert!(reference.values().all(|&sections| sections == 3), "{reference:?}");
-    let reference =
-        sections_per_level_round(&record_mesh(4, |id| basket(id).unmerged()), Codec::Basket);
+    let reference = sections_per_level_round(&record_mesh(4, |id| unmerged(basket(id))), 8);
     assert!(reference.values().all(|&sections| sections == 10), "{reference:?}");
 }
 
@@ -462,12 +456,12 @@ fn entry_after_a_joined_background_opens_a_new_section() {
     // it (a receiver would wrongly shield 8 from the background echo).
     let key = (2u8, Round(3), EchoKind::Echo2);
     let collect = |unmerged: bool| {
-        let mut out = Collector::default();
+        let mut out = Collector::new(1);
         out.unmerged = unmerged;
         out.entry(key.0, key.1, key.2, 0, 7, Dyadic::ONE);
         out.background(key.0, key.1, key.2, 0, Dyadic::ZERO, [7, 9].into_iter());
         out.entry(key.0, key.1, key.2, 0, 8, Dyadic::ONE);
-        let payload = out.flush(Codec::Scalar).pop().expect("a bundle").payload;
+        let payload = out.flush().pop().expect("a bundle").payload;
         DelphiBundle::from_bytes(&payload).expect("well-formed")
     };
     let merged = collect(false);
@@ -482,16 +476,13 @@ fn entry_after_a_joined_background_opens_a_new_section() {
     assert_eq!(reference.sections[0].entries, vec![(7, Dyadic::ONE), (8, Dyadic::ONE)]);
     assert_eq!(reference.sections[1].exclude, vec![7, 9]);
     // Same echoes; the reference merely sends 8's before the background.
-    assert_eq!(
-        echoes(&merged.to_bytes(), Codec::Scalar),
-        echoes(&reference.to_bytes(), Codec::Scalar)
-    );
+    assert_eq!(echoes(&merged.to_bytes(), 1), echoes(&reference.to_bytes(), 1));
 }
 
 #[test]
 fn basket_backgrounds_of_one_key_share_a_section_and_an_exclude_run() {
     let key = (0u8, Round(1), EchoKind::Echo2);
-    let mut out = Collector::default();
+    let mut out = Collector::new(2);
     out.entry(key.0, key.1, key.2, 0, 500, Dyadic::ONE);
     out.entry(key.0, key.1, key.2, 1, 500, Dyadic::ONE); // same checkpoint, next dim
     out.entry(key.0, key.1, key.2, 1, 640, Dyadic::ONE);
@@ -500,7 +491,7 @@ fn basket_backgrounds_of_one_key_share_a_section_and_an_exclude_run() {
     // A second background value in a dimension that has one opens a
     // section of its own.
     out.background(key.0, key.1, key.2, 1, Dyadic::ONE, [640].into_iter());
-    let payload = out.flush(Codec::Basket).pop().expect("a bundle").payload;
+    let payload = out.flush().pop().expect("a bundle").payload;
     let bundle = BasketBundle::from_bytes(&payload).expect("well-formed");
     assert_eq!(bundle.sections.len(), 2);
     let first = &bundle.sections[0];

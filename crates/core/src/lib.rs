@@ -15,7 +15,9 @@
 //! - [`delphi`]: the **Delphi** protocol itself (Algorithm 2): one BinAA
 //!   instance per checkpoint per level, sparse zero-run message bundling
 //!   (§III-C), and the multi-level weighted aggregation with the
-//!   `w′_l = w_l·|w_l − w_{l−1}|` differentiation trick.
+//!   `w′_l = w_l·|w_l − w_{l−1}|` differentiation trick — one machine,
+//!   [`VectorDelphiNode`], for a basket of any size; [`DelphiNode`] is
+//!   the basket of one.
 //! - [`params`]: the parameter engine deriving `l_M`, `ε′` and `r_M` from
 //!   `(ρ_0, Δ, ε, n)` exactly as Algorithm 2's setup does.
 //! - [`aggregate`]: the pure weighted-average math of Algorithm 2 lines
@@ -70,12 +72,12 @@ pub mod oracle;
 pub mod params;
 
 pub use binaa::BinAaNode;
-pub use bundle::{BundleArena, Codec, FlatSection};
+pub use bundle::{BundleArena, FlatSection};
 pub use compact::CompactBinAaNode;
 pub use delphi::{DelphiNode, VectorDelphiNode};
 pub use messages::{
-    BasketBundle, BasketBundleRef, BasketSection, BinAaMsg, DelphiBundle, DelphiBundleRef,
-    EchoKind, Section,
+    BasketBundle, BasketBundleRef, BasketSection, BinAaMsg, BundleRef, DelphiBundle,
+    DelphiBundleRef, EchoKind, Section,
 };
-pub use oracle::{OracleService, PriceSource, VectorOracleService};
+pub use oracle::{OracleService, PriceSource};
 pub use params::{ConfigError, DelphiConfig, DelphiConfigBuilder, InputRule};

@@ -11,7 +11,7 @@
 use delphi_primitives::wire::{Decode, Encode, Reader, VectorValue, WireError, Writer};
 use delphi_primitives::{Dyadic, Round};
 
-use crate::bundle::{validate_bundle, Codec};
+use crate::bundle::validate_bundle;
 
 /// Maximum sections per bundle accepted from the wire.
 pub(crate) const MAX_SECTIONS: usize = 4096;
@@ -93,7 +93,12 @@ impl Decode for BinAaMsg {
 /// distinguished checkpoints the entries do not name. Nodes read
 /// sections out of a [`BundleArena`](crate::BundleArena) and build them
 /// in pooled scratch; this owned type is the wire format's reference
-/// model (tests, benches, Byzantine test nodes).
+/// model: its encoder builds bundles for benches and Byzantine test nodes,
+/// and its decoder, compiled for tests only, is the arena's property-test
+/// oracle.
+///
+/// This is the layout of a one-dimension machine — every `DelphiNode`,
+/// and a `VectorDelphiNode` over a basket of one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Section {
     /// Level index (`0..=l_max`).
@@ -159,6 +164,7 @@ impl Encode for Section {
     }
 }
 
+#[cfg(test)]
 impl Decode for Section {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let level = r.get_raw_u8()?;
@@ -225,33 +231,43 @@ impl Encode for DelphiBundle {
     }
 }
 
+#[cfg(test)]
 impl Decode for DelphiBundle {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(DelphiBundle { sections: r.get_seq(MAX_SECTIONS)? })
     }
 }
 
-/// The validating shim over the scalar codec: checks that `bytes` is a
-/// complete [`DelphiBundle`] encoding and reports its section count,
-/// keeping nothing.
+/// The validating shim: checks that `bytes` is a complete bundle encoding
+/// — with per-id dimension masks iff `MASKS` — and reports its section
+/// count, keeping nothing. Name it by layout: [`DelphiBundleRef`] or
+/// [`BasketBundleRef`].
 ///
 /// Nodes decode through [`BundleArena`](crate::BundleArena) — the same
 /// pass, storing what it reads; this is that pass with nowhere to store,
 /// for callers that only need a bundle's validity and size.
 #[derive(Clone, Copy, Debug)]
-pub struct DelphiBundleRef {
+pub struct BundleRef<const MASKS: bool> {
     count: usize,
 }
 
-impl DelphiBundleRef {
+/// The shim over the one-dimension layout: [`DelphiBundle`] encodings,
+/// what every `DelphiNode` and a basket of one send.
+pub type DelphiBundleRef = BundleRef<false>;
+
+/// The shim over the layout of two or more dimensions: [`BasketBundle`]
+/// encodings.
+pub type BasketBundleRef = BundleRef<true>;
+
+impl<const MASKS: bool> BundleRef<MASKS> {
     /// Validates `bytes` as a complete bundle encoding.
     ///
     /// # Errors
     ///
-    /// Exactly what `DelphiBundle::from_bytes` returns on the same input,
-    /// including [`WireError::TrailingBytes`] on unconsumed bytes.
-    pub fn parse(bytes: &[u8]) -> Result<DelphiBundleRef, WireError> {
-        validate_bundle(bytes, Codec::Scalar).map(|count| DelphiBundleRef { count })
+    /// Exactly what the owned decoder of the layout returns on the same
+    /// input, including [`WireError::TrailingBytes`] on unconsumed bytes.
+    pub fn parse(bytes: &[u8]) -> Result<BundleRef<MASKS>, WireError> {
+        validate_bundle::<MASKS>(bytes).map(|count| BundleRef { count })
     }
 
     /// Number of sections in the bundle.
@@ -293,6 +309,9 @@ impl DelphiBundleRef {
 /// that triggered one, behind a single exclude run — ascending by
 /// checkpoint, one `(checkpoint, mask)` pair per checkpoint, naming only
 /// what the entries do not.
+///
+/// This is the layout of a basket of two or more dimensions. A basket of
+/// one leaves the per-id masks off and sends the [`Section`] layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BasketSection {
     /// Level index (`0..=l_max`).
@@ -348,6 +367,7 @@ impl Encode for BasketSection {
     }
 }
 
+#[cfg(test)]
 impl Decode for BasketSection {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let level = r.get_raw_u8()?;
@@ -415,38 +435,10 @@ impl Encode for BasketBundle {
     }
 }
 
+#[cfg(test)]
 impl Decode for BasketBundle {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BasketBundle { sections: r.get_seq(MAX_SECTIONS)? })
-    }
-}
-
-/// The validating shim over the basket codec — [`DelphiBundleRef`]'s
-/// counterpart for [`BasketBundle`] encodings.
-#[derive(Clone, Copy, Debug)]
-pub struct BasketBundleRef {
-    count: usize,
-}
-
-impl BasketBundleRef {
-    /// Validates `bytes` as a complete basket-bundle encoding.
-    ///
-    /// # Errors
-    ///
-    /// Exactly what `BasketBundle::from_bytes` returns on the same input,
-    /// including [`WireError::TrailingBytes`] on unconsumed bytes.
-    pub fn parse(bytes: &[u8]) -> Result<BasketBundleRef, WireError> {
-        validate_bundle(bytes, Codec::Basket).map(|count| BasketBundleRef { count })
-    }
-
-    /// Number of sections in the bundle.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the bundle holds no sections at all.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 }
 
@@ -575,17 +567,27 @@ mod tests {
         b
     }
 
+    /// The arena of a one-dimension machine: no per-id masks.
+    fn scalar_arena() -> BundleArena {
+        BundleArena::new(1)
+    }
+
+    /// The arena of a full basket: per-id masks.
+    fn basket_arena() -> BundleArena {
+        BundleArena::new(usize::from(delphi_primitives::wire::MAX_VECTOR_DIMS))
+    }
+
     /// Decodes `bytes` into a fresh arena and materializes the owned
     /// bundle it holds, for comparison with the owned decoder.
     fn arena_scalar(bytes: &[u8]) -> Result<DelphiBundle, WireError> {
-        let mut arena = BundleArena::new();
-        arena.decode(bytes, Codec::Scalar)?;
+        let mut arena = scalar_arena();
+        arena.decode(bytes)?;
         Ok(arena.to_owned_scalar())
     }
 
     fn arena_basket(bytes: &[u8]) -> Result<BasketBundle, WireError> {
-        let mut arena = BundleArena::new();
-        arena.decode(bytes, Codec::Basket)?;
+        let mut arena = basket_arena();
+        arena.decode(bytes)?;
         Ok(arena.to_owned_basket())
     }
 
@@ -596,48 +598,51 @@ mod tests {
         let shim = DelphiBundleRef::parse(&bytes).unwrap();
         assert_eq!(shim.len(), bundle.sections.len());
         assert!(!shim.is_empty());
-        let mut arena = BundleArena::new();
-        arena.decode(&bytes, Codec::Scalar).unwrap();
+        let mut arena = scalar_arena();
+        arena.decode(&bytes).unwrap();
         assert_eq!(arena.len(), bundle.sections.len());
         assert_eq!(arena.to_owned_scalar(), bundle);
-        // Per-section slices match the owned fields.
+        // Per-section slices match the owned fields; without per-id masks
+        // every id and the background live in dimension 0.
         for (flat, owned) in arena.sections().zip(&bundle.sections) {
             assert_eq!((flat.level, flat.round, flat.kind), (owned.level, owned.round, owned.kind));
-            assert_eq!(flat.background(), owned.background);
-            assert_eq!(flat.exclude, owned.exclude);
+            let background: Vec<_> = flat.background_dims().collect();
+            assert_eq!(
+                background,
+                owned.background.map(|bg| (0, bg)).into_iter().collect::<Vec<_>>()
+            );
+            let exclude: Vec<_> = flat.basket_exclude().collect();
+            assert_eq!(exclude, owned.exclude.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
             let entries: Vec<_> =
-                flat.entries.iter().copied().zip(flat.entry_values.iter().copied()).collect();
-            assert_eq!(entries, owned.entries);
-            assert!(flat.exclude_masks.is_empty() && flat.entry_masks.is_empty());
+                flat.basket_entries().map(|(k, mask, values)| (k, mask, values.to_vec())).collect();
+            let owned_entries: Vec<_> =
+                owned.entries.iter().map(|&(k, v)| (k, 1, vec![v])).collect();
+            assert_eq!(entries, owned_entries);
             for &k in owned.exclude.iter().chain(owned.entries.iter().map(|(k, _)| k)) {
-                assert!(flat.names(k));
+                assert!(flat.names_in(k, 0) && !flat.names_in(k, 1));
             }
-            assert!(!flat.names(123_456));
+            assert!(!flat.names_in(123_456, 0));
         }
         // Decoding again reuses the storage without reallocating.
         let capacity = arena.capacities();
-        arena.decode(&bytes, Codec::Scalar).unwrap();
+        arena.decode(&bytes).unwrap();
         assert_eq!(arena.to_owned_scalar(), bundle);
         assert_eq!(arena.capacities(), capacity);
         // The empty bundle parses too.
         let empty = DelphiBundle::new().to_bytes();
         assert!(DelphiBundleRef::parse(&empty).unwrap().is_empty());
-        arena.decode(&empty, Codec::Scalar).unwrap();
+        arena.decode(&empty).unwrap();
         assert!(arena.is_empty());
     }
 
     #[test]
     fn borrowed_bundle_rejects_what_owned_rejects() {
         let bytes = sample_bundle().to_bytes();
-        let mut arena = BundleArena::new();
+        let mut arena = scalar_arena();
         // Every truncation fails identically, and leaves the arena empty.
         for cut in 0..bytes.len() {
             let owned = DelphiBundle::from_bytes(&bytes[..cut]).unwrap_err();
-            assert_eq!(
-                arena.decode(&bytes[..cut], Codec::Scalar).unwrap_err(),
-                owned,
-                "cut at {cut}"
-            );
+            assert_eq!(arena.decode(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
             assert!(arena.is_empty() && arena.sections().next().is_none());
             assert_eq!(DelphiBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
         }
@@ -645,7 +650,7 @@ mod tests {
         let mut trailing = bytes.to_vec();
         trailing.push(0x55);
         assert_eq!(DelphiBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
-        assert_eq!(arena.decode(&trailing, Codec::Scalar).unwrap_err(), WireError::TrailingBytes);
+        assert_eq!(arena.decode(&trailing).unwrap_err(), WireError::TrailingBytes);
         assert!(arena.is_empty());
         assert_eq!(DelphiBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
         // Oversized section and id counts fail identically.
@@ -663,9 +668,35 @@ mod tests {
         for over in [over_sections, over_ids] {
             let owned = DelphiBundle::from_bytes(&over).unwrap_err();
             assert_eq!(owned, WireError::LengthOutOfBounds);
-            assert_eq!(arena.decode(&over, Codec::Scalar).unwrap_err(), owned);
+            assert_eq!(arena.decode(&over).unwrap_err(), owned);
             assert_eq!(DelphiBundleRef::parse(&over).unwrap_err(), owned);
         }
+    }
+
+    #[test]
+    fn one_dimension_background_mask_is_the_scalar_flag() {
+        // Without per-id masks the background mask is the scalar layout's
+        // flag byte: anything but 0 or 1 is rejected as the owned decoder
+        // rejects it, not read as a mask over two dimensions.
+        let mut w = Writer::new();
+        w.put_usize(1);
+        w.put_raw_u8(0);
+        w.put(&Round(1));
+        w.put(&EchoKind::Echo1);
+        w.put_u64(0b11);
+        w.put(&Dyadic::ZERO);
+        w.put(&Dyadic::ONE);
+        w.put_usize(0); // exclude run
+        w.put_usize(0); // entries
+        let bytes = w.into_vec();
+        let owned = DelphiBundle::from_bytes(&bytes).unwrap_err();
+        assert_eq!(owned, WireError::InvalidDiscriminant(3));
+        assert_eq!(scalar_arena().decode(&bytes).unwrap_err(), owned);
+        assert_eq!(DelphiBundleRef::parse(&bytes).unwrap_err(), owned);
+        // The same bytes are a well-formed section of a wider basket.
+        let mut arena = basket_arena();
+        arena.decode(&bytes).unwrap();
+        assert_eq!(arena.sections().map(|s| s.bg_mask).collect::<Vec<_>>(), vec![0b11]);
     }
 
     #[test]
@@ -673,24 +704,19 @@ mod tests {
         // A bundle that *claims* the maximum section and id counts but
         // carries a handful of bytes: the arena grows by what decoded,
         // not by what the prefixes promised.
-        for codec in [Codec::Scalar, Codec::Basket] {
+        for mut arena in [scalar_arena(), basket_arena()] {
             let mut w = Writer::new();
             w.put_usize(MAX_SECTIONS);
             w.put_raw_u8(0);
             w.put(&Round(1));
             w.put(&EchoKind::Echo1);
-            if codec == Codec::Basket {
-                w.put_u64(0); // no backgrounds
-            } else {
-                w.put_bool(false);
-            }
+            w.put_u64(0); // no backgrounds: the same byte as the flag
             w.put_usize(MAX_IDS);
             for _ in 0..8 {
                 w.put_i64(1);
             }
             let bytes = w.into_vec();
-            let mut arena = BundleArena::new();
-            let result = arena.decode(&bytes, codec);
+            let result = arena.decode(&bytes);
             assert_eq!(result.unwrap_err(), WireError::Truncated);
             assert!(arena.is_empty());
             let (heads, ids, masks, values) = arena.capacities();
@@ -859,8 +885,8 @@ mod tests {
         let shim = BasketBundleRef::parse(&bytes).unwrap();
         assert_eq!(shim.len(), bundle.sections.len());
         assert!(!shim.is_empty());
-        let mut arena = BundleArena::new();
-        arena.decode(&bytes, Codec::Basket).unwrap();
+        let mut arena = basket_arena();
+        arena.decode(&bytes).unwrap();
         assert_eq!(arena.len(), bundle.sections.len());
         assert_eq!(arena.to_owned_basket(), bundle);
         for (flat, owned) in arena.sections().zip(&bundle.sections) {
@@ -870,9 +896,7 @@ mod tests {
                 flat.background_dims().collect::<Vec<_>>(),
                 owned.backgrounds.dims().collect::<Vec<_>>()
             );
-            let exclude: Vec<_> =
-                flat.exclude.iter().copied().zip(flat.exclude_masks.iter().copied()).collect();
-            assert_eq!(exclude, owned.exclude);
+            assert_eq!(flat.basket_exclude().collect::<Vec<_>>(), owned.exclude);
             for (&(k, mask), dim) in owned.exclude.iter().zip([0u16, 5, 63]) {
                 assert_eq!(flat.names_in(k, dim), mask & (1 << dim) != 0);
             }
@@ -885,7 +909,7 @@ mod tests {
             }
         }
         let capacity = arena.capacities();
-        arena.decode(&bytes, Codec::Basket).unwrap();
+        arena.decode(&bytes).unwrap();
         assert_eq!(arena.to_owned_basket(), bundle);
         assert_eq!(arena.capacities(), capacity);
         let empty = BasketBundle::new().to_bytes();
@@ -895,21 +919,17 @@ mod tests {
     #[test]
     fn borrowed_basket_rejects_what_owned_rejects() {
         let bytes = sample_basket_bundle().to_bytes();
-        let mut arena = BundleArena::new();
+        let mut arena = basket_arena();
         for cut in 0..bytes.len() {
             let owned = BasketBundle::from_bytes(&bytes[..cut]).unwrap_err();
-            assert_eq!(
-                arena.decode(&bytes[..cut], Codec::Basket).unwrap_err(),
-                owned,
-                "cut at {cut}"
-            );
+            assert_eq!(arena.decode(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
             assert!(arena.is_empty() && arena.sections().next().is_none());
             assert_eq!(BasketBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
         }
         let mut trailing = bytes.to_vec();
         trailing.push(0x55);
         assert_eq!(BasketBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
-        assert_eq!(arena.decode(&trailing, Codec::Basket).unwrap_err(), WireError::TrailingBytes);
+        assert_eq!(arena.decode(&trailing).unwrap_err(), WireError::TrailingBytes);
         assert!(arena.is_empty());
         assert_eq!(BasketBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
         let mut w = Writer::new();
@@ -927,7 +947,7 @@ mod tests {
         for over in [over_sections, over_ids] {
             let owned = BasketBundle::from_bytes(&over).unwrap_err();
             assert_eq!(owned, WireError::LengthOutOfBounds);
-            assert_eq!(arena.decode(&over, Codec::Basket).unwrap_err(), owned);
+            assert_eq!(arena.decode(&over).unwrap_err(), owned);
             assert_eq!(BasketBundleRef::parse(&over).unwrap_err(), owned);
         }
     }

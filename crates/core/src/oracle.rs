@@ -3,10 +3,11 @@
 //! The paper's deployment (and DORA's, arXiv:2305.03903) is not a single
 //! agreement — it is an oracle that agrees on fresh prices round after
 //! round over the same node set. [`OracleService`] is that driver: it
-//! binds the epoch pipeline of `delphi-primitives` to [`DelphiNode`],
-//! spawning one Delphi instance per `(epoch, asset)` pair from a streaming
-//! price source and emitting a strictly epoch-ordered stream of
-//! agreements.
+//! binds the epoch pipeline of `delphi-primitives` to the Delphi machine
+//! ([`VectorDelphiNode`]), spawning either one instance per `(epoch,
+//! asset)` pair over a basket of one, or one instance per epoch over the
+//! whole basket, from a streaming price source, and emitting a strictly
+//! epoch-ordered stream of agreements.
 //!
 //! The service is sans-io like everything else in this workspace: run it
 //! under the discrete-event simulator (it implements
@@ -23,7 +24,7 @@ use delphi_primitives::{
     EpochStats, FlushPolicy, InstanceId, NodeId, Protocol,
 };
 
-use crate::delphi::{DelphiNode, VectorDelphiNode};
+use crate::delphi::VectorDelphiNode;
 use crate::params::DelphiConfig;
 
 /// Streaming price source: this node's protocol input for one
@@ -37,6 +38,21 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 /// A long-lived Delphi oracle: one agreement per `(epoch, asset)` pair,
 /// pipelined under a bounded live window.
 ///
+/// Two mappings of a basket onto agreement instances, one machine:
+///
+/// - **per asset** — one [`VectorDelphiNode`] over a basket of one per
+///   `(epoch, asset)` pair: the scalar protocol of the paper, and what
+///   sharded receive paths spread across workers;
+/// - **vector** — one [`VectorDelphiNode`] per epoch whose basket covers
+///   every asset. The epoch layer sees one instance (asset 0 on the
+///   wire): an ~basket-size reduction in sections, wire entries and BinAA
+///   rounds per agreement, traded for receive-side parallelism (all basket
+///   traffic lands in one shard class) and lock-step dimensions.
+///
+/// Either way the stream is flattened to one [`EpochEvent`] per epoch with
+/// every asset's value in asset order, so consumers — and the throughput
+/// accounting built on it — count one agreement per `(epoch, asset)`.
+///
 /// The blessed way to construct one is `delphi_api::ServiceBuilder`
 /// (re-exported from the umbrella `delphi` crate), which also wires the
 /// TCP driver and the serving layer; [`OracleService::from_parts`] is the
@@ -45,95 +61,82 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 /// # Example
 ///
 /// ```
-/// use delphi_core::{DelphiConfig, OracleService};
+/// use delphi_core::{DelphiConfig, OracleService, PriceSource};
 /// use delphi_primitives::{EpochConfig, FlushPolicy, NodeId, Protocol};
 ///
 /// let cfg = DelphiConfig::builder(4).space(0.0, 100.0).rho0(1.0)
 ///     .delta_max(8.0).epsilon(1.0).build().unwrap();
 /// let epochs = EpochConfig::new(5, 2, 2, 4, cfg.t());
-/// let mut node = OracleService::from_parts(cfg, NodeId(0), epochs, FlushPolicy::PerStep, 1,
-///     Box::new(|e, a| 50.0 + f64::from(e.0) + f64::from(a.0)));
+/// let source: PriceSource = Box::new(|e, a| 50.0 + f64::from(e.0) + f64::from(a.0));
+/// let mut node = OracleService::from_parts(
+///     cfg, NodeId(0), epochs, FlushPolicy::PerStep, 1, false, source, None);
 /// assert!(!node.start().is_empty(), "the first epochs start immediately");
 /// ```
 pub struct OracleService {
-    inner: EpochProtocol<DelphiNode>,
+    inner: EpochProtocol<VectorDelphiNode>,
 }
 
 impl OracleService {
     /// Creates the service for node `me` — the single low-level
-    /// constructor (the `new` / `new_sharded` pair it replaces is gone;
-    /// deployments go through `delphi_api::ServiceBuilder`).
+    /// constructor (deployments go through `delphi_api::ServiceBuilder`).
     ///
     /// `epochs.t` should match `cfg.t()` (the protocol's fault threshold
     /// governs the rejoin quorum too); `source` supplies this node's input
-    /// per `(epoch, asset)` pair. With `recv_shards > 1` outgoing batches
-    /// are flushed per `(destination, receive shard)` and tagged with
-    /// their [`AgreementId::shard`](delphi_primitives::AgreementId::shard)
+    /// per `(epoch, asset)` pair. `vector` runs each epoch's basket as one
+    /// instance over `epochs.assets` dimensions instead of one instance
+    /// per asset. With `recv_shards > 1` outgoing batches are flushed per
+    /// `(destination, receive shard)` and tagged with their
+    /// [`AgreementId::shard`](delphi_primitives::AgreementId::shard)
     /// class, so drivers with a per-shard receive CPU (the simulator's
     /// `recv_shards`, `delphi-net`'s sharded dispatch) overlap the
     /// processing of different assets' traffic.
     ///
+    /// `probe`, if any, is a shared round counter attached to every
+    /// spawned instance (see [`VectorDelphiNode::with_round_probe`]): it
+    /// counts the BinAA rounds completed across all instances —
+    /// `(l_max + 1) × r_max` per asset per epoch, or per epoch in vector
+    /// mode — the denominator-free half of a rounds-per-agreement figure.
+    ///
     /// # Panics
     ///
     /// Panics on an invalid epoch config, `me` out of range for the
-    /// protocol config's `n`, or `recv_shards == 0`.
+    /// protocol config's `n`, `recv_shards == 0`, or — in vector mode — a
+    /// basket larger than [`MAX_VECTOR_DIMS`].
+    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         cfg: DelphiConfig,
         me: NodeId,
         epochs: EpochConfig,
         flush: FlushPolicy,
         recv_shards: usize,
-        source: PriceSource,
-    ) -> OracleService {
-        Self::build(cfg, me, epochs, flush, recv_shards, source, None)
-    }
-
-    /// [`OracleService::from_parts`] with a shared round counter attached
-    /// to every spawned [`DelphiNode`] (see
-    /// [`DelphiNode::with_round_probe`]): the counter measures total BinAA
-    /// rounds completed across all `(epoch, asset)` instances, the
-    /// denominator-free half of a rounds-per-agreement figure.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_probed(
-        cfg: DelphiConfig,
-        me: NodeId,
-        epochs: EpochConfig,
-        flush: FlushPolicy,
-        recv_shards: usize,
-        source: PriceSource,
-        probe: Arc<AtomicU64>,
-    ) -> OracleService {
-        Self::build(cfg, me, epochs, flush, recv_shards, source, Some(probe))
-    }
-
-    fn build(
-        cfg: DelphiConfig,
-        me: NodeId,
-        epochs: EpochConfig,
-        flush: FlushPolicy,
-        recv_shards: usize,
+        vector: bool,
         mut source: PriceSource,
         probe: Option<Arc<AtomicU64>>,
     ) -> OracleService {
         let n = cfg.n();
-        let mux = EpochMux::new(
-            epochs,
-            me,
-            n,
-            Box::new(move |epoch, asset| {
-                let node = DelphiNode::new(cfg.clone(), me, source(epoch, asset));
-                match &probe {
-                    Some(p) => node.with_round_probe(p.clone()),
-                    None => node,
-                }
-            }),
-        );
+        let spawn = move |inputs: &[f64]| {
+            let node = VectorDelphiNode::new(cfg.clone(), me, inputs);
+            match &probe {
+                Some(p) => node.with_round_probe(p.clone()),
+                None => node,
+            }
+        };
+        let mux = if vector {
+            let dims = epochs.assets;
+            assert!(
+                dims <= MAX_VECTOR_DIMS,
+                "basket of {dims} exceeds {MAX_VECTOR_DIMS} dimensions"
+            );
+            let factory = move |epoch| {
+                let inputs: Vec<f64> = (0..dims).map(|a| source(epoch, InstanceId(a))).collect();
+                spawn(&inputs)
+            };
+            EpochMux::new_vector(epochs, me, n, Box::new(factory))
+        } else {
+            let factory = move |epoch, asset| spawn(&[source(epoch, asset)]);
+            EpochMux::new(epochs, me, n, Box::new(factory))
+        };
         OracleService { inner: EpochProtocol::new(mux, flush).recv_shards(recv_shards) }
-    }
-
-    /// The ordered agreement stream emitted so far.
-    pub fn events(&self) -> &[EpochEvent<f64>] {
-        self.inner.mux().events()
     }
 
     /// Epoch-layer counters (GC drops, skips, peak residency).
@@ -148,169 +151,10 @@ impl OracleService {
         self.inner.sent_entries()
     }
 
-    /// Batches flushed so far (one transport frame each).
-    pub fn sent_batches(&self) -> u64 {
-        self.inner.sent_batches()
-    }
-
     /// Consumes the service, returning the bare pipeline for transports
     /// that route epoch entries natively (`delphi_net::run_epoch_service`).
-    pub fn into_mux(self) -> EpochMux<DelphiNode> {
-        self.inner.into_mux()
-    }
-
-    /// Boxes the service for the simulator's node vectors.
-    pub fn boxed(self) -> Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>> {
-        Box::new(self)
-    }
-}
-
-impl Protocol for OracleService {
-    type Output = Vec<EpochEvent<f64>>;
-
-    fn node_id(&self) -> NodeId {
-        self.inner.node_id()
-    }
-
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn start(&mut self) -> Vec<Envelope> {
-        self.inner.start()
-    }
-
-    fn on_message(&mut self, from: NodeId, payload: &[u8]) -> Vec<Envelope> {
-        self.inner.on_message(from, payload)
-    }
-
-    fn on_tick(&mut self) -> Vec<Envelope> {
-        self.inner.on_tick()
-    }
-
-    fn output(&self) -> Option<Vec<EpochEvent<f64>>> {
-        self.inner.output()
-    }
-
-    fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-}
-
-/// A vector-basket Delphi oracle: **one** multidimensional agreement
-/// instance per epoch, instead of one instance per `(epoch, asset)` pair.
-///
-/// Each epoch spawns a single [`VectorDelphiNode`] whose basket covers
-/// every configured asset; the epoch layer sees one instance (asset 0 on
-/// the wire), and the per-asset agreement stream is recovered by
-/// flattening each epoch's `Vec<f64>` output — so consumers (and the
-/// throughput accounting built on
-/// [`EpochEvent`]) still count one agreement per `(epoch, asset)`.
-///
-/// Compared with [`OracleService`] + per-asset sharding, this trades
-/// receive-side parallelism (all basket traffic lands in one shard class)
-/// for an ~basket-size reduction in sections, wire entries, and BinAA
-/// rounds per agreement. Prefer it when per-message overhead — framing,
-/// MACs, syscalls — dominates; prefer per-asset sharding when receive CPU
-/// is the bottleneck.
-pub struct VectorOracleService {
-    inner: EpochProtocol<VectorDelphiNode>,
-    dims: u16,
-}
-
-impl VectorOracleService {
-    /// Creates the vector service for node `me`. `epochs.assets` becomes
-    /// the basket dimension count; on the wire each epoch carries a single
-    /// agreement instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid epoch config, `me` out of range, or a basket
-    /// larger than [`MAX_VECTOR_DIMS`].
-    pub fn from_parts(
-        cfg: DelphiConfig,
-        me: NodeId,
-        epochs: EpochConfig,
-        flush: FlushPolicy,
-        source: PriceSource,
-    ) -> VectorOracleService {
-        Self::build(cfg, me, epochs, flush, source, None)
-    }
-
-    /// [`VectorOracleService::from_parts`] with a shared round counter
-    /// attached to every spawned [`VectorDelphiNode`]. One basket adds
-    /// `(l_max + 1) × r_max` per epoch regardless of its size — compare
-    /// with [`OracleService::from_parts_probed`], which pays that per
-    /// asset.
-    pub fn from_parts_probed(
-        cfg: DelphiConfig,
-        me: NodeId,
-        epochs: EpochConfig,
-        flush: FlushPolicy,
-        source: PriceSource,
-        probe: Arc<AtomicU64>,
-    ) -> VectorOracleService {
-        Self::build(cfg, me, epochs, flush, source, Some(probe))
-    }
-
-    fn build(
-        cfg: DelphiConfig,
-        me: NodeId,
-        epochs: EpochConfig,
-        flush: FlushPolicy,
-        mut source: PriceSource,
-        probe: Option<Arc<AtomicU64>>,
-    ) -> VectorOracleService {
-        let n = cfg.n();
-        let dims = epochs.assets;
-        assert!(dims >= 1, "vector service needs at least one asset");
-        assert!(dims <= MAX_VECTOR_DIMS, "basket of {dims} exceeds {MAX_VECTOR_DIMS} dimensions");
-        let mux = EpochMux::new_vector(
-            epochs,
-            me,
-            n,
-            Box::new(move |epoch| {
-                let inputs: Vec<f64> = (0..dims).map(|a| source(epoch, InstanceId(a))).collect();
-                let node = VectorDelphiNode::new(cfg.clone(), me, &inputs);
-                match &probe {
-                    Some(p) => node.with_round_probe(p.clone()),
-                    None => node,
-                }
-            }),
-        );
-        VectorOracleService { inner: EpochProtocol::new(mux, flush), dims }
-    }
-
-    /// Basket dimension count (the configured asset count).
-    pub fn dims(&self) -> u16 {
-        self.dims
-    }
-
-    /// The ordered agreement stream emitted so far, flattened to one
-    /// [`EpochEvent`] per epoch with all basket values in asset order —
-    /// the same shape [`OracleService::events`] produces.
-    pub fn events(&self) -> Vec<EpochEvent<f64>> {
-        flatten_vector_events(self.inner.mux().events().to_vec())
-    }
-
-    /// Epoch-layer counters (GC drops, skips, peak residency).
-    pub fn stats(&self) -> EpochStats {
-        self.inner.mux().stats()
-    }
-
-    /// Epoch-batch entries flushed so far (envelopes after broadcast
-    /// expansion).
-    pub fn sent_entries(&self) -> u64 {
-        self.inner.sent_entries()
-    }
-
-    /// Batches flushed so far (one transport frame each).
-    pub fn sent_batches(&self) -> u64 {
-        self.inner.sent_batches()
-    }
-
-    /// Consumes the service, returning the bare pipeline for transports
-    /// that route epoch entries natively (`delphi_net::run_epoch_service`).
+    /// Its events carry one output per instance; [`flatten_vector_events`]
+    /// turns them into this service's per-asset shape.
     pub fn into_mux(self) -> EpochMux<VectorDelphiNode> {
         self.inner.into_mux()
     }
@@ -321,7 +165,7 @@ impl VectorOracleService {
     }
 }
 
-impl Protocol for VectorOracleService {
+impl Protocol for OracleService {
     type Output = Vec<EpochEvent<f64>>;
 
     fn node_id(&self) -> NodeId {
@@ -404,9 +248,11 @@ mod tests {
                     epoch_cfg,
                     FlushPolicy::PerStep,
                     1,
+                    false,
                     Box::new(move |e, a| {
                         500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
                     }),
+                    None,
                 )
             })
             .collect();
@@ -454,18 +300,20 @@ mod tests {
         let protocol_cfg = cfg(n);
         let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4, protocol_cfg.t());
         let probe = Arc::new(AtomicU64::new(0));
-        let mut nodes: Vec<VectorOracleService> = NodeId::all(n)
+        let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
                 let offset = id.index() as f64 * 0.2;
-                VectorOracleService::from_parts_probed(
+                OracleService::from_parts(
                     protocol_cfg.clone(),
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
+                    1,
+                    true,
                     Box::new(move |e, a| {
                         500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
                     }),
-                    probe.clone(),
+                    Some(probe.clone()),
                 )
             })
             .collect();
@@ -505,7 +353,6 @@ mod tests {
         for node in &nodes {
             assert_eq!(node.stats().stale_epochs, 0);
             assert!(node.stats().peak_resident <= 4);
-            assert_eq!(node.dims(), assets);
         }
         // The shared round walk: epochs × (l_max + 1) × r_max completions
         // per node, independent of basket size.
@@ -526,7 +373,9 @@ mod tests {
             epoch_cfg,
             FlushPolicy::adaptive(),
             1,
+            false,
             Box::new(|_, _| 42.0),
+            None,
         );
         let mux = service.into_mux();
         assert_eq!(mux.node_id(), NodeId(2));

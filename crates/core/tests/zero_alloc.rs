@@ -189,10 +189,11 @@ fn replay_within_budget<N: Protocol>(
 
 #[test]
 fn new_nodes_allocate_no_round_state() {
-    // Round tables are lazy: a node is born with its levels, each level's
-    // introduction budgets, and its decode arena (four runs) — nothing
-    // per round, so set-up and epoch spawn do not pay for the layout. The
-    // start burst is what opens round 1: two blocks per table.
+    // Round tables are lazy: a node is born with its inputs, one run of
+    // level tables, each table's introduction budgets, and its decode
+    // arena (four runs, three without per-id masks) — nothing per round,
+    // so set-up and epoch spawn do not pay for the layout. The start burst
+    // is what opens round 1: two blocks per table.
     let cfg = paper_config(16);
     let levels = u64::from(cfg.l_max()) + 1;
     let arena = 4;
@@ -206,7 +207,6 @@ fn new_nodes_allocate_no_round_state() {
     let (config, prices) = (cfg.clone(), [40_000.0; 8]);
     let (blocks, mut node) = allocations_in(|| VectorDelphiNode::new(config, NodeId(0), &prices));
     let tables = levels * prices.len() as u64;
-    // Inputs, levels, each level's dimensions, each table's budgets.
     assert!(blocks <= 2 + levels + tables + arena, "vector node: {blocks} blocks");
     let (blocks, _) = allocations_in(|| node.start());
     assert!(blocks >= 2 * tables, "the start burst opens every table: {blocks} blocks");
@@ -221,10 +221,11 @@ fn steady_state_messages_allocate_nothing() {
     let inbox = record_node0_inbox(n, |id| DelphiNode::new(cfg.clone(), id, inputs[id.index()]));
 
     let node = DelphiNode::new(cfg.clone(), NodeId(0), inputs[0]);
-    let actives = |node: &DelphiNode| {
-        (0..=node.config().l_max()).map(|level| node.active_checkpoints(level)).sum()
-    };
-    replay_within_budget(node, &inbox, actives, 0);
+    let actives =
+        |node: &DelphiNode| (0..=cfg.l_max()).map(|level| node.active_checkpoints(level)).sum();
+    // The decision stores a vector of one output: a scalar node is the
+    // one machine over a basket of one.
+    replay_within_budget(node, &inbox, actives, 1);
 }
 
 #[test]
@@ -240,7 +241,7 @@ fn steady_state_basket_messages_allocate_nothing() {
 
     let node = VectorDelphiNode::new(cfg.clone(), NodeId(0), &inputs(NodeId(0)));
     let actives = |node: &VectorDelphiNode| {
-        (0..=node.config().l_max()).map(|level| node.active_checkpoints(level)).sum()
+        (0..=cfg.l_max()).map(|level| node.active_checkpoints(level)).sum()
     };
     // The decision stores one vector of outputs.
     replay_within_budget(node, &inbox, actives, 1);

@@ -71,26 +71,49 @@ impl LexedFile {
             .any(|a| a.has_reason && a.rule == rule && (a.line == line || a.line + 1 == line))
     }
 
-    /// Production lines: the lines above the file's first *top-level*
-    /// test-only item (`#[cfg(test)] mod tests`, a `#[cfg(test)] impl`
-    /// block, attributes included), or every line when it has none — the
-    /// figure the roadmap tracks. A test-only item nested in live code (a
+    /// Production lines: every line outside the file's *top-level*
+    /// test-only items (`#[cfg(test)] mod tests`, a `#[cfg(test)] impl`
+    /// block, attributes included) — the figure the roadmap tracks. A
+    /// top-level test item covers its lines from its first token to its
+    /// last (adjacent items merge, with what lies between them); live code
+    /// after it counts again, and so does a line that carries live code
+    /// beside test code. A test-only item nested in live code (a
     /// `#[cfg(test)]` helper inside an `impl`) sits among production
     /// lines and counts with them.
     pub fn production_lines(&self) -> u32 {
+        let slots = self.lines as usize + 1;
+        let (mut test, mut live) = (vec![false; slots], vec![false; slots]);
+        let mut cover = |first: u32, last: u32| {
+            let lines = test.get_mut(first as usize..=last as usize).unwrap_or_default();
+            lines.iter_mut().for_each(|line| *line = true);
+        };
         let mut depth = 0u32;
+        // The current run of top-level test tokens: its first and last line.
+        let mut run: Option<(u32, u32)> = None;
         for t in &self.tokens {
             if t.test_code {
                 if depth == 0 {
-                    return t.line.saturating_sub(1);
+                    run = Some(run.map_or((t.line, t.line), |(first, _)| (first, t.line)));
                 }
-            } else if t.kind == TokenKind::Punct && t.text == "{" {
+                continue;
+            }
+            if let Some((first, last)) = run.take() {
+                cover(first, last);
+            }
+            if let Some(line) = live.get_mut(t.line as usize) {
+                *line = true;
+            }
+            if t.kind == TokenKind::Punct && t.text == "{" {
                 depth += 1;
             } else if t.kind == TokenKind::Punct && t.text == "}" {
                 depth = depth.saturating_sub(1);
             }
         }
-        self.lines
+        if let Some((first, last)) = run {
+            cover(first, last);
+        }
+        let covered = test.iter().zip(&live).filter(|&(&test, &live)| test && !live).count();
+        self.lines.saturating_sub(covered as u32)
     }
 }
 

@@ -67,8 +67,8 @@ pub fn check(ws: &Workspace) -> Vec<Violation> {
 }
 
 /// Production lines of each [`LINE_BUDGET_CRATES`] member: over every
-/// file under its `src/`, the lines above the first top-level test-only
-/// item ([`LexedFile::production_lines`]).
+/// file under its `src/`, the lines outside top-level test-only items
+/// ([`LexedFile::production_lines`]).
 pub fn production_lines(ws: &Workspace) -> BTreeMap<String, u64> {
     let mut totals = BTreeMap::new();
     for dir in LINE_BUDGET_CRATES {
@@ -420,11 +420,17 @@ mod tests {
     }
 
     #[test]
-    fn production_lines_stop_at_the_first_top_level_test_item() {
+    fn production_lines_skip_only_top_level_test_items() {
         let src = "//! doc\nfn live() {}\nimpl X {\n    #[cfg(test)]\n    fn probe() {}\n}\n\n\
                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
         let with_tests = file_of("crates/net/src/a.rs", "delphi-net", src);
         assert_eq!(with_tests.lexed.production_lines(), 7, "the in-impl test helper counts");
+        // Live code after a top-level test item counts again, and so does
+        // a line that carries live code beside test code.
+        let between = "fn a() {}\n#[cfg(test)]\nimpl A {\n    fn t() {}\n}\nfn b() {}\n\
+                       #[cfg(test)] fn c() {} fn d() {}\n";
+        let between = file_of("crates/net/src/d.rs", "delphi-net", between);
+        assert_eq!(between.lexed.production_lines(), 7 - 4);
         let without = file_of("crates/net/src/b.rs", "delphi-net", "fn live() {}\n\n// tail\n");
         assert_eq!(without.lexed.production_lines(), 3);
         let elsewhere = file_of("crates/api/src/c.rs", "delphi-api", "fn live() {}\n");

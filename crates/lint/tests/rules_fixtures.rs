@@ -260,3 +260,37 @@ fn bench_json_rule_requires_ci_registration() {
         assert_eq!(violations[0].rule, "bench-json");
     }
 }
+
+#[test]
+fn production_lines_count_live_code_after_a_test_only_impl() {
+    // A test-only `impl` between two live items, the shape of a decoder
+    // file whose test oracles sit beside the arena: the live code after
+    // the impl is production, the impl (from its attribute to its closing
+    // brace) and the trailing test module are not — a count that stopped
+    // at the first test item would miss the `Collector` lines.
+    let src = "pub struct Arena;
+
+/// Test oracles' view of the arena.
+#[cfg(test)]
+impl Arena {
+    fn probe(&self) {}
+}
+
+pub struct Collector;
+impl Collector {
+    pub fn flush(&self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+    let file = source("crates/core/src/bundle.rs", "delphi-core", src);
+    assert_eq!(file.lexed.lines, 18);
+    assert_eq!(file.lexed.production_lines(), 18 - 4 - 5);
+    let ws = workspace(Vec::new(), vec![file], None);
+    let totals = delphi_lint::rules::production_lines(&ws);
+    assert_eq!(totals.get("crates/core"), Some(&9));
+}

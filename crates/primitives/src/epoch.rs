@@ -217,15 +217,10 @@ pub fn put_epoch_batch(entries: &[(AgreementId, Bytes)], buf: &mut BytesMut) {
     }
 }
 
-/// Decodes an epoch batch payload back into `(agreement, payload)`
-/// entries.
-///
-/// # Errors
-///
-/// Returns [`WireError::Truncated`] on input ending mid-entry,
-/// [`WireError::LengthOutOfBounds`] on an overrunning declared length, and
-/// [`WireError::TrailingBytes`] on bytes past the declared count — all
-/// expected on Byzantine-controlled input.
+#[cfg(test)]
+/// Decodes an epoch batch payload back into owned `(agreement, payload)`
+/// entries: the property-test oracle of [`decode_epoch_batch_ref`], with
+/// its errors.
 pub fn decode_epoch_batch(buf: &[u8]) -> Result<Vec<(AgreementId, Bytes)>, WireError> {
     let mut rest = buf;
     let count = take_u16(&mut rest)?;
@@ -248,12 +243,13 @@ pub fn decode_epoch_batch(buf: &[u8]) -> Result<Vec<(AgreementId, Bytes)>, WireE
 }
 
 /// A validated, borrowed view of an epoch batch payload: the zero-copy
-/// sibling of [`decode_epoch_batch`].
+/// decoder of the epoch batch codec.
 ///
 /// [`decode_epoch_batch_ref`] validates the whole structure up front
-/// (identical acceptance and errors to the owned decoder, property-tested),
-/// then [`EpochEntriesRef::iter`] yields `(agreement, payload)` entries as
-/// slices into the input — no per-entry allocation, no copies.
+/// (identical acceptance and errors to the owned test decoder,
+/// property-tested), then [`EpochEntriesRef::iter`] yields `(agreement,
+/// payload)` entries as slices into the input — no per-entry allocation,
+/// no copies.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochEntriesRef<'a> {
     /// Entry bytes (everything after the count), pre-validated.
@@ -265,7 +261,10 @@ pub struct EpochEntriesRef<'a> {
 ///
 /// # Errors
 ///
-/// Identical to [`decode_epoch_batch`].
+/// Returns [`WireError::Truncated`] on input ending mid-entry,
+/// [`WireError::LengthOutOfBounds`] on an overrunning declared length, and
+/// [`WireError::TrailingBytes`] on bytes past the declared count — all
+/// expected on Byzantine-controlled input.
 pub fn decode_epoch_batch_ref(buf: &[u8]) -> Result<EpochEntriesRef<'_>, WireError> {
     let mut rest = buf;
     let count = take_u16(&mut rest)?;

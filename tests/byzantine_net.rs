@@ -18,8 +18,12 @@ use std::time::Duration;
 
 use delphi::core::{DelphiConfig, DelphiNode, OracleService};
 use delphi::crypto::Keychain;
-use delphi::net::{encode_epoch_frame, run_epoch_service, run_node, RunOptions};
-use delphi::primitives::{AgreementId, EpochOutcome, NodeId};
+use delphi::net::{
+    encode_epoch_frame, run_epoch_service, run_node, NetError, NetStats, RunOptions,
+};
+use delphi::primitives::{
+    flatten_vector_events, AgreementId, EpochEvent, EpochOutcome, EpochStats, NodeId,
+};
 use delphi::sim::adversary::ByteMutator;
 use delphi::workloads::{EpochFeed, MultiAssetConfig};
 use delphi::ServiceBuilder;
@@ -143,6 +147,19 @@ fn oracle_service(cfg: &DelphiConfig, feed: &EpochFeed, id: NodeId, epochs: u32)
         .build_service(delphi_bench::feed_price_source(feed.clone(), id, cfg.n()))
 }
 
+/// Runs `service`'s pipeline over TCP to the end; events come back in the
+/// per-asset shape.
+async fn stream(
+    service: OracleService,
+    keychain: Keychain,
+    addrs: Vec<SocketAddr>,
+    opts: RunOptions,
+) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats), NetError> {
+    let handle = run_epoch_service(service.into_mux(), keychain, addrs, opts).await?;
+    let (events, epoch_stats, stats) = handle.finish().await?;
+    Ok((flatten_vector_events(events), epoch_stats, stats))
+}
+
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn crashed_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
     let n = 4;
@@ -163,16 +180,14 @@ async fn crashed_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
     let mut honest = Vec::new();
     for id in NodeId::all(3) {
         let keychain = Keychain::derive(SEED, id, n);
-        let mux = oracle_service(&cfg, &feed, id, epochs).into_mux();
+        let service = oracle_service(&cfg, &feed, id, epochs);
         let addrs = addrs.clone();
         let opts = RunOptions {
             deadline: Duration::from_secs(60),
             linger: Duration::from_secs(1),
             ..RunOptions::default()
         };
-        honest.push(tokio::spawn(async move {
-            run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
-        }));
+        honest.push(tokio::spawn(stream(service, keychain, addrs, opts)));
     }
 
     // The attacker floods honest listeners with forged frames mid-stream.
@@ -184,7 +199,7 @@ async fn crashed_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
     // Node 3 rejoins after a delay that spans several loopback epochs.
     let rejoiner = {
         let keychain = Keychain::derive(SEED, NodeId(3), n);
-        let mux = oracle_service(&cfg, &feed, NodeId(3), epochs).into_mux();
+        let service = oracle_service(&cfg, &feed, NodeId(3), epochs);
         let addrs = addrs.clone();
         tokio::spawn(async move {
             tokio::time::sleep(Duration::from_millis(1500)).await;
@@ -193,7 +208,7 @@ async fn crashed_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
                 linger: Duration::ZERO,
                 ..RunOptions::default()
             };
-            run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
+            stream(service, keychain, addrs, opts).await
         })
     };
     for f in forgers {
@@ -256,10 +271,7 @@ async fn crashed_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
             }
         }
         Err(e) => {
-            assert!(
-                matches!(e, delphi::net::NetError::Timeout),
-                "rejoiner may time out, not misbehave: {e}"
-            );
+            assert!(matches!(e, NetError::Timeout), "rejoiner may time out, not misbehave: {e}");
         }
     }
 }
