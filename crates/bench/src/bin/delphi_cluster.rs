@@ -17,7 +17,7 @@
 //! node finishes and the outputs agree within ε.
 //!
 //! Frames are flushed per protocol step by default; `--adaptive` batches
-//! across steps on size/time triggers and `--unbatched` sends every
+//! across steps until a size trigger or an empty inbox, and `--unbatched` sends every
 //! envelope in a frame of its own (the measurement baseline) — in either
 //! mode, and never both.
 //!

@@ -30,7 +30,8 @@
 //! converges too).
 //!
 //! The flush policy applies to both modes: per step by default,
-//! `--adaptive` for size/time triggers across steps, `--unbatched` for
+//! `--adaptive` to batch across steps until a size trigger or an empty
+//! inbox, `--unbatched` for
 //! the measurement baseline of one frame and one HMAC per envelope (the
 //! two flags exclude each other).
 //!

@@ -45,7 +45,7 @@ pub struct ClusterRunSpec {
     pub depth: usize,
     /// Live-window size in epochs (streaming runs; ≥ depth).
     pub window: usize,
-    /// Adaptive batch flushing (size/time triggers) instead of per-step,
+    /// Adaptive batch flushing (size triggers, empty inbox) instead of per-step,
     /// in one-shot and streaming runs alike.
     pub adaptive: bool,
     /// Receive dispatch shards per node (1 = unsharded).

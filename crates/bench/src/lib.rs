@@ -197,8 +197,9 @@ pub fn run_multi_asset_delphi(
     }
 
     // Batched: all assets multiplexed over one mesh as a one-epoch stream
-    // under the adaptive flush policy, the simulator's tick standing in
-    // for the flush timer — the deployment's own batching.
+    // under the adaptive flush policy — the deployment's own batching —
+    // with the simulator's tick standing in for the TCP runner's flushes
+    // (a paced model: see `Simulation::tick_interval_ns`).
     let flush = FlushPolicy::adaptive();
     let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
         .map(|id| {

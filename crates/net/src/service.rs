@@ -25,9 +25,10 @@
 //!    entry, the granularity the simulator's `EpochProtocol` flushes at —
 //!    routes their answers per destination into the egress lane it owns
 //!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
-//!    size inline, the adaptive timer as its own `select!` deadline — and
-//!    encodes, MACs and `try_send`s each due frame into the destination's
-//!    bounded writer queue;
+//!    size inline; adaptively, a flush the moment its inbox is empty (or
+//!    first, once the `max_delay` ceiling has passed under backlog), with
+//!    no timer — and encodes, MACs and `try_send`s each due frame into
+//!    the destination's bounded writer queue;
 //! 3. a writer task per peer owns the socket. A peer that stops reading
 //!    costs dropped frames at its queue, never a stalled worker.
 //!
@@ -49,10 +50,11 @@ use delphi_primitives::{
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
+use tokio::sync::mpsc::error::TryRecvError;
 use tokio::time::Instant;
 
 use crate::frame::split_verified_body;
-use crate::session::{EgressLane, FlushDeadline, SessionSet};
+use crate::session::{EgressLane, SessionSet};
 use crate::transport::{
     spawn_acceptor, Counters, NetStats, ShardInput, ShardSenders, MAX_RECV_SHARDS,
 };
@@ -109,8 +111,9 @@ pub struct RunOptions {
     /// How long shutdown may wait for writer queues to flush to peers.
     pub drain_timeout: Duration,
     /// When a dispatch worker flushes accumulated batch entries: per
-    /// step, adaptively on size/time triggers, or — the measurement
-    /// baseline — every entry in a frame of its own.
+    /// step, adaptively (size triggers, an empty inbox, or the
+    /// `max_delay` ceiling), or — the measurement baseline — every entry
+    /// in a frame of its own.
     pub flush: FlushPolicy,
     /// Receive dispatch shards (clamped to 1..=[`MAX_RECV_SHARDS`] and to
     /// the basket size). With more than one, inbound entries are
@@ -169,26 +172,28 @@ fn open_ingress(
 }
 
 /// A dispatch worker's next event: the next inbox message, or `None`
-/// when its egress lane's adaptive time trigger says flush. A worker
-/// with frames waiting answers them first — the flush then carries its
-/// answers to everything it has seen — so the trigger normally fires
-/// when the inbox has run dry; but a backlog (or a peer flooding the
+/// when its egress lane should flush. With nothing pending (no
+/// `ceiling`) the worker parks on its inbox. With entries pending it
+/// never waits: a frame already waiting is answered first — the flush
+/// then carries its answers to everything it has seen — and the flush
+/// goes the moment the inbox is empty. A backlog (or a peer flooding the
 /// inbox) must not hold pending entries back for good, so once the
-/// trigger is `overdue` it goes first. An inbox nobody can write to any
-/// more reads as [`ShardInput::Close`].
+/// `ceiling` has passed the flush goes first. An inbox nobody can write
+/// to any more reads as [`ShardInput::Close`].
 async fn next_input(
     rx: &mut mpsc::Receiver<ShardInput>,
-    flush: Option<FlushDeadline>,
+    ceiling: Option<Instant>,
 ) -> Option<ShardInput> {
-    let Some(flush) = flush else {
+    let Some(ceiling) = ceiling else {
         return Some(rx.recv().await.unwrap_or(ShardInput::Close));
     };
-    if Instant::now() >= flush.overdue {
+    if Instant::now() >= ceiling {
         return None;
     }
-    tokio::select! {
-        m = rx.recv() => Some(m.unwrap_or(ShardInput::Close)),
-        _ = tokio::time::sleep_until(flush.due) => None,
+    match rx.try_recv() {
+        Ok(input) => Some(input),
+        Err(TryRecvError::Empty) => None,
+        Err(TryRecvError::Disconnected) => Some(ShardInput::Close),
     }
 }
 
@@ -277,7 +282,7 @@ async fn epoch_shard_worker<P>(
         while let Some(ShardInput::Frame(_)) = rx.recv().await {}
         return;
     };
-    // Start bursts must not wait for traffic or for the flush timer.
+    // Start bursts must not wait for traffic.
     egress.send_step(shard.start());
     egress.flush_all();
     let mut done = false;
@@ -301,7 +306,7 @@ async fn epoch_shard_worker<P>(
             egress.flush_all();
         }
         stats_cell.publish(shard.stats());
-        let frame = match next_input(&mut rx, egress.flush_deadline()).await {
+        let frame = match next_input(&mut rx, egress.flush_ceiling()).await {
             Some(ShardInput::Frame(frame)) => frame,
             None => {
                 egress.flush_all();
@@ -488,8 +493,8 @@ impl<O> EpochServiceHandle<O> {
 /// spawning per-asset agreement instances epoch after epoch, the service
 /// routes their traffic as epoch-addressed entries in authenticated
 /// frames, and each dispatch worker flushes its own batches per
-/// [`RunOptions::flush`] — per step, or adaptively on size triggers plus
-/// the worker's own flush deadline. With [`RunOptions::recv_shards`] > 1
+/// [`RunOptions::flush`] — per step, or adaptively on size triggers and
+/// whenever its inbox runs empty. With [`RunOptions::recv_shards`] > 1
 /// the pipeline is split by asset across dispatch workers
 /// ([`EpochMux::split_assets`]); the event stream is the merged,
 /// basket-ordered view. Entries addressed to epochs the pipeline has
@@ -1480,17 +1485,58 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn adaptive_lock_step_rounds_do_not_wait_out_max_delay() {
+        // A lock-step Wave: each round's broadcast depends on every
+        // peer's previous one, so nothing else can fill a worker's inbox
+        // while its answer is pending. An adaptive worker flushes the
+        // moment its inbox is empty, so a round costs loopback hops, not
+        // `max_delay`: a rule that paced flushes on a timer would need
+        // at least `rounds × max_delay` here.
+        let (n, rounds) = (3usize, 40u8);
+        let max_delay = Duration::from_millis(50);
+        let flush = FlushPolicy::Adaptive { max_entries: 32, max_bytes: 8 * 1024, max_delay };
+        let addrs = free_addrs(n).await;
+        let started = std::time::Instant::now();
+        let mut handles = Vec::new();
+        for id in NodeId::all(n) {
+            let keychain = delphi_crypto::Keychain::derive(b"wave-idle-flush", id, n);
+            let addrs = addrs.clone();
+            let opts = RunOptions {
+                flush,
+                linger: Duration::ZERO,
+                reconnect_delay: Duration::from_millis(5),
+                ..RunOptions::default()
+            };
+            handles.push(tokio::spawn(async move {
+                run_node(Wave::new(id, n, rounds), keychain, addrs, opts).await
+            }));
+        }
+        for h in handles {
+            let (seen, _) = h.await.unwrap().expect("node finished");
+            assert!(seen >= usize::from(rounds) * (n - 1));
+        }
+        let elapsed = started.elapsed();
+        let bound = max_delay * u32::from(rounds) / 4;
+        assert!(elapsed < bound, "{rounds} lock-step rounds took {elapsed:?} (bound {bound:?})");
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn peer_that_never_reads_is_dropped_to_while_the_stream_completes() {
         // Node 3 accepts every connection and never reads a byte. Its
         // socket buffers fill (a few MiB on loopback), its writers block
         // mid-frame, its queues (4 frames) fill, and from then on every
         // frame for it is dropped and counted — while the three live
         // nodes, whose workers never wait for anybody, finish the whole
-        // stream among themselves (quorum 2 of the 3 peers).
+        // stream among themselves (quorum 2 of the 3 peers). The silent
+        // peer is sent 6 MiB per node; the greetings stay small enough
+        // that the two live peers' greetings for epochs a lagging node
+        // has not spawned yet (up to `depth × assets` each) fit its
+        // 256 KiB early-entry buffer — an overflow there drops an honest
+        // greeting and the epoch is skipped.
         let n = 4;
-        let epochs = 48u32;
+        let epochs = 192u32;
         let assets = 2u16;
-        let greeting = Bytes::from(vec![0x5a; 64 * 1024]);
+        let greeting = Bytes::from(vec![0x5a; 16 * 1024]);
         let addrs = free_addrs(n).await;
         let silent = TcpListener::bind(addrs[3]).await.unwrap();
         let (held_tx, mut held_rx) = mpsc::channel::<tokio::net::TcpStream>(n);
@@ -1546,35 +1592,48 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn flush_trigger_waits_for_an_empty_inbox_but_not_past_overdue() {
+    async fn flush_trigger_fires_on_an_empty_inbox_or_past_the_ceiling() {
         let frame =
             || ShardInput::Frame(VerifiedFrame { from: NodeId(1), body: Bytes::from_static(b"") });
         let (tx, mut rx) = mpsc::channel::<ShardInput>(4);
-        let now = Instant::now();
         let ms = Duration::from_millis;
+        let far = Instant::now() + ms(500);
 
-        // Due, with a frame waiting: the frame is answered first, and the
-        // trigger fires as soon as the inbox is empty.
-        let due = FlushDeadline { due: now - ms(1), overdue: now + ms(500) };
-        tx.try_send(frame()).unwrap();
-        assert!(matches!(next_input(&mut rx, Some(due)).await, Some(ShardInput::Frame(_))));
-        assert!(next_input(&mut rx, Some(due)).await.is_none());
+        // Pending work, empty inbox: flush at once, not at the ceiling.
+        let started = std::time::Instant::now();
+        assert!(next_input(&mut rx, Some(far)).await.is_none());
+        assert!(started.elapsed() < ms(50), "waited {:?} for a flush", started.elapsed());
 
-        // Overdue: the trigger fires first however much is waiting, so a
-        // peer that keeps the inbox full cannot hold pending entries back.
-        let overdue = FlushDeadline { due: now - ms(2), overdue: now - ms(1) };
+        // A frame already waiting is answered first; the flush follows
+        // as soon as the inbox is empty, carrying its answers too.
         tx.try_send(frame()).unwrap();
-        assert!(next_input(&mut rx, Some(overdue)).await.is_none());
+        tx.try_send(frame()).unwrap();
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Frame(_))));
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Frame(_))));
+        assert!(next_input(&mut rx, Some(far)).await.is_none());
+
+        // Past the ceiling the flush goes first however much is waiting,
+        // so a peer that keeps the inbox full cannot hold entries back.
+        let passed = Instant::now() - ms(1);
+        tx.try_send(frame()).unwrap();
+        assert!(next_input(&mut rx, Some(passed)).await.is_none());
         assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Frame(_))));
 
-        // Not due: the worker parks until the deadline, then flushes.
-        let soon = FlushDeadline { due: Instant::now() + ms(20), overdue: now + ms(500) };
+        // Nothing pending: the worker parks on its inbox until a frame
+        // arrives.
+        let late = tx.clone();
+        let sender = tokio::spawn(async move {
+            tokio::time::sleep(ms(30)).await;
+            late.try_send(frame()).unwrap();
+        });
         let parked = std::time::Instant::now();
-        assert!(next_input(&mut rx, Some(soon)).await.is_none());
-        assert!(parked.elapsed() >= ms(20));
+        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Frame(_))));
+        assert!(parked.elapsed() >= ms(30), "returned after {:?}", parked.elapsed());
+        sender.await.unwrap();
 
-        // No senders left: the inbox reads as Close.
+        // No senders left: the inbox reads as Close, pending or not.
         drop(tx);
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Close)));
         assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Close)));
     }
 

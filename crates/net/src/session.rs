@@ -15,11 +15,13 @@
 //!   worker at the receiver, and send parallelism *is* receive
 //!   parallelism;
 //! - the lane accumulates entries under the session's [`FlushPolicy`]:
-//!   size triggers run inline in [`EgressLane::send_step`], the adaptive
-//!   time trigger is a deadline ([`EgressLane::flush_deadline`]) the
-//!   worker folds into its own `select!` — taken when no frame is waiting
-//!   to be answered, or unconditionally once a further `max_delay`
-//!   overdue;
+//!   size triggers run inline in [`EgressLane::send_step`]; otherwise the
+//!   adaptive worker flushes the moment its inbox is empty, after
+//!   answering every frame already waiting, so one flush carries the
+//!   answers to all of them. There is no timer: the only time trigger is
+//!   the ceiling ([`EgressLane::flush_ceiling`], `max_delay` after the
+//!   first pending entry), checked on every loop turn of a worker that is
+//!   running anyway because its inbox is not empty;
 //! - every flush is one frame ([`encode_epoch_frame`]) under one HMAC
 //!   tag: a whole step's envelopes for a peer per-step, several steps'
 //!   adaptively, a single envelope under the per-entry baseline;
@@ -106,16 +108,6 @@ impl EgressDropSites {
     }
 }
 
-/// When an adaptive lane's time trigger fires, as its worker sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FlushDeadline {
-    /// `max_delay` after the first entry went pending: flush as soon as
-    /// there is no frame waiting to be answered.
-    pub(crate) due: Instant,
-    /// A further `max_delay` on: flush now, whatever is waiting.
-    pub(crate) overdue: Instant,
-}
-
 /// One dispatch worker's send side: the per-destination pending buffers
 /// of its receive-shard class, the flush policy's triggers, and frame
 /// encode + HMAC — all run by the worker itself, on its own thread.
@@ -135,9 +127,10 @@ pub(crate) struct EgressLane {
     pending: PendingBatches,
     /// Reused routing buffers, one per destination.
     routed: Vec<Vec<(AgreementId, Bytes)>>,
-    /// The adaptive policy's time trigger (None per-step).
+    /// The adaptive policy's `max_delay` (None per-step and per-entry).
     flush_delay: Option<Duration>,
-    /// When the time trigger fires: armed while anything is pending.
+    /// The flush ceiling: `max_delay` after the first entry went
+    /// pending, armed exactly while anything is pending.
     flush_at: Option<Instant>,
     /// Reuse hits already published into the shared counter.
     published_reuses: u64,
@@ -148,8 +141,8 @@ impl EgressLane {
     /// instance that acted, routed per destination, accumulated, and
     /// flushed where the session's [`FlushPolicy`] says a destination is
     /// due (per-step always; per-entry after every entry; adaptive on the
-    /// size triggers, with [`flush_deadline`](EgressLane::flush_deadline)
-    /// as the time trigger).
+    /// size triggers, arming [`flush_ceiling`](EgressLane::flush_ceiling)
+    /// for what stays pending).
     pub(crate) fn send_step(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>) {
         if bursts.is_empty() {
             return; // most entries trigger nothing
@@ -166,11 +159,17 @@ impl EgressLane {
             }
         }
         self.routed = routed;
+        match self.flush_delay {
+            Some(delay) if self.pending.has_pending() => {
+                self.flush_at.get_or_insert_with(|| Instant::now() + delay);
+            }
+            _ => self.flush_at = None,
+        }
     }
 
     /// Flushes everything still pending, for every destination: start
-    /// bursts, lingering steps, the time trigger, and the final drain
-    /// before the worker exits.
+    /// bursts, lingering steps, an idle inbox or the ceiling, and the
+    /// final drain before the worker exits.
     pub(crate) fn flush_all(&mut self) {
         for dest in 0..self.pending.dests() {
             self.flush_dest(dest);
@@ -178,19 +177,13 @@ impl EgressLane {
         self.flush_at = None;
     }
 
-    /// The adaptive time trigger as a deadline for the owning worker's
-    /// `select!`: armed when the first entry goes pending, kept until a
-    /// flush has emptied every destination, `None` while nothing waits
-    /// (and always under the per-step policy). The worker answers it
-    /// with [`flush_all`](EgressLane::flush_all).
-    pub(crate) fn flush_deadline(&mut self) -> Option<FlushDeadline> {
-        let delay = self.flush_delay?;
-        if !self.pending.has_pending() {
-            self.flush_at = None;
-        } else if self.flush_at.is_none() {
-            self.flush_at = Some(Instant::now() + delay);
-        }
-        self.flush_at.map(|due| FlushDeadline { due, overdue: due + delay })
+    /// The adaptive ceiling: `max_delay` after the first entry went
+    /// pending, kept until a flush has emptied every destination, `None`
+    /// while nothing waits (and always per-step and per-entry). The
+    /// owning worker flushes with [`flush_all`](EgressLane::flush_all)
+    /// once its inbox is empty, or once this has passed.
+    pub(crate) fn flush_ceiling(&self) -> Option<Instant> {
+        self.flush_at
     }
 
     fn flush_dest(&mut self, dest: usize) {
@@ -427,6 +420,7 @@ mod tests {
         );
         assert_eq!(counters.dropped_egress_shard[0].load(Ordering::Relaxed), dropped);
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 100, "every frame was tagged");
+        assert_eq!(lane.flush_ceiling(), None, "a per-step lane never holds entries back");
         drop(lane);
         // The parked writer is aborted at the deadline.
         sessions.shutdown(Instant::now() + Duration::from_millis(300)).await;
@@ -475,30 +469,37 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn adaptive_lane_arms_one_deadline_until_everything_is_flushed() {
+    async fn adaptive_lane_arms_one_ceiling_until_everything_is_flushed() {
         let counters = Arc::new(Counters::default());
-        let flush = FlushPolicy::Adaptive {
-            max_entries: 2,
-            max_bytes: 4096,
-            max_delay: Duration::from_millis(5),
-        };
+        let max_delay = Duration::from_millis(5);
+        let flush = FlushPolicy::Adaptive { max_entries: 2, max_bytes: 4096, max_delay };
         let sessions = dead_peer_sessions(3, &counters, flush, 16);
         let mut lane = sessions.lane(0);
-        assert_eq!(lane.flush_deadline(), None, "nothing pending, nothing armed");
+        assert_eq!(lane.flush_ceiling(), None, "nothing pending, nothing armed");
+        let before = Instant::now();
         send_one(&mut lane, 1, b"a");
+        let after = Instant::now();
         send_one(&mut lane, 2, b"b");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 0, "below every size trigger");
-        let armed = lane.flush_deadline().expect("armed by the first pending entry");
-        assert_eq!(armed.overdue, armed.due + Duration::from_millis(5));
+        // The ceiling is `max_delay` after the FIRST pending entry — not
+        // re-armed by the second, and not doubled.
+        let armed = lane.flush_ceiling().expect("armed by the first pending entry");
+        assert!(before + max_delay <= armed && armed <= after + max_delay, "{armed:?}");
         // The size trigger flushes peer 1 inline; peer 2's entry still
-        // waits on the deadline it was armed with.
+        // waits under the ceiling it was armed with.
         send_one(&mut lane, 1, b"c");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 1);
-        assert_eq!(lane.flush_deadline(), Some(armed));
+        assert_eq!(lane.flush_ceiling(), Some(armed));
         lane.flush_all();
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 2);
         assert_eq!(counters.egress_shard_entries[0].load(Ordering::Relaxed), 3);
-        assert_eq!(lane.flush_deadline(), None, "disarmed once nothing is pending");
+        assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
+        // A size trigger that empties every destination disarms it too.
+        send_one(&mut lane, 1, b"d");
+        assert!(lane.flush_ceiling().is_some());
+        send_one(&mut lane, 1, b"e");
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3);
+        assert_eq!(lane.flush_ceiling(), None, "the size trigger left nothing pending");
         drop(lane);
         sessions.abort();
     }

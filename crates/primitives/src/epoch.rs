@@ -400,9 +400,9 @@ pub fn route_epoch_bursts_into(
 /// `PerStep` flushes every protocol step's entries immediately, one frame
 /// per destination per step. `Adaptive` accumulates entries across steps
 /// and flushes a destination when its pending batch exceeds a size trigger
-/// — or when the time trigger fires (the simulator's tick, the TCP
-/// runner's flush timer) — trading a bounded delay for fewer frames and
-/// MAC tags per agreement. `PerEntry` is the measurement baseline the
+/// — or when the transport flushes (a TCP dispatch worker once its inbox
+/// is empty, the simulator on its tick) — trading a bounded delay for fewer
+/// frames and MAC tags per agreement. `PerEntry` is the measurement baseline the
 /// other two are judged against: no batching at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushPolicy {
@@ -417,8 +417,8 @@ pub enum FlushPolicy {
         max_entries: usize,
         /// Flush a destination once this many payload bytes are pending.
         max_bytes: usize,
-        /// Upper bound on how long an entry may sit unflushed (drives the
-        /// TCP runner's flush timer; the simulator uses its tick interval).
+        /// Upper bound on how long an entry may sit unflushed (the TCP
+        /// runner's ceiling under backlog; the simulator's tick interval).
         max_delay: Duration,
     },
 }

@@ -148,11 +148,11 @@ pub trait Protocol {
 
     /// Handles a time trigger from the driver, returning messages to send.
     ///
-    /// Drivers with a clock (the simulator's tick events, the TCP
-    /// runtime's flush timer) call this periodically; protocols that
-    /// defer work against a time bound — adaptive batch flushing, most
-    /// prominently — release it here. The default does nothing, so purely
-    /// message-driven protocols are unaffected.
+    /// Transports with a clock (the simulator's tick events; not the TCP
+    /// runtime, whose workers flush once their inbox is empty) call this
+    /// periodically; protocols that defer work against a time bound —
+    /// adaptive batch flushing, most prominently — release it here. The
+    /// default does nothing, so message-driven protocols are unaffected.
     fn on_tick(&mut self) -> Vec<Envelope> {
         Vec::new()
     }
