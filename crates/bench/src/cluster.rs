@@ -194,6 +194,8 @@ pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -
     let total = outcome.total_stats();
     let secs = outcome.max_elapsed_ms() / 1e3;
     let agreements = outcome.epoch_agreements();
+    let encoded = total.egress_shard_macs.iter().sum::<u64>();
+    let shared = 1.0 - total.body_hashes as f64 / encoded.max(1) as f64;
     let vector = if total.vector_dims > 0 {
         format!(
             " | vector baskets: {} instances x {} dims",
@@ -206,7 +208,7 @@ pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -
         "{} nodes | {agreements} agreements per node (expected {expected}) | worst epoch spread \
          {:.6}$ (eps = {epsilon}$, converged: {}) | {:.1} agreements/s | {} threads/node | \
          {:.0} ctxt switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | \
-         {} late entries{vector}",
+         {shared:.3} of frames shared a body hash | {} late entries{vector}",
         outcome.reports.len(),
         outcome.epoch_spread(),
         outcome.epoch_converged(epsilon, expected),

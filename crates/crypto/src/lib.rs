@@ -11,7 +11,11 @@
 //!   vectors);
 //! - [`Keychain`]: pairwise symmetric keys derived from a deployment seed,
 //!   giving every ordered pair of nodes a shared MAC key — the paper's
-//!   "pairwise authenticated channels";
+//!   "pairwise authenticated channels". The transport's frame tag is
+//!   HMAC-SHA256 under that key over the SHA-256 of the frame body
+//!   (`delphi_net::frame`), so a broadcast hashes its body once and pays
+//!   only a 32-byte HMAC per peer; that rests on SHA-256 collision
+//!   resistance as well as on HMAC;
 //! - [`signing`]: HMAC-based attestation "signatures" used by the DORA
 //!   layer (§V). These simulate the transferable signatures a production
 //!   deployment would implement with Ed25519/BLS; the substitution is

@@ -67,10 +67,13 @@ impl Sha256 {
         let mut input = data;
         // Fill a partial block first.
         if self.block_len > 0 {
-            let take = input.len().min(64 - self.block_len);
-            self.block[self.block_len..self.block_len + take].copy_from_slice(&input[..take]);
-            self.block_len += take;
-            input = &input[take..];
+            let free = self.block.get_mut(self.block_len..).unwrap_or_default();
+            let (head, rest) = input.split_at(input.len().min(free.len()));
+            if let Some(dst) = free.get_mut(..head.len()) {
+                dst.copy_from_slice(head);
+            }
+            self.block_len += head.len();
+            input = rest;
             if self.block_len == 64 {
                 let block = self.block;
                 self.compress(&block);
@@ -78,17 +81,17 @@ impl Sha256 {
             }
         }
         // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            input = rest;
+        let mut blocks = input.chunks_exact(64);
+        for block in blocks.by_ref() {
+            if let Ok(block) = block.try_into() {
+                self.compress(block);
+            }
         }
-        // Stash the tail.
-        if !input.is_empty() {
-            self.block[..input.len()].copy_from_slice(input);
-            self.block_len = input.len();
+        // Stash the tail (empty unless the partial block above was filled).
+        let tail = blocks.remainder();
+        if let Some(dst) = self.block.get_mut(..tail.len()).filter(|_| !tail.is_empty()) {
+            dst.copy_from_slice(tail);
+            self.block_len = tail.len();
         }
     }
 
@@ -98,44 +101,51 @@ impl Sha256 {
         // Padding: 0x80, zeros, 8-byte big-endian bit length — written
         // straight into the block buffer (a byte-at-a-time update() loop
         // here is measurable on the HMAC/key-derivation hot paths).
-        self.block[self.block_len] = 0x80;
+        let mut block = self.block;
+        for (i, byte) in block.iter_mut().enumerate().skip(self.block_len) {
+            *byte = if i == self.block_len { 0x80 } else { 0 };
+        }
         if self.block_len >= 56 {
             // No room for the length: the padding spills into an extra
             // all-zero block.
-            self.block[self.block_len + 1..].fill(0);
-            let block = self.block;
             self.compress(&block);
-            self.block = [0; 64];
-        } else {
-            self.block[self.block_len + 1..56].fill(0);
+            block = [0; 64];
         }
-        self.block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.block;
+        if let Some((_, len)) = block.split_last_chunk_mut::<8>() {
+            *len = bit_len.to_be_bytes();
+        }
         self.compress(&block);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().unwrap_or_default());
         }
+        // The schedule: every lookup is a constant offset behind `i` in a
+        // fixed array, so the optimiser drops the checks `get` spells out.
         for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+            let at = |back: usize| w.get(i - back).copied().unwrap_or_default();
+            let (w15, w2) = (at(15), at(2));
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            let next = at(16).wrapping_add(s0).wrapping_add(at(7)).wrapping_add(s1);
+            if let Some(slot) = w.get_mut(i) {
+                *slot = next;
+            }
         }
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+        for (k, wi) in K.iter().zip(&w) {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(*k).wrapping_add(*wi);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let temp2 = s0.wrapping_add(maj);
@@ -149,14 +159,9 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 

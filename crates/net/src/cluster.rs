@@ -71,6 +71,7 @@ impl NodeReport {
              \"threads\":{},\"ctxt_switches_per_agreement\":{},\
              \"stats\":{{\
              \"sent_frames\":{},\"sent_bytes\":{},\"sent_entries\":{},\
+             \"body_hashes\":{},\
              \"recv_frames\":{},\"recv_entries\":{},\"dropped_frames\":{},\
              \"dropped_egress\":{},\"late_entries\":{},\"mac_ops\":{},\
              \"buffer_reuses\":{},\
@@ -87,6 +88,7 @@ impl NodeReport {
             s.sent_frames,
             s.sent_bytes,
             s.sent_entries,
+            s.body_hashes,
             s.recv_frames,
             s.recv_entries,
             s.dropped_frames,
@@ -105,7 +107,7 @@ impl NodeReport {
     /// one `agreements` triple array, per-shard number arrays) but
     /// order-insensitive and tolerant of whitespace. The `agreements`,
     /// `threads`, `ctxt_switches_per_agreement`, `dropped_egress`, `late_entries`, `buffer_reuses`,
-    /// `vector_instances`, `vector_dims`, `shard_entries`,
+    /// `body_hashes`, `vector_instances`, `vector_dims`, `shard_entries`,
     /// `egress_shard_entries`, `egress_shard_macs`, and
     /// `dropped_egress_shard` keys are optional so reports from older
     /// node binaries still parse.
@@ -132,6 +134,7 @@ impl NodeReport {
             sent_frames: json_number(text, "sent_frames")? as u64,
             sent_bytes: json_number(text, "sent_bytes")? as u64,
             sent_entries: json_number(text, "sent_entries")? as u64,
+            body_hashes: json_number(text, "body_hashes").unwrap_or(0.0) as u64,
             recv_frames: json_number(text, "recv_frames")? as u64,
             recv_entries: json_number(text, "recv_entries")? as u64,
             dropped_frames: json_number(text, "dropped_frames")? as u64,
@@ -275,6 +278,7 @@ impl ClusterOutcome {
             total.sent_frames += r.stats.sent_frames;
             total.sent_bytes += r.stats.sent_bytes;
             total.sent_entries += r.stats.sent_entries;
+            total.body_hashes += r.stats.body_hashes;
             total.recv_frames += r.stats.recv_frames;
             total.recv_entries += r.stats.recv_entries;
             total.dropped_frames += r.stats.dropped_frames;
@@ -524,6 +528,7 @@ mod tests {
                 sent_frames: 10,
                 sent_bytes: 4200,
                 sent_entries: 11,
+                body_hashes: 8,
                 recv_frames: 30,
                 recv_entries: 33,
                 dropped_frames: 0,
@@ -583,6 +588,8 @@ mod tests {
         assert_eq!(r.stats.vector_instances, 0);
         assert_eq!(r.stats.vector_dims, 0);
         assert!(r.agreements.is_empty());
+        // And the body-hash counter.
+        assert_eq!(r.stats.body_hashes, 0);
         // So are the process gauges of newer node binaries.
         assert_eq!(r.threads, 0);
         assert_eq!(r.ctxt_switches_per_agreement, 0.0);

@@ -12,11 +12,19 @@
 //! epoch batch is the [`delphi_primitives::epoch`] codec — `[u16 count]`
 //! then `count` entries of `[u32 epoch][u16 asset][u32 len][len bytes]`
 //! — the same bytes an [`EpochProtocol`](delphi_primitives::EpochProtocol)
-//! envelope carries under the simulator. The tag is HMAC-SHA256 over the
-//! body before it, keyed by the pairwise channel key of (claimed sender,
-//! receiver): one tag authenticates the whole batch, and binds the frame
-//! to its claimed sender *and* to the receiving channel, so replaying it
-//! to a different receiver fails verification.
+//! envelope carries under the simulator. The tag is
+//! `HMAC-SHA256(k_{sender,receiver}, SHA-256(signed))`, `signed` being
+//! the body before it: keyed by the pairwise channel key of (claimed
+//! sender, receiver), one tag authenticates the whole batch and binds the
+//! frame to its claimed sender *and* to the receiving channel, so
+//! replaying it to a different receiver fails verification.
+//!
+//! The digest is there because `signed` names no receiver: a broadcast's
+//! frames share one body, which the sender hashes once, paying a 32-byte
+//! HMAC (two compressions) per peer — at n = 160 one body pass instead of
+//! 159. A receiver pays one compression more than plain HMAC. The price is
+//! an assumption plain HMAC did not need: SHA-256 collision resistance
+//! (two bodies with one digest would share every tag).
 //!
 //! The body opens with the reserved marker [`EPOCH_MARKER`], which is
 //! never a valid sender id (a 65 535-node deployment is unrepresentable).
@@ -46,8 +54,8 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use delphi_crypto::{Keychain, TAG_LEN};
+use bytes::{BufMut, Bytes};
+use delphi_crypto::{sha256, ChannelKey, Keychain, DIGEST_LEN, TAG_LEN};
 use delphi_primitives::epoch::{
     decode_epoch_batch_ref, epoch_batch_len, put_epoch_batch, EpochEntriesRef, EPOCH_COUNT_BYTES,
 };
@@ -105,10 +113,42 @@ impl fmt::Display for FrameError {
 
 impl Error for FrameError {}
 
+/// Writes the frame carrying `entries` from `sender` into `frame`
+/// (cleared, capacity kept) with a zeroed tag slot, and returns the
+/// SHA-256 of its signed part: one encode and one hash serve every
+/// receiver ([`put_tag`]). Panics as [`encode_epoch_frame`] does.
+pub(crate) fn encode_untagged(
+    sender: NodeId,
+    entries: &[(AgreementId, Bytes)],
+    frame: &mut Vec<u8>,
+) -> [u8; DIGEST_LEN] {
+    assert!(!entries.is_empty(), "frames carry at least one entry");
+    let batch_len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
+    assert!(batch_len - EPOCH_COUNT_BYTES <= MAX_FRAME_PAYLOAD, "entries exceed MAX_FRAME_PAYLOAD");
+    let rest_len = 2 + 2 + batch_len + TAG_LEN;
+    frame.clear();
+    frame.reserve(4 + rest_len);
+    frame.put_u32(rest_len as u32);
+    frame.put_u16(EPOCH_MARKER);
+    frame.put_u16(sender.0);
+    put_epoch_batch(entries, frame);
+    debug_assert_eq!(frame.len() + TAG_LEN, 4 + rest_len, "batch_len is the batch's length");
+    let digest = sha256(frame.get(4..).unwrap_or_default());
+    frame.resize(4 + rest_len, 0);
+    digest
+}
+
+/// Writes the tag into the last [`TAG_LEN`] bytes of `frame`, whose signed
+/// part hashes to `body_digest`, for the far end of `channel`: the one
+/// place the tag is built ([`ChannelKey::verify`] over the digest checks it).
+pub(crate) fn put_tag(frame: &mut [u8], channel: &ChannelKey, body_digest: &[u8; DIGEST_LEN]) {
+    if let Some((_, tag)) = frame.split_last_chunk_mut::<TAG_LEN>() {
+        *tag = channel.tag(body_digest);
+    }
+}
+
 /// Encodes the frame carrying `entries` from `keychain.node_id()` to
-/// `to`, length word included, ready to write to a socket. The frame is
-/// built in one buffer — header, the batch written straight into it, then
-/// the tag over everything after the length word.
+/// `to`, length word included, ready to write to a socket.
 ///
 /// # Panics
 ///
@@ -119,20 +159,10 @@ pub fn encode_epoch_frame(
     to: NodeId,
     entries: &[(AgreementId, Bytes)],
 ) -> Bytes {
-    assert!(!entries.is_empty(), "frames carry at least one entry");
-    let batch_len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
-    assert!(batch_len - EPOCH_COUNT_BYTES <= MAX_FRAME_PAYLOAD, "entries exceed MAX_FRAME_PAYLOAD");
-    let rest_len = 2 + 2 + batch_len + TAG_LEN;
-    let mut buf = BytesMut::with_capacity(4 + rest_len);
-    buf.put_u32(rest_len as u32);
-    buf.put_u16(EPOCH_MARKER);
-    buf.put_u16(keychain.node_id().0);
-    put_epoch_batch(entries, &mut buf);
-    debug_assert_eq!(buf.len() + TAG_LEN, 4 + rest_len, "batch_len is the batch's length");
-    let (_, signed) = buf.split_at(4);
-    let tag = keychain.channel(to).tag(signed);
-    buf.put_slice(&tag);
-    buf.freeze()
+    let mut frame = Vec::new();
+    let digest = encode_untagged(keychain.node_id(), entries, &mut frame);
+    put_tag(&mut frame, keychain.channel(to), &digest);
+    Bytes::from(frame)
 }
 
 /// The zero-copy inbound decoder behind [`decode_inbound_frame_ref`] and
@@ -162,7 +192,7 @@ fn split_body<'a>(
         if sender.index() >= keychain.n() {
             return Err(FrameError::UnknownSender);
         }
-        if keychain.channel(sender).verify(signed, tag).is_err() {
+        if keychain.channel(sender).verify(&sha256(signed), tag).is_err() {
             return Err(FrameError::BadTag);
         }
     }
@@ -237,9 +267,15 @@ mod tests {
 
     /// A correctly tagged body from node 0 to node 1 around arbitrary
     /// `signed` bytes.
-    fn tagged(alice: &Keychain, mut signed: Vec<u8>) -> Vec<u8> {
-        let tag = alice.channel(NodeId(1)).tag(&signed);
-        signed.extend_from_slice(&tag);
+    fn tagged(alice: &Keychain, signed: Vec<u8>) -> Vec<u8> {
+        retagged(alice, NodeId(1), signed)
+    }
+
+    /// `signed` under the tag `keychain`'s node puts on frames to `to`.
+    fn retagged(keychain: &Keychain, to: NodeId, mut signed: Vec<u8>) -> Vec<u8> {
+        let digest = sha256(&signed);
+        signed.extend_from_slice(&[0; TAG_LEN]);
+        put_tag(&mut signed, keychain.channel(to), &digest);
         signed
     }
 
@@ -280,6 +316,43 @@ mod tests {
         sent.push((AgreementId::new(EpochId(u32::MAX), InstanceId(7)), Bytes::from_static(b"z")));
         let frame = encode_epoch_frame(&alice, NodeId(1), &sent);
         assert_eq!(decode_owned(&bob, &frame[4..]), Ok((NodeId(0), sent)));
+    }
+
+    #[test]
+    fn broadcast_frames_share_a_body_and_verify_only_at_their_own_receiver() {
+        // One body, encoded and hashed once, tagged for three peers: the
+        // frames are byte-identical up to the tag, equal to what encoding
+        // each alone yields, and each verifies only where it was sent.
+        let sender = Keychain::derive(b"seed", NodeId(0), 4);
+        let peers: Vec<Keychain> =
+            (1..4).map(|i| Keychain::derive(b"seed", NodeId(i), 4)).collect();
+        let sent = epoch_entries(&[b"echo", b"echo2"]);
+        let mut body = Vec::new();
+        let digest = encode_untagged(NodeId(0), &sent, &mut body);
+        let frames: Vec<Vec<u8>> = peers
+            .iter()
+            .map(|peer| {
+                let mut frame = body.clone();
+                put_tag(&mut frame, sender.channel(peer.node_id()), &digest);
+                assert_eq!(frame, encode_epoch_frame(&sender, peer.node_id(), &sent).to_vec());
+                frame
+            })
+            .collect();
+        let untagged = frames[0].len() - TAG_LEN;
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(frame[..untagged], frames[0][..untagged], "one shared body");
+            for (j, peer) in peers.iter().enumerate() {
+                let got = decode_owned(peer, &frame[4..]);
+                if i == j {
+                    assert_eq!(got, Ok((NodeId(0), sent.clone())));
+                } else {
+                    assert_eq!(got, Err(FrameError::BadTag), "frame {i} verified at peer {j}");
+                }
+            }
+        }
+        let tags: std::collections::BTreeSet<&[u8]> =
+            frames.iter().map(|f| &f[untagged..]).collect();
+        assert_eq!(tags.len(), 3, "a tag per receiver");
     }
 
     #[test]
@@ -551,8 +624,7 @@ mod tests {
                 }
                 let signed = body[..body.len() - TAG_LEN].to_vec();
                 let claimed = Keychain::derive(b"seed", sender, 3);
-                let tag = claimed.channel(NodeId(1)).tag(&signed);
-                let body = [signed, tag.to_vec()].concat();
+                let body = retagged(&claimed, NodeId(1), signed);
                 let keyed = decode_owned(&bob, &body);
                 let resplit = split_verified_body(&body)
                     .map(|(from, view)| (from, view.to_owned_entries()));

@@ -7,13 +7,13 @@
 //!
 //! - [`frame`]: the one wire format — a length-prefixed batch of
 //!   epoch-addressed `(agreement, payload)` entries under an HMAC-SHA256
-//!   tag keyed by the pairwise channel key, so one tag authenticates a
-//!   whole flush: the authenticated-channel assumption made concrete.
-//!   Tampered or misdirected frames are dropped, never surfaced to the
-//!   protocol.
-//! - [`transport`] (internal): sockets — the accept loop, lazy dialing
-//!   with bounded-backoff reconnection, and the per-connection frame
-//!   read/write loops, plus the [`NetStats`] counters every layer shares.
+//!   (of the body's SHA-256) tag keyed by the pairwise channel key: the
+//!   authenticated-channel assumption made concrete, one body hash per
+//!   broadcast. Tampered or misdirected frames are dropped, never
+//!   surfaced to the protocol.
+//! - [`transport`] (internal): sockets — the accept loop and read loops,
+//!   per-peer links the workers write to, each with a lazy-dialing writer
+//!   task as its slow path, plus the [`NetStats`] counters.
 //! - [`session`] (internal): per-peer authenticated channels — batching
 //!   under the run's [`FlushPolicy`], worker-owned egress lanes, and
 //!   bounded drain-on-shutdown.

@@ -27,10 +27,11 @@
 //!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
 //!    size inline; adaptively, a flush the moment its inbox is empty (or
 //!    first, once the `max_delay` ceiling has passed under backlog), with
-//!    no timer — and encodes, MACs and `try_send`s each due frame into
-//!    the destination's bounded writer queue;
-//! 3. a writer task per peer owns the socket. A peer that stops reading
-//!    costs dropped frames at its queue, never a stalled worker.
+//!    no timer — and encodes (one body for a broadcast), MACs and writes
+//!    each due frame straight to the peer's non-blocking socket;
+//! 3. only a write that would block goes to the peer's writer task (which
+//!    also dials): a peer that stops reading costs dropped frames at that
+//!    task's bounded queue, never a stalled worker.
 //!
 //! The service loop sees only what is per run or per epoch: the merged
 //! event stream, completion, the deadline, the linger window, and the
@@ -104,7 +105,9 @@ pub struct RunOptions {
     /// output time can stall slower peers.
     pub linger: Duration,
     /// Initial delay between reconnection attempts while dialing peers
-    /// (doubled on consecutive failures up to a bounded backoff).
+    /// (doubled on consecutive failures up to a bounded backoff). Short, so
+    /// a peer that starts just after us is not cut off while the others
+    /// race `window` epochs ahead of it.
     pub reconnect_delay: Duration,
     /// Overall deadline for producing an output.
     pub deadline: Duration,
@@ -140,7 +143,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             linger: Duration::from_millis(500),
-            reconnect_delay: Duration::from_millis(50),
+            reconnect_delay: Duration::from_millis(5),
             deadline: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
             flush: FlushPolicy::PerStep,

@@ -1,12 +1,13 @@
 //! Per-peer authenticated sessions: batching under the run's flush
 //! policy, worker-owned egress lanes, and drain-on-shutdown.
 //!
-//! A [`SessionSet`] owns the write side of the mesh: one bounded queue
-//! and one [`transport`](crate::transport) write loop per peer. It hands
+//! A [`SessionSet`] owns the write side of the mesh: one
+//! [`PeerLink`] (a connection and its writer task) per peer. It hands
 //! every dispatch worker an [`EgressLane`] — a plain struct the worker
 //! owns and drives on its own thread — so a protocol step's output is
-//! routed, batched, encoded and MACed by the thread that produced it and
-//! crosses exactly one queue, the peer's writer queue, on its way out:
+//! routed, batched, encoded, MACed and written to the socket by the
+//! thread that produced it, crossing no queue unless the socket would
+//! block:
 //!
 //! - a worker owns the instances of one receive-shard class (the stable
 //!   `shard()` hash the receive path dispatches by), so everything it
@@ -15,27 +16,25 @@
 //!   worker at the receiver, and send parallelism *is* receive
 //!   parallelism;
 //! - the lane accumulates entries under the session's [`FlushPolicy`]:
-//!   size triggers run inline in [`EgressLane::send_step`]; otherwise the
-//!   adaptive worker flushes the moment its inbox is empty, after
-//!   answering every frame already waiting, so one flush carries the
-//!   answers to all of them. There is no timer: the only time trigger is
-//!   the ceiling ([`EgressLane::flush_ceiling`], `max_delay` after the
-//!   first pending entry), checked on every loop turn of a worker that is
-//!   running anyway because its inbox is not empty;
-//! - every flush is one frame ([`encode_epoch_frame`]) under one HMAC
-//!   tag: a whole step's envelopes for a peer per-step, several steps'
-//!   adaptively, a single envelope under the per-entry baseline;
-//! - routing and pending buffers are recycled between flushes (the
-//!   free-list in `PendingBatches`), so a steady-state flush allocates
-//!   nothing but the frame itself; `NetStats::buffer_reuses` counts the
-//!   hits;
-//! - encoded frames are `try_send`-handed to the bounded per-peer writer
-//!   queues; a full queue drops the frame, counted globally
-//!   (`dropped_egress`), per shard class (`dropped_egress_shard`) and per
-//!   `(peer, class)` site — so a single slow peer (drops in one peer's
-//!   row, across classes) is never confused with a saturated worker
-//!   (drops in one class's column, across peers). A worker never waits
-//!   for a peer;
+//!   size triggers run inline in [`EgressLane::send_step`] once the step
+//!   is routed to every destination; otherwise the adaptive worker
+//!   flushes the moment its inbox is empty, after answering every frame
+//!   already waiting. There is no timer: the only time trigger is the
+//!   ceiling ([`EgressLane::flush_ceiling`], `max_delay` after the first
+//!   pending entry), checked on every loop turn of a busy worker;
+//! - every flush takes one path: one frame per due destination under its
+//!   own tag, and destinations whose batches hold the same entries (a
+//!   broadcast) share one encoded body and one SHA-256 of it
+//!   ([`frame`](crate::frame)); routing, pending and frame buffers are
+//!   recycled (`NetStats::buffer_reuses` counts free-list hits);
+//! - a frame goes straight to the peer's non-blocking socket, and to the
+//!   peer's bounded writer queue only if that would block (or the writer
+//!   holds frames, or has not dialed yet); a full queue drops the frame,
+//!   counted globally (`dropped_egress`), per shard class
+//!   (`dropped_egress_shard`) and per `(peer, class)` site — so a single
+//!   slow peer (drops in one peer's row, across classes) is never
+//!   confused with a saturated worker (drops in one class's column,
+//!   across peers). A worker never waits for a peer;
 //! - shutdown is "workers flush, then writer queues close": the service
 //!   closes its workers — each flushes what its lane still holds and
 //!   drops the lane — and only then [`SessionSet::shutdown`] closes the
@@ -51,26 +50,22 @@ use bytes::Bytes;
 use delphi_crypto::Keychain;
 use delphi_primitives::epoch::route_epoch_bursts_into;
 use delphi_primitives::{AgreementId, Envelope, FlushPolicy, NodeId, PendingBatches};
-use tokio::sync::mpsc;
 use tokio::time::Instant;
 
-use crate::frame::encode_epoch_frame;
-use crate::transport::{spawn_writer, Counters, MAX_RECV_SHARDS};
+use crate::frame::{encode_untagged, put_tag};
+use crate::transport::{open_link, Counters, PeerLink, MAX_RECV_SHARDS};
 
-/// Hands `frame` to a peer's bounded writer queue, returning whether it
-/// was dropped because the peer is `egress_capacity` frames behind. The
-/// flush paths run on a dispatch worker, so blocking for room is not an
-/// option — and is not wanted: a peer slower than its queue is treated
-/// like a crashed peer (the `t < n/3` budget) instead of a memory leak
-/// or a stalled worker. A closed queue means the writer already exited
-/// (shutdown/abort); the frame is silently discarded exactly as the old
-/// unbounded send was.
-fn send_or_drop(tx: &mpsc::Sender<Bytes>, frame: Bytes, counters: &Counters) -> bool {
-    if let Err(mpsc::error::TrySendError::Full(_)) = tx.try_send(frame) {
-        counters.dropped_egress.fetch_add(1, Ordering::Relaxed);
-        return true;
-    }
-    false
+/// One due destination's batch: `(destination, entries)`.
+type Batch = (usize, Vec<(AgreementId, Bytes)>);
+
+/// Whether two batches hold the same ids and the same payload allocations
+/// (pointer and length: routing a broadcast clones one `Bytes` per
+/// destination) in the same order, so they encode to the same body.
+fn same_entries(a: &[(AgreementId, Bytes)], b: &[(AgreementId, Bytes)]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((ia, pa), (ib, pb))| {
+            ia == ib && std::ptr::eq(pa.as_ptr(), pb.as_ptr()) && pa.len() == pb.len()
+        })
 }
 
 /// Per-`(peer, class)` egress drop sites: the attribution that separates
@@ -109,8 +104,9 @@ impl EgressDropSites {
 }
 
 /// One dispatch worker's send side: the per-destination pending buffers
-/// of its receive-shard class, the flush policy's triggers, and frame
-/// encode + HMAC — all run by the worker itself, on its own thread.
+/// of its receive-shard class, the flush policy's triggers, frame encode,
+/// HMAC and the socket write — all run by the worker itself, on its own
+/// thread.
 pub(crate) struct EgressLane {
     /// The worker's receive-shard class (the index its counters and drop
     /// sites are attributed to).
@@ -118,15 +114,18 @@ pub(crate) struct EgressLane {
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
     drop_sites: Arc<EgressDropSites>,
-    /// Clones of the per-peer writer senders: writers observe close only
-    /// once every lane is gone *and* the session set dropped its copies.
-    peer_tx: Vec<Option<mpsc::Sender<Bytes>>>,
+    /// Clones of the per-peer links (`None` at our own slot).
+    links: Vec<Option<PeerLink>>,
     /// Per-destination entries awaiting flush — the same accumulator
     /// `EpochProtocol` uses under the simulator, so the two transports
     /// share one flush-trigger semantics.
     pending: PendingBatches,
     /// Reused routing buffers, one per destination.
     routed: Vec<Vec<(AgreementId, Bytes)>>,
+    /// The batches of the flush being assembled (reused).
+    due: Vec<Batch>,
+    /// The frame buffer every flush encodes into (capacity kept).
+    frame: Vec<u8>,
     /// The adaptive policy's `max_delay` (None per-step and per-entry).
     flush_delay: Option<Duration>,
     /// The flush ceiling: `max_delay` after the first entry went
@@ -142,21 +141,27 @@ impl EgressLane {
     /// flushed where the session's [`FlushPolicy`] says a destination is
     /// due (per-step always; per-entry after every entry; adaptive on the
     /// size triggers, arming [`flush_ceiling`](EgressLane::flush_ceiling)
-    /// for what stays pending).
+    /// for what stays pending), every due destination in one flush.
     pub(crate) fn send_step(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>) {
         if bursts.is_empty() {
             return; // most entries trigger nothing
         }
         let mut routed = std::mem::take(&mut self.routed);
-        route_epoch_bursts_into(bursts, self.peer_tx.len(), self.keychain.node_id(), &mut routed);
-        for (dest, entries) in routed.iter_mut().enumerate() {
-            if entries.is_empty() || self.peer_tx[dest].is_none() {
-                continue;
+        route_epoch_bursts_into(bursts, self.links.len(), self.keychain.node_id(), &mut routed);
+        for (entries, link) in routed.iter_mut().zip(&self.links) {
+            if link.is_none() {
+                entries.clear();
             }
             self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-            while self.pending.push_drain(dest, entries) {
-                self.flush_dest(dest);
+        }
+        // One round per-step and adaptively; per-entry, a round per entry.
+        while routed.iter().any(|entries| !entries.is_empty()) {
+            for (dest, entries) in routed.iter_mut().enumerate() {
+                if self.pending.push_drain(dest, entries) {
+                    self.due.push((dest, self.pending.take(dest)));
+                }
             }
+            self.flush_due();
         }
         self.routed = routed;
         match self.flush_delay {
@@ -172,8 +177,12 @@ impl EgressLane {
     /// final drain before the worker exits.
     pub(crate) fn flush_all(&mut self) {
         for dest in 0..self.pending.dests() {
-            self.flush_dest(dest);
+            let entries = self.pending.take(dest);
+            if !entries.is_empty() {
+                self.due.push((dest, entries));
+            }
         }
+        self.flush_due();
         self.flush_at = None;
     }
 
@@ -186,20 +195,28 @@ impl EgressLane {
         self.flush_at
     }
 
-    fn flush_dest(&mut self, dest: usize) {
-        let entries = self.pending.take(dest);
-        if entries.is_empty() {
-            return;
+    /// The one flush path: ships the batches in `due`, grouped by
+    /// [`same_entries`], and recycles their buffers.
+    fn flush_due(&mut self) {
+        let mut due = std::mem::take(&mut self.due);
+        let mut rest = &mut due[..];
+        while let Some((head, others)) = rest.split_first_mut() {
+            // Move the batches equal to `head` right behind it.
+            let mut shared = 0;
+            for i in 0..others.len() {
+                if others.get(i).is_some_and(|(_, entries)| same_entries(&head.1, entries)) {
+                    others.swap(shared, i);
+                    shared += 1;
+                }
+            }
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(shared + 1);
+            self.ship_group(group);
+            rest = tail;
         }
-        let Some(Some(tx)) = self.peer_tx.get(dest) else {
+        for (_, entries) in due.drain(..) {
             self.pending.recycle(entries);
-            return;
-        };
-        self.counters.egress_shard_entries[self.class]
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let frame = encode_epoch_frame(&self.keychain, NodeId(dest as u16), &entries);
-        self.ship_frame(dest, tx, frame);
-        self.pending.recycle(entries);
+        }
+        self.due = due;
         // Per-lane deltas: lanes share the counter, so `store` would race.
         let reuses = self.pending.reuse_hits();
         if reuses > self.published_reuses {
@@ -210,38 +227,43 @@ impl EgressLane {
         }
     }
 
-    /// Hands one freshly tagged frame to `dest`'s writer queue, counting
-    /// its encode-side HMAC and attributing any overflow drop to this
-    /// worker's class and the `(peer, class)` site.
-    fn ship_frame(&self, dest: usize, tx: &mpsc::Sender<Bytes>, frame: Bytes) {
-        self.counters.mac_ops.fetch_add(1, Ordering::Relaxed);
-        self.counters.egress_shard_macs[self.class].fetch_add(1, Ordering::Relaxed);
-        if send_or_drop(tx, frame, &self.counters) {
-            self.counters.dropped_egress_shard[self.class].fetch_add(1, Ordering::Relaxed);
-            if self.drop_sites.record(dest, self.class) == 1 {
-                eprintln!(
-                    "delphi-net: shard worker {} started dropping frames to peer {} \
-                     (writer queue full)",
-                    self.class, dest
-                );
+    /// Encodes and hashes a group's body once, then tags and sends it to
+    /// each destination, attributing drops to the `(peer, class)` site.
+    fn ship_group(&mut self, group: &[Batch]) {
+        let Some((_, entries)) = group.first() else { return };
+        let digest = encode_untagged(self.keychain.node_id(), entries, &mut self.frame);
+        let counters = &self.counters;
+        counters.body_hashes.fetch_add(1, Ordering::Relaxed);
+        let class = self.class;
+        for (dest, entries) in group {
+            let Some(Some(link)) = self.links.get(*dest) else { continue };
+            counters.egress_shard_entries[class].fetch_add(entries.len() as u64, Ordering::Relaxed);
+            counters.mac_ops.fetch_add(1, Ordering::Relaxed);
+            counters.egress_shard_macs[class].fetch_add(1, Ordering::Relaxed);
+            put_tag(&mut self.frame, self.keychain.channel(NodeId(*dest as u16)), &digest);
+            if !link.send(&self.frame, counters) {
+                counters.dropped_egress_shard[class].fetch_add(1, Ordering::Relaxed);
+                if self.drop_sites.record(*dest, class) == 1 {
+                    eprintln!(
+                        "delphi-net: shard worker {class} started dropping frames to peer \
+                         {dest} (writer queue full)"
+                    );
+                }
             }
         }
     }
 }
 
 /// The outbound half of a full-mesh node: one authenticated session — a
-/// bounded frame queue and its lazy-dialing write loop — per peer, and
-/// the factory of the [`EgressLane`]s that feed them.
+/// [`PeerLink`] and its lazy-dialing writer task — per peer, and the
+/// factory of the [`EgressLane`]s that write to them.
 pub(crate) struct SessionSet {
-    /// `peer_tx[p]` queues frames for peer `p`; `None` at our own slot.
-    /// Queues are bounded (`egress_capacity` frames): a peer that falls
-    /// further behind has its frames dropped and counted in
-    /// `NetStats::dropped_egress` — a slower-than-capacity peer is
-    /// treated as crashed (within the `t < n/3` budget) rather than
-    /// allowed to inflate memory or stall a worker. The set keeps these
-    /// originals so writers close only after the lanes (which hold
-    /// clones) are gone.
-    peer_tx: Vec<Option<mpsc::Sender<Bytes>>>,
+    /// `links[p]` carries frames to peer `p`; `None` at our own slot.
+    /// Writer queues are bounded (`egress_capacity` frames): a peer that
+    /// falls further behind has its frames dropped and counted in
+    /// `NetStats::dropped_egress`. The set keeps these originals so
+    /// writers close only after the lanes (which hold clones) are gone.
+    links: Vec<Option<PeerLink>>,
     writer_tasks: Vec<tokio::task::JoinHandle<()>>,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
@@ -250,8 +272,8 @@ pub(crate) struct SessionSet {
 }
 
 impl SessionSet {
-    /// Opens a session (a lazy-dialing write loop behind a queue of
-    /// `egress_capacity` frames) to every peer in `addrs` except
+    /// Opens a session (a link whose lazy-dialing writer sits behind a
+    /// queue of `egress_capacity` frames) to every peer in `addrs` except
     /// `keychain.node_id()` itself.
     pub(crate) fn connect(
         keychain: Arc<Keychain>,
@@ -263,30 +285,20 @@ impl SessionSet {
     ) -> SessionSet {
         assert!(egress_capacity >= 1, "need at least one frame of egress capacity");
         let me = keychain.node_id();
-        let n = addrs.len();
-        let mut peer_tx: Vec<Option<mpsc::Sender<Bytes>>> = Vec::with_capacity(n);
-        let mut writer_tasks = Vec::new();
-        for peer in NodeId::all(n) {
-            if peer == me {
-                peer_tx.push(None);
-                continue;
-            }
-            let (tx, rx) = mpsc::channel::<Bytes>(egress_capacity);
-            peer_tx.push(Some(tx));
-            writer_tasks.push(spawn_writer(
-                addrs[peer.index()],
-                rx,
-                reconnect_delay,
-                counters.clone(),
-            ));
+        let (mut links, mut writer_tasks) = (Vec::new(), Vec::new());
+        for (&addr, peer) in addrs.iter().zip(NodeId::all(addrs.len())) {
+            links.push((peer != me).then(|| {
+                let opened = open_link(addr, egress_capacity, reconnect_delay, counters.clone());
+                writer_tasks.push(opened.1);
+                opened.0
+            }));
         }
-        let drop_sites = Arc::new(EgressDropSites::new(n));
-        SessionSet { peer_tx, writer_tasks, keychain, counters, drop_sites, flush }
+        let drop_sites = Arc::new(EgressDropSites::new(addrs.len()));
+        SessionSet { links, writer_tasks, keychain, counters, drop_sites, flush }
     }
 
     /// The egress lane for the dispatch worker owning receive-shard
-    /// class `class`: its own pending buffers over clones of the writer
-    /// queues.
+    /// class `class`: its own pending buffers over clones of the links.
     pub(crate) fn lane(&self, class: usize) -> EgressLane {
         assert!(class < MAX_RECV_SHARDS, "shard class out of range");
         EgressLane {
@@ -294,9 +306,11 @@ impl SessionSet {
             keychain: self.keychain.clone(),
             counters: self.counters.clone(),
             drop_sites: self.drop_sites.clone(),
-            peer_tx: self.peer_tx.clone(),
-            pending: PendingBatches::new(self.peer_tx.len(), self.flush),
+            links: self.links.clone(),
+            pending: PendingBatches::new(self.links.len(), self.flush),
             routed: Vec::new(),
+            due: Vec::new(),
+            frame: Vec::new(),
             flush_delay: match self.flush {
                 FlushPolicy::Adaptive { max_delay, .. } => Some(max_delay),
                 FlushPolicy::PerEntry | FlushPolicy::PerStep => None,
@@ -320,10 +334,10 @@ impl SessionSet {
     /// lanes still buffered — the workers-flush-before-writer-close
     /// ordering is load-bearing.
     pub(crate) async fn shutdown(self, drain_deadline: Instant) {
-        let SessionSet { peer_tx, writer_tasks, .. } = self;
+        let SessionSet { links, writer_tasks, .. } = self;
         // The lanes are gone (their clones dropped); releasing the
         // originals is what lets the writers observe close.
-        drop(peer_tx);
+        drop(links);
         for task in writer_tasks {
             let mut task = task;
             tokio::select! {
@@ -345,29 +359,148 @@ impl SessionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delphi_primitives::Envelope;
+    use crate::frame::{decode_inbound_frame_ref, encode_epoch_frame, FrameError};
+    use delphi_crypto::TAG_LEN;
+    use delphi_primitives::{Envelope, EpochId, InstanceId};
+    use tokio::io::AsyncReadExt;
+    use tokio::net::{TcpListener, TcpStream};
 
-    #[test]
-    fn send_or_drop_counts_overflow_and_keeps_capacity_frames() {
-        let counters = Counters::default();
-        let (tx, mut rx) = mpsc::channel::<Bytes>(4);
-        for i in 0u8..100 {
-            send_or_drop(&tx, Bytes::from(vec![i]), &counters);
-        }
-        assert_eq!(counters.dropped_egress.load(Ordering::Relaxed), 96);
-        // The frames that made it are the first four, in order.
-        drop(tx);
-        let mut delivered = Vec::new();
-        while let Some(frame) = futures_recv(&mut rx) {
-            delivered.push(frame[0]);
-        }
-        assert_eq!(delivered, vec![0, 1, 2, 3]);
+    /// Reads one `[u32 len][body]` frame, returned whole.
+    async fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+        let mut frame = vec![0u8; 4];
+        stream.read_exact(&mut frame).await.unwrap();
+        let len = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
+        frame.resize(4 + len, 0);
+        stream.read_exact(&mut frame[4..]).await.unwrap();
+        frame
     }
 
-    /// Drains one value from a receiver without a runtime (the channel
-    /// stub resolves immediately when a value or closure is available).
-    fn futures_recv(rx: &mut mpsc::Receiver<Bytes>) -> Option<Bytes> {
-        tokio::runtime::Runtime::new().ok()?.block_on(rx.recv())
+    /// Node 0 of `n`, its peers listening on loopback: the session set
+    /// and the peers' listeners (index `p - 1` for peer `p`).
+    async fn live_peer_sessions(
+        seed: &[u8],
+        n: usize,
+        counters: &Arc<Counters>,
+        egress_capacity: usize,
+    ) -> (SessionSet, Vec<TcpListener>) {
+        let mut listeners = Vec::new();
+        let mut addrs = vec!["127.0.0.1:1".parse().unwrap()];
+        for _ in 1..n {
+            let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
+            addrs.push(listener.local_addr().unwrap());
+            listeners.push(listener);
+        }
+        let keychain = Arc::new(Keychain::derive(seed, NodeId(0), n));
+        let sessions = SessionSet::connect(
+            keychain,
+            &addrs,
+            Duration::from_millis(5),
+            counters.clone(),
+            FlushPolicy::PerStep,
+            egress_capacity,
+        );
+        (sessions, listeners)
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn broadcast_flush_hashes_one_body_for_three_frames() {
+        // One step broadcasting to the three peers of a 4-node mesh: one
+        // flush, one body encoded and hashed, three tags. What each peer
+        // receives is byte-for-byte the frame encoded for it alone, and
+        // verifies only there.
+        let counters = Arc::new(Counters::default());
+        let (sessions, listeners) = live_peer_sessions(b"share", 4, &counters, 16).await;
+        let mut lane = sessions.lane(0);
+        let payload = Bytes::from_static(b"an echo for everyone");
+        let id = AgreementId::new(EpochId(7), InstanceId(2));
+        lane.send_step(vec![(id, vec![Envelope::to_all(payload.clone())])]);
+        assert_eq!(counters.body_hashes.load(Ordering::Relaxed), 1, "one body hash");
+        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3, "one tag per peer");
+        let receivers: Vec<Keychain> =
+            (1..4).map(|p| Keychain::derive(b"share", NodeId(p), 4)).collect();
+        let sender = Keychain::derive(b"share", NodeId(0), 4);
+        let mut frames = Vec::new();
+        for (listener, receiver) in listeners.iter().zip(&receivers) {
+            let (mut stream, _) = listener.accept().await.unwrap();
+            let frame = read_frame(&mut stream).await;
+            let alone = encode_epoch_frame(&sender, receiver.node_id(), &[(id, payload.clone())]);
+            assert_eq!(frame, alone.to_vec());
+            frames.push(frame);
+        }
+        let untagged = frames[0].len() - TAG_LEN;
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!(frame[..untagged], frames[0][..untagged], "identical up to the tag");
+            for (j, receiver) in receivers.iter().enumerate() {
+                let verdict = decode_inbound_frame_ref(receiver, &frame[4..]).map(|(from, _)| from);
+                let expect = if i == j { Ok(NodeId(0)) } else { Err(FrameError::BadTag) };
+                assert_eq!(verdict, expect, "frame {i} at receiver {j}");
+            }
+        }
+        drop(lane);
+        sessions.shutdown(Instant::now() + Duration::from_secs(5)).await;
+        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 3);
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn slow_reader_gets_every_frame_whole_and_in_order() {
+        // One lane sends 8 MiB of numbered 16 KiB frames to a peer that
+        // reads the first, then nothing until the lane is done, then
+        // slowly. The worker writes straight to the socket until it fills;
+        // the frame that no longer fits goes to the writer mid-frame, and
+        // everything behind it queues there. Every frame must arrive
+        // whole, authentic and in order.
+        const FRAMES: u32 = 512;
+        let counters = Arc::new(Counters::default());
+        let (sessions, listeners) = live_peer_sessions(b"slow", 2, &counters, 1024).await;
+        let listener = listeners.into_iter().next().unwrap();
+        let mut lane = sessions.lane(0);
+        let numbered = |seq: u32| {
+            let mut payload = vec![seq as u8; 16 * 1024];
+            payload[..4].copy_from_slice(&seq.to_be_bytes());
+            payload
+        };
+        let (done_tx, mut done_rx) = tokio::sync::mpsc::channel::<()>(1);
+        let reader = tokio::spawn(async move {
+            let receiver = Keychain::derive(b"slow", NodeId(1), 2);
+            let (mut stream, _) = listener.accept().await.unwrap();
+            let mut seqs = Vec::new();
+            for i in 0..FRAMES {
+                if i == 1 {
+                    done_rx.recv().await;
+                } else if i % 32 == 0 {
+                    tokio::time::sleep(Duration::from_millis(2)).await;
+                }
+                let frame = read_frame(&mut stream).await;
+                let (from, entries) = decode_inbound_frame_ref(&receiver, &frame[4..])
+                    .expect("every frame whole and authentic");
+                assert_eq!(from, NodeId(0));
+                for (_, payload) in entries.iter() {
+                    seqs.push(u32::from_be_bytes(payload[..4].try_into().unwrap()));
+                }
+            }
+            seqs
+        });
+        send_one(&mut lane, 1, &numbered(0));
+        // The writer dials for the first frame; once it is out, the
+        // writer holds nothing and the rest may go straight to the socket.
+        while counters.sent_frames.load(Ordering::Relaxed) == 0 {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+        for seq in 1..FRAMES {
+            send_one(&mut lane, 1, &numbered(seq));
+        }
+        // The peer has read nothing since frame 0. The writer held nothing
+        // then, so frame 1 went straight to the socket; 8 MiB cannot fit
+        // in the socket buffers, so the rest waits at the writer.
+        let out_early = counters.sent_frames.load(Ordering::Relaxed);
+        assert!(out_early > 1, "the worker wrote to the socket itself");
+        assert!(out_early < u64::from(FRAMES), "the socket filled: the writer took over");
+        done_tx.send(()).await.unwrap();
+        assert_eq!(reader.await.unwrap(), (0..FRAMES).collect::<Vec<_>>());
+        drop(lane);
+        sessions.shutdown(Instant::now() + Duration::from_secs(5)).await;
+        let stats = counters.snapshot();
+        assert_eq!((stats.sent_frames, stats.dropped_egress), (u64::from(FRAMES), 0));
     }
 
     /// A `SessionSet` for node 0 of `n` whose peers all live at a dead

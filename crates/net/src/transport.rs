@@ -9,24 +9,28 @@
 //!   connection out to its own [`read_loop`] task;
 //! - [`read_loop`] length-delimits, bounds-checks, and authenticates
 //!   inbound frames, surfacing the decoded `(sender, entries)` pairs;
-//! - [`spawn_writer`] / [`write_loop`] own one outbound connection each,
-//!   dialing lazily (only once a frame is queued) and reconnecting with
-//!   exponential backoff, so a peer that never appears cannot stall
-//!   shutdown while its queue is empty;
+//! - a [`PeerLink`] is one outbound connection: workers write frames
+//!   straight to its non-blocking socket ([`PeerLink::send`]); its
+//!   [`write_loop`] task is the slow path, dialing lazily (only once a
+//!   frame is handed to it, so a peer that never appears cannot stall
+//!   shutdown), reconnecting with exponential backoff, and draining what
+//!   a worker could not write at once;
 //! - [`Counters`] / [`NetStats`] are the wire-level observability shared
 //!   by every layer above.
 
+use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use bytes::Bytes;
 use delphi_crypto::Keychain;
 use delphi_primitives::NodeId;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
+use tokio::sync::mpsc::error::TrySendError;
 
 use crate::frame::{decode_inbound_frame_ref, FrameError, MAX_FRAME_BODY, MIN_FRAME_BODY};
 
@@ -35,7 +39,7 @@ use crate::frame::{decode_inbound_frame_ref, FrameError, MAX_FRAME_BODY, MIN_FRA
 /// Reconnection starts at [`crate::RunOptions::reconnect_delay`] and
 /// doubles on every consecutive failure up to this factor, then resets on
 /// a successful connection.
-pub(crate) const MAX_BACKOFF_FACTOR: u32 = 16;
+pub(crate) const MAX_BACKOFF_FACTOR: u32 = 160;
 
 /// Maximum receive dispatch shards a runner may use
 /// ([`crate::RunOptions::recv_shards`] is clamped to this), sized so
@@ -46,10 +50,14 @@ pub const MAX_RECV_SHARDS: usize = 8;
 /// Byte counters observed by the runner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Frames sent (envelopes share a frame unless flushed per entry).
+    /// Frames sent (envelopes share a frame unless flushed per entry),
+    /// counted by whoever wrote a frame's last byte, worker or writer.
     pub sent_frames: u64,
     /// Total bytes written to sockets (frames incl. headers).
     pub sent_bytes: u64,
+    /// Outbound frame bodies hashed: frames encoded (`egress_shard_macs`
+    /// summed) minus these shared a body hash with another destination.
+    pub body_hashes: u64,
     /// Envelopes queued for sending, after broadcast expansion.
     pub sent_entries: u64,
     /// Frames received and authenticated.
@@ -68,7 +76,8 @@ pub struct NetStats {
     /// dropped and counted here rather than treated as protocol errors.
     pub late_entries: u64,
     /// HMAC tag computations (one per frame encoded, one per tag
-    /// verified). Batching lowers this together with `sent_frames`.
+    /// verified), each over a body digest. Batching lowers this together
+    /// with `sent_frames`.
     pub mac_ops: u64,
     /// Session-layer flush buffers reused from the free-list instead of
     /// freshly allocated (see `PendingBatches::recycle`).
@@ -105,6 +114,7 @@ pub struct NetStats {
 pub(crate) struct Counters {
     pub(crate) sent_frames: AtomicU64,
     pub(crate) sent_bytes: AtomicU64,
+    pub(crate) body_hashes: AtomicU64,
     pub(crate) sent_entries: AtomicU64,
     pub(crate) recv_frames: AtomicU64,
     pub(crate) recv_entries: AtomicU64,
@@ -130,11 +140,17 @@ fn load_array(counters: &[AtomicU64; MAX_RECV_SHARDS]) -> [u64; MAX_RECV_SHARDS]
 }
 
 impl Counters {
+    fn count_sent(&self, bytes: usize) {
+        self.sent_frames.fetch_add(1, Ordering::Relaxed);
+        self.sent_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
     pub(crate) fn snapshot(&self) -> NetStats {
         let shard_entries = load_array(&self.shard_entries);
         NetStats {
             sent_frames: self.sent_frames.load(Ordering::Relaxed),
             sent_bytes: self.sent_bytes.load(Ordering::Relaxed),
+            body_hashes: self.body_hashes.load(Ordering::Relaxed),
             sent_entries: self.sent_entries.load(Ordering::Relaxed),
             recv_frames: self.recv_frames.load(Ordering::Relaxed),
             recv_entries: self.recv_entries.load(Ordering::Relaxed),
@@ -206,16 +222,76 @@ pub(crate) fn spawn_acceptor(
     })
 }
 
-/// Spawns a [`write_loop`] task owning the outbound connection to `addr`.
-pub(crate) fn spawn_writer(
+/// One peer's outbound connection, shared by the dispatch workers and the
+/// peer's writer task; the writer's queue closes with the last clone.
+#[derive(Clone)]
+pub(crate) struct PeerLink {
+    conn: Arc<Mutex<Conn>>,
+    /// The writer's bounded queue (`egress_capacity` frames), each frame
+    /// with how many of its bytes are already on the current connection.
+    backlog: mpsc::Sender<(Bytes, usize)>,
+}
+
+/// The per-peer lock: workers check it and write under it, so their
+/// frames never interleave.
+struct Conn {
+    /// What the writer dialed; `None` before and after a failed write.
+    stream: Option<Arc<TcpStream>>,
+    /// Frames the writer holds. Workers write directly only at 0, when
+    /// every earlier frame is whole on the wire.
+    held: usize,
+}
+
+/// Every update under the lock is one assignment, so a poisoned guard
+/// still holds valid data.
+fn lock(conn: &Mutex<Conn>) -> std::sync::MutexGuard<'_, Conn> {
+    conn.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Opens the link to `addr`, not dialed yet, and its [`write_loop`] task
+/// behind a queue of `capacity` frames.
+pub(crate) fn open_link(
     addr: SocketAddr,
-    rx: mpsc::Receiver<Bytes>,
+    capacity: usize,
     reconnect_delay: Duration,
     counters: Arc<Counters>,
-) -> tokio::task::JoinHandle<()> {
-    tokio::spawn(async move {
-        let _ = write_loop(addr, rx, reconnect_delay, counters).await;
-    })
+) -> (PeerLink, tokio::task::JoinHandle<()>) {
+    let (backlog, rx) = mpsc::channel(capacity);
+    let conn = Arc::new(Mutex::new(Conn { stream: None, held: 0 }));
+    let writer = tokio::spawn(write_loop(addr, conn.clone(), rx, reconnect_delay, counters));
+    (PeerLink { conn, backlog }, writer)
+}
+
+impl PeerLink {
+    /// Sends one whole frame: straight to the socket if the writer holds
+    /// nothing and the socket takes it all, else (not dialed, socket full,
+    /// the rest of a partial write) to the writer. Returns `false` if it
+    /// was dropped because the writer is `egress_capacity` frames behind:
+    /// a peer slower than that is treated like a crashed one (the
+    /// `t < n/3` budget), never allowed to stall the calling worker.
+    pub(crate) fn send(&self, frame: &[u8], counters: &Counters) -> bool {
+        let mut conn = lock(&self.conn);
+        let mut written = 0;
+        match conn.stream.as_ref().filter(|_| conn.held == 0).map(|s| s.try_write(frame)) {
+            Some(Ok(n)) => written = n,
+            Some(Err(e)) if e.kind() != ErrorKind::WouldBlock => conn.stream = None,
+            _ => {}
+        }
+        if written == frame.len() {
+            counters.count_sent(frame.len());
+            return true;
+        }
+        // Bytes were written only at `held == 0`, so the queue has room
+        // for a partial frame. A closed queue (writer gone) discards.
+        let deferred = (Bytes::copy_from_slice(frame), written);
+        let full = matches!(self.backlog.try_send(deferred), Err(TrySendError::Full(_)));
+        if full {
+            counters.dropped_egress.fetch_add(1, Ordering::Relaxed);
+        } else {
+            conn.held += 1;
+        }
+        !full
+    }
 }
 
 pub(crate) async fn read_loop(
@@ -283,52 +359,43 @@ pub(crate) async fn read_loop(
     }
 }
 
-pub(crate) async fn write_loop(
+/// The slow path of one [`PeerLink`]: finishes each handed-over frame, in
+/// order, before anything else reaches the peer. It dials only once a
+/// frame is handed over (channel-close is observed at once, parked on
+/// recv); a failed write redials with backoff and resends the frame
+/// whole, so a new connection only ever carries whole frames.
+async fn write_loop(
     addr: SocketAddr,
-    mut rx: mpsc::Receiver<Bytes>,
+    conn: Arc<Mutex<Conn>>,
+    mut rx: mpsc::Receiver<(Bytes, usize)>,
     reconnect_delay: Duration,
     counters: Arc<Counters>,
-) -> std::io::Result<()> {
-    let mut pending: Option<Bytes> = None;
+) {
     let mut backoff = reconnect_delay;
-    'reconnect: loop {
-        // Dial only when there is something to send: a peer that never
-        // comes up then cannot stall shutdown while its queue is empty
-        // (channel-close is observed here, parked on recv, immediately).
-        if pending.is_none() {
-            pending = match rx.recv().await {
-                Some(f) => Some(f),
-                None => return Ok(()), // runner finished, nothing queued
-            };
-        }
-        let mut stream = loop {
-            match TcpStream::connect(addr).await {
-                Ok(s) => {
-                    backoff = reconnect_delay;
-                    break s;
-                }
-                Err(_) => {
+    while let Some((frame, mut written)) = rx.recv().await {
+        while let Some(rest) = frame.get(written..).filter(|rest| !rest.is_empty()) {
+            let current = lock(&conn).stream.clone();
+            let Some(stream) = current else {
+                let Ok(stream) = TcpStream::connect(addr).await else {
                     tokio::time::sleep(backoff).await;
                     backoff = (backoff * 2).min(reconnect_delay * MAX_BACKOFF_FACTOR);
-                }
-            }
-        };
-        let _ = stream.set_nodelay(true);
-        loop {
-            let frame = match pending.take() {
-                Some(f) => f,
-                None => match rx.recv().await {
-                    Some(f) => f,
-                    None => return Ok(()), // runner finished, queue drained
-                },
+                    continue;
+                };
+                let _ = stream.set_nodelay(true);
+                (backoff, written) = (reconnect_delay, 0);
+                lock(&conn).stream = Some(Arc::new(stream));
+                continue;
             };
-            if stream.write_all(&frame).await.is_err() {
-                pending = Some(frame); // retry on a fresh connection
-                continue 'reconnect;
+            match stream.try_write(rest) {
+                Ok(n) if n > 0 => written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    stream.writable().await.unwrap_or_default();
+                }
+                _ => lock(&conn).stream = None,
             }
-            counters.sent_frames.fetch_add(1, Ordering::Relaxed);
-            counters.sent_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         }
+        lock(&conn).held -= 1;
+        counters.count_sent(frame.len());
     }
 }
 
@@ -337,9 +404,52 @@ mod tests {
     use super::*;
     use crate::frame::encode_epoch_frame;
     use delphi_primitives::AgreementId;
+    use tokio::io::AsyncWriteExt;
 
     fn one_entry(payload: &'static [u8]) -> [(AgreementId, Bytes); 1] {
         [(AgreementId::default(), Bytes::from_static(payload))]
+    }
+
+    #[test]
+    fn undialed_link_defers_in_order_and_drops_past_capacity() {
+        // No writer drains this link: its first four frames wait in the
+        // queue, in order, and the other 96 are dropped and counted —
+        // the calling worker never waits.
+        let counters = Counters::default();
+        let (backlog, mut rx) = mpsc::channel(4);
+        let conn = Arc::new(Mutex::new(Conn { stream: None, held: 0 }));
+        let link = PeerLink { conn, backlog };
+        let kept: Vec<bool> = (0u8..100).map(|i| link.send(&[i], &counters)).collect();
+        assert!(kept[..4].iter().all(|&k| k) && kept[4..].iter().all(|&k| !k));
+        assert_eq!(counters.dropped_egress.load(Ordering::Relaxed), 96);
+        assert_eq!(lock(&link.conn).held, 4);
+        drop(link);
+        let mut delivered = Vec::new();
+        while let Ok((frame, written)) = rx.try_recv() {
+            assert_eq!(written, 0, "nothing was written before the hand-off");
+            delivered.push(frame[0]);
+        }
+        assert_eq!(delivered, vec![0, 1, 2, 3]);
+    }
+
+    /// Reads one `[u32 len][body]` frame and authenticates it at `bob`.
+    async fn read_payload(stream: &mut TcpStream, bob: &Keychain) -> Vec<u8> {
+        let mut len_buf = [0u8; 4];
+        stream.read_exact(&mut len_buf).await.unwrap();
+        let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
+        stream.read_exact(&mut body).await.unwrap();
+        let (from, entries) = decode_inbound_frame_ref(bob, &body).expect("authentic frame");
+        assert_eq!(from, NodeId(0));
+        let (id, payload) = entries.iter().next().expect("one entry");
+        assert_eq!(id, AgreementId::default());
+        payload.to_vec()
+    }
+
+    /// Waits until `counters` report `frames` sent.
+    async fn until_sent(counters: &Counters, frames: u64) {
+        while counters.sent_frames.load(Ordering::Relaxed) < frames {
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -382,34 +492,51 @@ mod tests {
     async fn writer_reconnects_with_backoff_and_delivers() {
         // The peer comes up only after several dial failures; the writer
         // must keep retrying (with growing backoff) and deliver the queued
-        // frame on the connection that finally succeeds.
+        // frame on the connection that finally succeeds. Then the peer
+        // resets that connection in the middle of an 8 MiB frame (more
+        // than the socket buffers hold, so part of it is still unwritten):
+        // the writer must redial and send that frame whole, and the next
+        // one after it, on the new connection.
         let alice = Keychain::derive(b"backoff", NodeId(0), 2);
+        let bob = Keychain::derive(b"backoff", NodeId(1), 2);
         let holder = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = holder.local_addr().unwrap();
         drop(holder);
 
         let counters = Arc::new(Counters::default());
-        let (tx, rx) = mpsc::channel(16);
-        let writer = spawn_writer(addr, rx, Duration::from_millis(5), counters.clone());
-        tx.try_send(encode_epoch_frame(&alice, NodeId(1), &one_entry(b"patience"))).unwrap();
+        let (link, writer) = open_link(addr, 16, Duration::from_millis(5), counters.clone());
+        let frame = |payload: &[u8]| {
+            let entry = [(AgreementId::default(), Bytes::copy_from_slice(payload))];
+            encode_epoch_frame(&alice, NodeId(1), &entry)
+        };
+        assert!(link.send(&frame(b"patience"), &counters));
 
         // Let several backoff rounds elapse before the listener appears.
         tokio::time::sleep(Duration::from_millis(120)).await;
         let listener = TcpListener::bind(addr).await.unwrap();
         let (mut server, _) = listener.accept().await.unwrap();
-        let mut len_buf = [0u8; 4];
-        server.read_exact(&mut len_buf).await.unwrap();
-        let mut body = vec![0u8; u32::from_be_bytes(len_buf) as usize];
-        server.read_exact(&mut body).await.unwrap();
-        let bob = Keychain::derive(b"backoff", NodeId(1), 2);
-        let (from, entries) = decode_inbound_frame_ref(&bob, &body).expect("authentic frame");
-        assert_eq!(from, NodeId(0));
-        assert_eq!(entries.iter().next(), Some((AgreementId::default(), &b"patience"[..])));
+        assert_eq!(read_payload(&mut server, &bob).await, b"patience");
 
-        // The writer bumps its counter on its own thread once `write_all`
-        // returns, which may be after our read completes: join it first.
-        drop(tx);
+        // The writer holds nothing once its frame is out: the big frame
+        // goes straight to the socket, fills it, and the writer takes
+        // over mid-frame.
+        until_sent(&counters, 1).await;
+        let big = vec![0x42u8; 8 << 20];
+        assert!(link.send(&frame(&big), &counters));
+        assert_eq!(lock(&link.conn).held, 1, "8 MiB never fit the socket at once");
+        assert!(link.send(&frame(b"after"), &counters));
+        let mut head = vec![0u8; 64 * 1024];
+        server.read_exact(&mut head).await.unwrap();
+        drop(server); // unread bytes: the close is a reset
+
+        let (mut server, _) = listener.accept().await.unwrap();
+        assert_eq!(read_payload(&mut server, &bob).await, big, "resent whole");
+        assert_eq!(read_payload(&mut server, &bob).await, b"after");
+
+        // The writer bumps its counter on its own thread once the write
+        // completes, which may be after our read does: join it first.
+        drop(link);
         writer.await.unwrap();
-        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 3);
     }
 }

@@ -206,7 +206,7 @@ pub fn encode_epoch_batch(entries: &[(AgreementId, Bytes)]) -> Bytes {
 /// # Panics
 ///
 /// As [`encode_epoch_batch`].
-pub fn put_epoch_batch(entries: &[(AgreementId, Bytes)], buf: &mut BytesMut) {
+pub fn put_epoch_batch(entries: &[(AgreementId, Bytes)], buf: &mut impl BufMut) {
     let count = u16::try_from(entries.len()).expect("epoch batch entry count fits u16");
     buf.put_u16(count);
     for (id, payload) in entries {
