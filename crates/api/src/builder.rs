@@ -10,7 +10,7 @@
 //! ```ignore
 //! let handle = ServiceBuilder::new(cfg, me)
 //!     .epochs(120).assets(4).pipeline_depth(2).window(6)
-//!     .flush(FlushPolicy::adaptive()).recv_shards(2)
+//!     .flush(FlushPolicy::adaptive())
 //!     .api_bind("127.0.0.1:0".parse().unwrap())
 //!     .serve(seed, addrs, source)
 //!     .await?;
@@ -114,18 +114,18 @@ impl ServiceBuilder {
         self
     }
 
-    /// Receive-path dispatch shards (see `RunOptions::recv_shards`).
-    pub fn recv_shards(mut self, shards: usize) -> ServiceBuilder {
-        self.opts.recv_shards = shards;
+    /// Does nothing: a node runs one dispatch worker that owns its whole
+    /// pipeline, so there are no receive shards to size. The setter stays
+    /// only because the frozen wall-clock benchmark (`fig_e2e/src/sut.rs`)
+    /// calls it.
+    pub fn recv_shards(self, _shards: usize) -> ServiceBuilder {
         self
     }
 
-    /// Does nothing: a node's send parallelism is its
-    /// [`recv_shards`](ServiceBuilder::recv_shards) — every dispatch
-    /// worker routes, batches, encodes and MACs its own output — and the
-    /// separate egress lanes this once sized are gone. The setter stays
-    /// only because the frozen wall-clock benchmark (`fig_e2e/src/sut.rs`)
-    /// calls it.
+    /// Does nothing, like [`recv_shards`](ServiceBuilder::recv_shards):
+    /// the one dispatch worker routes, batches, encodes and MACs its own
+    /// output. The setter stays only because the frozen wall-clock
+    /// benchmark (`fig_e2e/src/sut.rs`) calls it.
     pub fn send_shards(self, _shards: usize) -> ServiceBuilder {
         self
     }
@@ -200,13 +200,11 @@ impl ServiceBuilder {
     /// larger than `MAX_VECTOR_DIMS`.
     pub fn build_service(self, source: PriceSource) -> OracleService {
         let epochs = self.epoch_config();
-        let (flush, shards) = (self.opts.flush, self.opts.recv_shards);
         OracleService::from_parts(
             self.cfg,
             self.me,
             epochs,
-            flush,
-            shards,
+            self.opts.flush,
             self.vector,
             source,
             None,

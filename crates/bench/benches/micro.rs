@@ -142,15 +142,14 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-/// A dispatch worker's two codec halves, as entries/second
+/// The dispatch worker's two codec halves, as entries/second
 /// (`Throughput::Elements`). `recv_entries`: verify + borrowed split +
-/// shard routing of authenticated epoch frames, what the TCP read loop
+/// entry walk of authenticated epoch frames, what the TCP read loop
 /// and the worker's re-split do per frame. `send_entries`: the worker's
 /// own egress flush — route one step's bursts per destination,
 /// accumulate them under the flush policy, and encode + MAC one frame
 /// per due destination. Both are per-frame MAC work plus a per-entry
-/// walk; the shard count only picks which worker runs them, so there is
-/// one row each, not a shard sweep.
+/// walk.
 fn bench_dispatch(c: &mut Criterion) {
     let n = 4;
     let assets = 8u16;
@@ -174,15 +173,15 @@ fn bench_dispatch(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total_entries));
     group.bench_function("recv_entries", |b| {
         b.iter(|| {
-            let mut per_shard = [0u64; 8];
+            let mut bytes = 0u64;
             for frame in &frames {
                 let (_, entries) =
                     decode_inbound_frame_ref(&bob, black_box(&frame[4..])).expect("authentic");
-                for (id, payload) in entries.iter() {
-                    per_shard[id.shard(4)] += payload.len() as u64;
+                for (_, payload) in entries.iter() {
+                    bytes += payload.len() as u64;
                 }
             }
-            per_shard
+            bytes
         })
     });
 

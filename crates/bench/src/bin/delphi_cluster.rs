@@ -9,7 +9,7 @@
 //!                [--assets 1] [--unbatched] [--quote-seed 7] [--epsilon 2]
 //!                [--node-binary path/to/delphi-node] [--deadline-ms 60000]
 //!                [--epochs K] [--depth D] [--window W] [--adaptive]
-//!                [--recv-shards S] [--vector]
+//!                [--vector]
 //! ```
 //!
 //! With `--n`, a localhost config on freshly reserved ports is written to
@@ -53,7 +53,6 @@ struct Args {
     depth: usize,
     window: usize,
     adaptive: bool,
-    recv_shards: usize,
     vector: bool,
 }
 
@@ -71,7 +70,6 @@ fn parse_args() -> Result<Args, String> {
         depth: 2,
         window: 6,
         adaptive: false,
-        recv_shards: 1,
         vector: false,
     };
     let mut args = std::env::args().skip(1);
@@ -106,10 +104,6 @@ fn parse_args() -> Result<Args, String> {
                 out.window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?;
             }
             "--adaptive" => out.adaptive = true,
-            "--recv-shards" => {
-                out.recv_shards =
-                    value("--recv-shards")?.parse().map_err(|e| format!("--recv-shards: {e}"))?;
-            }
             "--vector" => out.vector = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -119,9 +113,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if out.config.is_some() && out.n.is_some() {
         return Err("--config and --n are mutually exclusive".to_string());
-    }
-    if out.recv_shards == 0 {
-        return Err("--recv-shards must be at least 1".to_string());
     }
     if out.vector && out.epochs == 0 {
         return Err("--vector only applies to a streaming run (--epochs)".to_string());
@@ -168,7 +159,6 @@ fn main() -> ExitCode {
     spec.depth = args.depth;
     spec.window = args.window;
     spec.adaptive = args.adaptive;
-    spec.recv_shards = args.recv_shards;
     spec.vector = args.vector;
 
     let flush = match (args.unbatched, args.adaptive) {

@@ -13,7 +13,7 @@
 //!             [--deadline-ms 60000] [--rho0 2] [--epsilon 2]
 //!             [--delta-max 2000]
 //!             [--epochs K] [--depth D] [--window W] [--adaptive]
-//!             [--recv-shards S] [--vector]
+//!             [--vector]
 //!             [--api-bind 127.0.0.1:8080]
 //! ```
 //!
@@ -83,7 +83,6 @@ struct Args {
     epochs: u32,
     depth: usize,
     window: usize,
-    recv_shards: usize,
     vector: bool,
     api_bind: Option<std::net::SocketAddr>,
 }
@@ -103,7 +102,6 @@ fn parse_args() -> Result<Args, String> {
     let mut depth = 2usize;
     let mut window = 6usize;
     let mut adaptive = false;
-    let mut recv_shards = 1usize;
     let mut vector = false;
     let mut api_bind = None;
 
@@ -148,10 +146,6 @@ fn parse_args() -> Result<Args, String> {
                 window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?;
             }
             "--adaptive" => adaptive = true,
-            "--recv-shards" => {
-                recv_shards =
-                    value("--recv-shards")?.parse().map_err(|e| format!("--recv-shards: {e}"))?;
-            }
             "--vector" => vector = true,
             "--api-bind" => {
                 api_bind =
@@ -171,9 +165,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if epochs > 0 && (depth == 0 || window < depth) {
         return Err("--epochs needs --depth >= 1 and --window >= --depth".to_string());
-    }
-    if recv_shards == 0 {
-        return Err("--recv-shards must be at least 1".to_string());
     }
     if api_bind.is_some() && epochs == 0 {
         return Err("--api-bind only applies to an epoch run (--epochs)".to_string());
@@ -201,7 +192,6 @@ fn parse_args() -> Result<Args, String> {
         epochs,
         depth,
         window,
-        recv_shards,
         vector,
         api_bind,
     })
@@ -274,7 +264,6 @@ async fn run(args: Args) -> Result<NodeReport, String> {
     let opts = RunOptions {
         deadline: Duration::from_millis(args.deadline_ms),
         flush: args.flush,
-        recv_shards: args.recv_shards,
         ..RunOptions::default()
     };
     let started = Instant::now();
@@ -290,7 +279,6 @@ async fn run(args: Args) -> Result<NodeReport, String> {
             .pipeline_depth(args.depth)
             .window(args.window)
             .flush(opts.flush)
-            .recv_shards(args.recv_shards)
             .deadline(Duration::from_millis(args.deadline_ms))
             .vector_baskets(args.vector);
         let source = feed_price_source(feed, me, n);

@@ -28,8 +28,8 @@ use delphi_bench::cluster::{
     cluster_flag, run_cluster, summarize_epochs, ClusterRunSpec, LOCAL_EPSILON,
 };
 use delphi_bench::{
-    emit_bench_json, oracle_config, quick_mode, run_epoch_delphi, run_epoch_delphi_full_sharded,
-    run_epoch_delphi_sharded, run_epoch_vector_delphi, TextTable,
+    emit_bench_json, oracle_config, quick_mode, run_epoch_delphi, run_epoch_vector_delphi,
+    TextTable,
 };
 use delphi_primitives::{EpochConfig, FlushPolicy};
 use delphi_sim::Topology;
@@ -166,132 +166,35 @@ fn main() {
     println!("{}", table.render());
     println!("csv:\n{}", table.to_csv());
 
-    // Receive-sharding sweep: the CPU-bound CPS regime (slow per-message
-    // receive CPU, sub-millisecond latency — the paper's Fig. 7-right
-    // regime) at basket 8, where per-node dispatch is the throughput
-    // ceiling. Senders flush per (destination, shard) and the simulator
-    // runs one receive CPU lane per shard — the exact model of
-    // `delphi-net`'s sharded dispatch (`RunOptions::recv_shards`).
-    let shard_epochs: u32 = if quick { 10 } else { 30 };
-    let shard_depth: usize = if quick { 2 } else { 4 };
-    let shard_basket = 8usize;
+    // The CPU-bound CPS regime (slow per-message receive CPU,
+    // sub-millisecond latency — the paper's Fig. 7-right regime) at
+    // basket 8, where per-node dispatch is the throughput ceiling. (The
+    // row ids keep their `s1` tag, so the recorded rows stay comparable.)
+    let cps_epochs: u32 = if quick { 10 } else { 30 };
+    let cps_depth: usize = if quick { 2 } else { 4 };
+    let cps_basket = 8usize;
     println!(
-        "\n== Receive sharding: n = {n}, {shard_epochs} epochs, basket {shard_basket}, depth \
-         {shard_depth}, CPS (CPU-bound) testbed, adaptive flushing ==\n"
+        "\n== CPU-bound: n = {n}, {cps_epochs} epochs, basket {cps_basket}, depth {cps_depth}, \
+         CPS testbed, adaptive flushing ==\n"
     );
-    let shard_feed = EpochFeed::new(MultiAssetConfig::synthetic(shard_basket), 11);
-    let shard_cfg =
-        EpochConfig::new(shard_epochs, shard_basket as u16, shard_depth, shard_depth + 4, cfg.t());
-    let mut shard_table = TextTable::new(&["shards", "agr/s", "B/agr", "frames/agr"]);
-    let mut rates = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let point = run_epoch_delphi_sharded(
-            &cfg,
-            &shard_feed,
-            shard_cfg,
-            ADAPTIVE,
-            Topology::cps(n, n),
-            9_001,
-            shards,
-        );
-        assert_eq!(point.stale_epochs, 0, "honest shard sweep must not skip epochs");
-        assert!(point.worst_spread <= cfg.epsilon() + 1e-9, "epoch diverged (shards={shards})");
-        let id = |metric: &str| {
-            format!("fig_throughput/k{shard_basket}_d{shard_depth}_s{shards}_cps_{metric}")
-        };
-        emit_bench_json(
-            &id("ns_per_agreement"),
-            point.throughput.sim_seconds * 1e9 / point.throughput.agreements as f64,
-        );
-        emit_bench_json(&id("bytes_per_agreement"), point.throughput.bytes_per_agreement());
-        emit_bench_json(&id("frames_per_agreement"), point.throughput.frames_per_agreement());
-        shard_table.row(&[
-            shards.to_string(),
-            format!("{:.1}", point.throughput.agreements_per_sec()),
-            format!("{:.0}", point.throughput.bytes_per_agreement()),
-            format!("{:.1}", point.throughput.frames_per_agreement()),
-        ]);
-        rates.push(point.throughput.agreements_per_sec());
-        eprintln!("  shards={shards} done");
-    }
-    println!("{}", shard_table.render());
+    let cps_feed = EpochFeed::new(MultiAssetConfig::synthetic(cps_basket), 11);
+    let cps_cfg =
+        EpochConfig::new(cps_epochs, cps_basket as u16, cps_depth, cps_depth + 4, cfg.t());
+    let point = run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001);
+    assert_eq!(point.stale_epochs, 0, "honest CPS run must not skip epochs");
+    assert!(point.worst_spread <= cfg.epsilon() + 1e-9, "epoch diverged (CPS)");
+    let id = |metric: &str| format!("fig_throughput/k{cps_basket}_d{cps_depth}_s1_cps_{metric}");
+    emit_bench_json(
+        &id("ns_per_agreement"),
+        point.throughput.sim_seconds * 1e9 / point.throughput.agreements as f64,
+    );
+    emit_bench_json(&id("bytes_per_agreement"), point.throughput.bytes_per_agreement());
+    emit_bench_json(&id("frames_per_agreement"), point.throughput.frames_per_agreement());
     println!(
-        "sharded receive speedup at basket {shard_basket}: x{:.2} (2 shards), x{:.2} (4 shards)",
-        rates[1] / rates[0],
-        rates[2] / rates[0],
-    );
-    assert!(
-        rates[1] > rates[0] && rates[2] > rates[0],
-        "receive sharding must raise simulated agreements/s at basket >= 8: {rates:?}"
-    );
-
-    // Send x receive sharding sweep: the CPS testbed in its encode-bound
-    // regime — same sub-millisecond latency and shared 100 Mbit links,
-    // but per-node CPU dominated by per-byte frame encode + MAC work
-    // (the regime where the egress pipeline is the ceiling). Every cell
-    // charges send CPU on encode bytes via per-node *send* lanes — the
-    // model of `delphi-net`'s egress, where each dispatch worker encodes
-    // and MACs its own shard class — so the 1x1 cell is the serial
-    // baseline and 4x4 the fully sharded one; the off-diagonal cells
-    // (fewer send lanes than receive shards) describe a placement the
-    // TCP runtime no longer offers. Bytes are conserved when a basket
-    // splits across shard classes, so a byte-dominated cost is what lane
-    // parallelism can overlap; the legacy receive-only rows above stay
-    // untouched (send lanes off, stock CPS cost).
-    let encode_bound = || {
-        Topology::cps(n, n)
-            .with_cost(delphi_sim::CostModel { per_message_ns: 15_000, per_byte_ns: 1_500 })
-    };
-    println!(
-        "\n== Send x receive sharding: n = {n}, {shard_epochs} epochs, basket {shard_basket}, \
-         depth {shard_depth}, encode-bound CPS testbed, adaptive flushing ==\n"
-    );
-    let mut send_table = TextTable::new(&["send", "recv", "agr/s", "B/agr", "frames/agr"]);
-    let mut send_rates = Vec::new();
-    for &(ss, rs) in &[(1usize, 1usize), (1, 4), (2, 4), (4, 4)] {
-        let point = run_epoch_delphi_full_sharded(
-            &cfg,
-            &shard_feed,
-            shard_cfg,
-            ADAPTIVE,
-            encode_bound(),
-            9_001,
-            rs,
-            Some(ss),
-        );
-        assert_eq!(point.stale_epochs, 0, "honest send-shard sweep must not skip epochs");
-        assert!(
-            point.worst_spread <= cfg.epsilon() + 1e-9,
-            "epoch diverged (send={ss}, recv={rs})"
-        );
-        let id = |metric: &str| {
-            format!("fig_throughput/k{shard_basket}_d{shard_depth}_ss{ss}_rs{rs}_cps_{metric}")
-        };
-        emit_bench_json(
-            &id("ns_per_agreement"),
-            point.throughput.sim_seconds * 1e9 / point.throughput.agreements as f64,
-        );
-        emit_bench_json(&id("bytes_per_agreement"), point.throughput.bytes_per_agreement());
-        emit_bench_json(&id("frames_per_agreement"), point.throughput.frames_per_agreement());
-        send_table.row(&[
-            ss.to_string(),
-            rs.to_string(),
-            format!("{:.1}", point.throughput.agreements_per_sec()),
-            format!("{:.0}", point.throughput.bytes_per_agreement()),
-            format!("{:.1}", point.throughput.frames_per_agreement()),
-        ]);
-        send_rates.push(point.throughput.agreements_per_sec());
-        eprintln!("  send={ss} recv={rs} done");
-    }
-    println!("{}", send_table.render());
-    println!(
-        "sharded egress speedup at basket {shard_basket}: x{:.2} (4x4 over 1x1 serial pipeline)",
-        send_rates[3] / send_rates[0],
-    );
-    assert!(
-        send_rates[3] >= 1.6 * send_rates[0],
-        "full 4x4 sharding must deliver >= x1.6 agreements/s over the serial 1x1 pipeline: \
-         {send_rates:?}"
+        "{:.1} agr/s, {:.0} B/agr, {:.1} frames/agr",
+        point.throughput.agreements_per_sec(),
+        point.throughput.bytes_per_agreement(),
+        point.throughput.frames_per_agreement(),
     );
 
     // Vector-vs-scalar sweep: each epoch's basket as ONE vector-valued

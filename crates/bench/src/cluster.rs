@@ -48,8 +48,6 @@ pub struct ClusterRunSpec {
     /// Adaptive batch flushing (size triggers, empty inbox) instead of per-step,
     /// in one-shot and streaming runs alike.
     pub adaptive: bool,
-    /// Receive dispatch shards per node (1 = unsharded).
-    pub recv_shards: usize,
     /// Run each epoch's basket as one vector-valued agreement instance
     /// (streaming runs only) instead of per-asset scalar instances.
     pub vector: bool,
@@ -70,7 +68,6 @@ impl ClusterRunSpec {
             depth: 2,
             window: 6,
             adaptive: false,
-            recv_shards: 1,
             vector: false,
         }
     }
@@ -115,9 +112,6 @@ pub fn run_cluster(spec: &ClusterRunSpec) -> Result<ClusterOutcome, ClusterError
     }
     if spec.adaptive {
         extra.push("--adaptive".to_string());
-    }
-    if spec.recv_shards > 1 {
-        extra.extend(["--recv-shards".to_string(), spec.recv_shards.to_string()]);
     }
     if spec.unbatched {
         extra.push("--unbatched".to_string());
@@ -194,8 +188,7 @@ pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -
     let total = outcome.total_stats();
     let secs = outcome.max_elapsed_ms() / 1e3;
     let agreements = outcome.epoch_agreements();
-    let encoded = total.egress_shard_macs.iter().sum::<u64>();
-    let shared = 1.0 - total.body_hashes as f64 / encoded.max(1) as f64;
+    let shared = 1.0 - total.body_hashes as f64 / total.sent_tags.max(1) as f64;
     let vector = if total.vector_dims > 0 {
         format!(
             " | vector baskets: {} instances x {} dims",
@@ -267,6 +260,7 @@ pub const LOCAL_EPSILON: f64 = 2.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delphi_net::cluster::NodeReport;
 
     #[test]
     fn reserved_config_has_distinct_free_ports() {
@@ -285,6 +279,31 @@ mod tests {
         let loaded = ClusterConfig::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded, cfg);
+    }
+
+    #[test]
+    fn epoch_summary_counts_frames_that_shared_a_body_hash() {
+        // Two nodes, 12 frames tagged and 4 bodies hashed between them:
+        // 8 of the 12 frames reused a body another destination hashed.
+        let report = |id: u16, sent_tags: u64, body_hashes: u64| NodeReport {
+            id,
+            output: 100.0,
+            elapsed_ms: 1_000.0,
+            agreements: vec![(0, 0, 100.0), (1, 0, 101.0)],
+            threads: 9,
+            ctxt_switches_per_agreement: 12.0,
+            stats: NetStats {
+                sent_frames: sent_tags,
+                sent_tags,
+                body_hashes,
+                ..NetStats::default()
+            },
+        };
+        let outcome = ClusterOutcome { reports: vec![report(0, 6, 2), report(1, 6, 2)] };
+        let line = summarize_epochs(&outcome, LOCAL_EPSILON, 2);
+        assert!(line.contains("0.667 of frames shared a body hash"), "{line}");
+        assert!(line.contains("2 agreements per node (expected 2)"), "{line}");
+        assert!(line.contains("6.00 frames/agreement"), "{line}");
     }
 
     #[test]

@@ -359,53 +359,7 @@ pub fn run_epoch_delphi(
     topology: Topology,
     seed: u64,
 ) -> EpochSimPoint {
-    run_epoch_delphi_sharded(cfg, feed, epoch_cfg, flush, topology, seed, 1)
-}
-
-/// [`run_epoch_delphi`] with a `recv_shards`-way sharded receive path:
-/// senders flush per `(destination, shard)` with tagged envelopes and the
-/// simulator runs one receive CPU lane per shard, modelling the TCP
-/// runtime's sharded dispatch (`RunOptions::recv_shards`) — the
-/// fig_throughput shard sweep runs through here.
-///
-/// # Panics
-///
-/// As [`run_epoch_delphi`], plus `recv_shards == 0`.
-pub fn run_epoch_delphi_sharded(
-    cfg: &DelphiConfig,
-    feed: &EpochFeed,
-    epoch_cfg: EpochConfig,
-    flush: FlushPolicy,
-    topology: Topology,
-    seed: u64,
-    recv_shards: usize,
-) -> EpochSimPoint {
-    run_epoch_delphi_full_sharded(cfg, feed, epoch_cfg, flush, topology, seed, recv_shards, None)
-}
-
-/// [`run_epoch_delphi_sharded`] with per-node *send* CPU lanes as well:
-/// `send_shards = Some(k)` adds `k` egress lanes per node, each costed on
-/// the encode bytes of the envelopes whose shard class maps to it —
-/// modelling the TCP runtime's egress, where every dispatch worker
-/// flushes its own shard class (so `k == recv_shards` is the placement
-/// `delphi-net` runs). `None` leaves sends serial on the link,
-/// exactly as [`run_epoch_delphi_sharded`] (the legacy sweep numbers).
-///
-/// # Panics
-///
-/// As [`run_epoch_delphi_sharded`], plus `send_shards == Some(0)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_epoch_delphi_full_sharded(
-    cfg: &DelphiConfig,
-    feed: &EpochFeed,
-    epoch_cfg: EpochConfig,
-    flush: FlushPolicy,
-    topology: Topology,
-    seed: u64,
-    recv_shards: usize,
-    send_shards: Option<usize>,
-) -> EpochSimPoint {
-    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, recv_shards, send_shards, false)
+    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, false)
 }
 
 /// [`run_epoch_delphi`] with every epoch's basket as ONE vector-valued
@@ -426,12 +380,11 @@ pub fn run_epoch_vector_delphi(
     topology: Topology,
     seed: u64,
 ) -> EpochSimPoint {
-    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, 1, None, true)
+    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, true)
 }
 
-/// The epoch runners' one body: [`run_epoch_delphi_full_sharded`], with
-/// `vector` picking how a basket maps onto instances.
-#[allow(clippy::too_many_arguments)]
+/// The epoch runners' one body: [`run_epoch_delphi`], with `vector`
+/// picking how a basket maps onto instances.
 fn run_epoch_stream(
     cfg: &DelphiConfig,
     feed: &EpochFeed,
@@ -439,8 +392,6 @@ fn run_epoch_stream(
     flush: FlushPolicy,
     topology: Topology,
     seed: u64,
-    recv_shards: usize,
-    send_shards: Option<usize>,
     vector: bool,
 ) -> EpochSimPoint {
     let n = cfg.n();
@@ -458,7 +409,6 @@ fn run_epoch_stream(
                     id,
                     epoch_cfg,
                     flush,
-                    recv_shards,
                     vector,
                     feed_price_source(feed.clone(), id, n),
                     Some(rounds),
@@ -469,10 +419,7 @@ fn run_epoch_stream(
                     as Box<dyn Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>>>
             })
             .collect();
-    let mut sim = Simulation::new(topology).seed(seed).recv_shards(recv_shards);
-    if let Some(lanes) = send_shards {
-        sim = sim.send_shards(lanes);
-    }
+    let mut sim = Simulation::new(topology).seed(seed);
     if let FlushPolicy::Adaptive { max_delay, .. } = flush {
         sim = sim.tick_interval_ns(max_delay.as_nanos().max(1) as u64);
     }

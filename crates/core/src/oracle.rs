@@ -41,13 +41,11 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 /// Two mappings of a basket onto agreement instances, one machine:
 ///
 /// - **per asset** — one [`VectorDelphiNode`] over a basket of one per
-///   `(epoch, asset)` pair: the scalar protocol of the paper, and what
-///   sharded receive paths spread across workers;
+///   `(epoch, asset)` pair: the scalar protocol of the paper;
 /// - **vector** — one [`VectorDelphiNode`] per epoch whose basket covers
 ///   every asset. The epoch layer sees one instance (asset 0 on the
 ///   wire): an ~basket-size reduction in sections, wire entries and BinAA
-///   rounds per agreement, traded for receive-side parallelism (all basket
-///   traffic lands in one shard class) and lock-step dimensions.
+///   rounds per agreement, traded for lock-step dimensions.
 ///
 /// Either way the stream is flattened to one [`EpochEvent`] per epoch with
 /// every asset's value in asset order, so consumers — and the throughput
@@ -69,7 +67,7 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 /// let epochs = EpochConfig::new(5, 2, 2, 4, cfg.t());
 /// let source: PriceSource = Box::new(|e, a| 50.0 + f64::from(e.0) + f64::from(a.0));
 /// let mut node = OracleService::from_parts(
-///     cfg, NodeId(0), epochs, FlushPolicy::PerStep, 1, false, source, None);
+///     cfg, NodeId(0), epochs, FlushPolicy::PerStep, false, source, None);
 /// assert!(!node.start().is_empty(), "the first epochs start immediately");
 /// ```
 pub struct OracleService {
@@ -84,12 +82,7 @@ impl OracleService {
     /// governs the rejoin quorum too); `source` supplies this node's input
     /// per `(epoch, asset)` pair. `vector` runs each epoch's basket as one
     /// instance over `epochs.assets` dimensions instead of one instance
-    /// per asset. With `recv_shards > 1` outgoing batches are flushed per
-    /// `(destination, receive shard)` and tagged with their
-    /// [`AgreementId::shard`](delphi_primitives::AgreementId::shard)
-    /// class, so drivers with a per-shard receive CPU (the simulator's
-    /// `recv_shards`, `delphi-net`'s sharded dispatch) overlap the
-    /// processing of different assets' traffic.
+    /// per asset.
     ///
     /// `probe`, if any, is a shared round counter attached to every
     /// spawned instance (see [`VectorDelphiNode::with_round_probe`]): it
@@ -100,15 +93,13 @@ impl OracleService {
     /// # Panics
     ///
     /// Panics on an invalid epoch config, `me` out of range for the
-    /// protocol config's `n`, `recv_shards == 0`, or — in vector mode — a
-    /// basket larger than [`MAX_VECTOR_DIMS`].
-    #[allow(clippy::too_many_arguments)]
+    /// protocol config's `n`, or — in vector mode — a basket larger than
+    /// [`MAX_VECTOR_DIMS`].
     pub fn from_parts(
         cfg: DelphiConfig,
         me: NodeId,
         epochs: EpochConfig,
         flush: FlushPolicy,
-        recv_shards: usize,
         vector: bool,
         mut source: PriceSource,
         probe: Option<Arc<AtomicU64>>,
@@ -136,7 +127,7 @@ impl OracleService {
             let factory = move |epoch, asset| spawn(&[source(epoch, asset)]);
             EpochMux::new(epochs, me, n, Box::new(factory))
         };
-        OracleService { inner: EpochProtocol::new(mux, flush).recv_shards(recv_shards) }
+        OracleService { inner: EpochProtocol::new(mux, flush) }
     }
 
     /// Epoch-layer counters (GC drops, skips, peak residency).
@@ -247,7 +238,6 @@ mod tests {
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
-                    1,
                     false,
                     Box::new(move |e, a| {
                         500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
@@ -308,7 +298,6 @@ mod tests {
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
-                    1,
                     true,
                     Box::new(move |e, a| {
                         500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
@@ -372,7 +361,6 @@ mod tests {
             NodeId(2),
             epoch_cfg,
             FlushPolicy::adaptive(),
-            1,
             false,
             Box::new(|_, _| 42.0),
             None,

@@ -250,7 +250,7 @@ impl DoraNode {
             .into_iter()
             .map(|env| {
                 let msg = DoraMsg::Inner(env.payload);
-                Envelope { to: env.to, payload: msg.to_bytes(), shard: env.shard }
+                Envelope { to: env.to, payload: msg.to_bytes() }
             })
             .collect()
     }

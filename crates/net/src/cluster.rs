@@ -61,25 +61,16 @@ impl NodeReport {
             .map(|(e, a, v)| format!("[{e},{a},{}]", fmt_f64(*v)))
             .collect::<Vec<_>>()
             .join(",");
-        let u64_array = |a: &[u64]| a.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
-        let shard_entries = u64_array(&s.shard_entries);
-        let egress_shard_entries = u64_array(&s.egress_shard_entries);
-        let egress_shard_macs = u64_array(&s.egress_shard_macs);
-        let dropped_egress_shard = u64_array(&s.dropped_egress_shard);
         format!(
             "{{\"id\":{},\"output\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\
              \"threads\":{},\"ctxt_switches_per_agreement\":{},\
              \"stats\":{{\
              \"sent_frames\":{},\"sent_bytes\":{},\"sent_entries\":{},\
-             \"body_hashes\":{},\
+             \"body_hashes\":{},\"sent_tags\":{},\
              \"recv_frames\":{},\"recv_entries\":{},\"dropped_frames\":{},\
              \"dropped_egress\":{},\"late_entries\":{},\"mac_ops\":{},\
              \"buffer_reuses\":{},\
-             \"vector_instances\":{},\"vector_dims\":{},\
-             \"shard_entries\":[{shard_entries}],\
-             \"egress_shard_entries\":[{egress_shard_entries}],\
-             \"egress_shard_macs\":[{egress_shard_macs}],\
-             \"dropped_egress_shard\":[{dropped_egress_shard}]}}}}",
+             \"vector_instances\":{},\"vector_dims\":{}}}}}",
             self.id,
             fmt_f64(self.output),
             fmt_f64(self.elapsed_ms),
@@ -89,6 +80,7 @@ impl NodeReport {
             s.sent_bytes,
             s.sent_entries,
             s.body_hashes,
+            s.sent_tags,
             s.recv_frames,
             s.recv_entries,
             s.dropped_frames,
@@ -104,13 +96,13 @@ impl NodeReport {
     /// Parses the JSON line printed by a node process.
     ///
     /// The parser is schema-bound (flat keys, one nested `stats` object,
-    /// one `agreements` triple array, per-shard number arrays) but
-    /// order-insensitive and tolerant of whitespace. The `agreements`,
-    /// `threads`, `ctxt_switches_per_agreement`, `dropped_egress`, `late_entries`, `buffer_reuses`,
-    /// `body_hashes`, `vector_instances`, `vector_dims`, `shard_entries`,
-    /// `egress_shard_entries`, `egress_shard_macs`, and
-    /// `dropped_egress_shard` keys are optional so reports from older
-    /// node binaries still parse.
+    /// one `agreements` triple array) but order-insensitive and tolerant
+    /// of whitespace. The `agreements`, `threads`,
+    /// `ctxt_switches_per_agreement`, `dropped_egress`, `late_entries`,
+    /// `buffer_reuses`, `body_hashes`, `sent_tags`, `vector_instances` and
+    /// `vector_dims` keys are optional so reports from older node
+    /// binaries still parse; keys it does not know (the per-shard arrays
+    /// older binaries print) are ignored.
     ///
     /// # Errors
     ///
@@ -118,23 +110,12 @@ impl NodeReport {
     pub fn parse_json(text: &str) -> Result<NodeReport, ClusterError> {
         let text = text.trim();
         let id = json_number(text, "id")?;
-        let shard_array =
-            |key: &str| -> Result<[u64; crate::transport::MAX_RECV_SHARDS], ClusterError> {
-                let mut out = [0u64; crate::transport::MAX_RECV_SHARDS];
-                for (slot, v) in out.iter_mut().zip(json_u64_array(text, key)?) {
-                    *slot = v;
-                }
-                Ok(out)
-            };
-        let shard_entries = shard_array("shard_entries")?;
-        let egress_shard_entries = shard_array("egress_shard_entries")?;
-        let egress_shard_macs = shard_array("egress_shard_macs")?;
-        let dropped_egress_shard = shard_array("dropped_egress_shard")?;
         let stats = NetStats {
             sent_frames: json_number(text, "sent_frames")? as u64,
             sent_bytes: json_number(text, "sent_bytes")? as u64,
             sent_entries: json_number(text, "sent_entries")? as u64,
             body_hashes: json_number(text, "body_hashes").unwrap_or(0.0) as u64,
+            sent_tags: json_number(text, "sent_tags").unwrap_or(0.0) as u64,
             recv_frames: json_number(text, "recv_frames")? as u64,
             recv_entries: json_number(text, "recv_entries")? as u64,
             dropped_frames: json_number(text, "dropped_frames")? as u64,
@@ -144,10 +125,6 @@ impl NodeReport {
             buffer_reuses: json_number(text, "buffer_reuses").unwrap_or(0.0) as u64,
             vector_instances: json_number(text, "vector_instances").unwrap_or(0.0) as u64,
             vector_dims: json_number(text, "vector_dims").unwrap_or(0.0) as u64,
-            shard_entries,
-            egress_shard_entries,
-            egress_shard_macs,
-            dropped_egress_shard,
         };
         Ok(NodeReport {
             id: id as u16,
@@ -221,23 +198,6 @@ fn json_triples(text: &str, key: &str) -> Result<Vec<(u32, u16, f64)>, ClusterEr
     Ok(triples)
 }
 
-/// Extracts the `[u64, ...]` array following `"key":`, returning empty
-/// when the key is absent (reports from older node binaries).
-fn json_u64_array(text: &str, key: &str) -> Result<Vec<u64>, ClusterError> {
-    let pat = format!("\"{key}\"");
-    let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
-    let Some(at) = text.find(&pat) else { return Ok(Vec::new()) };
-    let rest = text[at + pat.len()..].trim_start();
-    let rest = rest.strip_prefix(':').ok_or_else(|| bad("no colon"))?.trim_start();
-    let rest = rest.strip_prefix('[').ok_or_else(|| bad("no array"))?;
-    let end = rest.find(']').ok_or_else(|| bad("unterminated array"))?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',').map(|f| f.trim().parse().map_err(|_| bad("not a number"))).collect()
-}
-
 /// Extracts the numeric value following `"key":` anywhere in `text`.
 fn json_number(text: &str, key: &str) -> Result<f64, ClusterError> {
     let pat = format!("\"{key}\"");
@@ -279,6 +239,7 @@ impl ClusterOutcome {
             total.sent_bytes += r.stats.sent_bytes;
             total.sent_entries += r.stats.sent_entries;
             total.body_hashes += r.stats.body_hashes;
+            total.sent_tags += r.stats.sent_tags;
             total.recv_frames += r.stats.recv_frames;
             total.recv_entries += r.stats.recv_entries;
             total.dropped_frames += r.stats.dropped_frames;
@@ -290,12 +251,6 @@ impl ClusterOutcome {
             // Dims are a mode marker, not additive: take the max so a
             // uniform vector cluster reports its basket size.
             total.vector_dims = total.vector_dims.max(r.stats.vector_dims);
-            for lane in 0..r.stats.shard_entries.len() {
-                total.shard_entries[lane] += r.stats.shard_entries[lane];
-                total.egress_shard_entries[lane] += r.stats.egress_shard_entries[lane];
-                total.egress_shard_macs[lane] += r.stats.egress_shard_macs[lane];
-                total.dropped_egress_shard[lane] += r.stats.dropped_egress_shard[lane];
-            }
         }
         total
     }
@@ -529,6 +484,7 @@ mod tests {
                 sent_bytes: 4200,
                 sent_entries: 11,
                 body_hashes: 8,
+                sent_tags: 10,
                 recv_frames: 30,
                 recv_entries: 33,
                 dropped_frames: 0,
@@ -538,10 +494,6 @@ mod tests {
                 buffer_reuses: 5,
                 vector_instances: 3,
                 vector_dims: 4,
-                shard_entries: [20, 13, 0, 0, 0, 0, 0, 0],
-                egress_shard_entries: [7, 4, 0, 0, 0, 0, 0, 0],
-                egress_shard_macs: [6, 4, 0, 0, 0, 0, 0, 0],
-                dropped_egress_shard: [1, 0, 0, 0, 0, 0, 0, 0],
             },
         }
     }
@@ -579,17 +531,14 @@ mod tests {
         assert_eq!(r.stats.mac_ops, 7);
         assert_eq!(r.stats.dropped_frames, 6);
         assert_eq!(r.stats.late_entries, 0);
-        // Per-shard arrays are optional too: absent keys parse to zeros.
-        assert_eq!(r.stats.egress_shard_entries, [0; 8]);
-        assert_eq!(r.stats.egress_shard_macs, [0; 8]);
-        assert_eq!(r.stats.dropped_egress_shard, [0; 8]);
         // Vector counters are optional the same way: a report from a
         // per-asset (or older) binary parses as scalar mode.
         assert_eq!(r.stats.vector_instances, 0);
         assert_eq!(r.stats.vector_dims, 0);
         assert!(r.agreements.is_empty());
-        // And the body-hash counter.
+        // And the body-hash and outbound-tag counters.
         assert_eq!(r.stats.body_hashes, 0);
+        assert_eq!(r.stats.sent_tags, 0);
         // So are the process gauges of newer node binaries.
         assert_eq!(r.threads, 0);
         assert_eq!(r.ctxt_switches_per_agreement, 0.0);
@@ -603,15 +552,24 @@ mod tests {
         assert!(json.contains("\"vector_instances\":3"));
         assert!(json.contains("\"vector_dims\":4"));
         assert_eq!(NodeReport::parse_json(&json).unwrap(), r);
-        // Absent (a scalar-mode or pre-vector report, like the egress
-        // shard keys before it): parses to zeros, nothing else changes.
+        // Absent (a scalar-mode or pre-vector report): parses to zeros,
+        // nothing else changes.
         let stripped =
-            json.replace("\"vector_instances\":3,", "").replace("\"vector_dims\":4,", "");
+            json.replace("\"vector_instances\":3,", "").replace(",\"vector_dims\":4", "");
         let parsed = NodeReport::parse_json(&stripped).unwrap();
         assert_eq!(parsed.stats.vector_instances, 0);
         assert_eq!(parsed.stats.vector_dims, 0);
         assert_eq!(parsed.stats.mac_ops, r.stats.mac_ops);
-        assert_eq!(parsed.stats.egress_shard_entries, r.stats.egress_shard_entries);
+        assert_eq!(parsed.stats.sent_tags, r.stats.sent_tags);
+        // A report that still carries the four per-shard arrays of older
+        // node binaries parses, and the arrays are ignored.
+        let old = json.replace(
+            "\"stats\":{",
+            "\"stats\":{\"shard_entries\":[20,13],\"egress_shard_entries\":[7,4],\
+             \"egress_shard_macs\":[6,4],\"dropped_egress_shard\":[1,0],",
+        );
+        assert_ne!(old, json);
+        assert_eq!(NodeReport::parse_json(&old).unwrap(), r);
     }
 
     #[test]
@@ -683,11 +641,7 @@ mod tests {
         let total = outcome.total_stats();
         assert_eq!(total.sent_frames, 30);
         assert_eq!(total.mac_ops, 120);
-        // Per-shard arrays sum element-wise across nodes.
-        assert_eq!(total.shard_entries[..2], [60, 39]);
-        assert_eq!(total.egress_shard_entries[..2], [21, 12]);
-        assert_eq!(total.egress_shard_macs[..2], [18, 12]);
-        assert_eq!(total.dropped_egress_shard[..2], [3, 0]);
+        assert_eq!(total.sent_tags, 30);
         // Vector instances sum; dims are a mode marker (max, not sum).
         assert_eq!(total.vector_instances, 9);
         assert_eq!(total.vector_dims, 4);

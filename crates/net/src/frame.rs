@@ -218,8 +218,8 @@ pub fn decode_inbound_frame_ref<'a>(
 
 /// Re-splits a frame body that an earlier [`decode_inbound_frame_ref`]
 /// already authenticated and validated — structure checks only, **no MAC
-/// work** — so sharded dispatch workers can walk a verified body's
-/// entries without paying the tag again.
+/// work** — so the dispatch worker can walk a verified body's entries
+/// without paying the tag again.
 ///
 /// # Errors
 ///

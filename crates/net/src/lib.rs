@@ -12,10 +12,10 @@
 //!   broadcast. Tampered or misdirected frames are dropped, never
 //!   surfaced to the protocol.
 //! - [`transport`] (internal): sockets — the accept loop and read loops,
-//!   per-peer links the workers write to, each with a lazy-dialing writer
+//!   per-peer links the dispatch worker writes to, each with a lazy-dialing writer
 //!   task as its slow path, plus the [`NetStats`] counters.
 //! - [`session`] (internal): per-peer authenticated channels — batching
-//!   under the run's [`FlushPolicy`], worker-owned egress lanes, and
+//!   under the run's [`FlushPolicy`], the worker-owned egress lane, and
 //!   bounded drain-on-shutdown.
 //! - [`service`]: the runner. [`run_epoch_service`] binds a listener,
 //!   dials every peer, drives a long-lived epoch stream — an
@@ -56,4 +56,4 @@ pub use service::{
     run_epoch_service, run_instances, run_node, EpochServiceHandle, NetError, RunOptions,
     ServiceStats,
 };
-pub use transport::{NetStats, MAX_RECV_SHARDS};
+pub use transport::NetStats;

@@ -14,16 +14,14 @@
 //!
 //! 1. a transport read loop verifies the tag and validates the batch
 //!    structure **borrowed** (no per-entry allocation), then ships the
-//!    whole body as one refcounted buffer (`VerifiedFrame`) to the
-//!    dispatch worker(s) owning its entries — with
-//!    [`RunOptions::recv_shards`] > 1 by the stable [`InstanceId::shard`]
-//!    mapping, identical to the simulator's;
-//! 2. the worker owns its slice of the pipeline outright (no lock on the
-//!    per-entry path) and is a complete pipeline on its own thread: it
-//!    re-splits the verified body (structure walk, no MAC), feeds payload
-//!    slices straight to the protocol state machines — one step per
-//!    entry, the granularity the simulator's `EpochProtocol` flushes at —
-//!    routes their answers per destination into the egress lane it owns
+//!    whole body as one refcounted buffer (`VerifiedFrame`) to the node's
+//!    one dispatch worker;
+//! 2. the worker owns the whole pipeline outright (no lock on the
+//!    per-entry path) and runs it on its own thread: it re-splits the
+//!    verified body (structure walk, no MAC), feeds payload slices
+//!    straight to the protocol state machines — one step per entry, the
+//!    granularity the simulator's `EpochProtocol` flushes at — routes
+//!    their answers per destination into the egress lane it owns
 //!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
 //!    size inline; adaptively, a flush the moment its inbox is empty (or
 //!    first, once the `max_delay` ceiling has passed under backlog), with
@@ -33,9 +31,9 @@
 //!    also dials): a peer that stops reading costs dropped frames at that
 //!    task's bounded queue, never a stalled worker.
 //!
-//! The service loop sees only what is per run or per epoch: the merged
-//! event stream, completion, the deadline, the linger window, and the
-//! shutdown order (workers flush, then writer queues close).
+//! The service loop sees only what is per run or per epoch: the event
+//! stream, completion, the deadline, the linger window, and the shutdown
+//! order (the worker flushes, then writer queues close).
 
 use std::error::Error;
 use std::fmt;
@@ -46,8 +44,7 @@ use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
-    merge_epoch_stats, EpochEvent, EpochMux, EpochOutcome, EpochShard, EpochStats, EpochStatsCell,
-    FlushPolicy, InstanceId, Protocol,
+    EpochEvent, EpochMux, EpochOutcome, EpochStats, EpochStatsCell, FlushPolicy, Protocol,
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
@@ -56,9 +53,7 @@ use tokio::time::Instant;
 
 use crate::frame::split_verified_body;
 use crate::session::{EgressLane, SessionSet};
-use crate::transport::{
-    spawn_acceptor, Counters, NetStats, ShardInput, ShardSenders, MAX_RECV_SHARDS,
-};
+use crate::transport::{spawn_acceptor, Counters, NetStats, WorkerInput};
 
 /// Network runner failure.
 #[derive(Debug)]
@@ -69,7 +64,7 @@ pub enum NetError {
     Config(String),
     /// The protocol did not produce an output within the deadline.
     Timeout,
-    /// A runner invariant broke (a worker died or reported inconsistent
+    /// A runner invariant broke (the worker died or reported inconsistent
     /// completion). Surfaced as an error instead of a panic: a node that
     /// panics is a crash fault silently spending the `t < n/3` budget,
     /// while a reported error lets the operator restart the node.
@@ -113,19 +108,11 @@ pub struct RunOptions {
     pub deadline: Duration,
     /// How long shutdown may wait for writer queues to flush to peers.
     pub drain_timeout: Duration,
-    /// When a dispatch worker flushes accumulated batch entries: per
+    /// When the dispatch worker flushes accumulated batch entries: per
     /// step, adaptively (size triggers, an empty inbox, or the
     /// `max_delay` ceiling), or — the measurement baseline — every entry
     /// in a frame of its own.
     pub flush: FlushPolicy,
-    /// Receive dispatch shards (clamped to 1..=[`MAX_RECV_SHARDS`] and to
-    /// the basket size). With more than one, inbound entries are
-    /// dispatched to per-shard workers by the stable
-    /// [`InstanceId::shard`] mapping — the same assignment the
-    /// simulator's `recv_shards` models — and each worker owns its
-    /// instances' protocol state and flushes its own output, so this is
-    /// the node's send parallelism too.
-    pub recv_shards: usize,
     /// Capacity (frames) of each peer's outbound writer queue.
     ///
     /// Egress queues are bounded so a slow or unreachable peer cannot
@@ -147,34 +134,12 @@ impl Default for RunOptions {
             deadline: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
             flush: FlushPolicy::PerStep,
-            recv_shards: 1,
             egress_capacity: 1024,
         }
     }
 }
 
-/// Builds the per-shard ingress channels and the accept loop. The
-/// senders come back too: the service loop closes its workers through
-/// them.
-fn open_ingress(
-    listener: TcpListener,
-    keychain: Arc<Keychain>,
-    counters: Arc<Counters>,
-    shards: usize,
-) -> (Vec<mpsc::Receiver<ShardInput>>, ShardSenders, tokio::task::JoinHandle<()>) {
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<ShardInput>(1024);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let txs: ShardSenders = Arc::new(txs);
-    let accept_task = spawn_acceptor(listener, keychain, txs.clone(), counters);
-    (rxs, txs, accept_task)
-}
-
-/// A dispatch worker's next event: the next inbox message, or `None`
+/// The dispatch worker's next event: the next inbox message, or `None`
 /// when its egress lane should flush. With nothing pending (no
 /// `ceiling`) the worker parks on its inbox. With entries pending it
 /// never waits: a frame already waiting is answered first — the flush
@@ -182,13 +147,13 @@ fn open_ingress(
 /// goes the moment the inbox is empty. A backlog (or a peer flooding the
 /// inbox) must not hold pending entries back for good, so once the
 /// `ceiling` has passed the flush goes first. An inbox nobody can write
-/// to any more reads as [`ShardInput::Close`].
+/// to any more reads as [`WorkerInput::Close`].
 async fn next_input(
-    rx: &mut mpsc::Receiver<ShardInput>,
+    rx: &mut mpsc::Receiver<WorkerInput>,
     ceiling: Option<Instant>,
-) -> Option<ShardInput> {
+) -> Option<WorkerInput> {
     let Some(ceiling) = ceiling else {
-        return Some(rx.recv().await.unwrap_or(ShardInput::Close));
+        return Some(rx.recv().await.unwrap_or(WorkerInput::Close));
     };
     if Instant::now() >= ceiling {
         return None;
@@ -196,109 +161,70 @@ async fn next_input(
     match rx.try_recv() {
         Ok(input) => Some(input),
         Err(TryRecvError::Empty) => None,
-        Err(TryRecvError::Disconnected) => Some(ShardInput::Close),
+        Err(TryRecvError::Disconnected) => Some(WorkerInput::Close),
     }
 }
 
-/// The first half of a graceful shutdown — workers flush, then writer
-/// queues close: tells every dispatch worker to flush what its egress
-/// lane still holds and exit, and joins them against `drain_deadline`
-/// (a worker that misses it is aborted; its lane goes with it).
-async fn close_workers(
-    inboxes: &ShardSenders,
-    workers: Vec<tokio::task::JoinHandle<()>>,
+/// The first half of a graceful shutdown — the worker flushes, then
+/// writer queues close: tells the dispatch worker to flush what its
+/// egress lane still holds and exit, and joins it against
+/// `drain_deadline` (if it misses it, it is aborted; its lane goes with
+/// it).
+async fn close_worker(
+    inbox: &mpsc::Sender<WorkerInput>,
+    mut worker: tokio::task::JoinHandle<()>,
     drain_deadline: Instant,
 ) {
-    for inbox in inboxes.iter() {
-        tokio::select! {
-            _ = inbox.send(ShardInput::Close) => {},
-            _ = tokio::time::sleep_until(drain_deadline) => {},
-        }
+    tokio::select! {
+        _ = inbox.send(WorkerInput::Close) => {},
+        _ = tokio::time::sleep_until(drain_deadline) => {},
     }
-    for mut worker in workers {
-        tokio::select! {
-            _ = &mut worker => {},
-            _ = tokio::time::sleep_until(drain_deadline) => worker.abort(),
-        }
+    tokio::select! {
+        _ = &mut worker => {},
+        _ = tokio::time::sleep_until(drain_deadline) => worker.abort(),
     }
 }
 
-/// Tears a failed run down without draining: there is no output worth
-/// waiting for.
-fn abort_run(
-    accept_task: &tokio::task::JoinHandle<()>,
-    workers: &[tokio::task::JoinHandle<()>],
-    sessions: SessionSet,
-) {
-    accept_task.abort();
-    for worker in workers {
-        worker.abort();
-    }
-    sessions.abort();
-}
-
-/// What an epoch dispatch worker reports to the service loop — only what
-/// is per epoch; its protocol traffic leaves through its own egress lane.
-enum EpochShardMsg<O> {
-    /// Ordered events this worker's slice emitted since its last report
-    /// (shard-local asset order; `lane` selects the merge queue). Sent
-    /// live, as epochs resolve — this is what makes the service handle
-    /// tailable instead of collect-at-the-end.
-    Events {
-        /// The worker's merge-lane index (live shards only).
-        lane: usize,
-        /// The freshly drained slice of the worker's event stream.
-        events: Vec<EpochEvent<O>>,
-    },
-    /// This worker's stream slice has resolved every epoch (all of its
-    /// events have been shipped). The epoch-layer *counters* keep moving
-    /// while the worker serves lingering peers, so they travel through a
-    /// shared [`EpochStatsCell`] instead (snapshot at shutdown).
+/// What the dispatch worker reports to the service loop — only what is
+/// per epoch; its protocol traffic leaves through its own egress lane.
+enum WorkerMsg<O> {
+    /// Ordered events emitted since the last report. Sent live, as epochs
+    /// resolve — this is what makes the service handle tailable instead
+    /// of collect-at-the-end.
+    Events(Vec<EpochEvent<O>>),
+    /// The stream has resolved every epoch (all of its events have been
+    /// shipped). The epoch-layer *counters* keep moving while the worker
+    /// serves lingering peers, so they travel through a shared
+    /// [`EpochStatsCell`] instead (snapshot at shutdown).
     Done,
 }
 
-/// What a live epoch dispatch worker owns: its slice of the pipeline, the
-/// merge lane its events feed, and the egress lane of its shard class.
-struct EpochSlot<P: Protocol> {
-    merge_lane: usize,
-    shard: EpochShard<P>,
-    egress: EgressLane,
-}
-
-/// One sharded epoch dispatch worker, frame in to frame out: a complete
-/// sub-pipeline over its asset slice that answers every entry through
-/// the egress lane of its shard class, publishing its live [`EpochStats`]
-/// through `stats_cell` after every frame (late entries served during
-/// the linger window must still be counted). A `None` slot (a shard the
-/// basket left empty) just drains its ingress so Byzantine traffic
-/// addressed there cannot wedge a read loop.
-async fn epoch_shard_worker<P>(
-    mut rx: mpsc::Receiver<ShardInput>,
-    slot: Option<EpochSlot<P>>,
-    out_tx: mpsc::Sender<EpochShardMsg<P::Output>>,
+/// The dispatch worker, frame in to frame out: the whole pipeline,
+/// answering every entry through its egress lane and publishing its live
+/// [`EpochStats`] through `stats_cell` after every frame (late entries
+/// served during the linger window must still be counted).
+async fn dispatch_worker<P>(
+    mut rx: mpsc::Receiver<WorkerInput>,
+    mut mux: EpochMux<P>,
+    mut egress: EgressLane,
+    out_tx: mpsc::Sender<WorkerMsg<P::Output>>,
     stats_cell: Arc<EpochStatsCell>,
 ) where
     P: Protocol + Send + 'static,
     P::Output: Send,
 {
-    let Some(EpochSlot { merge_lane: lane, mut shard, mut egress }) = slot else {
-        while let Some(ShardInput::Frame(_)) = rx.recv().await {}
-        return;
-    };
     // Start bursts must not wait for traffic.
-    egress.send_step(shard.start());
+    egress.send_step(mux.start());
     egress.flush_all();
     let mut done = false;
     loop {
-        let fresh = shard.drain_events();
-        if !fresh.is_empty()
-            && out_tx.send(EpochShardMsg::Events { lane, events: fresh }).await.is_err()
-        {
+        let fresh = mux.drain_events();
+        if !fresh.is_empty() && out_tx.send(WorkerMsg::Events(fresh)).await.is_err() {
             break;
         }
-        if !done && shard.is_complete() {
+        if !done && mux.is_complete() {
             done = true;
-            if out_tx.send(EpochShardMsg::Done).await.is_err() {
+            if out_tx.send(WorkerMsg::Done).await.is_err() {
                 break;
             }
         }
@@ -308,14 +234,14 @@ async fn epoch_shard_worker<P>(
             // answers leaves at once.
             egress.flush_all();
         }
-        stats_cell.publish(shard.stats());
+        stats_cell.publish(mux.stats());
         let frame = match next_input(&mut rx, egress.flush_ceiling()).await {
-            Some(ShardInput::Frame(frame)) => frame,
+            Some(WorkerInput::Frame(frame)) => frame,
             None => {
                 egress.flush_all();
                 continue;
             }
-            Some(ShardInput::Close) => break,
+            Some(WorkerInput::Close) => break,
         };
         let Ok((_, entries)) = split_verified_body(&frame.body) else {
             continue; // unreachable for verified bodies
@@ -324,98 +250,33 @@ async fn epoch_shard_worker<P>(
         // `EpochProtocol::on_message` flushes at, so the per-step cost
         // model stays byte-comparable between the two transports.
         for (id, payload) in entries.iter() {
-            if shard.owns(id.asset) {
-                egress.send_step(shard.on_entry(frame.from, id, payload));
-            }
+            egress.send_step(mux.on_entry(frame.from, id, payload));
         }
     }
     egress.flush_all();
 }
 
-/// Online cross-shard event merger: per-lane queues of shard-local
-/// events, merged into basket-ordered [`EpochEvent`]s as soon as *every*
-/// live lane has delivered an epoch. Each lane's stream is strictly
-/// epoch-ordered with every epoch present (skips included), so the queue
-/// fronts always describe the same epoch. The merge contract matches
-/// [`delphi_primitives::merge_epoch_shards`]: an epoch is `Agreed` only
-/// when every lane agreed it.
-struct EventMerger<O> {
-    /// Per-lane global asset ids (ascending), indexed by shard-local id.
-    maps: Vec<Vec<InstanceId>>,
-    queues: Vec<std::collections::VecDeque<EpochEvent<O>>>,
-    assets: u16,
-}
-
-impl<O: Clone> EventMerger<O> {
-    fn new(maps: Vec<Vec<InstanceId>>, assets: u16) -> EventMerger<O> {
-        let queues = maps.iter().map(|_| std::collections::VecDeque::new()).collect();
-        EventMerger { maps, queues, assets }
-    }
-
-    /// Queues `events` for `lane` and appends every epoch that just
-    /// became mergeable to `out`.
-    fn push(&mut self, lane: usize, events: Vec<EpochEvent<O>>, out: &mut Vec<EpochEvent<O>>) {
-        self.queues[lane].extend(events);
-        while self.queues.iter().all(|q| !q.is_empty()) {
-            let mut values: Vec<Option<O>> = vec![None; usize::from(self.assets)];
-            let mut skipped = false;
-            let mut epoch = None;
-            for (lane, queue) in self.queues.iter_mut().enumerate() {
-                let Some(ev) = queue.pop_front() else {
-                    continue; // unreachable: the while guard checked every lane
-                };
-                debug_assert!(
-                    epoch.is_none() || epoch == Some(ev.epoch),
-                    "lanes emit aligned epoch streams"
-                );
-                epoch = Some(ev.epoch);
-                match ev.outcome {
-                    EpochOutcome::Agreed(vs) => {
-                        for (local, v) in vs.into_iter().enumerate() {
-                            values[self.maps[lane][local].index()] = Some(v);
-                        }
-                    }
-                    EpochOutcome::Skipped => skipped = true,
-                }
-            }
-            let outcome = if skipped || values.iter().any(Option::is_none) {
-                EpochOutcome::Skipped
-            } else {
-                // The `any(is_none)` arm above makes `flatten` lossless.
-                EpochOutcome::Agreed(values.into_iter().flatten().collect())
-            };
-            let Some(epoch) = epoch else {
-                // No lanes at all: nothing mergeable, and looping again
-                // on the vacuously-true guard would spin forever.
-                break;
-            };
-            out.push(EpochEvent { epoch, outcome });
-        }
-    }
-}
-
 /// Live observability probe for a running epoch service: cheap coherent
-/// snapshots of the epoch-layer counters (one [`EpochStatsCell`] per
-/// dispatch worker, merged) and the transport counters. Cloneable and
+/// snapshots of the epoch-layer counters (the dispatch worker's
+/// [`EpochStatsCell`]) and the transport counters. Cloneable and
 /// detachable from the [`EpochServiceHandle`], so a stats route or a
-/// monitoring thread can read while the service runs — the consolidated
-/// accessor that replaces reaching into per-shard cells field by field.
+/// monitoring thread can read while the service runs.
 #[derive(Clone)]
 pub struct ServiceStats {
-    cells: Vec<Arc<EpochStatsCell>>,
+    cell: Arc<EpochStatsCell>,
     counters: Arc<Counters>,
 }
 
 impl ServiceStats {
-    /// One coherent copy of the merged epoch-layer counters, readable at
-    /// any point of the run (during linger included).
+    /// One coherent copy of the epoch-layer counters, readable at any
+    /// point of the run (during linger included).
     pub fn epoch_snapshot(&self) -> EpochStats {
-        merge_epoch_stats(self.cells.iter().map(|c| c.stats_snapshot()))
+        self.cell.stats_snapshot()
     }
 
     /// The transport counters as of now, with
-    /// [`NetStats::late_entries`] read from the same live per-worker
-    /// cells as [`epoch_snapshot`](ServiceStats::epoch_snapshot).
+    /// [`NetStats::late_entries`] read from the same live cell as
+    /// [`epoch_snapshot`](ServiceStats::epoch_snapshot).
     pub fn net_snapshot(&self) -> NetStats {
         NetStats { late_entries: self.epoch_snapshot().late_entries, ..self.counters.snapshot() }
     }
@@ -424,7 +285,7 @@ impl ServiceStats {
 /// A running epoch service, returned by [`run_epoch_service`]: a live,
 /// tailable view of the stream instead of only a collected vector.
 ///
-/// - [`next_event`](EpochServiceHandle::next_event) yields merged,
+/// - [`next_event`](EpochServiceHandle::next_event) yields
 ///   basket-ordered [`EpochEvent`]s as epochs resolve (a serving layer
 ///   tails this without touching the protocol hot path);
 /// - [`stats`](EpochServiceHandle::stats) /
@@ -444,7 +305,7 @@ pub struct EpochServiceHandle<O> {
 pub type EpochRunResult<O> = Result<(Vec<EpochEvent<O>>, EpochStats, NetStats), NetError>;
 
 impl<O> EpochServiceHandle<O> {
-    /// The next merged epoch event, `None` once the stream is complete
+    /// The next epoch event, `None` once the stream is complete
     /// (or after [`take_events`](EpochServiceHandle::take_events)).
     pub async fn next_event(&mut self) -> Option<EpochEvent<O>> {
         match self.events.as_mut() {
@@ -465,7 +326,7 @@ impl<O> EpochServiceHandle<O> {
         self.stats.clone()
     }
 
-    /// One coherent copy of the merged epoch-layer counters, right now.
+    /// One coherent copy of the epoch-layer counters, right now.
     pub fn stats_snapshot(&self) -> EpochStats {
         self.stats.epoch_snapshot()
     }
@@ -495,14 +356,11 @@ impl<O> EpochServiceHandle<O> {
 /// This is the deployment shape of a streaming oracle: the mux keeps
 /// spawning per-asset agreement instances epoch after epoch, the service
 /// routes their traffic as epoch-addressed entries in authenticated
-/// frames, and each dispatch worker flushes its own batches per
-/// [`RunOptions::flush`] — per step, or adaptively on size triggers and
-/// whenever its inbox runs empty. With [`RunOptions::recv_shards`] > 1
-/// the pipeline is split by asset across dispatch workers
-/// ([`EpochMux::split_assets`]); the event stream is the merged,
-/// basket-ordered view. Entries addressed to epochs the pipeline has
-/// already garbage-collected are dropped and surface in
-/// [`NetStats::late_entries`].
+/// frames, and one dispatch worker owns the whole pipeline and flushes
+/// its batches per [`RunOptions::flush`] — per step, or adaptively on
+/// size triggers and whenever its inbox runs empty. Entries addressed
+/// to epochs the pipeline has already garbage-collected are dropped and
+/// surface in [`NetStats::late_entries`].
 ///
 /// Config validation and the listener bind happen before this returns;
 /// the run itself proceeds in a background task owned by the returned
@@ -544,22 +402,14 @@ where
     if opts.egress_capacity == 0 {
         return Err(NetError::Config("egress_capacity must be at least 1".into()));
     }
-    // Clamp to the basket too: `split_assets` groups by
-    // `shard(min(shards, assets))`, and ingress must route with the SAME
-    // modulus the split used — otherwise entries hash to workers that do
-    // not own their asset and the stream wedges.
-    let shards = opts.recv_shards.clamp(1, MAX_RECV_SHARDS).min(usize::from(mux.config().assets));
-    // In vector-basket mode the wire config has one asset, so the shard
-    // clamp above collapses to a single dispatch worker — the documented
-    // trade of receive parallelism for per-message overhead.
     let vector_dims = mux.vector_dims();
 
     let counters = Arc::new(Counters::default());
     counters.vector_dims.store(u64::from(vector_dims), Ordering::Relaxed);
     let keychain = Arc::new(keychain);
     let listener = TcpListener::bind(addrs[me.index()]).await?;
-    let (in_rxs, inboxes, accept_task) =
-        open_ingress(listener, keychain.clone(), counters.clone(), shards);
+    let (inbox, in_rx) = mpsc::channel::<WorkerInput>(1024);
+    let accept_task = spawn_acceptor(listener, keychain.clone(), inbox.clone(), counters.clone());
     let sessions = SessionSet::connect(
         keychain,
         &addrs,
@@ -569,33 +419,11 @@ where
         opts.egress_capacity,
     );
 
-    // Split the pipeline across the dispatch workers (a 1-shard run is a
-    // single worker owning the whole basket), assigning each live shard a
-    // merge lane in shard order.
-    let total_assets = mux.config().assets;
-    let mut slots: Vec<Option<EpochSlot<P>>> = (0..shards).map(|_| None).collect();
-    let mut maps: Vec<Vec<InstanceId>> = Vec::new();
-    for shard in mux.split_assets(shards) {
-        let index = shard.shard_index();
-        maps.push(shard.assets().to_vec());
-        let (merge_lane, egress) = (maps.len() - 1, sessions.lane(index));
-        slots[index] = Some(EpochSlot { merge_lane, shard, egress });
-    }
-    let expected_done = slots.iter().filter(|s| s.is_some()).count();
-    let (out_tx, mut out_rx) = mpsc::channel::<EpochShardMsg<P::Output>>(1024);
-    let stats_cells: Vec<Arc<EpochStatsCell>> =
-        (0..shards).map(|_| Arc::new(EpochStatsCell::new())).collect();
-    let workers: Vec<tokio::task::JoinHandle<()>> = in_rxs
-        .into_iter()
-        .zip(slots)
-        .zip(&stats_cells)
-        .map(|((rx, slot), cell)| {
-            tokio::spawn(epoch_shard_worker(rx, slot, out_tx.clone(), cell.clone()))
-        })
-        .collect();
-    drop(out_tx);
+    let (out_tx, mut out_rx) = mpsc::channel::<WorkerMsg<P::Output>>(1024);
+    let cell = Arc::new(EpochStatsCell::new());
+    let worker = tokio::spawn(dispatch_worker(in_rx, mux, sessions.lane(), out_tx, cell.clone()));
 
-    let stats = ServiceStats { cells: stats_cells, counters: counters.clone() };
+    let stats = ServiceStats { cell, counters: counters.clone() };
     let probe = stats.clone();
     // Locally produced events, already bounded by the pipeline: at most
     // `window` epochs are in flight, each emitting one event, and no remote
@@ -603,53 +431,53 @@ where
     // back-pressure the protocol loop on a slow event reader.
     // lint: allow(bounded-channel) — producer is pipeline-bounded (see above)
     let (event_tx, event_rx) = mpsc::unbounded_channel::<EpochEvent<P::Output>>();
-    let mut merger = EventMerger::new(maps, total_assets);
 
     let task = tokio::spawn(async move {
         let deadline = Instant::now() + opts.deadline;
         let mut events: Vec<EpochEvent<P::Output>> = Vec::new();
-        let mut done_count = 0usize;
-        while done_count < expected_done {
+        loop {
             let msg = tokio::select! {
                 m = out_rx.recv() => m,
                 _ = tokio::time::sleep_until(deadline) => None,
             };
             match msg {
-                Some(EpochShardMsg::Events { lane, events: fresh }) => {
-                    let ready_from = events.len();
-                    merger.push(lane, fresh, &mut events);
+                Some(WorkerMsg::Events(fresh)) => {
                     if vector_dims > 0 {
-                        let agreed = events[ready_from..]
+                        let agreed = fresh
                             .iter()
                             .filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)))
                             .count() as u64;
                         counters.vector_instances.fetch_add(agreed, Ordering::Relaxed);
                     }
-                    for ev in &events[ready_from..] {
+                    for ev in &fresh {
                         // A dropped tail is fine: finish() detaches it.
                         let _ = event_tx.send(ev.clone());
                     }
+                    events.extend(fresh);
                 }
-                Some(EpochShardMsg::Done) => done_count += 1,
+                Some(WorkerMsg::Done) => break,
                 None => {
-                    // The deadline — or every worker exited (the ingress
+                    // The deadline — or the worker exited (the ingress
                     // died) and no more traffic can ever arrive: fail now
-                    // rather than spinning until the deadline.
-                    abort_run(&accept_task, &workers, sessions);
+                    // rather than spinning until the deadline. There is
+                    // no output worth draining for.
+                    accept_task.abort();
+                    worker.abort();
+                    sessions.abort();
                     return Err(NetError::Timeout);
                 }
             }
         }
-        // Every worker shipped its whole stream before Done, so the
-        // merged view is complete; close the live tail at that boundary.
+        // The worker shipped its whole stream before Done, so the view is
+        // complete; close the live tail at that boundary.
         drop(event_tx);
 
-        // Linger: the workers keep serving peers still working through
+        // Linger: the worker keeps serving peers still working through
         // the stream's tail.
         tokio::time::sleep(opts.linger).await;
 
         let drain_deadline = Instant::now() + opts.drain_timeout;
-        close_workers(&inboxes, workers, drain_deadline).await;
+        close_worker(&inbox, worker, drain_deadline).await;
         // Final counters come from the live cells, so late entries served
         // during the linger window (traffic for already-GC'd epochs) are
         // still counted — events were final at completion, counters were
@@ -736,7 +564,7 @@ mod tests {
     use crate::transport::VerifiedFrame;
     use bytes::Bytes;
     use delphi_core::BinAaNode;
-    use delphi_primitives::{Dyadic, Envelope, EpochConfig, EpochProtocol, NodeId};
+    use delphi_primitives::{Dyadic, Envelope, EpochConfig, EpochProtocol, InstanceId, NodeId};
     use tokio::io::AsyncReadExt;
 
     async fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -776,9 +604,6 @@ mod tests {
             // Even a solo protocol benefits: multi-envelope steps share a
             // frame, so entries can only meet or exceed frames.
             assert!(stats.recv_entries >= stats.recv_frames);
-            // Unsharded runs dispatch everything on shard 0.
-            assert_eq!(stats.shard_entries[0], stats.recv_entries);
-            assert!(stats.shard_entries[1..].iter().all(|&c| c == 0));
             outputs.push(out);
         }
         let tol = Dyadic::new(1, 6);
@@ -836,48 +661,6 @@ mod tests {
         assert!(per_instance[1].iter().all(|o| *o == Dyadic::ZERO), "{:?}", per_instance[1]);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sharded_receive_matches_unsharded_outputs() {
-        // The same 6-instance BinAA basket with 1 and 4 receive shards:
-        // identical outputs (sharding is transport parallelism, never
-        // semantics), and the sharded run spreads dispatch across shard
-        // counters.
-        let n = 4;
-        let k = 6usize;
-        let inputs = [true, false, true, true];
-        let run = |seed: &'static [u8], shards: usize, addrs: Vec<SocketAddr>| async move {
-            let mut handles = Vec::new();
-            for id in NodeId::all(n) {
-                let keychain = delphi_crypto::Keychain::derive(seed, id, n);
-                let nodes: Vec<BinAaNode> = (0..k)
-                    .map(|i| BinAaNode::new(id, n, 1, inputs[id.index()] ^ (i % 2 == 1), 5))
-                    .collect();
-                let addrs = addrs.clone();
-                let opts = RunOptions { recv_shards: shards, ..RunOptions::default() };
-                handles.push(tokio::spawn(async move {
-                    run_instances(nodes, keychain, addrs, opts).await
-                }));
-            }
-            let mut all = Vec::new();
-            let mut stats_all = Vec::new();
-            for h in handles {
-                let (outs, stats) = h.await.unwrap().expect("node finished");
-                all.push(outs);
-                stats_all.push(stats);
-            }
-            (all, stats_all)
-        };
-        let (unsharded, _) = run(b"shard-eq", 1, free_addrs(n).await).await;
-        let (sharded, stats) = run(b"shard-eq", 4, free_addrs(n).await).await;
-        assert_eq!(unsharded, sharded, "sharding must not change any output");
-        for s in &stats {
-            assert_eq!(s.dropped_frames, 0);
-            let spread = s.shard_entries.iter().filter(|&&c| c > 0).count();
-            assert!(spread > 1, "entries must spread across shards: {:?}", s.shard_entries);
-            assert_eq!(s.shard_entries.iter().sum::<u64>(), s.recv_entries);
-        }
-    }
-
     /// Broadcasts `rounds` waves, advancing after each full wave of peer
     /// messages; its envelope count is schedule-independent, which makes
     /// frame counts comparable across runs — and equal to the simulated
@@ -927,11 +710,7 @@ mod tests {
     const WAVE_INSTANCES: usize = 4;
     const WAVE_ROUNDS: u8 = 3;
 
-    async fn run_wave_cluster(
-        seed: &'static [u8],
-        flush: FlushPolicy,
-        recv_shards: usize,
-    ) -> NetStats {
+    async fn run_wave_cluster(seed: &'static [u8], flush: FlushPolicy) -> NetStats {
         let addrs = free_addrs(WAVE_N).await;
         let mut handles = Vec::new();
         for id in NodeId::all(WAVE_N) {
@@ -939,7 +718,7 @@ mod tests {
             let nodes: Vec<Wave> =
                 (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
             let addrs = addrs.clone();
-            let opts = RunOptions { flush, recv_shards, ..RunOptions::default() };
+            let opts = RunOptions { flush, ..RunOptions::default() };
             handles.push(tokio::spawn(
                 async move { run_instances(nodes, keychain, addrs, opts).await },
             ));
@@ -950,11 +729,8 @@ mod tests {
             assert_eq!(outs.len(), WAVE_INSTANCES);
             assert_eq!(stats.dropped_frames, 0);
             assert_eq!(stats.dropped_egress, 0);
-            // Per-worker egress accounting is complete: every routed
-            // entry was flushed by exactly one worker, and every frame
-            // paid exactly one encode-side tag.
-            assert_eq!(stats.egress_shard_entries.iter().sum::<u64>(), stats.sent_entries);
-            assert_eq!(stats.egress_shard_macs.iter().sum::<u64>(), stats.sent_frames);
+            // Every frame paid exactly one encode-side tag.
+            assert_eq!(stats.sent_tags, stats.sent_frames);
             total.sent_frames += stats.sent_frames;
             total.sent_bytes += stats.sent_bytes;
             total.sent_entries += stats.sent_entries;
@@ -965,22 +741,20 @@ mod tests {
     }
 
     /// The Wave workload under the simulator — each node a one-epoch
-    /// per-step `EpochProtocol` over the same basket, flushing per
-    /// `(destination, receive shard)` — the reference the TCP runner's
-    /// accounting must match. Returns `(messages, wire bytes, entries)`.
-    fn run_wave_simulation(recv_shards: usize) -> (u64, u64, u64) {
+    /// per-step `EpochProtocol` over the same basket — the reference the
+    /// TCP runner's accounting must match. Returns `(messages, wire
+    /// bytes, entries)`.
+    fn run_wave_simulation() -> (u64, u64, u64) {
         use delphi_sim::{Simulation, Topology};
         let nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<usize>>>>> = NodeId::all(WAVE_N)
             .map(|id| {
                 let basket =
                     (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
-                let node = EpochProtocol::new(EpochMux::one_epoch(basket), FlushPolicy::PerStep)
-                    .recv_shards(recv_shards);
+                let node = EpochProtocol::new(EpochMux::one_epoch(basket), FlushPolicy::PerStep);
                 Box::new(node) as Box<dyn Protocol<Output = Vec<EpochEvent<usize>>>>
             })
             .collect();
-        let report =
-            Simulation::new(Topology::lan(WAVE_N)).seed(7).recv_shards(recv_shards).run(nodes);
+        let report = Simulation::new(Topology::lan(WAVE_N)).seed(7).run(nodes);
         assert!(report.all_honest_finished(), "sim wave run stalled");
         // Entries: every wave is a broadcast from every instance.
         let entries = (WAVE_N * WAVE_INSTANCES * usize::from(WAVE_ROUNDS) * (WAVE_N - 1)) as u64;
@@ -989,8 +763,8 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn batching_reduces_frames_and_macs_at_equal_envelope_count() {
-        let batched = run_wave_cluster(b"wave-batched", FlushPolicy::PerStep, 1).await;
-        let unbatched = run_wave_cluster(b"wave-unbatched", FlushPolicy::PerEntry, 1).await;
+        let batched = run_wave_cluster(b"wave-batched", FlushPolicy::PerStep).await;
+        let unbatched = run_wave_cluster(b"wave-unbatched", FlushPolicy::PerEntry).await;
         // Same protocols, schedule-independent envelope counts: the
         // workloads are identical.
         assert_eq!(batched.sent_entries, unbatched.sent_entries);
@@ -1028,35 +802,20 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sharded_egress_matches_simulated_accounting_exactly() {
-        // The sim/TCP parity test on the worker-owned send side. A worker
-        // owns one shard class and flushes only that class, one step per
-        // entry — exactly what a simulated one-epoch `EpochProtocol`
-        // flushing per `(destination, receive shard)` does — so the
-        // frames, entries, wire bytes and encode-side MACs on the wire
-        // must EQUAL the simulated accounting at every shard count:
-        // simulated cost IS real cost, which is what makes the sim sweeps
-        // trustworthy.
-        for (seed, recv_shards) in
-            [(b"wave-rs1" as &'static [u8], 1usize), (b"wave-rs2", 2), (b"wave-rs4", 4)]
-        {
-            let (sim_msgs, sim_bytes, sim_entries) = run_wave_simulation(recv_shards);
-            let total = run_wave_cluster(seed, FlushPolicy::PerStep, recv_shards).await;
-            assert_eq!(
-                total.sent_frames, sim_msgs,
-                "TCP frames == simulated messages at {recv_shards} shards"
-            );
-            assert_eq!(
-                total.sent_entries, sim_entries,
-                "TCP entries == simulated envelopes at {recv_shards} shards"
-            );
-            assert_eq!(
-                total.sent_bytes, sim_bytes,
-                "TCP bytes == simulated wire bytes at {recv_shards} shards"
-            );
-            // (`run_wave_cluster` asserts per node that encode-side MACs
-            // equal frames, so the MAC count is pinned with them.)
-        }
+    async fn egress_matches_simulated_accounting_exactly() {
+        // The sim/TCP parity test on the worker-owned send side. The
+        // worker flushes one step per entry — exactly what a simulated
+        // one-epoch `EpochProtocol` does — so the frames, entries, wire
+        // bytes and encode-side MACs on the wire must EQUAL the simulated
+        // accounting: simulated cost IS real cost, which is what makes
+        // the sim sweeps trustworthy.
+        let (sim_msgs, sim_bytes, sim_entries) = run_wave_simulation();
+        let total = run_wave_cluster(b"wave-parity", FlushPolicy::PerStep).await;
+        assert_eq!(total.sent_frames, sim_msgs, "TCP frames == simulated messages");
+        assert_eq!(total.sent_entries, sim_entries, "TCP entries == simulated envelopes");
+        assert_eq!(total.sent_bytes, sim_bytes, "TCP bytes == simulated wire bytes");
+        // (`run_wave_cluster` asserts per node that encode-side MACs
+        // equal frames, so the MAC count is pinned with them.)
     }
 
     /// Responds to *every* inbound message with a broadcast until its
@@ -1245,11 +1004,10 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn shutdown_drains_every_egress_lane_before_writer_close() {
-        // Four Burst instances across 4 receive shards — four workers,
-        // each flushing its own lane — all firing at a peer that comes up
-        // late: shutdown must close the WORKERS first, each flushing what
-        // its lane still holds into the writer queue, and only then close
-        // the writer, or whole workers' worth of frames would vanish.
+        // Four Burst instances on the one worker, all firing at a peer
+        // that comes up late: shutdown must close the WORKER first,
+        // flushing what its lane still holds into the writer queue, and
+        // only then close the writer, or the lane's frames would vanish.
         // Every one of the 4 × k frames must reach the slow peer.
         let k = 50usize;
         let instances = 4usize;
@@ -1260,7 +1018,6 @@ mod tests {
         let opts = RunOptions {
             linger: Duration::ZERO,
             flush: FlushPolicy::PerEntry, // one frame per envelope: all of them must arrive
-            recv_shards: 4,
             ..RunOptions::default()
         };
         let runner = tokio::spawn(async move {
@@ -1277,14 +1034,8 @@ mod tests {
         });
 
         let (_, stats) = runner.await.unwrap().expect("run ok");
-        assert_eq!(stats.sent_frames, total as u64, "every worker drained before writer close");
+        assert_eq!(stats.sent_frames, total as u64, "the worker drained before writer close");
         assert_eq!(stats.sent_entries, total as u64);
-        assert_eq!(stats.egress_shard_entries.iter().sum::<u64>(), total as u64);
-        assert!(
-            stats.egress_shard_entries.iter().filter(|&&c| c > 0).count() > 1,
-            "the burst must have exercised more than one worker: {:?}",
-            stats.egress_shard_entries
-        );
         assert_eq!(reader.await.unwrap(), total, "slow peer received every frame");
     }
 
@@ -1351,11 +1102,7 @@ mod tests {
         gossip_mux(me, n, cfg, n - 1, Bytes::from_static(b"g"))
     }
 
-    async fn run_epoch_cluster(
-        seed: &'static [u8],
-        flush: FlushPolicy,
-        recv_shards: usize,
-    ) -> Vec<NetStats> {
+    async fn run_epoch_cluster(seed: &'static [u8], flush: FlushPolicy) -> Vec<NetStats> {
         let n = 3;
         let epochs = 8u32;
         let assets = 2u16;
@@ -1365,7 +1112,7 @@ mod tests {
             let keychain = delphi_crypto::Keychain::derive(seed, id, n);
             let mux = epoch_mux(id, n, EpochConfig::new(epochs, assets, 2, 4, 1));
             let addrs = addrs.clone();
-            let opts = RunOptions { flush, recv_shards, ..RunOptions::default() };
+            let opts = RunOptions { flush, ..RunOptions::default() };
             handles.push(tokio::spawn(async move {
                 run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
             }));
@@ -1393,7 +1140,7 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn epoch_service_streams_over_loopback() {
-        let stats = run_epoch_cluster(b"epoch-stream", FlushPolicy::PerStep, 1).await;
+        let stats = run_epoch_cluster(b"epoch-stream", FlushPolicy::PerStep).await;
         for s in &stats {
             assert!(s.sent_frames > 0 && s.recv_frames > 0);
             assert!(s.recv_entries >= s.recv_frames);
@@ -1401,68 +1148,8 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sharded_epoch_service_streams_over_loopback() {
-        // The same stream with a 2-way sharded receive path: identical
-        // (merged, basket-ordered) events — run_epoch_cluster asserts the
-        // values — with dispatch spread over both shard counters.
-        let stats = run_epoch_cluster(b"epoch-sharded", FlushPolicy::PerStep, 2).await;
-        for s in &stats {
-            assert_eq!(s.dropped_frames, 0);
-            let spread = s.shard_entries.iter().filter(|&&c| c > 0).count();
-            assert!(spread > 1, "entries must spread across shards: {:?}", s.shard_entries);
-            assert_eq!(s.shard_entries.iter().sum::<u64>(), s.recv_entries);
-        }
-    }
-
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sharded_send_lanes_preserve_epoch_stream() {
-        // Two receive shards, so two workers, each flushing the lane of
-        // its own class: the entries a class's lane sends must equal the
-        // entries the RECEIVERS dispatch on that shard — the per-shard
-        // egress load the simulator models is the real per-worker load,
-        // by construction. run_epoch_cluster already asserts the merged
-        // events are identical to every other configuration's.
-        let stats = run_epoch_cluster(b"epoch-send-sharded", FlushPolicy::PerStep, 2).await;
-        let mut egress_lane_totals = [0u64; MAX_RECV_SHARDS];
-        let mut recv_shard_totals = [0u64; MAX_RECV_SHARDS];
-        for s in &stats {
-            assert_eq!(s.dropped_egress, 0);
-            assert_eq!(s.egress_shard_entries.iter().sum::<u64>(), s.sent_entries);
-            assert_eq!(s.egress_shard_macs.iter().sum::<u64>(), s.sent_frames);
-            let spread = s.egress_shard_entries.iter().filter(|&&c| c > 0).count();
-            assert!(spread > 1, "egress must spread across workers: {:?}", s.egress_shard_entries);
-            for lane in 0..MAX_RECV_SHARDS {
-                egress_lane_totals[lane] += s.egress_shard_entries[lane];
-                recv_shard_totals[lane] += s.shard_entries[lane];
-            }
-        }
-        assert_eq!(
-            egress_lane_totals, recv_shard_totals,
-            "per-class egress load == per-shard dispatch load across the cluster"
-        );
-    }
-
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn more_shards_than_assets_clamps_instead_of_wedging() {
-        // recv_shards = 4 with a 2-asset basket: the service must clamp
-        // the shard count to the basket so ingress routing and the
-        // pipeline split agree — a mismatched modulus would strand
-        // entries on workers that own nothing and time the stream out.
-        let stats = run_epoch_cluster(b"epoch-overshard", FlushPolicy::PerStep, 4).await;
-        for s in &stats {
-            assert_eq!(s.dropped_frames, 0);
-            assert_eq!(s.shard_entries.iter().sum::<u64>(), s.recv_entries);
-            assert!(
-                s.shard_entries[2..].iter().all(|&c| c == 0),
-                "entries past the clamped shard count: {:?}",
-                s.shard_entries
-            );
-        }
-    }
-
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn adaptive_flush_cuts_frames_per_entry_over_tcp() {
-        let per_step = run_epoch_cluster(b"epoch-perstep", FlushPolicy::PerStep, 1).await;
+        let per_step = run_epoch_cluster(b"epoch-perstep", FlushPolicy::PerStep).await;
         let adaptive = run_epoch_cluster(
             b"epoch-adaptive",
             FlushPolicy::Adaptive {
@@ -1470,7 +1157,6 @@ mod tests {
                 max_bytes: 4096,
                 max_delay: Duration::from_millis(5),
             },
-            1,
         )
         .await;
         let total = |v: &[NetStats]| {
@@ -1575,7 +1261,6 @@ mod tests {
                 "the live nodes agree every epoch among themselves"
             );
             assert!(stats.dropped_egress > 0, "frames to the silent peer must be dropped");
-            assert_eq!(stats.dropped_egress_shard[0], stats.dropped_egress);
             // Only the silent peer's frames were dropped: every greeting
             // between live nodes was needed for an epoch to agree.
             let per_peer = u64::from(epochs) * u64::from(assets);
@@ -1597,8 +1282,8 @@ mod tests {
     #[tokio::test]
     async fn flush_trigger_fires_on_an_empty_inbox_or_past_the_ceiling() {
         let frame =
-            || ShardInput::Frame(VerifiedFrame { from: NodeId(1), body: Bytes::from_static(b"") });
-        let (tx, mut rx) = mpsc::channel::<ShardInput>(4);
+            || WorkerInput::Frame(VerifiedFrame { from: NodeId(1), body: Bytes::from_static(b"") });
+        let (tx, mut rx) = mpsc::channel::<WorkerInput>(4);
         let ms = Duration::from_millis;
         let far = Instant::now() + ms(500);
 
@@ -1611,8 +1296,8 @@ mod tests {
         // as soon as the inbox is empty, carrying its answers too.
         tx.try_send(frame()).unwrap();
         tx.try_send(frame()).unwrap();
-        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Frame(_))));
-        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Frame(_))));
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(WorkerInput::Frame(_))));
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(WorkerInput::Frame(_))));
         assert!(next_input(&mut rx, Some(far)).await.is_none());
 
         // Past the ceiling the flush goes first however much is waiting,
@@ -1620,7 +1305,7 @@ mod tests {
         let passed = Instant::now() - ms(1);
         tx.try_send(frame()).unwrap();
         assert!(next_input(&mut rx, Some(passed)).await.is_none());
-        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Frame(_))));
+        assert!(matches!(next_input(&mut rx, None).await, Some(WorkerInput::Frame(_))));
 
         // Nothing pending: the worker parks on its inbox until a frame
         // arrives.
@@ -1630,14 +1315,14 @@ mod tests {
             late.try_send(frame()).unwrap();
         });
         let parked = std::time::Instant::now();
-        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Frame(_))));
+        assert!(matches!(next_input(&mut rx, None).await, Some(WorkerInput::Frame(_))));
         assert!(parked.elapsed() >= ms(30), "returned after {:?}", parked.elapsed());
         sender.await.unwrap();
 
         // No senders left: the inbox reads as Close, pending or not.
         drop(tx);
-        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(ShardInput::Close)));
-        assert!(matches!(next_input(&mut rx, None).await, Some(ShardInput::Close)));
+        assert!(matches!(next_input(&mut rx, Some(far)).await, Some(WorkerInput::Close)));
+        assert!(matches!(next_input(&mut rx, None).await, Some(WorkerInput::Close)));
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -1651,7 +1336,6 @@ mod tests {
         let mux = epoch_mux(NodeId(0), n, EpochConfig::new(4, 2, 2, 4, 1));
         let opts = RunOptions {
             deadline: Duration::from_millis(300),
-            recv_shards: 2,
             flush: FlushPolicy::adaptive(),
             ..RunOptions::default()
         };
@@ -1689,8 +1373,8 @@ mod tests {
         let probe = handle.stats();
         let mut tail = Vec::new();
         while let Some(event) = handle.next_event().await {
-            // Mid-stream snapshots are coherent: sharded 2-asset basket
-            // under a window of 4 — never more resident, never stale.
+            // Mid-stream snapshots are coherent: a 2-asset basket under a
+            // window of 4 — never more resident, never stale.
             let mid = probe.epoch_snapshot();
             assert!(mid.peak_resident <= 4, "torn or wild snapshot: {mid:?}");
             assert_eq!(mid.stale_epochs, 0);

@@ -1,25 +1,20 @@
 //! Per-peer authenticated sessions: batching under the run's flush
-//! policy, worker-owned egress lanes, and drain-on-shutdown.
+//! policy, the worker-owned egress lane, and drain-on-shutdown.
 //!
 //! A [`SessionSet`] owns the write side of the mesh: one
 //! [`PeerLink`] (a connection and its writer task) per peer. It hands
-//! every dispatch worker an [`EgressLane`] — a plain struct the worker
+//! the dispatch worker an [`EgressLane`] — a plain struct the worker
 //! owns and drives on its own thread — so a protocol step's output is
 //! routed, batched, encoded, MACed and written to the socket by the
 //! thread that produced it, crossing no queue unless the socket would
 //! block:
 //!
-//! - a worker owns the instances of one receive-shard class (the stable
-//!   `shard()` hash the receive path dispatches by), so everything it
-//!   sends belongs to that class and its lane needs one pending buffer
-//!   per destination; every frame therefore lands wholly on one dispatch
-//!   worker at the receiver, and send parallelism *is* receive
-//!   parallelism;
-//! - the lane accumulates entries under the session's [`FlushPolicy`]:
-//!   size triggers run inline in [`EgressLane::send_step`] once the step
-//!   is routed to every destination; otherwise the adaptive worker
-//!   flushes the moment its inbox is empty, after answering every frame
-//!   already waiting. There is no timer: the only time trigger is the
+//! - the lane holds one pending buffer per destination and accumulates
+//!   entries under the session's [`FlushPolicy`]: size triggers run
+//!   inline in [`EgressLane::send_step`] once the step is routed to
+//!   every destination; otherwise the adaptive worker flushes the
+//!   moment its inbox is empty, after answering every frame already
+//!   waiting. There is no timer: the only time trigger is the
 //!   ceiling ([`EgressLane::flush_ceiling`], `max_delay` after the first
 //!   pending entry), checked on every loop turn of a busy worker;
 //! - every flush takes one path: one frame per due destination under its
@@ -30,19 +25,16 @@
 //! - a frame goes straight to the peer's non-blocking socket, and to the
 //!   peer's bounded writer queue only if that would block (or the writer
 //!   holds frames, or has not dialed yet); a full queue drops the frame,
-//!   counted globally (`dropped_egress`), per shard class
-//!   (`dropped_egress_shard`) and per `(peer, class)` site — so a single
-//!   slow peer (drops in one peer's row, across classes) is never
-//!   confused with a saturated worker (drops in one class's column,
-//!   across peers). A worker never waits for a peer;
-//! - shutdown is "workers flush, then writer queues close": the service
-//!   closes its workers — each flushes what its lane still holds and
-//!   drops the lane — and only then [`SessionSet::shutdown`] closes the
+//!   counted globally (`dropped_egress`) and per peer, so a slow peer
+//!   shows up by name. The worker never waits for a peer;
+//! - shutdown is "worker flushes, then writer queues close": the service
+//!   closes its worker — it flushes what its lane still holds and drops
+//!   the lane — and only then [`SessionSet::shutdown`] closes the
 //!   writer queues and waits (bounded) for the write loops to flush, so
 //!   a slow peer still receives everything that was queued.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,7 +45,7 @@ use delphi_primitives::{AgreementId, Envelope, FlushPolicy, NodeId, PendingBatch
 use tokio::time::Instant;
 
 use crate::frame::{encode_untagged, put_tag};
-use crate::transport::{open_link, Counters, PeerLink, MAX_RECV_SHARDS};
+use crate::transport::{open_link, Counters, PeerLink};
 
 /// One due destination's batch: `(destination, entries)`.
 type Batch = (usize, Vec<(AgreementId, Bytes)>);
@@ -68,52 +60,15 @@ fn same_entries(a: &[(AgreementId, Bytes)], b: &[(AgreementId, Bytes)]) -> bool 
         })
 }
 
-/// Per-`(peer, class)` egress drop sites: the attribution that separates
-/// "peer 2 is slow" (one row lights up, across classes) from "worker 0
-/// is saturated" (one column lights up, across peers). Shared between
-/// the lanes; the first drop at a site emits one log line.
-struct EgressDropSites {
-    /// `counts[peer * MAX_RECV_SHARDS + class]`.
-    counts: Vec<AtomicU64>,
-}
-
-impl EgressDropSites {
-    fn new(n: usize) -> EgressDropSites {
-        EgressDropSites { counts: (0..n * MAX_RECV_SHARDS).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    /// Records one drop at `(peer, class)`, returning the new site count.
-    fn record(&self, peer: usize, class: usize) -> u64 {
-        self.counts[peer * MAX_RECV_SHARDS + class].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Per-peer rows of per-class drop counts.
-    #[cfg(test)]
-    fn snapshot(&self) -> Vec<[u64; MAX_RECV_SHARDS]> {
-        self.counts
-            .chunks(MAX_RECV_SHARDS)
-            .map(|row| {
-                let mut out = [0u64; MAX_RECV_SHARDS];
-                for (slot, c) in out.iter_mut().zip(row) {
-                    *slot = c.load(Ordering::Relaxed);
-                }
-                out
-            })
-            .collect()
-    }
-}
-
-/// One dispatch worker's send side: the per-destination pending buffers
-/// of its receive-shard class, the flush policy's triggers, frame encode,
-/// HMAC and the socket write — all run by the worker itself, on its own
-/// thread.
+/// The dispatch worker's send side: the per-destination pending buffers,
+/// the flush policy's triggers, frame encode, HMAC and the socket write
+/// — all run by the worker itself, on its own thread.
 pub(crate) struct EgressLane {
-    /// The worker's receive-shard class (the index its counters and drop
-    /// sites are attributed to).
-    class: usize,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
-    drop_sites: Arc<EgressDropSites>,
+    /// Frames dropped toward each peer because its writer queue was full;
+    /// the first drop toward a peer emits one log line.
+    drops: Vec<u64>,
     /// Clones of the per-peer links (`None` at our own slot).
     links: Vec<Option<PeerLink>>,
     /// Per-destination entries awaiting flush — the same accumulator
@@ -217,7 +172,6 @@ impl EgressLane {
             self.pending.recycle(entries);
         }
         self.due = due;
-        // Per-lane deltas: lanes share the counter, so `store` would race.
         let reuses = self.pending.reuse_hits();
         if reuses > self.published_reuses {
             self.counters
@@ -228,25 +182,23 @@ impl EgressLane {
     }
 
     /// Encodes and hashes a group's body once, then tags and sends it to
-    /// each destination, attributing drops to the `(peer, class)` site.
+    /// each destination, attributing drops to the peer.
     fn ship_group(&mut self, group: &[Batch]) {
         let Some((_, entries)) = group.first() else { return };
         let digest = encode_untagged(self.keychain.node_id(), entries, &mut self.frame);
         let counters = &self.counters;
         counters.body_hashes.fetch_add(1, Ordering::Relaxed);
-        let class = self.class;
-        for (dest, entries) in group {
+        for (dest, _) in group {
             let Some(Some(link)) = self.links.get(*dest) else { continue };
-            counters.egress_shard_entries[class].fetch_add(entries.len() as u64, Ordering::Relaxed);
             counters.mac_ops.fetch_add(1, Ordering::Relaxed);
-            counters.egress_shard_macs[class].fetch_add(1, Ordering::Relaxed);
+            counters.sent_tags.fetch_add(1, Ordering::Relaxed);
             put_tag(&mut self.frame, self.keychain.channel(NodeId(*dest as u16)), &digest);
+            let Some(drops) = self.drops.get_mut(*dest) else { continue };
             if !link.send(&self.frame, counters) {
-                counters.dropped_egress_shard[class].fetch_add(1, Ordering::Relaxed);
-                if self.drop_sites.record(*dest, class) == 1 {
+                *drops += 1;
+                if *drops == 1 {
                     eprintln!(
-                        "delphi-net: shard worker {class} started dropping frames to peer \
-                         {dest} (writer queue full)"
+                        "delphi-net: started dropping frames to peer {dest} (writer queue full)"
                     );
                 }
             }
@@ -256,18 +208,17 @@ impl EgressLane {
 
 /// The outbound half of a full-mesh node: one authenticated session — a
 /// [`PeerLink`] and its lazy-dialing writer task — per peer, and the
-/// factory of the [`EgressLane`]s that write to them.
+/// factory of the [`EgressLane`] that writes to them.
 pub(crate) struct SessionSet {
     /// `links[p]` carries frames to peer `p`; `None` at our own slot.
     /// Writer queues are bounded (`egress_capacity` frames): a peer that
     /// falls further behind has its frames dropped and counted in
     /// `NetStats::dropped_egress`. The set keeps these originals so
-    /// writers close only after the lanes (which hold clones) are gone.
+    /// writers close only after the lane (which holds clones) is gone.
     links: Vec<Option<PeerLink>>,
     writer_tasks: Vec<tokio::task::JoinHandle<()>>,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
-    drop_sites: Arc<EgressDropSites>,
     flush: FlushPolicy,
 }
 
@@ -293,19 +244,16 @@ impl SessionSet {
                 opened.0
             }));
         }
-        let drop_sites = Arc::new(EgressDropSites::new(addrs.len()));
-        SessionSet { links, writer_tasks, keychain, counters, drop_sites, flush }
+        SessionSet { links, writer_tasks, keychain, counters, flush }
     }
 
-    /// The egress lane for the dispatch worker owning receive-shard
-    /// class `class`: its own pending buffers over clones of the links.
-    pub(crate) fn lane(&self, class: usize) -> EgressLane {
-        assert!(class < MAX_RECV_SHARDS, "shard class out of range");
+    /// The dispatch worker's egress lane: its own pending buffers over
+    /// clones of the links.
+    pub(crate) fn lane(&self) -> EgressLane {
         EgressLane {
-            class,
             keychain: self.keychain.clone(),
             counters: self.counters.clone(),
-            drop_sites: self.drop_sites.clone(),
+            drops: vec![0; self.links.len()],
             links: self.links.clone(),
             pending: PendingBatches::new(self.links.len(), self.flush),
             routed: Vec::new(),
@@ -320,22 +268,16 @@ impl SessionSet {
         }
     }
 
-    /// The shared per-`(peer, class)` drop sites (test observability).
-    #[cfg(test)]
-    fn drop_sites(&self) -> Arc<EgressDropSites> {
-        self.drop_sites.clone()
-    }
-
-    /// Graceful drain of the write side, to be called once the workers
-    /// have flushed and dropped their lanes: closes the per-peer queues
-    /// so each write loop flushes its remaining frames and exits at
+    /// Graceful drain of the write side, to be called once the worker
+    /// has flushed and dropped its lane: closes the per-peer queues so
+    /// each write loop flushes its remaining frames and exits at
     /// channel-close, and joins them against `drain_deadline`. Closing
-    /// the writers before the workers are done would lose whatever the
-    /// lanes still buffered — the workers-flush-before-writer-close
+    /// the writers before the worker is done would lose whatever the
+    /// lane still buffered — the worker-flush-before-writer-close
     /// ordering is load-bearing.
     pub(crate) async fn shutdown(self, drain_deadline: Instant) {
         let SessionSet { links, writer_tasks, .. } = self;
-        // The lanes are gone (their clones dropped); releasing the
+        // The lane is gone (its clones dropped); releasing the
         // originals is what lets the writers observe close.
         drop(links);
         for task in writer_tasks {
@@ -410,7 +352,7 @@ mod tests {
         // verifies only there.
         let counters = Arc::new(Counters::default());
         let (sessions, listeners) = live_peer_sessions(b"share", 4, &counters, 16).await;
-        let mut lane = sessions.lane(0);
+        let mut lane = sessions.lane();
         let payload = Bytes::from_static(b"an echo for everyone");
         let id = AgreementId::new(EpochId(7), InstanceId(2));
         lane.send_step(vec![(id, vec![Envelope::to_all(payload.clone())])]);
@@ -453,7 +395,7 @@ mod tests {
         let counters = Arc::new(Counters::default());
         let (sessions, listeners) = live_peer_sessions(b"slow", 2, &counters, 1024).await;
         let listener = listeners.into_iter().next().unwrap();
-        let mut lane = sessions.lane(0);
+        let mut lane = sessions.lane();
         let numbered = |seq: u32| {
             let mut payload = vec![seq as u8; 16 * 1024];
             payload[..4].copy_from_slice(&seq.to_be_bytes());
@@ -541,7 +483,7 @@ mod tests {
         // memory, never make the sending worker wait.
         let counters = Arc::new(Counters::default());
         let sessions = dead_peer_sessions(2, &counters, FlushPolicy::PerStep, 4);
-        let mut lane = sessions.lane(0);
+        let mut lane = sessions.lane();
         for step in 0..100u16 {
             send_one(&mut lane, 1, &step.to_be_bytes());
         }
@@ -551,7 +493,7 @@ mod tests {
             (95..=96).contains(&dropped),
             "expected all but capacity(+1 in-flight) frames dropped, got {dropped}"
         );
-        assert_eq!(counters.dropped_egress_shard[0].load(Ordering::Relaxed), dropped);
+        assert_eq!(lane.drops, vec![0, dropped], "all toward peer 1");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 100, "every frame was tagged");
         assert_eq!(lane.flush_ceiling(), None, "a per-step lane never holds entries back");
         drop(lane);
@@ -561,43 +503,24 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn egress_drops_attribute_slow_peer_vs_saturated_lane() {
-        // Two workers (shard classes 0 and 1) over three nodes, queues of
-        // two frames, no peer ever draining.
-        let run = |traffic: &[(u16, usize)]| {
-            let counters = Arc::new(Counters::default());
-            let sessions = dead_peer_sessions(3, &counters, FlushPolicy::PerStep, 2);
-            let mut lanes = [sessions.lane(0), sessions.lane(1)];
-            for _ in 0..30 {
-                for &(dest, class) in traffic {
-                    send_one(&mut lanes[class], dest, b"x");
-                }
-            }
-            (sessions.drop_sites().snapshot(), counters.snapshot(), sessions)
-        };
-
-        // Cause 1 — a slow peer: overflow traffic from BOTH workers, but
-        // only toward peer 1. Drops must land in peer 1's row across
-        // both classes, and nowhere in peer 2's row — the signature that
-        // says "that peer is behind", not "a worker is saturated".
-        let (rows, snap, sessions) = run(&[(1, 0), (1, 1)]);
-        assert!(rows[1][0] > 0 && rows[1][1] > 0, "slow peer drops on both classes: {rows:?}");
-        assert!(rows[2].iter().all(|&c| c == 0), "no drops to the idle peer: {rows:?}");
-        assert_eq!(
-            snap.dropped_egress_shard.iter().sum::<u64>(),
-            snap.dropped_egress,
-            "every drop is attributed to a shard class"
-        );
-        sessions.abort();
-
-        // Cause 2 — a saturated worker: overflow traffic from ONE class
-        // toward both peers. Drops must land in class 0's column across
-        // both peers, and never on class 1.
-        let (rows, snap, sessions) = run(&[(1, 0), (2, 0)]);
-        assert!(rows[1][0] > 0 && rows[2][0] > 0, "class-0 drops for both peers: {rows:?}");
-        assert!(rows.iter().all(|row| row[1] == 0), "the idle class must stay clean: {rows:?}");
-        assert_eq!(snap.dropped_egress_shard[1], 0);
-        assert_eq!(snap.dropped_egress_shard[0], snap.dropped_egress);
+    async fn egress_drops_are_attributed_to_the_slow_peer() {
+        // Three nodes, queues of two frames, no peer ever draining, and
+        // overflow traffic toward peer 1 only. Every drop must land on
+        // peer 1 and none on the idle peer 2 — the signature that says
+        // "that peer is behind".
+        let counters = Arc::new(Counters::default());
+        let sessions = dead_peer_sessions(3, &counters, FlushPolicy::PerStep, 2);
+        let mut lane = sessions.lane();
+        for _ in 0..30 {
+            send_one(&mut lane, 1, b"x");
+        }
+        let drops = lane.drops.clone();
+        let snap = counters.snapshot();
+        assert!(drops[1] > 0, "the slow peer's frames are dropped: {drops:?}");
+        assert_eq!(drops[2], 0, "no drops to the idle peer: {drops:?}");
+        assert_eq!(drops.iter().sum::<u64>(), snap.dropped_egress, "every drop names its peer");
+        assert_eq!(snap.sent_tags, 30, "every frame was tagged, dropped or not");
+        drop(lane);
         sessions.abort();
     }
 
@@ -607,7 +530,7 @@ mod tests {
         let max_delay = Duration::from_millis(5);
         let flush = FlushPolicy::Adaptive { max_entries: 2, max_bytes: 4096, max_delay };
         let sessions = dead_peer_sessions(3, &counters, flush, 16);
-        let mut lane = sessions.lane(0);
+        let mut lane = sessions.lane();
         assert_eq!(lane.flush_ceiling(), None, "nothing pending, nothing armed");
         let before = Instant::now();
         send_one(&mut lane, 1, b"a");
@@ -625,7 +548,7 @@ mod tests {
         assert_eq!(lane.flush_ceiling(), Some(armed));
         lane.flush_all();
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 2);
-        assert_eq!(counters.egress_shard_entries[0].load(Ordering::Relaxed), 3);
+        assert_eq!(counters.sent_tags.load(Ordering::Relaxed), 2);
         assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
         // A size trigger that empties every destination disarms it too.
         send_one(&mut lane, 1, b"d");

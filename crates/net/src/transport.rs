@@ -9,12 +9,12 @@
 //!   connection out to its own [`read_loop`] task;
 //! - [`read_loop`] length-delimits, bounds-checks, and authenticates
 //!   inbound frames, surfacing the decoded `(sender, entries)` pairs;
-//! - a [`PeerLink`] is one outbound connection: workers write frames
-//!   straight to its non-blocking socket ([`PeerLink::send`]); its
-//!   [`write_loop`] task is the slow path, dialing lazily (only once a
-//!   frame is handed to it, so a peer that never appears cannot stall
-//!   shutdown), reconnecting with exponential backoff, and draining what
-//!   a worker could not write at once;
+//! - a [`PeerLink`] is one outbound connection: the dispatch worker
+//!   writes frames straight to its non-blocking socket
+//!   ([`PeerLink::send`]); its [`write_loop`] task is the slow path,
+//!   dialing lazily (only once a frame is handed to it, so a peer that
+//!   never appears cannot stall shutdown), reconnecting with exponential
+//!   backoff, and draining what the worker could not write at once;
 //! - [`Counters`] / [`NetStats`] are the wire-level observability shared
 //!   by every layer above.
 
@@ -41,12 +41,6 @@ use crate::frame::{decode_inbound_frame_ref, FrameError, MAX_FRAME_BODY, MIN_FRA
 /// a successful connection.
 pub(crate) const MAX_BACKOFF_FACTOR: u32 = 160;
 
-/// Maximum receive dispatch shards a runner may use
-/// ([`crate::RunOptions::recv_shards`] is clamped to this), sized so
-/// [`NetStats`] can carry fixed per-shard counters — for dispatch and,
-/// since every dispatch worker flushes its own output, for egress too.
-pub const MAX_RECV_SHARDS: usize = 8;
-
 /// Byte counters observed by the runner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -55,9 +49,12 @@ pub struct NetStats {
     pub sent_frames: u64,
     /// Total bytes written to sockets (frames incl. headers).
     pub sent_bytes: u64,
-    /// Outbound frame bodies hashed: frames encoded (`egress_shard_macs`
-    /// summed) minus these shared a body hash with another destination.
+    /// Outbound frame bodies hashed: `sent_tags` minus these frames
+    /// shared a body hash with another destination.
     pub body_hashes: u64,
+    /// Outbound frame tags computed, one per frame encoded — the encode
+    /// share of `mac_ops`, counted whether or not the frame was written.
+    pub sent_tags: u64,
     /// Envelopes queued for sending, after broadcast expansion.
     pub sent_entries: u64,
     /// Frames received and authenticated.
@@ -90,23 +87,6 @@ pub struct NetStats {
     /// per-asset mode); `vector_instances × vector_dims` recovers the
     /// per-asset agreement count.
     pub vector_dims: u64,
-    /// Authenticated entries dispatched to each receive shard (index =
-    /// shard; unsharded runs count everything on shard 0).
-    pub shard_entries: [u64; MAX_RECV_SHARDS],
-    /// Entries flushed (encoded into frames) by each dispatch worker's
-    /// egress lane (index = the worker's receive-shard class; unsharded
-    /// runs count everything on class 0). Summed over classes this
-    /// equals `sent_entries` once the workers have flushed.
-    pub egress_shard_entries: [u64; MAX_RECV_SHARDS],
-    /// HMAC tag computations performed by each worker's egress lane —
-    /// the per-class attribution of the encode share of `mac_ops`.
-    pub egress_shard_macs: [u64; MAX_RECV_SHARDS],
-    /// Outbound frames dropped by each worker's egress lane because the
-    /// destination's bounded writer queue was full — the per-class
-    /// attribution of `dropped_egress`. A saturated worker concentrates
-    /// drops on one index across peers; a slow peer spreads them across
-    /// classes (the per-peer split lives in the session-layer drop log).
-    pub dropped_egress_shard: [u64; MAX_RECV_SHARDS],
 }
 
 /// Shared mutable counters behind [`NetStats`].
@@ -115,6 +95,7 @@ pub(crate) struct Counters {
     pub(crate) sent_frames: AtomicU64,
     pub(crate) sent_bytes: AtomicU64,
     pub(crate) body_hashes: AtomicU64,
+    pub(crate) sent_tags: AtomicU64,
     pub(crate) sent_entries: AtomicU64,
     pub(crate) recv_frames: AtomicU64,
     pub(crate) recv_entries: AtomicU64,
@@ -124,19 +105,6 @@ pub(crate) struct Counters {
     pub(crate) buffer_reuses: AtomicU64,
     pub(crate) vector_instances: AtomicU64,
     pub(crate) vector_dims: AtomicU64,
-    pub(crate) shard_entries: [AtomicU64; MAX_RECV_SHARDS],
-    pub(crate) egress_shard_entries: [AtomicU64; MAX_RECV_SHARDS],
-    pub(crate) egress_shard_macs: [AtomicU64; MAX_RECV_SHARDS],
-    pub(crate) dropped_egress_shard: [AtomicU64; MAX_RECV_SHARDS],
-}
-
-/// Loads a fixed-size atomic counter array into its snapshot form.
-fn load_array(counters: &[AtomicU64; MAX_RECV_SHARDS]) -> [u64; MAX_RECV_SHARDS] {
-    let mut out = [0u64; MAX_RECV_SHARDS];
-    for (slot, counter) in out.iter_mut().zip(counters) {
-        *slot = counter.load(Ordering::Relaxed);
-    }
-    out
 }
 
 impl Counters {
@@ -146,38 +114,33 @@ impl Counters {
     }
 
     pub(crate) fn snapshot(&self) -> NetStats {
-        let shard_entries = load_array(&self.shard_entries);
         NetStats {
             sent_frames: self.sent_frames.load(Ordering::Relaxed),
             sent_bytes: self.sent_bytes.load(Ordering::Relaxed),
             body_hashes: self.body_hashes.load(Ordering::Relaxed),
+            sent_tags: self.sent_tags.load(Ordering::Relaxed),
             sent_entries: self.sent_entries.load(Ordering::Relaxed),
             recv_frames: self.recv_frames.load(Ordering::Relaxed),
             recv_entries: self.recv_entries.load(Ordering::Relaxed),
             dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
             dropped_egress: self.dropped_egress.load(Ordering::Relaxed),
             // The epoch layer's count: `ServiceStats::net_snapshot` reads it
-            // from the workers' live cells.
+            // from the worker's live cell.
             late_entries: 0,
             mac_ops: self.mac_ops.load(Ordering::Relaxed),
             buffer_reuses: self.buffer_reuses.load(Ordering::Relaxed),
             vector_instances: self.vector_instances.load(Ordering::Relaxed),
             vector_dims: self.vector_dims.load(Ordering::Relaxed),
-            shard_entries,
-            egress_shard_entries: load_array(&self.egress_shard_entries),
-            egress_shard_macs: load_array(&self.egress_shard_macs),
-            dropped_egress_shard: load_array(&self.dropped_egress_shard),
         }
     }
 }
 
 /// One authenticated inbound frame, shipped as the shared body buffer:
 /// the read loop verified the tag and validated the batch structure, so
-/// receivers re-split it with [`crate::frame::split_verified_body`] —
-/// cheap structural walk, no MAC, no per-entry copies. Cloning is a
-/// refcount bump, which is how one frame fans out to several dispatch
-/// shards without duplicating bytes.
-#[derive(Clone, Debug)]
+/// the dispatch worker re-splits it with
+/// [`crate::frame::split_verified_body`] — cheap structural walk, no MAC,
+/// no per-entry copies.
+#[derive(Debug)]
 pub(crate) struct VerifiedFrame {
     /// The authenticated sender.
     pub(crate) from: NodeId,
@@ -185,10 +148,10 @@ pub(crate) struct VerifiedFrame {
     pub(crate) body: Bytes,
 }
 
-/// What a dispatch worker's inbox carries.
+/// What the dispatch worker's inbox carries.
 #[derive(Debug)]
-pub(crate) enum ShardInput {
-    /// An authenticated frame with at least one entry the worker owns.
+pub(crate) enum WorkerInput {
+    /// An authenticated frame with at least one entry.
     Frame(VerifiedFrame),
     /// The run is over: flush what is pending and exit. Read loops hold
     /// inbox senders for as long as their peers stay connected, so an
@@ -196,33 +159,29 @@ pub(crate) enum ShardInput {
     Close,
 }
 
-/// Per-shard ingress: `txs[s]` feeds the dispatch worker owning shard
-/// `s`'s instances. Unsharded runs use a single-element vector.
-pub(crate) type ShardSenders = Arc<Vec<mpsc::Sender<ShardInput>>>;
-
 /// Spawns the accept loop on `listener`: every inbound connection gets
-/// its own [`read_loop`] task verifying frames and routing them to the
-/// dispatch shards in `txs` by entry ownership.
+/// its own [`read_loop`] task verifying frames and sending them to the
+/// dispatch worker's inbox `tx`.
 pub(crate) fn spawn_acceptor(
     listener: TcpListener,
     keychain: Arc<Keychain>,
-    txs: ShardSenders,
+    tx: mpsc::Sender<WorkerInput>,
     counters: Arc<Counters>,
 ) -> tokio::task::JoinHandle<()> {
     tokio::spawn(async move {
         loop {
             let Ok((stream, _)) = listener.accept().await else { break };
             let kc = keychain.clone();
-            let txs = txs.clone();
+            let tx = tx.clone();
             let counters = counters.clone();
             tokio::spawn(async move {
-                let _ = read_loop(stream, kc, txs, counters).await;
+                let _ = read_loop(stream, kc, tx, counters).await;
             });
         }
     })
 }
 
-/// One peer's outbound connection, shared by the dispatch workers and the
+/// One peer's outbound connection, shared by the dispatch worker and the
 /// peer's writer task; the writer's queue closes with the last clone.
 #[derive(Clone)]
 pub(crate) struct PeerLink {
@@ -232,12 +191,12 @@ pub(crate) struct PeerLink {
     backlog: mpsc::Sender<(Bytes, usize)>,
 }
 
-/// The per-peer lock: workers check it and write under it, so their
-/// frames never interleave.
+/// The per-peer lock: the worker checks it and writes under it, so its
+/// frames never interleave with the writer's.
 struct Conn {
     /// What the writer dialed; `None` before and after a failed write.
     stream: Option<Arc<TcpStream>>,
-    /// Frames the writer holds. Workers write directly only at 0, when
+    /// Frames the writer holds. The worker writes directly only at 0, when
     /// every earlier frame is whole on the wire.
     held: usize,
 }
@@ -297,10 +256,9 @@ impl PeerLink {
 pub(crate) async fn read_loop(
     mut stream: TcpStream,
     keychain: Arc<Keychain>,
-    txs: ShardSenders,
+    tx: mpsc::Sender<WorkerInput>,
     counters: Arc<Counters>,
 ) -> std::io::Result<()> {
-    let shards = txs.len();
     let mut len_buf = [0u8; 4];
     loop {
         if stream.read_exact(&mut len_buf).await.is_err() {
@@ -326,26 +284,12 @@ pub(crate) async fn read_loop(
                 counters.mac_ops.fetch_add(1, Ordering::Relaxed);
                 counters.recv_frames.fetch_add(1, Ordering::Relaxed);
                 counters.recv_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-                // Route the frame to every shard owning at least one of
-                // its entries (sharded senders batch per shard class, so
-                // the common case is exactly one target).
-                let mut shard_counts = [0u64; MAX_RECV_SHARDS];
-                if shards == 1 {
-                    shard_counts[0] = entries.len() as u64;
-                } else {
-                    for (id, _) in entries.iter() {
-                        shard_counts[id.shard(shards)] += 1;
-                    }
+                if entries.is_empty() {
+                    continue;
                 }
-                let frame = VerifiedFrame { from, body: body.clone() };
-                for (shard, &count) in shard_counts.iter().enumerate().take(shards) {
-                    if count == 0 {
-                        continue;
-                    }
-                    counters.shard_entries[shard].fetch_add(count, Ordering::Relaxed);
-                    if txs[shard].send(ShardInput::Frame(frame.clone())).await.is_err() {
-                        return Ok(()); // dispatch worker gone
-                    }
+                let frame = VerifiedFrame { from, body };
+                if tx.send(WorkerInput::Frame(frame)).await.is_err() {
+                    return Ok(()); // dispatch worker gone
                 }
             }
             Err(err) => {
@@ -468,8 +412,7 @@ mod tests {
             let (tx, mut rx) = mpsc::channel(16);
             let mut client = TcpStream::connect(addr).await.unwrap();
             let (server, _) = listener.accept().await.unwrap();
-            let reader =
-                tokio::spawn(read_loop(server, bob.clone(), Arc::new(vec![tx]), counters.clone()));
+            let reader = tokio::spawn(read_loop(server, bob.clone(), tx, counters.clone()));
 
             client.write_all(&bad_len.to_be_bytes()).await.unwrap();
             // A perfectly valid frame behind the corrupt length word: the

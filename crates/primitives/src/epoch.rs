@@ -144,14 +144,6 @@ impl AgreementId {
     pub fn new(epoch: EpochId, asset: InstanceId) -> AgreementId {
         AgreementId { epoch, asset }
     }
-
-    /// Stable receive-shard assignment, by asset: every epoch of one asset
-    /// lands on the same dispatch worker, so per-instance FIFO ordering
-    /// survives sharding. See [`InstanceId::shard`].
-    #[inline]
-    pub fn shard(self, shards: usize) -> usize {
-        self.asset.shard(shards)
-    }
 }
 
 impl fmt::Display for AgreementId {
@@ -496,8 +488,8 @@ pub struct EpochStats {
 /// a seqlock built from plain atomics (no locks on either side, safe
 /// Rust only).
 ///
-/// The sharded epoch workers each own one cell and
-/// [`publish`](EpochStatsCell::publish) after every frame; any number of
+/// The dispatch worker owns the cell and
+/// [`publish`](EpochStatsCell::publish)es after every frame; any number of
 /// observers (a stats route, a monitoring thread, the service handle) call
 /// [`stats_snapshot`](EpochStatsCell::stats_snapshot) and always see one
 /// *coherent* published value — never a mix of two publications — because
@@ -520,7 +512,7 @@ impl EpochStatsCell {
         EpochStatsCell::default()
     }
 
-    /// Publishes a new coherent value. Single writer: the owning shard
+    /// Publishes a new coherent value. Single writer: the owning dispatch
     /// worker. (Two concurrent writers would corrupt the seqlock's
     /// odd/even discipline; the type is not built for that.)
     pub fn publish(&self, stats: EpochStats) {
@@ -1078,205 +1070,6 @@ impl<P: Protocol + 'static> EpochMux<P> {
         mux.vector_dims = dims;
         mux
     }
-
-    /// Splits an **unstarted** pipeline into per-receive-shard
-    /// sub-pipelines, partitioning the basket by [`InstanceId::shard`].
-    ///
-    /// Each [`EpochShard`] owns the full epoch lifecycle (spawn, GC,
-    /// fast-forward, ordered emission) for *its* assets and nothing else,
-    /// so a sharded receive path dispatches entries to shard workers with
-    /// no locks on the per-entry path — the factory is the only shared
-    /// state, serialized behind a mutex that is touched once per
-    /// `(epoch, asset)` spawn, never per entry. Shards with no assets are
-    /// dropped, so the result holds `min(shards, assets)` pipelines.
-    ///
-    /// Merge the per-shard event streams back into basket order with
-    /// [`merge_epoch_shards`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline was already started or `shards` is zero.
-    pub fn split_assets(self, shards: usize) -> Vec<EpochShard<P>> {
-        assert!(!self.started, "split_assets must precede start()");
-        assert!(shards >= 1, "need at least one shard");
-        let total = usize::from(self.cfg.assets);
-        let shards = shards.min(total);
-        let mut groups: Vec<Vec<InstanceId>> = vec![Vec::new(); shards];
-        for a in 0..total as u16 {
-            groups[InstanceId(a).shard(shards)].push(InstanceId(a));
-        }
-        let factory = std::sync::Arc::new(std::sync::Mutex::new(self.factory));
-        let (cfg, me, n) = (self.cfg, self.me, self.n);
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(shard_index, assets)| {
-                let shared = factory.clone();
-                let map = assets.clone();
-                let sub_cfg =
-                    EpochConfig::new(cfg.epochs, map.len() as u16, cfg.depth, cfg.window, cfg.t);
-                let mux = EpochMux::new(
-                    sub_cfg,
-                    me,
-                    n,
-                    Box::new(move |epoch, local| {
-                        (shared.lock().expect("shared factory"))(epoch, map[local.index()])
-                    }),
-                );
-                EpochShard { shard_index, assets, mux }
-            })
-            .collect()
-    }
-}
-
-/// One receive shard's slice of a split pipeline (see
-/// [`EpochMux::split_assets`]): a complete [`EpochMux`] over a subset of
-/// the basket, speaking **global** asset ids at its boundary.
-pub struct EpochShard<P: Protocol> {
-    /// Which shard index of the split this is (the [`InstanceId::shard`]
-    /// value of every asset it owns).
-    shard_index: usize,
-    /// The global asset ids this shard owns, ascending.
-    assets: Vec<InstanceId>,
-    mux: EpochMux<P>,
-}
-
-impl<P: Protocol> fmt::Debug for EpochShard<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpochShard").field("assets", &self.assets).field("mux", &self.mux).finish()
-    }
-}
-
-impl<P: Protocol> EpochShard<P> {
-    /// Which shard index of the split this is.
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// The global asset ids this shard owns, ascending.
-    pub fn assets(&self) -> &[InstanceId] {
-        &self.assets
-    }
-
-    /// The ordered events emitted so far (shard-local asset order).
-    pub fn events(&self) -> &[EpochEvent<P::Output>] {
-        self.mux.events()
-    }
-
-    /// Drains the events emitted since the last drain (shard-local asset
-    /// order; translate through [`EpochShard::assets`] to recover global
-    /// ids). This is what lets a driver tail a shard's stream live
-    /// instead of collecting everything at the end.
-    pub fn drain_events(&mut self) -> Vec<EpochEvent<P::Output>> {
-        self.mux.drain_events()
-    }
-
-    /// Whether this shard owns `asset`'s traffic.
-    pub fn owns(&self, asset: InstanceId) -> bool {
-        self.assets.binary_search(&asset).is_ok()
-    }
-
-    /// Whether every epoch of this shard's stream has resolved.
-    pub fn is_complete(&self) -> bool {
-        self.mux.is_complete()
-    }
-
-    /// The shard's epoch-layer counters.
-    pub fn stats(&self) -> EpochStats {
-        self.mux.stats()
-    }
-
-    /// Starts the shard's pipeline, returning globally-addressed bursts.
-    pub fn start(&mut self) -> Vec<(AgreementId, Vec<Envelope>)> {
-        let bursts = self.mux.start();
-        self.to_global(bursts)
-    }
-
-    /// Feeds one authenticated entry (global address). Entries for assets
-    /// this shard does not own are ignored — the dispatcher routes by the
-    /// same [`AgreementId::shard`] mapping, so they never arrive in a
-    /// correct deployment.
-    pub fn on_entry(
-        &mut self,
-        from: NodeId,
-        id: AgreementId,
-        payload: &[u8],
-    ) -> Vec<(AgreementId, Vec<Envelope>)> {
-        let Ok(local) = self.assets.binary_search(&id.asset) else {
-            return Vec::new();
-        };
-        let bursts =
-            self.mux.on_entry(from, AgreementId::new(id.epoch, InstanceId(local as u16)), payload);
-        self.to_global(bursts)
-    }
-
-    /// Consumes the shard, returning its asset map and ordered events for
-    /// [`merge_epoch_shards`].
-    pub fn into_events(self) -> (Vec<InstanceId>, Vec<EpochEvent<P::Output>>, EpochStats) {
-        let stats = self.mux.stats();
-        let EpochShard { assets, mut mux, .. } = self;
-        (assets, mux.drain_events(), stats)
-    }
-
-    fn to_global(
-        &self,
-        bursts: Vec<(AgreementId, Vec<Envelope>)>,
-    ) -> Vec<(AgreementId, Vec<Envelope>)> {
-        bursts
-            .into_iter()
-            .map(|(id, envs)| (AgreementId::new(id.epoch, self.assets[id.asset.index()]), envs))
-            .collect()
-    }
-}
-
-/// Reassembles per-shard event streams (from [`EpochShard::into_events`])
-/// into one basket-ordered stream over `assets` global assets.
-///
-/// An epoch merges to [`EpochOutcome::Agreed`] only when **every** shard
-/// agreed it; a skip on any shard skips the merged epoch — the same
-/// all-or-nothing contract a single pipeline gives per epoch.
-pub fn merge_epoch_shards<O: Clone + fmt::Debug>(
-    shards: Vec<(Vec<InstanceId>, Vec<EpochEvent<O>>)>,
-    assets: u16,
-) -> Vec<EpochEvent<O>> {
-    let epochs = shards.iter().map(|(_, ev)| ev.len()).max().unwrap_or(0);
-    (0..epochs)
-        .map(|e| {
-            let mut values: Vec<Option<O>> = vec![None; usize::from(assets)];
-            let mut skipped = false;
-            for (ids, events) in &shards {
-                match events.get(e).map(|ev| &ev.outcome) {
-                    Some(EpochOutcome::Agreed(vs)) => {
-                        for (local, v) in vs.iter().enumerate() {
-                            values[ids[local].index()] = Some(v.clone());
-                        }
-                    }
-                    Some(EpochOutcome::Skipped) | None => skipped = true,
-                }
-            }
-            let outcome = if skipped || values.iter().any(Option::is_none) {
-                EpochOutcome::Skipped
-            } else {
-                EpochOutcome::Agreed(values.into_iter().map(|v| v.expect("all present")).collect())
-            };
-            EpochEvent { epoch: EpochId(e as u32), outcome }
-        })
-        .collect()
-}
-
-/// Combines per-shard [`EpochStats`]: counters sum; `peak_resident` is the
-/// worst shard's residency (each shard bounds its own window).
-pub fn merge_epoch_stats(stats: impl IntoIterator<Item = EpochStats>) -> EpochStats {
-    let mut total = EpochStats::default();
-    for s in stats {
-        total.late_entries += s.late_entries;
-        total.early_dropped += s.early_dropped;
-        total.replayed_entries += s.replayed_entries;
-        total.stale_epochs += s.stale_epochs;
-        total.peak_resident = total.peak_resident.max(s.peak_resident);
-    }
-    total
 }
 
 /// [`Protocol`] adapter over [`EpochMux`]: the whole epoch pipeline as one
@@ -1287,24 +1080,13 @@ pub fn merge_epoch_stats(stats: impl IntoIterator<Item = EpochStats>) -> EpochSt
 /// and relies on the driver's time trigger ([`Protocol::on_tick`]) to
 /// bound the delay. The output is the complete ordered event stream, once
 /// every epoch has resolved.
-///
-/// With [`EpochProtocol::recv_shards`] the sender additionally flushes one
-/// batch per *(destination, receive shard)* — every entry of a batch
-/// shares one [`AgreementId::shard`] class, and the envelope is tagged
-/// with it — so a driver with a per-shard CPU model (the simulator's
-/// `recv_shards`) processes batches bound for different dispatch workers
-/// concurrently, mirroring `delphi-net`'s sharded receive path.
 pub struct EpochProtocol<P: Protocol> {
     mux: EpochMux<P>,
-    /// Pending entries per `(destination × recv_shards + shard)` slot.
+    /// Pending entries per destination.
     pending: PendingBatches,
-    /// Receive shards the deployment runs (1 = unsharded).
-    recv_shards: usize,
     /// Reused routing buffers: one per destination, refilled per step.
     route_scratch: Vec<Vec<(AgreementId, Bytes)>>,
-    /// Reused per-shard partition buffers (sharded mode only).
-    shard_scratch: Vec<Vec<(AgreementId, Bytes)>>,
-    /// The entries flushed last and their encoding (see `flush_slot`).
+    /// The entries flushed last and their encoding (see `flush_dest`).
     last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
     /// Batches flushed (what a transport turns into frames).
     sent_batches: u64,
@@ -1424,42 +1206,17 @@ impl<P: Protocol> fmt::Debug for EpochProtocol<P> {
 }
 
 impl<P: Protocol> EpochProtocol<P> {
-    /// Wraps `mux` with the given flush policy (unsharded receive). Chain
-    /// [`EpochProtocol::recv_shards`] before the first step for the
-    /// sharded-receive sender half; there is deliberately no second
-    /// constructor.
+    /// Wraps `mux` with the given flush policy.
     pub fn new(mux: EpochMux<P>, flush: FlushPolicy) -> EpochProtocol<P> {
         let n = mux.n();
         EpochProtocol {
             mux,
             pending: PendingBatches::new(n, flush),
-            recv_shards: 1,
             route_scratch: Vec::new(),
-            shard_scratch: vec![Vec::new()],
             last_batch: None,
             sent_batches: 0,
             sent_entries: 0,
         }
-    }
-
-    /// Builder-style option: flush one batch per `(destination, receive
-    /// shard)`, with every envelope tagged by its [`AgreementId::shard`]
-    /// class — the sender half of a `recv_shards`-way sharded receive
-    /// path. Call before the first step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `recv_shards` is zero, or if entries are already pending
-    /// (the slot layout cannot be rewired mid-stream).
-    pub fn recv_shards(mut self, recv_shards: usize) -> EpochProtocol<P> {
-        assert!(recv_shards >= 1, "need at least one receive shard");
-        assert!(!self.pending.has_pending(), "recv_shards must be set before the first step");
-        let n = self.mux.n();
-        let policy = *self.pending.policy();
-        self.pending = PendingBatches::new(n * recv_shards, policy);
-        self.recv_shards = recv_shards;
-        self.shard_scratch = std::iter::repeat_with(Vec::new).take(recv_shards).collect();
-        self
     }
 
     /// The underlying pipeline.
@@ -1483,59 +1240,38 @@ impl<P: Protocol> EpochProtocol<P> {
         self.sent_entries
     }
 
-    /// Routes bursts into the per-slot pending buffers and flushes
-    /// whatever the policy says is due. Routing and shard partitioning
-    /// run through reused scratch buffers: the steady state allocates
-    /// nothing.
+    /// Routes bursts into the per-destination pending buffers and flushes
+    /// whatever the policy says is due. Routing runs through reused
+    /// scratch buffers: the steady state allocates nothing.
     fn enqueue(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>, out: &mut Vec<Envelope>) {
         if bursts.is_empty() {
             return; // most entries trigger nothing
         }
-        let (n, me, shards) = (self.mux.n(), self.mux.node_id(), self.recv_shards);
+        let (n, me) = (self.mux.n(), self.mux.node_id());
         let mut routed = std::mem::take(&mut self.route_scratch);
         route_epoch_bursts_into(bursts, n, me, &mut routed);
         for (dest, entries) in routed.iter_mut().enumerate() {
-            if entries.is_empty() {
-                continue;
+            while self.pending.push_drain(dest, entries) {
+                self.flush_dest(dest, out);
             }
-            if shards == 1 {
-                while self.pending.push_drain(dest, entries) {
-                    self.flush_slot(dest, out);
-                }
-                continue;
-            }
-            // Partition the destination's entries into shard classes so
-            // every flushed batch lands wholly on one dispatch worker.
-            let mut groups = std::mem::take(&mut self.shard_scratch);
-            for (id, payload) in entries.drain(..) {
-                groups[id.shard(shards)].push((id, payload));
-            }
-            for (shard, group) in groups.iter_mut().enumerate() {
-                while self.pending.push_drain(dest * shards + shard, group) {
-                    self.flush_slot(dest * shards + shard, out);
-                }
-            }
-            self.shard_scratch = groups;
         }
         self.route_scratch = routed;
     }
 
-    fn flush_slot(&mut self, slot: usize, out: &mut Vec<Envelope>) {
-        let entries = self.pending.take(slot);
+    fn flush_dest(&mut self, dest: usize, out: &mut Vec<Envelope>) {
+        let entries = self.pending.take(dest);
         if entries.is_empty() {
             return;
         }
         self.sent_batches += 1;
         self.sent_entries += entries.len() as u64;
-        let dest = NodeId((slot / self.recv_shards) as u16);
-        let shard = (slot % self.recv_shards) as u16;
         // A broadcast step flushes the same entries to every destination
         // in turn: encode them once and hand out refcounted copies.
         let payload = match &self.last_batch {
             Some((previous, encoded)) if *previous == entries => encoded.clone(),
             _ => encode_epoch_batch(&entries),
         };
-        out.push(Envelope::to_one(dest, payload.clone()).with_shard(shard));
+        out.push(Envelope::to_one(NodeId(dest as u16), payload.clone()));
         if let Some((previous, _)) = self.last_batch.replace((entries, payload)) {
             self.pending.recycle(previous);
         }
@@ -1543,8 +1279,8 @@ impl<P: Protocol> EpochProtocol<P> {
 
     fn flush_all(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
-        for slot in 0..self.pending.dests() {
-            self.flush_slot(slot, &mut out);
+        for dest in 0..self.pending.dests() {
+            self.flush_dest(dest, &mut out);
         }
         out
     }
@@ -2372,171 +2108,6 @@ mod tests {
         }
         assert_eq!(flushed, vec![0, 1, 2], "per-instance FIFO order survives the split");
         assert!(!pending.has_pending());
-    }
-
-    #[test]
-    fn sharded_flushing_partitions_batches_by_shard_class() {
-        // 4 assets, 2 receive shards: one step's mixed burst must flush as
-        // one batch per (destination, shard) with homogeneous shard
-        // classes and matching envelope tags.
-        let shards = 2usize;
-        let cfg = EpochConfig::new(4, 4, 2, 4, 1);
-        let mut node = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(0), 3, gossip_factory(NodeId(0), 3)),
-            FlushPolicy::PerStep,
-        )
-        .recv_shards(shards);
-        let envs = node.start();
-        assert!(!envs.is_empty());
-        for env in &envs {
-            let entries = decode_epoch_batch(&env.payload).unwrap();
-            assert!(!entries.is_empty());
-            let class = entries[0].0.shard(shards);
-            assert!(
-                entries.iter().all(|(id, _)| id.shard(shards) == class),
-                "mixed shard classes inside one batch"
-            );
-            assert_eq!(usize::from(env.shard), class, "envelope tag matches its entries");
-        }
-        // Both shard classes appear (4 dense assets spread over 2 shards).
-        let tags: std::collections::BTreeSet<u16> = envs.iter().map(|e| e.shard).collect();
-        assert!(tags.len() > 1, "start burst covers multiple shards: {tags:?}");
-    }
-
-    #[test]
-    fn sharded_mesh_completes_and_matches_unsharded_values() {
-        // The same 8-epoch, 4-asset stream run unsharded and with 2-way
-        // sharded flushing must produce identical agreement values —
-        // sharding is a transport-parallelism knob, never semantics.
-        let cfg = EpochConfig::new(8, 4, 2, 4, 1);
-        let run = |shards: usize| {
-            let mut nodes: Vec<EpochProtocol<Gossip>> = NodeId::all(3)
-                .map(|id| {
-                    EpochProtocol::new(
-                        EpochMux::new(cfg, id, 3, gossip_factory(id, 3)),
-                        FlushPolicy::PerStep,
-                    )
-                    .recv_shards(shards)
-                })
-                .collect();
-            run_mesh(&mut nodes);
-            nodes.iter().map(|n| n.output().expect("complete")).collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(2));
-    }
-
-    #[test]
-    fn split_assets_shards_complete_independently_and_merge_in_basket_order() {
-        // Drive a 2-node, 4-asset stream through split shards by hand:
-        // each node runs its shards, entries are routed by the stable
-        // shard mapping, and the merged streams equal basket order.
-        let n = 2;
-        let assets = 4u16;
-        let epochs = 5u32;
-        let shards_per_node = 2usize;
-        let cfg = EpochConfig::new(epochs, assets, 2, 4, 0);
-        let mut nodes: Vec<Vec<EpochShard<Gossip>>> = NodeId::all(n)
-            .map(|id| {
-                EpochMux::new(cfg, id, n, gossip_factory(id, n)).split_assets(shards_per_node)
-            })
-            .collect();
-        assert_eq!(nodes[0].len(), shards_per_node);
-        // Every asset is owned by exactly one shard, identically per node.
-        for a in 0..assets {
-            let owners: Vec<usize> = nodes[0]
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.owns(InstanceId(a)))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(owners.len(), 1, "asset {a} owners: {owners:?}");
-            assert!(nodes[1][owners[0]].owns(InstanceId(a)), "nodes shard identically");
-        }
-
-        // Hand-deliver: queue of (from, to, id, payload).
-        let mut queue: std::collections::VecDeque<(NodeId, NodeId, AgreementId, Bytes)> =
-            std::collections::VecDeque::new();
-        let push =
-            |queue: &mut std::collections::VecDeque<(NodeId, NodeId, AgreementId, Bytes)>,
-             from: NodeId,
-             n: usize,
-             bursts: Vec<(AgreementId, Vec<Envelope>)>| {
-                for (id, envs) in bursts {
-                    for env in envs {
-                        match env.to {
-                            Recipient::All => {
-                                for d in NodeId::all(n) {
-                                    if d != from {
-                                        queue.push_back((from, d, id, env.payload.clone()));
-                                    }
-                                }
-                            }
-                            Recipient::One(d) => queue.push_back((from, d, id, env.payload)),
-                        }
-                    }
-                }
-            };
-        for (i, shards) in nodes.iter_mut().enumerate() {
-            for shard in shards.iter_mut() {
-                let bursts = shard.start();
-                push(&mut queue, NodeId(i as u16), n, bursts);
-            }
-        }
-        while let Some((from, to, id, payload)) = queue.pop_front() {
-            let shard =
-                nodes[to.index()].iter_mut().find(|s| s.owns(id.asset)).expect("every asset owned");
-            let bursts = shard.on_entry(from, id, &payload);
-            push(&mut queue, to, n, bursts);
-        }
-
-        for (i, shards) in nodes.into_iter().enumerate() {
-            assert!(shards.iter().all(EpochShard::is_complete), "node {i} incomplete");
-            let stats = merge_epoch_stats(shards.iter().map(EpochShard::stats));
-            assert_eq!(stats.stale_epochs, 0);
-            assert!(stats.peak_resident <= 4);
-            let parts: Vec<(Vec<InstanceId>, Vec<EpochEvent<u8>>)> = shards
-                .into_iter()
-                .map(|s| {
-                    let (ids, events, _) = s.into_events();
-                    (ids, events)
-                })
-                .collect();
-            let merged = merge_epoch_shards(parts, assets);
-            assert_eq!(merged.len(), epochs as usize);
-            for (e, event) in merged.iter().enumerate() {
-                assert_eq!(event.epoch, EpochId(e as u32), "ordered after merge");
-                let EpochOutcome::Agreed(values) = &event.outcome else {
-                    panic!("node {i} epoch {e} skipped");
-                };
-                let expect: Vec<u8> =
-                    (0..assets as u8).map(|a| (e as u8).wrapping_mul(10).wrapping_add(a)).collect();
-                assert_eq!(values, &expect, "basket order preserved through the merge");
-            }
-        }
-    }
-
-    #[test]
-    fn merged_outcome_is_skipped_if_any_shard_skipped() {
-        let shard_a = (
-            vec![InstanceId(0)],
-            vec![EpochEvent { epoch: EpochId(0), outcome: EpochOutcome::Agreed(vec![1u8]) }],
-        );
-        let shard_b = (
-            vec![InstanceId(1)],
-            vec![EpochEvent { epoch: EpochId(0), outcome: EpochOutcome::<u8>::Skipped }],
-        );
-        let merged = merge_epoch_shards(vec![shard_a, shard_b], 2);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].outcome, EpochOutcome::Skipped);
-    }
-
-    #[test]
-    #[should_panic(expected = "precede start")]
-    fn split_after_start_rejected() {
-        let cfg = EpochConfig::new(2, 2, 1, 2, 0);
-        let mut mux = EpochMux::new(cfg, NodeId(0), 2, gossip_factory(NodeId(0), 2));
-        let _ = mux.start();
-        let _ = mux.split_assets(2);
     }
 
     impl<P: Protocol> EpochProtocol<P> {

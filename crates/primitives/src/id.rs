@@ -93,30 +93,6 @@ impl InstanceId {
     pub fn index(self) -> usize {
         usize::from(self.0)
     }
-
-    /// Stable receive-shard assignment: which of `shards` dispatch workers
-    /// owns this instance's traffic.
-    ///
-    /// The mapping is a pure Fibonacci multiply-shift of the instance id
-    /// (`((id ^ C) * C) >> 32 mod shards` with the golden-ratio constant
-    /// `C = 0x9E37_79B9_7F4A_7C15`), so the discrete-event simulator and
-    /// the TCP transport shard *identically*
-    /// — a deployment's per-shard load in simulation is its per-shard load
-    /// over real sockets. Epoch-addressed traffic shards by asset (see
-    /// [`AgreementId::shard`](crate::AgreementId::shard)), keeping every
-    /// epoch of one asset on one worker so per-instance FIFO ordering
-    /// survives sharding.
-    #[inline]
-    pub fn shard(self, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        // Fibonacci multiply-shift: consecutive ids (the dense oracle
-        // basket case) spread evenly for any shard count, and the mapping
-        // is a pure function of the id — no per-process salt.
-        let h = (u64::from(self.0) ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % shards
-    }
 }
 
 impl fmt::Display for InstanceId {
@@ -240,29 +216,5 @@ mod tests {
     fn instance_id_display_and_solo() {
         assert_eq!(InstanceId(3).to_string(), "instance-3");
         assert_eq!(InstanceId::from(5u16).index(), 5);
-    }
-
-    #[test]
-    fn instance_shard_is_stable_bounded_and_spreads() {
-        // Single shard is the identity sink.
-        for raw in [0u16, 1, 7, 999, u16::MAX] {
-            assert_eq!(InstanceId(raw).shard(1), 0);
-            assert_eq!(InstanceId(raw).shard(0), 0);
-        }
-        for shards in [2usize, 3, 4, 8] {
-            let mut hit = vec![0usize; shards];
-            for raw in 0..256u16 {
-                let s = InstanceId(raw).shard(shards);
-                assert!(s < shards);
-                // Determinism: the mapping is a pure function.
-                assert_eq!(s, InstanceId(raw).shard(shards));
-                hit[s] += 1;
-            }
-            // Every shard gets a fair cut of a dense id range (the oracle
-            // basket case): no worker may sit idle.
-            for (s, &count) in hit.iter().enumerate() {
-                assert!(count > 256 / shards / 4, "shard {s} starved: {hit:?}");
-            }
-        }
     }
 }

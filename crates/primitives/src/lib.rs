@@ -50,9 +50,8 @@ pub mod wire;
 pub use bitset::NodeBitSet;
 pub use dyadic::{Dyadic, DyadicRangeError};
 pub use epoch::{
-    flatten_vector_events, merge_epoch_shards, merge_epoch_stats, AgreementId, EpochConfig,
-    EpochEvent, EpochId, EpochMux, EpochOutcome, EpochProtocol, EpochShard, EpochStats,
-    EpochStatsCell, FlushPolicy, PendingBatches,
+    flatten_vector_events, AgreementId, EpochConfig, EpochEvent, EpochId, EpochMux, EpochOutcome,
+    EpochProtocol, EpochStats, EpochStatsCell, FlushPolicy, PendingBatches,
 };
 pub use id::{InstanceId, NodeId, Round};
 pub use protocol::{Envelope, Protocol, Recipient};

@@ -36,33 +36,17 @@ pub struct Envelope {
     pub to: Recipient,
     /// Encoded message body.
     pub payload: Bytes,
-    /// Receive-shard hint: which of the receiver's dispatch workers this
-    /// message's entries belong to (0 when the sender does not shard).
-    ///
-    /// Senders that flush per receive shard (see
-    /// [`EpochProtocol::new_sharded`](crate::EpochProtocol::new_sharded))
-    /// tag each batch so drivers with a per-shard CPU model — the
-    /// simulator's `recv_shards` — can overlap the processing of batches
-    /// bound for different workers, exactly as the TCP runtime's sharded
-    /// dispatch does.
-    pub shard: u16,
 }
 
 impl Envelope {
     /// Creates a broadcast envelope (the paper's `SendAll`).
     pub fn to_all(payload: Bytes) -> Envelope {
-        Envelope { to: Recipient::All, payload, shard: 0 }
+        Envelope { to: Recipient::All, payload }
     }
 
     /// Creates a point-to-point envelope.
     pub fn to_one(to: NodeId, payload: Bytes) -> Envelope {
-        Envelope { to: Recipient::One(to), payload, shard: 0 }
-    }
-
-    /// Tags the envelope with a receive-shard hint.
-    pub fn with_shard(mut self, shard: u16) -> Envelope {
-        self.shard = shard;
-        self
+        Envelope { to: Recipient::One(to), payload }
     }
 
     /// Payload length in bytes (what bandwidth accounting charges).
@@ -149,8 +133,8 @@ pub trait Protocol {
     /// Handles a time trigger from the driver, returning messages to send.
     ///
     /// Transports with a clock (the simulator's tick events; not the TCP
-    /// runtime, whose workers flush once their inbox is empty) call this
-    /// periodically; protocols that defer work against a time bound —
+    /// runtime, whose dispatch worker flushes once its inbox is empty)
+    /// call this periodically; protocols that defer work against a time bound —
     /// adaptive batch flushing, most prominently — release it here. The
     /// default does nothing, so message-driven protocols are unaffected.
     fn on_tick(&mut self) -> Vec<Envelope> {
@@ -185,8 +169,6 @@ mod tests {
         let e = Envelope::to_one(NodeId(2), Bytes::new());
         assert_eq!(e.to, Recipient::One(NodeId(2)));
         assert!(e.is_empty());
-        assert_eq!(e.shard, 0, "unsharded senders tag shard 0");
-        assert_eq!(e.with_shard(3).shard, 3);
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl<P> ByteMutator<P> {
                     let mut bytes = env.payload.to_vec();
                     let idx = self.rng.random_range(0..bytes.len());
                     bytes[idx] ^= 1u8 << self.rng.random_range(0..8);
-                    Envelope { to: env.to, payload: Bytes::from(bytes), shard: env.shard }
+                    Envelope { to: env.to, payload: Bytes::from(bytes) }
                 } else {
                     env
                 }

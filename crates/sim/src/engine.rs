@@ -81,9 +81,8 @@ impl<O> RunReport<O> {
 
 #[derive(Debug)]
 enum EventKind {
-    /// A message delivery. `shard` is the sender's receive-shard tag
-    /// (see [`delphi_primitives::Envelope::shard`]).
-    Msg { from: NodeId, to: NodeId, payload: Bytes, shard: u16 },
+    /// A message delivery.
+    Msg { from: NodeId, to: NodeId, payload: Bytes },
     /// A global time trigger: every node's `on_tick` runs (adaptive batch
     /// flushing lives there). Scheduled only when
     /// [`Simulation::tick_interval_ns`] is set.
@@ -125,14 +124,11 @@ pub struct Simulation {
     max_events: u64,
     max_time_ns: u64,
     tick_interval_ns: Option<u64>,
-    recv_shards: usize,
-    send_shards: Option<usize>,
 }
 
 impl Simulation {
     /// Creates a simulation over `topology` with default settings
-    /// (seed 0, no declared faults, 100M-event / 1-simulated-hour caps,
-    /// one receive shard).
+    /// (seed 0, no declared faults, 100M-event / 1-simulated-hour caps).
     pub fn new(topology: Topology) -> Simulation {
         let n = topology.n();
         Simulation {
@@ -142,8 +138,6 @@ impl Simulation {
             max_events: 100_000_000,
             max_time_ns: 3_600_000_000_000,
             tick_interval_ns: None,
-            recv_shards: 1,
-            send_shards: None,
         }
     }
 
@@ -172,53 +166,6 @@ impl Simulation {
     /// Overrides the simulated-time safety cap (nanoseconds).
     pub fn max_time_ns(mut self, cap: u64) -> Simulation {
         self.max_time_ns = cap;
-        self
-    }
-
-    /// Models a `shards`-way sharded receive path: each node's message
-    /// processing CPU becomes `shards` independent lanes, and a delivery
-    /// occupies the lane named by its envelope's
-    /// [`shard`](delphi_primitives::Envelope::shard) tag (mod `shards`).
-    ///
-    /// This is the simulator half of `delphi-net`'s sharded dispatch:
-    /// with a sender that flushes per receive shard (e.g.
-    /// `EpochProtocol::new_sharded` with the same count), batches bound
-    /// for different dispatch workers overlap in simulated time exactly
-    /// as they overlap on real worker tasks, while batches on one shard
-    /// still serialize. With the default of one shard (or untagged
-    /// senders) the model is unchanged: one CPU per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn recv_shards(mut self, shards: usize) -> Simulation {
-        assert!(shards > 0, "need at least one receive shard");
-        self.recv_shards = shards;
-        self
-    }
-
-    /// Models a `shards`-way sharded send path: each node's outbound
-    /// frame preparation (encode + MAC) becomes `shards` independent CPU
-    /// lanes, and every per-destination copy of an envelope occupies the
-    /// lane named by its [`shard`](delphi_primitives::Envelope::shard)
-    /// tag (mod `shards`) — per the [`Topology::cost`](crate::Topology)
-    /// model on payload bytes — before the link serializes it.
-    ///
-    /// This is the simulator half of `delphi-net`'s worker-owned egress
-    /// lanes: at `shards == recv_shards` the lane an envelope is costed
-    /// on here is by construction the dispatch worker that encodes and
-    /// MACs it on the TCP path, because both sides key on the same shard
-    /// tag. (The TCP runtime offers no other placement: a worker flushes
-    /// its own shard class.) Unset (the default), outbound CPU is not
-    /// modeled at all — the legacy model, where the link is the only
-    /// egress resource — so existing calibrated sweeps are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn send_shards(mut self, shards: usize) -> Simulation {
-        assert!(shards > 0, "need at least one send shard");
-        self.send_shards = Some(shards);
         self
     }
 
@@ -267,14 +214,8 @@ impl Simulation {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
-        // One CPU lane per (node, receive shard): deliveries on different
-        // shards of one node overlap, deliveries on one shard serialize.
-        let shards = self.recv_shards;
-        let mut cpu_free = vec![0u64; n * shards];
-        // One egress CPU lane per (node, send shard) when the sharded
-        // send path is modeled; zero lanes = legacy (no outbound CPU).
-        let send_lanes = self.send_shards.unwrap_or(0);
-        let mut send_free = vec![0u64; n * send_lanes];
+        // One CPU lane per node: its deliveries serialize.
+        let mut cpu_free = vec![0u64; n];
         let mut link_free = vec![0u64; n];
         let mut last_arrival = if self.topology.fifo() { vec![0u64; n * n] } else { Vec::new() };
         let mut metrics = Metrics::new(n);
@@ -299,20 +240,8 @@ impl Simulation {
                         }
                     };
                     for dest in dests {
-                        // Egress lane CPU: encoding + MACing this frame
-                        // occupies the sender's lane for the envelope's
-                        // shard class before the link takes it — the
-                        // same (frame, lane) granularity the TCP egress
-                        // workers parallelize on.
-                        let mut ready = $t;
-                        if send_lanes > 0 {
-                            let lane = from * send_lanes + usize::from(env.shard) % send_lanes;
-                            send_free[lane] = send_free[lane].max($t)
-                                + self.topology.cost().cost_ns(env.payload.len());
-                            ready = send_free[lane];
-                        }
                         let ser = self.topology.serialize_ns(from, wire_len);
-                        link_free[from] = link_free[from].max(ready) + ser;
+                        link_free[from] = link_free[from].max($t) + ser;
                         let depart = link_free[from];
                         let base = self.topology.latency().base_ns(from, dest);
                         let factor = self.topology.jitter().sample(&mut rng);
@@ -334,7 +263,6 @@ impl Simulation {
                                 from: NodeId(from as u16),
                                 to: NodeId(dest as u16),
                                 payload: env.payload.clone(),
-                                shard: env.shard,
                             },
                         }));
                     }
@@ -380,12 +308,11 @@ impl Simulation {
                     break;
                 }
                 match ev.kind {
-                    EventKind::Msg { from, to, payload, shard } => {
+                    EventKind::Msg { from, to, payload } => {
                         let to = to.index();
-                        let lane = to * shards + usize::from(shard) % shards;
                         let done =
-                            cpu_free[lane].max(now) + self.topology.cost().cost_ns(payload.len());
-                        cpu_free[lane] = done;
+                            cpu_free[to].max(now) + self.topology.cost().cost_ns(payload.len());
+                        cpu_free[to] = done;
                         {
                             let m = &mut metrics.per_node[to];
                             m.recv_msgs += 1;
@@ -731,110 +658,5 @@ mod tests {
             .with_cost(crate::CostModel { per_message_ns: 10_000_000, per_byte_ns: 0 });
         let costly = Simulation::new(costly_topo).seed(3).run(gossip_nodes(4));
         assert!(costly.completion_ns().unwrap() > free.completion_ns().unwrap());
-    }
-
-    /// Sends `k` shard-tagged messages to node 1 and outputs immediately;
-    /// the receiver outputs after hearing all of them.
-    struct ShardBurst {
-        id: NodeId,
-        k: u16,
-        shards: u16,
-        heard: usize,
-    }
-
-    impl Protocol for ShardBurst {
-        type Output = usize;
-        fn node_id(&self) -> NodeId {
-            self.id
-        }
-        fn n(&self) -> usize {
-            2
-        }
-        fn start(&mut self) -> Vec<Envelope> {
-            if self.id != NodeId(0) {
-                return Vec::new();
-            }
-            (0..self.k)
-                .map(|i| {
-                    Envelope::to_one(NodeId(1), Bytes::copy_from_slice(&[i as u8]))
-                        .with_shard(i % self.shards)
-                })
-                .collect()
-        }
-        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            self.heard += 1;
-            Vec::new()
-        }
-        fn output(&self) -> Option<usize> {
-            if self.id == NodeId(0) {
-                Some(0)
-            } else {
-                (self.heard >= usize::from(self.k)).then_some(self.heard)
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_receive_overlaps_cpu_cost_across_lanes() {
-        // 8 messages at 10 ms receive CPU each: one lane serializes them
-        // (~80 ms), 4 lanes overlap them (~20 ms). Latency and bandwidth
-        // are negligible next to the CPU cost, so the ratio is clean.
-        let run = |sim_shards: usize, tag_shards: u16| {
-            let topo = Topology::lan(2)
-                .with_cost(crate::CostModel { per_message_ns: 10_000_000, per_byte_ns: 0 });
-            let nodes: Vec<Box<dyn Protocol<Output = usize>>> = NodeId::all(2)
-                .map(|id| {
-                    Box::new(ShardBurst { id, k: 8, shards: tag_shards, heard: 0 })
-                        as Box<dyn Protocol<Output = usize>>
-                })
-                .collect();
-            Simulation::new(topo).seed(4).recv_shards(sim_shards).run(nodes)
-        };
-        let single = run(1, 4);
-        let sharded = run(4, 4);
-        assert_eq!(single.outputs[1], Some(8));
-        assert_eq!(sharded.outputs[1], Some(8));
-        let (t1, t4) = (single.completion_ns().unwrap(), sharded.completion_ns().unwrap());
-        assert!(
-            t4 * 3 < t1,
-            "4 lanes must overlap the receive CPU: {t1} ns single vs {t4} ns sharded"
-        );
-        // Tagging without lanes (or lanes without tags) changes nothing:
-        // every message lands on lane 0 either way.
-        let untagged = run(4, 1);
-        assert_eq!(untagged.completion_ns(), single.completion_ns());
-    }
-
-    #[test]
-    fn sharded_send_overlaps_encode_cost_across_lanes() {
-        // 8 frames at 10 ms encode CPU each, with the receive side spread
-        // over 4 lanes so it keeps up: one egress lane serializes the
-        // encodes (the last frame cannot even depart before ~80 ms), 4
-        // lanes overlap them. The completion ratio isolates egress CPU —
-        // the single-sender funnel the sharded send path removes.
-        let run = |send_lanes: usize, tag_shards: u16| {
-            let topo = Topology::lan(2)
-                .with_cost(crate::CostModel { per_message_ns: 10_000_000, per_byte_ns: 0 });
-            let nodes: Vec<Box<dyn Protocol<Output = usize>>> = NodeId::all(2)
-                .map(|id| {
-                    Box::new(ShardBurst { id, k: 8, shards: tag_shards, heard: 0 })
-                        as Box<dyn Protocol<Output = usize>>
-                })
-                .collect();
-            Simulation::new(topo).seed(4).recv_shards(4).send_shards(send_lanes).run(nodes)
-        };
-        let single = run(1, 4);
-        let sharded = run(4, 4);
-        assert_eq!(single.outputs[1], Some(8));
-        assert_eq!(sharded.outputs[1], Some(8));
-        let (t1, t4) = (single.completion_ns().unwrap(), sharded.completion_ns().unwrap());
-        assert!(
-            t4 * 2 < t1,
-            "4 egress lanes must overlap the encode CPU: {t1} ns single vs {t4} ns sharded"
-        );
-        // Lanes without tags change nothing: every frame encodes on lane
-        // 0 no matter how many lanes exist — send parallelism requires a
-        // sharded (tagging) sender, exactly as on the TCP path.
-        assert_eq!(run(4, 1).completion_ns(), run(1, 1).completion_ns());
     }
 }
