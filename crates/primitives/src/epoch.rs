@@ -488,8 +488,8 @@ pub struct EpochStats {
 /// a seqlock built from plain atomics (no locks on either side, safe
 /// Rust only).
 ///
-/// The dispatch worker owns the cell and
-/// [`publish`](EpochStatsCell::publish)es after every frame; any number of
+/// The dispatch worker owns the cell and calls
+/// [`publish`](EpochStatsCell::publish) after every frame; any number of
 /// observers (a stats route, a monitoring thread, the service handle) call
 /// [`stats_snapshot`](EpochStatsCell::stats_snapshot) and always see one
 /// *coherent* published value — never a mix of two publications — because
