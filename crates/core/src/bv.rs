@@ -29,7 +29,10 @@
 //! Byzantine sender can add, bounded by [`MAX_ECHO1_VALUES_PER_SENDER`],
 //! off one thin pointer. The system size lives with the cell's owner, and
 //! so do the slots' sender sets: `⌈n / 64⌉` words each, one run of them
-//! per cell, whatever `n` is.
+//! per cell, whatever `n` is. A cell keeps each value as the one `u32` `k`
+//! with value `k / 2^31`: a value plausible for round `r` lies in `[0, 1]`
+//! with `log_den < r ≤ MAX_ROUNDS = 32`, so this grid is exact (equal
+//! values, equal `k`), and a cell is 64 bytes.
 //!
 //! Delphi runs one BinAA per checkpoint per level, and a received section
 //! `(level, round, kind)` feeds *every* instance of its level at one
@@ -64,6 +67,27 @@ const INLINE_VALUES: usize = 2;
 /// Sender sets a cell owns: one per inline value slot of either phase,
 /// `ECHO1`'s first.
 const SETS_PER_CELL: usize = 2 * INLINE_VALUES;
+
+/// `log2` of the grid's denominator: every round value has `log_den < r_max`.
+const GRID_BITS: u8 = 31;
+const _: () = assert!(MAX_ROUNDS <= GRID_BITS as u16 + 1, "round values must fit the grid");
+
+/// A value of `[0, 1]` on the round grid: its numerator `k` over `2^GRID_BITS`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Grid(u32);
+
+impl Grid {
+    /// `value` on the grid; `None` outside `[0, 1]` or finer than the grid.
+    fn of(value: Dyadic) -> Option<Grid> {
+        let shift = GRID_BITS.checked_sub(value.log_den())?;
+        let k = (value.num() <= 1 << value.log_den()).then(|| value.num() << shift)?;
+        u32::try_from(k).ok().map(Grid)
+    }
+
+    fn dyadic(self) -> Dyadic {
+        Dyadic::new(u64::from(self.0), GRID_BITS)
+    }
+}
 
 /// An echo the caller must broadcast on behalf of this round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,38 +126,31 @@ impl IntoIterator for BvActions {
 
 /// Terminated-round outcome: the weak BV-broadcast output set `B_i`
 /// (one or two values) plus the BinAA state update derived from it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BvOutcome {
-    low: Dyadic,
-    high: Dyadic,
+    low: Grid,
+    high: Grid,
 }
 
 impl BvOutcome {
-    fn single(b: Dyadic) -> BvOutcome {
-        BvOutcome { low: b, high: b }
-    }
-
-    fn pair(a: Dyadic, b: Dyadic) -> BvOutcome {
+    /// The set `{a, b}`: a singleton if they are equal.
+    fn of(a: Grid, b: Grid) -> BvOutcome {
         BvOutcome { low: a.min(b), high: a.max(b) }
     }
 
     /// The output set `B_i`, sorted ascending (one or two values).
     pub fn set(&self) -> Vec<Dyadic> {
         if self.low == self.high {
-            vec![self.low]
+            vec![self.low.dyadic()]
         } else {
-            vec![self.low, self.high]
+            vec![self.low.dyadic(), self.high.dyadic()]
         }
     }
 
     /// The next-round BinAA value: the single value for a singleton set,
     /// the exact midpoint for a pair (Algorithm 1 lines 20 and 24).
     pub fn next_value(&self) -> Dyadic {
-        if self.low == self.high {
-            self.low
-        } else {
-            self.low.midpoint(self.high)
-        }
+        Dyadic::new(u64::from(self.low.0) + u64::from(self.high.0), GRID_BITS + 1)
     }
 }
 
@@ -178,9 +195,9 @@ impl Quorum {
 /// One tracked echo value: how many sent it, and who first did. Its
 /// sender set lives in the owner's word run; a count of zero marks the
 /// slot empty.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Slot {
-    value: Dyadic,
+    value: Grid,
     /// Size of the sender set, maintained on insert so threshold checks
     /// never popcount.
     count: u16,
@@ -190,9 +207,7 @@ struct Slot {
 }
 
 impl Slot {
-    const EMPTY: Slot = Slot { value: Dyadic::ZERO, count: 0, introducer: 0 };
-
-    fn first(value: Dyadic, from: NodeId) -> Slot {
+    fn first(value: Grid, from: NodeId) -> Slot {
         Slot { value, count: 1, introducer: from.0 }
     }
 }
@@ -209,7 +224,7 @@ struct SpillSlot {
 struct Spill {
     e1: Vec<SpillSlot>,
     e2: Vec<SpillSlot>,
-    sent_e1: Vec<Dyadic>,
+    sent_e1: Vec<Grid>,
 }
 
 /// What counting an echo among the inline slots of one phase came to.
@@ -230,7 +245,7 @@ fn tally(
     sets: &mut [u64],
     words: u16,
     from: NodeId,
-    value: Dyadic,
+    value: Grid,
 ) -> Tally {
     let (word, bit) = Quorum::bit(from);
     let mut introduced = 0;
@@ -274,7 +289,7 @@ impl SpillSlot {
 fn admit(
     tail: &mut Vec<SpillSlot>,
     (from, n): (NodeId, u16),
-    value: Dyadic,
+    value: Grid,
     introduced: Option<usize>,
 ) -> Option<u16> {
     let over = |inline| {
@@ -295,7 +310,7 @@ fn admit(
 fn tally_spilled(
     tail: &mut Vec<SpillSlot>,
     who: (NodeId, u16),
-    value: Dyadic,
+    value: Grid,
     introduced: Option<usize>,
 ) -> Option<u16> {
     match tail.iter_mut().find(|spilled| spilled.slot.value == value) {
@@ -308,7 +323,7 @@ fn tally_spilled(
 /// minus what its owner keeps for it: the system size and the sender sets
 /// of the inline slots. What counting an echo that crosses no threshold
 /// touches comes first, the flags between the two phases' slots.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 #[repr(C)]
 struct Cell {
     /// `ECHO1` values; bounded by per-sender caps.
@@ -324,29 +339,12 @@ struct Cell {
     /// With `has_q1`: the first value whose `ECHO1` count reached the
     /// `n − t` quorum. It triggers our `ECHO2` on the spot; a second value
     /// getting there terminates the round by condition (1).
-    q1_first: Dyadic,
+    q1_first: Grid,
     /// With `terminated`: the round's outcome.
     outcome: BvOutcome,
     /// Values we have already `ECHO1`d.
-    sent_e1: [Dyadic; INLINE_VALUES],
+    sent_e1: [Grid; INLINE_VALUES],
     spill: Option<Box<Spill>>,
-}
-
-impl Default for Cell {
-    fn default() -> Cell {
-        Cell {
-            e1: [Slot::EMPTY; INLINE_VALUES],
-            sent_e1_len: 0,
-            sent_e2: false,
-            has_q1: false,
-            terminated: false,
-            e2: [Slot::EMPTY; INLINE_VALUES],
-            q1_first: Dyadic::ZERO,
-            outcome: BvOutcome::single(Dyadic::ZERO),
-            sent_e1: [Dyadic::ZERO; INLINE_VALUES],
-            spill: None,
-        }
-    }
 }
 
 impl Cell {
@@ -356,7 +354,7 @@ impl Cell {
 }
 
 /// One cell joined with its system and its [`SETS_PER_CELL`] sender sets:
-/// the round machine itself.
+/// the round machine itself. Its doors drop any value off the grid.
 pub(crate) struct CellMut<'a> {
     q: Quorum,
     cell: &'a mut Cell,
@@ -368,6 +366,7 @@ impl CellMut<'_> {
     /// Returns the echoes to broadcast.
     pub(crate) fn set_input(&mut self, value: Dyadic) -> BvActions {
         let mut actions = BvActions::default();
+        let Some(value) = Grid::of(value) else { return actions };
         self.send_echo1(value, &mut actions);
         self.send_echo2_if_due(&mut actions);
         actions
@@ -376,6 +375,7 @@ impl CellMut<'_> {
     /// Handles `ECHO1(value)` from `from`. Returns echoes to broadcast.
     pub(crate) fn on_echo1(&mut self, from: NodeId, value: Dyadic) -> BvActions {
         let mut actions = BvActions::default();
+        let Some(value) = Grid::of(value) else { return actions };
         // Amplify: t + 1 ECHO1s for a value we have not echoed yet. A
         // count reaches t + 1 exactly once. If our own echo takes it there
         // the value is already marked sent; if a peer's does, this is the
@@ -391,7 +391,9 @@ impl CellMut<'_> {
     /// round but never triggers an echo of ours (those hang off `ECHO1`
     /// counts alone), so the returned set is always empty.
     pub(crate) fn on_echo2(&mut self, from: NodeId, value: Dyadic) -> BvActions {
-        self.insert_e2(from, value);
+        if let Some(value) = Grid::of(value) {
+            self.insert_e2(from, value);
+        }
         BvActions::default()
     }
 
@@ -405,7 +407,7 @@ impl CellMut<'_> {
 
     /// Counts `from`'s `ECHO1(value)`, returning the value's new sender
     /// count if the echo was fresh (not a duplicate, not over the cap).
-    fn insert_e1(&mut self, from: NodeId, value: Dyadic) -> Option<u16> {
+    fn insert_e1(&mut self, from: NodeId, value: Grid) -> Option<u16> {
         if from.0 >= self.q.n {
             return None;
         }
@@ -427,14 +429,14 @@ impl CellMut<'_> {
                 // Condition (1): two values with n − t ECHO1s each. (A
                 // third can follow only on Byzantine-only traffic, after
                 // the round is decided.)
-                self.cell.outcome = BvOutcome::pair(self.cell.q1_first, value);
+                self.cell.outcome = BvOutcome::of(self.cell.q1_first, value);
                 self.cell.terminated = true;
             }
         }
         Some(count)
     }
 
-    fn insert_e2(&mut self, from: NodeId, value: Dyadic) {
+    fn insert_e2(&mut self, from: NodeId, value: Grid) {
         if from.0 >= self.q.n {
             return;
         }
@@ -461,12 +463,12 @@ impl CellMut<'_> {
         // Condition (2): one value with n − t ECHO2s. The quorum is unique
         // (one ECHO2 per sender, and n − t > n / 2).
         if count == Some(self.q.quorum) && !self.cell.terminated {
-            self.cell.outcome = BvOutcome::single(value);
+            self.cell.outcome = BvOutcome::of(value, value);
             self.cell.terminated = true;
         }
     }
 
-    fn send_echo1(&mut self, value: Dyadic, actions: &mut BvActions) {
+    fn send_echo1(&mut self, value: Grid, actions: &mut BvActions) {
         let cell = &mut *self.cell;
         let sent = cell.sent_e1.iter().take(usize::from(cell.sent_e1_len));
         let spilled = cell.spill.as_deref().map(|spill| spill.sent_e1.as_slice());
@@ -478,7 +480,7 @@ impl CellMut<'_> {
             None => cell.spill.get_or_insert_with(Box::default).sent_e1.push(value),
         }
         self.insert_e1(self.q.me, value);
-        actions.echo1 = Some(value);
+        actions.echo1 = Some(value.dyadic());
     }
 
     /// ECHO2: n − t ECHO1s for a value, once per round. Runs after every
@@ -490,12 +492,14 @@ impl CellMut<'_> {
         self.cell.sent_e2 = true;
         let value = self.cell.q1_first;
         self.insert_e2(self.q.me, value);
-        actions.echo2 = Some(value);
+        actions.echo2 = Some(value.dyadic());
     }
 }
 
 /// One node's participation in one standalone weak BV-broadcast round: a
-/// single cell that owns its system size and sender sets.
+/// single cell that owns its system size and sender sets. It ignores every
+/// value off the round grid — outside `[0, 1]` or with `log_den > 31` — as
+/// Delphi and BinAA drop values implausible for their round.
 #[derive(Clone, Debug)]
 pub struct BvRound {
     q: Quorum,
@@ -550,7 +554,7 @@ impl BvRound {
 }
 
 /// A distinguished checkpoint: a table column past the background's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Checkpoint {
     /// The checkpoint's id within its level.
     pub(crate) k: i64,
@@ -563,7 +567,7 @@ pub(crate) struct Checkpoint {
 const INLINE_CHECKPOINTS: usize = 6;
 
 /// A table's distinguished checkpoints, ascending by id.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Checkpoints {
     len: usize,
     inline: [Checkpoint; INLINE_CHECKPOINTS],
@@ -572,11 +576,6 @@ struct Checkpoints {
 }
 
 impl Checkpoints {
-    fn new() -> Checkpoints {
-        let unused = Checkpoint { k: 0, value: Dyadic::ZERO };
-        Checkpoints { len: 0, inline: [unused; INLINE_CHECKPOINTS], spilled: Vec::new() }
-    }
-
     fn as_slice(&self) -> &[Checkpoint] {
         if self.spilled.is_empty() {
             self.inline.get(..self.len).unwrap_or_default()
@@ -614,8 +613,8 @@ impl Checkpoints {
 /// when a fork outgrows it.
 const CELL_COLUMNS: usize = 4;
 
-/// The same for the sender-set block. A column's sets are a sixth of its
-/// cell, so room for more of them is cheap — and with the two strides
+/// The same for the sender-set block. A column's sets are half its cell
+/// at n ≤ 64, so room for more of them is cheap — and with the two strides
 /// never equal, no fork regrows both blocks.
 const SET_COLUMNS: usize = 6;
 
@@ -734,7 +733,7 @@ impl BvTable {
             rows: 0,
             cells: Vec::new(),
             sets: Vec::new(),
-            checkpoints: Checkpoints::new(),
+            checkpoints: Checkpoints::default(),
             background: Dyadic::ZERO,
             k_min: 0,
             k_max: -1,
@@ -936,7 +935,25 @@ mod tests {
     /// The values `cell` has `ECHO1`d, in send order.
     fn sent_e1(cell: &Cell) -> Vec<Dyadic> {
         let inline = cell.sent_e1.iter().take(usize::from(cell.sent_e1_len));
-        inline.chain(cell.spill.iter().flat_map(|spill| &spill.sent_e1)).copied().collect()
+        inline
+            .chain(cell.spill.iter().flat_map(|spill| &spill.sent_e1))
+            .map(|v| v.dyadic())
+            .collect()
+    }
+
+    /// `value` on the grid, as every value these tests feed is.
+    fn grid(value: Dyadic) -> Grid {
+        Grid::of(value).expect("a grid value")
+    }
+
+    impl BvOutcome {
+        fn single(b: Dyadic) -> BvOutcome {
+            BvOutcome::of(grid(b), grid(b))
+        }
+
+        fn pair(a: Dyadic, b: Dyadic) -> BvOutcome {
+            BvOutcome::of(grid(a), grid(b))
+        }
     }
 
     impl BvTable {
@@ -980,7 +997,8 @@ mod tests {
             assert_eq!(u32::from(slot.count), senders, "cached count drifted");
         }
         let counts = |phase| {
-            tracked(cell, phase).iter().map(|slot| (slot.value, usize::from(slot.count))).collect()
+            let tracked = tracked(cell, phase).into_iter();
+            tracked.map(|slot| (slot.value.dyadic(), usize::from(slot.count))).collect()
         };
         Observed {
             outcome: cell.outcome().copied(),
@@ -1587,14 +1605,106 @@ mod tests {
         assert_eq!(table.cells.capacity(), 20 * CELL_COLUMNS);
         assert_eq!(table.sets.capacity(), 20 * SET_COLUMNS * SETS_PER_CELL);
         assert_eq!((table.cells.len(), table.rows), (2 * CELL_COLUMNS, 2));
+        // In bytes: 20 rows of four 64 B cells and six columns of 32 B sets.
+        let cells = table.cells.capacity() * std::mem::size_of::<Cell>();
+        assert_eq!(cells + 8 * table.sets.capacity(), 8_960);
     }
 
     #[test]
-    fn cell_with_its_sender_sets_fits_four_cache_lines() {
+    fn cell_fits_one_cache_line() {
+        let cell = std::mem::size_of::<Cell>();
+        assert!(cell <= 64, "{cell} B");
         // Up to 64 nodes a sender set is one word.
         let sets = Quorum::new(NodeId(0), 64, 21).cell_words();
-        assert!(std::mem::size_of::<Cell>() + 8 * sets <= 256, "{}", std::mem::size_of::<Cell>());
+        assert!(cell + 8 * sets <= 96, "{cell} B + {sets} words");
         assert_eq!(Quorum::new(NodeId(0), 65, 21).words, 2);
         assert_eq!(Quorum::new(NodeId(0), 160, 53).words, 3);
+    }
+
+    /// Values no round admits: above 1, or finer than the grid.
+    const OFF_GRID: [(u64, u8); 6] =
+        [(1, 32), (3, 1), (2, 0), ((1 << 33) + 1, 0), (u64::MAX, 31), (1, 62)];
+
+    #[test]
+    fn grid_round_trips_every_edge_value() {
+        let edges = [(0, 0), (1, 0), (1, 31), ((1 << 31) - 1, 31)];
+        let odd = (0..=31u8).flat_map(|d| [1, ((1 << d) / 3) | 1, (1 << d) - 1].map(|k| (k, d)));
+        let values: Vec<Dyadic> =
+            edges.into_iter().chain(odd).map(|(k, d)| Dyadic::new(k, d)).collect();
+        for &v in &values {
+            assert_eq!(Grid::of(v).map(Grid::dyadic), Some(v), "{v:?}");
+            assert_eq!(u64::from(grid(v).0), v.num() << (31 - v.log_den()));
+            for &w in &values {
+                assert_eq!(grid(v).cmp(&grid(w)), v.cmp(&w), "{v:?} vs {w:?}");
+                assert_eq!(BvOutcome::pair(v, w).next_value(), v.midpoint(w));
+            }
+        }
+        for (k, d) in OFF_GRID {
+            assert_eq!(Grid::of(Dyadic::new(k, d)), None, "{k}/2^{d}");
+        }
+        // A mesh on two neighbours of 1 at the finest level of the grid.
+        let (a, b) = (Dyadic::new((1 << 31) - 1, 31), Dyadic::new((1 << 31) - 3, 31));
+        for r in run_mesh(&[a, b, a, b], 1) {
+            let out = r.outcome().expect("terminated");
+            assert!(out.set().iter().all(|v| [a, b].contains(v)), "{:?}", out.set());
+        }
+    }
+
+    #[test]
+    fn off_grid_echoes_change_nothing() {
+        let mut r = BvRound::new(NodeId(0), 4, 1);
+        let _ = r.set_input(ZERO);
+        let _ = r.on_echo1(NodeId(1), ONE);
+        let mut table = BvTable::new(NodeId(0), 4, 1, MAX_ROUNDS);
+        let _ = table.cell_mut(Round(MAX_ROUNDS), 0).unwrap().set_input(Dyadic::new(1, 31));
+        let before = (format!("{r:?}"), table.column_state(0));
+        for value in OFF_GRID.map(|(k, d)| Dyadic::new(k, d)) {
+            assert!(r.set_input(value).is_empty());
+            let mut cell = table.cell_mut(Round(MAX_ROUNDS), 0).unwrap();
+            assert!(cell.set_input(value).is_empty());
+            for from in (1..4).map(NodeId) {
+                assert!(r.on_echo1(from, value).is_empty() && r.on_echo2(from, value).is_empty());
+                assert!(cell.feed(EchoKind::Echo1, from, value).is_empty());
+                assert!(cell.feed(EchoKind::Echo2, from, value).is_empty());
+            }
+        }
+        assert_eq!((format!("{r:?}"), table.column_state(0)), before);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Differential test at the grid's finest level: a table of
+        /// [`MAX_ROUNDS`] rounds against one [`NaiveBv`] per round, each
+        /// round fed values as fine as it admits — `log_den` 31 in the
+        /// last — with the same actions and state after every call.
+        #[test]
+        fn prop_deepest_rounds_match_standalone_rounds(
+            n_choice in 0usize..3,
+            events in proptest::collection::vec(
+                (0usize..40, proptest::prelude::any::<u16>(), 0usize..16, 0..MAX_ROUNDS),
+                1..1500,
+            ),
+        ) {
+            let (n, t) = [(4usize, 1usize), (16, 5), (65, 21)][n_choice];
+            let me = NodeId(0);
+            let mut table = BvTable::new(me, n, t, MAX_ROUNDS);
+            let mut model = std::collections::BTreeMap::new();
+            for (op, from, value, round) in events {
+                // Round `round + 1` admits `log_den ≤ round`: odd numerators sit there.
+                let k = ((1u64 << round) - 1).saturating_sub(STREAM_VALUES[value]);
+                let v = Dyadic::new(k, round as u8);
+                let from = NodeId(from % (n as u16 + 2));
+                let naive = model.entry(round).or_insert_with(|| NaiveBv::new(me, n, t));
+                let mut fast = table.cell_mut(Round(round + 1), 0).expect("round in range");
+                let (a, b) = match op {
+                    0..=24 => (fast.on_echo1(from, v), naive.on_echo1(from, v)),
+                    25..=38 => (fast.on_echo2(from, v), naive.on_echo2(from, v)),
+                    _ => (fast.set_input(v), naive.set_input(v)),
+                };
+                proptest::prop_assert_eq!(Vec::from_iter(a), b, "actions diverged");
+                proptest::prop_assert_eq!(observe(fast.cell, fast.sets, n), naive.observe());
+            }
+        }
     }
 }
