@@ -1,24 +1,16 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! plain vs compact BinAA messages (§II-C), the checkpoint input rule
+//! Ablation benchmarks: a plain BinAA run, the checkpoint input rule
 //! (Algorithm 2 vs §III-B1 prose), and FIFO vs reordering delivery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use delphi_core::{BinAaNode, CompactBinAaNode, DelphiConfig, DelphiNode, InputRule};
+use delphi_core::{BinAaNode, DelphiConfig, DelphiNode, InputRule};
 use delphi_primitives::{Dyadic, NodeId, Protocol};
 use delphi_sim::{Simulation, Topology};
 
-fn run_binaa_variant(compact: bool, n: usize, r_max: u16, seed: u64) -> u64 {
+fn run_binaa(n: usize, r_max: u16, seed: u64) -> u64 {
     let t = (n - 1) / 3;
     let nodes: Vec<Box<dyn Protocol<Output = Dyadic>>> = NodeId::all(n)
-        .map(|id| {
-            let input = id.index() % 2 == 0;
-            if compact {
-                CompactBinAaNode::new(id, n, t, input, r_max).boxed()
-            } else {
-                BinAaNode::new(id, n, t, input, r_max).boxed()
-            }
-        })
+        .map(|id| BinAaNode::new(id, n, t, id.index() % 2 == 0, r_max).boxed())
         .collect();
     let report = Simulation::new(Topology::lan(n)).seed(seed).run(nodes);
     assert!(report.all_honest_finished());
@@ -32,14 +24,7 @@ fn bench_binaa_encoding(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_binaa_variant(false, 7, 12, seed)
-        })
-    });
-    group.bench_function("compact_val_codes", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            run_binaa_variant(true, 7, 12, seed)
+            run_binaa(7, 12, seed)
         })
     });
     group.finish();

@@ -43,8 +43,7 @@
 //! created on the first touch of their round, in one block per level that
 //! is reserved for every round at once; forking a checkpoint inserts a
 //! column, a copy of column 0, into every live row. The standalone
-//! protocols ([`BinAaNode`](crate::BinAaNode),
-//! [`CompactBinAaNode`](crate::CompactBinAaNode)) use the same table one
+//! protocol ([`BinAaNode`](crate::BinAaNode)) uses the same table one
 //! column wide, and [`BvRound`] is a single cell with its words.
 
 use delphi_primitives::{Dyadic, NodeBitSet, NodeId, Round};

@@ -9,9 +9,6 @@
 //! - [`binaa`]: the multi-round **BinAA** protocol (Algorithm 1):
 //!   approximate agreement for binary inputs, halving the honest range
 //!   every round. Usable standalone via [`BinAaNode`].
-//! - [`compact`]: the §II-C communication optimization — `VAL` messages
-//!   carry *state-shift codes* (`2L/L/C/R/2R`) instead of values, and
-//!   receivers reconstruct trajectories FIFO-style ([`CompactBinAaNode`]).
 //! - [`delphi`]: the **Delphi** protocol itself (Algorithm 2): one BinAA
 //!   instance per checkpoint per level, sparse zero-run message bundling
 //!   (§III-C), and the multi-level weighted aggregation with the
@@ -65,7 +62,6 @@ pub mod aggregate;
 pub mod binaa;
 mod bundle;
 pub mod bv;
-pub mod compact;
 pub mod delphi;
 mod messages;
 pub mod oracle;
@@ -73,7 +69,6 @@ pub mod params;
 
 pub use binaa::BinAaNode;
 pub use bundle::{BasketBundleRef, BundleArena, BundleRef, DelphiBundleRef, FlatSection};
-pub use compact::CompactBinAaNode;
 pub use delphi::{DelphiNode, VectorDelphiNode};
 pub use messages::{BasketBundle, BasketSection, BinAaMsg, DelphiBundle, EchoKind, Section};
 pub use oracle::{OracleService, PriceSource};

@@ -44,10 +44,11 @@
 //! # Byte accounting
 //!
 //! A frame with `k` entries costs [`EPOCH_FRAME_OVERHEAD_BYTES`] once
-//! plus [`EPOCH_ENTRY_OVERHEAD_BYTES`] per entry plus the payloads. The
-//! simulator charges an `EpochProtocol` envelope its payload (the epoch
-//! batch, count included) plus
-//! [`WIRE_OVERHEAD_BYTES`](delphi_sim::WIRE_OVERHEAD_BYTES), and
+//! plus [`EPOCH_ENTRY_OVERHEAD_BYTES`] per entry plus the payloads. Both
+//! transports send what one `EpochProtocol` flushes: the simulator
+//! delivers each envelope's payload (the epoch batch, count included) and
+//! charges it [`WIRE_OVERHEAD_BYTES`](delphi_sim::WIRE_OVERHEAD_BYTES),
+//! the dispatch worker frames that same payload, and
 //! `EPOCH_FRAME_OVERHEAD_BYTES == WIRE_OVERHEAD_BYTES + EPOCH_COUNT_BYTES`,
 //! so a simulated message and its TCP frame cost exactly the same bytes.
 
@@ -79,6 +80,9 @@ pub const MAX_FRAME_BODY: usize = MIN_FRAME_BODY + MAX_FRAME_PAYLOAD;
 /// Wire bytes a frame costs beyond its entries: the length word plus the
 /// smallest body.
 pub const EPOCH_FRAME_OVERHEAD_BYTES: usize = 4 + MIN_FRAME_BODY;
+
+/// Bytes of a body before its epoch batch: the marker and the sender.
+const BODY_HEADER: usize = 2 + 2;
 
 /// Frame decoding / authentication failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,29 +117,36 @@ impl fmt::Display for FrameError {
 
 impl Error for FrameError {}
 
-/// Writes the frame carrying `entries` from `sender` into `frame`
-/// (cleared, capacity kept) with a zeroed tag slot, and returns the
-/// SHA-256 of its signed part: one encode and one hash serve every
-/// receiver ([`put_tag`]). Panics as [`encode_epoch_frame`] does.
-pub(crate) fn encode_untagged(
+/// Writes the frame from `sender` around the `batch_len`-byte epoch batch
+/// `put_batch` writes into `frame` (cleared, capacity kept), with a zeroed
+/// tag slot, and returns the SHA-256 of its signed part: one encode and
+/// one hash serve every receiver ([`put_tag`]).
+fn encode_untagged(
     sender: NodeId,
-    entries: &[(AgreementId, Bytes)],
+    batch_len: usize,
     frame: &mut Vec<u8>,
+    put_batch: impl FnOnce(&mut Vec<u8>),
 ) -> [u8; DIGEST_LEN] {
-    assert!(!entries.is_empty(), "frames carry at least one entry");
-    let batch_len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
+    assert!(batch_len > EPOCH_COUNT_BYTES, "frames carry at least one entry");
     assert!(batch_len - EPOCH_COUNT_BYTES <= MAX_FRAME_PAYLOAD, "entries exceed MAX_FRAME_PAYLOAD");
-    let rest_len = 2 + 2 + batch_len + TAG_LEN;
+    let rest_len = BODY_HEADER + batch_len + TAG_LEN;
     frame.clear();
     frame.reserve(4 + rest_len);
     frame.put_u32(rest_len as u32);
     frame.put_u16(EPOCH_MARKER);
     frame.put_u16(sender.0);
-    put_epoch_batch(entries, frame);
+    put_batch(frame);
     debug_assert_eq!(frame.len() + TAG_LEN, 4 + rest_len, "batch_len is the batch's length");
     let digest = sha256(frame.get(4..).unwrap_or_default());
     frame.resize(4 + rest_len, 0);
     digest
+}
+
+/// [`encode_untagged`] around an already-encoded epoch `batch` — an
+/// `EpochProtocol` envelope's payload: the dispatch worker's frame.
+/// Panics as [`encode_epoch_frame`] does.
+pub(crate) fn frame_batch(sender: NodeId, batch: &[u8], frame: &mut Vec<u8>) -> [u8; DIGEST_LEN] {
+    encode_untagged(sender, batch.len(), frame, |frame| frame.extend_from_slice(batch))
 }
 
 /// Writes the tag into the last [`TAG_LEN`] bytes of `frame`, whose signed
@@ -160,50 +171,19 @@ pub fn encode_epoch_frame(
     entries: &[(AgreementId, Bytes)],
 ) -> Bytes {
     let mut frame = Vec::new();
-    let digest = encode_untagged(keychain.node_id(), entries, &mut frame);
+    let batch_len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
+    let digest = encode_untagged(keychain.node_id(), batch_len, &mut frame, |frame| {
+        put_epoch_batch(entries, frame);
+    });
     put_tag(&mut frame, keychain.channel(to), &digest);
     Bytes::from(frame)
-}
-
-/// The zero-copy inbound decoder behind [`decode_inbound_frame_ref`] and
-/// [`split_verified_body`]: `keychain = Some` authenticates, `None`
-/// re-splits a body a read loop already verified. Bounds and the marker
-/// are checked before any MAC work; the batch is walked only after the
-/// tag verified.
-fn split_body<'a>(
-    keychain: Option<&Keychain>,
-    body: &'a [u8],
-) -> Result<(NodeId, EpochEntriesRef<'a>), FrameError> {
-    if body.len() < MIN_FRAME_BODY {
-        return Err(FrameError::Truncated);
-    }
-    if body.len() > MAX_FRAME_BODY {
-        return Err(FrameError::TooLarge);
-    }
-    let (signed, tag) = body.split_at(body.len() - TAG_LEN);
-    let Some(([m0, m1, s0, s1], batch)) = signed.split_first_chunk::<4>() else {
-        return Err(FrameError::Truncated); // unreachable: MIN_FRAME_BODY covers the header
-    };
-    if u16::from_be_bytes([*m0, *m1]) != EPOCH_MARKER {
-        return Err(FrameError::UnknownFormat);
-    }
-    let sender = NodeId(u16::from_be_bytes([*s0, *s1]));
-    if let Some(keychain) = keychain {
-        if sender.index() >= keychain.n() {
-            return Err(FrameError::UnknownSender);
-        }
-        if keychain.channel(sender).verify(&sha256(signed), tag).is_err() {
-            return Err(FrameError::BadTag);
-        }
-    }
-    let entries = decode_epoch_batch_ref(batch).map_err(|_| FrameError::Malformed)?;
-    Ok((sender, entries))
 }
 
 /// Decodes and authenticates one frame body (everything *after* the
 /// length word) arriving at `keychain.node_id()`, returning the sender
 /// and a borrowed view of its entries: the frame is verified, validated,
-/// and split without allocating.
+/// and split without allocating. Bounds and the marker are checked before
+/// any MAC work; the batch is walked only after the tag verified.
 ///
 /// # Errors
 ///
@@ -213,20 +193,36 @@ pub fn decode_inbound_frame_ref<'a>(
     keychain: &Keychain,
     body: &'a [u8],
 ) -> Result<(NodeId, EpochEntriesRef<'a>), FrameError> {
-    split_body(Some(keychain), body)
+    if body.len() < MIN_FRAME_BODY {
+        return Err(FrameError::Truncated);
+    }
+    if body.len() > MAX_FRAME_BODY {
+        return Err(FrameError::TooLarge);
+    }
+    let (signed, tag) = body.split_at(body.len() - TAG_LEN);
+    let Some(([m0, m1, s0, s1], batch)) = signed.split_first_chunk::<BODY_HEADER>() else {
+        return Err(FrameError::Truncated); // unreachable: MIN_FRAME_BODY covers the header
+    };
+    if u16::from_be_bytes([*m0, *m1]) != EPOCH_MARKER {
+        return Err(FrameError::UnknownFormat);
+    }
+    let sender = NodeId(u16::from_be_bytes([*s0, *s1]));
+    if sender.index() >= keychain.n() {
+        return Err(FrameError::UnknownSender);
+    }
+    if keychain.channel(sender).verify(&sha256(signed), tag).is_err() {
+        return Err(FrameError::BadTag);
+    }
+    let entries = decode_epoch_batch_ref(batch).map_err(|_| FrameError::Malformed)?;
+    Ok((sender, entries))
 }
 
-/// Re-splits a frame body that an earlier [`decode_inbound_frame_ref`]
-/// already authenticated and validated — structure checks only, **no MAC
-/// work** — so the dispatch worker can walk a verified body's entries
-/// without paying the tag again.
-///
-/// # Errors
-///
-/// Structural [`FrameError`]s only; unreachable for bodies that passed
-/// verification.
-pub fn split_verified_body(body: &[u8]) -> Result<(NodeId, EpochEntriesRef<'_>), FrameError> {
-    split_body(None, body)
+/// The epoch batch of a body [`decode_inbound_frame_ref`] accepted, as a
+/// slice of the shared buffer: what the dispatch worker hands its
+/// protocol, which walks it once more (no MAC work).
+pub(crate) fn verified_batch(body: &Bytes) -> Bytes {
+    let end = body.len().saturating_sub(TAG_LEN);
+    body.slice(BODY_HEADER.min(end)..end)
 }
 
 #[cfg(test)]
@@ -295,9 +291,8 @@ mod tests {
         let len = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
         assert_eq!(len, frame.len() - 4);
         assert_eq!(decode_owned(&bob, &frame[4..]), Ok((NodeId(0), sent.clone())));
-        // The pre-verified re-split sees the same frame, with no key.
-        let (sender, view) = split_verified_body(&frame[4..]).unwrap();
-        assert_eq!((sender, view.to_owned_entries()), (NodeId(0), sent));
+        // The batch the worker hands its protocol is the one encoded.
+        assert_eq!(verified_batch(&frame.slice(4..frame.len())), encode_epoch_batch(&sent));
     }
 
     #[test]
@@ -320,15 +315,16 @@ mod tests {
 
     #[test]
     fn broadcast_frames_share_a_body_and_verify_only_at_their_own_receiver() {
-        // One body, encoded and hashed once, tagged for three peers: the
-        // frames are byte-identical up to the tag, equal to what encoding
-        // each alone yields, and each verifies only where it was sent.
+        // One body, framed and hashed once around the encoded batch, tagged
+        // for three peers: the frames are byte-identical up to the tag,
+        // equal to what encoding each alone yields, and each verifies only
+        // where it was sent.
         let sender = Keychain::derive(b"seed", NodeId(0), 4);
         let peers: Vec<Keychain> =
             (1..4).map(|i| Keychain::derive(b"seed", NodeId(i), 4)).collect();
         let sent = epoch_entries(&[b"echo", b"echo2"]);
         let mut body = Vec::new();
-        let digest = encode_untagged(NodeId(0), &sent, &mut body);
+        let digest = frame_batch(NodeId(0), &encode_epoch_batch(&sent), &mut body);
         let frames: Vec<Vec<u8>> = peers
             .iter()
             .map(|peer| {
@@ -408,7 +404,6 @@ mod tests {
         for signed in [v1, v2] {
             let body = tagged(&alice, signed);
             assert_eq!(decode_owned(&bob, &body), Err(FrameError::UnknownFormat));
-            assert_eq!(split_verified_body(&body).unwrap_err(), FrameError::UnknownFormat);
         }
     }
 
@@ -528,7 +523,6 @@ mod tests {
         // One byte below the minimum body: truncated.
         let body = vec![0u8; MIN_FRAME_BODY - 1];
         assert_eq!(decode_owned(&bob, &body), Err(FrameError::Truncated));
-        assert_eq!(split_verified_body(&body).unwrap_err(), FrameError::Truncated);
         // Exactly the minimum body: an empty batch.
         let body = tagged(&alice, signed_around(&[0, 0]));
         assert_eq!(body.len(), MIN_FRAME_BODY);
@@ -537,7 +531,6 @@ mod tests {
         // MAC work.
         let body = vec![0u8; MAX_FRAME_BODY + 1];
         assert_eq!(decode_owned(&bob, &body), Err(FrameError::TooLarge));
-        assert_eq!(split_verified_body(&body).unwrap_err(), FrameError::TooLarge);
     }
 
     #[test]
@@ -574,9 +567,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The one decoder never panics, rejects every body that does not
-        /// open with the marker without computing a tag, and accepts —
-        /// keyed or pre-verified — exactly the same structures.
+        /// The one decoder never panics and rejects every body that does
+        /// not open with the marker without computing a tag; the batch
+        /// slice it hands on decodes, where the worker's protocol walks
+        /// it, to exactly the entries it accepted.
         #[test]
         fn prop_one_decoder_never_panics_and_both_entry_points_agree(
             noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..MIN_FRAME_BODY + 64),
@@ -599,9 +593,8 @@ mod tests {
             let mut marked_noise = signed_around(&[]);
             marked_noise.extend_from_slice(&noise);
             for body in [noise, marked_noise, mutated] {
-                // As received: neither entry point may panic.
+                // As received: the decoder may not panic.
                 let keyed = decode_owned(&bob, &body);
-                let resplit = split_verified_body(&body);
                 let marked = body.len() >= 2 && body[..2] == EPOCH_MARKER.to_be_bytes();
                 if !marked {
                     // Truncated / TooLarge / UnknownFormat all precede
@@ -610,11 +603,10 @@ mod tests {
                         keyed,
                         Err(FrameError::Truncated | FrameError::TooLarge | FrameError::UnknownFormat)
                     ), "{keyed:?}");
-                    proptest::prop_assert!(resplit.is_err());
                 }
                 // Re-tagged so authentication passes whenever the claimed
                 // sender exists: what is left is pure structure, and the
-                // two entry points must agree on it.
+                // reader and the worker must agree on it.
                 if body.len() < MIN_FRAME_BODY {
                     continue;
                 }
@@ -626,9 +618,13 @@ mod tests {
                 let claimed = Keychain::derive(b"seed", sender, 3);
                 let body = retagged(&claimed, NodeId(1), signed);
                 let keyed = decode_owned(&bob, &body);
-                let resplit = split_verified_body(&body)
-                    .map(|(from, view)| (from, view.to_owned_entries()));
-                proptest::prop_assert_eq!(keyed, resplit);
+                let batch = verified_batch(&Bytes::from(body));
+                let worker = decode_epoch_batch_ref(&batch).map(|view| view.to_owned_entries());
+                match keyed {
+                    Ok((_, entries)) => proptest::prop_assert_eq!(worker.ok(), Some(entries)),
+                    Err(FrameError::Malformed) => proptest::prop_assert!(worker.is_err()),
+                    Err(_) => {} // refused before the batch: the worker never sees it
+                }
             }
         }
     }

@@ -14,9 +14,10 @@
 //! - [`transport`] (internal): sockets — the accept loop and read loops,
 //!   per-peer links the dispatch worker writes to, each with a lazy-dialing writer
 //!   task as its slow path, plus the [`NetStats`] counters.
-//! - [`session`] (internal): per-peer authenticated channels — batching
-//!   under the run's [`FlushPolicy`], the worker-owned egress lane, and
-//!   bounded drain-on-shutdown.
+//! - [`session`] (internal): per-peer authenticated channels — the
+//!   worker-owned egress lane that frames, tags and writes what the
+//!   node's [`EpochProtocol`](delphi_primitives::EpochProtocol) flushes
+//!   under the run's [`FlushPolicy`], and bounded drain-on-shutdown.
 //! - [`service`]: the runner. [`run_epoch_service`] binds a listener,
 //!   dials every peer, drives a long-lived epoch stream — an
 //!   [`EpochMux`](delphi_primitives::EpochMux) pipeline — to completion,
@@ -49,8 +50,8 @@ mod transport;
 
 pub use delphi_primitives::FlushPolicy;
 pub use frame::{
-    decode_inbound_frame_ref, encode_epoch_frame, split_verified_body, FrameError, EPOCH_MARKER,
-    MAX_FRAME_BODY, MAX_FRAME_PAYLOAD, MIN_FRAME_BODY,
+    decode_inbound_frame_ref, encode_epoch_frame, FrameError, EPOCH_MARKER, MAX_FRAME_BODY,
+    MAX_FRAME_PAYLOAD, MIN_FRAME_BODY,
 };
 pub use service::{
     run_epoch_service, run_instances, run_node, EpochServiceHandle, NetError, RunOptions,

@@ -6,30 +6,31 @@
 //! per oracle asset) in a one-epoch [`EpochMux`] and unwraps the single
 //! event, and [`run_node`] is `run_instances` of one. The service layer
 //! owns the instance state and the run lifecycle (start, dispatch,
-//! linger, drain) and delegates wire concerns downward: per-peer framing,
-//! batching, and flush policy to [`session`](crate::session), sockets and
+//! linger, drain). Routing, batching, the flush policy and the batch
+//! encoding belong to the [`EpochProtocol`] the simulator also drives;
+//! per-peer framing and tags to [`session`](crate::session), sockets and
 //! read/write loops to [`transport`](crate::transport).
 //!
 //! # The hot path: one thread from frame to frame
 //!
 //! 1. a transport read loop verifies the tag and validates the batch
 //!    structure **borrowed** (no per-entry allocation), then ships the
-//!    whole body as one refcounted buffer (`VerifiedFrame`) to the node's
-//!    one dispatch worker;
+//!    batch as a slice of the refcounted body (`VerifiedFrame`) to the
+//!    node's one dispatch worker;
 //! 2. the worker owns the whole pipeline outright (no lock on the
-//!    per-entry path) and runs it on its own thread: it re-splits the
-//!    verified body (structure walk, no MAC), feeds payload slices
-//!    straight to the protocol state machines — one step per entry, the
-//!    granularity the simulator's `EpochProtocol` flushes at — routes
-//!    their answers per destination into the egress lane it owns
-//!    ([`session`](crate::session)), runs the [`FlushPolicy`] triggers —
-//!    size inline; adaptively, a flush the moment its inbox is empty (or
-//!    first, once the `max_delay` ceiling has passed under backlog), with
-//!    no timer — and encodes (one body for a broadcast), MACs and writes
-//!    each due frame straight to the peer's non-blocking socket;
-//! 3. only a write that would block goes to the peer's writer task (which
-//!    also dials): a peer that stops reading costs dropped frames at that
-//!    task's bounded queue, never a stalled worker.
+//!    per-entry path) as an [`EpochProtocol`] — the very state machine
+//!    the simulator runs — and drives it on its own thread:
+//!    `on_message` walks the batch (no MAC) and takes one protocol step
+//!    per entry, routing, accumulating and flushing under the
+//!    [`FlushPolicy`]'s size triggers; `on_tick` flushes the rest the
+//!    moment the inbox is empty (or first, once the `max_delay` ceiling
+//!    has passed under backlog), with no timer;
+//! 3. the worker's egress lane ([`session`](crate::session)) frames each
+//!    flushed batch (one body hash for a broadcast), tags it and writes it
+//!    straight to the peer's non-blocking socket; only a write that would
+//!    block goes to the peer's writer task (which also dials): a peer that
+//!    stops reading costs dropped frames at that task's bounded queue,
+//!    never a stalled worker.
 //!
 //! The service loop sees only what is per run or per epoch: the event
 //! stream, completion, the deadline, the linger window, and the shutdown
@@ -44,14 +45,14 @@ use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
-    EpochEvent, EpochMux, EpochOutcome, EpochStats, EpochStatsCell, FlushPolicy, Protocol,
+    EpochEvent, EpochMux, EpochOutcome, EpochProtocol, EpochStats, EpochStatsCell, FlushPolicy,
+    Protocol,
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
 use tokio::sync::mpsc::error::TryRecvError;
 use tokio::time::Instant;
 
-use crate::frame::split_verified_body;
 use crate::session::{EgressLane, SessionSet};
 use crate::transport::{spawn_acceptor, Counters, NetStats, WorkerInput};
 
@@ -140,7 +141,7 @@ impl Default for RunOptions {
 }
 
 /// The dispatch worker's next event: the next inbox message, or `None`
-/// when its egress lane should flush. With nothing pending (no
+/// when its protocol should flush (`on_tick`). With nothing pending (no
 /// `ceiling`) the worker parks on its inbox. With entries pending it
 /// never waits: a frame already waiting is answered first — the flush
 /// then carries its answers to everything it has seen — and the flush
@@ -167,7 +168,7 @@ async fn next_input(
 
 /// The first half of a graceful shutdown — the worker flushes, then
 /// writer queues close: tells the dispatch worker to flush what its
-/// egress lane still holds and exit, and joins it against
+/// protocol still holds and exit, and joins it against
 /// `drain_deadline` (if it misses it, it is aborted; its lane goes with
 /// it).
 async fn close_worker(
@@ -199,30 +200,31 @@ enum WorkerMsg<O> {
     Done,
 }
 
-/// The dispatch worker, frame in to frame out: the whole pipeline,
-/// answering every entry through its egress lane and publishing its live
-/// [`EpochStats`] through `stats_cell` after every frame (late entries
-/// served during the linger window must still be counted).
+/// The dispatch worker, frame in to frame out: the whole pipeline as one
+/// [`EpochProtocol`], writing everything it flushes through its egress
+/// lane and publishing its live counters through `stats` after every
+/// frame (late entries served during the linger window must still be
+/// counted).
 async fn dispatch_worker<P>(
     mut rx: mpsc::Receiver<WorkerInput>,
-    mut mux: EpochMux<P>,
+    mut node: EpochProtocol<P>,
     mut egress: EgressLane,
     out_tx: mpsc::Sender<WorkerMsg<P::Output>>,
-    stats_cell: Arc<EpochStatsCell>,
+    stats: ServiceStats,
 ) where
     P: Protocol + Send + 'static,
     P::Output: Send,
 {
     // Start bursts must not wait for traffic.
-    egress.send_step(mux.start());
-    egress.flush_all();
+    egress.send(node.start(), node.pending_delay());
+    egress.send(node.on_tick(), node.pending_delay());
     let mut done = false;
     loop {
-        let fresh = mux.drain_events();
+        let fresh = node.drain_events();
         if !fresh.is_empty() && out_tx.send(WorkerMsg::Events(fresh)).await.is_err() {
             break;
         }
-        if !done && mux.is_complete() {
+        if !done && node.mux().is_complete() {
             done = true;
             if out_tx.send(WorkerMsg::Done).await.is_err() {
                 break;
@@ -232,28 +234,23 @@ async fn dispatch_worker<P>(
             // The linger contract: a finished worker keeps answering
             // peers still working through the stream's tail, and what it
             // answers leaves at once.
-            egress.flush_all();
+            egress.send(node.on_tick(), node.pending_delay());
         }
-        stats_cell.publish(mux.stats());
+        stats.publish(&node);
         let frame = match next_input(&mut rx, egress.flush_ceiling()).await {
             Some(WorkerInput::Frame(frame)) => frame,
             None => {
-                egress.flush_all();
+                egress.send(node.on_tick(), node.pending_delay());
                 continue;
             }
             Some(WorkerInput::Close) => break,
         };
-        let Ok((_, entries)) = split_verified_body(&frame.body) else {
-            continue; // unreachable for verified bodies
-        };
-        // One step per entry — the same step granularity the simulator's
-        // `EpochProtocol::on_message` flushes at, so the per-step cost
-        // model stays byte-comparable between the two transports.
-        for (id, payload) in entries.iter() {
-            egress.send_step(mux.on_entry(frame.from, id, payload));
-        }
+        // One protocol step per entry, inside `on_message`: the step a
+        // simulated node takes, so both transports flush alike.
+        egress.send(node.on_message(frame.from, &frame.batch), node.pending_delay());
     }
-    egress.flush_all();
+    egress.send(node.on_tick(), node.pending_delay());
+    stats.publish(&node);
 }
 
 /// Live observability probe for a running epoch service: cheap coherent
@@ -279,6 +276,14 @@ impl ServiceStats {
     /// [`epoch_snapshot`](ServiceStats::epoch_snapshot).
     pub fn net_snapshot(&self) -> NetStats {
         NetStats { late_entries: self.epoch_snapshot().late_entries, ..self.counters.snapshot() }
+    }
+
+    /// Publishes the dispatch worker's live protocol counters: its epoch
+    /// stats, and the egress totals `NetStats` reads from the protocol.
+    fn publish<P: Protocol>(&self, node: &EpochProtocol<P>) {
+        self.cell.publish(node.mux().stats());
+        self.counters.sent_entries.store(node.sent_entries(), Ordering::Relaxed);
+        self.counters.buffer_reuses.store(node.reuse_hits(), Ordering::Relaxed);
     }
 }
 
@@ -415,15 +420,13 @@ where
         &addrs,
         opts.reconnect_delay,
         counters.clone(),
-        opts.flush,
         opts.egress_capacity,
     );
 
     let (out_tx, mut out_rx) = mpsc::channel::<WorkerMsg<P::Output>>(1024);
-    let cell = Arc::new(EpochStatsCell::new());
-    let worker = tokio::spawn(dispatch_worker(in_rx, mux, sessions.lane(), out_tx, cell.clone()));
-
-    let stats = ServiceStats { cell, counters: counters.clone() };
+    let stats = ServiceStats { cell: Arc::new(EpochStatsCell::new()), counters: counters.clone() };
+    let node = EpochProtocol::new(mux, opts.flush);
+    let worker = tokio::spawn(dispatch_worker(in_rx, node, sessions.lane(), out_tx, stats.clone()));
     let probe = stats.clone();
     // Locally produced events, already bounded by the pipeline: at most
     // `window` epochs are in flight, each emitting one event, and no remote
@@ -1006,8 +1009,8 @@ mod tests {
     async fn shutdown_drains_every_egress_lane_before_writer_close() {
         // Four Burst instances on the one worker, all firing at a peer
         // that comes up late: shutdown must close the WORKER first,
-        // flushing what its lane still holds into the writer queue, and
-        // only then close the writer, or the lane's frames would vanish.
+        // flushing what its protocol still holds into the writer queue,
+        // and only then close the writer, or those frames would vanish.
         // Every one of the 4 × k frames must reach the slow peer.
         let k = 50usize;
         let instances = 4usize;
@@ -1281,8 +1284,9 @@ mod tests {
 
     #[tokio::test]
     async fn flush_trigger_fires_on_an_empty_inbox_or_past_the_ceiling() {
-        let frame =
-            || WorkerInput::Frame(VerifiedFrame { from: NodeId(1), body: Bytes::from_static(b"") });
+        let frame = || {
+            WorkerInput::Frame(VerifiedFrame { from: NodeId(1), batch: Bytes::from_static(b"") })
+        };
         let (tx, mut rx) = mpsc::channel::<WorkerInput>(4);
         let ms = Duration::from_millis;
         let far = Instant::now() + ms(500);

@@ -1,35 +1,33 @@
-//! Per-peer authenticated sessions: batching under the run's flush
-//! policy, the worker-owned egress lane, and drain-on-shutdown.
+//! Per-peer authenticated sessions: the worker-owned egress lane and
+//! drain-on-shutdown.
 //!
 //! A [`SessionSet`] owns the write side of the mesh: one
 //! [`PeerLink`] (a connection and its writer task) per peer. It hands
 //! the dispatch worker an [`EgressLane`] — a plain struct the worker
-//! owns and drives on its own thread — so a protocol step's output is
-//! routed, batched, encoded, MACed and written to the socket by the
-//! thread that produced it, crossing no queue unless the socket would
-//! block:
+//! owns and drives on its own thread. What leaves, and when, is not
+//! decided here: the worker's `EpochProtocol` routes each step's
+//! bursts, accumulates them under the run's `FlushPolicy`, decides
+//! which destination is due and encodes its epoch batch, exactly as it
+//! does under the simulator. The lane only puts those envelopes on the
+//! wire, crossing no queue unless a socket would block:
 //!
-//! - the lane holds one pending buffer per destination and accumulates
-//!   entries under the session's [`FlushPolicy`]: size triggers run
-//!   inline in [`EgressLane::send_step`] once the step is routed to
-//!   every destination; otherwise the adaptive worker flushes the
-//!   moment its inbox is empty, after answering every frame already
-//!   waiting. There is no timer: the only time trigger is the
-//!   ceiling ([`EgressLane::flush_ceiling`], `max_delay` after the first
-//!   pending entry), checked on every loop turn of a busy worker;
-//! - every flush takes one path: one frame per due destination under its
-//!   own tag, and destinations whose batches hold the same entries (a
-//!   broadcast) share one encoded body and one SHA-256 of it
-//!   ([`frame`](crate::frame)); routing, pending and frame buffers are
-//!   recycled (`NetStats::buffer_reuses` counts free-list hits);
+//! - each envelope becomes one frame around its already-encoded batch,
+//!   under its peer's tag; a run of consecutive envelopes sharing one
+//!   payload (a broadcast flush) shares one framed body and one SHA-256
+//!   of it ([`frame`](crate::frame));
+//! - the lane keeps the adaptive ceiling ([`EgressLane::flush_ceiling`]):
+//!   `max_delay` after the protocol first held entries back, armed
+//!   exactly while it still holds some. There is no timer: the worker
+//!   checks it on every loop turn of a busy inbox, and flushes at once
+//!   when its inbox is empty;
 //! - a frame goes straight to the peer's non-blocking socket, and to the
 //!   peer's bounded writer queue only if that would block (or the writer
 //!   holds frames, or has not dialed yet); a full queue drops the frame,
 //!   counted globally (`dropped_egress`) and per peer, so a slow peer
 //!   shows up by name. The worker never waits for a peer;
 //! - shutdown is "worker flushes, then writer queues close": the service
-//!   closes its worker — it flushes what its lane still holds and drops
-//!   the lane — and only then [`SessionSet::shutdown`] closes the
+//!   closes its worker — it flushes what its protocol still holds and
+//!   drops the lane — and only then [`SessionSet::shutdown`] closes the
 //!   writer queues and waits (bounded) for the write loops to flush, so
 //!   a slow peer still receives everything that was queued.
 
@@ -40,29 +38,15 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use delphi_crypto::Keychain;
-use delphi_primitives::epoch::route_epoch_bursts_into;
-use delphi_primitives::{AgreementId, Envelope, FlushPolicy, NodeId, PendingBatches};
+use delphi_primitives::{Envelope, NodeId, Recipient};
 use tokio::time::Instant;
 
-use crate::frame::{encode_untagged, put_tag};
+use crate::frame::{frame_batch, put_tag};
 use crate::transport::{open_link, Counters, PeerLink};
 
-/// One due destination's batch: `(destination, entries)`.
-type Batch = (usize, Vec<(AgreementId, Bytes)>);
-
-/// Whether two batches hold the same ids and the same payload allocations
-/// (pointer and length: routing a broadcast clones one `Bytes` per
-/// destination) in the same order, so they encode to the same body.
-fn same_entries(a: &[(AgreementId, Bytes)], b: &[(AgreementId, Bytes)]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|((ia, pa), (ib, pb))| {
-            ia == ib && std::ptr::eq(pa.as_ptr(), pb.as_ptr()) && pa.len() == pb.len()
-        })
-}
-
-/// The dispatch worker's send side: the per-destination pending buffers,
-/// the flush policy's triggers, frame encode, HMAC and the socket write
-/// — all run by the worker itself, on its own thread.
+/// The dispatch worker's send side: frame, hash, HMAC and the socket
+/// write of what its `EpochProtocol` flushed — all run by the worker
+/// itself, on its own thread.
 pub(crate) struct EgressLane {
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
@@ -71,138 +55,73 @@ pub(crate) struct EgressLane {
     drops: Vec<u64>,
     /// Clones of the per-peer links (`None` at our own slot).
     links: Vec<Option<PeerLink>>,
-    /// Per-destination entries awaiting flush — the same accumulator
-    /// `EpochProtocol` uses under the simulator, so the two transports
-    /// share one flush-trigger semantics.
-    pending: PendingBatches,
-    /// Reused routing buffers, one per destination.
-    routed: Vec<Vec<(AgreementId, Bytes)>>,
-    /// The batches of the flush being assembled (reused).
-    due: Vec<Batch>,
-    /// The frame buffer every flush encodes into (capacity kept).
+    /// The frame buffer every envelope is framed into (capacity kept).
     frame: Vec<u8>,
-    /// The adaptive policy's `max_delay` (None per-step and per-entry).
-    flush_delay: Option<Duration>,
-    /// The flush ceiling: `max_delay` after the first entry went
-    /// pending, armed exactly while anything is pending.
+    /// The flush ceiling: `max_delay` after the protocol first held
+    /// entries back, armed exactly while it holds any.
     flush_at: Option<Instant>,
-    /// Reuse hits already published into the shared counter.
-    published_reuses: u64,
 }
 
 impl EgressLane {
-    /// Sends one protocol step's output: the envelope bursts of every
-    /// instance that acted, routed per destination, accumulated, and
-    /// flushed where the session's [`FlushPolicy`] says a destination is
-    /// due (per-step always; per-entry after every entry; adaptive on the
-    /// size triggers, arming [`flush_ceiling`](EgressLane::flush_ceiling)
-    /// for what stays pending), every due destination in one flush.
-    pub(crate) fn send_step(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>) {
-        if bursts.is_empty() {
-            return; // most entries trigger nothing
-        }
-        let mut routed = std::mem::take(&mut self.routed);
-        route_epoch_bursts_into(bursts, self.links.len(), self.keychain.node_id(), &mut routed);
-        for (entries, link) in routed.iter_mut().zip(&self.links) {
-            if link.is_none() {
-                entries.clear();
-            }
-            self.counters.sent_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        }
-        // One round per-step and adaptively; per-entry, a round per entry.
-        while routed.iter().any(|entries| !entries.is_empty()) {
-            for (dest, entries) in routed.iter_mut().enumerate() {
-                if self.pending.push_drain(dest, entries) {
-                    self.due.push((dest, self.pending.take(dest)));
+    /// Writes what one protocol call returned — point-to-point envelopes,
+    /// each an encoded epoch batch — one frame each, hashing a body once
+    /// per run of consecutive envelopes that share a payload. Then arms
+    /// the ceiling `hold` after now if the protocol still holds entries
+    /// (`hold` is its `pending_delay`; an armed ceiling is kept, not
+    /// pushed back), or disarms it if not.
+    pub(crate) fn send(&mut self, out: Vec<Envelope>, hold: Option<Duration>) {
+        let EgressLane { keychain, counters, drops, links, frame, .. } = self;
+        let mut body: Option<(Bytes, _)> = None;
+        for Envelope { to, payload } in out {
+            // An `EpochProtocol` flush is addressed to one peer.
+            let Recipient::One(dest) = to else { continue };
+            let (Some(Some(link)), Some(dropped)) =
+                (links.get(dest.index()), drops.get_mut(dest.index()))
+            else {
+                continue;
+            };
+            let digest = match &body {
+                Some((framed, digest))
+                    if std::ptr::eq(framed.as_ptr(), payload.as_ptr())
+                        && framed.len() == payload.len() =>
+                {
+                    *digest
                 }
-            }
-            self.flush_due();
-        }
-        self.routed = routed;
-        match self.flush_delay {
-            Some(delay) if self.pending.has_pending() => {
-                self.flush_at.get_or_insert_with(|| Instant::now() + delay);
-            }
-            _ => self.flush_at = None,
-        }
-    }
-
-    /// Flushes everything still pending, for every destination: start
-    /// bursts, lingering steps, an idle inbox or the ceiling, and the
-    /// final drain before the worker exits.
-    pub(crate) fn flush_all(&mut self) {
-        for dest in 0..self.pending.dests() {
-            let entries = self.pending.take(dest);
-            if !entries.is_empty() {
-                self.due.push((dest, entries));
-            }
-        }
-        self.flush_due();
-        self.flush_at = None;
-    }
-
-    /// The adaptive ceiling: `max_delay` after the first entry went
-    /// pending, kept until a flush has emptied every destination, `None`
-    /// while nothing waits (and always per-step and per-entry). The
-    /// owning worker flushes with [`flush_all`](EgressLane::flush_all)
-    /// once its inbox is empty, or once this has passed.
-    pub(crate) fn flush_ceiling(&self) -> Option<Instant> {
-        self.flush_at
-    }
-
-    /// The one flush path: ships the batches in `due`, grouped by
-    /// [`same_entries`], and recycles their buffers.
-    fn flush_due(&mut self) {
-        let mut due = std::mem::take(&mut self.due);
-        let mut rest = &mut due[..];
-        while let Some((head, others)) = rest.split_first_mut() {
-            // Move the batches equal to `head` right behind it.
-            let mut shared = 0;
-            for i in 0..others.len() {
-                if others.get(i).is_some_and(|(_, entries)| same_entries(&head.1, entries)) {
-                    others.swap(shared, i);
-                    shared += 1;
+                _ => {
+                    let digest = frame_batch(keychain.node_id(), &payload, frame);
+                    counters.body_hashes.fetch_add(1, Ordering::Relaxed);
+                    body = Some((payload, digest));
+                    digest
                 }
-            }
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(shared + 1);
-            self.ship_group(group);
-            rest = tail;
-        }
-        for (_, entries) in due.drain(..) {
-            self.pending.recycle(entries);
-        }
-        self.due = due;
-        let reuses = self.pending.reuse_hits();
-        if reuses > self.published_reuses {
-            self.counters
-                .buffer_reuses
-                .fetch_add(reuses - self.published_reuses, Ordering::Relaxed);
-            self.published_reuses = reuses;
-        }
-    }
-
-    /// Encodes and hashes a group's body once, then tags and sends it to
-    /// each destination, attributing drops to the peer.
-    fn ship_group(&mut self, group: &[Batch]) {
-        let Some((_, entries)) = group.first() else { return };
-        let digest = encode_untagged(self.keychain.node_id(), entries, &mut self.frame);
-        let counters = &self.counters;
-        counters.body_hashes.fetch_add(1, Ordering::Relaxed);
-        for (dest, _) in group {
-            let Some(Some(link)) = self.links.get(*dest) else { continue };
+            };
             counters.mac_ops.fetch_add(1, Ordering::Relaxed);
             counters.sent_tags.fetch_add(1, Ordering::Relaxed);
-            put_tag(&mut self.frame, self.keychain.channel(NodeId(*dest as u16)), &digest);
-            let Some(drops) = self.drops.get_mut(*dest) else { continue };
-            if !link.send(&self.frame, counters) {
-                *drops += 1;
-                if *drops == 1 {
+            put_tag(frame, keychain.channel(dest), &digest);
+            if !link.send(frame, counters) {
+                *dropped += 1;
+                if *dropped == 1 {
                     eprintln!(
-                        "delphi-net: started dropping frames to peer {dest} (writer queue full)"
+                        "delphi-net: started dropping frames to peer {} (writer queue full)",
+                        dest.0
                     );
                 }
             }
         }
+        match hold {
+            Some(delay) => {
+                self.flush_at.get_or_insert_with(|| Instant::now() + delay);
+            }
+            None => self.flush_at = None,
+        }
+    }
+
+    /// The adaptive ceiling: `max_delay` after the protocol first held
+    /// entries back, kept until a flush has emptied every destination,
+    /// `None` while nothing waits (and always per-step and per-entry). The
+    /// owning worker ticks its protocol once its inbox is empty, or once
+    /// this has passed.
+    pub(crate) fn flush_ceiling(&self) -> Option<Instant> {
+        self.flush_at
     }
 }
 
@@ -219,7 +138,6 @@ pub(crate) struct SessionSet {
     writer_tasks: Vec<tokio::task::JoinHandle<()>>,
     keychain: Arc<Keychain>,
     counters: Arc<Counters>,
-    flush: FlushPolicy,
 }
 
 impl SessionSet {
@@ -231,7 +149,6 @@ impl SessionSet {
         addrs: &[SocketAddr],
         reconnect_delay: Duration,
         counters: Arc<Counters>,
-        flush: FlushPolicy,
         egress_capacity: usize,
     ) -> SessionSet {
         assert!(egress_capacity >= 1, "need at least one frame of egress capacity");
@@ -244,27 +161,18 @@ impl SessionSet {
                 opened.0
             }));
         }
-        SessionSet { links, writer_tasks, keychain, counters, flush }
+        SessionSet { links, writer_tasks, keychain, counters }
     }
 
-    /// The dispatch worker's egress lane: its own pending buffers over
-    /// clones of the links.
+    /// The dispatch worker's egress lane, over clones of the links.
     pub(crate) fn lane(&self) -> EgressLane {
         EgressLane {
             keychain: self.keychain.clone(),
             counters: self.counters.clone(),
             drops: vec![0; self.links.len()],
             links: self.links.clone(),
-            pending: PendingBatches::new(self.links.len(), self.flush),
-            routed: Vec::new(),
-            due: Vec::new(),
             frame: Vec::new(),
-            flush_delay: match self.flush {
-                FlushPolicy::Adaptive { max_delay, .. } => Some(max_delay),
-                FlushPolicy::PerEntry | FlushPolicy::PerStep => None,
-            },
             flush_at: None,
-            published_reuses: 0,
         }
     }
 
@@ -303,9 +211,57 @@ mod tests {
     use super::*;
     use crate::frame::{decode_inbound_frame_ref, encode_epoch_frame, FrameError};
     use delphi_crypto::TAG_LEN;
-    use delphi_primitives::{Envelope, EpochId, InstanceId};
+    use delphi_primitives::epoch::encode_epoch_batch;
+    use delphi_primitives::{AgreementId, EpochMux, EpochProtocol, FlushPolicy, Protocol};
     use tokio::io::AsyncReadExt;
     use tokio::net::{TcpListener, TcpStream};
+
+    /// Answers each entry with the one envelope it spells, `[u16 dest]
+    /// [payload]` (`dest = u16::MAX`: a broadcast): a scriptable protocol
+    /// step, so the lane is driven through a real `EpochProtocol`.
+    struct Echo {
+        n: usize,
+    }
+
+    impl Protocol for Echo {
+        type Output = ();
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn n(&self) -> usize {
+            self.n
+        }
+        fn start(&mut self) -> Vec<Envelope> {
+            Vec::new()
+        }
+        fn on_message(&mut self, _: NodeId, msg: &[u8]) -> Vec<Envelope> {
+            let Some(([d0, d1], payload)) = msg.split_first_chunk::<2>() else { return Vec::new() };
+            let payload = Bytes::copy_from_slice(payload);
+            match u16::from_be_bytes([*d0, *d1]) {
+                u16::MAX => vec![Envelope::to_all(payload)],
+                dest => vec![Envelope::to_one(NodeId(dest), payload)],
+            }
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// Node 0's one-epoch `EpochProtocol` over an [`Echo`], started.
+    fn echo_node(n: usize, flush: FlushPolicy) -> EpochProtocol<Echo> {
+        let mut node = EpochProtocol::new(EpochMux::one_epoch(vec![Echo { n }]), flush);
+        assert!(node.start().is_empty(), "an echo starts silent");
+        node
+    }
+
+    /// One protocol step: node 1 asks `node` to send `payload` to `dest`
+    /// (`u16::MAX`: everyone), and `lane` writes whatever it flushed.
+    fn step(node: &mut EpochProtocol<Echo>, lane: &mut EgressLane, dest: u16, payload: &[u8]) {
+        let mut msg = dest.to_be_bytes().to_vec();
+        msg.extend_from_slice(payload);
+        let batch = encode_epoch_batch(&[(AgreementId::default(), Bytes::from(msg))]);
+        lane.send(node.on_message(NodeId(1), &batch), node.pending_delay());
+    }
 
     /// Reads one `[u32 len][body]` frame, returned whole.
     async fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
@@ -338,7 +294,6 @@ mod tests {
             &addrs,
             Duration::from_millis(5),
             counters.clone(),
-            FlushPolicy::PerStep,
             egress_capacity,
         );
         (sessions, listeners)
@@ -353,20 +308,19 @@ mod tests {
         let counters = Arc::new(Counters::default());
         let (sessions, listeners) = live_peer_sessions(b"share", 4, &counters, 16).await;
         let mut lane = sessions.lane();
-        let payload = Bytes::from_static(b"an echo for everyone");
-        let id = AgreementId::new(EpochId(7), InstanceId(2));
-        lane.send_step(vec![(id, vec![Envelope::to_all(payload.clone())])]);
+        let mut node = echo_node(4, FlushPolicy::PerStep);
+        step(&mut node, &mut lane, u16::MAX, b"an echo for everyone");
         assert_eq!(counters.body_hashes.load(Ordering::Relaxed), 1, "one body hash");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3, "one tag per peer");
         let receivers: Vec<Keychain> =
             (1..4).map(|p| Keychain::derive(b"share", NodeId(p), 4)).collect();
         let sender = Keychain::derive(b"share", NodeId(0), 4);
+        let sent = [(AgreementId::default(), Bytes::from_static(b"an echo for everyone"))];
         let mut frames = Vec::new();
         for (listener, receiver) in listeners.iter().zip(&receivers) {
             let (mut stream, _) = listener.accept().await.unwrap();
             let frame = read_frame(&mut stream).await;
-            let alone = encode_epoch_frame(&sender, receiver.node_id(), &[(id, payload.clone())]);
-            assert_eq!(frame, alone.to_vec());
+            assert_eq!(frame, encode_epoch_frame(&sender, receiver.node_id(), &sent).to_vec());
             frames.push(frame);
         }
         let untagged = frames[0].len() - TAG_LEN;
@@ -384,6 +338,33 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn lane_frame_is_byte_identical_to_encode_epoch_frame() {
+        // An adaptive flush of three entries to one peer: the frame the
+        // lane writes around the protocol's encoded batch is, tag
+        // included, the frame `encode_epoch_frame` builds from the same
+        // entries for the same peer.
+        let counters = Arc::new(Counters::default());
+        let (sessions, listeners) = live_peer_sessions(b"same", 2, &counters, 16).await;
+        let mut lane = sessions.lane();
+        let mut node = echo_node(2, FlushPolicy::adaptive());
+        let payloads: [&'static [u8]; 3] = [b"alpha", b"", b"a longer third payload"];
+        for payload in payloads {
+            step(&mut node, &mut lane, 1, payload);
+        }
+        assert_eq!(counters.sent_tags.load(Ordering::Relaxed), 0, "held below the triggers");
+        lane.send(node.on_tick(), node.pending_delay());
+        let (mut stream, _) = listeners[0].accept().await.unwrap();
+        let frame = read_frame(&mut stream).await;
+        let sent: Vec<(AgreementId, Bytes)> =
+            payloads.iter().map(|p| (AgreementId::default(), Bytes::from_static(p))).collect();
+        let sender = Keychain::derive(b"same", NodeId(0), 2);
+        assert_eq!(frame, encode_epoch_frame(&sender, NodeId(1), &sent).to_vec());
+        drop(lane);
+        sessions.shutdown(Instant::now() + Duration::from_secs(5)).await;
+        assert_eq!(counters.snapshot().sent_frames, 1);
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn slow_reader_gets_every_frame_whole_and_in_order() {
         // One lane sends 8 MiB of numbered 16 KiB frames to a peer that
         // reads the first, then nothing until the lane is done, then
@@ -396,6 +377,7 @@ mod tests {
         let (sessions, listeners) = live_peer_sessions(b"slow", 2, &counters, 1024).await;
         let listener = listeners.into_iter().next().unwrap();
         let mut lane = sessions.lane();
+        let mut node = echo_node(2, FlushPolicy::PerStep);
         let numbered = |seq: u32| {
             let mut payload = vec![seq as u8; 16 * 1024];
             payload[..4].copy_from_slice(&seq.to_be_bytes());
@@ -422,14 +404,14 @@ mod tests {
             }
             seqs
         });
-        send_one(&mut lane, 1, &numbered(0));
+        step(&mut node, &mut lane, 1, &numbered(0));
         // The writer dials for the first frame; once it is out, the
         // writer holds nothing and the rest may go straight to the socket.
         while counters.sent_frames.load(Ordering::Relaxed) == 0 {
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
         for seq in 1..FRAMES {
-            send_one(&mut lane, 1, &numbered(seq));
+            step(&mut node, &mut lane, 1, &numbered(seq));
         }
         // The peer has read nothing since frame 0. The writer held nothing
         // then, so frame 1 went straight to the socket; 8 MiB cannot fit
@@ -451,7 +433,6 @@ mod tests {
     fn dead_peer_sessions(
         n: usize,
         counters: &Arc<Counters>,
-        flush: FlushPolicy,
         egress_capacity: usize,
     ) -> SessionSet {
         let keychain = Arc::new(Keychain::derive(b"egress", NodeId(0), n));
@@ -461,17 +442,8 @@ mod tests {
             &addrs,
             Duration::from_secs(60),
             counters.clone(),
-            flush,
             egress_capacity,
         )
-    }
-
-    /// One step carrying one envelope for `dest`.
-    fn send_one(lane: &mut EgressLane, dest: u16, payload: &[u8]) {
-        lane.send_step(vec![(
-            AgreementId::default(),
-            vec![Envelope::to_one(NodeId(dest), Bytes::copy_from_slice(payload))],
-        )]);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -482,10 +454,11 @@ mod tests {
         // and count every other frame as dropped egress — never grow
         // memory, never make the sending worker wait.
         let counters = Arc::new(Counters::default());
-        let sessions = dead_peer_sessions(2, &counters, FlushPolicy::PerStep, 4);
+        let sessions = dead_peer_sessions(2, &counters, 4);
         let mut lane = sessions.lane();
-        for step in 0..100u16 {
-            send_one(&mut lane, 1, &step.to_be_bytes());
+        let mut node = echo_node(2, FlushPolicy::PerStep);
+        for seq in 0..100u16 {
+            step(&mut node, &mut lane, 1, &seq.to_be_bytes());
         }
         // The lane runs on this thread, so the drop count is final here.
         let dropped = counters.dropped_egress.load(Ordering::Relaxed);
@@ -495,7 +468,7 @@ mod tests {
         );
         assert_eq!(lane.drops, vec![0, dropped], "all toward peer 1");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 100, "every frame was tagged");
-        assert_eq!(lane.flush_ceiling(), None, "a per-step lane never holds entries back");
+        assert_eq!(lane.flush_ceiling(), None, "a per-step protocol never holds entries back");
         drop(lane);
         // The parked writer is aborted at the deadline.
         sessions.shutdown(Instant::now() + Duration::from_millis(300)).await;
@@ -509,10 +482,11 @@ mod tests {
         // peer 1 and none on the idle peer 2 — the signature that says
         // "that peer is behind".
         let counters = Arc::new(Counters::default());
-        let sessions = dead_peer_sessions(3, &counters, FlushPolicy::PerStep, 2);
+        let sessions = dead_peer_sessions(3, &counters, 2);
         let mut lane = sessions.lane();
+        let mut node = echo_node(3, FlushPolicy::PerStep);
         for _ in 0..30 {
-            send_one(&mut lane, 1, b"x");
+            step(&mut node, &mut lane, 1, b"x");
         }
         let drops = lane.drops.clone();
         let snap = counters.snapshot();
@@ -528,14 +502,15 @@ mod tests {
     async fn adaptive_lane_arms_one_ceiling_until_everything_is_flushed() {
         let counters = Arc::new(Counters::default());
         let max_delay = Duration::from_millis(5);
-        let flush = FlushPolicy::Adaptive { max_entries: 2, max_bytes: 4096, max_delay };
-        let sessions = dead_peer_sessions(3, &counters, flush, 16);
+        let sessions = dead_peer_sessions(3, &counters, 16);
         let mut lane = sessions.lane();
+        let flush = FlushPolicy::Adaptive { max_entries: 2, max_bytes: 4096, max_delay };
+        let mut node = echo_node(3, flush);
         assert_eq!(lane.flush_ceiling(), None, "nothing pending, nothing armed");
         let before = Instant::now();
-        send_one(&mut lane, 1, b"a");
+        step(&mut node, &mut lane, 1, b"a");
         let after = Instant::now();
-        send_one(&mut lane, 2, b"b");
+        step(&mut node, &mut lane, 2, b"b");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 0, "below every size trigger");
         // The ceiling is `max_delay` after the FIRST pending entry — not
         // re-armed by the second, and not doubled.
@@ -543,17 +518,17 @@ mod tests {
         assert!(before + max_delay <= armed && armed <= after + max_delay, "{armed:?}");
         // The size trigger flushes peer 1 inline; peer 2's entry still
         // waits under the ceiling it was armed with.
-        send_one(&mut lane, 1, b"c");
+        step(&mut node, &mut lane, 1, b"c");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 1);
         assert_eq!(lane.flush_ceiling(), Some(armed));
-        lane.flush_all();
+        lane.send(node.on_tick(), node.pending_delay());
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 2);
         assert_eq!(counters.sent_tags.load(Ordering::Relaxed), 2);
         assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
         // A size trigger that empties every destination disarms it too.
-        send_one(&mut lane, 1, b"d");
+        step(&mut node, &mut lane, 1, b"d");
         assert!(lane.flush_ceiling().is_some());
-        send_one(&mut lane, 1, b"e");
+        step(&mut node, &mut lane, 1, b"e");
         assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3);
         assert_eq!(lane.flush_ceiling(), None, "the size trigger left nothing pending");
         drop(lane);

@@ -8,7 +8,7 @@
 //! - [`spawn_acceptor`] owns the listener and fans every inbound
 //!   connection out to its own [`read_loop`] task;
 //! - [`read_loop`] length-delimits, bounds-checks, and authenticates
-//!   inbound frames, surfacing the decoded `(sender, entries)` pairs;
+//!   inbound frames, surfacing each one's sender and epoch batch;
 //! - a [`PeerLink`] is one outbound connection: the dispatch worker
 //!   writes frames straight to its non-blocking socket
 //!   ([`PeerLink::send`]); its [`write_loop`] task is the slow path,
@@ -32,7 +32,9 @@ use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
 use tokio::sync::mpsc::error::TrySendError;
 
-use crate::frame::{decode_inbound_frame_ref, FrameError, MAX_FRAME_BODY, MIN_FRAME_BODY};
+use crate::frame::{
+    decode_inbound_frame_ref, verified_batch, FrameError, MAX_FRAME_BODY, MIN_FRAME_BODY,
+};
 
 /// Cap on the dial-retry backoff, as a multiple of the initial delay.
 ///
@@ -55,7 +57,8 @@ pub struct NetStats {
     /// Outbound frame tags computed, one per frame encoded — the encode
     /// share of `mac_ops`, counted whether or not the frame was written.
     pub sent_tags: u64,
-    /// Envelopes queued for sending, after broadcast expansion.
+    /// Entries the node's `EpochProtocol` flushed for sending, after
+    /// broadcast expansion.
     pub sent_entries: u64,
     /// Frames received and authenticated.
     pub recv_frames: u64,
@@ -76,8 +79,8 @@ pub struct NetStats {
     /// verified), each over a body digest. Batching lowers this together
     /// with `sent_frames`.
     pub mac_ops: u64,
-    /// Session-layer flush buffers reused from the free-list instead of
-    /// freshly allocated (see `PendingBatches::recycle`).
+    /// Flush buffers the node's `EpochProtocol` reused from its free-list
+    /// instead of allocating (`EpochProtocol::reuse_hits`).
     pub buffer_reuses: u64,
     /// Vector (basket) agreement instances completed by this node — one
     /// per epoch in vector mode, each covering `vector_dims` assets.
@@ -135,17 +138,16 @@ impl Counters {
     }
 }
 
-/// One authenticated inbound frame, shipped as the shared body buffer:
-/// the read loop verified the tag and validated the batch structure, so
-/// the dispatch worker re-splits it with
-/// [`crate::frame::split_verified_body`] — cheap structural walk, no MAC,
-/// no per-entry copies.
+/// One authenticated inbound frame: the read loop verified the tag and
+/// validated the batch structure, and ships the batch as a slice of the
+/// shared body buffer — no per-entry copies — for the dispatch worker's
+/// protocol to walk.
 #[derive(Debug)]
 pub(crate) struct VerifiedFrame {
     /// The authenticated sender.
     pub(crate) from: NodeId,
-    /// The complete frame body (shared allocation).
-    pub(crate) body: Bytes,
+    /// The frame's epoch batch (a slice of the body's allocation).
+    pub(crate) batch: Bytes,
 }
 
 /// What the dispatch worker's inbox carries.
@@ -277,7 +279,7 @@ pub(crate) async fn read_loop(
         }
         // The body buffer becomes the shared allocation everything
         // downstream borrows from or refcounts: verify + validate here,
-        // then dispatch the whole frame — entries are never copied out.
+        // then dispatch its batch — entries are never copied out.
         let body = Bytes::from(body);
         match decode_inbound_frame_ref(&keychain, &body) {
             Ok((from, entries)) => {
@@ -287,7 +289,7 @@ pub(crate) async fn read_loop(
                 if entries.is_empty() {
                     continue;
                 }
-                let frame = VerifiedFrame { from, body };
+                let frame = VerifiedFrame { from, batch: verified_batch(&body) };
                 if tx.send(WorkerInput::Frame(frame)).await.is_err() {
                     return Ok(()); // dispatch worker gone
                 }

@@ -21,8 +21,8 @@
 //!   quorum frontier, and emits a strictly epoch-ordered stream of
 //!   [`EpochEvent`]s.
 //! - [`EpochProtocol`]: a [`Protocol`] adapter over [`EpochMux`] so the
-//!   whole pipeline runs unchanged under the discrete-event simulator (and
-//!   any other envelope transport), with [`FlushPolicy`]-controlled
+//!   whole pipeline runs unchanged under the discrete-event simulator and
+//!   `delphi-net`'s dispatch worker, with [`FlushPolicy`]-controlled
 //!   adaptive batching across protocol steps.
 //!
 //! # Garbage collection and the live window
@@ -351,8 +351,7 @@ fn take_u32(rest: &mut &[u8]) -> Result<u32, WireError> {
 /// Routes one step's epoch-addressed envelope bursts into per-destination
 /// entry lists: broadcasts expand to every node but `me`, and
 /// point-to-point envelopes to out-of-range destinations are dropped.
-/// Shared by [`EpochProtocol`] (simulator path) and `delphi-net`'s egress
-/// lanes (TCP path), so the two transports cannot diverge on routing.
+/// [`EpochProtocol`]'s routing step, so every transport routes alike.
 ///
 /// `per_dest` is caller-owned scratch — resized to `n`, cleared and
 /// refilled — so a steady-state sender reuses one set of routing buffers
@@ -424,11 +423,6 @@ impl FlushPolicy {
             max_bytes: 8 * 1024,
             max_delay: Duration::from_millis(1),
         }
-    }
-
-    /// Whether this policy defers flushing at all.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, FlushPolicy::Adaptive { .. })
     }
 }
 
@@ -634,9 +628,8 @@ fn early_entry_cost(payload_len: usize) -> usize {
 ///
 /// `EpochMux` is sans-io: it consumes authenticated `(sender, agreement,
 /// payload)` entries and returns epoch-addressed envelope bursts for the
-/// transport to route. Drive it through [`EpochProtocol`] under the
-/// simulator, or natively through `delphi-net`'s `run_epoch_service` over
-/// real sockets.
+/// transport to route. Every transport drives it through [`EpochProtocol`]
+/// (`delphi-net`'s `run_epoch_service` wraps the mux it is handed).
 ///
 /// Instances are created lazily by the factory, one call per `(epoch,
 /// asset)` pair — the factory *is* the streaming input source.
@@ -769,11 +762,6 @@ impl<P: Protocol> EpochMux<P> {
     /// Observability counters.
     pub fn stats(&self) -> EpochStats {
         self.stats
-    }
-
-    /// Epochs currently resident in memory.
-    pub fn resident_epochs(&self) -> usize {
-        self.slots.len()
     }
 
     /// Starts the pipeline: spawns the first `depth` epochs and returns
@@ -1073,7 +1061,8 @@ impl<P: Protocol + 'static> EpochMux<P> {
 }
 
 /// [`Protocol`] adapter over [`EpochMux`]: the whole epoch pipeline as one
-/// state machine any envelope transport can drive.
+/// state machine, and the one egress of both transports (the simulator
+/// and `delphi-net`'s dispatch worker drive it alike).
 ///
 /// Outgoing bursts are routed per destination and encoded with the epoch
 /// batch codec; [`FlushPolicy::Adaptive`] accumulates entries across steps
@@ -1088,18 +1077,13 @@ pub struct EpochProtocol<P: Protocol> {
     route_scratch: Vec<Vec<(AgreementId, Bytes)>>,
     /// The entries flushed last and their encoding (see `flush_dest`).
     last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
-    /// Batches flushed (what a transport turns into frames).
-    sent_batches: u64,
     /// Entries flushed (envelopes after broadcast expansion).
     sent_entries: u64,
 }
 
 /// Per-destination pending entries under one [`FlushPolicy`] — the
-/// accumulator shared by [`EpochProtocol`] (simulator path) and
-/// `delphi-net`'s session layer (TCP path), so the two transports can
-/// never diverge on when a batch is due. The caller owns what "flush"
-/// means (an envelope, an authenticated frame); this struct only decides
-/// *when* and hands the entries back.
+/// accumulator behind [`EpochProtocol`]. The caller owns what "flush"
+/// means; this struct only decides *when* and hands the entries back.
 ///
 /// Flushed buffers are meant to come home: [`PendingBatches::recycle`]
 /// returns a drained buffer to a small free-list, and the next
@@ -1131,11 +1115,6 @@ impl PendingBatches {
     /// Number of destinations.
     pub fn dests(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The flush policy this accumulator runs under.
-    pub fn policy(&self) -> &FlushPolicy {
-        &self.policy
     }
 
     /// Moves entries from the front of the caller-owned scratch `entries`
@@ -1214,7 +1193,6 @@ impl<P: Protocol> EpochProtocol<P> {
             pending: PendingBatches::new(n, flush),
             route_scratch: Vec::new(),
             last_batch: None,
-            sent_batches: 0,
             sent_entries: 0,
         }
     }
@@ -1224,20 +1202,39 @@ impl<P: Protocol> EpochProtocol<P> {
         &self.mux
     }
 
-    /// Consumes the adapter, returning the pipeline (for transports that
-    /// route epoch entries natively, like `delphi-net`).
+    /// Consumes the adapter, returning the pipeline.
     pub fn into_mux(self) -> EpochMux<P> {
         self.mux
     }
 
-    /// Batches flushed so far (one transport frame each).
-    pub fn sent_batches(&self) -> u64 {
-        self.sent_batches
+    /// Drops and returns the events emitted since the last drain, for a
+    /// transport that tails the stream live ([`Protocol::output`] then
+    /// misses them).
+    pub fn drain_events(&mut self) -> Vec<EpochEvent<P::Output>> {
+        self.mux.drain_events()
+    }
+
+    /// How long the entries now pending may wait for the transport's next
+    /// [`Protocol::on_tick`]: the adaptive `max_delay`, `None` while
+    /// nothing is pending (always, per step and per entry).
+    pub fn pending_delay(&self) -> Option<Duration> {
+        match self.pending.policy {
+            FlushPolicy::Adaptive { max_delay, .. } if self.pending.has_pending() => {
+                Some(max_delay)
+            }
+            _ => None,
+        }
     }
 
     /// Entries flushed so far (envelopes after broadcast expansion).
     pub fn sent_entries(&self) -> u64 {
         self.sent_entries
+    }
+
+    /// How often an accumulation reused a flushed entry buffer instead of
+    /// allocating ([`PendingBatches::reuse_hits`]).
+    pub fn reuse_hits(&self) -> u64 {
+        self.pending.reuse_hits()
     }
 
     /// Routes bursts into the per-destination pending buffers and flushes
@@ -1263,7 +1260,6 @@ impl<P: Protocol> EpochProtocol<P> {
         if entries.is_empty() {
             return;
         }
-        self.sent_batches += 1;
         self.sent_entries += entries.len() as u64;
         // A broadcast step flushes the same entries to every destination
         // in turn: encode them once and hand out refcounted copies.
@@ -1622,7 +1618,7 @@ mod tests {
     fn adaptive_flush_cuts_batches_at_equal_entry_counts() {
         let cfg = EpochConfig::new(10, 4, 2, 4, 1);
         let mut per_step = mesh(cfg, 3, FlushPolicy::PerStep);
-        run_mesh(&mut per_step);
+        let per_step_batches = run_mesh(&mut per_step);
         let mut adaptive = mesh(
             cfg,
             3,
@@ -1632,25 +1628,22 @@ mod tests {
                 max_delay: Duration::from_millis(1),
             },
         );
-        run_mesh(&mut adaptive);
+        let adaptive_batches = run_mesh(&mut adaptive);
         let entries =
             |nodes: &[EpochProtocol<Gossip>]| nodes.iter().map(|n| n.sent_entries()).sum::<u64>();
-        let batches =
-            |nodes: &[EpochProtocol<Gossip>]| nodes.iter().map(|n| n.sent_batches()).sum::<u64>();
         let mut per_entry = mesh(cfg, 3, FlushPolicy::PerEntry);
-        run_mesh(&mut per_entry);
+        let per_entry_batches = run_mesh(&mut per_entry);
+        // Every batch flushed is one delivery: the mesh returns batches.
         for node in per_step.iter().chain(&adaptive).chain(&per_entry) {
             assert!(node.output().is_some(), "every policy completes the stream");
         }
         assert_eq!(entries(&per_step), entries(&adaptive), "same protocol work");
         assert_eq!(entries(&per_step), entries(&per_entry), "same protocol work");
-        assert_eq!(batches(&per_entry), entries(&per_entry), "per-entry: one batch per entry");
-        assert!(batches(&per_step) < batches(&per_entry), "a step's entries share a batch");
+        assert_eq!(per_entry_batches as u64, entries(&per_entry), "per-entry: a batch an entry");
+        assert!(per_step_batches < per_entry_batches, "a step's entries share a batch");
         assert!(
-            batches(&adaptive) < batches(&per_step),
-            "adaptive {} vs per-step {} batches for {} entries",
-            batches(&adaptive),
-            batches(&per_step),
+            adaptive_batches < per_step_batches,
+            "adaptive {adaptive_batches} vs per-step {per_step_batches} batches for {} entries",
             entries(&per_step)
         );
     }
@@ -1706,7 +1699,7 @@ mod tests {
         let _ = a.on_entry_for_test(NodeId(1), e0, &payload0);
         // Epoch 0 done -> epoch 2 spawned; epoch 1 still unfinished.
         assert_eq!(a.mux().events().len(), 1);
-        assert!(a.mux().resident_epochs() <= 2, "window respected");
+        assert!(a.mux.slots.len() <= 2, "window respected");
         let resident: Vec<u32> = a.mux.slots.keys().copied().collect();
         assert!(resident.contains(&1), "unfinished epoch 1 must survive eviction");
         assert!(!resident.contains(&0), "completed epoch 0 was the eviction victim");
@@ -1721,7 +1714,7 @@ mod tests {
         let cfg = EpochConfig::new(40, 1, 1, 2, 1);
         let mut lag = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
         let _ = lag.start();
-        assert_eq!(lag.resident_epochs(), 1, "working on epoch 0");
+        assert_eq!(lag.slots.len(), 1, "working on epoch 0");
 
         // One (possibly Byzantine) sender claims epoch 30: no movement.
         let _ = lag.on_entry(NodeId(1), AgreementId::new(EpochId(30), InstanceId(0)), b"x");
@@ -1978,7 +1971,7 @@ mod tests {
             let _ = node.on_entry_for_test(NodeId(0), at(a), &[7]);
         }
         assert!(node.mux().is_complete() && node.output().is_some());
-        assert_eq!(node.mux().resident_epochs(), 1, "the resolved epoch lingers");
+        assert_eq!(node.mux.slots.len(), 1, "the resolved epoch lingers");
         for _ in 0..3 {
             let answer = node.on_entry_for_test(NodeId(2), at(1), &[8]);
             assert_eq!(answer.len(), 1, "a finished node still answers");
@@ -2009,8 +2002,11 @@ mod tests {
 
     #[test]
     fn flush_policy_helpers() {
-        assert!(FlushPolicy::adaptive().is_adaptive());
-        assert!(!FlushPolicy::PerStep.is_adaptive());
+        let FlushPolicy::Adaptive { max_entries, max_bytes, max_delay } = FlushPolicy::adaptive()
+        else {
+            panic!("the adaptive default defers flushing");
+        };
+        assert_eq!((max_entries, max_bytes, max_delay), (32, 8192, Duration::from_millis(1)));
     }
 
     #[test]

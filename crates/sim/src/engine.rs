@@ -174,14 +174,17 @@ impl Simulation {
     /// adaptive batch flushing hangs off). Ticks stop rescheduling once
     /// the mesh goes quiet — an idle stalled run still drains.
     ///
-    /// This models a *paced* flush: an adaptive node's pending entries
-    /// leave only on the next tick. The TCP runner no longer works that
-    /// way — a dispatch worker flushes the moment its inbox is empty and
-    /// treats `max_delay` only as a ceiling under backlog — so a simulated
-    /// adaptive run charges every dependent step up to one tick that the
-    /// TCP runner does not pay, and predicts the paced runner, not the
-    /// current one. The model is kept as is so the simulated figure rows
-    /// stay comparable; the gap is recorded as open work.
+    /// The egress itself is shared: a TCP dispatch worker drives the same
+    /// `EpochProtocol` — routing, batching, size triggers and encoding —
+    /// that a simulated node runs. Only *when* `on_tick` runs is this
+    /// simulator's own. It models a *paced* flush: an adaptive node's
+    /// pending entries leave only on the next tick, while the TCP worker
+    /// ticks the moment its inbox is empty and treats `max_delay` only as
+    /// a ceiling under backlog. So a simulated adaptive run charges every
+    /// dependent step up to one tick that the TCP runner does not pay, and
+    /// predicts the paced runner, not the current one. The model is kept
+    /// as is so the simulated figure rows stay comparable; the gap is
+    /// recorded as open work.
     ///
     /// # Panics
     ///
