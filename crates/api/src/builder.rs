@@ -48,6 +48,12 @@ use crate::feed::{FeedState, FeedUpdate};
 use crate::hub::SubscriberHub;
 use crate::server::{ApiContext, ApiServer};
 
+/// Past updates retained per asset for `/v0/history`.
+const HISTORY_DEPTH: usize = 64;
+
+/// Undelivered updates a subscriber may buffer before the lag-kick.
+const SUBSCRIBER_CAPACITY: usize = 32;
+
 /// Assembles an oracle node: protocol config, epoch pipeline shape,
 /// transport options, and the read-side serving layer.
 #[derive(Debug)]
@@ -60,8 +66,6 @@ pub struct ServiceBuilder {
     window: usize,
     opts: RunOptions,
     api_bind: Option<SocketAddr>,
-    history: usize,
-    subscriber_capacity: usize,
     vector: bool,
 }
 
@@ -78,8 +82,6 @@ impl ServiceBuilder {
             window: 4,
             opts: RunOptions::default(),
             api_bind: None,
-            history: 64,
-            subscriber_capacity: 32,
             vector: false,
         }
     }
@@ -130,14 +132,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Per-peer outbound writer queue capacity, in frames (see
-    /// `RunOptions::egress_capacity`): frames beyond it are dropped and
-    /// counted rather than buffered without bound.
-    pub fn egress_capacity(mut self, capacity: usize) -> ServiceBuilder {
-        self.opts.egress_capacity = capacity;
-        self
-    }
-
     /// Overall run deadline.
     pub fn deadline(mut self, deadline: Duration) -> ServiceBuilder {
         self.opts.deadline = deadline;
@@ -150,27 +144,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Redial delay after a lost peer connection.
-    pub fn reconnect_delay(mut self, delay: Duration) -> ServiceBuilder {
-        self.opts.reconnect_delay = delay;
-        self
-    }
-
     /// Serve readers over HTTP on `addr` (port 0 picks a free port).
     pub fn api_bind(mut self, addr: SocketAddr) -> ServiceBuilder {
         self.api_bind = Some(addr);
-        self
-    }
-
-    /// Past updates retained per asset for `/v0/history`.
-    pub fn history_depth(mut self, depth: usize) -> ServiceBuilder {
-        self.history = depth;
-        self
-    }
-
-    /// Undelivered updates a subscriber may buffer before the lag-kick.
-    pub fn subscriber_capacity(mut self, capacity: usize) -> ServiceBuilder {
-        self.subscriber_capacity = capacity;
         self
     }
 
@@ -245,15 +221,13 @@ impl ServiceBuilder {
         let t = self.cfg.t();
         let epsilon = self.cfg.epsilon();
         let assets = self.assets;
-        let history = self.history;
-        let subscriber_capacity = self.subscriber_capacity;
         let api_bind = self.api_bind;
         let keychain = Keychain::derive(seed, self.me, n);
         let signer = QuorumSigner::new(seed, t, epsilon);
         let opts = self.opts.clone();
 
-        let feed = Arc::new(FeedState::new(assets, history));
-        let hub = Arc::new(SubscriberHub::new(assets, subscriber_capacity));
+        let feed = Arc::new(FeedState::new(assets, HISTORY_DEPTH));
+        let hub = Arc::new(SubscriberHub::new(assets, SUBSCRIBER_CAPACITY));
 
         let mux = self.build_service(source).into_mux();
         let mut service = run_epoch_service(mux, keychain, addrs, opts).await?;
@@ -327,11 +301,6 @@ impl OracleHandle {
     /// A cloneable live-stats probe.
     pub fn stats(&self) -> ServiceStats {
         self.service.stats()
-    }
-
-    /// One coherent copy of the epoch-layer counters, right now.
-    pub fn stats_snapshot(&self) -> EpochStats {
-        self.service.stats_snapshot()
     }
 
     /// Awaits the run: the complete ordered event stream plus final

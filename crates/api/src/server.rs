@@ -11,8 +11,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use delphi_net::ServiceStats;
-use delphi_primitives::InstanceId;
+use delphi_net::{NetStats, ServiceStats};
+use delphi_primitives::{CounterGroup, EpochStats, InstanceId};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
 
@@ -154,7 +154,11 @@ async fn serve_request(stream: &mut TcpStream, ctx: &ApiContext, request: Reques
             );
             response(200, "application/json", &body)
         }
-        Route::Stats => response(200, "application/json", &stats_body(ctx)),
+        Route::Stats => {
+            let node = ctx.stats.as_ref().map(|s| (s.epoch_snapshot(), s.net_snapshot()));
+            let body = stats_body(ctx.feed.published(), ctx.hub.subscriber_count(), node);
+            response(200, "application/json", &body)
+        }
         Route::Latest(asset) => match ctx.feed.latest(asset) {
             Some(update) => response(200, "application/json", &json_update(&update)),
             None => not_found("no value for asset"),
@@ -199,38 +203,13 @@ fn attestation_body(ctx: &ApiContext, asset: InstanceId) -> Option<String> {
     ))
 }
 
-fn stats_body(ctx: &ApiContext) -> String {
-    let mut body = format!(
-        "{{\"published\":{},\"subscribers\":{}",
-        ctx.feed.published(),
-        ctx.hub.subscriber_count()
-    );
-    if let Some(stats) = &ctx.stats {
-        let e = stats.epoch_snapshot();
-        let nt = stats.net_snapshot();
-        body.push_str(&format!(
-            ",\"epoch\":{{\"late_entries\":{},\"early_dropped\":{},\"replayed_entries\":{},\
-             \"stale_epochs\":{},\"peak_resident\":{}}}",
-            e.late_entries, e.early_dropped, e.replayed_entries, e.stale_epochs, e.peak_resident
-        ));
-        body.push_str(&format!(
-            ",\"net\":{{\"sent_frames\":{},\"sent_bytes\":{},\"recv_frames\":{},\
-             \"recv_entries\":{},\"dropped_frames\":{},\"late_entries\":{},\
-             \"sent_entries\":{},\"mac_ops\":{},\"body_hashes\":{},\"dropped_egress\":{}}}",
-            nt.sent_frames,
-            nt.sent_bytes,
-            nt.recv_frames,
-            nt.recv_entries,
-            nt.dropped_frames,
-            nt.late_entries,
-            nt.sent_entries,
-            nt.mac_ops,
-            nt.body_hashes,
-            nt.dropped_egress
-        ));
-    }
-    body.push('}');
-    body
+/// `/v0/stats`: the feed's published total and subscriber count, then,
+/// for a running node, every [`EpochStats`] and [`NetStats`] counter.
+fn stats_body(published: u64, subscribers: usize, node: Option<(EpochStats, NetStats)>) -> String {
+    let node = node.map_or(String::new(), |(epoch, net)| {
+        format!(",\"epoch\":{},\"net\":{}", epoch.to_json(), net.to_json())
+    });
+    format!("{{\"published\":{published},\"subscribers\":{subscribers}{node}}}")
 }
 
 /// `/v0/subscribe/{asset}`: an ndjson stream. A lag-kicked reader gets a
@@ -268,5 +247,30 @@ async fn serve_subscription(stream: &mut TcpStream, ctx: &ApiContext, asset: Ins
         if stream.write_all(line.as_bytes()).await.is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_body_names_every_counter_of_both_groups() {
+        // Distinct values, so a counter served under another's name shows.
+        let epoch = EpochStats::from_values(1..);
+        let net = NetStats::from_values(101..);
+        let body = stats_body(7, 2, Some((epoch, net)));
+        assert!(body.starts_with("{\"published\":7,\"subscribers\":2,\"epoch\":{"), "{body}");
+        let (epoch_part, net_part) = body.split_once(",\"net\":").expect("net object");
+        for (name, value) in epoch.pairs() {
+            assert!(epoch_part.contains(&format!("\"{name}\":{value}")), "{name}: {body}");
+        }
+        for (name, value) in net.pairs() {
+            assert!(net_part.contains(&format!("\"{name}\":{value}")), "{name}: {body}");
+        }
+        let names = EpochStats::names().chain(NetStats::names());
+        assert_eq!(body.matches("\":").count(), 2 + 2 + names.count(), "{body}");
+        // A standalone cache serves its own gauges only.
+        assert_eq!(stats_body(0, 0, None), "{\"published\":0,\"subscribers\":0}");
     }
 }

@@ -47,8 +47,8 @@
 //! vector-valued agreement instance — a single bundle exchange and one
 //! quorum walk per round for the whole basket — instead of `--assets`
 //! independent scalar instances. Agreements in the report keep the same
-//! `(epoch, asset, value)` shape; the `vector_instances`/`vector_dims`
-//! counters in `stats` mark the mode.
+//! `(epoch, asset, value)` shape; the `vector_instances` counter in
+//! `stats` marks the mode.
 //!
 //! `--api-bind ADDR` (epoch runs only) additionally serves the read-side
 //! HTTP API on `ADDR` — snapshots, history, subscriptions, and signed

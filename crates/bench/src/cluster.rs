@@ -182,18 +182,15 @@ pub fn summarize(outcome: &ClusterOutcome, epsilon: f64) -> String {
 }
 
 /// Renders a one-line summary of a finished epoch-stream cluster run.
-/// Vector-mode runs (nonzero `vector_dims` in the node stats) get their
-/// basket counters appended so smoke logs show the mode actually ran.
+/// Vector-mode runs (nonzero `vector_instances` in the node stats) get
+/// their basket count appended so smoke logs show the mode actually ran.
 pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> String {
     let total = outcome.total_stats();
     let secs = outcome.max_elapsed_ms() / 1e3;
     let agreements = outcome.epoch_agreements();
     let shared = 1.0 - total.body_hashes as f64 / total.sent_tags.max(1) as f64;
-    let vector = if total.vector_dims > 0 {
-        format!(
-            " | vector baskets: {} instances x {} dims",
-            total.vector_instances, total.vector_dims
-        )
+    let vector = if total.vector_instances > 0 {
+        format!(" | vector baskets: {} instances", total.vector_instances)
     } else {
         String::new()
     };

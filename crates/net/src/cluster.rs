@@ -1,8 +1,9 @@
 //! Multi-process cluster harness: spawn one OS process per node, collect
 //! per-node results over stdout JSON, and check convergence.
 //!
-//! The deployment contract is deliberately small so any node binary can
-//! participate (the workspace ships `delphi-node` in `delphi-bench`):
+//! The deployment contract is deliberately small (the workspace ships
+//! `delphi-node` in `delphi-bench`, and the launcher runs the one of its
+//! own build):
 //!
 //! - the launcher starts one process per `[[node]]` entry of a
 //!   [`ClusterConfig`](crate::config::ClusterConfig), handing every
@@ -13,18 +14,23 @@
 //!   the output spread so callers can assert ε-agreement.
 //!
 //! JSON here is the fixed flat schema below, hand-rolled because the
-//! environment has no serde:
+//! environment has no serde; `stats` lists every [`NetStats`] counter in
+//! declaration order:
 //!
 //! ```json
-//! {"id":0,"output":40013.93,"elapsed_ms":412.7,"stats":{"sent_frames":54,
-//!  "sent_bytes":21862,"sent_entries":54,"recv_frames":162,
-//!  "recv_entries":162,"dropped_frames":0,"mac_ops":216}}
+//! {"id":0,"output":40013.93,"elapsed_ms":412.7,"agreements":[[0,0,40013.5]],
+//!  "threads":9,"ctxt_switches_per_agreement":14.5,"stats":{"sent_frames":54,
+//!  "sent_bytes":21862,"body_hashes":18,"sent_tags":54,"sent_entries":162,
+//!  "recv_frames":162,"recv_entries":486,"dropped_frames":0,"dropped_egress":0,
+//!  "late_entries":0,"mac_ops":216,"buffer_reuses":40,"vector_instances":0}}
 //! ```
 
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+
+use delphi_primitives::CounterGroup;
 
 use crate::transport::NetStats;
 
@@ -52,9 +58,9 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
-    /// Renders the single-line JSON form the launcher parses.
+    /// Renders the single-line JSON form the launcher parses: `stats`
+    /// holds every [`NetStats`] counter.
     pub fn to_json(&self) -> String {
-        let s = &self.stats;
         let agreements = self
             .agreements
             .iter()
@@ -63,33 +69,13 @@ impl NodeReport {
             .join(",");
         format!(
             "{{\"id\":{},\"output\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\
-             \"threads\":{},\"ctxt_switches_per_agreement\":{},\
-             \"stats\":{{\
-             \"sent_frames\":{},\"sent_bytes\":{},\"sent_entries\":{},\
-             \"body_hashes\":{},\"sent_tags\":{},\
-             \"recv_frames\":{},\"recv_entries\":{},\"dropped_frames\":{},\
-             \"dropped_egress\":{},\"late_entries\":{},\"mac_ops\":{},\
-             \"buffer_reuses\":{},\
-             \"vector_instances\":{},\"vector_dims\":{}}}}}",
+             \"threads\":{},\"ctxt_switches_per_agreement\":{},\"stats\":{}}}",
             self.id,
             fmt_f64(self.output),
             fmt_f64(self.elapsed_ms),
             self.threads,
             fmt_f64(self.ctxt_switches_per_agreement),
-            s.sent_frames,
-            s.sent_bytes,
-            s.sent_entries,
-            s.body_hashes,
-            s.sent_tags,
-            s.recv_frames,
-            s.recv_entries,
-            s.dropped_frames,
-            s.dropped_egress,
-            s.late_entries,
-            s.mac_ops,
-            s.buffer_reuses,
-            s.vector_instances,
-            s.vector_dims,
+            self.stats.to_json(),
         )
     }
 
@@ -97,44 +83,24 @@ impl NodeReport {
     ///
     /// The parser is schema-bound (flat keys, one nested `stats` object,
     /// one `agreements` triple array) but order-insensitive and tolerant
-    /// of whitespace. The `agreements`, `threads`,
-    /// `ctxt_switches_per_agreement`, `dropped_egress`, `late_entries`,
-    /// `buffer_reuses`, `body_hashes`, `sent_tags`, `vector_instances` and
-    /// `vector_dims` keys are optional so reports from older node
-    /// binaries still parse; keys it does not know (the per-shard arrays
-    /// older binaries print) are ignored.
+    /// of whitespace. Every key [`to_json`](NodeReport::to_json) writes is
+    /// required — the launcher runs the `delphi-node` of its own build —
+    /// and keys it does not know are ignored.
     ///
     /// # Errors
     ///
     /// [`ClusterError::BadReport`] when a key is missing or malformed.
     pub fn parse_json(text: &str) -> Result<NodeReport, ClusterError> {
         let text = text.trim();
-        let id = json_number(text, "id")?;
-        let stats = NetStats {
-            sent_frames: json_number(text, "sent_frames")? as u64,
-            sent_bytes: json_number(text, "sent_bytes")? as u64,
-            sent_entries: json_number(text, "sent_entries")? as u64,
-            body_hashes: json_number(text, "body_hashes").unwrap_or(0.0) as u64,
-            sent_tags: json_number(text, "sent_tags").unwrap_or(0.0) as u64,
-            recv_frames: json_number(text, "recv_frames")? as u64,
-            recv_entries: json_number(text, "recv_entries")? as u64,
-            dropped_frames: json_number(text, "dropped_frames")? as u64,
-            dropped_egress: json_number(text, "dropped_egress").unwrap_or(0.0) as u64,
-            late_entries: json_number(text, "late_entries").unwrap_or(0.0) as u64,
-            mac_ops: json_number(text, "mac_ops")? as u64,
-            buffer_reuses: json_number(text, "buffer_reuses").unwrap_or(0.0) as u64,
-            vector_instances: json_number(text, "vector_instances").unwrap_or(0.0) as u64,
-            vector_dims: json_number(text, "vector_dims").unwrap_or(0.0) as u64,
-        };
+        let stats = NetStats::names().map(|name| json_number(text, name).map(|v| v as u64));
         Ok(NodeReport {
-            id: id as u16,
+            id: json_number(text, "id")? as u16,
             output: json_number(text, "output")?,
             elapsed_ms: json_number(text, "elapsed_ms")?,
             agreements: json_triples(text, "agreements")?,
-            threads: json_number(text, "threads").unwrap_or(0.0) as u64,
-            ctxt_switches_per_agreement: json_number(text, "ctxt_switches_per_agreement")
-                .unwrap_or(0.0),
-            stats,
+            threads: json_number(text, "threads")? as u64,
+            ctxt_switches_per_agreement: json_number(text, "ctxt_switches_per_agreement")?,
+            stats: NetStats::from_values(stats.collect::<Result<Vec<_>, _>>()?),
         })
     }
 }
@@ -156,12 +122,11 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Extracts the `[[u32,u16,f64], ...]` triple array following `"key":`,
-/// returning empty when the key is absent (one-shot reports).
+/// Extracts the `[[u32,u16,f64], ...]` triple array following `"key":`.
 fn json_triples(text: &str, key: &str) -> Result<Vec<(u32, u16, f64)>, ClusterError> {
     let pat = format!("\"{key}\"");
     let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
-    let Some(at) = text.find(&pat) else { return Ok(Vec::new()) };
+    let at = text.find(&pat).ok_or_else(|| bad("missing"))?;
     let rest = text[at + pat.len()..].trim_start();
     let rest = rest.strip_prefix(':').ok_or_else(|| bad("no colon"))?.trim_start();
     let rest = rest.strip_prefix('[').ok_or_else(|| bad("no array"))?;
@@ -233,26 +198,7 @@ impl ClusterOutcome {
 
     /// Transport counters summed over all nodes.
     pub fn total_stats(&self) -> NetStats {
-        let mut total = NetStats::default();
-        for r in &self.reports {
-            total.sent_frames += r.stats.sent_frames;
-            total.sent_bytes += r.stats.sent_bytes;
-            total.sent_entries += r.stats.sent_entries;
-            total.body_hashes += r.stats.body_hashes;
-            total.sent_tags += r.stats.sent_tags;
-            total.recv_frames += r.stats.recv_frames;
-            total.recv_entries += r.stats.recv_entries;
-            total.dropped_frames += r.stats.dropped_frames;
-            total.dropped_egress += r.stats.dropped_egress;
-            total.late_entries += r.stats.late_entries;
-            total.mac_ops += r.stats.mac_ops;
-            total.buffer_reuses += r.stats.buffer_reuses;
-            total.vector_instances += r.stats.vector_instances;
-            // Dims are a mode marker, not additive: take the max so a
-            // uniform vector cluster reports its basket size.
-            total.vector_dims = total.vector_dims.max(r.stats.vector_dims);
-        }
-        total
+        self.reports.iter().map(|r| r.stats).sum()
     }
 
     /// The slowest node's elapsed time — the cluster-level runtime.
@@ -493,7 +439,6 @@ mod tests {
                 mac_ops: 40,
                 buffer_reuses: 5,
                 vector_instances: 3,
-                vector_dims: 4,
             },
         }
     }
@@ -509,6 +454,10 @@ mod tests {
         let r = report(3, 40_013.937_5);
         let parsed = NodeReport::parse_json(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
+        // Every counter distinct and non-zero: one written under another's
+        // name, or not at all, fails the round trip.
+        let r = NodeReport { stats: NetStats::from_values((1..).map(|i| i * 1_001)), ..r };
+        assert_eq!(NodeReport::parse_json(&r.to_json()).unwrap(), r);
     }
 
     #[test]
@@ -520,56 +469,39 @@ mod tests {
     }
 
     #[test]
-    fn report_parse_is_order_insensitive_and_tolerates_missing_epoch_keys() {
-        // No `agreements` / `late_entries` keys: a pre-epoch report.
-        let text = r#" {"output": -2.5e1, "stats": {"mac_ops": 7, "sent_frames": 1,
-            "sent_bytes": 2, "sent_entries": 3, "recv_frames": 4,
-            "recv_entries": 5, "dropped_frames": 6}, "elapsed_ms": 1.5, "id": 2} "#;
+    fn report_parse_is_order_insensitive() {
+        let text = r#" {"output": -2.5e1, "threads": 3, "stats": {"mac_ops": 7,
+            "vector_instances": 13, "buffer_reuses": 12, "late_entries": 10,
+            "dropped_egress": 9, "sent_frames": 1, "sent_bytes": 2, "body_hashes": 4,
+            "sent_tags": 5, "sent_entries": 3, "recv_frames": 6, "recv_entries": 8,
+            "dropped_frames": 11}, "agreements": [], "ctxt_switches_per_agreement": 0.5,
+            "elapsed_ms": 1.5, "id": 2} "#;
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.id, 2);
         assert_eq!(r.output, -25.0);
         assert_eq!(r.stats.mac_ops, 7);
-        assert_eq!(r.stats.dropped_frames, 6);
-        assert_eq!(r.stats.late_entries, 0);
-        // Vector counters are optional the same way: a report from a
-        // per-asset (or older) binary parses as scalar mode.
-        assert_eq!(r.stats.vector_instances, 0);
-        assert_eq!(r.stats.vector_dims, 0);
+        assert_eq!(r.stats.dropped_frames, 11);
+        assert_eq!(r.stats.vector_instances, 13);
+        assert_eq!(r.threads, 3);
         assert!(r.agreements.is_empty());
-        // And the body-hash and outbound-tag counters.
-        assert_eq!(r.stats.body_hashes, 0);
-        assert_eq!(r.stats.sent_tags, 0);
-        // So are the process gauges of newer node binaries.
-        assert_eq!(r.threads, 0);
-        assert_eq!(r.ctxt_switches_per_agreement, 0.0);
+        // Every key is required.
+        let err = NodeReport::parse_json(&text.replace("\"late_entries\": 10,", "")).unwrap_err();
+        assert!(matches!(&err, ClusterError::BadReport { key, .. } if key == "late_entries"));
     }
 
     #[test]
-    fn vector_counters_roundtrip_and_stay_optional() {
-        // Emitted: both counters survive the JSON round-trip.
+    fn vector_counters_roundtrip_and_unknown_keys_are_ignored() {
         let r = report(5, 123.0);
         let json = r.to_json();
         assert!(json.contains("\"vector_instances\":3"));
-        assert!(json.contains("\"vector_dims\":4"));
         assert_eq!(NodeReport::parse_json(&json).unwrap(), r);
-        // Absent (a scalar-mode or pre-vector report): parses to zeros,
-        // nothing else changes.
-        let stripped =
-            json.replace("\"vector_instances\":3,", "").replace(",\"vector_dims\":4", "");
-        let parsed = NodeReport::parse_json(&stripped).unwrap();
-        assert_eq!(parsed.stats.vector_instances, 0);
-        assert_eq!(parsed.stats.vector_dims, 0);
-        assert_eq!(parsed.stats.mac_ops, r.stats.mac_ops);
-        assert_eq!(parsed.stats.sent_tags, r.stats.sent_tags);
-        // A report that still carries the four per-shard arrays of older
-        // node binaries parses, and the arrays are ignored.
-        let old = json.replace(
+        // Keys the parser does not know are ignored.
+        let unknown = json.replace(
             "\"stats\":{",
-            "\"stats\":{\"shard_entries\":[20,13],\"egress_shard_entries\":[7,4],\
-             \"egress_shard_macs\":[6,4],\"dropped_egress_shard\":[1,0],",
+            "\"stats\":{\"shard_entries\":[20,13],\"egress_shard_macs\":[6,4],",
         );
-        assert_ne!(old, json);
-        assert_eq!(NodeReport::parse_json(&old).unwrap(), r);
+        assert_ne!(unknown, json);
+        assert_eq!(NodeReport::parse_json(&unknown).unwrap(), r);
     }
 
     #[test]
@@ -588,9 +520,11 @@ mod tests {
         // whitespace tolerance.
         let text = r#"{"id": 1, "output": 2.0, "elapsed_ms": 3.0,
             "agreements": [ [0, 0, 1.5] , [1, 0, 2.5] ] ,
-            "stats": {"sent_frames":1,"sent_bytes":2,"sent_entries":3,
-            "recv_frames":4,"recv_entries":5,"dropped_frames":6,
-            "late_entries":7,"mac_ops":8}}"#;
+            "threads": 4, "ctxt_switches_per_agreement": 5.0,
+            "stats": {"sent_frames":1,"sent_bytes":2,"body_hashes":1,"sent_tags":1,
+            "sent_entries":3,"recv_frames":4,"recv_entries":5,"dropped_frames":6,
+            "dropped_egress":0,"late_entries":7,"mac_ops":8,"buffer_reuses":0,
+            "vector_instances":0}}"#;
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.agreements, vec![(0, 0, 1.5), (1, 0, 2.5)]);
         // An unterminated array is a loud parse error, not silence.
@@ -642,9 +576,10 @@ mod tests {
         assert_eq!(total.sent_frames, 30);
         assert_eq!(total.mac_ops, 120);
         assert_eq!(total.sent_tags, 30);
-        // Vector instances sum; dims are a mode marker (max, not sum).
         assert_eq!(total.vector_instances, 9);
-        assert_eq!(total.vector_dims, 4);
+        // Every counter sums.
+        let one = report(0, 0.0).stats;
+        assert_eq!(total, NetStats::from_values(one.values().map(|v| 3 * v)));
         assert_eq!(outcome.max_elapsed_ms(), 12.5);
         assert_eq!(outcome.max_threads(), 47);
         assert_eq!(outcome.ctxt_switches_per_agreement(), 312.25);

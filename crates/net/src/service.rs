@@ -38,14 +38,15 @@
 
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
-    EpochEvent, EpochMux, EpochOutcome, EpochProtocol, EpochStats, EpochStatsCell, FlushPolicy,
+    CounterGroup, EpochEvent, EpochMux, EpochOutcome, EpochProtocol, EpochStats, FlushPolicy,
     Protocol,
 };
 use tokio::net::TcpListener;
@@ -196,7 +197,7 @@ enum WorkerMsg<O> {
     /// The stream has resolved every epoch (all of its events have been
     /// shipped). The epoch-layer *counters* keep moving while the worker
     /// serves lingering peers, so they travel through a shared
-    /// [`EpochStatsCell`] instead (snapshot at shutdown).
+    /// [`StatsCell`] instead (snapshot at shutdown).
     Done,
 }
 
@@ -236,7 +237,7 @@ async fn dispatch_worker<P>(
             // answers leaves at once.
             egress.send(node.on_tick(), node.pending_delay());
         }
-        stats.publish(&node);
+        publish(&stats, &node);
         let frame = match next_input(&mut rx, egress.flush_ceiling()).await {
             Some(WorkerInput::Frame(frame)) => frame,
             None => {
@@ -250,17 +251,100 @@ async fn dispatch_worker<P>(
         egress.send(node.on_message(frame.from, &frame.batch), node.pending_delay());
     }
     egress.send(node.on_tick(), node.pending_delay());
-    stats.publish(&node);
+    publish(&stats, &node);
+}
+
+/// Publishes the dispatch worker's live counters, a [`WorkerStats`].
+fn publish<P: Protocol>(stats: &ServiceStats, node: &EpochProtocol<P>) {
+    let totals =
+        ProtocolTotals { sent_entries: node.sent_entries(), buffer_reuses: node.reuse_hits() };
+    stats.cell.publish(&WorkerStats(node.mux().stats(), totals));
+}
+
+delphi_primitives::counter_group! {
+    /// The [`NetStats`] counters the dispatch worker's protocol keeps; the
+    /// transport counts the rest.
+    struct ProtocolTotals {
+        sent_entries: u64,
+        buffer_reuses: u64,
+    }
+}
+
+/// What the dispatch worker publishes after every loop turn: its epoch
+/// counters, then its [`ProtocolTotals`].
+#[derive(Clone, Copy, Debug, Default)]
+struct WorkerStats(EpochStats, ProtocolTotals);
+
+impl CounterGroup for WorkerStats {
+    const LEN: usize = EpochStats::LEN + ProtocolTotals::LEN;
+
+    fn names() -> impl Iterator<Item = &'static str> {
+        EpochStats::names().chain(ProtocolTotals::names())
+    }
+
+    fn values(&self) -> impl Iterator<Item = u64> {
+        self.0.values().chain(self.1.values())
+    }
+
+    fn from_values(values: impl IntoIterator<Item = u64>) -> Self {
+        let mut values = values.into_iter();
+        let epoch = EpochStats::from_values(values.by_ref().take(EpochStats::LEN));
+        WorkerStats(epoch, ProtocolTotals::from_values(values))
+    }
+}
+
+/// A single-writer, many-reader seqlock over one counter group, from
+/// plain atomics (no locks on either side): the writer bumps `seq` to odd,
+/// stores every slot and bumps it back to even; a reader retries until it
+/// sees the same even `seq` on both sides of its slot reads, so a snapshot
+/// never mixes two publications.
+struct StatsCell<G> {
+    seq: AtomicU64,
+    slots: Box<[AtomicU64]>,
+    group: PhantomData<G>,
+}
+
+impl<G: CounterGroup> StatsCell<G> {
+    fn new() -> StatsCell<G> {
+        let slots = (0..G::LEN).map(|_| AtomicU64::new(0)).collect();
+        StatsCell { seq: AtomicU64::new(0), slots, group: PhantomData }
+    }
+
+    /// One store per counter, plus two. Single writer: a second one would
+    /// break the odd/even discipline.
+    fn publish(&self, stats: &G) {
+        let s = self.seq.load(Ordering::Relaxed);
+        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // odd: write in progress
+        for (slot, value) in self.slots.iter().zip(stats.values()) {
+            slot.store(value, Ordering::SeqCst);
+        }
+        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // even: consistent
+    }
+
+    /// The latest publication, whole. Lock-free for the writer; the reader
+    /// spins only while a publication is mid-flight.
+    fn snapshot(&self) -> G {
+        loop {
+            let before = self.seq.load(Ordering::SeqCst);
+            if before % 2 == 0 {
+                let stats = G::from_values(self.slots.iter().map(|s| s.load(Ordering::SeqCst)));
+                if self.seq.load(Ordering::SeqCst) == before {
+                    return stats;
+                }
+            }
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// Live observability probe for a running epoch service: cheap coherent
-/// snapshots of the epoch-layer counters (the dispatch worker's
-/// [`EpochStatsCell`]) and the transport counters. Cloneable and
-/// detachable from the [`EpochServiceHandle`], so a stats route or a
-/// monitoring thread can read while the service runs.
+/// snapshots of the counters the dispatch worker publishes and of the
+/// transport counters. Cloneable and detachable from the
+/// [`EpochServiceHandle`], so a stats route or a monitoring thread can
+/// read while the service runs.
 #[derive(Clone)]
 pub struct ServiceStats {
-    cell: Arc<EpochStatsCell>,
+    cell: Arc<StatsCell<WorkerStats>>,
     counters: Arc<Counters>,
 }
 
@@ -268,22 +352,17 @@ impl ServiceStats {
     /// One coherent copy of the epoch-layer counters, readable at any
     /// point of the run (during linger included).
     pub fn epoch_snapshot(&self) -> EpochStats {
-        self.cell.stats_snapshot()
+        self.cell.snapshot().0
     }
 
-    /// The transport counters as of now, with
-    /// [`NetStats::late_entries`] read from the same live cell as
+    /// The transport counters as of now; those the dispatch worker publishes
+    /// come from the same live cell as
     /// [`epoch_snapshot`](ServiceStats::epoch_snapshot).
     pub fn net_snapshot(&self) -> NetStats {
-        NetStats { late_entries: self.epoch_snapshot().late_entries, ..self.counters.snapshot() }
-    }
-
-    /// Publishes the dispatch worker's live protocol counters: its epoch
-    /// stats, and the egress totals `NetStats` reads from the protocol.
-    fn publish<P: Protocol>(&self, node: &EpochProtocol<P>) {
-        self.cell.publish(node.mux().stats());
-        self.counters.sent_entries.store(node.sent_entries(), Ordering::Relaxed);
-        self.counters.buffer_reuses.store(node.reuse_hits(), Ordering::Relaxed);
+        let published = self.cell.snapshot();
+        NetStats::from_values(self.counters.snapshot().pairs().map(|(name, value)| {
+            published.pairs().find(|&(n, _)| n == name).map_or(value, |(_, v)| v)
+        }))
     }
 }
 
@@ -293,9 +372,7 @@ impl ServiceStats {
 /// - [`next_event`](EpochServiceHandle::next_event) yields
 ///   basket-ordered [`EpochEvent`]s as epochs resolve (a serving layer
 ///   tails this without touching the protocol hot path);
-/// - [`stats`](EpochServiceHandle::stats) /
-///   [`stats_snapshot`](EpochServiceHandle::stats_snapshot) read live
-///   coherent counters;
+/// - [`stats`](EpochServiceHandle::stats) reads live coherent counters;
 /// - [`finish`](EpochServiceHandle::finish) awaits the run and returns
 ///   the complete stream plus final counters — the collected view the
 ///   old API returned directly.
@@ -329,11 +406,6 @@ impl<O> EpochServiceHandle<O> {
     /// handle).
     pub fn stats(&self) -> ServiceStats {
         self.stats.clone()
-    }
-
-    /// One coherent copy of the epoch-layer counters, right now.
-    pub fn stats_snapshot(&self) -> EpochStats {
-        self.stats.epoch_snapshot()
     }
 
     /// Awaits the run: the complete ordered event stream, final epoch
@@ -410,7 +482,6 @@ where
     let vector_dims = mux.vector_dims();
 
     let counters = Arc::new(Counters::default());
-    counters.vector_dims.store(u64::from(vector_dims), Ordering::Relaxed);
     let keychain = Arc::new(keychain);
     let listener = TcpListener::bind(addrs[me.index()]).await?;
     let (inbox, in_rx) = mpsc::channel::<WorkerInput>(1024);
@@ -424,7 +495,7 @@ where
     );
 
     let (out_tx, mut out_rx) = mpsc::channel::<WorkerMsg<P::Output>>(1024);
-    let stats = ServiceStats { cell: Arc::new(EpochStatsCell::new()), counters: counters.clone() };
+    let stats = ServiceStats { cell: Arc::new(StatsCell::new()), counters: counters.clone() };
     let node = EpochProtocol::new(mux, opts.flush);
     let worker = tokio::spawn(dispatch_worker(in_rx, node, sessions.lane(), out_tx, stats.clone()));
     let probe = stats.clone();
@@ -450,7 +521,7 @@ where
                             .iter()
                             .filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)))
                             .count() as u64;
-                        counters.vector_instances.fetch_add(agreed, Ordering::Relaxed);
+                        counters.add(NetStats::vector_instances, agreed);
                     }
                     for ev in &fresh {
                         // A dropped tail is fine: finish() detaches it.
@@ -582,6 +653,31 @@ mod tests {
         }
         drop(holders);
         addrs
+    }
+
+    #[test]
+    fn stats_cell_snapshots_are_coherent_under_concurrent_publication() {
+        // The writer publishes values whose fields are all equal; a torn
+        // read would surface as a snapshot mixing two publications.
+        let cell = std::sync::Arc::new(StatsCell::<WorkerStats>::new());
+        let writer = {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                for i in 0..20_000u64 {
+                    cell.publish(&WorkerStats::from_values(std::iter::repeat(i)));
+                }
+            })
+        };
+        let mut last = 0;
+        for _ in 0..20_000 {
+            let s = cell.snapshot();
+            let first = s.0.late_entries;
+            assert!(s.values().all(|v| v == first), "torn snapshot: {s:?}");
+            assert!(first >= last, "publications observed out of order");
+            last = first;
+        }
+        writer.join().expect("writer");
+        assert_eq!(cell.snapshot().values().collect::<Vec<_>>(), [19_999; WorkerStats::LEN]);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

@@ -32,7 +32,6 @@
 //!   a slow peer still receives everything that was queued.
 
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,7 +41,7 @@ use delphi_primitives::{Envelope, NodeId, Recipient};
 use tokio::time::Instant;
 
 use crate::frame::{frame_batch, put_tag};
-use crate::transport::{open_link, Counters, PeerLink};
+use crate::transport::{open_link, Counters, NetStats, PeerLink};
 
 /// The dispatch worker's send side: frame, hash, HMAC and the socket
 /// write of what its `EpochProtocol` flushed — all run by the worker
@@ -89,13 +88,13 @@ impl EgressLane {
                 }
                 _ => {
                     let digest = frame_batch(keychain.node_id(), &payload, frame);
-                    counters.body_hashes.fetch_add(1, Ordering::Relaxed);
+                    counters.add(NetStats::body_hashes, 1);
                     body = Some((payload, digest));
                     digest
                 }
             };
-            counters.mac_ops.fetch_add(1, Ordering::Relaxed);
-            counters.sent_tags.fetch_add(1, Ordering::Relaxed);
+            counters.add(NetStats::mac_ops, 1);
+            counters.add(NetStats::sent_tags, 1);
             put_tag(frame, keychain.channel(dest), &digest);
             if !link.send(frame, counters) {
                 *dropped += 1;
@@ -310,8 +309,8 @@ mod tests {
         let mut lane = sessions.lane();
         let mut node = echo_node(4, FlushPolicy::PerStep);
         step(&mut node, &mut lane, u16::MAX, b"an echo for everyone");
-        assert_eq!(counters.body_hashes.load(Ordering::Relaxed), 1, "one body hash");
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3, "one tag per peer");
+        assert_eq!(counters.snapshot().body_hashes, 1, "one body hash");
+        assert_eq!(counters.snapshot().mac_ops, 3, "one tag per peer");
         let receivers: Vec<Keychain> =
             (1..4).map(|p| Keychain::derive(b"share", NodeId(p), 4)).collect();
         let sender = Keychain::derive(b"share", NodeId(0), 4);
@@ -334,7 +333,7 @@ mod tests {
         }
         drop(lane);
         sessions.shutdown(Instant::now() + Duration::from_secs(5)).await;
-        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.snapshot().sent_frames, 3);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -351,7 +350,7 @@ mod tests {
         for payload in payloads {
             step(&mut node, &mut lane, 1, payload);
         }
-        assert_eq!(counters.sent_tags.load(Ordering::Relaxed), 0, "held below the triggers");
+        assert_eq!(counters.snapshot().sent_tags, 0, "held below the triggers");
         lane.send(node.on_tick(), node.pending_delay());
         let (mut stream, _) = listeners[0].accept().await.unwrap();
         let frame = read_frame(&mut stream).await;
@@ -407,7 +406,7 @@ mod tests {
         step(&mut node, &mut lane, 1, &numbered(0));
         // The writer dials for the first frame; once it is out, the
         // writer holds nothing and the rest may go straight to the socket.
-        while counters.sent_frames.load(Ordering::Relaxed) == 0 {
+        while counters.snapshot().sent_frames == 0 {
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
         for seq in 1..FRAMES {
@@ -416,7 +415,7 @@ mod tests {
         // The peer has read nothing since frame 0. The writer held nothing
         // then, so frame 1 went straight to the socket; 8 MiB cannot fit
         // in the socket buffers, so the rest waits at the writer.
-        let out_early = counters.sent_frames.load(Ordering::Relaxed);
+        let out_early = counters.snapshot().sent_frames;
         assert!(out_early > 1, "the worker wrote to the socket itself");
         assert!(out_early < u64::from(FRAMES), "the socket filled: the writer took over");
         done_tx.send(()).await.unwrap();
@@ -461,18 +460,18 @@ mod tests {
             step(&mut node, &mut lane, 1, &seq.to_be_bytes());
         }
         // The lane runs on this thread, so the drop count is final here.
-        let dropped = counters.dropped_egress.load(Ordering::Relaxed);
+        let dropped = counters.snapshot().dropped_egress;
         assert!(
             (95..=96).contains(&dropped),
             "expected all but capacity(+1 in-flight) frames dropped, got {dropped}"
         );
         assert_eq!(lane.drops, vec![0, dropped], "all toward peer 1");
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 100, "every frame was tagged");
+        assert_eq!(counters.snapshot().mac_ops, 100, "every frame was tagged");
         assert_eq!(lane.flush_ceiling(), None, "a per-step protocol never holds entries back");
         drop(lane);
         // The parked writer is aborted at the deadline.
         sessions.shutdown(Instant::now() + Duration::from_millis(300)).await;
-        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 0);
+        assert_eq!(counters.snapshot().sent_frames, 0);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -511,7 +510,7 @@ mod tests {
         step(&mut node, &mut lane, 1, b"a");
         let after = Instant::now();
         step(&mut node, &mut lane, 2, b"b");
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 0, "below every size trigger");
+        assert_eq!(counters.snapshot().mac_ops, 0, "below every size trigger");
         // The ceiling is `max_delay` after the FIRST pending entry — not
         // re-armed by the second, and not doubled.
         let armed = lane.flush_ceiling().expect("armed by the first pending entry");
@@ -519,17 +518,17 @@ mod tests {
         // The size trigger flushes peer 1 inline; peer 2's entry still
         // waits under the ceiling it was armed with.
         step(&mut node, &mut lane, 1, b"c");
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.snapshot().mac_ops, 1);
         assert_eq!(lane.flush_ceiling(), Some(armed));
         lane.send(node.on_tick(), node.pending_delay());
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 2);
-        assert_eq!(counters.sent_tags.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.snapshot().mac_ops, 2);
+        assert_eq!(counters.snapshot().sent_tags, 2);
         assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
         // A size trigger that empties every destination disarms it too.
         step(&mut node, &mut lane, 1, b"d");
         assert!(lane.flush_ceiling().is_some());
         step(&mut node, &mut lane, 1, b"e");
-        assert_eq!(counters.mac_ops.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.snapshot().mac_ops, 3);
         assert_eq!(lane.flush_ceiling(), None, "the size trigger left nothing pending");
         drop(lane);
         sessions.abort();

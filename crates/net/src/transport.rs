@@ -15,8 +15,8 @@
 //!   dialing lazily (only once a frame is handed to it, so a peer that
 //!   never appears cannot stall shutdown), reconnecting with exponential
 //!   backoff, and draining what the worker could not write at once;
-//! - [`Counters`] / [`NetStats`] are the wire-level observability shared
-//!   by every layer above.
+//! - [`NetStats`] declares every transport counter once; [`Counters`] holds
+//!   one atomic per counter, indexed by that declaration.
 
 use std::io::ErrorKind;
 use std::net::SocketAddr;
@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use delphi_crypto::Keychain;
-use delphi_primitives::NodeId;
+use delphi_primitives::{CounterGroup, NodeId};
 use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
@@ -43,98 +43,81 @@ use crate::frame::{
 /// a successful connection.
 pub(crate) const MAX_BACKOFF_FACTOR: u32 = 160;
 
-/// Byte counters observed by the runner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Frames sent (envelopes share a frame unless flushed per entry),
-    /// counted by whoever wrote a frame's last byte, worker or writer.
-    pub sent_frames: u64,
-    /// Total bytes written to sockets (frames incl. headers).
-    pub sent_bytes: u64,
-    /// Outbound frame bodies hashed: `sent_tags` minus these frames
-    /// shared a body hash with another destination.
-    pub body_hashes: u64,
-    /// Outbound frame tags computed, one per frame encoded — the encode
-    /// share of `mac_ops`, counted whether or not the frame was written.
-    pub sent_tags: u64,
-    /// Entries the node's `EpochProtocol` flushed for sending, after
-    /// broadcast expansion.
-    pub sent_entries: u64,
-    /// Frames received and authenticated.
-    pub recv_frames: u64,
-    /// Protocol payloads received inside authenticated frames.
-    pub recv_entries: u64,
-    /// Frames dropped by authentication or framing checks.
-    pub dropped_frames: u64,
-    /// Outbound frames dropped because a peer's bounded writer queue was
-    /// full (see [`crate::RunOptions::egress_capacity`]). A peer slower
-    /// than the queue is treated like a crashed peer — within the
-    /// `t < n/3` fault budget — instead of inflating memory.
-    pub dropped_egress: u64,
-    /// Authenticated entries addressed to an epoch the node has already
-    /// garbage-collected — expected stream traffic from slower peers,
-    /// dropped and counted here rather than treated as protocol errors.
-    pub late_entries: u64,
-    /// HMAC tag computations (one per frame encoded, one per tag
-    /// verified), each over a body digest. Batching lowers this together
-    /// with `sent_frames`.
-    pub mac_ops: u64,
-    /// Flush buffers the node's `EpochProtocol` reused from its free-list
-    /// instead of allocating (`EpochProtocol::reuse_hits`).
-    pub buffer_reuses: u64,
-    /// Vector (basket) agreement instances completed by this node — one
-    /// per epoch in vector mode, each covering `vector_dims` assets.
-    /// Zero in per-asset mode.
-    pub vector_instances: u64,
-    /// Basket dimension count when the run is in vector mode (0 in
-    /// per-asset mode); `vector_instances × vector_dims` recovers the
-    /// per-asset agreement count.
-    pub vector_dims: u64,
+delphi_primitives::counter_group! {
+    /// Byte counters observed by the runner.
+    pub struct NetStats {
+        /// Frames sent (envelopes share a frame unless flushed per entry),
+        /// counted by whoever wrote a frame's last byte, worker or writer.
+        sent_frames: u64,
+        /// Total bytes written to sockets (frames incl. headers).
+        sent_bytes: u64,
+        /// Outbound frame bodies hashed: `sent_tags` minus these frames
+        /// shared a body hash with another destination.
+        body_hashes: u64,
+        /// Outbound frame tags computed, one per frame encoded — the encode
+        /// share of `mac_ops`, counted whether or not the frame was written.
+        sent_tags: u64,
+        /// Entries the node's `EpochProtocol` flushed for sending, after
+        /// broadcast expansion.
+        sent_entries: u64,
+        /// Frames received and authenticated.
+        recv_frames: u64,
+        /// Protocol payloads received inside authenticated frames.
+        recv_entries: u64,
+        /// Frames dropped by authentication or framing checks.
+        dropped_frames: u64,
+        /// Outbound frames dropped because a peer's bounded writer queue was
+        /// full (see [`crate::RunOptions::egress_capacity`]). A peer slower
+        /// than the queue is treated like a crashed peer — within the
+        /// `t < n/3` fault budget — instead of inflating memory.
+        dropped_egress: u64,
+        /// Authenticated entries addressed to an epoch the node has already
+        /// garbage-collected — expected stream traffic from slower peers,
+        /// dropped and counted here rather than treated as protocol errors.
+        late_entries: u64,
+        /// HMAC tag computations (one per frame encoded, one per tag
+        /// verified), each over a body digest. Batching lowers this together
+        /// with `sent_frames`.
+        mac_ops: u64,
+        /// Flush buffers the node's `EpochProtocol` reused from its free-list
+        /// instead of allocating (`EpochProtocol::reuse_hits`).
+        buffer_reuses: u64,
+        /// Vector (basket) agreement instances completed by this node — one
+        /// per epoch in vector mode, each covering the whole basket. Zero in
+        /// per-asset mode.
+        vector_instances: u64,
+    }
 }
 
-/// Shared mutable counters behind [`NetStats`].
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) sent_frames: AtomicU64,
-    pub(crate) sent_bytes: AtomicU64,
-    pub(crate) body_hashes: AtomicU64,
-    pub(crate) sent_tags: AtomicU64,
-    pub(crate) sent_entries: AtomicU64,
-    pub(crate) recv_frames: AtomicU64,
-    pub(crate) recv_entries: AtomicU64,
-    pub(crate) dropped_frames: AtomicU64,
-    pub(crate) dropped_egress: AtomicU64,
-    pub(crate) mac_ops: AtomicU64,
-    pub(crate) buffer_reuses: AtomicU64,
-    pub(crate) vector_instances: AtomicU64,
-    pub(crate) vector_dims: AtomicU64,
+/// Field-wise sum, for cluster totals.
+impl std::iter::Sum for NetStats {
+    fn sum<I: Iterator<Item = NetStats>>(iter: I) -> NetStats {
+        iter.fold(NetStats::default(), |total, s| {
+            NetStats::from_values(total.values().zip(s.values()).map(|(a, b)| a + b))
+        })
+    }
 }
+
+/// The transport's shared counters: one atomic per [`NetStats`] counter,
+/// indexed by the declaration (`NetStats::mac_ops`, ...). The counters the
+/// dispatch worker publishes instead stay zero here.
+#[derive(Default)]
+pub(crate) struct Counters([AtomicU64; NetStats::LEN]);
 
 impl Counters {
+    pub(crate) fn add(&self, counter: usize, by: u64) {
+        if let Some(c) = self.0.get(counter) {
+            c.fetch_add(by, Ordering::Relaxed);
+        }
+    }
+
     fn count_sent(&self, bytes: usize) {
-        self.sent_frames.fetch_add(1, Ordering::Relaxed);
-        self.sent_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(NetStats::sent_frames, 1);
+        self.add(NetStats::sent_bytes, bytes as u64);
     }
 
     pub(crate) fn snapshot(&self) -> NetStats {
-        NetStats {
-            sent_frames: self.sent_frames.load(Ordering::Relaxed),
-            sent_bytes: self.sent_bytes.load(Ordering::Relaxed),
-            body_hashes: self.body_hashes.load(Ordering::Relaxed),
-            sent_tags: self.sent_tags.load(Ordering::Relaxed),
-            sent_entries: self.sent_entries.load(Ordering::Relaxed),
-            recv_frames: self.recv_frames.load(Ordering::Relaxed),
-            recv_entries: self.recv_entries.load(Ordering::Relaxed),
-            dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
-            dropped_egress: self.dropped_egress.load(Ordering::Relaxed),
-            // The epoch layer's count: `ServiceStats::net_snapshot` reads it
-            // from the worker's live cell.
-            late_entries: 0,
-            mac_ops: self.mac_ops.load(Ordering::Relaxed),
-            buffer_reuses: self.buffer_reuses.load(Ordering::Relaxed),
-            vector_instances: self.vector_instances.load(Ordering::Relaxed),
-            vector_dims: self.vector_dims.load(Ordering::Relaxed),
-        }
+        NetStats::from_values(self.0.iter().map(|c| c.load(Ordering::Relaxed)))
     }
 }
 
@@ -247,7 +230,7 @@ impl PeerLink {
         let deferred = (Bytes::copy_from_slice(frame), written);
         let full = matches!(self.backlog.try_send(deferred), Err(TrySendError::Full(_)));
         if full {
-            counters.dropped_egress.fetch_add(1, Ordering::Relaxed);
+            counters.add(NetStats::dropped_egress, 1);
         } else {
             conn.held += 1;
         }
@@ -270,7 +253,7 @@ pub(crate) async fn read_loop(
         // Same bounds the decoder enforces: never allocate for a body that
         // could not decode.
         if !(MIN_FRAME_BODY..=MAX_FRAME_BODY).contains(&len) {
-            counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
+            counters.add(NetStats::dropped_frames, 1);
             return Ok(()); // framing is broken beyond recovery: drop link
         }
         let mut body = vec![0u8; len];
@@ -283,9 +266,9 @@ pub(crate) async fn read_loop(
         let body = Bytes::from(body);
         match decode_inbound_frame_ref(&keychain, &body) {
             Ok((from, entries)) => {
-                counters.mac_ops.fetch_add(1, Ordering::Relaxed);
-                counters.recv_frames.fetch_add(1, Ordering::Relaxed);
-                counters.recv_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
+                counters.add(NetStats::mac_ops, 1);
+                counters.add(NetStats::recv_frames, 1);
+                counters.add(NetStats::recv_entries, entries.len() as u64);
                 if entries.is_empty() {
                     continue;
                 }
@@ -297,9 +280,9 @@ pub(crate) async fn read_loop(
             Err(err) => {
                 if matches!(err, FrameError::BadTag | FrameError::Malformed) {
                     // The tag was computed before the frame was rejected.
-                    counters.mac_ops.fetch_add(1, Ordering::Relaxed);
+                    counters.add(NetStats::mac_ops, 1);
                 }
-                counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
+                counters.add(NetStats::dropped_frames, 1);
             }
         }
     }
@@ -367,7 +350,7 @@ mod tests {
         let link = PeerLink { conn, backlog };
         let kept: Vec<bool> = (0u8..100).map(|i| link.send(&[i], &counters)).collect();
         assert!(kept[..4].iter().all(|&k| k) && kept[4..].iter().all(|&k| !k));
-        assert_eq!(counters.dropped_egress.load(Ordering::Relaxed), 96);
+        assert_eq!(counters.snapshot().dropped_egress, 96);
         assert_eq!(lock(&link.conn).held, 4);
         drop(link);
         let mut delivered = Vec::new();
@@ -393,7 +376,7 @@ mod tests {
 
     /// Waits until `counters` report `frames` sent.
     async fn until_sent(counters: &Counters, frames: u64) {
-        while counters.sent_frames.load(Ordering::Relaxed) < frames {
+        while counters.snapshot().sent_frames < frames {
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
     }
@@ -423,8 +406,8 @@ mod tests {
             client.write_all(&frame).await.unwrap();
 
             reader.await.unwrap().unwrap();
-            assert_eq!(counters.dropped_frames.load(Ordering::Relaxed), 1, "len={bad_len}");
-            assert_eq!(counters.recv_frames.load(Ordering::Relaxed), 0, "len={bad_len}");
+            assert_eq!(counters.snapshot().dropped_frames, 1, "len={bad_len}");
+            assert_eq!(counters.snapshot().recv_frames, 0, "len={bad_len}");
             let leftover = tokio::select! {
                 m = rx.recv() => m,
                 _ = tokio::time::sleep(Duration::from_millis(50)) => None,
@@ -482,6 +465,6 @@ mod tests {
         // completes, which may be after our read does: join it first.
         drop(link);
         writer.await.unwrap();
-        assert_eq!(counters.sent_frames.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.snapshot().sent_frames, 3);
     }
 }

@@ -49,7 +49,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -463,84 +462,19 @@ impl EpochConfig {
     }
 }
 
-/// Counters the epoch layer exposes for observability and tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochStats {
-    /// Entries addressed to an already-evicted epoch, dropped.
-    pub late_entries: u64,
-    /// Entries addressed beyond the early-buffer horizon, dropped.
-    pub early_dropped: u64,
-    /// Buffered early entries replayed once their epoch spawned.
-    pub replayed_entries: u64,
-    /// Epochs resolved as [`EpochOutcome::Skipped`] (no agreement).
-    pub stale_epochs: u64,
-    /// Most epochs resident in memory at once (live-window bound check).
-    pub peak_resident: usize,
-}
-
-/// A single-writer, many-reader cell for live [`EpochStats`] publication —
-/// a seqlock built from plain atomics (no locks on either side, safe
-/// Rust only).
-///
-/// The dispatch worker owns the cell and calls
-/// [`publish`](EpochStatsCell::publish) after every frame; any number of
-/// observers (a stats route, a monitoring thread, the service handle) call
-/// [`stats_snapshot`](EpochStatsCell::stats_snapshot) and always see one
-/// *coherent* published value — never a mix of two publications — because
-/// the sequence number is bumped to odd before the fields are written and
-/// back to even after, and a reader retries until it observes the same
-/// even sequence on both sides of its field reads.
-#[derive(Debug, Default)]
-pub struct EpochStatsCell {
-    seq: AtomicU64,
-    late_entries: AtomicU64,
-    early_dropped: AtomicU64,
-    replayed_entries: AtomicU64,
-    stale_epochs: AtomicU64,
-    peak_resident: AtomicU64,
-}
-
-impl EpochStatsCell {
-    /// An empty cell (all counters zero).
-    pub fn new() -> EpochStatsCell {
-        EpochStatsCell::default()
-    }
-
-    /// Publishes a new coherent value. Single writer: the owning dispatch
-    /// worker. (Two concurrent writers would corrupt the seqlock's
-    /// odd/even discipline; the type is not built for that.)
-    pub fn publish(&self, stats: EpochStats) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // odd: write in progress
-        self.late_entries.store(stats.late_entries, Ordering::SeqCst);
-        self.early_dropped.store(stats.early_dropped, Ordering::SeqCst);
-        self.replayed_entries.store(stats.replayed_entries, Ordering::SeqCst);
-        self.stale_epochs.store(stats.stale_epochs, Ordering::SeqCst);
-        self.peak_resident.store(stats.peak_resident as u64, Ordering::SeqCst);
-        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // even: consistent
-    }
-
-    /// One coherent copy of the latest published value. Lock-free for the
-    /// writer; the reader spins only while a publication is mid-flight.
-    pub fn stats_snapshot(&self) -> EpochStats {
-        loop {
-            let before = self.seq.load(Ordering::SeqCst);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let stats = EpochStats {
-                late_entries: self.late_entries.load(Ordering::SeqCst),
-                early_dropped: self.early_dropped.load(Ordering::SeqCst),
-                replayed_entries: self.replayed_entries.load(Ordering::SeqCst),
-                stale_epochs: self.stale_epochs.load(Ordering::SeqCst),
-                peak_resident: self.peak_resident.load(Ordering::SeqCst) as usize,
-            };
-            if self.seq.load(Ordering::SeqCst) == before {
-                return stats;
-            }
-            std::hint::spin_loop();
-        }
+crate::counter_group! {
+    /// Counters the epoch layer exposes for observability and tests.
+    pub struct EpochStats {
+        /// Entries addressed to an already-evicted epoch, dropped.
+        late_entries: u64,
+        /// Entries addressed beyond the early-buffer horizon, dropped.
+        early_dropped: u64,
+        /// Buffered early entries replayed once their epoch spawned.
+        replayed_entries: u64,
+        /// Epochs resolved as [`EpochOutcome::Skipped`] (no agreement).
+        stale_epochs: u64,
+        /// Most epochs resident in memory at once (live-window bound check).
+        peak_resident: usize,
     }
 }
 
@@ -1383,41 +1317,6 @@ mod tests {
         assert_eq!(decode_epoch_batch(&trailing), Err(WireError::TrailingBytes));
         // Huge declared count with no entries must fail fast.
         assert_eq!(decode_epoch_batch(&[0xff, 0xff]), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn stats_cell_snapshots_are_coherent_under_concurrent_publication() {
-        // The writer publishes values whose fields are all equal; a torn
-        // read would surface as a snapshot mixing two publications.
-        let cell = std::sync::Arc::new(EpochStatsCell::new());
-        let writer = {
-            let cell = cell.clone();
-            std::thread::spawn(move || {
-                for i in 0..20_000u64 {
-                    cell.publish(EpochStats {
-                        late_entries: i,
-                        early_dropped: i,
-                        replayed_entries: i,
-                        stale_epochs: i,
-                        peak_resident: i as usize,
-                    });
-                }
-            })
-        };
-        let mut last = 0;
-        for _ in 0..20_000 {
-            let s = cell.stats_snapshot();
-            assert_eq!(
-                (s.late_entries, s.early_dropped, s.replayed_entries, s.stale_epochs),
-                (s.late_entries, s.late_entries, s.late_entries, s.late_entries),
-                "torn snapshot: {s:?}"
-            );
-            assert_eq!(s.peak_resident as u64, s.late_entries, "torn snapshot: {s:?}");
-            assert!(s.late_entries >= last, "publications observed out of order");
-            last = s.late_entries;
-        }
-        writer.join().expect("writer");
-        assert_eq!(cell.stats_snapshot().late_entries, 19_999);
     }
 
     /// One-round gossip: broadcasts once, outputs after hearing `n - 1`

@@ -45,13 +45,15 @@ mod dyadic;
 pub mod epoch;
 mod id;
 mod protocol;
+mod stats;
 pub mod wire;
 
 pub use bitset::NodeBitSet;
 pub use dyadic::{Dyadic, DyadicRangeError};
 pub use epoch::{
     flatten_vector_events, AgreementId, EpochConfig, EpochEvent, EpochId, EpochMux, EpochOutcome,
-    EpochProtocol, EpochStats, EpochStatsCell, FlushPolicy, PendingBatches,
+    EpochProtocol, EpochStats, FlushPolicy, PendingBatches,
 };
 pub use id::{InstanceId, NodeId, Round};
 pub use protocol::{Envelope, Protocol, Recipient};
+pub use stats::CounterGroup;
