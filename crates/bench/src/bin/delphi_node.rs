@@ -3,109 +3,99 @@
 //! multi-process cluster harness deploys.
 //!
 //! Reads a TOML cluster config (`delphi_net::config`), picks its own
-//! `[[node]]` entry by `--id`, runs a `DelphiNode` over real sockets
-//! against every peer in the file, and prints exactly one JSON report
-//! line (`delphi_net::cluster::NodeReport`) on stdout for the launcher.
+//! `[[node]]` entry by `--id`, runs the streaming oracle over real
+//! sockets against every peer in the file, and prints exactly one JSON
+//! report line (`delphi_net::cluster::NodeReport`) on stdout for the
+//! launcher.
 //!
 //! ```text
-//! delphi-node --config cluster.toml --id 2 [--input 40013.5]
-//!             [--assets 1] [--quote-seed 7] [--unbatched]
-//!             [--deadline-ms 60000] [--rho0 2] [--epsilon 2]
-//!             [--delta-max 2000]
-//!             [--epochs K] [--depth D] [--window W] [--adaptive]
-//!             [--vector]
+//! delphi-node --config cluster.toml --id 2
+//!             [--epochs 1] [--assets 1] [--quote-seed 7]
+//!             [--unbatched | --adaptive] [--vector]
+//!             [--depth 2] [--window 6] [--deadline-ms 60000]
+//!             [--rho0 2] [--epsilon 2] [--delta-max 2000]
 //!             [--api-bind 127.0.0.1:8080]
 //! ```
 //!
-//! Without `--input`, the node derives its input from one minute of the
-//! BTC workload (`delphi_workloads::deployment_inputs`) under
-//! `--quote-seed`: every process derives the identical vector and picks
-//! its own entry, so no input-distribution step is needed.
+//! Every run is an epoch stream: an `OracleService` pipeline agreeing on
+//! a fresh `--assets`-sized basket each of `--epochs` epochs (1 by
+//! default: one agreement on the basket), `--depth` epochs in flight
+//! under a `--window`-epoch live window. Prices come from the
+//! deterministic multi-epoch feed (`delphi_workloads::EpochFeed` under
+//! `--quote-seed`): every process derives the same basket quote per
+//! epoch and picks its own entry, so no input-distribution step is
+//! needed. The report carries every `(epoch, asset, value)` agreement so
+//! the launcher can check per-epoch ε-convergence.
 //!
-//! `--assets k` runs `k` independent Delphi instances (a DORA-style
-//! asset basket, asset `a` seeded with `quote_seed + a`) multiplexed over
-//! the one mesh via `run_instances` — a one-epoch stream through the
-//! same runner as `--epochs`. The report's `output` is the mean of the
-//! per-asset outputs (each asset converges on its own, so the mean
-//! converges too).
-//!
-//! The flush policy applies to both modes: per step by default,
-//! `--adaptive` to batch across steps until a size trigger or an empty
-//! inbox, `--unbatched` for
+//! Frames are flushed per protocol step by default; `--adaptive` batches
+//! across steps until a size trigger or an empty inbox, `--unbatched` is
 //! the measurement baseline of one frame and one HMAC per envelope (the
 //! two flags exclude each other).
 //!
-//! `--epochs K` switches from a one-shot run to the **streaming oracle**:
-//! an `OracleService` pipeline agreeing on a fresh `--assets`-sized
-//! basket every epoch, `--depth` epochs in flight under a `--window`-epoch
-//! live window, prices from the deterministic multi-epoch feed
-//! (`delphi_workloads::EpochFeed` under `--quote-seed`). The report then
-//! carries every `(epoch, asset, value)` agreement so the launcher can
-//! check per-epoch ε-convergence.
-//!
-//! `--vector` (epoch runs only) runs each epoch's basket as ONE
-//! vector-valued agreement instance — a single bundle exchange and one
-//! quorum walk per round for the whole basket — instead of `--assets`
+//! `--vector` runs each epoch's basket as ONE vector-valued agreement
+//! instance — a single bundle exchange and one quorum walk per round for
+//! the whole basket, of at most 64 assets — instead of `--assets`
 //! independent scalar instances. Agreements in the report keep the same
 //! `(epoch, asset, value)` shape; the `vector_instances` counter in
 //! `stats` marks the mode.
 //!
-//! `--api-bind ADDR` (epoch runs only) additionally serves the read-side
-//! HTTP API on `ADDR` — snapshots, history, subscriptions, and signed
-//! attestations — off the protocol hot path, via
-//! `delphi::ServiceBuilder::serve`. Attestation keys derive from the
-//! node's cluster key material, so a light client holding the cluster
-//! seed verifies served values offline.
+//! `--api-bind ADDR` additionally serves the read-side HTTP API on `ADDR`
+//! — snapshots, history, subscriptions, and signed attestations — off the
+//! protocol hot path, via `delphi::ServiceBuilder::serve`. Attestation
+//! keys derive from the node's cluster key material, so a light client
+//! holding the cluster seed verifies served values offline.
 
+use std::num::{NonZeroU16, NonZeroU32};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use delphi_api::ServiceBuilder;
 use delphi_bench::feed_price_source;
-use delphi_core::{DelphiConfig, DelphiNode, VectorDelphiNode};
+use delphi_core::{DelphiConfig, VectorDelphiNode};
 use delphi_net::cluster::NodeReport;
 use delphi_net::config::ClusterConfig;
-use delphi_net::{run_epoch_service, run_instances, FlushPolicy, NetStats, RunOptions};
+use delphi_net::{run_epoch_service, FlushPolicy, NetStats, RunOptions};
+use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{flatten_vector_events, EpochEvent, EpochMux, EpochOutcome, EpochStats};
-use delphi_workloads::{deployment_inputs, EpochFeed, MultiAssetConfig};
+use delphi_workloads::{EpochFeed, MultiAssetConfig};
 
+#[derive(Debug)]
 struct Args {
     config: std::path::PathBuf,
     id: u16,
-    input: Option<f64>,
-    assets: usize,
+    assets: NonZeroU16,
     quote_seed: u64,
     flush: FlushPolicy,
     deadline_ms: u64,
     rho0: f64,
     epsilon: f64,
     delta_max: f64,
-    epochs: u32,
+    epochs: NonZeroU32,
     depth: usize,
     window: usize,
     vector: bool,
     api_bind: Option<std::net::SocketAddr>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the flags after the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut config = None;
     let mut id = None;
-    let mut input = None;
-    let mut assets = 1usize;
+    let mut assets = NonZeroU16::MIN;
     let mut quote_seed = 7u64;
     let mut unbatched = false;
     let mut deadline_ms = 60_000u64;
     let mut rho0 = 2.0f64;
     let mut epsilon = 2.0f64;
     let mut delta_max = 2_000.0f64;
-    let mut epochs = 0u32;
+    let mut epochs = NonZeroU32::MIN;
     let mut depth = 2usize;
     let mut window = 6usize;
     let mut adaptive = false;
     let mut vector = false;
     let mut api_bind = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -113,11 +103,9 @@ fn parse_args() -> Result<Args, String> {
             "--id" => {
                 id = Some(value("--id")?.parse().map_err(|e| format!("--id: {e}"))?);
             }
-            "--input" => {
-                input = Some(value("--input")?.parse().map_err(|e| format!("--input: {e}"))?);
-            }
             "--assets" => {
-                assets = value("--assets")?.parse().map_err(|e| format!("--assets: {e}"))?;
+                let count = value("--assets")?;
+                assets = count.parse().map_err(|e| format!("--assets takes 1 to 65535: {e}"))?;
             }
             "--quote-seed" => {
                 quote_seed =
@@ -137,7 +125,8 @@ fn parse_args() -> Result<Args, String> {
                     value("--delta-max")?.parse().map_err(|e| format!("--delta-max: {e}"))?;
             }
             "--epochs" => {
-                epochs = value("--epochs")?.parse().map_err(|e| format!("--epochs: {e}"))?;
+                let count = value("--epochs")?;
+                epochs = count.parse().map_err(|e| format!("--epochs takes at least 1: {e}"))?;
             }
             "--depth" => {
                 depth = value("--depth")?.parse().map_err(|e| format!("--depth: {e}"))?;
@@ -154,23 +143,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if assets == 0 {
-        return Err("--assets must be at least 1".to_string());
+    if vector && assets.get() > MAX_VECTOR_DIMS {
+        return Err(format!("--vector takes at most {MAX_VECTOR_DIMS} assets"));
     }
-    if input.is_some() && assets > 1 {
-        return Err("--input only applies to a single-asset run".to_string());
-    }
-    if input.is_some() && epochs > 0 {
-        return Err("--input only applies to a one-shot run".to_string());
-    }
-    if epochs > 0 && (depth == 0 || window < depth) {
-        return Err("--epochs needs --depth >= 1 and --window >= --depth".to_string());
-    }
-    if api_bind.is_some() && epochs == 0 {
-        return Err("--api-bind only applies to an epoch run (--epochs)".to_string());
-    }
-    if vector && epochs == 0 {
-        return Err("--vector only applies to an epoch run (--epochs)".to_string());
+    if depth == 0 || window < depth {
+        return Err("--depth must be at least 1 and --window at least --depth".to_string());
     }
     let flush = match (unbatched, adaptive) {
         (true, true) => return Err("--unbatched and --adaptive exclude each other".to_string()),
@@ -181,7 +158,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         config: config.ok_or("--config is required")?,
         id: id.ok_or("--id is required")?,
-        input,
         assets,
         quote_seed,
         flush,
@@ -197,9 +173,10 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// The basket an epoch run quotes: the reference 4-asset basket when it
-/// fits, synthetic price-scaled assets otherwise.
-fn epoch_basket(assets: usize) -> MultiAssetConfig {
+/// The basket a run quotes: the reference 4-asset basket when it fits,
+/// synthetic price-scaled assets otherwise.
+fn epoch_basket(assets: NonZeroU16) -> MultiAssetConfig {
+    let assets = usize::from(assets.get());
     if assets == MultiAssetConfig::default_basket().assets.len() {
         MultiAssetConfig::default_basket()
     } else {
@@ -268,105 +245,72 @@ async fn run(args: Args) -> Result<NodeReport, String> {
     };
     let started = Instant::now();
 
-    if args.epochs > 0 {
-        // Streaming oracle: one agreement per (epoch, asset) pair, prices
-        // from the deterministic multi-epoch feed — every process derives
-        // the same basket quote per epoch with no distribution step.
-        let feed = EpochFeed::new(epoch_basket(args.assets), args.quote_seed);
-        let builder = ServiceBuilder::new(cfg, me)
-            .epochs(args.epochs)
-            .assets(args.assets as u16)
-            .pipeline_depth(args.depth)
-            .window(args.window)
-            .flush(opts.flush)
-            .deadline(Duration::from_millis(args.deadline_ms))
-            .vector_baskets(args.vector);
-        let source = feed_price_source(feed, me, n);
-        let (events, epoch_stats, stats, (threads, switches)) = match args.api_bind {
-            Some(bind) => {
-                // Full served deployment: protocol + snapshot cache +
-                // subscriptions + signed attestations over HTTP.
-                let seed =
-                    cluster.key_material(args.id).map_err(|e| format!("key material: {e}"))?;
-                let handle = builder
-                    .api_bind(bind)
-                    .serve(seed, addrs, source)
-                    .await
-                    .map_err(|e| format!("epoch run: {e}"))?;
-                if let Some(api) = handle.api_addr() {
-                    eprintln!("delphi-node[{}]: serving readers on http://{api}", args.id);
-                }
-                let (events, epoch_stats, stats) =
-                    handle.finish().await.map_err(|e| format!("epoch run: {e}"))?;
-                // The served handle has no end-of-stream hook: these are
-                // the threads (and their switches) that outlive the run.
-                (events, epoch_stats, stats, thread_switches())
+    // One agreement per (epoch, asset) pair, prices from the
+    // deterministic multi-epoch feed — every process derives the same
+    // basket quote per epoch with no distribution step.
+    let feed = EpochFeed::new(epoch_basket(args.assets), args.quote_seed);
+    let builder = ServiceBuilder::new(cfg, me)
+        .epochs(args.epochs.get())
+        .assets(args.assets.get())
+        .pipeline_depth(args.depth)
+        .window(args.window)
+        .flush(opts.flush)
+        .deadline(opts.deadline)
+        .vector_baskets(args.vector);
+    let source = feed_price_source(feed, me, n);
+    let (events, epoch_stats, stats, (threads, switches)) = match args.api_bind {
+        Some(bind) => {
+            // Full served deployment: protocol + snapshot cache +
+            // subscriptions + signed attestations over HTTP.
+            let seed = cluster.key_material(args.id).map_err(|e| format!("key material: {e}"))?;
+            let handle = builder
+                .api_bind(bind)
+                .serve(seed, addrs, source)
+                .await
+                .map_err(|e| format!("epoch run: {e}"))?;
+            if let Some(api) = handle.api_addr() {
+                eprintln!("delphi-node[{}]: serving readers on http://{api}", args.id);
             }
-            None => {
-                stream_epochs(builder.build_service(source).into_mux(), keychain, addrs, opts)
-                    .await?
-            }
-        };
-        let mut agreements = Vec::new();
-        for event in &events {
-            if let EpochOutcome::Agreed(values) = &event.outcome {
-                for (a, v) in values.iter().enumerate() {
-                    agreements.push((event.epoch.0, a as u16, *v));
-                }
+            let (events, epoch_stats, stats) =
+                handle.finish().await.map_err(|e| format!("epoch run: {e}"))?;
+            // The served handle has no end-of-stream hook: these are the
+            // threads (and their switches) that outlive the run.
+            (events, epoch_stats, stats, thread_switches())
+        }
+        None => {
+            stream_epochs(builder.build_service(source).into_mux(), keychain, addrs, opts).await?
+        }
+    };
+    let mut agreements = Vec::new();
+    for event in &events {
+        if let EpochOutcome::Agreed(values) = &event.outcome {
+            for (a, v) in values.iter().enumerate() {
+                agreements.push((event.epoch.0, a as u16, *v));
             }
         }
-        eprintln!(
-            "delphi-node[{}]: {} epochs ({} agreements, {} stale, {} late entries, peak {} resident)",
-            args.id,
-            events.len(),
-            agreements.len(),
-            epoch_stats.stale_epochs,
-            epoch_stats.late_entries,
-            epoch_stats.peak_resident,
-        );
-        let output =
-            agreements.iter().map(|(_, _, v)| *v).sum::<f64>() / (agreements.len().max(1) as f64);
-        return Ok(NodeReport {
-            id: args.id,
-            output,
-            elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-            threads,
-            ctxt_switches_per_agreement: switches as f64 / agreements.len().max(1) as f64,
-            agreements,
-            stats,
-        });
     }
-
-    // One protocol instance per asset; asset `a` quotes minute
-    // `quote_seed + a`, so every process derives the same basket.
-    let instances: Vec<DelphiNode> = (0..args.assets)
-        .map(|a| {
-            let input = match args.input {
-                Some(v) => v,
-                None => deployment_inputs(n, args.quote_seed + a as u64)[usize::from(args.id)],
-            };
-            DelphiNode::new(cfg.clone(), me, input)
-        })
-        .collect();
-
-    let (outputs, stats) =
-        run_instances(instances, keychain, addrs, opts).await.map_err(|e| format!("run: {e}"))?;
-    // One-shot runs return after teardown: the gauges cover what is left.
-    let (threads, switches) = thread_switches();
+    eprintln!(
+        "delphi-node[{}]: {} epochs ({} agreements, {} stale, {} late entries, peak {} resident)",
+        args.id,
+        events.len(),
+        agreements.len(),
+        epoch_stats.stale_epochs,
+        epoch_stats.late_entries,
+        epoch_stats.peak_resident,
+    );
     Ok(NodeReport {
         id: args.id,
-        output: outputs.iter().sum::<f64>() / outputs.len() as f64,
         elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-        agreements: Vec::new(),
         threads,
-        ctxt_switches_per_agreement: switches as f64 / outputs.len().max(1) as f64,
+        ctxt_switches_per_agreement: switches as f64 / agreements.len().max(1) as f64,
+        agreements,
         stats,
     })
 }
 
 #[tokio::main]
 async fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("delphi-node: {e}");
@@ -383,5 +327,54 @@ async fn main() -> ExitCode {
             eprintln!("delphi-node[{id}]: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let base = ["--config", "cluster.toml", "--id", "0"];
+        parse_args(base.iter().chain(flags).map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn defaults_to_a_one_epoch_stream_of_one_asset() {
+        let args = parse(&[]).unwrap();
+        assert_eq!((args.epochs.get(), args.assets.get()), (1, 1));
+        assert!(!args.vector);
+    }
+
+    #[test]
+    fn zero_epochs_is_a_cli_error() {
+        let err = parse(&["--epochs", "0"]).unwrap_err();
+        assert!(err.contains("--epochs"), "{err}");
+    }
+
+    #[test]
+    fn zero_assets_is_a_cli_error() {
+        let err = parse(&["--assets", "0"]).unwrap_err();
+        assert!(err.contains("--assets"), "{err}");
+    }
+
+    #[test]
+    fn assets_beyond_u16_are_a_cli_error() {
+        for assets in ["65536", "70000"] {
+            let err = parse(&["--assets", assets]).unwrap_err();
+            assert!(err.starts_with("--assets"), "{assets}: {err}");
+        }
+        assert_eq!(parse(&["--assets", "65535"]).unwrap().assets.get(), u16::MAX);
+    }
+
+    #[test]
+    fn vector_basket_beyond_max_dims_is_a_cli_error() {
+        let max = MAX_VECTOR_DIMS.to_string();
+        assert_eq!(parse(&["--vector", "--assets", &max]).unwrap().assets.get(), MAX_VECTOR_DIMS);
+        let over = (MAX_VECTOR_DIMS + 1).to_string();
+        let err = parse(&["--vector", "--assets", &over]).unwrap_err();
+        assert!(err.contains("--vector"), "{err}");
+        // Scalar baskets are not bounded by the vector width.
+        assert_eq!(parse(&["--assets", &over]).unwrap().assets.get(), MAX_VECTOR_DIMS + 1);
     }
 }

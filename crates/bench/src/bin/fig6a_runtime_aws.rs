@@ -11,7 +11,8 @@
 //!
 //! With `--cluster <config.toml>`, the simulated sweep is replaced by one
 //! *real* deployment-style run: one OS process per `[[node]]` entry of
-//! the cluster file, talking over real sockets (build the node binary
+//! the cluster file, talking over real sockets, agreeing once — a stream
+//! of one epoch — and checked per `(epoch, asset)` (build the node binary
 //! first: `cargo build --release -p delphi-bench --bin delphi-node`).
 
 use delphi_bench::cluster::{cluster_flag, run_cluster, summarize, ClusterRunSpec, LOCAL_EPSILON};
@@ -31,13 +32,15 @@ fn run_cluster_mode(config: std::path::PathBuf) {
             std::process::exit(1);
         }
     };
-    let mut table = TextTable::new(&["node", "runtime ms", "output"]);
+    let mut table = TextTable::new(&["node", "runtime ms", "agreed"]);
     for r in &outcome.reports {
-        table.row(&[r.id.to_string(), format!("{:.0}", r.elapsed_ms), format!("{:.4}", r.output)]);
+        let agreed = r.agreements.iter().map(|(_, _, v)| format!("{v:.4}")).collect::<Vec<_>>();
+        table.row(&[r.id.to_string(), format!("{:.0}", r.elapsed_ms), agreed.join(" ")]);
     }
     println!("{}", table.render());
-    println!("{}", summarize(&outcome, LOCAL_EPSILON));
-    assert!(outcome.converged(LOCAL_EPSILON), "cluster outputs disagree");
+    let expected = spec.expected_agreements();
+    println!("{}", summarize(&outcome, LOCAL_EPSILON, expected));
+    assert!(outcome.converged(LOCAL_EPSILON, expected), "cluster agreements disagree");
 }
 
 fn main() {

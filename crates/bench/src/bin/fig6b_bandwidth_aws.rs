@@ -6,13 +6,18 @@
 //!
 //! `cargo run --release -p delphi-bench --bin fig6b_bandwidth_aws [--quick]`
 //!
+//! After the sweep, one epoch of a DORA-style basket (the default four
+//! assets, n = 16) runs over one simulated mesh twice — flushing one frame
+//! per entry and adaptively — to show what batching across the basket
+//! saves in frames and wire bytes.
+//!
 //! With `--cluster <config.toml>`, the simulated sweep is replaced by two
 //! *real* deployment runs — one OS process per `[[node]]` entry, one
-//! basket of Delphi instances per process, over real sockets — once with
-//! step batching (a whole step shares one frame) and once flushing per
-//! entry (one frame per envelope), and the measured wire bytes are
-//! compared (build
-//! the node binary first: `cargo build --release -p delphi-bench --bin
+//! basket of Delphi instances per process agreeing once (a stream of one
+//! epoch), over real sockets — once with step batching (a whole step
+//! shares one frame) and once flushing per entry (one frame per
+//! envelope), and the measured wire bytes are compared (build the node
+//! binary first: `cargo build --release -p delphi-bench --bin
 //! delphi-node`).
 
 use delphi_bench::cluster::{
@@ -20,21 +25,23 @@ use delphi_bench::cluster::{
 };
 use delphi_bench::{
     emit_bench_json, growth_exponent, oracle_config, quick_mode, run_aad, run_acs, run_delphi,
-    run_multi_asset_delphi, spread_inputs, TextTable,
+    run_epoch_delphi, spread_inputs, TextTable,
 };
+use delphi_primitives::{EpochConfig, FlushPolicy};
 use delphi_sim::Topology;
-use delphi_workloads::MultiAssetConfig;
+use delphi_workloads::{EpochFeed, MultiAssetConfig};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
 fn run_cluster_mode(config: std::path::PathBuf) {
-    let assets = MultiAssetConfig::default_basket().assets.len();
+    let assets = MultiAssetConfig::default_basket().assets.len() as u16;
     println!(
         "== Fig. 6b (cluster mode): wire bytes over real sockets, {assets}-asset basket, \
          batched vs unbatched ==\n"
     );
     let mut spec = ClusterRunSpec::new(config);
     spec.assets = assets;
+    let expected = spec.expected_agreements();
     let mut measured = Vec::new();
     for unbatched in [false, true] {
         spec.unbatched = unbatched;
@@ -46,8 +53,8 @@ fn run_cluster_mode(config: std::path::PathBuf) {
                 std::process::exit(1);
             }
         };
-        assert!(outcome.converged(LOCAL_EPSILON), "{label}: cluster outputs disagree");
-        println!("{label:>13}: {}", summarize(&outcome, LOCAL_EPSILON));
+        println!("{label:>13}: {}", summarize(&outcome, LOCAL_EPSILON, expected));
+        assert!(outcome.converged(LOCAL_EPSILON, expected), "{label}: cluster agreements disagree");
         measured.push(outcome.total_stats());
     }
     let (batched, unbatched) = (measured[0], measured[1]);
@@ -161,28 +168,36 @@ fn main() {
             && growth_exponent(&delphi_pts) < growth_exponent(&aad_pts)
     );
 
-    // A DORA-style deployment runs one Delphi instance per asset; batching
-    // frames across the basket is where the multiplexed transport saves.
+    // A DORA-style deployment agrees on a whole basket per epoch; batching
+    // frames across the basket on the one mesh is where the transport
+    // saves. One epoch, one frame per entry vs adaptive flushing.
     let ma_n = ns[0];
     let basket = MultiAssetConfig::default_basket();
     let assets = basket.assets.len();
-    let shards = std::thread::available_parallelism().map_or(1, |p| p.get());
     let cfg = oracle_config(ma_n, 2.0);
-    let point = run_multi_asset_delphi(&cfg, basket, Topology::aws_geo(ma_n), 6105, shards);
-    println!("\nmulti-asset deployment ({assets} feeds, n = {ma_n}), batched vs unbatched:");
-    for a in &point.per_asset {
+    let feed = EpochFeed::new(basket, 6105);
+    let one_epoch = EpochConfig::new(1, assets as u16, 1, 1, cfg.t());
+    let run =
+        |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105);
+    let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
+    println!(
+        "\nmulti-asset deployment ({assets} feeds, n = {ma_n}, one epoch), per-entry vs adaptive:"
+    );
+    for (label, p) in [("per-entry", &per_entry), ("adaptive", &adaptive)] {
         println!(
-            "  {:<4} spread {:.3}$ (ε-agreement: {}), solo-mesh runtime {:.0} ms",
-            a.name,
-            a.spread,
-            a.spread <= cfg.epsilon(),
-            a.runtime_ms
+            "  {label:>9}: worst spread {:.3}$ (ε-agreement: {}), {} entries in {} frames, \
+             {:.2} MiB",
+            p.worst_spread,
+            p.worst_spread <= cfg.epsilon(),
+            p.sent_entries,
+            p.throughput.frames,
+            p.throughput.wire_bytes as f64 / MIB,
         );
     }
+    let saved = |batched: u64, unbatched: u64| 100.0 * (1.0 - batched as f64 / unbatched as f64);
     println!(
-        "  batched MiB {:.2} vs unbatched MiB {:.2} — {}",
-        point.savings.batched_wire_bytes as f64 / (1024.0 * 1024.0),
-        point.savings.unbatched_wire_bytes as f64 / (1024.0 * 1024.0),
-        point.savings
+        "  adaptive flushing saves {:.1}% of frames and {:.1}% of wire bytes",
+        saved(adaptive.throughput.frames, per_entry.throughput.frames),
+        saved(adaptive.throughput.wire_bytes, per_entry.throughput.wire_bytes),
     );
 }

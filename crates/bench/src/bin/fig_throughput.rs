@@ -24,9 +24,7 @@
 //! adaptive flushing — and reports measured agreements/sec, wire
 //! bytes/agreement, and frames/agreement.
 
-use delphi_bench::cluster::{
-    cluster_flag, run_cluster, summarize_epochs, ClusterRunSpec, LOCAL_EPSILON,
-};
+use delphi_bench::cluster::{cluster_flag, run_cluster, summarize, ClusterRunSpec, LOCAL_EPSILON};
 use delphi_bench::{
     emit_bench_json, oracle_config, quick_mode, run_epoch_delphi, run_epoch_vector_delphi,
     TextTable,
@@ -45,7 +43,7 @@ const ADAPTIVE: FlushPolicy = FlushPolicy::Adaptive {
 
 fn run_cluster_mode(config: std::path::PathBuf) {
     let epochs = 30u32;
-    let assets = 4usize;
+    let assets = 4u16;
     println!(
         "== Streaming-oracle throughput (cluster mode): {epochs} epochs x {assets} assets over \
          real sockets, per-step vs adaptive flushing ==\n"
@@ -67,10 +65,10 @@ fn run_cluster_mode(config: std::path::PathBuf) {
                 std::process::exit(1);
             }
         };
-        let expected = u64::from(epochs) * assets as u64;
-        println!("{label:>9}: {}", summarize_epochs(&outcome, LOCAL_EPSILON, expected));
+        let expected = spec.expected_agreements();
+        println!("{label:>9}: {}", summarize(&outcome, LOCAL_EPSILON, expected));
         assert!(
-            outcome.epoch_converged(LOCAL_EPSILON, expected),
+            outcome.converged(LOCAL_EPSILON, expected),
             "{label}: epoch stream incomplete or diverged"
         );
         measured.push(outcome.total_stats());

@@ -30,7 +30,7 @@ pub struct ClusterRunSpec {
     /// Shared seed for the deterministic per-node inputs.
     pub quote_seed: u64,
     /// Independent Delphi instances (assets) multiplexed per node.
-    pub assets: usize,
+    pub assets: u16,
     /// Flush every envelope in a frame of its own (`--unbatched`, the
     /// per-entry policy) instead of batching; excludes `adaptive`.
     pub unbatched: bool,
@@ -39,17 +39,18 @@ pub struct ClusterRunSpec {
     /// Protocol ε forwarded to every node (the agreement tolerance the
     /// nodes actually run with, not just a launcher-side check).
     pub epsilon: f64,
-    /// Epoch-stream length; 0 runs the classic one-shot agreement.
+    /// Epoch-stream length (at least 1; one epoch is a single agreement
+    /// on the basket).
     pub epochs: u32,
-    /// Epochs in flight at once (streaming runs).
+    /// Epochs in flight at once.
     pub depth: usize,
-    /// Live-window size in epochs (streaming runs; ≥ depth).
+    /// Live-window size in epochs (≥ depth).
     pub window: usize,
-    /// Adaptive batch flushing (size triggers, empty inbox) instead of per-step,
-    /// in one-shot and streaming runs alike.
+    /// Adaptive batch flushing (size triggers, empty inbox) instead of
+    /// per-step.
     pub adaptive: bool,
     /// Run each epoch's basket as one vector-valued agreement instance
-    /// (streaming runs only) instead of per-asset scalar instances.
+    /// instead of per-asset scalar instances.
     pub vector: bool,
 }
 
@@ -64,12 +65,17 @@ impl ClusterRunSpec {
             unbatched: false,
             deadline_ms: 60_000,
             epsilon: LOCAL_EPSILON,
-            epochs: 0,
+            epochs: 1,
             depth: 2,
             window: 6,
             adaptive: false,
             vector: false,
         }
+    }
+
+    /// Agreements every node must report: one per `(epoch, asset)`.
+    pub fn expected_agreements(&self) -> u64 {
+        u64::from(self.epochs) * u64::from(self.assets)
     }
 }
 
@@ -96,19 +102,15 @@ pub fn run_cluster(spec: &ClusterRunSpec) -> Result<ClusterOutcome, ClusterError
         spec.deadline_ms.to_string(),
         "--epsilon".to_string(),
         spec.epsilon.to_string(),
+        "--epochs".to_string(),
+        spec.epochs.to_string(),
+        "--depth".to_string(),
+        spec.depth.to_string(),
+        "--window".to_string(),
+        spec.window.to_string(),
     ];
-    if spec.epochs > 0 {
-        extra.extend([
-            "--epochs".to_string(),
-            spec.epochs.to_string(),
-            "--depth".to_string(),
-            spec.depth.to_string(),
-            "--window".to_string(),
-            spec.window.to_string(),
-        ]);
-        if spec.vector {
-            extra.push("--vector".to_string());
-        }
+    if spec.vector {
+        extra.push("--vector".to_string());
     }
     if spec.adaptive {
         extra.push("--adaptive".to_string());
@@ -164,30 +166,13 @@ pub fn framing_bytes_per_envelope(stats: &NetStats) -> f64 {
 }
 
 /// Renders a one-line summary of a finished cluster run (used by the
-/// launcher binary and the fig6 `--cluster` mode).
-pub fn summarize(outcome: &ClusterOutcome, epsilon: f64) -> String {
-    let total = outcome.total_stats();
-    format!(
-        "{} nodes | spread {:.6}$ (eps = {epsilon}$, converged: {}) | slowest node {:.0} ms | \
-         {} frames for {} envelopes / {:.2} MiB on the wire / {} MACs",
-        outcome.reports.len(),
-        outcome.spread(),
-        outcome.converged(epsilon),
-        outcome.max_elapsed_ms(),
-        total.sent_frames,
-        total.sent_entries,
-        total.sent_bytes as f64 / (1024.0 * 1024.0),
-        total.mac_ops,
-    )
-}
-
-/// Renders a one-line summary of a finished epoch-stream cluster run.
-/// Vector-mode runs (nonzero `vector_instances` in the node stats) get
-/// their basket count appended so smoke logs show the mode actually ran.
-pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> String {
+/// launcher binary and the fig `--cluster` modes). Vector-mode runs
+/// (nonzero `vector_instances` in the node stats) get their basket count
+/// appended so smoke logs show the mode actually ran.
+pub fn summarize(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> String {
     let total = outcome.total_stats();
     let secs = outcome.max_elapsed_ms() / 1e3;
-    let agreements = outcome.epoch_agreements();
+    let agreements = outcome.agreements();
     let shared = 1.0 - total.body_hashes as f64 / total.sent_tags.max(1) as f64;
     let vector = if total.vector_instances > 0 {
         format!(" | vector baskets: {} instances", total.vector_instances)
@@ -200,8 +185,8 @@ pub fn summarize_epochs(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -
          {:.0} ctxt switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | \
          {shared:.3} of frames shared a body hash | {} late entries{vector}",
         outcome.reports.len(),
-        outcome.epoch_spread(),
-        outcome.epoch_converged(epsilon, expected),
+        outcome.spread(),
+        outcome.converged(epsilon, expected),
         if secs > 0.0 { agreements as f64 / secs } else { 0.0 },
         outcome.max_threads(),
         outcome.ctxt_switches_per_agreement(),
@@ -284,7 +269,6 @@ mod tests {
         // 8 of the 12 frames reused a body another destination hashed.
         let report = |id: u16, sent_tags: u64, body_hashes: u64| NodeReport {
             id,
-            output: 100.0,
             elapsed_ms: 1_000.0,
             agreements: vec![(0, 0, 100.0), (1, 0, 101.0)],
             threads: 9,
@@ -297,7 +281,7 @@ mod tests {
             },
         };
         let outcome = ClusterOutcome { reports: vec![report(0, 6, 2), report(1, 6, 2)] };
-        let line = summarize_epochs(&outcome, LOCAL_EPSILON, 2);
+        let line = summarize(&outcome, LOCAL_EPSILON, 2);
         assert!(line.contains("0.667 of frames shared a body hash"), "{line}");
         assert!(line.contains("2 agreements per node (expected 2)"), "{line}");
         assert!(line.contains("6.00 frames/agreement"), "{line}");

@@ -19,13 +19,9 @@ pub mod regression;
 
 use delphi_baselines::{AadNode, AcsNode};
 use delphi_core::{DelphiConfig, DelphiNode, OracleService};
-use delphi_primitives::{
-    EpochConfig, EpochEvent, EpochMux, EpochOutcome, EpochProtocol, FlushPolicy, NodeId, Protocol,
-};
-use delphi_sim::{
-    run_sharded, BatchSavings, EpochThroughput, RunReport, SimJob, Simulation, Topology,
-};
-use delphi_workloads::{EpochFeed, MultiAssetConfig, MultiAssetFeed};
+use delphi_primitives::{EpochConfig, EpochEvent, EpochOutcome, FlushPolicy, NodeId, Protocol};
+use delphi_sim::{EpochThroughput, RunReport, Simulation, Topology};
+use delphi_workloads::EpochFeed;
 
 /// One measured protocol execution.
 #[derive(Clone, Copy, Debug)]
@@ -127,129 +123,9 @@ pub fn run_acs(n: usize, topology: Topology, inputs: &[f64], seed: u64) -> Bench
     BenchPoint::from_report(n, &report)
 }
 
-/// One asset's outcome inside a multi-asset run.
-#[derive(Clone, Debug)]
-pub struct AssetPoint {
-    /// Asset name (instance-id order of the basket).
-    pub name: String,
-    /// Honest-output spread of the *batched* (multiplexed) run.
-    pub spread: f64,
-    /// Simulated latency of the asset's own unbatched run, milliseconds.
-    pub runtime_ms: f64,
-}
-
-/// Result of a multi-asset Delphi run: per-asset agreement quality plus
-/// the transport cost of batched (one multiplexed mesh) vs unbatched (one
-/// mesh per asset) deployment.
-#[derive(Clone, Debug)]
-pub struct MultiAssetPoint {
-    /// System size.
-    pub n: usize,
-    /// Per-asset outcomes, in basket order.
-    pub per_asset: Vec<AssetPoint>,
-    /// Batched-vs-unbatched frame/byte comparison.
-    pub savings: BatchSavings,
-}
-
-/// Runs a multi-asset Delphi minute twice over `topology` — once as
-/// independent per-asset meshes (sharded across `shards` worker threads)
-/// and once multiplexed over a single mesh as a one-epoch stream under
-/// adaptive flushing — and reports per-asset agreement plus the batching
-/// savings.
-///
-/// Every asset uses `cfg`'s agreement parameters; inputs come from one
-/// minute of the basket's feeds.
-///
-/// # Panics
-///
-/// Panics if any run stalls or an asset misses ε-agreement bounds checked
-/// by the underlying protocols.
-pub fn run_multi_asset_delphi(
-    cfg: &DelphiConfig,
-    basket: MultiAssetConfig,
-    topology: Topology,
-    seed: u64,
-    shards: usize,
-) -> MultiAssetPoint {
-    let n = cfg.n();
-    let mut feed = MultiAssetFeed::new(basket, seed);
-    let names: Vec<String> = feed.names().map(str::to_string).collect();
-    let minute = feed.next_minute(n);
-    let inputs: Vec<Vec<f64>> = minute.into_iter().map(|a| a.inputs).collect();
-
-    // Unbatched: one simulation per asset, sharded across worker threads.
-    let jobs: Vec<SimJob<f64>> = inputs
-        .iter()
-        .enumerate()
-        .map(|(a, asset_inputs)| {
-            let cfg = cfg.clone();
-            let asset_inputs = asset_inputs.clone();
-            SimJob::new(Simulation::new(topology.clone()).seed(seed + a as u64), move || {
-                NodeId::all(cfg.n())
-                    .map(|id| DelphiNode::new(cfg.clone(), id, asset_inputs[id.index()]).boxed())
-                    .collect()
-            })
-        })
-        .collect();
-    let unbatched = run_sharded(jobs, shards);
-    for (report, name) in unbatched.iter().zip(&names) {
-        assert!(report.all_honest_finished(), "unbatched {name} stalled: {:?}", report.stop);
-    }
-
-    // Batched: all assets multiplexed over one mesh as a one-epoch stream
-    // under the adaptive flush policy — the deployment's own batching —
-    // with the simulator's tick standing in for the TCP runner's flushes
-    // (a paced model: see `Simulation::tick_interval_ns`).
-    let flush = FlushPolicy::adaptive();
-    let mux_nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
-        .map(|id| {
-            let instances: Vec<DelphiNode> = inputs
-                .iter()
-                .map(|asset_inputs| DelphiNode::new(cfg.clone(), id, asset_inputs[id.index()]))
-                .collect();
-            Box::new(EpochProtocol::new(EpochMux::one_epoch(instances), flush))
-                as Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>
-        })
-        .collect();
-    let mut sim = Simulation::new(topology).seed(seed);
-    if let FlushPolicy::Adaptive { max_delay, .. } = flush {
-        sim = sim.tick_interval_ns(max_delay.as_nanos().max(1) as u64);
-    }
-    let batched = sim.run(mux_nodes);
-    assert!(batched.all_honest_finished(), "batched multi-asset run stalled: {:?}", batched.stop);
-    let batched_outputs: Vec<&[f64]> = batched
-        .honest_outputs()
-        .map(|events| match events.first().map(|e| &e.outcome) {
-            Some(EpochOutcome::Agreed(values)) => &values[..],
-            _ => &[],
-        })
-        .collect();
-    assert!(
-        batched_outputs.iter().all(|v| v.len() == inputs.len()),
-        "batched multi-asset run resolved without agreeing"
-    );
-
-    let savings = BatchSavings::compare(unbatched.iter().map(|r| &r.metrics), &batched.metrics);
-    let per_asset = names
-        .into_iter()
-        .enumerate()
-        .map(|(a, name)| {
-            let outs: Vec<f64> = batched_outputs.iter().map(|v| v[a]).collect();
-            let spread = outs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-                - outs.iter().copied().fold(f64::INFINITY, f64::min);
-            AssetPoint {
-                name,
-                spread,
-                runtime_ms: unbatched[a].completion_ms().unwrap_or(f64::NAN),
-            }
-        })
-        .collect();
-    MultiAssetPoint { n, per_asset, savings }
-}
-
 /// One measured epoch-stream execution: sustained throughput plus
 /// stream-quality facts the acceptance checks assert on.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct EpochSimPoint {
     /// Throughput summary (agreements/s, bytes and frames per agreement).
     pub throughput: EpochThroughput,
@@ -266,6 +142,9 @@ pub struct EpochSimPoint {
     /// probe): a scalar basket pays `(l_max+1)·r_max` per *asset* per
     /// epoch, a vector basket pays it once per epoch.
     pub rounds: u64,
+    /// Every honest node's event stream, in node order (per-asset values,
+    /// vector baskets flattened).
+    pub streams: Vec<Vec<EpochEvent<f64>>>,
 }
 
 /// Builds node `me`'s streaming price source over `feed`, caching one
@@ -308,7 +187,7 @@ impl ProbedOracle {
 }
 
 impl Protocol for ProbedOracle {
-    type Output = Vec<delphi_primitives::EpochEvent<f64>>;
+    type Output = Vec<EpochEvent<f64>>;
 
     fn node_id(&self) -> NodeId {
         self.inner.node_id()
@@ -399,26 +278,25 @@ fn run_epoch_stream(
     assert_eq!(usize::from(epoch_cfg.assets), assets, "epoch config vs basket size");
     let mut probes = Vec::with_capacity(n);
     let mut round_probes = Vec::with_capacity(n);
-    let nodes: Vec<Box<dyn Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>>>> =
-        NodeId::all(n)
-            .map(|id| {
-                let rounds = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-                round_probes.push(rounds.clone());
-                let inner = OracleService::from_parts(
-                    cfg.clone(),
-                    id,
-                    epoch_cfg,
-                    flush,
-                    vector,
-                    feed_price_source(feed.clone(), id, n),
-                    Some(rounds),
-                );
-                let probe = std::sync::Arc::new(std::sync::Mutex::new(ProbeData::default()));
-                probes.push(probe.clone());
-                Box::new(ProbedOracle { inner, probe })
-                    as Box<dyn Protocol<Output = Vec<delphi_primitives::EpochEvent<f64>>>>
-            })
-            .collect();
+    let nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
+        .map(|id| {
+            let rounds = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+            round_probes.push(rounds.clone());
+            let inner = OracleService::from_parts(
+                cfg.clone(),
+                id,
+                epoch_cfg,
+                flush,
+                vector,
+                feed_price_source(feed.clone(), id, n),
+                Some(rounds),
+            );
+            let probe = std::sync::Arc::new(std::sync::Mutex::new(ProbeData::default()));
+            probes.push(probe.clone());
+            Box::new(ProbedOracle { inner, probe })
+                as Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>
+        })
+        .collect();
     let mut sim = Simulation::new(topology).seed(seed);
     if let FlushPolicy::Adaptive { max_delay, .. } = flush {
         sim = sim.tick_interval_ns(max_delay.as_nanos().max(1) as u64);
@@ -435,13 +313,13 @@ fn run_epoch_stream(
 /// Shared tail of the epoch runners: per-(epoch, asset) spread across
 /// honest nodes plus the probed counters, folded into one point.
 fn measure_epoch_run(
-    report: &RunReport<Vec<delphi_primitives::EpochEvent<f64>>>,
+    report: &RunReport<Vec<EpochEvent<f64>>>,
     epochs: u32,
     assets: usize,
     probes: &[std::sync::Arc<std::sync::Mutex<ProbeData>>],
     round_probes: &[std::sync::Arc<std::sync::atomic::AtomicU64>],
 ) -> EpochSimPoint {
-    let streams: Vec<&Vec<delphi_primitives::EpochEvent<f64>>> = report.honest_outputs().collect();
+    let streams: Vec<&Vec<EpochEvent<f64>>> = report.honest_outputs().collect();
     let mut worst_spread = 0.0f64;
     for e in 0..epochs as usize {
         for a in 0..assets {
@@ -466,6 +344,7 @@ fn measure_epoch_run(
         peak_resident: data.iter().map(|d| d.stats.peak_resident).max().unwrap_or(0),
         stale_epochs: data.iter().map(|d| d.stats.stale_epochs).sum(),
         rounds: round_probes.iter().map(|r| r.load(std::sync::atomic::Ordering::Relaxed)).sum(),
+        streams: streams.into_iter().cloned().collect(),
     }
 }
 
@@ -581,6 +460,7 @@ impl TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delphi_workloads::MultiAssetConfig;
 
     #[test]
     fn spread_inputs_covers_delta() {
@@ -622,24 +502,31 @@ mod tests {
 
     #[test]
     fn multi_asset_runner_batches_and_agrees() {
+        // A one-epoch basket of three over one mesh, flushed one frame per
+        // entry and adaptively: every asset agrees either way, and
+        // adaptive batching spends fewer frames and wire bytes.
         let cfg = oracle_config(4, 10.0);
-        let point =
-            run_multi_asset_delphi(&cfg, MultiAssetConfig::synthetic(3), Topology::lan(4), 5, 2);
-        assert_eq!(point.n, 4);
-        assert_eq!(point.per_asset.len(), 3);
-        for a in &point.per_asset {
-            assert!(a.spread <= cfg.epsilon() + 1e-9, "{}: spread {}", a.name, a.spread);
-            assert!(a.runtime_ms > 0.0);
+        let feed = EpochFeed::new(MultiAssetConfig::synthetic(3), 5);
+        let one_epoch = EpochConfig::new(1, 3, 1, 1, cfg.t());
+        let run = |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5);
+        let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
+        for p in [&per_entry, &adaptive] {
+            assert_eq!(p.throughput.agreements, 3, "one epoch x 3 assets");
+            assert!(p.worst_spread <= cfg.epsilon() + 1e-9, "spread {}", p.worst_spread);
         }
+        assert_eq!(per_entry.throughput.frames, per_entry.sent_entries, "one frame per entry");
+        assert!(adaptive.throughput.frames < adaptive.sent_entries, "entries share frames");
         assert!(
-            point.savings.batched_msgs < point.savings.unbatched_msgs,
-            "batching must cut frames: {}",
-            point.savings
+            adaptive.throughput.frames < per_entry.throughput.frames,
+            "batching must cut frames: {} vs {}",
+            adaptive.throughput,
+            per_entry.throughput
         );
         assert!(
-            point.savings.batched_wire_bytes < point.savings.unbatched_wire_bytes,
-            "batching must cut wire bytes: {}",
-            point.savings
+            adaptive.throughput.wire_bytes < per_entry.throughput.wire_bytes,
+            "batching must cut wire bytes: {} vs {}",
+            adaptive.throughput,
+            per_entry.throughput
         );
     }
 

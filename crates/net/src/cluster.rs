@@ -11,14 +11,15 @@
 //! - each process runs its protocol node over real sockets and, on
 //!   success, prints exactly one [`NodeReport`] JSON line on stdout;
 //! - the launcher parses the reports, sums transport stats, and exposes
-//!   the output spread so callers can assert ε-agreement.
+//!   the worst per-`(epoch, asset)` spread so callers can assert
+//!   ε-agreement on every agreement of the stream.
 //!
 //! JSON here is the fixed flat schema below, hand-rolled because the
 //! environment has no serde; `stats` lists every [`NetStats`] counter in
 //! declaration order:
 //!
 //! ```json
-//! {"id":0,"output":40013.93,"elapsed_ms":412.7,"agreements":[[0,0,40013.5]],
+//! {"id":0,"elapsed_ms":412.7,"agreements":[[0,0,40013.5],[0,1,2000.25]],
 //!  "threads":9,"ctxt_switches_per_agreement":14.5,"stats":{"sent_frames":54,
 //!  "sent_bytes":21862,"body_hashes":18,"sent_tags":54,"sent_entries":162,
 //!  "recv_frames":162,"recv_entries":486,"dropped_frames":0,"dropped_egress":0,
@@ -39,13 +40,10 @@ use crate::transport::NetStats;
 pub struct NodeReport {
     /// The node's id within the cluster.
     pub id: u16,
-    /// The protocol output (an agreement value; the mean over the stream
-    /// for epoch runs).
-    pub output: f64,
-    /// Wall-clock milliseconds from process start of the run to output.
+    /// Wall-clock milliseconds from process start of the run to its last
+    /// agreement.
     pub elapsed_ms: f64,
-    /// Epoch-stream agreements as `(epoch, asset, value)` triples (empty
-    /// for one-shot runs).
+    /// The stream's agreements as `(epoch, asset, value)` triples.
     pub agreements: Vec<(u32, u16, f64)>,
     /// Threads of the node process when its run completed (0 from a
     /// node that could not read `/proc/self/task`).
@@ -68,10 +66,9 @@ impl NodeReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"id\":{},\"output\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\
-             \"threads\":{},\"ctxt_switches_per_agreement\":{},\"stats\":{}}}",
+            "{{\"id\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\"threads\":{},\
+             \"ctxt_switches_per_agreement\":{},\"stats\":{}}}",
             self.id,
-            fmt_f64(self.output),
             fmt_f64(self.elapsed_ms),
             self.threads,
             fmt_f64(self.ctxt_switches_per_agreement),
@@ -83,19 +80,27 @@ impl NodeReport {
     ///
     /// The parser is schema-bound (flat keys, one nested `stats` object,
     /// one `agreements` triple array) but order-insensitive and tolerant
-    /// of whitespace. Every key [`to_json`](NodeReport::to_json) writes is
-    /// required — the launcher runs the `delphi-node` of its own build —
-    /// and keys it does not know are ignored.
+    /// of whitespace. The text must be one whole `{...}` object, so a
+    /// report cut short is refused. Every key
+    /// [`to_json`](NodeReport::to_json) writes is required — the launcher
+    /// runs the `delphi-node` of its own build — and keys it does not know
+    /// are ignored.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::BadReport`] when a key is missing or malformed.
+    /// [`ClusterError::BadReport`] when the text is not one object or a
+    /// key is missing or malformed.
     pub fn parse_json(text: &str) -> Result<NodeReport, ClusterError> {
         let text = text.trim();
+        if !is_whole_object(text) {
+            return Err(ClusterError::BadReport {
+                key: "report".to_string(),
+                why: "not one whole JSON object".to_string(),
+            });
+        }
         let stats = NetStats::names().map(|name| json_number(text, name).map(|v| v as u64));
         Ok(NodeReport {
             id: json_number(text, "id")? as u16,
-            output: json_number(text, "output")?,
             elapsed_ms: json_number(text, "elapsed_ms")?,
             agreements: json_triples(text, "agreements")?,
             threads: json_number(text, "threads")? as u64,
@@ -108,72 +113,72 @@ impl NodeReport {
 /// Formats an f64 so it parses back exactly (always with a decimal point
 /// or exponent, so the value stays a JSON number).
 fn fmt_f64(v: f64) -> String {
+    // `Debug` prints the shortest round-tripping form, with a `.0` or an
+    // exponent. JSON has no infinities; they become a sentinel the parser
+    // rejects loudly rather than invalid JSON.
     if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
+        format!("{v:?}")
     } else {
-        // JSON has no infinities; clamp to a sentinel the parser rejects
-        // loudly rather than emitting invalid JSON.
         "null".to_string()
     }
 }
 
-/// Extracts the `[[u32,u16,f64], ...]` triple array following `"key":`.
-fn json_triples(text: &str, key: &str) -> Result<Vec<(u32, u16, f64)>, ClusterError> {
-    let pat = format!("\"{key}\"");
-    let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
-    let at = text.find(&pat).ok_or_else(|| bad("missing"))?;
-    let rest = text[at + pat.len()..].trim_start();
-    let rest = rest.strip_prefix(':').ok_or_else(|| bad("no colon"))?.trim_start();
-    let rest = rest.strip_prefix('[').ok_or_else(|| bad("no array"))?;
-    // Find the outer array's close by bracket depth (numbers contain no
-    // brackets, so no string-escaping cases exist in this schema).
-    let mut depth = 1usize;
-    let mut end = None;
-    for (i, c) in rest.char_indices() {
+/// Whether `text` is one brace-balanced `{...}` object and nothing else.
+fn is_whole_object(text: &str) -> bool {
+    let mut depth = 0usize;
+    for (i, c) in text.char_indices() {
         match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(i);
-                    break;
-                }
-            }
+            '{' => depth += 1,
+            _ if depth == 0 => return false,
+            '}' if depth == 1 => return i + 1 == text.len(),
+            '}' => depth -= 1,
             _ => {}
         }
     }
-    let body = &rest[..end.ok_or_else(|| bad("unterminated array"))?];
+    false
+}
+
+/// The text after `"key":`, leading whitespace trimmed.
+fn json_value<'a>(text: &'a str, key: &str) -> Result<&'a str, ClusterError> {
+    let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
+    let (_, rest) = text.split_once(&format!("\"{key}\"")).ok_or_else(|| bad("missing"))?;
+    rest.trim_start().strip_prefix(':').map(str::trim_start).ok_or_else(|| bad("no colon"))
+}
+
+/// Extracts the `[[u32,u16,f64], ...]` triple array following `"key":`
+/// (numbers contain no brackets, so each triple ends at its first `]`).
+fn json_triples(text: &str, key: &str) -> Result<Vec<(u32, u16, f64)>, ClusterError> {
+    let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
+    let mut rest = json_value(text, key)?.strip_prefix('[').ok_or_else(|| bad("no array"))?;
     let mut triples = Vec::new();
-    for triple in body.split('[').skip(1) {
-        let triple = triple.trim_end_matches(|c: char| c.is_whitespace() || matches!(c, ']' | ','));
-        let mut fields = triple.split(',');
-        let mut next = |what: &str| {
-            fields.next().map(str::trim).filter(|f| !f.is_empty()).ok_or_else(|| bad(what))
-        };
+    while !rest.trim_start().starts_with(']') {
+        let (triple, tail) = rest
+            .trim_start()
+            .strip_prefix('[')
+            .and_then(|r| r.split_once(']'))
+            .ok_or_else(|| bad("unterminated array"))?;
+        let mut fields = triple.split(',').map(str::trim);
+        let mut next =
+            |what: &str| fields.next().filter(|f| !f.is_empty()).ok_or_else(|| bad(what));
         let epoch: u32 = next("epoch")?.parse().map_err(|_| bad("epoch not a number"))?;
         let asset: u16 = next("asset")?.parse().map_err(|_| bad("asset not a number"))?;
         let value: f64 = next("value")?.parse().map_err(|_| bad("value not a number"))?;
         triples.push((epoch, asset, value));
+        rest = tail.trim_start().strip_prefix(',').unwrap_or(tail);
     }
     Ok(triples)
 }
 
 /// Extracts the numeric value following `"key":` anywhere in `text`.
 fn json_number(text: &str, key: &str) -> Result<f64, ClusterError> {
-    let pat = format!("\"{key}\"");
-    let bad = |why: &str| ClusterError::BadReport { key: key.to_string(), why: why.to_string() };
-    let at = text.find(&pat).ok_or_else(|| bad("missing"))?;
-    let rest = text[at + pat.len()..].trim_start();
-    let rest = rest.strip_prefix(':').ok_or_else(|| bad("no colon"))?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().map_err(|_| bad("not a number"))
+    let number = json_value(text, key)?
+        .split(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .next()
+        .unwrap_or_default();
+    number.parse().map_err(|_| ClusterError::BadReport {
+        key: key.to_string(),
+        why: "not a number".to_string(),
+    })
 }
 
 /// Everything the launcher observed about one finished cluster run.
@@ -184,18 +189,6 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
-    /// Spread (max − min) of the nodes' outputs: the quantity ε-agreement
-    /// bounds.
-    pub fn spread(&self) -> f64 {
-        let outs = self.reports.iter().map(|r| r.output);
-        outs.clone().fold(f64::NEG_INFINITY, f64::max) - outs.fold(f64::INFINITY, f64::min)
-    }
-
-    /// Whether every pair of outputs is within `epsilon`.
-    pub fn converged(&self, epsilon: f64) -> bool {
-        !self.reports.is_empty() && self.spread() <= epsilon
-    }
-
     /// Transport counters summed over all nodes.
     pub fn total_stats(&self) -> NetStats {
         self.reports.iter().map(|r| r.stats).sum()
@@ -217,17 +210,17 @@ impl ClusterOutcome {
         sum / self.reports.len().max(1) as f64
     }
 
-    /// Epoch-stream agreements every node reported (the stream length the
-    /// whole cluster sustained): the minimum per-node agreement count.
-    pub fn epoch_agreements(&self) -> u64 {
+    /// Agreements every node reported (the stream length the whole
+    /// cluster sustained): the minimum per-node agreement count.
+    pub fn agreements(&self) -> u64 {
         self.reports.iter().map(|r| r.agreements.len() as u64).min().unwrap_or(0)
     }
 
     /// Worst cross-node output spread over all `(epoch, asset)` pairs of
-    /// an epoch-stream run — the quantity per-epoch ε-agreement bounds.
-    /// `NaN` when a pair is missing on some node (a skipped epoch), which
-    /// fails any ε check.
-    pub fn epoch_spread(&self) -> f64 {
+    /// the stream — the quantity per-epoch ε-agreement bounds. `NaN` when
+    /// a pair is missing on some node (a skipped epoch), which fails any
+    /// ε check.
+    pub fn spread(&self) -> f64 {
         let mut worst = 0.0f64;
         let Some(first) = self.reports.first() else { return f64::NAN };
         for &(epoch, asset, _) in &first.agreements {
@@ -249,10 +242,10 @@ impl ClusterOutcome {
 
     /// Whether the cluster sustained `expected` agreements per node with
     /// every `(epoch, asset)` pair within `epsilon` across nodes.
-    pub fn epoch_converged(&self, epsilon: f64, expected: u64) -> bool {
+    pub fn converged(&self, epsilon: f64, expected: u64) -> bool {
         !self.reports.is_empty()
             && self.reports.iter().all(|r| r.agreements.len() as u64 == expected)
-            && self.epoch_spread() <= epsilon
+            && self.spread() <= epsilon
     }
 }
 
@@ -275,7 +268,7 @@ pub enum ClusterError {
     NodeFailed {
         /// The failing node.
         id: u16,
-        /// Its exit status and captured stderr tail.
+        /// Its exit status (its stderr went to the launcher's own).
         why: String,
     },
     /// A node's stdout did not contain a parsable report line.
@@ -370,10 +363,8 @@ pub fn launch(commands: Vec<Command>) -> Result<ClusterOutcome, ClusterError> {
                 }
             }
             Ok(out) => {
-                first_failure.get_or_insert(ClusterError::NodeFailed {
-                    id,
-                    why: format!("exit status {}", out.status),
-                });
+                first_failure
+                    .get_or_insert(ClusterError::NodeFailed { id, why: out.status.to_string() });
             }
             Err(e) => {
                 first_failure.get_or_insert(ClusterError::NodeFailed { id, why: e.to_string() });
@@ -417,12 +408,12 @@ pub fn find_sibling_binary(name: &str) -> Result<PathBuf, ClusterError> {
 mod tests {
     use super::*;
 
-    fn report(id: u16, output: f64) -> NodeReport {
+    /// A report of one agreement, `value` on `(epoch 0, asset 0)`.
+    fn report(id: u16, value: f64) -> NodeReport {
         NodeReport {
             id,
-            output,
             elapsed_ms: 12.5,
-            agreements: Vec::new(),
+            agreements: vec![(0, 0, value)],
             threads: 47,
             ctxt_switches_per_agreement: 312.25,
             stats: NetStats {
@@ -444,9 +435,7 @@ mod tests {
     }
 
     fn epoch_report(id: u16, agreements: Vec<(u32, u16, f64)>) -> NodeReport {
-        let output =
-            agreements.iter().map(|(_, _, v)| *v).sum::<f64>() / (agreements.len().max(1) as f64);
-        NodeReport { agreements, ..report(id, output) }
+        NodeReport { agreements, ..report(id, 0.0) }
     }
 
     #[test]
@@ -462,23 +451,23 @@ mod tests {
 
     #[test]
     fn report_json_roundtrip_whole_output() {
-        // A whole-number output must stay a float on the wire.
+        // A whole-number agreement must stay a float on the wire.
         let r = report(0, 40000.0);
-        assert!(r.to_json().contains("\"output\":40000.0"));
+        assert!(r.to_json().contains("[0,0,40000.0]"));
         assert_eq!(NodeReport::parse_json(&r.to_json()).unwrap(), r);
     }
 
     #[test]
     fn report_parse_is_order_insensitive() {
-        let text = r#" {"output": -2.5e1, "threads": 3, "stats": {"mac_ops": 7,
+        let text = r#" {"elapsed_ms": -2.5e1, "threads": 3, "stats": {"mac_ops": 7,
             "vector_instances": 13, "buffer_reuses": 12, "late_entries": 10,
             "dropped_egress": 9, "sent_frames": 1, "sent_bytes": 2, "body_hashes": 4,
             "sent_tags": 5, "sent_entries": 3, "recv_frames": 6, "recv_entries": 8,
             "dropped_frames": 11}, "agreements": [], "ctxt_switches_per_agreement": 0.5,
-            "elapsed_ms": 1.5, "id": 2} "#;
+            "id": 2} "#;
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.id, 2);
-        assert_eq!(r.output, -25.0);
+        assert_eq!(r.elapsed_ms, -25.0);
         assert_eq!(r.stats.mac_ops, 7);
         assert_eq!(r.stats.dropped_frames, 11);
         assert_eq!(r.stats.vector_instances, 13);
@@ -509,8 +498,8 @@ mod tests {
         let r = epoch_report(1, vec![(0, 0, 40_013.5), (0, 1, 2_000.25), (1, 0, 40_020.0)]);
         let parsed = NodeReport::parse_json(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
-        // Empty stream round-trips too (one-shot reports).
-        let r = report(0, 1.0);
+        // An empty stream round-trips too.
+        let r = epoch_report(0, Vec::new());
         assert_eq!(NodeReport::parse_json(&r.to_json()).unwrap(), r);
     }
 
@@ -518,7 +507,7 @@ mod tests {
     fn epoch_report_parse_tolerates_whitespace_between_triples() {
         // Third-party node binaries may pretty-print; the parser promises
         // whitespace tolerance.
-        let text = r#"{"id": 1, "output": 2.0, "elapsed_ms": 3.0,
+        let text = r#"{"id": 1, "elapsed_ms": 3.0,
             "agreements": [ [0, 0, 1.5] , [1, 0, 2.5] ] ,
             "threads": 4, "ctxt_switches_per_agreement": 5.0,
             "stats": {"sent_frames":1,"sent_bytes":2,"body_hashes":1,"sent_tags":1,
@@ -528,7 +517,7 @@ mod tests {
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.agreements, vec![(0, 0, 1.5), (1, 0, 2.5)]);
         // An unterminated array is a loud parse error, not silence.
-        let bad = r#"{"id":1,"output":2.0,"elapsed_ms":3.0,"agreements":[[0,0,1.5"#;
+        let bad = r#"{"id":1,"elapsed_ms":3.0,"agreements":[[0,0,1.5"#;
         assert!(NodeReport::parse_json(bad).is_err());
     }
 
@@ -540,11 +529,11 @@ mod tests {
                 epoch_report(1, vec![(0, 0, 100.5), (1, 0, 199.0)]),
             ],
         };
-        assert_eq!(outcome.epoch_agreements(), 2);
-        assert!((outcome.epoch_spread() - 1.0).abs() < 1e-12);
-        assert!(outcome.epoch_converged(1.0, 2));
-        assert!(!outcome.epoch_converged(0.5, 2), "spread beyond eps");
-        assert!(!outcome.epoch_converged(1.0, 3), "missing agreements");
+        assert_eq!(outcome.agreements(), 2);
+        assert!((outcome.spread() - 1.0).abs() < 1e-12);
+        assert!(outcome.converged(1.0, 2));
+        assert!(!outcome.converged(0.5, 2), "spread beyond eps");
+        assert!(!outcome.converged(1.0, 3), "missing agreements");
 
         // A node that skipped an epoch can never pass the check.
         let skewed = ClusterOutcome {
@@ -553,8 +542,8 @@ mod tests {
                 epoch_report(1, vec![(0, 0, 100.0), (2, 0, 300.0)]),
             ],
         };
-        assert!(skewed.epoch_spread().is_nan());
-        assert!(!skewed.epoch_converged(f64::INFINITY, 2));
+        assert!(skewed.spread().is_nan());
+        assert!(!skewed.converged(f64::INFINITY, 2));
     }
 
     #[test]
@@ -566,12 +555,27 @@ mod tests {
     }
 
     #[test]
+    fn truncated_reports_and_multibyte_junk_are_errors_not_panics() {
+        let json = epoch_report(1, vec![(0, 0, 40_013.5), (0, 1, 2_000.25)]).to_json();
+        let junk = ["é", "€]", "😀\"", ":ü", "\"id\":1,\"ß\":[[0,0,ж"];
+        for cut in 0..json.len() {
+            let prefix = &json[..cut];
+            assert!(NodeReport::parse_json(prefix).is_err(), "prefix of {cut} bytes parsed");
+            for tail in junk {
+                let text = format!("{prefix}{tail}");
+                assert!(NodeReport::parse_json(&text).is_err(), "{text:?} parsed");
+            }
+        }
+        for text in ["{\"id\":é}", "{\"agreements\":[[0,0,€]]}", "{\"id\"😀:1}", "{é}}", "}{"]
+        {
+            assert!(NodeReport::parse_json(text).is_err(), "{text:?} parsed");
+        }
+    }
+
+    #[test]
     fn outcome_spread_and_totals() {
         let outcome =
             ClusterOutcome { reports: vec![report(0, 10.0), report(1, 11.5), report(2, 10.5)] };
-        assert_eq!(outcome.spread(), 1.5);
-        assert!(outcome.converged(1.5));
-        assert!(!outcome.converged(1.0));
         let total = outcome.total_stats();
         assert_eq!(total.sent_frames, 30);
         assert_eq!(total.mac_ops, 120);

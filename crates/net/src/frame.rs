@@ -30,8 +30,8 @@
 //! never a valid sender id (a 65 535-node deployment is unrepresentable).
 //! A body that opens with anything else — the retired single-payload and
 //! `0xFFFF` instance-batch formats included — is rejected before any MAC
-//! work ([`FrameError::UnknownFormat`]). A one-shot run is a one-epoch
-//! stream: its entries are addressed at epoch 0.
+//! work ([`FrameError::UnknownFormat`]). A single agreement is a
+//! one-epoch stream: its entries are addressed at epoch 0.
 //!
 //! # Size bounds
 //!

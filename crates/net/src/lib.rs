@@ -22,9 +22,8 @@
 //!   dials every peer, drives a long-lived epoch stream — an
 //!   [`EpochMux`](delphi_primitives::EpochMux) pipeline — to completion,
 //!   lingers so slower peers still receive our help messages, and drains
-//!   writer queues before returning. [`run_node`] / [`run_instances`] are
-//!   its one-shot adapters: one or many pre-built protocol instances as a
-//!   stream of one epoch.
+//!   writer queues before returning. [`run_node`] runs one pre-built
+//!   protocol instance through it as a stream of one epoch.
 //! - [`config`] / [`cluster`]: real deployments — a TOML cluster-file
 //!   format (node ids, addresses, key material) and a multi-process
 //!   launcher that runs one node per OS process and collects per-node
@@ -54,7 +53,6 @@ pub use frame::{
     MAX_FRAME_PAYLOAD, MIN_FRAME_BODY,
 };
 pub use service::{
-    run_epoch_service, run_instances, run_node, EpochServiceHandle, NetError, RunOptions,
-    ServiceStats,
+    run_epoch_service, run_node, EpochServiceHandle, NetError, RunOptions, ServiceStats,
 };
 pub use transport::NetStats;

@@ -1,15 +1,14 @@
 //! Protocol-driving service: the one full-mesh node runner.
 //!
 //! [`run_epoch_service`] drives a long-lived epoch pipeline — the
-//! deployment shape — and is the only service loop. A one-shot run is a
-//! one-epoch stream: [`run_instances`] wraps its pre-built instances (one
-//! per oracle asset) in a one-epoch [`EpochMux`] and unwraps the single
-//! event, and [`run_node`] is `run_instances` of one. The service layer
-//! owns the instance state and the run lifecycle (start, dispatch,
-//! linger, drain). Routing, batching, the flush policy and the batch
-//! encoding belong to the [`EpochProtocol`] the simulator also drives;
-//! per-peer framing and tags to [`session`](crate::session), sockets and
-//! read/write loops to [`transport`](crate::transport).
+//! deployment shape — and is the only service loop. A single agreement
+//! is a stream of one epoch: [`run_node`] wraps one pre-built protocol
+//! instance in [`EpochMux::one_epoch`] and unwraps the single event. The
+//! service layer owns the instance state and the run lifecycle (start,
+//! dispatch, linger, drain). Routing, batching, the flush policy and the
+//! batch encoding belong to the [`EpochProtocol`] the simulator also
+//! drives; per-peer framing and tags to [`session`](crate::session),
+//! sockets and read/write loops to [`transport`](crate::transport).
 //!
 //! # The hot path: one thread from frame to frame
 //!
@@ -92,7 +91,7 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// Tuning knobs for [`run_epoch_service`] (and its one-shot adapters).
+/// Tuning knobs for [`run_epoch_service`] (and [`run_node`]).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// How long to keep serving peers after our own output is ready.
@@ -565,12 +564,16 @@ where
     Ok(EpochServiceHandle { events: Some(event_rx), stats, task })
 }
 
-/// Runs `protocol` over a full TCP mesh until it produces an output:
-/// [`run_instances`] of one instance.
+/// Runs `protocol` over a full TCP mesh until it produces an output: a
+/// one-epoch stream through [`run_epoch_service`]
+/// ([`EpochMux::one_epoch`]), so the transport contract, the linger (the
+/// resolved epoch is never evicted: a finished node keeps answering) and
+/// the drain-on-shutdown are that function's.
 ///
 /// # Errors
 ///
-/// As [`run_instances`].
+/// As [`run_epoch_service`] and [`EpochServiceHandle::finish`]; a stream
+/// that resolves without agreeing is [`NetError::Internal`].
 pub async fn run_node<P>(
     protocol: P,
     keychain: Keychain,
@@ -581,52 +584,14 @@ where
     P: Protocol + Send + 'static,
     P::Output: Clone + Send,
 {
-    let (mut outputs, stats) = run_instances(vec![protocol], keychain, addrs, opts).await?;
-    match outputs.pop() {
-        Some(output) => Ok((output, stats)),
-        None => Err(NetError::Internal("one instance in, no output out".into())),
-    }
-}
-
-/// Runs `instances` — independent protocol instances, instance `i`
-/// addressed as `InstanceId(i)` — over one full TCP mesh until every
-/// instance produces an output: a one-epoch stream through
-/// [`run_epoch_service`] ([`EpochMux::one_epoch`]), so the transport
-/// contract, the linger (the resolved epoch is never evicted: a finished
-/// node keeps answering) and the drain-on-shutdown are that function's.
-///
-/// # Errors
-///
-/// Returns [`NetError::Config`] on a mismatched address list, an empty or
-/// oversized instance vector, or an instance disagreeing on identity;
-/// [`NetError::Io`] if the listener cannot be bound; and
-/// [`NetError::Timeout`] if outputs are missing at the deadline.
-pub async fn run_instances<P>(
-    instances: Vec<P>,
-    keychain: Keychain,
-    addrs: Vec<SocketAddr>,
-    opts: RunOptions,
-) -> Result<(Vec<P::Output>, NetStats), NetError>
-where
-    P: Protocol + Send + 'static,
-    P::Output: Clone + Send,
-{
-    let (me, n) = (keychain.node_id(), keychain.n());
-    if instances.is_empty() {
-        return Err(NetError::Config("no protocol instances".into()));
-    }
-    if instances.len() > usize::from(u16::MAX) {
-        return Err(NetError::Config("instance ids are u16".into()));
-    }
-    if instances.iter().any(|p| p.n() != n || p.node_id() != me) {
-        return Err(NetError::Config("protocol identity mismatch".into()));
-    }
-    let handle = run_epoch_service(EpochMux::one_epoch(instances), keychain, addrs, opts);
+    let handle = run_epoch_service(EpochMux::one_epoch(vec![protocol]), keychain, addrs, opts);
     let (mut events, _, stats) = handle.await?.finish().await?;
-    match events.pop().map(|event| event.outcome) {
-        Some(EpochOutcome::Agreed(outputs)) => Ok((outputs, stats)),
-        _ => Err(NetError::Internal("a one-epoch stream resolved without agreeing".into())),
-    }
+    let agreed = match events.pop().map(|event| event.outcome) {
+        Some(EpochOutcome::Agreed(mut outputs)) => outputs.pop(),
+        _ => None,
+    };
+    let no_agreement = || NetError::Internal("a one-epoch stream did not agree".into());
+    Ok((agreed.ok_or_else(no_agreement)?, stats))
 }
 
 #[cfg(test)]
@@ -653,6 +618,26 @@ mod tests {
         }
         drop(holders);
         addrs
+    }
+
+    /// Runs a basket of pre-built instances as one one-epoch stream and
+    /// returns the outputs of its one agreed event.
+    async fn run_basket<P>(
+        instances: Vec<P>,
+        keychain: Keychain,
+        addrs: Vec<SocketAddr>,
+        opts: RunOptions,
+    ) -> Result<(Vec<P::Output>, NetStats), NetError>
+    where
+        P: Protocol + Send + 'static,
+        P::Output: Clone + Send,
+    {
+        let handle = run_epoch_service(EpochMux::one_epoch(instances), keychain, addrs, opts);
+        let (mut events, _, stats) = handle.await?.finish().await?;
+        match events.pop().map(|event| event.outcome) {
+            Some(EpochOutcome::Agreed(outputs)) => Ok((outputs, stats)),
+            _ => panic!("a one-epoch stream ends in one agreed event"),
+        }
     }
 
     #[test]
@@ -729,7 +714,7 @@ mod tests {
             ];
             let addrs = addrs.clone();
             handles.push(tokio::spawn(async move {
-                run_instances(nodes, keychain, addrs, RunOptions::default()).await
+                run_basket(nodes, keychain, addrs, RunOptions::default()).await
             }));
         }
         let mut per_instance: Vec<Vec<Dyadic>> = vec![Vec::new(); 2];
@@ -818,9 +803,8 @@ mod tests {
                 (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
             let addrs = addrs.clone();
             let opts = RunOptions { flush, ..RunOptions::default() };
-            handles.push(tokio::spawn(
-                async move { run_instances(nodes, keychain, addrs, opts).await },
-            ));
+            handles
+                .push(tokio::spawn(async move { run_basket(nodes, keychain, addrs, opts).await }));
         }
         let mut total = NetStats::default();
         for h in handles {
@@ -958,7 +942,7 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn adaptive_flush_cuts_one_shot_frames_at_equal_envelope_count() {
-        // Adaptive flushing through the one-shot adapter. Entries are
+        // Adaptive flushing on a one-epoch basket. Entries are
         // schedule-independent, so the per-entry frame cost comparison
         // is exact.
         let n = 3;
@@ -974,7 +958,7 @@ mod tests {
                 let addrs = addrs.clone();
                 let opts = RunOptions { flush, ..RunOptions::default() };
                 handles.push(tokio::spawn(async move {
-                    run_instances(nodes, keychain, addrs, opts).await
+                    run_basket(nodes, keychain, addrs, opts).await
                 }));
             }
             let mut total = NetStats::default();
@@ -1121,7 +1105,7 @@ mod tests {
         };
         let runner = tokio::spawn(async move {
             let nodes: Vec<Burst> = (0..instances).map(|_| Burst { id: NodeId(0), k }).collect();
-            run_instances(nodes, keychain, addrs, opts).await
+            run_basket(nodes, keychain, addrs, opts).await
         });
 
         tokio::time::sleep(Duration::from_millis(250)).await;
@@ -1590,27 +1574,18 @@ mod tests {
         assert!(matches!(err, NetError::Config(_)), "{err}");
         // An instance that disagrees with the keychain on identity.
         let keychain = delphi_crypto::Keychain::derive(b"x", NodeId(0), 4);
-        let nodes = vec![
-            BinAaNode::new(NodeId(0), 4, 1, true, 4),
-            BinAaNode::new(NodeId(1), 4, 1, true, 4),
-        ];
+        let node = BinAaNode::new(NodeId(1), 4, 1, true, 4);
         let addrs = vec!["127.0.0.1:1".parse().unwrap(); 4];
-        let err = run_instances(nodes, keychain, addrs, RunOptions::default()).await.unwrap_err();
+        let err = run_node(node, keychain, addrs, RunOptions::default()).await.unwrap_err();
         assert!(matches!(err, NetError::Config(_)), "{err}");
     }
 
-    #[tokio::test]
-    async fn empty_instance_list_rejected() {
-        let keychain = delphi_crypto::Keychain::derive(b"x", NodeId(0), 1);
-        let err = run_instances(
-            Vec::<BinAaNode>::new(),
-            keychain,
-            vec!["127.0.0.1:1".parse().unwrap()],
-            RunOptions::default(),
-        )
-        .await
-        .unwrap_err();
-        assert!(matches!(err, NetError::Config(_)), "{err}");
+    #[test]
+    fn empty_instance_list_rejected() {
+        // A basket reaches the runner only as a one-epoch mux, and an
+        // empty one is refused where it is built.
+        let empty = std::panic::catch_unwind(|| EpochMux::one_epoch(Vec::<BinAaNode>::new()));
+        assert!(empty.is_err(), "an empty basket must never reach the runner");
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]

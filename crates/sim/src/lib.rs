@@ -12,11 +12,11 @@
 //!   wire (payload plus the same framing overhead `delphi-net` adds).
 //!
 //! Runs are fully deterministic given a seed, so every experiment and every
-//! failing test can be replayed. Multi-asset scenarios scale out two ways:
-//! [`run_sharded`] executes independent per-asset simulations across worker
-//! threads, and [`EpochProtocol`](delphi_primitives::EpochProtocol) nodes
-//! multiplex all assets over one simulated mesh with batched envelopes
-//! ([`BatchSavings`] quantifies what that batching saves).
+//! failing test can be replayed. A multi-asset scenario is an epoch
+//! stream: [`EpochProtocol`](delphi_primitives::EpochProtocol) nodes
+//! multiplex all assets over one simulated mesh with batched envelopes,
+//! the same state machine the TCP runner drives, and
+//! [`EpochThroughput`] summarizes such a run.
 //!
 //! # Model
 //!
@@ -74,11 +74,9 @@ pub mod adversary;
 mod engine;
 mod latency;
 mod metrics;
-mod shard;
 mod topology;
 
 pub use engine::{RunReport, Simulation, StopReason};
 pub use latency::{Jitter, LatencyMatrix};
-pub use metrics::{Metrics, NodeMetrics};
-pub use shard::{run_sharded, BatchSavings, EpochThroughput, SimJob};
+pub use metrics::{EpochThroughput, Metrics, NodeMetrics};
 pub use topology::{CostModel, Topology, WIRE_OVERHEAD_BYTES};

@@ -7,8 +7,10 @@
 //! If the `delphi-node` binary is available next to this example's
 //! executable (`cargo build -p delphi-bench --bin delphi-node` puts it
 //! there), the cluster runs as **one OS process per node** through the
-//! `delphi::net::cluster` launcher. Otherwise it falls back to one tokio
-//! task per node in this process — same config, same sockets, same
+//! `delphi::net::cluster` launcher, each node agreeing once on a price
+//! from the epoch feed (a stream of one epoch). Otherwise it falls back
+//! to one tokio task per node in this process, agreeing once on a minute
+//! of the BTC workload via `run_node` — same config, same sockets, same
 //! frames.
 //!
 //! Run with: `cargo run --example tcp_cluster`
@@ -35,18 +37,24 @@ fn run_multi_process(
     let outcome = launch(commands);
     let _ = std::fs::remove_file(&path);
     let outcome = outcome?;
+    let mut outputs = Vec::new();
     for r in &outcome.reports {
-        println!(
-            "node {}: output {:>11.4}$ in {:>4.0} ms | {} frames / {} bytes sent, {} dropped",
-            r.id,
-            r.output,
-            r.elapsed_ms,
-            r.stats.sent_frames,
-            r.stats.sent_bytes,
-            r.stats.dropped_frames
+        for &(_, _, value) in &r.agreements {
+            println!(
+                "node {}: output {value:>11.4}$ in {:>4.0} ms | {} frames / {} bytes sent, {} \
+                 dropped",
+                r.id, r.elapsed_ms, r.stats.sent_frames, r.stats.sent_bytes, r.stats.dropped_frames
+            );
+            outputs.push((r.id, value));
+        }
+    }
+    if !outcome.converged(EPSILON, 1) {
+        let (agreements, spread) = (outcome.agreements(), outcome.spread());
+        return Err(
+            format!("{agreements} agreements per node (expected 1), spread {spread}").into()
         );
     }
-    Ok(outcome.reports.iter().map(|r| (r.id, r.output)).collect())
+    Ok(outputs)
 }
 
 /// Fallback: one tokio task per node in this process, from the same

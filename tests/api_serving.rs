@@ -291,9 +291,9 @@ fn process_cluster_serves_verifiable_attestations() {
 
     let expected = u64::from(epochs) * assets as u64;
     assert!(
-        outcome.epoch_converged(LOCAL_EPSILON, expected),
+        outcome.converged(LOCAL_EPSILON, expected),
         "stream incomplete or diverged: {} agreements per node (expected {expected})",
-        outcome.epoch_agreements(),
+        outcome.agreements(),
     );
 
     // Offline light-client verification: the served certificate checks

@@ -1,5 +1,7 @@
 //! Multi-process smoke test: a 4-node Delphi cluster, one OS process per
-//! node, launched from a generated TOML config over real sockets.
+//! node, launched from a generated TOML config over real sockets. Every
+//! run is an epoch stream (one epoch unless a test asks for more), and
+//! every `(epoch, asset)` agreement is checked within ε across nodes.
 //!
 //! Ignored by default because it needs the `delphi-node` binary on disk:
 //!
@@ -30,6 +32,7 @@ fn port_lock() -> MutexGuard<'static, ()> {
 #[ignore = "needs the delphi-node binary: cargo build -p delphi-bench --bin delphi-node"]
 fn four_node_process_cluster_converges_within_epsilon() {
     let _guard = port_lock();
+    // The default run: one epoch of a one-asset basket.
     let outcome = run_local_cluster(4, "smoke", |spec| {
         spec.deadline_ms = 120_000;
     })
@@ -42,8 +45,9 @@ fn four_node_process_cluster_converges_within_epsilon() {
         assert!(r.elapsed_ms > 0.0);
     }
     assert!(
-        outcome.converged(LOCAL_EPSILON),
-        "outputs spread {:.6}$ exceeds eps {LOCAL_EPSILON}$",
+        outcome.converged(LOCAL_EPSILON, 1),
+        "{} agreements per node (expected 1), spread {:.6}$ (eps {LOCAL_EPSILON}$)",
+        outcome.agreements(),
         outcome.spread()
     );
 }
@@ -57,8 +61,8 @@ fn hundred_epoch_process_cluster_streams_and_adaptive_flush_beats_per_step() {
     // sockets, every epoch ε-converged, bounded memory (live-window GC),
     // run twice — per-step and adaptive flushing.
     let epochs = 100u32;
-    let assets = 4usize;
-    let expected = u64::from(epochs) * assets as u64;
+    let assets = 4u16;
+    let expected = u64::from(epochs) * u64::from(assets);
     let run = |tag: &'static str, adaptive: bool| {
         run_local_cluster(4, tag, move |spec| {
             spec.epochs = epochs;
@@ -75,11 +79,11 @@ fn hundred_epoch_process_cluster_streams_and_adaptive_flush_beats_per_step() {
 
     for outcome in [&per_step, &adaptive] {
         assert!(
-            outcome.epoch_converged(LOCAL_EPSILON, expected),
+            outcome.converged(LOCAL_EPSILON, expected),
             "stream incomplete or diverged: {} agreements per node (expected {expected}), \
              worst spread {:.6}",
-            outcome.epoch_agreements(),
-            outcome.epoch_spread()
+            outcome.agreements(),
+            outcome.spread()
         );
         for r in &outcome.reports {
             assert_eq!(r.stats.dropped_frames, 0, "node {} dropped frames", r.id);
@@ -104,11 +108,11 @@ fn hundred_epoch_process_cluster_streams_and_adaptive_flush_beats_per_step() {
 #[ignore = "needs the delphi-node binary: cargo build -p delphi-bench --bin delphi-node"]
 fn multi_asset_process_cluster_batches_on_the_wire() {
     let _guard = port_lock();
-    // The same 4-process cluster carrying a 3-asset basket per node, run
-    // batched (the adaptive policy, as deployed) and unbatched (one frame
-    // per envelope): the batched deployment must spend fewer frames, MACs
-    // and framing bytes for the same protocol work — measured over real
-    // sockets, not simulated.
+    // The same 4-process cluster agreeing once on a 3-asset basket per
+    // node, run batched (the adaptive policy, as deployed) and unbatched
+    // (one frame per envelope): the batched deployment must spend fewer
+    // frames, MACs and framing bytes for the same protocol work —
+    // measured over real sockets, not simulated.
     let batched = run_local_cluster(4, "smoke-batched", |spec| {
         spec.assets = 3;
         spec.adaptive = true;
@@ -122,7 +126,14 @@ fn multi_asset_process_cluster_batches_on_the_wire() {
     })
     .expect("unbatched cluster run succeeds");
 
-    assert!(batched.converged(LOCAL_EPSILON) && unbatched.converged(LOCAL_EPSILON));
+    for outcome in [&batched, &unbatched] {
+        assert!(
+            outcome.converged(LOCAL_EPSILON, 3),
+            "{} agreements per node (expected 3), spread {:.6}$",
+            outcome.agreements(),
+            outcome.spread()
+        );
+    }
     // The two runs are *different* asynchronous executions, so absolute
     // frame/byte totals are schedule-dependent (either run may happen to
     // do more protocol work). The schedule-independent facts are the
