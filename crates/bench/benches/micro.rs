@@ -90,11 +90,18 @@ fn bench_wire(c: &mut Criterion) {
     // What `DelphiNode::on_message` actually runs: one pass into the
     // node's flat arena, then a walk of every section, id and value out
     // of it — the full information extraction an owned decoder would
-    // materialize, with zero allocations.
+    // materialize, with zero allocations. The arena answers a repeat of
+    // its last bundle without decoding, so the timed calls alternate
+    // between two bundles of one shape that differ in their round.
+    let mut twin = bundle.clone();
+    twin.sections.iter_mut().for_each(|s| s.round = Round(13));
+    let inputs = [bytes.clone(), twin.to_bytes()];
     let mut arena = BundleArena::new(1);
+    let mut turn = 0;
     group.bench_function("decode_delphi_bundle_flat", |b| {
         b.iter(|| {
-            arena.decode(black_box(&bytes)).expect("valid");
+            turn ^= 1;
+            arena.decode(black_box(&inputs[turn])).expect("valid");
             let mut checksum = 0i64;
             for section in arena.sections() {
                 checksum = checksum.wrapping_add(i64::from(section.level));
@@ -114,12 +121,16 @@ fn bench_wire(c: &mut Criterion) {
     // The same for the basket codec: eight dimensions behind one id run
     // per section (backgrounds, a masked exclude run, one-dimension
     // entries — the shape a basket-8 vector node exchanges).
-    let basket = realistic_basket_bundle().to_bytes();
+    let basket = realistic_basket_bundle();
+    let mut twin = basket.clone();
+    twin.sections.iter_mut().for_each(|s| s.round = Round(13));
+    let inputs = [basket.to_bytes(), twin.to_bytes()];
     let mut arena = BundleArena::new(8);
-    group.throughput(Throughput::Bytes(basket.len() as u64));
+    group.throughput(Throughput::Bytes(inputs[0].len() as u64));
     group.bench_function("decode_basket_bundle_flat", |b| {
         b.iter(|| {
-            arena.decode(black_box(&basket)).expect("valid");
+            turn ^= 1;
+            arena.decode(black_box(&inputs[turn])).expect("valid");
             let mut checksum = 0i64;
             for section in arena.sections() {
                 checksum = checksum.wrapping_add(i64::from(section.level));

@@ -90,31 +90,31 @@ pub fn combine_levels(levels: impl IntoIterator<Item = LevelSummary>) -> f64 {
     num / den
 }
 
-/// Theorem IV.1's lower bound on the sum of cross-level weights:
-/// `Σ w′ ≥ w²_{l_M} / 2`. Exposed for tests and the analysis benches.
-pub fn weight_sum_lower_bound(levels: &[LevelSummary]) -> f64 {
-    levels.last().map_or(0.0, |l| l.weight * l.weight / 2.0)
-}
-
-/// The actual `Σ w′_l` for a set of level summaries.
-pub fn weight_sum(levels: &[LevelSummary]) -> f64 {
-    let mut den = 0.0;
-    let mut prev_w = None::<f64>;
-    for l in levels {
-        let w_prime = match prev_w {
-            None => l.weight * l.weight,
-            Some(p) => l.weight * (l.weight - p).abs(),
-        };
-        den += w_prime;
-        prev_w = Some(l.weight);
-    }
-    den
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Theorem IV.1's lower bound on the sum of cross-level weights:
+    /// `Σ w′ ≥ w²_{l_M} / 2`.
+    fn weight_sum_lower_bound(levels: &[LevelSummary]) -> f64 {
+        levels.last().map_or(0.0, |l| l.weight * l.weight / 2.0)
+    }
+
+    /// The actual `Σ w′_l` for a set of level summaries.
+    fn weight_sum(levels: &[LevelSummary]) -> f64 {
+        let mut den = 0.0;
+        let mut prev_w = None::<f64>;
+        for l in levels {
+            let w_prime = match prev_w {
+                None => l.weight * l.weight,
+                Some(p) => l.weight * (l.weight - p).abs(),
+            };
+            den += w_prime;
+            prev_w = Some(l.weight);
+        }
+        den
+    }
 
     #[test]
     fn single_full_weight_checkpoint_dominates() {

@@ -88,11 +88,6 @@ impl BinAaNode {
         self.r_max
     }
 
-    /// The round currently executing (1-based), `r_max + 1` when done.
-    pub fn current_round(&self) -> u16 {
-        self.current
-    }
-
     /// A value is plausible for round `r` iff it lies in `[0, 1]` on the
     /// grid `j / 2^{r−1}` — anything else is Byzantine junk we drop early.
     fn plausible(value: Dyadic, round: Round) -> bool {

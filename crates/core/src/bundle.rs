@@ -288,6 +288,11 @@ pub(crate) trait ToOutSection {
 /// bounded by the bytes received — at most one value per input byte and
 /// dimension — and the [`MAX_SECTIONS`] / [`MAX_IDS`] caps, never by a
 /// length prefix. The default arena is a one-dimension arena.
+///
+/// Honest bundles repeat byte for byte — the background instance and the
+/// merged bundle make them independent of their sender — so the arena
+/// keeps the bytes of its last successful decode, and input equal to them
+/// in every byte is already decoded. A failed decode clears them.
 #[derive(Clone, Debug, Default)]
 pub struct BundleArena {
     heads: Vec<SectionHead>,
@@ -295,6 +300,8 @@ pub struct BundleArena {
     /// Dimension masks parallel to `ids` (empty without per-id masks).
     masks: Vec<u64>,
     values: Vec<Dyadic>,
+    /// The input the runs above hold; empty unless they hold a bundle.
+    bytes: Vec<u8>,
     /// Whether the bundles carry per-id masks: two or more dimensions.
     masked: bool,
 }
@@ -325,7 +332,7 @@ impl BundleArena {
     }
 
     /// [`BundleArena::new`] with room for `sections` sections naming `ids`
-    /// checkpoints, so bundles up to that size decode without allocating.
+    /// checkpoints in `2 · ids` bytes: bundles up to that size never allocate.
     pub(crate) fn with_capacity(sections: usize, ids: usize, dims: usize) -> BundleArena {
         let masked = dims > 1;
         BundleArena {
@@ -333,6 +340,7 @@ impl BundleArena {
             ids: Vec::with_capacity(ids),
             masks: Vec::with_capacity(if masked { ids } else { 0 }),
             values: Vec::with_capacity(ids),
+            bytes: Vec::with_capacity(2 * ids),
             masked,
         }
     }
@@ -345,14 +353,19 @@ impl BundleArena {
     /// flag bit, or a bad varint, length or [`Dyadic`] — or
     /// [`WireError::TrailingBytes`]; the arena is then empty.
     pub fn decode(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        // No bundle is empty, so an arena holding none matches no input.
+        if !self.bytes.is_empty() && self.bytes == bytes {
+            return Ok(());
+        }
         self.clear();
         let decoded = if self.masked {
             read_bundle::<true>(bytes, self)
         } else {
             read_bundle::<false>(bytes, self)
         };
-        if decoded.is_err() {
-            self.clear();
+        match decoded {
+            Ok(_) => self.bytes.extend_from_slice(bytes),
+            Err(_) => self.clear(),
         }
         decoded.map(|_| ())
     }
@@ -363,6 +376,7 @@ impl BundleArena {
         self.ids.clear();
         self.masks.clear();
         self.values.clear();
+        self.bytes.clear();
     }
 
     /// Number of sections decoded.

@@ -789,6 +789,12 @@ impl BvTable {
         Some(1 + position)
     }
 
+    /// The column of checkpoint `k`, if it is distinguished.
+    pub(crate) fn column(&self, k: i64) -> Option<usize> {
+        let found = self.checkpoints.as_slice().binary_search_by_key(&k, |checkpoint| checkpoint.k);
+        found.ok().map(|position| 1 + position)
+    }
+
     /// Sets the state value of the checkpoint in `column` (`1..`).
     pub(crate) fn set_value(&mut self, column: usize, value: Dyadic) {
         let position = column.checked_sub(1);

@@ -99,10 +99,10 @@ struct Feed {
 }
 
 impl Feed {
-    /// An entry: checkpoint `k` becomes distinguished (forked off the
-    /// background as it stands), and a plausible echo goes to it.
+    /// An entry: a plausible echo goes to checkpoint `k`, if [`mention`]
+    /// made it distinguished.
     fn entry(self, table: &mut BvTable, k: i64, value: Dyadic, out: &mut Collector) {
-        let Some(column) = table.distinguish(k, self.from) else { return };
+        let Some(column) = table.column(k) else { return };
         if !plausible(value, self.round) {
             return;
         }
@@ -140,6 +140,20 @@ impl Feed {
             }
         }
         actions
+    }
+}
+
+/// Distinguishes each `(checkpoint, dimension mask)` of `ids` in the
+/// dimensions of `level` its mask names — forked off the background as it
+/// stands, charged to `from`'s budget there. Dimensions beyond the basket
+/// are ignored (Byzantine senders cannot spend budget on phantom assets).
+fn mention(level: &mut [DimLevel], ids: impl Iterator<Item = (i64, u64)>, from: NodeId) {
+    for (k, mask) in ids {
+        for d in bits_of(mask) {
+            if let Some(dim) = level.get_mut(usize::from(d)) {
+                let _ = dim.table.distinguish(k, from);
+            }
+        }
     }
 }
 
@@ -359,21 +373,25 @@ impl VectorDelphiNode {
         }
         let (lvl, round, kind) = (section.level, section.round, section.kind);
         let feed = |dim| Feed { level: lvl, dim, round, kind, from };
-        let current = match level.first() {
-            Some(dim) if dim.round == round.0 => level_bit(lvl),
-            _ => 0,
-        };
+        let level_round = level.first().map_or(0, |dim| dim.round);
 
         // 1. Every mentioned (dimension, checkpoint) pair becomes
-        //    distinguished in that dimension (forked off the background as
-        //    it stands before this section applies) — entries before the
-        //    exclude run, the order in which an entry section followed by
-        //    its background section would charge the sender's budget (see
-        //    `Collector`'s merge rule) — and
-        // 2. each entry's echoes go to its checkpoint, dimension by
-        //    dimension. No entry touches a background instance, so forking
-        //    and feeding entry by entry forks what forking them all up
-        //    front would.
+        //    distinguished in that dimension — entries before the exclude
+        //    run, the order in which an entry section followed by its
+        //    background section would charge the sender's budget (see
+        //    `Collector`'s merge rule). No echo touches a background
+        //    instance, so every fork copies it as it stood before this
+        //    section applied.
+        mention(level, section.basket_entries().map(|(k, mask, _)| (k, mask)), from);
+        mention(level, section.basket_exclude(), from);
+        // An ECHO2 for a round the level has left is spent: every cell of
+        // that row has terminated (a fork copies a terminated cell), and
+        // an ECHO2 never triggers an echo, so feeding it changes nothing.
+        if kind == EchoKind::Echo2 && round.0 < level_round {
+            return 0;
+        }
+        let current = if round.0 == level_round { level_bit(lvl) } else { 0 };
+        // 2. Each entry's echoes go to its checkpoint, per dimension.
         // 3. Background echoes: per dimension, the background value
         //    applies to that dimension's background instance and to every
         //    distinguished checkpoint the sender did not mention *in that
@@ -388,9 +406,6 @@ impl VectorDelphiNode {
             for (&k, &value) in section.entries.iter().zip(section.entry_values) {
                 feed(0).entry(table, k, value, out);
             }
-            for &k in section.exclude {
-                let _ = table.distinguish(k, from);
-            }
             if let Some(&bg_value) = section.backgrounds.first() {
                 let named = |k| section.exclude.contains(&k) || section.entries.contains(&k);
                 for action in feed(0).background(table, bg_value, named, out) {
@@ -400,19 +415,10 @@ impl VectorDelphiNode {
             }
             return current;
         }
-        // Dimensions beyond our basket are ignored throughout (Byzantine
-        // senders cannot spend budget on phantom assets).
         for (k, mask, values) in section.basket_entries() {
             for (d, &value) in bits_of(mask).zip(values) {
                 if let Some(dim) = level.get_mut(usize::from(d)) {
                     feed(d).entry(&mut dim.table, k, value, out);
-                }
-            }
-        }
-        for (k, mask) in section.basket_exclude() {
-            for d in bits_of(mask) {
-                if let Some(dim) = level.get_mut(usize::from(d)) {
-                    let _ = dim.table.distinguish(k, from);
                 }
             }
         }
@@ -1041,6 +1047,144 @@ mod tests {
         assert!(early.output().is_some());
         // The fork point is visible only in what node 0 itself announced.
         assert_eq!(early.active_checkpoints(0), late.active_checkpoints(0));
+    }
+
+    /// A bundle of one background-only ECHO1 and ECHO2 section per level,
+    /// all for `round` and value 0: what an honest peer voting 0 everywhere
+    /// sends, byte for byte the same whoever sends it.
+    fn zero_everywhere(cfg: &DelphiConfig, round: Round) -> Bytes {
+        let mut bundle = DelphiBundle::new();
+        for level in 0..=cfg.l_max() {
+            for kind in [EchoKind::Echo1, EchoKind::Echo2] {
+                let mut s = Section::new(level, round, kind);
+                s.background = Some(Dyadic::ZERO);
+                bundle.sections.push(s);
+            }
+        }
+        bundle.to_bytes()
+    }
+
+    #[test]
+    fn identical_bundles_from_distinct_senders_each_count_once() {
+        // n = 4, t = 1: a round-1 cell needs n − t = 3 echoes per phase,
+        // ours included. The same bytes from the same peer, decoded once
+        // and then met as a repeat, still count that peer once; from a
+        // second peer they complete every level's round 1.
+        let cfg = small_cfg(4);
+        let probe = Arc::new(AtomicU64::new(0));
+        let mut node =
+            DelphiNode::new(cfg.clone(), NodeId(0), 500.0).with_round_probe(probe.clone());
+        let _ = node.start();
+        let bundle = zero_everywhere(&cfg, Round::FIRST);
+        for _ in 0..3 {
+            let _ = node.on_message(NodeId(1), &bundle);
+        }
+        assert_eq!(probe.load(Ordering::Relaxed), 0, "one peer, however often, is one echo");
+        let answer = node.on_message(NodeId(2), &bundle);
+        assert_eq!(probe.load(Ordering::Relaxed), u64::from(cfg.l_max()) + 1);
+        assert!(!answer.is_empty(), "round 2 opens with a burst");
+        assert!(node.0.levels.iter().all(|dim| dim.round == 2));
+    }
+
+    #[test]
+    fn a_rejected_payload_between_identical_ones_leaves_them_decodable() {
+        let cfg = small_cfg(4);
+        let good = zero_everywhere(&cfg, Round::FIRST);
+        // Cut inside the last section: the first ones decode before the
+        // error, so a copy kept from them would be a poisoned one.
+        let bad = &good[..good.len() - 1];
+        let fresh = |bytes: &[u8]| {
+            let mut arena = BundleArena::new(1);
+            arena.decode(bytes).map(|()| arena.to_owned_scalar())
+        };
+        let mut arena = BundleArena::new(1);
+        arena.decode(&good).expect("a good bundle");
+        for _ in 0..2 {
+            // Bytes equal to a rejected payload are rejected again.
+            assert_eq!(arena.decode(bad), fresh(bad).map(|_| ()));
+            assert!(arena.decode(bad).is_err() && arena.is_empty());
+        }
+        assert!(arena.decode(&[]).is_err(), "an empty arena matches no input");
+        arena.decode(&good).expect("the good bundle again");
+        assert_eq!(Ok(arena.to_owned_scalar()), fresh(&good));
+        arena.decode(&good).expect("and as a repeat");
+        assert_eq!(Ok(arena.to_owned_scalar()), fresh(&good));
+        // A repeat is every byte, not a prefix: one more byte is trailing.
+        let mut longer = good.to_vec();
+        longer.push(0);
+        assert!(arena.decode(&longer).is_err() && arena.is_empty());
+
+        // The node sees the same: a truncated bundle between two good
+        // ones from distinct peers is dropped whole, and the second good
+        // one completes round 1 as if the bad one had never come.
+        let probe = Arc::new(AtomicU64::new(0));
+        let mut node =
+            DelphiNode::new(cfg.clone(), NodeId(0), 500.0).with_round_probe(probe.clone());
+        let _ = node.start();
+        let _ = node.on_message(NodeId(1), &good);
+        assert!(node.on_message(NodeId(3), bad).is_empty());
+        assert!(node.on_message(NodeId(3), bad).is_empty());
+        let _ = node.on_message(NodeId(2), &good);
+        assert_eq!(probe.load(Ordering::Relaxed), u64::from(cfg.l_max()) + 1);
+    }
+
+    #[test]
+    fn left_round_echo2_forks_and_charges_like_the_full_path_and_feeds_nothing() {
+        // Three copies of node 0, each moved to round 2 on every level,
+        // then handed one section naming ten fresh level-0 checkpoints —
+        // six entries above four exclude ids — by peer 3, whose budget
+        // covers eight: the entries fork, then the two lowest exclude ids.
+        let cfg = small_cfg(4);
+        let round_two = || {
+            let mut node = DelphiNode::new(cfg.clone(), NodeId(0), 500.0);
+            let _ = node.start();
+            let _ = node.on_message(NodeId(1), &zero_everywhere(&cfg, Round::FIRST));
+            let _ = node.on_message(NodeId(2), &zero_everywhere(&cfg, Round::FIRST));
+            assert!(node.0.levels.iter().all(|dim| dim.round == 2));
+            node
+        };
+        let (exclude, entries) = ((100..104).collect::<Vec<i64>>(), (200..206).collect::<Vec<_>>());
+        let section = |round, kind| {
+            let mut s = Section::new(0, Round(round), kind);
+            s.background = Some(Dyadic::ZERO);
+            s.exclude = exclude.clone();
+            s.entries = entries.iter().map(|&k| (k, Dyadic::ONE)).collect();
+            DelphiBundle { sections: vec![s] }.to_bytes()
+        };
+        let ids = |node: &DelphiNode| node.0.levels[0].table.ids().collect::<Vec<_>>();
+
+        // The left round's ECHO2: mentions only.
+        let mut left = round_two();
+        let own = ids(&left);
+        let background = left.0.levels[0].table.column_state(0);
+        let answer = left.on_message(NodeId(3), &section(1, EchoKind::Echo2));
+        assert!(answer.is_empty(), "an ECHO2 for a left round emits nothing");
+        let mut expected: Vec<i64> = own.iter().copied().chain(entries.iter().copied()).collect();
+        expected.extend(&exclude[..2]);
+        expected.sort_unstable();
+        assert_eq!(ids(&left), expected);
+        let table = &left.0.levels[0].table;
+        assert_eq!(table.column_state(0), background, "the background was fed nothing");
+        for k in entries.iter().chain(&exclude[..2]) {
+            let column = 1 + table.ids().position(|id| id == *k).expect("forked");
+            assert_eq!(table.column_state(column), background, "nor was checkpoint {k}");
+        }
+
+        // The full path forks and charges the same: the left round's
+        // ECHO1, which is still fed, and the current round's ECHO2.
+        for (round, kind) in [(1, EchoKind::Echo1), (2, EchoKind::Echo2)] {
+            let mut full = round_two();
+            let _ = full.on_message(NodeId(3), &section(round, kind));
+            assert_eq!(ids(&full), ids(&left), "{kind:?} in round {round}");
+            let table = &full.0.levels[0].table;
+            let column = 1 + table.ids().position(|id| id == entries[0]).expect("forked");
+            assert_ne!(table.column_state(column), table.column_state(0), "{kind:?} is fed");
+        }
+        // Peer 3's budget is spent either way: one more mention forks nothing.
+        let mut s = Section::new(0, Round(2), EchoKind::Echo1);
+        s.entries = vec![(300, Dyadic::ONE)];
+        let _ = left.on_message(NodeId(3), &DelphiBundle { sections: vec![s] }.to_bytes());
+        assert_eq!(ids(&left), expected);
     }
 
     fn run_vector_delphi(

@@ -404,6 +404,18 @@ mod tests {
     }
 
     #[test]
+    fn rounds_grow_with_n_under_the_paper_parameters() {
+        // ε' = 2 / (4·2000·10·n) = 1 / (40 000 n), so r_M = ⌈log2(40 000 n)⌉:
+        // 19.3 → 20, 21.3 → 22 and 22.6 → 23 at the scales `fig_e2e` and
+        // the paper run. From n = 16 to 64 the rounds alone grow ×1.10.
+        for (n, r_max) in [(16, 20), (64, 22), (160, 23)] {
+            let cfg = oracle_cfg(n);
+            assert_eq!(cfg.l_max(), 10, "n = {n}");
+            assert_eq!(cfg.r_max(), r_max, "n = {n}");
+        }
+    }
+
+    #[test]
     fn paper_cps_parameters() {
         // §VI-B: ρ0 = ε = 0.5 m, Δ = 50 m, n = 169.
         let cfg = DelphiConfig::builder(169)

@@ -191,12 +191,13 @@ fn replay_within_budget<N: Protocol>(
 fn new_nodes_allocate_no_round_state() {
     // Round tables are lazy: a node is born with its inputs, one run of
     // level tables, each table's introduction budgets, and its decode
-    // arena (four runs, three without per-id masks) — nothing per round,
-    // so set-up and epoch spawn do not pay for the layout. The start burst
-    // is what opens round 1: two blocks per table.
+    // arena (four runs, three without per-id masks, and the bytes of the
+    // last bundle it decoded) — nothing per round, so set-up and epoch
+    // spawn do not pay for the layout. The start burst is what opens
+    // round 1: two blocks per table.
     let cfg = paper_config(16);
     let levels = u64::from(cfg.l_max()) + 1;
-    let arena = 4;
+    let arena = 5;
 
     let config = cfg.clone();
     let (blocks, mut node) = allocations_in(|| DelphiNode::new(config, NodeId(0), 40_000.0));
