@@ -6,7 +6,8 @@
 //! one shared mask run and one shared value run, capacity kept across
 //! messages — and hands out [`FlatSection`]s, plain slices of it. Every
 //! byte is read once; a malformed bundle is rejected whole and leaves the
-//! arena empty.
+//! arena empty. A byte-equal repeat is not decoded again, and `decode`
+//! says so: the node then replays what it resolved the bundle to.
 //!
 //! **Send.** [`Collector`] groups a call's echoes into one section per
 //! `(level, round, kind)` in node-owned scratch and encodes them straight
@@ -345,17 +346,18 @@ impl BundleArena {
         }
     }
 
-    /// Replaces the contents with the bundle encoded in `bytes`.
+    /// Replaces the contents with the bundle encoded in `bytes`; returns
+    /// whether they repeat, byte for byte, the bundle it held.
     ///
     /// # Errors
     ///
     /// The first malformed field of the input — a reserved or dangling
     /// flag bit, or a bad varint, length or [`Dyadic`] — or
     /// [`WireError::TrailingBytes`]; the arena is then empty.
-    pub fn decode(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<bool, WireError> {
         // No bundle is empty, so an arena holding none matches no input.
         if !self.bytes.is_empty() && self.bytes == bytes {
-            return Ok(());
+            return Ok(true);
         }
         self.clear();
         let decoded = if self.masked {
@@ -367,7 +369,7 @@ impl BundleArena {
             Ok(_) => self.bytes.extend_from_slice(bytes),
             Err(_) => self.clear(),
         }
-        decoded.map(|_| ())
+        decoded.map(|_| false)
     }
 
     /// Drops the decoded bundle, keeping the storage.
@@ -377,16 +379,6 @@ impl BundleArena {
         self.masks.clear();
         self.values.clear();
         self.bytes.clear();
-    }
-
-    /// Number of sections decoded.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Whether the arena holds no section.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
     }
 
     /// The decoded sections, in wire order.
@@ -418,6 +410,20 @@ impl BundleArena {
 /// Test oracles' view of the arena: the owned bundle it holds.
 #[cfg(test)]
 impl BundleArena {
+    /// Number of sections decoded.
+    pub(crate) fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Whether `decode` would find `bytes` a repeat.
+    pub(crate) fn repeats(&self, bytes: &[u8]) -> bool {
+        !self.bytes.is_empty() && self.bytes == bytes
+    }
+
     pub(crate) fn to_owned_scalar(&self) -> crate::DelphiBundle {
         let sections = self.sections().map(|flat| crate::Section {
             level: flat.level,

@@ -693,27 +693,6 @@ pub(crate) struct BvTable {
     intro_budget: Vec<u8>,
 }
 
-/// One live round of a [`BvTable`], walked left to right: the background
-/// instance's cell, then each checkpoint's, ascending.
-pub(crate) struct RowMut<'a> {
-    q: Quorum,
-    cells: std::slice::IterMut<'a, Cell>,
-    /// The sender sets of the cells still to come.
-    sets: &'a mut [u64],
-}
-
-impl<'a> Iterator for RowMut<'a> {
-    type Item = CellMut<'a>;
-
-    fn next(&mut self) -> Option<CellMut<'a>> {
-        let cell = self.cells.next()?;
-        let (sets, rest) =
-            std::mem::take(&mut self.sets).split_at_mut_checked(self.q.cell_words())?;
-        self.sets = rest;
-        Some(CellMut { q: self.q, cell, sets })
-    }
-}
-
 impl BvTable {
     /// The round state of one standalone `r_max`-round BinAA instance at
     /// node `me` of an `n`-node, `t`-fault system.
@@ -867,19 +846,6 @@ impl BvTable {
         self.cells.get(start..start + self.width()).unwrap_or_default()
     }
 
-    /// Row `round` (created on first touch) with what a walk of it needs
-    /// alongside: the background's state value and the checkpoints the
-    /// columns past the first stand for. `None` if `round` is outside
-    /// `1..=r_max`.
-    pub(crate) fn row_mut(&mut self, round: Round) -> Option<(Dyadic, &[Checkpoint], RowMut<'_>)> {
-        let row = self.touch(round)?;
-        let (width, unit) = (self.width(), self.q.cell_words());
-        let (cells_at, sets_at) = (row * self.cell_stride, row * self.set_stride * unit);
-        let cells = self.cells.get_mut(cells_at..cells_at + width)?.iter_mut();
-        let sets = self.sets.get_mut(sets_at..sets_at + width * unit)?;
-        Some((self.background, self.checkpoints.as_slice(), RowMut { q: self.q, cells, sets }))
-    }
-
     /// The cell of `round` (created on first touch) in `column`.
     pub(crate) fn cell_mut(&mut self, round: Round, column: usize) -> Option<CellMut<'_>> {
         let row = self.touch(round)?;
@@ -916,6 +882,45 @@ impl BvTable {
                 *value = outcome.next_value();
             }
         }
+    }
+}
+
+/// Test probes walk a whole live round: the background instance's cell,
+/// then each checkpoint's, ascending.
+#[cfg(test)]
+pub(crate) struct RowMut<'a> {
+    q: Quorum,
+    cells: std::slice::IterMut<'a, Cell>,
+    /// The sender sets of the cells still to come.
+    sets: &'a mut [u64],
+}
+
+#[cfg(test)]
+impl<'a> Iterator for RowMut<'a> {
+    type Item = CellMut<'a>;
+
+    fn next(&mut self) -> Option<CellMut<'a>> {
+        let cell = self.cells.next()?;
+        let (sets, rest) =
+            std::mem::take(&mut self.sets).split_at_mut_checked(self.q.cell_words())?;
+        self.sets = rest;
+        Some(CellMut { q: self.q, cell, sets })
+    }
+}
+
+#[cfg(test)]
+impl BvTable {
+    /// Row `round` (created on first touch) with what a walk of it needs
+    /// alongside: the background's state value and the checkpoints the
+    /// columns past the first stand for. `None` if `round` is outside
+    /// `1..=r_max`.
+    pub(crate) fn row_mut(&mut self, round: Round) -> Option<(Dyadic, &[Checkpoint], RowMut<'_>)> {
+        let row = self.touch(round)?;
+        let (width, unit) = (self.width(), self.q.cell_words());
+        let (cells_at, sets_at) = (row * self.cell_stride, row * self.set_stride * unit);
+        let cells = self.cells.get_mut(cells_at..cells_at + width)?.iter_mut();
+        let sets = self.sets.get_mut(sets_at..sets_at + width * unit)?;
+        Some((self.background, self.checkpoints.as_slice(), RowMut { q: self.q, cells, sets }))
     }
 }
 

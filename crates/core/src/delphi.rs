@@ -29,6 +29,20 @@
 //! bundles leave the per-id dimension masks off, so a scalar node's wire
 //! is the plain [`Section`](crate::Section) layout.
 //!
+//! # Resolve, then apply
+//!
+//! A section is handled in two steps. *Resolve* does the mentions and
+//! forks and the round and plausibility checks, and lists its *tallies*:
+//! each cell the sender's echoes go to — an entry's checkpoint, then per
+//! dimension the background and every checkpoint the section does not
+//! name. *Apply* feeds the sender's echoes to them and collects what they
+//! trigger. Honest bundles repeat byte for byte, so the node keeps the
+//! tallies of the bundle its arena holds, and a byte-equal repeat replays
+//! them unresolved while every level they feed keeps its `(forks, round)`
+//! stamp. A plan is dropped after a refused mention (another sender's
+//! budget may differ), after a fork or a round advance on a level it
+//! feeds — within its own call too — and after a failed decode.
+//!
 //! # Flood resistance
 //!
 //! A Byzantine sender could mention unboundedly many checkpoints to force
@@ -49,34 +63,17 @@ use delphi_primitives::{Dyadic, Envelope, NodeId, Protocol, Round};
 
 use crate::aggregate::{combine_levels, level_summary, LevelSummary};
 use crate::bundle::{bits_of, BundleArena, Collector, FlatSection};
-use crate::bv::{BvAction, BvActions, BvTable};
+use crate::bv::{BvAction, BvTable};
 use crate::messages::EchoKind;
 use crate::params::DelphiConfig;
 
 /// Per-sender, per-level cap on checkpoint introductions (see module docs).
 pub const INTRO_BUDGET_PER_LEVEL: u8 = 8;
 
-/// Splits an action into its wire shape.
-fn echo_parts(action: BvAction) -> (EchoKind, Dyadic) {
-    match action {
-        BvAction::Echo1(v) => (EchoKind::Echo1, v),
-        BvAction::Echo2(v) => (EchoKind::Echo2, v),
-    }
-}
-
 /// A value is plausible for `round` iff it lies in `[0, 1]` on the grid
 /// `j / 2^{r−1}`.
 fn plausible(value: Dyadic, round: Round) -> bool {
     value.in_unit_interval() && u16::from(value.log_den()) < round.0
-}
-
-/// A decode arena sized for the bundles honest peers send: an initial
-/// burst and a triggered section per level, each naming a handful of
-/// checkpoints per basket dimension — every inbound message of an honest
-/// run then decodes without touching the allocator.
-fn inbound_arena(cfg: &DelphiConfig, dims: usize) -> BundleArena {
-    let sections = 2 * (usize::from(cfg.l_max()) + 1);
-    BundleArena::with_capacity(sections, 8 * dims * sections, dims)
 }
 
 /// Bit `level` of a touched-levels mask. Every configured level index is
@@ -86,75 +83,64 @@ fn level_bit(level: u8) -> u64 {
     1u64.checked_shl(u32::from(level)).unwrap_or(0)
 }
 
-/// What a section's echoes share: the instance table they apply to —
-/// a level's, of basket dimension `dim` — and the round, phase and
-/// sender. A section is applied with the two steps below.
-#[derive(Clone, Copy)]
-struct Feed {
-    level: u8,
+/// One tally of a resolved section: the sender's echo `value` to the cell
+/// of `column` in basket dimension `dim` — a checkpoint's, or with
+/// `column` 0 the background instance's.
+#[derive(Clone, Copy, Debug)]
+struct Tally {
     dim: u16,
-    round: Round,
-    kind: EchoKind,
-    from: NodeId,
+    column: u32,
+    value: Dyadic,
 }
 
-impl Feed {
-    /// An entry: a plausible echo goes to checkpoint `k`, if [`mention`]
-    /// made it distinguished.
-    fn entry(self, table: &mut BvTable, k: i64, value: Dyadic, out: &mut Collector) {
-        let Some(column) = table.column(k) else { return };
-        if !plausible(value, self.round) {
-            return;
-        }
-        let Some(mut cell) = table.cell_mut(self.round, column) else { return };
-        for action in cell.feed(self.kind, self.from, value) {
-            let (kind, v) = echo_parts(action);
-            out.entry(self.level, self.round, kind, self.dim, k, v);
-        }
-    }
+/// A section resolved against the tables of its level: what
+/// [`VectorDelphiNode::apply`] feeds, from any sender, while the level
+/// keeps `stamp`.
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
+    level: u8,
+    round: Round,
+    kind: EchoKind,
+    /// The level's [`stamp`] once the section's mentions are done.
+    stamp: (usize, u16),
+    /// Its run of `Plan::tallies`, in the order they apply.
+    tallies: (usize, usize),
+}
 
-    /// A background echo: one walk of the round's row, feeding every
-    /// distinguished checkpoint the sender did not name and the
-    /// background instance. Returns the latter's echoes, which the caller
-    /// emits once every checkpoint echo of the section is collected (they
-    /// carry an exclude snapshot of the whole level).
-    fn background(
-        self,
-        table: &mut BvTable,
-        value: Dyadic,
-        named: impl Fn(i64) -> bool,
-        out: &mut Collector,
-    ) -> BvActions {
-        let Some((_, checkpoints, mut row)) = table.row_mut(self.round) else {
-            return BvActions::default();
-        };
-        let Some(mut background) = row.next() else { return BvActions::default() };
-        let actions = background.feed(self.kind, self.from, value);
-        for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
-            if named(checkpoint.k) {
-                continue;
-            }
-            for action in cell.feed(self.kind, self.from, value) {
-                let (kind, v) = echo_parts(action);
-                out.entry(self.level, self.round, kind, self.dim, checkpoint.k, v);
-            }
-        }
-        actions
-    }
+/// The arena's bundle resolved, in storage pooled like the arena's: each
+/// section that feeds any cell, with its tallies (see the module docs).
+#[derive(Clone, Debug, Default)]
+struct Plan {
+    sections: Vec<Resolved>,
+    tallies: Vec<Tally>,
+    /// Whether no mention was refused: the plan holds for any sender.
+    kept: bool,
+}
+
+/// A level's `(forks, round)`: the checkpoints it has distinguished,
+/// summed over the basket — columns are only ever inserted, so the count
+/// moves with every fork — and its current round. A [`Resolved`] section
+/// depends on nothing else of the level.
+fn stamp(level: &[DimLevel]) -> (usize, u16) {
+    let forks = level.iter().map(|dim| dim.table.checkpoints().len()).sum();
+    (forks, level.first().map_or(0, |dim| dim.round))
 }
 
 /// Distinguishes each `(checkpoint, dimension mask)` of `ids` in the
 /// dimensions of `level` its mask names — forked off the background as it
-/// stands, charged to `from`'s budget there. Dimensions beyond the basket
-/// are ignored (Byzantine senders cannot spend budget on phantom assets).
-fn mention(level: &mut [DimLevel], ids: impl Iterator<Item = (i64, u64)>, from: NodeId) {
+/// stands, charged to `from`'s budget there — and returns whether none was
+/// refused. Dimensions beyond the basket are ignored (Byzantine senders
+/// cannot spend budget on phantom assets).
+fn mention(level: &mut [DimLevel], ids: impl Iterator<Item = (i64, u64)>, from: NodeId) -> bool {
+    let mut accepted = true;
     for (k, mask) in ids {
         for d in bits_of(mask) {
             if let Some(dim) = level.get_mut(usize::from(d)) {
-                let _ = dim.table.distinguish(k, from);
+                accepted &= dim.table.distinguish(k, from).is_some();
             }
         }
     }
+    accepted
 }
 
 /// The round table of one level (of one basket dimension) at node `me`.
@@ -212,6 +198,28 @@ fn emit_deferred(level: &[DimLevel], (lvl, round): (u8, Round), out: &mut Collec
     out.deferred = deferred;
 }
 
+/// Collects the echoes `actions` of the cell in `column` of dimension
+/// `d`'s `table`: a checkpoint's as entries, the background instance's
+/// into `out.deferred`, for [`emit_deferred`].
+fn route(
+    out: &mut Collector,
+    (lvl, round, d): (u8, Round, u16),
+    table: &BvTable,
+    column: usize,
+    actions: impl IntoIterator<Item = BvAction>,
+) {
+    for action in actions {
+        let (kind, v) = match action {
+            BvAction::Echo1(v) => (EchoKind::Echo1, v),
+            BvAction::Echo2(v) => (EchoKind::Echo2, v),
+        };
+        match column.checked_sub(1).and_then(|at| table.checkpoints().get(at)) {
+            Some(checkpoint) => out.entry(lvl, round, kind, d, checkpoint.k, v),
+            None => out.deferred.push((kind, d, v)),
+        }
+    }
+}
+
 /// Enters `round` at level `lvl` in every dimension: feeds each instance
 /// its state value as the round's input and emits one merged initial
 /// burst (background plus every active echoing its input at once),
@@ -219,21 +227,13 @@ fn emit_deferred(level: &[DimLevel], (lvl, round): (u8, Round), out: &mut Collec
 /// echoes last, with their exclude snapshots.
 fn enter_round(level: &mut [DimLevel], lvl: u8, round: Round, out: &mut Collector) {
     for (d, dim) in (0u16..).zip(level.iter_mut()) {
-        let Some((value, checkpoints, mut row)) = dim.table.row_mut(round) else { continue };
-        let Some(mut background) = row.next() else { continue };
-        for action in background.set_input(value) {
-            if action != BvAction::Echo1(value) {
-                let (kind, v) = echo_parts(action);
-                out.deferred.push((kind, d, v));
-            }
-        }
-        for (checkpoint, mut cell) in checkpoints.iter().zip(row) {
-            for action in cell.set_input(checkpoint.value) {
-                if action != BvAction::Echo1(checkpoint.value) {
-                    let (kind, v) = echo_parts(action);
-                    out.entry(lvl, round, kind, d, checkpoint.k, v);
-                }
-            }
+        for column in 0..=dim.table.checkpoints().len() {
+            let checkpoint = column.checked_sub(1).and_then(|at| dim.table.checkpoints().get(at));
+            let value = checkpoint.map_or(dim.table.background(), |checkpoint| checkpoint.value);
+            let actions = dim.table.cell_mut(round, column).map(|mut cell| cell.set_input(value));
+            // The burst carries every instance's own input echo.
+            let triggered = actions.into_iter().flatten().filter(|&a| a != BvAction::Echo1(value));
+            route(out, (lvl, round, d), &dim.table, column, triggered);
         }
     }
     let burst = out.initial(lvl, round);
@@ -276,6 +276,8 @@ pub struct VectorDelphiNode {
     /// Decode target of every inbound bundle (capacity kept across
     /// messages, so the receive path is allocation-free at steady state).
     arena: BundleArena,
+    /// The arena's bundle, resolved.
+    plan: Plan,
     /// Collector of every outgoing bundle, pooled the same way.
     out: Collector,
 }
@@ -308,8 +310,14 @@ impl VectorDelphiNode {
                 summary: None,
             }));
         }
+        // Inbound storage for the bundles honest peers send: an initial
+        // burst and a triggered section per level, each naming a handful of
+        // checkpoints per dimension, decode and resolve allocation-free.
+        let (sections, ids) = (2 * levels.len() / dims, 8 * levels.len());
+        let tallies = Vec::with_capacity(ids);
         VectorDelphiNode {
-            arena: inbound_arena(&cfg, dims),
+            arena: BundleArena::with_capacity(sections, ids, dims),
+            plan: Plan { sections: Vec::with_capacity(sections), tallies, ..Plan::default() },
             cfg,
             me,
             inputs,
@@ -346,92 +354,107 @@ impl VectorDelphiNode {
     /// across dimensions (diagnostics; the paper's `min(δ/ρ_l, n)`
     /// communication term).
     pub fn active_checkpoints(&self, level: u8) -> usize {
-        let start = usize::from(level) * self.inputs.len();
-        let level = self.levels.get(start..start + self.inputs.len()).unwrap_or_default();
-        level.iter().map(|dim| dim.table.checkpoints().len()).sum()
+        self.level(level).map_or(0, |level| stamp(level).0)
     }
 
-    /// Processes one decoded section, collecting triggered echoes.
-    /// Returns the [`level_bit`] of its level if it named the level's
-    /// current round — the only way that round can have terminated.
-    fn process_section(
+    /// The tables of level `index`, one per basket dimension.
+    fn level(&self, index: u8) -> Option<&[DimLevel]> {
+        let (dims, start) = (self.inputs.len(), usize::from(index) * self.inputs.len());
+        self.levels.get(start..start + dims)
+    }
+
+    fn level_mut(&mut self, index: u8) -> Option<&mut [DimLevel]> {
+        let (dims, start) = (self.inputs.len(), usize::from(index) * self.inputs.len());
+        self.levels.get_mut(start..start + dims)
+    }
+
+    /// Resolves `section`, from `from`, onto the end of `plan`: the
+    /// mentions and their forks, the round and plausibility checks, and
+    /// the cells its echoes go to. Returns it if it feeds any.
+    fn resolve(
         &mut self,
         from: NodeId,
         section: &FlatSection<'_>,
-        out: &mut Collector,
-    ) -> u64 {
-        let dims = self.inputs.len();
-        let start = usize::from(section.level) * dims;
-        let Some(level) = self.levels.get_mut(start..start + dims) else { return 0 };
-        if section.round.0 < 1 || section.round.0 > self.cfg.r_max() {
-            return 0;
-        }
+        plan: &mut Plan,
+    ) -> Option<Resolved> {
+        let (level, round, kind) = (section.level, section.round, section.kind);
         // A section whose backgrounds carry any implausible value is
         // dropped whole.
-        if section.backgrounds.iter().any(|&bg| !plausible(bg, section.round)) {
-            return 0;
-        }
-        let (lvl, round, kind) = (section.level, section.round, section.kind);
-        let feed = |dim| Feed { level: lvl, dim, round, kind, from };
-        let level_round = level.first().map_or(0, |dim| dim.round);
-
-        // 1. Every mentioned (dimension, checkpoint) pair becomes
-        //    distinguished in that dimension — entries before the exclude
-        //    run, the order in which an entry section followed by its
-        //    background section would charge the sender's budget (see
-        //    `Collector`'s merge rule). No echo touches a background
-        //    instance, so every fork copies it as it stood before this
-        //    section applied.
-        mention(level, section.basket_entries().map(|(k, mask, _)| (k, mask)), from);
-        mention(level, section.basket_exclude(), from);
+        let checked = (1..=self.cfg.r_max()).contains(&round.0)
+            && section.backgrounds.iter().all(|&bg| plausible(bg, round));
+        let tables = self.level_mut(level).filter(|_| checked)?;
+        // Every mentioned (dimension, checkpoint) pair becomes
+        // distinguished in that dimension — entries before the exclude
+        // run, the order in which an entry section followed by its
+        // background section would charge the sender's budget (see
+        // `Collector`'s merge rule). No echo touches a background
+        // instance, so every fork copies it as it stood before this
+        // section applied.
+        plan.kept &= mention(tables, section.basket_entries().map(|(k, mask, _)| (k, mask)), from);
+        plan.kept &= mention(tables, section.basket_exclude(), from);
+        let stamp = stamp(tables);
         // An ECHO2 for a round the level has left is spent: every cell of
         // that row has terminated (a fork copies a terminated cell), and
-        // an ECHO2 never triggers an echo, so feeding it changes nothing.
-        if kind == EchoKind::Echo2 && round.0 < level_round {
-            return 0;
+        // an ECHO2 never triggers an echo, so it feeds nothing.
+        if kind == EchoKind::Echo2 && round.0 < stamp.1 {
+            return None;
         }
-        let current = if round.0 == level_round { level_bit(lvl) } else { 0 };
-        // 2. Each entry's echoes go to its checkpoint, per dimension.
-        // 3. Background echoes: per dimension, the background value
-        //    applies to that dimension's background instance and to every
-        //    distinguished checkpoint the sender did not mention *in that
-        //    dimension*. The background's echoes carry the dimension's
-        //    exclude snapshot, so they are emitted only once every
-        //    dimension's checkpoint echoes are collected.
-        if let [dim] = level {
-            // A basket of one walks the section as it reads: no masks,
-            // every id is dimension 0's, and no other dimension can add
-            // echoes after the background's.
-            let table = &mut dim.table;
-            for (&k, &value) in section.entries.iter().zip(section.entry_values) {
-                feed(0).entry(table, k, value, out);
-            }
-            if let Some(&bg_value) = section.backgrounds.first() {
-                let named = |k| section.exclude.contains(&k) || section.entries.contains(&k);
-                for action in feed(0).background(table, bg_value, named, out) {
-                    let (kind, v) = echo_parts(action);
-                    out.background(lvl, round, kind, 0, v, table.ids());
-                }
-            }
-            return current;
-        }
+        // 1. Each entry's echoes go to its checkpoint, per dimension.
+        let start = plan.tallies.len();
         for (k, mask, values) in section.basket_entries() {
-            for (d, &value) in bits_of(mask).zip(values) {
-                if let Some(dim) = level.get_mut(usize::from(d)) {
-                    feed(d).entry(&mut dim.table, k, value, out);
+            for (dim, &value) in bits_of(mask).zip(values).filter(|&(_, &v)| plausible(v, round)) {
+                let table = tables.get(usize::from(dim)).map(|dim| &dim.table);
+                let column = table.and_then(|table| table.column(k));
+                if let Some(column) = column.and_then(|column| u32::try_from(column).ok()) {
+                    plan.tallies.push(Tally { dim, column, value });
                 }
             }
         }
-        for (d, bg_value) in section.background_dims() {
+        // 2. Background echoes: per dimension, the background value
+        //    applies to that dimension's background instance, then to every
+        //    distinguished checkpoint the section does not name *in that
+        //    dimension*.
+        for (dim, value) in section.background_dims() {
+            let Some(table) = tables.get(usize::from(dim)).map(|dim| &dim.table) else { continue };
+            plan.tallies.push(Tally { dim, column: 0, value });
+            let unnamed = (1..).zip(table.ids()).filter(|&(_, k)| !section.names_in(k, dim));
+            plan.tallies.extend(unnamed.map(|(column, _)| Tally { dim, column, value }));
+        }
+        let tallies = (start, plan.tallies.len());
+        let resolved = Resolved { level, round, kind, stamp, tallies };
+        plan.sections.push(resolved);
+        Some(resolved)
+    }
+
+    /// Applies `section` from `from`: the sender's tallies, in order,
+    /// collecting the echoes they trigger. A background's echoes carry
+    /// its dimension's exclude snapshot, so they are emitted only once
+    /// every checkpoint echo of the section is collected. Returns the
+    /// [`level_bit`] of its level if it named the level's current round —
+    /// the only way that round can have terminated.
+    fn apply(&mut self, from: NodeId, section: &Resolved, plan: &Plan, out: &mut Collector) -> u64 {
+        let Resolved { level: lvl, round, kind, .. } = *section;
+        let Some(level) = self.level_mut(lvl) else { return 0 };
+        let tallies = plan.tallies.get(section.tallies.0..section.tallies.1).unwrap_or_default();
+        for &Tally { dim: d, column, value } in tallies {
             let Some(dim) = level.get_mut(usize::from(d)) else { continue };
-            let named = |k| section.names_in(k, d);
-            for action in feed(d).background(&mut dim.table, bg_value, named, out) {
-                let (kind, v) = echo_parts(action);
-                out.deferred.push((kind, d, v));
+            let column = column as usize;
+            let actions =
+                dim.table.cell_mut(round, column).map(|mut cell| cell.feed(kind, from, value));
+            if let Some(actions) = actions.filter(|actions| !actions.is_empty()) {
+                route(out, (lvl, round, d), &dim.table, column, actions);
             }
         }
         emit_deferred(level, (lvl, round), out);
-        current
+        u64::from(round.0 == section.stamp.1) * level_bit(lvl)
+    }
+
+    /// Whether `plan` still holds: it was kept, and the level of every
+    /// section in it keeps the section's stamp.
+    fn plan_holds(&self, plan: &Plan) -> bool {
+        let holds =
+            |section: &Resolved| self.level(section.level).map(stamp) == Some(section.stamp);
+        plan.kept && plan.sections.iter().all(holds)
     }
 
     /// Advances the levels in `touched` (a [`level_bit`] mask) through any
@@ -515,19 +538,33 @@ impl Protocol for VectorDelphiNode {
         if from == self.me || from.index() >= self.cfg.n() {
             return Vec::new();
         }
-        // One validating pass decodes the whole bundle into the arena;
-        // a malformed one is rejected before any state is touched.
+        // One validating pass decodes the whole bundle into the arena —
+        // unless it holds these bytes already; a malformed one is rejected,
+        // with the plan, before any state is touched.
         let mut arena = std::mem::take(&mut self.arena);
-        if arena.decode(payload).is_err() {
+        let Ok(repeat) = arena.decode(payload) else {
             self.arena = arena;
             return Vec::new(); // malformed: Byzantine, drop
+        };
+        let mut plan = std::mem::take(&mut self.plan);
+        let replay = repeat && self.plan_holds(&plan);
+        if !replay {
+            plan.sections.clear();
+            plan.tallies.clear();
+            plan.kept = true;
         }
-        let mut out = std::mem::take(&mut self.out);
-        let mut touched = 0u64;
-        for section in arena.sections() {
-            touched |= self.process_section(from, &section, &mut out);
+        let (mut out, mut touched) = (std::mem::take(&mut self.out), 0u64);
+        if replay {
+            for resolved in &plan.sections {
+                touched |= self.apply(from, resolved, &plan, &mut out);
+            }
         }
-        self.arena = arena;
+        for section in arena.sections().filter(|_| !replay) {
+            if let Some(resolved) = self.resolve(from, &section, &mut plan) {
+                touched |= self.apply(from, &resolved, &plan, &mut out);
+            }
+        }
+        (self.arena, self.plan) = (arena, plan);
         self.advance(touched, &mut out);
         let envelopes = out.flush();
         self.out = out;
@@ -613,6 +650,10 @@ impl Protocol for DelphiNode {
 #[cfg(test)]
 #[path = "delphi/tests/merge.rs"]
 mod merge_tests;
+
+#[cfg(test)]
+#[path = "delphi/tests/plan.rs"]
+mod plan_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1052,7 +1093,7 @@ mod tests {
     /// A bundle of one background-only ECHO1 and ECHO2 section per level,
     /// all for `round` and value 0: what an honest peer voting 0 everywhere
     /// sends, byte for byte the same whoever sends it.
-    fn zero_everywhere(cfg: &DelphiConfig, round: Round) -> Bytes {
+    pub(super) fn zero_everywhere(cfg: &DelphiConfig, round: Round) -> Bytes {
         let mut bundle = DelphiBundle::new();
         for level in 0..=cfg.l_max() {
             for kind in [EchoKind::Echo1, EchoKind::Echo2] {
@@ -1095,13 +1136,13 @@ mod tests {
         let bad = &good[..good.len() - 1];
         let fresh = |bytes: &[u8]| {
             let mut arena = BundleArena::new(1);
-            arena.decode(bytes).map(|()| arena.to_owned_scalar())
+            arena.decode(bytes).map(|_| arena.to_owned_scalar())
         };
         let mut arena = BundleArena::new(1);
         arena.decode(&good).expect("a good bundle");
         for _ in 0..2 {
             // Bytes equal to a rejected payload are rejected again.
-            assert_eq!(arena.decode(bad), fresh(bad).map(|_| ()));
+            assert_eq!(arena.decode(bad).map(|_| ()), fresh(bad).map(|_| ()));
             assert!(arena.decode(bad).is_err() && arena.is_empty());
         }
         assert!(arena.decode(&[]).is_err(), "an empty arena matches no input");

@@ -57,7 +57,7 @@ fn state<N: Twin>(node: &N) -> String {
 }
 
 /// A Byzantine rewrite of a bundle of a `dims`-dimension machine.
-fn tamper(payload: &[u8], dims: usize, cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
+pub(super) fn tamper(payload: &[u8], dims: usize, cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
     if dims == 1 {
         let mut bundle = DelphiBundle::from_bytes(payload).expect("honest bundle");
         tamper_sections(&mut bundle.sections, cfg, rng);
@@ -146,20 +146,20 @@ fn tamper_sections<S: Tamperable>(sections: &mut Vec<S>, cfg: &DelphiConfig, rng
 
 /// A small deterministic generator (splitmix64) for schedules and
 /// tampering.
-struct SplitMix(u64);
+pub(super) struct SplitMix(pub(super) u64);
 
 impl SplitMix {
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-    fn below(&mut self, n: usize) -> usize {
+    pub(super) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
-    fn chance(&mut self, one_in: u64) -> bool {
+    pub(super) fn chance(&mut self, one_in: u64) -> bool {
         self.next() % one_in == 0
     }
 }

@@ -897,16 +897,16 @@ mod tests {
         let per_byte = (2 * input.len()).max(4);
         assert!(heads <= per_byte && ids <= per_byte && masks <= per_byte, "{input:?}");
         assert!(values <= (per_byte * dims).max(4), "{values} values from {input:?}");
-        assert_eq!(result.map(|()| arena.len()), validate(input, dims));
+        assert_eq!(result.map(|_| arena.len()), validate(input, dims));
         match (result, dims) {
             (Err(err), 1) => assert_eq!(DelphiBundle::from_bytes(input), Err(err)),
             (Err(err), _) => assert_eq!(BasketBundle::from_bytes(input), Err(err)),
-            (Ok(()), 1) => {
+            (Ok(_), 1) => {
                 let owned = arena.to_owned_scalar();
                 assert_eq!(DelphiBundle::from_bytes(input).as_ref(), Ok(&owned));
                 assert_eq!(arena_scalar(&owned.to_bytes()), Ok(owned));
             }
-            (Ok(()), _) => {
+            (Ok(_), _) => {
                 let owned = arena.to_owned_basket();
                 assert_eq!(BasketBundle::from_bytes(input).as_ref(), Ok(&owned));
                 assert_eq!(arena_basket(&owned.to_bytes()), Ok(owned));

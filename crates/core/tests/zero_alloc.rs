@@ -13,8 +13,9 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use delphi_core::bv::BvRound;
-use delphi_core::{DelphiConfig, DelphiNode, VectorDelphiNode};
-use delphi_primitives::{Dyadic, NodeId, Protocol};
+use delphi_core::{DelphiBundle, DelphiConfig, DelphiNode, EchoKind, Section, VectorDelphiNode};
+use delphi_primitives::wire::Encode;
+use delphi_primitives::{Dyadic, NodeId, Protocol, Round};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -190,14 +191,15 @@ fn replay_within_budget<N: Protocol>(
 #[test]
 fn new_nodes_allocate_no_round_state() {
     // Round tables are lazy: a node is born with its inputs, one run of
-    // level tables, each table's introduction budgets, and its decode
-    // arena (four runs, three without per-id masks, and the bytes of the
-    // last bundle it decoded) — nothing per round, so set-up and epoch
-    // spawn do not pay for the layout. The start burst is what opens
-    // round 1: two blocks per table.
+    // level tables, each table's introduction budgets, its decode arena
+    // (four runs, three without per-id masks, and the bytes of the last
+    // bundle it decoded) and that bundle's plan (its sections and their
+    // tallies) — nothing per round, so set-up and epoch spawn do not pay
+    // for the layout. The start burst is what opens round 1: two blocks
+    // per table.
     let cfg = paper_config(16);
     let levels = u64::from(cfg.l_max()) + 1;
-    let arena = 5;
+    let arena = 5 + 2;
 
     let config = cfg.clone();
     let (blocks, mut node) = allocations_in(|| DelphiNode::new(config, NodeId(0), 40_000.0));
@@ -211,6 +213,31 @@ fn new_nodes_allocate_no_round_state() {
     assert!(blocks <= 2 + levels + tables + arena, "vector node: {blocks} blocks");
     let (blocks, _) = allocations_in(|| node.start());
     assert!(blocks >= 2 * tables, "the start burst opens every table: {blocks} blocks");
+}
+
+#[test]
+fn replaying_a_plan_allocates_nothing() {
+    // n = 16, t = 5: one background-only ECHO2 section per level, sent by
+    // ten peers in turn. The first call decodes and resolves it; each
+    // repeat is byte-equal, names no checkpoint (no mention, no fork) and
+    // leaves every round open (ten ECHO2s, eleven make a quorum), so the
+    // node replays its plan: the sender's tallies and nothing else.
+    let cfg = paper_config(16);
+    let mut node = DelphiNode::new(cfg.clone(), NodeId(0), 40_000.0);
+    let _ = node.start();
+    let sections = (0..=cfg.l_max()).map(|level| {
+        let mut section = Section::new(level, Round::FIRST, EchoKind::Echo2);
+        section.background = Some(Dyadic::ZERO);
+        section
+    });
+    let bundle = DelphiBundle { sections: sections.collect() }.to_bytes();
+    let (_, answer) = allocations_in(|| node.on_message(NodeId(1), &bundle));
+    assert!(answer.is_empty(), "an ECHO2 triggers no echo");
+    for peer in 2..=10 {
+        let (allocations, answer) = allocations_in(|| node.on_message(NodeId(peer), &bundle));
+        assert!(answer.is_empty());
+        assert_eq!(allocations, 0, "the replay for peer {peer}");
+    }
 }
 
 #[test]
