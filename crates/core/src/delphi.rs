@@ -109,7 +109,7 @@ struct Resolved {
 
 /// The arena's bundle resolved, in storage pooled like the arena's: each
 /// section that feeds any cell, with its tallies (see the module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Plan {
     sections: Vec<Resolved>,
     tallies: Vec<Tally>,

@@ -59,10 +59,6 @@ impl Paired {
         let state = |node: &VectorDelphiNode| format!("{:?} {:?}", node.levels, node.output);
         assert_eq!(state(&self.planned), state(&self.reference), "{what}");
     }
-
-    fn replays(&self) -> usize {
-        self.replays
-    }
 }
 
 /// Encodes `sections` for a `dims`-dimension machine: at two or more,
@@ -241,7 +237,7 @@ fn run(n: usize, dims: usize, attack: Attack, seed: u64) -> (usize, usize) {
         let decides = node.planned.output.is_some() || !matches!(attack, Attack::None);
         assert!(decides, "n = {n}, m = {dims}, seed {seed}: node {i} decides");
     }
-    (nodes.iter().map(Paired::replays).sum(), calls)
+    (nodes.iter().map(|node| node.replays).sum(), calls)
 }
 
 #[test]
@@ -298,9 +294,9 @@ fn a_repeat_from_a_second_sender_replays_the_plan() {
     let mut node = paired(16);
     let bundle = zero_everywhere(&small_cfg(16), Round::FIRST);
     let _ = node.deliver(NodeId(1), &bundle, "first");
-    assert!(holds(&node) && node.replays() == 0);
+    assert!(holds(&node) && node.replays == 0);
     let _ = node.deliver(NodeId(2), &bundle, "repeat");
-    assert_eq!(node.replays(), 1);
+    assert_eq!(node.replays, 1);
     node.assert_same_state("after the replay");
 }
 
@@ -317,10 +313,10 @@ fn a_fork_inside_the_call_drops_the_plan() {
     let _ = node.deliver(NodeId(1), &bundle, "first");
     assert!(!holds(&node), "a fork after a section used the level");
     let _ = node.deliver(NodeId(2), &bundle, "repeat");
-    assert_eq!(node.replays(), 0, "the repeat is resolved again");
+    assert_eq!(node.replays, 0, "the repeat is resolved again");
     assert!(holds(&node), "and no fork follows a use this time");
     let _ = node.deliver(NodeId(3), &bundle, "second repeat");
-    assert_eq!(node.replays(), 1);
+    assert_eq!(node.replays, 1);
     node.assert_same_state("after the repeats");
 }
 
@@ -331,11 +327,11 @@ fn a_round_advance_drops_the_plan() {
     let bundle = zero_everywhere(&small_cfg(4), Round::FIRST);
     let _ = node.deliver(NodeId(1), &bundle, "first");
     let answer = node.deliver(NodeId(2), &bundle, "repeat");
-    assert_eq!(node.replays(), 1);
+    assert_eq!(node.replays, 1);
     assert!(!answer.is_empty() && node.planned.levels.iter().all(|dim| dim.round == 2));
     assert!(!holds(&node), "every level it feeds has left round 1");
     let _ = node.deliver(NodeId(3), &bundle, "after the advance");
-    assert_eq!(node.replays(), 1, "resolved against round 2");
+    assert_eq!(node.replays, 1, "resolved against round 2");
     node.assert_same_state("after the advance");
 }
 
@@ -346,7 +342,7 @@ fn a_failed_decode_drops_the_plan() {
     let _ = node.deliver(NodeId(1), &bundle, "first");
     assert!(node.deliver(NodeId(3), &bundle[..bundle.len() - 1], "truncated").is_empty());
     let _ = node.deliver(NodeId(2), &bundle, "after the failure");
-    assert_eq!(node.replays(), 0, "the bytes are decoded and resolved again");
+    assert_eq!(node.replays, 0, "the bytes are decoded and resolved again");
     node.assert_same_state("after the failure");
 }
 
@@ -364,7 +360,7 @@ fn a_refused_mention_drops_the_plan() {
     assert!(!node.planned.plan.kept);
     assert_eq!(node.planned.active_checkpoints(0), before + 8);
     let _ = node.deliver(NodeId(2), &bundle, "repeat");
-    assert_eq!(node.replays(), 0);
+    assert_eq!(node.replays, 0);
     assert_eq!(node.planned.active_checkpoints(0), before + 10);
     node.assert_same_state("after the repeat");
 }
