@@ -419,11 +419,6 @@ impl BundleArena {
         self.heads.is_empty()
     }
 
-    /// Whether `decode` would find `bytes` a repeat.
-    pub(crate) fn repeats(&self, bytes: &[u8]) -> bool {
-        !self.bytes.is_empty() && self.bytes == bytes
-    }
-
     pub(crate) fn to_owned_scalar(&self) -> crate::DelphiBundle {
         let sections = self.sections().map(|flat| crate::Section {
             level: flat.level,

@@ -885,45 +885,6 @@ impl BvTable {
     }
 }
 
-/// Test probes walk a whole live round: the background instance's cell,
-/// then each checkpoint's, ascending.
-#[cfg(test)]
-pub(crate) struct RowMut<'a> {
-    q: Quorum,
-    cells: std::slice::IterMut<'a, Cell>,
-    /// The sender sets of the cells still to come.
-    sets: &'a mut [u64],
-}
-
-#[cfg(test)]
-impl<'a> Iterator for RowMut<'a> {
-    type Item = CellMut<'a>;
-
-    fn next(&mut self) -> Option<CellMut<'a>> {
-        let cell = self.cells.next()?;
-        let (sets, rest) =
-            std::mem::take(&mut self.sets).split_at_mut_checked(self.q.cell_words())?;
-        self.sets = rest;
-        Some(CellMut { q: self.q, cell, sets })
-    }
-}
-
-#[cfg(test)]
-impl BvTable {
-    /// Row `round` (created on first touch) with what a walk of it needs
-    /// alongside: the background's state value and the checkpoints the
-    /// columns past the first stand for. `None` if `round` is outside
-    /// `1..=r_max`.
-    pub(crate) fn row_mut(&mut self, round: Round) -> Option<(Dyadic, &[Checkpoint], RowMut<'_>)> {
-        let row = self.touch(round)?;
-        let (width, unit) = (self.width(), self.q.cell_words());
-        let (cells_at, sets_at) = (row * self.cell_stride, row * self.set_stride * unit);
-        let cells = self.cells.get_mut(cells_at..cells_at + width)?.iter_mut();
-        let sets = self.sets.get_mut(sets_at..sets_at + width * unit)?;
-        Some((self.background, self.checkpoints.as_slice(), RowMut { q: self.q, cells, sets }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1545,14 +1506,12 @@ mod tests {
                     proptest::prop_assert!(model.iter().all(|column| !column.contains_key(&round)));
                     continue;
                 }
-                let (_, _, row) = table.row_mut(Round(round + 1)).expect("a live row");
-                let mut columns = 0;
-                for (fast, naive) in row.zip(&model) {
+                for (column, naive) in model.iter().enumerate() {
                     let naive = naive.get(&round).unwrap_or(&fresh);
+                    let fast = table.cell_mut(Round(round + 1), column).expect("a live cell");
                     proptest::prop_assert_eq!(observe(fast.cell, fast.sets, n), naive.observe());
-                    columns += 1;
                 }
-                proptest::prop_assert_eq!(columns, model.len());
+                proptest::prop_assert!(table.cell_mut(Round(round + 1), model.len()).is_none());
             }
         }
     }
@@ -1581,17 +1540,20 @@ mod tests {
         assert!(table.terminated(Round(1)), "every fork inherits the terminated round");
         assert_eq!(table.outcome(Round(1), 5).map(BvOutcome::set), Some(vec![ZERO]));
         assert!(table.outcome(Round(2), 0).is_none(), "round 2 was never touched");
+        let row = |table: &mut BvTable, round| -> Vec<Observed> {
+            let cell = |column| table.cell_mut(round, column).map(|c| observe(c.cell, c.sets, n));
+            (0..).map_while(cell).collect()
+        };
         for round in [Round(1), Round(3)] {
-            let (_, _, row) = table.row_mut(round).unwrap();
-            let cells: Vec<Observed> = row.map(|c| observe(c.cell, c.sets, n)).collect();
+            let cells = row(&mut table, round);
             assert_eq!(cells.len(), 9);
             assert!(cells.iter().all(|cell| *cell == cells[0]), "{round:?}");
         }
         // A column is its own instance from the fork on (its second
         // sender amplifies the value: we echo it too).
         let _ = table.cell_mut(Round(3), 2).unwrap().on_echo1(NodeId(3), ONE);
-        let (_, _, row) = table.row_mut(Round(3)).unwrap();
-        let counts: Vec<usize> = row.map(|c| observe(c.cell, c.sets, n).e1[0].1).collect();
+        let counts: Vec<usize> =
+            row(&mut table, Round(3)).iter().map(|cell| cell.e1[0].1).collect();
         assert_eq!(counts, [1, 1, 3, 1, 1, 1, 1, 1, 1]);
         // Sponsors 0..4 paid two introductions each; a re-mention is free.
         assert_eq!(table.intro_budget, [6, 6, 6, 6]);

@@ -33,15 +33,16 @@
 //!
 //! A section is handled in two steps. *Resolve* does the mentions and
 //! forks and the round and plausibility checks, and lists its *tallies*:
-//! each cell the sender's echoes go to — an entry's checkpoint, then per
-//! dimension the background and every checkpoint the section does not
-//! name. *Apply* feeds the sender's echoes to them and collects what they
-//! trigger. Honest bundles repeat byte for byte, so the node keeps the
-//! tallies of the bundle its arena holds, and a byte-equal repeat replays
-//! them unresolved while every level they feed keeps its `(forks, round)`
-//! stamp. A plan is dropped after a refused mention (another sender's
-//! budget may differ), after a fork or a round advance on a level it
-//! feeds — within its own call too — and after a failed decode.
+//! each entry's checkpoint cell, then per dimension the stretches of the
+//! background's row between the checkpoints the section names there — a
+//! tally per value and per name at most, so a plan is no larger than its
+//! bundle. *Apply* feeds the sender's echoes to them and collects what
+//! they trigger. Honest bundles repeat byte for byte, so a repeat replays
+//! the plan of the arena's bundle while every level it feeds keeps its
+//! `(forks, round)` stamp. A plan is dropped after a refused mention
+//! (another sender's budget may differ), after a fork or a round advance
+//! on a level it feeds — within its own call too — and after a failed
+//! decode.
 //!
 //! # Flood resistance
 //!
@@ -83,13 +84,13 @@ fn level_bit(level: u8) -> u64 {
     1u64.checked_shl(u32::from(level)).unwrap_or(0)
 }
 
-/// One tally of a resolved section: the sender's echo `value` to the cell
-/// of `column` in basket dimension `dim` — a checkpoint's, or with
-/// `column` 0 the background instance's.
+/// A resolved section's tally: the sender's echo `value` to the cells of
+/// `columns` in basket dimension `dim` — an entry's checkpoint, or a
+/// stretch of its background's row between columns the section names.
 #[derive(Clone, Copy, Debug)]
 struct Tally {
     dim: u16,
-    column: u32,
+    columns: (u32, u32),
     value: Dyadic,
 }
 
@@ -310,9 +311,7 @@ impl VectorDelphiNode {
                 summary: None,
             }));
         }
-        // Inbound storage for the bundles honest peers send: an initial
-        // burst and a triggered section per level, each naming a handful of
-        // checkpoints per dimension, decode and resolve allocation-free.
+        // Inbound storage for honest bundles: two sections per level.
         let (sections, ids) = (2 * levels.len() / dims, 8 * levels.len());
         let tallies = Vec::with_capacity(ids);
         VectorDelphiNode {
@@ -403,22 +402,23 @@ impl VectorDelphiNode {
         let start = plan.tallies.len();
         for (k, mask, values) in section.basket_entries() {
             for (dim, &value) in bits_of(mask).zip(values).filter(|&(_, &v)| plausible(v, round)) {
-                let table = tables.get(usize::from(dim)).map(|dim| &dim.table);
-                let column = table.and_then(|table| table.column(k));
+                let column = tables.get(usize::from(dim)).and_then(|dim| dim.table.column(k));
                 if let Some(column) = column.and_then(|column| u32::try_from(column).ok()) {
-                    plan.tallies.push(Tally { dim, column, value });
+                    plan.tallies.push(Tally { dim, columns: (column, column + 1), value });
                 }
             }
         }
-        // 2. Background echoes: per dimension, the background value
-        //    applies to that dimension's background instance, then to every
-        //    distinguished checkpoint the section does not name *in that
-        //    dimension*.
+        // 2. Per dimension, the background value applies to the background
+        //    instance and each checkpoint not named *in that dimension*.
         for (dim, value) in section.background_dims() {
             let Some(table) = tables.get(usize::from(dim)).map(|dim| &dim.table) else { continue };
-            plan.tallies.push(Tally { dim, column: 0, value });
-            let unnamed = (1..).zip(table.ids()).filter(|&(_, k)| !section.names_in(k, dim));
-            plan.tallies.extend(unnamed.map(|(column, _)| Tally { dim, column, value }));
+            let named = (1..).zip(table.ids()).filter(|&(_, k)| section.names_in(k, dim));
+            let (mut first, end) = (0, table.checkpoints().len() as u32 + 1);
+            for stop in named.map(|(column, _)| column).chain([end]) {
+                let stretch = Tally { dim, columns: (first, stop), value };
+                plan.tallies.extend((first < stop).then_some(stretch));
+                first = stop + 1;
+            }
         }
         let tallies = (start, plan.tallies.len());
         let resolved = Resolved { level, round, kind, stamp, tallies };
@@ -436,9 +436,16 @@ impl VectorDelphiNode {
         let Resolved { level: lvl, round, kind, .. } = *section;
         let Some(level) = self.level_mut(lvl) else { return 0 };
         let tallies = plan.tallies.get(section.tallies.0..section.tallies.1).unwrap_or_default();
-        for &Tally { dim: d, column, value } in tallies {
+        // One flat loop over the cells: a nested loop per stretch ran slower.
+        let (mut tallies, mut cells) = (tallies.iter(), (0, 0..0, Dyadic::ZERO));
+        loop {
+            let (d, ref mut columns, value) = cells;
+            let Some(column) = columns.next() else {
+                let Some(&Tally { dim, columns, value }) = tallies.next() else { break };
+                cells = (dim, columns.0 as usize..columns.1 as usize, value);
+                continue;
+            };
             let Some(dim) = level.get_mut(usize::from(d)) else { continue };
-            let column = column as usize;
             let actions =
                 dim.table.cell_mut(round, column).map(|mut cell| cell.feed(kind, from, value));
             if let Some(actions) = actions.filter(|actions| !actions.is_empty()) {
@@ -546,22 +553,20 @@ impl Protocol for VectorDelphiNode {
             self.arena = arena;
             return Vec::new(); // malformed: Byzantine, drop
         };
-        let mut plan = std::mem::take(&mut self.plan);
-        let replay = repeat && self.plan_holds(&plan);
-        if !replay {
-            plan.sections.clear();
-            plan.tallies.clear();
-            plan.kept = true;
-        }
-        let (mut out, mut touched) = (std::mem::take(&mut self.out), 0u64);
-        if replay {
+        let (mut plan, mut out) = (std::mem::take(&mut self.plan), std::mem::take(&mut self.out));
+        let mut touched = 0u64;
+        if repeat && self.plan_holds(&plan) {
             for resolved in &plan.sections {
                 touched |= self.apply(from, resolved, &plan, &mut out);
             }
-        }
-        for section in arena.sections().filter(|_| !replay) {
-            if let Some(resolved) = self.resolve(from, &section, &mut plan) {
-                touched |= self.apply(from, &resolved, &plan, &mut out);
+        } else {
+            plan.sections.clear();
+            plan.tallies.clear();
+            plan.kept = true;
+            for section in arena.sections() {
+                if let Some(resolved) = self.resolve(from, &section, &mut plan) {
+                    touched |= self.apply(from, &resolved, &plan, &mut out);
+                }
             }
         }
         (self.arena, self.plan) = (arena, plan);

@@ -49,7 +49,9 @@ impl Paired {
     fn deliver(&mut self, from: NodeId, payload: &[u8], what: &str) -> Vec<Envelope> {
         self.reference.plan.kept = false;
         let expected = self.reference.on_message(from, payload);
-        self.replays += usize::from(self.planned.arena.repeats(payload) && holds(self));
+        // A replay is a repeat, as `decode` itself finds it, of a plan that holds.
+        let repeat = self.planned.arena.clone().decode(payload) == Ok(true);
+        self.replays += usize::from(repeat && holds(self));
         let answer = self.planned.on_message(from, payload);
         assert!(answer == expected, "{what}: the answers differ");
         answer
@@ -363,4 +365,35 @@ fn a_refused_mention_drops_the_plan() {
     assert_eq!(node.replays, 0);
     assert_eq!(node.planned.active_checkpoints(0), before + 10);
     node.assert_same_state("after the repeat");
+}
+
+#[test]
+fn a_plan_is_no_larger_than_its_bundle() {
+    // Eight dimensions with nine or more checkpoints each at level 0, then
+    // bundles of `MAX_SECTIONS` sections, each a background in every
+    // dimension: bare, naming every other checkpoint, naming them all. A
+    // background's tallies are the stretches of its row between the named
+    // checkpoints, so a plan holds a tally per value and per name at most:
+    // no more than the bundle's bytes pay for (a name costs an id byte and
+    // a mask bit). Listing every unnamed cell held 16 times the bytes.
+    let (cfg, dims) = (small_cfg(16), 8);
+    let mut node = VectorDelphiNode::new(cfg.clone(), NodeId(0), &[500.0; 8]);
+    let _ = node.start();
+    let (k_min, _) = cfg.checkpoint_range(0);
+    let mut fork = Section::new(0, Round::FIRST, EchoKind::Echo1);
+    fork.entries = (0..8).map(|i| (k_min + 2 * i, Dyadic::ONE)).collect();
+    let _ = node.on_message(NodeId(1), &encode(dims, vec![fork]));
+    assert!(node.active_checkpoints(0) >= 9 * dims);
+    let all: Vec<i64> = node.levels[0].table.ids().collect();
+    let every_other = all.iter().copied().step_by(2).collect();
+    for (from, exclude) in [(2, Vec::new()), (3, every_other), (4, all)] {
+        let mut flood = Section::new(0, Round::FIRST, EchoKind::Echo1);
+        (flood.background, flood.exclude) = (Some(Dyadic::ZERO), exclude);
+        let payload = encode(dims, vec![flood; crate::bundle::MAX_SECTIONS]);
+        let _ = node.on_message(NodeId(from), &payload);
+        let plan = &node.plan;
+        assert_eq!(plan.sections.len(), crate::bundle::MAX_SECTIONS);
+        let (bytes, slots) = (payload.len(), plan.sections.capacity() + plan.tallies.capacity());
+        assert!(slots <= 8 * bytes, "{slots} sections and tallies for {bytes} bytes");
+    }
 }
