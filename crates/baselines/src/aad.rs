@@ -359,7 +359,7 @@ mod tests {
     use super::*;
     use delphi_primitives::wire::roundtrip;
     use delphi_sim::adversary::Crash;
-    use delphi_sim::{Simulation, Topology};
+    use delphi_sim::{judge, spread, Simulation, Topology};
     use proptest::prelude::*;
 
     #[test]
@@ -397,12 +397,9 @@ mod tests {
         report.honest_outputs().copied().collect()
     }
 
-    fn assert_hull(outs: &[f64], inputs: &[f64]) {
-        let lo = inputs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for o in outs {
-            assert!(*o >= lo - 1e-9 && *o <= hi + 1e-9, "output {o} outside [{lo}, {hi}]");
-        }
+    /// AAD's round-derived ε: every round halves the honest spread δ.
+    fn round_epsilon(inputs: &[f64], rounds: u16) -> f64 {
+        spread(inputs) / 2f64.powi(i32::from(rounds))
     }
 
     #[test]
@@ -410,12 +407,7 @@ mod tests {
         let inputs = [0.0, 1.0, 2.0, 4.0];
         // δ = 4; 7 rounds halve to 4/128 < 0.05.
         let outs = run_aad(4, 1, &inputs, 7, &[], 1);
-        assert_hull(&outs, &inputs);
-        for a in &outs {
-            for b in &outs {
-                assert!((a - b).abs() <= 4.0 / 128.0 + 1e-9, "|{a} - {b}|");
-            }
-        }
+        judge(&outs, &inputs, round_epsilon(&inputs, 7), None).unwrap();
     }
 
     #[test]
@@ -431,7 +423,7 @@ mod tests {
         let inputs = [1.0, 2.0, 3.0, 999.0];
         let outs = run_aad(4, 1, &inputs, 6, &[3], 3);
         assert_eq!(outs.len(), 3);
-        assert_hull(&outs, &inputs[..3]);
+        judge(&outs, &inputs[..3], round_epsilon(&inputs[..3], 6), None).unwrap();
     }
 
     #[test]
@@ -462,12 +454,7 @@ mod tests {
     fn seven_nodes_converge() {
         let inputs = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0];
         let outs = run_aad(7, 2, &inputs, 8, &[], 4);
-        assert_hull(&outs, &inputs);
-        for a in &outs {
-            for b in &outs {
-                assert!((a - b).abs() <= 6.0 / 256.0 + 1e-9);
-            }
-        }
+        judge(&outs, &inputs, round_epsilon(&inputs, 8), None).unwrap();
     }
 
     #[test]
@@ -502,15 +489,7 @@ mod tests {
             let t = (n - 1) / 3;
             let rounds = 9u16;
             let outs = run_aad(n, t, &vals[..n], rounds, &[], seed);
-            let lo = vals[..n].iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = vals[..n].iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let tol = (hi - lo) / 2f64.powi(i32::from(rounds)) + 1e-9;
-            for a in &outs {
-                prop_assert!(*a >= lo - 1e-9 && *a <= hi + 1e-9);
-                for b in &outs {
-                    prop_assert!((a - b).abs() <= tol, "|{} - {}| > {}", a, b, tol);
-                }
-            }
+            judge(&outs, &vals[..n], round_epsilon(&vals[..n], rounds), None).unwrap();
         }
     }
 }

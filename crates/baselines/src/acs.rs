@@ -283,7 +283,7 @@ mod tests {
     use delphi_primitives::wire::roundtrip;
     use delphi_primitives::Round;
     use delphi_sim::adversary::{Crash, GarbageSpammer};
-    use delphi_sim::{Simulation, Topology};
+    use delphi_sim::{judge, Simulation, Topology};
     use proptest::prelude::*;
 
     #[test]
@@ -454,9 +454,7 @@ mod tests {
             let t = (n - 1) / 3;
             let outs = run_acs(n, t, &vals[..n], &[], seed);
             prop_assert!(outs.windows(2).all(|w| w[0] == w[1]));
-            let lo = vals[..n].iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = vals[..n].iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(outs[0] >= lo && outs[0] <= hi);
+            judge(&outs, &vals[..n], 0.0, None).unwrap();
         }
     }
 }

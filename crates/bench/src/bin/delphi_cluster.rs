@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Cluster launcher: spawns one `delphi-node` OS process per `[[node]]`
-//! entry, collects the per-node JSON reports, and checks convergence —
+//! entry, collects the per-node JSON reports, and judges them —
 //! the paper's deployment shape (fig6) on one machine.
 //!
 //! ```text
@@ -18,9 +18,12 @@
 //! Every run is the streaming oracle: every node agrees on a fresh
 //! `--assets`-sized basket `--epochs` consecutive times (once by
 //! default), pipelining `--depth` epochs under a `--window`-epoch live
-//! window. The launcher exits non-zero unless every node completed the
-//! whole stream and every `(epoch, asset)` agreement is within ε across
-//! nodes. `--vector` makes each epoch's basket ONE vector-valued
+//! window. The launcher regenerates every node's inputs from
+//! `--quote-seed` and judges the reports (`delphi_bench::cluster::
+//! judge_cluster`): it exits non-zero unless every node reported the
+//! whole stream in order, every `(epoch, asset)` agreement is within ε
+//! across nodes, and every output lies within `max(ρ0, δ)` of its inputs'
+//! hull. `--vector` makes each epoch's basket ONE vector-valued
 //! agreement instance (one bundle exchange per round for the whole
 //! basket); the checks are unchanged because reports keep the per-asset
 //! agreement shape.
@@ -34,7 +37,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use delphi_bench::cluster::{
-    reserve_localhost_config, run_cluster, summarize, write_temp_config, ClusterRunSpec,
+    judge_cluster, reserve_localhost_config, run_cluster, summarize, write_temp_config,
+    ClusterRunSpec,
 };
 
 /// Where the cluster's config comes from.
@@ -173,17 +177,13 @@ fn main() -> ExitCode {
             r.stats.late_entries,
         );
     }
-    let expected = spec.expected_agreements();
-    println!("{}", summarize(&outcome, spec.epsilon, expected));
-    if outcome.converged(spec.epsilon, expected) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "delphi-cluster: stream incomplete or diverged (worst spread {:.6}$, {} agreements \
-             per node, expected {expected})",
-            outcome.spread(),
-            outcome.agreements(),
-        );
-        ExitCode::FAILURE
+    let verdict = judge_cluster(&outcome, &spec);
+    println!("{}", summarize(&outcome, &spec, &verdict));
+    match verdict {
+        Ok(_) => ExitCode::SUCCESS,
+        Err(why) => {
+            eprintln!("delphi-cluster: the run failed the judge: {why}");
+            ExitCode::FAILURE
+        }
     }
 }

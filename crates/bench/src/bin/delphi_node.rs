@@ -24,8 +24,8 @@
 //! deterministic multi-epoch feed (`delphi_workloads::EpochFeed` under
 //! `--quote-seed`): every process derives the same basket quote per
 //! epoch and picks its own entry, so no input-distribution step is
-//! needed. The report carries every `(epoch, asset, value)` agreement so
-//! the launcher can check per-epoch ε-convergence.
+//! needed. The report carries every `(epoch, asset, value)` agreement, so
+//! the launcher can regenerate the inputs and judge every agreement.
 //!
 //! Frames are flushed per protocol step by default; `--adaptive` batches
 //! across steps until a size trigger or an empty inbox, `--unbatched` is
@@ -50,6 +50,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use delphi_api::ServiceBuilder;
+use delphi_bench::cluster::{epoch_basket, NODE_RHO0};
 use delphi_bench::feed_price_source;
 use delphi_core::{DelphiConfig, VectorDelphiNode};
 use delphi_net::cluster::NodeReport;
@@ -57,7 +58,7 @@ use delphi_net::config::ClusterConfig;
 use delphi_net::{run_epoch_service, FlushPolicy, NetStats, RunOptions};
 use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{flatten_vector_events, EpochEvent, EpochMux, EpochOutcome, EpochStats};
-use delphi_workloads::{EpochFeed, MultiAssetConfig};
+use delphi_workloads::EpochFeed;
 
 #[derive(Debug)]
 struct Args {
@@ -85,7 +86,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut quote_seed = 7u64;
     let mut unbatched = false;
     let mut deadline_ms = 60_000u64;
-    let mut rho0 = 2.0f64;
+    let mut rho0 = NODE_RHO0;
     let mut epsilon = 2.0f64;
     let mut delta_max = 2_000.0f64;
     let mut epochs = NonZeroU32::MIN;
@@ -173,17 +174,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     })
 }
 
-/// The basket a run quotes: the reference 4-asset basket when it fits,
-/// synthetic price-scaled assets otherwise.
-fn epoch_basket(assets: NonZeroU16) -> MultiAssetConfig {
-    let assets = usize::from(assets.get());
-    if assets == MultiAssetConfig::default_basket().assets.len() {
-        MultiAssetConfig::default_basket()
-    } else {
-        MultiAssetConfig::synthetic(assets)
-    }
-}
-
 /// Threads of this process and the context switches (voluntary +
 /// involuntary) they have made so far, from `/proc/self/task/*/status`;
 /// zeros on a box without procfs. A thread that has exited takes its
@@ -248,7 +238,7 @@ async fn run(args: Args) -> Result<NodeReport, String> {
     // One agreement per (epoch, asset) pair, prices from the
     // deterministic multi-epoch feed — every process derives the same
     // basket quote per epoch with no distribution step.
-    let feed = EpochFeed::new(epoch_basket(args.assets), args.quote_seed);
+    let feed = EpochFeed::new(epoch_basket(args.assets.get()), args.quote_seed);
     let builder = ServiceBuilder::new(cfg, me)
         .epochs(args.epochs.get())
         .assets(args.assets.get())

@@ -12,10 +12,11 @@
 //! With `--cluster <config.toml>`, the simulated sweep is replaced by one
 //! *real* deployment-style run: one OS process per `[[node]]` entry of
 //! the cluster file, talking over real sockets, agreeing once — a stream
-//! of one epoch — and checked per `(epoch, asset)` (build the node binary
+//! of one epoch — and judged per `(epoch, asset)` against the inputs the
+//! nodes were fed (build the node binary
 //! first: `cargo build --release -p delphi-bench --bin delphi-node`).
 
-use delphi_bench::cluster::{cluster_flag, run_cluster, summarize, ClusterRunSpec, LOCAL_EPSILON};
+use delphi_bench::cluster::{cluster_flag, judge_cluster, run_cluster, summarize, ClusterRunSpec};
 use delphi_bench::{
     emit_bench_json, oracle_config, quick_mode, run_aad, run_acs, run_delphi, spread_inputs,
     TextTable,
@@ -38,9 +39,12 @@ fn run_cluster_mode(config: std::path::PathBuf) {
         table.row(&[r.id.to_string(), format!("{:.0}", r.elapsed_ms), agreed.join(" ")]);
     }
     println!("{}", table.render());
-    let expected = spec.expected_agreements();
-    println!("{}", summarize(&outcome, LOCAL_EPSILON, expected));
-    assert!(outcome.converged(LOCAL_EPSILON, expected), "cluster agreements disagree");
+    let verdict = judge_cluster(&outcome, &spec);
+    println!("{}", summarize(&outcome, &spec, &verdict));
+    if let Err(why) = verdict {
+        eprintln!("fig6a: cluster run failed the judge: {why}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {

@@ -21,7 +21,7 @@
 //! delphi-node`).
 
 use delphi_bench::cluster::{
-    cluster_flag, framing_bytes_per_envelope, run_cluster, summarize, ClusterRunSpec, LOCAL_EPSILON,
+    cluster_flag, framing_bytes_per_envelope, judge_cluster, run_cluster, summarize, ClusterRunSpec,
 };
 use delphi_bench::{
     emit_bench_json, growth_exponent, oracle_config, quick_mode, run_aad, run_acs, run_delphi,
@@ -41,7 +41,6 @@ fn run_cluster_mode(config: std::path::PathBuf) {
     );
     let mut spec = ClusterRunSpec::new(config);
     spec.assets = assets;
-    let expected = spec.expected_agreements();
     let mut measured = Vec::new();
     for unbatched in [false, true] {
         spec.unbatched = unbatched;
@@ -53,8 +52,12 @@ fn run_cluster_mode(config: std::path::PathBuf) {
                 std::process::exit(1);
             }
         };
-        println!("{label:>13}: {}", summarize(&outcome, LOCAL_EPSILON, expected));
-        assert!(outcome.converged(LOCAL_EPSILON, expected), "{label}: cluster agreements disagree");
+        let verdict = judge_cluster(&outcome, &spec);
+        println!("{label:>13}: {}", summarize(&outcome, &spec, &verdict));
+        if let Err(why) = verdict {
+            eprintln!("fig6b: {label}: cluster run failed the judge: {why}");
+            std::process::exit(1);
+        }
         measured.push(outcome.total_stats());
     }
     let (batched, unbatched) = (measured[0], measured[1]);
@@ -177,18 +180,19 @@ fn main() {
     let cfg = oracle_config(ma_n, 2.0);
     let feed = EpochFeed::new(basket, 6105);
     let one_epoch = EpochConfig::new(1, assets as u16, 1, 1, cfg.t());
-    let run =
-        |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105);
+    let run = |flush| {
+        run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105, false)
+    };
     let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
     println!(
         "\nmulti-asset deployment ({assets} feeds, n = {ma_n}, one epoch), per-entry vs adaptive:"
     );
     for (label, p) in [("per-entry", &per_entry), ("adaptive", &adaptive)] {
         println!(
-            "  {label:>9}: worst spread {:.3}$ (ε-agreement: {}), {} entries in {} frames, \
+            "  {label:>9}: worst spread {:.3}$ (judged, ε = {}$), {} entries in {} frames, \
              {:.2} MiB",
             p.worst_spread,
-            p.worst_spread <= cfg.epsilon(),
+            cfg.epsilon(),
             p.sent_entries,
             p.throughput.frames,
             p.throughput.wire_bytes as f64 / MIB,

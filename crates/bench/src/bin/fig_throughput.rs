@@ -24,11 +24,8 @@
 //! adaptive flushing — and reports measured agreements/sec, wire
 //! bytes/agreement, and frames/agreement.
 
-use delphi_bench::cluster::{cluster_flag, run_cluster, summarize, ClusterRunSpec, LOCAL_EPSILON};
-use delphi_bench::{
-    emit_bench_json, oracle_config, quick_mode, run_epoch_delphi, run_epoch_vector_delphi,
-    TextTable,
-};
+use delphi_bench::cluster::{cluster_flag, judge_cluster, run_cluster, summarize, ClusterRunSpec};
+use delphi_bench::{emit_bench_json, oracle_config, quick_mode, run_epoch_delphi, TextTable};
 use delphi_primitives::{EpochConfig, FlushPolicy};
 use delphi_sim::Topology;
 use delphi_workloads::{EpochFeed, MultiAssetConfig};
@@ -65,12 +62,12 @@ fn run_cluster_mode(config: std::path::PathBuf) {
                 std::process::exit(1);
             }
         };
-        let expected = spec.expected_agreements();
-        println!("{label:>9}: {}", summarize(&outcome, LOCAL_EPSILON, expected));
-        assert!(
-            outcome.converged(LOCAL_EPSILON, expected),
-            "{label}: epoch stream incomplete or diverged"
-        );
+        let verdict = judge_cluster(&outcome, &spec);
+        println!("{label:>9}: {}", summarize(&outcome, &spec, &verdict));
+        if let Err(why) = verdict {
+            eprintln!("fig_throughput: {label}: epoch stream failed the judge: {why}");
+            std::process::exit(1);
+        }
         measured.push(outcome.total_stats());
     }
     let (per_step, adaptive) = (measured[0], measured[1]);
@@ -130,13 +127,20 @@ fn main() {
                 FlushPolicy::PerStep,
                 Topology::aws_geo(n),
                 seed,
+                false,
             );
-            let adpt =
-                run_epoch_delphi(&cfg, &feed, epoch_cfg, ADAPTIVE, Topology::aws_geo(n), seed);
+            let adpt = run_epoch_delphi(
+                &cfg,
+                &feed,
+                epoch_cfg,
+                ADAPTIVE,
+                Topology::aws_geo(n),
+                seed,
+                false,
+            );
             for (label, p) in [("step", &step), ("adaptive", &adpt)] {
                 assert_eq!(p.stale_epochs, 0, "honest sweep must not skip epochs ({label})");
                 assert!(p.peak_resident <= window, "live-window bound violated ({label})");
-                assert!(p.worst_spread <= cfg.epsilon() + 1e-9, "epoch diverged ({label})");
                 let id = |metric: &str| format!("fig_throughput/k{k}_d{depth}_{label}_{metric}");
                 emit_bench_json(
                     &id("ns_per_agreement"),
@@ -178,9 +182,9 @@ fn main() {
     let cps_feed = EpochFeed::new(MultiAssetConfig::synthetic(cps_basket), 11);
     let cps_cfg =
         EpochConfig::new(cps_epochs, cps_basket as u16, cps_depth, cps_depth + 4, cfg.t());
-    let point = run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001);
+    let point =
+        run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001, false);
     assert_eq!(point.stale_epochs, 0, "honest CPS run must not skip epochs");
-    assert!(point.worst_spread <= cfg.epsilon() + 1e-9, "epoch diverged (CPS)");
     let id = |metric: &str| format!("fig_throughput/k{cps_basket}_d{cps_depth}_s1_cps_{metric}");
     emit_bench_json(
         &id("ns_per_agreement"),
@@ -218,20 +222,16 @@ fn main() {
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(k), 13);
         let vec_cfg = EpochConfig::new(vec_epochs, k as u16, vec_depth, vec_depth + 4, cfg.t());
         let seed = 11_000 + k as u64;
-        let scalar = run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed);
+        let scalar =
+            run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed, false);
         let vector =
-            run_epoch_vector_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed);
+            run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed, true);
         for (lane, p) in [("scalar", &scalar), ("vector", &vector)] {
             assert_eq!(p.stale_epochs, 0, "honest vector sweep must not skip epochs ({lane})");
             assert_eq!(
                 p.throughput.agreements,
                 u64::from(vec_epochs) * k as u64,
                 "every (epoch, dimension) pair must agree ({lane}, k={k})"
-            );
-            assert!(
-                p.worst_spread <= cfg.epsilon() + 1e-9,
-                "epoch diverged ({lane}, k={k}): {}",
-                p.worst_spread
             );
             let agr = p.throughput.agreements as f64;
             let id = |metric: &str| format!("fig_throughput/vector_k{k}_{lane}_{metric}");

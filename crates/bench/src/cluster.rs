@@ -16,9 +16,29 @@ use delphi_net::cluster::{
 use delphi_net::config::ClusterConfig;
 use delphi_net::frame::{EPOCH_ENTRY_OVERHEAD_BYTES, EPOCH_FRAME_OVERHEAD_BYTES};
 use delphi_net::NetStats;
+use delphi_primitives::{EpochEvent, EpochId, EpochOutcome};
+use delphi_workloads::{EpochFeed, MultiAssetConfig};
+
+use crate::judge_feed;
 
 /// Key material used by generated localhost cluster configs.
 pub const LOCAL_CLUSTER_SEED: &[u8] = b"delphi-local-cluster";
+
+/// The ρ0 a `delphi-node` runs with unless `--rho0` says otherwise, and
+/// the one [`judge_cluster`] holds a launched run to.
+pub const NODE_RHO0: f64 = 2.0;
+
+/// The basket a `delphi-node` run of `assets` quotes: the reference
+/// 4-asset basket when it fits, synthetic price-scaled assets otherwise.
+pub fn epoch_basket(assets: u16) -> MultiAssetConfig {
+    let reference = MultiAssetConfig::default_basket();
+    let fits = reference.assets.len() == usize::from(assets);
+    if fits {
+        reference
+    } else {
+        MultiAssetConfig::synthetic(usize::from(assets))
+    }
+}
 
 /// How one cluster run of `delphi-node` processes is parameterized.
 #[derive(Clone, Debug)]
@@ -31,26 +51,21 @@ pub struct ClusterRunSpec {
     pub quote_seed: u64,
     /// Independent Delphi instances (assets) multiplexed per node.
     pub assets: u16,
-    /// Flush every envelope in a frame of its own (`--unbatched`, the
-    /// per-entry policy) instead of batching; excludes `adaptive`.
+    /// One frame per envelope (`--unbatched`); excludes `adaptive`.
     pub unbatched: bool,
     /// Per-node protocol deadline in milliseconds.
     pub deadline_ms: u64,
-    /// Protocol ε forwarded to every node (the agreement tolerance the
-    /// nodes actually run with, not just a launcher-side check).
+    /// Protocol ε every node runs with, and [`judge_cluster`] holds to.
     pub epsilon: f64,
-    /// Epoch-stream length (at least 1; one epoch is a single agreement
-    /// on the basket).
+    /// Epoch-stream length (at least 1: one agreement on the basket).
     pub epochs: u32,
     /// Epochs in flight at once.
     pub depth: usize,
     /// Live-window size in epochs (≥ depth).
     pub window: usize,
-    /// Adaptive batch flushing (size triggers, empty inbox) instead of
-    /// per-step.
+    /// Adaptive batch flushing (size triggers, empty inbox), not per-step.
     pub adaptive: bool,
-    /// Run each epoch's basket as one vector-valued agreement instance
-    /// instead of per-asset scalar instances.
+    /// Each epoch's basket as one vector-valued instance, not per asset.
     pub vector: bool,
 }
 
@@ -93,34 +108,28 @@ pub fn run_cluster(spec: &ClusterRunSpec) -> Result<ClusterOutcome, ClusterError
         Some(p) => p.clone(),
         None => find_sibling_binary("delphi-node")?,
     };
-    let mut extra = vec![
-        "--quote-seed".to_string(),
-        spec.quote_seed.to_string(),
-        "--assets".to_string(),
-        spec.assets.to_string(),
-        "--deadline-ms".to_string(),
-        spec.deadline_ms.to_string(),
-        "--epsilon".to_string(),
-        spec.epsilon.to_string(),
-        "--epochs".to_string(),
-        spec.epochs.to_string(),
-        "--depth".to_string(),
-        spec.depth.to_string(),
-        "--window".to_string(),
-        spec.window.to_string(),
-    ];
-    if spec.vector {
-        extra.push("--vector".to_string());
-    }
-    if spec.adaptive {
-        extra.push("--adaptive".to_string());
-    }
-    if spec.unbatched {
-        extra.push("--unbatched".to_string());
-    }
+    let extra = node_args(spec);
     let commands =
         (0..cfg.n()).map(|id| node_command(&binary, &spec.config, id as u16, &extra)).collect();
     launch(commands)
+}
+
+/// The flags after `--config` and `--id` that every node process of
+/// `spec` runs with.
+pub fn node_args(spec: &ClusterRunSpec) -> Vec<String> {
+    let values = [
+        ("--quote-seed", spec.quote_seed.to_string()),
+        ("--assets", spec.assets.to_string()),
+        ("--deadline-ms", spec.deadline_ms.to_string()),
+        ("--epsilon", spec.epsilon.to_string()),
+        ("--epochs", spec.epochs.to_string()),
+        ("--depth", spec.depth.to_string()),
+        ("--window", spec.window.to_string()),
+    ];
+    let flags =
+        [("--vector", spec.vector), ("--adaptive", spec.adaptive), ("--unbatched", spec.unbatched)];
+    let values = values.into_iter().flat_map(|(flag, value)| [flag.to_string(), value]);
+    values.chain(flags.into_iter().filter(|f| f.1).map(|f| f.0.to_string())).collect()
 }
 
 /// Builds an `n`-node localhost [`ClusterConfig`] on ports that are free
@@ -154,22 +163,53 @@ pub fn write_temp_config(cfg: &ClusterConfig, tag: &str) -> std::io::Result<Path
     Ok(path)
 }
 
-/// Framing bytes per envelope a run put on the wire — per frame the length
-/// word, marker, sender, count and tag, per entry its id and length prefix
-/// — from the frame and envelope counters alone. Unlike wire bytes per
-/// envelope it does not depend on how large the bundles of one
-/// asynchronous execution happened to be, so two runs compare exactly.
+/// Framing bytes per envelope a run put on the wire, from the frame and
+/// envelope counters alone: unlike wire bytes per envelope it does not
+/// depend on the bundle sizes of one asynchronous execution, so two runs
+/// compare exactly.
 pub fn framing_bytes_per_envelope(stats: &NetStats) -> f64 {
     let framing = stats.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64
         + stats.sent_entries * EPOCH_ENTRY_OVERHEAD_BYTES as u64;
     framing as f64 / stats.sent_entries as f64
 }
 
-/// Renders a one-line summary of a finished cluster run (used by the
-/// launcher binary and the fig `--cluster` modes). Vector-mode runs
-/// (nonzero `vector_instances` in the node stats) get their basket count
-/// appended so smoke logs show the mode actually ran.
-pub fn summarize(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> String {
+/// Judges a run's reports, each read back as its ordered stream, against
+/// every node's inputs regenerated as `delphi-node` derives them (the
+/// `EpochFeed` of [`epoch_basket`] under `quote_seed`): whole streams of
+/// `epochs`, ε-agreement and `max(ρ0, δ)` validity. Returns the worst spread.
+///
+/// # Errors
+///
+/// The first violation, or a node that reported its assets out of order.
+pub fn judge_cluster(outcome: &ClusterOutcome, spec: &ClusterRunSpec) -> Result<f64, String> {
+    let mut streams = Vec::with_capacity(outcome.reports.len());
+    for report in &outcome.reports {
+        let stream = report.agreements.chunk_by(|x, y| x.0 == y.0).map(|epoch| {
+            let in_order = (0..).zip(epoch).all(|(a, &(_, asset, _))| asset == a);
+            let values = epoch.iter().map(|&(_, _, value)| value).collect();
+            let id = EpochId(epoch.first().map_or(0, |&(e, _, _)| e));
+            in_order.then_some(EpochEvent { epoch: id, outcome: EpochOutcome::Agreed(values) })
+        });
+        let stream: Option<Vec<_>> = stream.collect();
+        streams.push(stream.ok_or_else(|| format!("node {}: assets out of order", report.id))?);
+    }
+    let feed = EpochFeed::new(epoch_basket(spec.assets), spec.quote_seed);
+    judge_feed(&streams, &feed, streams.len(), spec.epochs, spec.epsilon, NODE_RHO0)
+}
+
+/// Renders a one-line summary of a finished cluster run with its
+/// `verdict` from [`judge_cluster`]. Vector-mode runs get their basket
+/// count appended, so smoke logs show the mode actually ran.
+pub fn summarize(
+    outcome: &ClusterOutcome,
+    spec: &ClusterRunSpec,
+    verdict: &Result<f64, String>,
+) -> String {
+    let expected = spec.expected_agreements();
+    let verdict = verdict.as_ref().map_or_else(
+        |why| format!("judged: FAILED, {why}"),
+        |spread| format!("judged: ok, worst epoch spread {spread:.6}$"),
+    );
     let total = outcome.total_stats();
     let secs = outcome.max_elapsed_ms() / 1e3;
     let agreements = outcome.agreements();
@@ -180,13 +220,12 @@ pub fn summarize(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> Strin
         String::new()
     };
     format!(
-        "{} nodes | {agreements} agreements per node (expected {expected}) | worst epoch spread \
-         {:.6}$ (eps = {epsilon}$, converged: {}) | {:.1} agreements/s | {} threads/node | \
-         {:.0} ctxt switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | \
-         {shared:.3} of frames shared a body hash | {} late entries{vector}",
+        "{} nodes | {agreements} agreements per node (expected {expected}) | {verdict} (eps = \
+         {}$, rho0 = {NODE_RHO0}$) | {:.1} agreements/s | {} threads/node | {:.0} ctxt \
+         switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | {shared:.3} of \
+         frames shared a body hash | {} late entries{vector}",
         outcome.reports.len(),
-        outcome.spread(),
-        outcome.converged(epsilon, expected),
+        spec.epsilon,
         if secs > 0.0 { agreements as f64 / secs } else { 0.0 },
         outcome.max_threads(),
         outcome.ctxt_switches_per_agreement(),
@@ -201,21 +240,18 @@ pub fn summarize(outcome: &ClusterOutcome, epsilon: f64, expected: u64) -> Strin
 /// `--cluster` with no path is a hard CLI error — silently falling back
 /// to the multi-minute simulated sweep would hide the typo.
 pub fn cluster_flag() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--cluster" {
-            let Some(path) = args.next() else {
-                eprintln!("--cluster requires a config path");
-                std::process::exit(2);
-            };
-            return Some(PathBuf::from(path));
-        }
-    }
-    None
+    let mut args = std::env::args().skip(1).skip_while(|a| a != "--cluster");
+    args.next()?;
+    let Some(path) = args.next() else {
+        eprintln!("--cluster requires a config path");
+        std::process::exit(2);
+    };
+    Some(PathBuf::from(path))
 }
 
 /// Convenience wrapper for smoke tests and examples: reserves ports,
 /// writes the config, runs the cluster, and cleans the temp file up.
+/// Returns the outcome with the spec it ran, for [`judge_cluster`].
 ///
 /// # Errors
 ///
@@ -225,7 +261,7 @@ pub fn run_local_cluster(
     n: usize,
     tag: &str,
     mutate: impl FnOnce(&mut ClusterRunSpec),
-) -> Result<ClusterOutcome, ClusterError> {
+) -> Result<(ClusterOutcome, ClusterRunSpec), ClusterError> {
     let cfg = reserve_localhost_config(n);
     let path = write_temp_config(&cfg, tag)
         .map_err(|e| ClusterError::Spawn { id: 0, why: e.to_string() })?;
@@ -233,7 +269,7 @@ pub fn run_local_cluster(
     mutate(&mut spec);
     let result = run_cluster(&spec);
     let _ = std::fs::remove_file(&path);
-    result
+    Ok((result?, spec))
 }
 
 /// The ε the generated localhost runs target (the paper's oracle preset).
@@ -243,6 +279,75 @@ pub const LOCAL_EPSILON: f64 = 2.0;
 mod tests {
     use super::*;
     use delphi_net::cluster::NodeReport;
+    use delphi_sim::spread;
+
+    /// Node `id`'s report: `agreements`, and nothing else of note.
+    fn epoch_report(id: u16, agreements: Vec<(u32, u16, f64)>) -> NodeReport {
+        let stats = NetStats::default();
+        NodeReport {
+            id,
+            elapsed_ms: 1.0,
+            agreements,
+            threads: 1,
+            ctxt_switches_per_agreement: 0.0,
+            stats,
+        }
+    }
+
+    /// Two nodes' reports of `spec`'s whole stream: node `id` agrees on
+    /// `value(inputs, id)` for each `(epoch, asset)`, `inputs` the ones
+    /// `delphi-node` derives for it.
+    fn outcome(spec: &ClusterRunSpec, value: impl Fn(&[f64], u16) -> f64) -> ClusterOutcome {
+        let feed = EpochFeed::new(epoch_basket(spec.assets), spec.quote_seed);
+        let reports = (0..2u16).map(|id| {
+            let agreements = (0..spec.epochs).flat_map(|e| {
+                let inputs = feed.inputs(e, 2);
+                (0..spec.assets).map(move |a| (e, a, inputs[usize::from(a)].clone()))
+            });
+            epoch_report(id, agreements.map(|(e, a, inputs)| (e, a, value(&inputs, id))).collect())
+        });
+        ClusterOutcome { reports: reports.collect() }
+    }
+
+    fn spec(epochs: u32, assets: u16) -> ClusterRunSpec {
+        ClusterRunSpec { epochs, assets, ..ClusterRunSpec::new(PathBuf::from("unused.toml")) }
+    }
+
+    #[test]
+    fn epoch_convergence_checks_per_pair_spread_and_completeness() {
+        // One unit apart, from node 0's input: inside max(ρ0, δ), within ε.
+        let spec = spec(2, 2);
+        let agreeing = outcome(&spec, |inputs, id| inputs[0] + f64::from(id));
+        assert_eq!(agreeing.agreements(), 4);
+        assert_eq!(judge_cluster(&agreeing, &spec), Ok(1.0));
+        let tight = ClusterRunSpec { epsilon: 0.5, ..spec.clone() };
+        assert!(judge_cluster(&agreeing, &tight).unwrap_err().contains("agreement"));
+        let longer = ClusterRunSpec { epochs: 3, ..spec.clone() };
+        assert!(judge_cluster(&agreeing, &longer).unwrap_err().contains("2 events for 3 epochs"));
+
+        // A node that skipped an epoch, or reported its assets out of
+        // order, can never pass.
+        let mut skipped = agreeing.clone();
+        skipped.reports[1].agreements.drain(..2);
+        assert!(judge_cluster(&skipped, &spec).is_err());
+        let mut swapped = agreeing.clone();
+        swapped.reports[0].agreements.swap(0, 1);
+        assert!(judge_cluster(&swapped, &spec).unwrap_err().contains("out of order"));
+    }
+
+    #[test]
+    fn launcher_rejects_agreeing_outputs_outside_the_input_hull() {
+        // Every node agrees exactly on every pair, so the spread is 0 and
+        // every agreement is there, but 2·max(ρ0, δ) above the hull.
+        let spec = spec(3, 4);
+        let shifted = outcome(&spec, |inputs, _| {
+            let delta = spread(inputs);
+            inputs[0] + delta + 2.0 * NODE_RHO0.max(delta)
+        });
+        assert_eq!(shifted.agreements(), 12);
+        let why = judge_cluster(&shifted, &spec).unwrap_err();
+        assert!(why.contains("epoch 0 asset 0: validity"), "{why}");
+    }
 
     #[test]
     fn reserved_config_has_distinct_free_ports() {
@@ -281,7 +386,8 @@ mod tests {
             },
         };
         let outcome = ClusterOutcome { reports: vec![report(0, 6, 2), report(1, 6, 2)] };
-        let line = summarize(&outcome, LOCAL_EPSILON, 2);
+        let line = summarize(&outcome, &spec(2, 1), &Ok(1.0));
+        assert!(line.contains("judged: ok, worst epoch spread 1.000000$"), "{line}");
         assert!(line.contains("0.667 of frames shared a body hash"), "{line}");
         assert!(line.contains("2 agreements per node (expected 2)"), "{line}");
         assert!(line.contains("6.00 frames/agreement"), "{line}");

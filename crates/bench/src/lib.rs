@@ -1,15 +1,9 @@
-//! Shared harness for the figure/table regeneration binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md` §3 for the index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results). This library
-//! holds what they share: protocol runners over configured testbeds, the
-//! paper's parameter presets, and plain-text table/CSV rendering.
-//!
-//! Absolute numbers are not expected to match the paper (its testbeds
-//! were real EC2/Raspberry-Pi deployments; ours is a calibrated
-//! simulator) — the *shapes* are: who wins, by what factor, and where
-//! the crossovers sit.
+//! Shared harness for the figure/table binaries in `src/bin/`, each of
+//! which regenerates one table or figure of the paper's evaluation:
+//! protocol runners over configured testbeds, every run judged by
+//! `delphi_sim::judge`, the paper's parameter presets, and plain-text
+//! table/CSV rendering. The *shapes* are expected to match the paper (who
+//! wins, by what factor, where the crossovers sit), not its numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +13,8 @@ pub mod regression;
 
 use delphi_baselines::{AadNode, AcsNode};
 use delphi_core::{DelphiConfig, DelphiNode, OracleService};
-use delphi_primitives::{EpochConfig, EpochEvent, EpochOutcome, FlushPolicy, NodeId, Protocol};
-use delphi_sim::{EpochThroughput, RunReport, Simulation, Topology};
+use delphi_primitives::{EpochConfig, EpochEvent, FlushPolicy, NodeId, Protocol};
+use delphi_sim::{judge, judge_streams, spread, EpochThroughput, RunReport, Simulation, Topology};
 use delphi_workloads::EpochFeed;
 
 /// One measured protocol execution.
@@ -39,16 +33,21 @@ pub struct BenchPoint {
 }
 
 impl BenchPoint {
-    fn from_report(n: usize, report: &RunReport<f64>) -> BenchPoint {
+    /// The point of a finished run; panics unless it finished and its
+    /// outputs pass [`judge`] against `inputs`.
+    fn judged(
+        name: &str,
+        report: &RunReport<f64>,
+        inputs: &[f64],
+        epsilon: f64,
+        rho0: Option<f64>,
+    ) -> BenchPoint {
+        assert!(report.all_honest_finished(), "{name} run stalled: {:?}", report.stop);
         let outs: Vec<f64> = report.honest_outputs().copied().collect();
-        let spread = if outs.is_empty() {
-            f64::NAN
-        } else {
-            outs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-                - outs.iter().copied().fold(f64::INFINITY, f64::min)
-        };
+        let spread = judge(&outs, inputs, epsilon, rho0)
+            .unwrap_or_else(|why| panic!("{name} run (n = {}): {why}", inputs.len()));
         BenchPoint {
-            n,
+            n: inputs.len(),
             runtime_ms: report.completion_ms().unwrap_or(f64::NAN),
             wire_mib: report.metrics.total_wire_mib(),
             msgs: report.metrics.total_msgs(),
@@ -89,7 +88,8 @@ pub fn spread_inputs(n: usize, center: f64, delta: f64) -> Vec<f64> {
     (0..n).map(|i| center - delta / 2.0 + delta * i as f64 / (n as f64 - 1.0)).collect()
 }
 
-/// Runs Delphi on `topology` with the given inputs.
+/// Runs Delphi on `topology` with the given inputs, judged with the
+/// config's ε and `max(ρ0, δ)` validity.
 pub fn run_delphi(cfg: &DelphiConfig, topology: Topology, inputs: &[f64], seed: u64) -> BenchPoint {
     let n = cfg.n();
     assert_eq!(inputs.len(), n);
@@ -97,30 +97,30 @@ pub fn run_delphi(cfg: &DelphiConfig, topology: Topology, inputs: &[f64], seed: 
         .map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()]).boxed())
         .collect();
     let report = Simulation::new(topology).seed(seed).run(nodes);
-    assert!(report.all_honest_finished(), "Delphi run stalled: {:?}", report.stop);
-    BenchPoint::from_report(n, &report)
+    BenchPoint::judged("Delphi", &report, inputs, cfg.epsilon(), Some(cfg.rho0()))
 }
 
-/// Runs the Abraham et al. baseline with `rounds = ⌈log2(Δ/ε)⌉`.
+/// Runs the Abraham et al. baseline with `rounds = ⌈log2(Δ/ε)⌉`, judged
+/// with exact hull validity and the round-derived ε = δ / 2^rounds.
 pub fn run_aad(n: usize, topology: Topology, inputs: &[f64], rounds: u16, seed: u64) -> BenchPoint {
     let t = (n - 1) / 3;
     let nodes = NodeId::all(n)
         .map(|id| AadNode::new(id, n, t, inputs[id.index()], rounds).boxed())
         .collect();
     let report = Simulation::new(topology).seed(seed).run(nodes);
-    assert!(report.all_honest_finished(), "AAD run stalled: {:?}", report.stop);
-    BenchPoint::from_report(n, &report)
+    let epsilon = spread(inputs) / 2f64.powi(i32::from(rounds));
+    BenchPoint::judged("AAD", &report, inputs, epsilon, None)
 }
 
-/// Runs the FIN-style ACS baseline.
+/// Runs the FIN-style ACS baseline, judged with exact agreement and
+/// exact hull validity.
 pub fn run_acs(n: usize, topology: Topology, inputs: &[f64], seed: u64) -> BenchPoint {
     let t = (n - 1) / 3;
     let nodes = NodeId::all(n)
         .map(|id| AcsNode::new(id, n, t, inputs[id.index()], b"bench-coin").boxed())
         .collect();
     let report = Simulation::new(topology).seed(seed).run(nodes);
-    assert!(report.all_honest_finished(), "ACS run stalled: {:?}", report.stop);
-    BenchPoint::from_report(n, &report)
+    BenchPoint::judged("ACS", &report, inputs, 0.0, None)
 }
 
 /// One measured epoch-stream execution: sustained throughput plus
@@ -129,7 +129,8 @@ pub fn run_acs(n: usize, topology: Topology, inputs: &[f64], seed: u64) -> Bench
 pub struct EpochSimPoint {
     /// Throughput summary (agreements/s, bytes and frames per agreement).
     pub throughput: EpochThroughput,
-    /// Worst per-(epoch, asset) output spread across honest nodes.
+    /// Worst per-(epoch, asset) output spread across honest nodes, from
+    /// the judge the run passed.
     pub worst_spread: f64,
     /// Epoch-batch entries flushed by all nodes (envelope count — equal
     /// across flush policies for schedule-independent workloads).
@@ -142,9 +143,6 @@ pub struct EpochSimPoint {
     /// probe): a scalar basket pays `(l_max+1)·r_max` per *asset* per
     /// epoch, a vector basket pays it once per epoch.
     pub rounds: u64,
-    /// Every honest node's event stream, in node order (per-asset values,
-    /// vector baskets flattened).
-    pub streams: Vec<Vec<EpochEvent<f64>>>,
 }
 
 /// Builds node `me`'s streaming price source over `feed`, caching one
@@ -220,51 +218,18 @@ impl Protocol for ProbedOracle {
 
 /// Runs a streaming-oracle minute sweep in the simulator: `n` nodes agree
 /// on the basket `feed` quotes, `epochs` consecutive times, `depth` epochs
-/// in flight under a `window`-epoch live window.
-///
-/// With an adaptive `flush` policy the simulation's tick interval is the
-/// policy's `max_delay` (per-step runs need no tick source).
+/// in flight under a `window`-epoch live window, ticked every `max_delay`
+/// of an adaptive `flush`. With `vector`, each epoch's basket is ONE
+/// vector-valued instance (one bundle exchange and one quorum walk per
+/// round for the whole basket), its events flattened to the per-asset
+/// shape, so both lanes are measured and judged alike.
 ///
 /// # Panics
 ///
-/// Panics if any honest node fails to complete the stream — the run is
-/// the acceptance gate for the epoch machinery, not a best-effort sweep —
-/// or if `epoch_cfg` disagrees with the feed's basket size.
+/// Panics if an honest node fails to complete the stream or the streams
+/// fail [`judge_feed`] — the run is the acceptance gate for the epoch
+/// machinery — or if `epoch_cfg` disagrees with the feed's basket size.
 pub fn run_epoch_delphi(
-    cfg: &DelphiConfig,
-    feed: &EpochFeed,
-    epoch_cfg: EpochConfig,
-    flush: FlushPolicy,
-    topology: Topology,
-    seed: u64,
-) -> EpochSimPoint {
-    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, false)
-}
-
-/// [`run_epoch_delphi`] with every epoch's basket as ONE vector-valued
-/// agreement instance (`ServiceBuilder::vector_baskets`): a single bundle
-/// exchange and one quorum walk per round for the whole basket. Events
-/// are flattened to the per-asset shape, so throughput and spread are
-/// computed identically — the comparison the vector-vs-scalar fig sweep
-/// rides on.
-///
-/// # Panics
-///
-/// As [`run_epoch_delphi`].
-pub fn run_epoch_vector_delphi(
-    cfg: &DelphiConfig,
-    feed: &EpochFeed,
-    epoch_cfg: EpochConfig,
-    flush: FlushPolicy,
-    topology: Topology,
-    seed: u64,
-) -> EpochSimPoint {
-    run_epoch_stream(cfg, feed, epoch_cfg, flush, topology, seed, true)
-}
-
-/// The epoch runners' one body: [`run_epoch_delphi`], with `vector`
-/// picking how a basket maps onto instances.
-fn run_epoch_stream(
     cfg: &DelphiConfig,
     feed: &EpochFeed,
     epoch_cfg: EpochConfig,
@@ -307,45 +272,42 @@ fn run_epoch_stream(
         "epoch stream stalled ({:?}): {epoch_cfg:?}",
         report.stop
     );
-    measure_epoch_run(&report, epoch_cfg.epochs, assets, &probes, &round_probes)
-}
-
-/// Shared tail of the epoch runners: per-(epoch, asset) spread across
-/// honest nodes plus the probed counters, folded into one point.
-fn measure_epoch_run(
-    report: &RunReport<Vec<EpochEvent<f64>>>,
-    epochs: u32,
-    assets: usize,
-    probes: &[std::sync::Arc<std::sync::Mutex<ProbeData>>],
-    round_probes: &[std::sync::Arc<std::sync::atomic::AtomicU64>],
-) -> EpochSimPoint {
     let streams: Vec<&Vec<EpochEvent<f64>>> = report.honest_outputs().collect();
-    let mut worst_spread = 0.0f64;
-    for e in 0..epochs as usize {
-        for a in 0..assets {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for events in &streams {
-                if let EpochOutcome::Agreed(values) = &events[e].outcome {
-                    lo = lo.min(values[a]);
-                    hi = hi.max(values[a]);
-                }
-            }
-            if lo.is_finite() {
-                worst_spread = worst_spread.max(hi - lo);
-            }
-        }
-    }
+    let worst_spread = judge_feed(&streams, feed, n, epoch_cfg.epochs, cfg.epsilon(), cfg.rho0())
+        .unwrap_or_else(|why| panic!("epoch stream failed the judge ({epoch_cfg:?}): {why}"));
     let data: Vec<ProbeData> = probes.iter().map(|p| *p.lock().expect("probe")).collect();
     EpochSimPoint {
-        throughput: EpochThroughput::from_report(report),
+        throughput: EpochThroughput::from_report(&report),
         worst_spread,
         sent_entries: data.iter().map(|d| d.entries).sum(),
         peak_resident: data.iter().map(|d| d.stats.peak_resident).max().unwrap_or(0),
         stale_epochs: data.iter().map(|d| d.stats.stale_epochs).sum(),
         rounds: round_probes.iter().map(|r| r.load(std::sync::atomic::Ordering::Relaxed)).sum(),
-        streams: streams.into_iter().cloned().collect(),
     }
+}
+
+/// [`judge_streams`] against `feed`'s inputs for `n` nodes, all honest,
+/// generating each epoch's inputs once.
+///
+/// # Errors
+///
+/// The first violation [`judge_streams`] finds.
+pub fn judge_feed<S: AsRef<[EpochEvent<f64>]>>(
+    streams: &[S],
+    feed: &EpochFeed,
+    n: usize,
+    epochs: u32,
+    epsilon: f64,
+    rho0: f64,
+) -> Result<f64, String> {
+    let mut minute = (None, Vec::new());
+    let inputs = |e, a: usize| {
+        if minute.0 != Some(e) {
+            minute = (Some(e), feed.inputs(e, n));
+        }
+        minute.1.get(a).cloned().unwrap_or_default()
+    };
+    judge_streams(streams, epochs, feed.assets(), inputs, epsilon, Some(rho0))
 }
 
 /// Appends one benchmark record to the file named by `BENCH_JSON` using
@@ -508,7 +470,8 @@ mod tests {
         let cfg = oracle_config(4, 10.0);
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(3), 5);
         let one_epoch = EpochConfig::new(1, 3, 1, 1, cfg.t());
-        let run = |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5);
+        let run =
+            |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5, false);
         let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
         for p in [&per_entry, &adaptive] {
             assert_eq!(p.throughput.agreements, 3, "one epoch x 3 assets");
@@ -535,10 +498,24 @@ mod tests {
         let cfg = oracle_config(4, 2.0);
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(2), 3);
         let epoch_cfg = EpochConfig::new(6, 2, 2, 4, cfg.t());
-        let step =
-            run_epoch_delphi(&cfg, &feed, epoch_cfg, FlushPolicy::PerStep, Topology::lan(4), 1);
-        let adpt =
-            run_epoch_delphi(&cfg, &feed, epoch_cfg, FlushPolicy::adaptive(), Topology::lan(4), 1);
+        let step = run_epoch_delphi(
+            &cfg,
+            &feed,
+            epoch_cfg,
+            FlushPolicy::PerStep,
+            Topology::lan(4),
+            1,
+            false,
+        );
+        let adpt = run_epoch_delphi(
+            &cfg,
+            &feed,
+            epoch_cfg,
+            FlushPolicy::adaptive(),
+            Topology::lan(4),
+            1,
+            false,
+        );
         for p in [&step, &adpt] {
             assert_eq!(p.throughput.agreements, 12, "6 epochs x 2 assets");
             assert!(p.worst_spread <= cfg.epsilon() + 1e-9, "spread {}", p.worst_spread);

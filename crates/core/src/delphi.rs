@@ -669,7 +669,7 @@ mod tests {
     use delphi_primitives::wire::{Encode, VectorValue};
     use delphi_primitives::Recipient;
     use delphi_sim::adversary::{Crash, GarbageSpammer, SilentAfter};
-    use delphi_sim::{Simulation, Topology};
+    use delphi_sim::{judge, Simulation, Topology};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -711,34 +711,12 @@ mod tests {
         report.honest_outputs().copied().collect()
     }
 
-    fn assert_agreement_validity(outputs: &[f64], honest_inputs: &[f64], cfg: &DelphiConfig) {
-        let m = honest_inputs.iter().copied().fold(f64::INFINITY, f64::min);
-        let big_m = honest_inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let delta = big_m - m;
-        let relax = cfg.rho0().max(delta);
-        for a in outputs {
-            assert!(
-                *a >= m - relax - 1e-9 && *a <= big_m + relax + 1e-9,
-                "validity: output {a} outside [{} - {relax}, {} + {relax}]",
-                m,
-                big_m
-            );
-            for b in outputs {
-                assert!(
-                    (a - b).abs() <= cfg.epsilon() + 1e-9,
-                    "agreement: |{a} - {b}| > ε = {}",
-                    cfg.epsilon()
-                );
-            }
-        }
-    }
-
     #[test]
     fn identical_inputs_output_close_to_input() {
         let cfg = small_cfg(4);
         let inputs = [500.0; 4];
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 1);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
         for o in &outs {
             assert!((o - 500.0).abs() <= cfg.rho0() + 1e-9, "output {o} near input 500");
         }
@@ -749,7 +727,7 @@ mod tests {
         let cfg = small_cfg(4);
         let inputs = [499.2, 500.1, 500.9, 499.7];
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 2);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -758,7 +736,7 @@ mod tests {
         // δ = 20 spans many level-0 checkpoints, exercising higher levels.
         let inputs = [490.0, 495.0, 505.0, 510.0];
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 3);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -766,7 +744,7 @@ mod tests {
         let cfg = small_cfg(7);
         let inputs = [100.0, 101.0, 99.5, 100.2, 102.0, 98.9, 100.7];
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 4);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -774,7 +752,7 @@ mod tests {
         let cfg = small_cfg(4);
         let inputs = [200.0, 201.0, 199.0, 0.0];
         let outs = run_delphi(&cfg, &inputs, &[3], |id| Box::new(Crash::new(id, 4)), 5);
-        assert_agreement_validity(&outs, &inputs[..3], &cfg);
+        judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -789,7 +767,7 @@ mod tests {
             6,
         );
         let honest_inputs = [200.0, 199.0, 200.5];
-        assert_agreement_validity(&outs, &honest_inputs, &cfg);
+        judge(&outs, &honest_inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -803,7 +781,7 @@ mod tests {
             |id| Box::new(GarbageSpammer::new(id, 4, 3, 2, 200, 60)),
             7,
         );
-        assert_agreement_validity(&outs, &inputs[..3], &cfg);
+        judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -827,7 +805,7 @@ mod tests {
                 "Byzantine outlier dragged output to {o}"
             );
         }
-        assert_agreement_validity(&outs, &inputs[..3], &cfg);
+        judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -835,7 +813,7 @@ mod tests {
         let cfg = small_cfg(16);
         let inputs: Vec<f64> = (0..16).map(|i| 400.0 + (i as f64) * 0.3).collect();
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 9);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -850,7 +828,7 @@ mod tests {
             .unwrap();
         let inputs = [250.0, 250.4, 249.8, 250.2];
         let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), 10);
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     #[test]
@@ -965,7 +943,8 @@ mod tests {
                 |id| Box::new(SectionEquivocator { me: id, cfg: small_cfg(4) }),
                 40 + seed,
             );
-            assert_agreement_validity(&outs, &inputs[..3], &cfg);
+            judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0()))
+                .unwrap_or_else(|why| panic!("seed {}: {why}", 40 + seed));
         }
     }
 
@@ -1007,7 +986,7 @@ mod tests {
             Box::new(Flooder { me: id, cfg: small_cfg(4) })
         };
         let outs = run_delphi(&cfg, &inputs, &[3], make_flooder, 50);
-        assert_agreement_validity(&outs, &inputs[..3], &cfg);
+        judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
     /// Runs `n` honest nodes over a FIFO mesh — each broadcast delivered
@@ -1278,7 +1257,7 @@ mod tests {
         for d in 0..dims {
             let douts: Vec<f64> = outs.iter().map(|o| o[d]).collect();
             let dins: Vec<f64> = inputs.iter().map(|o| o[d]).collect();
-            assert_agreement_validity(&douts, &dins, &cfg);
+            judge(&douts, &dins, cfg.epsilon(), Some(cfg.rho0())).unwrap();
         }
     }
 
@@ -1289,7 +1268,7 @@ mod tests {
         let outs = run_vector_delphi(&cfg, &inputs, &[], |_| unreachable!(), 12, None);
         let flat: Vec<f64> = outs.iter().map(|o| o[0]).collect();
         let scalar_ins: Vec<f64> = inputs.iter().map(|o| o[0]).collect();
-        assert_agreement_validity(&flat, &scalar_ins, &cfg);
+        judge(&flat, &scalar_ins, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 
         // Under one FIFO schedule a basket of one sends the scalar node's
         // bytes, message for message, and decides its value.
@@ -1315,7 +1294,7 @@ mod tests {
         for d in 0..2 {
             let douts: Vec<f64> = outs.iter().map(|o| o[d]).collect();
             let dins: Vec<f64> = inputs[..3].iter().map(|o| o[d]).collect();
-            assert_agreement_validity(&douts, &dins, &cfg);
+            judge(&douts, &dins, cfg.epsilon(), Some(cfg.rho0())).unwrap();
         }
     }
 
@@ -1335,7 +1314,7 @@ mod tests {
         for d in 0..3 {
             let douts: Vec<f64> = outs.iter().map(|o| o[d]).collect();
             let dins: Vec<f64> = inputs[..3].iter().map(|o| o[d]).collect();
-            assert_agreement_validity(&douts, &dins, &cfg);
+            judge(&douts, &dins, cfg.epsilon(), Some(cfg.rho0())).unwrap();
         }
     }
 
@@ -1473,15 +1452,7 @@ mod tests {
             for d in 0..dims {
                 let douts: Vec<f64> = outs.iter().map(|o| o[d]).collect();
                 let dins: Vec<f64> = inputs.iter().map(|o| o[d]).collect();
-                let m = dins.iter().copied().fold(f64::INFINITY, f64::min);
-                let big_m = dins.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let relax = cfg.rho0().max(big_m - m);
-                for a in &douts {
-                    prop_assert!(*a >= m - relax - 1e-9 && *a <= big_m + relax + 1e-9);
-                    for b in &douts {
-                        prop_assert!((a - b).abs() <= cfg.epsilon() + 1e-9);
-                    }
-                }
+                judge(&douts, &dins, cfg.epsilon(), Some(cfg.rho0())).unwrap();
             }
         }
     }
@@ -1499,15 +1470,7 @@ mod tests {
             let cfg = small_cfg(n);
             let inputs: Vec<f64> = (0..n).map(|i| base + spreads[i] * delta).collect();
             let outs = run_delphi(&cfg, &inputs, &[], |_| unreachable!(), seed);
-            let m = inputs.iter().copied().fold(f64::INFINITY, f64::min);
-            let big_m = inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let relax = cfg.rho0().max(big_m - m);
-            for a in &outs {
-                prop_assert!(*a >= m - relax - 1e-9 && *a <= big_m + relax + 1e-9);
-                for b in &outs {
-                    prop_assert!((a - b).abs() <= cfg.epsilon() + 1e-9);
-                }
-            }
+            judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
         }
     }
 }

@@ -16,6 +16,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use delphi_primitives::wire::{Encode, VectorValue};
+use delphi_sim::judge;
 use proptest::prelude::*;
 
 use super::merge_tests::{tamper, SplitMix};
@@ -182,20 +183,24 @@ impl Forger {
 
 /// Runs `n` paired honest nodes of basket size `dims` — and `t` faulty
 /// ones unless `attack` is `None` — to the end. Delivery is first in,
-/// first out, except that one message in four jumps the queue. Returns
-/// the calls that replayed a plan, and all calls.
+/// first out, except that one message in four jumps the queue. Judges
+/// the outputs of the nodes that decided against the honest inputs, and
+/// returns the calls that replayed a plan, and all calls.
 fn run(n: usize, dims: usize, attack: Attack, seed: u64) -> (usize, usize) {
     let cfg = small_cfg(n);
     let mut rng = SplitMix(seed);
     let honest = if matches!(attack, Attack::None) { n } else { n - cfg.t() };
     let faulty: Vec<NodeId> = (honest..n).map(|i| NodeId(i as u16)).collect();
     let base = 300.0 + rng.below(400) as f64;
-    let mut nodes: Vec<Paired> = (0..honest)
-        .map(|i| {
-            let inputs: Vec<f64> =
-                (0..dims).map(|d| base + 40.0 * d as f64 + rng.below(800) as f64 / 100.0).collect();
-            Paired::new(&cfg, NodeId(i as u16), &inputs)
+    let inputs: Vec<Vec<f64>> = (0..honest)
+        .map(|_| {
+            (0..dims).map(|d| base + 40.0 * d as f64 + rng.below(800) as f64 / 100.0).collect()
         })
+        .collect();
+    let mut nodes: Vec<Paired> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, input)| Paired::new(&cfg, NodeId(i as u16), input))
         .collect();
     let mut forger =
         Forger { attack, cfg: cfg.clone(), dims, rng: SplitMix(seed ^ 0xf0e), budget: 60 };
@@ -238,6 +243,19 @@ fn run(n: usize, dims: usize, attack: Attack, seed: u64) -> (usize, usize) {
         node.assert_same_state(&format!("{attack:?} n = {n}, m = {dims}, seed {seed}: node {i}"));
         let decides = node.planned.output.is_some() || !matches!(attack, Attack::None);
         assert!(decides, "n = {n}, m = {dims}, seed {seed}: node {i} decides");
+    }
+    // Agreement and validity are safety: they bind the nodes that did
+    // decide under every attack, even one that keeps the rest from deciding.
+    let decided: Vec<&Vec<f64>> =
+        nodes.iter().filter_map(|node| node.planned.output.as_ref()).collect();
+    if !decided.is_empty() {
+        for d in 0..dims {
+            let outputs: Vec<f64> = decided.iter().map(|output| output[d]).collect();
+            let inputs: Vec<f64> = inputs.iter().map(|input| input[d]).collect();
+            judge(&outputs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap_or_else(|why| {
+                panic!("{attack:?} n = {n}, m = {dims}, seed {seed}, dimension {d}: {why}")
+            });
+        }
     }
     (nodes.iter().map(|node| node.replays).sum(), calls)
 }

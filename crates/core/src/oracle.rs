@@ -191,7 +191,7 @@ impl Protocol for OracleService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delphi_primitives::EpochOutcome;
+    use delphi_sim::judge_streams;
 
     fn cfg(n: usize) -> DelphiConfig {
         DelphiConfig::builder(n)
@@ -222,6 +222,42 @@ mod tests {
         }
     }
 
+    /// Node `i`'s price for `(epoch, asset)`: 0.2 apart around a centre
+    /// that moves with both.
+    fn price(i: usize, e: u32, a: u16) -> f64 {
+        center(e, usize::from(a)) + i as f64 * 0.2
+    }
+
+    fn center(e: u32, a: usize) -> f64 {
+        500.0 + f64::from(e) * 3.0 + a as f64 * 7.0
+    }
+
+    /// Judges the nodes' whole streams against their prices, and holds
+    /// every output inside its centre band `[c, c + 0.6]`, the exact hull
+    /// of the four prices: tighter than the judge's `max(ρ0, δ)`.
+    fn assert_judged(nodes: &[OracleService], cfg: &DelphiConfig, epochs: u32, assets: u16) {
+        let streams: Vec<Vec<EpochEvent<f64>>> =
+            nodes.iter().map(|nd| nd.output().expect("stream complete")).collect();
+        let prices = |e, a| (0..nodes.len()).map(|i| price(i, e, a as u16)).collect();
+        judge_streams(
+            &streams,
+            epochs,
+            usize::from(assets),
+            prices,
+            cfg.epsilon(),
+            Some(cfg.rho0()),
+        )
+        .unwrap();
+        for (e, a, v) in streams.iter().flatten().flat_map(EpochEvent::agreements) {
+            let c = center(e.0, a.index());
+            assert!((c - 1e-9..=c + 0.6 + 1e-9).contains(v), "{e} asset {a:?}: {v}");
+        }
+        for node in nodes {
+            assert_eq!(node.stats().stale_epochs, 0);
+            assert!(node.stats().peak_resident <= 4);
+        }
+    }
+
     #[test]
     fn oracle_service_streams_epsilon_converged_epochs() {
         let n = 4;
@@ -231,53 +267,19 @@ mod tests {
         let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4, protocol_cfg.t());
         let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
-                // Per-node spread around an epoch+asset-dependent center.
-                let offset = id.index() as f64 * 0.2;
                 OracleService::from_parts(
                     protocol_cfg.clone(),
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
                     false,
-                    Box::new(move |e, a| {
-                        500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
-                    }),
+                    Box::new(move |e, a| price(id.index(), e.0, a.0)),
                     None,
                 )
             })
             .collect();
         run_mesh(&mut nodes);
-        let streams: Vec<Vec<EpochEvent<f64>>> =
-            nodes.iter().map(|nd| nd.output().expect("stream complete")).collect();
-        for events in &streams {
-            assert_eq!(events.len(), epochs as usize);
-            for (e, event) in events.iter().enumerate() {
-                assert_eq!(event.epoch, EpochId(e as u32));
-                assert!(matches!(event.outcome, EpochOutcome::Agreed(_)));
-            }
-        }
-        // Per-(epoch, asset) epsilon-agreement across the cluster, plus
-        // validity: outputs inside the honest input range.
-        for e in 0..epochs as usize {
-            for a in 0..assets as usize {
-                let vals: Vec<f64> = streams
-                    .iter()
-                    .map(|events| match &events[e].outcome {
-                        EpochOutcome::Agreed(v) => v[a],
-                        EpochOutcome::Skipped => panic!("skipped"),
-                    })
-                    .collect();
-                let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                assert!(hi - lo <= 1.0 + 1e-9, "epoch {e} asset {a}: spread {}", hi - lo);
-                let center = 500.0 + e as f64 * 3.0 + a as f64 * 7.0;
-                assert!(lo >= center - 1e-9 && hi <= center + 0.6 + 1e-9, "validity");
-            }
-        }
-        for node in &nodes {
-            assert_eq!(node.stats().stale_epochs, 0);
-            assert!(node.stats().peak_resident <= 4);
-        }
+        assert_judged(&nodes, &protocol_cfg, epochs, assets);
     }
 
     #[test]
@@ -292,57 +294,21 @@ mod tests {
         let probe = Arc::new(AtomicU64::new(0));
         let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
-                let offset = id.index() as f64 * 0.2;
                 OracleService::from_parts(
                     protocol_cfg.clone(),
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
                     true,
-                    Box::new(move |e, a| {
-                        500.0 + f64::from(e.0) * 3.0 + f64::from(a.0) * 7.0 + offset
-                    }),
+                    Box::new(move |e, a| price(id.index(), e.0, a.0)),
                     Some(probe.clone()),
                 )
             })
             .collect();
         run_mesh(&mut nodes);
-        let streams: Vec<Vec<EpochEvent<f64>>> =
-            nodes.iter().map(|nd| nd.output().expect("stream complete")).collect();
-        // Flattened shape matches the per-asset service: one event per
+        // The flattened shape matches the per-asset service: one event per
         // epoch, `assets` agreed values each, in asset order.
-        for events in &streams {
-            assert_eq!(events.len(), epochs as usize);
-            for (e, event) in events.iter().enumerate() {
-                assert_eq!(event.epoch, EpochId(e as u32));
-                match &event.outcome {
-                    EpochOutcome::Agreed(v) => assert_eq!(v.len(), assets as usize),
-                    EpochOutcome::Skipped => panic!("skipped"),
-                }
-            }
-        }
-        // Per-dimension epsilon-agreement across the cluster, plus
-        // relaxed validity inside each dimension's honest input band.
-        for e in 0..epochs as usize {
-            for a in 0..assets as usize {
-                let vals: Vec<f64> = streams
-                    .iter()
-                    .map(|events| match &events[e].outcome {
-                        EpochOutcome::Agreed(v) => v[a],
-                        EpochOutcome::Skipped => panic!("skipped"),
-                    })
-                    .collect();
-                let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                assert!(hi - lo <= 1.0 + 1e-9, "epoch {e} dim {a}: spread {}", hi - lo);
-                let center = 500.0 + e as f64 * 3.0 + a as f64 * 7.0;
-                assert!(lo >= center - 1e-9 && hi <= center + 0.6 + 1e-9, "validity");
-            }
-        }
-        for node in &nodes {
-            assert_eq!(node.stats().stale_epochs, 0);
-            assert!(node.stats().peak_resident <= 4);
-        }
+        assert_judged(&nodes, &protocol_cfg, epochs, assets);
         // The shared round walk: epochs × (l_max + 1) × r_max completions
         // per node, independent of basket size.
         let expected = u64::from(epochs)

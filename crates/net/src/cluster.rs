@@ -1,5 +1,5 @@
 //! Multi-process cluster harness: spawn one OS process per node, collect
-//! per-node results over stdout JSON, and check convergence.
+//! per-node results over stdout JSON.
 //!
 //! The deployment contract is deliberately small (the workspace ships
 //! `delphi-node` in `delphi-bench`, and the launcher runs the one of its
@@ -10,9 +10,10 @@
 //!   process the same config file and its own `--id`;
 //! - each process runs its protocol node over real sockets and, on
 //!   success, prints exactly one [`NodeReport`] JSON line on stdout;
-//! - the launcher parses the reports, sums transport stats, and exposes
-//!   the worst per-`(epoch, asset)` spread so callers can assert
-//!   ε-agreement on every agreement of the stream.
+//! - the launcher parses the reports and sums transport stats; judging
+//!   the agreements against the nodes' inputs is the protocol binding's
+//!   job (`delphi-bench`'s `judge_cluster`), since only it knows the
+//!   inputs.
 //!
 //! JSON here is the fixed flat schema below, hand-rolled because the
 //! environment has no serde; `stats` lists every [`NetStats`] counter in
@@ -214,38 +215,6 @@ impl ClusterOutcome {
     /// cluster sustained): the minimum per-node agreement count.
     pub fn agreements(&self) -> u64 {
         self.reports.iter().map(|r| r.agreements.len() as u64).min().unwrap_or(0)
-    }
-
-    /// Worst cross-node output spread over all `(epoch, asset)` pairs of
-    /// the stream — the quantity per-epoch ε-agreement bounds. `NaN` when
-    /// a pair is missing on some node (a skipped epoch), which fails any
-    /// ε check.
-    pub fn spread(&self) -> f64 {
-        let mut worst = 0.0f64;
-        let Some(first) = self.reports.first() else { return f64::NAN };
-        for &(epoch, asset, _) in &first.agreements {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for r in &self.reports {
-                match r.agreements.iter().find(|(e, a, _)| (*e, *a) == (epoch, asset)) {
-                    Some((_, _, v)) => {
-                        lo = lo.min(*v);
-                        hi = hi.max(*v);
-                    }
-                    None => return f64::NAN,
-                }
-            }
-            worst = worst.max(hi - lo);
-        }
-        worst
-    }
-
-    /// Whether the cluster sustained `expected` agreements per node with
-    /// every `(epoch, asset)` pair within `epsilon` across nodes.
-    pub fn converged(&self, epsilon: f64, expected: u64) -> bool {
-        !self.reports.is_empty()
-            && self.reports.iter().all(|r| r.agreements.len() as u64 == expected)
-            && self.spread() <= epsilon
     }
 }
 
@@ -522,31 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_convergence_checks_per_pair_spread_and_completeness() {
-        let outcome = ClusterOutcome {
-            reports: vec![
-                epoch_report(0, vec![(0, 0, 100.0), (1, 0, 200.0)]),
-                epoch_report(1, vec![(0, 0, 100.5), (1, 0, 199.0)]),
-            ],
-        };
-        assert_eq!(outcome.agreements(), 2);
-        assert!((outcome.spread() - 1.0).abs() < 1e-12);
-        assert!(outcome.converged(1.0, 2));
-        assert!(!outcome.converged(0.5, 2), "spread beyond eps");
-        assert!(!outcome.converged(1.0, 3), "missing agreements");
-
-        // A node that skipped an epoch can never pass the check.
-        let skewed = ClusterOutcome {
-            reports: vec![
-                epoch_report(0, vec![(0, 0, 100.0), (1, 0, 200.0)]),
-                epoch_report(1, vec![(0, 0, 100.0), (2, 0, 300.0)]),
-            ],
-        };
-        assert!(skewed.spread().is_nan());
-        assert!(!skewed.converged(f64::INFINITY, 2));
-    }
-
-    #[test]
     fn report_parse_rejects_missing_and_malformed() {
         let err = NodeReport::parse_json("{}").unwrap_err();
         assert!(matches!(err, ClusterError::BadReport { .. }), "{err}");
@@ -603,7 +547,7 @@ mod tests {
         let outcome = launch(commands).unwrap();
         assert_eq!(outcome.reports.len(), 3);
         assert_eq!(outcome.reports[2].id, 2);
-        assert_eq!(outcome.spread(), 2.0);
+        assert_eq!(outcome.reports[2].agreements, vec![(0, 0, 40_002.0)]);
     }
 
     #[test]

@@ -12,6 +12,9 @@ use delphi_primitives::{NodeId, Protocol, Recipient};
 use crate::metrics::Metrics;
 use crate::topology::{Topology, WIRE_OVERHEAD_BYTES};
 
+/// The simulated-time safety cap: one simulated hour.
+const MAX_TIME_NS: u64 = 3_600_000_000_000;
+
 /// Why a simulation run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
@@ -41,8 +44,6 @@ pub struct RunReport<O> {
     pub metrics: Metrics,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Seed the run used (echoed for failure reproduction).
-    pub seed: u64,
     honest: Vec<bool>,
 }
 
@@ -122,7 +123,6 @@ pub struct Simulation {
     seed: u64,
     faulty: Vec<bool>,
     max_events: u64,
-    max_time_ns: u64,
     tick_interval_ns: Option<u64>,
 }
 
@@ -136,7 +136,6 @@ impl Simulation {
             seed: 0,
             faulty: vec![false; n],
             max_events: 100_000_000,
-            max_time_ns: 3_600_000_000_000,
             tick_interval_ns: None,
         }
     }
@@ -157,34 +156,17 @@ impl Simulation {
         self
     }
 
-    /// Overrides the event-count safety cap.
-    pub fn max_events(mut self, cap: u64) -> Simulation {
-        self.max_events = cap;
-        self
-    }
-
-    /// Overrides the simulated-time safety cap (nanoseconds).
-    pub fn max_time_ns(mut self, cap: u64) -> Simulation {
-        self.max_time_ns = cap;
-        self
-    }
-
     /// Enables periodic time triggers: every `interval` simulated
     /// nanoseconds, each node's [`Protocol::on_tick`] runs (the hook
     /// adaptive batch flushing hangs off). Ticks stop rescheduling once
     /// the mesh goes quiet — an idle stalled run still drains.
     ///
-    /// The egress itself is shared: a TCP dispatch worker drives the same
-    /// `EpochProtocol` — routing, batching, size triggers and encoding —
-    /// that a simulated node runs. Only *when* `on_tick` runs is this
-    /// simulator's own. It models a *paced* flush: an adaptive node's
-    /// pending entries leave only on the next tick, while the TCP worker
-    /// ticks the moment its inbox is empty and treats `max_delay` only as
-    /// a ceiling under backlog. So a simulated adaptive run charges every
-    /// dependent step up to one tick that the TCP runner does not pay, and
-    /// predicts the paced runner, not the current one. The model is kept
-    /// as is so the simulated figure rows stay comparable; the gap is
-    /// recorded as open work.
+    /// This models a *paced* flush: an adaptive node's pending entries
+    /// leave only on the next tick, while a TCP dispatch worker, driving
+    /// the same `EpochProtocol`, ticks the moment its inbox is empty. So
+    /// a simulated adaptive run pays up to one tick per dependent step
+    /// that the TCP runner does not, and predicts the paced runner; the
+    /// model is kept so the simulated figure rows stay comparable.
     ///
     /// # Panics
     ///
@@ -220,7 +202,7 @@ impl Simulation {
         // One CPU lane per node: its deliveries serialize.
         let mut cpu_free = vec![0u64; n];
         let mut link_free = vec![0u64; n];
-        let mut last_arrival = if self.topology.fifo() { vec![0u64; n * n] } else { Vec::new() };
+        let mut last_arrival = if self.topology.fifo { vec![0u64; n * n] } else { Vec::new() };
         let mut metrics = Metrics::new(n);
         let mut finish_ns: Vec<Option<u64>> = vec![None; n];
         let mut pending_honest = self.faulty.iter().filter(|&&f| !f).count();
@@ -246,10 +228,10 @@ impl Simulation {
                         let ser = self.topology.serialize_ns(from, wire_len);
                         link_free[from] = link_free[from].max($t) + ser;
                         let depart = link_free[from];
-                        let base = self.topology.latency().base_ns(from, dest);
-                        let factor = self.topology.jitter().sample(&mut rng);
+                        let base = self.topology.latency.base_ns(from, dest);
+                        let factor = self.topology.jitter.sample(&mut rng);
                         let mut arrive = depart + (base as f64 * factor) as u64;
-                        if self.topology.fifo() {
+                        if self.topology.fifo {
                             let slot = &mut last_arrival[from * n + dest];
                             arrive = arrive.max(*slot + 1);
                             *slot = arrive;
@@ -306,7 +288,7 @@ impl Simulation {
                     stop = StopReason::MaxEvents;
                     break;
                 }
-                if now > self.max_time_ns {
+                if now > MAX_TIME_NS {
                     stop = StopReason::MaxTime;
                     break;
                 }
@@ -314,13 +296,8 @@ impl Simulation {
                     EventKind::Msg { from, to, payload } => {
                         let to = to.index();
                         let done =
-                            cpu_free[to].max(now) + self.topology.cost().cost_ns(payload.len());
+                            cpu_free[to].max(now) + self.topology.cost.cost_ns(payload.len());
                         cpu_free[to] = done;
-                        {
-                            let m = &mut metrics.per_node[to];
-                            m.recv_msgs += 1;
-                            m.recv_payload_bytes += payload.len() as u64;
-                        }
                         let outs = nodes[to].on_message(from, &payload);
                         dispatch!(to, outs, done);
                         check_finished!(to, nodes[to], done);
@@ -357,16 +334,7 @@ impl Simulation {
 
         let outputs = nodes.iter().map(|nd| nd.output()).collect();
         let honest = self.faulty.iter().map(|&f| !f).collect();
-        RunReport {
-            outputs,
-            finish_ns,
-            end_ns: now,
-            events,
-            metrics,
-            stop,
-            seed: self.seed,
-            honest,
-        }
+        RunReport { outputs, finish_ns, end_ns: now, events, metrics, stop, honest }
     }
 }
 
@@ -516,7 +484,9 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = ()>>> = NodeId::all(3)
             .map(|id| Box::new(Chatter { id, n: 3 }) as Box<dyn Protocol<Output = ()>>)
             .collect();
-        let report = Simulation::new(Topology::lan(3)).max_events(1000).run(nodes);
+        let mut sim = Simulation::new(Topology::lan(3));
+        sim.max_events = 1000;
+        let report = sim.run(nodes);
         assert_eq!(report.stop, StopReason::MaxEvents);
         assert!(report.events >= 1000);
     }
@@ -649,7 +619,8 @@ mod tests {
     #[test]
     fn bandwidth_limits_increase_latency() {
         let fast = Simulation::new(Topology::lan(4)).seed(3).run(gossip_nodes(4));
-        let slow_topo = Topology::lan(4).with_uniform_egress_bps(8_000); // 1 KB/s
+        let mut slow_topo = Topology::lan(4);
+        slow_topo.egress_bps = vec![8_000; 4]; // 1 KB/s
         let slow = Simulation::new(slow_topo).seed(3).run(gossip_nodes(4));
         assert!(slow.completion_ns().unwrap() > 10 * fast.completion_ns().unwrap());
     }
@@ -657,8 +628,8 @@ mod tests {
     #[test]
     fn cpu_cost_increases_latency() {
         let free = Simulation::new(Topology::lan(4)).seed(3).run(gossip_nodes(4));
-        let costly_topo = Topology::lan(4)
-            .with_cost(crate::CostModel { per_message_ns: 10_000_000, per_byte_ns: 0 });
+        let mut costly_topo = Topology::lan(4);
+        costly_topo.cost = crate::CostModel { per_message_ns: 10_000_000, per_byte_ns: 0 };
         let costly = Simulation::new(costly_topo).seed(3).run(gossip_nodes(4));
         assert!(costly.completion_ns().unwrap() > free.completion_ns().unwrap());
     }

@@ -79,21 +79,6 @@ impl LatencyMatrix {
         assert!(from < self.n && to < self.n, "latency index out of range");
         self.base_ns[from * self.n + to]
     }
-
-    /// Mean base latency across all distinct pairs, in nanoseconds.
-    pub fn mean_ns(&self) -> u64 {
-        let mut sum = 0u128;
-        let mut count = 0u128;
-        for from in 0..self.n {
-            for to in 0..self.n {
-                if from != to {
-                    sum += u128::from(self.base_ns[from * self.n + to]);
-                    count += 1;
-                }
-            }
-        }
-        sum.checked_div(count).map_or(0, |v| v as u64)
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +92,6 @@ mod tests {
         let m = LatencyMatrix::constant(3, 500);
         assert_eq!(m.n(), 3);
         assert_eq!(m.base_ns(0, 2), 500);
-        assert_eq!(m.mean_ns(), 500);
     }
 
     #[test]

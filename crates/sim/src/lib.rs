@@ -18,6 +18,10 @@
 //! the same state machine the TCP runner drives, and
 //! [`EpochThroughput`] summarizes such a run.
 //!
+//! Every run is judged by one oracle: [`judge`] checks ε-agreement and
+//! δ-relaxed validity of one agreement against the honest inputs, and
+//! [`judge_streams`] checks whole ordered epoch streams with it.
+//!
 //! # Model
 //!
 //! - Message delivery time = sender egress serialization (bytes / egress
@@ -72,11 +76,13 @@
 
 pub mod adversary;
 mod engine;
+mod judge;
 mod latency;
 mod metrics;
 mod topology;
 
 pub use engine::{RunReport, Simulation, StopReason};
+pub use judge::{judge, judge_streams, spread};
 pub use latency::{Jitter, LatencyMatrix};
 pub use metrics::{EpochThroughput, Metrics, NodeMetrics};
 pub use topology::{CostModel, Topology, WIRE_OVERHEAD_BYTES};

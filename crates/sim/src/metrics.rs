@@ -16,10 +16,6 @@ pub struct NodeMetrics {
     pub sent_payload_bytes: u64,
     /// Payload + framing bytes sent (what the NIC carries).
     pub sent_wire_bytes: u64,
-    /// Messages received and processed.
-    pub recv_msgs: u64,
-    /// Payload bytes received.
-    pub recv_payload_bytes: u64,
 }
 
 /// Aggregated metrics for a whole run.
@@ -52,11 +48,6 @@ impl Metrics {
     /// Total wire traffic in mebibytes, the unit of Fig. 6b.
     pub fn total_wire_mib(&self) -> f64 {
         self.total_wire_bytes() as f64 / (1024.0 * 1024.0)
-    }
-
-    /// The largest per-node wire-byte count (load imbalance indicator).
-    pub fn max_node_wire_bytes(&self) -> u64 {
-        self.per_node.iter().map(|m| m.sent_wire_bytes).max().unwrap_or(0)
     }
 }
 
@@ -94,15 +85,11 @@ pub struct EpochThroughput {
 }
 
 impl EpochThroughput {
-    /// Summarizes a finished epoch-stream run.
-    ///
-    /// Counting is per `(epoch, asset)` *value*, not per event: an epoch
-    /// whose `Agreed` carries `k` values contributes `k` agreements. A
-    /// vector-mode run (one multidimensional instance per epoch) hands
-    /// its events over pre-flattened — `flatten_vector_events` turns the
-    /// one basket slot into `dims` values — so its cost tags
-    /// (bytes/frames per agreement) are directly comparable with the
-    /// per-asset scalar sweep without any mode-specific plumbing here.
+    /// Summarizes a finished epoch-stream run, counting per `(epoch,
+    /// asset)` value: an epoch whose `Agreed` carries `k` values counts
+    /// `k`. A vector-mode run hands its events over flattened
+    /// (`flatten_vector_events`), so its costs per agreement compare
+    /// directly with the per-asset scalar sweep.
     pub fn from_report<O: Clone + fmt::Debug>(
         report: &RunReport<Vec<EpochEvent<O>>>,
     ) -> EpochThroughput {
@@ -177,7 +164,6 @@ mod tests {
         assert_eq!(m.total_msgs(), 7);
         assert_eq!(m.total_wire_bytes(), 300);
         assert_eq!(m.total_payload_bytes(), 150);
-        assert_eq!(m.max_node_wire_bytes(), 200);
         assert!((m.total_wire_mib() - 300.0 / 1048576.0).abs() < 1e-12);
     }
 

@@ -45,12 +45,13 @@ impl CostModel {
 /// A complete network/compute model for a simulated deployment.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    latency: LatencyMatrix,
-    jitter: Jitter,
+    pub(crate) latency: LatencyMatrix,
+    pub(crate) jitter: Jitter,
     /// Per-node egress bandwidth in bits/second (`u64::MAX` = unlimited).
-    egress_bps: Vec<u64>,
-    cost: CostModel,
-    fifo: bool,
+    pub(crate) egress_bps: Vec<u64>,
+    pub(crate) cost: CostModel,
+    /// Per-pair FIFO delivery.
+    pub(crate) fifo: bool,
 }
 
 /// One-way latencies between the 8 AWS regions used in the paper
@@ -133,17 +134,6 @@ impl Topology {
         }
     }
 
-    /// Builds a fully custom topology.
-    pub fn custom(
-        latency: LatencyMatrix,
-        jitter: Jitter,
-        egress_bps: Vec<u64>,
-        cost: CostModel,
-    ) -> Topology {
-        assert_eq!(latency.n(), egress_bps.len(), "egress vector size mismatch");
-        Topology { latency, jitter, egress_bps, cost, fifo: false }
-    }
-
     /// Enables per-pair FIFO delivery (messages between a fixed pair arrive
     /// in send order). Off by default: the paper's adversary may reorder.
     pub fn with_fifo(mut self, fifo: bool) -> Topology {
@@ -151,48 +141,9 @@ impl Topology {
         self
     }
 
-    /// Overrides the CPU cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Topology {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides every node's egress bandwidth (bits/second).
-    pub fn with_uniform_egress_bps(mut self, bps: u64) -> Topology {
-        for b in &mut self.egress_bps {
-            *b = bps;
-        }
-        self
-    }
-
     /// System size.
     pub fn n(&self) -> usize {
         self.latency.n()
-    }
-
-    /// The base latency matrix.
-    pub fn latency(&self) -> &LatencyMatrix {
-        &self.latency
-    }
-
-    /// The jitter model.
-    pub fn jitter(&self) -> Jitter {
-        self.jitter
-    }
-
-    /// Egress bandwidth of `node` in bits/second.
-    pub fn egress_bps(&self, node: usize) -> u64 {
-        self.egress_bps[node]
-    }
-
-    /// The CPU cost model.
-    pub fn cost(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Whether per-pair FIFO delivery is enforced.
-    pub fn fifo(&self) -> bool {
-        self.fifo
     }
 
     /// Nanoseconds needed to serialize `wire_bytes` onto `node`'s link.
@@ -214,9 +165,9 @@ mod tests {
     fn lan_is_cheap_and_symmetric() {
         let t = Topology::lan(4);
         assert_eq!(t.n(), 4);
-        assert_eq!(t.latency().base_ns(0, 1), 200_000);
+        assert_eq!(t.latency.base_ns(0, 1), 200_000);
         assert_eq!(t.serialize_ns(0, 1_000_000), 0, "unlimited bandwidth");
-        assert_eq!(t.cost().cost_ns(100), 0);
+        assert_eq!(t.cost.cost_ns(100), 0);
     }
 
     #[test]
@@ -228,32 +179,33 @@ mod tests {
         }
         let t = Topology::aws_geo(16);
         // Nodes 0 and 8 share a region (round-robin): intra-region latency.
-        assert_eq!(t.latency().base_ns(0, 8), 1_000_000);
+        assert_eq!(t.latency.base_ns(0, 8), 1_000_000);
         // Node 0 (N.Va) to node 6 (Singapore): long haul.
-        assert_eq!(t.latency().base_ns(0, 6), 110_000_000);
+        assert_eq!(t.latency.base_ns(0, 6), 110_000_000);
     }
 
     #[test]
     fn cps_shares_bandwidth_between_colocated_processes() {
         let t = Topology::cps(30, 15); // 2 processes per host
-        assert_eq!(t.egress_bps(0), 50_000_000);
+        assert_eq!(t.egress_bps[0], 50_000_000);
         let t = Topology::cps(15, 15); // exclusive host
-        assert_eq!(t.egress_bps(0), 100_000_000);
+        assert_eq!(t.egress_bps[0], 100_000_000);
         // 16 processes, 15 hosts: host 0 has two.
         let t = Topology::cps(16, 15);
-        assert_eq!(t.egress_bps(0), 50_000_000);
-        assert_eq!(t.egress_bps(1), 100_000_000);
+        assert_eq!(t.egress_bps[0], 50_000_000);
+        assert_eq!(t.egress_bps[1], 100_000_000);
     }
 
     #[test]
     fn cps_colocated_latency_lower() {
         let t = Topology::cps(30, 15);
-        assert!(t.latency().base_ns(0, 15) < t.latency().base_ns(0, 1));
+        assert!(t.latency.base_ns(0, 15) < t.latency.base_ns(0, 1));
     }
 
     #[test]
     fn serialize_ns_scales_with_bytes_and_bandwidth() {
-        let t = Topology::lan(2).with_uniform_egress_bps(8_000_000); // 1 MB/s
+        let mut t = Topology::lan(2);
+        t.egress_bps = vec![8_000_000; 2]; // 1 MB/s
         assert_eq!(t.serialize_ns(0, 1000), 1_000_000); // 1 KB -> 1 ms
         assert_eq!(t.serialize_ns(0, 0), 0);
     }
@@ -267,11 +219,8 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let t = Topology::lan(3)
-            .with_fifo(true)
-            .with_cost(CostModel { per_message_ns: 5, per_byte_ns: 1 });
-        assert!(t.fifo());
-        assert_eq!(t.cost().cost_ns(5), 10);
+        assert!(Topology::lan(3).with_fifo(true).fifo);
+        assert!(!Topology::lan(3).fifo, "the adversary may reorder by default");
     }
 
     #[test]

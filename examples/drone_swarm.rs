@@ -7,7 +7,7 @@
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::{NodeId, Protocol};
 use delphi::sim::adversary::Crash;
-use delphi::sim::{Simulation, Topology};
+use delphi::sim::{judge, spread, Simulation, Topology};
 use delphi::workloads::{DroneScenario, DroneScenarioConfig};
 
 fn run_axis(
@@ -61,13 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let truth = (137.2, -42.8);
     let mut scenario = DroneScenario::new(DroneScenarioConfig::default(), truth, 5);
     let (xs, ys) = scenario.axis_inputs(n);
-    println!(
-        "observations: x in [{:.2}, {:.2}], y in [{:.2}, {:.2}]",
-        xs.iter().copied().fold(f64::INFINITY, f64::min),
-        xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        ys.iter().copied().fold(f64::INFINITY, f64::min),
-        ys.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-    );
+    println!("observations: x spread {:.2} m, y spread {:.2} m", spread(&xs), spread(&ys));
 
     let crashed = [NodeId(3), NodeId(9)];
     println!("crashed drones: {crashed:?}");
@@ -81,14 +75,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("agreed position: ({:.3}, {:.3})", agreed.0, agreed.1);
     println!("x axis: {:.0} ms, {:.3} MiB | y axis: {:.0} ms, {:.3} MiB", ms_x, mib_x, ms_y, mib_y);
 
-    // ε-agreement per axis.
-    for outs in [&out_x, &out_y] {
-        let spread = outs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            - outs.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(spread <= cfg.epsilon(), "spread {spread}");
+    // Per axis, ε-agreement and validity: within max(ρ0, δ) of the hull of
+    // the observations of the drones that did not crash.
+    for (outs, inputs) in [(&out_x, &xs), (&out_y, &ys)] {
+        let honest: Vec<f64> = NodeId::all(n)
+            .zip(inputs)
+            .filter_map(|(id, &x)| (!crashed.contains(&id)).then_some(x))
+            .collect();
+        judge(outs, &honest, cfg.epsilon(), Some(cfg.rho0()))?;
     }
-    // The agreed point lands near the car (validity: within the
-    // observation hull ± max(ρ0, δ)).
+    // The agreed point lands near the car.
     let err = ((agreed.0 - truth.0).powi(2) + (agreed.1 - truth.1).powi(2)).sqrt();
     println!("distance from ground truth: {err:.3} m");
     assert!(err < 25.0, "agreed point too far from the car");

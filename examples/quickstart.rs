@@ -9,7 +9,7 @@
 
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::NodeId;
-use delphi::sim::{Simulation, Topology};
+use delphi::sim::{judge, Simulation, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Seven sensors measure an ambient temperature near 21.3 °C with a
@@ -51,10 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // The judge checks ε-agreement, and validity within max(ρ0, δ) of the
+    // readings' range.
     let outputs: Vec<f64> = report.honest_outputs().copied().collect();
-    let spread = outputs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        - outputs.iter().copied().fold(f64::INFINITY, f64::min);
-    println!("output spread: {spread:.6} °C (ε = {})", cfg.epsilon());
-    assert!(spread <= cfg.epsilon());
+    let spread = judge(&outputs, &readings, cfg.epsilon(), Some(cfg.rho0()))?;
+    println!("output spread: {spread:.6} °C (ε = {}), judged valid", cfg.epsilon());
     Ok(())
 }

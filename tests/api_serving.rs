@@ -23,7 +23,8 @@ use delphi::primitives::NodeId;
 use delphi::workloads::{EpochFeed, MultiAssetConfig};
 use delphi::ServiceBuilder;
 use delphi_bench::cluster::{
-    reserve_localhost_config, write_temp_config, LOCAL_CLUSTER_SEED, LOCAL_EPSILON,
+    judge_cluster, node_args, reserve_localhost_config, write_temp_config, ClusterRunSpec,
+    LOCAL_CLUSTER_SEED,
 };
 use delphi_bench::{feed_price_source, oracle_config};
 
@@ -234,32 +235,16 @@ fn process_cluster_serves_verifiable_attestations() {
     let _guard = port_lock();
     let n = 4;
     let epochs = 60u32;
-    let assets = 2usize;
+    let assets = 2u16;
     let cfg = reserve_localhost_config(n);
     let api_addr = free_addrs(1)[0];
     let path = write_temp_config(&cfg, "api-smoke").expect("write config");
 
     let binary = delphi::net::cluster::find_sibling_binary("delphi-node")
         .expect("delphi-node built next to the test binary");
-    let extra: Vec<String> = [
-        "--quote-seed",
-        "7",
-        "--assets",
-        &assets.to_string(),
-        "--deadline-ms",
-        "120000",
-        "--epsilon",
-        &LOCAL_EPSILON.to_string(),
-        "--epochs",
-        &epochs.to_string(),
-        "--depth",
-        "2",
-        "--window",
-        "6",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let mut spec = ClusterRunSpec::new(path.clone());
+    (spec.assets, spec.epochs, spec.deadline_ms) = (assets, epochs, 120_000);
+    let extra = node_args(&spec);
     let commands = (0..n as u16)
         .map(|id| {
             let mut cmd = delphi::net::cluster::node_command(&binary, &path, id, &extra);
@@ -289,12 +274,7 @@ fn process_cluster_serves_verifiable_attestations() {
     let body = curler.join().expect("curler thread");
     let _ = std::fs::remove_file(&path);
 
-    let expected = u64::from(epochs) * assets as u64;
-    assert!(
-        outcome.converged(LOCAL_EPSILON, expected),
-        "stream incomplete or diverged: {} agreements per node (expected {expected})",
-        outcome.agreements(),
-    );
+    judge_cluster(&outcome, &spec).expect("the served run passes the judge");
 
     // Offline light-client verification: the served certificate checks
     // out against the cluster seed alone.

@@ -5,7 +5,7 @@
 use delphi::baselines::{AadNode, AcsNode};
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::{NodeId, Protocol};
-use delphi::sim::{RunReport, Simulation, Topology};
+use delphi::sim::{judge, spread, RunReport, Simulation, Topology};
 use delphi::workloads::{BtcFeed, BtcFeedConfig};
 
 fn run_protocol(
@@ -25,8 +25,7 @@ fn all_three_respect_the_honest_hull() {
     let mut feed = BtcFeed::new(BtcFeedConfig::default(), 77);
     let quote = feed.next_minute();
     let inputs = feed.node_inputs(&quote, n);
-    let lo = inputs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let outputs = |report: &RunReport<f64>| report.honest_outputs().copied().collect::<Vec<_>>();
 
     // The Fig. 6a configuration: ρ0 = 10$, Δ = 2000$, ε = 2$.
     let cfg = DelphiConfig::builder(n)
@@ -42,27 +41,22 @@ fn all_three_respect_the_honest_hull() {
         .map(|id| DelphiNode::new(cfg.clone(), id, inputs[id.index()]).boxed())
         .collect();
     let delphi = run_protocol(nodes, n, 1);
-    let relax = cfg.rho0().max(hi - lo);
-    for o in delphi.honest_outputs() {
-        assert!(*o >= lo - relax - 1e-9 && *o <= hi + relax + 1e-9, "Delphi output {o}");
-    }
+    judge(&outputs(&delphi), &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 
-    // Abraham et al.: strict hull validity.
+    // Abraham et al.: strict hull validity, and its 10 rounds halve the
+    // honest spread to δ / 2^10.
     let nodes =
         NodeId::all(n).map(|id| AadNode::new(id, n, t, inputs[id.index()], 10).boxed()).collect();
     let aad = run_protocol(nodes, n, 1);
-    for o in aad.honest_outputs() {
-        assert!(*o >= lo - 1e-9 && *o <= hi + 1e-9, "AAD output {o}");
-    }
+    judge(&outputs(&aad), &inputs, spread(&inputs) / 1024.0, None).unwrap();
 
     // FIN-style ACS: strict hull validity and exact agreement.
     let nodes = NodeId::all(n)
         .map(|id| AcsNode::new(id, n, t, inputs[id.index()], b"coin").boxed())
         .collect();
-    let acs = run_protocol(nodes, n, 1);
-    let acs_outs: Vec<f64> = acs.honest_outputs().copied().collect();
+    let acs_outs = outputs(&run_protocol(nodes, n, 1));
     assert!(acs_outs.windows(2).all(|w| w[0] == w[1]), "ACS is exact agreement");
-    assert!(acs_outs[0] >= lo && acs_outs[0] <= hi);
+    judge(&acs_outs, &inputs, 0.0, None).unwrap();
 
     // The cost relationship behind Fig. 6b: Delphi moves fewer bytes
     // than the O(n³)-per-round AAD baseline even at n = 16.

@@ -4,7 +4,7 @@
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::{NodeId, Protocol};
 use delphi::sim::adversary::{ByteMutator, Crash, GarbageSpammer, Replayer, SilentAfter};
-use delphi::sim::{Simulation, StopReason, Topology};
+use delphi::sim::{judge, Simulation, StopReason, Topology};
 use delphi::workloads::{BtcFeed, BtcFeedConfig, DroneScenario, DroneScenarioConfig};
 
 fn oracle_cfg(n: usize) -> DelphiConfig {
@@ -15,21 +15,6 @@ fn oracle_cfg(n: usize) -> DelphiConfig {
         .epsilon(2.0)
         .build()
         .expect("valid oracle config")
-}
-
-fn assert_agreement_validity(outs: &[f64], honest_inputs: &[f64], cfg: &DelphiConfig) {
-    let lo = honest_inputs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = honest_inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let relax = cfg.rho0().max(hi - lo);
-    for a in outs {
-        assert!(
-            *a >= lo - relax - 1e-9 && *a <= hi + relax + 1e-9,
-            "validity: {a} outside [{lo} - {relax}, {hi} + {relax}]"
-        );
-        for b in outs {
-            assert!((a - b).abs() <= cfg.epsilon() + 1e-9, "agreement: |{a} - {b}|");
-        }
-    }
 }
 
 #[test]
@@ -45,7 +30,7 @@ fn oracle_workload_on_geo_topology() {
     let report = Simulation::new(Topology::aws_geo(n)).seed(1).run(nodes);
     assert_eq!(report.stop, StopReason::AllHonestFinished);
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
-    assert_agreement_validity(&outs, &inputs, &cfg);
+    judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }
 
 #[test]
@@ -65,7 +50,7 @@ fn drone_workload_on_cps_topology() {
     let report = Simulation::new(Topology::cps(n, 15)).seed(2).run(nodes);
     assert!(report.all_honest_finished());
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
-    assert_agreement_validity(&outs, &xs, &cfg);
+    judge(&outs, &xs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }
 
 #[test]
@@ -92,7 +77,7 @@ fn survives_maximum_fault_mix() {
     assert!(report.all_honest_finished(), "stalled: {:?}", report.stop);
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
     assert_eq!(outs.len(), n - 4);
-    assert_agreement_validity(&outs, &honest_inputs, &cfg);
+    judge(&outs, &honest_inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }
 
 #[test]
@@ -118,7 +103,7 @@ fn mid_protocol_crashes_tolerated() {
     let report = Simulation::new(Topology::lan(n)).seed(4).faulty(&faulty).run(nodes);
     assert!(report.all_honest_finished(), "stalled: {:?}", report.stop);
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
-    assert_agreement_validity(&outs, &honest_inputs, &cfg);
+    judge(&outs, &honest_inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }
 
 #[test]
@@ -152,7 +137,8 @@ fn fifo_and_reordering_deliveries_both_work() {
         let report = Simulation::new(topo).seed(5).run(nodes);
         assert!(report.all_honest_finished(), "fifo={fifo} stalled");
         let outs: Vec<f64> = report.honest_outputs().copied().collect();
-        assert_agreement_validity(&outs, &inputs, &cfg);
+        judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0()))
+            .unwrap_or_else(|why| panic!("fifo={fifo}: {why}"));
     }
 }
 
@@ -168,7 +154,7 @@ fn wide_spread_inputs_use_higher_levels() {
     let report = Simulation::new(Topology::lan(n)).seed(6).run(nodes);
     assert!(report.all_honest_finished());
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
-    assert_agreement_validity(&outs, &inputs, &cfg);
+    judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }
 
 #[test]
@@ -189,5 +175,5 @@ fn single_level_configuration_works_end_to_end() {
     let report = Simulation::new(Topology::lan(n)).seed(7).run(nodes);
     assert!(report.all_honest_finished());
     let outs: Vec<f64> = report.honest_outputs().copied().collect();
-    assert_agreement_validity(&outs, &inputs, &cfg);
+    judge(&outs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
 }

@@ -8,10 +8,11 @@
 //! epochs and rejoins mid-stream must not stall honest progress.
 
 use delphi::core::{DelphiConfig, OracleService};
-use delphi::primitives::{Envelope, EpochEvent, EpochId, EpochOutcome, NodeId, Protocol};
-use delphi::sim::{Simulation, StopReason, Topology};
+use delphi::primitives::{Envelope, EpochEvent, EpochOutcome, NodeId, Protocol};
+use delphi::sim::{judge_streams, Simulation, StopReason, Topology};
 use delphi::workloads::{EpochFeed, MultiAssetConfig};
 use delphi::ServiceBuilder;
+use delphi_bench::judge_feed;
 
 fn oracle_cfg(n: usize) -> DelphiConfig {
     DelphiConfig::builder(n)
@@ -54,45 +55,21 @@ fn hundred_epoch_basket_stream_converges_with_bounded_memory() {
     let report = Simulation::new(Topology::lan(n)).seed(42).run(nodes);
     assert_eq!(report.stop, StopReason::AllHonestFinished);
 
+    // Whole ordered streams, and per-(epoch, asset) ε-agreement and
+    // validity against the feed's inputs, for all 100 × 4 agreements.
     let streams: Vec<&Vec<EpochEvent<f64>>> = report.honest_outputs().collect();
     assert_eq!(streams.len(), n);
-    for events in &streams {
-        assert_eq!(events.len(), epochs as usize, "every epoch resolved");
-        for (e, event) in events.iter().enumerate() {
-            assert_eq!(event.epoch, EpochId(e as u32), "strictly ordered stream");
-            assert!(
-                matches!(event.outcome, EpochOutcome::Agreed(_)),
-                "honest stream must not skip epoch {e}"
-            );
-        }
-    }
-    // Per-(epoch, asset) ε-agreement and validity against the feed's
-    // quote hull, for all 100 × 4 agreements.
-    for e in 0..epochs {
-        let minute = feed.minute(e, n);
-        for a in 0..assets {
-            let values: Vec<f64> = streams
-                .iter()
-                .map(|events| match &events[e as usize].outcome {
-                    EpochOutcome::Agreed(v) => v[a],
-                    EpochOutcome::Skipped => unreachable!(),
-                })
-                .collect();
-            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            assert!(hi - lo <= cfg.epsilon() + 1e-9, "epoch {e} asset {a}: spread {}", hi - lo);
-            // Relaxed validity (§IV): outputs land on the ρ0-spaced
-            // checkpoint grid, so they may sit up to ρ0 + ε outside the
-            // raw input hull — never further.
-            let slack = 2.0 + cfg.epsilon();
-            let input_lo = minute[a].inputs.iter().copied().fold(f64::INFINITY, f64::min);
-            let input_hi = minute[a].inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            assert!(
-                lo >= input_lo - slack && hi <= input_hi + slack,
-                "epoch {e} asset {a}: [{lo}, {hi}] outside honest inputs [{input_lo}, {input_hi}]"
-            );
-        }
-    }
+    judge_feed(&streams, &feed, n, epochs, cfg.epsilon(), cfg.rho0()).unwrap();
+    // A second bound, tighter than the judge's `max(ρ0, δ)` when δ > ρ0 + ε:
+    // outputs land on the ρ0-spaced checkpoint grid, so they may sit up to
+    // ρ0 + ε outside the raw input hull (§IV) — never further. That is the
+    // exact hull of the inputs, each widened by ρ0 + ε.
+    let slack = cfg.rho0() + cfg.epsilon();
+    let widened = |e, a: usize| {
+        let inputs = feed.inputs(e, n).swap_remove(a);
+        inputs.iter().flat_map(|i| [i - slack, i + slack]).collect()
+    };
+    judge_streams(&streams, epochs, assets, widened, cfg.epsilon(), None).unwrap();
 }
 
 /// Wraps a service and keeps it silent — swallowing its start burst and
@@ -160,29 +137,13 @@ fn silent_node_rejoining_mid_stream_does_not_stall_honest_epochs() {
     let report = Simulation::new(Topology::lan(n)).seed(3).faulty(&[NodeId(3)]).run(nodes);
     assert_eq!(report.stop, StopReason::AllHonestFinished, "honest stream must not stall");
 
+    // n = 4 tolerates t = 1 silent node without skipping: the honest
+    // streams are whole, and judged against the honest nodes' inputs.
     let streams: Vec<&Vec<EpochEvent<f64>>> = report.honest_outputs().collect();
-    for events in &streams {
-        assert_eq!(events.len(), epochs as usize);
-        assert!(
-            events.iter().all(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_))),
-            "n = 4 tolerates t = 1 silent node without skipping"
-        );
-    }
-    // Every honest pair agrees per epoch per asset.
-    for e in 0..epochs as usize {
-        for a in 0..feed.assets() {
-            let values: Vec<f64> = streams
-                .iter()
-                .map(|events| match &events[e].outcome {
-                    EpochOutcome::Agreed(v) => v[a],
-                    EpochOutcome::Skipped => unreachable!(),
-                })
-                .collect();
-            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            assert!(hi - lo <= cfg.epsilon() + 1e-9, "epoch {e} asset {a}: spread {}", hi - lo);
-        }
-    }
+    let honest_inputs = |e, a: usize| feed.inputs(e, n).swap_remove(a)[..3].to_vec();
+    let assets = feed.assets();
+    judge_streams(&streams, epochs, assets, honest_inputs, cfg.epsilon(), Some(cfg.rho0()))
+        .unwrap();
     // The rejoiner made real progress: it skipped the epochs it slept
     // through (fast-forward past the quorum frontier) instead of pinning
     // its pipeline at epoch 0 forever.

@@ -5,11 +5,12 @@
 //! mesh — every asset a Delphi instance, all multiplexed as an epoch
 //! stream — under two flush policies: one frame per entry (the
 //! unbatched baseline) and adaptive batching. Every asset must reach
-//! ε-agreement inside the relaxed hull of its inputs under both, and
+//! ε-agreement inside the relaxed hull of its inputs under both (the
+//! runner judges every run with `delphi_sim::judge_streams`), and
 //! batching must strictly cut transport cost for the same entries.
 
 use delphi::core::DelphiConfig;
-use delphi::primitives::{EpochConfig, EpochOutcome, FlushPolicy};
+use delphi::primitives::{EpochConfig, FlushPolicy};
 use delphi::sim::Topology;
 use delphi::workloads::{EpochFeed, MultiAssetConfig};
 use delphi_bench::{run_epoch_delphi, EpochSimPoint};
@@ -24,7 +25,8 @@ fn oracle_cfg(n: usize) -> DelphiConfig {
         .expect("valid oracle parameters")
 }
 
-/// One epoch of the default basket over one mesh of `n` nodes.
+/// One epoch of the default basket over one mesh of `n` nodes, judged
+/// against the feed's inputs (the runner panics on a failed judge).
 fn one_epoch(
     cfg: &DelphiConfig,
     feed: &EpochFeed,
@@ -32,48 +34,15 @@ fn one_epoch(
     flush: FlushPolicy,
 ) -> EpochSimPoint {
     let assets = feed.assets() as u16;
-    run_epoch_delphi(cfg, feed, EpochConfig::new(1, assets, 1, 1, cfg.t()), flush, topology, 100)
-}
-
-fn spread(outs: &[f64]) -> f64 {
-    outs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        - outs.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Every asset of the run's one epoch: ε-agreement across honest nodes,
-/// and every output inside the relaxed hull of the asset's inputs.
-fn assert_basket_agreement(point: &EpochSimPoint, feed: &EpochFeed, cfg: &DelphiConfig) {
-    let n = cfg.n();
-    let baskets: Vec<&Vec<f64>> = point
-        .streams
-        .iter()
-        .map(|events| match &events[..] {
-            [event] => match &event.outcome {
-                EpochOutcome::Agreed(values) => values,
-                other => panic!("the one epoch must agree, got {other:?}"),
-            },
-            other => panic!("a one-epoch stream ends in one event, got {other:?}"),
-        })
-        .collect();
-    assert_eq!(baskets.len(), n, "every honest node finished");
-    for (a, asset) in feed.minute(0, n).iter().enumerate() {
-        let (name, inputs) = (&asset.name, &asset.inputs);
-        let outs: Vec<f64> = baskets.iter().map(|values| values[a]).collect();
-        assert!(
-            spread(&outs) <= cfg.epsilon() + 1e-9,
-            "{name}: ε-agreement violated, spread {}",
-            spread(&outs)
-        );
-        let lo = inputs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let relax = cfg.rho0().max(hi - lo);
-        for o in &outs {
-            assert!(
-                *o >= lo - relax && *o <= hi + relax,
-                "{name}: output {o} outside relaxed hull [{lo}, {hi}] ± {relax}"
-            );
-        }
-    }
+    run_epoch_delphi(
+        cfg,
+        feed,
+        EpochConfig::new(1, assets, 1, 1, cfg.t()),
+        flush,
+        topology,
+        100,
+        false,
+    )
 }
 
 #[test]
@@ -83,7 +52,7 @@ fn one_epoch_basket_reaches_per_asset_agreement_under_both_flush_policies() {
     let feed = EpochFeed::new(MultiAssetConfig::default_basket(), 42);
     for flush in [FlushPolicy::PerEntry, FlushPolicy::adaptive()] {
         let point = one_epoch(&cfg, &feed, Topology::aws_geo(n), flush);
-        assert_basket_agreement(&point, &feed, &cfg);
+        assert_eq!(point.throughput.agreements, feed.assets() as u64, "{flush:?}");
     }
 }
 
@@ -94,9 +63,6 @@ fn adaptive_flush_cuts_frames_and_bytes_vs_per_entry() {
     let feed = EpochFeed::new(MultiAssetConfig::default_basket(), 11);
     let per_entry = one_epoch(&cfg, &feed, Topology::lan(n), FlushPolicy::PerEntry);
     let adaptive = one_epoch(&cfg, &feed, Topology::lan(n), FlushPolicy::adaptive());
-    for point in [&per_entry, &adaptive] {
-        assert_basket_agreement(point, &feed, &cfg);
-    }
 
     // The two runs are different executions (the adaptive one is paced
     // by the simulator's tick), so they need not send the same entries:

@@ -7,6 +7,7 @@ use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::crypto::Keychain;
 use delphi::net::{run_node, RunOptions};
 use delphi::primitives::NodeId;
+use delphi::sim::judge;
 
 const SEED: &[u8] = b"tokio-delphi-test";
 
@@ -49,8 +50,7 @@ async fn delphi_cluster_over_tcp() {
         assert_eq!(stats.dropped_frames, 0, "no authentication failures among honest nodes");
         outputs.push(out);
     }
-    let lo = outputs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = outputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    assert!(hi - lo <= cfg.epsilon() + 1e-9, "ε-agreement over TCP: spread {}", hi - lo);
-    assert!(lo >= 498.0 && hi <= 502.0, "validity over TCP: [{lo}, {hi}]");
+    judge(&outputs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap();
+    // Tighter than the judge's `max(ρ0, δ)`: the band around the inputs.
+    assert!(outputs.iter().all(|o| (498.0..=502.0).contains(o)), "validity: {outputs:?}");
 }

@@ -7,7 +7,7 @@
 
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::NodeId;
-use delphi::sim::{Simulation, Topology};
+use delphi::sim::{judge, Simulation, Topology};
 
 /// n = 4 (t = 1) Delphi round-trip under `delphi-sim`, seed-pinned.
 #[test]
@@ -34,18 +34,13 @@ fn quickstart_n4_delphi_round_trip() {
         report.outputs.iter().map(|o| o.expect("every honest node outputs")).collect();
     assert_eq!(outputs.len(), n);
 
-    // ε-agreement: outputs within ε of each other.
-    let lo = outputs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = outputs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    assert!(hi - lo <= cfg.epsilon() + 1e-12, "spread {} > ε", hi - lo);
-
-    // Validity: outputs inside the range of honest inputs (all honest here).
-    let in_lo = readings.iter().copied().fold(f64::INFINITY, f64::min);
-    let in_hi = readings.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        lo >= in_lo - cfg.epsilon() && hi <= in_hi + cfg.epsilon(),
-        "outputs [{lo}, {hi}] escape honest input range [{in_lo}, {in_hi}] + ε",
-    );
+    // ε-agreement and validity against the readings (all honest here).
+    judge(&outputs, &readings, cfg.epsilon(), Some(cfg.rho0())).unwrap();
+    // Tighter than the judge's `max(ρ0, δ)`: within ε of the readings'
+    // range, the exact hull of the readings each widened by ε.
+    let widened: Vec<f64> =
+        readings.iter().flat_map(|r| [r - cfg.epsilon(), r + cfg.epsilon()]).collect();
+    judge(&outputs, &widened, cfg.epsilon(), None).unwrap();
 
     // Determinism: same seed, same everything.
     let nodes2 = NodeId::all(n)
