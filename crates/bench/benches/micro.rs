@@ -45,7 +45,7 @@ fn bench_crypto(c: &mut Criterion) {
 }
 
 fn realistic_bundle() -> DelphiBundle {
-    let mut bundle = DelphiBundle::new();
+    let mut bundle = DelphiBundle::default();
     for level in 0..11u8 {
         let mut s = Section::new(level, Round(12), EchoKind::Echo1);
         s.background = Some(Dyadic::ZERO);
@@ -57,7 +57,7 @@ fn realistic_bundle() -> DelphiBundle {
 }
 
 fn realistic_basket_bundle() -> BasketBundle {
-    let mut bundle = BasketBundle::new();
+    let mut bundle = BasketBundle::default();
     for level in 0..11u8 {
         let mut s = BasketSection::new(level, Round(12), EchoKind::Echo2);
         for dim in 0..8u16 {

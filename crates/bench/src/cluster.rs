@@ -14,7 +14,7 @@ use delphi_net::cluster::{
     find_sibling_binary, launch, node_command, ClusterError, ClusterOutcome,
 };
 use delphi_net::config::ClusterConfig;
-use delphi_net::frame::{EPOCH_ENTRY_OVERHEAD_BYTES, EPOCH_FRAME_OVERHEAD_BYTES};
+use delphi_net::frame::EPOCH_FRAME_OVERHEAD_BYTES;
 use delphi_net::NetStats;
 use delphi_primitives::{EpochEvent, EpochId, EpochOutcome};
 use delphi_workloads::{EpochFeed, MultiAssetConfig};
@@ -163,13 +163,12 @@ pub fn write_temp_config(cfg: &ClusterConfig, tag: &str) -> std::io::Result<Path
     Ok(path)
 }
 
-/// Framing bytes per envelope a run put on the wire, from the frame and
-/// envelope counters alone: unlike wire bytes per envelope it does not
-/// depend on the bundle sizes of one asynchronous execution, so two runs
-/// compare exactly.
+/// Framing bytes per envelope a run put on the wire, from the frame, head
+/// and envelope counters alone: unlike wire bytes per envelope it does not
+/// count the bundles of one asynchronous execution, so two runs compare on
+/// framing alone (a head grows a byte only past epoch 127 or 127-byte bundles).
 pub fn framing_bytes_per_envelope(stats: &NetStats) -> f64 {
-    let framing = stats.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64
-        + stats.sent_entries * EPOCH_ENTRY_OVERHEAD_BYTES as u64;
+    let framing = stats.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64 + stats.sent_head_bytes;
     framing as f64 / stats.sent_entries as f64
 }
 

@@ -15,29 +15,35 @@
 //!
 //! **One layout.** A bundle is a section count (varint, at most
 //! [`MAX_SECTIONS`]) and its sections. Every section opens with one flags
-//! byte standing for the fields almost every section repeats; a field is
-//! written out only when its flag is clear:
+//! byte standing for the fields almost every section repeats or leaves
+//! empty; a field is written out only when its flag says so:
 //!
 //! | bit | set | clear |
 //! |-----|-----|-------|
 //! | 0 | `ECHO2` | `ECHO1` |
 //! | 1 | level = the previous section's level + 1 | a level byte follows |
 //! | 2 | round = the previous section's round | a round varint follows |
-//! | 3 | background present | no background, no exclude run |
-//! | 4 | every background value is zero: none is written | one [`Dyadic`] per background dimension |
-//! | 5 | every entry value is equal: one [`Dyadic`] follows the entry id run | one [`Dyadic`] per entry dimension |
-//! | 6–7 | reserved: rejected with [`WireError::InvalidDiscriminant`] | — |
+//! | 3 | background present | no background |
+//! | 4 | every background value is zero: none is written | one value per background dimension |
+//! | 5 | every entry value is equal: one value follows the entry id run | one value per entry dimension |
+//! | 6 | a nonempty exclude id run follows the backgrounds | no exclude run |
+//! | 7 | the entry ids are a run `k, k+1, …`: the count and `k` alone | entry ids as deltas |
 //!
 //! Bits 1 and 2 are clear on a bundle's first section, and bit 1 after level
-//! 255; bit 4 needs bit 3, and bit 5 at least one entry value. A bit set
-//! otherwise is rejected. The fields follow in order: level and round unless
-//! flagged; with a background, its dimension mask (nonzero), values and exclude
-//! id run; the entry id run; the shared value; per entry, its dimension mask
-//! and values. An id run is a count (at most [`MAX_IDS`]) and wrapping zig-zag
-//! deltas. Dimension masks — of the background and beside every id — are
-//! written only by a machine of two or more basket dimensions: at one, every
-//! echo is in dimension 0. Decoding expands shared and zero values, so a
-//! [`FlatSection`] reads the same whichever flags carried it.
+//! 255; bits 4 and 6 need bit 3, bit 5 at least one entry value and bit 6 an
+//! exclude id. A bit set otherwise is rejected. The fields follow in order:
+//! level and round unless flagged; with a background, its dimension mask
+//! (nonzero) and values; with bit 6, the exclude id run; the entry id run;
+//! the shared value; per entry, its dimension mask and values. An id run is
+//! a count (at most [`MAX_IDS`]) and wrapping zig-zag deltas; under bit 7 the
+//! first delta alone, for 2 to [`MAX_RUN`] ids — with masks, to as many as
+//! bytes follow from the count on. Dimension masks — of the background, after
+//! each exclude id run and beside every entry — are written only by a machine
+//! of two or more basket dimensions: at one, every echo is in dimension 0. A
+//! value is one varint, `num · 64 + log_den`; a bundle holding a numerator of
+//! 2^58 or more is refused, never written as another value. Decoding expands
+//! shared and zero values, so a [`FlatSection`] reads the same whichever flags
+//! carried it.
 
 use bytes::Bytes;
 use delphi_primitives::wire::{Reader, WireError, Writer};
@@ -57,7 +63,25 @@ const SAME_ROUND: u8 = 1 << 2;
 const BACKGROUND: u8 = 1 << 3;
 const ZERO_BACKGROUNDS: u8 = 1 << 4;
 const SHARED_VALUE: u8 = 1 << 5;
-const RESERVED: u8 = 0b1100_0000;
+const EXCLUDE: u8 = 1 << 6;
+const RUN: u8 = 1 << 7;
+
+/// Most ids a run stands for without masks: as many as its flags, count,
+/// first id and value take bytes, so no bundle names more ids than bytes.
+pub(crate) const MAX_RUN: usize = 4;
+
+/// Writes `v` as one varint, `num · 64 + log_den` (`log_den ≤ 62`), or
+/// nothing if its numerator does not fit.
+fn put_value(w: &mut Writer, v: &Dyadic) -> Option<()> {
+    (v.num() >> 58 == 0).then(|| w.put_u64(v.num() << 6 | u64::from(v.log_den())))
+}
+
+/// Reads one value (see [`put_value`]).
+#[inline]
+fn read_value(r: &mut Reader<'_>) -> Result<Dyadic, WireError> {
+    let v = r.get_u64()?;
+    Dyadic::try_new(v >> 6, (v & 63) as u8).map_err(|_| WireError::InvalidValue)
+}
 
 /// The `(level, round)` of the section before, which bits 1 and 2 refer
 /// to; `None` before a bundle's first section.
@@ -111,31 +135,32 @@ struct Validate;
 
 impl Sink for Validate {}
 
-/// Writes a checkpoint-id run: its count, then each id as the wrapping
-/// delta from the one before. Ids of a section cluster around the honest
-/// inputs, so a delta zig-zags into one byte where an id costs three;
-/// wrapping arithmetic keeps the mapping bijective for arbitrary `i64` ids.
-fn put_id_deltas(w: &mut Writer, ids: impl ExactSizeIterator<Item = i64>) {
+/// Writes a checkpoint-id run: its count, then each id (a `run`'s first
+/// alone) as the wrapping delta from the one before. Ids of a section
+/// cluster around the honest inputs, so a delta zig-zags into one byte where
+/// an id costs three; wrapping keeps the mapping bijective for any `i64`.
+fn put_id_run(w: &mut Writer, ids: impl ExactSizeIterator<Item = i64>, run: bool) {
     w.put_usize(ids.len());
     let mut prev = 0i64;
-    for id in ids {
+    for id in ids.take(if run { 1 } else { usize::MAX }) {
         w.put_i64(id.wrapping_sub(prev));
         prev = id;
     }
 }
 
-/// Reads one delta-coded id run; returns its length.
+/// Reads one id run — a run `k, k+1, …` of 2 to `most` ids if `most > 0`
+/// — and returns its length.
 #[inline]
-fn read_id_run(r: &mut Reader<'_>, sink: &mut impl Sink) -> Result<usize, WireError> {
+fn read_id_run(r: &mut Reader<'_>, sink: &mut impl Sink, most: usize) -> Result<usize, WireError> {
     let n = r.get_usize()?;
-    if n > MAX_IDS {
+    if n > MAX_IDS || most > 0 && !(2..=most).contains(&n) {
         return Err(WireError::LengthOutOfBounds);
     }
     // The count is validated but still untrusted: the sink grows only as
     // ids actually decode, never by `n` up front.
     let mut prev = 0i64;
-    for _ in 0..n {
-        prev = prev.wrapping_add(r.get_i64()?);
+    for i in 0..n {
+        prev = prev.wrapping_add(if most > 0 && i > 0 { 1 } else { r.get_i64()? });
         sink.id(prev);
     }
     Ok(n)
@@ -152,7 +177,7 @@ fn read_section<const MASKS: bool>(
 ) -> Result<(u8, Round), WireError> {
     let flags = r.get_raw_u8()?;
     let invalid = WireError::InvalidDiscriminant(u64::from(flags));
-    if flags & RESERVED != 0 || flags & (BACKGROUND | ZERO_BACKGROUNDS) == ZERO_BACKGROUNDS {
+    if flags & BACKGROUND == 0 && flags & (ZERO_BACKGROUNDS | EXCLUDE) != 0 {
         return Err(invalid);
     }
     let kind = if flags & ECHO2 != 0 { EchoKind::Echo2 } else { EchoKind::Echo1 };
@@ -175,17 +200,18 @@ fn read_section<const MASKS: bool>(
         },
     };
     for _ in 0..bg_mask.count_ones() {
-        let bg = if flags & ZERO_BACKGROUNDS != 0 { Dyadic::ZERO } else { r.get()? };
+        let bg = if flags & ZERO_BACKGROUNDS != 0 { Dyadic::ZERO } else { read_value(r)? };
         sink.value(bg);
     }
-    let exclude = if bg_mask == 0 { 0 } else { read_id_run(r, sink)? };
+    let exclude = if flags & EXCLUDE == 0 { 0 } else { read_id_run(r, sink, 0)? };
     if MASKS {
         for _ in 0..exclude {
             sink.mask(r.get_u64()?);
         }
     }
-    let entries = read_id_run(r, sink)?;
-    let shared = if flags & SHARED_VALUE != 0 { Some(r.get::<Dyadic>()?) } else { None };
+    let most = usize::from(flags & RUN != 0) * if MASKS { r.remaining() } else { MAX_RUN };
+    let entries = read_id_run(r, sink, most)?;
+    let shared = if flags & SHARED_VALUE != 0 { Some(read_value(r)?) } else { None };
     let mut named = 0u64; // the dimensions some entry has a value in
     for _ in 0..entries {
         let mask = if MASKS { r.get_u64()? } else { 1 };
@@ -196,11 +222,11 @@ fn read_section<const MASKS: bool>(
         for _ in 0..mask.count_ones() {
             sink.value(match shared {
                 Some(value) => value,
-                None => r.get()?,
+                None => read_value(r)?,
             });
         }
     }
-    if shared.is_some() && named == 0 {
+    if shared.is_some() && named == 0 || flags & EXCLUDE != 0 && exclude == 0 {
         return Err(invalid);
     }
     let (_, end) = sink.mark();
@@ -261,14 +287,18 @@ impl<const MASKS: bool> BundleRef<MASKS> {
 
 /// Writes `sections` as one bundle, with per-id masks iff `masks`: the one
 /// bundle writer, behind the collector and the owned encoders alike.
-pub(crate) fn write_bundle<S: ToOutSection>(w: &mut Writer, sections: &[S], masks: bool) {
+/// Returns `false`, having stopped, at a value the layout cannot carry.
+pub(crate) fn write_bundle<S: ToOutSection>(w: &mut Writer, sections: &[S], masks: bool) -> bool {
     w.put_usize(sections.len());
     let (mut prev, mut scratch) = (None, OutSection::default());
     for section in sections {
         let out = section.to_out(&mut scratch);
-        out.encode(masks, prev, w);
+        if out.encode(masks, prev, w).is_none() {
+            return false;
+        }
         prev = Some((out.level, out.round));
     }
+    true
 }
 
 /// A section the writer can read as an [`OutSection`]: the collector's own,
@@ -632,21 +662,28 @@ impl OutSection {
     }
 
     /// The one section writer: the section after `prev`, with per-id masks
-    /// iff `masks` (without them every echo is in dimension 0).
-    fn encode(&self, masks: bool, prev: Prev, w: &mut Writer) {
+    /// iff `masks` (without them every echo is in dimension 0). Stops at a
+    /// value that does not fit.
+    fn encode(&self, masks: bool, prev: Prev, w: &mut Writer) -> Option<()> {
         let next_level = prev.and_then(|(level, _)| level.checked_add(1)) == Some(self.level);
         let same_round = prev.is_some_and(|(_, round)| round == self.round);
         let zero_bg = self.bg_mask != 0 && self.backgrounds.iter().all(|v| v.is_zero());
+        let exclude = self.bg_mask != 0 && !self.exclude.is_empty();
         let shared = match self.values.split_first() {
             Some((&first, rest)) if rest.iter().all(|&v| v == first) => Some(first),
             _ => None,
         };
+        let ids = self.entries.iter().map(|&(k, _)| k);
+        let run = (2..=if masks { MAX_IDS } else { MAX_RUN }).contains(&ids.len())
+            && ids.clone().zip(ids.clone().skip(1)).all(|(a, b)| b == a.wrapping_add(1));
         let flags = (self.kind as u8 * ECHO2)
             | (u8::from(next_level) * NEXT_LEVEL)
             | (u8::from(same_round) * SAME_ROUND)
             | (u8::from(self.bg_mask != 0) * BACKGROUND)
             | (u8::from(zero_bg) * ZERO_BACKGROUNDS)
-            | (u8::from(shared.is_some()) * SHARED_VALUE);
+            | (u8::from(shared.is_some()) * SHARED_VALUE)
+            | (u8::from(exclude) * EXCLUDE)
+            | (u8::from(run) * RUN);
         w.put_raw_u8(flags);
         if !next_level {
             w.put_raw_u8(self.level);
@@ -659,26 +696,29 @@ impl OutSection {
                 w.put_u64(self.bg_mask);
             }
             if !zero_bg {
-                self.backgrounds.iter().for_each(|v| w.put(v));
+                self.backgrounds.iter().try_for_each(|v| put_value(w, v))?;
             }
-            put_id_deltas(w, self.exclude.iter().map(|&(k, _)| k));
+        }
+        if exclude {
+            put_id_run(w, self.exclude.iter().map(|&(k, _)| k), false);
             if masks {
                 self.exclude.iter().for_each(|&(_, mask)| w.put_u64(mask));
             }
         }
-        put_id_deltas(w, self.entries.iter().map(|&(k, _)| k));
+        put_id_run(w, ids, run);
         // A shared value is written once, here, and no entry writes its own.
         let mut values = self.values.iter();
         if let Some(v) = shared {
-            w.put(&v);
+            put_value(w, &v)?;
             values = [].iter();
         }
         for &(_, mask) in &self.entries {
             if masks {
                 w.put_u64(mask);
             }
-            values.by_ref().take(mask.count_ones() as usize).for_each(|v| w.put(v));
+            values.by_ref().take(mask.count_ones() as usize).try_for_each(|v| put_value(w, v))?;
         }
+        Some(())
     }
 }
 
@@ -858,7 +898,9 @@ impl Collector {
             return Vec::new();
         }
         self.buf.clear();
-        write_bundle(&mut self.buf, bundle, self.masked);
+        if !write_bundle(&mut self.buf, bundle, self.masked) {
+            return Vec::new(); // round values always fit: never reached
+        }
         vec![Envelope::to_all(Bytes::copy_from_slice(self.buf.as_slice()))]
     }
 }

@@ -137,6 +137,15 @@ impl BvOutcome {
         BvOutcome { low: a.min(b), high: a.max(b) }
     }
 
+    /// The next-round BinAA value: the single value for a singleton set,
+    /// the exact midpoint for a pair (Algorithm 1 lines 20 and 24).
+    pub fn next_value(&self) -> Dyadic {
+        Dyadic::new(u64::from(self.low.0) + u64::from(self.high.0), GRID_BITS + 1)
+    }
+}
+
+#[cfg(test)]
+impl BvOutcome {
     /// The output set `B_i`, sorted ascending (one or two values).
     pub fn set(&self) -> Vec<Dyadic> {
         if self.low == self.high {
@@ -144,12 +153,6 @@ impl BvOutcome {
         } else {
             vec![self.low.dyadic(), self.high.dyadic()]
         }
-    }
-
-    /// The next-round BinAA value: the single value for a singleton set,
-    /// the exact midpoint for a pair (Algorithm 1 lines 20 and 24).
-    pub fn next_value(&self) -> Dyadic {
-        Dyadic::new(u64::from(self.low.0) + u64::from(self.high.0), GRID_BITS + 1)
     }
 }
 

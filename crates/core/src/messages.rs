@@ -112,7 +112,10 @@ impl Section {
     pub fn new(level: u8, round: Round, kind: EchoKind) -> Section {
         Section { level, round, kind, background: None, exclude: Vec::new(), entries: Vec::new() }
     }
+}
 
+#[cfg(test)]
+impl Section {
     /// Whether the section carries no echo at all.
     pub fn is_empty(&self) -> bool {
         self.background.is_none() && self.entries.is_empty()
@@ -126,6 +129,7 @@ pub struct DelphiBundle {
     pub sections: Vec<Section>,
 }
 
+#[cfg(test)]
 impl DelphiBundle {
     /// Creates an empty bundle.
     pub fn new() -> DelphiBundle {
@@ -140,7 +144,10 @@ impl DelphiBundle {
 
 impl Encode for DelphiBundle {
     fn encode(&self, w: &mut Writer) {
-        write_bundle(w, &self.sections, false);
+        let start = w.len();
+        if !write_bundle(w, &self.sections, false) {
+            w.truncate(start);
+        }
     }
 }
 
@@ -202,7 +209,10 @@ impl BasketSection {
     pub fn new(level: u8, round: Round, kind: EchoKind) -> BasketSection {
         BasketSection { level, round, kind, ..BasketSection::default() }
     }
+}
 
+#[cfg(test)]
+impl BasketSection {
     /// Whether the section carries no echo at all.
     pub fn is_empty(&self) -> bool {
         self.backgrounds.is_empty() && self.entries.is_empty()
@@ -217,6 +227,7 @@ pub struct BasketBundle {
     pub sections: Vec<BasketSection>,
 }
 
+#[cfg(test)]
 impl BasketBundle {
     /// Creates an empty bundle.
     pub fn new() -> BasketBundle {
@@ -231,7 +242,10 @@ impl BasketBundle {
 
 impl Encode for BasketBundle {
     fn encode(&self, w: &mut Writer) {
-        write_bundle(w, &self.sections, true);
+        let start = w.len();
+        if !write_bundle(w, &self.sections, true) {
+            w.truncate(start);
+        }
     }
 }
 
@@ -249,21 +263,32 @@ impl Decode for BasketBundle {
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use crate::bundle::{MAX_IDS, MAX_SECTIONS};
+    use crate::bundle::{MAX_IDS, MAX_RUN, MAX_SECTIONS};
 
-    /// A delta-coded id run.
-    fn id_run(r: &mut Reader<'_>) -> Result<Vec<i64>, WireError> {
+    /// An id run: delta-coded, or (`most > 0`) its first id and the ids
+    /// after it, two to `most` of them.
+    fn id_run(r: &mut Reader<'_>, most: usize) -> Result<Vec<i64>, WireError> {
         let n = r.get_usize()?;
-        if n > MAX_IDS {
+        if n > MAX_IDS || (most > 0 && (n < 2 || n > most)) {
             return Err(WireError::LengthOutOfBounds);
         }
         let mut ids = Vec::with_capacity(n.min(1024));
         let mut prev = 0i64;
-        for _ in 0..n {
-            prev = prev.wrapping_add(r.get_i64()?);
+        for i in 0..n {
+            prev = match (most > 0, i) {
+                (true, 0) | (false, _) => prev.wrapping_add(r.get_i64()?),
+                (true, _) => prev.wrapping_add(1),
+            };
             ids.push(prev);
         }
         Ok(ids)
+    }
+
+    /// A round value: one varint, `num · 64 + log_den`.
+    fn value(r: &mut Reader<'_>) -> Result<Dyadic, WireError> {
+        let packed = r.get_u64()?;
+        let (num, log_den) = (packed / 64, (packed % 64) as u8);
+        Dyadic::try_new(num, log_den).map_err(|_| WireError::InvalidValue)
     }
 
     /// A dimension mask: on the wire with masks, dimension 0 without.
@@ -284,7 +309,7 @@ mod oracle {
         let flags = r.get_raw_u8()?;
         let bad = WireError::InvalidDiscriminant(u64::from(flags));
         let bit = |b: u8| flags & (1 << b) != 0;
-        if bit(6) || bit(7) || (bit(4) && !bit(3)) {
+        if (bit(4) || bit(6)) && !bit(3) {
             return Err(bad);
         }
         let kind = if bit(0) { EchoKind::Echo2 } else { EchoKind::Echo1 };
@@ -305,31 +330,43 @@ mod oracle {
                 return Err(WireError::InvalidValue);
             }
             for dim in (0..64u16).filter(|&d| bg_mask >> d & 1 == 1) {
-                let v = if bit(4) { Dyadic::ZERO } else { r.get()? };
+                let v = if bit(4) { Dyadic::ZERO } else { value(r)? };
                 s.backgrounds.set(dim, v);
             }
-            for k in id_run(r)? {
+        }
+        if bit(6) {
+            for k in id_run(r, 0)? {
                 s.exclude.push((k, 0));
             }
             for (_, m) in &mut s.exclude {
                 *m = mask(r, masks)?;
             }
         }
-        let ids = id_run(r)?;
-        let shared: Option<Dyadic> = if bit(5) { Some(r.get()?) } else { None };
+        // A run stands for at most MAX_RUN ids, or with masks for as many
+        // as bytes remain from its count on.
+        let most = match (bit(7), masks) {
+            (false, _) => 0,
+            (true, false) => MAX_RUN,
+            (true, true) => r.remaining(),
+        };
+        let ids = id_run(r, most)?;
+        let shared: Option<Dyadic> = if bit(5) { Some(value(r)?) } else { None };
         for k in ids {
             let m = mask(r, masks)?;
             let mut vv = VectorValue::new();
             for dim in (0..64u16).filter(|&d| m >> d & 1 == 1) {
                 let v = match shared {
                     Some(v) => v,
-                    None => r.get()?,
+                    None => value(r)?,
                 };
                 vv.set(dim, v);
             }
             s.entries.push((k, vv));
         }
         if shared.is_some() && s.entries.iter().all(|(_, vv)| vv.is_empty()) {
+            return Err(bad);
+        }
+        if bit(6) && s.exclude.is_empty() {
             return Err(bad);
         }
         Ok(s)
@@ -471,10 +508,11 @@ mod tests {
 
     #[test]
     fn flags_byte_stands_for_repeated_fields() {
-        // Consecutive levels of one round, zero backgrounds, every entry
-        // value 1: after the first section, level and round cost nothing,
-        // backgrounds cost nothing, and the entries' values cost one
-        // `Dyadic` per section.
+        // Consecutive levels of one round, zero backgrounds, no exclude
+        // run, every entry value 1 on two consecutive ids: after the first
+        // section, level and round cost nothing, backgrounds and the
+        // exclude run cost nothing, the entry ids cost their count and the
+        // first id, and the entries' values cost one value per section.
         let section = |level: u8| {
             let mut s = Section::new(level, Round(12), EchoKind::Echo1);
             s.background = Some(Dyadic::ZERO);
@@ -482,12 +520,15 @@ mod tests {
             s
         };
         let first = one(section(0)).to_bytes();
-        // BACKGROUND | ZERO_BACKGROUNDS | SHARED_VALUE, after the count.
-        assert_eq!(first[1], 0b0011_1000);
+        // RUN | BACKGROUND | ZERO_BACKGROUNDS | SHARED_VALUE, after the
+        // count; then level, round, the run's count and first id, and the
+        // shared value.
+        assert_eq!(first[1], 0b1011_1000);
+        assert_eq!(first[2..], [0, 12, 2, 0xc0, 0xb8, 0x02, 64]);
         let four = DelphiBundle { sections: (0..4).map(section).collect() };
         let bytes = four.to_bytes();
         // NEXT_LEVEL | SAME_ROUND on top, and no level or round byte.
-        assert_eq!(bytes[first.len()], 0b0011_1110);
+        assert_eq!(bytes[first.len()], 0b1011_1110);
         assert_eq!(bytes.len() - first.len(), 3 * (first.len() - 1 - 2));
         assert_eq!(DelphiBundle::from_bytes(&bytes).unwrap(), four);
         // A value that differs, or a nonzero background, is written out.
@@ -495,8 +536,87 @@ mod tests {
         mixed.entries[1].1 = Dyadic::new(1, 1);
         mixed.background = Some(Dyadic::ONE);
         let bytes = one(mixed.clone()).to_bytes();
-        assert_eq!(bytes[1], 0b0000_1000);
+        assert_eq!(bytes[1], 0b1000_1000);
+        // So is an exclude run that is not empty, and ids that skip one.
+        mixed.exclude = vec![19_999];
+        mixed.entries[1].0 = 20_002;
+        let bytes = one(mixed.clone()).to_bytes();
+        assert_eq!(bytes[1], 0b0100_1000);
         assert_eq!(DelphiBundle::from_bytes(&bytes).unwrap(), one(mixed));
+    }
+
+    #[test]
+    fn a_run_stands_for_two_to_four_ids_or_with_masks_as_many_as_bytes_follow() {
+        // Consecutive ids of one value: two to four are a run, whose flags,
+        // count, first id and value take at least as many bytes as it has
+        // ids; five or more are deltas.
+        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
+        for (n, flags) in [(1, 0b10_0000), (2, 0b1010_0000), (4, 0b1010_0000), (5, 0b10_0000)] {
+            s.entries = (0..n).map(|i| (20_000 + i, Dyadic::ONE)).collect();
+            let bytes = one(s.clone()).to_bytes();
+            assert_eq!(bytes[1], flags, "{n} ids");
+            assert_eq!(DelphiBundle::from_bytes(&bytes), Ok(one(s.clone())));
+        }
+        // With masks every id pays its mask after the run: forty are a run.
+        let mut basket = BasketSection::new(0, Round(1), EchoKind::Echo1);
+        basket.entries =
+            (0..40).map(|i| (20_000 + i, VectorValue::single(1, Dyadic::ONE))).collect();
+        let bytes = one_basket(basket.clone()).to_bytes();
+        assert_eq!(bytes[1], 0b1010_0000);
+        assert_eq!(BasketBundle::from_bytes(&bytes), Ok(one_basket(basket)));
+        // A run of more ids is rejected, by every decoder: five without
+        // masks, and with masks more than the bytes from its count on (ten).
+        let run = |n: usize, masks: bool| {
+            let mut w = Writer::new();
+            w.put_usize(1);
+            w.put_raw_u8(0b1010_0000);
+            w.put_raw_u8(0);
+            w.put(&Round(1));
+            w.put_usize(n);
+            w.put_i64(20_000);
+            put_value(&mut w, Dyadic::ONE);
+            (0..if masks { 5 } else { 0 }).for_each(|_| w.put_u64(1));
+            w.into_vec()
+        };
+        let err = WireError::LengthOutOfBounds;
+        assert_eq!(DelphiBundle::from_bytes(&run(5, false)), Err(err));
+        assert_eq!(DelphiBundleRef::parse(&run(5, false)).unwrap_err(), err);
+        assert_eq!(scalar_arena().decode(&run(5, false)), Err(err));
+        assert!(BasketBundle::from_bytes(&run(5, true)).is_ok());
+        for n in [11, 100] {
+            assert_eq!(BasketBundle::from_bytes(&run(n, true)), Err(err));
+            assert_eq!(BasketBundleRef::parse(&run(n, true)).unwrap_err(), err);
+            assert_eq!(basket_arena().decode(&run(n, true)), Err(err));
+        }
+    }
+
+    #[test]
+    fn values_are_one_varint_never_longer_and_never_another_value() {
+        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
+        // The largest numerator that fits, at every exponent; every value
+        // of the 2^-31 round grid; and the first numerator that does not.
+        let fits = (0..=62).map(|e| Dyadic::new((1 << 58) - 1, e));
+        let grid = (0..=31).flat_map(|e| [Dyadic::new(1, e), Dyadic::new((1 << e) - 1, e)]);
+        for v in fits.chain(grid) {
+            s.entries = vec![(7, v)];
+            let bytes = one(s.clone()).to_bytes();
+            assert_eq!(DelphiBundle::from_bytes(&bytes), Ok(one(s.clone())), "{v:?}");
+            let mut packed = Writer::new();
+            put_value(&mut packed, v);
+            assert!(packed.len() <= v.to_bytes().len(), "{v:?}: {} bytes", packed.len());
+        }
+        // A numerator of 2^58 or more would overflow: the bundle is
+        // refused, and nothing is written rather than another value.
+        for v in [Dyadic::new(1 << 58, 0), Dyadic::new(u64::MAX, 62)] {
+            s.entries = vec![(7, v)];
+            assert!(one(s.clone()).to_bytes().is_empty(), "{v:?}");
+            let mut bg = Section::new(0, Round(1), EchoKind::Echo1);
+            bg.background = Some(v);
+            let mut w = Writer::new();
+            w.put_raw_u8(9);
+            DelphiBundle { sections: vec![s.clone(), bg] }.encode(&mut w);
+            assert_eq!(w.as_slice(), [9]);
+        }
     }
 
     #[test]
@@ -508,8 +628,8 @@ mod tests {
         let second_at = one(first.clone()).to_bytes().len();
         let bytes = DelphiBundle { sections: vec![first, second] }.to_bytes().to_vec();
         // ECHO2 | NEXT_LEVEL | SAME_ROUND | BACKGROUND | ZERO_BACKGROUNDS,
-        // then the empty exclude and entry runs.
-        assert_eq!(bytes[second_at..], [0b0001_1111, 0, 0]);
+        // then the empty entry run: no exclude run.
+        assert_eq!(bytes[second_at..], [0b0001_1111, 0]);
         let rejects = |bad: &[u8], at: usize| {
             let err = WireError::InvalidDiscriminant(u64::from(bad[at]));
             assert_eq!(DelphiBundle::from_bytes(bad), Err(err), "{bad:?}");
@@ -518,12 +638,35 @@ mod tests {
             assert_eq!(arena.decode(bad), Err(err));
             assert!(arena.is_empty());
         };
+        // An exclude run needs a background: the first section has none.
+        let mut bad = bytes.clone();
+        bad[1] |= 0b100_0000;
+        rejects(&bad, 1);
+        // Nor is an empty exclude run written out.
+        let mut bad = bytes.clone();
+        bad[second_at] |= 0b100_0000;
+        bad.insert(second_at + 1, 0);
+        rejects(&bad, second_at);
+        // A run names two ids or more: the first section has one, the
+        // second none. Its count is out of bounds.
         for at in [1, second_at] {
-            for reserved in [0x40u8, 0x80, 0xC0] {
-                let mut bad = bytes.clone();
-                bad[at] |= reserved;
-                rejects(&bad, at);
-            }
+            let mut bad = bytes.clone();
+            bad[at] |= 0b1000_0000;
+            let err = WireError::LengthOutOfBounds;
+            assert_eq!(DelphiBundle::from_bytes(&bad), Err(err));
+            assert_eq!(DelphiBundleRef::parse(&bad).unwrap_err(), err);
+            assert_eq!(scalar_arena().decode(&bad), Err(err));
+        }
+        // A value's `log_den` is at most 62, and its varint fits 64 bits:
+        // the first section's value, 1, is the last byte before the second.
+        assert_eq!(bytes[second_at - 1], 64);
+        for (value, err) in
+            [(vec![63], WireError::InvalidValue), (vec![0xff; 10], WireError::VarintOverflow)]
+        {
+            let bad = [&bytes[..second_at - 1], &value, &bytes[second_at..]].concat();
+            assert_eq!(DelphiBundle::from_bytes(&bad), Err(err));
+            assert_eq!(DelphiBundleRef::parse(&bad).unwrap_err(), err);
+            assert_eq!(scalar_arena().decode(&bad), Err(err));
         }
         // Bits 1 and 2 name the previous section: a first section has none.
         for dangling in [0b010u8, 0b100] {
@@ -548,7 +691,6 @@ mod tests {
         let mut bad = bytes.clone();
         bad[second_at] |= 0b10_0000;
         bad.push(0);
-        bad.push(0);
         rejects(&bad, second_at);
         // Nor do entries of no dimension: with masks, each names none.
         let two_empty_entries = |shared: Option<Dyadic>| {
@@ -561,7 +703,7 @@ mod tests {
             w.put_i64(7);
             w.put_i64(1);
             if let Some(v) = shared {
-                w.put(&v);
+                put_value(&mut w, v);
             }
             w.put_u64(0);
             w.put_u64(0);
@@ -585,10 +727,14 @@ mod tests {
         w.put(&Round(1));
         w.put_u64(0);
         w.put_usize(0);
-        w.put_usize(0);
         let bytes = w.into_vec();
         assert_eq!(BasketBundle::from_bytes(&bytes), Err(WireError::InvalidValue));
         assert_eq!(basket_arena().decode(&bytes), Err(WireError::InvalidValue));
+    }
+
+    /// Writes `v` as the layout does: one varint, `num · 64 + log_den`.
+    fn put_value(w: &mut Writer, v: Dyadic) {
+        w.put_u64(v.num() * 64 + u64::from(v.log_den()));
     }
 
     fn sample_bundle() -> DelphiBundle {
@@ -721,9 +867,7 @@ mod tests {
         w.put_raw_u8(0b1000); // BACKGROUND
         w.put_raw_u8(0);
         w.put(&Round(1));
-        w.put_u64(0b11); // m = 1: the value's numerator; m > 1: the mask
-        w.put_raw_u8(0);
-        w.put_usize(0); // exclude run
+        w.put_u64(0b11 << 6); // m = 1: the value 3; m > 1: the mask {6, 7}
         w.put_usize(0); // entries
         let scalar = w.into_vec();
         let mut arena = scalar_arena();
@@ -732,7 +876,7 @@ mod tests {
             arena.sections().flat_map(|s| s.background_dims().collect::<Vec<_>>()).collect();
         assert_eq!(bg, vec![(0, Dyadic::new(3, 0))]);
         // For a wider basket the same bytes name two backgrounds, and only
-        // one `Dyadic`'s worth follows the mask.
+        // one value's worth follows the mask.
         assert_eq!(basket_arena().decode(&scalar), Err(WireError::Truncated));
         let mut w = Writer::new();
         w.put_usize(1);
@@ -740,9 +884,8 @@ mod tests {
         w.put_raw_u8(0);
         w.put(&Round(1));
         w.put_u64(0b11);
-        w.put(&Dyadic::ONE);
-        w.put(&Dyadic::new(1, 1));
-        w.put_usize(0);
+        put_value(&mut w, Dyadic::ONE);
+        put_value(&mut w, Dyadic::new(1, 1));
         w.put_usize(0);
         let mut arena = basket_arena();
         arena.decode(&w.into_vec()).unwrap();
@@ -827,6 +970,15 @@ mod tests {
         })
     }
 
+    /// Entry ids made a run — consecutive from the first, wrapping — if
+    /// `run`: the writer's `RUN` flag fires on two or more of them.
+    fn consecutive<V>(run: bool, entries: &mut [(i64, V)]) {
+        let first = entries.first().map_or(0, |&(k, _)| k);
+        if run {
+            (0..).zip(entries.iter_mut()).for_each(|(i, (k, _))| *k = first.wrapping_add(i));
+        }
+    }
+
     /// Scalar bundles as the encoder may meet them: every flag both ways.
     /// An exclude run without a background is dropped on the wire, so the
     /// generator leaves it off.
@@ -835,17 +987,20 @@ mod tests {
             (level(), round(), any::<bool>()),
             (any::<bool>(), dyadic()),
             proptest::collection::vec(id(), 0..4),
-            proptest::collection::vec((id(), dyadic()), 0..5),
+            (any::<bool>(), proptest::collection::vec((id(), dyadic()), 0..5)),
         )
-            .prop_map(|((level, round, echo2), (has_bg, bg), exclude, entries)| {
-                let mut s = Section::new(level, round, kind(echo2));
-                if has_bg {
-                    s.background = Some(bg);
-                    s.exclude = exclude;
-                }
-                s.entries = entries;
-                s
-            });
+            .prop_map(
+                |((level, round, echo2), (has_bg, bg), exclude, (run, mut entries))| {
+                    let mut s = Section::new(level, round, kind(echo2));
+                    if has_bg {
+                        s.background = Some(bg);
+                        s.exclude = exclude;
+                    }
+                    consecutive(run, &mut entries);
+                    s.entries = entries;
+                    s
+                },
+            );
         proptest::collection::vec(section, 0..6).prop_map(|sections| DelphiBundle { sections })
     }
 
@@ -854,17 +1009,20 @@ mod tests {
             (level(), round(), any::<bool>()),
             vector(),
             proptest::collection::vec((id(), any::<u64>()), 0..4),
-            proptest::collection::vec((id(), vector()), 0..4),
+            (any::<bool>(), proptest::collection::vec((id(), vector()), 0..4)),
         )
-            .prop_map(|((level, round, echo2), backgrounds, exclude, entries)| {
-                let mut s = BasketSection::new(level, round, kind(echo2));
-                if !backgrounds.is_empty() {
-                    s.exclude = exclude;
-                }
-                s.backgrounds = backgrounds;
-                s.entries = entries;
-                s
-            });
+            .prop_map(
+                |((level, round, echo2), backgrounds, exclude, (run, mut entries))| {
+                    let mut s = BasketSection::new(level, round, kind(echo2));
+                    if !backgrounds.is_empty() {
+                        s.exclude = exclude;
+                    }
+                    s.backgrounds = backgrounds;
+                    consecutive(run, &mut entries);
+                    s.entries = entries;
+                    s
+                },
+            );
         proptest::collection::vec(section, 0..5).prop_map(|sections| BasketBundle { sections })
     }
 
@@ -1036,40 +1194,45 @@ mod tests {
         // checkpoints cost one id-run, not m scalar sections. The values
         // are distinct, so none is shared.
         let value = |k: i64, d: u16| Dyadic::new(2 * (8 * k as u64 + u64::from(d)) + 1, 7);
-        let ids = 0..8i64;
-        let mut vector = BasketSection::new(0, Round(1), EchoKind::Echo1);
-        vector.entries = ids
-            .clone()
-            .map(|k| {
-                let mut vv = VectorValue::new();
-                for d in 0..8 {
-                    vv.set(d, value(k, d));
-                }
-                (20_000 + k, vv)
-            })
-            .collect();
-        let mut scalar_total = 0;
-        for d in 0..8 {
-            let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-            s.entries = ids.clone().map(|k| (20_000 + k, value(k, d))).collect();
-            scalar_total += one(s).to_bytes().len();
+        // The 64 values are irreducible payload either way; the id-run
+        // sharing shows up in the framing overhead (headers, id runs,
+        // counts, masks). Ids 3 apart pay a delta per id, which the basket
+        // pays once: overhead shrinks by at least 3x. Consecutive ids are
+        // a run, whose count and first id cost the same whether shared or
+        // not: the headers alone shrink it by at least 2x.
+        for (step, factor) in [(3, 3), (1, 2)] {
+            let ids = (0..8i64).map(|k| (k, 20_000 + step * k));
+            let mut vector = BasketSection::new(0, Round(1), EchoKind::Echo1);
+            vector.entries = ids
+                .clone()
+                .map(|(k, id)| {
+                    let mut vv = VectorValue::new();
+                    for d in 0..8 {
+                        vv.set(d, value(k, d));
+                    }
+                    (id, vv)
+                })
+                .collect();
+            let mut scalar_total = 0;
+            for d in 0..8 {
+                let mut s = Section::new(0, Round(1), EchoKind::Echo1);
+                s.entries = ids.clone().map(|(k, id)| (id, value(k, d))).collect();
+                scalar_total += one(s).to_bytes().len();
+            }
+            let vector_total = one_basket(vector).to_bytes().len();
+            assert!(
+                vector_total < scalar_total,
+                "vector {vector_total}B vs 8 scalar sections {scalar_total}B"
+            );
+            let mut values = Writer::new();
+            (0..8).for_each(|k| (0..8).for_each(|d| put_value(&mut values, value(k, d))));
+            let vector_overhead = vector_total - values.len();
+            let scalar_overhead = scalar_total - values.len();
+            assert!(
+                vector_overhead * factor < scalar_overhead,
+                "step {step}: vector overhead {vector_overhead}B vs scalar {scalar_overhead}B"
+            );
         }
-        let vector_total = one_basket(vector).to_bytes().len();
-        assert!(
-            vector_total < scalar_total,
-            "vector {vector_total}B vs 8 scalar sections {scalar_total}B"
-        );
-        // The 64 Dyadic values are irreducible payload either way; the
-        // id-run sharing shows up in the framing overhead (headers, id
-        // runs, counts), which must shrink by at least 3x.
-        let value_bytes: usize =
-            (0..8).flat_map(|k| (0..8).map(move |d| value(k, d).to_bytes().len())).sum();
-        let vector_overhead = vector_total - value_bytes;
-        let scalar_overhead = scalar_total - value_bytes;
-        assert!(
-            vector_overhead * 3 < scalar_overhead,
-            "vector overhead {vector_overhead}B vs scalar overhead {scalar_overhead}B"
-        );
     }
 
     #[test]

@@ -169,19 +169,9 @@ impl DelphiConfig {
         self.t
     }
 
-    /// Quorum size `n − t`.
-    pub fn quorum(&self) -> usize {
-        self.n - self.t
-    }
-
     /// Lower end of the value space.
     pub fn s(&self) -> f64 {
         self.s
-    }
-
-    /// Upper end of the value space.
-    pub fn e(&self) -> f64 {
-        self.e
     }
 
     /// Level-0 checkpoint separation `ρ_0`.
@@ -373,6 +363,14 @@ impl DelphiConfigBuilder {
             r_max,
             eps_prime,
         })
+    }
+}
+
+#[cfg(test)]
+impl DelphiConfig {
+    /// Quorum size `n − t`.
+    pub fn quorum(&self) -> usize {
+        self.n - self.t
     }
 }
 

@@ -20,11 +20,11 @@
 //! declaration order:
 //!
 //! ```json
-//! {"id":0,"elapsed_ms":412.7,"agreements":[[0,0,40013.5],[0,1,2000.25]],
-//!  "threads":9,"ctxt_switches_per_agreement":14.5,"stats":{"sent_frames":54,
-//!  "sent_bytes":21862,"body_hashes":18,"sent_tags":54,"sent_entries":162,
-//!  "recv_frames":162,"recv_entries":486,"dropped_frames":0,"dropped_egress":0,
-//!  "late_entries":0,"mac_ops":216,"buffer_reuses":40,"vector_instances":0}}
+//! {"id":0,"elapsed_ms":412.7,"agreements":[[0,0,40013.5],[0,1,2000.25]],"threads":9,
+//!  "ctxt_switches_per_agreement":14.5,"stats":{"sent_frames":54,"sent_bytes":21862,
+//!  "body_hashes":18,"sent_tags":54,"sent_entries":162,"sent_head_bytes":486,"recv_frames":162,
+//!  "recv_entries":486,"dropped_frames":0,"dropped_egress":0,"late_entries":0,"mac_ops":216,
+//!  "buffer_reuses":40,"vector_instances":0}}
 //! ```
 
 use std::error::Error;
@@ -389,6 +389,7 @@ mod tests {
                 sent_frames: 10,
                 sent_bytes: 4200,
                 sent_entries: 11,
+                sent_head_bytes: 33,
                 body_hashes: 8,
                 sent_tags: 10,
                 recv_frames: 30,
@@ -432,7 +433,7 @@ mod tests {
             "vector_instances": 13, "buffer_reuses": 12, "late_entries": 10,
             "dropped_egress": 9, "sent_frames": 1, "sent_bytes": 2, "body_hashes": 4,
             "sent_tags": 5, "sent_entries": 3, "recv_frames": 6, "recv_entries": 8,
-            "dropped_frames": 11}, "agreements": [], "ctxt_switches_per_agreement": 0.5,
+            "dropped_frames": 11, "sent_head_bytes": 14}, "agreements": [], "ctxt_switches_per_agreement": 0.5,
             "id": 2} "#;
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.id, 2);
@@ -480,7 +481,7 @@ mod tests {
             "agreements": [ [0, 0, 1.5] , [1, 0, 2.5] ] ,
             "threads": 4, "ctxt_switches_per_agreement": 5.0,
             "stats": {"sent_frames":1,"sent_bytes":2,"body_hashes":1,"sent_tags":1,
-            "sent_entries":3,"recv_frames":4,"recv_entries":5,"dropped_frames":6,
+            "sent_entries":3,"sent_head_bytes":9,"recv_frames":4,"recv_entries":5,"dropped_frames":6,
             "dropped_egress":0,"late_entries":7,"mac_ops":8,"buffer_reuses":0,
             "vector_instances":0}}"#;
         let r = NodeReport::parse_json(text).unwrap();

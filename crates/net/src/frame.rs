@@ -1,7 +1,7 @@
 //! The authenticated wire frame.
 //!
 //! There is one format. Every frame carries a batch of epoch-addressed
-//! `(agreement, payload)` entries from one sender to one receiver (all
+//! `(agreement, payload)` entries from one sender to one receiver (fixed
 //! integers big-endian):
 //!
 //! ```text
@@ -9,10 +9,10 @@
 //! ```
 //!
 //! `rest_len` counts everything after the length word (the *body*). The
-//! epoch batch is the [`delphi_primitives::epoch`] codec — `[u16 count]`
-//! then `count` entries of `[u32 epoch][u16 asset][u32 len][len bytes]`
-//! — the same bytes an [`EpochProtocol`](delphi_primitives::EpochProtocol)
-//! envelope carries under the simulator. The tag is
+//! epoch batch is the [`delphi_primitives::epoch`] codec — `[u16 count]` then
+//! `count` entries of `[varint epoch][varint asset][varint len][len bytes]` —
+//! the same bytes an [`EpochProtocol`](delphi_primitives::EpochProtocol) envelope carries under
+//! the simulator. The tag is
 //! `HMAC-SHA256(k_{sender,receiver}, SHA-256(signed))`, `signed` being
 //! the body before it: keyed by the pairwise channel key of (claimed
 //! sender, receiver), one tag authenticates the whole batch and binds the
@@ -43,11 +43,11 @@
 //!
 //! # Byte accounting
 //!
-//! A frame with `k` entries costs [`EPOCH_FRAME_OVERHEAD_BYTES`] once
-//! plus [`EPOCH_ENTRY_OVERHEAD_BYTES`] per entry plus the payloads. Both
-//! transports send what one `EpochProtocol` flushes: the simulator
-//! delivers each envelope's payload (the epoch batch, count included) and
-//! charges it [`WIRE_OVERHEAD_BYTES`](delphi_sim::WIRE_OVERHEAD_BYTES),
+//! A frame costs [`EPOCH_FRAME_OVERHEAD_BYTES`] once, plus per entry its
+//! head, [`epoch_entry_overhead`](delphi_primitives::epoch::epoch_entry_overhead) (3 bytes below epoch 128 and 128-byte
+//! payloads), and its payload. Both transports send what one `EpochProtocol`
+//! flushes: the simulator delivers each envelope's payload (the epoch batch,
+//! count included) and charges it [`WIRE_OVERHEAD_BYTES`](delphi_sim::WIRE_OVERHEAD_BYTES),
 //! the dispatch worker frames that same payload, and
 //! `EPOCH_FRAME_OVERHEAD_BYTES == WIRE_OVERHEAD_BYTES + EPOCH_COUNT_BYTES`,
 //! so a simulated message and its TCP frame cost exactly the same bytes.
@@ -61,8 +61,6 @@ use delphi_primitives::epoch::{
     decode_epoch_batch_ref, epoch_batch_len, put_epoch_batch, EpochEntriesRef, EPOCH_COUNT_BYTES,
 };
 use delphi_primitives::{AgreementId, NodeId};
-
-pub use delphi_primitives::epoch::EPOCH_ENTRY_OVERHEAD_BYTES;
 
 /// Reserved leading `u16` of every frame body; never a valid sender id.
 pub const EPOCH_MARKER: u16 = 0xFFFE;
@@ -171,7 +169,7 @@ pub fn encode_epoch_frame(
     entries: &[(AgreementId, Bytes)],
 ) -> Bytes {
     let mut frame = Vec::new();
-    let batch_len = epoch_batch_len(entries.iter().map(|(_, p)| p.len()));
+    let batch_len = epoch_batch_len(entries.iter().map(|(id, p)| (*id, p.len())));
     let digest = encode_untagged(keychain.node_id(), batch_len, &mut frame, |frame| {
         put_epoch_batch(entries, frame);
     });
@@ -228,7 +226,7 @@ pub(crate) fn verified_batch(body: &Bytes) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delphi_primitives::epoch::encode_epoch_batch;
+    use delphi_primitives::epoch::{encode_epoch_batch, epoch_entry_overhead};
     use delphi_primitives::{EpochId, InstanceId};
 
     fn pair() -> (Keychain, Keychain) {
@@ -355,10 +353,13 @@ mod tests {
     fn batch_overhead_accounting() {
         let (alice, _) = pair();
         let frame = encode_epoch_frame(&alice, NodeId(1), &entries(&[b"12345", b"123"]));
-        assert_eq!(
-            frame.len(),
-            EPOCH_FRAME_OVERHEAD_BYTES + 2 * EPOCH_ENTRY_OVERHEAD_BYTES + 5 + 3
-        );
+        assert_eq!(frame.len(), EPOCH_FRAME_OVERHEAD_BYTES + 2 * 3 + 5 + 3);
+        // A head is a varint per field: epoch 300 and a 200-byte payload
+        // take two bytes each.
+        let id = AgreementId::new(EpochId(300), InstanceId(4));
+        assert_eq!(epoch_entry_overhead(id, 200), 2 + 1 + 2);
+        let frame = encode_epoch_frame(&alice, NodeId(1), &[(id, Bytes::from(vec![7; 200]))]);
+        assert_eq!(frame.len(), EPOCH_FRAME_OVERHEAD_BYTES + 5 + 200);
     }
 
     #[test]
@@ -544,7 +545,7 @@ mod tests {
     fn empty_payload_is_fine() {
         let (alice, bob) = pair();
         let frame = encode_epoch_frame(&alice, NodeId(1), &entries(&[b""]));
-        assert_eq!(frame.len(), EPOCH_FRAME_OVERHEAD_BYTES + EPOCH_ENTRY_OVERHEAD_BYTES);
+        assert_eq!(frame.len(), EPOCH_FRAME_OVERHEAD_BYTES + 3);
         let (sender, got) = decode_owned(&bob, &frame[4..]).unwrap();
         assert_eq!(sender, NodeId(0));
         assert!(got[0].1.is_empty());

@@ -255,8 +255,8 @@ async fn dispatch_worker<P>(
 
 /// Publishes the dispatch worker's live counters, a [`WorkerStats`].
 fn publish<P: Protocol>(stats: &ServiceStats, node: &EpochProtocol<P>) {
-    let totals =
-        ProtocolTotals { sent_entries: node.sent_entries(), buffer_reuses: node.reuse_hits() };
+    let (sent_entries, sent_head_bytes) = (node.sent_entries(), node.sent_head_bytes());
+    let totals = ProtocolTotals { sent_entries, sent_head_bytes, buffer_reuses: node.reuse_hits() };
     stats.cell.publish(&WorkerStats(node.mux().stats(), totals));
 }
 
@@ -265,6 +265,7 @@ delphi_primitives::counter_group! {
     /// transport counts the rest.
     struct ProtocolTotals {
         sent_entries: u64,
+        sent_head_bytes: u64,
         buffer_reuses: u64,
     }
 }
@@ -597,13 +598,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{
-        decode_inbound_frame_ref, EPOCH_ENTRY_OVERHEAD_BYTES, EPOCH_FRAME_OVERHEAD_BYTES,
-    };
+    use crate::frame::{decode_inbound_frame_ref, EPOCH_FRAME_OVERHEAD_BYTES};
     use crate::transport::VerifiedFrame;
     use bytes::Bytes;
     use delphi_core::BinAaNode;
-    use delphi_primitives::{Dyadic, Envelope, EpochConfig, EpochProtocol, InstanceId, NodeId};
+    use delphi_primitives::epoch::epoch_entry_overhead;
+    use delphi_primitives::{
+        AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochProtocol, InstanceId, NodeId,
+    };
     use tokio::io::AsyncReadExt;
 
     async fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -817,6 +819,7 @@ mod tests {
             total.sent_frames += stats.sent_frames;
             total.sent_bytes += stats.sent_bytes;
             total.sent_entries += stats.sent_entries;
+            total.sent_head_bytes += stats.sent_head_bytes;
             total.mac_ops += stats.mac_ops;
             total.buffer_reuses += stats.buffer_reuses;
         }
@@ -876,11 +879,16 @@ mod tests {
             unbatched.sent_bytes - batched.sent_bytes,
             (unbatched.sent_frames - batched.sent_frames) * EPOCH_FRAME_OVERHEAD_BYTES as u64
         );
-        let payload = b"wave".len() as u64;
+        // Every wave entry is of epoch 0 and an asset below 128: a 3-byte
+        // head, which the head counter sums.
+        let payload = b"wave".len();
+        let head = epoch_entry_overhead(AgreementId::new(EpochId(0), InstanceId(0)), payload);
+        assert_eq!(head, 3);
+        assert_eq!(batched.sent_head_bytes, batched.sent_entries * head as u64);
         assert_eq!(
             batched.sent_bytes,
             batched.sent_frames * EPOCH_FRAME_OVERHEAD_BYTES as u64
-                + batched.sent_entries * (EPOCH_ENTRY_OVERHEAD_BYTES as u64 + payload)
+                + batched.sent_entries * (head + payload) as u64
         );
     }
 

@@ -57,9 +57,10 @@ delphi_primitives::counter_group! {
         /// Outbound frame tags computed, one per frame encoded — the encode
         /// share of `mac_ops`, counted whether or not the frame was written.
         sent_tags: u64,
-        /// Entries the node's `EpochProtocol` flushed for sending, after
-        /// broadcast expansion.
+        /// Entries the node's `EpochProtocol` flushed for sending, after broadcast expansion.
         sent_entries: u64,
+        /// Bytes of those entries' heads (varint epoch, asset and length).
+        sent_head_bytes: u64,
         /// Frames received and authenticated.
         recv_frames: u64,
         /// Protocol payloads received inside authenticated frames.

@@ -126,32 +126,6 @@ impl NodeBitSet {
         }
     }
 
-    /// Adds every id present in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets were created for different system sizes.
-    pub fn union_with(&mut self, other: &NodeBitSet) {
-        assert_eq!(self.n, other.n, "bitset capacity mismatch");
-        let words = match &mut self.words {
-            Words::Inline(words) => &mut words[..],
-            Words::Heap(words) => &mut words[..],
-        };
-        for (w, o) in words.iter_mut().zip(other.used()) {
-            *w |= o;
-        }
-    }
-
-    /// Number of ids present in both sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets were created for different system sizes.
-    pub fn intersection_len(&self, other: &NodeBitSet) -> usize {
-        assert_eq!(self.n, other.n, "bitset capacity mismatch");
-        self.used().iter().zip(other.used()).map(|(a, b)| (a & b).count_ones() as usize).sum()
-    }
-
     /// Iterates over the ids in the set, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.used().iter().enumerate().flat_map(|(wi, &w)| {
@@ -192,6 +166,36 @@ impl fmt::Debug for NodeBitSet {
     }
 }
 
+#[cfg(test)]
+impl NodeBitSet {
+    /// Adds every id present in `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sets were created for different system sizes.
+    pub fn union_with(&mut self, other: &NodeBitSet) {
+        assert_eq!(self.n, other.n, "bitset capacity mismatch");
+        let words = match &mut self.words {
+            Words::Inline(words) => &mut words[..],
+            Words::Heap(words) => &mut words[..],
+        };
+        for (w, o) in words.iter_mut().zip(other.used()) {
+            *w |= o;
+        }
+    }
+
+    /// Number of ids present in both sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sets were created for different system sizes.
+    pub fn intersection_len(&self, other: &NodeBitSet) -> usize {
+        assert_eq!(self.n, other.n, "bitset capacity mismatch");
+        self.used().iter().zip(other.used()).map(|(a, b)| (a & b).count_ones() as usize).sum()
+    }
+}
+
+#[cfg(test)]
 impl FromIterator<NodeId> for NodeBitSet {
     /// Collects ids into a set sized for the largest id seen.
     ///

@@ -132,11 +132,6 @@ impl Dyadic {
         self.num == 0
     }
 
-    /// Whether this is exactly 1.
-    pub fn is_one(self) -> bool {
-        self == Dyadic::ONE
-    }
-
     /// Converts to `f64`. Exact whenever `log_den ≤ 52` and the numerator
     /// fits in 53 bits, which holds for all values BinAA produces under the
     /// parameter engine's `r_M ≤ 32` cap.
@@ -210,6 +205,14 @@ impl Dyadic {
     /// values early.
     pub fn in_unit_interval(self) -> bool {
         self <= Dyadic::ONE
+    }
+}
+
+#[cfg(test)]
+impl Dyadic {
+    /// Whether this is exactly 1.
+    pub fn is_one(self) -> bool {
+        self == Dyadic::ONE
     }
 }
 

@@ -194,6 +194,11 @@ impl Writer {
         self.buf.clear();
     }
 
+    /// Forgets everything written after the first `len` bytes.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Finishes encoding and returns the bytes.
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.buf)
@@ -239,42 +244,6 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn tail(&self) -> &'a [u8] {
         &self.buf[self.pos..]
-    }
-
-    /// Validates and skips one unsigned varint without materializing its
-    /// value — the cheap half of [`Reader::get_u64`] for decoders that
-    /// only need to find a boundary (e.g. delta-coded id runs whose
-    /// wrapping sum cannot fail).
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Reader::get_u64`]'s: [`WireError::Truncated`] on short
-    /// input, [`WireError::VarintOverflow`] past 10 bytes or 64 bits.
-    #[inline]
-    pub fn skip_u64(&mut self) -> Result<(), WireError> {
-        let mut pos = self.pos;
-        let Some(&first) = self.buf.get(pos) else { return Err(WireError::Truncated) };
-        pos += 1;
-        if first < 0x80 {
-            self.pos = pos;
-            return Ok(());
-        }
-        let mut shift = 7u32;
-        loop {
-            let Some(&byte) = self.buf.get(pos) else { return Err(WireError::Truncated) };
-            pos += 1;
-            if shift == 63 && byte > 1 {
-                return Err(WireError::VarintOverflow);
-            }
-            if byte & 0x80 == 0 {
-                self.pos = pos;
-                return Ok(());
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(WireError::VarintOverflow);
-            }
-        }
     }
 
     /// Reads one raw byte.
@@ -472,6 +441,45 @@ impl<'a> Reader<'a> {
             Ok(())
         } else {
             Err(WireError::TrailingBytes)
+        }
+    }
+}
+
+#[cfg(test)]
+impl Reader<'_> {
+    /// Validates and skips one unsigned varint without materializing its
+    /// value — the cheap half of [`Reader::get_u64`] for decoders that
+    /// only need to find a boundary (e.g. delta-coded id runs whose
+    /// wrapping sum cannot fail).
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Reader::get_u64`]'s: [`WireError::Truncated`] on short
+    /// input, [`WireError::VarintOverflow`] past 10 bytes or 64 bits.
+    #[inline]
+    pub fn skip_u64(&mut self) -> Result<(), WireError> {
+        let mut pos = self.pos;
+        let Some(&first) = self.buf.get(pos) else { return Err(WireError::Truncated) };
+        pos += 1;
+        if first < 0x80 {
+            self.pos = pos;
+            return Ok(());
+        }
+        let mut shift = 7u32;
+        loop {
+            let Some(&byte) = self.buf.get(pos) else { return Err(WireError::Truncated) };
+            pos += 1;
+            if shift == 63 && byte > 1 {
+                return Err(WireError::VarintOverflow);
+            }
+            if byte & 0x80 == 0 {
+                self.pos = pos;
+                return Ok(());
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(WireError::VarintOverflow);
+            }
         }
     }
 }
