@@ -60,10 +60,9 @@ const SUBSCRIBER_CAPACITY: usize = 32;
 pub struct ServiceBuilder {
     cfg: DelphiConfig,
     me: NodeId,
-    epochs: u32,
-    assets: u16,
-    depth: usize,
-    window: usize,
+    /// The pipeline shape, validated when the service is built.
+    shape: EpochConfig,
+    flush: FlushPolicy,
     opts: RunOptions,
     api_bind: Option<SocketAddr>,
     vector: bool,
@@ -76,10 +75,8 @@ impl ServiceBuilder {
         ServiceBuilder {
             cfg,
             me,
-            epochs: 1,
-            assets: 1,
-            depth: 2,
-            window: 4,
+            shape: EpochConfig { epochs: 1, assets: 1, depth: 2, window: 4 },
+            flush: FlushPolicy::PerStep,
             opts: RunOptions::default(),
             api_bind: None,
             vector: false,
@@ -88,31 +85,31 @@ impl ServiceBuilder {
 
     /// Stream length `K`: total epochs to agree on.
     pub fn epochs(mut self, epochs: u32) -> ServiceBuilder {
-        self.epochs = epochs;
+        self.shape.epochs = epochs;
         self
     }
 
     /// Basket size: independent agreements per epoch.
     pub fn assets(mut self, assets: u16) -> ServiceBuilder {
-        self.assets = assets;
+        self.shape.assets = assets;
         self
     }
 
     /// Epochs in flight at once (the epoch-rate knob).
     pub fn pipeline_depth(mut self, depth: usize) -> ServiceBuilder {
-        self.depth = depth;
+        self.shape.depth = depth;
         self
     }
 
     /// Epochs resident in memory (≥ depth; the excess answers laggards).
     pub fn window(mut self, window: usize) -> ServiceBuilder {
-        self.window = window;
+        self.shape.window = window;
         self
     }
 
     /// Batch flush policy for outgoing protocol traffic.
     pub fn flush(mut self, flush: FlushPolicy) -> ServiceBuilder {
-        self.opts.flush = flush;
+        self.flush = flush;
         self
     }
 
@@ -161,10 +158,6 @@ impl ServiceBuilder {
         self
     }
 
-    fn epoch_config(&self) -> EpochConfig {
-        EpochConfig::new(self.epochs, self.assets, self.depth, self.window, self.cfg.t())
-    }
-
     /// The sans-io [`OracleService`] this builder describes — the
     /// simulator path, and the escape hatch for custom transports.
     ///
@@ -175,16 +168,9 @@ impl ServiceBuilder {
     /// [`vector_baskets`](ServiceBuilder::vector_baskets) — a basket
     /// larger than `MAX_VECTOR_DIMS`.
     pub fn build_service(self, source: PriceSource) -> OracleService {
-        let epochs = self.epoch_config();
-        OracleService::from_parts(
-            self.cfg,
-            self.me,
-            epochs,
-            self.opts.flush,
-            self.vector,
-            source,
-            None,
-        )
+        let EpochConfig { epochs, assets, depth, window } = self.shape;
+        let shape = EpochConfig::new(epochs, assets, depth, window);
+        OracleService::from_parts(self.cfg, self.me, shape, self.flush, self.vector, source, None)
     }
 
     /// [`build_service`](ServiceBuilder::build_service) with
@@ -220,7 +206,7 @@ impl ServiceBuilder {
         let n = self.cfg.n();
         let t = self.cfg.t();
         let epsilon = self.cfg.epsilon();
-        let assets = self.assets;
+        let assets = self.shape.assets;
         let api_bind = self.api_bind;
         let keychain = Keychain::derive(seed, self.me, n);
         let signer = QuorumSigner::new(seed, t, epsilon);
@@ -229,8 +215,8 @@ impl ServiceBuilder {
         let feed = Arc::new(FeedState::new(assets, HISTORY_DEPTH));
         let hub = Arc::new(SubscriberHub::new(assets, SUBSCRIBER_CAPACITY));
 
-        let mux = self.build_service(source).into_mux();
-        let mut service = run_epoch_service(mux, keychain, addrs, opts).await?;
+        let node = self.build_service(source).into_node();
+        let mut service = run_epoch_service(node, keychain, addrs, opts).await?;
         let mut rx = service.take_events().expect("fresh handle has the event tail");
         let publisher = {
             let (feed, hub) = (feed.clone(), hub.clone());

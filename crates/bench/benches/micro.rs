@@ -13,11 +13,11 @@ use delphi_core::{
 };
 use delphi_crypto::{hmac_sha256, sha256, Keychain};
 use delphi_net::{decode_inbound_frame_ref, encode_epoch_frame};
-use delphi_primitives::epoch::route_epoch_bursts_into;
+use delphi_primitives::epoch::encode_epoch_batch;
 use delphi_primitives::wire::{Encode, VectorValue};
 use delphi_primitives::{
-    AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochMux, FlushPolicy, InstanceId, NodeId,
-    PendingBatches, Protocol, Round,
+    AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochProtocol, FlushPolicy, InstanceId,
+    NodeId, Protocol, Recipient, Round,
 };
 
 fn bench_crypto(c: &mut Criterion) {
@@ -157,10 +157,11 @@ fn bench_wire(c: &mut Criterion) {
 /// (`Throughput::Elements`). `recv_entries`: verify + borrowed split +
 /// entry walk of authenticated epoch frames, what the TCP read loop
 /// and the worker's re-split do per frame. `send_entries`: the worker's
-/// own egress flush — route one step's bursts per destination,
-/// accumulate them under the flush policy, and encode + MAC one frame
-/// per due destination. Both are per-frame MAC work plus a per-entry
-/// walk.
+/// `EpochProtocol` from entry to flushed batch — one protocol step per
+/// inbound entry, its answers routed per destination, accumulated under
+/// the flush policy and encoded as one batch per due destination — plus
+/// the frame tag over each batch's hash. Both are per-frame MAC work plus
+/// a per-entry walk.
 fn bench_dispatch(c: &mut Criterion) {
     let n = 4;
     let assets = 8u16;
@@ -196,41 +197,61 @@ fn bench_dispatch(c: &mut Criterion) {
         })
     });
 
-    // The egress mirror, with the same entry count: 16 steps, each one
-    // 40-byte point-to-point answer per asset to each of two peers, under
-    // the per-step policy — 32 frames of 8 entries leave the worker.
-    let steps: Vec<Vec<(AgreementId, Vec<Envelope>)>> = (0..16u32)
+    // The egress mirror, with the same entry count: 16 inbound batches of
+    // one entry per asset, each entry answered with one 40-byte envelope
+    // to each of two peers. An adaptive policy cut at 8 entries sends one
+    // batch of 8 entries per peer and inbound batch: 32 in all.
+    struct Answer(Bytes);
+    impl Protocol for Answer {
+        type Output = ();
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn n(&self) -> usize {
+            4
+        }
+        fn start(&mut self) -> Vec<Envelope> {
+            Vec::new()
+        }
+        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
+            [1u16, 2].map(|peer| Envelope::to_one(NodeId(peer), self.0.clone())).to_vec()
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+    let inbound: Vec<Bytes> = (0..16u32)
         .map(|step| {
-            (0..assets)
-                .map(|a| {
-                    let payload = Bytes::from(vec![a as u8; 40]);
-                    let answers = [1u16, 2]
-                        .map(|peer| Envelope::to_one(NodeId(peer), payload.clone()))
-                        .to_vec();
-                    (AgreementId::new(EpochId(step), InstanceId(a)), answers)
-                })
-                .collect()
+            let entries: Vec<(AgreementId, Bytes)> = (0..assets)
+                .map(|a| (AgreementId::new(EpochId(step), InstanceId(a)), Bytes::from_static(b"q")))
+                .collect();
+            encode_epoch_batch(&entries)
         })
         .collect();
+    let flush = FlushPolicy::Adaptive {
+        max_entries: usize::from(assets),
+        max_bytes: usize::MAX,
+        max_delay: std::time::Duration::from_millis(1),
+    };
     group.throughput(Throughput::Elements(2 * total_entries));
     group.bench_function("send_entries", |b| {
-        let mut pending = PendingBatches::new(n, FlushPolicy::PerStep);
-        let mut routed = Vec::new();
         b.iter_batched(
-            || steps.clone(),
-            |steps| {
-                let mut bytes = 0usize;
-                for bursts in steps {
-                    route_epoch_bursts_into(bursts, n, NodeId(0), &mut routed);
-                    for (dest, entries) in routed.iter_mut().enumerate() {
-                        if pending.push_drain(dest, entries) {
-                            let due = pending.take(dest);
-                            bytes += encode_epoch_frame(&alice, NodeId(dest as u16), &due).len();
-                            pending.recycle(due);
-                        }
+            || {
+                let cfg = EpochConfig::new(16, assets, 16, 16);
+                let factory = |_, a: InstanceId| Answer(Bytes::from(vec![a.0 as u8; 40]));
+                let mut node = EpochProtocol::new(cfg, NodeId(0), n, Box::new(factory), flush);
+                assert!(node.start().is_empty());
+                node
+            },
+            |mut node| {
+                let mut tags = 0u8;
+                for batch in &inbound {
+                    for env in node.on_message(NodeId(3), batch) {
+                        let Recipient::One(dest) = env.to else { continue };
+                        tags ^= alice.channel(dest).tag(&sha256(&env.payload))[0];
                     }
                 }
-                bytes
+                tags
             },
             BatchSize::SmallInput,
         )
@@ -406,21 +427,23 @@ fn bench_delphi_node(c: &mut Criterion) {
     });
 
     // One epoch of a 2-asset stream: build both Delphi nodes, run their
-    // start bursts, drop everything — the per-epoch fixed cost of the
-    // pipeline (`fill_pipeline` + eviction), dominated by how much state
-    // a fresh node reserves up front.
+    // start bursts into one batch per peer, drop everything — the
+    // per-epoch fixed cost of the pipeline (`fill_pipeline` + eviction +
+    // the start step's flush), dominated by how much state a fresh node
+    // reserves up front.
     group.bench_function("epoch_spawn_evict", |b| {
         b.iter(|| {
             let cfg = cfg.clone();
-            let mut mux = EpochMux::new(
-                EpochConfig::new(1, 2, 1, 1, cfg.t()),
+            let mut node = EpochProtocol::new(
+                EpochConfig::new(1, 2, 1, 1),
                 NodeId(0),
                 n,
                 Box::new(move |_, asset| {
                     DelphiNode::new(cfg.clone(), NodeId(0), 40_000.0 + f64::from(asset.0))
                 }),
+                FlushPolicy::PerStep,
             );
-            mux.start()
+            node.start()
         })
     });
     group.finish();

@@ -57,7 +57,9 @@ use delphi_net::cluster::NodeReport;
 use delphi_net::config::ClusterConfig;
 use delphi_net::{run_epoch_service, FlushPolicy, NetStats, RunOptions};
 use delphi_primitives::wire::MAX_VECTOR_DIMS;
-use delphi_primitives::{flatten_vector_events, EpochEvent, EpochMux, EpochOutcome, EpochStats};
+use delphi_primitives::{
+    flatten_vector_events, EpochEvent, EpochOutcome, EpochProtocol, EpochStats,
+};
 use delphi_workloads::EpochFeed;
 
 #[derive(Debug)]
@@ -201,13 +203,13 @@ fn thread_switches() -> (u64, u64) {
 /// thread the run used is still alive. Events come back in the per-asset
 /// shape the report expects.
 async fn stream_epochs(
-    mux: EpochMux<VectorDelphiNode>,
+    node: EpochProtocol<VectorDelphiNode>,
     keychain: delphi_crypto::Keychain,
     addrs: Vec<std::net::SocketAddr>,
     opts: RunOptions,
 ) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats, (u64, u64)), String> {
     let epoch_run = |e| format!("epoch run: {e}");
-    let mut handle = run_epoch_service(mux, keychain, addrs, opts).await.map_err(epoch_run)?;
+    let mut handle = run_epoch_service(node, keychain, addrs, opts).await.map_err(epoch_run)?;
     while handle.next_event().await.is_some() {}
     let gauges = thread_switches();
     let (events, epoch_stats, stats) = handle.finish().await.map_err(epoch_run)?;
@@ -228,11 +230,7 @@ async fn run(args: Args) -> Result<NodeReport, String> {
         .build()
         .map_err(|e| format!("protocol config: {e}"))?;
     let me = delphi_primitives::NodeId(args.id);
-    let opts = RunOptions {
-        deadline: Duration::from_millis(args.deadline_ms),
-        flush: args.flush,
-        ..RunOptions::default()
-    };
+    let deadline = Duration::from_millis(args.deadline_ms);
     let started = Instant::now();
 
     // One agreement per (epoch, asset) pair, prices from the
@@ -244,8 +242,8 @@ async fn run(args: Args) -> Result<NodeReport, String> {
         .assets(args.assets.get())
         .pipeline_depth(args.depth)
         .window(args.window)
-        .flush(opts.flush)
-        .deadline(opts.deadline)
+        .flush(args.flush)
+        .deadline(deadline)
         .vector_baskets(args.vector);
     let source = feed_price_source(feed, me, n);
     let (events, epoch_stats, stats, (threads, switches)) = match args.api_bind {
@@ -268,7 +266,9 @@ async fn run(args: Args) -> Result<NodeReport, String> {
             (events, epoch_stats, stats, thread_switches())
         }
         None => {
-            stream_epochs(builder.build_service(source).into_mux(), keychain, addrs, opts).await?
+            let node = builder.build_service(source).into_node();
+            let opts = RunOptions { deadline, ..RunOptions::default() };
+            stream_epochs(node, keychain, addrs, opts).await?
         }
     };
     let mut agreements = Vec::new();

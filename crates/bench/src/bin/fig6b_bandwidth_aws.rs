@@ -179,7 +179,7 @@ fn main() {
     let assets = basket.assets.len();
     let cfg = oracle_config(ma_n, 2.0);
     let feed = EpochFeed::new(basket, 6105);
-    let one_epoch = EpochConfig::new(1, assets as u16, 1, 1, cfg.t());
+    let one_epoch = EpochConfig::new(1, assets as u16, 1, 1);
     let run = |flush| {
         run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105, false)
     };

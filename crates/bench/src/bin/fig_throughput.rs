@@ -119,7 +119,7 @@ fn main() {
         for &depth in depths {
             let window = depth + 4;
             let seed = 7_000 + (k * 10 + depth) as u64;
-            let epoch_cfg = EpochConfig::new(epochs, k as u16, depth, window, cfg.t());
+            let epoch_cfg = EpochConfig::new(epochs, k as u16, depth, window);
             let step = run_epoch_delphi(
                 &cfg,
                 &feed,
@@ -180,8 +180,7 @@ fn main() {
          CPS testbed, adaptive flushing ==\n"
     );
     let cps_feed = EpochFeed::new(MultiAssetConfig::synthetic(cps_basket), 11);
-    let cps_cfg =
-        EpochConfig::new(cps_epochs, cps_basket as u16, cps_depth, cps_depth + 4, cfg.t());
+    let cps_cfg = EpochConfig::new(cps_epochs, cps_basket as u16, cps_depth, cps_depth + 4);
     let point =
         run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001, false);
     assert_eq!(point.stale_epochs, 0, "honest CPS run must not skip epochs");
@@ -220,7 +219,7 @@ fn main() {
     let mut at8 = None;
     for &k in &[1usize, 4, 8] {
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(k), 13);
-        let vec_cfg = EpochConfig::new(vec_epochs, k as u16, vec_depth, vec_depth + 4, cfg.t());
+        let vec_cfg = EpochConfig::new(vec_epochs, k as u16, vec_depth, vec_depth + 4);
         let seed = 11_000 + k as u64;
         let scalar =
             run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed, false);

@@ -469,7 +469,7 @@ mod tests {
         // adaptive batching spends fewer frames and wire bytes.
         let cfg = oracle_config(4, 10.0);
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(3), 5);
-        let one_epoch = EpochConfig::new(1, 3, 1, 1, cfg.t());
+        let one_epoch = EpochConfig::new(1, 3, 1, 1);
         let run =
             |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5, false);
         let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
@@ -497,7 +497,7 @@ mod tests {
     fn epoch_runner_streams_and_adaptive_flush_saves_frames() {
         let cfg = oracle_config(4, 2.0);
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(2), 3);
-        let epoch_cfg = EpochConfig::new(6, 2, 2, 4, cfg.t());
+        let epoch_cfg = EpochConfig::new(6, 2, 2, 4);
         let step = run_epoch_delphi(
             &cfg,
             &feed,

@@ -10,18 +10,18 @@
 //! epoch-ordered stream of agreements.
 //!
 //! The service is sans-io like everything else in this workspace: run it
-//! under the discrete-event simulator (it implements
-//! [`Protocol`]) or hand its pipeline to `delphi-net`'s
+//! under the discrete-event simulator (it implements [`Protocol`]), or
+//! hand its [`EpochProtocol`] — flush policy and all — to `delphi-net`'s
 //! `run_epoch_service` for a real TCP deployment via
-//! [`OracleService::into_mux`].
+//! [`OracleService::into_node`].
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{
-    flatten_vector_events, Envelope, EpochConfig, EpochEvent, EpochId, EpochMux, EpochProtocol,
-    EpochStats, FlushPolicy, InstanceId, NodeId, Protocol,
+    flatten_vector_events, Envelope, EpochConfig, EpochEvent, EpochId, EpochProtocol, EpochStats,
+    FlushPolicy, InstanceId, NodeId, Protocol,
 };
 
 use crate::delphi::VectorDelphiNode;
@@ -64,7 +64,7 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 ///
 /// let cfg = DelphiConfig::builder(4).space(0.0, 100.0).rho0(1.0)
 ///     .delta_max(8.0).epsilon(1.0).build().unwrap();
-/// let epochs = EpochConfig::new(5, 2, 2, 4, cfg.t());
+/// let epochs = EpochConfig::new(5, 2, 2, 4);
 /// let source: PriceSource = Box::new(|e, a| 50.0 + f64::from(e.0) + f64::from(a.0));
 /// let mut node = OracleService::from_parts(
 ///     cfg, NodeId(0), epochs, FlushPolicy::PerStep, false, source, None);
@@ -78,11 +78,10 @@ impl OracleService {
     /// Creates the service for node `me` — the single low-level
     /// constructor (deployments go through `delphi_api::ServiceBuilder`).
     ///
-    /// `epochs.t` should match `cfg.t()` (the protocol's fault threshold
-    /// governs the rejoin quorum too); `source` supplies this node's input
-    /// per `(epoch, asset)` pair. `vector` runs each epoch's basket as one
-    /// instance over `epochs.assets` dimensions instead of one instance
-    /// per asset.
+    /// `source` supplies this node's input per `(epoch, asset)` pair, and
+    /// `flush` is how the pipeline batches its traffic on any transport.
+    /// `vector` runs each epoch's basket as one instance over
+    /// `epochs.assets` dimensions instead of one instance per asset.
     ///
     /// `probe`, if any, is a shared round counter attached to every
     /// spawned instance (see [`VectorDelphiNode::with_round_probe`]): it
@@ -112,7 +111,7 @@ impl OracleService {
                 None => node,
             }
         };
-        let mux = if vector {
+        let inner = if vector {
             let dims = epochs.assets;
             assert!(
                 dims <= MAX_VECTOR_DIMS,
@@ -122,17 +121,17 @@ impl OracleService {
                 let inputs: Vec<f64> = (0..dims).map(|a| source(epoch, InstanceId(a))).collect();
                 spawn(&inputs)
             };
-            EpochMux::new_vector(epochs, me, n, Box::new(factory))
+            EpochProtocol::new_vector(epochs, me, n, Box::new(factory), flush)
         } else {
             let factory = move |epoch, asset| spawn(&[source(epoch, asset)]);
-            EpochMux::new(epochs, me, n, Box::new(factory))
+            EpochProtocol::new(epochs, me, n, Box::new(factory), flush)
         };
-        OracleService { inner: EpochProtocol::new(mux, flush) }
+        OracleService { inner }
     }
 
     /// Epoch-layer counters (GC drops, skips, peak residency).
     pub fn stats(&self) -> EpochStats {
-        self.inner.mux().stats()
+        self.inner.stats()
     }
 
     /// Epoch-batch entries flushed so far (envelopes after broadcast
@@ -142,12 +141,13 @@ impl OracleService {
         self.inner.sent_entries()
     }
 
-    /// Consumes the service, returning the bare pipeline for transports
-    /// that route epoch entries natively (`delphi_net::run_epoch_service`).
-    /// Its events carry one output per instance; [`flatten_vector_events`]
-    /// turns them into this service's per-asset shape.
-    pub fn into_mux(self) -> EpochMux<VectorDelphiNode> {
-        self.inner.into_mux()
+    /// Consumes the service, returning the pipeline it runs — flush
+    /// policy included — for a transport to drive as it is
+    /// (`delphi_net::run_epoch_service`). Its events carry one output per
+    /// instance; [`flatten_vector_events`] turns them into this service's
+    /// per-asset shape.
+    pub fn into_node(self) -> EpochProtocol<VectorDelphiNode> {
+        self.inner
     }
 
     /// Boxes the service for the simulator's node vectors.
@@ -264,7 +264,7 @@ mod tests {
         let epochs = 6u32;
         let assets = 2u16;
         let protocol_cfg = cfg(n);
-        let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4, protocol_cfg.t());
+        let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4);
         let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
                 OracleService::from_parts(
@@ -290,7 +290,7 @@ mod tests {
         let epochs = 6u32;
         let assets = 4u16;
         let protocol_cfg = cfg(n);
-        let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4, protocol_cfg.t());
+        let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4);
         let probe = Arc::new(AtomicU64::new(0));
         let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn oracle_service_exposes_pipeline_for_native_transports() {
         let protocol_cfg = cfg(4);
-        let epoch_cfg = EpochConfig::new(3, 1, 1, 2, protocol_cfg.t());
+        let epoch_cfg = EpochConfig::new(3, 1, 1, 2);
         let service = OracleService::from_parts(
             protocol_cfg,
             NodeId(2),
@@ -331,8 +331,12 @@ mod tests {
             Box::new(|_, _| 42.0),
             None,
         );
-        let mux = service.into_mux();
-        assert_eq!(mux.node_id(), NodeId(2));
-        assert_eq!(mux.config().epochs, 3);
+        let mut node = service.into_node();
+        assert_eq!((node.node_id(), node.n()), (NodeId(2), 4));
+        // The adaptive policy it was built with holds the start burst back
+        // for the transport's tick.
+        assert!(node.start().is_empty());
+        assert_eq!(node.pending_delay(), Some(std::time::Duration::from_millis(1)));
+        assert_eq!(node.on_tick().len(), 3, "one batch to each peer");
     }
 }

@@ -17,13 +17,15 @@
 //! - [`session`] (internal): per-peer authenticated channels — the
 //!   worker-owned egress lane that frames, tags and writes what the
 //!   node's [`EpochProtocol`](delphi_primitives::EpochProtocol) flushes
-//!   under the run's [`FlushPolicy`], and bounded drain-on-shutdown.
+//!   under the [`FlushPolicy`] it was built with, and bounded
+//!   drain-on-shutdown.
 //! - [`service`]: the runner. [`run_epoch_service`] binds a listener,
-//!   dials every peer, drives a long-lived epoch stream — an
-//!   [`EpochMux`](delphi_primitives::EpochMux) pipeline — to completion,
-//!   lingers so slower peers still receive our help messages, and drains
-//!   writer queues before returning. [`run_node`] runs one pre-built
-//!   protocol instance through it as a stream of one epoch.
+//!   dials every peer, drives the long-lived epoch stream its caller built
+//!   — one [`EpochProtocol`](delphi_primitives::EpochProtocol), the state
+//!   machine the simulator runs — to completion, lingers so slower peers
+//!   still receive our help messages, and drains writer queues before
+//!   returning. [`run_node`] runs one pre-built protocol instance through
+//!   it as a stream of one epoch, flushed per step.
 //! - [`config`] / [`cluster`]: real deployments — a TOML cluster-file
 //!   format (node ids, addresses, key material) and a multi-process
 //!   launcher that runs one node per OS process and collects per-node

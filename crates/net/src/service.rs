@@ -3,12 +3,13 @@
 //! [`run_epoch_service`] drives a long-lived epoch pipeline — the
 //! deployment shape — and is the only service loop. A single agreement
 //! is a stream of one epoch: [`run_node`] wraps one pre-built protocol
-//! instance in [`EpochMux::one_epoch`] and unwraps the single event. The
-//! service layer owns the instance state and the run lifecycle (start,
-//! dispatch, linger, drain). Routing, batching, the flush policy and the
-//! batch encoding belong to the [`EpochProtocol`] the simulator also
-//! drives; per-peer framing and tags to [`session`](crate::session),
-//! sockets and read/write loops to [`transport`](crate::transport).
+//! instance in [`EpochProtocol::one_epoch`] and unwraps the single event.
+//! The service layer runs the [`EpochProtocol`] its caller built — the
+//! state machine the simulator drives, with its routing, batching, flush
+//! policy and batch encoding — and owns the run lifecycle (start,
+//! dispatch, linger, drain); per-peer framing and tags belong to
+//! [`session`](crate::session), sockets and read/write loops to
+//! [`transport`](crate::transport).
 //!
 //! # The hot path: one thread from frame to frame
 //!
@@ -45,8 +46,7 @@ use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
-    CounterGroup, EpochEvent, EpochMux, EpochOutcome, EpochProtocol, EpochStats, FlushPolicy,
-    Protocol,
+    CounterGroup, EpochEvent, EpochOutcome, EpochProtocol, EpochStats, FlushPolicy, Protocol,
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
@@ -109,11 +109,6 @@ pub struct RunOptions {
     pub deadline: Duration,
     /// How long shutdown may wait for writer queues to flush to peers.
     pub drain_timeout: Duration,
-    /// When the dispatch worker flushes accumulated batch entries: per
-    /// step, adaptively (size triggers, an empty inbox, or the
-    /// `max_delay` ceiling), or — the measurement baseline — every entry
-    /// in a frame of its own.
-    pub flush: FlushPolicy,
     /// Capacity (frames) of each peer's outbound writer queue.
     ///
     /// Egress queues are bounded so a slow or unreachable peer cannot
@@ -134,7 +129,6 @@ impl Default for RunOptions {
             reconnect_delay: Duration::from_millis(5),
             deadline: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
-            flush: FlushPolicy::PerStep,
             egress_capacity: 1024,
         }
     }
@@ -224,7 +218,7 @@ async fn dispatch_worker<P>(
         if !fresh.is_empty() && out_tx.send(WorkerMsg::Events(fresh)).await.is_err() {
             break;
         }
-        if !done && node.mux().is_complete() {
+        if !done && node.is_complete() {
             done = true;
             if out_tx.send(WorkerMsg::Done).await.is_err() {
                 break;
@@ -257,7 +251,7 @@ async fn dispatch_worker<P>(
 fn publish<P: Protocol>(stats: &ServiceStats, node: &EpochProtocol<P>) {
     let (sent_entries, sent_head_bytes) = (node.sent_entries(), node.sent_head_bytes());
     let totals = ProtocolTotals { sent_entries, sent_head_bytes, buffer_reuses: node.reuse_hits() };
-    stats.cell.publish(&WorkerStats(node.mux().stats(), totals));
+    stats.cell.publish(&WorkerStats(node.stats(), totals));
 }
 
 delphi_primitives::counter_group! {
@@ -427,15 +421,15 @@ impl<O> EpochServiceHandle<O> {
     }
 }
 
-/// Runs an epoch stream — a long-lived [`EpochMux`] pipeline — over one
-/// full TCP mesh until every epoch of the stream has resolved.
+/// Runs `node` — a long-lived epoch pipeline, as its caller built it —
+/// over one full TCP mesh until every epoch of the stream has resolved.
 ///
-/// This is the deployment shape of a streaming oracle: the mux keeps
-/// spawning per-asset agreement instances epoch after epoch, the service
-/// routes their traffic as epoch-addressed entries in authenticated
-/// frames, and one dispatch worker owns the whole pipeline and flushes
-/// its batches per [`RunOptions::flush`] — per step, or adaptively on
-/// size triggers and whenever its inbox runs empty. Entries addressed
+/// This is the deployment shape of a streaming oracle: the pipeline keeps
+/// spawning agreement instances epoch after epoch, the service carries
+/// their traffic as epoch-addressed entries in authenticated frames, and
+/// one dispatch worker owns the whole pipeline and flushes its batches
+/// under the [`FlushPolicy`] it was built with — per step, or adaptively
+/// on size triggers and whenever its inbox runs empty. Entries addressed
 /// to epochs the pipeline has already garbage-collected are dropped and
 /// surface in [`NetStats::late_entries`].
 ///
@@ -447,7 +441,7 @@ impl<O> EpochServiceHandle<O> {
 /// [`EpochServiceHandle::finish`]:
 ///
 /// ```ignore
-/// let mut handle = run_epoch_service(mux, keychain, addrs, opts).await?;
+/// let mut handle = run_epoch_service(node, keychain, addrs, opts).await?;
 /// while let Some(event) = handle.next_event().await { /* serve it */ }
 /// let (events, epoch_stats, net_stats) = handle.finish().await?;
 /// ```
@@ -459,7 +453,7 @@ impl<O> EpochServiceHandle<O> {
 /// [`NetError::Timeout`] (the stream unresolved at the deadline) arrives
 /// through [`EpochServiceHandle::finish`].
 pub async fn run_epoch_service<P>(
-    mux: EpochMux<P>,
+    node: EpochProtocol<P>,
     keychain: Keychain,
     addrs: Vec<SocketAddr>,
     opts: RunOptions,
@@ -473,13 +467,13 @@ where
     if addrs.len() != n {
         return Err(NetError::Config(format!("{} addresses for {n} nodes", addrs.len())));
     }
-    if mux.n() != n || mux.node_id() != me {
-        return Err(NetError::Config("epoch mux identity mismatch".into()));
+    if node.n() != n || node.node_id() != me {
+        return Err(NetError::Config("epoch pipeline identity mismatch".into()));
     }
     if opts.egress_capacity == 0 {
         return Err(NetError::Config("egress_capacity must be at least 1".into()));
     }
-    let vector_dims = mux.vector_dims();
+    let vector_dims = node.vector_dims();
 
     let counters = Arc::new(Counters::default());
     let keychain = Arc::new(keychain);
@@ -496,7 +490,6 @@ where
 
     let (out_tx, mut out_rx) = mpsc::channel::<WorkerMsg<P::Output>>(1024);
     let stats = ServiceStats { cell: Arc::new(StatsCell::new()), counters: counters.clone() };
-    let node = EpochProtocol::new(mux, opts.flush);
     let worker = tokio::spawn(dispatch_worker(in_rx, node, sessions.lane(), out_tx, stats.clone()));
     let probe = stats.clone();
     // Locally produced events, already bounded by the pipeline: at most
@@ -567,9 +560,9 @@ where
 
 /// Runs `protocol` over a full TCP mesh until it produces an output: a
 /// one-epoch stream through [`run_epoch_service`]
-/// ([`EpochMux::one_epoch`]), so the transport contract, the linger (the
-/// resolved epoch is never evicted: a finished node keeps answering) and
-/// the drain-on-shutdown are that function's.
+/// ([`EpochProtocol::one_epoch`], flushed per step), so the transport
+/// contract, the linger (the resolved epoch is never evicted: a finished
+/// node keeps answering) and the drain-on-shutdown are that function's.
 ///
 /// # Errors
 ///
@@ -585,7 +578,8 @@ where
     P: Protocol + Send + 'static,
     P::Output: Clone + Send,
 {
-    let handle = run_epoch_service(EpochMux::one_epoch(vec![protocol]), keychain, addrs, opts);
+    let node = EpochProtocol::one_epoch(vec![protocol], FlushPolicy::PerStep);
+    let handle = run_epoch_service(node, keychain, addrs, opts);
     let (mut events, _, stats) = handle.await?.finish().await?;
     let agreed = match events.pop().map(|event| event.outcome) {
         Some(EpochOutcome::Agreed(mut outputs)) => outputs.pop(),
@@ -604,7 +598,7 @@ mod tests {
     use delphi_core::BinAaNode;
     use delphi_primitives::epoch::epoch_entry_overhead;
     use delphi_primitives::{
-        AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochProtocol, InstanceId, NodeId,
+        AgreementId, Dyadic, Envelope, EpochConfig, EpochId, InstanceId, NodeId,
     };
     use tokio::io::AsyncReadExt;
 
@@ -622,10 +616,12 @@ mod tests {
         addrs
     }
 
-    /// Runs a basket of pre-built instances as one one-epoch stream and
-    /// returns the outputs of its one agreed event.
+    /// Runs a basket of pre-built instances as one one-epoch stream,
+    /// flushed under `flush`, and returns the outputs of its one agreed
+    /// event.
     async fn run_basket<P>(
         instances: Vec<P>,
+        flush: FlushPolicy,
         keychain: Keychain,
         addrs: Vec<SocketAddr>,
         opts: RunOptions,
@@ -634,7 +630,8 @@ mod tests {
         P: Protocol + Send + 'static,
         P::Output: Clone + Send,
     {
-        let handle = run_epoch_service(EpochMux::one_epoch(instances), keychain, addrs, opts);
+        let node = EpochProtocol::one_epoch(instances, flush);
+        let handle = run_epoch_service(node, keychain, addrs, opts);
         let (mut events, _, stats) = handle.await?.finish().await?;
         match events.pop().map(|event| event.outcome) {
             Some(EpochOutcome::Agreed(outputs)) => Ok((outputs, stats)),
@@ -716,7 +713,8 @@ mod tests {
             ];
             let addrs = addrs.clone();
             handles.push(tokio::spawn(async move {
-                run_basket(nodes, keychain, addrs, RunOptions::default()).await
+                run_basket(nodes, FlushPolicy::PerStep, keychain, addrs, RunOptions::default())
+                    .await
             }));
         }
         let mut per_instance: Vec<Vec<Dyadic>> = vec![Vec::new(); 2];
@@ -804,9 +802,10 @@ mod tests {
             let nodes: Vec<Wave> =
                 (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
             let addrs = addrs.clone();
-            let opts = RunOptions { flush, ..RunOptions::default() };
-            handles
-                .push(tokio::spawn(async move { run_basket(nodes, keychain, addrs, opts).await }));
+            let opts = RunOptions::default();
+            handles.push(tokio::spawn(async move {
+                run_basket(nodes, flush, keychain, addrs, opts).await
+            }));
         }
         let mut total = NetStats::default();
         for h in handles {
@@ -836,7 +835,7 @@ mod tests {
             .map(|id| {
                 let basket =
                     (0..WAVE_INSTANCES).map(|_| Wave::new(id, WAVE_N, WAVE_ROUNDS)).collect();
-                let node = EpochProtocol::new(EpochMux::one_epoch(basket), FlushPolicy::PerStep);
+                let node = EpochProtocol::one_epoch(basket, FlushPolicy::PerStep);
                 Box::new(node) as Box<dyn Protocol<Output = Vec<EpochEvent<usize>>>>
             })
             .collect();
@@ -964,9 +963,9 @@ mod tests {
                 let nodes: Vec<Chatty> =
                     (0..instances).map(|_| Chatty { id, n, budget, sent: 0, seen: 0 }).collect();
                 let addrs = addrs.clone();
-                let opts = RunOptions { flush, ..RunOptions::default() };
+                let opts = RunOptions::default();
                 handles.push(tokio::spawn(async move {
-                    run_basket(nodes, keychain, addrs, opts).await
+                    run_basket(nodes, flush, keychain, addrs, opts).await
                 }));
             }
             let mut total = NetStats::default();
@@ -1069,13 +1068,11 @@ mod tests {
         let addrs = free_addrs(2).await;
         let peer_addr = addrs[1];
         let keychain = delphi_crypto::Keychain::derive(b"drain-test", NodeId(0), 2);
-        let opts = RunOptions {
-            linger: Duration::ZERO,
-            flush: FlushPolicy::PerEntry, // one frame per envelope: all 50 must arrive
-            ..RunOptions::default()
-        };
+        let opts = RunOptions { linger: Duration::ZERO, ..RunOptions::default() };
+        // One frame per envelope: all 50 must arrive.
         let runner = tokio::spawn(async move {
-            run_node(Burst { id: NodeId(0), k }, keychain, addrs, opts).await
+            let burst = vec![Burst { id: NodeId(0), k }];
+            run_basket(burst, FlushPolicy::PerEntry, keychain, addrs, opts).await
         });
 
         // The peer appears only after the old grace period has long passed.
@@ -1106,14 +1103,11 @@ mod tests {
         let addrs = free_addrs(2).await;
         let peer_addr = addrs[1];
         let keychain = delphi_crypto::Keychain::derive(b"lane-drain", NodeId(0), 2);
-        let opts = RunOptions {
-            linger: Duration::ZERO,
-            flush: FlushPolicy::PerEntry, // one frame per envelope: all of them must arrive
-            ..RunOptions::default()
-        };
+        let opts = RunOptions { linger: Duration::ZERO, ..RunOptions::default() };
+        // One frame per envelope: all of them must arrive.
         let runner = tokio::spawn(async move {
             let nodes: Vec<Burst> = (0..instances).map(|_| Burst { id: NodeId(0), k }).collect();
-            run_basket(nodes, keychain, addrs, opts).await
+            run_basket(nodes, FlushPolicy::PerEntry, keychain, addrs, opts).await
         });
 
         tokio::time::sleep(Duration::from_millis(250)).await;
@@ -1163,34 +1157,32 @@ mod tests {
         }
     }
 
-    fn gossip_mux(
+    fn gossip_node(
         me: NodeId,
         n: usize,
-        cfg: delphi_primitives::EpochConfig,
+        cfg: EpochConfig,
         quorum: usize,
         greeting: Bytes,
-    ) -> EpochMux<EpochGossip> {
-        EpochMux::new(
-            cfg,
-            me,
+        flush: FlushPolicy,
+    ) -> EpochProtocol<EpochGossip> {
+        let factory = move |e: EpochId, a: InstanceId| EpochGossip {
+            id: me,
             n,
-            Box::new(move |e, a| EpochGossip {
-                id: me,
-                n,
-                tag: f64::from(e.0) * 10.0 + f64::from(a.0),
-                heard: 0,
-                quorum,
-                greeting: greeting.clone(),
-            }),
-        )
+            tag: f64::from(e.0) * 10.0 + f64::from(a.0),
+            heard: 0,
+            quorum,
+            greeting: greeting.clone(),
+        };
+        EpochProtocol::new(cfg, me, n, Box::new(factory), flush)
     }
 
-    fn epoch_mux(
+    fn epoch_node(
         me: NodeId,
         n: usize,
-        cfg: delphi_primitives::EpochConfig,
-    ) -> EpochMux<EpochGossip> {
-        gossip_mux(me, n, cfg, n - 1, Bytes::from_static(b"g"))
+        cfg: EpochConfig,
+        flush: FlushPolicy,
+    ) -> EpochProtocol<EpochGossip> {
+        gossip_node(me, n, cfg, n - 1, Bytes::from_static(b"g"), flush)
     }
 
     async fn run_epoch_cluster(seed: &'static [u8], flush: FlushPolicy) -> Vec<NetStats> {
@@ -1201,11 +1193,11 @@ mod tests {
         let mut handles = Vec::new();
         for id in NodeId::all(n) {
             let keychain = delphi_crypto::Keychain::derive(seed, id, n);
-            let mux = epoch_mux(id, n, EpochConfig::new(epochs, assets, 2, 4, 1));
+            let node = epoch_node(id, n, EpochConfig::new(epochs, assets, 2, 4), flush);
             let addrs = addrs.clone();
-            let opts = RunOptions { flush, ..RunOptions::default() };
+            let opts = RunOptions::default();
             handles.push(tokio::spawn(async move {
-                run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
+                run_epoch_service(node, keychain, addrs, opts).await?.finish().await
             }));
         }
         let mut all_stats = Vec::new();
@@ -1282,18 +1274,17 @@ mod tests {
             let keychain = delphi_crypto::Keychain::derive(b"wave-idle-flush", id, n);
             let addrs = addrs.clone();
             let opts = RunOptions {
-                flush,
                 linger: Duration::ZERO,
                 reconnect_delay: Duration::from_millis(5),
                 ..RunOptions::default()
             };
             handles.push(tokio::spawn(async move {
-                run_node(Wave::new(id, n, rounds), keychain, addrs, opts).await
+                run_basket(vec![Wave::new(id, n, rounds)], flush, keychain, addrs, opts).await
             }));
         }
         for h in handles {
             let (seen, _) = h.await.unwrap().expect("node finished");
-            assert!(seen >= usize::from(rounds) * (n - 1));
+            assert!(seen.iter().all(|&seen| seen >= usize::from(rounds) * (n - 1)));
         }
         let elapsed = started.elapsed();
         let bound = max_delay * u32::from(rounds) / 4;
@@ -1330,8 +1321,8 @@ mod tests {
         let mut handles = Vec::new();
         for id in NodeId::all(n).take(3) {
             let keychain = delphi_crypto::Keychain::derive(b"never-reads", id, n);
-            let mux =
-                gossip_mux(id, n, EpochConfig::new(epochs, assets, 2, 4, 1), 2, greeting.clone());
+            let cfg = EpochConfig::new(epochs, assets, 2, 4);
+            let node = gossip_node(id, n, cfg, 2, greeting.clone(), FlushPolicy::PerStep);
             let addrs = addrs.clone();
             let opts = RunOptions {
                 egress_capacity: 4,
@@ -1341,7 +1332,7 @@ mod tests {
                 ..RunOptions::default()
             };
             handles.push(tokio::spawn(async move {
-                run_epoch_service(mux, keychain, addrs, opts).await?.finish().await
+                run_epoch_service(node, keychain, addrs, opts).await?.finish().await
             }));
         }
         for h in handles {
@@ -1425,14 +1416,11 @@ mod tests {
         let n = 4;
         let addrs = free_addrs(n).await;
         let keychain = delphi_crypto::Keychain::derive(b"epoch-deadline", NodeId(0), n);
-        let mux = epoch_mux(NodeId(0), n, EpochConfig::new(4, 2, 2, 4, 1));
-        let opts = RunOptions {
-            deadline: Duration::from_millis(300),
-            flush: FlushPolicy::adaptive(),
-            ..RunOptions::default()
-        };
+        let cfg = EpochConfig::new(4, 2, 2, 4);
+        let node = epoch_node(NodeId(0), n, cfg, FlushPolicy::adaptive());
+        let opts = RunOptions { deadline: Duration::from_millis(300), ..RunOptions::default() };
         let started = std::time::Instant::now();
-        let handle = run_epoch_service(mux, keychain, addrs, opts).await.expect("service starts");
+        let handle = run_epoch_service(node, keychain, addrs, opts).await.expect("service starts");
         let err = handle.finish().await.expect_err("nobody to agree with");
         assert!(matches!(err, NetError::Timeout), "{err}");
         assert!(started.elapsed() < Duration::from_secs(5), "deadline failure must not hang");
@@ -1449,15 +1437,19 @@ mod tests {
         let mut peers = Vec::new();
         for id in NodeId::all(n).skip(1) {
             let keychain = delphi_crypto::Keychain::derive(b"live-tail", id, n);
-            let mux = epoch_mux(id, n, EpochConfig::new(epochs, 2, 2, 4, 1));
+            let node = epoch_node(id, n, EpochConfig::new(epochs, 2, 2, 4), FlushPolicy::PerStep);
             let addrs = addrs.clone();
             peers.push(tokio::spawn(async move {
-                run_epoch_service(mux, keychain, addrs, RunOptions::default()).await?.finish().await
+                run_epoch_service(node, keychain, addrs, RunOptions::default())
+                    .await?
+                    .finish()
+                    .await
             }));
         }
         let keychain = delphi_crypto::Keychain::derive(b"live-tail", NodeId(0), n);
-        let mux = epoch_mux(NodeId(0), n, EpochConfig::new(epochs, 2, 2, 4, 1));
-        let mut handle = run_epoch_service(mux, keychain, addrs, RunOptions::default())
+        let node =
+            epoch_node(NodeId(0), n, EpochConfig::new(epochs, 2, 2, 4), FlushPolicy::PerStep);
+        let mut handle = run_epoch_service(node, keychain, addrs, RunOptions::default())
             .await
             .expect("service starts");
         // A detached stats probe stays readable while the stream runs and
@@ -1491,14 +1483,14 @@ mod tests {
         let addrs = free_addrs(2).await;
         let kc0 = delphi_crypto::Keychain::derive(b"late-test", NodeId(0), 2);
         let kc1 = delphi_crypto::Keychain::derive(b"late-test", NodeId(1), 2);
-        let mux = epoch_mux(NodeId(0), 2, EpochConfig::new(2, 1, 1, 1, 1));
+        let node = epoch_node(NodeId(0), 2, EpochConfig::new(2, 1, 1, 1), FlushPolicy::PerStep);
         let opts = RunOptions {
             linger: Duration::from_millis(200),
             drain_timeout: Duration::from_millis(500),
             ..RunOptions::default()
         };
         let handle =
-            run_epoch_service(mux, kc0, addrs.clone(), opts).await.expect("service starts");
+            run_epoch_service(node, kc0, addrs.clone(), opts).await.expect("service starts");
         let probe = handle.stats();
 
         // The peer accepts node 0's outbound connection and discards its
@@ -1557,9 +1549,9 @@ mod tests {
     #[tokio::test]
     async fn epoch_identity_mismatch_rejected() {
         let keychain = delphi_crypto::Keychain::derive(b"x", NodeId(0), 4);
-        let mux = epoch_mux(NodeId(0), 2, EpochConfig::new(1, 1, 1, 1, 0));
+        let node = epoch_node(NodeId(0), 2, EpochConfig::new(1, 1, 1, 1), FlushPolicy::PerStep);
         let Err(err) = run_epoch_service(
-            mux,
+            node,
             keychain,
             vec!["127.0.0.1:1".parse().unwrap(); 4],
             RunOptions::default(),
@@ -1590,9 +1582,11 @@ mod tests {
 
     #[test]
     fn empty_instance_list_rejected() {
-        // A basket reaches the runner only as a one-epoch mux, and an
+        // A basket reaches the runner only as a one-epoch pipeline, and an
         // empty one is refused where it is built.
-        let empty = std::panic::catch_unwind(|| EpochMux::one_epoch(Vec::<BinAaNode>::new()));
+        let empty = std::panic::catch_unwind(|| {
+            EpochProtocol::one_epoch(Vec::<BinAaNode>::new(), FlushPolicy::PerStep)
+        });
         assert!(empty.is_err(), "an empty basket must never reach the runner");
     }
 

@@ -211,7 +211,7 @@ mod tests {
     use crate::frame::{decode_inbound_frame_ref, encode_epoch_frame, FrameError};
     use delphi_crypto::TAG_LEN;
     use delphi_primitives::epoch::encode_epoch_batch;
-    use delphi_primitives::{AgreementId, EpochMux, EpochProtocol, FlushPolicy, Protocol};
+    use delphi_primitives::{AgreementId, EpochProtocol, FlushPolicy, Protocol};
     use tokio::io::AsyncReadExt;
     use tokio::net::{TcpListener, TcpStream};
 
@@ -248,7 +248,7 @@ mod tests {
 
     /// Node 0's one-epoch `EpochProtocol` over an [`Echo`], started.
     fn echo_node(n: usize, flush: FlushPolicy) -> EpochProtocol<Echo> {
-        let mut node = EpochProtocol::new(EpochMux::one_epoch(vec![Echo { n }]), flush);
+        let mut node = EpochProtocol::one_epoch(vec![Echo { n }], flush);
         assert!(node.start().is_empty(), "an echo starts silent");
         node
     }

@@ -13,17 +13,16 @@
 //!   `delphi-net` wraps exactly this sequence in its authenticated frames,
 //!   and [`EpochProtocol`] uses it as the payload of simulator messages,
 //!   so simulated bytes equal TCP bytes.
-//! - [`EpochMux`]: the pipeline driver. It spawns per-asset protocol
-//!   instances epoch after epoch from a factory (the streaming price
-//!   source), keeps at most [`EpochConfig::depth`] epochs in flight and at
-//!   most [`EpochConfig::window`] resident in memory, garbage-collects
+//! - [`EpochProtocol`]: the pipeline, as one [`Protocol`] that runs
+//!   unchanged under the discrete-event simulator and `delphi-net`'s
+//!   dispatch worker. It spawns per-asset protocol instances epoch after
+//!   epoch from a factory (the streaming price source), keeps at most
+//!   [`EpochConfig::depth`] epochs in flight and at most
+//!   [`EpochConfig::window`] resident in memory, garbage-collects
 //!   completed and stale epochs, fast-forwards a node that fell behind the
-//!   quorum frontier, and emits a strictly epoch-ordered stream of
-//!   [`EpochEvent`]s.
-//! - [`EpochProtocol`]: a [`Protocol`] adapter over [`EpochMux`] so the
-//!   whole pipeline runs unchanged under the discrete-event simulator and
-//!   `delphi-net`'s dispatch worker, with [`FlushPolicy`]-controlled
-//!   adaptive batching across protocol steps.
+//!   quorum frontier, emits a strictly epoch-ordered stream of
+//!   [`EpochEvent`]s, and routes and batches its traffic under the
+//!   [`FlushPolicy`] it was built with.
 //!
 //! # Garbage collection and the live window
 //!
@@ -39,9 +38,9 @@
 //! # Falling behind and rejoining
 //!
 //! A node that crashes or goes silent for a while rejoins a stream whose
-//! peers are many epochs ahead. The mux tracks, per authenticated sender,
-//! the highest epoch that sender has addressed; once `t + 1` senders (at
-//! least one honest) are beyond an unfinished epoch by more than the
+//! peers are many epochs ahead. The pipeline tracks, per authenticated
+//! sender, the highest epoch that sender has addressed; once `t + 1`
+//! senders (at least one honest, `t = (n − 1) / 3`) are beyond an unfinished epoch by more than the
 //! window, that epoch can no longer complete (the quorum has evicted it)
 //! and is resolved as [`EpochOutcome::Skipped`], letting the node jump
 //! forward to the live frontier instead of stalling the stream. A single
@@ -378,44 +377,6 @@ impl<'a> Iterator for EpochEntryIter<'a> {
     }
 }
 
-/// Routes one step's epoch-addressed envelope bursts into per-destination
-/// entry lists: broadcasts expand to every node but `me`, and
-/// point-to-point envelopes to out-of-range destinations are dropped.
-/// [`EpochProtocol`]'s routing step, so every transport routes alike.
-///
-/// `per_dest` is caller-owned scratch — resized to `n`, cleared and
-/// refilled — so a steady-state sender reuses one set of routing buffers
-/// instead of allocating `n` fresh `Vec`s per step.
-pub fn route_epoch_bursts_into(
-    bursts: Vec<(AgreementId, Vec<Envelope>)>,
-    n: usize,
-    me: NodeId,
-    per_dest: &mut Vec<Vec<(AgreementId, Bytes)>>,
-) {
-    per_dest.truncate(n);
-    for entries in per_dest.iter_mut() {
-        entries.clear();
-    }
-    per_dest.resize_with(n, Vec::new);
-    for (id, envelopes) in bursts {
-        for env in envelopes {
-            match env.to {
-                Recipient::All => {
-                    for (dest, entries) in per_dest.iter_mut().enumerate() {
-                        if dest != me.index() {
-                            entries.push((id, env.payload.clone()));
-                        }
-                    }
-                }
-                Recipient::One(dest) if dest.index() < n => {
-                    per_dest[dest.index()].push((id, env.payload));
-                }
-                Recipient::One(_) => {} // out-of-range: drop silently
-            }
-        }
-    }
-}
-
 /// When a transport flushes accumulated batch entries.
 ///
 /// `PerStep` flushes every protocol step's entries immediately, one frame
@@ -456,7 +417,8 @@ impl FlushPolicy {
     }
 }
 
-/// Shape of one epoch pipeline.
+/// Shape of one epoch pipeline. The fault threshold is not part of it:
+/// the pipeline derives `t = (n − 1) / 3` from its system size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Total epochs the stream runs (`K`).
@@ -470,26 +432,26 @@ pub struct EpochConfig {
     /// Must be at least `depth`; the excess is how long a completed epoch
     /// keeps answering slower peers before eviction.
     pub window: usize,
-    /// Fault threshold `t`: fast-forward requires `t + 1` senders beyond
-    /// an epoch before it may be skipped.
-    pub t: usize,
 }
 
 impl EpochConfig {
     /// A window-validated config with the given stream length and basket
     /// size, pipelining `depth` epochs and lingering `window - depth`
-    /// completed ones.
+    /// completed ones. A depth or window longer than the stream spawns,
+    /// evicts and skips exactly what one of `epochs` does, and is stored
+    /// as one.
     ///
     /// # Panics
     ///
     /// Panics on a zero-epoch or zero-asset stream, zero depth, or
     /// `window < depth`.
-    pub fn new(epochs: u32, assets: u16, depth: usize, window: usize, t: usize) -> EpochConfig {
+    pub fn new(epochs: u32, assets: u16, depth: usize, window: usize) -> EpochConfig {
         assert!(epochs >= 1, "stream needs at least one epoch");
         assert!(assets >= 1, "epoch needs at least one asset");
         assert!(depth >= 1, "pipeline depth must be at least 1");
         assert!(window >= depth, "window must cover the pipeline depth");
-        EpochConfig { epochs, assets, depth, window, t }
+        let stream = epochs as usize;
+        EpochConfig { epochs, assets, depth: depth.min(stream), window: window.min(stream) }
     }
 }
 
@@ -542,9 +504,9 @@ impl<O> EpochEvent<O> {
 
 /// Expands a vector-basket event stream into the per-asset shape.
 ///
-/// In vector mode ([`EpochMux::new_vector`]) each agreed epoch carries one
-/// output *per instance slot* (a single slot), and that output is itself
-/// the whole basket — `EpochOutcome::Agreed(vec![vec![v0, .., vm]])`.
+/// In vector mode ([`EpochProtocol::new_vector`]) each agreed epoch carries
+/// one output *per instance slot* (a single slot), and that output is
+/// itself the whole basket — `EpochOutcome::Agreed(vec![vec![v0, .., vm]])`.
 /// Concatenating the slots yields `Agreed(vec![v0, .., vm])`, exactly what
 /// the per-asset pipeline emits, so everything downstream (publishers,
 /// agreement counters, convergence checks) is mode-oblivious.
@@ -566,6 +528,8 @@ pub fn flatten_vector_events<O>(events: Vec<EpochEvent<Vec<O>>>) -> Vec<EpochEve
 /// One resident epoch: its per-asset instances and completion state.
 struct Slot<P: Protocol> {
     instances: Vec<P>,
+    /// Outputs harvested so far, in asset order; taken when the epoch
+    /// resolves.
     outputs: Vec<Option<P::Output>>,
     missing: usize,
 }
@@ -589,16 +553,109 @@ fn early_entry_cost(payload_len: usize) -> usize {
     payload_len + 64
 }
 
-/// The long-lived multi-epoch agreement pipeline.
+/// Per-destination pending entries under one [`FlushPolicy`] — the
+/// accumulator behind [`EpochProtocol`]. The caller owns what "flush"
+/// means; this struct only decides *when* and hands the entries back.
 ///
-/// `EpochMux` is sans-io: it consumes authenticated `(sender, agreement,
-/// payload)` entries and returns epoch-addressed envelope bursts for the
-/// transport to route. Every transport drives it through [`EpochProtocol`]
-/// (`delphi-net`'s `run_epoch_service` wraps the mux it is handed).
+/// Flushed buffers are meant to come home: `recycle` returns a drained
+/// buffer to a small free-list, and the next accumulation for any
+/// destination reuses it instead of allocating — `reuse_hits` counts how
+/// often that worked, which `NetStats` surfaces as `buffer_reuses`.
+#[derive(Debug)]
+struct PendingBatches {
+    policy: FlushPolicy,
+    pending: Vec<Vec<(AgreementId, Bytes)>>,
+    bytes: Vec<usize>,
+    /// Drained buffers awaiting reuse (bounded by the destination count).
+    free: Vec<Vec<(AgreementId, Bytes)>>,
+    reuse_hits: u64,
+}
+
+impl PendingBatches {
+    fn new(n: usize, policy: FlushPolicy) -> PendingBatches {
+        PendingBatches {
+            policy,
+            pending: std::iter::repeat_with(Vec::new).take(n).collect(),
+            bytes: vec![0; n],
+            free: Vec::new(),
+            reuse_hits: 0,
+        }
+    }
+
+    /// Moves entries from the front of the caller-owned scratch `entries`
+    /// (which keeps its capacity for the next step) to `dest`'s pending
+    /// batch, returning `true` when the destination is due for an
+    /// immediate flush: always, per-step; on tripping the entry or byte
+    /// trigger, adaptive — the time trigger is the driver's. Per-entry,
+    /// one entry moves per call and is due at once, so callers loop
+    /// `while push_drain(..) { flush }` until the scratch is empty.
+    fn push_drain(&mut self, dest: usize, entries: &mut Vec<(AgreementId, Bytes)>) -> bool {
+        if entries.is_empty() {
+            return false;
+        }
+        let (Some(pending), Some(bytes)) = (self.pending.get_mut(dest), self.bytes.get_mut(dest))
+        else {
+            return false;
+        };
+        let take = if matches!(self.policy, FlushPolicy::PerEntry) { 1 } else { entries.len() };
+        if pending.capacity() == 0 {
+            if let Some(buf) = self.free.pop() {
+                *pending = buf;
+                self.reuse_hits += 1;
+            }
+        }
+        *bytes += entries.iter().take(take).map(|(_, p)| p.len()).sum::<usize>();
+        pending.extend(entries.drain(..take));
+        match self.policy {
+            FlushPolicy::PerEntry | FlushPolicy::PerStep => true,
+            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
+                pending.len() >= max_entries || *bytes >= max_bytes
+            }
+        }
+    }
+
+    /// Takes `dest`'s pending entries (empty when nothing is due). Hand
+    /// the drained buffer back via `recycle` once the flush has consumed
+    /// it.
+    fn take(&mut self, dest: usize) -> Vec<(AgreementId, Bytes)> {
+        if let Some(bytes) = self.bytes.get_mut(dest) {
+            *bytes = 0;
+        }
+        self.pending.get_mut(dest).map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Returns a flushed buffer to the free-list (cleared; capacity kept).
+    /// Buffers beyond one per destination are dropped — the steady state
+    /// needs no more.
+    fn recycle(&mut self, mut buf: Vec<(AgreementId, Bytes)>) {
+        buf.clear();
+        if buf.capacity() > 0 && self.free.len() < self.pending.len() {
+            self.free.push(buf);
+        }
+    }
+
+    /// Whether any destination has unflushed entries.
+    fn has_pending(&self) -> bool {
+        self.pending.iter().any(|p| !p.is_empty())
+    }
+}
+
+/// The long-lived multi-epoch agreement pipeline, as one sans-io
+/// [`Protocol`]: the state machine both transports run (the simulator,
+/// and `delphi-net`'s dispatch worker, which takes the instance its
+/// caller built).
 ///
-/// Instances are created lazily by the factory, one call per `(epoch,
-/// asset)` pair — the factory *is* the streaming input source.
-pub struct EpochMux<P: Protocol> {
+/// It spawns per-asset protocol instances epoch after epoch from a
+/// factory — one call per `(epoch, asset)` pair; the factory *is* the
+/// streaming input source — and takes one protocol step per authenticated
+/// entry of each epoch batch it receives. What a step's instances emit is
+/// routed per destination (a broadcast to every node but this one, a
+/// point-to-point envelope to its destination, an out-of-range one
+/// nowhere), accumulated under the [`FlushPolicy`] and flushed as epoch
+/// batch payloads; [`FlushPolicy::Adaptive`] relies on the driver's time
+/// trigger ([`Protocol::on_tick`]) to bound the delay. The output is the
+/// complete ordered event stream, once every epoch has resolved.
+pub struct EpochProtocol<P: Protocol> {
     cfg: EpochConfig,
     me: NodeId,
     n: usize,
@@ -627,27 +684,39 @@ pub struct EpochMux<P: Protocol> {
     early: BTreeMap<u32, Vec<(NodeId, InstanceId, Bytes)>>,
     early_bytes: usize,
     stats: EpochStats,
-    started: bool,
     /// Basket dimensions when the pipeline runs one *vector-valued*
-    /// instance per epoch (see [`EpochMux::new_vector`]); `0` in the
+    /// instance per epoch (see [`EpochProtocol::new_vector`]); `0` in the
     /// ordinary per-asset mode.
     vector_dims: u16,
+    /// The current step's routed entries, one list per destination; the
+    /// lists keep their capacity from step to step.
+    routed: Vec<Vec<(AgreementId, Bytes)>>,
+    /// Pending entries per destination.
+    pending: PendingBatches,
+    /// The entries flushed last and their encoding (see `flush_dest`).
+    last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
+    /// Entries flushed (envelopes after broadcast expansion).
+    sent_entries: u64,
+    /// Their heads' bytes ([`epoch_entry_overhead`]).
+    sent_head_bytes: u64,
 }
 
-impl<P: Protocol> fmt::Debug for EpochMux<P> {
+impl<P: Protocol> fmt::Debug for EpochProtocol<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpochMux")
+        f.debug_struct("EpochProtocol")
             .field("cfg", &self.cfg)
             .field("me", &self.me)
             .field("next_spawn", &self.next_spawn)
             .field("resident", &self.slots.len())
             .field("emit_floor", &self.emit_floor)
+            .field("pending", &self.pending)
             .finish_non_exhaustive()
     }
 }
 
-impl<P: Protocol> EpochMux<P> {
-    /// Creates the pipeline for node `me` of an `n`-node deployment.
+impl<P: Protocol> EpochProtocol<P> {
+    /// Creates the pipeline for node `me` of an `n`-node deployment,
+    /// flushing under `flush`.
     ///
     /// `factory(epoch, asset)` builds the agreement instance for that pair
     /// — typically a fresh protocol node seeded with the epoch's price
@@ -663,10 +732,11 @@ impl<P: Protocol> EpochMux<P> {
         me: NodeId,
         n: usize,
         factory: Box<dyn FnMut(EpochId, InstanceId) -> P + Send>,
-    ) -> EpochMux<P> {
-        let cfg = EpochConfig::new(cfg.epochs, cfg.assets, cfg.depth, cfg.window, cfg.t);
+        flush: FlushPolicy,
+    ) -> EpochProtocol<P> {
+        let cfg = EpochConfig::new(cfg.epochs, cfg.assets, cfg.depth, cfg.window);
         assert!(me.index() < n, "node id {me} out of range for n={n}");
-        EpochMux {
+        EpochProtocol {
             cfg,
             me,
             n,
@@ -683,30 +753,19 @@ impl<P: Protocol> EpochMux<P> {
             early: BTreeMap::new(),
             early_bytes: 0,
             stats: EpochStats::default(),
-            started: false,
             vector_dims: 0,
+            routed: std::iter::repeat_with(Vec::new).take(n).collect(),
+            pending: PendingBatches::new(n, flush),
+            last_batch: None,
+            sent_entries: 0,
+            sent_head_bytes: 0,
         }
     }
 
-    /// Basket dimensions in vector mode ([`EpochMux::new_vector`]); `0`
-    /// when the pipeline fans out per asset.
+    /// Basket dimensions in vector mode ([`EpochProtocol::new_vector`]);
+    /// `0` when the pipeline fans out per asset.
     pub fn vector_dims(&self) -> u16 {
         self.vector_dims
-    }
-
-    /// This node's identity.
-    pub fn node_id(&self) -> NodeId {
-        self.me
-    }
-
-    /// System size `n`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The pipeline's shape.
-    pub fn config(&self) -> &EpochConfig {
-        &self.cfg
     }
 
     /// Whether every epoch of the stream has resolved and been emitted.
@@ -714,12 +773,9 @@ impl<P: Protocol> EpochMux<P> {
         self.emit_floor == self.cfg.epochs
     }
 
-    /// The ordered output stream emitted so far.
-    pub fn events(&self) -> &[EpochEvent<P::Output>] {
-        &self.events
-    }
-
-    /// Drops and returns the events emitted since the last drain.
+    /// Drops and returns the events emitted since the last drain, for a
+    /// transport that tails the stream live ([`Protocol::output`] then
+    /// misses them).
     pub fn drain_events(&mut self) -> Vec<EpochEvent<P::Output>> {
         std::mem::take(&mut self.events)
     }
@@ -729,40 +785,49 @@ impl<P: Protocol> EpochMux<P> {
         self.stats
     }
 
-    /// Starts the pipeline: spawns the first `depth` epochs and returns
-    /// their start bursts.
-    ///
-    /// Call exactly once, before any [`EpochMux::on_entry`].
-    pub fn start(&mut self) -> Vec<(AgreementId, Vec<Envelope>)> {
-        assert!(!self.started, "start() must be called exactly once");
-        self.started = true;
-        let mut bursts = Vec::new();
-        self.fill_pipeline(&mut bursts);
-        bursts
+    /// How long the entries now pending may wait for the transport's next
+    /// [`Protocol::on_tick`]: the adaptive `max_delay`, `None` while
+    /// nothing is pending (always, per step and per entry).
+    pub fn pending_delay(&self) -> Option<Duration> {
+        match self.pending.policy {
+            FlushPolicy::Adaptive { max_delay, .. } if self.pending.has_pending() => {
+                Some(max_delay)
+            }
+            _ => None,
+        }
     }
 
-    /// Feeds one authenticated entry from `from`, returning the envelope
-    /// bursts it triggered (including start bursts of any newly spawned
-    /// epochs).
-    pub fn on_entry(
-        &mut self,
-        from: NodeId,
-        id: AgreementId,
-        payload: &[u8],
-    ) -> Vec<(AgreementId, Vec<Envelope>)> {
-        let mut bursts = Vec::new();
-        if from.index() < self.n && from != self.me {
+    /// Entries flushed so far (envelopes after broadcast expansion).
+    pub fn sent_entries(&self) -> u64 {
+        self.sent_entries
+    }
+
+    /// Bytes of the flushed entries' heads: the epoch batches' framing
+    /// beyond their counts.
+    pub fn sent_head_bytes(&self) -> u64 {
+        self.sent_head_bytes
+    }
+
+    /// How often an accumulation reused a flushed entry buffer instead of
+    /// allocating.
+    pub fn reuse_hits(&self) -> u64 {
+        self.pending.reuse_hits
+    }
+
+    /// Feeds one authenticated entry from `from`, routing what it
+    /// triggers (the start bursts of newly spawned epochs included).
+    fn on_entry(&mut self, from: NodeId, id: AgreementId, payload: &[u8]) {
+        if let Some(mark) = self.frontier.get_mut(from.index()).filter(|_| from != self.me) {
             // Clamp to the stream: epochs past the end are nonsense and
             // must not drag the frontier (and everyone's skips) with them.
             let claimed = id.epoch.0.min(self.cfg.epochs - 1);
-            let mark = &mut self.frontier[from.index()];
             if mark.is_none_or(|f| claimed > f) {
                 *mark = Some(claimed);
                 // A resident epoch can only be stranded by the quorum
                 // frontier moving (`fill_pipeline` never spawns a hopeless
                 // one), so every other entry skips the scan.
                 if self.refresh_quorum_frontier() {
-                    self.fast_forward(&mut bursts);
+                    self.fast_forward();
                 }
             }
         }
@@ -770,41 +835,62 @@ impl<P: Protocol> EpochMux<P> {
         let epoch = id.epoch.0;
         if epoch >= self.next_spawn {
             self.buffer_early(from, id, payload);
-            return bursts;
+            return;
         }
         let Some(slot) = self.slots.get_mut(&epoch) else {
             // Evicted or skipped: a peer slower (or faster, pre-skip) than
             // us. Expected traffic, never an error.
             self.stats.late_entries += 1;
-            return bursts;
+            return;
         };
         let Some(instance) = slot.instances.get_mut(id.asset.index()) else {
-            return bursts; // unknown asset: ignore the entry
+            return; // unknown asset: ignore the entry
         };
         let burst = instance.on_message(from, payload);
-        if !burst.is_empty() {
-            bursts.push((id, burst));
-        }
+        self.route(id, burst);
         self.harvest(epoch, id.asset.index());
-        self.fill_pipeline(&mut bursts);
-        bursts
+        self.fill_pipeline();
+    }
+
+    /// Routes one instance's burst into the current step's
+    /// per-destination entries: a broadcast to every node but this one, a
+    /// point-to-point envelope to its destination, or — out of range —
+    /// nowhere.
+    fn route(&mut self, id: AgreementId, burst: Vec<Envelope>) {
+        for env in burst {
+            match env.to {
+                Recipient::All => {
+                    for (dest, entries) in self.routed.iter_mut().enumerate() {
+                        if dest != self.me.index() {
+                            entries.push((id, env.payload.clone()));
+                        }
+                    }
+                }
+                Recipient::One(dest) => {
+                    if let Some(entries) = self.routed.get_mut(dest.index()) {
+                        entries.push((id, env.payload));
+                    }
+                }
+            }
+        }
     }
 
     /// Records a fresh output on `(epoch, asset)` and resolves the epoch
     /// once every asset has one.
     fn harvest(&mut self, epoch: u32, asset: usize) {
         let Some(slot) = self.slots.get_mut(&epoch) else { return };
-        if slot.outputs[asset].is_none() {
-            if let Some(out) = slot.instances[asset].output() {
-                slot.outputs[asset] = Some(out);
-                slot.missing -= 1;
-                if slot.done() {
-                    self.unfinished -= 1;
-                    let outputs =
-                        slot.outputs.iter().map(|o| o.clone().expect("all present")).collect();
-                    self.resolve(epoch, EpochOutcome::Agreed(outputs));
-                }
-            }
+        let (Some(output @ None), Some(instance)) =
+            (slot.outputs.get_mut(asset), slot.instances.get(asset))
+        else {
+            return;
+        };
+        let Some(out) = instance.output() else { return };
+        *output = Some(out);
+        slot.missing -= 1;
+        if slot.done() {
+            self.unfinished -= 1;
+            let outputs = std::mem::take(&mut slot.outputs).into_iter().flatten().collect();
+            self.resolve(epoch, EpochOutcome::Agreed(outputs));
         }
     }
 
@@ -821,7 +907,7 @@ impl<P: Protocol> EpochMux<P> {
     /// Spawns epochs until `depth` are unfinished (or the stream ends),
     /// replaying buffered early entries, and evicts lingerers beyond the
     /// window.
-    fn fill_pipeline(&mut self, bursts: &mut Vec<(AgreementId, Vec<Envelope>)>) {
+    fn fill_pipeline(&mut self) {
         while self.unfinished < self.cfg.depth && self.next_spawn < self.cfg.epochs {
             let epoch = self.next_spawn;
             self.next_spawn += 1;
@@ -850,9 +936,7 @@ impl<P: Protocol> EpochMux<P> {
             let mut slot = Slot { instances, outputs: vec![None; assets], missing: assets };
             for (a, instance) in slot.instances.iter_mut().enumerate() {
                 let burst = instance.start();
-                if !burst.is_empty() {
-                    bursts.push((AgreementId::new(EpochId(epoch), InstanceId(a as u16)), burst));
-                }
+                self.route(AgreementId::new(EpochId(epoch), InstanceId(a as u16)), burst);
             }
             self.slots.insert(epoch, slot);
             self.unfinished += 1;
@@ -861,29 +945,34 @@ impl<P: Protocol> EpochMux<P> {
             for a in 0..assets {
                 self.harvest(epoch, a);
             }
-            self.replay_early(epoch, bursts);
+            self.replay_early(epoch);
         }
+    }
+
+    /// The first epoch past `epoch`'s live window — the one place an
+    /// epoch and the window are summed (saturating at the end of `u32`).
+    fn window_end(&self, epoch: u32) -> u32 {
+        epoch.saturating_add(u32::try_from(self.cfg.window).unwrap_or(u32::MAX))
     }
 
     /// Whether `epoch` is beyond saving: `t + 1` senders are ahead of it
     /// by more than the live window, so the quorum has evicted it.
     fn hopeless(&self, epoch: u32) -> bool {
-        match self.quorum_frontier {
-            Some(f) => epoch + self.cfg.window as u32 <= f && f > epoch,
-            None => false,
-        }
+        self.quorum_frontier.is_some_and(|f| self.window_end(epoch) <= f)
     }
 
     /// Recomputes the cached quorum frontier — the `(t + 1)`-th highest
-    /// sender mark — after a mark advanced; returns whether it moved.
+    /// sender mark, `t = (n − 1) / 3` — after a mark advanced; returns
+    /// whether it moved.
     fn refresh_quorum_frontier(&mut self) -> bool {
+        let t = (self.n - 1) / 3;
         let seen = &mut self.frontier_scratch;
         seen.clear();
         seen.extend(self.frontier.iter().flatten());
-        if seen.len() <= self.cfg.t {
+        if seen.len() <= t {
             return false;
         }
-        let (_, &mut quorum, _) = seen.select_nth_unstable_by(self.cfg.t, |a, b| b.cmp(a));
+        let (_, &mut quorum, _) = seen.select_nth_unstable_by(t, |a, b| b.cmp(a));
         let moved = self.quorum_frontier != Some(quorum);
         self.quorum_frontier = Some(quorum);
         moved
@@ -891,12 +980,12 @@ impl<P: Protocol> EpochMux<P> {
 
     /// Skips unfinished epochs the quorum has left behind, so the
     /// pipeline can refill at the live frontier instead of stalling.
-    fn fast_forward(&mut self, bursts: &mut Vec<(AgreementId, Vec<Envelope>)>) {
+    fn fast_forward(&mut self) {
         let Some(frontier) = self.quorum_frontier else { return };
         let stale: Vec<u32> = self
             .slots
             .iter()
-            .filter(|(&e, slot)| !slot.done() && e + (self.cfg.window as u32) <= frontier)
+            .filter(|(&e, slot)| !slot.done() && self.window_end(e) <= frontier)
             .map(|(&e, _)| e)
             .collect();
         if stale.is_empty() {
@@ -908,16 +997,15 @@ impl<P: Protocol> EpochMux<P> {
             self.stats.stale_epochs += 1;
             self.resolve(epoch, EpochOutcome::Skipped);
         }
-        self.fill_pipeline(bursts);
+        self.fill_pipeline();
     }
 
     /// Buffers an entry for a not-yet-spawned epoch (bounded; replayed at
     /// spawn). Entries beyond the stream or the byte budget are dropped.
     fn buffer_early(&mut self, from: NodeId, id: AgreementId, payload: &[u8]) {
         let epoch = id.epoch.0;
-        let horizon = self.next_spawn.saturating_add(self.cfg.window as u32);
         if epoch >= self.cfg.epochs
-            || epoch >= horizon
+            || epoch >= self.window_end(self.next_spawn)
             || self.early_bytes + early_entry_cost(payload.len()) > EARLY_BUFFER_BYTES
         {
             self.stats.early_dropped += 1;
@@ -932,7 +1020,7 @@ impl<P: Protocol> EpochMux<P> {
     }
 
     /// Replays entries buffered for `epoch` into its fresh instances.
-    fn replay_early(&mut self, epoch: u32, bursts: &mut Vec<(AgreementId, Vec<Envelope>)>) {
+    fn replay_early(&mut self, epoch: u32) {
         let Some(buffered) = self.early.remove(&epoch) else { return };
         for (from, asset, payload) in buffered {
             self.early_bytes -= early_entry_cost(payload.len());
@@ -940,9 +1028,7 @@ impl<P: Protocol> EpochMux<P> {
             let Some(slot) = self.slots.get_mut(&epoch) else { continue };
             let Some(instance) = slot.instances.get_mut(asset.index()) else { continue };
             let burst = instance.on_message(from, &payload);
-            if !burst.is_empty() {
-                bursts.push((AgreementId::new(EpochId(epoch), asset), burst));
-            }
+            self.route(AgreementId::new(EpochId(epoch), asset), burst);
             self.harvest(epoch, asset.index());
         }
     }
@@ -953,280 +1039,22 @@ impl<P: Protocol> EpochMux<P> {
     /// so a resolved resident always exists when the budget is full.
     fn evict_lingerers(&mut self) {
         while self.slots.len() >= self.cfg.window {
-            let victim = self
-                .slots
-                .iter()
-                .find(|(_, slot)| slot.done())
-                .map(|(&e, _)| e)
-                .expect("window >= depth leaves a resolved epoch to evict");
+            let resolved = self.slots.iter().find(|(_, slot)| slot.done());
+            let Some(victim) = resolved.map(|(&e, _)| e) else { return };
             self.slots.remove(&victim);
         }
     }
-}
 
-impl<P: Protocol + Send + 'static> EpochMux<P> {
-    /// A one-shot basket as a stream of one epoch: `instances[i]` runs as
-    /// asset `i` of epoch 0 (depth 1, window 1 — the resolved epoch is
-    /// never evicted, so a finished node keeps answering peers), and the
-    /// stream's single event carries their outputs in order. The fault
-    /// threshold is moot: one epoch has nothing to fast-forward to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances` is empty, holds more than `u16::MAX`
-    /// instances, or the instances disagree on node identity or system
-    /// size.
-    pub fn one_epoch(instances: Vec<P>) -> EpochMux<P> {
-        assert!(!instances.is_empty(), "a one-epoch stream needs at least one instance");
-        assert!(instances.len() <= usize::from(u16::MAX), "instance ids are u16");
-        let (me, n) = instances.first().map_or((NodeId(0), 0), |p| (p.node_id(), p.n()));
-        assert!(
-            instances.iter().all(|p| p.node_id() == me && p.n() == n),
-            "instances disagree on node id or system size"
-        );
-        let cfg = EpochConfig::new(1, instances.len() as u16, 1, 1, 0);
-        let mut prebuilt: Vec<Option<P>> = instances.into_iter().map(Some).collect();
-        let factory = move |_, asset: InstanceId| {
-            let instance = prebuilt.get_mut(asset.index()).and_then(Option::take);
-            // lint: allow(no-panic) — one epoch spawns each of its assets exactly once
-            instance.expect("a one-epoch stream builds every instance once")
-        };
-        EpochMux::new(cfg, me, n, Box::new(factory))
-    }
-}
-
-impl<P: Protocol + 'static> EpochMux<P> {
-    /// Creates a *vector-basket* pipeline: one multidimensional agreement
-    /// instance per epoch instead of a per-asset fan-out.
-    ///
-    /// `cfg.assets` names the basket size the instances agree on; on the
-    /// wire the pipeline runs with a single [`InstanceId`] (asset 0) per
-    /// epoch — every frame entry of an epoch addresses the one vector
-    /// instance, which is why one bundle exchange per round covers the
-    /// whole basket. [`EpochMux::vector_dims`] reports the basket size so
-    /// drivers can expand each `P::Output` (a whole basket) back into
-    /// per-asset values (see [`flatten_vector_events`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid config (see [`EpochConfig::new`]) or `me` out
-    /// of range.
-    pub fn new_vector(
-        cfg: EpochConfig,
-        me: NodeId,
-        n: usize,
-        mut factory: Box<dyn FnMut(EpochId) -> P + Send>,
-    ) -> EpochMux<P> {
-        let dims = cfg.assets;
-        let wire_cfg = EpochConfig::new(cfg.epochs, 1, cfg.depth, cfg.window, cfg.t);
-        let mut mux = EpochMux::new(wire_cfg, me, n, Box::new(move |epoch, _| factory(epoch)));
-        mux.vector_dims = dims;
-        mux
-    }
-}
-
-/// [`Protocol`] adapter over [`EpochMux`]: the whole epoch pipeline as one
-/// state machine, and the one egress of both transports (the simulator
-/// and `delphi-net`'s dispatch worker drive it alike).
-///
-/// Outgoing bursts are routed per destination and encoded with the epoch
-/// batch codec; [`FlushPolicy::Adaptive`] accumulates entries across steps
-/// and relies on the driver's time trigger ([`Protocol::on_tick`]) to
-/// bound the delay. The output is the complete ordered event stream, once
-/// every epoch has resolved.
-pub struct EpochProtocol<P: Protocol> {
-    mux: EpochMux<P>,
-    /// Pending entries per destination.
-    pending: PendingBatches,
-    /// Reused routing buffers: one per destination, refilled per step.
-    route_scratch: Vec<Vec<(AgreementId, Bytes)>>,
-    /// The entries flushed last and their encoding (see `flush_dest`).
-    last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
-    /// Entries flushed (envelopes after broadcast expansion).
-    sent_entries: u64,
-    /// Their heads' bytes ([`epoch_entry_overhead`]).
-    sent_head_bytes: u64,
-}
-
-/// Per-destination pending entries under one [`FlushPolicy`] — the
-/// accumulator behind [`EpochProtocol`]. The caller owns what "flush"
-/// means; this struct only decides *when* and hands the entries back.
-///
-/// Flushed buffers are meant to come home: [`PendingBatches::recycle`]
-/// returns a drained buffer to a small free-list, and the next
-/// accumulation for any destination reuses it instead of allocating —
-/// [`PendingBatches::reuse_hits`] counts how often that worked, which
-/// `NetStats` surfaces as `buffer_reuses`.
-#[derive(Debug)]
-pub struct PendingBatches {
-    policy: FlushPolicy,
-    pending: Vec<Vec<(AgreementId, Bytes)>>,
-    bytes: Vec<usize>,
-    /// Drained buffers awaiting reuse (bounded by the destination count).
-    free: Vec<Vec<(AgreementId, Bytes)>>,
-    reuse_hits: u64,
-}
-
-impl PendingBatches {
-    /// An empty accumulator for `n` destinations.
-    pub fn new(n: usize, policy: FlushPolicy) -> PendingBatches {
-        PendingBatches {
-            policy,
-            pending: std::iter::repeat_with(Vec::new).take(n).collect(),
-            bytes: vec![0; n],
-            free: Vec::new(),
-            reuse_hits: 0,
-        }
-    }
-
-    /// Number of destinations.
-    pub fn dests(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Moves entries from the front of the caller-owned scratch `entries`
-    /// (which keeps its capacity for the next step) to `dest`'s pending
-    /// batch, returning `true` when the destination is due for an
-    /// immediate flush: always, per-step; on tripping the entry or byte
-    /// trigger, adaptive — the time trigger is the driver's. Per-entry,
-    /// one entry moves per call and is due at once, so callers loop
-    /// `while push_drain(..) { flush }` until the scratch is empty.
-    pub fn push_drain(&mut self, dest: usize, entries: &mut Vec<(AgreementId, Bytes)>) -> bool {
-        if entries.is_empty() || dest >= self.pending.len() {
-            return false;
-        }
-        let take = if matches!(self.policy, FlushPolicy::PerEntry) { 1 } else { entries.len() };
-        if self.pending[dest].capacity() == 0 {
-            if let Some(buf) = self.free.pop() {
-                self.pending[dest] = buf;
-                self.reuse_hits += 1;
-            }
-        }
-        self.bytes[dest] += entries.iter().take(take).map(|(_, p)| p.len()).sum::<usize>();
-        self.pending[dest].extend(entries.drain(..take));
-        match self.policy {
-            FlushPolicy::PerEntry | FlushPolicy::PerStep => true,
-            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
-                self.pending[dest].len() >= max_entries || self.bytes[dest] >= max_bytes
-            }
-        }
-    }
-
-    /// Takes `dest`'s pending entries (empty when nothing is due). Hand
-    /// the drained buffer back via [`PendingBatches::recycle`] once the
-    /// flush has consumed it.
-    pub fn take(&mut self, dest: usize) -> Vec<(AgreementId, Bytes)> {
-        self.bytes[dest] = 0;
-        std::mem::take(&mut self.pending[dest])
-    }
-
-    /// Returns a flushed buffer to the free-list (cleared; capacity kept).
-    /// Buffers beyond one per destination are dropped — the steady state
-    /// needs no more.
-    pub fn recycle(&mut self, mut buf: Vec<(AgreementId, Bytes)>) {
-        buf.clear();
-        if buf.capacity() > 0 && self.free.len() < self.pending.len() {
-            self.free.push(buf);
-        }
-    }
-
-    /// How often an accumulation reused a recycled buffer instead of
-    /// allocating a fresh one.
-    pub fn reuse_hits(&self) -> u64 {
-        self.reuse_hits
-    }
-
-    /// Whether any destination has unflushed entries.
-    pub fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
-    }
-}
-
-impl<P: Protocol> fmt::Debug for EpochProtocol<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpochProtocol")
-            .field("mux", &self.mux)
-            .field("pending", &self.pending)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: Protocol> EpochProtocol<P> {
-    /// Wraps `mux` with the given flush policy.
-    pub fn new(mux: EpochMux<P>, flush: FlushPolicy) -> EpochProtocol<P> {
-        let n = mux.n();
-        EpochProtocol {
-            mux,
-            pending: PendingBatches::new(n, flush),
-            route_scratch: Vec::new(),
-            last_batch: None,
-            sent_entries: 0,
-            sent_head_bytes: 0,
-        }
-    }
-
-    /// The underlying pipeline.
-    pub fn mux(&self) -> &EpochMux<P> {
-        &self.mux
-    }
-
-    /// Consumes the adapter, returning the pipeline.
-    pub fn into_mux(self) -> EpochMux<P> {
-        self.mux
-    }
-
-    /// Drops and returns the events emitted since the last drain, for a
-    /// transport that tails the stream live ([`Protocol::output`] then
-    /// misses them).
-    pub fn drain_events(&mut self) -> Vec<EpochEvent<P::Output>> {
-        self.mux.drain_events()
-    }
-
-    /// How long the entries now pending may wait for the transport's next
-    /// [`Protocol::on_tick`]: the adaptive `max_delay`, `None` while
-    /// nothing is pending (always, per step and per entry).
-    pub fn pending_delay(&self) -> Option<Duration> {
-        match self.pending.policy {
-            FlushPolicy::Adaptive { max_delay, .. } if self.pending.has_pending() => {
-                Some(max_delay)
-            }
-            _ => None,
-        }
-    }
-
-    /// Entries flushed so far (envelopes after broadcast expansion).
-    pub fn sent_entries(&self) -> u64 {
-        self.sent_entries
-    }
-
-    /// Bytes of the flushed entries' heads: the epoch batches' framing
-    /// beyond their counts.
-    pub fn sent_head_bytes(&self) -> u64 {
-        self.sent_head_bytes
-    }
-
-    /// How often an accumulation reused a flushed entry buffer instead of
-    /// allocating ([`PendingBatches::reuse_hits`]).
-    pub fn reuse_hits(&self) -> u64 {
-        self.pending.reuse_hits()
-    }
-
-    /// Routes bursts into the per-destination pending buffers and flushes
-    /// whatever the policy says is due. Routing runs through reused
-    /// scratch buffers: the steady state allocates nothing.
-    fn enqueue(&mut self, bursts: Vec<(AgreementId, Vec<Envelope>)>, out: &mut Vec<Envelope>) {
-        if bursts.is_empty() {
-            return; // most entries trigger nothing
-        }
-        let (n, me) = (self.mux.n(), self.mux.node_id());
-        let mut routed = std::mem::take(&mut self.route_scratch);
-        route_epoch_bursts_into(bursts, n, me, &mut routed);
-        for (dest, entries) in routed.iter_mut().enumerate() {
+    /// Ends a protocol step: moves its routed entries (most steps have
+    /// none) to the pending batches and flushes what the policy says is due.
+    fn end_step(&mut self, out: &mut Vec<Envelope>) {
+        let mut routed = std::mem::take(&mut self.routed);
+        for (dest, entries) in routed.iter_mut().enumerate().filter(|(_, e)| !e.is_empty()) {
             while self.pending.push_drain(dest, entries) {
                 self.flush_dest(dest, out);
             }
         }
-        self.route_scratch = routed;
+        self.routed = routed;
     }
 
     fn flush_dest(&mut self, dest: usize, out: &mut Vec<Envelope>) {
@@ -1248,13 +1076,64 @@ impl<P: Protocol> EpochProtocol<P> {
             self.pending.recycle(previous);
         }
     }
+}
 
-    fn flush_all(&mut self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        for dest in 0..self.pending.dests() {
-            self.flush_dest(dest, &mut out);
-        }
-        out
+impl<P: Protocol + Send + 'static> EpochProtocol<P> {
+    /// A one-shot basket as a stream of one epoch: `instances[i]` runs as
+    /// asset `i` of epoch 0 (depth 1, window 1 — the resolved epoch is
+    /// never evicted, so a finished node keeps answering peers), and the
+    /// stream's single event carries their outputs in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instances` is empty, holds more than `u16::MAX`
+    /// instances, or the instances disagree on node identity or system
+    /// size.
+    pub fn one_epoch(instances: Vec<P>, flush: FlushPolicy) -> EpochProtocol<P> {
+        assert!(!instances.is_empty(), "a one-epoch stream needs at least one instance");
+        assert!(instances.len() <= usize::from(u16::MAX), "instance ids are u16");
+        let (me, n) = instances.first().map_or((NodeId(0), 0), |p| (p.node_id(), p.n()));
+        assert!(
+            instances.iter().all(|p| p.node_id() == me && p.n() == n),
+            "instances disagree on node id or system size"
+        );
+        let cfg = EpochConfig::new(1, instances.len() as u16, 1, 1);
+        let mut prebuilt: Vec<Option<P>> = instances.into_iter().map(Some).collect();
+        let factory = move |_, asset: InstanceId| {
+            let instance = prebuilt.get_mut(asset.index()).and_then(Option::take);
+            // lint: allow(no-panic) — one epoch spawns each of its assets exactly once
+            instance.expect("a one-epoch stream builds every instance once")
+        };
+        EpochProtocol::new(cfg, me, n, Box::new(factory), flush)
+    }
+
+    /// Creates a *vector-basket* pipeline: one multidimensional agreement
+    /// instance per epoch instead of a per-asset fan-out.
+    ///
+    /// `cfg.assets` names the basket size the instances agree on; on the
+    /// wire the pipeline runs with a single [`InstanceId`] (asset 0) per
+    /// epoch — every frame entry of an epoch addresses the one vector
+    /// instance, which is why one bundle exchange per round covers the
+    /// whole basket. [`EpochProtocol::vector_dims`] reports the basket
+    /// size so drivers can expand each `P::Output` (a whole basket) back
+    /// into per-asset values (see [`flatten_vector_events`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid config (see [`EpochConfig::new`]) or `me` out
+    /// of range.
+    pub fn new_vector(
+        cfg: EpochConfig,
+        me: NodeId,
+        n: usize,
+        mut factory: Box<dyn FnMut(EpochId) -> P + Send>,
+        flush: FlushPolicy,
+    ) -> EpochProtocol<P> {
+        let wire_cfg = EpochConfig::new(cfg.epochs, 1, cfg.depth, cfg.window);
+        let mut node =
+            EpochProtocol::new(wire_cfg, me, n, Box::new(move |epoch, _| factory(epoch)), flush);
+        node.vector_dims = cfg.assets;
+        node
     }
 }
 
@@ -1262,17 +1141,17 @@ impl<P: Protocol> Protocol for EpochProtocol<P> {
     type Output = Vec<EpochEvent<P::Output>>;
 
     fn node_id(&self) -> NodeId {
-        self.mux.node_id()
+        self.me
     }
 
     fn n(&self) -> usize {
-        self.mux.n()
+        self.n
     }
 
     fn start(&mut self) -> Vec<Envelope> {
-        let bursts = self.mux.start();
         let mut out = Vec::new();
-        self.enqueue(bursts, &mut out);
+        self.fill_pipeline();
+        self.end_step(&mut out);
         out
     }
 
@@ -1284,22 +1163,26 @@ impl<P: Protocol> Protocol for EpochProtocol<P> {
         };
         let mut out = Vec::new();
         for (id, entry) in entries.iter() {
-            let bursts = self.mux.on_entry(from, id, entry);
-            self.enqueue(bursts, &mut out);
+            self.on_entry(from, id, entry);
+            self.end_step(&mut out);
         }
         out
     }
 
     fn on_tick(&mut self) -> Vec<Envelope> {
-        self.flush_all()
+        let mut out = Vec::new();
+        for dest in 0..self.n {
+            self.flush_dest(dest, &mut out);
+        }
+        out
     }
 
     fn output(&self) -> Option<Vec<EpochEvent<P::Output>>> {
-        self.mux.is_complete().then(|| self.mux.events().to_vec())
+        self.is_complete().then(|| self.events.clone())
     }
 
     fn is_finished(&self) -> bool {
-        self.mux.is_complete() && !self.pending.has_pending()
+        self.is_complete() && !self.pending.has_pending()
     }
 }
 
@@ -1491,10 +1374,10 @@ mod tests {
     fn vector_mode_runs_one_instance_per_epoch() {
         let n = 4;
         let dims = 8u16;
-        let cfg = EpochConfig::new(3, dims, 1, 2, 1);
+        let cfg = EpochConfig::new(3, dims, 1, 2);
         let spawned = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let counter = spawned.clone();
-        let mut mux = EpochMux::new_vector(
+        let mut node = EpochProtocol::new_vector(
             cfg,
             NodeId(0),
             n,
@@ -1506,16 +1389,17 @@ mod tests {
                     basket: (0..dims as u8).map(|d| d + epoch.0 as u8).collect(),
                 }
             }),
+            FlushPolicy::PerStep,
         );
-        assert_eq!(mux.vector_dims(), dims);
+        assert_eq!(node.vector_dims(), dims);
         // On the wire the pipeline runs a single instance slot per epoch.
-        assert_eq!(mux.config().assets, 1);
-        let _ = mux.start();
-        assert!(mux.is_complete());
+        assert_eq!(node.cfg.assets, 1);
+        let _ = node.start();
+        assert!(node.is_complete());
         // One factory call (= one agreement instance) per epoch, not per
         // asset.
         assert_eq!(spawned.load(std::sync::atomic::Ordering::SeqCst), 3);
-        let events = mux.drain_events();
+        let events = node.drain_events();
         assert_eq!(events.len(), 3);
         for event in &events {
             // Each event holds one slot whose output is the whole basket.
@@ -1548,9 +1432,14 @@ mod tests {
         assert_eq!((flat[0].epoch, flat[1].epoch), (EpochId(0), EpochId(1)));
     }
 
+    /// Node `me` of an `n`-node gossip stream, flushing per step.
+    fn gossip_node(cfg: EpochConfig, me: NodeId, n: usize) -> EpochProtocol<Gossip> {
+        EpochProtocol::new(cfg, me, n, gossip_factory(me, n), FlushPolicy::PerStep)
+    }
+
     fn mesh(cfg: EpochConfig, n: usize, flush: FlushPolicy) -> Vec<EpochProtocol<Gossip>> {
         NodeId::all(n)
-            .map(|id| EpochProtocol::new(EpochMux::new(cfg, id, n, gossip_factory(id, n)), flush))
+            .map(|id| EpochProtocol::new(cfg, id, n, gossip_factory(id, n), flush))
             .collect()
     }
 
@@ -1593,7 +1482,7 @@ mod tests {
 
     #[test]
     fn pipeline_completes_all_epochs_in_order() {
-        let cfg = EpochConfig::new(12, 3, 2, 4, 1);
+        let cfg = EpochConfig::new(12, 3, 2, 4);
         let mut nodes = mesh(cfg, 4, FlushPolicy::PerStep);
         run_mesh(&mut nodes);
         for node in &nodes {
@@ -1607,16 +1496,16 @@ mod tests {
                 let expect: Vec<u8> = (0..3).map(|a| (e as u8) * 10 + a).collect();
                 assert_eq!(values, &expect, "per-asset values at epoch {e}");
             }
-            assert_eq!(node.mux().stats().stale_epochs, 0);
-            assert_eq!(node.mux().stats().late_entries, 0);
-            assert!(node.mux().stats().peak_resident <= 4, "live window bound");
+            assert_eq!(node.stats().stale_epochs, 0);
+            assert_eq!(node.stats().late_entries, 0);
+            assert!(node.stats().peak_resident <= 4, "live window bound");
             assert!(node.is_finished());
         }
     }
 
     #[test]
     fn adaptive_flush_cuts_batches_at_equal_entry_counts() {
-        let cfg = EpochConfig::new(10, 4, 2, 4, 1);
+        let cfg = EpochConfig::new(10, 4, 2, 4);
         let mut per_step = mesh(cfg, 3, FlushPolicy::PerStep);
         let per_step_batches = run_mesh(&mut per_step);
         let mut adaptive = mesh(
@@ -1651,28 +1540,22 @@ mod tests {
     #[test]
     fn late_entries_to_evicted_epochs_are_counted_not_errors() {
         let n = 2;
-        let cfg = EpochConfig::new(6, 1, 1, 1, 0);
-        let mut a = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n)),
-            FlushPolicy::PerStep,
-        );
-        let mut b = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(1), n, gossip_factory(NodeId(1), n)),
-            FlushPolicy::PerStep,
-        );
+        let cfg = EpochConfig::new(6, 1, 1, 1);
+        let mut a = gossip_node(cfg, NodeId(0), n);
+        let mut b = gossip_node(cfg, NodeId(1), n);
         let a0 = a.start();
         let b0 = b.start();
         // Deliver epoch 0 both ways: both complete epoch 0, spawn epoch 1,
         // and (window = depth = 1) evict the finished epoch 0 slot.
         let _ = a.on_message(NodeId(1), &b0[0].payload);
         let _ = b.on_message(NodeId(0), &a0[0].payload);
-        assert_eq!(a.mux().events().len(), 1);
+        assert_eq!(a.events.len(), 1);
         // Replay node 1's epoch-0 greeting: epoch 0 is evicted now.
-        let before = a.mux().stats().late_entries;
+        let before = a.stats().late_entries;
         let out = a.on_message(NodeId(1), &b0[0].payload);
         assert!(out.is_empty(), "late entry triggers nothing");
-        assert_eq!(a.mux().stats().late_entries, before + 1, "late entry counted");
-        assert_eq!(a.mux().events().len(), 1, "state unchanged");
+        assert_eq!(a.stats().late_entries, before + 1, "late entry counted");
+        assert_eq!(a.events.len(), 1, "state unchanged");
     }
 
     #[test]
@@ -1681,15 +1564,9 @@ mod tests {
         // unfinished; spawning epoch 2 pushes residency to 3 > window and
         // must evict the *completed* epoch 0, not unfinished epoch 1.
         let n = 2;
-        let cfg = EpochConfig::new(8, 1, 2, 2, 0);
-        let mut a = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n)),
-            FlushPolicy::PerStep,
-        );
-        let mut b = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(1), n, gossip_factory(NodeId(1), n)),
-            FlushPolicy::PerStep,
-        );
+        let cfg = EpochConfig::new(8, 1, 2, 2);
+        let mut a = gossip_node(cfg, NodeId(0), n);
+        let mut b = gossip_node(cfg, NodeId(1), n);
         let _ = a.start();
         let b0 = b.start();
         // b's start burst carries epochs 0 and 1; feed only epoch 0 to a.
@@ -1698,9 +1575,9 @@ mod tests {
             entries.iter().find(|(id, _)| id.epoch == EpochId(0)).cloned().expect("epoch 0 entry");
         let _ = a.on_entry_for_test(NodeId(1), e0, &payload0);
         // Epoch 0 done -> epoch 2 spawned; epoch 1 still unfinished.
-        assert_eq!(a.mux().events().len(), 1);
-        assert!(a.mux.slots.len() <= 2, "window respected");
-        let resident: Vec<u32> = a.mux.slots.keys().copied().collect();
+        assert_eq!(a.events.len(), 1);
+        assert!(a.slots.len() <= 2, "window respected");
+        let resident: Vec<u32> = a.slots.keys().copied().collect();
         assert!(resident.contains(&1), "unfinished epoch 1 must survive eviction");
         assert!(!resident.contains(&0), "completed epoch 0 was the eviction victim");
     }
@@ -1711,21 +1588,23 @@ mod tests {
         // it) before it is skipped. A single high-epoch sender moves
         // nothing — the Byzantine-advertisement guard.
         let n = 4;
-        let cfg = EpochConfig::new(40, 1, 1, 2, 1);
-        let mut lag = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        let cfg = EpochConfig::new(40, 1, 1, 2);
+        let mut lag = gossip_node(cfg, NodeId(0), n);
         let _ = lag.start();
         assert_eq!(lag.slots.len(), 1, "working on epoch 0");
 
         // One (possibly Byzantine) sender claims epoch 30: no movement.
-        let _ = lag.on_entry(NodeId(1), AgreementId::new(EpochId(30), InstanceId(0)), b"x");
+        let _ =
+            lag.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(30), InstanceId(0)), b"x");
         assert_eq!(lag.stats().stale_epochs, 0, "one sender is not a quorum");
 
         // A second sender confirms the frontier: epoch 0 is hopeless
-        // (30 ≥ 0 + window), the mux skips forward and respawns at the
+        // (30 ≥ 0 + window), the pipeline skips forward and respawns at the
         // buffered frontier epochs.
-        let _ = lag.on_entry(NodeId(2), AgreementId::new(EpochId(30), InstanceId(0)), b"x");
+        let _ =
+            lag.on_entry_for_test(NodeId(2), AgreementId::new(EpochId(30), InstanceId(0)), b"x");
         assert!(lag.stats().stale_epochs > 0, "left-behind epochs skipped");
-        let events = lag.events();
+        let events = &lag.events;
         assert!(!events.is_empty());
         assert!(
             events.iter().all(|e| e.outcome == EpochOutcome::Skipped),
@@ -1744,40 +1623,40 @@ mod tests {
         // The stale-epoch scan runs only when an entry moves the quorum
         // frontier — and then it must run within that same call.
         let n = 4;
-        let cfg = EpochConfig::new(40, 1, 1, 2, 1);
-        let mut lag = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        let cfg = EpochConfig::new(40, 1, 1, 2);
+        let mut lag = gossip_node(cfg, NodeId(0), n);
         let _ = lag.start();
         let far = AgreementId::new(EpochId(30), InstanceId(0));
-        let _ = lag.on_entry(NodeId(1), far, b"x");
+        let _ = lag.on_entry_for_test(NodeId(1), far, b"x");
         // Marks that cannot move the frontier: our own id, an id outside
         // the system, a repeat of a mark already counted.
         for from in [NodeId(0), NodeId(9), NodeId(1)] {
-            let _ = lag.on_entry(from, far, b"x");
+            let _ = lag.on_entry_for_test(from, far, b"x");
         }
         assert_eq!(lag.stats().stale_epochs, 0, "one distinct sender is not a quorum");
-        assert!(lag.events().is_empty());
+        assert!(lag.events.is_empty());
 
         // Sender 2's mark is the t + 1-th: epoch 0 is resolved as skipped
         // before this call returns, and the pipeline has moved on.
-        let _ = lag.on_entry(NodeId(2), far, b"x");
+        let _ = lag.on_entry_for_test(NodeId(2), far, b"x");
         assert!(lag.stats().stale_epochs > 0, "stranded epoch skipped on the moving entry");
-        assert_eq!(lag.events().first().map(|e| &e.outcome), Some(&EpochOutcome::Skipped));
+        assert_eq!(lag.events.first().map(|e| &e.outcome), Some(&EpochOutcome::Skipped));
         assert!(!lag.slots.contains_key(&0), "epoch 0 is no longer resident");
         let skipped = lag.stats().stale_epochs;
 
         // An entry that leaves every mark in place changes nothing.
-        let _ = lag.on_entry(NodeId(2), far, b"x");
-        let _ = lag.on_entry(NodeId(2), AgreementId::new(EpochId(7), InstanceId(0)), b"x");
+        let _ = lag.on_entry_for_test(NodeId(2), far, b"x");
+        let _ = lag.on_entry_for_test(NodeId(2), AgreementId::new(EpochId(7), InstanceId(0)), b"x");
         assert_eq!(lag.stats().stale_epochs, skipped);
     }
 
     #[test]
     fn frontier_gated_fast_forward_matches_a_scan_on_every_entry() {
         // Reference behaviour: scan for stranded epochs before every
-        // entry, whoever sent it. The mux scans only when the quorum
+        // entry, whoever sent it. The pipeline scans only when the quorum
         // frontier moved; events, counters and bursts must not differ.
         let n = 4;
-        let cfg = EpochConfig::new(40, 1, 2, 3, 1);
+        let cfg = EpochConfig::new(40, 1, 2, 3);
         let at = |e: u32| AgreementId::new(EpochId(e), InstanceId(0));
         let mut script: Vec<(NodeId, AgreementId)> = Vec::new();
         // Epochs 0 and 1 complete normally (three greetings each), with
@@ -1803,18 +1682,19 @@ mod tests {
         script.extend([(NodeId(1), at(9999)), (NodeId(3), at(39)), (NodeId(2), at(38))]);
 
         let run = |scan_every_entry: bool| {
-            let mut mux = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
-            let mut bursts = vec![mux.start()];
+            let mut node = gossip_node(cfg, NodeId(0), n);
+            let mut bursts = vec![node.start()];
             for &(from, id) in &script {
                 if scan_every_entry {
                     let mut skipped = Vec::new();
-                    mux.fast_forward(&mut skipped);
+                    node.fast_forward();
+                    node.end_step(&mut skipped);
                     bursts.push(skipped);
                 }
-                bursts.push(mux.on_entry(from, id, b"g"));
+                bursts.push(node.on_entry_for_test(from, id, b"g"));
             }
             bursts.retain(|b| !b.is_empty());
-            (mux.events().to_vec(), mux.stats(), bursts)
+            (node.events.clone(), node.stats(), bursts)
         };
         let (events, stats, bursts) = run(false);
         assert_eq!((events.clone(), stats, bursts), run(true));
@@ -1823,25 +1703,69 @@ mod tests {
         assert!(events.iter().any(|e| matches!(e.outcome, EpochOutcome::Agreed(_))));
     }
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_window_wider_than_u32_behaves_as_the_whole_stream() {
+        // Added to an epoch as a `u32`, a window of (1 << 32) + 1 reads as
+        // 1 and skips every epoch two senders are one past. Past the
+        // stream's end a window changes nothing, so it is held as `epochs`
+        // and each step repeats a window-40 run's.
+        let (n, epochs) = (4, 40);
+        let wide = (1usize << 32) + 1;
+        assert_eq!(EpochConfig::new(epochs, 1, 1, wide).window, 40);
+        // A one-epoch stream at the default depth 2 and window 6 is held
+        // as depth 1, window 1, and builds.
+        let one = EpochConfig::new(1, 1, 2, 6);
+        assert_eq!(one, EpochConfig { epochs: 1, assets: 1, depth: 1, window: 1 });
+        assert!(!gossip_node(one, NodeId(0), n).start().is_empty());
+        let at = |e: u32| AgreementId::new(EpochId(e), InstanceId(0));
+        let run = |window: usize| {
+            let mut node = gossip_node(EpochConfig::new(epochs, 1, 1, window), NodeId(0), n);
+            let mut out = vec![node.start()];
+            // The peers greet each epoch one ahead of this node.
+            for e in 0..epochs {
+                for ahead in [e + 1, e] {
+                    for from in 1..4 {
+                        out.push(node.on_entry_for_test(NodeId(from), at(ahead), b"g"));
+                    }
+                }
+            }
+            (node.events, node.stats, out)
+        };
+        let (events, stats, out) = run(wide);
+        assert_eq!(stats.stale_epochs, 0, "an epoch one behind is not hopeless");
+        assert_eq!(events.len(), epochs as usize);
+        assert!(events.iter().all(|e| matches!(e.outcome, EpochOutcome::Agreed(_))));
+        assert_eq!((events, stats, out), run(epochs as usize));
+    }
+
     #[test]
     fn early_entries_buffer_and_replay_but_bound_memory() {
-        // t = 1 with a single peer: no fast-forward quorum can ever form,
-        // isolating the early-buffer path.
-        let n = 2;
-        let cfg = EpochConfig::new(10, 1, 1, 2, 1);
-        let mut a = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        // n = 4 (t = 1) with a single sending peer: no fast-forward quorum
+        // can ever form, isolating the early-buffer path. Its instances
+        // gossip as in a 2-node mesh, so that peer's greeting completes an
+        // epoch.
+        let cfg = EpochConfig::new(10, 1, 1, 2);
+        let mut a = EpochProtocol::new(
+            cfg,
+            NodeId(0),
+            4,
+            gossip_factory(NodeId(0), 2),
+            FlushPolicy::PerStep,
+        );
         let _ = a.start();
         // Epoch 1 is within the horizon: buffered, then replayed at spawn.
-        let _ = a.on_entry(NodeId(1), AgreementId::new(EpochId(1), InstanceId(0)), b"g");
+        let _ = a.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(1), InstanceId(0)), b"g");
         assert_eq!(a.stats().early_dropped, 0);
         // Far beyond the horizon (and the stream): dropped and counted.
-        let _ = a.on_entry(NodeId(1), AgreementId::new(EpochId(9999), InstanceId(0)), b"g");
+        let _ =
+            a.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(9999), InstanceId(0)), b"g");
         assert_eq!(a.stats().early_dropped, 1);
         // Completing epoch 0 spawns epoch 1, replaying the buffer: the
         // replayed greeting counts toward epoch 1's completion.
-        let _ = a.on_entry(NodeId(1), AgreementId::new(EpochId(0), InstanceId(0)), b"g");
+        let _ = a.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(0), InstanceId(0)), b"g");
         assert_eq!(a.stats().replayed_entries, 1);
-        assert_eq!(a.events().len(), 2, "epoch 1 completed via the replayed entry");
+        assert_eq!(a.events.len(), 2, "epoch 1 completed via the replayed entry");
     }
 
     #[test]
@@ -1850,15 +1774,21 @@ mod tests {
         // the skipped epochs' buffered bytes must return to the budget,
         // or repeated skip cycles would eventually reject all buffering.
         let n = 4;
-        let cfg = EpochConfig::new(200, 1, 1, 2, 1);
-        let mut lag = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        let cfg = EpochConfig::new(200, 1, 1, 2);
+        let mut lag = gossip_node(cfg, NodeId(0), n);
         let _ = lag.start();
-        let _ = lag.on_entry(NodeId(1), AgreementId::new(EpochId(1), InstanceId(0)), b"abcdef");
+        let _ = lag.on_entry_for_test(
+            NodeId(1),
+            AgreementId::new(EpochId(1), InstanceId(0)),
+            b"abcdef",
+        );
         assert!(lag.early_bytes > 0, "entry buffered");
         // Two senders at epoch 100: epochs 0 and 1 (and the buffer for 1)
         // are hopeless and skipped.
-        let _ = lag.on_entry(NodeId(1), AgreementId::new(EpochId(100), InstanceId(0)), b"x");
-        let _ = lag.on_entry(NodeId(2), AgreementId::new(EpochId(100), InstanceId(0)), b"x");
+        let _ =
+            lag.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(100), InstanceId(0)), b"x");
+        let _ =
+            lag.on_entry_for_test(NodeId(2), AgreementId::new(EpochId(100), InstanceId(0)), b"x");
         assert!(lag.stats().stale_epochs > 0);
         // The skipped epoch's buffer is gone (frontier-epoch entries may
         // legitimately remain buffered until epoch 100 spawns), and the
@@ -1874,12 +1804,13 @@ mod tests {
         // An authenticated Byzantine peer streaming zero-length entries
         // for a future epoch must hit the cap (per-entry overhead is
         // charged), not grow the buffer without bound.
-        let n = 2;
-        let cfg = EpochConfig::new(100, 1, 1, 2, 1); // t=1, 1 peer: no quorum
-        let mut node = EpochMux::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n));
+        let n = 4;
+        let cfg = EpochConfig::new(100, 1, 1, 2); // t = 1, one sender: no quorum
+        let mut node = gossip_node(cfg, NodeId(0), n);
         let _ = node.start();
         for _ in 0..10_000 {
-            let _ = node.on_entry(NodeId(1), AgreementId::new(EpochId(1), InstanceId(0)), b"");
+            let _ =
+                node.on_entry_for_test(NodeId(1), AgreementId::new(EpochId(1), InstanceId(0)), b"");
         }
         let buffered: usize = node.early.values().map(|v| v.len()).sum();
         assert!(buffered <= EARLY_BUFFER_BYTES / 64 + 1, "buffer bounded: {buffered} entries");
@@ -1888,11 +1819,8 @@ mod tests {
 
     #[test]
     fn unknown_assets_and_malformed_batches_are_ignored() {
-        let cfg = EpochConfig::new(2, 1, 1, 1, 0);
-        let mut node = EpochProtocol::new(
-            EpochMux::new(cfg, NodeId(0), 2, gossip_factory(NodeId(0), 2)),
-            FlushPolicy::PerStep,
-        );
+        let cfg = EpochConfig::new(2, 1, 1, 1);
+        let mut node = gossip_node(cfg, NodeId(0), 2);
         let _ = node.start();
         assert!(node.on_message(NodeId(1), b"\xff\xff\xff").is_empty(), "garbage ignored");
         let foreign = encode_epoch_batch(&[(
@@ -1939,7 +1867,7 @@ mod tests {
     /// A one-epoch stream over two pre-built `Relay` instances.
     fn one_epoch_relay(me: NodeId) -> EpochProtocol<Relay> {
         let instances = [10, 20].into_iter().map(|tag| Relay { id: me, tag, got: None }).collect();
-        EpochProtocol::new(EpochMux::one_epoch(instances), FlushPolicy::PerStep)
+        EpochProtocol::one_epoch(instances, FlushPolicy::PerStep)
     }
 
     #[test]
@@ -1970,34 +1898,34 @@ mod tests {
         for a in [0, 1] {
             let _ = node.on_entry_for_test(NodeId(0), at(a), &[7]);
         }
-        assert!(node.mux().is_complete() && node.output().is_some());
-        assert_eq!(node.mux.slots.len(), 1, "the resolved epoch lingers");
+        assert!(node.is_complete() && node.output().is_some());
+        assert_eq!(node.slots.len(), 1, "the resolved epoch lingers");
         for _ in 0..3 {
             let answer = node.on_entry_for_test(NodeId(2), at(1), &[8]);
             assert_eq!(answer.len(), 1, "a finished node still answers");
             assert_eq!(answer[0].to, Recipient::One(NodeId(2)));
         }
-        assert_eq!(node.mux().stats().late_entries, 0);
-        assert_eq!(node.mux().events().len(), 1, "the stream's single event is final");
+        assert_eq!(node.stats().late_entries, 0);
+        assert_eq!(node.events.len(), 1, "the stream's single event is final");
     }
 
     #[test]
     #[should_panic(expected = "disagree on node id")]
     fn one_epoch_rejects_mismatched_identities() {
         let relay = |id| Relay { id: NodeId(id), tag: 0, got: None };
-        let _ = EpochMux::one_epoch(vec![relay(0), relay(1)]);
+        let _ = EpochProtocol::one_epoch(vec![relay(0), relay(1)], FlushPolicy::PerStep);
     }
 
     #[test]
     #[should_panic(expected = "at least one instance")]
     fn one_epoch_rejects_empty_instance_list() {
-        let _: EpochMux<Relay> = EpochMux::one_epoch(Vec::new());
+        let _: EpochProtocol<Relay> = EpochProtocol::one_epoch(Vec::new(), FlushPolicy::PerStep);
     }
 
     #[test]
     #[should_panic(expected = "window must cover")]
     fn config_rejects_window_smaller_than_depth() {
-        let _ = EpochConfig::new(1, 1, 4, 2, 0);
+        let _ = EpochConfig::new(1, 1, 4, 2);
     }
 
     #[test]
@@ -2092,16 +2020,16 @@ mod tests {
         assert!(!pending.push_drain(0, &mut scratch), "nothing left to push");
         let buf = pending.take(0);
         assert_eq!(buf.len(), 1);
-        assert_eq!(pending.reuse_hits(), 0, "nothing recycled yet");
+        assert_eq!(pending.reuse_hits, 0, "nothing recycled yet");
         pending.recycle(buf);
         // The next accumulation (any destination) reuses the buffer.
         assert!(pending.push_drain(1, &mut entry()));
-        assert_eq!(pending.reuse_hits(), 1, "recycled buffer reused");
+        assert_eq!(pending.reuse_hits, 1, "recycled buffer reused");
         let buf = pending.take(1);
         assert!(buf.capacity() > 0);
         pending.recycle(buf);
         assert!(pending.push_drain(0, &mut entry()));
-        assert_eq!(pending.reuse_hits(), 2);
+        assert_eq!(pending.reuse_hits, 2);
         assert!(pending.has_pending());
     }
 
@@ -2129,9 +2057,9 @@ mod tests {
             id: AgreementId,
             payload: &[u8],
         ) -> Vec<Envelope> {
-            let bursts = self.mux.on_entry(from, id, payload);
+            self.on_entry(from, id, payload);
             let mut out = Vec::new();
-            self.enqueue(bursts, &mut out);
+            self.end_step(&mut out);
             out
         }
     }

@@ -24,7 +24,9 @@
 //!   after epoch) over a single mesh — the streaming-oracle lifecycle with
 //!   a bounded live window, ordered output streams, and one batch-entry
 //!   codec so transports amortize framing + MAC cost over every
-//!   instance's traffic. A one-shot basket is a stream of one epoch.
+//!   instance's traffic. One [`EpochProtocol`] per node is the whole
+//!   pipeline, flush policy included, and both transports run it as
+//!   built. A one-shot basket is a stream of one epoch.
 //!
 //! # Example
 //!
@@ -51,8 +53,8 @@ pub mod wire;
 pub use bitset::NodeBitSet;
 pub use dyadic::{Dyadic, DyadicRangeError};
 pub use epoch::{
-    flatten_vector_events, AgreementId, EpochConfig, EpochEvent, EpochId, EpochMux, EpochOutcome,
-    EpochProtocol, EpochStats, FlushPolicy, PendingBatches,
+    flatten_vector_events, AgreementId, EpochConfig, EpochEvent, EpochId, EpochOutcome,
+    EpochProtocol, EpochStats, FlushPolicy,
 };
 pub use id::{InstanceId, NodeId, Round};
 pub use protocol::{Envelope, Protocol, Recipient};

@@ -261,27 +261,35 @@ impl<'a> Reader<'a> {
     /// Reads an unsigned varint.
     ///
     /// The decode hot path (`DelphiBundle` bundles are walls of varints):
-    /// the cursor is advanced once per value instead of once per byte, and
-    /// single-byte varints — counts, checkpoint deltas, small numerators —
-    /// take an early exit after one bounds check.
+    /// a single-byte varint — counts, checkpoint deltas, small numerators —
+    /// is read inline after one bounds check; longer ones (and errors) go
+    /// to an out-of-line reader, so callers inline only the short case.
     ///
     /// # Errors
     ///
     /// [`WireError::Truncated`] on short input, [`WireError::VarintOverflow`]
     /// if the encoding exceeds 10 bytes or overflows 64 bits.
-    #[inline]
+    #[inline(always)]
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.get_wide_u64(),
+        }
+    }
+
+    /// [`Reader::get_u64`] past its one-byte case: a varint of two bytes
+    /// or more, or none at all.
+    #[cold]
+    #[inline(never)]
+    fn get_wide_u64(&mut self) -> Result<u64, WireError> {
         // The cursor stays in a local until the value is complete: the
-        // write-back to `self.pos` happens once per varint instead of once
-        // per byte, and single-byte varints (counts, small numerators,
-        // checkpoint deltas) take the early exit after one bounds check.
+        // write-back to `self.pos` happens once per varint, not per byte.
         let mut pos = self.pos;
         let Some(&first) = self.buf.get(pos) else { return Err(WireError::Truncated) };
         pos += 1;
-        if first < 0x80 {
-            self.pos = pos;
-            return Ok(u64::from(first));
-        }
         let mut value = u64::from(first & 0x7f);
         let mut shift = 7u32;
         loop {

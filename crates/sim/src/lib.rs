@@ -15,7 +15,7 @@
 //! failing test can be replayed. A multi-asset scenario is an epoch
 //! stream: [`EpochProtocol`](delphi_primitives::EpochProtocol) nodes
 //! multiplex all assets over one simulated mesh with batched envelopes,
-//! the same state machine the TCP runner drives, and
+//! the same state machine the TCP runner runs as it was built, and
 //! [`EpochThroughput`] summarizes such a run.
 //!
 //! Every run is judged by one oracle: [`judge`] checks ε-agreement and

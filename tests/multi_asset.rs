@@ -34,15 +34,7 @@ fn one_epoch(
     flush: FlushPolicy,
 ) -> EpochSimPoint {
     let assets = feed.assets() as u16;
-    run_epoch_delphi(
-        cfg,
-        feed,
-        EpochConfig::new(1, assets, 1, 1, cfg.t()),
-        flush,
-        topology,
-        100,
-        false,
-    )
+    run_epoch_delphi(cfg, feed, EpochConfig::new(1, assets, 1, 1), flush, topology, 100, false)
 }
 
 #[test]
