@@ -158,10 +158,10 @@ fn bench_wire(c: &mut Criterion) {
 /// entry walk of authenticated epoch frames, what the TCP read loop
 /// and the worker's re-split do per frame. `send_entries`: the worker's
 /// `EpochProtocol` from entry to flushed batch — one protocol step per
-/// inbound entry, its answers routed per destination, accumulated under
-/// the flush policy and encoded as one batch per due destination — plus
-/// the frame tag over each batch's hash. Both are per-frame MAC work plus
-/// a per-entry walk.
+/// inbound entry, its broadcasts accumulated under the flush policy and
+/// encoded as one batch per flush — plus one hash of each batch and a
+/// frame tag over it for each peer. Both are per-frame MAC work plus a
+/// per-entry walk.
 fn bench_dispatch(c: &mut Criterion) {
     let n = 4;
     let assets = 8u16;
@@ -198,9 +198,10 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 
     // The egress mirror, with the same entry count: 16 inbound batches of
-    // one entry per asset, each entry answered with one 40-byte envelope
-    // to each of two peers. An adaptive policy cut at 8 entries sends one
-    // batch of 8 entries per peer and inbound batch: 32 in all.
+    // one entry per asset, each entry answered with one 40-byte broadcast
+    // to the two peers of a 3-node mesh. An adaptive policy cut at 8
+    // entries flushes one batch of 8 entries per inbound batch, hashed
+    // once and tagged for each peer: 16 batches, 32 tags.
     struct Answer(Bytes);
     impl Protocol for Answer {
         type Output = ();
@@ -208,13 +209,13 @@ fn bench_dispatch(c: &mut Criterion) {
             NodeId(0)
         }
         fn n(&self) -> usize {
-            4
+            3
         }
         fn start(&mut self) -> Vec<Envelope> {
             Vec::new()
         }
         fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            [1u16, 2].map(|peer| Envelope::to_one(NodeId(peer), self.0.clone())).to_vec()
+            vec![Envelope::to_all(self.0.clone())]
         }
         fn output(&self) -> Option<()> {
             None
@@ -239,16 +240,19 @@ fn bench_dispatch(c: &mut Criterion) {
             || {
                 let cfg = EpochConfig::new(16, assets, 16, 16);
                 let factory = |_, a: InstanceId| Answer(Bytes::from(vec![a.0 as u8; 40]));
-                let mut node = EpochProtocol::new(cfg, NodeId(0), n, Box::new(factory), flush);
+                let mut node = EpochProtocol::new(cfg, NodeId(0), 3, Box::new(factory), flush);
                 assert!(node.start().is_empty());
                 node
             },
             |mut node| {
                 let mut tags = 0u8;
                 for batch in &inbound {
-                    for env in node.on_message(NodeId(3), batch) {
-                        let Recipient::One(dest) = env.to else { continue };
-                        tags ^= alice.channel(dest).tag(&sha256(&env.payload))[0];
+                    for env in node.on_message(NodeId(2), batch) {
+                        assert_eq!(env.to, Recipient::All);
+                        let digest = sha256(&env.payload);
+                        for peer in [1u16, 2] {
+                            tags ^= alice.channel(NodeId(peer)).tag(&digest)[0];
+                        }
                     }
                 }
                 tags
@@ -386,29 +390,45 @@ fn bench_delphi_node(c: &mut Criterion) {
     });
 
     // The same call as a node meets it in situ: the whole recorded inbox,
-    // replayed round-robin over 64 independent copies of node 0 (a copy
-    // that has decided starts over), so each call finds its agreement
-    // state where 63 other agreements' worth of traffic left it — out of
-    // cache. The row above re-delivers one message to hot state and
-    // cannot see where the state lives; this one sees little else.
+    // replayed round-robin over 64 independent copies of node 0, so each
+    // call finds its agreement state where 63 other agreements' worth of
+    // traffic left it — out of cache. The row above re-delivers one
+    // message to hot state and cannot see where the state lives; this one
+    // sees little else. The copies start staggered evenly over the inbox,
+    // so every stretch of calls meets each phase of a run (early
+    // fork-heavy bundles, late byte-equal repeats) in the same share. A
+    // copy past the end of the inbox is swapped for a fresh one built
+    // before the sample, outside the timed region.
+    const COPIES: usize = 64;
     let fresh = || {
         let mut node = scalar(NodeId(0));
         let _ = node.start();
-        (node, inbox.iter())
+        node
     };
-    let mut copies: Vec<_> = (0..64).map(|_| fresh()).collect();
+    let mut copies: Vec<(DelphiNode, usize)> = (0..COPIES)
+        .map(|k| {
+            let (mut node, at) = (fresh(), k * inbox.len() / COPIES);
+            for (from, payload) in &inbox[..at] {
+                let _ = node.on_message(*from, payload);
+            }
+            (node, at)
+        })
+        .collect();
+    let (mut spares, mut retired) = (Vec::new(), Vec::new());
     let mut turn = 0usize;
     group.bench_function("delphi_on_message_n16_cold", |b| {
+        retired.clear();
+        spares.resize_with(COPIES, fresh);
         b.iter(|| {
-            turn = (turn + 1) % copies.len();
-            let (node, replay) = &mut copies[turn];
-            match replay.next() {
-                Some((from, payload)) => node.on_message(black_box(*from), black_box(payload)),
-                None => {
-                    copies[turn] = fresh();
-                    Vec::new()
-                }
+            turn = (turn + 1) % COPIES;
+            let (node, at) = &mut copies[turn];
+            if *at == inbox.len() {
+                retired.push(std::mem::replace(node, spares.pop().unwrap_or_else(fresh)));
+                *at = 0;
             }
+            let (from, payload) = &inbox[*at];
+            *at += 1;
+            node.on_message(black_box(*from), black_box(payload))
         })
     });
 
@@ -427,7 +447,7 @@ fn bench_delphi_node(c: &mut Criterion) {
     });
 
     // One epoch of a 2-asset stream: build both Delphi nodes, run their
-    // start bursts into one batch per peer, drop everything — the
+    // start bursts into one batch for every peer, drop everything — the
     // per-epoch fixed cost of the pipeline (`fill_pipeline` + eviction +
     // the start step's flush), dominated by how much state a fresh node
     // reserves up front.

@@ -206,18 +206,17 @@ mod tests {
     /// Hand-delivered mesh run (no simulator dependency in this crate).
     fn run_mesh<P: Protocol>(nodes: &mut [P]) {
         use delphi_primitives::Recipient;
-        let mut queue: std::collections::VecDeque<(NodeId, NodeId, bytes::Bytes)> =
-            std::collections::VecDeque::new();
-        for (i, node) in nodes.iter_mut().enumerate() {
-            for env in node.start() {
-                let Recipient::One(dest) = env.to else { panic!("epoch batches are to_one") };
-                queue.push_back((NodeId(i as u16), dest, env.payload));
-            }
-        }
-        while let Some((from, to, payload)) = queue.pop_front() {
-            for env in nodes[to.index()].on_message(from, &payload) {
-                let Recipient::One(dest) = env.to else { panic!("epoch batches are to_one") };
-                queue.push_back((to, dest, env.payload));
+        let n = nodes.len();
+        let mut queue: std::collections::VecDeque<(NodeId, Envelope)> = NodeId::all(n)
+            .zip(nodes.iter_mut())
+            .flat_map(|(i, node)| node.start().into_iter().map(move |env| (i, env)))
+            .collect();
+        while let Some((from, env)) = queue.pop_front() {
+            let reaches =
+                |d| env.to == Recipient::One(d) || (env.to == Recipient::All && d != from);
+            for to in NodeId::all(n).filter(|&d| reaches(d)) {
+                let out = nodes[to.index()].on_message(from, &env.payload);
+                queue.extend(out.into_iter().map(|reply| (to, reply)));
             }
         }
     }
@@ -337,6 +336,8 @@ mod tests {
         // for the transport's tick.
         assert!(node.start().is_empty());
         assert_eq!(node.pending_delay(), Some(std::time::Duration::from_millis(1)));
-        assert_eq!(node.on_tick().len(), 3, "one batch to each peer");
+        let out = node.on_tick();
+        assert_eq!(out.len(), 1, "one batch for every peer");
+        assert_eq!(out[0].to, delphi_primitives::Recipient::All);
     }
 }

@@ -21,16 +21,17 @@
 //!    per-entry path) as an [`EpochProtocol`] — the very state machine
 //!    the simulator runs — and drives it on its own thread:
 //!    `on_message` walks the batch (no MAC) and takes one protocol step
-//!    per entry, routing, accumulating and flushing under the
-//!    [`FlushPolicy`]'s size triggers; `on_tick` flushes the rest the
-//!    moment the inbox is empty (or first, once the `max_delay` ceiling
-//!    has passed under backlog), with no timer;
-//! 3. the worker's egress lane ([`session`](crate::session)) frames each
-//!    flushed batch (one body hash for a broadcast), tags it and writes it
-//!    straight to the peer's non-blocking socket; only a write that would
-//!    block goes to the peer's writer task (which also dials): a peer that
-//!    stops reading costs dropped frames at that task's bounded queue,
-//!    never a stalled worker.
+//!    per entry, appending its bursts to one pending list and flushing
+//!    it under the [`FlushPolicy`]'s size triggers; `on_tick` flushes the
+//!    rest the moment the inbox is empty (or first, once the `max_delay`
+//!    ceiling has passed under backlog), with no timer;
+//! 3. the worker's egress lane ([`session`](crate::session)) frames and
+//!    hashes each flushed batch once, tags it for each peer it reaches
+//!    (every peer, for a broadcast) and writes each frame straight to its
+//!    peer's non-blocking socket; only a write that would block goes to
+//!    the peer's writer task (which also dials): a peer that stops
+//!    reading costs dropped frames at that task's bounded queue, never a
+//!    stalled worker.
 //!
 //! The service loop sees only what is per run or per epoch: the event
 //! stream, completion, the deadline, the linger window, and the shutdown
@@ -250,7 +251,7 @@ async fn dispatch_worker<P>(
 /// Publishes the dispatch worker's live counters, a [`WorkerStats`].
 fn publish<P: Protocol>(stats: &ServiceStats, node: &EpochProtocol<P>) {
     let (sent_entries, sent_head_bytes) = (node.sent_entries(), node.sent_head_bytes());
-    let totals = ProtocolTotals { sent_entries, sent_head_bytes, buffer_reuses: node.reuse_hits() };
+    let totals = ProtocolTotals { sent_entries, sent_head_bytes };
     stats.cell.publish(&WorkerStats(node.stats(), totals));
 }
 
@@ -260,7 +261,6 @@ delphi_primitives::counter_group! {
     struct ProtocolTotals {
         sent_entries: u64,
         sent_head_bytes: u64,
-        buffer_reuses: u64,
     }
 }
 
@@ -820,7 +820,6 @@ mod tests {
             total.sent_entries += stats.sent_entries;
             total.sent_head_bytes += stats.sent_head_bytes;
             total.mac_ops += stats.mac_ops;
-            total.buffer_reuses += stats.buffer_reuses;
         }
         total
     }
@@ -976,7 +975,6 @@ mod tests {
                 total.sent_frames += stats.sent_frames;
                 total.sent_entries += stats.sent_entries;
                 total.mac_ops += stats.mac_ops;
-                total.buffer_reuses += stats.buffer_reuses;
             }
             total
         };
@@ -1004,10 +1002,6 @@ mod tests {
             adaptive.mac_ops,
             per_step.mac_ops
         );
-        // The flush path recycles its buffers: steady-state flushing hits
-        // the free-list instead of the allocator.
-        assert!(per_step.buffer_reuses > 0, "per-step flushing reuses buffers");
-        assert!(adaptive.buffer_reuses > 0, "adaptive flushing reuses buffers");
     }
 
     /// Bursts `k` point-to-point frames at start and outputs immediately.

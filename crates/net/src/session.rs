@@ -5,16 +5,17 @@
 //! [`PeerLink`] (a connection and its writer task) per peer. It hands
 //! the dispatch worker an [`EgressLane`] — a plain struct the worker
 //! owns and drives on its own thread. What leaves, and when, is not
-//! decided here: the worker's `EpochProtocol` routes each step's
-//! bursts, accumulates them under the run's `FlushPolicy`, decides
-//! which destination is due and encodes its epoch batch, exactly as it
-//! does under the simulator. The lane only puts those envelopes on the
-//! wire, crossing no queue unless a socket would block:
+//! decided here: the worker's `EpochProtocol` keeps each step's bursts
+//! in one pending list under the run's `FlushPolicy`, decides when it is
+//! due and encodes its epoch batch — one for every peer, for a flush of
+//! broadcasts — exactly as it does under the simulator. The lane only
+//! puts those envelopes on the wire, crossing no queue unless a socket
+//! would block:
 //!
-//! - each envelope becomes one frame around its already-encoded batch,
-//!   under its peer's tag; a run of consecutive envelopes sharing one
-//!   payload (a broadcast flush) shares one framed body and one SHA-256
-//!   of it ([`frame`](crate::frame));
+//! - each envelope is framed around its already-encoded batch and hashed
+//!   once, then tagged for each peer it reaches (every peer but this
+//!   node, for a broadcast): one frame per peer, sharing one body and one
+//!   SHA-256 of it ([`frame`](crate::frame));
 //! - the lane keeps the adaptive ceiling ([`EgressLane::flush_ceiling`]):
 //!   `max_delay` after the protocol first held entries back, armed
 //!   exactly while it still holds some. There is no timer: the worker
@@ -35,7 +36,6 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use delphi_crypto::Keychain;
 use delphi_primitives::{Envelope, NodeId, Recipient};
 use tokio::time::Instant;
@@ -62,47 +62,40 @@ pub(crate) struct EgressLane {
 }
 
 impl EgressLane {
-    /// Writes what one protocol call returned — point-to-point envelopes,
-    /// each an encoded epoch batch — one frame each, hashing a body once
-    /// per run of consecutive envelopes that share a payload. Then arms
+    /// Writes what one protocol call returned — envelopes, each an encoded
+    /// epoch batch — framing and hashing each envelope once and tagging it
+    /// for each peer it reaches (every peer, for a broadcast). Then arms
     /// the ceiling `hold` after now if the protocol still holds entries
     /// (`hold` is its `pending_delay`; an armed ceiling is kept, not
     /// pushed back), or disarms it if not.
     pub(crate) fn send(&mut self, out: Vec<Envelope>, hold: Option<Duration>) {
         let EgressLane { keychain, counters, drops, links, frame, .. } = self;
-        let mut body: Option<(Bytes, _)> = None;
         for Envelope { to, payload } in out {
-            // An `EpochProtocol` flush is addressed to one peer.
-            let Recipient::One(dest) = to else { continue };
-            let (Some(Some(link)), Some(dropped)) =
-                (links.get(dest.index()), drops.get_mut(dest.index()))
-            else {
-                continue;
+            let dests = match to {
+                Recipient::All => 0..links.len(),
+                Recipient::One(dest) => dest.index()..dest.index() + 1,
             };
-            let digest = match &body {
-                Some((framed, digest))
-                    if std::ptr::eq(framed.as_ptr(), payload.as_ptr())
-                        && framed.len() == payload.len() =>
-                {
-                    *digest
-                }
-                _ => {
-                    let digest = frame_batch(keychain.node_id(), &payload, frame);
+            let mut digest = None;
+            for dest in dests {
+                // No link at our own slot (nor past the mesh).
+                let (Some(Some(link)), Some(dropped)) = (links.get(dest), drops.get_mut(dest))
+                else {
+                    continue;
+                };
+                let digest = *digest.get_or_insert_with(|| {
                     counters.add(NetStats::body_hashes, 1);
-                    body = Some((payload, digest));
-                    digest
-                }
-            };
-            counters.add(NetStats::mac_ops, 1);
-            counters.add(NetStats::sent_tags, 1);
-            put_tag(frame, keychain.channel(dest), &digest);
-            if !link.send(frame, counters) {
-                *dropped += 1;
-                if *dropped == 1 {
-                    eprintln!(
-                        "delphi-net: started dropping frames to peer {} (writer queue full)",
-                        dest.0
-                    );
+                    frame_batch(keychain.node_id(), &payload, frame)
+                });
+                counters.add(NetStats::mac_ops, 1);
+                counters.add(NetStats::sent_tags, 1);
+                put_tag(frame, keychain.channel(NodeId(dest as u16)), &digest);
+                if !link.send(frame, counters) {
+                    *dropped += 1;
+                    if *dropped == 1 {
+                        eprintln!(
+                            "delphi-net: started dropping frames to peer {dest} (writer queue full)"
+                        );
+                    }
                 }
             }
         }
@@ -209,6 +202,7 @@ impl SessionSet {
 mod tests {
     use super::*;
     use crate::frame::{decode_inbound_frame_ref, encode_epoch_frame, FrameError};
+    use bytes::Bytes;
     use delphi_crypto::TAG_LEN;
     use delphi_primitives::epoch::encode_epoch_batch;
     use delphi_primitives::{AgreementId, EpochProtocol, FlushPolicy, Protocol};
@@ -503,7 +497,7 @@ mod tests {
         let max_delay = Duration::from_millis(5);
         let sessions = dead_peer_sessions(3, &counters, 16);
         let mut lane = sessions.lane();
-        let flush = FlushPolicy::Adaptive { max_entries: 2, max_bytes: 4096, max_delay };
+        let flush = FlushPolicy::Adaptive { max_entries: 3, max_bytes: 4096, max_delay };
         let mut node = echo_node(3, flush);
         assert_eq!(lane.flush_ceiling(), None, "nothing pending, nothing armed");
         let before = Instant::now();
@@ -515,21 +509,19 @@ mod tests {
         // re-armed by the second, and not doubled.
         let armed = lane.flush_ceiling().expect("armed by the first pending entry");
         assert!(before + max_delay <= armed && armed <= after + max_delay, "{armed:?}");
-        // The size trigger flushes peer 1 inline; peer 2's entry still
-        // waits under the ceiling it was armed with.
+        // The pipeline's third pending entry trips the trigger, whichever
+        // peer it is for: everything leaves, a frame per peer, and nothing
+        // is left to arm the ceiling.
         step(&mut node, &mut lane, 1, b"c");
-        assert_eq!(counters.snapshot().mac_ops, 1);
-        assert_eq!(lane.flush_ceiling(), Some(armed));
-        lane.send(node.on_tick(), node.pending_delay());
         assert_eq!(counters.snapshot().mac_ops, 2);
-        assert_eq!(counters.snapshot().sent_tags, 2);
-        assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
-        // A size trigger that empties every destination disarms it too.
-        step(&mut node, &mut lane, 1, b"d");
-        assert!(lane.flush_ceiling().is_some());
-        step(&mut node, &mut lane, 1, b"e");
-        assert_eq!(counters.snapshot().mac_ops, 3);
         assert_eq!(lane.flush_ceiling(), None, "the size trigger left nothing pending");
+        // A broadcast held back leaves on the tick: one body, a tag per peer.
+        step(&mut node, &mut lane, u16::MAX, b"d");
+        assert!(lane.flush_ceiling().is_some());
+        lane.send(node.on_tick(), node.pending_delay());
+        let snap = counters.snapshot();
+        assert_eq!((snap.mac_ops, snap.sent_tags, snap.body_hashes), (4, 4, 3));
+        assert_eq!(lane.flush_ceiling(), None, "disarmed once nothing is pending");
         drop(lane);
         sessions.abort();
     }

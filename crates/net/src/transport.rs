@@ -51,8 +51,8 @@ delphi_primitives::counter_group! {
         sent_frames: u64,
         /// Total bytes written to sockets (frames incl. headers).
         sent_bytes: u64,
-        /// Outbound frame bodies hashed: `sent_tags` minus these frames
-        /// shared a body hash with another destination.
+        /// Outbound frame bodies hashed, one per envelope: `sent_tags`
+        /// minus these frames shared a broadcast's body hash.
         body_hashes: u64,
         /// Outbound frame tags computed, one per frame encoded — the encode
         /// share of `mac_ops`, counted whether or not the frame was written.
@@ -80,8 +80,8 @@ delphi_primitives::counter_group! {
         /// verified), each over a body digest. Batching lowers this together
         /// with `sent_frames`.
         mac_ops: u64,
-        /// Flush buffers the node's `EpochProtocol` reused from its free-list
-        /// instead of allocating (`EpochProtocol::reuse_hits`).
+        /// Always 0 (the epoch pipeline recycles no flush buffers); kept
+        /// for the frozen benchmark's readers in `fig_e2e`.
         buffer_reuses: u64,
         /// Vector (basket) agreement instances completed by this node — one
         /// per epoch in vector mode, each covering the whole basket. Zero in

@@ -194,10 +194,20 @@ pub fn epoch_batch_len(entries: impl IntoIterator<Item = (AgreementId, usize)>) 
 ///
 /// Panics if `entries` holds more than `u16::MAX` entries.
 pub fn encode_epoch_batch(entries: &[(AgreementId, Bytes)]) -> Bytes {
-    let len = epoch_batch_len(entries.iter().map(|(id, p)| (*id, p.len())));
-    let mut buf = BytesMut::with_capacity(len);
-    put_epoch_batch(entries, &mut buf);
+    encode_entries(entries.iter().map(|(id, p)| (*id, &p[..])))
+}
+
+/// [`encode_epoch_batch`] of the entries `entries` yields.
+fn encode_entries<'a>(entries: impl Iterator<Item = (AgreementId, &'a [u8])> + Clone) -> Bytes {
+    let mut buf =
+        BytesMut::with_capacity(epoch_batch_len(entries.clone().map(|(id, p)| (id, p.len()))));
+    put_entries(entries, &mut buf);
     buf.freeze()
+}
+
+/// A pending `(recipient, id, payload)` entry as the batch codec takes it.
+fn entry((_, id, payload): &(Recipient, AgreementId, Bytes)) -> (AgreementId, &[u8]) {
+    (*id, payload)
 }
 
 /// Appends the [`encode_epoch_batch`] encoding of `entries` to `buf` — for
@@ -207,7 +217,15 @@ pub fn encode_epoch_batch(entries: &[(AgreementId, Bytes)]) -> Bytes {
 ///
 /// As [`encode_epoch_batch`].
 pub fn put_epoch_batch(entries: &[(AgreementId, Bytes)], buf: &mut impl BufMut) {
-    let count = u16::try_from(entries.len()).expect("epoch batch entry count fits u16");
+    put_entries(entries.iter().map(|(id, p)| (*id, &p[..])), buf);
+}
+
+/// [`put_epoch_batch`] of the entries `entries` yields.
+fn put_entries<'a>(
+    entries: impl Iterator<Item = (AgreementId, &'a [u8])> + Clone,
+    buf: &mut impl BufMut,
+) {
+    let count = u16::try_from(entries.clone().count()).expect("epoch batch entry count fits u16");
     buf.put_u16(count);
     for (id, payload) in entries {
         put_varint(buf, u64::from(id.epoch.0));
@@ -379,13 +397,15 @@ impl<'a> Iterator for EpochEntryIter<'a> {
 
 /// When a transport flushes accumulated batch entries.
 ///
-/// `PerStep` flushes every protocol step's entries immediately, one frame
-/// per destination per step. `Adaptive` accumulates entries across steps
-/// and flushes a destination when its pending batch exceeds a size trigger
-/// — or when the transport flushes (a TCP dispatch worker once its inbox
-/// is empty, the simulator on its tick) — trading a bounded delay for fewer
-/// frames and MAC tags per agreement. `PerEntry` is the measurement baseline the
-/// other two are judged against: no batching at all.
+/// `PerStep` flushes every protocol step's entries immediately, one batch
+/// per step (to every peer, for a step of broadcasts). `Adaptive`
+/// accumulates entries across steps and flushes once the pipeline's
+/// pending entries trip a size trigger — or when the transport flushes (a
+/// TCP dispatch worker once its inbox is empty, the simulator on its tick)
+/// — trading a bounded delay for fewer frames and MAC tags per agreement.
+/// `PerEntry` is the measurement baseline the other two are judged
+/// against: no batching at all. A broadcast entry counts once towards the
+/// triggers, however many peers it reaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush every entry in a frame of its own: each envelope pays its
@@ -395,9 +415,9 @@ pub enum FlushPolicy {
     PerStep,
     /// Accumulate entries across steps; flush on any trigger.
     Adaptive {
-        /// Flush a destination once this many entries are pending for it.
+        /// Flush once this many entries are pending.
         max_entries: usize,
-        /// Flush a destination once this many payload bytes are pending.
+        /// Flush once this many payload bytes are pending.
         max_bytes: usize,
         /// Upper bound on how long an entry may sit unflushed (the TCP
         /// runner's ceiling under backlog; the simulator's tick interval).
@@ -553,93 +573,6 @@ fn early_entry_cost(payload_len: usize) -> usize {
     payload_len + 64
 }
 
-/// Per-destination pending entries under one [`FlushPolicy`] — the
-/// accumulator behind [`EpochProtocol`]. The caller owns what "flush"
-/// means; this struct only decides *when* and hands the entries back.
-///
-/// Flushed buffers are meant to come home: `recycle` returns a drained
-/// buffer to a small free-list, and the next accumulation for any
-/// destination reuses it instead of allocating — `reuse_hits` counts how
-/// often that worked, which `NetStats` surfaces as `buffer_reuses`.
-#[derive(Debug)]
-struct PendingBatches {
-    policy: FlushPolicy,
-    pending: Vec<Vec<(AgreementId, Bytes)>>,
-    bytes: Vec<usize>,
-    /// Drained buffers awaiting reuse (bounded by the destination count).
-    free: Vec<Vec<(AgreementId, Bytes)>>,
-    reuse_hits: u64,
-}
-
-impl PendingBatches {
-    fn new(n: usize, policy: FlushPolicy) -> PendingBatches {
-        PendingBatches {
-            policy,
-            pending: std::iter::repeat_with(Vec::new).take(n).collect(),
-            bytes: vec![0; n],
-            free: Vec::new(),
-            reuse_hits: 0,
-        }
-    }
-
-    /// Moves entries from the front of the caller-owned scratch `entries`
-    /// (which keeps its capacity for the next step) to `dest`'s pending
-    /// batch, returning `true` when the destination is due for an
-    /// immediate flush: always, per-step; on tripping the entry or byte
-    /// trigger, adaptive — the time trigger is the driver's. Per-entry,
-    /// one entry moves per call and is due at once, so callers loop
-    /// `while push_drain(..) { flush }` until the scratch is empty.
-    fn push_drain(&mut self, dest: usize, entries: &mut Vec<(AgreementId, Bytes)>) -> bool {
-        if entries.is_empty() {
-            return false;
-        }
-        let (Some(pending), Some(bytes)) = (self.pending.get_mut(dest), self.bytes.get_mut(dest))
-        else {
-            return false;
-        };
-        let take = if matches!(self.policy, FlushPolicy::PerEntry) { 1 } else { entries.len() };
-        if pending.capacity() == 0 {
-            if let Some(buf) = self.free.pop() {
-                *pending = buf;
-                self.reuse_hits += 1;
-            }
-        }
-        *bytes += entries.iter().take(take).map(|(_, p)| p.len()).sum::<usize>();
-        pending.extend(entries.drain(..take));
-        match self.policy {
-            FlushPolicy::PerEntry | FlushPolicy::PerStep => true,
-            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
-                pending.len() >= max_entries || *bytes >= max_bytes
-            }
-        }
-    }
-
-    /// Takes `dest`'s pending entries (empty when nothing is due). Hand
-    /// the drained buffer back via `recycle` once the flush has consumed
-    /// it.
-    fn take(&mut self, dest: usize) -> Vec<(AgreementId, Bytes)> {
-        if let Some(bytes) = self.bytes.get_mut(dest) {
-            *bytes = 0;
-        }
-        self.pending.get_mut(dest).map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Returns a flushed buffer to the free-list (cleared; capacity kept).
-    /// Buffers beyond one per destination are dropped — the steady state
-    /// needs no more.
-    fn recycle(&mut self, mut buf: Vec<(AgreementId, Bytes)>) {
-        buf.clear();
-        if buf.capacity() > 0 && self.free.len() < self.pending.len() {
-            self.free.push(buf);
-        }
-    }
-
-    /// Whether any destination has unflushed entries.
-    fn has_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
-    }
-}
-
 /// The long-lived multi-epoch agreement pipeline, as one sans-io
 /// [`Protocol`]: the state machine both transports run (the simulator,
 /// and `delphi-net`'s dispatch worker, which takes the instance its
@@ -648,13 +581,16 @@ impl PendingBatches {
 /// It spawns per-asset protocol instances epoch after epoch from a
 /// factory — one call per `(epoch, asset)` pair; the factory *is* the
 /// streaming input source — and takes one protocol step per authenticated
-/// entry of each epoch batch it receives. What a step's instances emit is
-/// routed per destination (a broadcast to every node but this one, a
-/// point-to-point envelope to its destination, an out-of-range one
-/// nowhere), accumulated under the [`FlushPolicy`] and flushed as epoch
-/// batch payloads; [`FlushPolicy::Adaptive`] relies on the driver's time
-/// trigger ([`Protocol::on_tick`]) to bound the delay. The output is the
-/// complete ordered event stream, once every epoch has resolved.
+/// entry of each epoch batch it receives. What a step's instances emit
+/// joins one ordered pending list, each entry with its recipient (an
+/// out-of-range one is dropped), and the [`FlushPolicy`]'s triggers read
+/// that list's entry and byte counts. A flush of broadcasts is one epoch
+/// batch to every node but this one ([`Recipient::All`]); only a list
+/// holding a point-to-point entry is split into one batch per destination
+/// it reaches, in send order. [`FlushPolicy::Adaptive`] relies on the
+/// driver's time trigger ([`Protocol::on_tick`]) to bound the delay. The
+/// output is the complete ordered event stream, once every epoch has
+/// resolved.
 pub struct EpochProtocol<P: Protocol> {
     cfg: EpochConfig,
     me: NodeId,
@@ -688,13 +624,13 @@ pub struct EpochProtocol<P: Protocol> {
     /// instance per epoch (see [`EpochProtocol::new_vector`]); `0` in the
     /// ordinary per-asset mode.
     vector_dims: u16,
-    /// The current step's routed entries, one list per destination; the
-    /// lists keep their capacity from step to step.
-    routed: Vec<Vec<(AgreementId, Bytes)>>,
-    /// Pending entries per destination.
-    pending: PendingBatches,
-    /// The entries flushed last and their encoding (see `flush_dest`).
-    last_batch: Option<(Vec<(AgreementId, Bytes)>, Bytes)>,
+    /// When pending entries leave.
+    flush: FlushPolicy,
+    /// Unflushed entries in send order, each with its recipient; the list
+    /// keeps its capacity from flush to flush.
+    pending: Vec<(Recipient, AgreementId, Bytes)>,
+    /// Their payload bytes.
+    pending_bytes: usize,
     /// Entries flushed (envelopes after broadcast expansion).
     sent_entries: u64,
     /// Their heads' bytes ([`epoch_entry_overhead`]).
@@ -709,7 +645,8 @@ impl<P: Protocol> fmt::Debug for EpochProtocol<P> {
             .field("next_spawn", &self.next_spawn)
             .field("resident", &self.slots.len())
             .field("emit_floor", &self.emit_floor)
-            .field("pending", &self.pending)
+            .field("flush", &self.flush)
+            .field("pending", &self.pending.len())
             .finish_non_exhaustive()
     }
 }
@@ -754,9 +691,9 @@ impl<P: Protocol> EpochProtocol<P> {
             early_bytes: 0,
             stats: EpochStats::default(),
             vector_dims: 0,
-            routed: std::iter::repeat_with(Vec::new).take(n).collect(),
-            pending: PendingBatches::new(n, flush),
-            last_batch: None,
+            flush,
+            pending: Vec::new(),
+            pending_bytes: 0,
             sent_entries: 0,
             sent_head_bytes: 0,
         }
@@ -789,10 +726,8 @@ impl<P: Protocol> EpochProtocol<P> {
     /// [`Protocol::on_tick`]: the adaptive `max_delay`, `None` while
     /// nothing is pending (always, per step and per entry).
     pub fn pending_delay(&self) -> Option<Duration> {
-        match self.pending.policy {
-            FlushPolicy::Adaptive { max_delay, .. } if self.pending.has_pending() => {
-                Some(max_delay)
-            }
+        match self.flush {
+            FlushPolicy::Adaptive { max_delay, .. } if !self.pending.is_empty() => Some(max_delay),
             _ => None,
         }
     }
@@ -806,12 +741,6 @@ impl<P: Protocol> EpochProtocol<P> {
     /// beyond their counts.
     pub fn sent_head_bytes(&self) -> u64 {
         self.sent_head_bytes
-    }
-
-    /// How often an accumulation reused a flushed entry buffer instead of
-    /// allocating.
-    pub fn reuse_hits(&self) -> u64 {
-        self.pending.reuse_hits
     }
 
     /// Feeds one authenticated entry from `from`, routing what it
@@ -852,26 +781,15 @@ impl<P: Protocol> EpochProtocol<P> {
         self.fill_pipeline();
     }
 
-    /// Routes one instance's burst into the current step's
-    /// per-destination entries: a broadcast to every node but this one, a
-    /// point-to-point envelope to its destination, or — out of range —
-    /// nowhere.
+    /// Appends one instance's burst to the pending entries, dropping a
+    /// point-to-point envelope to a node outside the system.
     fn route(&mut self, id: AgreementId, burst: Vec<Envelope>) {
-        for env in burst {
-            match env.to {
-                Recipient::All => {
-                    for (dest, entries) in self.routed.iter_mut().enumerate() {
-                        if dest != self.me.index() {
-                            entries.push((id, env.payload.clone()));
-                        }
-                    }
-                }
-                Recipient::One(dest) => {
-                    if let Some(entries) = self.routed.get_mut(dest.index()) {
-                        entries.push((id, env.payload));
-                    }
-                }
+        for Envelope { to, payload } in burst {
+            if matches!(to, Recipient::One(dest) if dest.index() >= self.n) {
+                continue;
             }
+            self.pending_bytes += payload.len();
+            self.pending.push((to, id, payload));
         }
     }
 
@@ -1045,36 +963,54 @@ impl<P: Protocol> EpochProtocol<P> {
         }
     }
 
-    /// Ends a protocol step: moves its routed entries (most steps have
-    /// none) to the pending batches and flushes what the policy says is due.
+    /// Ends a protocol step: flushes the pending entries if the policy says
+    /// they are due — always, per step and per entry; on tripping the entry
+    /// or byte trigger, adaptive (the time trigger is the driver's).
     fn end_step(&mut self, out: &mut Vec<Envelope>) {
-        let mut routed = std::mem::take(&mut self.routed);
-        for (dest, entries) in routed.iter_mut().enumerate().filter(|(_, e)| !e.is_empty()) {
-            while self.pending.push_drain(dest, entries) {
-                self.flush_dest(dest, out);
+        let due = match self.flush {
+            FlushPolicy::PerEntry | FlushPolicy::PerStep => true,
+            FlushPolicy::Adaptive { max_entries, max_bytes, .. } => {
+                self.pending.len() >= max_entries || self.pending_bytes >= max_bytes
             }
+        };
+        if due {
+            self.flush_pending(out);
         }
-        self.routed = routed;
     }
 
-    fn flush_dest(&mut self, dest: usize, out: &mut Vec<Envelope>) {
-        let entries = self.pending.take(dest);
-        if entries.is_empty() {
+    /// Encodes every pending entry into `out`: one batch to every peer
+    /// while all are broadcasts, else one batch per destination they
+    /// reach, in send order; per entry, a batch each.
+    fn flush_pending(&mut self, out: &mut Vec<Envelope>) {
+        if self.pending.is_empty() {
             return;
         }
-        self.sent_entries += entries.len() as u64;
-        let heads = entries.iter().map(|(id, p)| epoch_entry_overhead(*id, p.len()));
-        self.sent_head_bytes += heads.sum::<usize>() as u64;
-        // A broadcast step flushes the same entries to every destination
-        // in turn: encode them once and hand out refcounted copies.
-        let payload = match &self.last_batch {
-            Some((previous, encoded)) if *previous == entries => encoded.clone(),
-            _ => encode_epoch_batch(&entries),
-        };
-        out.push(Envelope::to_one(NodeId(dest as u16), payload.clone()));
-        if let Some((previous, _)) = self.last_batch.replace((entries, payload)) {
-            self.pending.recycle(previous);
+        let (pending, me) = (&self.pending, self.me);
+        for (to, id, payload) in pending {
+            let copies = if *to == Recipient::All { self.n as u64 - 1 } else { 1 };
+            self.sent_entries += copies;
+            self.sent_head_bytes += copies * epoch_entry_overhead(*id, payload.len()) as u64;
         }
+        if self.flush == FlushPolicy::PerEntry {
+            for pending in pending {
+                let payload = encode_entries(std::iter::once(entry(pending)));
+                out.push(Envelope { to: pending.0, payload });
+            }
+        } else if pending.iter().all(|(to, ..)| *to == Recipient::All) {
+            out.push(Envelope::to_all(encode_entries(pending.iter().map(entry))));
+        } else {
+            for dest in NodeId::all(self.n) {
+                let reaches = move |(to, ..): &&(Recipient, AgreementId, Bytes)| {
+                    *to == Recipient::One(dest) || (*to == Recipient::All && dest != me)
+                };
+                let entries = pending.iter().filter(reaches).map(entry);
+                if entries.clone().next().is_some() {
+                    out.push(Envelope::to_one(dest, encode_entries(entries)));
+                }
+            }
+        }
+        self.pending.clear();
+        self.pending_bytes = 0;
     }
 }
 
@@ -1171,9 +1107,7 @@ impl<P: Protocol> Protocol for EpochProtocol<P> {
 
     fn on_tick(&mut self) -> Vec<Envelope> {
         let mut out = Vec::new();
-        for dest in 0..self.n {
-            self.flush_dest(dest, &mut out);
-        }
+        self.flush_pending(&mut out);
         out
     }
 
@@ -1182,7 +1116,7 @@ impl<P: Protocol> Protocol for EpochProtocol<P> {
     }
 
     fn is_finished(&self) -> bool {
-        self.is_complete() && !self.pending.has_pending()
+        self.is_complete() && self.pending.is_empty()
     }
 }
 
@@ -1446,14 +1380,16 @@ mod tests {
     /// Hand-delivers envelopes (flushing via ticks when queues drain)
     /// until quiescence; returns messages delivered.
     fn run_mesh(nodes: &mut [EpochProtocol<Gossip>]) -> usize {
+        let n = nodes.len();
         let mut queue: std::collections::VecDeque<(NodeId, NodeId, Bytes)> =
             std::collections::VecDeque::new();
         let push = |queue: &mut std::collections::VecDeque<(NodeId, NodeId, Bytes)>,
                     from: NodeId,
                     envs: Vec<Envelope>| {
             for env in envs {
-                let Recipient::One(dest) = env.to else { panic!("epoch batches are to_one") };
-                queue.push_back((from, dest, env.payload));
+                for dest in reached(env.to, from, n) {
+                    queue.push_back((from, dest, env.payload.clone()));
+                }
             }
         };
         for (i, node) in nodes.iter_mut().enumerate() {
@@ -2009,44 +1945,165 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pending_batches_recycle_buffers_and_count_reuse() {
-        let mut pending = PendingBatches::new(2, FlushPolicy::PerStep);
-        let entry =
-            || vec![(AgreementId::new(EpochId(0), InstanceId(0)), Bytes::from_static(b"x"))];
-        let mut scratch = entry();
-        assert!(pending.push_drain(0, &mut scratch), "per-step is always due");
-        assert!(scratch.is_empty(), "scratch drained, capacity kept");
-        assert!(!pending.push_drain(0, &mut scratch), "nothing left to push");
-        let buf = pending.take(0);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(pending.reuse_hits, 0, "nothing recycled yet");
-        pending.recycle(buf);
-        // The next accumulation (any destination) reuses the buffer.
-        assert!(pending.push_drain(1, &mut entry()));
-        assert_eq!(pending.reuse_hits, 1, "recycled buffer reused");
-        let buf = pending.take(1);
-        assert!(buf.capacity() > 0);
-        pending.recycle(buf);
-        assert!(pending.push_drain(0, &mut entry()));
-        assert_eq!(pending.reuse_hits, 2);
-        assert!(pending.has_pending());
+    /// The nodes an envelope sent by `from` reaches in an `n`-node mesh,
+    /// in ascending order.
+    fn reached(to: Recipient, from: NodeId, n: usize) -> impl Iterator<Item = NodeId> {
+        NodeId::all(n)
+            .filter(move |&d| to == Recipient::One(d) || (to == Recipient::All && d != from))
     }
 
     #[test]
-    fn per_entry_policy_is_due_after_every_entry_in_order() {
-        let mut pending = PendingBatches::new(1, FlushPolicy::PerEntry);
-        let mut scratch: Vec<(AgreementId, Bytes)> = (0..3u16)
-            .map(|a| (AgreementId::new(EpochId(0), InstanceId(a)), Bytes::from_static(b"x")))
+    fn a_broadcast_flush_is_one_envelope_to_all() {
+        // Node 0 of 4 starts two epochs of three gossiping assets: six
+        // broadcast entries in one step, epoch-major.
+        let n = 4;
+        let cfg = EpochConfig::new(2, 3, 2, 2);
+        let sent: Vec<AgreementId> = (0..2u32)
+            .flat_map(|e| (0..3u16).map(move |a| AgreementId::new(EpochId(e), InstanceId(a))))
             .collect();
-        let mut flushed = Vec::new();
-        while pending.push_drain(0, &mut scratch) {
-            let batch = pending.take(0);
-            assert_eq!(batch.len(), 1, "one entry per flush");
-            flushed.push(batch[0].0.asset.0);
+        let max_delay = Duration::from_millis(1);
+        let adaptive = FlushPolicy::Adaptive { max_entries: 64, max_bytes: 4096, max_delay };
+        for flush in [FlushPolicy::PerStep, adaptive, FlushPolicy::PerEntry] {
+            let mut node =
+                EpochProtocol::new(cfg, NodeId(0), n, gossip_factory(NodeId(0), n), flush);
+            let mut out = node.start();
+            out.extend(node.on_tick());
+            assert!(out.iter().all(|env| env.to == Recipient::All), "{flush:?}: {out:?}");
+            let batches: Vec<Vec<AgreementId>> = out
+                .iter()
+                .map(|env| {
+                    decode_epoch_batch(&env.payload).unwrap().into_iter().map(|e| e.0).collect()
+                })
+                .collect();
+            if flush == FlushPolicy::PerEntry {
+                // One entry a batch, in send order.
+                assert_eq!(batches, sent.iter().map(|&id| vec![id]).collect::<Vec<_>>());
+            } else {
+                assert_eq!(batches, vec![sent.clone()], "{flush:?}: one batch for every peer");
+            }
+            // Each entry reaches the n − 1 peers: 3-byte heads.
+            assert_eq!(node.sent_entries(), 6 * (n as u64 - 1), "{flush:?}");
+            assert_eq!(node.sent_head_bytes(), 3 * 6 * (n as u64 - 1), "{flush:?}");
+            assert!(node.on_tick().is_empty() && node.pending_delay().is_none());
         }
-        assert_eq!(flushed, vec![0, 1, 2], "per-instance FIFO order survives the split");
-        assert!(!pending.has_pending());
+    }
+
+    /// Sends what each message spells: after a `u16` step number, pairs
+    /// of `(dest, len)` — `dest` 0xff for everyone — each answered with one
+    /// envelope whose payload is the step number, the pair's index and
+    /// `len` filler bytes.
+    struct Script {
+        n: usize,
+    }
+
+    impl Protocol for Script {
+        type Output = ();
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn n(&self) -> usize {
+            self.n
+        }
+        fn start(&mut self) -> Vec<Envelope> {
+            Vec::new()
+        }
+        fn on_message(&mut self, _: NodeId, msg: &[u8]) -> Vec<Envelope> {
+            let (step, pairs) = msg.split_at(2);
+            let envelope = |(k, pair): (usize, &[u8])| {
+                let mut payload = [step, &[k as u8]].concat();
+                payload.resize(payload.len() + usize::from(pair[1]), 0);
+                let to = match pair[0] {
+                    0xff => Recipient::All,
+                    d => Recipient::One(NodeId(u16::from(d))),
+                };
+                Envelope { to, payload: Bytes::from(payload) }
+            };
+            pairs.chunks_exact(2).enumerate().map(envelope).collect()
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// A step's envelopes: `(dest, len)` with `dest` ≥ 6 a broadcast, 4 and
+    /// 5 outside a 4-node system and 0 the sender itself.
+    fn step_script() -> impl proptest::prelude::Strategy<Value = Vec<Vec<(u8, u8)>>> {
+        use proptest::collection::vec;
+        vec(vec((0u8..10, 0u8..20), 0..4), 1..12)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random steps mixing broadcast and point-to-point entries, under
+        /// each policy: every destination decodes exactly the entries that
+        /// reach it, in send order, flushed at the step where the
+        /// pipeline-wide triggers say (the final tick for the rest).
+        #[test]
+        fn prop_every_destination_decodes_its_entries_in_send_order(
+            script in step_script(),
+            policy in 0u8..3,
+            max_entries in 1usize..6,
+            max_bytes in 1usize..80,
+        ) {
+            let n = 4;
+            let max_delay = Duration::from_millis(1);
+            let flush = [
+                FlushPolicy::PerEntry,
+                FlushPolicy::PerStep,
+                FlushPolicy::Adaptive { max_entries, max_bytes, max_delay },
+            ][usize::from(policy)];
+            let mut node = EpochProtocol::one_epoch(vec![Script { n }], flush);
+            proptest::prop_assert!(node.start().is_empty());
+            // The model: one pending list, flushed whole when due.
+            let mut expected: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n];
+            let mut received: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); n];
+            let mut pending: Vec<(Recipient, Bytes)> = Vec::new();
+            let mut model_flush = |at: usize, pending: &mut Vec<(Recipient, Bytes)>| {
+                for (to, payload) in pending.drain(..) {
+                    for dest in reached(to, NodeId(0), n) {
+                        expected[dest.index()].push((at, payload.clone()));
+                    }
+                }
+            };
+            let mut deliver = |at: usize, out: Vec<Envelope>| {
+                for env in out {
+                    let entries = decode_epoch_batch(&env.payload).unwrap();
+                    for dest in reached(env.to, NodeId(0), n) {
+                        let batch = entries.iter().map(|(_, p)| (at, p.clone()));
+                        received[dest.index()].extend(batch);
+                    }
+                }
+            };
+            for (at, pairs) in script.iter().enumerate() {
+                let mut msg = (at as u16).to_be_bytes().to_vec();
+                msg.extend(pairs.iter().flat_map(|&(d, len)| [if d < 6 { d } else { 0xff }, len]));
+                let step = Script { n }.on_message(NodeId(1), &msg);
+                for env in step {
+                    if reached(env.to, NodeId(0), n).next().is_some() {
+                        pending.push((env.to, env.payload));
+                    }
+                }
+                let due = match flush {
+                    FlushPolicy::Adaptive { .. } => {
+                        pending.len() >= max_entries
+                            || pending.iter().map(|(_, p)| p.len()).sum::<usize>() >= max_bytes
+                    }
+                    _ => true,
+                };
+                if due {
+                    model_flush(at, &mut pending);
+                }
+                let batch = encode_epoch_batch(&[(AgreementId::default(), Bytes::from(msg))]);
+                deliver(at, node.on_message(NodeId(1), &batch));
+            }
+            model_flush(script.len(), &mut pending);
+            deliver(script.len(), node.on_tick());
+            let total: usize = expected.iter().map(Vec::len).sum();
+            proptest::prop_assert_eq!(&received, &expected);
+            proptest::prop_assert_eq!(node.sent_entries(), total as u64);
+            proptest::prop_assert!(node.pending_delay().is_none());
+        }
     }
 
     impl<P: Protocol> EpochProtocol<P> {
