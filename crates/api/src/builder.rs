@@ -216,12 +216,11 @@ impl ServiceBuilder {
         let hub = Arc::new(SubscriberHub::new(assets, SUBSCRIBER_CAPACITY));
 
         let node = self.build_service(source).into_node();
-        let mut service = run_epoch_service(node, keychain, addrs, opts).await?;
-        let mut rx = service.take_events().expect("fresh handle has the event tail");
+        let (service, mut tail) = run_epoch_service(node, keychain, addrs, opts).await?;
         let publisher = {
             let (feed, hub) = (feed.clone(), hub.clone());
             tokio::spawn(async move {
-                while let Some(event) = rx.recv().await {
+                while let Some(event) = tail.recv().await {
                     // An epoch's instance outputs, concatenated, are its
                     // assets in order — one value per instance per asset,
                     // or one instance holding the whole basket — so

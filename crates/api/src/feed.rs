@@ -5,7 +5,8 @@
 //! any number of HTTP handlers read concurrently:
 //!
 //! - the hot scalars — latest `(epoch, value)` per asset — live in a
-//!   seqlock built from plain atomics, so [`latest_value`]
+//!   [`StatsCell`], the single-writer seqlock of plain atomics the
+//!   service's live counters use too, so [`latest_value`]
 //!   (`FeedState::latest_value`) never takes a lock and never blocks the
 //!   writer;
 //! - the full update (value plus its [`FeedAttestation`]) is shared as an
@@ -17,10 +18,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use delphi_dora::FeedAttestation;
-use delphi_primitives::{EpochId, InstanceId};
+use delphi_primitives::{EpochId, InstanceId, StatsCell};
 
 /// One served value: the agreement for an `(epoch, asset)` slot plus the
 /// quorum attestation a light client verifies offline.
@@ -38,18 +39,23 @@ pub struct FeedUpdate {
     pub attestation: Option<FeedAttestation>,
 }
 
-/// Sentinel for "no epoch published yet" in the seqlock epoch field.
+delphi_primitives::counter_group! {
+    /// One asset's latest agreement, as the seqlock holds it.
+    struct Latest {
+        /// The epoch, `EMPTY` before the first publish.
+        epoch: u64,
+        /// The value as IEEE-754 bits.
+        bits: u64,
+    }
+}
+
+/// Sentinel for "no epoch published yet" in [`Latest::epoch`].
 const EMPTY: u64 = u64::MAX;
 
 /// Per-asset slot: seqlocked hot scalars plus the Arc-swapped rich view.
 #[derive(Debug)]
 struct Slot {
-    /// Seqlock sequence: odd while the writer is mid-publish.
-    seq: AtomicU64,
-    /// Latest epoch (`EMPTY` before the first publish).
-    epoch: AtomicU64,
-    /// Latest value as IEEE-754 bits.
-    bits: AtomicU64,
+    latest: StatsCell<Latest>,
     full: Mutex<SlotFull>,
 }
 
@@ -61,12 +67,14 @@ struct SlotFull {
 
 impl Slot {
     fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(EMPTY),
-            bits: AtomicU64::new(0),
-            full: Mutex::new(SlotFull::default()),
-        }
+        let latest = StatsCell::new(Latest { epoch: EMPTY, bits: 0 });
+        Slot { latest, full: Mutex::new(SlotFull::default()) }
+    }
+
+    /// Every update under the lock leaves whole data (a push, a pop, an
+    /// assignment), so a poisoned guard still holds a valid view.
+    fn full(&self) -> MutexGuard<'_, SlotFull> {
+        self.full.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -114,20 +122,15 @@ impl FeedState {
         let slot = &self.slots[update.asset.index()];
         let update = Arc::new(update);
         {
-            let mut full = slot.full.lock().expect("feed slot poisoned");
+            let mut full = slot.full();
             if full.history.len() == self.history_cap {
                 full.history.pop_front();
             }
             full.history.push_back(update.clone());
             full.latest = Some(update.clone());
         }
-        // Seqlock write: odd seq, fields, even seq. Readers retry while
-        // odd or changed.
-        let s = slot.seq.load(Ordering::SeqCst);
-        slot.seq.store(s.wrapping_add(1), Ordering::SeqCst);
-        slot.epoch.store(u64::from(update.epoch.0), Ordering::SeqCst);
-        slot.bits.store(update.value.to_bits(), Ordering::SeqCst);
-        slot.seq.store(s.wrapping_add(2), Ordering::SeqCst);
+        let epoch = u64::from(update.epoch.0);
+        slot.latest.publish(&Latest { epoch, bits: update.value.to_bits() });
         self.published.fetch_add(1, Ordering::SeqCst);
         update
     }
@@ -136,35 +139,21 @@ impl FeedState {
     /// the hot-path read. `None` for an unknown asset or before the first
     /// publish.
     pub fn latest_value(&self, asset: InstanceId) -> Option<(EpochId, f64)> {
-        let slot = self.slots.get(asset.index())?;
-        loop {
-            let before = slot.seq.load(Ordering::SeqCst);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let epoch = slot.epoch.load(Ordering::SeqCst);
-            let bits = slot.bits.load(Ordering::SeqCst);
-            if slot.seq.load(Ordering::SeqCst) == before {
-                return match epoch {
-                    EMPTY => None,
-                    e => Some((EpochId(e as u32), f64::from_bits(bits))),
-                };
-            }
-            std::hint::spin_loop();
+        match self.slots.get(asset.index())?.latest.snapshot() {
+            Latest { epoch: EMPTY, .. } => None,
+            Latest { epoch, bits } => Some((EpochId(epoch as u32), f64::from_bits(bits))),
         }
     }
 
     /// The latest full update (attestation included) for `asset`.
     pub fn latest(&self, asset: InstanceId) -> Option<Arc<FeedUpdate>> {
-        self.slots.get(asset.index())?.full.lock().expect("feed slot poisoned").latest.clone()
+        self.slots.get(asset.index())?.full().latest.clone()
     }
 
     /// Up to `limit` most recent updates for `asset`, newest first.
     pub fn history(&self, asset: InstanceId, limit: usize) -> Vec<Arc<FeedUpdate>> {
         let Some(slot) = self.slots.get(asset.index()) else { return Vec::new() };
-        let full = slot.full.lock().expect("feed slot poisoned");
-        full.history.iter().rev().take(limit).cloned().collect()
+        slot.full().history.iter().rev().take(limit).cloned().collect()
     }
 }
 

@@ -3,12 +3,13 @@
 //! The protocol crates produce an ordered stream of `(epoch, asset)`
 //! agreements; this crate is where readers meet that stream without ever
 //! touching the protocol hot path. A publisher task tails the epoch
-//! service's live event stream (`delphi_net::EpochServiceHandle`) and
-//! everything downstream reads from caches it fills:
+//! service's live event stream (the tail `delphi_net::run_epoch_service`
+//! hands out beside its handle) and everything downstream reads from
+//! caches it fills:
 //!
-//! - [`FeedState`]: a per-asset snapshot cache — seqlocked hot scalars
-//!   for lock-free latest-value reads, `Arc`-swapped full updates, and a
-//!   bounded history ring;
+//! - [`FeedState`]: a per-asset snapshot cache — hot scalars in a
+//!   seqlocked `StatsCell` for lock-free latest-value reads, `Arc`-swapped
+//!   full updates, and a bounded history ring;
 //! - [`SubscriberHub`]: per-asset fan-out over bounded queues with
 //!   lag-kick — a slow reader is kicked and re-syncs from the snapshot,
 //!   never back-pressuring the publisher;

@@ -209,8 +209,9 @@ async fn stream_epochs(
     opts: RunOptions,
 ) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats, (u64, u64)), String> {
     let epoch_run = |e| format!("epoch run: {e}");
-    let mut handle = run_epoch_service(node, keychain, addrs, opts).await.map_err(epoch_run)?;
-    while handle.next_event().await.is_some() {}
+    let (handle, mut tail) =
+        run_epoch_service(node, keychain, addrs, opts).await.map_err(epoch_run)?;
+    while tail.recv().await.is_some() {}
     let gauges = thread_switches();
     let (events, epoch_stats, stats) = handle.finish().await.map_err(epoch_run)?;
     Ok((flatten_vector_events(events), epoch_stats, stats, gauges))

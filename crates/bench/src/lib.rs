@@ -13,7 +13,7 @@ pub mod regression;
 
 use delphi_baselines::{AadNode, AcsNode};
 use delphi_core::{DelphiConfig, DelphiNode, OracleService};
-use delphi_primitives::{EpochConfig, EpochEvent, FlushPolicy, NodeId, Protocol};
+use delphi_primitives::{EpochConfig, EpochEvent, EpochStats, FlushPolicy, NodeId, Protocol};
 use delphi_sim::{judge, judge_streams, spread, EpochThroughput, RunReport, Simulation, Topology};
 use delphi_workloads::EpochFeed;
 
@@ -163,24 +163,17 @@ pub fn feed_price_source(
     })
 }
 
-/// Mirror of one node's sans-io epoch counters, updated on every protocol
-/// call so the numbers survive the simulator consuming the node.
-#[derive(Clone, Copy, Debug, Default)]
-struct ProbeData {
-    stats: delphi_primitives::EpochStats,
-    entries: u64,
-}
-
-/// Oracle-service wrapper exporting its counters through a shared cell.
+/// Oracle-service wrapper mirroring its epoch counters into a shared
+/// cell on every protocol call, so the numbers survive the simulator
+/// consuming the node.
 struct ProbedOracle {
     inner: OracleService,
-    probe: std::sync::Arc<std::sync::Mutex<ProbeData>>,
+    probe: std::sync::Arc<std::sync::Mutex<EpochStats>>,
 }
 
 impl ProbedOracle {
     fn sync(&self) {
-        *self.probe.lock().expect("probe") =
-            ProbeData { stats: self.inner.stats(), entries: self.inner.sent_entries() };
+        *self.probe.lock().expect("probe") = self.inner.stats();
     }
 }
 
@@ -256,7 +249,7 @@ pub fn run_epoch_delphi(
                 feed_price_source(feed.clone(), id, n),
                 Some(rounds),
             );
-            let probe = std::sync::Arc::new(std::sync::Mutex::new(ProbeData::default()));
+            let probe = std::sync::Arc::new(std::sync::Mutex::new(EpochStats::default()));
             probes.push(probe.clone());
             Box::new(ProbedOracle { inner, probe })
                 as Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>
@@ -275,13 +268,13 @@ pub fn run_epoch_delphi(
     let streams: Vec<&Vec<EpochEvent<f64>>> = report.honest_outputs().collect();
     let worst_spread = judge_feed(&streams, feed, n, epoch_cfg.epochs, cfg.epsilon(), cfg.rho0())
         .unwrap_or_else(|why| panic!("epoch stream failed the judge ({epoch_cfg:?}): {why}"));
-    let data: Vec<ProbeData> = probes.iter().map(|p| *p.lock().expect("probe")).collect();
+    let data: Vec<EpochStats> = probes.iter().map(|p| *p.lock().expect("probe")).collect();
     EpochSimPoint {
         throughput: EpochThroughput::from_report(&report),
         worst_spread,
-        sent_entries: data.iter().map(|d| d.entries).sum(),
-        peak_resident: data.iter().map(|d| d.stats.peak_resident).max().unwrap_or(0),
-        stale_epochs: data.iter().map(|d| d.stats.stale_epochs).sum(),
+        sent_entries: data.iter().map(|d| d.sent_entries).sum(),
+        peak_resident: data.iter().map(|d| d.peak_resident).max().unwrap_or(0),
+        stale_epochs: data.iter().map(|d| d.stale_epochs).sum(),
         rounds: round_probes.iter().map(|r| r.load(std::sync::atomic::Ordering::Relaxed)).sum(),
     }
 }

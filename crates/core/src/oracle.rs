@@ -129,16 +129,10 @@ impl OracleService {
         OracleService { inner }
     }
 
-    /// Epoch-layer counters (GC drops, skips, peak residency).
+    /// Epoch-layer counters (GC drops, skips, peak residency, entries
+    /// flushed).
     pub fn stats(&self) -> EpochStats {
         self.inner.stats()
-    }
-
-    /// Epoch-batch entries flushed so far (envelopes after broadcast
-    /// expansion) — the transport-independent unit batching comparisons
-    /// normalize by.
-    pub fn sent_entries(&self) -> u64 {
-        self.inner.sent_entries()
     }
 
     /// Consumes the service, returning the pipeline it runs — flush

@@ -55,6 +55,6 @@ pub use frame::{
     MAX_FRAME_PAYLOAD, MIN_FRAME_BODY,
 };
 pub use service::{
-    run_epoch_service, run_node, EpochServiceHandle, NetError, RunOptions, ServiceStats,
+    run_epoch_service, run_node, EpochServiceHandle, EventTail, NetError, RunOptions, ServiceStats,
 };
 pub use transport::NetStats;

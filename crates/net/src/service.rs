@@ -33,21 +33,23 @@
 //!    reading costs dropped frames at that task's bounded queue, never a
 //!    stalled worker.
 //!
-//! The service loop sees only what is per run or per epoch: the event
-//! stream, completion, the deadline, the linger window, and the shutdown
-//! order (the worker flushes, then writer queues close).
+//! What the worker reports leaves it one way each: every resolved event
+//! goes straight to the live tail, the pipeline's counters to one
+//! seqlocked [`StatsCell`] after every frame, and the complete stream to the
+//! service loop once, at completion. The service loop sees only the
+//! deadline, the linger window, and the shutdown order (the worker
+//! flushes, then writer queues close).
 
 use std::error::Error;
 use std::fmt;
-use std::marker::PhantomData;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use delphi_crypto::Keychain;
 use delphi_primitives::{
     CounterGroup, EpochEvent, EpochOutcome, EpochProtocol, EpochStats, FlushPolicy, Protocol,
+    StatsCell,
 };
 use tokio::net::TcpListener;
 use tokio::sync::mpsc;
@@ -101,11 +103,6 @@ pub struct RunOptions {
     /// finished nodes (quorum amplification); killing the process at
     /// output time can stall slower peers.
     pub linger: Duration,
-    /// Initial delay between reconnection attempts while dialing peers
-    /// (doubled on consecutive failures up to a bounded backoff). Short, so
-    /// a peer that starts just after us is not cut off while the others
-    /// race `window` epochs ahead of it.
-    pub reconnect_delay: Duration,
     /// Overall deadline for producing an output.
     pub deadline: Duration,
     /// How long shutdown may wait for writer queues to flush to peers.
@@ -127,7 +124,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             linger: Duration::from_millis(500),
-            reconnect_delay: Duration::from_millis(5),
             deadline: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
             egress_capacity: 1024,
@@ -181,57 +177,51 @@ async fn close_worker(
     }
 }
 
-/// What the dispatch worker reports to the service loop — only what is
-/// per epoch; its protocol traffic leaves through its own egress lane.
-enum WorkerMsg<O> {
-    /// Ordered events emitted since the last report. Sent live, as epochs
-    /// resolve — this is what makes the service handle tailable instead
-    /// of collect-at-the-end.
-    Events(Vec<EpochEvent<O>>),
-    /// The stream has resolved every epoch (all of its events have been
-    /// shipped). The epoch-layer *counters* keep moving while the worker
-    /// serves lingering peers, so they travel through a shared
-    /// [`StatsCell`] instead (snapshot at shutdown).
-    Done,
-}
-
 /// The dispatch worker, frame in to frame out: the whole pipeline as one
 /// [`EpochProtocol`], writing everything it flushes through its egress
 /// lane and publishing its live counters through `stats` after every
 /// frame (late entries served during the linger window must still be
-/// counted).
+/// counted). Each resolved event goes to `tail` as it resolves; at
+/// completion the whole stream goes to `done` once, and the tail closes.
 async fn dispatch_worker<P>(
     mut rx: mpsc::Receiver<WorkerInput>,
     mut node: EpochProtocol<P>,
     mut egress: EgressLane,
-    out_tx: mpsc::Sender<WorkerMsg<P::Output>>,
+    tail: mpsc::UnboundedSender<EpochEvent<P::Output>>,
+    done: mpsc::Sender<Vec<EpochEvent<P::Output>>>,
     stats: ServiceStats,
 ) where
     P: Protocol + Send + 'static,
-    P::Output: Send,
+    P::Output: Clone + Send,
 {
     // Start bursts must not wait for traffic.
     egress.send(node.start(), node.pending_delay());
     egress.send(node.on_tick(), node.pending_delay());
-    let mut done = false;
+    let mut stream = Vec::new();
+    let mut outlets = Some((tail, done));
     loop {
-        let fresh = node.drain_events();
-        if !fresh.is_empty() && out_tx.send(WorkerMsg::Events(fresh)).await.is_err() {
-            break;
-        }
-        if !done && node.is_complete() {
-            done = true;
-            if out_tx.send(WorkerMsg::Done).await.is_err() {
-                break;
+        for event in node.drain_events() {
+            if node.vector_dims() > 0 && matches!(event.outcome, EpochOutcome::Agreed(_)) {
+                stats.counters.add(NetStats::vector_instances, 1);
             }
+            if let Some((tail, _)) = &outlets {
+                // A dropped tail is fine: nobody is reading live.
+                let _ = tail.send(event.clone());
+            }
+            stream.push(event);
         }
-        if done {
+        if node.is_complete() {
+            if let Some((_, done)) = outlets.take() {
+                if done.try_send(std::mem::take(&mut stream)).is_err() {
+                    break;
+                }
+            }
             // The linger contract: a finished worker keeps answering
             // peers still working through the stream's tail, and what it
             // answers leaves at once.
             egress.send(node.on_tick(), node.pending_delay());
         }
-        publish(&stats, &node);
+        stats.cell.publish(&node.stats());
         let frame = match next_input(&mut rx, egress.flush_ceiling()).await {
             Some(WorkerInput::Frame(frame)) => frame,
             None => {
@@ -245,90 +235,7 @@ async fn dispatch_worker<P>(
         egress.send(node.on_message(frame.from, &frame.batch), node.pending_delay());
     }
     egress.send(node.on_tick(), node.pending_delay());
-    publish(&stats, &node);
-}
-
-/// Publishes the dispatch worker's live counters, a [`WorkerStats`].
-fn publish<P: Protocol>(stats: &ServiceStats, node: &EpochProtocol<P>) {
-    let (sent_entries, sent_head_bytes) = (node.sent_entries(), node.sent_head_bytes());
-    let totals = ProtocolTotals { sent_entries, sent_head_bytes };
-    stats.cell.publish(&WorkerStats(node.stats(), totals));
-}
-
-delphi_primitives::counter_group! {
-    /// The [`NetStats`] counters the dispatch worker's protocol keeps; the
-    /// transport counts the rest.
-    struct ProtocolTotals {
-        sent_entries: u64,
-        sent_head_bytes: u64,
-    }
-}
-
-/// What the dispatch worker publishes after every loop turn: its epoch
-/// counters, then its [`ProtocolTotals`].
-#[derive(Clone, Copy, Debug, Default)]
-struct WorkerStats(EpochStats, ProtocolTotals);
-
-impl CounterGroup for WorkerStats {
-    const LEN: usize = EpochStats::LEN + ProtocolTotals::LEN;
-
-    fn names() -> impl Iterator<Item = &'static str> {
-        EpochStats::names().chain(ProtocolTotals::names())
-    }
-
-    fn values(&self) -> impl Iterator<Item = u64> {
-        self.0.values().chain(self.1.values())
-    }
-
-    fn from_values(values: impl IntoIterator<Item = u64>) -> Self {
-        let mut values = values.into_iter();
-        let epoch = EpochStats::from_values(values.by_ref().take(EpochStats::LEN));
-        WorkerStats(epoch, ProtocolTotals::from_values(values))
-    }
-}
-
-/// A single-writer, many-reader seqlock over one counter group, from
-/// plain atomics (no locks on either side): the writer bumps `seq` to odd,
-/// stores every slot and bumps it back to even; a reader retries until it
-/// sees the same even `seq` on both sides of its slot reads, so a snapshot
-/// never mixes two publications.
-struct StatsCell<G> {
-    seq: AtomicU64,
-    slots: Box<[AtomicU64]>,
-    group: PhantomData<G>,
-}
-
-impl<G: CounterGroup> StatsCell<G> {
-    fn new() -> StatsCell<G> {
-        let slots = (0..G::LEN).map(|_| AtomicU64::new(0)).collect();
-        StatsCell { seq: AtomicU64::new(0), slots, group: PhantomData }
-    }
-
-    /// One store per counter, plus two. Single writer: a second one would
-    /// break the odd/even discipline.
-    fn publish(&self, stats: &G) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // odd: write in progress
-        for (slot, value) in self.slots.iter().zip(stats.values()) {
-            slot.store(value, Ordering::SeqCst);
-        }
-        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // even: consistent
-    }
-
-    /// The latest publication, whole. Lock-free for the writer; the reader
-    /// spins only while a publication is mid-flight.
-    fn snapshot(&self) -> G {
-        loop {
-            let before = self.seq.load(Ordering::SeqCst);
-            if before % 2 == 0 {
-                let stats = G::from_values(self.slots.iter().map(|s| s.load(Ordering::SeqCst)));
-                if self.seq.load(Ordering::SeqCst) == before {
-                    return stats;
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
+    stats.cell.publish(&node.stats());
 }
 
 /// Live observability probe for a running epoch service: cheap coherent
@@ -338,7 +245,7 @@ impl<G: CounterGroup> StatsCell<G> {
 /// read while the service runs.
 #[derive(Clone)]
 pub struct ServiceStats {
-    cell: Arc<StatsCell<WorkerStats>>,
+    cell: Arc<StatsCell<EpochStats>>,
     counters: Arc<Counters>,
 }
 
@@ -346,7 +253,7 @@ impl ServiceStats {
     /// One coherent copy of the epoch-layer counters, readable at any
     /// point of the run (during linger included).
     pub fn epoch_snapshot(&self) -> EpochStats {
-        self.cell.snapshot().0
+        self.cell.snapshot()
     }
 
     /// The transport counters as of now; those the dispatch worker publishes
@@ -360,18 +267,13 @@ impl ServiceStats {
     }
 }
 
-/// A running epoch service, returned by [`run_epoch_service`]: a live,
-/// tailable view of the stream instead of only a collected vector.
+/// A running epoch service, returned by [`run_epoch_service`] beside its
+/// live event tail:
 ///
-/// - [`next_event`](EpochServiceHandle::next_event) yields
-///   basket-ordered [`EpochEvent`]s as epochs resolve (a serving layer
-///   tails this without touching the protocol hot path);
 /// - [`stats`](EpochServiceHandle::stats) reads live coherent counters;
 /// - [`finish`](EpochServiceHandle::finish) awaits the run and returns
-///   the complete stream plus final counters — the collected view the
-///   old API returned directly.
+///   the complete stream plus final counters.
 pub struct EpochServiceHandle<O> {
-    events: Option<mpsc::UnboundedReceiver<EpochEvent<O>>>,
     stats: ServiceStats,
     task: tokio::task::JoinHandle<EpochRunResult<O>>,
 }
@@ -381,21 +283,6 @@ pub struct EpochServiceHandle<O> {
 pub type EpochRunResult<O> = Result<(Vec<EpochEvent<O>>, EpochStats, NetStats), NetError>;
 
 impl<O> EpochServiceHandle<O> {
-    /// The next epoch event, `None` once the stream is complete
-    /// (or after [`take_events`](EpochServiceHandle::take_events)).
-    pub async fn next_event(&mut self) -> Option<EpochEvent<O>> {
-        match self.events.as_mut() {
-            Some(rx) => rx.recv().await,
-            None => None,
-        }
-    }
-
-    /// Detaches the live event receiver (for a consumer task that owns
-    /// the tail while this handle is kept for `finish`).
-    pub fn take_events(&mut self) -> Option<mpsc::UnboundedReceiver<EpochEvent<O>>> {
-        self.events.take()
-    }
-
     /// A cloneable live-stats probe (usable after `finish` consumed the
     /// handle).
     pub fn stats(&self) -> ServiceStats {
@@ -410,10 +297,7 @@ impl<O> EpochServiceHandle<O> {
     /// [`NetError::Timeout`] if the stream is unresolved at the deadline,
     /// [`NetError::Internal`] if the service task itself panicked or was
     /// aborted.
-    pub async fn finish(mut self) -> EpochRunResult<O> {
-        // Dropping the tail first keeps the service loop from buffering
-        // events nobody will read.
-        self.events = None;
+    pub async fn finish(self) -> EpochRunResult<O> {
         match self.task.await {
             Ok(result) => result,
             Err(e) => Err(NetError::Internal(format!("epoch service task failed: {e}"))),
@@ -435,14 +319,16 @@ impl<O> EpochServiceHandle<O> {
 ///
 /// Config validation and the listener bind happen before this returns;
 /// the run itself proceeds in a background task owned by the returned
-/// [`EpochServiceHandle`]. Tail events live via
-/// [`EpochServiceHandle::next_event`], read live counters via
-/// [`EpochServiceHandle::stats`], and collect the completed stream via
-/// [`EpochServiceHandle::finish`]:
+/// [`EpochServiceHandle`]. Beside the handle comes the live tail: the
+/// basket-ordered [`EpochEvent`]s as epochs resolve, closed once the
+/// stream is complete (a serving layer tails it without touching the
+/// protocol hot path; drop it if nobody reads live). Read live counters
+/// via [`EpochServiceHandle::stats`], and collect the completed stream
+/// via [`EpochServiceHandle::finish`]:
 ///
 /// ```ignore
-/// let mut handle = run_epoch_service(node, keychain, addrs, opts).await?;
-/// while let Some(event) = handle.next_event().await { /* serve it */ }
+/// let (handle, mut tail) = run_epoch_service(node, keychain, addrs, opts).await?;
+/// while let Some(event) = tail.recv().await { /* serve it */ }
 /// let (events, epoch_stats, net_stats) = handle.finish().await?;
 /// ```
 ///
@@ -457,7 +343,7 @@ pub async fn run_epoch_service<P>(
     keychain: Keychain,
     addrs: Vec<SocketAddr>,
     opts: RunOptions,
-) -> Result<EpochServiceHandle<P::Output>, NetError>
+) -> Result<(EpochServiceHandle<P::Output>, EventTail<P::Output>), NetError>
 where
     P: Protocol + Send + 'static,
     P::Output: Clone + Send,
@@ -473,71 +359,43 @@ where
     if opts.egress_capacity == 0 {
         return Err(NetError::Config("egress_capacity must be at least 1".into()));
     }
-    let vector_dims = node.vector_dims();
 
     let counters = Arc::new(Counters::default());
     let keychain = Arc::new(keychain);
     let listener = TcpListener::bind(addrs[me.index()]).await?;
     let (inbox, in_rx) = mpsc::channel::<WorkerInput>(1024);
     let accept_task = spawn_acceptor(listener, keychain.clone(), inbox.clone(), counters.clone());
-    let sessions = SessionSet::connect(
-        keychain,
-        &addrs,
-        opts.reconnect_delay,
-        counters.clone(),
-        opts.egress_capacity,
-    );
+    let sessions = SessionSet::connect(keychain, &addrs, counters.clone(), opts.egress_capacity);
 
-    let (out_tx, mut out_rx) = mpsc::channel::<WorkerMsg<P::Output>>(1024);
-    let stats = ServiceStats { cell: Arc::new(StatsCell::new()), counters: counters.clone() };
-    let worker = tokio::spawn(dispatch_worker(in_rx, node, sessions.lane(), out_tx, stats.clone()));
-    let probe = stats.clone();
+    let cell = Arc::new(StatsCell::new(EpochStats::default()));
+    let stats = ServiceStats { cell, counters };
     // Locally produced events, already bounded by the pipeline: at most
     // `window` epochs are in flight, each emitting one event, and no remote
     // peer can make the producer outrun that; a capacity here would only
     // back-pressure the protocol loop on a slow event reader.
     // lint: allow(bounded-channel) — producer is pipeline-bounded (see above)
-    let (event_tx, event_rx) = mpsc::unbounded_channel::<EpochEvent<P::Output>>();
+    let (tail_tx, tail) = mpsc::unbounded_channel();
+    let (done_tx, mut done_rx) = mpsc::channel(1);
+    let lane = sessions.lane();
+    let worker = tokio::spawn(dispatch_worker(in_rx, node, lane, tail_tx, done_tx, stats.clone()));
+    let probe = stats.clone();
 
     let task = tokio::spawn(async move {
         let deadline = Instant::now() + opts.deadline;
-        let mut events: Vec<EpochEvent<P::Output>> = Vec::new();
-        loop {
-            let msg = tokio::select! {
-                m = out_rx.recv() => m,
-                _ = tokio::time::sleep_until(deadline) => None,
-            };
-            match msg {
-                Some(WorkerMsg::Events(fresh)) => {
-                    if vector_dims > 0 {
-                        let agreed = fresh
-                            .iter()
-                            .filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)))
-                            .count() as u64;
-                        counters.add(NetStats::vector_instances, agreed);
-                    }
-                    for ev in &fresh {
-                        // A dropped tail is fine: finish() detaches it.
-                        let _ = event_tx.send(ev.clone());
-                    }
-                    events.extend(fresh);
-                }
-                Some(WorkerMsg::Done) => break,
-                None => {
-                    // The deadline — or the worker exited (the ingress
-                    // died) and no more traffic can ever arrive: fail now
-                    // rather than spinning until the deadline. There is
-                    // no output worth draining for.
-                    accept_task.abort();
-                    worker.abort();
-                    sessions.abort();
-                    return Err(NetError::Timeout);
-                }
-            }
-        }
-        // The worker shipped its whole stream before Done, so the view is
-        // complete; close the live tail at that boundary.
-        drop(event_tx);
+        let completed = tokio::select! {
+            events = done_rx.recv() => events,
+            _ = tokio::time::sleep_until(deadline) => None,
+        };
+        let Some(events) = completed else {
+            // The deadline — or the worker exited (the ingress died) and
+            // no more traffic can ever arrive: fail now rather than
+            // spinning until the deadline. There is no output worth
+            // draining for.
+            accept_task.abort();
+            worker.abort();
+            sessions.abort();
+            return Err(NetError::Timeout);
+        };
 
         // Linger: the worker keeps serving peers still working through
         // the stream's tail.
@@ -555,8 +413,11 @@ where
         Ok((events, epoch_stats, probe.net_snapshot()))
     });
 
-    Ok(EpochServiceHandle { events: Some(event_rx), stats, task })
+    Ok((EpochServiceHandle { stats, task }, tail))
 }
+
+/// The live tail [`run_epoch_service`] hands out beside its handle.
+pub type EventTail<O> = mpsc::UnboundedReceiver<EpochEvent<O>>;
 
 /// Runs `protocol` over a full TCP mesh until it produces an output: a
 /// one-epoch stream through [`run_epoch_service`]
@@ -579,8 +440,8 @@ where
     P::Output: Clone + Send,
 {
     let node = EpochProtocol::one_epoch(vec![protocol], FlushPolicy::PerStep);
-    let handle = run_epoch_service(node, keychain, addrs, opts);
-    let (mut events, _, stats) = handle.await?.finish().await?;
+    let (handle, _) = run_epoch_service(node, keychain, addrs, opts).await?;
+    let (mut events, _, stats) = handle.finish().await?;
     let agreed = match events.pop().map(|event| event.outcome) {
         Some(EpochOutcome::Agreed(mut outputs)) => outputs.pop(),
         _ => None,
@@ -631,37 +492,12 @@ mod tests {
         P::Output: Clone + Send,
     {
         let node = EpochProtocol::one_epoch(instances, flush);
-        let handle = run_epoch_service(node, keychain, addrs, opts);
-        let (mut events, _, stats) = handle.await?.finish().await?;
+        let (handle, _) = run_epoch_service(node, keychain, addrs, opts).await?;
+        let (mut events, _, stats) = handle.finish().await?;
         match events.pop().map(|event| event.outcome) {
             Some(EpochOutcome::Agreed(outputs)) => Ok((outputs, stats)),
             _ => panic!("a one-epoch stream ends in one agreed event"),
         }
-    }
-
-    #[test]
-    fn stats_cell_snapshots_are_coherent_under_concurrent_publication() {
-        // The writer publishes values whose fields are all equal; a torn
-        // read would surface as a snapshot mixing two publications.
-        let cell = std::sync::Arc::new(StatsCell::<WorkerStats>::new());
-        let writer = {
-            let cell = cell.clone();
-            std::thread::spawn(move || {
-                for i in 0..20_000u64 {
-                    cell.publish(&WorkerStats::from_values(std::iter::repeat(i)));
-                }
-            })
-        };
-        let mut last = 0;
-        for _ in 0..20_000 {
-            let s = cell.snapshot();
-            let first = s.0.late_entries;
-            assert!(s.values().all(|v| v == first), "torn snapshot: {s:?}");
-            assert!(first >= last, "publications observed out of order");
-            last = first;
-        }
-        writer.join().expect("writer");
-        assert_eq!(cell.snapshot().values().collect::<Vec<_>>(), [19_999; WorkerStats::LEN]);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
@@ -1191,7 +1027,7 @@ mod tests {
             let addrs = addrs.clone();
             let opts = RunOptions::default();
             handles.push(tokio::spawn(async move {
-                run_epoch_service(node, keychain, addrs, opts).await?.finish().await
+                run_epoch_service(node, keychain, addrs, opts).await?.0.finish().await
             }));
         }
         let mut all_stats = Vec::new();
@@ -1267,11 +1103,7 @@ mod tests {
         for id in NodeId::all(n) {
             let keychain = delphi_crypto::Keychain::derive(b"wave-idle-flush", id, n);
             let addrs = addrs.clone();
-            let opts = RunOptions {
-                linger: Duration::ZERO,
-                reconnect_delay: Duration::from_millis(5),
-                ..RunOptions::default()
-            };
+            let opts = RunOptions { linger: Duration::ZERO, ..RunOptions::default() };
             handles.push(tokio::spawn(async move {
                 run_basket(vec![Wave::new(id, n, rounds)], flush, keychain, addrs, opts).await
             }));
@@ -1323,10 +1155,9 @@ mod tests {
                 deadline: Duration::from_secs(30),
                 linger: Duration::from_millis(100),
                 drain_timeout: Duration::from_millis(300),
-                ..RunOptions::default()
             };
             handles.push(tokio::spawn(async move {
-                run_epoch_service(node, keychain, addrs, opts).await?.finish().await
+                run_epoch_service(node, keychain, addrs, opts).await?.0.finish().await
             }));
         }
         for h in handles {
@@ -1414,57 +1245,84 @@ mod tests {
         let node = epoch_node(NodeId(0), n, cfg, FlushPolicy::adaptive());
         let opts = RunOptions { deadline: Duration::from_millis(300), ..RunOptions::default() };
         let started = std::time::Instant::now();
-        let handle = run_epoch_service(node, keychain, addrs, opts).await.expect("service starts");
+        let (handle, _) =
+            run_epoch_service(node, keychain, addrs, opts).await.expect("service starts");
         let err = handle.finish().await.expect_err("nobody to agree with");
         assert!(matches!(err, NetError::Timeout), "{err}");
         assert!(started.elapsed() < Duration::from_secs(5), "deadline failure must not hang");
+    }
+
+    /// [`epoch_node`]'s gossip as one vector instance per epoch.
+    fn vector_node(me: NodeId, n: usize, cfg: EpochConfig) -> EpochProtocol<EpochGossip> {
+        let factory = move |e: EpochId| EpochGossip {
+            id: me,
+            n,
+            tag: f64::from(e.0) * 10.0,
+            heard: 0,
+            quorum: n - 1,
+            greeting: Bytes::from_static(b"g"),
+        };
+        EpochProtocol::new_vector(cfg, me, n, Box::new(factory), FlushPolicy::PerStep)
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn live_tail_matches_the_finished_stream() {
         // One node tails its own stream while it runs; the tail must be
         // the finished stream, event for event, and must end (None) as
-        // soon as the stream completes — not when the linger ends.
+        // soon as the stream completes — not when the linger ends. Per
+        // asset and as one vector instance per epoch: only the latter
+        // counts vector instances, one per agreed epoch.
         let n = 3;
         let epochs = 6u32;
-        let addrs = free_addrs(n).await;
-        let mut peers = Vec::new();
-        for id in NodeId::all(n).skip(1) {
-            let keychain = delphi_crypto::Keychain::derive(b"live-tail", id, n);
-            let node = epoch_node(id, n, EpochConfig::new(epochs, 2, 2, 4), FlushPolicy::PerStep);
-            let addrs = addrs.clone();
-            peers.push(tokio::spawn(async move {
-                run_epoch_service(node, keychain, addrs, RunOptions::default())
-                    .await?
-                    .finish()
+        let cfg = EpochConfig::new(epochs, 2, 2, 4);
+        for (seed, vector) in [(&b"live-tail"[..], false), (b"live-tail-vector", true)] {
+            let node = move |id| match vector {
+                true => vector_node(id, n, cfg),
+                false => epoch_node(id, n, cfg, FlushPolicy::PerStep),
+            };
+            let addrs = free_addrs(n).await;
+            let mut peers = Vec::new();
+            for id in NodeId::all(n).skip(1) {
+                let keychain = delphi_crypto::Keychain::derive(seed, id, n);
+                let (node, addrs) = (node(id), addrs.clone());
+                peers.push(tokio::spawn(async move {
+                    run_epoch_service(node, keychain, addrs, RunOptions::default())
+                        .await?
+                        .0
+                        .finish()
+                        .await
+                }));
+            }
+            let keychain = delphi_crypto::Keychain::derive(seed, NodeId(0), n);
+            let (handle, mut live) =
+                run_epoch_service(node(NodeId(0)), keychain, addrs, RunOptions::default())
                     .await
-            }));
-        }
-        let keychain = delphi_crypto::Keychain::derive(b"live-tail", NodeId(0), n);
-        let node =
-            epoch_node(NodeId(0), n, EpochConfig::new(epochs, 2, 2, 4), FlushPolicy::PerStep);
-        let mut handle = run_epoch_service(node, keychain, addrs, RunOptions::default())
-            .await
-            .expect("service starts");
-        // A detached stats probe stays readable while the stream runs and
-        // after it finishes.
-        let probe = handle.stats();
-        let mut tail = Vec::new();
-        while let Some(event) = handle.next_event().await {
-            // Mid-stream snapshots are coherent: a 2-asset basket under a
-            // window of 4 — never more resident, never stale.
-            let mid = probe.epoch_snapshot();
-            assert!(mid.peak_resident <= 4, "torn or wild snapshot: {mid:?}");
-            assert_eq!(mid.stale_epochs, 0);
-            tail.push(event);
-        }
-        let (events, epoch_stats, _) = handle.finish().await.expect("stream finished");
-        assert_eq!(tail, events, "the live tail is the finished stream");
-        assert_eq!(tail.len(), epochs as usize);
-        assert_eq!(probe.epoch_snapshot(), epoch_stats, "probe converges to the final stats");
-        assert!(probe.net_snapshot().recv_frames > 0);
-        for p in peers {
-            p.await.unwrap().expect("peer stream finished");
+                    .expect("service starts");
+            // A detached stats probe stays readable while the stream runs
+            // and after it finishes.
+            let probe = handle.stats();
+            let mut tail = Vec::new();
+            while let Some(event) = live.recv().await {
+                // Mid-stream snapshots are coherent: a 2-asset basket under
+                // a window of 4 — never more resident, never stale.
+                let mid = probe.epoch_snapshot();
+                assert!(mid.peak_resident <= 4, "torn or wild snapshot: {mid:?}");
+                assert_eq!(mid.stale_epochs, 0);
+                tail.push(event);
+            }
+            let (events, epoch_stats, net) = handle.finish().await.expect("stream finished");
+            assert_eq!(tail, events, "the live tail is the finished stream");
+            assert_eq!(tail.len(), epochs as usize);
+            assert_eq!(probe.epoch_snapshot(), epoch_stats, "probe converges to the final stats");
+            assert!(probe.net_snapshot().recv_frames > 0);
+            let agreed = events.iter().filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)));
+            assert_eq!(agreed.count(), epochs as usize, "an honest stream agrees every epoch");
+            let vector_instances = if vector { u64::from(epochs) } else { 0 };
+            assert_eq!(net.vector_instances, vector_instances, "vector: {vector}");
+            assert_eq!(probe.net_snapshot().vector_instances, vector_instances);
+            for p in peers {
+                p.await.unwrap().expect("peer stream finished");
+            }
         }
     }
 
@@ -1483,7 +1341,7 @@ mod tests {
             drain_timeout: Duration::from_millis(500),
             ..RunOptions::default()
         };
-        let handle =
+        let (handle, _) =
             run_epoch_service(node, kc0, addrs.clone(), opts).await.expect("service starts");
         let probe = handle.stats();
 

@@ -139,7 +139,6 @@ impl SessionSet {
     pub(crate) fn connect(
         keychain: Arc<Keychain>,
         addrs: &[SocketAddr],
-        reconnect_delay: Duration,
         counters: Arc<Counters>,
         egress_capacity: usize,
     ) -> SessionSet {
@@ -148,7 +147,7 @@ impl SessionSet {
         let (mut links, mut writer_tasks) = (Vec::new(), Vec::new());
         for (&addr, peer) in addrs.iter().zip(NodeId::all(addrs.len())) {
             links.push((peer != me).then(|| {
-                let opened = open_link(addr, egress_capacity, reconnect_delay, counters.clone());
+                let opened = open_link(addr, egress_capacity, counters.clone());
                 writer_tasks.push(opened.1);
                 opened.0
             }));
@@ -282,13 +281,7 @@ mod tests {
             listeners.push(listener);
         }
         let keychain = Arc::new(Keychain::derive(seed, NodeId(0), n));
-        let sessions = SessionSet::connect(
-            keychain,
-            &addrs,
-            Duration::from_millis(5),
-            counters.clone(),
-            egress_capacity,
-        );
+        let sessions = SessionSet::connect(keychain, &addrs, counters.clone(), egress_capacity);
         (sessions, listeners)
     }
 
@@ -421,8 +414,8 @@ mod tests {
     }
 
     /// A `SessionSet` for node 0 of `n` whose peers all live at a dead
-    /// address (nothing listens on port 1): every writer parks in its
-    /// dial-retry loop after the first failure and never drains.
+    /// address (nothing listens on port 1): every writer stays in its
+    /// dial-retry loop, backing off, and never drains.
     fn dead_peer_sessions(
         n: usize,
         counters: &Arc<Counters>,
@@ -430,13 +423,7 @@ mod tests {
     ) -> SessionSet {
         let keychain = Arc::new(Keychain::derive(b"egress", NodeId(0), n));
         let addrs: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().unwrap(); n];
-        SessionSet::connect(
-            keychain,
-            &addrs,
-            Duration::from_secs(60),
-            counters.clone(),
-            egress_capacity,
-        )
+        SessionSet::connect(keychain, &addrs, counters.clone(), egress_capacity)
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]

@@ -36,12 +36,15 @@ use crate::frame::{
     decode_inbound_frame_ref, verified_batch, FrameError, MAX_FRAME_BODY, MIN_FRAME_BODY,
 };
 
-/// Cap on the dial-retry backoff, as a multiple of the initial delay.
-///
-/// Reconnection starts at [`crate::RunOptions::reconnect_delay`] and
-/// doubles on every consecutive failure up to this factor, then resets on
-/// a successful connection.
-pub(crate) const MAX_BACKOFF_FACTOR: u32 = 160;
+/// Initial delay between reconnection attempts while dialing a peer.
+/// Short, so a peer that starts just after us is not cut off while the
+/// others race `window` epochs ahead of it.
+const RECONNECT_DELAY: Duration = Duration::from_millis(5);
+
+/// Cap on the dial-retry backoff, as a multiple of [`RECONNECT_DELAY`]:
+/// the delay doubles on every consecutive failure up to this factor, then
+/// resets on a successful connection.
+const MAX_BACKOFF_FACTOR: u32 = 160;
 
 delphi_primitives::counter_group! {
     /// Byte counters observed by the runner.
@@ -198,12 +201,11 @@ fn lock(conn: &Mutex<Conn>) -> std::sync::MutexGuard<'_, Conn> {
 pub(crate) fn open_link(
     addr: SocketAddr,
     capacity: usize,
-    reconnect_delay: Duration,
     counters: Arc<Counters>,
 ) -> (PeerLink, tokio::task::JoinHandle<()>) {
     let (backlog, rx) = mpsc::channel(capacity);
     let conn = Arc::new(Mutex::new(Conn { stream: None, held: 0 }));
-    let writer = tokio::spawn(write_loop(addr, conn.clone(), rx, reconnect_delay, counters));
+    let writer = tokio::spawn(write_loop(addr, conn.clone(), rx, counters));
     (PeerLink { conn, backlog }, writer)
 }
 
@@ -298,21 +300,20 @@ async fn write_loop(
     addr: SocketAddr,
     conn: Arc<Mutex<Conn>>,
     mut rx: mpsc::Receiver<(Bytes, usize)>,
-    reconnect_delay: Duration,
     counters: Arc<Counters>,
 ) {
-    let mut backoff = reconnect_delay;
+    let mut backoff = RECONNECT_DELAY;
     while let Some((frame, mut written)) = rx.recv().await {
         while let Some(rest) = frame.get(written..).filter(|rest| !rest.is_empty()) {
             let current = lock(&conn).stream.clone();
             let Some(stream) = current else {
                 let Ok(stream) = TcpStream::connect(addr).await else {
                     tokio::time::sleep(backoff).await;
-                    backoff = (backoff * 2).min(reconnect_delay * MAX_BACKOFF_FACTOR);
+                    backoff = (backoff * 2).min(RECONNECT_DELAY * MAX_BACKOFF_FACTOR);
                     continue;
                 };
                 let _ = stream.set_nodelay(true);
-                (backoff, written) = (reconnect_delay, 0);
+                (backoff, written) = (RECONNECT_DELAY, 0);
                 lock(&conn).stream = Some(Arc::new(stream));
                 continue;
             };
@@ -433,7 +434,7 @@ mod tests {
         drop(holder);
 
         let counters = Arc::new(Counters::default());
-        let (link, writer) = open_link(addr, 16, Duration::from_millis(5), counters.clone());
+        let (link, writer) = open_link(addr, 16, counters.clone());
         let frame = |payload: &[u8]| {
             let entry = [(AgreementId::default(), Bytes::copy_from_slice(payload))];
             encode_epoch_frame(&alice, NodeId(1), &entry)

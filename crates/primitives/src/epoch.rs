@@ -7,8 +7,8 @@
 //! simulator and the TCP runtime (a one-shot basket is simply a stream of
 //! one epoch):
 //!
-//! - [`EpochId`] / [`AgreementId`]: epoch-aware instance addressing with a
-//!   stable wire encoding (`u32` epoch × `u16` asset).
+//! - [`EpochId`] / [`AgreementId`]: epoch-aware instance addressing,
+//!   written as two varints in each batch entry's head.
 //! - an **epoch batch codec**: `(AgreementId, payload)` entry sequences.
 //!   `delphi-net` wraps exactly this sequence in its authenticated frames,
 //!   and [`EpochProtocol`] uses it as the payload of simulator messages,
@@ -147,19 +147,6 @@ impl AgreementId {
 impl fmt::Display for AgreementId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.epoch, self.asset)
-    }
-}
-
-impl Encode for AgreementId {
-    fn encode(&self, w: &mut Writer) {
-        self.epoch.encode(w);
-        self.asset.encode(w);
-    }
-}
-
-impl Decode for AgreementId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AgreementId { epoch: EpochId::decode(r)?, asset: InstanceId::decode(r)? })
     }
 }
 
@@ -476,7 +463,7 @@ impl EpochConfig {
 }
 
 crate::counter_group! {
-    /// Counters the epoch layer exposes for observability and tests.
+    /// The pipeline's counters: the one group a transport publishes live.
     pub struct EpochStats {
         /// Entries addressed to an already-evicted epoch, dropped.
         late_entries: u64,
@@ -488,6 +475,11 @@ crate::counter_group! {
         stale_epochs: u64,
         /// Most epochs resident in memory at once (live-window bound check).
         peak_resident: usize,
+        /// Entries flushed (envelopes after broadcast expansion).
+        sent_entries: u64,
+        /// Bytes of those entries' heads ([`epoch_entry_overhead`]): the
+        /// epoch batches' framing beyond their counts.
+        sent_head_bytes: u64,
     }
 }
 
@@ -631,10 +623,6 @@ pub struct EpochProtocol<P: Protocol> {
     pending: Vec<(Recipient, AgreementId, Bytes)>,
     /// Their payload bytes.
     pending_bytes: usize,
-    /// Entries flushed (envelopes after broadcast expansion).
-    sent_entries: u64,
-    /// Their heads' bytes ([`epoch_entry_overhead`]).
-    sent_head_bytes: u64,
 }
 
 impl<P: Protocol> fmt::Debug for EpochProtocol<P> {
@@ -694,8 +682,6 @@ impl<P: Protocol> EpochProtocol<P> {
             flush,
             pending: Vec::new(),
             pending_bytes: 0,
-            sent_entries: 0,
-            sent_head_bytes: 0,
         }
     }
 
@@ -730,17 +716,6 @@ impl<P: Protocol> EpochProtocol<P> {
             FlushPolicy::Adaptive { max_delay, .. } if !self.pending.is_empty() => Some(max_delay),
             _ => None,
         }
-    }
-
-    /// Entries flushed so far (envelopes after broadcast expansion).
-    pub fn sent_entries(&self) -> u64 {
-        self.sent_entries
-    }
-
-    /// Bytes of the flushed entries' heads: the epoch batches' framing
-    /// beyond their counts.
-    pub fn sent_head_bytes(&self) -> u64 {
-        self.sent_head_bytes
     }
 
     /// Feeds one authenticated entry from `from`, routing what it
@@ -988,8 +963,8 @@ impl<P: Protocol> EpochProtocol<P> {
         let (pending, me) = (&self.pending, self.me);
         for (to, id, payload) in pending {
             let copies = if *to == Recipient::All { self.n as u64 - 1 } else { 1 };
-            self.sent_entries += copies;
-            self.sent_head_bytes += copies * epoch_entry_overhead(*id, payload.len()) as u64;
+            self.stats.sent_entries += copies;
+            self.stats.sent_head_bytes += copies * epoch_entry_overhead(*id, payload.len()) as u64;
         }
         if self.flush == FlushPolicy::PerEntry {
             for pending in pending {
@@ -1132,8 +1107,6 @@ mod tests {
         assert_eq!(EpochId::from(9u32).index(), 9);
         for raw in [0u32, 1, 255, 65_536, u32::MAX] {
             assert_eq!(roundtrip(&EpochId(raw)).unwrap(), EpochId(raw));
-            let id = AgreementId::new(EpochId(raw), InstanceId(7));
-            assert_eq!(roundtrip(&id).unwrap(), id);
         }
         assert_eq!(AgreementId::new(EpochId(0), InstanceId(2)).to_string(), "epoch-0/instance-2");
     }
@@ -1454,8 +1427,9 @@ mod tests {
             },
         );
         let adaptive_batches = run_mesh(&mut adaptive);
-        let entries =
-            |nodes: &[EpochProtocol<Gossip>]| nodes.iter().map(|n| n.sent_entries()).sum::<u64>();
+        let entries = |nodes: &[EpochProtocol<Gossip>]| {
+            nodes.iter().map(|n| n.stats().sent_entries).sum::<u64>()
+        };
         let mut per_entry = mesh(cfg, 3, FlushPolicy::PerEntry);
         let per_entry_batches = run_mesh(&mut per_entry);
         // Every batch flushed is one delivery: the mesh returns batches.
@@ -1819,7 +1793,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].outcome, EpochOutcome::Agreed(vec![10, 20]), "routed per instance");
         assert!(acks.iter().all(|env| env.to == Recipient::One(NodeId(0))));
-        assert_eq!(receiver.sent_entries(), 2);
+        assert_eq!(receiver.stats().sent_entries, 2);
     }
 
     #[test]
@@ -1982,8 +1956,8 @@ mod tests {
                 assert_eq!(batches, vec![sent.clone()], "{flush:?}: one batch for every peer");
             }
             // Each entry reaches the n − 1 peers: 3-byte heads.
-            assert_eq!(node.sent_entries(), 6 * (n as u64 - 1), "{flush:?}");
-            assert_eq!(node.sent_head_bytes(), 3 * 6 * (n as u64 - 1), "{flush:?}");
+            assert_eq!(node.stats().sent_entries, 6 * (n as u64 - 1), "{flush:?}");
+            assert_eq!(node.stats().sent_head_bytes, 3 * 6 * (n as u64 - 1), "{flush:?}");
             assert!(node.on_tick().is_empty() && node.pending_delay().is_none());
         }
     }
@@ -2101,7 +2075,7 @@ mod tests {
             deliver(script.len(), node.on_tick());
             let total: usize = expected.iter().map(Vec::len).sum();
             proptest::prop_assert_eq!(&received, &expected);
-            proptest::prop_assert_eq!(node.sent_entries(), total as u64);
+            proptest::prop_assert_eq!(node.stats().sent_entries, total as u64);
             proptest::prop_assert!(node.pending_delay().is_none());
         }
     }

@@ -1,5 +1,10 @@
 //! Counter groups, each declared once by [`counter_group!`]: whatever
-//! lists, parses, sums or publishes counters walks the declaration.
+//! lists, parses, sums or publishes counters walks the declaration, and
+//! a [`StatsCell`] carries one group from its single writer to any
+//! number of live readers.
+
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A group of counters, walked in declaration order.
 pub trait CounterGroup: Copy + Default {
@@ -61,4 +66,87 @@ macro_rules! counter_group {
             )*}
         };
     };
+}
+
+/// A single-writer, many-reader seqlock over one counter group, from
+/// plain atomics (no locks on either side): the writer bumps `seq` to odd,
+/// stores every slot and bumps it back to even; a reader retries until it
+/// sees the same even `seq` on both sides of its slot reads, so a snapshot
+/// never mixes two publications.
+#[derive(Debug)]
+pub struct StatsCell<G> {
+    seq: AtomicU64,
+    slots: Box<[AtomicU64]>,
+    group: PhantomData<G>,
+}
+
+impl<G: CounterGroup> StatsCell<G> {
+    /// A cell holding `initial` until the first publication.
+    pub fn new(initial: G) -> StatsCell<G> {
+        let slots = initial.values().map(AtomicU64::new).collect();
+        StatsCell { seq: AtomicU64::new(0), slots, group: PhantomData }
+    }
+
+    /// One store per counter, plus two. Single writer: a second one would
+    /// break the odd/even discipline.
+    pub fn publish(&self, stats: &G) {
+        let s = self.seq.load(Ordering::Relaxed);
+        self.seq.store(s.wrapping_add(1), Ordering::SeqCst); // odd: write in progress
+        for (slot, value) in self.slots.iter().zip(stats.values()) {
+            slot.store(value, Ordering::SeqCst);
+        }
+        self.seq.store(s.wrapping_add(2), Ordering::SeqCst); // even: consistent
+    }
+
+    /// The latest publication, whole. Lock-free for the writer; the reader
+    /// spins only while a publication is mid-flight.
+    pub fn snapshot(&self) -> G {
+        loop {
+            let before = self.seq.load(Ordering::SeqCst);
+            if before % 2 == 0 {
+                let stats = G::from_values(self.slots.iter().map(|s| s.load(Ordering::SeqCst)));
+                if self.seq.load(Ordering::SeqCst) == before {
+                    return stats;
+                }
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    crate::counter_group! {
+        struct Triple {
+            a: u64,
+            b: u64,
+            c: usize,
+        }
+    }
+
+    #[test]
+    fn stats_cell_snapshots_are_coherent_under_concurrent_publication() {
+        // The writer publishes values whose fields are all equal; a torn
+        // read would surface as a snapshot mixing two publications.
+        let cell = std::sync::Arc::new(StatsCell::new(Triple::default()));
+        let writer = {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                for i in 0..20_000u64 {
+                    cell.publish(&Triple::from_values(std::iter::repeat(i)));
+                }
+            })
+        };
+        let mut last = 0;
+        for _ in 0..20_000 {
+            let s = cell.snapshot();
+            assert!(s.values().all(|v| v == s.a), "torn snapshot: {s:?}");
+            assert!(s.a >= last, "publications observed out of order");
+            last = s.a;
+        }
+        writer.join().expect("writer");
+        assert_eq!(cell.snapshot().values().collect::<Vec<_>>(), [19_999; Triple::LEN]);
+    }
 }

@@ -528,42 +528,6 @@ pub trait Decode: Sized {
     }
 }
 
-impl Encode for u64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(*self);
-    }
-}
-
-impl Decode for u64 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_u64()
-    }
-}
-
-impl Encode for i64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_i64(*self);
-    }
-}
-
-impl Decode for i64 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_i64()
-    }
-}
-
-impl Encode for u32 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(*self);
-    }
-}
-
-impl Decode for u32 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_u32()
-    }
-}
-
 impl Encode for u16 {
     fn encode(&self, w: &mut Writer) {
         w.put_u16(*self);
@@ -576,18 +540,6 @@ impl Decode for u16 {
     }
 }
 
-impl Encode for bool {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bool(*self);
-    }
-}
-
-impl Decode for bool {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_bool()
-    }
-}
-
 impl Encode for f64 {
     fn encode(&self, w: &mut Writer) {
         w.put_f64(*self);
@@ -597,19 +549,6 @@ impl Encode for f64 {
 impl Decode for f64 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.get_f64()
-    }
-}
-
-impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-}
-
-impl<A: Decode, B: Decode> Decode for (A, B) {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -763,6 +702,69 @@ pub fn roundtrip<T: Encode + Decode>(value: &T) -> Result<T, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Codec impls only these tests use; the protocols encode these
+    // scalars through the `Writer`/`Reader` methods directly.
+    impl Encode for u64 {
+        fn encode(&self, w: &mut Writer) {
+            w.put_u64(*self);
+        }
+    }
+
+    impl Decode for u64 {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.get_u64()
+        }
+    }
+
+    impl Encode for i64 {
+        fn encode(&self, w: &mut Writer) {
+            w.put_i64(*self);
+        }
+    }
+
+    impl Decode for i64 {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.get_i64()
+        }
+    }
+
+    impl Encode for u32 {
+        fn encode(&self, w: &mut Writer) {
+            w.put_u32(*self);
+        }
+    }
+
+    impl Decode for u32 {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.get_u32()
+        }
+    }
+
+    impl Encode for bool {
+        fn encode(&self, w: &mut Writer) {
+            w.put_bool(*self);
+        }
+    }
+
+    impl Decode for bool {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.get_bool()
+        }
+    }
+
+    impl<A: Encode, B: Encode> Encode for (A, B) {
+        fn encode(&self, w: &mut Writer) {
+            self.0.encode(w);
+            self.1.encode(w);
+        }
+    }
+
+    impl<A: Decode, B: Decode> Decode for (A, B) {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            Ok((A::decode(r)?, B::decode(r)?))
+        }
+    }
 
     #[test]
     fn varint_boundaries() {

@@ -155,7 +155,7 @@ async fn stream(
     addrs: Vec<SocketAddr>,
     opts: RunOptions,
 ) -> Result<(Vec<EpochEvent<f64>>, EpochStats, NetStats), NetError> {
-    let handle = run_epoch_service(service.into_node(), keychain, addrs, opts).await?;
+    let (handle, _) = run_epoch_service(service.into_node(), keychain, addrs, opts).await?;
     let (events, epoch_stats, stats) = handle.finish().await?;
     Ok((flatten_vector_events(events), epoch_stats, stats))
 }

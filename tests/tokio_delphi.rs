@@ -86,7 +86,7 @@ async fn the_flush_policy_chosen_at_build_time_is_the_one_on_the_socket() {
             .into_node();
         let addrs = addrs.clone();
         handles.push(tokio::spawn(async move {
-            run_epoch_service(node, keychain, addrs, RunOptions::default()).await?.finish().await
+            run_epoch_service(node, keychain, addrs, RunOptions::default()).await?.0.finish().await
         }));
     }
     for h in handles {
