@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use delphi_primitives::InstanceId;
+use delphi_primitives::{json_f64, InstanceId};
 
 use crate::attest::attestation_to_hex;
 use crate::feed::FeedUpdate;
@@ -224,20 +224,6 @@ pub fn json_update(update: &FeedUpdate) -> String {
 pub fn json_history(asset: InstanceId, updates: &[Arc<FeedUpdate>]) -> String {
     let items: Vec<String> = updates.iter().map(|u| json_update(u)).collect();
     format!("{{\"asset\":{},\"updates\":[{}]}}", asset.0, items.join(","))
-}
-
-/// An f64 that stays a JSON number (matching the cluster report codec).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

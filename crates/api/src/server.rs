@@ -12,14 +12,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use delphi_net::{NetStats, ServiceStats};
-use delphi_primitives::{CounterGroup, EpochStats, InstanceId};
+use delphi_primitives::{json_f64, CounterGroup, EpochStats, InstanceId};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
 
 use crate::feed::FeedState;
 use crate::http::{
-    json_f64, json_history, json_update, parse_request, response, route, stream_head, HttpError,
-    Request, Route, MAX_REQUEST_HEAD,
+    json_history, json_update, parse_request, response, route, stream_head, HttpError, Request,
+    Route, MAX_REQUEST_HEAD,
 };
 use crate::hub::{RecvError, SubscriberHub};
 

@@ -358,7 +358,7 @@ impl Protocol for AadNode {
 mod tests {
     use super::*;
     use delphi_primitives::wire::roundtrip;
-    use delphi_sim::adversary::Crash;
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{judge, spread, Simulation, Topology};
     use proptest::prelude::*;
 
@@ -385,7 +385,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
             .map(|id| {
                 if faulty.contains(&id.index()) {
-                    Box::new(Crash::new(id, n)) as Box<dyn Protocol<Output = f64>>
+                    Box::new(Faulty::crash(id, n)) as Box<dyn Protocol<Output = f64>>
                 } else {
                     AadNode::new(id, n, t, inputs[id.index()], rounds).boxed()
                 }

@@ -451,7 +451,7 @@ impl Protocol for AbaNode {
 mod tests {
     use super::*;
     use delphi_primitives::wire::roundtrip;
-    use delphi_sim::adversary::{Crash, GarbageSpammer};
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{Simulation, Topology};
     use proptest::prelude::*;
 
@@ -470,7 +470,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = bool>>> = NodeId::all(n)
             .map(|id| {
                 if faulty.contains(&id.index()) {
-                    Box::new(Crash::new(id, n)) as Box<dyn Protocol<Output = bool>>
+                    Box::new(Faulty::crash(id, n)) as Box<dyn Protocol<Output = bool>>
                 } else {
                     AbaNode::new(id, n, t, inputs[id.index()], b"coin").boxed()
                 }
@@ -515,7 +515,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = bool>>> = NodeId::all(n)
             .map(|id| {
                 if id.index() == 2 {
-                    Box::new(GarbageSpammer::new(id, n, 4, 2, 32, 40))
+                    Box::new(Faulty::garbage(id, n, 4, 2, 32, 40))
                         as Box<dyn Protocol<Output = bool>>
                 } else {
                     AbaNode::new(id, n, 1, id.index() == 0, b"coin").boxed()

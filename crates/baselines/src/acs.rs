@@ -282,7 +282,7 @@ mod tests {
     use super::*;
     use delphi_primitives::wire::roundtrip;
     use delphi_primitives::Round;
-    use delphi_sim::adversary::{Crash, GarbageSpammer};
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{judge, Simulation, Topology};
     use proptest::prelude::*;
 
@@ -303,7 +303,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
             .map(|id| {
                 if faulty.contains(&id.index()) {
-                    Box::new(Crash::new(id, n)) as Box<dyn Protocol<Output = f64>>
+                    Box::new(Faulty::crash(id, n)) as Box<dyn Protocol<Output = f64>>
                 } else {
                     AcsNode::new(id, n, t, inputs[id.index()], b"coin").boxed()
                 }
@@ -357,37 +357,18 @@ mod tests {
     fn garbage_value_does_not_poison() {
         // A Byzantine broadcaster RBCs undecodable bytes; honest nodes map
         // them to a common sentinel and the median survives.
-        struct JunkBroadcaster {
-            me: NodeId,
-            n: usize,
-        }
-        impl Protocol for JunkBroadcaster {
-            type Output = f64;
-            fn node_id(&self) -> NodeId {
-                self.me
-            }
-            fn n(&self) -> usize {
-                self.n
-            }
-            fn start(&mut self) -> Vec<Envelope> {
-                let msg = AcsMsg::Rbc {
-                    broadcaster: self.me,
-                    inner: RbcMsg::Send(Bytes::from_static(b"zz")),
-                };
-                vec![Envelope::to_all(msg.to_bytes())]
-            }
-            fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-                Vec::new()
-            }
-            fn output(&self) -> Option<f64> {
-                None
-            }
-        }
         let n = 4;
         let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
             .map(|id| {
                 if id.index() == 0 {
-                    Box::new(JunkBroadcaster { me: id, n }) as Box<dyn Protocol<Output = f64>>
+                    let junk = AcsMsg::Rbc {
+                        broadcaster: id,
+                        inner: RbcMsg::Send(Bytes::from_static(b"zz")),
+                    };
+                    let mut sends = vec![(None, junk.to_bytes())];
+                    let junk_broadcaster = move |_: Option<&[u8]>| std::mem::take(&mut sends);
+                    Box::new(Faulty::new(id, n, junk_broadcaster))
+                        as Box<dyn Protocol<Output = f64>>
                 } else {
                     AcsNode::new(id, n, 1, 50.0 + id.index() as f64, b"coin").boxed()
                 }
@@ -406,7 +387,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
             .map(|id| {
                 if id.index() == 1 {
-                    Box::new(GarbageSpammer::new(id, n, 7, 2, 48, 60))
+                    Box::new(Faulty::garbage(id, n, 7, 2, 48, 60))
                         as Box<dyn Protocol<Output = f64>>
                 } else {
                     AcsNode::new(id, n, 1, 9.0, b"coin").boxed()

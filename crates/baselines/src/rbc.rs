@@ -330,7 +330,7 @@ impl Protocol for RbcNode {
 mod tests {
     use super::*;
     use delphi_primitives::wire::roundtrip;
-    use delphi_sim::adversary::Crash;
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{Simulation, Topology};
 
     #[test]
@@ -379,41 +379,10 @@ mod tests {
 
     #[test]
     fn tolerates_crashed_follower() {
-        let outs = run_rbc(4, 1, b"hello", &[2], |id| Box::new(Crash::new(id, 4)), 2);
+        let outs = run_rbc(4, 1, b"hello", &[2], |id| Box::new(Faulty::crash(id, 4)), 2);
         assert_eq!(outs.len(), 3);
         for o in outs {
             assert_eq!(&o[..], b"hello");
-        }
-    }
-
-    /// Equivocating broadcaster: sends payload A to half, B to the rest.
-    struct TwoFaced {
-        me: NodeId,
-        n: usize,
-    }
-    impl Protocol for TwoFaced {
-        type Output = Bytes;
-        fn node_id(&self) -> NodeId {
-            self.me
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn start(&mut self) -> Vec<Envelope> {
-            (0..self.n)
-                .filter(|&d| d != self.me.index())
-                .map(|d| {
-                    let payload = if d % 2 == 0 { b"AAAA".as_slice() } else { b"BBBB".as_slice() };
-                    let msg = RbcMsg::Send(Bytes::copy_from_slice(payload));
-                    Envelope::to_one(NodeId(d as u16), msg.to_bytes())
-                })
-                .collect()
-        }
-        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            Vec::new()
-        }
-        fn output(&self) -> Option<Bytes> {
-            None
         }
     }
 
@@ -426,7 +395,15 @@ mod tests {
             let nodes: Vec<Box<dyn Protocol<Output = Bytes>>> = NodeId::all(n)
                 .map(|id| {
                     if id == NodeId(0) {
-                        Box::new(TwoFaced { me: id, n }) as Box<dyn Protocol<Output = Bytes>>
+                        // Equivocating broadcaster: payload A to half, B to the rest.
+                        let mut sends: Vec<_> = NodeId::all(n)
+                            .map(|d| {
+                                let payload = if d.0 % 2 == 0 { b"AAAA" } else { b"BBBB" };
+                                (Some(d), RbcMsg::Send(Bytes::from_static(payload)).to_bytes())
+                            })
+                            .collect();
+                        let two_faced = move |_: Option<&[u8]>| std::mem::take(&mut sends);
+                        Box::new(Faulty::new(id, n, two_faced)) as Box<dyn Protocol<Output = Bytes>>
                     } else {
                         RbcNode::new(id, n, 1, NodeId(0), None).boxed()
                     }

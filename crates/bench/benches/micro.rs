@@ -8,13 +8,13 @@ use std::hint::black_box;
 use bytes::Bytes;
 use delphi_bench::{oracle_config, spread_inputs};
 use delphi_core::{
-    BasketBundle, BasketBundleRef, BasketSection, BundleArena, DelphiBundle, DelphiBundleRef,
-    DelphiNode, EchoKind, Section, VectorDelphiNode,
+    BasketBundle, BasketBundleRef, BasketSection, BundleArena, DelphiBundleRef, DelphiNode,
+    EchoKind, VectorDelphiNode,
 };
 use delphi_crypto::{hmac_sha256, sha256, Keychain};
 use delphi_net::{decode_inbound_frame_ref, encode_epoch_frame};
 use delphi_primitives::epoch::encode_epoch_batch;
-use delphi_primitives::wire::{Encode, VectorValue};
+use delphi_primitives::wire::VectorValue;
 use delphi_primitives::{
     AgreementId, Dyadic, Envelope, EpochConfig, EpochId, EpochProtocol, FlushPolicy, InstanceId,
     NodeId, Protocol, Recipient, Round,
@@ -44,13 +44,16 @@ fn bench_crypto(c: &mut Criterion) {
     });
 }
 
-fn realistic_bundle() -> DelphiBundle {
-    let mut bundle = DelphiBundle::default();
+/// A scalar node's bundle: one dimension, every echo in dimension 0.
+fn realistic_bundle() -> BasketBundle {
+    let mut bundle = BasketBundle::default();
     for level in 0..11u8 {
-        let mut s = Section::new(level, Round(12), EchoKind::Echo1);
-        s.background = Some(Dyadic::ZERO);
-        s.exclude = vec![20_000, 20_001, 20_002];
-        s.entries = (0..6).map(|i| (19_998 + i, Dyadic::new(1 + 2 * i as u64, 12))).collect();
+        let mut s = BasketSection::new(level, Round(12), EchoKind::Echo1);
+        s.backgrounds.set(0, Dyadic::ZERO);
+        s.exclude = vec![(20_000, 1), (20_001, 1), (20_002, 1)];
+        s.entries = (0..6)
+            .map(|i| (19_998 + i, VectorValue::single(0, Dyadic::new(1 + 2 * i as u64, 12))))
+            .collect();
         bundle.sections.push(s);
     }
     bundle
@@ -77,10 +80,10 @@ fn realistic_basket_bundle() -> BasketBundle {
 
 fn bench_wire(c: &mut Criterion) {
     let bundle = realistic_bundle();
-    let bytes = bundle.to_bytes();
+    let bytes = bundle.to_bytes(1);
     let mut group = c.benchmark_group("wire");
     group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("encode_delphi_bundle", |b| b.iter(|| black_box(&bundle).to_bytes()));
+    group.bench_function("encode_delphi_bundle", |b| b.iter(|| black_box(&bundle).to_bytes(1)));
     // The validating shim: the decode pass with nowhere to store — what a
     // caller pays to learn a bundle is well-formed and how many sections
     // it has.
@@ -95,7 +98,7 @@ fn bench_wire(c: &mut Criterion) {
     // between two bundles of one shape that differ in their round.
     let mut twin = bundle.clone();
     twin.sections.iter_mut().for_each(|s| s.round = Round(13));
-    let inputs = [bytes.clone(), twin.to_bytes()];
+    let inputs = [bytes.clone(), twin.to_bytes(1)];
     let mut arena = BundleArena::new(1);
     let mut turn = 0;
     group.bench_function("decode_delphi_bundle_flat", |b| {
@@ -124,7 +127,7 @@ fn bench_wire(c: &mut Criterion) {
     let basket = realistic_basket_bundle();
     let mut twin = basket.clone();
     twin.sections.iter_mut().for_each(|s| s.round = Round(13));
-    let inputs = [basket.to_bytes(), twin.to_bytes()];
+    let inputs = [basket.to_bytes(8), twin.to_bytes(8)];
     let mut arena = BundleArena::new(8);
     group.throughput(Throughput::Bytes(inputs[0].len() as u64));
     group.bench_function("decode_basket_bundle_flat", |b| {

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use delphi_net::cluster::{
     find_sibling_binary, launch, node_command, ClusterError, ClusterOutcome,
 };
-use delphi_net::config::ClusterConfig;
+use delphi_net::config::{ClusterConfig, NodeEntry};
 use delphi_net::frame::EPOCH_FRAME_OVERHEAD_BYTES;
 use delphi_net::NetStats;
 use delphi_primitives::{EpochEvent, EpochId, EpochOutcome};
@@ -140,15 +140,15 @@ pub fn node_args(spec: &ClusterRunSpec) -> Vec<String> {
 ///
 /// Panics if loopback listeners cannot be bound at all.
 pub fn reserve_localhost_config(n: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::localhost(n, 1, LOCAL_CLUSTER_SEED);
-    let mut holders = Vec::with_capacity(n);
-    for node in &mut cfg.nodes {
-        let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        node.address = l.local_addr().expect("local addr");
-        holders.push(l);
-    }
-    drop(holders);
-    cfg
+    let holders: Vec<TcpListener> =
+        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback")).collect();
+    let nodes = (0..).zip(&holders).map(|(id, l)| NodeEntry {
+        id,
+        address: l.local_addr().expect("local addr"),
+        key: None,
+    });
+    let name = Some("localhost".to_string());
+    ClusterConfig { name, seed: Some(LOCAL_CLUSTER_SEED.to_vec()), nodes: nodes.collect() }
 }
 
 /// Writes `cfg` as TOML to a per-process temp file tagged `tag`, returning

@@ -169,48 +169,24 @@ impl Protocol for BinAaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delphi_sim::adversary::{Crash, GarbageSpammer};
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{Simulation, Topology};
     use proptest::prelude::*;
 
     /// Byzantine node that tells half the network 0 and the other half 1,
     /// in every round, and spams ECHO2s for both values.
-    struct Equivocator {
-        me: NodeId,
-        n: usize,
-        r_max: u16,
-    }
-
-    impl Protocol for Equivocator {
-        type Output = Dyadic;
-        fn node_id(&self) -> NodeId {
-            self.me
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn start(&mut self) -> Vec<Envelope> {
-            let mut out = Vec::new();
-            for round in 1..=self.r_max {
-                for dest in 0..self.n {
-                    if dest == self.me.index() {
-                        continue;
-                    }
-                    let value = Dyadic::from_bit(dest % 2 == 0);
-                    for kind in [EchoKind::Echo1, EchoKind::Echo2] {
-                        let msg = BinAaMsg { round: Round(round), kind, value };
-                        out.push(Envelope::to_one(NodeId(dest as u16), msg.to_bytes()));
-                    }
+    fn equivocator(id: NodeId, n: usize, r_max: u16) -> Box<dyn Protocol<Output = Dyadic>> {
+        let mut sends = Vec::new();
+        for round in 1..=r_max {
+            for dest in NodeId::all(n) {
+                let value = Dyadic::from_bit(dest.index() % 2 == 0);
+                for kind in [EchoKind::Echo1, EchoKind::Echo2] {
+                    let msg = BinAaMsg { round: Round(round), kind, value };
+                    sends.push((Some(dest), msg.to_bytes()));
                 }
             }
-            out
         }
-        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            Vec::new()
-        }
-        fn output(&self) -> Option<Dyadic> {
-            None
-        }
+        Box::new(Faulty::new(id, n, move |_: Option<&[u8]>| std::mem::take(&mut sends)))
     }
 
     fn run_binaa(
@@ -272,7 +248,7 @@ mod tests {
             8,
             &[true, true, false, true],
             &[2],
-            |id| Box::new(Crash::new(id, 4)),
+            |id| Box::new(Faulty::crash(id, 4)),
             11,
         );
         assert_eq!(outs.len(), 3);
@@ -293,7 +269,7 @@ mod tests {
                 8,
                 &[true, true, true, false, false, true, true],
                 &[6],
-                |id| Box::new(Equivocator { me: id, n: 7, r_max: 8 }),
+                |id| equivocator(id, 7, 8),
                 seed,
             );
             let tol = Dyadic::new(1, 8);
@@ -317,7 +293,7 @@ mod tests {
                 8,
                 &[true, true, true, true],
                 &[3],
-                |id| Box::new(Equivocator { me: id, n: 4, r_max: 8 }),
+                |id| equivocator(id, 4, 8),
                 seed,
             );
             for o in outs {
@@ -334,7 +310,7 @@ mod tests {
             6,
             &[true, false, true, true],
             &[1],
-            |id| Box::new(GarbageSpammer::new(id, 4, 99, 3, 64, 50)),
+            |id| Box::new(Faulty::garbage(id, 4, 99, 3, 64, 50)),
             13,
         );
         let tol = Dyadic::new(1, 6);

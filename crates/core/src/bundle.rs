@@ -167,7 +167,7 @@ fn read_id_run(r: &mut Reader<'_>, sink: &mut impl Sink, most: usize) -> Result<
 }
 
 /// The one section reader (arena and validating shim; the owned test
-/// decoders read independently): the section after `prev`, per-id masks
+/// decoder reads independently): the section after `prev`, per-id masks
 /// iff `MASKS`; returns its `(level, round)`.
 #[inline]
 fn read_section<const MASKS: bool>(
@@ -258,10 +258,10 @@ pub struct BundleRef<const MASKS: bool> {
     count: usize,
 }
 
-/// The shim over the one-dimension layout ([`DelphiBundle`](crate::DelphiBundle) encodings).
+/// The shim over the one-dimension layout: no per-id masks.
 pub type DelphiBundleRef = BundleRef<false>;
 
-/// The shim over the layout of two or more dimensions ([`BasketBundle`](crate::BasketBundle)).
+/// The shim over the layout of two or more dimensions: per-id masks.
 pub type BasketBundleRef = BundleRef<true>;
 
 impl<const MASKS: bool> BundleRef<MASKS> {
@@ -279,14 +279,14 @@ impl<const MASKS: bool> BundleRef<MASKS> {
         self.count
     }
 
-    /// Whether it holds no sections (echo-free ones count, unlike `DelphiBundle::is_empty`).
+    /// Whether it holds no sections (echo-free ones count).
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
 }
 
 /// Writes `sections` as one bundle, with per-id masks iff `masks`: the one
-/// bundle writer, behind the collector and the owned encoders alike.
+/// bundle writer, behind the collector and the owned encoder alike.
 /// Returns `false`, having stopped, at a value the layout cannot carry.
 pub(crate) fn write_bundle<S: ToOutSection>(w: &mut Writer, sections: &[S], masks: bool) -> bool {
     w.put_usize(sections.len());
@@ -449,19 +449,7 @@ impl BundleArena {
         self.heads.is_empty()
     }
 
-    pub(crate) fn to_owned_scalar(&self) -> crate::DelphiBundle {
-        let sections = self.sections().map(|flat| crate::Section {
-            level: flat.level,
-            round: flat.round,
-            kind: flat.kind,
-            background: flat.backgrounds.first().copied(),
-            exclude: flat.exclude.to_vec(),
-            entries: flat.entries.iter().copied().zip(flat.entry_values.iter().copied()).collect(),
-        });
-        crate::DelphiBundle { sections: sections.collect() }
-    }
-
-    pub(crate) fn to_owned_basket(&self) -> crate::BasketBundle {
+    pub(crate) fn to_owned(&self) -> crate::BasketBundle {
         use delphi_primitives::wire::VectorValue;
         let vector = |mask: u64, values: &[Dyadic]| {
             let mut vv = VectorValue::new();
@@ -728,26 +716,15 @@ impl ToOutSection for OutSection {
     }
 }
 
-impl ToOutSection for crate::Section {
-    fn to_out<'a>(&'a self, out: &'a mut OutSection) -> &'a OutSection {
-        out.reset(self.level, self.round, self.kind);
-        if let Some(bg) = self.background {
-            out.set_background(0, bg);
-            out.exclude.extend(self.exclude.iter().map(|&k| (k, 1)));
-        }
-        out.entries.extend(self.entries.iter().map(|&(k, _)| (k, 1)));
-        out.values.extend(self.entries.iter().map(|&(_, v)| v));
-        out
-    }
-}
-
 impl ToOutSection for crate::BasketSection {
     fn to_out<'a>(&'a self, out: &'a mut OutSection) -> &'a OutSection {
         out.reset(self.level, self.round, self.kind);
         self.backgrounds.dims().for_each(|(dim, v)| out.set_background(dim, v));
         out.exclude.extend_from_slice(&self.exclude);
-        out.entries.extend(self.entries.iter().map(|(k, vv)| (*k, vv.mask())));
-        out.values.extend(self.entries.iter().flat_map(|(_, vv)| vv.dims().map(|(_, v)| v)));
+        for (k, vv) in &self.entries {
+            out.entries.push((*k, vv.mask()));
+            out.values.extend(vv.dims().map(|(_, v)| v));
+        }
         out
     }
 }

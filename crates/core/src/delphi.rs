@@ -26,8 +26,8 @@
 //! per step — and is the only Delphi state machine: ℝ¹ is the `m = 1` case
 //! of multidimensional approximate agreement. [`DelphiNode`] is that
 //! machine over a basket of one with an `f64` output, and at `m = 1` the
-//! bundles leave the per-id dimension masks off, so a scalar node's wire
-//! is the plain [`Section`](crate::Section) layout.
+//! bundles leave the per-id dimension masks off: a scalar node's sections
+//! echo in dimension 0 alone.
 //!
 //! # Resolve, then apply
 //!
@@ -261,8 +261,7 @@ fn enter_round(level: &mut [DimLevel], lvl: u8, round: Round, out: &mut Collecto
 /// fan-out this divides sections, wire entries, and rounds-per-agreement
 /// by roughly the basket size, at the cost of coupling the basket's
 /// latency to its slowest dimension. At `m = 1` the bundles carry no
-/// per-id dimension masks: the wire is the scalar
-/// [`Section`](crate::Section) layout.
+/// per-id dimension masks.
 #[derive(Debug)]
 pub struct VectorDelphiNode {
     cfg: DelphiConfig,
@@ -658,6 +657,10 @@ impl Protocol for DelphiNode {
 
 // In a `tests/` directory, which `delphi-lint` reads as wholly test code.
 #[cfg(test)]
+#[path = "delphi/tests/forger.rs"]
+mod forger;
+
+#[cfg(test)]
 #[path = "delphi/tests/merge.rs"]
 mod merge_tests;
 
@@ -668,12 +671,12 @@ mod plan_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{BasketBundle, BasketSection, DelphiBundle, Section};
+    use crate::messages::{BasketBundle, BasketSection};
     use crate::params::InputRule;
     use bytes::Bytes;
-    use delphi_primitives::wire::{Encode, VectorValue};
+    use delphi_primitives::wire::VectorValue;
     use delphi_primitives::Recipient;
-    use delphi_sim::adversary::{Crash, GarbageSpammer, SilentAfter};
+    use delphi_sim::adversary::{Faulty, SilentAfter};
     use delphi_sim::{judge, Simulation, Topology};
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -756,7 +759,7 @@ mod tests {
     fn tolerates_crash_fault() {
         let cfg = small_cfg(4);
         let inputs = [200.0, 201.0, 199.0, 0.0];
-        let outs = run_delphi(&cfg, &inputs, &[3], |id| Box::new(Crash::new(id, 4)), 5);
+        let outs = run_delphi(&cfg, &inputs, &[3], |id| Box::new(Faulty::crash(id, 4)), 5);
         judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
     }
 
@@ -783,7 +786,7 @@ mod tests {
             &cfg,
             &inputs,
             &[3],
-            |id| Box::new(GarbageSpammer::new(id, 4, 3, 2, 200, 60)),
+            |id| Box::new(Faulty::garbage(id, 4, 3, 2, 200, 60)),
             7,
         );
         judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
@@ -866,10 +869,10 @@ mod tests {
         let before = node.active_checkpoints(0);
         // A Byzantine sender mentions many distinct checkpoints at level 0.
         for wave in 0..20i64 {
-            let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-            s.entries = (0..10).map(|i| (wave * 10 + i, Dyadic::ONE)).collect();
-            let bundle = DelphiBundle { sections: vec![s] };
-            let _ = node.on_message(NodeId(3), &bundle.to_bytes());
+            let s = BasketSection::new(0, Round(1), EchoKind::Echo1)
+                .with_entries((0..10).map(|i| (wave * 10 + i, Dyadic::ONE)));
+            let bundle = BasketBundle { sections: vec![s] };
+            let _ = node.on_message(NodeId(3), &bundle.to_bytes(1));
         }
         let after = node.active_checkpoints(0);
         assert!(
@@ -884,56 +887,32 @@ mod tests {
         let mut node = DelphiNode::new(cfg, NodeId(0), 500.0);
         let _ = node.start();
         let before = node.active_checkpoints(0);
-        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-        s.entries = vec![(-5, Dyadic::ONE), (10_000, Dyadic::ONE)];
-        let bundle = DelphiBundle { sections: vec![s] };
-        let _ = node.on_message(NodeId(2), &bundle.to_bytes());
+        let s = BasketSection::new(0, Round(1), EchoKind::Echo1)
+            .with_entries([(-5, Dyadic::ONE), (10_000, Dyadic::ONE)]);
+        let bundle = BasketBundle { sections: vec![s] };
+        let _ = node.on_message(NodeId(2), &bundle.to_bytes(1));
         assert_eq!(node.active_checkpoints(0), before);
     }
 
     /// A schema-aware Byzantine node: sends *different* initial votes to
     /// different peers (vote 1 on far-apart checkpoints per recipient),
     /// the strongest single-node equivocation against Delphi's level 0.
-    struct SectionEquivocator {
-        me: NodeId,
-        cfg: DelphiConfig,
-    }
-
-    impl Protocol for SectionEquivocator {
-        type Output = f64;
-        fn node_id(&self) -> NodeId {
-            self.me
-        }
-        fn n(&self) -> usize {
-            self.cfg.n()
-        }
-        fn start(&mut self) -> Vec<Envelope> {
-            let mut out = Vec::new();
-            for dest in 0..self.cfg.n() {
-                if dest == self.me.index() {
-                    continue;
-                }
-                let mut bundle = DelphiBundle::new();
-                for level in 0..=self.cfg.l_max() {
-                    let (k_min, k_max) = self.cfg.checkpoint_range(level);
+    fn section_equivocator(id: NodeId, cfg: &DelphiConfig) -> Box<dyn Protocol<Output = f64>> {
+        let mut sends: Vec<_> = NodeId::all(cfg.n())
+            .map(|dest| {
+                let sections = (0..=cfg.l_max()).map(|level| {
+                    let (k_min, k_max) = cfg.checkpoint_range(level);
                     // Vote 1 somewhere different per destination.
-                    let k =
-                        (k_min + (dest as i64 * 17) % (k_max - k_min).max(1)).clamp(k_min, k_max);
-                    let mut s = Section::new(level, Round(1), EchoKind::Echo1);
-                    s.background = Some(Dyadic::ZERO);
-                    s.entries = vec![(k, Dyadic::ONE), (k + 1, Dyadic::ONE)];
-                    bundle.sections.push(s);
-                }
-                out.push(Envelope::to_one(NodeId(dest as u16), bundle.to_bytes()));
-            }
-            out
-        }
-        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            Vec::new()
-        }
-        fn output(&self) -> Option<f64> {
-            None
-        }
+                    let k = (k_min + (dest.index() as i64 * 17) % (k_max - k_min).max(1))
+                        .clamp(k_min, k_max);
+                    BasketSection::new(level, Round(1), EchoKind::Echo1)
+                        .with_background(Dyadic::ZERO)
+                        .with_entries([(k, Dyadic::ONE), (k + 1, Dyadic::ONE)])
+                });
+                (Some(dest), BasketBundle { sections: sections.collect() }.to_bytes(1))
+            })
+            .collect();
+        Box::new(Faulty::new(id, cfg.n(), move |_: Option<&[u8]>| std::mem::take(&mut sends)))
     }
 
     #[test]
@@ -945,7 +924,7 @@ mod tests {
                 &cfg,
                 &inputs,
                 &[3],
-                |id| Box::new(SectionEquivocator { me: id, cfg: small_cfg(4) }),
+                |id| section_equivocator(id, &small_cfg(4)),
                 40 + seed,
             );
             judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0()))
@@ -960,35 +939,13 @@ mod tests {
         let cfg = small_cfg(4);
         let inputs = [700.0, 700.4, 700.8, 0.0];
         let make_flooder = |id: NodeId| -> Box<dyn Protocol<Output = f64>> {
-            struct Flooder {
-                me: NodeId,
-                cfg: DelphiConfig,
-            }
-            impl Protocol for Flooder {
-                type Output = f64;
-                fn node_id(&self) -> NodeId {
-                    self.me
-                }
-                fn n(&self) -> usize {
-                    self.cfg.n()
-                }
-                fn start(&mut self) -> Vec<Envelope> {
-                    let mut bundle = DelphiBundle::new();
-                    for round in (1..=self.cfg.r_max()).rev() {
-                        let mut s = Section::new(0, Round(round), EchoKind::Echo2);
-                        s.entries = vec![(700, Dyadic::new(1, (round - 1).min(60) as u8))];
-                        bundle.sections.push(s);
-                    }
-                    vec![Envelope::to_all(bundle.to_bytes())]
-                }
-                fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-                    Vec::new()
-                }
-                fn output(&self) -> Option<f64> {
-                    None
-                }
-            }
-            Box::new(Flooder { me: id, cfg: small_cfg(4) })
+            let cfg = small_cfg(4);
+            let sections = (1..=cfg.r_max()).rev().map(|round| {
+                BasketSection::new(0, Round(round), EchoKind::Echo2)
+                    .with_entries([(700, Dyadic::new(1, (round - 1).min(60) as u8))])
+            });
+            let mut flood = vec![(None, BasketBundle { sections: sections.collect() }.to_bytes(1))];
+            Box::new(Faulty::new(id, 4, move |_: Option<&[u8]>| std::mem::take(&mut flood)))
         };
         let outs = run_delphi(&cfg, &inputs, &[3], make_flooder, 50);
         judge(&outs, &inputs[..3], cfg.epsilon(), Some(cfg.rho0())).unwrap();
@@ -1043,9 +1000,9 @@ mod tests {
         let inbox = record_node0_inbox(&cfg, &inputs);
         let k = 900;
         let mention = {
-            let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-            s.entries = vec![(k, Dyadic::new(1, 1))];
-            DelphiBundle { sections: vec![s] }.to_bytes()
+            let s = BasketSection::new(0, Round(1), EchoKind::Echo1)
+                .with_entries([(k, Dyadic::new(1, 1))]);
+            BasketBundle { sections: vec![s] }.to_bytes(1)
         };
         let replay = |fork_at: usize| {
             let mut node = DelphiNode::new(cfg.clone(), NodeId(0), inputs[0]);
@@ -1083,15 +1040,15 @@ mod tests {
     /// all for `round` and value 0: what an honest peer voting 0 everywhere
     /// sends, byte for byte the same whoever sends it.
     pub(super) fn zero_everywhere(cfg: &DelphiConfig, round: Round) -> Bytes {
-        let mut bundle = DelphiBundle::new();
+        let mut bundle = BasketBundle::new();
         for level in 0..=cfg.l_max() {
             for kind in [EchoKind::Echo1, EchoKind::Echo2] {
-                let mut s = Section::new(level, round, kind);
-                s.background = Some(Dyadic::ZERO);
-                bundle.sections.push(s);
+                bundle
+                    .sections
+                    .push(BasketSection::new(level, round, kind).with_background(Dyadic::ZERO));
             }
         }
-        bundle.to_bytes()
+        bundle.to_bytes(1)
     }
 
     #[test]
@@ -1125,7 +1082,7 @@ mod tests {
         let bad = &good[..good.len() - 1];
         let fresh = |bytes: &[u8]| {
             let mut arena = BundleArena::new(1);
-            arena.decode(bytes).map(|_| arena.to_owned_scalar())
+            arena.decode(bytes).map(|_| arena.to_owned())
         };
         let mut arena = BundleArena::new(1);
         arena.decode(&good).expect("a good bundle");
@@ -1136,9 +1093,9 @@ mod tests {
         }
         assert!(arena.decode(&[]).is_err(), "an empty arena matches no input");
         arena.decode(&good).expect("the good bundle again");
-        assert_eq!(Ok(arena.to_owned_scalar()), fresh(&good));
+        assert_eq!(Ok(arena.to_owned()), fresh(&good));
         arena.decode(&good).expect("and as a repeat");
-        assert_eq!(Ok(arena.to_owned_scalar()), fresh(&good));
+        assert_eq!(Ok(arena.to_owned()), fresh(&good));
         // A repeat is every byte, not a prefix: one more byte is trailing.
         let mut longer = good.to_vec();
         longer.push(0);
@@ -1175,11 +1132,11 @@ mod tests {
         };
         let (exclude, entries) = ((100..104).collect::<Vec<i64>>(), (200..206).collect::<Vec<_>>());
         let section = |round, kind| {
-            let mut s = Section::new(0, Round(round), kind);
-            s.background = Some(Dyadic::ZERO);
-            s.exclude = exclude.clone();
-            s.entries = entries.iter().map(|&k| (k, Dyadic::ONE)).collect();
-            DelphiBundle { sections: vec![s] }.to_bytes()
+            let s = BasketSection::new(0, Round(round), kind)
+                .with_background(Dyadic::ZERO)
+                .with_exclude(exclude.clone())
+                .with_entries(entries.iter().map(|&k| (k, Dyadic::ONE)));
+            BasketBundle { sections: vec![s] }.to_bytes(1)
         };
         let ids = |node: &DelphiNode| node.0.levels[0].table.ids().collect::<Vec<_>>();
 
@@ -1211,9 +1168,8 @@ mod tests {
             assert_ne!(table.column_state(column), table.column_state(0), "{kind:?} is fed");
         }
         // Peer 3's budget is spent either way: one more mention forks nothing.
-        let mut s = Section::new(0, Round(2), EchoKind::Echo1);
-        s.entries = vec![(300, Dyadic::ONE)];
-        let _ = left.on_message(NodeId(3), &DelphiBundle { sections: vec![s] }.to_bytes());
+        let s = BasketSection::new(0, Round(2), EchoKind::Echo1).with_entries([(300, Dyadic::ONE)]);
+        let _ = left.on_message(NodeId(3), &BasketBundle { sections: vec![s] }.to_bytes(1));
         assert_eq!(ids(&left), expected);
     }
 
@@ -1295,7 +1251,7 @@ mod tests {
         let inputs: Vec<Vec<f64>> =
             (0..4).map(|i| vec![200.0 + i as f64 * 0.4, 700.0 - i as f64 * 0.4]).collect();
         let outs =
-            run_vector_delphi(&cfg, &inputs, &[3], |id| Box::new(Crash::new(id, 4)), 13, None);
+            run_vector_delphi(&cfg, &inputs, &[3], |id| Box::new(Faulty::crash(id, 4)), 13, None);
         for d in 0..2 {
             let douts: Vec<f64> = outs.iter().map(|o| o[d]).collect();
             let dins: Vec<f64> = inputs[..3].iter().map(|o| o[d]).collect();
@@ -1312,7 +1268,7 @@ mod tests {
             &cfg,
             &inputs,
             &[3],
-            |id| Box::new(GarbageSpammer::new(id, 4, 3, 2, 200, 60)),
+            |id| Box::new(Faulty::garbage(id, 4, 3, 2, 200, 60)),
             14,
             None,
         );
@@ -1376,10 +1332,9 @@ mod tests {
         assert!(node.on_message(NodeId(0), b"").is_empty());
         // A scalar-codec bundle is not a valid basket bundle here either:
         // feeding one must not panic (it is simply dropped or ignored).
-        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-        s.entries = vec![(500, Dyadic::ONE)];
-        let bundle = DelphiBundle { sections: vec![s] };
-        let _ = node.on_message(NodeId(2), &bundle.to_bytes());
+        let s = BasketSection::new(0, Round(1), EchoKind::Echo1).with_entries([(500, Dyadic::ONE)]);
+        let bundle = BasketBundle { sections: vec![s] };
+        let _ = node.on_message(NodeId(2), &bundle.to_bytes(1));
     }
 
     #[test]
@@ -1395,7 +1350,7 @@ mod tests {
             s.entries =
                 (0..10).map(|i| (wave * 10 + i, VectorValue::single(0, Dyadic::ONE))).collect();
             let bundle = BasketBundle { sections: vec![s] };
-            let _ = node.on_message(NodeId(3), &bundle.to_bytes());
+            let _ = node.on_message(NodeId(3), &bundle.to_bytes(2));
         }
         let after_flood = node.active_checkpoints(0);
         assert!(
@@ -1406,7 +1361,7 @@ mod tests {
         let mut s = BasketSection::new(0, Round(1), EchoKind::Echo1);
         s.entries = vec![(300, VectorValue::single(1, Dyadic::ONE))];
         let bundle = BasketBundle { sections: vec![s] };
-        let _ = node.on_message(NodeId(3), &bundle.to_bytes());
+        let _ = node.on_message(NodeId(3), &bundle.to_bytes(2));
         assert_eq!(node.active_checkpoints(0), after_flood + 1);
     }
 
@@ -1423,7 +1378,7 @@ mod tests {
             v
         })];
         let bundle = BasketBundle { sections: vec![s] };
-        let _ = node.on_message(NodeId(2), &bundle.to_bytes());
+        let _ = node.on_message(NodeId(2), &bundle.to_bytes(2));
         // Dim 0's mention lands; the phantom dim-7 mention is discarded.
         assert_eq!(node.active_checkpoints(0), before + 1);
     }

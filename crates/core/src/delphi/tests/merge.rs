@@ -12,12 +12,12 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use delphi_primitives::wire::{Decode, Encode, VectorValue};
 use proptest::prelude::*;
 
+use super::forger::{tamper, SplitMix};
 use super::tests::small_cfg;
 use super::*;
-use crate::messages::{BasketBundle, BasketSection, DelphiBundle, Section};
+use crate::messages::{BasketBundle, BasketSection};
 
 /// A node type the harness can run in both worlds: the one machine, bare
 /// or behind [`DelphiNode`].
@@ -54,114 +54,6 @@ fn unmerged<N: Twin>(mut node: N) -> N {
 fn state<N: Twin>(node: &N) -> String {
     let machine = node.machine();
     format!("{:?} {:?}", machine.levels, machine.output)
-}
-
-/// A Byzantine rewrite of a bundle of a `dims`-dimension machine.
-pub(super) fn tamper(payload: &[u8], dims: usize, cfg: &DelphiConfig, rng: &mut SplitMix) -> Bytes {
-    if dims == 1 {
-        let mut bundle = DelphiBundle::from_bytes(payload).expect("honest bundle");
-        tamper_sections(&mut bundle.sections, cfg, rng);
-        bundle.to_bytes()
-    } else {
-        let mut bundle = BasketBundle::from_bytes(payload).expect("honest bundle");
-        tamper_sections(&mut bundle.sections, cfg, rng);
-        bundle.to_bytes()
-    }
-}
-
-/// The section surgery a tamperer performs, per layout.
-trait Tamperable: Clone {
-    fn key(&self) -> (u8, Round, EchoKind);
-    /// Moves the second half of the entries into a new background-free
-    /// section (so the background no longer shields them).
-    fn split(&mut self) -> Option<Self>;
-    /// A section whose only content is an echo for checkpoint `k`.
-    fn mention(key: (u8, Round, EchoKind), k: i64) -> Self;
-}
-
-impl Tamperable for Section {
-    fn key(&self) -> (u8, Round, EchoKind) {
-        (self.level, self.round, self.kind)
-    }
-    fn split(&mut self) -> Option<Section> {
-        (self.entries.len() >= 2).then(|| {
-            let mut tail = Section::new(self.level, self.round, self.kind);
-            tail.entries = self.entries.split_off(self.entries.len() / 2);
-            tail
-        })
-    }
-    fn mention((level, round, kind): (u8, Round, EchoKind), k: i64) -> Section {
-        let mut section = Section::new(level, round, kind);
-        section.entries.push((k, Dyadic::ONE));
-        section
-    }
-}
-
-impl Tamperable for BasketSection {
-    fn key(&self) -> (u8, Round, EchoKind) {
-        (self.level, self.round, self.kind)
-    }
-    fn split(&mut self) -> Option<BasketSection> {
-        (self.entries.len() >= 2).then(|| {
-            let mut tail = BasketSection::new(self.level, self.round, self.kind);
-            tail.entries = self.entries.split_off(self.entries.len() / 2);
-            tail
-        })
-    }
-    fn mention((level, round, kind): (u8, Round, EchoKind), k: i64) -> BasketSection {
-        let mut section = BasketSection::new(level, round, kind);
-        section.entries.push((k, VectorValue::single(0, Dyadic::ONE)));
-        section
-    }
-}
-
-/// Reorders, duplicates and splits sections, and now and then appends a
-/// section that forks a fresh checkpoint *after* the sections before it
-/// may have triggered a background echo at the receiver.
-fn tamper_sections<S: Tamperable>(sections: &mut Vec<S>, cfg: &DelphiConfig, rng: &mut SplitMix) {
-    if sections.is_empty() {
-        return;
-    }
-    if rng.chance(2) {
-        let (a, b) = (rng.below(sections.len()), rng.below(sections.len()));
-        sections.swap(a, b);
-    }
-    if rng.chance(3) {
-        let copy = sections[rng.below(sections.len())].clone();
-        sections.push(copy);
-    }
-    if rng.chance(3) {
-        let at = rng.below(sections.len());
-        if let Some(tail) = sections[at].split() {
-            sections.insert(at + 1, tail);
-        }
-    }
-    if rng.chance(4) {
-        let key = sections[rng.below(sections.len())].key();
-        let (k_min, k_max) = cfg.checkpoint_range(key.0);
-        let k = k_min + rng.below((k_max - k_min + 1) as usize) as i64;
-        sections.push(S::mention(key, k));
-    }
-}
-
-/// A small deterministic generator (splitmix64) for schedules and
-/// tampering.
-pub(super) struct SplitMix(pub(super) u64);
-
-impl SplitMix {
-    pub(super) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    pub(super) fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    pub(super) fn chance(&mut self, one_in: u64) -> bool {
-        self.next() % one_in == 0
-    }
 }
 
 /// One echo as a receiver understands it: its dimension and key (level,
@@ -228,7 +120,8 @@ fn sections_per_level_round(
 ///
 /// `tamperer`, if any, is one Byzantine node shared by both worlds: it
 /// runs the honest protocol on what the merged world sends it, rewrites
-/// its own bundles with [`tamper`], and sends the same bytes to both. `check_every` thins the (expensive) `Debug` comparison.
+/// its own bundles with the forger's [`tamper`], and sends the same bytes
+/// to both. `check_every` thins the (expensive) `Debug` comparison.
 fn run_worlds<N: Twin>(
     cfg: &DelphiConfig,
     make: impl Fn(NodeId) -> N,
@@ -244,6 +137,7 @@ where
     let mut merged: Vec<N> = NodeId::all(n).map(&make).collect();
     let mut reference: Vec<N> = NodeId::all(n).map(|id| unmerged(make(id))).collect();
     let dims = usize::from(merged[0].machine().dims());
+    let ranges: Vec<(i64, i64)> = (0..=cfg.l_max()).map(|l| cfg.checkpoint_range(l)).collect();
     // In flight: (from, to, merged-world bytes, reference-world bytes).
     let mut pending: Vec<(NodeId, NodeId, Bytes, Bytes)> = Vec::new();
     let broadcast = |from: NodeId,
@@ -254,7 +148,7 @@ where
         assert_eq!(m.len(), r.len(), "both worlds answer, or neither");
         for (m, r) in m.into_iter().zip(r) {
             let (m, r) = if Some(from) == tamperer {
-                let forged = tamper(&m.payload, dims, cfg, rng);
+                let forged = tamper(&m.payload, dims, &ranges, rng);
                 (forged.clone(), forged)
             } else {
                 assert_eq!(
@@ -462,21 +356,23 @@ fn entry_after_a_joined_background_opens_a_new_section() {
         out.background(key.0, key.1, key.2, 0, Dyadic::ZERO, [7, 9].into_iter());
         out.entry(key.0, key.1, key.2, 0, 8, Dyadic::ONE);
         let payload = out.flush().pop().expect("a bundle").payload;
-        DelphiBundle::from_bytes(&payload).expect("well-formed")
+        BasketBundle::from_bytes(&payload, 1).expect("well-formed")
+    };
+    let section = |entries: &[(i64, Dyadic)]| {
+        BasketSection::new(key.0, key.1, key.2).with_entries(entries.iter().copied())
     };
     let merged = collect(false);
     assert_eq!(merged.sections.len(), 2);
-    assert_eq!(merged.sections[0].entries, vec![(7, Dyadic::ONE)]);
-    assert_eq!(merged.sections[0].background, Some(Dyadic::ZERO));
-    assert_eq!(merged.sections[0].exclude, vec![9]);
-    assert_eq!(merged.sections[1].entries, vec![(8, Dyadic::ONE)]);
-    assert_eq!(merged.sections[1].background, None);
+    assert_eq!(merged.sections[0].entries, section(&[(7, Dyadic::ONE)]).entries);
+    assert_eq!(merged.sections[0].backgrounds.get(0), Some(Dyadic::ZERO));
+    assert_eq!(merged.sections[0].exclude, vec![(9, 1)]);
+    assert_eq!(merged.sections[1], section(&[(8, Dyadic::ONE)]));
     let reference = collect(true);
     assert_eq!(reference.sections.len(), 2, "7 and 8 share the background-free section");
-    assert_eq!(reference.sections[0].entries, vec![(7, Dyadic::ONE), (8, Dyadic::ONE)]);
-    assert_eq!(reference.sections[1].exclude, vec![7, 9]);
+    assert_eq!(reference.sections[0], section(&[(7, Dyadic::ONE), (8, Dyadic::ONE)]));
+    assert_eq!(reference.sections[1].exclude, vec![(7, 1), (9, 1)]);
     // Same echoes; the reference merely sends 8's before the background.
-    assert_eq!(echoes(&merged.to_bytes(), 1), echoes(&reference.to_bytes(), 1));
+    assert_eq!(echoes(&merged.to_bytes(1), 1), echoes(&reference.to_bytes(1), 1));
 }
 
 #[test]
@@ -492,7 +388,7 @@ fn basket_backgrounds_of_one_key_share_a_section_and_an_exclude_run() {
     // section of its own.
     out.background(key.0, key.1, key.2, 1, Dyadic::ONE, [640].into_iter());
     let payload = out.flush().pop().expect("a bundle").payload;
-    let bundle = BasketBundle::from_bytes(&payload).expect("well-formed");
+    let bundle = BasketBundle::from_bytes(&payload, 2).expect("well-formed");
     assert_eq!(bundle.sections.len(), 2);
     let first = &bundle.sections[0];
     assert_eq!(first.backgrounds.mask(), 0b11);

@@ -8,21 +8,20 @@
 //! same bytes, the copies must hold `Debug`-identical state, and they
 //! must output the same values.
 //!
-//! Faulty nodes are driven as one forger: each bundle it forges leaves
-//! from every faulty node in turn, so a receiver meets it once and then
-//! as a repeat from a second sender — the case a plan is for.
+//! Faulty nodes are driven as one [`Forger`]: each bundle it forges
+//! leaves from every faulty node in turn, so a receiver meets it once and
+//! then as a repeat from a second sender — the case a plan is for.
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use delphi_primitives::wire::{Encode, VectorValue};
-use delphi_sim::judge;
+use delphi_sim::adversary::Forge;
 use proptest::prelude::*;
 
-use super::merge_tests::{tamper, SplitMix};
+use super::forger::{every, inputs, judge_decided, Attack, Forger, SplitMix, ATTACKS};
 use super::tests::{small_cfg, zero_everywhere};
 use super::*;
-use crate::messages::{BasketBundle, BasketSection, DelphiBundle, Section};
+use crate::messages::{BasketBundle, BasketSection};
 
 /// One honest node run twice on every input: as built, replaying plans,
 /// and as the resolve-every-call reference.
@@ -64,123 +63,6 @@ impl Paired {
     }
 }
 
-/// Encodes `sections` for a `dims`-dimension machine: at two or more,
-/// every echo and exclusion in every dimension.
-fn encode(dims: usize, sections: Vec<Section>) -> Bytes {
-    if dims == 1 {
-        return DelphiBundle { sections }.to_bytes();
-    }
-    let all = |value| {
-        let mut vector = VectorValue::new();
-        (0..dims as u16).for_each(|d| vector.set(d, value));
-        vector
-    };
-    let mask = (1u64 << dims) - 1;
-    let sections = sections.into_iter().map(|s| BasketSection {
-        level: s.level,
-        round: s.round,
-        kind: s.kind,
-        backgrounds: s.background.map_or_else(VectorValue::new, all),
-        exclude: s.exclude.iter().map(|&k| (k, mask)).collect(),
-        entries: s.entries.iter().map(|&(k, v)| (k, all(v))).collect(),
-    });
-    BasketBundle { sections: sections.collect() }.to_bytes()
-}
-
-/// What the faulty nodes send.
-#[derive(Clone, Copy, Debug)]
-enum Attack {
-    /// Nothing: every node is honest.
-    None,
-    /// Round-1 votes for different checkpoints to each receiver.
-    Equivocate,
-    /// `ECHO2`s for every round of level 0 at once, future rounds first.
-    Flood,
-    /// Random bytes.
-    Garbage,
-    /// More fresh checkpoints per bundle than a sender's budget covers,
-    /// so receivers refuse mentions.
-    Burn,
-    /// Honest bundles they were sent, reordered, duplicated and split,
-    /// with forking mentions appended after sections that use the level.
-    Tamper,
-}
-
-const ATTACKS: [Attack; 6] = [
-    Attack::None,
-    Attack::Equivocate,
-    Attack::Flood,
-    Attack::Garbage,
-    Attack::Burn,
-    Attack::Tamper,
-];
-
-struct Forger {
-    attack: Attack,
-    cfg: DelphiConfig,
-    dims: usize,
-    rng: SplitMix,
-    /// Bundles still to forge: the faulty nodes stop, so the run ends.
-    budget: usize,
-}
-
-impl Forger {
-    /// What to send — to one node, or to all — having been handed `heard`.
-    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> {
-        if self.budget == 0 {
-            return Vec::new();
-        }
-        self.budget -= 1;
-        let (cfg, dims) = (&self.cfg, self.dims);
-        let section = |level, round, kind| Section::new(level, Round(round), kind);
-        match self.attack {
-            Attack::None => Vec::new(),
-            Attack::Equivocate => NodeId::all(cfg.n())
-                .map(|to| {
-                    let sections = (0..=cfg.l_max()).map(|level| {
-                        let (k_min, k_max) = cfg.checkpoint_range(level);
-                        let k = k_min + (7 * i64::from(to.0) + level as i64) % (k_max - k_min);
-                        let mut s = section(level, 1, EchoKind::Echo1);
-                        s.background = Some(Dyadic::ZERO);
-                        s.entries = vec![(k, Dyadic::ONE), (k + 1, Dyadic::ONE)];
-                        s
-                    });
-                    (Some(to), encode(dims, sections.collect()))
-                })
-                .collect(),
-            Attack::Flood => {
-                let sections = (1..=cfg.r_max()).rev().map(|round| {
-                    let mut s = section(0, round, EchoKind::Echo2);
-                    let (k_min, k_max) = cfg.checkpoint_range(0);
-                    s.entries = vec![((k_min + k_max) / 2, Dyadic::new(1, (round - 1) as u8))];
-                    s
-                });
-                vec![(None, encode(dims, sections.collect()))]
-            }
-            Attack::Garbage => {
-                let len = self.rng.below(64);
-                vec![(None, (0..len).map(|_| self.rng.next() as u8).collect())]
-            }
-            Attack::Burn => {
-                let (k_min, k_max) = cfg.checkpoint_range(0);
-                let mut s = section(0, 1, EchoKind::Echo1);
-                s.background = Some(Dyadic::ZERO);
-                let span = (k_max - k_min + 1) as usize;
-                let mut ids: Vec<i64> =
-                    (0..12).map(|_| k_min + self.rng.below(span) as i64).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                s.entries = ids.into_iter().map(|k| (k, Dyadic::ONE)).collect();
-                vec![(None, encode(dims, vec![s]))]
-            }
-            Attack::Tamper => match heard {
-                Some(payload) => vec![(None, tamper(payload, dims, cfg, &mut self.rng))],
-                None => Vec::new(),
-            },
-        }
-    }
-}
-
 /// Runs `n` paired honest nodes of basket size `dims` — and `t` faulty
 /// ones unless `attack` is `None` — to the end. Delivery is first in,
 /// first out, except that one message in four jumps the queue. Judges
@@ -191,19 +73,13 @@ fn run(n: usize, dims: usize, attack: Attack, seed: u64) -> (usize, usize) {
     let mut rng = SplitMix(seed);
     let honest = if matches!(attack, Attack::None) { n } else { n - cfg.t() };
     let faulty: Vec<NodeId> = (honest..n).map(|i| NodeId(i as u16)).collect();
-    let base = 300.0 + rng.below(400) as f64;
-    let inputs: Vec<Vec<f64>> = (0..honest)
-        .map(|_| {
-            (0..dims).map(|d| base + 40.0 * d as f64 + rng.below(800) as f64 / 100.0).collect()
-        })
-        .collect();
+    let inputs = inputs(honest, dims, &mut rng);
     let mut nodes: Vec<Paired> = inputs
         .iter()
         .enumerate()
         .map(|(i, input)| Paired::new(&cfg, NodeId(i as u16), input))
         .collect();
-    let mut forger =
-        Forger { attack, cfg: cfg.clone(), dims, rng: SplitMix(seed ^ 0xf0e), budget: 60 };
+    let mut forger = Forger::of(&cfg, attack, dims, seed ^ 0xf0e);
     let mut queue: VecDeque<(NodeId, NodeId, Bytes)> = VecDeque::new();
     let send = |queue: &mut VecDeque<_>, from: NodeId, to: Option<NodeId>, payload: &Bytes| {
         let to_all = NodeId::all(n).filter(|&to| to != from);
@@ -244,19 +120,8 @@ fn run(n: usize, dims: usize, attack: Attack, seed: u64) -> (usize, usize) {
         let decides = node.planned.output.is_some() || !matches!(attack, Attack::None);
         assert!(decides, "n = {n}, m = {dims}, seed {seed}: node {i} decides");
     }
-    // Agreement and validity are safety: they bind the nodes that did
-    // decide under every attack, even one that keeps the rest from deciding.
-    let decided: Vec<&Vec<f64>> =
-        nodes.iter().filter_map(|node| node.planned.output.as_ref()).collect();
-    if !decided.is_empty() {
-        for d in 0..dims {
-            let outputs: Vec<f64> = decided.iter().map(|output| output[d]).collect();
-            let inputs: Vec<f64> = inputs.iter().map(|input| input[d]).collect();
-            judge(&outputs, &inputs, cfg.epsilon(), Some(cfg.rho0())).unwrap_or_else(|why| {
-                panic!("{attack:?} n = {n}, m = {dims}, seed {seed}, dimension {d}: {why}")
-            });
-        }
-    }
+    let decided = nodes.iter().filter_map(|node| node.planned.output.as_ref());
+    judge_decided(&cfg, &inputs, decided, &format!("{attack:?} n = {n}, m = {dims}, seed {seed}"));
     (nodes.iter().map(|node| node.replays).sum(), calls)
 }
 
@@ -325,11 +190,11 @@ fn a_fork_inside_the_call_drops_the_plan() {
     // The background section feeds level 0; the next section then forks
     // checkpoint 900 there, which the first one's tallies predate.
     let mut node = paired(16);
-    let mut background = Section::new(0, Round::FIRST, EchoKind::Echo1);
-    background.background = Some(Dyadic::ZERO);
-    let mut fork = Section::new(0, Round::FIRST, EchoKind::Echo1);
-    fork.entries = vec![(900, Dyadic::ONE)];
-    let bundle = DelphiBundle { sections: vec![background, fork] }.to_bytes();
+    let background =
+        BasketSection::new(0, Round::FIRST, EchoKind::Echo1).with_background(Dyadic::ZERO);
+    let fork =
+        BasketSection::new(0, Round::FIRST, EchoKind::Echo1).with_entries([(900, Dyadic::ONE)]);
+    let bundle = BasketBundle { sections: vec![background, fork] }.to_bytes(1);
     let _ = node.deliver(NodeId(1), &bundle, "first");
     assert!(!holds(&node), "a fork after a section used the level");
     let _ = node.deliver(NodeId(2), &bundle, "repeat");
@@ -371,10 +236,10 @@ fn a_refused_mention_drops_the_plan() {
     // Ten fresh checkpoints against a budget of eight: the second sender
     // forks the two the first could not.
     let mut node = paired(4);
-    let mut s = Section::new(0, Round::FIRST, EchoKind::Echo1);
-    s.background = Some(Dyadic::ZERO);
-    s.entries = (200..210).map(|k| (k, Dyadic::ONE)).collect();
-    let bundle = DelphiBundle { sections: vec![s] }.to_bytes();
+    let s = BasketSection::new(0, Round::FIRST, EchoKind::Echo1)
+        .with_background(Dyadic::ZERO)
+        .with_entries((200..210).map(|k| (k, Dyadic::ONE)));
+    let bundle = BasketBundle { sections: vec![s] }.to_bytes(1);
     let before = node.planned.active_checkpoints(0);
     let _ = node.deliver(NodeId(3), &bundle, "first");
     assert!(!node.planned.plan.kept);
@@ -398,16 +263,19 @@ fn a_plan_is_no_larger_than_its_bundle() {
     let mut node = VectorDelphiNode::new(cfg.clone(), NodeId(0), &[500.0; 8]);
     let _ = node.start();
     let (k_min, _) = cfg.checkpoint_range(0);
-    let mut fork = Section::new(0, Round::FIRST, EchoKind::Echo1);
-    fork.entries = (0..8).map(|i| (k_min + 2 * i, Dyadic::ONE)).collect();
-    let _ = node.on_message(NodeId(1), &encode(dims, vec![fork]));
+    let section = BasketSection::new(0, Round::FIRST, EchoKind::Echo1);
+    let entries = (0..8).map(|i| (k_min + 2 * i, every(dims, Dyadic::ONE)));
+    let fork = BasketSection { entries: entries.collect(), ..section.clone() };
+    let _ = node.on_message(NodeId(1), &BasketBundle { sections: vec![fork] }.to_bytes(dims));
     assert!(node.active_checkpoints(0) >= 9 * dims);
     let all: Vec<i64> = node.levels[0].table.ids().collect();
     let every_other = all.iter().copied().step_by(2).collect();
     for (from, exclude) in [(2, Vec::new()), (3, every_other), (4, all)] {
-        let mut flood = Section::new(0, Round::FIRST, EchoKind::Echo1);
-        (flood.background, flood.exclude) = (Some(Dyadic::ZERO), exclude);
-        let payload = encode(dims, vec![flood; crate::bundle::MAX_SECTIONS]);
+        let backgrounds = every(dims, Dyadic::ZERO);
+        let exclude = exclude.into_iter().map(|k| (k, backgrounds.mask())).collect();
+        let flood = BasketSection { backgrounds, exclude, ..section.clone() };
+        let sections = vec![flood; crate::bundle::MAX_SECTIONS];
+        let payload = BasketBundle { sections }.to_bytes(dims);
         let _ = node.on_message(NodeId(from), &payload);
         let plan = &node.plan;
         assert_eq!(plan.sections.len(), crate::bundle::MAX_SECTIONS);

@@ -70,6 +70,6 @@ pub mod params;
 pub use binaa::BinAaNode;
 pub use bundle::{BasketBundleRef, BundleArena, BundleRef, DelphiBundleRef, FlatSection};
 pub use delphi::{DelphiNode, VectorDelphiNode};
-pub use messages::{BasketBundle, BasketSection, BinAaMsg, DelphiBundle, EchoKind, Section};
+pub use messages::{BasketBundle, BasketSection, BinAaMsg, EchoKind};
 pub use oracle::{OracleService, PriceSource};
 pub use params::{ConfigError, DelphiConfig, DelphiConfigBuilder, InputRule};

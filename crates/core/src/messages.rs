@@ -2,18 +2,21 @@
 //!
 //! Delphi's `O(n²)` communication relies on *bundling*: every checkpoint of
 //! every level runs its own BinAA instance, but one network message carries
-//! the echoes of arbitrarily many instances (§III-C). A [`Section`] is the
-//! unit of bundling — all echoes of one `(level, round, kind)` — and uses
-//! the zero-run optimization: a single optional *background* value stands
-//! for "every checkpoint of this level that nobody has distinguished",
-//! while `entries` carry the handful of checkpoints near honest inputs.
+//! the echoes of arbitrarily many instances (§III-C). A [`BasketSection`] is
+//! the unit of bundling — all echoes of one `(level, round, kind)`, in every
+//! basket dimension — and uses the zero-run optimization: a *background*
+//! value per dimension stands for "every checkpoint of this level that
+//! nobody has distinguished", while `entries` carry the handful of
+//! checkpoints near honest inputs.
 //!
 //! Nodes read bundles through [`BundleArena`](crate::BundleArena) and
-//! write them from pooled scratch. The owned types here build bundles for
-//! benches and Byzantine test nodes through the same section writer (the
-//! layout is documented in `bundle.rs`); their decoders, compiled for
-//! tests only, read that layout independently: the arena's oracle.
+//! write them from pooled scratch. [`BasketBundle`] is the one owned model
+//! of a bundle, at every basket size: benches and Byzantine test nodes
+//! build bundles with it through the same section writer (the layout is
+//! documented in `bundle.rs`); its decoder, compiled for tests only, reads
+//! that layout independently: the arena's oracle.
 
+use bytes::Bytes;
 use delphi_primitives::wire::{Decode, Encode, Reader, VectorValue, WireError, Writer};
 use delphi_primitives::{Dyadic, Round};
 
@@ -70,123 +73,33 @@ impl Decode for BinAaMsg {
     }
 }
 
-/// All echoes of one `(level, round, kind)` in one Delphi bundle.
-///
-/// Scope rules (the §III-C zero-run optimization):
-///
-/// - each `(k, value)` in `entries` is an echo for checkpoint `k`;
-/// - if `background` is `Some(v)`, the sender additionally echoes `v` for
-///   *every* checkpoint of the level **except** those listed in `entries`
-///   or `exclude` (the sender's currently distinguished checkpoints);
-/// - any checkpoint id mentioned anywhere makes the checkpoint
-///   "distinguished" at the receiver (it is forked off the background
-///   instance before the message is applied); when a sender's
-///   introduction budget runs out mid-section, `entries` are forked
-///   before `exclude`.
-///
-/// A section may carry a background *and* entries: a round's initial
-/// burst does, and so does a triggered echo — the entries a call collects
-/// for one key and the background echo it then triggers leave as one
-/// section, with `exclude` shrunk to what the entries do not name.
-///
-/// This is the layout of a one-dimension machine — every `DelphiNode`,
-/// and a `VectorDelphiNode` over a basket of one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Section {
-    /// Level index (`0..=l_max`).
-    pub level: u8,
-    /// BinAA round within the level.
-    pub round: Round,
-    /// Echo phase.
-    pub kind: EchoKind,
-    /// Echo applying to every unlisted checkpoint of the level, if any.
-    pub background: Option<Dyadic>,
-    /// Checkpoints explicitly **not** covered by `background`.
-    pub exclude: Vec<i64>,
-    /// Per-checkpoint echoes.
-    pub entries: Vec<(i64, Dyadic)>,
-}
-
-impl Section {
-    /// Creates an empty section for `(level, round, kind)`.
-    pub fn new(level: u8, round: Round, kind: EchoKind) -> Section {
-        Section { level, round, kind, background: None, exclude: Vec::new(), entries: Vec::new() }
-    }
-}
-
-#[cfg(test)]
-impl Section {
-    /// Whether the section carries no echo at all.
-    pub fn is_empty(&self) -> bool {
-        self.background.is_none() && self.entries.is_empty()
-    }
-}
-
-/// A Delphi network message: one or more bundled sections.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct DelphiBundle {
-    /// The bundled sections.
-    pub sections: Vec<Section>,
-}
-
-#[cfg(test)]
-impl DelphiBundle {
-    /// Creates an empty bundle.
-    pub fn new() -> DelphiBundle {
-        DelphiBundle::default()
-    }
-
-    /// Whether no section carries any echo.
-    pub fn is_empty(&self) -> bool {
-        self.sections.iter().all(Section::is_empty)
-    }
-}
-
-impl Encode for DelphiBundle {
-    fn encode(&self, w: &mut Writer) {
-        let start = w.len();
-        if !write_bundle(w, &self.sections, false) {
-            w.truncate(start);
-        }
-    }
-}
-
-#[cfg(test)]
-impl Decode for DelphiBundle {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        // One dimension: the basket reading without masks, every echo in
-        // dimension 0.
-        let sections = oracle::read_sections(r, false)?.into_iter().map(|s| Section {
-            level: s.level,
-            round: s.round,
-            kind: s.kind,
-            background: s.backgrounds.get(0),
-            exclude: s.exclude.iter().map(|&(k, _)| k).collect(),
-            entries: s.entries.iter().filter_map(|(k, vv)| Some((*k, vv.get(0)?))).collect(),
-        });
-        Ok(DelphiBundle { sections: sections.collect() })
-    }
-}
-
-/// All echoes of one `(level, round, kind)` in one *vector-basket* bundle
-/// — the multidimensional counterpart of [`Section`]: up to 64 basket
-/// dimensions share one id run and one header, so a whole basket costs
-/// one bundle exchange per round. Scope rules are the scalar rules
-/// applied *per dimension*:
+/// All echoes of one `(level, round, kind)` in one bundle, in up to 64
+/// basket dimensions that share one id run and one header, so a whole
+/// basket costs one bundle exchange per round. Scope rules (the §III-C
+/// zero-run optimization), per dimension `d`:
 ///
 /// - each `(k, values)` in `entries` echoes `values.get(d)` for
 ///   checkpoint `k` in every dimension `d` the value set covers;
 /// - `backgrounds.get(d)`, when present, additionally echoes that value
 ///   for every checkpoint of the level in dimension `d` **except** those
 ///   whose entry value set covers `d` or whose `exclude` mask has bit `d`
-///   set;
-/// - a mentioned checkpoint is distinguished *only in the dimensions its
-///   mask covers*: `(k, {0})` says nothing about `k` in dimension 1.
+///   set (the sender's currently distinguished checkpoints);
+/// - any checkpoint id mentioned anywhere makes the checkpoint
+///   "distinguished" at the receiver (it is forked off the background
+///   instance before the message is applied), *only in the dimensions its
+///   mask covers*: `(k, {0})` says nothing about `k` in dimension 1; when a
+///   sender's introduction budget runs out mid-section, `entries` are
+///   forked before `exclude`.
 ///
-/// A triggered echo's section holds the entries of its key and the
-/// background echoes of *every* dimension that triggered one, behind a
-/// single exclude run — ascending, one `(checkpoint, mask)` per checkpoint
-/// the entries do not name. This is the layout of two or more dimensions.
+/// A section may carry backgrounds *and* entries: a round's initial burst
+/// does, and so does a triggered echo — the entries a call collects for
+/// one key and the background echoes of *every* dimension it then triggers
+/// leave as one section, behind a single exclude run: ascending, one
+/// `(checkpoint, mask)` per checkpoint the entries do not name.
+///
+/// A machine of one dimension — every `DelphiNode`, and a
+/// `VectorDelphiNode` over a basket of one — echoes in dimension 0 alone,
+/// and its bundles leave the masks off the wire.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BasketSection {
     /// Level index (`0..=l_max`).
@@ -205,7 +118,7 @@ pub struct BasketSection {
 }
 
 impl BasketSection {
-    /// Creates an empty basket section for `(level, round, kind)`.
+    /// Creates an empty section for `(level, round, kind)`.
     pub fn new(level: u8, round: Round, kind: EchoKind) -> BasketSection {
         BasketSection { level, round, kind, ..BasketSection::default() }
     }
@@ -217,14 +130,48 @@ impl BasketSection {
     pub fn is_empty(&self) -> bool {
         self.backgrounds.is_empty() && self.entries.is_empty()
     }
+
+    /// The section with background `v` in dimension 0.
+    pub(crate) fn with_background(mut self, v: Dyadic) -> BasketSection {
+        self.backgrounds.set(0, v);
+        self
+    }
+
+    /// The section shielding `ids` from the background of dimension 0.
+    pub(crate) fn with_exclude(mut self, ids: impl IntoIterator<Item = i64>) -> BasketSection {
+        self.exclude = ids.into_iter().map(|k| (k, 1)).collect();
+        self
+    }
+
+    /// The section echoing `(k, v)` entries in dimension 0.
+    pub(crate) fn with_entries(
+        mut self,
+        entries: impl IntoIterator<Item = (i64, Dyadic)>,
+    ) -> BasketSection {
+        self.entries = entries.into_iter().map(|(k, v)| (k, VectorValue::single(0, v))).collect();
+        self
+    }
 }
 
-/// A vector-basket network message: one or more bundled
-/// [`BasketSection`]s.
+/// A Delphi network message: one or more bundled [`BasketSection`]s.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct BasketBundle {
     /// The bundled sections.
     pub sections: Vec<BasketSection>,
+}
+
+impl BasketBundle {
+    /// The bundle as a machine of `dims` basket dimensions sends it: with
+    /// per-id dimension masks at two or more, and without them at one,
+    /// where every echo is in dimension 0. Empty if it holds a value the
+    /// layout cannot carry.
+    pub fn to_bytes(&self, dims: usize) -> Bytes {
+        let mut w = Writer::new();
+        if !write_bundle(&mut w, &self.sections, dims > 1) {
+            w.clear();
+        }
+        w.into_bytes()
+    }
 }
 
 #[cfg(test)]
@@ -238,25 +185,17 @@ impl BasketBundle {
     pub fn is_empty(&self) -> bool {
         self.sections.iter().all(BasketSection::is_empty)
     }
-}
 
-impl Encode for BasketBundle {
-    fn encode(&self, w: &mut Writer) {
-        let start = w.len();
-        if !write_bundle(w, &self.sections, true) {
-            w.truncate(start);
-        }
+    /// The owned decoder: `bytes` as a bundle of a `dims`-dimension machine.
+    pub fn from_bytes(bytes: &[u8], dims: usize) -> Result<BasketBundle, WireError> {
+        let mut r = Reader::new(bytes);
+        let sections = oracle::read_sections(&mut r, dims > 1)?;
+        r.finish()?;
+        Ok(BasketBundle { sections })
     }
 }
 
-#[cfg(test)]
-impl Decode for BasketBundle {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BasketBundle { sections: oracle::read_sections(r, true)? })
-    }
-}
-
-/// The owned decoders' reading of the layout table in `bundle.rs`: plain
+/// The owned decoder's reading of the layout table in `bundle.rs`: plain
 /// [`Reader`] code, field by field, sharing nothing with the arena's
 /// `read_section` — so the arena and the shim are checked against a
 /// second reading, not against themselves.
@@ -397,12 +336,18 @@ mod tests {
     use delphi_primitives::wire::roundtrip;
     use proptest::prelude::{any, Strategy};
 
-    fn one(section: Section) -> DelphiBundle {
-        DelphiBundle { sections: vec![section] }
+    fn one(section: BasketSection) -> BasketBundle {
+        BasketBundle { sections: vec![section] }
     }
 
-    fn one_basket(section: BasketSection) -> BasketBundle {
-        BasketBundle { sections: vec![section] }
+    /// `bundle` written and read back by the owned codec at `dims` dimensions.
+    fn reread(bundle: &BasketBundle, dims: usize) -> Result<BasketBundle, WireError> {
+        BasketBundle::from_bytes(&bundle.to_bytes(dims), dims)
+    }
+
+    /// A one-dimension section.
+    fn scalar(level: u8, round: u16, kind: EchoKind) -> BasketSection {
+        BasketSection::new(level, Round(round), kind)
     }
 
     #[test]
@@ -418,58 +363,48 @@ mod tests {
 
     #[test]
     fn section_roundtrip_with_background() {
-        let s = Section {
-            level: 3,
-            round: Round(2),
-            kind: EchoKind::Echo1,
-            background: Some(Dyadic::ZERO),
-            exclude: vec![-5, 40_000],
-            entries: vec![(19_999, Dyadic::ONE), (20_000, Dyadic::new(1, 2))],
-        };
-        assert_eq!(roundtrip(&one(s.clone())).unwrap(), one(s));
+        let s = scalar(3, 2, EchoKind::Echo1)
+            .with_background(Dyadic::ZERO)
+            .with_exclude([-5, 40_000])
+            .with_entries([(19_999, Dyadic::ONE), (20_000, Dyadic::new(1, 2))]);
+        assert_eq!(reread(&one(s.clone()), 1).unwrap(), one(s));
     }
 
     #[test]
     fn section_roundtrip_without_background_drops_exclude() {
-        let mut s = Section::new(0, Round(1), EchoKind::Echo2);
-        s.entries = vec![(7, Dyadic::ONE)];
-        let mut with_exclude = s.clone();
-        with_exclude.exclude = vec![3, 4];
-        assert_eq!(one(with_exclude.clone()).to_bytes(), one(s.clone()).to_bytes());
-        assert_eq!(roundtrip(&one(with_exclude)).unwrap(), one(s));
+        let s = scalar(0, 1, EchoKind::Echo2).with_entries([(7, Dyadic::ONE)]);
+        let with_exclude = s.clone().with_exclude([3, 4]);
+        assert_eq!(one(with_exclude.clone()).to_bytes(1), one(s.clone()).to_bytes(1));
+        assert_eq!(reread(&one(with_exclude), 1).unwrap(), one(s));
     }
 
     #[test]
     fn bundle_roundtrip_and_emptiness() {
-        let mut b = DelphiBundle::new();
+        let mut b = BasketBundle::new();
         assert!(b.is_empty());
-        b.sections.push(Section::new(0, Round(1), EchoKind::Echo1));
+        b.sections.push(scalar(0, 1, EchoKind::Echo1));
         assert!(b.is_empty(), "section without echoes is empty");
-        b.sections[0].background = Some(Dyadic::ZERO);
+        b.sections[0].backgrounds.set(0, Dyadic::ZERO);
         assert!(!b.is_empty());
-        assert_eq!(roundtrip(&b).unwrap(), b);
+        assert_eq!(reread(&b, 1).unwrap(), b);
     }
 
     #[test]
     fn oversized_sequences_rejected() {
         let mut w = Writer::new();
         w.put_usize(MAX_SECTIONS + 1);
-        assert!(DelphiBundle::from_bytes(&w.into_vec()).is_err());
+        assert!(BasketBundle::from_bytes(&w.into_vec(), 1).is_err());
     }
 
     #[test]
     fn truncated_section_rejected() {
-        let s = Section {
-            level: 1,
-            round: Round(1),
-            kind: EchoKind::Echo1,
-            background: Some(Dyadic::ONE),
-            exclude: vec![1, 2, 3],
-            entries: vec![(9, Dyadic::ONE)],
-        };
-        let bytes = one(s).to_bytes();
+        let s = scalar(1, 1, EchoKind::Echo1)
+            .with_background(Dyadic::ONE)
+            .with_exclude([1, 2, 3])
+            .with_entries([(9, Dyadic::ONE)]);
+        let bytes = one(s).to_bytes(1);
         for cut in 1..bytes.len() {
-            assert!(DelphiBundle::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(BasketBundle::from_bytes(&bytes[..cut], 1).is_err(), "cut at {cut}");
         }
     }
 
@@ -478,31 +413,27 @@ mod tests {
         // Checkpoint ids are delta-coded with wrapping arithmetic: the
         // roundtrip must be exact for extreme magnitudes (whose deltas
         // wrap i64) and for unsorted sequences (deltas may be negative).
-        let s = Section {
-            level: 1,
-            round: Round(3),
-            kind: EchoKind::Echo2,
-            background: Some(Dyadic::ONE),
-            exclude: vec![i64::MAX, i64::MIN, 0, -1],
-            entries: vec![
+        let s = scalar(1, 3, EchoKind::Echo2)
+            .with_background(Dyadic::ONE)
+            .with_exclude([i64::MAX, i64::MIN, 0, -1])
+            .with_entries([
                 (i64::MIN, Dyadic::ZERO),
                 (i64::MAX, Dyadic::ONE),
                 (5, Dyadic::new(1, 2)),
                 (4, Dyadic::new(3, 2)),
-            ],
-        };
-        assert_eq!(roundtrip(&one(s.clone())).unwrap(), one(s));
+            ]);
+        assert_eq!(reread(&one(s.clone()), 1).unwrap(), one(s));
     }
 
     #[test]
     fn clustered_ids_encode_one_byte_each() {
         // The point of delta coding: consecutive checkpoint ids near
         // 20 000 cost one byte apiece after the first, not three.
-        let mut near = Section::new(0, Round(1), EchoKind::Echo1);
-        near.entries = (0..8).map(|i| (20_000 + i, Dyadic::ZERO)).collect();
-        let mut far = Section::new(0, Round(1), EchoKind::Echo1);
-        far.entries = (0..8).map(|i| (20_000 + 10_000 * i, Dyadic::ZERO)).collect();
-        let (near_len, far_len) = (one(near).to_bytes().len(), one(far).to_bytes().len());
+        let near =
+            scalar(0, 1, EchoKind::Echo1).with_entries((0..8).map(|i| (20_000 + i, Dyadic::ZERO)));
+        let far = scalar(0, 1, EchoKind::Echo1)
+            .with_entries((0..8).map(|i| (20_000 + 10_000 * i, Dyadic::ZERO)));
+        let (near_len, far_len) = (one(near).to_bytes(1).len(), one(far).to_bytes(1).len());
         assert!(near_len + 2 * 7 <= far_len, "clustered {near_len}B vs spread {far_len}B");
     }
 
@@ -514,35 +445,33 @@ mod tests {
         // exclude run cost nothing, the entry ids cost their count and the
         // first id, and the entries' values cost one value per section.
         let section = |level: u8| {
-            let mut s = Section::new(level, Round(12), EchoKind::Echo1);
-            s.background = Some(Dyadic::ZERO);
-            s.entries = vec![(20_000, Dyadic::ONE), (20_001, Dyadic::ONE)];
-            s
+            scalar(level, 12, EchoKind::Echo1)
+                .with_background(Dyadic::ZERO)
+                .with_entries([(20_000, Dyadic::ONE), (20_001, Dyadic::ONE)])
         };
-        let first = one(section(0)).to_bytes();
+        let first = one(section(0)).to_bytes(1);
         // RUN | BACKGROUND | ZERO_BACKGROUNDS | SHARED_VALUE, after the
         // count; then level, round, the run's count and first id, and the
         // shared value.
         assert_eq!(first[1], 0b1011_1000);
         assert_eq!(first[2..], [0, 12, 2, 0xc0, 0xb8, 0x02, 64]);
-        let four = DelphiBundle { sections: (0..4).map(section).collect() };
-        let bytes = four.to_bytes();
+        let four = BasketBundle { sections: (0..4).map(section).collect() };
+        let bytes = four.to_bytes(1);
         // NEXT_LEVEL | SAME_ROUND on top, and no level or round byte.
         assert_eq!(bytes[first.len()], 0b1011_1110);
         assert_eq!(bytes.len() - first.len(), 3 * (first.len() - 1 - 2));
-        assert_eq!(DelphiBundle::from_bytes(&bytes).unwrap(), four);
+        assert_eq!(BasketBundle::from_bytes(&bytes, 1).unwrap(), four);
         // A value that differs, or a nonzero background, is written out.
-        let mut mixed = section(0);
-        mixed.entries[1].1 = Dyadic::new(1, 1);
-        mixed.background = Some(Dyadic::ONE);
-        let bytes = one(mixed.clone()).to_bytes();
+        let mut mixed = section(0).with_background(Dyadic::ONE);
+        mixed.entries[1].1 = VectorValue::single(0, Dyadic::new(1, 1));
+        let bytes = one(mixed.clone()).to_bytes(1);
         assert_eq!(bytes[1], 0b1000_1000);
         // So is an exclude run that is not empty, and ids that skip one.
-        mixed.exclude = vec![19_999];
+        mixed = mixed.with_exclude([19_999]);
         mixed.entries[1].0 = 20_002;
-        let bytes = one(mixed.clone()).to_bytes();
+        let bytes = one(mixed.clone()).to_bytes(1);
         assert_eq!(bytes[1], 0b0100_1000);
-        assert_eq!(DelphiBundle::from_bytes(&bytes).unwrap(), one(mixed));
+        assert_eq!(BasketBundle::from_bytes(&bytes, 1).unwrap(), one(mixed));
     }
 
     #[test]
@@ -550,20 +479,20 @@ mod tests {
         // Consecutive ids of one value: two to four are a run, whose flags,
         // count, first id and value take at least as many bytes as it has
         // ids; five or more are deltas.
-        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
         for (n, flags) in [(1, 0b10_0000), (2, 0b1010_0000), (4, 0b1010_0000), (5, 0b10_0000)] {
-            s.entries = (0..n).map(|i| (20_000 + i, Dyadic::ONE)).collect();
-            let bytes = one(s.clone()).to_bytes();
+            let s = scalar(0, 1, EchoKind::Echo1)
+                .with_entries((0..n).map(|i| (20_000 + i, Dyadic::ONE)));
+            let bytes = one(s.clone()).to_bytes(1);
             assert_eq!(bytes[1], flags, "{n} ids");
-            assert_eq!(DelphiBundle::from_bytes(&bytes), Ok(one(s.clone())));
+            assert_eq!(BasketBundle::from_bytes(&bytes, 1), Ok(one(s)));
         }
         // With masks every id pays its mask after the run: forty are a run.
         let mut basket = BasketSection::new(0, Round(1), EchoKind::Echo1);
         basket.entries =
             (0..40).map(|i| (20_000 + i, VectorValue::single(1, Dyadic::ONE))).collect();
-        let bytes = one_basket(basket.clone()).to_bytes();
+        let bytes = one(basket.clone()).to_bytes(2);
         assert_eq!(bytes[1], 0b1010_0000);
-        assert_eq!(BasketBundle::from_bytes(&bytes), Ok(one_basket(basket)));
+        assert_eq!(BasketBundle::from_bytes(&bytes, 2), Ok(one(basket)));
         // A run of more ids is rejected, by every decoder: five without
         // masks, and with masks more than the bytes from its count on (ten).
         let run = |n: usize, masks: bool| {
@@ -579,12 +508,12 @@ mod tests {
             w.into_vec()
         };
         let err = WireError::LengthOutOfBounds;
-        assert_eq!(DelphiBundle::from_bytes(&run(5, false)), Err(err));
+        assert_eq!(BasketBundle::from_bytes(&run(5, false), 1), Err(err));
         assert_eq!(DelphiBundleRef::parse(&run(5, false)).unwrap_err(), err);
         assert_eq!(scalar_arena().decode(&run(5, false)), Err(err));
-        assert!(BasketBundle::from_bytes(&run(5, true)).is_ok());
+        assert!(BasketBundle::from_bytes(&run(5, true), 2).is_ok());
         for n in [11, 100] {
-            assert_eq!(BasketBundle::from_bytes(&run(n, true)), Err(err));
+            assert_eq!(BasketBundle::from_bytes(&run(n, true), 2), Err(err));
             assert_eq!(BasketBundleRef::parse(&run(n, true)).unwrap_err(), err);
             assert_eq!(basket_arena().decode(&run(n, true)), Err(err));
         }
@@ -592,15 +521,14 @@ mod tests {
 
     #[test]
     fn values_are_one_varint_never_longer_and_never_another_value() {
-        let mut s = Section::new(0, Round(1), EchoKind::Echo1);
+        let s = |v| scalar(0, 1, EchoKind::Echo1).with_entries([(7, v)]);
         // The largest numerator that fits, at every exponent; every value
         // of the 2^-31 round grid; and the first numerator that does not.
         let fits = (0..=62).map(|e| Dyadic::new((1 << 58) - 1, e));
         let grid = (0..=31).flat_map(|e| [Dyadic::new(1, e), Dyadic::new((1 << e) - 1, e)]);
         for v in fits.chain(grid) {
-            s.entries = vec![(7, v)];
-            let bytes = one(s.clone()).to_bytes();
-            assert_eq!(DelphiBundle::from_bytes(&bytes), Ok(one(s.clone())), "{v:?}");
+            let bytes = one(s(v)).to_bytes(1);
+            assert_eq!(BasketBundle::from_bytes(&bytes, 1), Ok(one(s(v))), "{v:?}");
             let mut packed = Writer::new();
             put_value(&mut packed, v);
             assert!(packed.len() <= v.to_bytes().len(), "{v:?}: {} bytes", packed.len());
@@ -608,31 +536,24 @@ mod tests {
         // A numerator of 2^58 or more would overflow: the bundle is
         // refused, and nothing is written rather than another value.
         for v in [Dyadic::new(1 << 58, 0), Dyadic::new(u64::MAX, 62)] {
-            s.entries = vec![(7, v)];
-            assert!(one(s.clone()).to_bytes().is_empty(), "{v:?}");
-            let mut bg = Section::new(0, Round(1), EchoKind::Echo1);
-            bg.background = Some(v);
-            let mut w = Writer::new();
-            w.put_raw_u8(9);
-            DelphiBundle { sections: vec![s.clone(), bg] }.encode(&mut w);
-            assert_eq!(w.as_slice(), [9]);
+            assert!(one(s(v)).to_bytes(1).is_empty(), "{v:?}");
+            let bg = scalar(0, 1, EchoKind::Echo1).with_background(v);
+            assert!(BasketBundle { sections: vec![s(v), bg] }.to_bytes(1).is_empty(), "{v:?}");
         }
     }
 
     #[test]
     fn reserved_and_dangling_flag_bits_are_rejected() {
-        let mut first = Section::new(3, Round(2), EchoKind::Echo1);
-        first.entries = vec![(7, Dyadic::ONE)];
-        let mut second = Section::new(4, Round(2), EchoKind::Echo2);
-        second.background = Some(Dyadic::ZERO);
-        let second_at = one(first.clone()).to_bytes().len();
-        let bytes = DelphiBundle { sections: vec![first, second] }.to_bytes().to_vec();
+        let first = scalar(3, 2, EchoKind::Echo1).with_entries([(7, Dyadic::ONE)]);
+        let second = scalar(4, 2, EchoKind::Echo2).with_background(Dyadic::ZERO);
+        let second_at = one(first.clone()).to_bytes(1).len();
+        let bytes = BasketBundle { sections: vec![first, second] }.to_bytes(1).to_vec();
         // ECHO2 | NEXT_LEVEL | SAME_ROUND | BACKGROUND | ZERO_BACKGROUNDS,
         // then the empty entry run: no exclude run.
         assert_eq!(bytes[second_at..], [0b0001_1111, 0]);
         let rejects = |bad: &[u8], at: usize| {
             let err = WireError::InvalidDiscriminant(u64::from(bad[at]));
-            assert_eq!(DelphiBundle::from_bytes(bad), Err(err), "{bad:?}");
+            assert_eq!(BasketBundle::from_bytes(bad, 1), Err(err), "{bad:?}");
             assert_eq!(DelphiBundleRef::parse(bad).unwrap_err(), err);
             let mut arena = BundleArena::new(1);
             assert_eq!(arena.decode(bad), Err(err));
@@ -653,7 +574,7 @@ mod tests {
             let mut bad = bytes.clone();
             bad[at] |= 0b1000_0000;
             let err = WireError::LengthOutOfBounds;
-            assert_eq!(DelphiBundle::from_bytes(&bad), Err(err));
+            assert_eq!(BasketBundle::from_bytes(&bad, 1), Err(err));
             assert_eq!(DelphiBundleRef::parse(&bad).unwrap_err(), err);
             assert_eq!(scalar_arena().decode(&bad), Err(err));
         }
@@ -664,7 +585,7 @@ mod tests {
             [(vec![63], WireError::InvalidValue), (vec![0xff; 10], WireError::VarintOverflow)]
         {
             let bad = [&bytes[..second_at - 1], &value, &bytes[second_at..]].concat();
-            assert_eq!(DelphiBundle::from_bytes(&bad), Err(err));
+            assert_eq!(BasketBundle::from_bytes(&bad, 1), Err(err));
             assert_eq!(DelphiBundleRef::parse(&bad).unwrap_err(), err);
             assert_eq!(scalar_arena().decode(&bad), Err(err));
         }
@@ -675,9 +596,8 @@ mod tests {
             rejects(&bad, 1);
         }
         // No level follows 255.
-        let mut top = Section::new(255, Round(2), EchoKind::Echo1);
-        top.entries = vec![(7, Dyadic::ONE)];
-        let mut bad = DelphiBundle { sections: vec![top.clone(), top] }.to_bytes().to_vec();
+        let top = scalar(255, 2, EchoKind::Echo1).with_entries([(7, Dyadic::ONE)]);
+        let mut bad = BasketBundle { sections: vec![top.clone(), top] }.to_bytes(1).to_vec();
         bad[second_at] |= 0b010;
         bad.remove(second_at + 1);
         rejects(&bad, second_at);
@@ -711,14 +631,14 @@ mod tests {
         };
         let bad = two_empty_entries(Some(Dyadic::ONE));
         let err = WireError::InvalidDiscriminant(0b10_0000);
-        assert_eq!(BasketBundle::from_bytes(&bad), Err(err));
+        assert_eq!(BasketBundle::from_bytes(&bad, 64), Err(err));
         assert_eq!(BasketBundleRef::parse(&bad).unwrap_err(), err);
         assert_eq!(basket_arena().decode(&bad), Err(err));
         // Without the flag, the same valueless entries are a bundle.
         let fine = two_empty_entries(None);
-        let owned = BasketBundle::from_bytes(&fine).unwrap();
+        let owned = BasketBundle::from_bytes(&fine, 64).unwrap();
         assert_eq!(owned.sections[0].entries.len(), 2);
-        assert_eq!(arena_basket(&fine), Ok(owned));
+        assert_eq!(arena_owned(&fine, 64), Ok(owned));
         // With masks, a background names at least one dimension.
         let mut w = Writer::new();
         w.put_usize(1);
@@ -728,7 +648,7 @@ mod tests {
         w.put_u64(0);
         w.put_usize(0);
         let bytes = w.into_vec();
-        assert_eq!(BasketBundle::from_bytes(&bytes), Err(WireError::InvalidValue));
+        assert_eq!(BasketBundle::from_bytes(&bytes, 64), Err(WireError::InvalidValue));
         assert_eq!(basket_arena().decode(&bytes), Err(WireError::InvalidValue));
     }
 
@@ -737,17 +657,20 @@ mod tests {
         w.put_u64(v.num() * 64 + u64::from(v.log_den()));
     }
 
-    fn sample_bundle() -> DelphiBundle {
-        let mut b = DelphiBundle::new();
+    fn sample_bundle() -> BasketBundle {
+        let mut b = BasketBundle::new();
         for level in 0..4u8 {
-            let mut s = Section::new(level, Round(3 + u16::from(level)), EchoKind::Echo1);
-            s.background = Some(Dyadic::new(1, 2));
-            s.exclude = vec![-5, 40_000, i64::MIN];
-            s.entries =
-                vec![(19_999, Dyadic::ONE), (20_000, Dyadic::new(1, 2)), (i64::MAX, Dyadic::ZERO)];
+            let s = scalar(level, 3 + u16::from(level), EchoKind::Echo1)
+                .with_background(Dyadic::new(1, 2))
+                .with_exclude([-5, 40_000, i64::MIN])
+                .with_entries([
+                    (19_999, Dyadic::ONE),
+                    (20_000, Dyadic::new(1, 2)),
+                    (i64::MAX, Dyadic::ZERO),
+                ]);
             b.sections.push(s);
         }
-        b.sections.push(Section::new(9, Round(1), EchoKind::Echo2));
+        b.sections.push(scalar(9, 1, EchoKind::Echo2));
         b
     }
 
@@ -761,100 +684,111 @@ mod tests {
         BundleArena::new(usize::from(delphi_primitives::wire::MAX_VECTOR_DIMS))
     }
 
-    /// Decodes `bytes` into a fresh arena and materializes the owned
-    /// bundle it holds.
-    fn arena_scalar(bytes: &[u8]) -> Result<DelphiBundle, WireError> {
-        let mut arena = scalar_arena();
+    /// Decodes `bytes` into a fresh arena of `dims` dimensions and
+    /// materializes the owned bundle it holds.
+    fn arena_owned(bytes: &[u8], dims: usize) -> Result<BasketBundle, WireError> {
+        let mut arena = BundleArena::new(dims);
         arena.decode(bytes)?;
-        Ok(arena.to_owned_scalar())
+        Ok(arena.to_owned())
     }
 
-    fn arena_basket(bytes: &[u8]) -> Result<BasketBundle, WireError> {
-        let mut arena = basket_arena();
-        arena.decode(bytes)?;
-        Ok(arena.to_owned_basket())
-    }
-
-    #[test]
-    fn borrowed_bundle_view_matches_owned_decoder() {
-        let bundle = sample_bundle();
-        let bytes = bundle.to_bytes();
-        let shim = DelphiBundleRef::parse(&bytes).unwrap();
-        assert_eq!(shim.len(), bundle.sections.len());
-        assert!(!shim.is_empty());
-        let mut arena = scalar_arena();
+    /// The arena, the validating shim and the owned decoder read
+    /// `bundle`, written at `dims` dimensions, alike: section by section,
+    /// and every id in the dimensions the owned model gives it.
+    fn view_matches_owned_decoder(bundle: &BasketBundle, dims: usize) {
+        let bytes = bundle.to_bytes(dims);
+        assert_eq!(validate(&bytes, dims), Ok(bundle.sections.len()));
+        let mut arena = BundleArena::new(dims);
         arena.decode(&bytes).unwrap();
         assert_eq!(arena.len(), bundle.sections.len());
-        assert_eq!(arena.to_owned_scalar(), bundle);
-        assert_eq!(DelphiBundle::from_bytes(&bytes).unwrap(), bundle);
-        // Per-section slices match the owned fields; without per-id masks
-        // every id and the background live in dimension 0.
+        assert_eq!(arena.to_owned(), *bundle);
+        assert_eq!(BasketBundle::from_bytes(&bytes, dims).unwrap(), *bundle);
         for (flat, owned) in arena.sections().zip(&bundle.sections) {
             assert_eq!((flat.level, flat.round, flat.kind), (owned.level, owned.round, owned.kind));
-            let background: Vec<_> = flat.background_dims().collect();
+            assert_eq!(flat.bg_mask, owned.backgrounds.mask());
             assert_eq!(
-                background,
-                owned.background.map(|bg| (0, bg)).into_iter().collect::<Vec<_>>()
+                flat.background_dims().collect::<Vec<_>>(),
+                owned.backgrounds.dims().collect::<Vec<_>>()
             );
-            let exclude: Vec<_> = flat.basket_exclude().collect();
-            assert_eq!(exclude, owned.exclude.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
-            let entries: Vec<_> =
-                flat.basket_entries().map(|(k, mask, values)| (k, mask, values.to_vec())).collect();
-            let owned_entries: Vec<_> =
-                owned.entries.iter().map(|&(k, v)| (k, 1, vec![v])).collect();
-            assert_eq!(entries, owned_entries);
-            for &k in owned.exclude.iter().chain(owned.entries.iter().map(|(k, _)| k)) {
-                assert!(flat.names_in(k, 0) && !flat.names_in(k, 1));
+            assert_eq!(flat.basket_exclude().collect::<Vec<_>>(), owned.exclude);
+            for ((k, mask, values), (ok, ovalues)) in flat.basket_entries().zip(&owned.entries) {
+                assert_eq!((k, mask), (*ok, ovalues.mask()));
+                assert_eq!(values, ovalues.dims().map(|(_, v)| v).collect::<Vec<_>>());
+                for (dim, _) in ovalues.dims() {
+                    assert!(flat.names_in(k, dim));
+                }
             }
-            assert!(!flat.names_in(123_456, 0));
         }
         // Decoding again reuses the storage without reallocating.
         let capacity = arena.capacities();
         arena.decode(&bytes).unwrap();
-        assert_eq!(arena.to_owned_scalar(), bundle);
+        assert_eq!(arena.to_owned(), *bundle);
         assert_eq!(arena.capacities(), capacity);
         // The empty bundle parses too.
-        let empty = DelphiBundle::new().to_bytes();
-        assert!(DelphiBundleRef::parse(&empty).unwrap().is_empty());
+        let empty = BasketBundle::new().to_bytes(dims);
+        assert_eq!(validate(&empty, dims), Ok(0));
         arena.decode(&empty).unwrap();
         assert!(arena.is_empty());
     }
 
     #[test]
-    fn borrowed_bundle_rejects_what_owned_rejects() {
-        let bytes = sample_bundle().to_bytes();
+    fn borrowed_bundle_view_matches_owned_decoder() {
+        let bundle = sample_bundle();
+        view_matches_owned_decoder(&bundle, 1);
+        // Without per-id masks every id and the background live in
+        // dimension 0.
         let mut arena = scalar_arena();
+        arena.decode(&bundle.to_bytes(1)).unwrap();
+        for (flat, owned) in arena.sections().zip(&bundle.sections) {
+            assert!(flat.background_dims().all(|(dim, _)| dim == 0));
+            assert!(flat.basket_exclude().all(|(_, mask)| mask == 1));
+            let names = owned.exclude.iter().map(|(k, _)| k);
+            for &k in names.chain(owned.entries.iter().map(|(k, _)| k)) {
+                assert!(flat.names_in(k, 0) && !flat.names_in(k, 1));
+            }
+            assert!(!flat.names_in(123_456, 0));
+        }
+    }
+
+    /// The arena, the validating shim and the owned decoder fail alike on
+    /// every truncation of `bytes`, on `bytes` and a trailing byte, and on
+    /// section and id counts past their caps (`over_ids` is a section head
+    /// at `dims` dimensions, before its id count).
+    fn rejects_what_owned_rejects(bytes: &[u8], dims: usize, mut over_ids: Writer) {
+        let mut arena = BundleArena::new(dims);
         // Every truncation fails identically, and leaves the arena empty.
         for cut in 0..bytes.len() {
-            let owned = DelphiBundle::from_bytes(&bytes[..cut]).unwrap_err();
+            let owned = BasketBundle::from_bytes(&bytes[..cut], dims).unwrap_err();
             assert_eq!(arena.decode(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
             assert!(arena.is_empty() && arena.sections().next().is_none());
-            assert_eq!(DelphiBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
+            assert_eq!(validate(&bytes[..cut], dims), Err(owned), "cut at {cut}");
         }
-        // Trailing bytes fail identically.
         let mut trailing = bytes.to_vec();
         trailing.push(0x55);
-        assert_eq!(DelphiBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
-        assert_eq!(arena.decode(&trailing).unwrap_err(), WireError::TrailingBytes);
+        let err = WireError::TrailingBytes;
+        assert_eq!(BasketBundle::from_bytes(&trailing, dims).unwrap_err(), err);
+        assert_eq!(arena.decode(&trailing).unwrap_err(), err);
         assert!(arena.is_empty());
-        assert_eq!(DelphiBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
-        // Oversized section and id counts fail identically.
+        assert_eq!(validate(&trailing, dims), Err(err));
         let mut w = Writer::new();
         w.put_usize(MAX_SECTIONS + 1);
-        let over_sections = w.into_vec();
-        let mut w = Writer::new();
-        w.put_usize(1);
-        w.put_raw_u8(0); // flags: ECHO1, level and round follow
-        w.put_raw_u8(0);
-        w.put(&Round(1));
-        w.put_usize(MAX_IDS + 1);
-        let over_ids = w.into_vec();
-        for over in [over_sections, over_ids] {
-            let owned = DelphiBundle::from_bytes(&over).unwrap_err();
+        over_ids.put_usize(MAX_IDS + 1);
+        for over in [w.into_vec(), over_ids.into_vec()] {
+            let owned = BasketBundle::from_bytes(&over, dims).unwrap_err();
             assert_eq!(owned, WireError::LengthOutOfBounds);
             assert_eq!(arena.decode(&over).unwrap_err(), owned);
-            assert_eq!(DelphiBundleRef::parse(&over).unwrap_err(), owned);
+            assert_eq!(validate(&over, dims), Err(owned));
         }
+    }
+
+    #[test]
+    fn borrowed_bundle_rejects_what_owned_rejects() {
+        let mut over_ids = Writer::new();
+        over_ids.put_usize(1);
+        over_ids.put_raw_u8(0); // flags: ECHO1, level and round follow
+        over_ids.put_raw_u8(0);
+        over_ids.put(&Round(1));
+        rejects_what_owned_rejects(&sample_bundle().to_bytes(1), 1, over_ids);
     }
 
     #[test]
@@ -982,7 +916,7 @@ mod tests {
     /// Scalar bundles as the encoder may meet them: every flag both ways.
     /// An exclude run without a background is dropped on the wire, so the
     /// generator leaves it off.
-    fn scalar_bundle() -> impl Strategy<Value = DelphiBundle> {
+    fn scalar_bundle() -> impl Strategy<Value = BasketBundle> {
         let section = (
             (level(), round(), any::<bool>()),
             (any::<bool>(), dyadic()),
@@ -991,17 +925,15 @@ mod tests {
         )
             .prop_map(
                 |((level, round, echo2), (has_bg, bg), exclude, (run, mut entries))| {
-                    let mut s = Section::new(level, round, kind(echo2));
+                    let mut s = BasketSection::new(level, round, kind(echo2));
                     if has_bg {
-                        s.background = Some(bg);
-                        s.exclude = exclude;
+                        s = s.with_background(bg).with_exclude(exclude);
                     }
                     consecutive(run, &mut entries);
-                    s.entries = entries;
-                    s
+                    s.with_entries(entries)
                 },
             );
-        proptest::collection::vec(section, 0..6).prop_map(|sections| DelphiBundle { sections })
+        proptest::collection::vec(section, 0..6).prop_map(|sections| BasketBundle { sections })
     }
 
     fn basket_bundle() -> impl Strategy<Value = BasketBundle> {
@@ -1056,23 +988,27 @@ mod tests {
         assert!(heads <= per_byte && ids <= per_byte && masks <= per_byte, "{input:?}");
         assert!(values <= (per_byte * dims).max(4), "{values} values from {input:?}");
         assert_eq!(result.map(|_| arena.len()), validate(input, dims));
-        match (result, dims) {
-            (Err(err), 1) => assert_eq!(DelphiBundle::from_bytes(input), Err(err)),
-            (Err(err), _) => assert_eq!(BasketBundle::from_bytes(input), Err(err)),
-            (Ok(_), 1) => {
-                let owned = arena.to_owned_scalar();
-                assert_eq!(DelphiBundle::from_bytes(input).as_ref(), Ok(&owned));
-                assert_eq!(arena_scalar(&owned.to_bytes()), Ok(owned));
-            }
-            (Ok(_), _) => {
-                let owned = arena.to_owned_basket();
-                assert_eq!(BasketBundle::from_bytes(input).as_ref(), Ok(&owned));
-                assert_eq!(arena_basket(&owned.to_bytes()), Ok(owned));
+        match result {
+            Err(err) => assert_eq!(BasketBundle::from_bytes(input, dims), Err(err)),
+            Ok(_) => {
+                let owned = arena.to_owned();
+                assert_eq!(BasketBundle::from_bytes(input, dims).as_ref(), Ok(&owned));
+                assert_eq!(arena_owned(&owned.to_bytes(dims), dims), Ok(owned));
             }
         }
         if result.is_err() {
             assert!(arena.is_empty() && arena.sections().next().is_none());
         }
+    }
+
+    /// Round trip: `bundle` written at `dims` dimensions reads back as
+    /// itself through the arena and the owned decoder, and the shim counts
+    /// its sections.
+    fn roundtrips(bundle: &BasketBundle, dims: usize) {
+        let bytes = bundle.to_bytes(dims);
+        assert_eq!(arena_owned(&bytes, dims).as_ref(), Ok(bundle));
+        assert_eq!(BasketBundle::from_bytes(&bytes, dims).as_ref(), Ok(bundle));
+        assert_eq!(validate(&bytes, dims), Ok(bundle.sections.len()));
     }
 
     fn validate(input: &[u8], dims: usize) -> Result<usize, WireError> {
@@ -1089,11 +1025,7 @@ mod tests {
         /// Round trip: encoding then decoding gives back the sections.
         #[test]
         fn prop_borrowed_bundle_roundtrip_equivalence(bundle in scalar_bundle()) {
-            let bytes = bundle.to_bytes();
-            proptest::prop_assert_eq!(arena_scalar(&bytes), Ok(bundle.clone()));
-            proptest::prop_assert_eq!(DelphiBundle::from_bytes(&bytes), Ok(bundle.clone()));
-            proptest::prop_assert_eq!(
-                DelphiBundleRef::parse(&bytes).unwrap().len(), bundle.sections.len());
+            roundtrips(&bundle, 1);
         }
 
         /// Noise and truncated noise, at one dimension and at eight.
@@ -1116,7 +1048,7 @@ mod tests {
             bundle in scalar_bundle(),
             edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
         ) {
-            let bytes = bundle.to_bytes();
+            let bytes = bundle.to_bytes(1);
             for edit in edits {
                 let input = mutate(&bytes, edit);
                 check_any_input(&input, 1);
@@ -1129,7 +1061,7 @@ mod tests {
             bundle in basket_bundle(),
             edits in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
         ) {
-            let bytes = bundle.to_bytes();
+            let bytes = bundle.to_bytes(8);
             for edit in edits {
                 let input = mutate(&bytes, edit);
                 check_any_input(&input, 8);
@@ -1169,12 +1101,12 @@ mod tests {
     fn basket_section_roundtrip() {
         let bundle = sample_basket_bundle();
         for s in &bundle.sections {
-            assert_eq!(roundtrip(&one_basket(s.clone())).unwrap(), one_basket(s.clone()));
+            assert_eq!(reread(&one(s.clone()), 64).unwrap(), one(s.clone()));
         }
-        assert_eq!(roundtrip(&bundle).unwrap(), bundle);
+        assert_eq!(reread(&bundle, 64).unwrap(), bundle);
         assert!(!bundle.is_empty());
         assert!(BasketBundle::new().is_empty());
-        assert!(one_basket(BasketSection::new(0, Round(1), EchoKind::Echo1)).is_empty());
+        assert!(one(BasketSection::new(0, Round(1), EchoKind::Echo1)).is_empty());
     }
 
     #[test]
@@ -1184,8 +1116,8 @@ mod tests {
         let mut with_ex = BasketSection::new(0, Round(1), EchoKind::Echo1);
         with_ex.exclude = vec![(1, 1), (2, 2)];
         let bare = BasketSection::new(0, Round(1), EchoKind::Echo1);
-        assert_eq!(one_basket(with_ex.clone()).to_bytes(), one_basket(bare.clone()).to_bytes());
-        assert_eq!(roundtrip(&one_basket(with_ex)).unwrap(), one_basket(bare));
+        assert_eq!(one(with_ex.clone()).to_bytes(64), one(bare.clone()).to_bytes(64));
+        assert_eq!(reread(&one(with_ex), 64).unwrap(), one(bare));
     }
 
     #[test]
@@ -1215,11 +1147,11 @@ mod tests {
                 .collect();
             let mut scalar_total = 0;
             for d in 0..8 {
-                let mut s = Section::new(0, Round(1), EchoKind::Echo1);
-                s.entries = ids.clone().map(|(k, id)| (id, value(k, d))).collect();
-                scalar_total += one(s).to_bytes().len();
+                let s = scalar(0, 1, EchoKind::Echo1)
+                    .with_entries(ids.clone().map(|(k, id)| (id, value(k, d))));
+                scalar_total += one(s).to_bytes(1).len();
             }
-            let vector_total = one_basket(vector).to_bytes().len();
+            let vector_total = one(vector).to_bytes(8).len();
             assert!(
                 vector_total < scalar_total,
                 "vector {vector_total}B vs 8 scalar sections {scalar_total}B"
@@ -1238,75 +1170,25 @@ mod tests {
     #[test]
     fn borrowed_basket_view_matches_owned_decoder() {
         let bundle = sample_basket_bundle();
-        let bytes = bundle.to_bytes();
-        let shim = BasketBundleRef::parse(&bytes).unwrap();
-        assert_eq!(shim.len(), bundle.sections.len());
-        assert!(!shim.is_empty());
+        view_matches_owned_decoder(&bundle, 64);
         let mut arena = basket_arena();
-        arena.decode(&bytes).unwrap();
-        assert_eq!(arena.len(), bundle.sections.len());
-        assert_eq!(arena.to_owned_basket(), bundle);
-        assert_eq!(BasketBundle::from_bytes(&bytes).unwrap(), bundle);
+        arena.decode(&bundle.to_bytes(64)).unwrap();
         for (flat, owned) in arena.sections().zip(&bundle.sections) {
-            assert_eq!((flat.level, flat.round, flat.kind), (owned.level, owned.round, owned.kind));
-            assert_eq!(flat.bg_mask, owned.backgrounds.mask());
-            assert_eq!(
-                flat.background_dims().collect::<Vec<_>>(),
-                owned.backgrounds.dims().collect::<Vec<_>>()
-            );
-            assert_eq!(flat.basket_exclude().collect::<Vec<_>>(), owned.exclude);
             for (&(k, mask), dim) in owned.exclude.iter().zip([0u16, 5, 63]) {
                 assert_eq!(flat.names_in(k, dim), mask & (1 << dim) != 0);
             }
-            for ((k, mask, values), (ok, ovalues)) in flat.basket_entries().zip(&owned.entries) {
-                assert_eq!((k, mask), (*ok, ovalues.mask()));
-                assert_eq!(values, ovalues.dims().map(|(_, v)| v).collect::<Vec<_>>());
-                for (dim, _) in ovalues.dims() {
-                    assert!(flat.names_in(k, dim));
-                }
-            }
         }
-        let capacity = arena.capacities();
-        arena.decode(&bytes).unwrap();
-        assert_eq!(arena.to_owned_basket(), bundle);
-        assert_eq!(arena.capacities(), capacity);
-        let empty = BasketBundle::new().to_bytes();
-        assert!(BasketBundleRef::parse(&empty).unwrap().is_empty());
     }
 
     #[test]
     fn borrowed_basket_rejects_what_owned_rejects() {
-        let bytes = sample_basket_bundle().to_bytes();
-        let mut arena = basket_arena();
-        for cut in 0..bytes.len() {
-            let owned = BasketBundle::from_bytes(&bytes[..cut]).unwrap_err();
-            assert_eq!(arena.decode(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
-            assert!(arena.is_empty() && arena.sections().next().is_none());
-            assert_eq!(BasketBundleRef::parse(&bytes[..cut]).unwrap_err(), owned, "cut at {cut}");
-        }
-        let mut trailing = bytes.to_vec();
-        trailing.push(0x55);
-        assert_eq!(BasketBundle::from_bytes(&trailing).unwrap_err(), WireError::TrailingBytes);
-        assert_eq!(arena.decode(&trailing).unwrap_err(), WireError::TrailingBytes);
-        assert!(arena.is_empty());
-        assert_eq!(BasketBundleRef::parse(&trailing).unwrap_err(), WireError::TrailingBytes);
-        let mut w = Writer::new();
-        w.put_usize(MAX_SECTIONS + 1);
-        let over_sections = w.into_vec();
-        let mut w = Writer::new();
-        w.put_usize(1);
-        w.put_raw_u8(0b1_1000); // BACKGROUND | ZERO_BACKGROUNDS
-        w.put_raw_u8(0);
-        w.put(&Round(1));
-        w.put_u64(0b1);
-        w.put_usize(MAX_IDS + 1);
-        let over_ids = w.into_vec();
-        for over in [over_sections, over_ids] {
-            let owned = BasketBundle::from_bytes(&over).unwrap_err();
-            assert_eq!(owned, WireError::LengthOutOfBounds);
-            assert_eq!(arena.decode(&over).unwrap_err(), owned);
-            assert_eq!(BasketBundleRef::parse(&over).unwrap_err(), owned);
-        }
+        let mut over_ids = Writer::new();
+        over_ids.put_usize(1);
+        over_ids.put_raw_u8(0b1_1000); // BACKGROUND | ZERO_BACKGROUNDS
+        over_ids.put_raw_u8(0);
+        over_ids.put(&Round(1));
+        over_ids.put_u64(0b1);
+        rejects_what_owned_rejects(&sample_basket_bundle().to_bytes(64), 64, over_ids);
     }
 
     proptest::proptest! {
@@ -1316,11 +1198,7 @@ mod tests {
         /// gives back the sections.
         #[test]
         fn prop_borrowed_basket_roundtrip_equivalence(bundle in basket_bundle()) {
-            let bytes = bundle.to_bytes();
-            proptest::prop_assert_eq!(arena_basket(&bytes), Ok(bundle.clone()));
-            proptest::prop_assert_eq!(BasketBundle::from_bytes(&bytes), Ok(bundle.clone()));
-            proptest::prop_assert_eq!(
-                BasketBundleRef::parse(&bytes).unwrap().len(), bundle.sections.len());
+            roundtrips(&bundle, 64);
         }
 
         /// Noise and truncated noise at a full basket.
@@ -1340,20 +1218,20 @@ mod tests {
     fn bundle_wire_size_is_compact() {
         // A realistic per-round bundle: 11 levels, background + 4 entries
         // each. Should be well under 1 KiB.
-        let mut b = DelphiBundle::new();
+        let mut b = BasketBundle::new();
         for level in 0..11u8 {
-            let mut s = Section::new(level, Round(12), EchoKind::Echo1);
-            s.background = Some(Dyadic::ZERO);
-            s.exclude = vec![20_000, 20_001];
-            s.entries = vec![
-                (19_999, Dyadic::new(123, 20)),
-                (20_000, Dyadic::new(124, 20)),
-                (20_001, Dyadic::ONE),
-                (20_002, Dyadic::ZERO),
-            ];
+            let s = scalar(level, 12, EchoKind::Echo1)
+                .with_background(Dyadic::ZERO)
+                .with_exclude([20_000, 20_001])
+                .with_entries([
+                    (19_999, Dyadic::new(123, 20)),
+                    (20_000, Dyadic::new(124, 20)),
+                    (20_001, Dyadic::ONE),
+                    (20_002, Dyadic::ZERO),
+                ]);
             b.sections.push(s);
         }
-        let len = b.to_bytes().len();
+        let len = b.to_bytes(1).len();
         assert!(len < 1024, "bundle is {len} bytes");
     }
 }

@@ -13,8 +13,9 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use delphi_core::bv::BvRound;
-use delphi_core::{DelphiBundle, DelphiConfig, DelphiNode, EchoKind, Section, VectorDelphiNode};
-use delphi_primitives::wire::Encode;
+use delphi_core::{
+    BasketBundle, BasketSection, DelphiConfig, DelphiNode, EchoKind, VectorDelphiNode,
+};
 use delphi_primitives::{Dyadic, NodeId, Protocol, Round};
 
 thread_local! {
@@ -226,11 +227,11 @@ fn replaying_a_plan_allocates_nothing() {
     let mut node = DelphiNode::new(cfg.clone(), NodeId(0), 40_000.0);
     let _ = node.start();
     let sections = (0..=cfg.l_max()).map(|level| {
-        let mut section = Section::new(level, Round::FIRST, EchoKind::Echo2);
-        section.background = Some(Dyadic::ZERO);
+        let mut section = BasketSection::new(level, Round::FIRST, EchoKind::Echo2);
+        section.backgrounds.set(0, Dyadic::ZERO);
         section
     });
-    let bundle = DelphiBundle { sections: sections.collect() }.to_bytes();
+    let bundle = BasketBundle { sections: sections.collect() }.to_bytes(1);
     let (_, answer) = allocations_in(|| node.on_message(NodeId(1), &bundle));
     assert!(answer.is_empty(), "an ECHO2 triggers no echo");
     for peer in 2..=10 {

@@ -365,7 +365,7 @@ mod tests {
     use super::*;
     use delphi_core::DelphiConfig;
     use delphi_primitives::wire::roundtrip;
-    use delphi_sim::adversary::Crash;
+    use delphi_sim::adversary::Faulty;
     use delphi_sim::{Simulation, Topology};
 
     fn cfg(n: usize) -> DelphiConfig {
@@ -433,7 +433,7 @@ mod tests {
         let nodes: Vec<Box<dyn Protocol<Output = Certificate>>> = NodeId::all(n)
             .map(|id| {
                 if faulty.contains(&id.index()) {
-                    Box::new(Crash::new(id, n)) as Box<dyn Protocol<Output = Certificate>>
+                    Box::new(Faulty::crash(id, n)) as Box<dyn Protocol<Output = Certificate>>
                 } else {
                     DoraNode::new(cfg(n), id, inputs[id.index()], b"seed").boxed()
                 }

@@ -166,7 +166,7 @@ mod tests {
 fn slice_types_behind_lifetimes_are_not_index_expressions() {
     // `&'a [T]` and `&mut [T]` open a type; `run[0]` indexes.
     let src = "#![forbid(unsafe_code)]
-pub struct Section<'a> {
+pub struct Runs<'a> {
     pub ids: &'a [i64],
     pub values: &'a mut [u64],
 }

@@ -32,7 +32,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use delphi_primitives::CounterGroup;
+use delphi_primitives::{json_f64, CounterGroup};
 
 use crate::transport::NetStats;
 
@@ -63,16 +63,16 @@ impl NodeReport {
         let agreements = self
             .agreements
             .iter()
-            .map(|(e, a, v)| format!("[{e},{a},{}]", fmt_f64(*v)))
+            .map(|(e, a, v)| format!("[{e},{a},{}]", json_f64(*v)))
             .collect::<Vec<_>>()
             .join(",");
         format!(
             "{{\"id\":{},\"elapsed_ms\":{},\"agreements\":[{agreements}],\"threads\":{},\
              \"ctxt_switches_per_agreement\":{},\"stats\":{}}}",
             self.id,
-            fmt_f64(self.elapsed_ms),
+            json_f64(self.elapsed_ms),
             self.threads,
-            fmt_f64(self.ctxt_switches_per_agreement),
+            json_f64(self.ctxt_switches_per_agreement),
             self.stats.to_json(),
         )
     }
@@ -108,19 +108,6 @@ impl NodeReport {
             ctxt_switches_per_agreement: json_number(text, "ctxt_switches_per_agreement")?,
             stats: NetStats::from_values(stats.collect::<Result<Vec<_>, _>>()?),
         })
-    }
-}
-
-/// Formats an f64 so it parses back exactly (always with a decimal point
-/// or exponent, so the value stays a JSON number).
-fn fmt_f64(v: f64) -> String {
-    // `Debug` prints the shortest round-tripping form, with a `.0` or an
-    // exponent. JSON has no infinities; they become a sentinel the parser
-    // rejects loudly rather than invalid JSON.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -133,28 +133,6 @@ impl fmt::Display for ConfigError {
 impl Error for ConfigError {}
 
 impl ClusterConfig {
-    /// Builds an `n`-node localhost cluster on consecutive ports starting
-    /// at `base_port`, sharing `seed` as key material.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` does not fit the port range above `base_port` or
-    /// exceeds `u16` node ids.
-    pub fn localhost(n: usize, base_port: u16, seed: &[u8]) -> ClusterConfig {
-        assert!(n > 0 && n <= usize::from(u16::MAX), "node count out of range");
-        let nodes = (0..n)
-            .map(|i| {
-                let port = base_port.checked_add(i as u16).expect("port range overflow");
-                NodeEntry {
-                    id: i as u16,
-                    address: SocketAddr::from(([127, 0, 0, 1], port)),
-                    key: None,
-                }
-            })
-            .collect();
-        ClusterConfig { name: Some("localhost".to_string()), seed: Some(seed.to_vec()), nodes }
-    }
-
     /// Parses and validates a cluster config from TOML text.
     ///
     /// # Errors
@@ -296,14 +274,11 @@ impl ClusterConfig {
         let n = self.nodes.len();
         let mut seen = vec![false; n];
         for node in &self.nodes {
-            let idx = usize::from(node.id);
-            if idx >= n {
-                return Err(ConfigError::NonContiguousIds { n, offender: node.id });
+            match seen.get_mut(usize::from(node.id)) {
+                None => return Err(ConfigError::NonContiguousIds { n, offender: node.id }),
+                Some(true) => return Err(ConfigError::DuplicateId(node.id)),
+                Some(seen) => *seen = true,
             }
-            if seen[idx] {
-                return Err(ConfigError::DuplicateId(node.id));
-            }
-            seen[idx] = true;
             if node.key.is_none() && self.seed.is_none() {
                 return Err(ConfigError::MissingKey(node.id));
             }
@@ -349,11 +324,12 @@ struct RawConfig {
     nodes: Vec<Vec<RawEntry>>,
 }
 
-/// Which section the parser is currently filling.
+/// Which section the parser is currently filling: the last `[[node]]`
+/// entry, once one is open.
 enum Cursor {
     Top,
     Cluster,
-    Node(usize),
+    Node,
 }
 
 fn parse_toml_subset(text: &str) -> Result<RawConfig, ConfigError> {
@@ -371,7 +347,7 @@ fn parse_toml_subset(text: &str) -> Result<RawConfig, ConfigError> {
         }
         if line == "[[node]]" {
             raw.nodes.push(Vec::new());
-            cursor = Cursor::Node(raw.nodes.len() - 1);
+            cursor = Cursor::Node;
             continue;
         }
         if line.starts_with('[') {
@@ -392,17 +368,18 @@ fn parse_toml_subset(text: &str) -> Result<RawConfig, ConfigError> {
         }
         let value = parse_value(value.trim(), line_no)?;
         let entry = (line_no, key.to_string(), value);
-        match cursor {
-            Cursor::Top => {
-                return Err(ConfigError::Syntax {
-                    line: line_no,
-                    msg: "key outside any section (expected [cluster] or [[node]] first)"
-                        .to_string(),
-                })
-            }
-            Cursor::Cluster => raw.cluster.push(entry),
-            Cursor::Node(i) => raw.nodes[i].push(entry),
-        }
+        let section = match cursor {
+            Cursor::Top => None,
+            Cursor::Cluster => Some(&mut raw.cluster),
+            Cursor::Node => raw.nodes.last_mut(),
+        };
+        let Some(section) = section else {
+            return Err(ConfigError::Syntax {
+                line: line_no,
+                msg: "key outside any section (expected [cluster] or [[node]] first)".to_string(),
+            });
+        };
+        section.push(entry);
     }
     Ok(raw)
 }
@@ -413,7 +390,7 @@ fn strip_comment(line: &str) -> &str {
     for (i, c) in line.char_indices() {
         match c {
             '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
+            '#' if !in_string => return line.get(..i).unwrap_or(line),
             _ => {}
         }
     }
@@ -454,9 +431,9 @@ fn decode_hex(text: &str) -> Result<Vec<u8>, ConfigError> {
     let digits = text.as_bytes();
     let mut out = Vec::with_capacity(digits.len() / 2);
     for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16).ok_or_else(bad)?;
-        let lo = (pair[1] as char).to_digit(16).ok_or_else(bad)?;
-        out.push((hi * 16 + lo) as u8);
+        let &[hi, lo] = pair else { return Err(bad()) };
+        let digit = |d: u8| (d as char).to_digit(16).ok_or_else(bad);
+        out.push((digit(hi)? * 16 + digit(lo)?) as u8);
     }
     Ok(out)
 }
@@ -499,9 +476,21 @@ address = "127.0.0.1:7102"
         assert_eq!(reparsed, cfg);
     }
 
+    /// An `n`-node localhost cluster on consecutive ports from `base_port`,
+    /// sharing `seed` as key material.
+    fn localhost(n: u16, base_port: u16, seed: &[u8]) -> ClusterConfig {
+        let nodes = (0..n).map(|id| NodeEntry {
+            id,
+            address: SocketAddr::from(([127, 0, 0, 1], base_port + id)),
+            key: None,
+        });
+        let name = Some("localhost".to_string());
+        ClusterConfig { name, seed: Some(seed.to_vec()), nodes: nodes.collect() }
+    }
+
     #[test]
     fn localhost_constructor_roundtrips() {
-        let cfg = ClusterConfig::localhost(4, 7200, b"seed-material");
+        let cfg = localhost(4, 7200, b"seed-material");
         assert_eq!(cfg.n(), 4);
         assert_eq!(cfg.addresses()[3], "127.0.0.1:7203".parse().unwrap());
         let reparsed = ClusterConfig::parse(&cfg.to_toml()).unwrap();
@@ -518,7 +507,7 @@ address = "127.0.0.1:7102"
 
     #[test]
     fn keychains_from_shared_seed_authenticate_each_other() {
-        let cfg = ClusterConfig::localhost(3, 7300, b"pairwise");
+        let cfg = localhost(3, 7300, b"pairwise");
         let a = cfg.keychain(0).unwrap();
         let b = cfg.keychain(1).unwrap();
         let tag = a.channel(NodeId(1)).tag(b"hello");

@@ -58,4 +58,4 @@ pub use epoch::{
 };
 pub use id::{InstanceId, NodeId, Round};
 pub use protocol::{Envelope, Protocol, Recipient};
-pub use stats::{CounterGroup, StatsCell};
+pub use stats::{json_f64, CounterGroup, StatsCell};

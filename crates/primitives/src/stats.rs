@@ -29,6 +29,18 @@ pub trait CounterGroup: Copy + Default {
     }
 }
 
+/// An `f64` as a JSON number that parses back exactly: its shortest
+/// round-tripping form, always with a `.0` or an exponent. JSON has no
+/// infinities or NaN: they become `null`, which a reader expecting a
+/// number refuses rather than misreads.
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Declares a counter group: a `Copy` snapshot struct with one public
 /// `u64` or `usize` field per counter, its [`CounterGroup`] impl, and one
 /// `usize` constant per counter, named like its field, holding its
@@ -124,6 +136,26 @@ mod tests {
             b: u64,
             c: usize,
         }
+    }
+
+    #[test]
+    fn json_f64_stays_a_number_and_parses_back_exactly() {
+        let (mut samples, mut x) = (vec![0.0, -0.0, 40_000.0, 9_999_999_999_999_998.0], 1e-4f64);
+        while x < 1e16 {
+            samples.extend([x, x * 1.618_033_988_75, x + 0.5, (x * 7.0).round()]);
+            x *= 3.7;
+        }
+        for v in samples {
+            let json = json_f64(v);
+            assert_eq!(json.parse::<f64>(), Ok(v), "{json}");
+            // `Display` with `.0` where it prints an integer, in the range
+            // served prices take: what the HTTP API wrote.
+            let display = format!("{v}");
+            let point = if display.contains('.') { display } else { display + ".0" };
+            assert!(json == point || !(v == 0.0 || (1e-4..1e16).contains(&v.abs())), "{v}: {json}");
+        }
+        assert_eq!([json_f64(1e16), json_f64(1e-5)], ["1e16", "1e-5"]);
+        assert!([f64::NAN, f64::INFINITY, -f64::INFINITY].iter().all(|&v| json_f64(v) == "null"));
     }
 
     #[test]

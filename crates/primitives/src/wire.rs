@@ -260,7 +260,7 @@ impl<'a> Reader<'a> {
 
     /// Reads an unsigned varint.
     ///
-    /// The decode hot path (`DelphiBundle` bundles are walls of varints):
+    /// The decode hot path (Delphi's bundles are walls of varints):
     /// a single-byte varint — counts, checkpoint deltas, small numerators —
     /// is read inline after one bounds check; longer ones (and errors) go
     /// to an out-of-line reader, so callers inline only the short case.
@@ -561,11 +561,10 @@ pub const MAX_VECTOR_DIMS: u16 = 64;
 ///
 /// Scalar Delphi bundles carry one [`crate::Dyadic`] per echo; the
 /// vector-valued variant agrees on a whole basket at once, so each echo
-/// carries up to [`MAX_VECTOR_DIMS`] per-dimension values. The encoding is
-/// a membership mask (varint `u64`, bit `d` set iff dimension `d` has a
-/// value) followed by the values of the set bits in ascending dimension
-/// order — absent dimensions cost nothing, and the common single-dimension
-/// echo costs one mask byte over the scalar encoding.
+/// carries up to [`MAX_VECTOR_DIMS`] per-dimension values: a membership
+/// mask (bit `d` set iff dimension `d` has a value) and the values of the
+/// set bits in ascending dimension order, so absent dimensions cost
+/// nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VectorValue {
     /// Bit `d` set iff dimension `d` carries a value.
@@ -665,27 +664,6 @@ impl Iterator for MaskBits {
         let dim = self.0.trailing_zeros() as u16;
         self.0 &= self.0 - 1;
         Some(dim)
-    }
-}
-
-impl Encode for VectorValue {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.mask);
-        for v in &self.values {
-            w.put(v);
-        }
-    }
-}
-
-impl Decode for VectorValue {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mask = r.get_u64()?;
-        let count = mask.count_ones() as usize;
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(r.get::<crate::Dyadic>()?);
-        }
-        Ok(VectorValue { mask, values })
     }
 }
 
@@ -957,36 +935,6 @@ mod tests {
         v.clear();
         assert!(v.is_empty());
         assert_eq!(v.dims().count(), 0);
-    }
-
-    #[test]
-    fn vector_value_roundtrip() {
-        use crate::Dyadic;
-        let mut v = VectorValue::single(3, Dyadic::ONE);
-        v.set(17, Dyadic::new(5, 4));
-        assert_eq!(roundtrip(&v).unwrap(), v);
-        assert_eq!(roundtrip(&VectorValue::new()).unwrap(), VectorValue::new());
-    }
-
-    #[test]
-    fn vector_value_single_dim_costs_one_mask_byte() {
-        use crate::Dyadic;
-        let scalar = Dyadic::new(123, 7).to_bytes().len();
-        let vector = VectorValue::single(3, Dyadic::new(123, 7)).to_bytes().len();
-        assert_eq!(vector, scalar + 1);
-    }
-
-    #[test]
-    fn vector_value_truncated_and_invalid_rejected() {
-        use crate::Dyadic;
-        let bytes = VectorValue::single(2, Dyadic::ONE).to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(VectorValue::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // A mask promising a value with no bytes behind it.
-        let mut w = Writer::new();
-        w.put_u64(1);
-        assert_eq!(VectorValue::from_bytes(&w.into_vec()), Err(WireError::Truncated));
     }
 
     #[test]

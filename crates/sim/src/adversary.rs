@@ -1,13 +1,20 @@
-//! Protocol-agnostic Byzantine node behaviours.
+//! Byzantine nodes: one faulty node driven by a forge, and two wrappers
+//! that corrupt an honest one.
 //!
 //! The paper assumes an adaptive adversary corrupting up to `t < n/3` nodes
 //! that fully controls their behaviour and the network schedule (but cannot
-//! drop messages between honest nodes). These adapters implement the
-//! *byte-level* part of that power — staying silent, spewing garbage,
-//! corrupting, and replaying — without knowing anything about the protocol
-//! being attacked, so every protocol in the workspace can be exercised
-//! against them. Value-level (semantic) equivocation attacks live next to
-//! each protocol's own tests, where the message schema is known.
+//! drop messages between honest nodes). A corrupted node holds valid keys,
+//! so what it sends is authenticated as its own; what it says is up to the
+//! adversary. [`Faulty`] is such a node: it holds an identity, the system
+//! size and a [`Forge`], which is handed every message the node hears and
+//! answers the bytes to send. A forge knows only bytes, so one interface
+//! serves every protocol: the byte-level forges here ([`Faulty::crash`],
+//! [`Faulty::garbage`], [`Faulty::replay`]) know nothing of the protocol
+//! they attack, and a protocol's tests write their own forges — a closure
+//! is one — where its message schema is known.
+//!
+//! [`SilentAfter`] and [`ByteMutator`] instead wrap an honest node: it
+//! crashes mid-protocol, or its authenticated messages arrive corrupted.
 //!
 //! All behaviours are deterministic given their construction seed.
 
@@ -19,22 +26,106 @@ use rand::{Rng, SeedableRng};
 
 use delphi_primitives::{Envelope, NodeId, Protocol};
 
-/// A crashed node: never sends, never outputs.
-#[derive(Debug)]
-pub struct Crash<O> {
-    id: NodeId,
-    n: usize,
-    _output: PhantomData<O>,
-}
+/// What a faulty node sends: handed the bytes it heard (`None` at start),
+/// a forge answers `(recipient, bytes)` pairs, `None` naming everyone.
+pub trait Forge {
+    /// The messages to send having heard `heard`.
+    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)>;
 
-impl<O> Crash<O> {
-    /// Creates a crashed node with identity `id` in an `n`-node system.
-    pub fn new(id: NodeId, n: usize) -> Crash<O> {
-        Crash { id, n, _output: PhantomData }
+    /// Whether the forge will never send again.
+    fn spent(&self) -> bool {
+        false
     }
 }
 
-impl<O: Clone + std::fmt::Debug> Protocol for Crash<O> {
+impl<F: FnMut(Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)>> Forge for F {
+    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> {
+        self(heard)
+    }
+}
+
+/// A faulty node: whatever its forge sends, and never an output.
+pub struct Faulty<O> {
+    id: NodeId,
+    n: usize,
+    forge: Box<dyn Forge>,
+    /// Messages it may still send.
+    left: usize,
+    _output: PhantomData<O>,
+}
+
+impl<O> Faulty<O> {
+    /// The faulty node `id` of an `n`-node system, sending what `forge`
+    /// answers. It never sends to itself.
+    pub fn new(id: NodeId, n: usize, forge: impl Forge + 'static) -> Faulty<O> {
+        Faulty { id, n, forge: Box::new(forge), left: usize::MAX, _output: PhantomData }
+    }
+
+    /// At most `left` of the messages `forge` makes.
+    fn budget(
+        id: NodeId,
+        n: usize,
+        left: usize,
+        forge: impl FnMut(Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> + 'static,
+    ) -> Faulty<O> {
+        Faulty { left, ..Faulty::new(id, n, forge) }
+    }
+
+    /// A crashed node: never sends.
+    pub fn crash(id: NodeId, n: usize) -> Faulty<O> {
+        Faulty::budget(id, n, 0, |_| Vec::new())
+    }
+
+    /// Sends `burst` messages of random bytes (each shorter than
+    /// `max_len`) to everyone at start and per message heard, `budget`
+    /// messages in all. Exercises every decoder's malformed-input paths
+    /// and the protocols' bounded-state discipline: a correct protocol
+    /// neither crashes nor allocates without bound when flooded.
+    pub fn garbage(
+        id: NodeId,
+        n: usize,
+        seed: u64,
+        burst: usize,
+        max_len: usize,
+        budget: usize,
+    ) -> Faulty<O> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Faulty::budget(id, n, budget, move |_| {
+            let mut message = || {
+                let len = rng.random_range(0..max_len.max(1));
+                (None, (0..len).map(|_| rng.random::<u8>()).collect())
+            };
+            (0..burst).map(|_| message()).collect()
+        })
+    }
+
+    /// Replays each of the first `budget` messages it hears to everyone,
+    /// point-to-point traffic included: a cheap replay and equivocation.
+    pub fn replay(id: NodeId, n: usize, budget: usize) -> Faulty<O> {
+        Faulty::budget(id, n, budget, |heard| {
+            heard.map(|bytes| (None, Bytes::copy_from_slice(bytes))).into_iter().collect()
+        })
+    }
+
+    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<Envelope> {
+        if self.left == 0 {
+            return Vec::new();
+        }
+        let mut sends = self.forge.forge(heard);
+        sends.truncate(self.left);
+        self.left -= sends.len();
+        sends
+            .into_iter()
+            .filter(|&(to, _)| to != Some(self.id))
+            .map(|(to, bytes)| match to {
+                Some(to) => Envelope::to_one(to, bytes),
+                None => Envelope::to_all(bytes),
+            })
+            .collect()
+    }
+}
+
+impl<O: Clone + std::fmt::Debug> Protocol for Faulty<O> {
     type Output = O;
     fn node_id(&self) -> NodeId {
         self.id
@@ -43,16 +134,16 @@ impl<O: Clone + std::fmt::Debug> Protocol for Crash<O> {
         self.n
     }
     fn start(&mut self) -> Vec<Envelope> {
-        Vec::new()
+        self.forge(None)
     }
-    fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-        Vec::new()
+    fn on_message(&mut self, _: NodeId, payload: &[u8]) -> Vec<Envelope> {
+        self.forge(Some(payload))
     }
     fn output(&self) -> Option<O> {
         None
     }
     fn is_finished(&self) -> bool {
-        true
+        self.left == 0 || self.forge.spent()
     }
 }
 
@@ -98,81 +189,8 @@ impl<P: Protocol> Protocol for SilentAfter<P> {
     }
 }
 
-/// Sends bursts of random bytes to everyone, forever.
-///
-/// Exercises every decoder's malformed-input paths and the protocols'
-/// bounded-state discipline (a correct protocol must neither crash nor
-/// allocate unboundedly when flooded).
-#[derive(Debug)]
-pub struct GarbageSpammer<O> {
-    id: NodeId,
-    n: usize,
-    rng: StdRng,
-    burst: usize,
-    max_len: usize,
-    budget: usize,
-    _output: PhantomData<O>,
-}
-
-impl<O> GarbageSpammer<O> {
-    /// Creates a spammer that sends `burst` random messages (each up to
-    /// `max_len` bytes) at start and per received message, up to `budget`
-    /// messages total.
-    pub fn new(
-        id: NodeId,
-        n: usize,
-        seed: u64,
-        burst: usize,
-        max_len: usize,
-        budget: usize,
-    ) -> Self {
-        GarbageSpammer {
-            id,
-            n,
-            rng: StdRng::seed_from_u64(seed),
-            burst,
-            max_len: max_len.max(1),
-            budget,
-            _output: PhantomData,
-        }
-    }
-
-    fn burst_now(&mut self) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        for _ in 0..self.burst.min(self.budget) {
-            let len = self.rng.random_range(0..self.max_len);
-            let bytes: Vec<u8> = (0..len).map(|_| self.rng.random()).collect();
-            out.push(Envelope::to_all(Bytes::from(bytes)));
-            self.budget -= 1;
-        }
-        out
-    }
-}
-
-impl<O: Clone + std::fmt::Debug> Protocol for GarbageSpammer<O> {
-    type Output = O;
-    fn node_id(&self) -> NodeId {
-        self.id
-    }
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn start(&mut self) -> Vec<Envelope> {
-        self.burst_now()
-    }
-    fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-        self.burst_now()
-    }
-    fn output(&self) -> Option<O> {
-        None
-    }
-    fn is_finished(&self) -> bool {
-        self.budget == 0
-    }
-}
-
 /// Wraps an honest node and corrupts each outgoing payload with probability
-/// `corrupt_prob` (one random byte flipped). The messages remain
+/// `corrupt_prob` (one random bit flipped). The messages remain
 /// authenticated (the node *is* the corrupted sender) but become
 /// semantically malformed, probing decoder robustness end to end.
 #[derive(Debug)]
@@ -195,7 +213,10 @@ impl<P> ByteMutator<P> {
                 if !env.payload.is_empty() && self.rng.random::<f64>() < self.corrupt_prob {
                     let mut bytes = env.payload.to_vec();
                     let idx = self.rng.random_range(0..bytes.len());
-                    bytes[idx] ^= 1u8 << self.rng.random_range(0..8);
+                    let bit = 1u8 << self.rng.random_range(0..8);
+                    if let Some(byte) = bytes.get_mut(idx) {
+                        *byte ^= bit;
+                    }
                     Envelope { to: env.to, payload: Bytes::from(bytes) }
                 } else {
                     env
@@ -229,50 +250,6 @@ impl<P: Protocol> Protocol for ByteMutator<P> {
     }
 }
 
-/// Replays every message it receives back at the whole network, possibly
-/// redirecting point-to-point traffic (a cheap equivocation/replay attack).
-#[derive(Debug)]
-pub struct Replayer<O> {
-    id: NodeId,
-    n: usize,
-    budget: usize,
-    _output: PhantomData<O>,
-}
-
-impl<O> Replayer<O> {
-    /// Creates a replayer that re-broadcasts up to `budget` received
-    /// messages.
-    pub fn new(id: NodeId, n: usize, budget: usize) -> Replayer<O> {
-        Replayer { id, n, budget, _output: PhantomData }
-    }
-}
-
-impl<O: Clone + std::fmt::Debug> Protocol for Replayer<O> {
-    type Output = O;
-    fn node_id(&self) -> NodeId {
-        self.id
-    }
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn start(&mut self) -> Vec<Envelope> {
-        Vec::new()
-    }
-    fn on_message(&mut self, _: NodeId, payload: &[u8]) -> Vec<Envelope> {
-        if self.budget == 0 {
-            return Vec::new();
-        }
-        self.budget -= 1;
-        vec![Envelope::to_all(Bytes::copy_from_slice(payload))]
-    }
-    fn output(&self) -> Option<O> {
-        None
-    }
-    fn is_finished(&self) -> bool {
-        self.budget == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +278,7 @@ mod tests {
 
     #[test]
     fn crash_is_silent() {
-        let mut c: Crash<u8> = Crash::new(NodeId(1), 3);
+        let mut c: Faulty<u8> = Faulty::crash(NodeId(1), 3);
         assert!(c.start().is_empty());
         assert!(c.on_message(NodeId(0), b"x").is_empty());
         assert_eq!(c.output(), None);
@@ -322,8 +299,8 @@ mod tests {
 
     #[test]
     fn garbage_spammer_respects_budget_and_determinism() {
-        let mut g1: GarbageSpammer<u8> = GarbageSpammer::new(NodeId(0), 3, 7, 2, 64, 3);
-        let mut g2: GarbageSpammer<u8> = GarbageSpammer::new(NodeId(0), 3, 7, 2, 64, 3);
+        let mut g1: Faulty<u8> = Faulty::garbage(NodeId(0), 3, 7, 2, 64, 3);
+        let mut g2: Faulty<u8> = Faulty::garbage(NodeId(0), 3, 7, 2, 64, 3);
         let b1 = g1.start();
         let b2 = g2.start();
         assert_eq!(b1.len(), 2);
@@ -351,11 +328,28 @@ mod tests {
 
     #[test]
     fn replayer_rebroadcasts_until_budget() {
-        let mut r: Replayer<u8> = Replayer::new(NodeId(2), 3, 1);
+        let mut r: Faulty<u8> = Faulty::replay(NodeId(2), 3, 1);
         assert!(r.start().is_empty());
         let out = r.on_message(NodeId(0), b"msg");
         assert_eq!(out.len(), 1);
         assert_eq!(&out[0].payload[..], b"msg");
         assert!(r.on_message(NodeId(0), b"msg").is_empty());
+    }
+
+    #[test]
+    fn a_forge_sends_what_it_answers_but_never_to_itself() {
+        let mut heard = Vec::new();
+        let forge = move |bytes: Option<&[u8]>| {
+            heard.push(bytes.map(<[u8]>::to_vec));
+            let copy = Bytes::from(format!("{}", heard.len()));
+            vec![(None, copy.clone()), (Some(NodeId(0)), copy.clone()), (Some(NodeId(1)), copy)]
+        };
+        let mut f: Faulty<u8> = Faulty::new(NodeId(1), 3, forge);
+        let start = f.start();
+        assert_eq!(start.len(), 2, "the copy to itself is dropped");
+        assert_eq!(start[0], Envelope::to_all(Bytes::from_static(b"1")));
+        assert_eq!(start[1], Envelope::to_one(NodeId(0), Bytes::from_static(b"1")));
+        assert_eq!(f.on_message(NodeId(2), b"x")[0].payload, Bytes::from_static(b"2"));
+        assert!(!f.is_finished() && f.output().is_none());
     }
 }

@@ -412,7 +412,7 @@ mod tests {
     fn crashed_node_stalls_completion_but_not_others() {
         let n = 4;
         let mut nodes = gossip_nodes(n);
-        nodes[3] = Box::new(crate::adversary::Crash::new(NodeId(3), n));
+        nodes[3] = Box::new(crate::adversary::Faulty::crash(NodeId(3), n));
         // Node 3 never speaks: honest nodes wait for n-1 greetings forever.
         let report = Simulation::new(Topology::lan(n)).seed(5).faulty(&[NodeId(3)]).run(nodes);
         assert_eq!(report.stop, StopReason::Drained);
@@ -450,7 +450,7 @@ mod tests {
                     as Box<dyn Protocol<Output = usize>>
             })
             .collect();
-        nodes[0] = Box::new(crate::adversary::Crash::new(NodeId(0), n));
+        nodes[0] = Box::new(crate::adversary::Faulty::crash(NodeId(0), n));
         let report = Simulation::new(Topology::lan(n)).seed(5).faulty(&[NodeId(0)]).run(nodes);
         assert_eq!(report.stop, StopReason::AllHonestFinished);
         assert_eq!(report.honest_outputs().count(), 3);

@@ -32,9 +32,13 @@
 //!   it (the t2.micro vs Raspberry-Pi contrast in Fig. 6 comes from this
 //!   knob together with bandwidth).
 //! - The adversary owns scheduling within these bounds: latency models with
-//!   jitter reorder arbitrarily, and [`adversary`] provides byte-level
-//!   Byzantine node behaviours (crash, garbage, mutation, replay).
-//!   Messages are never dropped, matching the paper's network assumption.
+//!   jitter reorder arbitrarily. It also owns the faulty nodes: an
+//!   [`adversary::Faulty`] node sends whatever its *forge* answers to the
+//!   bytes it hears — silence, garbage, replays, or a protocol's own
+//!   forgeries, written beside that protocol's tests where its message
+//!   schema is known — and [`adversary`]'s wrappers crash or corrupt an
+//!   honest node. Messages are never dropped, matching the paper's
+//!   network assumption.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::{NodeId, Protocol};
-use delphi::sim::adversary::Crash;
+use delphi::sim::adversary::Faulty;
 use delphi::sim::{judge, spread, Simulation, Topology};
 use delphi::workloads::{DroneScenario, DroneScenarioConfig};
 
@@ -21,7 +21,7 @@ fn run_axis(
     let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
         .map(|id| {
             if crashed.contains(&id) {
-                Box::new(Crash::new(id, n)) as Box<_>
+                Box::new(Faulty::crash(id, n)) as Box<_>
             } else {
                 DelphiNode::new(cfg.clone(), id, inputs[id.index()]).boxed()
             }

@@ -9,7 +9,7 @@ use delphi::core::DelphiConfig;
 use delphi::crypto::signing::Verifier;
 use delphi::dora::{Certificate, DoraNode, SmrChannel};
 use delphi::primitives::{NodeId, Protocol};
-use delphi::sim::adversary::GarbageSpammer;
+use delphi::sim::adversary::Faulty;
 use delphi::sim::{Simulation, Topology};
 use delphi::workloads::{BtcFeed, BtcFeedConfig};
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let nodes: Vec<Box<dyn Protocol<Output = Certificate>>> = NodeId::all(n)
             .map(|id| {
                 if id == byzantine_garbage {
-                    Box::new(GarbageSpammer::new(id, n, 7, 2, 128, 100)) as Box<_>
+                    Box::new(Faulty::garbage(id, n, 7, 2, 128, 100)) as Box<_>
                 } else if id == byzantine_outlier {
                     DoraNode::new(cfg.clone(), id, quote.truth + 500.0, SEED).boxed()
                 } else {

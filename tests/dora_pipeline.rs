@@ -5,7 +5,7 @@ use delphi::core::DelphiConfig;
 use delphi::crypto::signing::Verifier;
 use delphi::dora::{Certificate, DoraNode, SmrChannel};
 use delphi::primitives::{NodeId, Protocol};
-use delphi::sim::adversary::{Crash, GarbageSpammer};
+use delphi::sim::adversary::Faulty;
 use delphi::sim::{Simulation, Topology};
 use delphi::workloads::{BtcFeed, BtcFeedConfig};
 
@@ -65,8 +65,8 @@ fn pipeline_tolerates_crash_and_garbage() {
     let faulty = [NodeId(0), NodeId(6), NodeId(9)];
     let nodes: Vec<Box<dyn Protocol<Output = Certificate>>> = NodeId::all(n)
         .map(|id| match id.index() {
-            0 => Box::new(Crash::new(id, n)) as Box<_>,
-            6 => Box::new(GarbageSpammer::new(id, n, 6, 2, 96, 80)) as Box<_>,
+            0 => Box::new(Faulty::crash(id, n)) as Box<_>,
+            6 => Box::new(Faulty::garbage(id, n, 6, 2, 96, 80)) as Box<_>,
             9 => DoraNode::new(cfg.clone(), id, 90_000.0, SEED).boxed(), // outlier
             _ => DoraNode::new(cfg.clone(), id, inputs[id.index()], SEED).boxed(),
         })

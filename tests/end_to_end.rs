@@ -3,7 +3,7 @@
 
 use delphi::core::{DelphiConfig, DelphiNode};
 use delphi::primitives::{NodeId, Protocol};
-use delphi::sim::adversary::{ByteMutator, Crash, GarbageSpammer, Replayer, SilentAfter};
+use delphi::sim::adversary::{ByteMutator, Faulty, SilentAfter};
 use delphi::sim::{judge, Simulation, StopReason, Topology};
 use delphi::workloads::{BtcFeed, BtcFeedConfig, DroneScenario, DroneScenarioConfig};
 
@@ -63,11 +63,11 @@ fn survives_maximum_fault_mix() {
     let faulty = [NodeId(1), NodeId(4), NodeId(7), NodeId(10)];
     let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
         .map(|id| match id.index() {
-            1 => Box::new(Crash::new(id, n)) as Box<_>,
-            4 => Box::new(GarbageSpammer::new(id, n, 44, 3, 256, 120)) as Box<_>,
+            1 => Box::new(Faulty::crash(id, n)) as Box<_>,
+            4 => Box::new(Faulty::garbage(id, n, 44, 3, 256, 120)) as Box<_>,
             7 => Box::new(ByteMutator::new(DelphiNode::new(cfg.clone(), id, base + 7.0), 7, 0.4))
                 as Box<_>,
-            10 => Box::new(Replayer::new(id, n, 200)) as Box<_>,
+            10 => Box::new(Faulty::replay(id, n, 200)) as Box<_>,
             _ => DelphiNode::new(cfg.clone(), id, inputs[id.index()]).boxed(),
         })
         .collect();
