@@ -23,24 +23,21 @@
 //! [`FeedState`] cache and [`SubscriberHub`], slot attestations minted
 //! per agreement, and (with [`api_bind`](ServiceBuilder::api_bind)) the
 //! HTTP server. [`build_service`](ServiceBuilder::build_service) stops at
-//! the sans-io [`OracleService`] for simulator runs. Per-asset and vector
-//! baskets are one service over one Delphi machine;
-//! [`vector_baskets`](ServiceBuilder::vector_baskets) picks how a basket
-//! maps onto instances.
+//! the sans-io [`OracleService`] for simulator runs, which maps the
+//! basket onto agreement instances by its size.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use delphi_core::oracle::PriceSource;
-use delphi_core::{DelphiConfig, OracleService};
+use delphi_core::{flatten_vector_events, DelphiConfig, OracleService};
 use delphi_crypto::Keychain;
 use delphi_net::{
     run_epoch_service, EpochServiceHandle, NetError, NetStats, RunOptions, ServiceStats,
 };
 use delphi_primitives::{
-    flatten_vector_events, EpochConfig, EpochEvent, EpochOutcome, EpochStats, FlushPolicy,
-    InstanceId, NodeId,
+    EpochConfig, EpochEvent, EpochOutcome, EpochStats, FlushPolicy, InstanceId, NodeId,
 };
 
 use crate::attest::QuorumSigner;
@@ -65,7 +62,6 @@ pub struct ServiceBuilder {
     flush: FlushPolicy,
     opts: RunOptions,
     api_bind: Option<SocketAddr>,
-    vector: bool,
 }
 
 impl ServiceBuilder {
@@ -79,7 +75,6 @@ impl ServiceBuilder {
             flush: FlushPolicy::PerStep,
             opts: RunOptions::default(),
             api_bind: None,
-            vector: false,
         }
     }
 
@@ -89,7 +84,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Basket size: independent agreements per epoch.
+    /// Basket size: agreements per epoch. The service maps the basket
+    /// onto agreement instances by its size (see
+    /// `delphi_core::oracle::VECTOR_BASKET_MIN`).
     pub fn assets(mut self, assets: u16) -> ServiceBuilder {
         self.shape.assets = assets;
         self
@@ -147,14 +144,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Run each epoch's basket as ONE vector-valued agreement instance
-    /// instead of [`assets`](ServiceBuilder::assets) independent scalar
-    /// instances. The basket exchanges a single bundle per round and
-    /// walks the quorum machinery once per round rather than once per
-    /// asset; readers see the same per-asset feed either way. Off by
-    /// default.
-    pub fn vector_baskets(mut self, vector: bool) -> ServiceBuilder {
-        self.vector = vector;
+    /// Does nothing: the basket size picks how a basket maps onto
+    /// agreement instances. The setter stays only because the frozen
+    /// wall-clock benchmark (`fig_e2e/src/sut.rs`) calls it.
+    pub fn vector_baskets(self, _vector: bool) -> ServiceBuilder {
         self
     }
 
@@ -164,20 +157,18 @@ impl ServiceBuilder {
     /// # Panics
     ///
     /// Panics on an invalid pipeline shape (zero epochs/assets/depth or
-    /// `window < depth`), `me` out of range, or — with
-    /// [`vector_baskets`](ServiceBuilder::vector_baskets) — a basket
-    /// larger than `MAX_VECTOR_DIMS`.
+    /// `window < depth`) or `me` out of range.
     pub fn build_service(self, source: PriceSource) -> OracleService {
         let EpochConfig { epochs, assets, depth, window } = self.shape;
         let shape = EpochConfig::new(epochs, assets, depth, window);
-        OracleService::from_parts(self.cfg, self.me, shape, self.flush, self.vector, source, None)
+        OracleService::from_parts(self.cfg, self.me, shape, self.flush, source)
     }
 
-    /// [`build_service`](ServiceBuilder::build_service) with
-    /// [`vector_baskets`](ServiceBuilder::vector_baskets) on, kept because
-    /// the wall-clock benchmark (`fig_e2e/src/sut.rs`) calls it.
+    /// [`build_service`](ServiceBuilder::build_service) under another
+    /// name, kept only because the frozen wall-clock benchmark
+    /// (`fig_e2e/src/sut.rs`) calls it.
     pub fn build_vector_service(self, source: PriceSource) -> OracleService {
-        self.vector_baskets(true).build_service(source)
+        self.build_service(source)
     }
 
     /// Runs the full node: the epoch stream over TCP against `addrs`,
@@ -222,9 +213,8 @@ impl ServiceBuilder {
             tokio::spawn(async move {
                 while let Some(event) = tail.recv().await {
                     // An epoch's instance outputs, concatenated, are its
-                    // assets in order — one value per instance per asset,
-                    // or one instance holding the whole basket — so
-                    // readers cannot tell which mode produced an update.
+                    // assets in order, whichever instances the basket
+                    // mapped onto.
                     let EpochOutcome::Agreed(slots) = event.outcome else { continue };
                     for (a, value) in slots.into_iter().flatten().enumerate() {
                         let (epoch, asset) = (event.epoch, InstanceId(a as u16));

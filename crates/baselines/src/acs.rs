@@ -129,17 +129,6 @@ impl AcsNode {
         Box::new(self)
     }
 
-    /// The agreed core-set values, once decided (sorted).
-    pub fn core_values(&self) -> Option<Vec<f64>> {
-        self.output?;
-        let mut vals: Vec<f64> = (0..self.n)
-            .filter(|&j| self.abas[j].decision() == Some(true))
-            .filter_map(|j| self.values[j])
-            .collect();
-        vals.sort_by(f64::total_cmp);
-        Some(vals)
-    }
-
     fn decode_value(payload: &Bytes) -> f64 {
         // RBC agreement gives all nodes identical bytes, so this mapping
         // (including the junk fallback) is common across honest nodes.
@@ -408,20 +397,6 @@ mod tests {
         assert_eq!(outs.len(), 5);
         assert!(outs.windows(2).all(|w| w[0] == w[1]));
         assert!((1.0..=5.0).contains(&outs[0]));
-    }
-
-    #[test]
-    fn core_values_exposed_after_decision() {
-        let inputs = [10.0, 20.0, 30.0, 40.0];
-        let n = 4;
-        let nodes: Vec<Box<dyn Protocol<Output = f64>>> = NodeId::all(n)
-            .map(|id| AcsNode::new(id, n, 1, inputs[id.index()], b"coin").boxed())
-            .collect();
-        let report = Simulation::new(Topology::lan(n)).seed(12).run(nodes);
-        assert!(report.all_honest_finished());
-        // Rebuild one node and check the accessor contract on a fresh one.
-        let fresh = AcsNode::new(NodeId(0), n, 1, 10.0, b"coin");
-        assert_eq!(fresh.core_values(), None);
     }
 
     proptest! {

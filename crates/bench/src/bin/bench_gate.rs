@@ -7,10 +7,11 @@
 //!            [--tolerance 0.30] [--no-normalize]
 //! ```
 //!
-//! By default the comparison is *normalized*: the median fresh/reference
-//! ratio across the suite is treated as the machine-speed factor, so a
-//! uniformly slower CI runner passes while a benchmark that regressed
-//! relative to the rest of the suite fails (see
+//! By default the comparison is *normalized*: each benchmark's
+//! machine-speed factor is the median fresh/reference ratio of the nine
+//! benchmarks around it in the fresh run's order, so a slower CI runner,
+//! or one whose speed drifts during the run, passes while a benchmark
+//! that regressed relative to its neighbours fails (see
 //! `delphi_bench::regression`). `--no-normalize` gives the plain
 //! ±tolerance check for same-machine comparisons.
 

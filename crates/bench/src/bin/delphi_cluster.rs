@@ -7,7 +7,7 @@
 //! delphi-cluster --config cluster.toml            # run an existing file
 //! delphi-cluster --n 4                            # generate localhost config
 //!                [--epochs 1] [--assets 1] [--unbatched | --adaptive]
-//!                [--vector] [--depth 2] [--window 6] [--quote-seed 7]
+//!                [--depth 2] [--window 6] [--quote-seed 7]
 //!                [--epsilon 2] [--deadline-ms 60000]
 //!                [--node-binary path/to/delphi-node]
 //! ```
@@ -23,10 +23,10 @@
 //! judge_cluster`): it exits non-zero unless every node reported the
 //! whole stream in order, every `(epoch, asset)` agreement is within ε
 //! across nodes, and every output lies within `max(ρ0, δ)` of its inputs'
-//! hull. `--vector` makes each epoch's basket ONE vector-valued
-//! agreement instance (one bundle exchange per round for the whole
-//! basket); the checks are unchanged because reports keep the per-asset
-//! agreement shape.
+//! hull. The basket size picks how each node maps a basket onto
+//! agreement instances (one per asset below three assets, one vector
+//! instance per 64 from there up); reports keep the per-asset agreement
+//! shape either way.
 //!
 //! Frames are flushed per protocol step by default; `--adaptive` batches
 //! across steps until a size trigger or an empty inbox, and `--unbatched`
@@ -98,7 +98,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Mesh, ClusterRu
                 spec.window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?;
             }
             "--adaptive" => spec.adaptive = true,
-            "--vector" => spec.vector = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -144,11 +143,10 @@ fn main() -> ExitCode {
         _ => "per-step flushing",
     };
     println!(
-        "launching cluster from {} ({} epochs x {} assets ({}), depth {}, window {}, {flush})",
+        "launching cluster from {} ({} epochs x {} assets, depth {}, window {}, {flush})",
         spec.config.display(),
         spec.epochs,
         spec.assets,
-        if spec.vector { "one vector instance per epoch" } else { "per-asset instances" },
         spec.depth,
         spec.window,
     );

@@ -11,7 +11,7 @@
 //! ```text
 //! delphi-node --config cluster.toml --id 2
 //!             [--epochs 1] [--assets 1] [--quote-seed 7]
-//!             [--unbatched | --adaptive] [--vector]
+//!             [--unbatched | --adaptive]
 //!             [--depth 2] [--window 6] [--deadline-ms 60000]
 //!             [--rho0 2] [--epsilon 2] [--delta-max 2000]
 //!             [--api-bind 127.0.0.1:8080]
@@ -32,12 +32,11 @@
 //! the measurement baseline of one frame and one HMAC per envelope (the
 //! two flags exclude each other).
 //!
-//! `--vector` runs each epoch's basket as ONE vector-valued agreement
-//! instance — a single bundle exchange and one quorum walk per round for
-//! the whole basket, of at most 64 assets — instead of `--assets`
-//! independent scalar instances. Agreements in the report keep the same
-//! `(epoch, asset, value)` shape; the `vector_instances` counter in
-//! `stats` marks the mode.
+//! The basket size picks how the basket maps onto agreement instances
+//! (`delphi_core::oracle::VECTOR_BASKET_MIN`): one instance per asset
+//! below three assets, one vector-valued instance per 64 assets from
+//! there up. Agreements in the report keep the `(epoch, asset, value)`
+//! shape either way.
 //!
 //! `--api-bind ADDR` additionally serves the read-side HTTP API on `ADDR`
 //! — snapshots, history, subscriptions, and signed attestations — off the
@@ -52,14 +51,11 @@ use std::time::{Duration, Instant};
 use delphi_api::ServiceBuilder;
 use delphi_bench::cluster::{epoch_basket, NODE_RHO0};
 use delphi_bench::feed_price_source;
-use delphi_core::{DelphiConfig, VectorDelphiNode};
+use delphi_core::{flatten_vector_events, DelphiConfig, VectorDelphiNode};
 use delphi_net::cluster::NodeReport;
 use delphi_net::config::ClusterConfig;
 use delphi_net::{run_epoch_service, FlushPolicy, NetStats, RunOptions};
-use delphi_primitives::wire::MAX_VECTOR_DIMS;
-use delphi_primitives::{
-    flatten_vector_events, EpochEvent, EpochOutcome, EpochProtocol, EpochStats,
-};
+use delphi_primitives::{EpochEvent, EpochOutcome, EpochProtocol, EpochStats};
 use delphi_workloads::EpochFeed;
 
 #[derive(Debug)]
@@ -76,7 +72,6 @@ struct Args {
     epochs: NonZeroU32,
     depth: usize,
     window: usize,
-    vector: bool,
     api_bind: Option<std::net::SocketAddr>,
 }
 
@@ -95,7 +90,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut depth = 2usize;
     let mut window = 6usize;
     let mut adaptive = false;
-    let mut vector = false;
     let mut api_bind = None;
 
     let mut args = args.into_iter();
@@ -138,16 +132,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?;
             }
             "--adaptive" => adaptive = true,
-            "--vector" => vector = true,
             "--api-bind" => {
                 api_bind =
                     Some(value("--api-bind")?.parse().map_err(|e| format!("--api-bind: {e}"))?);
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    if vector && assets.get() > MAX_VECTOR_DIMS {
-        return Err(format!("--vector takes at most {MAX_VECTOR_DIMS} assets"));
     }
     if depth == 0 || window < depth {
         return Err("--depth must be at least 1 and --window at least --depth".to_string());
@@ -171,7 +161,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         epochs,
         depth,
         window,
-        vector,
         api_bind,
     })
 }
@@ -244,8 +233,7 @@ async fn run(args: Args) -> Result<NodeReport, String> {
         .pipeline_depth(args.depth)
         .window(args.window)
         .flush(args.flush)
-        .deadline(deadline)
-        .vector_baskets(args.vector);
+        .deadline(deadline);
     let source = feed_price_source(feed, me, n);
     let (events, epoch_stats, stats, (threads, switches)) = match args.api_bind {
         Some(bind) => {
@@ -324,6 +312,7 @@ async fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delphi_primitives::wire::MAX_VECTOR_DIMS;
 
     fn parse(flags: &[&str]) -> Result<Args, String> {
         let base = ["--config", "cluster.toml", "--id", "0"];
@@ -334,7 +323,6 @@ mod tests {
     fn defaults_to_a_one_epoch_stream_of_one_asset() {
         let args = parse(&[]).unwrap();
         assert_eq!((args.epochs.get(), args.assets.get()), (1, 1));
-        assert!(!args.vector);
     }
 
     #[test]
@@ -359,13 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn vector_basket_beyond_max_dims_is_a_cli_error() {
-        let max = MAX_VECTOR_DIMS.to_string();
-        assert_eq!(parse(&["--vector", "--assets", &max]).unwrap().assets.get(), MAX_VECTOR_DIMS);
+    fn baskets_wider_than_one_vector_instance_parse() {
+        // A basket wider than one vector instance runs as several.
         let over = (MAX_VECTOR_DIMS + 1).to_string();
-        let err = parse(&["--vector", "--assets", &over]).unwrap_err();
-        assert!(err.contains("--vector"), "{err}");
-        // Scalar baskets are not bounded by the vector width.
         assert_eq!(parse(&["--assets", &over]).unwrap().assets.get(), MAX_VECTOR_DIMS + 1);
     }
 }

@@ -172,17 +172,16 @@ fn main() {
     );
 
     // A DORA-style deployment agrees on a whole basket per epoch; batching
-    // frames across the basket on the one mesh is where the transport
-    // saves. One epoch, one frame per entry vs adaptive flushing.
+    // its entries into shared frames is where the transport saves. One
+    // epoch, one frame per entry vs adaptive flushing.
     let ma_n = ns[0];
     let basket = MultiAssetConfig::default_basket();
     let assets = basket.assets.len();
     let cfg = oracle_config(ma_n, 2.0);
     let feed = EpochFeed::new(basket, 6105);
     let one_epoch = EpochConfig::new(1, assets as u16, 1, 1);
-    let run = |flush| {
-        run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105, false)
-    };
+    let run =
+        |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::aws_geo(ma_n), 6105);
     let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
     println!(
         "\nmulti-asset deployment ({assets} feeds, n = {ma_n}, one epoch), per-entry vs adaptive:"

@@ -127,17 +127,9 @@ fn main() {
                 FlushPolicy::PerStep,
                 Topology::aws_geo(n),
                 seed,
-                false,
             );
-            let adpt = run_epoch_delphi(
-                &cfg,
-                &feed,
-                epoch_cfg,
-                ADAPTIVE,
-                Topology::aws_geo(n),
-                seed,
-                false,
-            );
+            let adpt =
+                run_epoch_delphi(&cfg, &feed, epoch_cfg, ADAPTIVE, Topology::aws_geo(n), seed);
             for (label, p) in [("step", &step), ("adaptive", &adpt)] {
                 assert_eq!(p.stale_epochs, 0, "honest sweep must not skip epochs ({label})");
                 assert!(p.peak_resident <= window, "live-window bound violated ({label})");
@@ -181,8 +173,7 @@ fn main() {
     );
     let cps_feed = EpochFeed::new(MultiAssetConfig::synthetic(cps_basket), 11);
     let cps_cfg = EpochConfig::new(cps_epochs, cps_basket as u16, cps_depth, cps_depth + 4);
-    let point =
-        run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001, false);
+    let point = run_epoch_delphi(&cfg, &cps_feed, cps_cfg, ADAPTIVE, Topology::cps(n, n), 9_001);
     assert_eq!(point.stale_epochs, 0, "honest CPS run must not skip epochs");
     let id = |metric: &str| format!("fig_throughput/k{cps_basket}_d{cps_depth}_s1_cps_{metric}");
     emit_bench_json(
@@ -196,75 +187,6 @@ fn main() {
         point.throughput.agreements_per_sec(),
         point.throughput.bytes_per_agreement(),
         point.throughput.frames_per_agreement(),
-    );
-
-    // Vector-vs-scalar sweep: each epoch's basket as ONE vector-valued
-    // agreement instance (one bundle exchange and one quorum walk per
-    // round for the whole basket) against the per-asset scalar baseline,
-    // on the same feed/seed/testbed. Runs identically in --quick and full
-    // mode so the recorded rows are stable. "macs/agr" is frames per
-    // agreement: the TCP runtime HMACs each frame exactly once, so the
-    // simulator's frame count is its MAC count. "rounds/agr" comes from
-    // the shared round probe: a scalar basket walks `(l_max+1)·r_max`
-    // rounds per *asset*, a vector basket walks them once per epoch.
-    let vec_epochs: u32 = 10;
-    let vec_depth: usize = 2;
-    println!(
-        "\n== Vector vs scalar baskets: n = {n}, {vec_epochs} epochs, depth {vec_depth}, CPS \
-         testbed, adaptive flushing — one vector instance per epoch vs one scalar instance per \
-         asset ==\n"
-    );
-    let mut vector_table =
-        TextTable::new(&["assets", "lane", "entries/agr", "macs/agr", "rounds/agr"]);
-    let mut at8 = None;
-    for &k in &[1usize, 4, 8] {
-        let feed = EpochFeed::new(MultiAssetConfig::synthetic(k), 13);
-        let vec_cfg = EpochConfig::new(vec_epochs, k as u16, vec_depth, vec_depth + 4);
-        let seed = 11_000 + k as u64;
-        let scalar =
-            run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed, false);
-        let vector =
-            run_epoch_delphi(&cfg, &feed, vec_cfg, ADAPTIVE, Topology::cps(n, n), seed, true);
-        for (lane, p) in [("scalar", &scalar), ("vector", &vector)] {
-            assert_eq!(p.stale_epochs, 0, "honest vector sweep must not skip epochs ({lane})");
-            assert_eq!(
-                p.throughput.agreements,
-                u64::from(vec_epochs) * k as u64,
-                "every (epoch, dimension) pair must agree ({lane}, k={k})"
-            );
-            let agr = p.throughput.agreements as f64;
-            let id = |metric: &str| format!("fig_throughput/vector_k{k}_{lane}_{metric}");
-            emit_bench_json(&id("entries_per_agreement"), p.sent_entries as f64 / agr);
-            emit_bench_json(&id("macs_per_agreement"), p.throughput.frames_per_agreement());
-            emit_bench_json(&id("rounds_per_agreement"), p.rounds as f64 / agr);
-            vector_table.row(&[
-                k.to_string(),
-                lane.to_string(),
-                format!("{:.1}", p.sent_entries as f64 / agr),
-                format!("{:.1}", p.throughput.frames_per_agreement()),
-                format!("{:.1}", p.rounds as f64 / agr),
-            ]);
-        }
-        if k == 8 {
-            at8 = Some((scalar, vector));
-        }
-        eprintln!("  vector-vs-scalar k={k} done");
-    }
-    println!("{}", vector_table.render());
-    let (s8, v8) = at8.expect("sweep covered basket 8");
-    let entries_ratio = (s8.sent_entries as f64) / (v8.sent_entries as f64);
-    let rounds_ratio = (s8.rounds as f64) / (v8.rounds as f64);
-    println!(
-        "vector basket 8: x{entries_ratio:.2} fewer wire entries/agreement, x{rounds_ratio:.2} \
-         fewer rounds/agreement vs per-asset scalar"
-    );
-    assert!(
-        entries_ratio >= 3.0,
-        "vector basket 8 must cut wire entries per agreement >= 3x: x{entries_ratio:.2}"
-    );
-    assert!(
-        rounds_ratio >= 2.0,
-        "vector basket 8 must cut rounds per agreement >= 2x: x{rounds_ratio:.2}"
     );
 
     let (step, adpt) = headline.expect("sweep covered the headline cell");

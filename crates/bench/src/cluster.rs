@@ -49,7 +49,7 @@ pub struct ClusterRunSpec {
     pub node_binary: Option<PathBuf>,
     /// Shared seed for the deterministic per-node inputs.
     pub quote_seed: u64,
-    /// Independent Delphi instances (assets) multiplexed per node.
+    /// Basket size: agreements per epoch.
     pub assets: u16,
     /// One frame per envelope (`--unbatched`); excludes `adaptive`.
     pub unbatched: bool,
@@ -65,8 +65,6 @@ pub struct ClusterRunSpec {
     pub window: usize,
     /// Adaptive batch flushing (size triggers, empty inbox), not per-step.
     pub adaptive: bool,
-    /// Each epoch's basket as one vector-valued instance, not per asset.
-    pub vector: bool,
 }
 
 impl ClusterRunSpec {
@@ -84,7 +82,6 @@ impl ClusterRunSpec {
             depth: 2,
             window: 6,
             adaptive: false,
-            vector: false,
         }
     }
 
@@ -126,8 +123,7 @@ pub fn node_args(spec: &ClusterRunSpec) -> Vec<String> {
         ("--depth", spec.depth.to_string()),
         ("--window", spec.window.to_string()),
     ];
-    let flags =
-        [("--vector", spec.vector), ("--adaptive", spec.adaptive), ("--unbatched", spec.unbatched)];
+    let flags = [("--adaptive", spec.adaptive), ("--unbatched", spec.unbatched)];
     let values = values.into_iter().flat_map(|(flag, value)| [flag.to_string(), value]);
     values.chain(flags.into_iter().filter(|f| f.1).map(|f| f.0.to_string())).collect()
 }
@@ -197,8 +193,7 @@ pub fn judge_cluster(outcome: &ClusterOutcome, spec: &ClusterRunSpec) -> Result<
 }
 
 /// Renders a one-line summary of a finished cluster run with its
-/// `verdict` from [`judge_cluster`]. Vector-mode runs get their basket
-/// count appended, so smoke logs show the mode actually ran.
+/// `verdict` from [`judge_cluster`].
 pub fn summarize(
     outcome: &ClusterOutcome,
     spec: &ClusterRunSpec,
@@ -213,16 +208,11 @@ pub fn summarize(
     let secs = outcome.max_elapsed_ms() / 1e3;
     let agreements = outcome.agreements();
     let shared = 1.0 - total.body_hashes as f64 / total.sent_tags.max(1) as f64;
-    let vector = if total.vector_instances > 0 {
-        format!(" | vector baskets: {} instances", total.vector_instances)
-    } else {
-        String::new()
-    };
     format!(
         "{} nodes | {agreements} agreements per node (expected {expected}) | {verdict} (eps = \
          {}$, rho0 = {NODE_RHO0}$) | {:.1} agreements/s | {} threads/node | {:.0} ctxt \
          switches/agreement | {:.0} wire B/agreement | {:.2} frames/agreement | {shared:.3} of \
-         frames shared a body hash | {} late entries{vector}",
+         frames shared a body hash | {} late entries",
         outcome.reports.len(),
         spec.epsilon,
         if secs > 0.0 { agreements as f64 / secs } else { 0.0 },

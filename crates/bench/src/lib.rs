@@ -139,10 +139,6 @@ pub struct EpochSimPoint {
     pub peak_resident: usize,
     /// Epochs any node skipped (0 in honest runs).
     pub stale_epochs: u64,
-    /// Protocol rounds advanced across all nodes (from the shared round
-    /// probe): a scalar basket pays `(l_max+1)·r_max` per *asset* per
-    /// epoch, a vector basket pays it once per epoch.
-    pub rounds: u64,
 }
 
 /// Builds node `me`'s streaming price source over `feed`, caching one
@@ -212,10 +208,8 @@ impl Protocol for ProbedOracle {
 /// Runs a streaming-oracle minute sweep in the simulator: `n` nodes agree
 /// on the basket `feed` quotes, `epochs` consecutive times, `depth` epochs
 /// in flight under a `window`-epoch live window, ticked every `max_delay`
-/// of an adaptive `flush`. With `vector`, each epoch's basket is ONE
-/// vector-valued instance (one bundle exchange and one quorum walk per
-/// round for the whole basket), its events flattened to the per-asset
-/// shape, so both lanes are measured and judged alike.
+/// of an adaptive `flush`. The oracle maps each basket onto agreement
+/// instances by its size; its events come back in the per-asset shape.
 ///
 /// # Panics
 ///
@@ -229,26 +223,15 @@ pub fn run_epoch_delphi(
     flush: FlushPolicy,
     topology: Topology,
     seed: u64,
-    vector: bool,
 ) -> EpochSimPoint {
     let n = cfg.n();
     let assets = feed.assets();
     assert_eq!(usize::from(epoch_cfg.assets), assets, "epoch config vs basket size");
     let mut probes = Vec::with_capacity(n);
-    let mut round_probes = Vec::with_capacity(n);
     let nodes: Vec<Box<dyn Protocol<Output = Vec<EpochEvent<f64>>>>> = NodeId::all(n)
         .map(|id| {
-            let rounds = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-            round_probes.push(rounds.clone());
-            let inner = OracleService::from_parts(
-                cfg.clone(),
-                id,
-                epoch_cfg,
-                flush,
-                vector,
-                feed_price_source(feed.clone(), id, n),
-                Some(rounds),
-            );
+            let source = feed_price_source(feed.clone(), id, n);
+            let inner = OracleService::from_parts(cfg.clone(), id, epoch_cfg, flush, source);
             let probe = std::sync::Arc::new(std::sync::Mutex::new(EpochStats::default()));
             probes.push(probe.clone());
             Box::new(ProbedOracle { inner, probe })
@@ -275,7 +258,6 @@ pub fn run_epoch_delphi(
         sent_entries: data.iter().map(|d| d.sent_entries).sum(),
         peak_resident: data.iter().map(|d| d.peak_resident).max().unwrap_or(0),
         stale_epochs: data.iter().map(|d| d.stale_epochs).sum(),
-        rounds: round_probes.iter().map(|r| r.load(std::sync::atomic::Ordering::Relaxed)).sum(),
     }
 }
 
@@ -457,17 +439,16 @@ mod tests {
 
     #[test]
     fn multi_asset_runner_batches_and_agrees() {
-        // A one-epoch basket of three over one mesh, flushed one frame per
-        // entry and adaptively: every asset agrees either way, and
-        // adaptive batching spends fewer frames and wire bytes.
+        // A one-epoch basket of two (two instances) over one mesh, flushed
+        // one frame per entry and adaptively: every asset agrees either
+        // way, and adaptive batching spends fewer frames and wire bytes.
         let cfg = oracle_config(4, 10.0);
-        let feed = EpochFeed::new(MultiAssetConfig::synthetic(3), 5);
-        let one_epoch = EpochConfig::new(1, 3, 1, 1);
-        let run =
-            |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5, false);
+        let feed = EpochFeed::new(MultiAssetConfig::synthetic(2), 5);
+        let one_epoch = EpochConfig::new(1, 2, 1, 1);
+        let run = |flush| run_epoch_delphi(&cfg, &feed, one_epoch, flush, Topology::lan(4), 5);
         let (per_entry, adaptive) = (run(FlushPolicy::PerEntry), run(FlushPolicy::adaptive()));
         for p in [&per_entry, &adaptive] {
-            assert_eq!(p.throughput.agreements, 3, "one epoch x 3 assets");
+            assert_eq!(p.throughput.agreements, 2, "one epoch x 2 assets");
             assert!(p.worst_spread <= cfg.epsilon() + 1e-9, "spread {}", p.worst_spread);
         }
         assert_eq!(per_entry.throughput.frames, per_entry.sent_entries, "one frame per entry");
@@ -491,24 +472,10 @@ mod tests {
         let cfg = oracle_config(4, 2.0);
         let feed = EpochFeed::new(MultiAssetConfig::synthetic(2), 3);
         let epoch_cfg = EpochConfig::new(6, 2, 2, 4);
-        let step = run_epoch_delphi(
-            &cfg,
-            &feed,
-            epoch_cfg,
-            FlushPolicy::PerStep,
-            Topology::lan(4),
-            1,
-            false,
-        );
-        let adpt = run_epoch_delphi(
-            &cfg,
-            &feed,
-            epoch_cfg,
-            FlushPolicy::adaptive(),
-            Topology::lan(4),
-            1,
-            false,
-        );
+        let step =
+            run_epoch_delphi(&cfg, &feed, epoch_cfg, FlushPolicy::PerStep, Topology::lan(4), 1);
+        let adpt =
+            run_epoch_delphi(&cfg, &feed, epoch_cfg, FlushPolicy::adaptive(), Topology::lan(4), 1);
         for p in [&step, &adpt] {
             assert_eq!(p.throughput.agreements, 12, "6 epochs x 2 assets");
             assert!(p.worst_spread <= cfg.epsilon() + 1e-9, "spread {}", p.worst_spread);

@@ -5,8 +5,9 @@
 //! (`{"id":…,"median_ns":…}`); the reference files (`BENCH_micro.json`,
 //! `BENCH_protocols.json`, `BENCH_ablation.json` at the workspace root)
 //! were recorded on the reference machine. Because CI runners differ in
-//! absolute speed, the gate supports *normalized* comparison: the median
-//! of all per-benchmark ratios is taken as the machine-speed factor, and a
+//! absolute speed, and drift within a run, the gate supports *normalized*
+//! comparison: the median ratio of the [`FACTOR_WINDOW`] benchmarks
+//! around each one in run order is its machine-speed factor, and a
 //! benchmark regresses only if it is more than the tolerance slower than
 //! that factor predicts. On the reference machine itself the factor is
 //! ≈ 1 and the gate degrades to a plain ±tolerance check.
@@ -76,7 +77,7 @@ pub struct Verdict {
 pub struct GateReport {
     /// Per-benchmark verdicts, reference order.
     pub verdicts: Vec<Verdict>,
-    /// The machine-speed factor divided out (1.0 when normalization is
+    /// The suite's median machine-speed factor (1.0 when normalization is
     /// off or no benchmark overlaps).
     pub speed_factor: f64,
     /// The tolerance the gate ran with.
@@ -135,16 +136,21 @@ impl fmt::Display for GateReport {
 /// negligible against µs-scale references.
 pub const ABSOLUTE_SLACK_NS: f64 = 5.0;
 
+/// Benchmarks, one and its neighbours in run order, whose median ratio is
+/// its machine-speed factor: drift moves only the rows it slowed.
+pub const FACTOR_WINDOW: usize = 9;
+
 /// Compares `fresh` against `reference` with a relative `tolerance`
 /// (0.30 = ±30%).
 ///
-/// With `normalize` on, every ratio is divided by the median ratio across
-/// all overlapping benchmarks before the tolerance check, so a uniformly
-/// slower (or faster) machine does not trip the gate — only benchmarks
-/// that regressed *relative to the rest of the suite* do. A reference id
-/// missing from the fresh run always fails (renames must refresh the
-/// reference file). Fresh-only ids are ignored: new benchmarks land in
-/// the reference on their own PR.
+/// With `normalize` on, every ratio is divided by the median ratio of the
+/// [`FACTOR_WINDOW`] overlapping benchmarks around it in the fresh run's
+/// order (or of the suite, when fewer overlap) before the tolerance
+/// check, so a slower machine, or one whose speed drifts during the run,
+/// does not trip the gate — only benchmarks that regressed *relative to
+/// their neighbours* do. A reference id missing from the fresh run always
+/// fails (renames must refresh the reference file). Fresh-only ids are
+/// ignored: new benchmarks land in the reference on their own PR.
 pub fn compare(
     reference: &[BenchRecord],
     fresh: &[BenchRecord],
@@ -152,21 +158,36 @@ pub fn compare(
     normalize: bool,
 ) -> GateReport {
     let fresh_of = |id: &str| fresh.iter().find(|r| r.id == id).map(|r| r.median_ns);
-    let mut ratios: Vec<f64> = reference
+    // The overlapping benchmarks' ratios, in run order.
+    let run: Vec<(&str, f64)> = fresh
         .iter()
-        .filter_map(|r| fresh_of(&r.id).map(|f| f / r.median_ns))
-        .filter(|r| r.is_finite() && *r > 0.0)
+        .filter_map(|f| {
+            let ratio = f.median_ns / reference.iter().find(|r| r.id == f.id)?.median_ns;
+            (ratio.is_finite() && ratio > 0.0).then_some((f.id.as_str(), ratio))
+        })
         .collect();
-    ratios.sort_by(f64::total_cmp);
-    let speed_factor = if normalize && !ratios.is_empty() { ratios[ratios.len() / 2] } else { 1.0 };
+    let median = |rows: &[(&str, f64)]| {
+        let mut ratios: Vec<f64> = rows.iter().map(|&(_, ratio)| ratio).collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios.get(ratios.len() / 2).copied().filter(|_| normalize).unwrap_or(1.0)
+    };
+    let speed_factor = median(&run);
+    let factor_of = |id: &str| match run.iter().position(|&(row, _)| row == id) {
+        Some(at) if run.len() >= FACTOR_WINDOW => {
+            let start = at.saturating_sub(FACTOR_WINDOW / 2).min(run.len() - FACTOR_WINDOW);
+            median(run.get(start..start + FACTOR_WINDOW).unwrap_or_default())
+        }
+        _ => speed_factor,
+    };
 
     let verdicts = reference
         .iter()
         .map(|r| {
             let fresh_ns = fresh_of(&r.id);
-            let ratio = fresh_ns.map(|f| f / r.median_ns / speed_factor);
+            let factor = factor_of(&r.id);
+            let ratio = fresh_ns.map(|f| f / r.median_ns / factor);
             let regressed = match fresh_ns {
-                Some(f) => f > r.median_ns * speed_factor * (1.0 + tolerance) + ABSOLUTE_SLACK_NS,
+                Some(f) => f > r.median_ns * factor * (1.0 + tolerance) + ABSOLUTE_SLACK_NS,
                 None => true,
             };
             Verdict { id: r.id.clone(), reference_ns: r.median_ns, fresh_ns, ratio, regressed }
@@ -287,6 +308,47 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("a"), "{text}");
         assert!(text.contains("MISSING"), "{text}");
+    }
+
+    /// A twenty-row suite and a fresh run of it whose host drifts: rows
+    /// past the tenth ran on a host 0.7× as slow as before.
+    fn drifting_run() -> (Vec<BenchRecord>, Vec<BenchRecord>) {
+        let reference: Vec<BenchRecord> =
+            (0..20).map(|i| rec(&format!("row{i}"), 100.0 * f64::from(i + 1))).collect();
+        let fresh = reference
+            .iter()
+            .zip(0..)
+            .map(|(r, i)| rec(&r.id, r.median_ns * if i < 10 { 1.0 } else { 0.7 }))
+            .collect();
+        (reference, fresh)
+    }
+
+    #[test]
+    fn a_run_whose_host_speeds_up_halfway_passes() {
+        let (reference, fresh) = drifting_run();
+        let report = compare(&reference, &fresh, 0.30, true);
+        assert!(!report.failed(), "{report}");
+        for ratio in report.verdicts.iter().map(|v| v.ratio.expect("fresh")) {
+            assert!((ratio - 1.0).abs() < 1e-9, "{report}");
+        }
+    }
+
+    #[test]
+    fn a_slowdown_on_one_row_of_a_drifting_run_still_fails() {
+        // Row 14 ran 30 % slower than its neighbours: against the suite
+        // median (1.0) it reads 0.91 and would hide, against its own
+        // neighbourhood (0.7) it reads 1.3 — beyond a 20 % band.
+        let (reference, mut fresh) = drifting_run();
+        fresh[14].median_ns *= 1.3;
+        let report = compare(&reference, &fresh, 0.20, true);
+        let ids: Vec<&str> = report.regressions().map(|v| v.id.as_str()).collect();
+        assert_eq!(ids, ["row14"], "{report}");
+        // The same slowdown early in the run, where the factor is 1.0.
+        let (reference, mut fresh) = drifting_run();
+        fresh[2].median_ns *= 1.3;
+        let ids: Vec<String> =
+            compare(&reference, &fresh, 0.20, true).regressions().map(|v| v.id.clone()).collect();
+        assert_eq!(ids, ["row2"]);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! It is configured from plain numbers — the system size, the basket
 //! size, `r_max` and each level's checkpoint range — and speaks only
-//! bytes, as a [`Forge`]: handed what a faulty node heard, it answers what
+//! bytes: handed what a faulty node heard, [`Forger::forge`] answers what
 //! to send. The plan tests call one forger for all their faulty nodes;
 //! the simulator runs `t` [`Faulty`] nodes, one forger each.
 
 use bytes::Bytes;
 use delphi_primitives::wire::VectorValue;
-use delphi_sim::adversary::{Faulty, Forge};
+use delphi_sim::adversary::Faulty;
 use delphi_sim::{judge, Simulation, Topology};
 
 use super::tests::small_cfg;
@@ -44,7 +44,8 @@ pub(super) const ATTACKS: [Attack; 6] = [
 ];
 
 /// Bundles a forger forges, one per message heard and one at start: then
-/// the faulty nodes stop, so every run ends.
+/// the faulty nodes stop, so every run ends. The forger keeps this budget
+/// itself because the plan tests call it without a [`Faulty`] node.
 const BUDGET: usize = 60;
 
 pub(super) struct Forger {
@@ -66,10 +67,10 @@ impl Forger {
         let (n, r_max) = (cfg.n(), cfg.r_max());
         Forger { attack, n, dims, r_max, ranges, rng: SplitMix(seed), budget: BUDGET }
     }
-}
 
-impl Forge for Forger {
-    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> {
+    /// The messages to send having heard `heard` (`None` at start), each
+    /// with its recipient (`None` naming everyone).
+    pub(super) fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> {
         if self.budget == 0 {
             return Vec::new();
         }
@@ -125,10 +126,6 @@ impl Forge for Forger {
                 tampered.map(|bytes| (None, bytes)).into_iter().collect()
             }
         }
-    }
-
-    fn spent(&self) -> bool {
-        self.budget == 0
     }
 }
 
@@ -244,8 +241,9 @@ fn simulate(attack: Attack, n: usize, dims: usize, seed: u64) -> usize {
     let nodes = NodeId::all(n).map(|id| match inputs.get(id.index()) {
         Some(input) => VectorDelphiNode::new(cfg.clone(), id, input).boxed(),
         None => {
-            let forger = Forger::of(&cfg, attack, dims, seed ^ u64::from(id.0));
-            Box::new(Faulty::new(id, n, forger)) as Box<dyn Protocol<Output = Vec<f64>>>
+            let mut forger = Forger::of(&cfg, attack, dims, seed ^ u64::from(id.0));
+            let forge = move |heard: Option<&[u8]>| forger.forge(heard);
+            Box::new(Faulty::new(id, n, forge)) as Box<dyn Protocol<Output = Vec<f64>>>
         }
     });
     let faulty: Vec<NodeId> = (honest..n).map(|i| NodeId(i as u16)).collect();

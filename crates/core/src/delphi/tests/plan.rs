@@ -15,7 +15,6 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use delphi_sim::adversary::Forge;
 use proptest::prelude::*;
 
 use super::forger::{every, inputs, judge_decided, Attack, Forger, SplitMix, ATTACKS};

@@ -71,5 +71,5 @@ pub use binaa::BinAaNode;
 pub use bundle::{BasketBundleRef, BundleArena, BundleRef, DelphiBundleRef, FlatSection};
 pub use delphi::{DelphiNode, VectorDelphiNode};
 pub use messages::{BasketBundle, BasketSection, BinAaMsg, EchoKind};
-pub use oracle::{OracleService, PriceSource};
+pub use oracle::{flatten_vector_events, OracleService, PriceSource};
 pub use params::{ConfigError, DelphiConfig, DelphiConfigBuilder, InputRule};

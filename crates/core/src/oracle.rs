@@ -4,10 +4,9 @@
 //! agreement — it is an oracle that agrees on fresh prices round after
 //! round over the same node set. [`OracleService`] is that driver: it
 //! binds the epoch pipeline of `delphi-primitives` to the Delphi machine
-//! ([`VectorDelphiNode`]), spawning either one instance per `(epoch,
-//! asset)` pair over a basket of one, or one instance per epoch over the
-//! whole basket, from a streaming price source, and emitting a strictly
-//! epoch-ordered stream of agreements.
+//! ([`VectorDelphiNode`]), maps each epoch's basket onto instances by its
+//! size — the one place that knows what a basket is — and emits a
+//! strictly epoch-ordered stream of per-asset agreements.
 //!
 //! The service is sans-io like everything else in this workspace: run it
 //! under the discrete-event simulator (it implements [`Protocol`]), or
@@ -15,12 +14,9 @@
 //! `run_epoch_service` for a real TCP deployment via
 //! [`OracleService::into_node`].
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
 use delphi_primitives::wire::MAX_VECTOR_DIMS;
 use delphi_primitives::{
-    flatten_vector_events, Envelope, EpochConfig, EpochEvent, EpochId, EpochProtocol, EpochStats,
+    Envelope, EpochConfig, EpochEvent, EpochId, EpochOutcome, EpochProtocol, EpochStats,
     FlushPolicy, InstanceId, NodeId, Protocol,
 };
 
@@ -35,21 +31,33 @@ use crate::params::DelphiConfig;
 /// the same quote without any distribution step.
 pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 
+/// Baskets this large run as vector instances of up to
+/// [`MAX_VECTOR_DIMS`] consecutive assets each, smaller ones as one
+/// instance per asset. Measured with `fig_e2e` (n = 16 sans-io, n = 4 over
+/// TCP), one vector instance sent 12 % more bytes per agreement than
+/// scalar instances at two assets, 6 % fewer at three and 13 % at four.
+pub const VECTOR_BASKET_MIN: u16 = 3;
+
+/// Joins each epoch's instance outputs, which cover consecutive runs of
+/// its basket, into every asset's value in asset order.
+pub fn flatten_vector_events<O>(events: Vec<EpochEvent<Vec<O>>>) -> Vec<EpochEvent<O>> {
+    let join = |outcome| match outcome {
+        EpochOutcome::Agreed(outs) => EpochOutcome::Agreed(outs.into_iter().flatten().collect()),
+        EpochOutcome::Skipped => EpochOutcome::Skipped,
+    };
+    events.into_iter().map(|e| EpochEvent { epoch: e.epoch, outcome: join(e.outcome) }).collect()
+}
+
 /// A long-lived Delphi oracle: one agreement per `(epoch, asset)` pair,
 /// pipelined under a bounded live window.
 ///
-/// Two mappings of a basket onto agreement instances, one machine:
-///
-/// - **per asset** — one [`VectorDelphiNode`] over a basket of one per
-///   `(epoch, asset)` pair: the scalar protocol of the paper;
-/// - **vector** — one [`VectorDelphiNode`] per epoch whose basket covers
-///   every asset. The epoch layer sees one instance (asset 0 on the
-///   wire): an ~basket-size reduction in sections, wire entries and BinAA
-///   rounds per agreement, traded for lock-step dimensions.
-///
-/// Either way the stream is flattened to one [`EpochEvent`] per epoch with
-/// every asset's value in asset order, so consumers — and the throughput
-/// accounting built on it — count one agreement per `(epoch, asset)`.
+/// Each epoch's basket runs as [`VectorDelphiNode`] instances over
+/// consecutive runs of its assets: one per asset below
+/// [`VECTOR_BASKET_MIN`] assets (the scalar protocol of the paper), one
+/// per [`MAX_VECTOR_DIMS`] from there up, trading lock-step dimensions for
+/// ~basket-size fewer sections, wire entries and BinAA rounds. The stream
+/// is joined to one [`EpochEvent`] per epoch with every asset's value in
+/// asset order, so consumers count one agreement per `(epoch, asset)`.
 ///
 /// The blessed way to construct one is `delphi_api::ServiceBuilder`
 /// (re-exported from the umbrella `delphi` crate), which also wires the
@@ -66,8 +74,7 @@ pub type PriceSource = Box<dyn FnMut(EpochId, InstanceId) -> f64 + Send>;
 ///     .delta_max(8.0).epsilon(1.0).build().unwrap();
 /// let epochs = EpochConfig::new(5, 2, 2, 4);
 /// let source: PriceSource = Box::new(|e, a| 50.0 + f64::from(e.0) + f64::from(a.0));
-/// let mut node = OracleService::from_parts(
-///     cfg, NodeId(0), epochs, FlushPolicy::PerStep, false, source, None);
+/// let mut node = OracleService::from_parts(cfg, NodeId(0), epochs, FlushPolicy::PerStep, source);
 /// assert!(!node.start().is_empty(), "the first epochs start immediately");
 /// ```
 pub struct OracleService {
@@ -78,55 +85,46 @@ impl OracleService {
     /// Creates the service for node `me` — the single low-level
     /// constructor (deployments go through `delphi_api::ServiceBuilder`).
     ///
-    /// `source` supplies this node's input per `(epoch, asset)` pair, and
-    /// `flush` is how the pipeline batches its traffic on any transport.
-    /// `vector` runs each epoch's basket as one instance over
-    /// `epochs.assets` dimensions instead of one instance per asset.
-    ///
-    /// `probe`, if any, is a shared round counter attached to every
-    /// spawned instance (see [`VectorDelphiNode::with_round_probe`]): it
-    /// counts the BinAA rounds completed across all instances —
-    /// `(l_max + 1) × r_max` per asset per epoch, or per epoch in vector
-    /// mode — the denominator-free half of a rounds-per-agreement figure.
+    /// `epochs.assets` is the basket size. `source` supplies this node's
+    /// input per `(epoch, asset)` pair, and `flush` is how the pipeline
+    /// batches its traffic on any transport.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid epoch config, `me` out of range for the
-    /// protocol config's `n`, or — in vector mode — a basket larger than
-    /// [`MAX_VECTOR_DIMS`].
+    /// Panics on an invalid epoch config or `me` out of range for the
+    /// protocol config's `n`.
     pub fn from_parts(
         cfg: DelphiConfig,
         me: NodeId,
         epochs: EpochConfig,
         flush: FlushPolicy,
-        vector: bool,
+        source: PriceSource,
+    ) -> OracleService {
+        let width = if epochs.assets < VECTOR_BASKET_MIN { 1 } else { MAX_VECTOR_DIMS };
+        OracleService::with_width(cfg, me, epochs, flush, width, source)
+    }
+
+    /// [`from_parts`](OracleService::from_parts) at a given number of
+    /// assets per instance.
+    fn with_width(
+        cfg: DelphiConfig,
+        me: NodeId,
+        epochs: EpochConfig,
+        flush: FlushPolicy,
+        width: u16,
         mut source: PriceSource,
-        probe: Option<Arc<AtomicU64>>,
     ) -> OracleService {
         let n = cfg.n();
-        let spawn = move |inputs: &[f64]| {
-            let node = VectorDelphiNode::new(cfg.clone(), me, inputs);
-            match &probe {
-                Some(p) => node.with_round_probe(p.clone()),
-                None => node,
-            }
+        let assets = epochs.assets;
+        let factory = move |epoch, instance: InstanceId| {
+            let first = instance.0.saturating_mul(width);
+            let inputs: Vec<f64> = (first..first.saturating_add(width).min(assets))
+                .map(|a| source(epoch, InstanceId(a)))
+                .collect();
+            VectorDelphiNode::new(cfg.clone(), me, &inputs)
         };
-        let inner = if vector {
-            let dims = epochs.assets;
-            assert!(
-                dims <= MAX_VECTOR_DIMS,
-                "basket of {dims} exceeds {MAX_VECTOR_DIMS} dimensions"
-            );
-            let factory = move |epoch| {
-                let inputs: Vec<f64> = (0..dims).map(|a| source(epoch, InstanceId(a))).collect();
-                spawn(&inputs)
-            };
-            EpochProtocol::new_vector(epochs, me, n, Box::new(factory), flush)
-        } else {
-            let factory = move |epoch, asset| spawn(&[source(epoch, asset)]);
-            EpochProtocol::new(epochs, me, n, Box::new(factory), flush)
-        };
-        OracleService { inner }
+        let instances = EpochConfig { assets: assets.div_ceil(width), ..epochs };
+        OracleService { inner: EpochProtocol::new(instances, me, n, Box::new(factory), flush) }
     }
 
     /// Epoch-layer counters (GC drops, skips, peak residency, entries
@@ -138,7 +136,7 @@ impl OracleService {
     /// Consumes the service, returning the pipeline it runs — flush
     /// policy included — for a transport to drive as it is
     /// (`delphi_net::run_epoch_service`). Its events carry one output per
-    /// instance; [`flatten_vector_events`] turns them into this service's
+    /// instance; [`flatten_vector_events`] joins them into this service's
     /// per-asset shape.
     pub fn into_node(self) -> EpochProtocol<VectorDelphiNode> {
         self.inner
@@ -265,9 +263,7 @@ mod tests {
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
-                    false,
                     Box::new(move |e, a| price(id.index(), e.0, a.0)),
-                    None,
                 )
             })
             .collect();
@@ -277,14 +273,11 @@ mod tests {
 
     #[test]
     fn vector_oracle_streams_epsilon_converged_baskets() {
-        use std::sync::atomic::Ordering;
-
         let n = 4;
         let epochs = 6u32;
         let assets = 4u16;
         let protocol_cfg = cfg(n);
         let epoch_cfg = EpochConfig::new(epochs, assets, 2, 4);
-        let probe = Arc::new(AtomicU64::new(0));
         let mut nodes: Vec<OracleService> = NodeId::all(n)
             .map(|id| {
                 OracleService::from_parts(
@@ -292,23 +285,116 @@ mod tests {
                     id,
                     epoch_cfg,
                     FlushPolicy::PerStep,
-                    true,
                     Box::new(move |e, a| price(id.index(), e.0, a.0)),
-                    Some(probe.clone()),
                 )
             })
             .collect();
         run_mesh(&mut nodes);
-        // The flattened shape matches the per-asset service: one event per
-        // epoch, `assets` agreed values each, in asset order.
+        // A basket of four runs as one instance per epoch, joined to the
+        // per-asset shape: one event per epoch, `assets` agreed values
+        // each, in asset order.
         assert_judged(&nodes, &protocol_cfg, epochs, assets);
-        // The shared round walk: epochs × (l_max + 1) × r_max completions
-        // per node, independent of basket size.
-        let expected = u64::from(epochs)
-            * n as u64
-            * u64::from(protocol_cfg.l_max() + 1)
-            * u64::from(protocol_cfg.r_max());
-        assert_eq!(probe.load(Ordering::Relaxed), expected);
+    }
+
+    /// Node 0 of an n = 4 mesh over a basket of `assets`, its first epoch
+    /// alone in flight.
+    fn first_epoch_node(assets: u16) -> OracleService {
+        let epochs = EpochConfig::new(1, assets, 1, 1);
+        let source: PriceSource = Box::new(|e, a| price(0, e.0, a.0));
+        OracleService::from_parts(cfg(4), NodeId(0), epochs, FlushPolicy::PerStep, source)
+    }
+
+    #[test]
+    fn a_basket_maps_onto_instances_by_its_size() {
+        use delphi_primitives::epoch::decode_epoch_batch_ref;
+        use delphi_primitives::AgreementId;
+        use std::collections::BTreeSet;
+
+        for (assets, instances) in [(1, 1), (2, 2), (3, 1), (8, 1), (64, 1), (65, 2)] {
+            let burst = first_epoch_node(assets).start();
+            let addressed: BTreeSet<AgreementId> = burst
+                .iter()
+                .flat_map(|env| {
+                    decode_epoch_batch_ref(&env.payload).expect("an epoch batch").iter()
+                })
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(addressed.len(), instances, "basket of {assets}");
+        }
+        // Every mapping returns every asset's value, in asset order.
+        for assets in [1, 2, 3, 65] {
+            let epochs = EpochConfig::new(2, assets, 2, 4);
+            let mut nodes: Vec<OracleService> = NodeId::all(4)
+                .map(|id| {
+                    let source =
+                        Box::new(move |e: EpochId, a: InstanceId| price(id.index(), e.0, a.0));
+                    OracleService::from_parts(cfg(4), id, epochs, FlushPolicy::PerStep, source)
+                })
+                .collect();
+            run_mesh(&mut nodes);
+            assert_judged(&nodes, &cfg(4), 2, assets);
+        }
+    }
+
+    /// Wire bytes of a simulated n = 4 stream of a basket of `assets`,
+    /// `width` assets per instance, in the deployed shape: the paper's
+    /// oracle parameters, adaptive flushing, and quotes whose spread
+    /// scales with their price level, as `delphi_workloads`' synthetic
+    /// baskets do.
+    fn simulated_wire_bytes(assets: u16, width: u16) -> u64 {
+        use delphi_sim::{Simulation, Topology};
+
+        let n = 4;
+        let cfg = DelphiConfig::builder(n)
+            .space(0.0, 100_000.0)
+            .rho0(2.0)
+            .delta_max(2000.0)
+            .epsilon(2.0)
+            .build()
+            .expect("config");
+        let epochs = EpochConfig::new(3, assets, 2, 4);
+        let flush = FlushPolicy::adaptive();
+        let nodes = NodeId::all(n)
+            .map(|id| {
+                let source = Box::new(move |e: EpochId, a: InstanceId| {
+                    let level = 100.0 * f64::from(a.0 + 1);
+                    level + 0.3 * f64::from(e.0) + 0.0002 * level * id.index() as f64
+                });
+                OracleService::with_width(cfg.clone(), id, epochs, flush, width, source).boxed()
+            })
+            .collect();
+        let report =
+            Simulation::new(Topology::lan(n)).seed(1).tick_interval_ns(1_000_000).run(nodes);
+        assert!(report.all_honest_finished(), "{:?}", report.stop);
+        report.metrics.total_wire_bytes()
+    }
+
+    #[test]
+    fn the_vector_mapping_starts_where_it_saves_wire_bytes() {
+        // The crossover VECTOR_BASKET_MIN records: two assets cost fewer
+        // bytes as two scalar instances (167 184 B against 180 144 B),
+        // three as one vector instance (211 248 B against 234 576 B).
+        let below = VECTOR_BASKET_MIN - 1;
+        let (scalar, vector) = (simulated_wire_bytes(below, 1), simulated_wire_bytes(below, 64));
+        assert!(scalar < vector, "basket of {below}: scalar {scalar} B vs vector {vector} B");
+        let at = VECTOR_BASKET_MIN;
+        let (scalar, vector) = (simulated_wire_bytes(at, 1), simulated_wire_bytes(at, 64));
+        assert!(vector < scalar, "basket of {at}: vector {vector} B vs scalar {scalar} B");
+    }
+
+    #[test]
+    fn flatten_vector_events_preserves_skips_and_order() {
+        let events = vec![
+            EpochEvent {
+                epoch: EpochId(0),
+                outcome: EpochOutcome::Agreed(vec![vec![1u8, 2], vec![3]]),
+            },
+            EpochEvent { epoch: EpochId(1), outcome: EpochOutcome::Skipped },
+        ];
+        let flat = flatten_vector_events(events);
+        assert_eq!(flat[0].outcome, EpochOutcome::Agreed(vec![1, 2, 3]));
+        assert!(matches!(flat[1].outcome, EpochOutcome::Skipped));
+        assert_eq!((flat[0].epoch, flat[1].epoch), (EpochId(0), EpochId(1)));
     }
 
     #[test]
@@ -320,9 +406,7 @@ mod tests {
             NodeId(2),
             epoch_cfg,
             FlushPolicy::adaptive(),
-            false,
             Box::new(|_, _| 42.0),
-            None,
         );
         let mut node = service.into_node();
         assert_eq!((node.node_id(), node.n()), (NodeId(2), 4));

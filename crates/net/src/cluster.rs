@@ -24,7 +24,7 @@
 //!  "ctxt_switches_per_agreement":14.5,"stats":{"sent_frames":54,"sent_bytes":21862,
 //!  "body_hashes":18,"sent_tags":54,"sent_entries":162,"sent_head_bytes":486,"recv_frames":162,
 //!  "recv_entries":486,"dropped_frames":0,"dropped_egress":0,"late_entries":0,"mac_ops":216,
-//!  "buffer_reuses":40,"vector_instances":0}}
+//!  "buffer_reuses":40}}
 //! ```
 
 use std::error::Error;
@@ -386,7 +386,6 @@ mod tests {
                 late_entries: 2,
                 mac_ops: 40,
                 buffer_reuses: 5,
-                vector_instances: 3,
             },
         }
     }
@@ -417,7 +416,7 @@ mod tests {
     #[test]
     fn report_parse_is_order_insensitive() {
         let text = r#" {"elapsed_ms": -2.5e1, "threads": 3, "stats": {"mac_ops": 7,
-            "vector_instances": 13, "buffer_reuses": 12, "late_entries": 10,
+            "buffer_reuses": 12, "late_entries": 10,
             "dropped_egress": 9, "sent_frames": 1, "sent_bytes": 2, "body_hashes": 4,
             "sent_tags": 5, "sent_entries": 3, "recv_frames": 6, "recv_entries": 8,
             "dropped_frames": 11, "sent_head_bytes": 14}, "agreements": [], "ctxt_switches_per_agreement": 0.5,
@@ -427,7 +426,7 @@ mod tests {
         assert_eq!(r.elapsed_ms, -25.0);
         assert_eq!(r.stats.mac_ops, 7);
         assert_eq!(r.stats.dropped_frames, 11);
-        assert_eq!(r.stats.vector_instances, 13);
+        assert_eq!(r.stats.buffer_reuses, 12);
         assert_eq!(r.threads, 3);
         assert!(r.agreements.is_empty());
         // Every key is required.
@@ -436,16 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn vector_counters_roundtrip_and_unknown_keys_are_ignored() {
+    fn unknown_report_keys_are_ignored() {
         let r = report(5, 123.0);
         let json = r.to_json();
-        assert!(json.contains("\"vector_instances\":3"));
         assert_eq!(NodeReport::parse_json(&json).unwrap(), r);
-        // Keys the parser does not know are ignored.
-        let unknown = json.replace(
-            "\"stats\":{",
-            "\"stats\":{\"shard_entries\":[20,13],\"egress_shard_macs\":[6,4],",
-        );
+        // Keys the parser does not know are ignored, so a report that
+        // still carries a retired counter parses.
+        let unknown = json
+            .replace("\"stats\":{", "\"stats\":{\"shard_entries\":[20,13],\"retired_counter\":3,");
         assert_ne!(unknown, json);
         assert_eq!(NodeReport::parse_json(&unknown).unwrap(), r);
     }
@@ -469,8 +466,7 @@ mod tests {
             "threads": 4, "ctxt_switches_per_agreement": 5.0,
             "stats": {"sent_frames":1,"sent_bytes":2,"body_hashes":1,"sent_tags":1,
             "sent_entries":3,"sent_head_bytes":9,"recv_frames":4,"recv_entries":5,"dropped_frames":6,
-            "dropped_egress":0,"late_entries":7,"mac_ops":8,"buffer_reuses":0,
-            "vector_instances":0}}"#;
+            "dropped_egress":0,"late_entries":7,"mac_ops":8,"buffer_reuses":0}}"#;
         let r = NodeReport::parse_json(text).unwrap();
         assert_eq!(r.agreements, vec![(0, 0, 1.5), (1, 0, 2.5)]);
         // An unterminated array is a loud parse error, not silence.
@@ -512,7 +508,7 @@ mod tests {
         assert_eq!(total.sent_frames, 30);
         assert_eq!(total.mac_ops, 120);
         assert_eq!(total.sent_tags, 30);
-        assert_eq!(total.vector_instances, 9);
+        assert_eq!(total.buffer_reuses, 15);
         // Every counter sums.
         let one = report(0, 0.0).stats;
         assert_eq!(total, NetStats::from_values(one.values().map(|v| 3 * v)));

@@ -201,9 +201,6 @@ async fn dispatch_worker<P>(
     let mut outlets = Some((tail, done));
     loop {
         for event in node.drain_events() {
-            if node.vector_dims() > 0 && matches!(event.outcome, EpochOutcome::Agreed(_)) {
-                stats.counters.add(NetStats::vector_instances, 1);
-            }
             if let Some((tail, _)) = &outlets {
                 // A dropped tail is fine: nobody is reading live.
                 let _ = tail.send(event.clone());
@@ -1252,77 +1249,56 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5), "deadline failure must not hang");
     }
 
-    /// [`epoch_node`]'s gossip as one vector instance per epoch.
-    fn vector_node(me: NodeId, n: usize, cfg: EpochConfig) -> EpochProtocol<EpochGossip> {
-        let factory = move |e: EpochId| EpochGossip {
-            id: me,
-            n,
-            tag: f64::from(e.0) * 10.0,
-            heard: 0,
-            quorum: n - 1,
-            greeting: Bytes::from_static(b"g"),
-        };
-        EpochProtocol::new_vector(cfg, me, n, Box::new(factory), FlushPolicy::PerStep)
-    }
-
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn live_tail_matches_the_finished_stream() {
         // One node tails its own stream while it runs; the tail must be
         // the finished stream, event for event, and must end (None) as
-        // soon as the stream completes — not when the linger ends. Per
-        // asset and as one vector instance per epoch: only the latter
-        // counts vector instances, one per agreed epoch.
+        // soon as the stream completes — not when the linger ends. Two
+        // instances per epoch.
         let n = 3;
         let epochs = 6u32;
         let cfg = EpochConfig::new(epochs, 2, 2, 4);
-        for (seed, vector) in [(&b"live-tail"[..], false), (b"live-tail-vector", true)] {
-            let node = move |id| match vector {
-                true => vector_node(id, n, cfg),
-                false => epoch_node(id, n, cfg, FlushPolicy::PerStep),
-            };
-            let addrs = free_addrs(n).await;
-            let mut peers = Vec::new();
-            for id in NodeId::all(n).skip(1) {
-                let keychain = delphi_crypto::Keychain::derive(seed, id, n);
-                let (node, addrs) = (node(id), addrs.clone());
-                peers.push(tokio::spawn(async move {
-                    run_epoch_service(node, keychain, addrs, RunOptions::default())
-                        .await?
-                        .0
-                        .finish()
-                        .await
-                }));
-            }
-            let keychain = delphi_crypto::Keychain::derive(seed, NodeId(0), n);
-            let (handle, mut live) =
-                run_epoch_service(node(NodeId(0)), keychain, addrs, RunOptions::default())
+        let seed = b"live-tail";
+        let node = |id| epoch_node(id, n, cfg, FlushPolicy::PerStep);
+        let addrs = free_addrs(n).await;
+        let mut peers = Vec::new();
+        for id in NodeId::all(n).skip(1) {
+            let keychain = delphi_crypto::Keychain::derive(seed, id, n);
+            let (node, addrs) = (node(id), addrs.clone());
+            peers.push(tokio::spawn(async move {
+                run_epoch_service(node, keychain, addrs, RunOptions::default())
+                    .await?
+                    .0
+                    .finish()
                     .await
-                    .expect("service starts");
-            // A detached stats probe stays readable while the stream runs
-            // and after it finishes.
-            let probe = handle.stats();
-            let mut tail = Vec::new();
-            while let Some(event) = live.recv().await {
-                // Mid-stream snapshots are coherent: a 2-asset basket under
-                // a window of 4 — never more resident, never stale.
-                let mid = probe.epoch_snapshot();
-                assert!(mid.peak_resident <= 4, "torn or wild snapshot: {mid:?}");
-                assert_eq!(mid.stale_epochs, 0);
-                tail.push(event);
-            }
-            let (events, epoch_stats, net) = handle.finish().await.expect("stream finished");
-            assert_eq!(tail, events, "the live tail is the finished stream");
-            assert_eq!(tail.len(), epochs as usize);
-            assert_eq!(probe.epoch_snapshot(), epoch_stats, "probe converges to the final stats");
-            assert!(probe.net_snapshot().recv_frames > 0);
-            let agreed = events.iter().filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)));
-            assert_eq!(agreed.count(), epochs as usize, "an honest stream agrees every epoch");
-            let vector_instances = if vector { u64::from(epochs) } else { 0 };
-            assert_eq!(net.vector_instances, vector_instances, "vector: {vector}");
-            assert_eq!(probe.net_snapshot().vector_instances, vector_instances);
-            for p in peers {
-                p.await.unwrap().expect("peer stream finished");
-            }
+            }));
+        }
+        let keychain = delphi_crypto::Keychain::derive(seed, NodeId(0), n);
+        let (handle, mut live) =
+            run_epoch_service(node(NodeId(0)), keychain, addrs, RunOptions::default())
+                .await
+                .expect("service starts");
+        // A detached stats probe stays readable while the stream runs
+        // and after it finishes.
+        let probe = handle.stats();
+        let mut tail = Vec::new();
+        while let Some(event) = live.recv().await {
+            // Mid-stream snapshots are coherent: two instances per epoch
+            // under a window of 4 — never more resident, never stale.
+            let mid = probe.epoch_snapshot();
+            assert!(mid.peak_resident <= 4, "torn or wild snapshot: {mid:?}");
+            assert_eq!(mid.stale_epochs, 0);
+            tail.push(event);
+        }
+        let (events, epoch_stats, _) = handle.finish().await.expect("stream finished");
+        assert_eq!(tail, events, "the live tail is the finished stream");
+        assert_eq!(tail.len(), epochs as usize);
+        assert_eq!(probe.epoch_snapshot(), epoch_stats, "probe converges to the final stats");
+        assert!(probe.net_snapshot().recv_frames > 0);
+        let agreed = events.iter().filter(|ev| matches!(ev.outcome, EpochOutcome::Agreed(_)));
+        assert_eq!(agreed.count(), epochs as usize, "an honest stream agrees every epoch");
+        for p in peers {
+            p.await.unwrap().expect("peer stream finished");
         }
     }
 

@@ -86,10 +86,6 @@ delphi_primitives::counter_group! {
         /// Always 0 (the epoch pipeline recycles no flush buffers); kept
         /// for the frozen benchmark's readers in `fig_e2e`.
         buffer_reuses: u64,
-        /// Vector (basket) agreement instances completed by this node — one
-        /// per epoch in vector mode, each covering the whole basket. Zero in
-        /// per-asset mode.
-        vector_instances: u64,
     }
 }
 

@@ -15,8 +15,8 @@
 //!   so simulated bytes equal TCP bytes.
 //! - [`EpochProtocol`]: the pipeline, as one [`Protocol`] that runs
 //!   unchanged under the discrete-event simulator and `delphi-net`'s
-//!   dispatch worker. It spawns per-asset protocol instances epoch after
-//!   epoch from a factory (the streaming price source), keeps at most
+//!   dispatch worker. It spawns protocol instances epoch after epoch
+//!   from a factory (the streaming price source), keeps at most
 //!   [`EpochConfig::depth`] epochs in flight and at most
 //!   [`EpochConfig::window`] resident in memory, garbage-collects
 //!   completed and stale epochs, fast-forwards a node that fell behind the
@@ -430,7 +430,8 @@ impl FlushPolicy {
 pub struct EpochConfig {
     /// Total epochs the stream runs (`K`).
     pub epochs: u32,
-    /// Agreement instances (assets) per epoch.
+    /// Agreement instances per epoch. The pipeline knows no basket: a
+    /// caller that agrees on several assets maps them onto instances.
     pub assets: u16,
     /// Maximum epochs in flight (unfinished) at once — the pipelining
     /// depth, i.e. the epoch-rate knob.
@@ -486,7 +487,7 @@ crate::counter_group! {
 /// How one epoch of the stream resolved.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EpochOutcome<O> {
-    /// Every asset instance produced an output; values in asset order.
+    /// Every instance produced an output; values in instance order.
     Agreed(Vec<O>),
     /// The epoch was abandoned (the node fell behind the quorum frontier
     /// past the live window and could no longer complete it).
@@ -514,33 +515,10 @@ impl<O> EpochEvent<O> {
     }
 }
 
-/// Expands a vector-basket event stream into the per-asset shape.
-///
-/// In vector mode ([`EpochProtocol::new_vector`]) each agreed epoch carries
-/// one output *per instance slot* (a single slot), and that output is
-/// itself the whole basket — `EpochOutcome::Agreed(vec![vec![v0, .., vm]])`.
-/// Concatenating the slots yields `Agreed(vec![v0, .., vm])`, exactly what
-/// the per-asset pipeline emits, so everything downstream (publishers,
-/// agreement counters, convergence checks) is mode-oblivious.
-pub fn flatten_vector_events<O>(events: Vec<EpochEvent<Vec<O>>>) -> Vec<EpochEvent<O>> {
-    events
-        .into_iter()
-        .map(|event| EpochEvent {
-            epoch: event.epoch,
-            outcome: match event.outcome {
-                EpochOutcome::Agreed(slots) => {
-                    EpochOutcome::Agreed(slots.into_iter().flatten().collect())
-                }
-                EpochOutcome::Skipped => EpochOutcome::Skipped,
-            },
-        })
-        .collect()
-}
-
-/// One resident epoch: its per-asset instances and completion state.
+/// One resident epoch: its instances and completion state.
 struct Slot<P: Protocol> {
     instances: Vec<P>,
-    /// Outputs harvested so far, in asset order; taken when the epoch
+    /// Outputs harvested so far, in instance order; taken when the epoch
     /// resolves.
     outputs: Vec<Option<P::Output>>,
     missing: usize,
@@ -570,8 +548,8 @@ fn early_entry_cost(payload_len: usize) -> usize {
 /// and `delphi-net`'s dispatch worker, which takes the instance its
 /// caller built).
 ///
-/// It spawns per-asset protocol instances epoch after epoch from a
-/// factory — one call per `(epoch, asset)` pair; the factory *is* the
+/// It spawns protocol instances epoch after epoch from a factory — one
+/// call per `(epoch, instance)` pair; the factory *is* the
 /// streaming input source — and takes one protocol step per authenticated
 /// entry of each epoch batch it receives. What a step's instances emit
 /// joins one ordered pending list, each entry with its recipient (an
@@ -612,10 +590,6 @@ pub struct EpochProtocol<P: Protocol> {
     early: BTreeMap<u32, Vec<(NodeId, InstanceId, Bytes)>>,
     early_bytes: usize,
     stats: EpochStats,
-    /// Basket dimensions when the pipeline runs one *vector-valued*
-    /// instance per epoch (see [`EpochProtocol::new_vector`]); `0` in the
-    /// ordinary per-asset mode.
-    vector_dims: u16,
     /// When pending entries leave.
     flush: FlushPolicy,
     /// Unflushed entries in send order, each with its recipient; the list
@@ -678,17 +652,10 @@ impl<P: Protocol> EpochProtocol<P> {
             early: BTreeMap::new(),
             early_bytes: 0,
             stats: EpochStats::default(),
-            vector_dims: 0,
             flush,
             pending: Vec::new(),
             pending_bytes: 0,
         }
-    }
-
-    /// Basket dimensions in vector mode ([`EpochProtocol::new_vector`]);
-    /// `0` when the pipeline fans out per asset.
-    pub fn vector_dims(&self) -> u16 {
-        self.vector_dims
     }
 
     /// Whether every epoch of the stream has resolved and been emitted.
@@ -1017,35 +984,6 @@ impl<P: Protocol + Send + 'static> EpochProtocol<P> {
         };
         EpochProtocol::new(cfg, me, n, Box::new(factory), flush)
     }
-
-    /// Creates a *vector-basket* pipeline: one multidimensional agreement
-    /// instance per epoch instead of a per-asset fan-out.
-    ///
-    /// `cfg.assets` names the basket size the instances agree on; on the
-    /// wire the pipeline runs with a single [`InstanceId`] (asset 0) per
-    /// epoch — every frame entry of an epoch addresses the one vector
-    /// instance, which is why one bundle exchange per round covers the
-    /// whole basket. [`EpochProtocol::vector_dims`] reports the basket
-    /// size so drivers can expand each `P::Output` (a whole basket) back
-    /// into per-asset values (see [`flatten_vector_events`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid config (see [`EpochConfig::new`]) or `me` out
-    /// of range.
-    pub fn new_vector(
-        cfg: EpochConfig,
-        me: NodeId,
-        n: usize,
-        mut factory: Box<dyn FnMut(EpochId) -> P + Send>,
-        flush: FlushPolicy,
-    ) -> EpochProtocol<P> {
-        let wire_cfg = EpochConfig::new(cfg.epochs, 1, cfg.depth, cfg.window);
-        let mut node =
-            EpochProtocol::new(wire_cfg, me, n, Box::new(move |epoch, _| factory(epoch)), flush);
-        node.vector_dims = cfg.assets;
-        node
-    }
 }
 
 impl<P: Protocol> Protocol for EpochProtocol<P> {
@@ -1249,94 +1187,6 @@ mod tests {
             tag: (e.0 as u8).wrapping_mul(10).wrapping_add(a.0 as u8),
             heard: 0,
         })
-    }
-
-    /// Degenerate vector protocol: outputs the whole basket at start.
-    struct InstantBasket {
-        id: NodeId,
-        n: usize,
-        basket: Vec<u8>,
-    }
-
-    impl Protocol for InstantBasket {
-        type Output = Vec<u8>;
-        fn node_id(&self) -> NodeId {
-            self.id
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn start(&mut self) -> Vec<Envelope> {
-            Vec::new()
-        }
-        fn on_message(&mut self, _: NodeId, _: &[u8]) -> Vec<Envelope> {
-            Vec::new()
-        }
-        fn output(&self) -> Option<Vec<u8>> {
-            Some(self.basket.clone())
-        }
-    }
-
-    #[test]
-    fn vector_mode_runs_one_instance_per_epoch() {
-        let n = 4;
-        let dims = 8u16;
-        let cfg = EpochConfig::new(3, dims, 1, 2);
-        let spawned = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let counter = spawned.clone();
-        let mut node = EpochProtocol::new_vector(
-            cfg,
-            NodeId(0),
-            n,
-            Box::new(move |epoch| {
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                InstantBasket {
-                    id: NodeId(0),
-                    n,
-                    basket: (0..dims as u8).map(|d| d + epoch.0 as u8).collect(),
-                }
-            }),
-            FlushPolicy::PerStep,
-        );
-        assert_eq!(node.vector_dims(), dims);
-        // On the wire the pipeline runs a single instance slot per epoch.
-        assert_eq!(node.cfg.assets, 1);
-        let _ = node.start();
-        assert!(node.is_complete());
-        // One factory call (= one agreement instance) per epoch, not per
-        // asset.
-        assert_eq!(spawned.load(std::sync::atomic::Ordering::SeqCst), 3);
-        let events = node.drain_events();
-        assert_eq!(events.len(), 3);
-        for event in &events {
-            // Each event holds one slot whose output is the whole basket.
-            assert!(matches!(&event.outcome, EpochOutcome::Agreed(slots) if slots.len() == 1
-                    && slots[0].len() == usize::from(dims)));
-        }
-        // Flattening recovers the per-asset event shape downstream code
-        // expects: `dims` agreements per agreed epoch.
-        let flat = flatten_vector_events(events);
-        for (e, event) in flat.iter().enumerate() {
-            assert_eq!(event.agreements().count(), usize::from(dims));
-            match &event.outcome {
-                EpochOutcome::Agreed(values) => {
-                    assert_eq!(values[3], 3 + e as u8);
-                }
-                EpochOutcome::Skipped => panic!("skipped"),
-            }
-        }
-    }
-
-    #[test]
-    fn flatten_vector_events_preserves_skips_and_order() {
-        let events = vec![
-            EpochEvent { epoch: EpochId(0), outcome: EpochOutcome::Agreed(vec![vec![1u8, 2, 3]]) },
-            EpochEvent { epoch: EpochId(1), outcome: EpochOutcome::Skipped },
-        ];
-        let flat = flatten_vector_events(events);
-        assert_eq!(flat[0].outcome, EpochOutcome::Agreed(vec![1, 2, 3]));
-        assert!(matches!(flat[1].outcome, EpochOutcome::Skipped));
-        assert_eq!((flat[0].epoch, flat[1].epoch), (EpochId(0), EpochId(1)));
     }
 
     /// Node `me` of an `n`-node gossip stream, flushing per step.

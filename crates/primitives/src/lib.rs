@@ -53,8 +53,8 @@ pub mod wire;
 pub use bitset::NodeBitSet;
 pub use dyadic::{Dyadic, DyadicRangeError};
 pub use epoch::{
-    flatten_vector_events, AgreementId, EpochConfig, EpochEvent, EpochId, EpochOutcome,
-    EpochProtocol, EpochStats, FlushPolicy,
+    AgreementId, EpochConfig, EpochEvent, EpochId, EpochOutcome, EpochProtocol, EpochStats,
+    FlushPolicy,
 };
 pub use id::{InstanceId, NodeId, Round};
 pub use protocol::{Envelope, Protocol, Recipient};

@@ -6,12 +6,13 @@
 //! drop messages between honest nodes). A corrupted node holds valid keys,
 //! so what it sends is authenticated as its own; what it says is up to the
 //! adversary. [`Faulty`] is such a node: it holds an identity, the system
-//! size and a [`Forge`], which is handed every message the node hears and
-//! answers the bytes to send. A forge knows only bytes, so one interface
+//! size and a forge — a closure handed every message the node hears (`None`
+//! at start) that answers `(recipient, bytes)` pairs to send, `None`
+//! naming everyone. A forge knows only bytes, so one interface
 //! serves every protocol: the byte-level forges here ([`Faulty::crash`],
 //! [`Faulty::garbage`], [`Faulty::replay`]) know nothing of the protocol
-//! they attack, and a protocol's tests write their own forges — a closure
-//! is one — where its message schema is known.
+//! they attack, and a protocol's tests write their own forges where its
+//! message schema is known.
 //!
 //! [`SilentAfter`] and [`ByteMutator`] instead wrap an honest node: it
 //! crashes mid-protocol, or its authenticated messages arrive corrupted.
@@ -28,27 +29,13 @@ use delphi_primitives::{Envelope, NodeId, Protocol};
 
 /// What a faulty node sends: handed the bytes it heard (`None` at start),
 /// a forge answers `(recipient, bytes)` pairs, `None` naming everyone.
-pub trait Forge {
-    /// The messages to send having heard `heard`.
-    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)>;
-
-    /// Whether the forge will never send again.
-    fn spent(&self) -> bool {
-        false
-    }
-}
-
-impl<F: FnMut(Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)>> Forge for F {
-    fn forge(&mut self, heard: Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> {
-        self(heard)
-    }
-}
+type Forge = dyn FnMut(Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)>;
 
 /// A faulty node: whatever its forge sends, and never an output.
 pub struct Faulty<O> {
     id: NodeId,
     n: usize,
-    forge: Box<dyn Forge>,
+    forge: Box<Forge>,
     /// Messages it may still send.
     left: usize,
     _output: PhantomData<O>,
@@ -57,7 +44,11 @@ pub struct Faulty<O> {
 impl<O> Faulty<O> {
     /// The faulty node `id` of an `n`-node system, sending what `forge`
     /// answers. It never sends to itself.
-    pub fn new(id: NodeId, n: usize, forge: impl Forge + 'static) -> Faulty<O> {
+    pub fn new(
+        id: NodeId,
+        n: usize,
+        forge: impl FnMut(Option<&[u8]>) -> Vec<(Option<NodeId>, Bytes)> + 'static,
+    ) -> Faulty<O> {
         Faulty { id, n, forge: Box::new(forge), left: usize::MAX, _output: PhantomData }
     }
 
@@ -111,7 +102,7 @@ impl<O> Faulty<O> {
         if self.left == 0 {
             return Vec::new();
         }
-        let mut sends = self.forge.forge(heard);
+        let mut sends = (self.forge)(heard);
         sends.truncate(self.left);
         self.left -= sends.len();
         sends
@@ -143,7 +134,7 @@ impl<O: Clone + std::fmt::Debug> Protocol for Faulty<O> {
         None
     }
     fn is_finished(&self) -> bool {
-        self.left == 0 || self.forge.spent()
+        self.left == 0
     }
 }
 

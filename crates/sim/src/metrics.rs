@@ -87,9 +87,10 @@ pub struct EpochThroughput {
 impl EpochThroughput {
     /// Summarizes a finished epoch-stream run, counting per `(epoch,
     /// asset)` value: an epoch whose `Agreed` carries `k` values counts
-    /// `k`. A vector-mode run hands its events over flattened
-    /// (`flatten_vector_events`), so its costs per agreement compare
-    /// directly with the per-asset scalar sweep.
+    /// `k`. The oracle hands its events over joined per asset
+    /// (`delphi_core::oracle::flatten_vector_events`), whichever instances
+    /// its basket mapped onto, so costs per agreement compare across
+    /// basket sizes.
     pub fn from_report<O: Clone + fmt::Debug>(
         report: &RunReport<Vec<EpochEvent<O>>>,
     ) -> EpochThroughput {
@@ -175,7 +176,7 @@ mod tests {
         assert!(s.contains("MiB"));
     }
 
-    /// Emits a canned flattened vector-mode event stream (the shape
+    /// Emits a canned joined event stream (the shape
     /// `flatten_vector_events` produces: one event per epoch, all basket
     /// dimensions as values) once every greeting arrived.
     struct VectorStream {

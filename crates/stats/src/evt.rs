@@ -11,52 +11,10 @@
 //! - fat-tailed inputs (Pareto, Loggamma with shape `α`): the range
 //!   follows a **Fréchet** law, giving `Δ = O(2^{λ/α} · n^{1/α})`.
 //!
-//! This module provides both the analytic tail bounds and an empirical
-//! range sampler to validate them.
+//! This module provides the fat-tail bound the oracle's `Δ` is derived
+//! from (Fig. 4); its tests sample ranges empirically to check both laws.
 
-use rand::Rng;
-
-use crate::dist::{ContinuousDist, Frechet, Gumbel};
-use crate::fit;
-
-/// Samples the range `max − min` of `n` i.i.d. draws from `dist`.
-pub fn sample_range<D: ContinuousDist, R: Rng + ?Sized>(dist: &D, n: usize, rng: &mut R) -> f64 {
-    assert!(n >= 1, "range of at least one sample");
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for _ in 0..n {
-        let x = dist.sample(rng);
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    hi - lo
-}
-
-/// Draws `trials` independent ranges of `n` samples each.
-pub fn range_distribution<D: ContinuousDist, R: Rng + ?Sized>(
-    dist: &D,
-    n: usize,
-    trials: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    (0..trials).map(|_| sample_range(dist, n, rng)).collect()
-}
-
-/// `Δ` such that `P(X > Δ) ≤ 2^{−λ}` for a Gumbel-distributed range.
-///
-/// Uses the exact Gumbel quantile at `p = 1 − 2^{−λ}`; for large `λ` this
-/// is `µ + β·(λ ln 2 + o(1))` — the paper's `Δ = O(λ·δ_mean)` for
-/// thin-tailed inputs.
-pub fn gumbel_tail_bound(gumbel: &Gumbel, lambda_bits: u32) -> f64 {
-    let p = 1.0 - 0.5f64.powi(lambda_bits as i32);
-    // For λ ≥ 50 the quantile formula underflows; use the asymptotic
-    // expansion −ln(−ln p) ≈ λ ln 2 instead.
-    if p < 1.0 - 1e-14 {
-        gumbel.quantile(p)
-    } else {
-        gumbel.loc() + gumbel.scale() * (f64::from(lambda_bits) * std::f64::consts::LN_2)
-    }
-}
+use crate::dist::{ContinuousDist, Frechet};
 
 /// `Δ` such that `P(X > Δ) ≤ 2^{−λ}` for a Fréchet-distributed range.
 ///
@@ -74,25 +32,6 @@ pub fn frechet_tail_bound(frechet: &Frechet, lambda_bits: u32) -> f64 {
     }
 }
 
-/// Empirically derives the Delphi `Δ` for a thin-tailed input model:
-/// simulates ranges of `n` draws, fits a Gumbel, and returns its
-/// `λ`-bit tail bound. This is exactly the paper's §VI-A methodology with
-/// synthetic data standing in for the exchange feed.
-pub fn delta_for_thin_tail<D: ContinuousDist, R: Rng + ?Sized>(
-    dist: &D,
-    n: usize,
-    lambda_bits: u32,
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    let ranges = range_distribution(dist, n, trials, rng);
-    match fit::gumbel_moments(&ranges) {
-        Ok(g) => gumbel_tail_bound(&g, lambda_bits),
-        // Degenerate (e.g. constant) data: fall back to the max observed.
-        Err(_) => ranges.iter().copied().fold(0.0, f64::max),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +39,23 @@ mod tests {
     use crate::dist::{Normal, Pareto};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `trials` independent ranges `max − min` of `n` draws from `dist`.
+    fn range_distribution<D: ContinuousDist>(
+        dist: &D,
+        n: usize,
+        trials: usize,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        let mut range = || {
+            let draws: Vec<f64> = (0..n).map(|_| dist.sample(rng)).collect();
+            let (lo, hi) = draws
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            hi - lo
+        };
+        (0..trials).map(|_| range()).collect()
+    }
 
     #[test]
     fn range_is_nonnegative_and_grows_with_n() {
@@ -137,24 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn gumbel_bound_is_a_tail_bound() {
-        let g = Gumbel::new(25.0, 8.0).unwrap();
-        for lambda in [8, 16, 30] {
-            let delta = gumbel_tail_bound(&g, lambda);
-            let p_exceed = 1.0 - g.cdf(delta);
-            assert!(
-                p_exceed <= 0.5f64.powi(lambda as i32) * 1.01 + 1e-15,
-                "λ = {lambda}: P(exceed) = {p_exceed}"
-            );
-        }
-        // Monotone in λ.
-        assert!(gumbel_tail_bound(&g, 20) < gumbel_tail_bound(&g, 30));
-        // Large λ uses the asymptotic branch and stays finite.
-        let big = gumbel_tail_bound(&g, 60);
-        assert!(big.is_finite() && big > gumbel_tail_bound(&g, 30));
-    }
-
-    #[test]
     fn frechet_bound_is_exponential_in_lambda_over_alpha() {
         let f = Frechet::new(0.0, 29.3, 4.41).unwrap();
         let d10 = frechet_tail_bound(&f, 10);
@@ -177,18 +115,5 @@ mod tests {
         let f = Frechet::new(0.0, 29.3, 4.41).unwrap();
         let delta = frechet_tail_bound(&f, 30);
         assert!((1000.0..4000.0).contains(&delta), "Δ = {delta} should be near the paper's 2000$");
-    }
-
-    #[test]
-    fn delta_for_thin_tail_bounds_observed_ranges() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let d = Normal::new(100.0, 2.0).unwrap();
-        let delta = delta_for_thin_tail(&d, 64, 20, 500, &mut rng);
-        // All observed ranges must sit below the 20-bit bound.
-        let ranges = range_distribution(&d, 64, 500, &mut rng);
-        let max_seen = ranges.iter().copied().fold(0.0, f64::max);
-        assert!(delta > max_seen, "Δ = {delta} ≤ max observed {max_seen}");
-        // And the bound is not absurdly loose (within ~4x of the max).
-        assert!(delta < 4.0 * max_seen, "Δ = {delta} vs max {max_seen}");
     }
 }

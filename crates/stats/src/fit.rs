@@ -5,7 +5,7 @@
 //! Gumbel on BTC ranges; Fig. 5: Gamma vs Fréchet on IoU values).
 
 use crate::describe::Summary;
-use crate::dist::{DistError, Frechet, Gamma, Gumbel, Normal, Pareto};
+use crate::dist::{DistError, Frechet, Gamma, Gumbel, Normal};
 use crate::special::EULER_GAMMA;
 
 /// Fitting failure: not enough data or degenerate input.
@@ -104,25 +104,6 @@ pub fn gamma_mle(data: &[f64]) -> Result<Gamma, FitError> {
     Ok(Gamma::new(shape, scale)?)
 }
 
-/// Maximum-likelihood Pareto fit: `x_m = min`, `α = n / Σ ln(x_i/x_m)`.
-///
-/// # Errors
-///
-/// Returns [`FitError`] if samples are non-positive or all equal.
-pub fn pareto_mle(data: &[f64]) -> Result<Pareto, FitError> {
-    let xs = finite(data)?;
-    let x_m = xs.iter().copied().fold(f64::INFINITY, f64::min);
-    if x_m <= 0.0 {
-        return Err(FitError("Pareto fit requires positive samples"));
-    }
-    let log_sum: f64 = xs.iter().map(|x| (x / x_m).ln()).sum();
-    if log_sum <= 0.0 {
-        return Err(FitError("all samples equal"));
-    }
-    let alpha = xs.len() as f64 / log_sum;
-    Ok(Pareto::new(x_m, alpha)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,19 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn pareto_fit_recovers_parameters() {
-        let truth = Pareto::new(2.0, 3.2).unwrap();
-        let fit = pareto_mle(&samples(&truth, 20_000, 5)).unwrap();
-        assert!((fit.alpha() - 3.2).abs() < 0.1, "alpha {}", fit.alpha());
-    }
-
-    #[test]
     fn degenerate_inputs_rejected() {
         assert!(normal_mle(&[1.0]).is_err());
         assert!(normal_mle(&[2.0, 2.0, 2.0]).is_err());
         assert!(gamma_mle(&[1.0, -2.0]).is_err());
         assert!(frechet_log_moments(&[0.0, 1.0]).is_err());
-        assert!(pareto_mle(&[3.0, 3.0]).is_err());
         assert!(normal_mle(&[f64::NAN, 1.0]).is_err());
         assert!(!FitError("x").to_string().is_empty());
     }

@@ -31,25 +31,6 @@ pub fn ks_statistic(samples: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
     ks_statistic_sorted(&xs, cdf)
 }
 
-/// Asymptotic KS p-value: `Q(√n · D)` with the Kolmogorov series
-/// `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2k²λ²}`.
-pub fn ks_p_value(d: f64, n: usize) -> f64 {
-    let lambda = (n as f64).sqrt() * d;
-    // Q(0.3) > 0.99999 and the series converges too slowly below that.
-    if lambda < 0.3 {
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64) * (k as f64) * lambda * lambda).exp();
-        sum += if k % 2 == 1 { term } else { -term };
-        if term < 1e-12 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,16 +58,6 @@ mod tests {
         let normal = Normal::new(s.mean, s.std_dev).unwrap();
         let d_wrong = ks_statistic(&samples, |x| normal.cdf(x));
         assert!(d_right < d_wrong, "right {d_right} vs wrong {d_wrong}");
-    }
-
-    #[test]
-    fn p_value_behaviour() {
-        // Tiny statistic: p ≈ 1; large statistic: p ≈ 0.
-        assert!(ks_p_value(0.001, 100) > 0.99);
-        assert!(ks_p_value(0.5, 1000) < 1e-6);
-        // Known reference: Q(1.36) ≈ 0.049 (the 5% critical value).
-        let p = ks_p_value(1.36 / (1000f64).sqrt(), 1000);
-        assert!((p - 0.049).abs() < 0.005, "p = {p}");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   method of moments / log-transform tricks elsewhere);
 //! - [`ks`]: Kolmogorov–Smirnov distances for the "which distribution
 //!   fits best" comparisons of Figs. 4 and 5;
-//! - [`evt`]: extreme-value helpers — range sampling and the
-//!   `Δ = f(n, λ)` tail bounds of §IV-D (Gumbel: `O(λ)`, Fréchet:
-//!   `O(2^{λ/α})`);
+//! - [`evt`]: extreme-value helpers — the fat-tailed `Δ = f(n, λ)` tail
+//!   bound of §IV-D (Fréchet: `O(2^{λ/α})`);
 //! - [`histogram`]: fixed-bin histograms with CSV/ASCII rendering for the
 //!   figure-regeneration binaries;
 //! - [`describe`]: summary statistics.

@@ -16,14 +16,12 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use delphi::core::{DelphiConfig, DelphiNode, OracleService};
+use delphi::core::{flatten_vector_events, DelphiConfig, DelphiNode, OracleService};
 use delphi::crypto::Keychain;
 use delphi::net::{
     encode_epoch_frame, run_epoch_service, run_node, NetError, NetStats, RunOptions,
 };
-use delphi::primitives::{
-    flatten_vector_events, AgreementId, EpochEvent, EpochOutcome, EpochStats, NodeId,
-};
+use delphi::primitives::{AgreementId, EpochEvent, EpochOutcome, EpochStats, NodeId};
 use delphi::sim::adversary::ByteMutator;
 use delphi::sim::{judge, judge_streams};
 use delphi::workloads::{EpochFeed, MultiAssetConfig};

@@ -96,19 +96,19 @@ fn hundred_epoch_process_cluster_streams_and_adaptive_flush_beats_per_step() {
 #[ignore = "needs the delphi-node binary: cargo build -p delphi-bench --bin delphi-node"]
 fn multi_asset_process_cluster_batches_on_the_wire() {
     let _guard = port_lock();
-    // The same 4-process cluster agreeing once on a 3-asset basket per
-    // node, run batched (the adaptive policy, as deployed) and unbatched
+    // The same 4-process cluster agreeing once on a 2-asset basket (two
+    // instances) per node, run batched (the adaptive policy, as deployed) and unbatched
     // (one frame per envelope): the batched deployment must spend fewer
     // frames, MACs and framing bytes for the same protocol work —
     // measured over real sockets, not simulated.
     let batched = run_local_cluster(4, "smoke-batched", |spec| {
-        spec.assets = 3;
+        spec.assets = 2;
         spec.adaptive = true;
         spec.deadline_ms = 120_000;
     })
     .expect("batched cluster run succeeds");
     let unbatched = run_local_cluster(4, "smoke-unbatched", |spec| {
-        spec.assets = 3;
+        spec.assets = 2;
         spec.unbatched = true;
         spec.deadline_ms = 120_000;
     })

@@ -1,13 +1,13 @@
 //! Integration: the multi-asset oracle scenario.
 //!
 //! A DORA-style deployment agrees on a whole basket of assets each epoch.
-//! These tests run one epoch of the default basket over one simulated
-//! mesh — every asset a Delphi instance, all multiplexed as an epoch
-//! stream — under two flush policies: one frame per entry (the
-//! unbatched baseline) and adaptive batching. Every asset must reach
-//! ε-agreement inside the relaxed hull of its inputs under both (the
-//! runner judges every run with `delphi_sim::judge_streams`), and
-//! batching must strictly cut transport cost for the same entries.
+//! These tests run one epoch of a basket over one simulated mesh, all its
+//! instances multiplexed as an epoch stream, under two flush policies:
+//! one frame per entry (the unbatched baseline) and adaptive batching.
+//! Every asset must reach ε-agreement inside the relaxed hull of its
+//! inputs under both (the runner judges every run with
+//! `delphi_sim::judge_streams`), and batching must strictly cut transport
+//! cost for the same entries.
 
 use delphi::core::DelphiConfig;
 use delphi::primitives::{EpochConfig, FlushPolicy};
@@ -25,7 +25,7 @@ fn oracle_cfg(n: usize) -> DelphiConfig {
         .expect("valid oracle parameters")
 }
 
-/// One epoch of the default basket over one mesh of `n` nodes, judged
+/// One epoch of `feed`'s basket over one mesh of `n` nodes, judged
 /// against the feed's inputs (the runner panics on a failed judge).
 fn one_epoch(
     cfg: &DelphiConfig,
@@ -34,7 +34,7 @@ fn one_epoch(
     flush: FlushPolicy,
 ) -> EpochSimPoint {
     let assets = feed.assets() as u16;
-    run_epoch_delphi(cfg, feed, EpochConfig::new(1, assets, 1, 1), flush, topology, 100, false)
+    run_epoch_delphi(cfg, feed, EpochConfig::new(1, assets, 1, 1), flush, topology, 100)
 }
 
 #[test]
@@ -50,9 +50,13 @@ fn one_epoch_basket_reaches_per_asset_agreement_under_both_flush_policies() {
 
 #[test]
 fn adaptive_flush_cuts_frames_and_bytes_vs_per_entry() {
+    // A basket of two: two instances per epoch, whose entries share
+    // frames. (The default basket of four runs as one vector instance;
+    // batching its steps changes how many entries it sends and how large
+    // they are, so its bytes per entry do not compare across the runs.)
     let n = 6;
     let cfg = oracle_cfg(n);
-    let feed = EpochFeed::new(MultiAssetConfig::default_basket(), 11);
+    let feed = EpochFeed::new(MultiAssetConfig::synthetic(2), 11);
     let per_entry = one_epoch(&cfg, &feed, Topology::lan(n), FlushPolicy::PerEntry);
     let adaptive = one_epoch(&cfg, &feed, Topology::lan(n), FlushPolicy::adaptive());
 
